@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench verify lint mc fuzz fmt
+.PHONY: build test bench benchmark benchmark-compare verify lint mc fuzz fmt
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,16 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The end-to-end benchmark BENCHMARK.json declares: the entangled daemon
+# and a 3-node fleet as a client sees them (~3 min). Results land in
+# benchmark/out; compare two of them (files or directories) with
+# `make benchmark-compare A=... B=...`. See benchmark/README.md.
+benchmark:
+	$(GO) run ./benchmark
+
+benchmark-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # The full gate: gofmt, vet, build, tests, and the race detector over
 # the concurrent packages. See scripts/verify.sh.

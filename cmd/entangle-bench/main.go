@@ -37,6 +37,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+
+	"entangle/internal/bench"
 )
 
 var (
@@ -89,20 +91,20 @@ func run() int {
 		name string
 		run  func() (string, error)
 	}{
-		{"fig3", runFig3},
-		{"fig4", runFig4},
-		{"fig5", runFig5},
-		{"fig6", runFig6},
-		{"bugs", runBugs},
-		{"ablation", runAblation},
-		{"extensions", runExtensions},
-		{"parallel", runParallel},
-		{"chaos", runChaos},
-		{"cache", runCache},
+		{"fig3", text(bench.Fig3)},
+		{"fig4", text(bench.Fig4)},
+		{"fig5", bench.Fig5},
+		{"fig6", bench.Fig6},
+		{"bugs", text(bench.Table3)},
+		{"ablation", bench.Ablation},
+		{"extensions", bench.Extensions},
+		{"parallel", bench.Parallel},
+		{"chaos", bench.Chaos},
+		{"cache", recorded(bench.Cache)},
 		{"saturate", runSaturate},
-		{"diff", runDiff},
-		{"fleet", runFleet},
-		{"fuzz", runFuzz},
+		{"diff", recorded(bench.Diff)},
+		{"fleet", recorded(bench.Fleet)},
+		{"fuzz", recorded(bench.Fuzz)},
 	}
 	ran := false
 	for _, s := range steps {

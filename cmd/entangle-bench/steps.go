@@ -10,56 +10,52 @@ import (
 	"entangle/internal/bench"
 )
 
-func runFig3() (string, error) {
-	txt, _, err := bench.Fig3()
-	return txt, err
-}
-
-func runFig4() (string, error) {
-	txt, _, err := bench.Fig4()
-	return txt, err
-}
-
-func runFig5() (string, error) { return bench.Fig5() }
-
-func runFig6() (string, error) { return bench.Fig6() }
-
-func runBugs() (string, error) {
-	txt, _, err := bench.Table3()
-	return txt, err
-}
-
-func runAblation() (string, error) { return bench.Ablation() }
-
-func runParallel() (string, error) { return bench.Parallel() }
-
-func runChaos() (string, error) { return bench.Chaos() }
-
-func runCache() (string, error) {
-	txt, points, err := bench.Cache()
-	if err != nil {
-		return "", err
+// text adapts an experiment that also returns data to a text-only step.
+func text[D any](exp func() (string, D, error)) func() (string, error) {
+	return func() (string, error) {
+		txt, _, err := exp()
+		return txt, err
 	}
-	if *jsonOut != "" {
-		if err := appendTrajectory(*jsonOut, points); err != nil {
+}
+
+// recorded adapts an experiment yielding trajectory points to a step
+// that, under -json, appends them to the trajectory file. The
+// experiments self-gate on correctness, so every recorded point is a
+// verified one.
+func recorded[P any](exp func() (string, []P, error)) func() (string, error) {
+	return func() (string, error) {
+		txt, points, err := exp()
+		if err != nil {
 			return "", err
 		}
-		txt += fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut)
+		return record(txt, points)
 	}
-	return txt, err
 }
 
-// cacheRun is one recorded `-exp cache` invocation in the trajectory
-// file: BENCH_cache.json holds an array of these, one per run, so the
-// series tracks cache performance across checker versions.
-type cacheRun struct {
-	Timestamp string             `json:"timestamp"`
-	Go        string             `json:"go"`
-	Points    []bench.CachePoint `json:"points"`
+func record[P any](txt string, points []P) (string, error) {
+	if *jsonOut == "" {
+		return txt, nil
+	}
+	if err := appendTrajectory(*jsonOut, points); err != nil {
+		return "", err
+	}
+	return txt + fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut), nil
 }
 
-func appendTrajectory(path string, points []bench.CachePoint) error {
-	var runs []cacheRun
+// benchRun is one recorded experiment invocation in a trajectory file:
+// each BENCH_*.json holds an array of these, one per run, so the series
+// tracks the experiment's numbers across checker versions.
+type benchRun[P any] struct {
+	Timestamp string `json:"timestamp"`
+	Go        string `json:"go"`
+	Points    []P    `json:"points"`
+}
+
+// appendTrajectory appends one run to the trajectory at path. Existing
+// runs are carried as raw JSON, so their bytes survive unchanged even
+// when the point type has since grown fields.
+func appendTrajectory[P any](path string, points []P) error {
+	var runs []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &runs); err != nil {
 			return fmt.Errorf("%s: existing trajectory unreadable: %v", path, err)
@@ -67,173 +63,24 @@ func appendTrajectory(path string, points []bench.CachePoint) error {
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	runs = append(runs, cacheRun{
+	last, err := json.Marshal(benchRun[P]{
 		Timestamp: time.Now().UTC().Format(time.RFC3339),
 		Go:        runtime.Version(),
 		Points:    points,
 	})
-	data, err := json.MarshalIndent(runs, "", "  ")
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(append(runs, last), "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func runExtensions() (string, error) { return bench.Extensions() }
-
-// fleetRun is one recorded `-exp fleet` invocation in the trajectory
-// file: BENCH_fleet.json holds an array of these, one per run, so the
-// series tracks sharded-fleet overhead and chaos resilience across
-// versions. The experiment self-gates on report byte-identity with the
-// single-node run and on the crash/restart durability sweep, so every
-// recorded point is a verified one.
-type fleetRun struct {
-	Timestamp string             `json:"timestamp"`
-	Go        string             `json:"go"`
-	Points    []bench.FleetPoint `json:"points"`
-}
-
-func runFleet() (string, error) {
-	txt, points, err := bench.Fleet()
-	if err != nil {
-		return "", err
-	}
-	if *jsonOut != "" {
-		if err := appendFleetTrajectory(*jsonOut, points); err != nil {
-			return "", err
-		}
-		txt += fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut)
-	}
-	return txt, nil
-}
-
-func appendFleetTrajectory(path string, points []bench.FleetPoint) error {
-	var runs []fleetRun
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			return fmt.Errorf("%s: existing trajectory unreadable: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	runs = append(runs, fleetRun{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Go:        runtime.Version(),
-		Points:    points,
-	})
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// diffRun is one recorded `-exp diff` invocation in the trajectory
-// file: BENCH_diff.json holds an array of these, one per run, so the
-// series tracks incremental re-verification speedups across checker
-// versions. The experiment self-gates on correctness (exact-cone
-// re-check, full replay of unchanged operators), so every recorded
-// point is a verified one.
-type diffRun struct {
-	Timestamp string            `json:"timestamp"`
-	Go        string            `json:"go"`
-	Points    []bench.DiffPoint `json:"points"`
-}
-
-func runDiff() (string, error) {
-	txt, points, err := bench.Diff()
-	if err != nil {
-		return "", err
-	}
-	if *jsonOut != "" {
-		if err := appendDiffTrajectory(*jsonOut, points); err != nil {
-			return "", err
-		}
-		txt += fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut)
-	}
-	return txt, nil
-}
-
-func appendDiffTrajectory(path string, points []bench.DiffPoint) error {
-	var runs []diffRun
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			return fmt.Errorf("%s: existing trajectory unreadable: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	runs = append(runs, diffRun{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Go:        runtime.Version(),
-		Points:    points,
-	})
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// fuzzRun is one recorded `-exp fuzz` invocation in the trajectory
-// file: BENCH_fuzz.json holds an array of these, one per run, so the
-// series tracks fuzzer throughput, unique lemma gaps, and shrink
-// quality across checker versions. The experiment self-gates (all
-// nine bug classes rediscovered as Disproved, zero unsound cases,
-// every Refined case numerically validated), so every recorded point
-// is a verified one.
-type fuzzRun struct {
-	Timestamp string            `json:"timestamp"`
-	Go        string            `json:"go"`
-	Points    []bench.FuzzPoint `json:"points"`
-}
-
-func runFuzz() (string, error) {
-	txt, points, err := bench.Fuzz()
-	if err != nil {
-		return "", err
-	}
-	if *jsonOut != "" {
-		if err := appendFuzzTrajectory(*jsonOut, points); err != nil {
-			return "", err
-		}
-		txt += fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut)
-	}
-	return txt, nil
-}
-
-func appendFuzzTrajectory(path string, points []bench.FuzzPoint) error {
-	var runs []fuzzRun
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			return fmt.Errorf("%s: existing trajectory unreadable: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	runs = append(runs, fuzzRun{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Go:        runtime.Version(),
-		Points:    points,
-	})
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// saturateRun is one recorded `-exp saturate` invocation in the
-// trajectory file: BENCH_saturate.json holds an array of these, one
-// per run, so the series tracks cold-check hot-path performance across
-// engine versions — and `-baseline` gates CI on regressions against
-// the last committed run.
-type saturateRun struct {
-	Timestamp string                `json:"timestamp"`
-	Go        string                `json:"go"`
-	Points    []bench.SaturatePoint `json:"points"`
-}
-
+// runSaturate additionally gates on `-baseline`: the cold-check
+// hot-path numbers must not regress against that trajectory's last
+// committed run.
 func runSaturate() (string, error) {
 	txt, points, err := bench.Saturate()
 	if err != nil {
@@ -274,21 +121,15 @@ func runSaturate() (string, error) {
 		}
 		txt += "regression gate: OK\n"
 	}
-	if *jsonOut != "" {
-		if err := appendSaturateTrajectory(*jsonOut, points); err != nil {
-			return "", err
-		}
-		txt += fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut)
-	}
-	return txt, nil
+	return record(txt, points)
 }
 
-func lastSaturateRun(path string) (*saturateRun, error) {
+func lastSaturateRun(path string) (*benchRun[bench.SaturatePoint], error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var runs []saturateRun
+	var runs []benchRun[bench.SaturatePoint]
 	if err := json.Unmarshal(data, &runs); err != nil {
 		return nil, fmt.Errorf("%s: trajectory unreadable: %v", path, err)
 	}
@@ -296,25 +137,4 @@ func lastSaturateRun(path string) (*saturateRun, error) {
 		return nil, fmt.Errorf("%s: trajectory empty", path)
 	}
 	return &runs[len(runs)-1], nil
-}
-
-func appendSaturateTrajectory(path string, points []bench.SaturatePoint) error {
-	var runs []saturateRun
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			return fmt.Errorf("%s: existing trajectory unreadable: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	runs = append(runs, saturateRun{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Go:        runtime.Version(),
-		Points:    points,
-	})
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"entangle"
+	"entangle/internal/core"
 	"entangle/internal/exprparse"
 	"entangle/internal/lint"
 )
@@ -164,16 +165,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "first failure:\n%v\n", err)
 			os.Exit(1)
 		}
-		// Inconclusive wraps the final attempt's RefinementError, so it
-		// must be matched first.
-		var ie *entangle.InconclusiveError
-		if errors.As(err, &ie) {
-			fmt.Fprintf(os.Stderr, "REFINEMENT INCONCLUSIVE\n%v\n", ie)
-			os.Exit(1)
-		}
-		var re *entangle.RefinementError
-		if errors.As(err, &re) {
-			fmt.Fprintf(os.Stderr, "REFINEMENT FAILED\n%v\n", re)
+		if core.FailingOp(err) != nil {
+			header := "REFINEMENT FAILED"
+			var ie *entangle.InconclusiveError
+			if errors.As(err, &ie) {
+				header = "REFINEMENT INCONCLUSIVE"
+			}
+			fmt.Fprintf(os.Stderr, "%s\n%v\n", header, err)
 			os.Exit(1)
 		}
 		var ef *entangle.EngineFaultError
@@ -251,9 +249,7 @@ func diffGraphs(paths []string, gdPath, relPath, format string, opts entangle.Ch
 			fmt.Fprintf(os.Stderr, "entangle: diff cancelled (%v): %v\n", ctx.Err(), err)
 			os.Exit(3)
 		}
-		var re *entangle.RefinementError
-		var ie *entangle.InconclusiveError
-		if !errors.As(err, &re) && !errors.As(err, &ie) {
+		if core.FailingOp(err) == nil {
 			fatal(2, "checking old G_s: %v", err)
 		}
 	}

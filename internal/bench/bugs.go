@@ -100,10 +100,9 @@ func RunBug(c BugCase) BugOutcome {
 	}
 	_, err = checker.Check(b.Gs, b.Gd, b.Ri)
 	out.Duration = time.Since(start)
-	var re *core.RefinementError
-	if errors.As(err, &re) {
+	if op := core.FailingOp(err); op != nil {
 		out.Detected = true
-		out.Localized = re.Op.Label
+		out.Localized = op.Label
 	} else if err != nil {
 		out.Err = err
 	}

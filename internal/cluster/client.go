@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"entangle/internal/det"
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
 )
@@ -69,12 +70,7 @@ func (p RetryPolicy) backoff(label string, attempt int) time.Duration {
 		d = p.BackoffCap
 	}
 	// Jitter in [0.5, 1.0): splitmix64 over (seed, label, attempt).
-	h := p.JitterSeed
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	u := float64(mix64(h^uint64(attempt))>>11) / float64(1<<53)
+	u := det.Unit(det.Mix(det.String(p.JitterSeed, label) ^ uint64(attempt)))
 	return time.Duration(float64(d) * (0.5 + 0.5*u))
 }
 

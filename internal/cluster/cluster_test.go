@@ -68,10 +68,12 @@ func TestOwnerProperties(t *testing.T) {
 	const keys = 2000
 
 	counts := map[string]int{}
+	elected := sha256.New()
 	for i := 0; i < keys; i++ {
 		key := testKey(i)
 		owner := Owner(members, key)
 		counts[owner.ID]++
+		elected.Write([]byte(owner.ID))
 
 		// Agreement: any permutation elects the same owner.
 		rev := append([]Member(nil), members...)
@@ -101,6 +103,11 @@ func TestOwnerProperties(t *testing.T) {
 			t.Errorf("member %s owns %d of %d keys: badly unbalanced", m.ID, n, keys)
 		}
 	}
+	// Ownership is a wire-level agreement between nodes of different
+	// builds: the elected sequence is pinned to what PR 11's hash chose.
+	if got := fmt.Sprintf("%x", elected.Sum(nil)); got != "20c60fd0dee3eaedf4c0a2daef4a3807688b27607122834188463f2a55702bf9" {
+		t.Errorf("rendezvous owners moved: digest %s", got)
+	}
 }
 
 func TestBackoffDeterministicCappedJittered(t *testing.T) {
@@ -121,6 +128,11 @@ func TestBackoffDeterministicCappedJittered(t *testing.T) {
 		}
 		if d1 < limit/2 {
 			t.Fatalf("attempt %d: backoff %v below jitter floor %v", attempt, d1, limit/2)
+		}
+	}
+	for i, want := range []time.Duration{78637036, 195072808, 221981271, 611435602, 617876928} {
+		if got := p.backoff("fetch/n1/abc", i+1); got != want {
+			t.Errorf("attempt %d: jitter moved: %d, pinned %d", i+1, got, want)
 		}
 	}
 	if p.backoff("fetch/n1/abc#1", 1) == p.backoff("fetch/n2/abc#1", 1) {

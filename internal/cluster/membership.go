@@ -40,6 +40,7 @@ import (
 	"sort"
 	"strings"
 
+	"entangle/internal/det"
 	"entangle/internal/fingerprint"
 )
 
@@ -156,22 +157,5 @@ func Owner(members []Member, key fingerprint.Hash) Member {
 // over the ID then the key bytes, finished with a splitmix64 avalanche
 // — the same hash family as internal/faultinject's seeded decisions.
 func rendezvousScore(id string, key fingerprint.Hash) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(h uint64) uint64 {
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
+	return det.Mix(det.Bytes(det.String(det.FNVOffset, id), key[:]))
 }

@@ -32,12 +32,12 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
 	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
+	"entangle/internal/relation"
 	"entangle/internal/vcache"
 )
 
@@ -85,13 +85,12 @@ type CacheStats struct {
 type cacheState struct {
 	cache VerdictStore
 	gdix  *fingerprint.GdIndex
-	// keys holds every operator's precomputed cache key. Filling the
-	// map before the scheduler starts keeps the cone hasher's memo
-	// single-threaded; afterwards workers only read.
-	keys map[graph.NodeID]fingerprint.Hash
+	// keys is this run's derivation — deriving it before the scheduler
+	// starts keeps the cone hasher's memo single-threaded; afterwards
+	// workers only read — and old the diff base's (nil on a full check).
+	keys, old *sideKeys
 
-	hits, misses, stores, replayRejects atomic.Int64
-	baseCorrupt, baseEvictions          int64
+	baseCorrupt, baseEvictions int64
 }
 
 // cacheOptionsString is the canonical encoding of the verdict-relevant
@@ -104,70 +103,81 @@ func (o Options) cacheOptionsString() string {
 		o.Saturate.MaxIters, o.Saturate.MaxNodes, o.BudgetEscalations)
 }
 
-// initCache precomputes the ambient digest and every operator's key.
-// Called after runState construction, before any operator runs.
-func (r *runState) initCache(order []*graph.Node) error {
-	if r.opts.Cache == nil {
-		return nil
-	}
-	gdix, err := fingerprint.NewGdIndex(r.gd)
-	if err != nil {
-		return fmt.Errorf("core: cache: %v", err)
-	}
-	ambient := fingerprint.Ambient(CheckerVersion, r.opts.Registry.Fingerprint(),
-		[]byte(r.opts.cacheOptionsString()), fingerprint.GraphDigest(r.gd), r.gs.Ctx)
-	cones := fingerprint.NewConeHasher(r.gs, r.rel, gdix)
-	keys := make(map[graph.NodeID]fingerprint.Hash, len(order))
-	for _, v := range order {
-		keys[v.ID] = fingerprint.Key(ambient, cones.Node(v.ID))
-	}
-	snap := r.opts.Cache.Stats().Snapshot()
-	r.cache = &cacheState{
-		cache:         r.opts.Cache,
-		gdix:          gdix,
-		keys:          keys,
-		baseCorrupt:   snap.Corrupt,
-		baseEvictions: snap.Evictions,
-	}
-	return nil
+// keyDerivation is the one source of cone fingerprints and cache keys
+// for a run (or a pure DiffPlan call): the G_d index and digest are
+// shared by every (G_s, R_i) side derived from it.
+type keyDerivation struct {
+	gdix     *fingerprint.GdIndex
+	opts     *Options // nil: cones only, no keys
+	gdDigest fingerprint.Hash
 }
 
-// reportCache fills the Report's cache section.
+// sideKeys is one (G_s, R_i) side's cone hashes and cache keys (nil
+// when unkeyed), indexed like order.
+type sideKeys struct {
+	order       []*graph.Node
+	cones, keys []fingerprint.Hash
+}
+
+// newKeyDerivation indexes gd; sides carry keys when opts has a cache.
+func newKeyDerivation(gd *graph.Graph, opts *Options) (*keyDerivation, error) {
+	gdix, err := fingerprint.NewGdIndex(gd)
+	if err != nil {
+		return nil, err
+	}
+	kd := &keyDerivation{gdix: gdix}
+	if opts != nil && opts.Cache != nil {
+		kd.opts, kd.gdDigest = opts, fingerprint.GraphDigest(gd)
+	}
+	return kd, nil
+}
+
+// side derives gs's side; order must be a topological order of gs.
+func (kd *keyDerivation) side(gs *graph.Graph, ri *relation.Relation, order []*graph.Node) *sideKeys {
+	hasher := fingerprint.NewConeHasher(gs, ri, kd.gdix)
+	s := &sideKeys{order: order, cones: make([]fingerprint.Hash, len(order))}
+	for i, v := range order {
+		s.cones[i] = hasher.Node(v.ID)
+	}
+	if kd.opts != nil {
+		ambient := fingerprint.Ambient(CheckerVersion, kd.opts.Registry.Fingerprint(),
+			[]byte(kd.opts.cacheOptionsString()), kd.gdDigest, gs.Ctx)
+		s.keys = make([]fingerprint.Hash, len(order))
+		for i, cone := range s.cones {
+			s.keys[i] = fingerprint.Key(ambient, cone)
+		}
+	}
+	return s
+}
+
+// reportCache fills the Report's shared-store deltas; the run's own
+// counters are folded from the ledger.
 func (r *runState) reportCache(report *Report) {
 	if r.cache == nil {
 		return
 	}
 	snap := r.cache.cache.Stats().Snapshot()
-	report.Cache = CacheStats{
-		Hits:          r.cache.hits.Load(),
-		Misses:        r.cache.misses.Load(),
-		Stores:        r.cache.stores.Load(),
-		ReplayRejects: r.cache.replayRejects.Load(),
-		Corrupt:       snap.Corrupt - r.cache.baseCorrupt,
-		Evictions:     snap.Evictions - r.cache.baseEvictions,
-	}
+	report.Cache.Corrupt = snap.Corrupt - r.cache.baseCorrupt
+	report.Cache.Evictions = snap.Evictions - r.cache.baseEvictions
 }
 
-// replayCached looks up and replays a cached verdict for v. ok=false
-// means the caller must run the operator live (miss, replay defect, or
-// cache disabled for this op).
-func (r *runState) replayCached(v *graph.Node) (stats egraph.Stats, verdict OpVerdict, ok bool) {
-	e := r.cache.cache.Get(r.cache.keys[v.ID])
-	if e == nil {
-		r.cache.misses.Add(1)
-		return stats, verdict, false
+// oldVerdict looks up what the cache knew about the diff base's
+// operator named label, under the base's own keys ("" = nothing). With
+// duplicate labels the last cached one in topo order answers.
+func (r *runState) oldVerdict(label string) vcache.Verdict {
+	if r.cache == nil {
+		return ""
 	}
-	stats, verdict, ok = r.replayEntry(v, e)
-	if !ok {
-		// A validated entry that does not fit the current graphs:
-		// count it distinctly — this should never happen if the
-		// fingerprint covers everything it must.
-		r.cache.misses.Add(1)
-		r.cache.replayRejects.Add(1)
-		return egraph.Stats{}, OpVerdict{}, false
+	old := r.cache.old
+	for i := len(old.order) - 1; i >= 0; i-- {
+		if old.order[i].Label != label {
+			continue
+		}
+		if e := r.cache.cache.Get(old.keys[i]); e != nil {
+			return e.Verdict
+		}
 	}
-	r.cache.hits.Add(1)
-	return stats, verdict, true
+	return ""
 }
 
 // replayEntry reconstructs the run-state effects of a cached verdict.
@@ -222,7 +232,8 @@ func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (egraph.Stats, Op
 // storeVerdict persists a just-computed live verdict when it is
 // cacheable. outs carries the per-output extracted mappings of a
 // Refined run (nil otherwise).
-func (r *runState) storeVerdict(v *graph.Node, acc egraph.Stats, verdict OpVerdict, outs []outputMapping) {
+func (r *runState) storeVerdict(topo int, acc egraph.Stats, verdict OpVerdict, outs []outputMapping) (stored bool) {
+	v := r.order[topo]
 	entry := &vcache.Entry{Escalations: verdict.Escalations, Stats: acc}
 	switch verdict.Kind {
 	case VerdictRefined:
@@ -265,9 +276,7 @@ func (r *runState) storeVerdict(v *graph.Node, acc egraph.Stats, verdict OpVerdi
 	}
 	// Store errors are counted by the cache itself (StoreErrors) and
 	// never affect the verdict; the entry stays usable in memory.
-	if err := r.cache.cache.Put(r.cache.keys[v.ID], entry); err == nil {
-		r.cache.stores.Add(1)
-	}
+	return r.cache.cache.Put(r.cache.keys.keys[topo], entry) == nil
 }
 
 // outputMapping carries one output's extracted clean expressions out

@@ -24,6 +24,7 @@ import (
 	"entangle/internal/relation"
 	"entangle/internal/shape"
 	"entangle/internal/sym"
+	"entangle/internal/vcache"
 )
 
 // Options tune the checker. The zero value selects the defaults used
@@ -260,16 +261,13 @@ func (c *Checker) Check(gs, gd *graph.Graph, ri *relation.Relation) (*Report, er
 // the error; in the default mode a failed check returns a nil Report,
 // as before.
 func (c *Checker) CheckContext(ctx context.Context, gs, gd *graph.Graph, ri *relation.Relation) (*Report, error) {
-	return c.checkContext(ctx, gs, gd, ri, nil)
+	_, report, err := c.checkContext(ctx, gs, gd, ri, nil, nil)
+	return report, err
 }
 
-// planFn builds the Plan for one run after the cache keys are
-// precomputed; DiffCheckContext injects the diff planner through it.
-// nil selects the full-check planner (or, with Options.Unplanned, no
-// plan at all).
-type planFn func(r *runState, order []*graph.Node) (*Plan, error)
-
-func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *relation.Relation, planner planFn) (*Report, error) {
+// checkContext runs one check — a diff against oldGs/oldRi when oldGs
+// is non-nil — and also returns its runState, for delta classification.
+func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *relation.Relation, oldGs *graph.Graph, oldRi *relation.Relation) (*runState, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -277,11 +275,11 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	start := time.Now()
 	order, err := gs.TopoSort()
 	if err != nil {
-		return nil, fmt.Errorf("core: G_s: %v", err)
+		return nil, nil, fmt.Errorf("core: G_s: %v", err)
 	}
 	gdOrder, err := gd.TopoSort()
 	if err != nil {
-		return nil, fmt.Errorf("core: G_d: %v", err)
+		return nil, nil, fmt.Errorf("core: G_d: %v", err)
 	}
 	run := &runState{
 		opts:    c.opts,
@@ -290,29 +288,17 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 		rel:     ri.Clone(),
 		ctx:     mergedContext(gs, gd),
 		rules:   c.opts.Registry.Rules(), // materialized once per Check
+		order:   order,
 		gdOrder: gdOrder,
 	}
 	run.compiled = egraph.CompileRules(run.rules)
 	for _, in := range gs.Inputs {
 		if !run.rel.Has(in) {
-			return nil, fmt.Errorf("core: input relation has no mapping for G_s input %q", gs.Tensor(in).Name)
+			return nil, nil, fmt.Errorf("core: input relation has no mapping for G_s input %q", gs.Tensor(in).Name)
 		}
 	}
-	if err := run.initCache(order); err != nil {
-		return nil, err
-	}
-	switch {
-	case planner != nil:
-		plan, err := planner(run, order)
-		if err != nil {
-			return nil, err
-		}
-		if len(plan.Ops) != len(order) {
-			return nil, fmt.Errorf("core: plan covers %d operators, graph has %d", len(plan.Ops), len(order))
-		}
-		run.plan = plan
-	case !c.opts.Unplanned:
-		run.plan = run.buildPlan(order)
+	if err := run.prepare(oldGs, oldRi); err != nil {
+		return nil, nil, err
 	}
 
 	report := &Report{FullRelation: run.rel, Stats: egraph.Stats{Applications: map[string]int{}}, Plan: run.plan}
@@ -320,18 +306,21 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	if workers > len(order) {
 		workers = len(order)
 	}
-	if err := run.runSchedule(ctx, order, workers, report); err != nil {
-		return nil, err
+	if err := run.runSchedule(ctx, workers, report); err != nil {
+		return nil, nil, err
 	}
-	if len(report.Failures) > 0 {
-		// KeepGoing degraded result: the walk is incomplete, so R_o
-		// cannot be resolved; hand back the partial report with the
-		// earliest failure as the error (the same operator the default
-		// mode would have reported).
+	// finish seals the report: a failing KeepGoing run hands back the
+	// partial report with the earliest failure as the error (the same
+	// operator the default mode would have reported).
+	finish := func(err error) (*runState, *Report, error) {
 		run.reportCache(report)
 		//lint:ignore determinism Report.Duration is timing metadata, not checker input
 		report.Duration = time.Since(start)
-		return report, report.Failures[0].Err
+		return run, report, err
+	}
+	if len(report.Failures) > 0 {
+		// The walk is incomplete, so R_o cannot be resolved.
+		return finish(report.Failures[0].Err)
 	}
 
 	// Listing 1 line 9: filter to the output relation over O(G_d).
@@ -339,10 +328,10 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	if err != nil {
 		var oe *outputResolveError
 		if !errors.As(err, &oe) {
-			return nil, err // context cancellation or an engine error
+			return nil, nil, err // context cancellation or an engine error
 		}
 		if !c.opts.KeepGoing {
-			return nil, oe.verdict.Err
+			return nil, nil, oe.verdict.Err
 		}
 		// An unmappable output discovered after a clean walk is a
 		// failure like any other: record the verdict so KeepGoing mode
@@ -351,21 +340,47 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 		// dedicated resolution pass then misses.)
 		report.Verdicts = append(report.Verdicts, oe.verdict)
 		report.Failures = append(report.Failures, oe.verdict)
-		run.reportCache(report)
-		//lint:ignore determinism Report.Duration is timing metadata, not checker input
-		report.Duration = time.Since(start)
-		return report, oe.verdict.Err
+		return finish(oe.verdict.Err)
 	}
 	report.OutputRelation = ro
-	run.reportCache(report)
-	//lint:ignore determinism Report.Duration is timing metadata, not checker input
-	report.Duration = time.Since(start)
-	return report, nil
+	return finish(nil)
+}
+
+// prepare derives the run's keys (once, for every consumer) and
+// decides each operator's disposition. oldGs non-nil selects the diff
+// planner against that predecessor.
+func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
+	if r.opts.Cache != nil || oldGs != nil {
+		kd, err := newKeyDerivation(r.gd, &r.opts)
+		if err != nil {
+			return fmt.Errorf("core: cache: %v", err)
+		}
+		cur := kd.side(r.gs, r.rel, r.order)
+		var old *sideKeys
+		if oldGs != nil {
+			if old, err = kd.diffBase(oldGs, oldRi); err != nil {
+				return err
+			}
+			r.plan = diffPlan(old, cur, r.gs)
+		}
+		if r.opts.Cache != nil {
+			snap := r.opts.Cache.Stats().Snapshot()
+			r.cache = &cacheState{cache: r.opts.Cache, gdix: kd.gdix, keys: cur, old: old,
+				baseCorrupt: snap.Corrupt, baseEvictions: snap.Evictions}
+		}
+	}
+	switch {
+	case r.plan != nil:
+		r.prefetch(r.plan)
+	case !r.opts.Unplanned:
+		r.plan = r.buildPlan()
+	}
+	return nil
 }
 
 // runState carries one Check invocation's working data. During a
-// wavefront run it is shared across workers: gs, gd, ctx, rules and
-// gdOrder are read-only after construction, and rel is internally
+// wavefront run it is shared across workers: gs, gd, ctx, rules, order
+// and gdOrder are read-only after construction, and rel is internally
 // synchronized (copy-on-read Get).
 type runState struct {
 	opts  Options
@@ -378,9 +393,11 @@ type runState struct {
 	// every saturation this run performs (it is read-only and safe
 	// across workers).
 	compiled *egraph.CompiledRules
-	gdOrder  []*graph.Node
+	// order and gdOrder are topological orders of gs and gd; order's
+	// indices are the ledger's, the plan's and the cache keys'.
+	order, gdOrder []*graph.Node
 	// cache is the per-run verdict-cache context (cache.go); nil when
-	// Options.Cache is nil. Its key map is filled before the scheduler
+	// Options.Cache is nil. Its keys are derived before the scheduler
 	// starts and read-only afterwards.
 	cache *cacheState
 	// plan is the decision layer's output (planner.go), built before
@@ -461,6 +478,30 @@ func (r *runState) safePreOp(v *graph.Node) (override *egraph.SaturateOpts, err 
 	return r.opts.PreOp(v), nil
 }
 
+// cacheOutcome is what the verdict cache did for one executed operator;
+// the zero value means no lookup (no cache, or a PreOp override).
+type cacheOutcome uint8
+
+const (
+	cacheHit cacheOutcome = iota + 1
+	cacheMiss
+	// cacheReject: a validated entry that does not fit the current
+	// graphs (a miss too) — this should never happen if the fingerprint
+	// covers everything it must.
+	cacheReject
+)
+
+// opResult is one operator's line in the run ledger (scheduler.go):
+// every per-operator number in a Report is folded from it. stats is the
+// operator's total saturation work — replayed from the cache when
+// verdict.Replayed, performed this run otherwise.
+type opResult struct {
+	stats   egraph.Stats
+	verdict OpVerdict
+	cache   cacheOutcome
+	stored  bool // the cache accepted the live verdict
+}
+
 // checkOp is the resilient per-operator harness: it runs processOp
 // under panic recovery and a per-operator deadline, escalates the
 // saturation budget when the search stops on a limit without reaching
@@ -477,18 +518,13 @@ func (r *runState) safePreOp(v *graph.Node) (override *egraph.SaturateOpts, err 
 // value yields the same verdict for every operator. Timeout verdicts
 // (OpTimeout) are the one wall-clock-dependent exception.
 //
-// acc carries the operator's total saturation statistics — replayed
-// from the cache on a hit — while live carries only work performed
-// this run (zero on a hit); the scheduler merges them into
-// Report.Stats and Report.LiveStats respectively.
-//
-// pop is the operator's plan entry (nil on the unplanned path). The
-// planned and unplanned paths differ only in *when* the cache was
+// The planned and unplanned paths differ only in *when* the cache was
 // probed — plan time versus check time; entries are immutable, so the
-// replayed bytes are the same — and hit/miss accounting happens here
-// in both, keeping reports byte-identical between them.
-func (r *runState) checkOp(ctx context.Context, pop *PlanOp, v *graph.Node) (acc, live egraph.Stats, verdict OpVerdict, fatal error) {
-	verdict = OpVerdict{Op: v, Kind: VerdictRefined}
+// replayed bytes are the same — and the outcome is recorded here in
+// both, keeping reports byte-identical between them.
+func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal error) {
+	v, acc, verdict := r.order[i], &res.stats, &res.verdict
+	*verdict = OpVerdict{Op: v, Kind: VerdictRefined}
 	//lint:ignore determinism OpVerdict.Duration is timing metadata, not checker input
 	start := time.Now()
 	//lint:ignore determinism OpVerdict.Duration is timing metadata, not checker input
@@ -521,40 +557,29 @@ func (r *runState) checkOp(ctx context.Context, pop *PlanOp, v *graph.Node) (acc
 	// directions (no lookup, no store) — the plan's disposition is
 	// advisory for overridden operators.
 	useCache := r.cache != nil && !overridden
-	switch {
-	case useCache && pop != nil:
-		// Planned path: consume the plan-time probe. A prefetched entry
-		// replays exactly as a check-time hit would; a failed replay or
-		// an absent entry falls through to the live check below.
-		if pop.entry != nil {
-			if stats, cached, ok := r.replayEntry(v, pop.entry); ok {
-				r.cache.hits.Add(1)
-				acc = stats
-				cached.Duration = verdict.Duration
-				verdict = cached
+	if useCache {
+		// A plan carries the plan-time probe; without one, probe now.
+		var e *vcache.Entry
+		if r.plan != nil {
+			e = r.plan.Ops[i].entry
+		} else {
+			e = r.cache.cache.Get(r.cache.keys.keys[i])
+		}
+		res.cache = cacheMiss
+		if e != nil {
+			if stats, cached, ok := r.replayEntry(v, e); ok {
+				res.cache, *acc, *verdict = cacheHit, stats, cached
 				return
 			}
-			r.cache.replayRejects.Add(1)
-		}
-		r.cache.misses.Add(1)
-	case useCache:
-		// Unplanned path: probe and replay at check time.
-		if stats, cached, ok := r.replayCached(v); ok {
-			acc = stats
-			cached.Duration = verdict.Duration
-			verdict = cached
-			return
+			res.cache = cacheReject
 		}
 	}
 
 	for attempt := 0; ; attempt++ {
 		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget)
 		acc.Merge(stats)
-		live.Merge(stats)
 		if err == nil {
-			if useCache {
-				r.storeVerdict(v, acc, verdict, outs)
-			}
+			res.stored = useCache && r.storeVerdict(i, *acc, *verdict, outs)
 			return
 		}
 		var ef *EngineFaultError
@@ -592,9 +617,7 @@ func (r *runState) checkOp(ctx context.Context, pop *PlanOp, v *graph.Node) (acc
 			// and more budget cannot change the answer.
 			verdict.Kind = VerdictDisproved
 			verdict.Err = re
-			if useCache {
-				r.storeVerdict(v, acc, verdict, nil)
-			}
+			res.stored = useCache && r.storeVerdict(i, *acc, *verdict, nil)
 			return
 		}
 		if attempt < r.opts.BudgetEscalations {
@@ -686,26 +709,9 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		if err := ctx.Err(); err != nil {
 			return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 		}
-		progress := false
-		for _, n := range r.gdOrder {
-			if folded[n.ID] {
-				continue
-			}
-			ready := true
-			for _, in := range n.Inputs {
-				if !tRel[in] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			if err := r.foldGdNode(eg, n); err != nil {
-				return acc, nil, err
-			}
-			folded[n.ID] = true
-			progress = true
+		progress, err := r.foldReady(eg, tRel, folded, false)
+		if err != nil {
+			return acc, nil, err
 		}
 		if !progress && iter > 0 {
 			break
@@ -777,6 +783,37 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		outs = append(outs, om)
 	}
 	return acc, outs, nil
+}
+
+// foldReady folds, in G_d topological order, every not-yet-folded G_d
+// node whose inputs are all in tRel, and reports whether any was. With
+// relateOutputs a folded node's outputs join tRel at once, so one pass
+// cascades forward (output resolution); without, they join only when
+// the caller finds them related (the Listing-3 frontier).
+func (r *runState) foldReady(eg *egraph.EGraph, tRel map[graph.TensorID]bool, folded map[graph.NodeID]bool, relateOutputs bool) (bool, error) {
+	progress := false
+nodes:
+	for _, n := range r.gdOrder {
+		if folded[n.ID] {
+			continue
+		}
+		for _, in := range n.Inputs {
+			if !tRel[in] {
+				continue nodes
+			}
+		}
+		if err := r.foldGdNode(eg, n); err != nil {
+			return false, err
+		}
+		if relateOutputs {
+			for _, out := range n.Outputs {
+				tRel[out] = true
+			}
+		}
+		folded[n.ID] = true
+		progress = true
+	}
+	return progress, nil
 }
 
 // foldGdNode registers a G_d node's defining equations: for each
@@ -896,29 +933,9 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
 		}
-		progress := false
-		for _, n := range r.gdOrder {
-			if folded[n.ID] {
-				continue
-			}
-			ready := true
-			for _, in := range n.Inputs {
-				if !tRel[in] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			if err := r.foldGdNode(eg, n); err != nil {
-				return nil, err
-			}
-			for _, out := range n.Outputs {
-				tRel[out] = true
-			}
-			folded[n.ID] = true
-			progress = true
+		progress, err := r.foldReady(eg, tRel, folded, true)
+		if err != nil {
+			return nil, err
 		}
 		if !progress {
 			break

@@ -44,31 +44,42 @@ import (
 // stale", "every changed-cone operator is re-checked") exhaustively at
 // bounded scopes against this exact code.
 func DiffPlan(oldGs *graph.Graph, oldRi *relation.Relation, newGs *graph.Graph, newRi *relation.Relation, gd *graph.Graph) (*Plan, error) {
-	gdix, err := fingerprint.NewGdIndex(gd)
+	kd, err := newKeyDerivation(gd, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: G_d: %v", err)
 	}
-	oldOrder, err := oldGs.TopoSort()
+	old, err := kd.diffBase(oldGs, oldRi)
 	if err != nil {
-		return nil, fmt.Errorf("core: diff: old G_s: %v", err)
+		return nil, err
 	}
 	newOrder, err := newGs.TopoSort()
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: new G_s: %v", err)
 	}
-	oldCones := fingerprint.NewConeHasher(oldGs, oldRi, gdix)
-	oldSet := make(map[fingerprint.Hash]bool, len(oldOrder))
-	for _, v := range oldOrder {
-		oldSet[oldCones.Node(v.ID)] = true
-	}
-	newCones := fingerprint.NewConeHasher(newGs, newRi, gdix)
+	return diffPlan(old, kd.side(newGs, newRi, newOrder), newGs), nil
+}
 
-	plan := &Plan{Mode: PlanModeDiff, Ops: make([]PlanOp, len(newOrder))}
-	pos := make(map[graph.NodeID]int, len(newOrder))
-	dirty := make([]bool, len(newOrder))
-	for i, v := range newOrder {
+// diffBase derives the predecessor graph's side of a diff.
+func (kd *keyDerivation) diffBase(oldGs *graph.Graph, oldRi *relation.Relation) (*sideKeys, error) {
+	order, err := oldGs.TopoSort()
+	if err != nil {
+		return nil, fmt.Errorf("core: diff: old G_s: %v", err)
+	}
+	return kd.side(oldGs, oldRi, order), nil
+}
+
+// diffPlan is DiffPlan over already-derived cone fingerprints.
+func diffPlan(old, cur *sideKeys, newGs *graph.Graph) *Plan {
+	oldSet := make(map[fingerprint.Hash]bool, len(old.cones))
+	for _, cone := range old.cones {
+		oldSet[cone] = true
+	}
+	plan := &Plan{Mode: PlanModeDiff, Ops: make([]PlanOp, len(cur.order))}
+	pos := make(map[graph.NodeID]int, len(cur.order))
+	dirty := make([]bool, len(cur.order))
+	for i, v := range cur.order {
 		pos[v.ID] = i
-		dirty[i] = !oldSet[newCones.Node(v.ID)]
+		dirty[i] = !oldSet[cur.cones[i]]
 		// A producer's changed cone is part of this operator's cone, so
 		// upstreamDirty implies dirty — the cases below are exhaustive.
 		upstreamDirty := false
@@ -93,7 +104,7 @@ func DiffPlan(oldGs *graph.Graph, oldRi *relation.Relation, newGs *graph.Graph, 
 		plan.Ops[i] = op
 	}
 	plan.recount()
-	return plan, nil
+	return plan
 }
 
 // DeltaOp is one re-checked operator's entry in the delta report.
@@ -178,86 +189,37 @@ func (c *Checker) DiffCheckContext(ctx context.Context, oldGs, newGs, gd *graph.
 	opts := c.opts
 	opts.KeepGoing = true
 	opts.Unplanned = false
-	cc := &Checker{opts: opts}
-	report, err := cc.checkContext(ctx, newGs, gd, newRi, func(run *runState, order []*graph.Node) (*Plan, error) {
-		p, perr := DiffPlan(oldGs, oldRi, newGs, newRi, gd)
-		if perr != nil {
-			return nil, perr
-		}
-		run.prefetch(p, order)
-		return p, nil
-	})
+	run, report, err := (&Checker{opts: opts}).checkContext(ctx, newGs, gd, newRi, oldGs, oldRi)
 	if report == nil {
 		return nil, err
 	}
-	old, oerr := oldCachedVerdicts(opts, oldGs, gd, oldRi)
-	if oerr != nil {
-		return nil, oerr
-	}
-	return buildDelta(report, old), err
-}
-
-// oldCachedVerdicts probes the cache for the old graph's verdicts —
-// under the old graph's own ambient and cone keys — so newly-failing
-// classification can compare against what was known before the edit.
-// Returns nil (classify conservatively) when there is no cache.
-func oldCachedVerdicts(opts Options, oldGs, gd *graph.Graph, oldRi *relation.Relation) (map[string]vcache.Verdict, error) {
-	if opts.Cache == nil {
-		return nil, nil
-	}
-	gdix, err := fingerprint.NewGdIndex(gd)
-	if err != nil {
-		return nil, fmt.Errorf("core: diff: G_d: %v", err)
-	}
-	order, err := oldGs.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("core: diff: old G_s: %v", err)
-	}
-	ambient := fingerprint.Ambient(CheckerVersion, opts.Registry.Fingerprint(),
-		[]byte(opts.cacheOptionsString()), fingerprint.GraphDigest(gd), oldGs.Ctx)
-	cones := fingerprint.NewConeHasher(oldGs, oldRi, gdix)
-	out := make(map[string]vcache.Verdict, len(order))
-	for _, v := range order {
-		if e := opts.Cache.Get(fingerprint.Key(ambient, cones.Node(v.ID))); e != nil {
-			out[v.Label] = e.Verdict
-		}
-	}
-	return out, nil
+	return run.buildDelta(report), err
 }
 
 // buildDelta classifies an executed diff run. Plan ops align with
 // Verdicts positionally (both are in topo order); a KeepGoing run may
 // append one extra output-resolution verdict past the plan, which is
-// execution detail, not delta.
-func buildDelta(report *Report, old map[string]vcache.Verdict) *DeltaReport {
-	d := &DeltaReport{Report: report, Plan: report.Plan}
+// execution detail, not delta. Only a failing re-checked operator's old
+// verdict is ever read, so only that one is looked up.
+func (r *runState) buildDelta(report *Report) *DeltaReport {
+	// A verdict is replayed exactly when its probe hit, and a KeepGoing
+	// run processes every operator it does not skip.
+	replayed := int(report.Cache.Hits)
+	d := &DeltaReport{Report: report, Plan: report.Plan, UnchangedOps: report.Plan.Skips,
+		ReplayedOps: replayed, RecheckedOps: report.OpsProcessed - replayed}
 	for i := range report.Plan.Ops {
-		po := &report.Plan.Ops[i]
-		var verdict OpVerdict
-		if i < len(report.Verdicts) {
-			verdict = report.Verdicts[i]
-		}
-		if po.Disposition == DispSkipUnchanged {
-			d.UnchangedOps++
-		}
-		switch {
-		case verdict.Replayed:
-			d.ReplayedOps++
-		case verdict.Op != nil && verdict.Kind != VerdictSkipped:
-			d.RecheckedOps++
-		}
+		po, verdict := &report.Plan.Ops[i], report.Verdicts[i]
 		if po.Disposition != DispCheck && po.Disposition != DispTaintedUpstream {
 			continue
 		}
 		do := DeltaOp{Label: po.Label, Disposition: po.Disposition,
 			Cause: po.Reason, Verdict: verdict.Kind.String()}
 		if verdict.Failed() && verdict.Kind != VerdictSkipped {
-			ov, known := old[po.Label]
-			switch {
-			case !known:
+			switch r.oldVerdict(po.Label) {
+			case "":
 				do.NewlyFailing = true
 				do.Cause += "; no cached verdict before the edit"
-			case ov == vcache.VerdictRefined:
+			case vcache.VerdictRefined:
 				do.NewlyFailing = true
 				do.Cause += "; refined before the edit"
 			default:

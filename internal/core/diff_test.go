@@ -2,13 +2,16 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"entangle/internal/expr"
+	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
 	"entangle/internal/lemmas"
 	"entangle/internal/relation"
 	"entangle/internal/shape"
+	"entangle/internal/vcache"
 )
 
 // The diff fixture: an add feeding an activation, plus an independent
@@ -239,5 +242,50 @@ func TestDiffCheckNoCache(t *testing.T) {
 		if op.Key != "" {
 			t.Fatalf("cacheless diff plan op carries a key: %+v", op)
 		}
+	}
+}
+
+// countingStore counts the lookups a checker issues against a store.
+type countingStore struct {
+	VerdictStore
+	gets atomic.Int64
+}
+
+func (c *countingStore) Get(key fingerprint.Hash) *vcache.Entry {
+	c.gets.Add(1)
+	return c.VerdictStore.Get(key)
+}
+
+// TestDiffCheckProbesOncePerOperator: keys are derived once and the
+// plan-time prefetch is the only probe site, so an all-refined diff run
+// looks up exactly one key per new-graph operator. (The old graph's
+// verdicts are looked up only for a failing re-checked operator.)
+func TestDiffCheckProbesOncePerOperator(t *testing.T) {
+	gd := diffGd(t)
+	oldGs, oldRi := diffGs(t, gd, false, "gelu")
+	newGs, newRi := diffGs(t, gd, true, "gelu")
+	store := &countingStore{VerdictStore: openCache(t)}
+	checker := NewChecker(Options{Registry: lemmas.Default(), Cache: store})
+	if _, err := checker.Check(oldGs, gd, oldRi); err != nil {
+		t.Fatal(err)
+	}
+	store.gets.Store(0)
+	delta, err := checker.DiffCheck(oldGs, newGs, gd, oldRi, newRi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := store.gets.Load(), int64(len(delta.Plan.Ops)); got != want {
+		t.Fatalf("all-refined diff issued %d Gets for %d operators", got, want)
+	}
+
+	// A failing re-checked operator adds exactly its own old-verdict
+	// lookup.
+	badGs, badRi := diffGs(t, gd, false, "relu")
+	store.gets.Store(0)
+	if delta, err = checker.DiffCheck(oldGs, badGs, gd, oldRi, badRi); err == nil || len(delta.NewlyFailing) != 1 {
+		t.Fatalf("broken edit: delta %+v err %v", delta, err)
+	}
+	if got, want := store.gets.Load(), int64(len(delta.Plan.Ops)+1); got != want {
+		t.Fatalf("one-failure diff issued %d Gets, want %d", got, want)
 	}
 }

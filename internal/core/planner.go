@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"entangle/internal/graph"
 	"entangle/internal/vcache"
 )
 
@@ -155,15 +154,14 @@ func (p *Plan) recount() {
 // prefetch fills every PlanOp's cache key and probes the cache once
 // per operator, attaching the entries the executor will replay. Probes
 // happen single-threaded at plan time (the cone hasher's memo and the
-// key map are already built); they touch no run counters — hits and
+// keys are already built); they touch no run counters — hits and
 // misses are accounted when operators execute, keeping counter totals
 // identical to the unplanned path.
-func (r *runState) prefetch(p *Plan, order []*graph.Node) {
+func (r *runState) prefetch(p *Plan) {
 	if r.cache == nil {
 		return
 	}
-	for i := range p.Ops {
-		key := r.cache.keys[order[i].ID]
+	for i, key := range r.cache.keys.keys {
 		p.Ops[i].Key = key.Hex()
 		p.Ops[i].entry = r.cache.cache.Get(key)
 	}
@@ -171,13 +169,13 @@ func (r *runState) prefetch(p *Plan, order []*graph.Node) {
 
 // buildPlan produces the full-check plan: replay every operator whose
 // verdict is already cached, check the rest.
-func (r *runState) buildPlan(order []*graph.Node) *Plan {
-	p := &Plan{Mode: PlanModeFull, Ops: make([]PlanOp, len(order))}
-	for i, v := range order {
+func (r *runState) buildPlan() *Plan {
+	p := &Plan{Mode: PlanModeFull, Ops: make([]PlanOp, len(r.order))}
+	for i, v := range r.order {
 		p.Ops[i] = PlanOp{Index: i, Label: v.Label, Op: string(v.Op),
 			Disposition: DispCheck, Reason: "no cache configured"}
 	}
-	r.prefetch(p, order)
+	r.prefetch(p)
 	if r.cache != nil {
 		for i := range p.Ops {
 			if p.Ops[i].entry != nil {
@@ -190,13 +188,4 @@ func (r *runState) buildPlan(order []*graph.Node) *Plan {
 	}
 	p.recount()
 	return p
-}
-
-// planOp returns operator i's plan entry, or nil on the unplanned
-// path.
-func (r *runState) planOp(i int) *PlanOp {
-	if r.plan == nil {
-		return nil
-	}
-	return &r.plan.Ops[i]
 }

@@ -34,9 +34,9 @@ import (
 //   - Relation contents: mappings of a tensor are produced solely by
 //     its producer's processOp (itself deterministic), so the store's
 //     final contents do not depend on completion order.
-//   - Stats: per-operator egraph.Stats are buffered by topo index and
-//     merged in topo order after the pool drains, never in completion
-//     order, keeping Figure-6 heatmap counts reproducible.
+//   - Stats: per-operator results are buffered by topo index (the
+//     ledger) and folded in topo order after the pool drains, never in
+//     completion order, keeping Figure-6 heatmap counts reproducible.
 //   - Errors (default mode): first-error-wins by *topo order*, not
 //     wall-clock order. After a failure at topo index e, the scheduler
 //     keeps running operators with smaller indices (their producers
@@ -87,21 +87,19 @@ func buildSchedCore(g *graph.Graph, order []*graph.Node, keepGoing bool) *SchedC
 	return NewSchedCore(deps, children, keepGoing)
 }
 
-// runSchedule checks the operators of order on a pool of workers and
-// fills report (stats, verdicts, OpsProcessed) exactly as a sequential
-// topo-order walk would. order must be a topological order of r.gs. A
+// runSchedule checks the operators of r.order on a pool of workers and
+// fills report (stats, verdicts, cache counters, OpsProcessed) exactly
+// as a sequential topo-order walk would, by folding the ledger. A
 // non-nil return is fatal: a cancelled context, a malformed graph, or
 // (default mode) the earliest per-operator failure. KeepGoing-mode
 // per-operator failures are reported through report.Failures instead.
-func (r *runState) runSchedule(ctx context.Context, order []*graph.Node, workers int, report *Report) error {
-	n := len(order)
+func (r *runState) runSchedule(ctx context.Context, workers int, report *Report) error {
+	n := len(r.order)
 	s := &wavefrontState{
-		core:     buildSchedCore(r.gs, order, r.opts.KeepGoing),
-		order:    order,
-		stats:    make([]egraph.Stats, n),
-		live:     make([]egraph.Stats, n),
-		verdicts: make([]OpVerdict, n),
-		fatalAt:  n,
+		core:    buildSchedCore(r.gs, r.order, r.opts.KeepGoing),
+		order:   r.order,
+		ledger:  make([]opResult, n),
+		fatalAt: n,
 	}
 	s.cond = sync.NewCond(&s.mu)
 
@@ -133,19 +131,36 @@ func (r *runState) runSchedule(ctx context.Context, order []*graph.Node, workers
 		return s.fatal
 	}
 	if errAt := s.core.ErrAt(); !s.core.KeepGoing() && errAt < n {
-		return s.verdicts[errAt].Err
+		return s.ledger[errAt].verdict.Err
 	}
-	// Deterministic aggregation: merge per-operator stats and read out
-	// verdicts in topo order, never in completion order.
-	for i := 0; i < n; i++ {
-		report.Stats.Merge(s.stats[i])
-		report.LiveStats.Merge(s.live[i])
-		if s.verdicts[i].Kind != VerdictSkipped {
+	// Deterministic aggregation: fold the ledger in topo order, never in
+	// completion order.
+	for i := range s.ledger {
+		res := &s.ledger[i]
+		report.Stats.Merge(res.stats)
+		if res.verdict.Replayed {
+			report.LiveStats.Merge(egraph.Stats{}) // nothing ran; still materializes Applications
+		} else {
+			report.LiveStats.Merge(res.stats)
+		}
+		switch res.cache {
+		case cacheHit:
+			report.Cache.Hits++
+		case cacheReject:
+			report.Cache.ReplayRejects++
+			fallthrough
+		case cacheMiss:
+			report.Cache.Misses++
+		}
+		if res.stored {
+			report.Cache.Stores++
+		}
+		if res.verdict.Kind != VerdictSkipped {
 			report.OpsProcessed++
 		}
-		report.Verdicts = append(report.Verdicts, s.verdicts[i])
-		if s.verdicts[i].Failed() {
-			report.Failures = append(report.Failures, s.verdicts[i])
+		report.Verdicts = append(report.Verdicts, res.verdict)
+		if res.verdict.Failed() {
+			report.Failures = append(report.Failures, res.verdict)
 		}
 	}
 	return nil
@@ -160,8 +175,7 @@ func (r *runState) runSchedule(ctx context.Context, order []*graph.Node, workers
 // condition variable — the latent pool deadlock this layer fixes (and
 // that the internal/mc known-bug model reproduces as a minimal trace).
 func (r *runState) runOne(ctx context.Context, s *wavefrontState, i int) {
-	var stats, live egraph.Stats
-	var verdict OpVerdict
+	var res opResult
 	var fatal error
 	completed := false
 	defer func() {
@@ -169,16 +183,16 @@ func (r *runState) runOne(ctx context.Context, s *wavefrontState, i int) {
 			// checkOp recovers panics itself; reaching here means the
 			// scheduler-side bookkeeping around it panicked. Convert
 			// to a structured fault rather than crash or deadlock.
-			verdict = OpVerdict{Op: s.order[i], Kind: VerdictEngineFault,
-				Err: &EngineFaultError{Op: s.order[i], Recovered: recover(), Stack: debug.Stack()}}
+			res = opResult{verdict: OpVerdict{Op: s.order[i], Kind: VerdictEngineFault,
+				Err: &EngineFaultError{Op: s.order[i], Recovered: recover(), Stack: debug.Stack()}}}
 		}
 		s.mu.Lock()
 		s.active--
-		s.record(i, stats, live, verdict, fatal)
+		s.record(i, res, fatal)
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
-	stats, live, verdict, fatal = r.checkOp(ctx, r.planOp(i), s.order[i])
+	res, fatal = r.checkOp(ctx, i)
 	completed = true
 }
 
@@ -193,10 +207,8 @@ type wavefrontState struct {
 	core  *SchedCore
 	order []*graph.Node
 
-	active   int // operators currently being processed
-	stats    []egraph.Stats
-	live     []egraph.Stats // work actually performed (cache hits excluded)
-	verdicts []OpVerdict
+	active int        // operators currently being processed
+	ledger []opResult // the run's one per-operator record, topo-indexed
 
 	fatal   error
 	fatalAt int // min topo index with a fatal error; n = none
@@ -204,10 +216,8 @@ type wavefrontState struct {
 
 // record stores operator i's outcome and propagates scheduling
 // consequences through the core. Caller holds s.mu.
-func (s *wavefrontState) record(i int, stats, live egraph.Stats, v OpVerdict, fatal error) {
-	s.stats[i] = stats
-	s.live[i] = live
-	s.verdicts[i] = v
+func (s *wavefrontState) record(i int, res opResult, fatal error) {
+	s.ledger[i] = res
 	if fatal != nil {
 		// Earliest-in-topo-order fatal wins, for the same determinism
 		// reason as SchedCore.errAt; no children are released — the
@@ -218,8 +228,8 @@ func (s *wavefrontState) record(i int, stats, live egraph.Stats, v OpVerdict, fa
 		}
 		return
 	}
-	for _, c := range s.core.Resolve(i, v.Kind == VerdictRefined) {
-		s.verdicts[c] = OpVerdict{Op: s.order[c], Kind: VerdictSkipped}
+	for _, c := range s.core.Resolve(i, res.verdict.Kind == VerdictRefined) {
+		s.ledger[c].verdict = OpVerdict{Op: s.order[c], Kind: VerdictSkipped}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -129,6 +130,23 @@ func (v OpVerdict) Describe() string {
 	default:
 		return fmt.Sprintf("%s: %s", v.Op.Label, v.Kind)
 	}
+}
+
+// FailingOp returns the operator an analysis verdict localizes: err is
+// (or wraps) a *RefinementError or *InconclusiveError, the checker's
+// statement about the model. It returns nil for everything else — a
+// malformed input, a cancellation, an engine fault — where the check
+// could not run rather than the model failing it.
+func FailingOp(err error) *graph.Node {
+	var re *RefinementError
+	var ie *InconclusiveError
+	switch {
+	case errors.As(err, &re):
+		return re.Op
+	case errors.As(err, &ie):
+		return ie.Op
+	}
+	return nil
 }
 
 // EngineFaultError reports a panic recovered during one operator's

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"entangle/internal/det"
 	"entangle/internal/egraph"
 	"entangle/internal/graph"
 )
@@ -408,18 +409,7 @@ func (in *NetInjector) Injected() map[NetFault]int {
 	return out
 }
 
-// unit hashes (seed, label) to a uniform point in [0, 1) with an
-// FNV-1a pass over the label followed by a splitmix64 finalizer.
+// unit hashes (seed, label) to a uniform point in [0, 1).
 func unit(seed uint64, label string) float64 {
-	h := uint64(14695981039346656037) ^ seed
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= 1099511628211
-	}
-	// splitmix64 finalizer for avalanche.
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return float64(h>>11) / float64(1<<53)
+	return det.Unit(det.Mix(det.String(det.FNVOffset^seed, label)))
 }

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -14,6 +15,7 @@ func testNode(label string) *graph.Node { return &graph.Node{Label: label} }
 func TestDecideDeterministic(t *testing.T) {
 	cfg := Config{Seed: 42, PanicRate: 0.2, SlowRate: 0.2, StarveRate: 0.2}
 	a, b := New(cfg), New(cfg)
+	decided := sha256.New()
 	for i := 0; i < 200; i++ {
 		label := fmt.Sprintf("L%d/op%d", i%8, i)
 		if got, want := a.Decide(label), b.Decide(label); got != want {
@@ -22,6 +24,15 @@ func TestDecideDeterministic(t *testing.T) {
 		if got, want := a.Decide(label), a.Decide(label); got != want {
 			t.Fatalf("label %q: %v vs %v across calls", label, got, want)
 		}
+		fmt.Fprintf(decided, "%v;", a.Decide(label))
+	}
+	// Committed chaos baselines replay by seed: decisions are pinned to
+	// what PR 11's hash decided.
+	if got := fmt.Sprintf("%x", decided.Sum(nil)); got != "d9bee8f7d0fe527a8619a7e0ca1fb226d578fbec963b7126b9af2ee3dc2e7ba7" {
+		t.Errorf("fault decisions moved: digest %s", got)
+	}
+	if unit(42, "L0/op0") != 0.2773833164479078 || unit(0, "") != 0.7636945250957473 {
+		t.Errorf("unit moved: %v %v", unit(42, "L0/op0"), unit(0, ""))
 	}
 }
 

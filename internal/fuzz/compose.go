@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"entangle/internal/det"
 	"entangle/internal/expr"
 	"entangle/internal/graph"
 	"entangle/internal/strategy"
@@ -91,7 +92,7 @@ var ErrSiteUnused = errors.New("fuzz: defect site not reached during composition
 // The one sanctioned divergence is missing-register, which changes the
 // downstream layout only after its own site fired.
 type composer struct {
-	rng     *RNG
+	rng     *det.RNG
 	gs      *graph.Graph
 	env     *strategy.Env
 	b       *graph.Builder
@@ -116,7 +117,7 @@ func Compose(p Plan, d *Defect) (*Case, error) {
 	}
 	env := strategy.NewEnv(gs, "gd", p.Degree)
 	c := &composer{
-		rng:     NewRNG(p.Seed),
+		rng:     det.NewRNG(p.Seed),
 		gs:      gs,
 		env:     env,
 		b:       env.B,

@@ -15,35 +15,3 @@
 // one intentional randomness source — concrete tensor values for the
 // numeric oracle — is seeded from the case and annotated in place.
 package fuzz
-
-// RNG is a splitmix64 stream. The fuzzer cannot use math/rand for
-// structural decisions: plans must rebuild identically across
-// platforms, Go versions, and worker counts, and splitmix64 is a
-// fixed, trivially portable algorithm.
-type RNG struct{ state uint64 }
-
-// NewRNG returns a deterministic stream for the given seed.
-func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
-
-// Uint64 advances the stream.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Intn returns a value in [0, n). n must be positive.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("fuzz: Intn on non-positive bound")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
-// Bool flips a fair coin.
-func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
-// OneIn is true once per n draws on average.
-func (r *RNG) OneIn(n int) bool { return r.Intn(n) == 0 }

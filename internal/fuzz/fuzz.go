@@ -3,6 +3,8 @@ package fuzz
 import (
 	"fmt"
 	"sort"
+
+	"entangle/internal/det"
 )
 
 // Config parameterizes a fuzz campaign.
@@ -83,7 +85,7 @@ func Run(cfg Config) (*Stats, error) {
 	if len(families) == 0 {
 		families = Families
 	}
-	master := NewRNG(cfg.Seed)
+	master := det.NewRNG(cfg.Seed)
 	stats := &Stats{GapKeys: map[string]int{}, ByClass: map[DefectClass]*ClassStats{}}
 	for _, cl := range Classes {
 		stats.ByClass[cl] = &ClassStats{}
@@ -216,7 +218,7 @@ func sanitize(s string) string {
 // form: every paper bug class must come back as a minimized Disproved
 // case. maxTries bounds the plan search.
 func Rediscover(class DefectClass, seed uint64, workers, maxTries int) (*Result, error) {
-	master := NewRNG(seed)
+	master := det.NewRNG(seed)
 	tpl := rediscoverTemplate(class)
 	for try := 0; try < maxTries; try++ {
 		p := tpl

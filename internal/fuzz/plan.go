@@ -3,6 +3,7 @@ package fuzz
 import (
 	"fmt"
 
+	"entangle/internal/det"
 	"entangle/internal/graph"
 	"entangle/internal/models"
 	"entangle/internal/shape"
@@ -113,7 +114,7 @@ func (p Plan) String() string {
 // RandomPlan draws a plan from the master stream. maxDegree bounds the
 // parallelism degree; degrees are powers of two so the fixed chain
 // dimensions always divide.
-func RandomPlan(rng *RNG, families []Family, maxDegree int) Plan {
+func RandomPlan(rng *det.RNG, families []Family, maxDegree int) Plan {
 	p := Plan{
 		Seed:   rng.Uint64(),
 		Family: families[rng.Intn(len(families))],
@@ -163,7 +164,7 @@ func BuildSequential(p Plan) (*graph.Graph, error) {
 // parameters (which activation, scale ratio) come from a dedicated
 // stream so they never perturb the composer's decision stream.
 func buildChain(p Plan) (*graph.Graph, error) {
-	rng := NewRNG(p.Seed ^ 0xc0ffee_d00d)
+	rng := det.NewRNG(p.Seed ^ 0xc0ffee_d00d)
 	b := graph.NewBuilder("fuzz/chain", nil)
 	x := b.Input("x", shape.Of(chainS, chainH))
 	cur := x

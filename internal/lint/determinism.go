@@ -28,6 +28,7 @@ var determinismDirs = []string{
 	"internal/cluster",
 	"internal/cluster/sim",
 	"internal/core",
+	"internal/det",
 	"internal/egraph",
 	"internal/fingerprint",
 	"internal/fuzz",

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"entangle/internal/mc"
@@ -190,19 +192,33 @@ func TestVCacheModelUsesRealCodec(t *testing.T) {
 }
 
 // TestSimulateCIScope runs the seeded random-walk mode over every ci
-// model: deep sampled executions must stay violation-free too.
+// model — `entangle-mc -sim -seed 42` — and pins the walks to PR 11's:
+// deep sampled executions must stay violation-free, and a seed in a bug
+// report must keep replaying the same trace.
 func TestSimulateCIScope(t *testing.T) {
 	ms, err := ForScope("ci")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinned := map[string][3]int{ // steps, distinct states, deepest
+		"wavefront":            {4892, 45, 12},
+		"wavefront-firsterror": {4262, 37, 12},
+		"vcache":               {6877, 345, 7},
+		"daemon":               {6717, 409, 9},
+		"planner":              {2000, 37, 2},
+		"planner-attn":         {2000, 22, 2},
+		"cluster":              {9555, 1251, 11},
+	}
 	for _, m := range ms {
-		res, err := mc.Simulate(m, mc.SimOptions{Seed: 42, Walks: 200, MaxDepth: 200})
+		res, err := mc.Simulate(m, mc.SimOptions{Seed: 42, Walks: 1000, MaxDepth: 400})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Violation != nil {
 			t.Errorf("%s (seed 42):\n%s", m.Name(), res.Violation)
+		}
+		if got := [3]int{res.Steps, res.Distinct, res.Deepest}; got != pinned[m.Name()] {
+			t.Errorf("%s (seed 42): walked %v, pinned %v", m.Name(), got, pinned[m.Name()])
 		}
 	}
 	res, err := mc.Simulate(KnownBug(), mc.SimOptions{Seed: 42, Walks: 500, MaxDepth: 100})
@@ -210,7 +226,11 @@ func TestSimulateCIScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Violation == nil {
-		t.Error("simulation never stumbled into the known bug in 500 walks")
+		t.Fatal("simulation never stumbled into the known bug in 500 walks")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(res.Violation.Trace.Render()))); res.Steps != 18 ||
+		got != "aa383627c5e4419983c0e885b0020693c769c98b5d52a97a34258185b4fc9029" {
+		t.Errorf("known-bug trace moved: %d steps, digest %s", res.Steps, got)
 	}
 }
 

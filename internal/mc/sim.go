@@ -3,6 +3,8 @@ package mc
 import (
 	"fmt"
 	"time"
+
+	"entangle/internal/det"
 )
 
 // SimOptions parameterize a random-walk simulation.
@@ -39,24 +41,6 @@ type SimResult struct {
 	Violation *Violation
 }
 
-// prng is a splitmix64 generator. The model checker carries its own
-// tiny PRNG instead of math/rand so the determinism contract is
-// self-contained and the lint determinism check stays silent on this
-// package's hot paths.
-type prng struct{ s uint64 }
-
-func (r *prng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a uniform-ish value in [0, n). The modulo bias is
-// irrelevant at simulation scales and keeps the generator branch-free.
-func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Simulate runs seeded random walks over m, checking every invariant
 // (and deadlock-freedom) at every visited state. It samples depths far
 // beyond exhaustive reach; it proves nothing, but a violation it finds
@@ -77,7 +61,7 @@ func Simulate(m Model, opts SimOptions) (*SimResult, error) {
 	//lint:ignore determinism duration is reporting metadata, not walk input
 	start := time.Now()
 	res := &SimResult{Model: m.Name()}
-	rng := &prng{s: opts.Seed}
+	rng := det.NewRNG(opts.Seed)
 	seen := make(map[fingerprint]struct{})
 	invs := m.Invariants()
 
@@ -96,7 +80,7 @@ func Simulate(m Model, opts SimOptions) (*SimResult, error) {
 	}
 
 	for walk := 0; walk < opts.Walks; walk++ {
-		s := inits[rng.intn(len(inits))]
+		s := inits[rng.Intn(len(inits))]
 		trace := Trace{{Action: "", State: s.String()}}
 		for step := 0; ; step++ {
 			if step > res.Deepest {
@@ -128,7 +112,7 @@ func Simulate(m Model, opts SimOptions) (*SimResult, error) {
 			if step >= opts.MaxDepth {
 				break
 			}
-			a := acts[rng.intn(len(acts))]
+			a := acts[rng.Intn(len(acts))]
 			s = a.Next()
 			res.Steps++
 			trace = append(trace, Step{Action: a.Name, State: s.String()})

@@ -42,6 +42,7 @@ import (
 	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
 	"entangle/internal/hlo"
+	"entangle/internal/lemmas"
 	"entangle/internal/relation"
 	"entangle/internal/vcache"
 )
@@ -106,6 +107,9 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+	}
+	if cfg.Options.Registry == nil {
+		cfg.Options.Registry = lemmas.Default() // once, not per request
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -347,30 +351,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "loading relation: %v", err)
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.Timeout != "" {
-		timeout, err = time.ParseDuration(req.Timeout)
-		if err != nil || timeout <= 0 {
-			s.badRequest(w, "bad timeout %q", req.Timeout)
-			return
-		}
+	checkCtx, ok := s.parseTimeout(w, r, req.Timeout)
+	if !ok {
+		return
 	}
-
-	ctx := r.Context()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	// The gate bounds concurrent saturations and refuses admission once
-	// a drain has begun; a request whose deadline expires while queued
-	// reports the cancellation instead of running late.
-	if err := s.gate.Acquire(ctx); err != nil {
+	ctx, cancel := checkCtx()
+	defer cancel()
+	if msg, err := s.admit(ctx); err != nil {
 		s.errored.Add(1)
-		msg := fmt.Sprintf("queued past deadline: %v", err)
-		if errors.Is(err, ErrDraining) {
-			msg = err.Error()
-		}
 		writeJSON(w, http.StatusServiceUnavailable,
 			CheckResponse{Verdict: "cancelled", Error: msg})
 		return
@@ -404,9 +392,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 	default:
 		resp := CheckResponse{Verdict: "failed", Error: err.Error()}
-		var re *core.RefinementError
-		var ie *core.InconclusiveError
-		if !errors.As(err, &re) && !errors.As(err, &ie) {
+		if core.FailingOp(err) == nil {
 			// Malformed graphs or an engine fault, not an analysis
 			// verdict.
 			s.errored.Add(1)
@@ -503,21 +489,11 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "loading relation against base: %v", err)
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.Timeout != "" {
-		timeout, err = time.ParseDuration(req.Timeout)
-		if err != nil || timeout <= 0 {
-			s.badRequest(w, "bad timeout %q", req.Timeout)
-			return
-		}
-	}
 	// Per-check context: the request context caps the whole batch, the
 	// timeout caps each admitted check individually.
-	checkCtx := func() (context.Context, context.CancelFunc) {
-		if timeout > 0 {
-			return context.WithTimeout(r.Context(), timeout)
-		}
-		return context.WithCancel(r.Context())
+	checkCtx, ok := s.parseTimeout(w, r, req.Timeout)
+	if !ok {
+		return
 	}
 
 	// Warm the cache with the base graph's verdicts under one gate slot
@@ -530,18 +506,14 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	baseErr := func() error {
 		ctx, cancel := checkCtx()
 		defer cancel()
-		if err := s.gate.Acquire(ctx); err != nil {
+		if _, err := s.admit(ctx); err != nil {
 			return err
 		}
 		defer s.gate.Release()
 		_, err := core.NewChecker(warm).CheckContext(ctx, base, gd, baseRi)
-		if err != nil {
-			var re *core.RefinementError
-			var ie *core.InconclusiveError
-			if errors.As(err, &re) || errors.As(err, &ie) {
-				resp.BaseVerdict = "failed"
-				return nil
-			}
+		if core.FailingOp(err) != nil {
+			resp.BaseVerdict = "failed"
+			return nil
 		}
 		return err
 	}()
@@ -562,7 +534,7 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	// finished ones keep their deltas.
 	anyFailed, anyCancelled := false, false
 	for _, raw := range req.Candidates {
-		resp.Candidates = append(resp.Candidates, s.recheckOne(r.Context(), checkCtx, req.Format, raw, base, baseRi, gd, req.Rel))
+		resp.Candidates = append(resp.Candidates, s.recheckOne(checkCtx, req.Format, raw, base, baseRi, gd, req.Rel))
 		c := &resp.Candidates[len(resp.Candidates)-1]
 		switch c.Verdict {
 		case "refined":
@@ -587,7 +559,7 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 
 // recheckOne incrementally re-verifies a single candidate against the
 // warmed base under its own gate slot.
-func (s *Server) recheckOne(reqCtx context.Context, checkCtx func() (context.Context, context.CancelFunc),
+func (s *Server) recheckOne(checkCtx func() (context.Context, context.CancelFunc),
 	format string, raw json.RawMessage, base *graph.Graph, baseRi *relation.Relation,
 	gd *graph.Graph, rel map[string][]string) RecheckCandidate {
 	cand, err := decodeGraph(raw, format)
@@ -600,11 +572,7 @@ func (s *Server) recheckOne(reqCtx context.Context, checkCtx func() (context.Con
 	}
 	ctx, cancel := checkCtx()
 	defer cancel()
-	if err := s.gate.Acquire(ctx); err != nil {
-		msg := fmt.Sprintf("queued past deadline: %v", err)
-		if errors.Is(err, ErrDraining) {
-			msg = err.Error()
-		}
+	if msg, err := s.admit(ctx); err != nil {
 		return RecheckCandidate{Verdict: "cancelled", Error: msg}
 	}
 	defer s.gate.Release()
@@ -634,6 +602,40 @@ func (s *Server) recheckOne(reqCtx context.Context, checkCtx func() (context.Con
 		}
 	}
 	return c
+}
+
+// parseTimeout turns a request's timeout field (empty selects
+// Config.DefaultTimeout) into a constructor of per-check contexts; a
+// malformed value is answered 400 and reported as !ok.
+func (s *Server) parseTimeout(w http.ResponseWriter, r *http.Request, field string) (func() (context.Context, context.CancelFunc), bool) {
+	timeout := s.cfg.DefaultTimeout
+	if field != "" {
+		var err error
+		if timeout, err = time.ParseDuration(field); err != nil || timeout <= 0 {
+			s.badRequest(w, "bad timeout %q", field)
+			return nil, false
+		}
+	}
+	return func() (context.Context, context.CancelFunc) {
+		if timeout > 0 {
+			return context.WithTimeout(r.Context(), timeout)
+		}
+		return context.WithCancel(r.Context())
+	}, true
+}
+
+// admit takes a gate slot, which the caller releases. The gate bounds
+// concurrent saturations and refuses admission once a drain has begun;
+// a request whose deadline expires while queued reports the
+// cancellation (msg, for the client) instead of running late.
+func (s *Server) admit(ctx context.Context) (msg string, err error) {
+	switch err = s.gate.Acquire(ctx); {
+	case err == nil:
+		return "", nil
+	case errors.Is(err, ErrDraining):
+		return err.Error(), err
+	}
+	return fmt.Sprintf("queued past deadline: %v", err), err
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {

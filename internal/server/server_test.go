@@ -160,6 +160,44 @@ func TestCheckWarmCache(t *testing.T) {
 	}
 }
 
+// TestOneRegistryAcrossRequests: a daemon configured without a registry
+// materializes the default one once, every request's checker shares it,
+// and its keys are the ones a nil-registry checker derives — so CLI and
+// daemon runs over one cache directory replay each other's verdicts.
+func TestOneRegistryAcrossRequests(t *testing.T) {
+	b, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vc, err := vcache.Open(vcache.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Options: core.Options{Cache: vc}})
+	reg := srv.cfg.Options.Registry
+	if reg == nil {
+		t.Fatal("New left the lemma registry to be rebuilt per request")
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	body := requestBody(t, b, nil)
+	for _, phase := range []string{"cold", "warm"} {
+		if status, resp := post(t, ts, body); status != http.StatusOK {
+			t.Fatalf("%s: status %d resp %+v", phase, status, resp)
+		}
+		if srv.cfg.Options.Registry != reg {
+			t.Fatalf("%s: request replaced the shared registry", phase)
+		}
+	}
+	direct, err := core.NewChecker(core.Options{Cache: vc}).Check(b.Gs, b.Gd, b.Ri)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Cache.Misses != 0 || int(direct.Cache.Hits) != direct.OpsProcessed {
+		t.Fatalf("nil-registry checker derives different keys than the daemon: %+v", direct.Cache)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts, _ := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/healthz")

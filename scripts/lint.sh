@@ -18,7 +18,7 @@ go run ./cmd/entangle-lint \
     internal/fingerprint internal/vcache internal/server \
     internal/mc internal/mc/models internal/faultinject \
     internal/bench internal/cluster internal/cluster/sim \
-    internal/fuzz
+    internal/fuzz internal/det
 
 echo "-- graph IR lint (generated gpt tp=2 capture)"
 go run ./cmd/entangle-graphgen -model gpt -tp 2 -o "$tmp/model" >/dev/null
