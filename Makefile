@@ -32,10 +32,12 @@ lint:
 	sh scripts/lint.sh
 
 # Exhaustive model check of the concurrency core at the ci scope, plus
-# the known-bug regression gate. See cmd/entangle-mc.
+# both planted-bug regression gates — the same three commands as
+# scripts/verify.sh and the mc CI job. See cmd/entangle-mc.
 mc:
 	$(GO) run ./cmd/entangle-mc -scope ci
 	$(GO) run ./cmd/entangle-mc -model known-bug -expect-violation
+	$(GO) run ./cmd/entangle-mc -model known-bug-cluster -expect-violation
 
 # Short fuzz pass: replay the committed regression corpus (all nine
 # paper bug classes), then run one bounded randomized campaign. Exits

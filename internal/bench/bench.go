@@ -9,6 +9,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"time"
@@ -105,16 +106,9 @@ func Run(w Workload, parallel, layers int) (*Result, error) {
 // RunWorkers is Run with an explicit checker worker count (the
 // wavefront scheduler's pool size; 1 = sequential walk).
 func RunWorkers(w Workload, parallel, layers, workers int) (*Result, error) {
-	b, err := w.Build(parallel, layers)
+	gs, gd, ri, err := w.graphs(parallel, layers)
 	if err != nil {
 		return nil, err
-	}
-	gs, gd, ri := b.Gs, b.Gd, b.Ri
-	if w.ViaHLO {
-		gs, gd, ri, err = roundTripHLO(b)
-		if err != nil {
-			return nil, err
-		}
 	}
 	reg := lemmas.Default()
 	checker := core.NewChecker(core.Options{Registry: reg, Workers: workers})
@@ -132,6 +126,26 @@ func RunWorkers(w Workload, parallel, layers, workers int) (*Result, error) {
 		Report:      report,
 		Registry:    reg,
 	}, nil
+}
+
+// graphs builds one configuration of the workload and returns what the
+// checker takes — after the HLO text round trip for ViaHLO workloads.
+func (w Workload) graphs(parallel, layers int) (*graph.Graph, *graph.Graph, *relation.Relation, error) {
+	b, err := w.Build(parallel, layers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if w.ViaHLO {
+		return roundTripHLO(b)
+	}
+	return b.Gs, b.Gd, b.Ri, nil
+}
+
+// tempDir makes one measurement's scratch directory (verdict stores,
+// simulated fleets); the caller defers cleanup.
+func tempDir(name string) (dir string, cleanup func(), err error) {
+	dir, err = os.MkdirTemp("", "entangle-bench-"+name+"-")
+	return dir, func() { os.RemoveAll(dir) }, err
 }
 
 // roundTripHLO prints both graphs to the HLO text format and parses

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -60,22 +59,15 @@ func Cache() (string, []CachePoint, error) {
 // cachePoint runs one workload cold then warm against a fresh
 // disk-backed cache in a temporary directory.
 func cachePoint(w Workload, parallel, layers int) (*CachePoint, error) {
-	b, err := w.Build(parallel, layers)
+	gs, gd, ri, err := w.graphs(parallel, layers)
 	if err != nil {
 		return nil, err
 	}
-	gs, gd, ri := b.Gs, b.Gd, b.Ri
-	if w.ViaHLO {
-		gs, gd, ri, err = roundTripHLO(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	dir, err := os.MkdirTemp("", "entangle-bench-cache-")
+	dir, cleanup, err := tempDir("cache")
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 	vc, err := vcache.Open(vcache.Config{Dir: dir})
 	if err != nil {
 		return nil, err
@@ -110,8 +102,8 @@ func cachePoint(w Workload, parallel, layers int) (*CachePoint, error) {
 	return &CachePoint{
 		Workload:  w.Name,
 		Ops:       gs.OperatorCount() + gd.OperatorCount(),
-		ColdMS:    float64(coldD) / float64(time.Millisecond),
-		WarmMS:    float64(warmD) / float64(time.Millisecond),
+		ColdMS:    msOf(coldD),
+		WarmMS:    msOf(warmD),
 		Speedup:   speedup,
 		HitRate:   hitRate,
 		Hits:      warm.Cache.Hits,

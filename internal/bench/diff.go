@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -81,11 +80,11 @@ func diffPoint(w Workload, parallel, layers int) (*DiffPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	dir, err := os.MkdirTemp("", "entangle-bench-diff-")
+	dir, cleanup, err := tempDir("diff")
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 	vc, err := vcache.Open(vcache.Config{Dir: dir})
 	if err != nil {
 		return nil, err
@@ -124,8 +123,8 @@ func diffPoint(w Workload, parallel, layers int) (*DiffPoint, error) {
 		Ops:       b.Gs.OperatorCount(),
 		EditedOp:  newGs.Node(edited).Label,
 		ConeSize:  len(cone),
-		FullMS:    float64(fullD) / float64(time.Millisecond),
-		DiffMS:    float64(diffD) / float64(time.Millisecond),
+		FullMS:    msOf(fullD),
+		DiffMS:    msOf(diffD),
 		Speedup:   speedup,
 		Replayed:  delta.ReplayedOps,
 		Rechecked: delta.RecheckedOps,

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -122,11 +121,11 @@ func fleetDifferential(w Workload, workers int) (single, fleet *FleetPoint, rend
 	}
 	ops := b.Gs.OperatorCount()
 
-	dir, err := os.MkdirTemp("", "entangle-bench-fleet-")
+	dir, cleanup, err := tempDir("fleet")
 	if err != nil {
 		return nil, nil, "", err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 
 	vc, err := vcache.Open(vcache.Config{Dir: dir + "/single"})
 	if err != nil {
@@ -173,11 +172,11 @@ func fleetScale(nodes, workers int) (cold, warm *FleetPoint, err error) {
 	}
 	ops := b.Gs.OperatorCount()
 
-	dir, err := os.MkdirTemp("", "entangle-bench-fleet-scale-")
+	dir, cleanup, err := tempDir("fleet-scale")
 	if err != nil {
 		return nil, nil, err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 	c, err := sim.New(sim.Config{Nodes: nodes, Dir: dir})
 	if err != nil {
 		return nil, nil, err
@@ -220,11 +219,11 @@ func fleetChaos(baseline string) ([]FleetPoint, string, error) {
 	}
 	ops := b.Gs.OperatorCount()
 
-	dir, err := os.MkdirTemp("", "entangle-bench-fleet-chaos-")
+	dir, cleanup, err := tempDir("fleet-chaos")
 	if err != nil {
 		return nil, "", err
 	}
-	defer os.RemoveAll(dir)
+	defer cleanup()
 	c, err := sim.New(sim.Config{
 		Nodes: 3,
 		Dir:   dir,

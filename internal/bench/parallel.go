@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -109,16 +108,9 @@ type scheduleProfile struct {
 // by those durations and simulates the wavefront policy (W workers,
 // earliest-topo-index-first) to get its makespan.
 func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfile, error) {
-	b, err := w.Build(parallel, layers)
+	gs, gd, ri, err := w.graphs(parallel, layers)
 	if err != nil {
 		return nil, err
-	}
-	gs, gd, ri := b.Gs, b.Gd, b.Ri
-	if w.ViaHLO {
-		gs, gd, ri, err = roundTripHLO(b)
-		if err != nil {
-			return nil, err
-		}
 	}
 	var mu sync.Mutex
 	durs := map[graph.NodeID]time.Duration{}
@@ -180,8 +172,9 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 		}
 	}
 
-	// Simulate the wavefront policy: W workers, ready set ordered by
-	// topo index, event-driven completion.
+	// Simulate the wavefront policy: W workers drive the scheduler's own
+	// ready set (core.SchedCore: earliest topo index first), completions
+	// are event-driven.
 	deps := make([]int, n)
 	children := make([][]int, n)
 	for i := range order {
@@ -190,24 +183,17 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 			children[j] = append(children[j], i)
 		}
 	}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if deps[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
+	sched := core.NewSchedCore(deps, children, false)
 	type running struct {
 		op   int
 		done time.Duration
 	}
 	var pool []running
-	var now, makespan time.Duration
-	for len(ready) > 0 || len(pool) > 0 {
-		sort.Ints(ready)
-		for len(pool) < workers && len(ready) > 0 {
-			i := ready[0]
-			ready = ready[1:]
-			pool = append(pool, running{op: i, done: now + d[i]})
+	var makespan time.Duration // completions only move forward
+	for sched.Runnable() || len(pool) > 0 {
+		for len(pool) < workers && sched.Runnable() {
+			i := sched.Pop()
+			pool = append(pool, running{op: i, done: makespan + d[i]})
 		}
 		// Advance to the earliest completion.
 		next := 0
@@ -218,16 +204,8 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 		}
 		fin := pool[next]
 		pool = append(pool[:next], pool[next+1:]...)
-		now = fin.done
-		if now > makespan {
-			makespan = now
-		}
-		for _, c := range children[fin.op] {
-			deps[c]--
-			if deps[c] == 0 {
-				ready = append(ready, c)
-			}
-		}
+		makespan = fin.done
+		sched.Resolve(fin.op, true)
 	}
 
 	prof := &scheduleProfile{ops: n}

@@ -83,16 +83,9 @@ func Saturate() (string, []SaturatePoint, error) {
 // region; each timed check re-runs the full wavefront walk with fresh
 // per-operator e-graphs.
 func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
-	b, err := w.Build(parallel, layers)
+	gs, gd, ri, err := w.graphs(parallel, layers)
 	if err != nil {
 		return nil, err
-	}
-	gs, gd, ri := b.Gs, b.Gd, b.Ri
-	if w.ViaHLO {
-		gs, gd, ri, err = roundTripHLO(b)
-		if err != nil {
-			return nil, err
-		}
 	}
 	checker := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1})
 
@@ -144,7 +137,7 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	med := durs[batches/2]
 
-	coldMS := float64(med) / float64(per) / float64(time.Millisecond)
+	coldMS := msOf(med) / float64(per)
 	perSec := 0.0
 	if med > 0 {
 		perSec = float64(per) / med.Seconds()

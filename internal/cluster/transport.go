@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -91,7 +92,7 @@ func (t *HTTPTransport) Fetch(ctx context.Context, peer Member, key fingerprint.
 
 // Offer PUTs an encoded entry into the peer's shard.
 func (t *HTTPTransport) Offer(ctx context.Context, peer Member, key fingerprint.Hash, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peerURL(peer, key), bytesReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peerURL(peer, key), bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
@@ -106,25 +107,6 @@ func (t *HTTPTransport) Offer(ctx context.Context, peer Member, key fingerprint.
 		return fmt.Errorf("cluster: peer %s: offer status %s", peer.ID, resp.Status)
 	}
 	return nil
-}
-
-// bytesReader avoids importing bytes just for one constructor while
-// keeping the request body replayable (NewRequest special-cases it so
-// retried HTTP/1.1 requests re-send the body).
-func bytesReader(data []byte) io.Reader { return &replayableReader{data: data} }
-
-type replayableReader struct {
-	data []byte
-	off  int
-}
-
-func (r *replayableReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }
 
 // Clock is the time seam for everything in this package that waits:

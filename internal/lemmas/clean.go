@@ -518,20 +518,7 @@ func registerSliceOfSum(r *Registry) {
 	// slice(sum(xs), d, b, e) = sum(slice(x_i, d, b, e)).
 	r.MustRegister(&Lemma{
 		Name: "slice-of-sum", Kind: KindClean, Complexity: 3, LOC: 18,
-		Rules: []*egraph.Rule{{
-			Name: "slice-of-sum",
-			LHS: egraph.POp(expr.OpSlice,
-				[]egraph.AttrPat{egraph.AVar("d"), egraph.AVar("b"), egraph.AVar("e")},
-				egraph.POpN(expr.OpSum, nil, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d, b, e := m.Subst.AttrOf("d"), m.Subst.AttrOf("b"), m.Subst.AttrOf("e")
-				c := mapKids(g, expr.OpSum, nil, "", m.Subst.KidsOf("xs"),
-					func(_ int, k egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpSlice, []sym.Expr{d, b, e}, "", []egraph.ClassID{k})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpSlice, attrs: vars("d", "b", "e"), args: []arg{summed}, out: sum}},
 	})
 }
 
@@ -612,26 +599,7 @@ func registerTranspose(r *Registry) {
 	// where σ swaps a and b.
 	r.MustRegister(&Lemma{
 		Name: "transpose-concat-commutative", Kind: KindClean, Complexity: 4, LOC: 28,
-		Rules: []*egraph.Rule{{
-			Name: "transpose-concat-commutative",
-			LHS: egraph.POp(expr.OpTranspose, []egraph.AttrPat{egraph.AVar("a"), egraph.AVar("b")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				a, b, d := m.Subst.AttrOf("a"), m.Subst.AttrOf("b"), m.Subst.AttrOf("d")
-				dOut := d
-				switch {
-				case d.Equal(a):
-					dOut = b
-				case d.Equal(b):
-					dOut = a
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{dOut}, "", m.Subst.KidsOf("xs"),
-					func(_ int, k egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpTranspose, []sym.Expr{a, b}, "", []egraph.ClassID{k})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpTranspose, attrs: vars("a", "b"), args: []arg{alongD}, prep: swappedDim}},
 	})
 
 	// transpose(slice(x, d, b, e), p, q) = slice(transpose(x, p, q), σ(d), b, e).

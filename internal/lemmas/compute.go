@@ -32,36 +32,8 @@ func registerMatMul(r *Registry) {
 	// concat(matmul(x, w_i), last). Megatron's ColumnParallelLinear.
 	r.MustRegister(&Lemma{
 		Name: "matmul-col-parallel", Kind: KindGeneral, Complexity: 4, LOC: 30,
-		Rules: []*egraph.Rule{{
-			Name: "matmul-col-parallel",
-			LHS: egraph.POp(expr.OpMatMul, nil, egraph.PVar("x"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "ws")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				ws := m.Subst.KidsOf("ws")
-				wRank, got := g.RankOf(ws[0])
-				if !got || d != wRank-1 {
-					return nil
-				}
-				xc := m.Subst.ClassOf("x")
-				xRank, got := g.RankOf(xc)
-				if !got {
-					return nil
-				}
-				outDim := sym.Const(int64(xRank - 1))
-				if wRank > 2 {
-					outDim = sym.Const(int64(max(xRank, wRank) - 1))
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{outDim}, "", ws,
-					func(_ int, w egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpMatMul, nil, "", []egraph.ClassID{xc, w})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpMatMul, args: []arg{whole, alongD},
+			when: dimLast, prep: matmulOutDim}},
 	})
 
 	// Row-parallel (the block matmul lemma of §4.1's running example):
@@ -69,39 +41,9 @@ func registerMatMul(r *Registry) {
 	// when the per-block inner extents agree.
 	r.MustRegister(&Lemma{
 		Name: "matmul-row-parallel", Kind: KindGeneral, Complexity: 5, LOC: 40,
-		Rules: []*egraph.Rule{{
-			Name: "matmul-row-parallel",
-			LHS: egraph.POp(expr.OpMatMul, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("dx")}, "xs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "ws")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xs, ws := m.Subst.KidsOf("xs"), m.Subst.KidsOf("ws")
-				if len(xs) != len(ws) {
-					return nil
-				}
-				dx, ok := dimConst(m.Subst.AttrOf("dx"))
-				if !ok {
-					return nil
-				}
-				xRank, got := g.RankOf(xs[0])
-				if !got || dx != xRank-1 {
-					return nil
-				}
-				xExts, _, ok := kidExtents(g, xs, dx)
-				if !ok {
-					return nil
-				}
-				wExts, wRank, ok := kidExtents(g, ws, 0)
-				if !ok || wRank != 2 || !pairwiseAligned(g.Ctx, xExts, wExts) {
-					return nil
-				}
-				c := mapKids(g, expr.OpSum, nil, "", xs,
-					func(i int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpMatMul, nil, "", []egraph.ClassID{x, ws[i]})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpMatMul,
+			args: []arg{chunked(egraph.AVar("dx")), along0.ofRank(2)},
+			when: dimLast | aligned, out: sum}},
 	})
 
 	// Batch/row split of the left operand: matmul(concat(x_i, d), w) =
@@ -109,67 +51,18 @@ func registerMatMul(r *Registry) {
 	// Sequence parallelism's workhorse.
 	r.MustRegister(&Lemma{
 		Name: "matmul-row-split-lhs", Kind: KindGeneral, Complexity: 4, LOC: 28,
-		Rules: []*egraph.Rule{{
-			Name: "matmul-row-split-lhs",
-			LHS: egraph.POp(expr.OpMatMul, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-				egraph.PVar("w")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				xs := m.Subst.KidsOf("xs")
-				xRank, got := g.RankOf(xs[0])
-				if !got || d >= xRank-1 {
-					return nil
-				}
-				wc := m.Subst.ClassOf("w")
-				wRank, got := g.RankOf(wc)
-				if !got || wRank != 2 {
-					return nil
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", xs,
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpMatMul, nil, "", []egraph.ClassID{x, wc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpMatMul, args: []arg{alongD, whole.ofRank(2)},
+			when: dimBeforeLast}},
 	})
 
 	// Bilinearity over sums, both operands.
 	r.MustRegister(&Lemma{
 		Name: "matmul-sum-lhs", Kind: KindGeneral, Complexity: 3, LOC: 14,
-		Rules: []*egraph.Rule{{
-			Name: "matmul-sum-lhs",
-			LHS: egraph.POp(expr.OpMatMul, nil,
-				egraph.POpN(expr.OpSum, nil, "xs"), egraph.PVar("w")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				wc := m.Subst.ClassOf("w")
-				c := mapKids(g, expr.OpSum, nil, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpMatMul, nil, "", []egraph.ClassID{x, wc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpMatMul, args: []arg{summed, whole}, out: sum}},
 	})
 	r.MustRegister(&Lemma{
 		Name: "matmul-sum-rhs", Kind: KindGeneral, Complexity: 3, LOC: 14,
-		Rules: []*egraph.Rule{{
-			Name: "matmul-sum-rhs",
-			LHS: egraph.POp(expr.OpMatMul, nil,
-				egraph.PVar("x"), egraph.POpN(expr.OpSum, nil, "ws")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xc := m.Subst.ClassOf("x")
-				c := mapKids(g, expr.OpSum, nil, "", m.Subst.KidsOf("ws"),
-					func(_ int, w egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpMatMul, nil, "", []egraph.ClassID{xc, w})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpMatMul, args: []arg{whole, summed}, out: sum}},
 	})
 
 	// Scaling factors float out of matmul.
@@ -192,48 +85,15 @@ func registerMatMul(r *Registry) {
 	})
 }
 
-// elementwiseConcat builds the shared shape of the per-op lemma
-// "f(concat(xs,d), concat(ys,d)) = concat(f(x_i,y_i), d)" for binary
-// elementwise operators, conditioned on pairwise chunk alignment.
-func elementwiseConcat(op expr.Op) *egraph.Rule {
-	return &egraph.Rule{
-		Name: fmt.Sprintf("%s-concat-distribute", op),
-		LHS: egraph.POp(op, nil,
-			egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-			egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "ys")),
-		Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-			xs, ys := m.Subst.KidsOf("xs"), m.Subst.KidsOf("ys")
-			if len(xs) != len(ys) {
-				return nil
-			}
-			d, ok := dimConst(m.Subst.AttrOf("d"))
-			if !ok {
-				return nil
-			}
-			xe, _, ok := kidExtents(g, xs, d)
-			if !ok {
-				return nil
-			}
-			ye, _, ok := kidExtents(g, ys, d)
-			if !ok || !pairwiseAligned(g.Ctx, xe, ye) {
-				return nil
-			}
-			c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", xs,
-				func(i int, x egraph.ClassID) egraph.ClassID {
-					return addAll(g, op, nil, "", []egraph.ClassID{x, ys[i]})
-				})
-			return m.With(c)
-		},
-	}
-}
-
 func registerElementwise(r *Registry) {
-	for _, op := range []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv} {
+	binary := []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv}
+
+	// f(concat(xs, d), concat(ys, d)) = concat(f(x_i, y_i), d) for the
+	// binary elementwise operators, when the chunks align pairwise.
+	for _, op := range binary {
 		r.MustRegister(&Lemma{
-			Name:       fmt.Sprintf("%s-concat-distribute", op),
-			Kind:       KindGeneral,
-			Complexity: 4, LOC: 30,
-			Rules: []*egraph.Rule{elementwiseConcat(op)},
+			Name: fmt.Sprintf("%s-concat-distribute", op), Kind: KindGeneral, Complexity: 4, LOC: 30,
+			dists: []dist{{op: op, args: []arg{alongD, alongD}, when: aligned}},
 		})
 	}
 
@@ -242,51 +102,12 @@ func registerElementwise(r *Registry) {
 	// operand) — e.g. a [1,H] norm weight against sequence shards, or
 	// a scalar loss seed against anything. Registered per operator and
 	// operand side.
-	for _, op := range []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv} {
-		op := op
-		mkRule := func(name string, concatLeft bool) *egraph.Rule {
-			var lhs *egraph.Pattern
-			if concatLeft {
-				lhs = egraph.POp(op, nil,
-					egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-					egraph.PVar("y"))
-			} else {
-				lhs = egraph.POp(op, nil,
-					egraph.PVar("y"),
-					egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"))
-			}
-			return &egraph.Rule{
-				Name: name,
-				LHS:  lhs,
-				Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-					d, ok := dimConst(m.Subst.AttrOf("d"))
-					if !ok {
-						return nil
-					}
-					yc := m.Subst.ClassOf("y")
-					ys, got := g.ShapeOf(yc)
-					if !got || d >= len(ys) || !g.Ctx.ProveEQ(ys[d], sym.Const(1)) {
-						return nil
-					}
-					c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "",
-						m.Subst.KidsOf("xs"),
-						func(_ int, x egraph.ClassID) egraph.ClassID {
-							if concatLeft {
-								return addAll(g, op, nil, "", []egraph.ClassID{x, yc})
-							}
-							return addAll(g, op, nil, "", []egraph.ClassID{yc, x})
-						})
-					return m.With(c)
-				},
-			}
-		}
+	for _, op := range binary {
 		r.MustRegister(&Lemma{
-			Name:       fmt.Sprintf("%s-broadcast-concat", op),
-			Kind:       KindGeneral,
-			Complexity: 4, LOC: 34,
-			Rules: []*egraph.Rule{
-				mkRule(fmt.Sprintf("%s-broadcast-concat/lhs", op), true),
-				mkRule(fmt.Sprintf("%s-broadcast-concat/rhs", op), false),
+			Name: fmt.Sprintf("%s-broadcast-concat", op), Kind: KindGeneral, Complexity: 4, LOC: 34,
+			dists: []dist{
+				{variant: "/lhs", op: op, args: []arg{alongD, broadcast}},
+				{variant: "/rhs", op: op, args: []arg{broadcast, alongD}},
 			},
 		})
 	}
@@ -294,39 +115,14 @@ func registerElementwise(r *Registry) {
 	// Unary elementwise functions distribute over concat on any dim.
 	r.MustRegister(&Lemma{
 		Name: "unary-concat-distribute", Kind: KindGeneral, Complexity: 3, LOC: 16,
-		Rules: []*egraph.Rule{{
-			Name: "unary-concat-distribute",
-			LHS: egraph.POp(expr.OpUnary, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				fn := m.Node.Str
-				d := m.Subst.AttrOf("d")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{d}, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpUnary, nil, fn, []egraph.ClassID{x})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpUnary, args: []arg{alongD}}},
 	})
 }
 
 func registerScale(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "scale-concat-distribute", Kind: KindGeneral, Complexity: 3, LOC: 16,
-		Rules: []*egraph.Rule{{
-			Name: "scale-concat-distribute",
-			LHS: egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				n, dn, d := m.Subst.AttrOf("n"), m.Subst.AttrOf("dn"), m.Subst.AttrOf("d")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{d}, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpScale, []sym.Expr{n, dn}, "", []egraph.ClassID{x})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpScale, attrs: vars("n", "dn"), args: []arg{alongD}}},
 	})
 
 	// Pull a common scaling factor out of a sum:
@@ -471,80 +267,21 @@ func registerSoftmaxNorms(r *Registry) {
 	// softmax over dim ds distributes over concat on a different dim.
 	r.MustRegister(&Lemma{
 		Name: "softmax-concat-commutative", Kind: KindGeneral, Complexity: 4, LOC: 26,
-		Rules: []*egraph.Rule{{
-			Name: "softmax-concat-commutative",
-			LHS: egraph.POp(expr.OpSoftmax, []egraph.AttrPat{egraph.AVar("ds")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("dc")}, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				ds, dc := m.Subst.AttrOf("ds"), m.Subst.AttrOf("dc")
-				if !g.Ctx.ProveNE(ds, dc) {
-					return nil
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{dc}, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpSoftmax, []sym.Expr{ds}, "", []egraph.ClassID{x})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpSoftmax, attrs: vars("ds"), args: []arg{alongD}, when: attrNotDim}},
 	})
 
 	// layernorm normalizes the last dim: it distributes over concat on
 	// any earlier dim, sharing weight and bias.
 	r.MustRegister(&Lemma{
 		Name: "layernorm-concat-commutative", Kind: KindGeneral, Complexity: 4, LOC: 30,
-		Rules: []*egraph.Rule{{
-			Name: "layernorm-concat-commutative",
-			LHS: egraph.POp(expr.OpLayerNorm, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-				egraph.PVar("w"), egraph.PVar("b")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				xs := m.Subst.KidsOf("xs")
-				rank, got := g.RankOf(xs[0])
-				if !got || d == rank-1 {
-					return nil
-				}
-				wc, bc := m.Subst.ClassOf("w"), m.Subst.ClassOf("b")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", xs,
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpLayerNorm, nil, "", []egraph.ClassID{x, wc, bc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpLayerNorm, args: []arg{alongD, whole, whole}, when: dimNotLast}},
 	})
 
 	// The paper's worked example (§6.5): RMSNorm(concat(X1,X2,0), W) =
 	// concat(RMSNorm(X1,W), RMSNorm(X2,W), 0) — complexity 5.
 	r.MustRegister(&Lemma{
 		Name: "rmsnorm-concat-commutative", Kind: KindGeneral, Complexity: 5, LOC: 28,
-		Rules: []*egraph.Rule{{
-			Name: "rmsnorm-concat-commutative",
-			LHS: egraph.POp(expr.OpRMSNorm, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-				egraph.PVar("w")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				xs := m.Subst.KidsOf("xs")
-				rank, got := g.RankOf(xs[0])
-				if !got || d == rank-1 {
-					return nil
-				}
-				wc := m.Subst.ClassOf("w")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", xs,
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpRMSNorm, nil, "", []egraph.ClassID{x, wc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpRMSNorm, args: []arg{alongD, whole}, when: dimNotLast}},
 	})
 }
 
@@ -552,43 +289,14 @@ func registerReduceSum(r *Registry) {
 	// reducesum over the concat dim sums the per-chunk reductions.
 	r.MustRegister(&Lemma{
 		Name: "reducesum-concat-same-dim", Kind: KindGeneral, Complexity: 4, LOC: 22,
-		Rules: []*egraph.Rule{{
-			Name: "reducesum-concat-same-dim",
-			LHS: egraph.POp(expr.OpReduceSum, []egraph.AttrPat{egraph.AVar("dr")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("dc")}, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				dr, dc := m.Subst.AttrOf("dr"), m.Subst.AttrOf("dc")
-				if !g.Ctx.ProveEQ(dr, dc) {
-					return nil
-				}
-				c := mapKids(g, expr.OpSum, nil, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpReduceSum, []sym.Expr{dr}, "", []egraph.ClassID{x})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpReduceSum, attrs: vars("dr"), args: []arg{alongD},
+			when: attrIsDim, out: sum}},
 	})
 
 	// reducesum over another dim keeps the concat structure.
 	r.MustRegister(&Lemma{
 		Name: "reducesum-concat-other-dim", Kind: KindGeneral, Complexity: 4, LOC: 22,
-		Rules: []*egraph.Rule{{
-			Name: "reducesum-concat-other-dim",
-			LHS: egraph.POp(expr.OpReduceSum, []egraph.AttrPat{egraph.AVar("dr")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("dc")}, "xs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				dr, dc := m.Subst.AttrOf("dr"), m.Subst.AttrOf("dc")
-				if !g.Ctx.ProveNE(dr, dc) {
-					return nil
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{dc}, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpReduceSum, []sym.Expr{dr}, "", []egraph.ClassID{x})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpReduceSum, attrs: vars("dr"), args: []arg{alongD}, when: attrNotDim}},
 	})
 }
 
@@ -597,72 +305,21 @@ func registerEmbedding(r *Registry) {
 	// the sum of masked per-shard lookups (out-of-shard ids yield 0).
 	r.MustRegister(&Lemma{
 		Name: "embedding-vocab-parallel", Kind: KindGeneral, Complexity: 4, LOC: 30,
-		Rules: []*egraph.Rule{{
-			Name: "embedding-vocab-parallel",
-			LHS: egraph.POp(expr.OpEmbedding, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "ws"),
-				egraph.PVar("ids")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				ws := m.Subst.KidsOf("ws")
-				exts, rank, ok := kidExtents(g, ws, 0)
-				if !ok || rank != 2 {
-					return nil
-				}
-				offs := prefixOffsets(exts)
-				idsC := m.Subst.ClassOf("ids")
-				c := mapKids(g, expr.OpSum, nil, "", ws,
-					func(i int, w egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpEmbeddingShard, []sym.Expr{offs[i]}, "",
-							[]egraph.ClassID{w, idsC})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpEmbedding, args: []arg{along0.ofRank(2), whole},
+			when: aligned, part: vocabShard, out: sum}},
 	})
 
 	// Hidden-dim parallelism: a column-partitioned table concatenates
 	// per-shard lookups along the output's last dim.
 	r.MustRegister(&Lemma{
 		Name: "embedding-hidden-parallel", Kind: KindGeneral, Complexity: 4, LOC: 26,
-		Rules: []*egraph.Rule{{
-			Name: "embedding-hidden-parallel",
-			LHS: egraph.POp(expr.OpEmbedding, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(1)}, "ws"),
-				egraph.PVar("ids")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				idsC := m.Subst.ClassOf("ids")
-				idsRank, got := g.RankOf(idsC)
-				if !got {
-					return nil
-				}
-				outDim := sym.Const(int64(idsRank)) // ids-rank + 1 dims, last
-				c := mapKids(g, expr.OpConcat, []sym.Expr{outDim}, "", m.Subst.KidsOf("ws"),
-					func(_ int, w egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpEmbedding, nil, "", []egraph.ClassID{w, idsC})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpEmbedding, args: []arg{along1, whole}, prep: afterIDs}},
 	})
 
 	// Sequence split of the ids: lookups are per-token independent.
 	r.MustRegister(&Lemma{
 		Name: "embedding-seq-split", Kind: KindGeneral, Complexity: 4, LOC: 18,
-		Rules: []*egraph.Rule{{
-			Name: "embedding-seq-split",
-			LHS: egraph.POp(expr.OpEmbedding, nil,
-				egraph.PVar("w"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "ids")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				wc := m.Subst.ClassOf("w")
-				d := m.Subst.AttrOf("d")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{d}, "", m.Subst.KidsOf("ids"),
-					func(_ int, ids egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpEmbedding, nil, "", []egraph.ClassID{wc, ids})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpEmbedding, args: []arg{whole, alongD}}},
 	})
 }
 
@@ -672,75 +329,19 @@ func registerRoPE(r *Registry) {
 	// the lemma whose violation is §6.2's bug 1.
 	r.MustRegister(&Lemma{
 		Name: "rope-seq-split", Kind: KindGeneral, Complexity: 6, LOC: 38,
-		Rules: []*egraph.Rule{{
-			Name: "rope-seq-split",
-			LHS: egraph.POp(expr.OpRoPE, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "xs"),
-				egraph.PVar("cos"), egraph.PVar("sin")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xs := m.Subst.KidsOf("xs")
-				exts, _, ok := kidExtents(g, xs, 0)
-				if !ok {
-					return nil
-				}
-				offs := prefixOffsets(exts)
-				cosC, sinC := m.Subst.ClassOf("cos"), m.Subst.ClassOf("sin")
-				zero := sym.Const(0)
-				c := mapKids(g, expr.OpConcat, []sym.Expr{zero}, "", xs,
-					func(i int, x egraph.ClassID) egraph.ClassID {
-						cosI := addAll(g, expr.OpSlice, []sym.Expr{zero, offs[i], offs[i+1]}, "", []egraph.ClassID{cosC})
-						sinI := addAll(g, expr.OpSlice, []sym.Expr{zero, offs[i], offs[i+1]}, "", []egraph.ClassID{sinC})
-						return addAll(g, expr.OpRoPE, nil, "", []egraph.ClassID{x, cosI, sinI})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpRoPE, args: []arg{along0, whole, whole},
+			when: aligned, part: ropeSpan}},
 	})
 }
 
 func registerRoPEHidden(r *Registry) {
 	// Tensor parallelism for rotary embeddings: under the
 	// adjacent-pair convention, splitting the hidden dim on even
-	// boundaries commutes with rotation when cos/sin are split the
-	// same way.
+	// boundaries (chunks must respect rotation pairs) commutes with
+	// rotation when cos/sin are split the same way.
 	r.MustRegister(&Lemma{
 		Name: "rope-hidden-split", Kind: KindGeneral, Complexity: 6, LOC: 34,
-		Rules: []*egraph.Rule{{
-			Name: "rope-hidden-split",
-			LHS: egraph.POp(expr.OpRoPE, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(1)}, "xs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(1)}, "cs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(1)}, "ss")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xs, cs, ss := m.Subst.KidsOf("xs"), m.Subst.KidsOf("cs"), m.Subst.KidsOf("ss")
-				if len(xs) != len(cs) || len(xs) != len(ss) {
-					return nil
-				}
-				xe, _, ok := kidExtents(g, xs, 1)
-				if !ok {
-					return nil
-				}
-				for _, e := range xe {
-					v, isC := e.IsConst()
-					if !isC || v%2 != 0 {
-						return nil // chunks must respect rotation pairs
-					}
-				}
-				ce, _, ok := kidExtents(g, cs, 1)
-				if !ok || !pairwiseAligned(g.Ctx, xe, ce) {
-					return nil
-				}
-				se, _, ok := kidExtents(g, ss, 1)
-				if !ok || !pairwiseAligned(g.Ctx, xe, se) {
-					return nil
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(1)}, "", xs,
-					func(i int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpRoPE, nil, "", []egraph.ClassID{x, cs[i], ss[i]})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpRoPE, args: []arg{along1, along1, along1}, when: evenChunks}},
 	})
 }
 
@@ -751,71 +352,17 @@ func registerAttention(r *Registry) {
 	// kernel assumption (§3.3) makes this a single lemma.
 	r.MustRegister(&Lemma{
 		Name: "attention-head-parallel", Kind: KindGeneral, Complexity: 8, LOC: 44,
-		Rules: []*egraph.Rule{{
-			Name: "attention-head-parallel",
-			LHS: egraph.POp(expr.OpAttention, []egraph.AttrPat{egraph.AVar("h")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "qs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "ks"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "vs")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				qs, ks, vs := m.Subst.KidsOf("qs"), m.Subst.KidsOf("ks"), m.Subst.KidsOf("vs")
-				if len(qs) != len(ks) || len(qs) != len(vs) {
-					return nil
-				}
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				rank, got := g.RankOf(qs[0])
-				if !got || d != rank-1 {
-					return nil
-				}
-				h, isC := m.Subst.AttrOf("h").IsConst()
-				if !isC || h%int64(len(qs)) != 0 {
-					return nil
-				}
-				qe, _, ok := kidExtents(g, qs, d)
-				if !ok || !allEqual(g.Ctx, qe) {
-					return nil
-				}
-				ke, _, ok := kidExtents(g, ks, d)
-				if !ok || !pairwiseAligned(g.Ctx, qe, ke) {
-					return nil
-				}
-				ve, _, ok := kidExtents(g, vs, d)
-				if !ok || !pairwiseAligned(g.Ctx, qe, ve) {
-					return nil
-				}
-				hSub := sym.Const(h / int64(len(qs)))
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", qs,
-					func(i int, q egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpAttention, []sym.Expr{hSub}, "",
-							[]egraph.ClassID{q, ks[i], vs[i]})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpAttention, attrs: vars("h"),
+			args: []arg{alongD, alongD, alongD},
+			when: dimLast | equalChunks, prep: headsPerGroup}},
 	})
 
 	// Attention is per-row independent in q: a sequence split of q
 	// (with full k, v) concatenates. Used by sequence parallelism.
 	r.MustRegister(&Lemma{
 		Name: "attention-query-seq-split", Kind: KindGeneral, Complexity: 5, LOC: 26,
-		Rules: []*egraph.Rule{{
-			Name: "attention-query-seq-split",
-			LHS: egraph.POp(expr.OpAttention, []egraph.AttrPat{egraph.AVar("h")},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "qs"),
-				egraph.PVar("k"), egraph.PVar("v")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				h := m.Subst.AttrOf("h")
-				kc, vc := m.Subst.ClassOf("k"), m.Subst.ClassOf("v")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(0)}, "", m.Subst.KidsOf("qs"),
-					func(_ int, q egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpAttention, []sym.Expr{h}, "", []egraph.ClassID{q, kc, vc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpAttention, attrs: vars("h"),
+			args: []arg{along0, whole, whole}}},
 	})
 }
 
@@ -823,20 +370,7 @@ func registerMoE(r *Registry) {
 	// Router probabilities are per-token: sequence splits commute.
 	r.MustRegister(&Lemma{
 		Name: "router-seq-split", Kind: KindGeneral, Complexity: 4, LOC: 18,
-		Rules: []*egraph.Rule{{
-			Name: "router-seq-split",
-			LHS: egraph.POp(expr.OpRouter, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "xs"),
-				egraph.PVar("w")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				wc := m.Subst.ClassOf("w")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(0)}, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpRouter, nil, "", []egraph.ClassID{x, wc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpRouter, args: []arg{along0, whole}}},
 	})
 
 	// The auxiliary load-balancing loss over a token split is the mean
@@ -844,26 +378,7 @@ func registerMoE(r *Registry) {
 	// shards. Omitting the 1/k scaling is §6.2's bug 2 shape.
 	r.MustRegister(&Lemma{
 		Name: "auxloss-token-split", Kind: KindGeneral, Complexity: 4, LOC: 26,
-		Rules: []*egraph.Rule{{
-			Name: "auxloss-token-split",
-			LHS: egraph.POp(expr.OpAuxLoss, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "ps")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				ps := m.Subst.KidsOf("ps")
-				exts, _, ok := kidExtents(g, ps, 0)
-				if !ok || !allEqual(g.Ctx, exts) {
-					return nil
-				}
-				sumC := mapKids(g, expr.OpSum, nil, "", ps,
-					func(_ int, p egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpAuxLoss, nil, "", []egraph.ClassID{p})
-					})
-				c := addAll(g, expr.OpScale,
-					[]sym.Expr{sym.Const(1), sym.Const(int64(len(ps)))}, "",
-					[]egraph.ClassID{sumC})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpAuxLoss, args: []arg{along0}, when: equalChunks, out: mean}},
 	})
 }
 
@@ -871,31 +386,7 @@ func registerLosses(r *Registry) {
 	// Sum-of-squares error is additive over aligned batch splits.
 	r.MustRegister(&Lemma{
 		Name: "sqerr-batch-split", Kind: KindGeneral, Complexity: 4, LOC: 30,
-		Rules: []*egraph.Rule{{
-			Name: "sqerr-batch-split",
-			LHS: egraph.POp(expr.OpSquaredError, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "xs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "ts")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xs, ts := m.Subst.KidsOf("xs"), m.Subst.KidsOf("ts")
-				if len(xs) != len(ts) {
-					return nil
-				}
-				xe, _, ok := kidExtents(g, xs, 0)
-				if !ok {
-					return nil
-				}
-				te, _, ok := kidExtents(g, ts, 0)
-				if !ok || !pairwiseAligned(g.Ctx, xe, te) {
-					return nil
-				}
-				c := mapKids(g, expr.OpSum, nil, "", xs,
-					func(i int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpSquaredError, nil, "", []egraph.ClassID{x, ts[i]})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpSquaredError, args: []arg{along0, along0}, when: aligned, out: sum}},
 	})
 
 	// MSE is the sum of squares scaled by 1/numel (when the element
@@ -937,42 +428,8 @@ func registerLosses(r *Registry) {
 	// (§6.2's bug 6 omits the 1/k).
 	r.MustRegister(&Lemma{
 		Name: "mse-batch-split", Kind: KindGeneral, Complexity: 5, LOC: 36,
-		Rules: []*egraph.Rule{{
-			Name: "mse-batch-split",
-			LHS: egraph.POp(expr.OpMSELoss, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "xs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "ts")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xs, ts := m.Subst.KidsOf("xs"), m.Subst.KidsOf("ts")
-				if len(xs) != len(ts) {
-					return nil
-				}
-				xe, _, ok := kidExtents(g, xs, 0)
-				if !ok || !allEqual(g.Ctx, xe) {
-					return nil
-				}
-				te, _, ok := kidExtents(g, ts, 0)
-				if !ok || !pairwiseAligned(g.Ctx, xe, te) {
-					return nil
-				}
-				sumC := mapKids(g, expr.OpSum, nil, "", xs,
-					func(i int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpMSELoss, nil, "", []egraph.ClassID{x, ts[i]})
-					})
-				c := addAll(g, expr.OpScale,
-					[]sym.Expr{sym.Const(1), sym.Const(int64(len(xs)))}, "",
-					[]egraph.ClassID{sumC})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpMSELoss, args: []arg{along0, along0}, when: equalChunks, out: mean}},
 	})
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func gcd(a, b int64) int64 {

@@ -53,76 +53,13 @@ func registerVLLM(r *Registry) {
 	// to keep saturation short on serving graphs.
 	r.MustRegister(&Lemma{
 		Name: "fused-add-rmsnorm-concat", Kind: KindVLLM, Complexity: 5, LOC: 36,
-		Rules: []*egraph.Rule{{
-			Name: "fused-add-rmsnorm-concat",
-			LHS: egraph.POp(expr.OpFusedAddRMSNorm, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "rs"),
-				egraph.PVar("w")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xs, rs := m.Subst.KidsOf("xs"), m.Subst.KidsOf("rs")
-				if len(xs) != len(rs) {
-					return nil
-				}
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				rank, got := g.RankOf(xs[0])
-				if !got || d == rank-1 {
-					return nil
-				}
-				xe, _, ok := kidExtents(g, xs, d)
-				if !ok {
-					return nil
-				}
-				re, _, ok := kidExtents(g, rs, d)
-				if !ok || !pairwiseAligned(g.Ctx, xe, re) {
-					return nil
-				}
-				wc := m.Subst.ClassOf("w")
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", xs,
-					func(i int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpFusedAddRMSNorm, nil, "",
-							[]egraph.ClassID{x, rs[i], wc})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpFusedAddRMSNorm, args: []arg{alongD, alongD, whole},
+			when: dimNotLast | aligned}},
 	})
 
 	r.MustRegister(&Lemma{
 		Name: "fused-silu-mul-concat", Kind: KindVLLM, Complexity: 4, LOC: 30,
-		Rules: []*egraph.Rule{{
-			Name: "fused-silu-mul-concat",
-			LHS: egraph.POp(expr.OpFusedSiluMul, nil,
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "gs"),
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "us")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				gs, us := m.Subst.KidsOf("gs"), m.Subst.KidsOf("us")
-				if len(gs) != len(us) {
-					return nil
-				}
-				d, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				ge, _, ok := kidExtents(g, gs, d)
-				if !ok {
-					return nil
-				}
-				ue, _, ok := kidExtents(g, us, d)
-				if !ok || !pairwiseAligned(g.Ctx, ge, ue) {
-					return nil
-				}
-				c := mapKids(g, expr.OpConcat, []sym.Expr{sym.Const(int64(d))}, "", gs,
-					func(i int, gc egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpFusedSiluMul, nil, "",
-							[]egraph.ClassID{gc, us[i]})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpFusedSiluMul, args: []arg{alongD, alongD}, when: aligned}},
 	})
 }
 
@@ -164,19 +101,8 @@ func registerHLO(r *Registry) {
 	// concat(transpose(w_i, 0, 1), 1).
 	r.MustRegister(&Lemma{
 		Name: "hlo-transpose-row-concat", Kind: KindHLO, Complexity: 4, LOC: 20,
-		Rules: []*egraph.Rule{{
-			Name: "hlo-transpose-row-concat",
-			LHS: egraph.POp(expr.OpTranspose, []egraph.AttrPat{egraph.AInt(0), egraph.AInt(1)},
-				egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AInt(0)}, "ws")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				z, o := sym.Const(0), sym.Const(1)
-				c := mapKids(g, expr.OpConcat, []sym.Expr{o}, "", m.Subst.KidsOf("ws"),
-					func(_ int, w egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpTranspose, []sym.Expr{z, o}, "", []egraph.ClassID{w})
-					})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpTranspose, attrs: []egraph.AttrPat{egraph.AInt(0), egraph.AInt(1)},
+			args: []arg{along0}, prep: swappedDim}},
 	})
 
 	// HLO reduce over the token dim of a concat (used by collective
@@ -187,24 +113,7 @@ func registerHLO(r *Registry) {
 	// scale(sum(reducesum(x_i, d)), 1, k).
 	r.MustRegister(&Lemma{
 		Name: "hlo-mean-reduce-split", Kind: KindHLO, Complexity: 6, LOC: 28,
-		Rules: []*egraph.Rule{{
-			Name: "hlo-mean-reduce-split",
-			LHS: egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")},
-				egraph.POp(expr.OpReduceSum, []egraph.AttrPat{egraph.AVar("dr")},
-					egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("dc")}, "xs"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				dr, dc := m.Subst.AttrOf("dr"), m.Subst.AttrOf("dc")
-				if !g.Ctx.ProveEQ(dr, dc) {
-					return nil
-				}
-				n, dn := m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")
-				sumC := mapKids(g, expr.OpSum, nil, "", m.Subst.KidsOf("xs"),
-					func(_ int, x egraph.ClassID) egraph.ClassID {
-						return addAll(g, expr.OpReduceSum, []sym.Expr{dr}, "", []egraph.ClassID{x})
-					})
-				c := addAll(g, expr.OpScale, []sym.Expr{n, dn}, "", []egraph.ClassID{sumC})
-				return m.With(c)
-			},
-		}},
+		dists: []dist{{op: expr.OpReduceSum, attrs: vars("dr"), args: []arg{alongD},
+			when: attrIsDim, out: scaledSum}},
 	})
 }

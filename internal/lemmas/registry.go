@@ -42,8 +42,16 @@ type Lemma struct {
 	Name       string
 	Kind       Kind
 	Complexity int // operators appearing on both sides (Figure 5a)
-	LOC        int // lines of definition code (Figure 5b)
-	Rules      []*egraph.Rule
+	// LOC is the declared size, in lines, of the lemma's stand-alone
+	// definition as the paper counts it (Figure 5b) — what writing this
+	// one lemma out as its own rule takes, not the lines it occupies
+	// here, where most lemmas are one row over a shared interpreter.
+	LOC   int
+	Rules []*egraph.Rule
+
+	// dists, when set, declares the lemma as distribution rows
+	// (distribute.go); Register builds Rules from them.
+	dists []dist
 }
 
 // Registry holds an ordered lemma collection. It is safe to share one
@@ -78,6 +86,9 @@ func NewRegistry() *Registry {
 func (r *Registry) Register(l *Lemma) (*Lemma, error) {
 	if _, dup := r.byName[l.Name]; dup {
 		return nil, fmt.Errorf("lemmas: duplicate lemma %q", l.Name)
+	}
+	for i := range l.dists {
+		l.Rules = append(l.Rules, l.dists[i].rule(l.Name))
 	}
 	seen := map[string]bool{}
 	for _, rule := range l.Rules {

@@ -1,6 +1,9 @@
 package lemmas
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -75,5 +78,77 @@ func TestRegisterInvalidatesRulesCache(t *testing.T) {
 	r.MustRegister(&Lemma{Name: "b", Rules: []*egraph.Rule{idRule("rb")}})
 	if n := len(r.Rules()); n != 2 {
 		t.Fatalf("Rules() = %d after second Register, want 2 (cache must invalidate)", n)
+	}
+}
+
+// update rewrites testdata/registry_golden.txt. The file was recorded
+// at the commit preceding the lemma-schema refactor; regenerate it only
+// for a change that is meant to invalidate every on-disk verdict cache
+// (Fingerprint) or to move Figure 6's columns (lemma order).
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// shapeOf renders a pattern's structure with variables numbered by
+// first occurrence, so two patterns print alike exactly when they match
+// the same nodes and bind in the same order, whatever their variables
+// are called.
+func shapeOf(p *egraph.Pattern, names map[string]string) string {
+	v := func(kind, name string) string {
+		if _, ok := names[kind+name]; !ok {
+			names[kind+name] = fmt.Sprintf("?%s%d", kind, len(names))
+		}
+		return names[kind+name]
+	}
+	if p.Var != "" {
+		return v("c", p.Var)
+	}
+	var b strings.Builder
+	b.WriteString("(" + string(p.Op))
+	if p.Str != "" {
+		b.WriteString(":" + p.Str)
+	}
+	for _, a := range p.Attrs {
+		if a.Var != "" {
+			b.WriteString(" " + v("a", a.Var))
+		} else {
+			b.WriteString(" " + a.Lit.String())
+		}
+	}
+	for _, k := range p.Kids {
+		b.WriteString(" " + shapeOf(k, names))
+	}
+	if p.VarKids != "" {
+		b.WriteString(" " + v("k", p.VarKids) + "…")
+	}
+	return b.String() + ")"
+}
+
+// TestRegistryGolden pins the library's identity: every lemma's
+// position, name, kind, complexity and LOC, every rule's name, flags
+// and left-hand-side structure, and the registry fingerprint the
+// verdict cache keys on.
+func TestRegistryGolden(t *testing.T) {
+	const golden = "testdata/registry_golden.txt"
+	r := Default()
+	var b strings.Builder
+	fmt.Fprintf(&b, "fingerprint %s\n", r.Fingerprint())
+	for _, l := range r.All() {
+		fmt.Fprintf(&b, "%d %s kind=%c complexity=%d loc=%d\n", l.ID, l.Name, l.Kind, l.Complexity, l.LOC)
+		for _, rule := range l.Rules {
+			fmt.Fprintf(&b, "  %s stateful=%t declarative=%t lhs=%s\n",
+				rule.Name, rule.Stateful, rule.RHS != nil, shapeOf(rule.LHS, map[string]string{}))
+		}
+	}
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("registry differs from %s\n--- want ---\n%s--- got ---\n%s", golden, want, got)
 	}
 }

@@ -395,7 +395,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if core.FailingOp(err) == nil {
 			// Malformed graphs or an engine fault, not an analysis
 			// verdict.
-			s.errored.Add(1)
 			s.badRequest(w, "%v", err)
 			return
 		}
@@ -518,8 +517,8 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 		return err
 	}()
 	if baseErr != nil {
-		s.errored.Add(1)
 		if r.Context().Err() != nil || errors.Is(baseErr, ErrDraining) || errors.Is(baseErr, context.DeadlineExceeded) {
+			s.errored.Add(1)
 			resp.BaseVerdict = "cancelled"
 			resp.Error = baseErr.Error()
 			writeJSON(w, http.StatusServiceUnavailable, resp)

@@ -346,3 +346,40 @@ func TestConcurrentRequests(t *testing.T) {
 		t.Fatalf("in-flight leak: %+v", stats)
 	}
 }
+
+// TestMalformedCheckCountsOnce: a check the core rejects as malformed
+// (here a collective inside G_s) is one 400 and one error in
+// /v1/stats, on /v1/check and as the base of a /v1/recheck alike.
+func TestMalformedCheckCountsOnce(t *testing.T) {
+	b, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newTestServer(t)
+	// G_d checked against itself: every input maps to its namesake, so
+	// the request parses and the core meets the all-reduce in "G_s".
+	gd := graphJSON(t, b.Gd)
+	rel := map[string][]string{}
+	for _, in := range b.Gd.Inputs {
+		name := b.Gd.Tensor(in).Name
+		rel[name] = []string{name}
+	}
+	check, err := json.Marshal(map[string]any{"gs": gd, "gd": gd, "rel": rel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, resp := post(t, ts, check)
+	if status != http.StatusBadRequest || !strings.Contains(resp.Error, "contains collective") {
+		t.Fatalf("check: status %d resp %+v", status, resp)
+	}
+	if got := getStats(t, ts).Errors; got != 1 {
+		t.Fatalf("after one malformed check: errors = %d, want 1", got)
+	}
+	recheck := map[string]any{"base": gd, "candidates": []json.RawMessage{gd}, "gd": gd, "rel": rel}
+	if status, _ := postRecheck(t, ts, recheck); status != http.StatusBadRequest {
+		t.Fatalf("recheck: status %d", status)
+	}
+	if got := getStats(t, ts).Errors; got != 2 {
+		t.Fatalf("after a malformed recheck base: errors = %d, want 2", got)
+	}
+}
