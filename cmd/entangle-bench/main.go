@@ -18,8 +18,10 @@
 // else; -json FILE appends to a BENCH_diff.json-style trajectory),
 // fleet (sharded verdict fleet: a 3-node simulated cluster must render
 // byte-identical reports to a single node, fault-free and under seeded
-// chaos with crash/partition/heal, plus a throughput-vs-node-count
-// sweep; -json FILE appends to a BENCH_fleet.json-style trajectory),
+// chaos with crash/partition/heal, and a fault-free cold check may
+// cost at most 2·(nodes−1) peer round trips each way, plus a
+// throughput-vs-node-count sweep; -json FILE appends to a
+// BENCH_fleet.json-style trajectory),
 // fuzz (randomized strategy fuzzer: a seeded campaign of composed
 // parallelizations cross-checked against the numeric oracle plus the
 // §6.2 bug-class rediscovery sweep; self-gates on soundness and full

@@ -8,9 +8,10 @@
 //
 // With -peers, the daemon joins a sharded checker fleet: each verdict
 // fingerprint has exactly one owning node (rendezvous hashing over the
-// static member list), verdicts are forwarded to and fetched from
-// their owners over /v1/peer/verdict, and every fleet failure mode
-// degrades to a local cold check — slower, never wrong:
+// static member list), verdicts are fetched from their owners in one
+// round trip per owner per check and forwarded to them in batches
+// behind the check, over /v1/peer/verdicts, and every fleet failure
+// mode degrades to a local cold check — slower, never wrong:
 //
 //	entangled -addr :8372 -cache /var/a -self a \
 //	          -peers a=http://10.0.0.1:8372,b=http://10.0.0.2:8372
@@ -19,13 +20,15 @@
 //
 //	POST /v1/check    {"gs": <graph>, "gd": <graph>, "rel": {...}}
 //	POST /v1/recheck
-//	GET|PUT /v1/peer/verdict?key=<hex>   (fleet nodes only)
+//	POST|PUT /v1/peer/verdicts   (fleet nodes only; verdict batches)
 //	GET  /v1/healthz
 //	GET  /v1/stats
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
-// checks run to completion (bounded by -drain-timeout), and the
-// process exits 0. Exit status 2 reports a startup error.
+// checks run to completion, a fleet node then hands the verdicts it
+// still has queued to their owners (all of it bounded by
+// -drain-timeout), and the process exits 0. Exit status 2 reports a
+// startup error.
 package main
 
 import (
@@ -54,7 +57,7 @@ func main() {
 		reqTO   = flag.Duration("request-timeout", 5*time.Minute, "default per-check deadline when the request carries none (0 = none)")
 		opTO    = flag.Duration("op-timeout", 0, "per-operator deadline within each check (0 = none)")
 		escal   = flag.Int("budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
-		drainTO = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks")
+		drainTO = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks and, in a fleet, the forwards queued behind them")
 
 		// Transport hardening: every stage of an HTTP exchange gets a
 		// deadline so one slow or malicious client can never pin a
@@ -157,18 +160,24 @@ func main() {
 
 	// Graceful drain: flip the admission gate first so no new check is
 	// admitted — even on connections already open — then stop the
-	// listener and let in-flight checks finish. Peer traffic stops too:
-	// in-flight forwards abort (the verdicts are already safe locally)
-	// and peers degrade to their own cold checks. The gate's drain
-	// protocol is exhaustively model-checked (entangle-mc -model daemon).
+	// listener and let in-flight checks finish; they still fetch from
+	// peers, while peers asking this node are told 503 and degrade to
+	// their own cold checks. Checks do not wait for their forwards, so
+	// once the last one has answered, the forwarder gets what is left of
+	// the drain timeout to deliver its queue; whatever Close then finds
+	// undelivered is counted as failed (the verdicts are safe locally).
+	// The gate's drain protocol is exhaustively model-checked
+	// (entangle-mc -model daemon).
 	fmt.Fprintln(os.Stderr, "entangled: draining")
-	if fleet != nil {
-		fleet.Close()
-	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
 	go func() { _ = srv.Drain(drainCtx) }()
-	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	err = httpSrv.Shutdown(drainCtx)
+	if fleet != nil {
+		_ = fleet.Flush(drainCtx) // an expired deadline is Close's to count
+		fleet.Close()
+	}
+	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("shutdown: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "entangled: drained")

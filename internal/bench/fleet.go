@@ -26,18 +26,26 @@ import (
 //
 // Every differential and chaos row self-gates on report byte-identity
 // with the single-node run, so a recorded point is a verified one.
+//
+// WallMS is the check as its caller sees it. A fleet check does not
+// wait for its forwards; FlushMS is what delivering them took in the
+// step's Flush afterwards, and FetchRoundTrips/OfferRoundTrips how many
+// peer calls the check and that Flush made.
 type FleetPoint struct {
-	Workload  string  `json:"workload"`
-	Phase     string  `json:"phase"`
-	Nodes     int     `json:"nodes"`
-	Workers   int     `json:"workers"`
-	Ops       int     `json:"ops"`
-	WallMS    float64 `json:"wall_ms"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Forwards  int64   `json:"forwards"`
-	PeerHits  int64   `json:"peer_hits"`
-	Degraded  int64   `json:"degraded"`
-	Identical bool    `json:"identical"`
+	Workload        string  `json:"workload"`
+	Phase           string  `json:"phase"`
+	Nodes           int     `json:"nodes"`
+	Workers         int     `json:"workers"`
+	Ops             int     `json:"ops"`
+	WallMS          float64 `json:"wall_ms"`
+	OpsPerSec       float64 `json:"ops_per_sec"`
+	Forwards        int64   `json:"forwards"`
+	PeerHits        int64   `json:"peer_hits"`
+	Degraded        int64   `json:"degraded"`
+	Identical       bool    `json:"identical"`
+	FlushMS         float64 `json:"flush_ms,omitempty"`
+	FetchRoundTrips int64   `json:"fetch_round_trips,omitempty"`
+	OfferRoundTrips int64   `json:"offer_round_trips,omitempty"`
 }
 
 // Fleet runs the sharded-fleet experiment: the fault-free differential
@@ -47,8 +55,10 @@ type FleetPoint struct {
 // message drop/delay/corruption plus scripted crash, partition, and
 // heal — every check must still render the identical report, and no
 // verdict committed to any node's disk may be lost across restarts).
-// Like -exp diff, it is a correctness gate first and a stopwatch
-// second: any divergence fails the run.
+// A fault-free cold check must also cost at most 2·(nodes−1) peer round
+// trips each way, however many operators it has. Like -exp diff, it is
+// a correctness gate first and a stopwatch second: any divergence fails
+// the run.
 func Fleet() (string, []FleetPoint, error) {
 	var out strings.Builder
 	var points []FleetPoint
@@ -58,8 +68,8 @@ func Fleet() (string, []FleetPoint, error) {
 	// chaos phase: chaos must reproduce them byte for byte too.
 	baseline := map[string]string{}
 	fmt.Fprintln(&out, "\nDifferential: 3-node fleet report vs single-node report")
-	fmt.Fprintf(&out, "%-14s %7s %9s %9s %8s %9s\n",
-		"model", "workers", "single", "fleet", "forwards", "identical")
+	fmt.Fprintf(&out, "%-14s %7s %9s %9s %8s %11s %9s\n",
+		"model", "workers", "single", "fleet", "forwards", "round trips", "identical")
 	for _, w := range Fig3Workloads() {
 		if w.Name != "ByteDance-Fwd" && w.Name != "ByteDance-Bwd" {
 			continue
@@ -71,26 +81,27 @@ func Fleet() (string, []FleetPoint, error) {
 			}
 			baseline[fmt.Sprintf("%s/%d", w.Name, workers)] = render
 			points = append(points, *single, *fleet)
-			fmt.Fprintf(&out, "%-14s %7d %9s %9s %8d %9s\n",
+			fmt.Fprintf(&out, "%-14s %7d %9s %9s %8d %11s %9s\n",
 				w.Name, workers, msRound(single.WallMS), msRound(fleet.WallMS),
-				fleet.Forwards, "yes")
+				fleet.Forwards, fmt.Sprintf("%d+%d", fleet.FetchRoundTrips, fleet.OfferRoundTrips), "yes")
 		}
 	}
 
-	// Throughput vs node count: the sharded fleet's extra cost is
-	// forwarding on the cold pass and peer fetching on the warm one.
+	// Throughput vs node count: the sharded fleet's extra cost is one
+	// fetch round trip per owner on either pass, and on the cold one the
+	// forwards delivered behind the check (the flush column).
 	fmt.Fprintln(&out, "\nScale: ByteDance-Fwd, workers 4, cold check on node 0 then warm re-check from the last node")
-	fmt.Fprintf(&out, "%-6s %10s %10s %8s %9s %9s\n",
-		"nodes", "cold", "warm", "forwards", "peerhits", "ops/s")
+	fmt.Fprintf(&out, "%-6s %10s %10s %10s %8s %11s %9s %9s\n",
+		"nodes", "cold", "flush", "warm", "forwards", "round trips", "peerhits", "ops/s")
 	for _, nodes := range []int{1, 2, 3, 5} {
 		cold, warm, err := fleetScale(nodes, 4)
 		if err != nil {
 			return "", nil, err
 		}
 		points = append(points, *cold, *warm)
-		fmt.Fprintf(&out, "%-6d %10s %10s %8d %9d %9.0f\n",
-			nodes, msRound(cold.WallMS), msRound(warm.WallMS),
-			cold.Forwards, warm.PeerHits, cold.OpsPerSec)
+		fmt.Fprintf(&out, "%-6d %10s %10s %10s %8d %11s %9d %9.0f\n",
+			nodes, msRound(cold.WallMS), msRound(cold.FlushMS), msRound(warm.WallMS), cold.Forwards,
+			fmt.Sprintf("%d+%d", cold.FetchRoundTrips, cold.OfferRoundTrips), warm.PeerHits, cold.OpsPerSec)
 	}
 
 	// Chaos differential: a hostile network and scripted topology events
@@ -106,7 +117,8 @@ func Fleet() (string, []FleetPoint, error) {
 Every fleet and chaos row rendered a byte-identical report to the
 single-node run; degraded peer exchanges cost wall clock, never
 correctness, and every verdict committed to a node's disk survived
-crash/restart byte for byte.
+crash/restart byte for byte. Round trips are fetch+offer calls: every
+fault-free cold check stayed within 2·(nodes−1) each way.
 `)
 	return out.String(), points, nil
 }
@@ -141,7 +153,9 @@ func fleetDifferential(w Workload, workers int) (single, fleet *FleetPoint, rend
 	if err != nil {
 		return nil, nil, "", err
 	}
-	fleetRep, fleetD, err := fleetCheck(c.Node(0).Store(), workers, b)
+	defer c.Close()
+	fleet = &FleetPoint{Workload: w.Name, Phase: "fleet", Nodes: 3, Workers: workers, Ops: ops, Identical: true}
+	fleetRep, err := fleetStep(c, 0, b, fleet)
 	if err != nil {
 		return nil, nil, "", fmt.Errorf("%s workers=%d fleet: %v", w.Name, workers, err)
 	}
@@ -149,17 +163,52 @@ func fleetDifferential(w Workload, workers int) (single, fleet *FleetPoint, rend
 		return nil, nil, "", fmt.Errorf("%s workers=%d: 3-node fleet report differs from single node\n--- single ---\n%s--- fleet ---\n%s",
 			w.Name, workers, render, got)
 	}
-	st := c.Node(0).Store().ClusterStats()
+	if err := roundTripGate(fleet); err != nil {
+		return nil, nil, "", err
+	}
 	single = &FleetPoint{
 		Workload: w.Name, Phase: "single", Nodes: 1, Workers: workers, Ops: ops,
 		WallMS: msOf(singleD), OpsPerSec: opsRate(ops, singleD), Identical: true,
 	}
-	fleet = &FleetPoint{
-		Workload: w.Name, Phase: "fleet", Nodes: 3, Workers: workers, Ops: ops,
-		WallMS: msOf(fleetD), OpsPerSec: opsRate(ops, fleetD),
-		Forwards: st.Forwards, Identical: true,
-	}
 	return single, fleet, render, nil
+}
+
+// fleetStep is one step of a fleet script: a full check on node i, then
+// the Flush that delivers its forwards, so the next step finds every
+// shard settled whatever the goroutine scheduling was. It fills p's
+// measurements: the check's wall clock, the flush's, the node's
+// cumulative routing counters, and the step's peer round trips. The
+// simulated network holds offers until the Flush, so the calls counted
+// before it are the check's fetches and the ones after its forwards.
+func fleetStep(c *sim.Cluster, i int, b *models.Built, p *FleetPoint) (*core.Report, error) {
+	store := c.Node(i).Store()
+	before := store.ClientStats().RoundTrips
+	rep, d, err := fleetCheck(store, p.Workers, b)
+	if err != nil {
+		return nil, err
+	}
+	fetched := store.ClientStats().RoundTrips
+	start := time.Now()
+	c.Flush()
+	flushD := time.Since(start)
+	st := store.ClusterStats()
+	p.WallMS, p.OpsPerSec, p.FlushMS = msOf(d), opsRate(p.Ops, d), msOf(flushD)
+	p.Forwards, p.PeerHits, p.Degraded = st.Forwards, st.PeerHits, st.Degraded
+	p.FetchRoundTrips, p.OfferRoundTrips = fetched-before, store.ClientStats().RoundTrips-fetched
+	return rep, nil
+}
+
+// roundTripGate is the batching claim as a gate: a fault-free cold
+// check costs round trips per owner, not per operator — one batched
+// fetch per owner, and per owner at most the send the forwarder had in
+// flight plus the one batch that queued up behind it.
+func roundTripGate(p *FleetPoint) error {
+	limit := int64(2 * (p.Nodes - 1))
+	if p.FetchRoundTrips > limit || p.OfferRoundTrips > limit {
+		return fmt.Errorf("%s %s nodes=%d workers=%d: a cold check of %d operators made %d fetch and %d offer round trips, want at most %d each",
+			p.Workload, p.Phase, p.Nodes, p.Workers, p.Ops, p.FetchRoundTrips, p.OfferRoundTrips, limit)
+	}
+	return nil
 }
 
 // fleetScale measures one node count: a cold check on node 0 (local
@@ -181,27 +230,18 @@ func fleetScale(nodes, workers int) (cold, warm *FleetPoint, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer c.Close()
 
-	if _, coldD, err := fleetCheck(c.Node(0).Store(), workers, b); err != nil {
+	cold = &FleetPoint{Workload: "ByteDance-Fwd", Phase: "scale-cold", Nodes: nodes, Workers: workers, Ops: ops, Identical: true}
+	if _, err := fleetStep(c, 0, b, cold); err != nil {
 		return nil, nil, fmt.Errorf("scale nodes=%d cold: %v", nodes, err)
-	} else {
-		st := c.Node(0).Store().ClusterStats()
-		cold = &FleetPoint{
-			Workload: "ByteDance-Fwd", Phase: "scale-cold", Nodes: nodes, Workers: workers,
-			Ops: ops, WallMS: msOf(coldD), OpsPerSec: opsRate(ops, coldD),
-			Forwards: st.Forwards, Identical: true,
-		}
 	}
-	reader := c.Node(nodes - 1)
-	if _, warmD, err := fleetCheck(reader.Store(), workers, b); err != nil {
+	if err := roundTripGate(cold); err != nil {
+		return nil, nil, err
+	}
+	warm = &FleetPoint{Workload: "ByteDance-Fwd", Phase: "scale-warm", Nodes: nodes, Workers: workers, Ops: ops, Identical: true}
+	if _, err := fleetStep(c, nodes-1, b, warm); err != nil {
 		return nil, nil, fmt.Errorf("scale nodes=%d warm: %v", nodes, err)
-	} else {
-		st := reader.Store().ClusterStats()
-		warm = &FleetPoint{
-			Workload: "ByteDance-Fwd", Phase: "scale-warm", Nodes: nodes, Workers: workers,
-			Ops: ops, WallMS: msOf(warmD), OpsPerSec: opsRate(ops, warmD),
-			PeerHits: st.PeerHits, Identical: true,
-		}
 	}
 	return cold, warm, nil
 }
@@ -232,6 +272,7 @@ func fleetChaos(baseline string) ([]FleetPoint, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	defer c.Close()
 
 	var out strings.Builder
 	fmt.Fprintln(&out, "\nChaos: ByteDance-Fwd, workers 4, 3 nodes, seed 42, drop/delay/corrupt 0.15 each")
@@ -267,7 +308,8 @@ func fleetChaos(baseline string) ([]FleetPoint, string, error) {
 				return nil, "", err
 			}
 		}
-		rep, d, err := fleetCheck(c.Node(s.node).Store(), workers, b)
+		p := FleetPoint{Workload: "ByteDance-Fwd", Phase: "chaos", Nodes: 3, Workers: workers, Ops: ops, Identical: true}
+		rep, err := fleetStep(c, s.node, b, &p)
 		if err != nil {
 			return nil, "", fmt.Errorf("chaos %s: %v", s.name, err)
 		}
@@ -275,15 +317,9 @@ func fleetChaos(baseline string) ([]FleetPoint, string, error) {
 			return nil, "", fmt.Errorf("chaos %s: report diverged from the fault-free single-node baseline\n--- baseline ---\n%s--- chaos ---\n%s",
 				s.name, baseline, got)
 		}
-		st := c.Node(s.node).Store().ClusterStats()
-		points = append(points, FleetPoint{
-			Workload: "ByteDance-Fwd", Phase: "chaos", Nodes: 3, Workers: workers,
-			Ops: ops, WallMS: msOf(d), OpsPerSec: opsRate(ops, d),
-			Forwards: st.Forwards, PeerHits: st.PeerHits, Degraded: st.Degraded,
-			Identical: true,
-		})
+		points = append(points, p)
 		fmt.Fprintf(&out, "%-22s %5d %10s %9d %9s\n",
-			s.name, s.node, msRound(msOf(d)), st.Degraded, "yes")
+			s.name, s.node, msRound(p.WallMS), p.Degraded, "yes")
 	}
 
 	if err := fleetDurability(c); err != nil {
@@ -314,6 +350,7 @@ func fleetDurability(c *sim.Cluster) error {
 			return fmt.Errorf("chaos sentinel put %d: %v", i, err)
 		}
 	}
+	c.Flush() // the owners' copies are part of what must survive
 	type committed struct {
 		node, key int
 		data      []byte

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,23 +47,30 @@ type CacheConfig struct {
 	Local *vcache.Cache
 	// Client is the hardened peer caller.
 	Client *Client
-	// CallTimeout bounds one whole Get/Put peer exchange including
-	// retries and backoff (0 = DefaultCallTimeout). VerdictStore's Get
-	// carries no context — the checker calls it from worker
-	// goroutines — so the bound lives here.
+	// CallTimeout bounds one whole peer exchange — a batch fetch or a
+	// batch forward — including retries and backoff
+	// (0 = DefaultCallTimeout). VerdictStore's methods carry no
+	// context, so the bound lives here.
 	CallTimeout time.Duration
 }
 
 // DefaultCallTimeout bounds one whole peer exchange (all attempts).
 const DefaultCallTimeout = 10 * time.Second
 
+// maxQueuedForwards bounds the verdicts waiting for the forwarder. A
+// queued forward only pins an entry the local store already holds, so
+// the bound is about an owner that stays unreachable for a long time,
+// not about memory in normal operation: past it, new forwards are
+// counted as failed instead of queued.
+const maxQueuedForwards = 4096
+
 // Cache is the fleet-routing verdict store: a core.VerdictStore whose
-// Get/Put consult the key's rendezvous owner across the cluster, with
-// every failure mode degrading to the local store. It never returns a
-// wrong or stale verdict: entries are content-addressed (one canonical
-// entry per key, produced by a deterministic checker), peer replies
-// are validated by vcache.DecodeEntry, and anything doubtful is a
-// miss. Safe for concurrent use.
+// Get/GetMany/Put consult the key's rendezvous owner across the
+// cluster, with every failure mode degrading to the local store. It
+// never returns a wrong or stale verdict: entries are content-addressed
+// (one canonical entry per key, produced by a deterministic checker),
+// peer replies are validated by vcache.DecodeEntry, and anything
+// doubtful is a miss. Safe for concurrent use.
 type Cache struct {
 	ms      *Membership
 	local   *vcache.Cache
@@ -74,8 +82,27 @@ type Cache struct {
 	base   context.Context
 	cancel context.CancelFunc
 
+	// The forwarder's state. queue holds the verdicts Put committed
+	// locally and has yet to offer to their owners; sending is set
+	// while the forwarder goroutine has a batch out; idle holds the
+	// channels of Flush calls waiting for both to clear. wake has room
+	// for the one pending signal the forwarder needs.
+	fmu       sync.Mutex
+	queue     []forward
+	sending   bool
+	idle      []chan struct{}
+	wake      chan struct{}
+	forwarder sync.WaitGroup
+
 	localHits, peerHits, peerMisses, degraded atomic.Int64
 	forwards, forwardFailures, warmed         atomic.Int64
+}
+
+// forward is one queued verdict on its way to its owner.
+type forward struct {
+	owner Member
+	key   fingerprint.Hash
+	entry *vcache.Entry
 }
 
 // NewCache builds the fleet cache.
@@ -87,19 +114,29 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		cfg.CallTimeout = DefaultCallTimeout
 	}
 	base, cancel := context.WithCancel(context.Background())
-	return &Cache{
+	c := &Cache{
 		ms:      cfg.Membership,
 		local:   cfg.Local,
 		client:  cfg.Client,
 		timeout: cfg.CallTimeout,
 		base:    base,
 		cancel:  cancel,
-	}, nil
+		wake:    make(chan struct{}, 1),
+	}
+	c.forwarder.Add(1)
+	go c.forwardLoop()
+	return c, nil
 }
 
-// Close stops peer traffic: in-flight calls abort and every later
-// Get/Put serves purely locally. Safe to call more than once.
-func (c *Cache) Close() { c.cancel() }
+// Close stops peer traffic: in-flight calls abort, forwards still
+// queued are counted as failed (their verdicts are safe locally), the
+// forwarder goroutine exits before Close returns, and every later
+// Get/Put serves purely locally. Call Flush first to give queued
+// forwards their chance. Safe to call more than once.
+func (c *Cache) Close() {
+	c.cancel()
+	c.forwarder.Wait()
+}
 
 // Membership exposes the fleet view (stats, tests).
 func (c *Cache) Membership() *Membership { return c.ms }
@@ -129,76 +166,217 @@ func (c *Cache) ClusterStats() CacheStats {
 // ClientStats snapshots the transport-level counters.
 func (c *Cache) ClientStats() ClientStats { return c.client.Stats() }
 
-// Get implements core.VerdictStore. Routing:
+// Get implements core.VerdictStore: GetMany for one key.
+func (c *Cache) Get(key fingerprint.Hash) *vcache.Entry {
+	return c.GetMany([]fingerprint.Hash{key})[0]
+}
+
+// GetMany is the batch upgrade of core.VerdictStore's Get that the
+// planner's prefetch uses: one answer per key, at the key's position.
+// Routing:
 //
 //  1. Local store first — self-owned keys, own computed verdicts, and
 //     previously warmed copies all answer without network traffic.
-//  2. If the key's owner is a peer, fetch from it under the retry
-//     policy. A valid reply is stored locally (lazy warm-up) and
-//     returned; an authoritative miss returns nil (the checker
-//     computes the verdict, and Put forwards it to the owner); any
-//     failure — timeout, refusal, open breaker, corrupt bytes —
-//     degrades to nil, i.e. a local cold check.
+//  2. The keys left over are grouped by rendezvous owner and each
+//     owner is asked once, all owners concurrently, under the retry
+//     policy. A valid entry is stored locally (lazy warm-up) and
+//     returned; an authoritative miss is nil (the checker computes the
+//     verdict, and Put forwards it to the owner); any failure —
+//     timeout, refusal, open breaker, corrupt bytes — degrades to nil,
+//     i.e. a local cold check, for the keys it touched.
 //
-// Both outcomes of step 2 are correct by the vcache contract: nil only
+// Every outcome of step 2 is correct by the vcache contract: nil only
 // ever means "compute it yourself", which is always sound.
-func (c *Cache) Get(key fingerprint.Hash) *vcache.Entry {
-	if e := c.local.Get(key); e != nil {
-		c.localHits.Add(1)
-		return e
+func (c *Cache) GetMany(keys []fingerprint.Hash) []*vcache.Entry {
+	out := make([]*vcache.Entry, len(keys))
+	remote := map[string][]int{} // owner ID → positions in keys
+	self := c.ms.Self().ID
+	for i, key := range keys {
+		if e := c.local.Get(key); e != nil {
+			c.localHits.Add(1)
+			out[i] = e
+			continue
+		}
+		// A self-owned key is ours to answer and we just missed; a
+		// closed cache is purely local from here on.
+		if owner := c.ms.Owner(key); owner.ID != self && c.base.Err() == nil {
+			remote[owner.ID] = append(remote[owner.ID], i)
+		}
 	}
-	owner := c.ms.Owner(key)
-	if owner.ID == c.ms.Self().ID {
-		return nil // we are the authority and we just missed
+	var wg sync.WaitGroup
+	for _, owner := range c.ms.Members() {
+		at := remote[owner.ID]
+		if at == nil {
+			continue
+		}
+		if len(remote) == 1 {
+			c.fetchFrom(owner, keys, at, out) // no second owner to overlap with
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.fetchFrom(owner, keys, at, out)
+		}()
 	}
-	if c.base.Err() != nil {
-		return nil // closed: purely local from here on
+	wg.Wait()
+	return out
+}
+
+// fetchFrom asks owner for keys[at[...]] in one exchange and fills
+// those positions of out.
+func (c *Cache) fetchFrom(owner Member, keys []fingerprint.Hash, at []int, out []*vcache.Entry) {
+	want := make([]fingerprint.Hash, len(at))
+	for j, i := range at {
+		want[j] = keys[i]
 	}
 	ctx, cancel := context.WithTimeout(c.base, c.timeout)
 	defer cancel()
-	e, err := c.client.Fetch(ctx, owner, key)
-	switch {
-	case err == nil:
-		c.peerHits.Add(1)
-		// Lazy warm-up: keep the fetched entry locally so repeated
-		// checks of this key stop paying the network round trip. A
-		// local store error leaves the entry usable for this call.
-		if c.local.Put(key, e) == nil {
-			c.warmed.Add(1)
+	for j, got := range c.client.FetchMany(ctx, owner, want) {
+		switch {
+		case got.Err == nil:
+			c.peerHits.Add(1)
+			// Lazy warm-up: keep the fetched entry locally so repeated
+			// checks of this key stop paying the network round trip. A
+			// local store error leaves the entry usable for this call.
+			if c.local.Put(want[j], got.Entry) == nil {
+				c.warmed.Add(1)
+			}
+			out[at[j]] = got.Entry
+		case errors.Is(got.Err, ErrNotFound):
+			c.peerMisses.Add(1)
+		default:
+			c.degraded.Add(1)
 		}
-		return e
-	case errors.Is(err, ErrNotFound):
-		c.peerMisses.Add(1)
-		return nil
-	default:
-		c.degraded.Add(1)
-		return nil
 	}
 }
 
 // Put implements core.VerdictStore: the verdict lands in the local
 // store unconditionally (a node never loses its own work — this is
 // also the degradation floor when the owner is unreachable), then is
-// forwarded to the key's owner so the fleet converges on one
-// authoritative shard per fingerprint. Peers that crashed and rejoined
-// are re-warmed by exactly these forwards (plus fetch-side warm-up);
-// there is no separate transfer protocol to get wrong.
+// queued for the forwarder, which offers it to the key's owner so the
+// fleet converges on one authoritative shard per fingerprint. Put does
+// not wait for that offer; it is in the queue before Put returns.
+// Peers that crashed and rejoined are re-warmed by exactly these
+// forwards (plus fetch-side warm-up); there is no separate transfer
+// protocol to get wrong.
 func (c *Cache) Put(key fingerprint.Hash, e *vcache.Entry) error {
 	if err := c.local.Put(key, e); err != nil {
 		return err
 	}
 	owner := c.ms.Owner(key)
-	if owner.ID == c.ms.Self().ID || c.base.Err() != nil {
+	if owner.ID == c.ms.Self().ID {
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(c.base, c.timeout)
-	defer cancel()
-	if err := c.client.Offer(ctx, owner, key, e); err != nil {
+	c.fmu.Lock()
+	// Read under the lock the forwarder takes its last look under, so
+	// nothing is queued behind a forwarder that has exited.
+	closed := c.base.Err() != nil
+	full := len(c.queue) >= maxQueuedForwards
+	if !closed && !full {
+		c.queue = append(c.queue, forward{owner, key, e})
+	}
+	c.fmu.Unlock()
+	switch {
+	case closed:
+		return nil
+	case full:
 		// Counted, not fatal: the verdict is safe locally, and the
 		// owner converges later via re-forwarded or re-fetched copies.
 		c.forwardFailures.Add(1)
 		return nil
 	}
-	c.forwards.Add(1)
+	select {
+	case c.wake <- struct{}{}:
+	default: // a signal is already pending; the forwarder will see this entry too
+	}
 	return nil
+}
+
+// forwardLoop is the group-commit forwarder: it sends everything that
+// is queued, one batch per owner, and whatever Puts arrive while those
+// sends are in flight form the next round. There is no timer — an
+// idle forwarder sends a lone verdict at once, a busy one batches as
+// much as its own round trips let accumulate.
+func (c *Cache) forwardLoop() {
+	defer c.forwarder.Done()
+	for {
+		c.fmu.Lock()
+		batch := c.queue
+		c.queue = nil
+		closed := c.base.Err() != nil
+		c.sending = len(batch) > 0
+		if !c.sending {
+			for _, done := range c.idle {
+				close(done)
+			}
+			c.idle = nil
+		}
+		c.fmu.Unlock()
+		switch {
+		case len(batch) > 0:
+			c.sendForwards(batch)
+		case closed:
+			return
+		default:
+			select {
+			case <-c.wake:
+			case <-c.base.Done():
+			}
+		}
+	}
+}
+
+// sendForwards offers one round of queued verdicts, owner by owner in
+// member order; what is still unsent at Close is counted as failed.
+func (c *Cache) sendForwards(batch []forward) {
+	for _, owner := range c.ms.Members() {
+		var keys []fingerprint.Hash
+		var entries []*vcache.Entry
+		for _, f := range batch {
+			if f.owner.ID == owner.ID {
+				keys, entries = append(keys, f.key), append(entries, f.entry)
+			}
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		if c.base.Err() != nil {
+			c.forwardFailures.Add(int64(len(keys)))
+			continue
+		}
+		ctx, cancel := context.WithTimeout(c.base, c.timeout)
+		errs := c.client.OfferMany(ctx, owner, keys, entries)
+		cancel()
+		for _, err := range errs {
+			if err != nil {
+				c.forwardFailures.Add(1) // counted, not fatal, as in Put
+			} else {
+				c.forwards.Add(1)
+			}
+		}
+	}
+}
+
+// Flush waits until the forwarder has nothing queued and nothing in
+// flight — every verdict Put so far has been offered to its owner or
+// counted as a forward failure — or until ctx is done. It is the
+// barrier for an orderly shutdown — Flush, then Close — and for
+// scripted runs that need forwards delivered before their next step.
+// After Close it returns at once.
+func (c *Cache) Flush(ctx context.Context) error {
+	c.fmu.Lock()
+	if len(c.queue) == 0 && !c.sending {
+		c.fmu.Unlock()
+		return nil
+	}
+	done := make(chan struct{})
+	c.idle = append(c.idle, done)
+	c.fmu.Unlock()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

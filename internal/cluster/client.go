@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -74,8 +75,10 @@ func (p RetryPolicy) backoff(label string, attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + 0.5*u))
 }
 
-// ClientStats counts the client's peer traffic. All fields are
-// monotone; Snapshot returns a plain copy.
+// ClientStats counts the client's peer traffic. Every field but
+// RoundTrips counts verdicts (keys), however many shared a call, so
+// keys per round trip is (fetches + offers) / RoundTrips. All fields
+// are monotone; Stats returns a plain copy.
 type ClientStats struct {
 	FetchHits      int64 `json:"fetch_hits"`      // fetches that returned a valid entry
 	FetchMisses    int64 `json:"fetch_misses"`    // authoritative peer misses (ErrNotFound)
@@ -86,6 +89,7 @@ type ClientStats struct {
 	Retries        int64 `json:"retries"`         // extra attempts beyond the first
 	BreakerSkips   int64 `json:"breaker_skips"`   // calls skipped by an open breaker
 	BreakerReopens int64 `json:"breaker_reopens"` // failed half-open probes
+	RoundTrips     int64 `json:"round_trips"`     // batch calls the transport carried, retries included
 }
 
 // Client is the hardened peer caller: Transport plus retry policy,
@@ -164,9 +168,10 @@ var errBreakerOpen = errors.New("cluster: breaker open")
 
 // call runs op against peer under the retry policy: per-attempt
 // timeout, capped jittered backoff between attempts, breaker
-// accounting around the whole exchange. ErrNotFound is returned
-// immediately (an answer, not a failure). A context already cancelled
-// or expiring mid-backoff aborts without burning remaining attempts.
+// accounting around the whole exchange. One call is one batch: the
+// peer's circuit breaker and the retry budget see round trips, not
+// keys. A context already cancelled or expiring mid-backoff aborts
+// without burning remaining attempts.
 func (c *Client) call(ctx context.Context, peer Member, label string, op func(context.Context) error) error {
 	br := c.peerBreaker(peer)
 	if !br.Allow() {
@@ -178,9 +183,10 @@ func (c *Client) call(ctx context.Context, peer Member, label string, op func(co
 		attemptCtx, cancel := context.WithTimeout(ctx, c.policy.AttemptTimeout)
 		err = op(attemptCtx)
 		cancel()
-		if err == nil || errors.Is(err, ErrNotFound) {
+		c.count(func(s *ClientStats) { s.RoundTrips++ })
+		if err == nil {
 			br.Success()
-			return err
+			return nil
 		}
 		if ctx.Err() != nil || attempt >= c.policy.Attempts {
 			break
@@ -196,56 +202,145 @@ func (c *Client) call(ctx context.Context, peer Member, label string, op func(co
 	return err
 }
 
-// Fetch retrieves and validates the peer's entry for key. The reply is
-// decoded with vcache.DecodeEntry — the exact defensive gate the disk
-// store uses — so a corrupt or truncated reply is an error (counted as
-// FetchCorrupt), never a wrong verdict. ErrNotFound is an authoritative
-// miss. Any other error means the caller should degrade to its local
-// path.
-func (c *Client) Fetch(ctx context.Context, peer Member, key fingerprint.Hash) (*vcache.Entry, error) {
-	var data []byte
-	err := c.call(ctx, peer, "fetch/"+peer.ID+"/"+key.Hex(), func(ctx context.Context) error {
-		var err error
-		data, err = c.transport.Fetch(ctx, peer, key)
-		return err
-	})
-	switch {
-	case errors.Is(err, ErrNotFound):
-		c.count(func(s *ClientStats) { s.FetchMisses++ })
-		return nil, ErrNotFound
-	case err != nil:
-		c.count(func(s *ClientStats) { s.FetchFailures++ })
-		return nil, err
-	}
-	e, err := vcache.DecodeEntry(key, data)
-	if err != nil {
-		// The peer answered, but with bytes that fail validation:
-		// treat as a degradation-worthy failure (the local cold check
-		// takes over), and surface it in the counters — a persistently
-		// corrupt peer is worth alerting on.
-		c.count(func(s *ClientStats) { s.FetchCorrupt++; s.FetchFailures++ })
-		return nil, fmt.Errorf("cluster: peer %s returned corrupt entry: %v", peer.ID, err)
-	}
-	c.count(func(s *ClientStats) { s.FetchHits++ })
-	return e, nil
+// Fetched is one key's outcome of a FetchMany: Entry on a hit,
+// otherwise Err — ErrNotFound for the peer's authoritative miss,
+// anything else a reason to degrade to the local path.
+type Fetched struct {
+	Entry *vcache.Entry
+	Err   error
 }
 
-// Offer forwards an entry to the key's owner. Failures are counted and
-// returned but are never fatal to the forwarding node: its local store
-// already holds the verdict.
-func (c *Client) Offer(ctx context.Context, peer Member, key fingerprint.Hash, e *vcache.Entry) error {
-	data, err := vcache.EncodeEntry(key, e)
-	if err != nil {
-		c.count(func(s *ClientStats) { s.OfferFailures++ })
-		return err
+// FetchMany retrieves and validates the peer's entries for keys, in
+// as few round trips as maxBatchKeys allows, and reports each key's
+// outcome at its position. Every reply frame is decoded with
+// vcache.DecodeEntry under its own key — the exact defensive gate the
+// disk store uses — so a corrupt or truncated frame is an error for
+// that key (counted as FetchCorrupt), never a wrong verdict and never
+// its neighbours' problem. A call that fails as a whole fails every
+// key it carried.
+func (c *Client) FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) []Fetched {
+	out := make([]Fetched, len(keys))
+	for lo := 0; lo < len(keys); lo += maxBatchKeys {
+		hi := min(lo+maxBatchKeys, len(keys))
+		c.fetchBatch(ctx, peer, keys[lo:hi], out[lo:hi])
 	}
-	err = c.call(ctx, peer, "offer/"+peer.ID+"/"+key.Hex(), func(ctx context.Context) error {
-		return c.transport.Offer(ctx, peer, key, data)
+	return out
+}
+
+func (c *Client) fetchBatch(ctx context.Context, peer Member, keys []fingerprint.Hash, out []Fetched) {
+	var frames []Frame
+	err := c.call(ctx, peer, batchLabel("fetch", peer, keys[0], len(keys)), func(ctx context.Context) error {
+		var err error
+		frames, err = c.transport.FetchMany(ctx, peer, keys)
+		if err == nil && len(frames) != len(keys) {
+			err = fmt.Errorf("%w: %d frames for %d keys", ErrMalformedFrames, len(frames), len(keys))
+		}
+		return err
 	})
-	if err != nil {
-		c.count(func(s *ClientStats) { s.OfferFailures++ })
-		return err
+	var st ClientStats
+	for i, key := range keys {
+		switch {
+		case err != nil:
+			st.FetchFailures++
+			out[i].Err = err
+		case frames[i].Data == nil:
+			st.FetchMisses++
+			out[i].Err = ErrNotFound
+		default:
+			e, derr := vcache.DecodeEntry(key, frames[i].Data)
+			if derr != nil {
+				// The peer answered, but with bytes that fail
+				// validation: a degradation-worthy failure for this key
+				// (the local cold check takes over), surfaced in the
+				// counters — a persistently corrupt peer is worth
+				// alerting on.
+				st.FetchCorrupt++
+				st.FetchFailures++
+				out[i].Err = fmt.Errorf("cluster: peer %s returned corrupt entry: %v", peer.ID, derr)
+				continue
+			}
+			st.FetchHits++
+			out[i].Entry = e
+		}
 	}
-	c.count(func(s *ClientStats) { s.Offers++ })
-	return nil
+	c.count(func(s *ClientStats) {
+		s.FetchHits += st.FetchHits
+		s.FetchMisses += st.FetchMisses
+		s.FetchFailures += st.FetchFailures
+		s.FetchCorrupt += st.FetchCorrupt
+	})
+}
+
+// Fetch is FetchMany for one key.
+func (c *Client) Fetch(ctx context.Context, peer Member, key fingerprint.Hash) (*vcache.Entry, error) {
+	got := c.FetchMany(ctx, peer, []fingerprint.Hash{key})[0]
+	return got.Entry, got.Err
+}
+
+// OfferMany forwards entries to their owner, cutting the batch at
+// maxBatchBytes, and reports each key's outcome at its position (nil =
+// the peer stored it). Failures are counted and returned but are never
+// fatal to the forwarding node: its local store already holds the
+// verdicts. A key the peer refused fails alone; a call that fails as a
+// whole fails every key it carried.
+func (c *Client) OfferMany(ctx context.Context, peer Member, keys []fingerprint.Hash, entries []*vcache.Entry) []error {
+	errs := make([]error, len(keys))
+	var (
+		frames []Frame
+		at     []int // frames[j] is keys[at[j]]
+		size   int
+	)
+	send := func() {
+		if len(frames) == 0 {
+			return
+		}
+		var refused []fingerprint.Hash
+		err := c.call(ctx, peer, batchLabel("offer", peer, frames[0].Key, len(frames)), func(ctx context.Context) error {
+			var err error
+			refused, err = c.transport.OfferMany(ctx, peer, frames)
+			return err
+		})
+		for j, i := range at {
+			switch {
+			case err != nil:
+				errs[i] = err
+			case slices.Contains(refused, frames[j].Key):
+				errs[i] = fmt.Errorf("cluster: peer %s refused the entry", peer.ID)
+			}
+		}
+		frames, at, size = frames[:0], at[:0], 0
+	}
+	for i, key := range keys {
+		data, err := vcache.EncodeEntry(key, entries[i])
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		if size+len(data) > maxBatchBytes {
+			send()
+		}
+		frames, at, size = append(frames, Frame{Key: key, Data: data}), append(at, i), size+len(data)
+	}
+	send()
+	failed := 0
+	for _, err := range errs {
+		if err != nil {
+			failed++
+		}
+	}
+	c.count(func(s *ClientStats) {
+		s.Offers += int64(len(errs) - failed)
+		s.OfferFailures += int64(failed)
+	})
+	return errs
+}
+
+// Offer is OfferMany for one entry.
+func (c *Client) Offer(ctx context.Context, peer Member, key fingerprint.Hash, e *vcache.Entry) error {
+	return c.OfferMany(ctx, peer, []fingerprint.Hash{key}, []*vcache.Entry{e})[0]
+}
+
+// batchLabel names one batch call for the backoff jitter hash.
+func batchLabel(verb string, peer Member, first fingerprint.Hash, n int) string {
+	return verb + "/" + peer.ID + "/" + first.Hex() + "+" + strconv.Itoa(n)
 }

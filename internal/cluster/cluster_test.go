@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,27 +218,31 @@ type scriptTransport struct {
 	notFound  bool
 }
 
-func (s *scriptTransport) Fetch(ctx context.Context, peer Member, key fingerprint.Hash) ([]byte, error) {
+func (s *scriptTransport) FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) ([]Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempts++
 	if s.attempts <= s.failFirst {
 		return nil, errors.New("connection refused")
 	}
-	if s.notFound {
-		return nil, ErrNotFound
+	frames := make([]Frame, len(keys))
+	for i, key := range keys {
+		frames[i].Key = key
+		if !s.notFound {
+			frames[i].Data = s.entry
+		}
 	}
-	return s.entry, nil
+	return frames, nil
 }
 
-func (s *scriptTransport) Offer(ctx context.Context, peer Member, key fingerprint.Hash, data []byte) error {
+func (s *scriptTransport) OfferMany(ctx context.Context, peer Member, frames []Frame) ([]fingerprint.Hash, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempts++
 	if s.attempts <= s.failFirst {
-		return errors.New("connection refused")
+		return nil, errors.New("connection refused")
 	}
-	return nil
+	return nil, nil
 }
 
 func newTestClient(tr Transport) *Client {
@@ -342,39 +348,75 @@ type routerFixture struct {
 	cache  *Cache
 	stores map[string]*vcache.Cache // peer ID → that peer's local store
 	down   map[string]bool
+	calls  []string      // "fetch n1 3": verb, peer, frames — one per round trip
+	gate   chan struct{} // non-nil: offers wait in flight until it is closed
+	held   chan struct{} // receives once per offer that reaches the gate
 	mu     sync.Mutex
 }
 
-func (f *routerFixture) Fetch(ctx context.Context, peer Member, key fingerprint.Hash) ([]byte, error) {
+func (f *routerFixture) FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) ([]Frame, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.calls = append(f.calls, fmt.Sprintf("fetch %s %d", peer.ID, len(keys)))
 	if f.down[peer.ID] {
 		return nil, errors.New("connection refused")
 	}
-	e := f.stores[peer.ID].Get(key)
-	if e == nil {
-		return nil, ErrNotFound
+	frames := make([]Frame, len(keys))
+	for i, key := range keys {
+		frames[i].Key = key
+		if e := f.stores[peer.ID].Get(key); e != nil {
+			data, err := vcache.EncodeEntry(key, e)
+			if err != nil {
+				return nil, err
+			}
+			frames[i].Data = data
+		}
 	}
-	return vcache.EncodeEntry(key, e)
+	return frames, nil
 }
 
-func (f *routerFixture) Offer(ctx context.Context, peer Member, key fingerprint.Hash, data []byte) error {
+func (f *routerFixture) OfferMany(ctx context.Context, peer Member, frames []Frame) ([]fingerprint.Hash, error) {
+	f.mu.Lock()
+	gate := f.gate
+	f.mu.Unlock()
+	if gate != nil {
+		f.held <- struct{}{}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.calls = append(f.calls, fmt.Sprintf("offer %s %d", peer.ID, len(frames)))
 	if f.down[peer.ID] {
-		return errors.New("connection refused")
+		return nil, errors.New("connection refused")
 	}
-	e, err := vcache.DecodeEntry(key, data)
-	if err != nil {
-		return err
+	var refused []fingerprint.Hash
+	for _, fr := range frames {
+		e, err := vcache.DecodeEntry(fr.Key, fr.Data)
+		if err != nil || f.stores[peer.ID].Put(fr.Key, e) != nil {
+			refused = append(refused, fr.Key)
+		}
 	}
-	return f.stores[peer.ID].Put(key, e)
+	return refused, nil
+}
+
+// flush waits for the fixture cache's forwarder to go idle.
+func (f *routerFixture) flush(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.cache.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
 }
 
 func newRouterFixture(t *testing.T) *routerFixture {
 	t.Helper()
 	members := testMembers(3)
-	f := &routerFixture{stores: map[string]*vcache.Cache{}, down: map[string]bool{}}
+	f := &routerFixture{stores: map[string]*vcache.Cache{}, down: map[string]bool{}, held: make(chan struct{}, 64)}
 	for _, m := range members {
 		vc, err := vcache.Open(vcache.Config{})
 		if err != nil {
@@ -399,6 +441,7 @@ func newRouterFixture(t *testing.T) *routerFixture {
 		t.Fatal(err)
 	}
 	f.cache = cache
+	t.Cleanup(cache.Close)
 	return f
 }
 
@@ -423,6 +466,7 @@ func TestCacheRoutesPutToOwnerAndGetFromOwner(t *testing.T) {
 	if err := f.cache.Put(key, e); err != nil {
 		t.Fatal(err)
 	}
+	f.flush(t)
 	if f.stores["n1"].Get(key) == nil {
 		t.Fatal("verdict not forwarded to owner n1")
 	}
@@ -483,6 +527,7 @@ func TestCacheDegradesWhenOwnerDown(t *testing.T) {
 	if f.stores["n0"].Get(key) == nil {
 		t.Fatal("verdict lost when owner down")
 	}
+	f.flush(t)
 	if st := f.cache.ClusterStats(); st.ForwardFailures != 1 {
 		t.Fatalf("stats = %+v, want 1 forward failure", st)
 	}
@@ -495,6 +540,7 @@ func TestCacheDegradesWhenOwnerDown(t *testing.T) {
 	if err := f.cache.Put(key, e); err != nil {
 		t.Fatal(err)
 	}
+	f.flush(t)
 	if f.stores["n1"].Get(key) == nil {
 		t.Fatal("rejoined owner not re-warmed by forward")
 	}
@@ -516,5 +562,360 @@ func TestCacheClosedServesLocally(t *testing.T) {
 	}
 	if f.stores["n0"].Get(key) == nil {
 		t.Fatal("closed cache dropped local put")
+	}
+}
+
+// keysOwnedBy returns n distinct keys owned by the wanted member.
+func keysOwnedBy(t *testing.T, ms *Membership, id string, n int) []fingerprint.Hash {
+	t.Helper()
+	var keys []fingerprint.Hash
+	for i := 0; len(keys) < n; i++ {
+		if i == 100000 {
+			t.Fatalf("only %d of %d keys owned by %s in 100000 tries", len(keys), n, id)
+		}
+		if key := testKey(i); ms.Owner(key).ID == id {
+			keys = append(keys, key)
+		}
+	}
+	return keys
+}
+
+// TestClientBatchFailureIsPerFrame: every frame of a reply meets
+// DecodeEntry under its own key, so damage costs exactly the keys it
+// hit — and the same on the offer side for the keys a peer refuses.
+func TestClientBatchFailureIsPerFrame(t *testing.T) {
+	keys := []fingerprint.Hash{testKey(1), testKey(2), testKey(3), testKey(4), testKey(5)}
+	reply := make([]Frame, len(keys))
+	for i, key := range keys {
+		_, reply[i].Data = mustEntry(t, key)
+		reply[i].Key = key
+	}
+	reply[1].Data = append([]byte(nil), reply[1].Data...)
+	reply[1].Data[len(reply[1].Data)-1] ^= 1 // bit flip
+	reply[2].Data = reply[0].Data            // a valid entry, of another key
+	reply[3].Data = nil                      // authoritative miss
+	reply[4].Data = []byte{}                 // zero-length entry
+	tr := &frameTransport{reply: reply, refuse: []fingerprint.Hash{keys[1]}}
+	c := newTestClient(tr)
+
+	got := c.FetchMany(context.Background(), Member{ID: "p"}, keys)
+	if got[0].Err != nil || got[0].Entry == nil {
+		t.Errorf("intact frame: %+v", got[0])
+	}
+	for _, i := range []int{1, 2, 4} {
+		if got[i].Entry != nil || got[i].Err == nil || errors.Is(got[i].Err, ErrNotFound) {
+			t.Errorf("frame %d failing DecodeEntry was not a per-key failure: %+v", i, got[i])
+		}
+	}
+	if !errors.Is(got[3].Err, ErrNotFound) {
+		t.Errorf("bare frame: %+v, want ErrNotFound", got[3])
+	}
+	st := c.Stats()
+	if st.FetchHits != 1 || st.FetchMisses != 1 || st.FetchCorrupt != 3 || st.FetchFailures != 3 || st.RoundTrips != 1 || st.Retries != 0 {
+		t.Errorf("fetch stats = %+v", st)
+	}
+	if c.BreakerOpen(Member{ID: "p"}) {
+		t.Error("damaged frames counted against the breaker")
+	}
+
+	entries := make([]*vcache.Entry, len(keys))
+	for i, key := range keys {
+		entries[i], _ = mustEntry(t, key)
+	}
+	errs := c.OfferMany(context.Background(), Member{ID: "p"}, keys, entries)
+	for i, err := range errs {
+		if (err != nil) != (i == 1) {
+			t.Errorf("offer %d: err %v", i, err)
+		}
+	}
+	if st := c.Stats(); st.Offers != 4 || st.OfferFailures != 1 || st.RoundTrips != 2 {
+		t.Errorf("offer stats = %+v", st)
+	}
+}
+
+// frameTransport answers every fetch with a fixed reply and refuses a
+// fixed set of offered keys.
+type frameTransport struct {
+	reply  []Frame
+	refuse []fingerprint.Hash
+}
+
+func (f *frameTransport) FetchMany(context.Context, Member, []fingerprint.Hash) ([]Frame, error) {
+	return f.reply, nil
+}
+
+func (f *frameTransport) OfferMany(context.Context, Member, []Frame) ([]fingerprint.Hash, error) {
+	return f.refuse, nil
+}
+
+// TestClientCutsBatches: a batch never grows past maxBatchKeys keys or
+// maxBatchBytes of entries, so it cannot run into the daemon's body
+// bound however large a check is; an entry above the cut travels alone.
+func TestClientCutsBatches(t *testing.T) {
+	tr := &sizeTransport{}
+	c := newTestClient(tr)
+	keys := make([]fingerprint.Hash, 2*maxBatchKeys+1)
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	c.FetchMany(context.Background(), Member{ID: "p"}, keys)
+	if len(tr.fetched) != 3 || tr.fetched[0] != maxBatchKeys || tr.fetched[2] != 1 {
+		t.Errorf("fetch batches of %v keys", tr.fetched)
+	}
+
+	big := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{strings.Repeat("x", maxBatchBytes/2)}}}}
+	huge := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{strings.Repeat("x", 2*maxBatchBytes)}}}}
+	errs := c.OfferMany(context.Background(), Member{ID: "p"}, keys[:4], []*vcache.Entry{big, big, huge, big})
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("offer %d: %v", i, err)
+		}
+	}
+	if len(tr.offered) != 4 {
+		t.Fatalf("offer batches of %v bytes, want 4 batches", tr.offered)
+	}
+	for i, n := range tr.offered {
+		if n > maxBatchBytes && i != 2 {
+			t.Errorf("batch %d carries %d bytes, cut is %d", i, n, maxBatchBytes)
+		}
+	}
+	if st := c.Stats(); st.RoundTrips != 7 || st.Offers != 4 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
+type sizeTransport struct {
+	fetched []int // keys per call
+	offered []int // entry bytes per call
+}
+
+func (s *sizeTransport) FetchMany(_ context.Context, _ Member, keys []fingerprint.Hash) ([]Frame, error) {
+	s.fetched = append(s.fetched, len(keys))
+	frames := make([]Frame, len(keys))
+	for i, key := range keys {
+		frames[i].Key = key
+	}
+	return frames, nil
+}
+
+func (s *sizeTransport) OfferMany(_ context.Context, _ Member, frames []Frame) ([]fingerprint.Hash, error) {
+	n := 0
+	for _, f := range frames {
+		n += len(f.Data)
+	}
+	s.offered = append(s.offered, n)
+	return nil, nil
+}
+
+// TestGetManyAsksEachOwnerOnce: a run's keys cost one round trip per
+// owner, however many keys each owner holds; local hits and self-owned
+// keys cost none; the counters still count keys.
+func TestGetManyAsksEachOwnerOnce(t *testing.T) {
+	f := newRouterFixture(t)
+	ms := f.cache.Membership()
+	mine := keysOwnedBy(t, ms, "n0", 3)
+	n1 := keysOwnedBy(t, ms, "n1", 5)
+	n2 := keysOwnedBy(t, ms, "n2", 4)
+	// n1 holds three of its five keys, n2 all of its four; one of n0's
+	// own keys is already local.
+	for _, key := range append(append([]fingerprint.Hash{}, n1[:3]...), n2...) {
+		e, _ := mustEntry(t, key)
+		if err := f.stores[ms.Owner(key).ID].Put(key, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e, _ := mustEntry(t, mine[0])
+	if err := f.stores["n0"].Put(mine[0], e); err != nil {
+		t.Fatal(err)
+	}
+
+	var keys []fingerprint.Hash
+	for i := 0; i < 5; i++ { // interleave the owners
+		for _, group := range [][]fingerprint.Hash{mine, n1, n2} {
+			if i < len(group) {
+				keys = append(keys, group[i])
+			}
+		}
+	}
+	got := f.cache.GetMany(keys)
+	for i, key := range keys {
+		want := f.stores[ms.Owner(key).ID].Get(key) != nil
+		if (got[i] != nil) != want {
+			t.Errorf("key %d (owner %s): entry %v, want present=%v", i, ms.Owner(key).ID, got[i], want)
+		}
+	}
+	f.mu.Lock()
+	calls := append([]string(nil), f.calls...)
+	f.mu.Unlock()
+	sort.Strings(calls) // the two owners are asked concurrently
+	if len(calls) != 2 || calls[0] != "fetch n1 5" || calls[1] != "fetch n2 4" {
+		t.Errorf("round trips %v, want one fetch of 5 keys to n1 and one of 4 to n2", calls)
+	}
+	st := f.cache.ClusterStats()
+	if st.LocalHits != 1 || st.PeerHits != 7 || st.PeerMisses != 2 || st.Warmed != 7 || st.Degraded != 0 {
+		t.Errorf("cluster stats = %+v", st)
+	}
+	if cs := f.cache.ClientStats(); cs.RoundTrips != 2 || cs.FetchHits != 7 || cs.FetchMisses != 2 {
+		t.Errorf("client stats = %+v", cs)
+	}
+	// Everything fetched is warm now: a second pass is all local.
+	f.cache.GetMany(keys)
+	if cs := f.cache.ClientStats(); cs.RoundTrips != 3 || cs.FetchMisses != 4 {
+		t.Errorf("second pass re-asked for warmed keys: %+v", cs)
+	}
+}
+
+// TestForwarderGroupCommits: Put returns without waiting for its
+// forward, and whatever is Put while a send is in flight goes out as
+// one batch per owner when that send returns — no timer involved.
+func TestForwarderGroupCommits(t *testing.T) {
+	f := newRouterFixture(t)
+	ms := f.cache.Membership()
+	n1 := keysOwnedBy(t, ms, "n1", 6)
+	n2 := keysOwnedBy(t, ms, "n2", 3)
+	f.gate = make(chan struct{})
+
+	put := func(key fingerprint.Hash) {
+		t.Helper()
+		e, _ := mustEntry(t, key)
+		if err := f.cache.Put(key, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(n1[0])
+	<-f.held // the lone forward is on the wire, wedged
+	for _, key := range append(append([]fingerprint.Hash{}, n1[1:]...), n2...) {
+		put(key) // none of these may block behind the wedged send
+	}
+	if st := f.cache.ClusterStats(); st.Forwards != 0 || st.ForwardFailures != 0 {
+		t.Fatalf("forwards resolved while the owner was wedged: %+v", st)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	if err := f.cache.Flush(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Flush returned %v with forwards outstanding", err)
+	}
+	cancel()
+
+	close(f.gate)
+	f.flush(t)
+	f.mu.Lock()
+	calls := append([]string(nil), f.calls...)
+	f.mu.Unlock()
+	want := []string{"offer n1 1", "offer n1 5", "offer n2 3"}
+	if len(calls) != len(want) {
+		t.Fatalf("round trips %v, want %v", calls, want)
+	}
+	for i := range want {
+		if calls[i] != want[i] {
+			t.Fatalf("round trips %v, want %v", calls, want)
+		}
+	}
+	for _, key := range append(append([]fingerprint.Hash{}, n1...), n2...) {
+		if f.stores[ms.Owner(key).ID].Get(key) == nil {
+			t.Errorf("a forward never reached its owner")
+		}
+	}
+	if st := f.cache.ClusterStats(); st.Forwards != 9 || st.ForwardFailures != 0 {
+		t.Errorf("cluster stats = %+v, want 9 forwards", st)
+	}
+	if cs := f.cache.ClientStats(); cs.Offers != 9 || cs.RoundTrips != 3 {
+		t.Errorf("client stats = %+v, want 9 offers in 3 round trips", cs)
+	}
+}
+
+// TestForwardQueueIsBounded: an owner that stays wedged costs a bounded
+// queue; past it a Put still succeeds and its forward is counted as
+// failed at once.
+func TestForwardQueueIsBounded(t *testing.T) {
+	f := newRouterFixture(t)
+	keys := keysOwnedBy(t, f.cache.Membership(), "n1", 1)
+	e, _ := mustEntry(t, keys[0])
+	f.gate = make(chan struct{})
+	if err := f.cache.Put(keys[0], e); err != nil {
+		t.Fatal(err)
+	}
+	<-f.held
+	const over = 7
+	for i := 0; i < maxQueuedForwards+over; i++ {
+		if err := f.cache.Put(keys[0], e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := f.cache.ClusterStats(); st.ForwardFailures != over {
+		t.Fatalf("%d forward failures, want the %d past the bound", st.ForwardFailures, over)
+	}
+	close(f.gate)
+	f.flush(t)
+	if st := f.cache.ClusterStats(); st.Forwards != maxQueuedForwards+1 || st.ForwardFailures != over {
+		t.Fatalf("after the owner recovered: %+v", st)
+	}
+}
+
+// TestCloseCountsUndeliveredForwards: Close aborts the send in flight,
+// counts it and everything still queued as forward failures, and
+// returns only once the forwarder goroutine has exited; afterwards Put
+// is purely local and Flush has nothing to wait for.
+func TestCloseCountsUndeliveredForwards(t *testing.T) {
+	f := newRouterFixture(t)
+	keys := keysOwnedBy(t, f.cache.Membership(), "n1", 4)
+	f.gate = make(chan struct{})
+	for i, key := range keys {
+		e, _ := mustEntry(t, key)
+		if err := f.cache.Put(key, e); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-f.held
+		}
+	}
+	f.cache.Close() // waits for the forwarder
+	if st := f.cache.ClusterStats(); st.ForwardFailures != 4 || st.Forwards != 0 {
+		t.Fatalf("stats after Close = %+v, want 4 forward failures", st)
+	}
+	e, _ := mustEntry(t, keys[0])
+	if err := f.cache.Put(keys[0], e); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.cache.Flush(context.Background()); err != nil {
+		t.Fatalf("Flush after Close: %v", err)
+	}
+	if st := f.cache.ClusterStats(); st.ForwardFailures != 4 {
+		t.Fatalf("a Put after Close reached the forwarder: %+v", st)
+	}
+}
+
+// TestCacheConcurrentUse drives Put, GetMany, Flush and finally Close
+// from many goroutines at once (run under -race): every forward is
+// accounted for exactly once, as delivered or as failed.
+func TestCacheConcurrentUse(t *testing.T) {
+	f := newRouterFixture(t)
+	ms := f.cache.Membership()
+	keys := append(keysOwnedBy(t, ms, "n1", 40), keysOwnedBy(t, ms, "n2", 40)...)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(keys); i += workers {
+				e, _ := mustEntry(t, keys[i])
+				if err := f.cache.Put(keys[i], e); err != nil {
+					t.Error(err)
+				}
+				f.cache.GetMany(keys[i/2 : i+1])
+				if i%16 == w {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					if err := f.cache.Flush(ctx); err != nil {
+						t.Error(err)
+					}
+					cancel()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	f.cache.Close()
+	if st := f.cache.ClusterStats(); st.Forwards+st.ForwardFailures != int64(len(keys)) {
+		t.Fatalf("%d forwards + %d failures for %d Puts", st.Forwards, st.ForwardFailures, len(keys))
 	}
 }

@@ -8,15 +8,21 @@
 // vcache byte format — through hostile conditions without sockets,
 // goroutine sleeps, or wall-clock dependence:
 //
-//   - The transport is synchronous: a "delayed" message is an immediate
-//     deadline error, a "dropped" one an immediate connection error, so
-//     a chaos run completes in milliseconds and injects identically on
-//     every machine.
+//   - The transport never sleeps: a "delayed" or "dropped" frame is
+//     lost at once, so a chaos run completes in milliseconds and
+//     injects identically on every machine.
 //
-//   - Every fault decision is a pure hash of (seed, message label), and
+//   - Every fault decision is made per frame — per key, however the
+//     keys were batched — as a pure hash of (seed, frame label), and
 //     backoff sleeps run on an instant clock that advances virtual time
-//     instead of sleeping, so a single-worker run is reproducible
-//     byte for byte.
+//     instead of sleeping.
+//
+//   - Forwards are delivered at step boundaries: the network holds the
+//     offers a node's forwarder sends until the script calls Flush, so
+//     which Puts share a batch, and what every shard holds when the
+//     next step starts, do not depend on goroutine scheduling. A
+//     single-worker script that flushes after every step is
+//     reproducible byte for byte.
 //
 //   - Crash keeps the node's disk directory and discards everything
 //     else, exactly the durability contract of a real SIGKILL; restart
@@ -50,15 +56,23 @@ type Config struct {
 	// free).
 	Net faultinject.NetConfig
 	// Policy and Breaker tune every node's peer client (zero values =
-	// production defaults; backoff runs on the instant clock either
-	// way).
+	// production defaults, except that the wall-clock deadlines default
+	// to heldTimeout; backoff runs on the instant clock either way).
 	Policy  cluster.RetryPolicy
 	Breaker cluster.BreakerConfig
-	// CallTimeout bounds each node's whole Get/Put peer exchange
-	// (0 = cluster.DefaultCallTimeout; virtual — the simulator never
-	// sleeps).
+	// CallTimeout bounds each node's whole peer exchange in wall-clock
+	// time (0 = heldTimeout).
 	CallTimeout time.Duration
 }
+
+// heldTimeout is the simulator's default for the peer client's
+// wall-clock deadlines. Simulated time is virtual — a slow message is
+// an injected fault, not a slow call — but an offer waits on the
+// network from the moment a forwarder sends it until the step's Flush,
+// which is as long as the step's check takes on this machine. The
+// deadlines are therefore only a guard against a script that never
+// flushes.
+const heldTimeout = 10 * time.Minute
 
 // Cluster is a simulated fleet. All methods are safe for concurrent
 // use; topology events (Crash/Restart/Partition/Heal) are typically
@@ -74,6 +88,9 @@ type Cluster struct {
 	down  map[string]bool
 	part  map[string]int // node ID → partition group (all 0 when healed)
 	seq   map[string]uint64
+	// release is closed while a Flush is delivering held offers, and
+	// replaced by an open channel when it ends.
+	release chan struct{}
 }
 
 // Node is one simulated fleet member: a real vcache shard on disk plus
@@ -99,6 +116,8 @@ func New(cfg Config) (*Cluster, error) {
 		down:  map[string]bool{},
 		part:  map[string]int{},
 		seq:   map[string]uint64{},
+
+		release: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		c.members = append(c.members, cluster.Member{
@@ -128,9 +147,16 @@ func (c *Cluster) boot(i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	policy, callTimeout := c.cfg.Policy, c.cfg.CallTimeout
+	if policy.AttemptTimeout == 0 {
+		policy.AttemptTimeout = heldTimeout
+	}
+	if callTimeout == 0 {
+		callTimeout = heldTimeout
+	}
 	client := cluster.NewClient(cluster.ClientConfig{
 		Transport: &transport{c: c, src: id},
-		Policy:    c.cfg.Policy,
+		Policy:    policy,
 		Breaker:   c.cfg.Breaker,
 		Clock:     c.clock,
 	})
@@ -138,7 +164,7 @@ func (c *Cluster) boot(i int) (*Node, error) {
 		Membership:  ms,
 		Local:       local,
 		Client:      client,
-		CallTimeout: c.cfg.CallTimeout,
+		CallTimeout: callTimeout,
 	})
 	if err != nil {
 		return nil, err
@@ -163,9 +189,57 @@ func (c *Cluster) Node(i int) *Node {
 // Injected reports the network faults fired so far.
 func (c *Cluster) Injected() map[faultinject.NetFault]int { return c.net.Injected() }
 
-// Crash takes node i down: its fleet cache stops peer traffic, peers'
-// messages to it fail, and its in-memory state is discarded. The disk
-// directory survives — that is the whole point.
+// Flush ends a step: the offers the nodes' forwarders have sent since
+// the last Flush are delivered (each frame meeting its own fault
+// decision), and every live node's forward queue is drained before it
+// returns. Scripts call it after every step — a Put, a check — whose
+// forwards the next step should find delivered. Not for concurrent
+// use with itself.
+func (c *Cluster) Flush() {
+	c.mu.Lock()
+	close(c.release)
+	nodes := append([]*Node(nil), c.nodes...)
+	c.mu.Unlock()
+	for _, n := range nodes {
+		// A crashed node's cache is closed: nothing queued, returns at
+		// once. The context only bounds a wedged simulation.
+		ctx, cancel := context.WithTimeout(context.Background(), heldTimeout)
+		_ = n.Store().Flush(ctx)
+		cancel()
+	}
+	c.mu.Lock()
+	c.release = make(chan struct{})
+	c.mu.Unlock()
+}
+
+// Close stops every node's fleet cache and its forwarder.
+func (c *Cluster) Close() {
+	c.mu.Lock()
+	nodes := append([]*Node(nil), c.nodes...)
+	c.mu.Unlock()
+	for _, n := range nodes {
+		n.crash()
+	}
+}
+
+// hold keeps an offer on the wire until the step's Flush, or until its
+// sender gives up (a crash closes the sender's cache).
+func (c *Cluster) hold(ctx context.Context) error {
+	c.mu.Lock()
+	release := c.release
+	c.mu.Unlock()
+	select {
+	case <-release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Crash takes node i down: its fleet cache stops peer traffic — the
+// forwards it had queued or on the wire are lost, the verdicts behind
+// them are not — peers' messages to it fail, and its in-memory state
+// is discarded. The disk directory survives — that is the whole point.
 func (c *Cluster) Crash(i int) {
 	c.mu.Lock()
 	n := c.nodes[i]
@@ -275,9 +349,10 @@ func (n *Node) adopt(fresh *Node) {
 }
 
 // transport is one node's view of the simulated network. It mirrors the
-// daemon's /v1/peer/verdict semantics — fetch serves the destination's
-// raw shard, offer runs the destination's decode gate — with the fault
-// injector deciding each message's fate first.
+// daemon's /v1/peer/verdicts semantics — a fetch serves the
+// destination's raw shard, an offer runs the destination's decode gate
+// frame by frame. Reachability (crash, partition) fails a call as a
+// whole; the fault injector then decides each frame's fate on its own.
 type transport struct {
 	c   *Cluster
 	src string
@@ -285,63 +360,74 @@ type transport struct {
 
 var _ cluster.Transport = (*transport)(nil)
 
-func (t *transport) Fetch(ctx context.Context, peer cluster.Member, key fingerprint.Hash) ([]byte, error) {
+func (t *transport) FetchMany(ctx context.Context, peer cluster.Member, keys []fingerprint.Hash) ([]cluster.Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	label := t.c.label("fetch", t.src, peer.ID, key)
 	dst, err := t.c.reachable(t.src, peer.ID)
 	if err != nil {
 		return nil, err
 	}
-	fault := t.c.net.Decide(label)
-	switch fault {
-	case faultinject.NetDrop:
-		return nil, fmt.Errorf("sim: injected drop (%s)", label)
-	case faultinject.NetDelay:
-		// Modeled as an immediate per-attempt deadline miss.
-		return nil, context.DeadlineExceeded
+	frames := make([]cluster.Frame, len(keys))
+	for i, key := range keys {
+		frames[i].Key = key
+		label := t.c.label("fetch", t.src, peer.ID, key)
+		fault := t.c.net.Decide(label)
+		if fault == faultinject.NetDrop || fault == faultinject.NetDelay {
+			// The frame never makes it back intact. What arrives in its
+			// place is not an entry, so the fetcher's decode gate
+			// degrades this key — and must not read it as a miss.
+			frames[i].Data = []byte{}
+			continue
+		}
+		e := dst.Local().Get(key)
+		if e == nil {
+			continue // authoritative miss
+		}
+		data, err := vcache.EncodeEntry(key, e)
+		if err != nil {
+			return nil, err
+		}
+		if fault == faultinject.NetCorrupt {
+			// The reply is damaged in flight; the fetcher's decode gate
+			// must turn this into a degradation, never a wrong verdict.
+			data = faultinject.Damage(data, t.c.net.DamageMode(label))
+		}
+		frames[i].Data = data
 	}
-	e := dst.Local().Get(key)
-	if e == nil {
-		return nil, cluster.ErrNotFound
-	}
-	data, err := vcache.EncodeEntry(key, e)
-	if err != nil {
-		return nil, err
-	}
-	if fault == faultinject.NetCorrupt {
-		// The reply is damaged in flight; the fetcher's decode gate must
-		// turn this into a degradation, never a wrong verdict.
-		data = faultinject.Damage(data, t.c.net.DamageMode(label))
-	}
-	return data, nil
+	return frames, nil
 }
 
-func (t *transport) Offer(ctx context.Context, peer cluster.Member, key fingerprint.Hash, data []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
+func (t *transport) OfferMany(ctx context.Context, peer cluster.Member, frames []cluster.Frame) ([]fingerprint.Hash, error) {
+	if err := t.c.hold(ctx); err != nil {
+		return nil, err
 	}
-	label := t.c.label("offer", t.src, peer.ID, key)
 	dst, err := t.c.reachable(t.src, peer.ID)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	switch t.c.net.Decide(label) {
-	case faultinject.NetDrop:
-		return fmt.Errorf("sim: injected drop (%s)", label)
-	case faultinject.NetDelay:
-		return context.DeadlineExceeded
-	case faultinject.NetCorrupt:
-		data = faultinject.Damage(data, t.c.net.DamageMode(label))
+	var refused []fingerprint.Hash
+	for _, f := range frames {
+		label := t.c.label("offer", t.src, peer.ID, f.Key)
+		data := f.Data
+		switch t.c.net.Decide(label) {
+		case faultinject.NetDrop, faultinject.NetDelay:
+			// The frame is lost on the way: the owner stores nothing
+			// and the sender counts a forward failure.
+			refused = append(refused, f.Key)
+			continue
+		case faultinject.NetCorrupt:
+			data = faultinject.Damage(data, t.c.net.DamageMode(label))
+		}
+		// The receiving node's decode gate: a damaged frame is refused
+		// (the sender counts a forward failure), exactly like the
+		// daemon's.
+		e, err := vcache.DecodeEntry(f.Key, data)
+		if err != nil || dst.Local().Put(f.Key, e) != nil {
+			refused = append(refused, f.Key)
+		}
 	}
-	// The receiving node's decode gate: a damaged offer is refused (the
-	// sender counts a forward failure), exactly like the daemon's 400.
-	e, err := vcache.DecodeEntry(key, data)
-	if err != nil {
-		return fmt.Errorf("sim: %s rejected offer: %v", peer.ID, err)
-	}
-	return dst.Local().Put(key, e)
+	return refused, nil
 }
 
 // instantClock advances virtual time instead of sleeping, so retry

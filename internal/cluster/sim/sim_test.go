@@ -15,6 +15,7 @@ func newFleet(t *testing.T, nodes int, net faultinject.NetConfig) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	return c
 }
 
@@ -66,6 +67,10 @@ func TestForwardAndFetch(t *testing.T) {
 	if err := writer.Store().Put(k, entry(7)); err != nil {
 		t.Fatal(err)
 	}
+	if owner.Local().Get(k) != nil {
+		t.Fatal("forward delivered before the step's Flush")
+	}
+	c.Flush()
 	if writer.Local().Get(k) == nil {
 		t.Fatal("writer's own shard missing the verdict")
 	}
@@ -100,6 +105,7 @@ func TestCrashRestartDurability(t *testing.T) {
 	if err := writer.Store().Put(k, entry(3)); err != nil {
 		t.Fatal(err)
 	}
+	c.Flush()
 	c.Crash(1)
 
 	// While the owner is down the reader degrades to a miss (a local
@@ -118,6 +124,7 @@ func TestCrashRestartDurability(t *testing.T) {
 	if err := writer.Store().Put(k2, entry(4)); err != nil {
 		t.Fatal(err)
 	}
+	c.Flush()
 	if writer.Local().Get(k2) == nil {
 		t.Fatal("degraded Put lost the local copy")
 	}
@@ -146,6 +153,7 @@ func TestRejoinWarmUp(t *testing.T) {
 	if err := writer.Store().Put(k, entry(5)); err != nil {
 		t.Fatal(err)
 	}
+	c.Flush()
 	if err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +164,7 @@ func TestRejoinWarmUp(t *testing.T) {
 	if err := writer.Store().Put(k, entry(5)); err != nil {
 		t.Fatal(err)
 	}
+	c.Flush()
 	if c.Node(1).Local().Get(k) == nil {
 		t.Fatal("re-forwarded verdict did not warm the rejoined owner")
 	}
@@ -171,6 +180,7 @@ func TestPartitionHeal(t *testing.T) {
 	if err := writer.Store().Put(k, entry(1)); err != nil {
 		t.Fatal(err)
 	}
+	c.Flush()
 	c.Partition([]int{0, 1}, []int{2})
 	if got := reader.Store().Get(k); got != nil {
 		t.Fatalf("fetch across partition returned %+v", got)
@@ -196,6 +206,7 @@ func TestChaosNeverWrongVerdict(t *testing.T) {
 		if err := c.Node(i%3).Store().Put(key(i), entry(i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
+		c.Flush()
 	}
 	returned, degraded := 0, 0
 	for i := 0; i < keys; i++ {
@@ -236,6 +247,7 @@ func TestDeterministicInjection(t *testing.T) {
 			if err := c.Node(i%3).Store().Put(key(i), entry(i)); err != nil {
 				t.Fatal(err)
 			}
+			c.Flush()
 			hits = append(hits, c.Node((i+1)%3).Store().Get(key(i)) != nil)
 		}
 		return c.Injected(), hits
@@ -251,5 +263,87 @@ func TestDeterministicInjection(t *testing.T) {
 		if hitsA[i] != hitsB[i] {
 			t.Fatalf("hit/miss sequence diverged at %d", i)
 		}
+	}
+}
+
+// TestBatchedFramesMeetTheirOwnFaults: fault decisions are made per
+// frame, so how a step's forwards and fetches were batched changes
+// nothing about which keys the chaos hits — one key per step and sixty
+// keys per step inject the same faults and leave the same shards.
+func TestBatchedFramesMeetTheirOwnFaults(t *testing.T) {
+	const keys = 60
+	run := func(perStep int) (map[faultinject.NetFault]int, []bool, []bool) {
+		c := newFleet(t, 3, faultinject.NetConfig{Seed: 42, DropRate: 0.15, DelayRate: 0.15, CorruptRate: 0.15})
+		for i := 0; i < keys; i++ {
+			if err := c.Node(0).Store().Put(key(i), entry(i)); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%perStep == 0 {
+				c.Flush()
+			}
+		}
+		landed := make([]bool, keys)
+		for i := range landed {
+			landed[i] = c.Node(ownerIndex(c, key(i))).Local().Get(key(i)) != nil
+		}
+		var want []fingerprint.Hash
+		for i := 0; i < keys; i += perStep {
+			want = want[:0]
+			for j := i; j < i+perStep; j++ {
+				want = append(want, key(j))
+			}
+			for j, e := range c.Node(2).Store().GetMany(want) {
+				landed = append(landed, e != nil)
+				if e != nil && e.Outputs[0].Main[0] != entry(i + j).Outputs[0].Main[0] {
+					t.Fatalf("key %d: wrong verdict under chaos: %+v", i+j, e)
+				}
+			}
+		}
+		st := c.Node(0).Store().ClusterStats()
+		if st.Forwards+st.ForwardFailures == 0 || st.ForwardFailures == 0 {
+			t.Fatalf("chaos too mild to mean anything: %+v", st)
+		}
+		return c.Injected(), landed[:keys], landed[keys:]
+	}
+	injOne, landedOne, fetchedOne := run(1)
+	injAll, landedAll, fetchedAll := run(keys)
+	for _, f := range []faultinject.NetFault{faultinject.NetDrop, faultinject.NetDelay, faultinject.NetCorrupt} {
+		if injOne[f] != injAll[f] || injOne[f] == 0 {
+			t.Errorf("fault %v: %d injected key by key, %d batched", f, injOne[f], injAll[f])
+		}
+	}
+	for i := 0; i < keys; i++ {
+		if landedOne[i] != landedAll[i] || fetchedOne[i] != fetchedAll[i] {
+			t.Fatalf("key %d: forward landed %v / fetch returned %v key by key, %v / %v batched",
+				i, landedOne[i], fetchedOne[i], landedAll[i], fetchedAll[i])
+		}
+	}
+}
+
+// TestCrashBeforeFlushLosesForwardsNotVerdicts: a node that crashes
+// between committing a verdict and its forwarder's send loses the
+// forward — counted, and the owner never hears of it — but not the
+// verdict, which is on its disk when it restarts.
+func TestCrashBeforeFlushLosesForwardsNotVerdicts(t *testing.T) {
+	c := newFleet(t, 3, faultinject.NetConfig{})
+	k := pickKey(t, c, 1)
+	writer := c.Node(0)
+	store := writer.Store()
+	if err := store.Put(k, entry(2)); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(0) // before the step's Flush
+	c.Flush()
+	if st := store.ClusterStats(); st.Forwards != 0 || st.ForwardFailures != 1 {
+		t.Fatalf("crashed writer's forward: %+v, want one failure", st)
+	}
+	if c.Node(1).Local().Get(k) != nil {
+		t.Fatal("a forward outlived its sender's crash")
+	}
+	if err := c.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	if writer.Local().Get(k) == nil {
+		t.Fatal("committed verdict lost with the forward")
 	}
 }

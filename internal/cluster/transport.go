@@ -7,45 +7,48 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"entangle/internal/fingerprint"
 )
 
-// ErrNotFound is the transport's authoritative miss: the peer was
-// reached and answered that it has no entry for the key. It is NOT a
-// failure — the client neither retries it nor counts it against the
-// peer's circuit breaker.
+// ErrNotFound is an authoritative miss: the peer was reached and
+// answered that it has no entry for the key. It is NOT a failure — it
+// is neither retried nor counted against the peer's circuit breaker.
 var ErrNotFound = errors.New("cluster: peer has no entry for key")
 
-// Transport moves encoded verdict-cache entries between peers. Both
-// methods carry the exact EVCACHE1 byte format vcache writes to disk —
-// versioned header, key fingerprint, payload checksum — so the wire
-// inherits the store's defensive decoding: the receiver validates with
-// vcache.DecodeEntry and any damage in flight is a miss, never a wrong
-// verdict.
+// Transport moves batches of encoded verdict-cache entries between
+// peers, one round trip per call. Frames carry the exact EVCACHE1 byte
+// format vcache writes to disk — versioned header, key fingerprint,
+// payload checksum — so the wire inherits the store's defensive
+// decoding: whoever receives a frame validates it with
+// vcache.DecodeEntry under the frame's key, and any damage in flight
+// is a miss for that key, never a wrong verdict.
 //
 // Implementations: HTTPTransport (production, over the daemon's
-// /v1/peer/verdict endpoints) and sim.Transport (deterministic
-// in-memory fleet with fault injection). Errors other than ErrNotFound
-// are transport failures and subject to the client's retry policy.
+// /v1/peer/verdicts endpoint) and sim.Transport (deterministic
+// in-memory fleet with fault injection). An error fails the whole call
+// and is subject to the client's retry policy.
 type Transport interface {
-	// Fetch returns the peer's encoded entry for key, or ErrNotFound.
-	Fetch(ctx context.Context, peer Member, key fingerprint.Hash) ([]byte, error)
-	// Offer hands the peer an encoded entry for key to store in its
-	// shard. Offers are idempotent: entries are content-addressed, so
-	// re-delivering one is harmless.
-	Offer(ctx context.Context, peer Member, key fingerprint.Hash, data []byte) error
+	// FetchMany asks the peer for its entries under keys. The reply has
+	// one frame per key, in the order asked; a frame without Data is
+	// the peer's authoritative miss for that key.
+	FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) ([]Frame, error)
+	// OfferMany hands the peer entries to store in its shard and
+	// returns the keys it refused — frames that failed its decode gate
+	// or its store. Offers are idempotent: entries are
+	// content-addressed, so re-delivering one is harmless.
+	OfferMany(ctx context.Context, peer Member, frames []Frame) (refused []fingerprint.Hash, err error)
 }
 
-// maxWireEntry bounds how many bytes Fetch will read from a peer: a
-// defensive cap against a misbehaving peer streaming garbage, mirroring
-// the server side's MaxBytesReader on the offer path.
+// maxWireEntry bounds the bytes of one frame read from a peer: a
+// defensive cap against a misbehaving peer streaming garbage, on both
+// the fetching client and the daemon's offer path.
 const maxWireEntry = 16 << 20
 
-// HTTPTransport reaches peers over the daemon's /v1/peer/verdict
-// endpoints. Safe for concurrent use.
+// HTTPTransport reaches peers over the daemon's /v1/peer/verdicts
+// endpoint: POST fetches, PUT offers, both bodies and both replies
+// frame streams. Safe for concurrent use.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; nil selects
 	// http.DefaultClient. Per-attempt deadlines arrive via ctx (the
@@ -61,38 +64,13 @@ func (t *HTTPTransport) client() *http.Client {
 	return http.DefaultClient
 }
 
-func peerURL(peer Member, key fingerprint.Hash) string {
-	return fmt.Sprintf("%s/v1/peer/verdict?key=%s", peer.URL, url.QueryEscape(key.Hex()))
-}
-
-// Fetch GETs the peer's entry. 404 is ErrNotFound; any other non-200
-// status, connection error, or timeout is a transport failure.
-func (t *HTTPTransport) Fetch(ctx context.Context, peer Member, key fingerprint.Hash) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peerURL(peer, key), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, maxWireEntry))
-		if err != nil {
-			return nil, err
-		}
-		return data, nil
-	case http.StatusNotFound:
-		return nil, ErrNotFound
-	}
-	return nil, fmt.Errorf("cluster: peer %s: fetch status %s", peer.ID, resp.Status)
-}
-
-// Offer PUTs an encoded entry into the peer's shard.
-func (t *HTTPTransport) Offer(ctx context.Context, peer Member, key fingerprint.Hash, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peerURL(peer, key), bytes.NewReader(data))
+// exchange sends one batch and hands the 200 reply's frames to each.
+// The body is a sized in-memory reader, so net/http can replay it on a
+// connection the peer closed between requests; the reply is drained
+// (bounded) before it is closed on every status, so a refusal does not
+// cost the keep-alive connection.
+func (t *HTTPTransport) exchange(ctx context.Context, method string, peer Member, frames []Frame, each func(Frame) error) error {
+	req, err := http.NewRequestWithContext(ctx, method, peer.URL+"/v1/peer/verdicts", bytes.NewReader(EncodeFrames(frames)))
 	if err != nil {
 		return err
 	}
@@ -101,12 +79,63 @@ func (t *HTTPTransport) Offer(ctx context.Context, peer Member, key fingerprint.
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer %s: offer status %s", peer.ID, resp.Status)
+	defer func() {
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: peer %s: %s status %s", peer.ID, method, resp.Status)
 	}
-	return nil
+	fr := NewFrameReader(resp.Body)
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := each(f); err != nil {
+			return err
+		}
+	}
+}
+
+// FetchMany POSTs the keys and reads back one frame per key. A reply
+// that is not exactly the keys asked, in order, is malformed.
+func (t *HTTPTransport) FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) ([]Frame, error) {
+	asked := make([]Frame, len(keys))
+	for i, key := range keys {
+		asked[i].Key = key
+	}
+	reply := make([]Frame, 0, len(keys))
+	err := t.exchange(ctx, http.MethodPost, peer, asked, func(f Frame) error {
+		if len(reply) == len(keys) || f.Key != keys[len(reply)] {
+			return fmt.Errorf("%w: reply is not the keys asked", ErrMalformedFrames)
+		}
+		reply = append(reply, f)
+		return nil
+	})
+	if err == nil && len(reply) != len(keys) {
+		err = fmt.Errorf("%w: %d frames for %d keys", ErrMalformedFrames, len(reply), len(keys))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// OfferMany PUTs the frames; the reply names the keys the peer refused.
+func (t *HTTPTransport) OfferMany(ctx context.Context, peer Member, frames []Frame) ([]fingerprint.Hash, error) {
+	var refused []fingerprint.Hash
+	err := t.exchange(ctx, http.MethodPut, peer, frames, func(f Frame) error {
+		refused = append(refused, f.Key)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return refused, nil
 }
 
 // Clock is the time seam for everything in this package that waits:

@@ -63,6 +63,16 @@ type VerdictStore interface {
 	Stats() *vcache.Stats
 }
 
+// manyGetter is an optional upgrade of VerdictStore, discovered by
+// type assertion like io.ReaderFrom: a store for which a lookup can
+// cost a network round trip answers a whole run's keys at once —
+// entries[i] is what Get(keys[i]) would have returned. The plan-time
+// prefetch is its one caller; internal/cluster's Cache its one
+// implementation.
+type manyGetter interface {
+	GetMany(keys []fingerprint.Hash) []*vcache.Entry
+}
+
 // CacheStats summarizes one run's verdict-cache traffic in the Report.
 type CacheStats struct {
 	// Hits/Misses/Stores/ReplayRejects count this run's own lookups

@@ -289,3 +289,54 @@ func TestDiffCheckProbesOncePerOperator(t *testing.T) {
 		t.Fatalf("one-failure diff issued %d Gets, want %d", got, want)
 	}
 }
+
+// batchStore is a countingStore that also answers many keys at once.
+type batchStore struct {
+	countingStore
+	batches [][]fingerprint.Hash
+}
+
+func (b *batchStore) GetMany(keys []fingerprint.Hash) []*vcache.Entry {
+	b.batches = append(b.batches, keys)
+	out := make([]*vcache.Entry, len(keys))
+	for i, key := range keys {
+		out[i] = b.VerdictStore.Get(key)
+	}
+	return out
+}
+
+// TestPrefetchHandsABatchStoreEveryKeyAtOnce: a store with GetMany sees
+// a run's keys in one call, in topological order, and no Get; the
+// reports are the ones a plain store produces, cold and warm.
+func TestPrefetchHandsABatchStoreEveryKeyAtOnce(t *testing.T) {
+	gd := diffGd(t)
+	gs, ri := diffGs(t, gd, false, "gelu")
+	plain := NewChecker(Options{Registry: lemmas.Default(), Cache: openCache(t)})
+	store := &batchStore{countingStore: countingStore{VerdictStore: openCache(t)}}
+	batched := NewChecker(Options{Registry: lemmas.Default(), Cache: store})
+	for pass, wantHits := range []int64{0, 3} {
+		want, err := plain.Check(gs, gd, ri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := batched.Check(gs, gd, ri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cache != want.Cache || got.Cache.Hits != wantHits || got.OutputRelation.Render(gs) != want.OutputRelation.Render(gs) {
+			t.Fatalf("pass %d: batch store report %+v, plain store %+v", pass, got.Cache, want.Cache)
+		}
+		if len(store.batches) != pass+1 || store.gets.Load() != 0 {
+			t.Fatalf("pass %d: %d GetMany calls, %d Gets; want one batch per run and no Get", pass, len(store.batches), store.gets.Load())
+		}
+		batch := store.batches[pass]
+		if len(batch) != len(got.Plan.Ops) {
+			t.Fatalf("pass %d: batch of %d keys for %d operators", pass, len(batch), len(got.Plan.Ops))
+		}
+		for i, op := range got.Plan.Ops {
+			if batch[i].Hex() != op.Key {
+				t.Fatalf("pass %d: batch key %d is not operator %d's", pass, i, i)
+			}
+		}
+	}
+}

@@ -154,16 +154,27 @@ func (p *Plan) recount() {
 // prefetch fills every PlanOp's cache key and probes the cache once
 // per operator, attaching the entries the executor will replay. Probes
 // happen single-threaded at plan time (the cone hasher's memo and the
-// keys are already built); they touch no run counters — hits and
-// misses are accounted when operators execute, keeping counter totals
-// identical to the unplanned path.
+// keys are already built), so a store that can answer many keys at
+// once is handed the whole run's keys in one call; they touch no run
+// counters — hits and misses are accounted when operators execute,
+// keeping counter totals identical to the unplanned path.
 func (r *runState) prefetch(p *Plan) {
 	if r.cache == nil {
 		return
 	}
-	for i, key := range r.cache.keys.keys {
+	keys := r.cache.keys.keys
+	var entries []*vcache.Entry
+	if batch, ok := r.cache.cache.(manyGetter); ok {
+		entries = batch.GetMany(keys)
+	} else {
+		entries = make([]*vcache.Entry, len(keys))
+		for i, key := range keys {
+			entries[i] = r.cache.cache.Get(key)
+		}
+	}
+	for i, key := range keys {
 		p.Ops[i].Key = key.Hex()
-		p.Ops[i].entry = r.cache.cache.Get(key)
+		p.Ops[i].entry = entries[i]
 	}
 }
 

@@ -37,10 +37,12 @@ type ClusterConfig struct {
 
 // ClusterM models the fleet's shard-ownership and verdict-forwarding
 // protocol: for each key, a producer node commits the verdict to its
-// own shard and forwards it to the key's owner, a reader node later
-// fetches it from the owner, and an adversary crashes/restarts nodes
-// and damages messages in flight. Three design decisions make it more
-// than a toy:
+// own shard and queues it for its forwarder, which sends everything
+// queued for one owner as one batch; a reader node later fetches, in
+// one batch per owner, whatever it needs; and an adversary
+// crashes/restarts nodes — a crash loses the forwards still queued,
+// never the verdicts behind them — and damages frames in flight, each
+// on its own. Four design decisions make it more than a toy:
 //
 //   - Ownership decisions run the SHIPPED cluster.Owner over the static
 //     member list (or, in the Buggy variant, over each node's local
@@ -50,9 +52,13 @@ type ClusterConfig struct {
 //     the same codec path the production transport uses, so "a
 //     forwarded verdict is never stale" is checked against shipped
 //     code.
-//   - Crash preserves the disk and discards everything else, the
-//     durability contract of a real SIGKILL, so "no committed verdict
-//     lost across crash/restart" is checked at every reachable state.
+//   - A batch is delivered frame by frame through that gate: a damaged
+//     frame is refused alone, its neighbours in the same batch commit.
+//   - Crash preserves the disk and discards everything else — the
+//     forwarder's queue included — the durability contract of a real
+//     SIGKILL, so "no committed verdict lost across crash/restart" is
+//     checked at every reachable state, the ones between a local
+//     commit and the forwarder's send among them.
 type ClusterM struct {
 	cfg     ClusterConfig
 	members []cluster.Member
@@ -133,10 +139,11 @@ func (m *ClusterM) indexOf(member cluster.Member) int {
 	panic("models: owner not in member list")
 }
 
-// Message phases. A message is one key's offer (producer → owner) or
-// one key's fetch reply (owner → reader).
+// Frame phases. A frame is one key's slot in an offer batch (producer
+// → owner) or in a fetch reply batch (owner → reader).
 const (
 	msgIdle    int8 = iota // not sent yet
+	msgQueued              // offers only: committed locally, waiting for the forwarder
 	msgClean               // in flight, intact
 	msgDamaged             // in flight, damaged (mode in the mode slot)
 	msgDone                // delivered, rejected, or lost
@@ -150,12 +157,16 @@ type clusterState struct {
 	disk []bool
 	// produced[k]: key k's producer computed and locally committed.
 	produced []bool
-	// Offer and fetch message state, per key.
+	// Offer and fetch frame state, per key. Frames that went on the
+	// wire together share a batch number (the lowest key of their
+	// call, plus one; 0 = not on the wire) and are delivered together.
 	offerPhase, offerMode []int8
 	offerDst              []int8 // owner the producer addressed
+	offerBatch            []int8
 	offerLanded           []bool // delivery committed on the dst
 	fetchPhase, fetchMode []int8
 	fetchSrc              []int8 // owner the reader asked
+	fetchBatch            []int8
 	fetchLanded           []bool
 	crashes, damages      int8
 	// views[n*Nodes+p] (Buggy only): node n believes peer p is up.
@@ -170,10 +181,12 @@ func (s *clusterState) clone() *clusterState {
 	n.offerPhase = append([]int8(nil), s.offerPhase...)
 	n.offerMode = append([]int8(nil), s.offerMode...)
 	n.offerDst = append([]int8(nil), s.offerDst...)
+	n.offerBatch = append([]int8(nil), s.offerBatch...)
 	n.offerLanded = append([]bool(nil), s.offerLanded...)
 	n.fetchPhase = append([]int8(nil), s.fetchPhase...)
 	n.fetchMode = append([]int8(nil), s.fetchMode...)
 	n.fetchSrc = append([]int8(nil), s.fetchSrc...)
+	n.fetchBatch = append([]int8(nil), s.fetchBatch...)
 	n.fetchLanded = append([]bool(nil), s.fetchLanded...)
 	n.views = append([]bool(nil), s.views...)
 	return &n
@@ -215,8 +228,9 @@ func (s *clusterState) Key() string {
 	b = appendBits(b, s.produced)
 	for k := range s.offerPhase {
 		b = append(b, '|', byte('0'+s.offerPhase[k]), byte('0'+s.offerMode[k]),
-			byte('0'+s.offerDst[k]), byte('0'+s.fetchPhase[k]), byte('0'+s.fetchMode[k]),
-			byte('0'+s.fetchSrc[k]))
+			byte('0'+s.offerDst[k]), byte('0'+s.offerBatch[k]),
+			byte('0'+s.fetchPhase[k]), byte('0'+s.fetchMode[k]),
+			byte('0'+s.fetchSrc[k]), byte('0'+s.fetchBatch[k]))
 	}
 	b = append(b, '|')
 	b = appendBits(b, s.offerLanded)
@@ -252,14 +266,16 @@ func (s *clusterState) String() string {
 		}
 	}
 	b.WriteString("} msgs=[")
-	phase := func(p, mode int8) string {
+	phase := func(p, mode, batch int8) string {
 		switch p {
 		case msgIdle:
 			return "·"
+		case msgQueued:
+			return "queued"
 		case msgClean:
-			return "clean"
+			return fmt.Sprintf("clean#%d", batch)
 		case msgDamaged:
-			return s.m.modes[mode].String()
+			return fmt.Sprintf("%s#%d", s.m.modes[mode], batch)
 		}
 		return "done"
 	}
@@ -268,7 +284,8 @@ func (s *clusterState) String() string {
 			b.WriteByte(' ')
 		}
 		fmt.Fprintf(&b, "k%d:offer=%s,fetch=%s", k,
-			phase(s.offerPhase[k], s.offerMode[k]), phase(s.fetchPhase[k], s.fetchMode[k]))
+			phase(s.offerPhase[k], s.offerMode[k], s.offerBatch[k]),
+			phase(s.fetchPhase[k], s.fetchMode[k], s.fetchBatch[k]))
 	}
 	fmt.Fprintf(&b, "] crashes=%d damages=%d", s.crashes, s.damages)
 	if s.m.cfg.Buggy {
@@ -300,10 +317,12 @@ func (m *ClusterM) Init() []mc.State {
 		offerPhase:  make([]int8, m.cfg.Keys),
 		offerMode:   make([]int8, m.cfg.Keys),
 		offerDst:    make([]int8, m.cfg.Keys),
+		offerBatch:  make([]int8, m.cfg.Keys),
 		offerLanded: make([]bool, m.cfg.Keys),
 		fetchPhase:  make([]int8, m.cfg.Keys),
 		fetchMode:   make([]int8, m.cfg.Keys),
 		fetchSrc:    make([]int8, m.cfg.Keys),
+		fetchBatch:  make([]int8, m.cfg.Keys),
 		fetchLanded: make([]bool, m.cfg.Keys),
 	}
 	for n := range s.up {
@@ -318,15 +337,26 @@ func (m *ClusterM) Init() []mc.State {
 	return []mc.State{s}
 }
 
+// inFlight reports whether a frame is on the wire.
+func inFlight(phase int8) bool { return phase == msgClean || phase == msgDamaged }
+
+// frameBytes is what a frame carries: key k's canonical bytes, or those
+// bytes under the damage mode the adversary picked.
+func (m *ClusterM) frameBytes(k int, phase, mode int8) []byte {
+	if phase == msgDamaged {
+		return m.damaged[k][mode]
+	}
+	return m.clean[k]
+}
+
 func (m *ClusterM) Actions(st mc.State) []mc.Action {
 	s := st.(*clusterState)
 	var acts []mc.Action
 
 	for k := 0; k < m.cfg.Keys; k++ {
-		k := k
 		// Produce: the producer computes the verdict, commits it to its
 		// own shard (write-through, before anything is acknowledged),
-		// and addresses the forward to whoever IT thinks owns the key.
+		// and queues the forward for whoever IT thinks owns the key.
 		if !s.produced[k] && s.up[m.producer[k]] {
 			acts = append(acts, mc.Action{Name: fmt.Sprintf("k%d/produce", k), Next: func() mc.State {
 				n := s.clone()
@@ -336,15 +366,15 @@ func (m *ClusterM) Actions(st mc.State) []mc.Action {
 				if dst == m.producer[k] {
 					n.offerPhase[k] = msgDone // self-owned: nothing to forward
 				} else {
-					n.offerPhase[k], n.offerDst[k] = msgClean, int8(dst)
+					n.offerPhase[k], n.offerDst[k] = msgQueued, int8(dst)
 				}
 				return n
 			}})
 		}
-		// The channel adversary damages an in-flight offer.
+		// The channel adversary damages one frame of a batch in flight;
+		// the frames around it stay as they are.
 		if s.offerPhase[k] == msgClean && int(s.damages) < m.cfg.MaxDamage {
 			for mi, mode := range m.modes {
-				mi := mi
 				acts = append(acts, mc.Action{Name: fmt.Sprintf("k%d/offer-damage/%s", k, mode), Next: func() mc.State {
 					n := s.clone()
 					n.offerPhase[k], n.offerMode[k] = msgDamaged, int8(mi)
@@ -353,47 +383,8 @@ func (m *ClusterM) Actions(st mc.State) []mc.Action {
 				}})
 			}
 		}
-		// Deliver the offer: a down destination loses it (the sender
-		// degrades — its local copy is the floor); an up destination
-		// runs the production decode gate and commits only clean bytes.
-		if s.offerPhase[k] == msgClean || s.offerPhase[k] == msgDamaged {
-			acts = append(acts, mc.Action{Name: fmt.Sprintf("k%d/offer-deliver", k), Next: func() mc.State {
-				n := s.clone()
-				n.offerPhase[k] = msgDone
-				dst := int(s.offerDst[k])
-				if !s.up[dst] {
-					return n
-				}
-				data := m.clean[k]
-				if s.offerPhase[k] == msgDamaged {
-					data = m.damaged[k][s.offerMode[k]]
-				}
-				if _, err := vcache.DecodeEntry(m.keys[k], data); err != nil {
-					return n // rejected at the gate, never stored
-				}
-				n.disk[dst*m.cfg.Keys+k] = true
-				n.offerLanded[k] = true
-				return n
-			}})
-		}
-		// Fetch: the reader asks whoever IT thinks owns the key. A down
-		// or missing owner is an authoritative degrade (the reader cold
-		// checks); a hit puts the reply bytes in flight.
-		if s.produced[k] && s.fetchPhase[k] == msgIdle && s.up[m.reader[k]] {
-			acts = append(acts, mc.Action{Name: fmt.Sprintf("k%d/fetch", k), Next: func() mc.State {
-				n := s.clone()
-				src := s.ownerOf(m.reader[k], k)
-				if src == m.reader[k] || !s.up[src] || !s.disk[src*m.cfg.Keys+k] {
-					n.fetchPhase[k] = msgDone
-					return n
-				}
-				n.fetchPhase[k], n.fetchSrc[k] = msgClean, int8(src)
-				return n
-			}})
-		}
 		if s.fetchPhase[k] == msgClean && int(s.damages) < m.cfg.MaxDamage {
 			for mi, mode := range m.modes {
-				mi := mi
 				acts = append(acts, mc.Action{Name: fmt.Sprintf("k%d/fetch-damage/%s", k, mode), Next: func() mc.State {
 					n := s.clone()
 					n.fetchPhase[k], n.fetchMode[k] = msgDamaged, int8(mi)
@@ -402,37 +393,125 @@ func (m *ClusterM) Actions(st mc.State) []mc.Action {
 				}})
 			}
 		}
-		if s.fetchPhase[k] == msgClean || s.fetchPhase[k] == msgDamaged {
-			acts = append(acts, mc.Action{Name: fmt.Sprintf("k%d/fetch-deliver", k), Next: func() mc.State {
-				n := s.clone()
-				n.fetchPhase[k] = msgDone
-				rd := m.reader[k]
-				if !s.up[rd] {
+	}
+
+	for nd := 0; nd < m.cfg.Nodes; nd++ {
+		if !s.up[nd] {
+			continue
+		}
+		for peer := 0; peer < m.cfg.Nodes; peer++ {
+			// Forwarder send: everything node nd has queued for one
+			// owner goes on the wire as one batch.
+			var queued []int
+			for k := 0; k < m.cfg.Keys; k++ {
+				if s.offerPhase[k] == msgQueued && m.producer[k] == nd && int(s.offerDst[k]) == peer {
+					queued = append(queued, k)
+				}
+			}
+			if len(queued) > 0 {
+				acts = append(acts, mc.Action{Name: fmt.Sprintf("n%d/send/n%d", nd, peer), Next: func() mc.State {
+					n := s.clone()
+					for _, k := range queued {
+						n.offerPhase[k], n.offerBatch[k] = msgClean, int8(queued[0]+1)
+					}
 					return n
+				}})
+			}
+			// Fetch: reader nd asks whoever IT thinks owns them for
+			// every key it wants and does not have, in one batch. A
+			// down owner fails the call as a whole (the reader cold
+			// checks); a reachable one answers key by key — a miss is
+			// authoritative, a hit puts that key's frame in the reply.
+			var wanted []int
+			for k := 0; k < m.cfg.Keys; k++ {
+				if s.produced[k] && s.fetchPhase[k] == msgIdle && m.reader[k] == nd && s.ownerOf(nd, k) == peer {
+					wanted = append(wanted, k)
 				}
-				data := m.clean[k]
-				if s.fetchPhase[k] == msgDamaged {
-					data = m.damaged[k][s.fetchMode[k]]
+			}
+			if len(wanted) > 0 {
+				acts = append(acts, mc.Action{Name: fmt.Sprintf("n%d/fetch/n%d", nd, peer), Next: func() mc.State {
+					n := s.clone()
+					for _, k := range wanted {
+						if peer == nd || !s.up[peer] || !s.disk[peer*m.cfg.Keys+k] {
+							n.fetchPhase[k] = msgDone
+							continue
+						}
+						n.fetchPhase[k], n.fetchSrc[k], n.fetchBatch[k] = msgClean, int8(peer), int8(wanted[0]+1)
+					}
+					return n
+				}})
+			}
+		}
+	}
+
+	// Deliver a batch. An offer batch reaching a down destination is
+	// lost whole (the sender degrades — its local copy is the floor);
+	// an up destination runs the production decode gate on every frame
+	// and commits exactly the clean ones. A fetch reply is gated the
+	// same way by the reader: a corrupt frame is that key's miss.
+	for b := int8(1); int(b) <= m.cfg.Keys; b++ {
+		var offered, fetched []int
+		for k := 0; k < m.cfg.Keys; k++ {
+			if s.offerBatch[k] == b && inFlight(s.offerPhase[k]) {
+				offered = append(offered, k)
+			}
+			if s.fetchBatch[k] == b && inFlight(s.fetchPhase[k]) {
+				fetched = append(fetched, k)
+			}
+		}
+		if len(offered) > 0 {
+			acts = append(acts, mc.Action{Name: fmt.Sprintf("offer-deliver/%d", b), Next: func() mc.State {
+				n := s.clone()
+				for _, k := range offered {
+					n.offerPhase[k] = msgDone
+					dst := int(s.offerDst[k])
+					if !s.up[dst] {
+						continue
+					}
+					if _, err := vcache.DecodeEntry(m.keys[k], m.frameBytes(k, s.offerPhase[k], s.offerMode[k])); err != nil {
+						continue // refused at the gate, never stored
+					}
+					n.disk[dst*m.cfg.Keys+k] = true
+					n.offerLanded[k] = true
 				}
-				if _, err := vcache.DecodeEntry(m.keys[k], data); err != nil {
-					return n // corrupt reply is a miss: the reader degrades
+				return n
+			}})
+		}
+		if len(fetched) > 0 {
+			acts = append(acts, mc.Action{Name: fmt.Sprintf("fetch-deliver/%d", b), Next: func() mc.State {
+				n := s.clone()
+				for _, k := range fetched {
+					n.fetchPhase[k] = msgDone
+					rd := m.reader[k]
+					if !s.up[rd] {
+						continue
+					}
+					if _, err := vcache.DecodeEntry(m.keys[k], m.frameBytes(k, s.fetchPhase[k], s.fetchMode[k])); err != nil {
+						continue // corrupt frame is a miss: the reader degrades
+					}
+					n.disk[rd*m.cfg.Keys+k] = true
+					n.fetchLanded[k] = true
 				}
-				n.disk[rd*m.cfg.Keys+k] = true
-				n.fetchLanded[k] = true
 				return n
 			}})
 		}
 	}
 
 	// Crash (bounded) and restart (free while down). Crash keeps the
-	// disk slice untouched — that IS the durability contract.
+	// disk slice untouched — that IS the durability contract — and
+	// takes the forwarder's queue with it: forwards not yet sent are
+	// never sent. What is already on the wire is the network's.
 	for nd := 0; nd < m.cfg.Nodes; nd++ {
-		nd := nd
 		if s.up[nd] && int(s.crashes) < m.cfg.MaxCrashes {
 			acts = append(acts, mc.Action{Name: fmt.Sprintf("crash/n%d", nd), Next: func() mc.State {
 				n := s.clone()
 				n.up[nd] = false
 				n.crashes++
+				for k := 0; k < m.cfg.Keys; k++ {
+					if s.offerPhase[k] == msgQueued && m.producer[k] == nd {
+						n.offerPhase[k] = msgDone
+					}
+				}
 				return n
 			}})
 		}
@@ -451,7 +530,6 @@ func (m *ClusterM) Actions(st mc.State) []mc.Action {
 	if m.cfg.Buggy {
 		for nd := 0; nd < m.cfg.Nodes; nd++ {
 			for p := 0; p < m.cfg.Nodes; p++ {
-				nd, p := nd, p
 				if nd == p || !s.up[nd] || s.views[nd*m.cfg.Nodes+p] == s.up[p] {
 					continue
 				}
@@ -466,9 +544,10 @@ func (m *ClusterM) Actions(st mc.State) []mc.Action {
 	return acts
 }
 
-// Terminal: every key produced and every message resolved. (A state
-// with unproduced keys always has produce, crash-budget, or restart
-// actions enabled, so an actionless state satisfies this.)
+// Terminal: every key produced and every frame resolved. (A state with
+// unproduced keys or queued forwards always has produce, send,
+// crash-budget, or restart actions enabled, so an actionless state
+// satisfies this.)
 func (m *ClusterM) Terminal(st mc.State) bool {
 	s := st.(*clusterState)
 	for k := 0; k < m.cfg.Keys; k++ {
@@ -550,7 +629,8 @@ func (m *ClusterM) Invariants() []mc.Invariant {
 		// Durability: a verdict that was committed anywhere — by the
 		// producer's write-through Put, a delivered forward, or a
 		// warming fetch — is still on that node's disk at every later
-		// state, crashes and restarts included.
+		// state, crashes and restarts included; in particular a crash
+		// that loses a queued forward does not lose its verdict.
 		{Name: "no-committed-verdict-lost", Check: func(st mc.State) error {
 			s := st.(*clusterState)
 			for k := 0; k < m.cfg.Keys; k++ {

@@ -81,3 +81,66 @@ func TestClusterModelCastIsCoherent(t *testing.T) {
 		}
 	}
 }
+
+// step takes the named action from st.
+func step(t *testing.T, m *ClusterM, st mc.State, name string) mc.State {
+	t.Helper()
+	var names []string
+	for _, a := range m.Actions(st) {
+		if a.Name == name {
+			return a.Next()
+		}
+		names = append(names, a.Name)
+	}
+	t.Fatalf("action %q not enabled; have %v", name, names)
+	return nil
+}
+
+// TestClusterModelBatchesFrames walks the two traces the batched
+// protocol added to the model, so the exhaustive run is known to cover
+// them: a two-frame offer batch with one frame damaged (the damaged
+// frame is refused alone, its neighbour commits; the same for a fetch
+// reply), and a producer crash between its local commit and its
+// forwarder's send (the forward is never sent, the verdict stays).
+func TestClusterModelBatchesFrames(t *testing.T) {
+	m, err := NewCluster(ClusterConfig{Name: "batches", Nodes: 3, Keys: 2, MaxCrashes: 1, MaxDamage: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.staticOwner[0] != m.staticOwner[1] || m.producer[0] != m.producer[1] {
+		t.Fatalf("the ci-scope keys no longer share an owner and a producer (owners %v, producers %v): no batch ever holds two frames",
+			m.staticOwner, m.producer)
+	}
+	owner, producer, reader := m.staticOwner[0], m.producer[0], m.reader[0]
+	send := "n" + string(rune('0'+producer)) + "/send/n" + string(rune('0'+owner))
+	fetch := "n" + string(rune('0'+reader)) + "/fetch/n" + string(rune('0'+owner))
+
+	st := m.Init()[0]
+	for _, name := range []string{"k0/produce", "k1/produce", send, "k0/offer-damage/bit-flip", "offer-deliver/1"} {
+		st = step(t, m, st, name)
+	}
+	s := st.(*clusterState)
+	if s.disk[owner*2+0] || !s.disk[owner*2+1] || s.offerLanded[0] || !s.offerLanded[1] {
+		t.Fatalf("one damaged frame in a batch of two: %s", s)
+	}
+	for _, name := range []string{fetch, "fetch-deliver/1"} {
+		st = step(t, m, st, name) // key 0 is the owner's authoritative miss; key 1's frame is the reply
+	}
+	if s = st.(*clusterState); s.disk[reader*2+0] || !s.disk[reader*2+1] {
+		t.Fatalf("fetch of one held and one missing key: %s", s)
+	}
+
+	st = m.Init()[0]
+	for _, name := range []string{"k0/produce", send, "k1/produce", "crash/n" + string(rune('0'+producer))} {
+		st = step(t, m, st, name)
+	}
+	s = st.(*clusterState)
+	if s.offerPhase[1] != msgDone || !inFlight(s.offerPhase[0]) || !s.disk[producer*2+1] || s.disk[owner*2+1] {
+		t.Fatalf("crash between commit and send: %s", s)
+	}
+	for _, inv := range m.Invariants() {
+		if err := inv.Check(st); err != nil {
+			t.Fatalf("%s: %v", inv.Name, err)
+		}
+	}
+}

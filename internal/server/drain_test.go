@@ -86,24 +86,34 @@ func TestDrainMidRecheckBatch(t *testing.T) {
 type blockingTransport struct {
 	started chan struct{}
 	once    sync.Once
+	wedged  atomic.Int32 // offers currently on the wire
 }
 
-func (b *blockingTransport) Fetch(ctx context.Context, peer cluster.Member, key fingerprint.Hash) ([]byte, error) {
-	return nil, cluster.ErrNotFound
+func (b *blockingTransport) FetchMany(ctx context.Context, peer cluster.Member, keys []fingerprint.Hash) ([]cluster.Frame, error) {
+	frames := make([]cluster.Frame, len(keys))
+	for i, key := range keys {
+		frames[i].Key = key
+	}
+	return frames, nil
 }
 
-func (b *blockingTransport) Offer(ctx context.Context, peer cluster.Member, key fingerprint.Hash, data []byte) error {
+func (b *blockingTransport) OfferMany(ctx context.Context, peer cluster.Member, frames []cluster.Frame) ([]fingerprint.Hash, error) {
+	b.wedged.Add(1)
+	defer b.wedged.Add(-1)
 	b.once.Do(func() { close(b.started) })
 	<-ctx.Done()
-	return ctx.Err()
+	return nil, ctx.Err()
 }
 
 // TestDrainAbortsInFlightPeerForward runs the daemon's SIGTERM sequence
-// — close the fleet cache, then drain the gate — while a check is
-// wedged inside a peer forward to an unresponsive owner. Close must
-// abort the in-flight forward, the check must still complete with its
-// correct verdict (the forward degrades; the verdict is already safe
-// locally), and the drain must finish instead of waiting out the peer.
+// — drain the gate, flush the forwarder for what is left of the drain
+// timeout, close the fleet cache — while a check is in flight and a
+// forward is wedged on the wire to an unresponsive owner. Checks do not
+// wait for their forwards, so the in-flight check must complete with
+// its correct verdict and the gate must drain; the flush must give up
+// at the deadline instead of waiting out the peer; Close must abort the
+// wedged send, count every undelivered forward as a failure (the
+// verdicts are already safe locally), and leave no goroutine behind.
 func TestDrainAbortsInFlightPeerForward(t *testing.T) {
 	vc, err := vcache.Open(vcache.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -129,7 +139,21 @@ func TestDrainAbortsInFlightPeerForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Options: core.Options{Cache: fleet}, Local: vc})
+	t.Cleanup(fleet.Close)
+	// The check is held inside "act" — after "adder", upstream of it, has
+	// stored and queued its verdict — until the drain has begun.
+	atAct, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv := New(Config{Local: vc, Options: core.Options{
+		Cache: fleet,
+		PreOp: func(v *graph.Node) *egraph.SaturateOpts {
+			if v.Label == "act" {
+				once.Do(func() { close(atAct) })
+				<-release
+			}
+			return nil
+		},
+	}})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -159,30 +183,55 @@ func TestDrainAbortsInFlightPeerForward(t *testing.T) {
 		done <- result{status: resp.StatusCode, resp: cr, err: err}
 	}()
 
-	select {
-	case <-bt.started:
-		// A forward is wedged in flight; now shut down underneath it.
-	case r := <-done:
-		t.Fatalf("check finished without forwarding (all fixture keys self-owned? response %+v, err %v); widen the member list", r.resp, r.err)
-	case <-time.After(30 * time.Second):
-		t.Fatal("check neither forwarded nor finished")
+	for _, step := range []struct {
+		reached <-chan struct{}
+		what    string
+	}{
+		{atAct, "the check never reached its second operator"},
+		{bt.started, "no forward on the wire (all fixture keys self-owned?); widen the member list"},
+	} {
+		select {
+		case <-step.reached:
+		case r := <-done:
+			t.Fatalf("check finished early (response %+v, err %v): %s", r.resp, r.err, step.what)
+		case <-time.After(30 * time.Second):
+			t.Fatal(step.what)
+		}
 	}
 
-	fleet.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	// SIGTERM, with a -drain-timeout the wedged peer will outlast.
+	const drainTimeout = 500 * time.Millisecond
+	began := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(ctx) }()
+	for !srv.gate.Snapshot().Draining {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-drained; err != nil {
 		t.Fatalf("drain stuck behind a wedged peer forward: %v", err)
 	}
-
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
 	if r.status != http.StatusOK || r.resp.Verdict != "refined" {
-		t.Fatalf("wedged-forward check did not complete correctly: status %d, %+v", r.status, r.resp)
+		t.Fatalf("in-flight check did not complete correctly: status %d, %+v", r.status, r.resp)
 	}
-	if st := fleet.ClusterStats(); st.ForwardFailures == 0 {
-		t.Fatalf("no forward failure recorded — the aborted forward vanished: %+v", st)
+	if err := fleet.Flush(ctx); err == nil {
+		t.Fatal("flush claims the wedged forwards were delivered")
+	}
+	fleet.Close()
+	if took := time.Since(began); took > drainTimeout+5*time.Second {
+		t.Fatalf("shutdown took %v with a %v drain timeout", took, drainTimeout)
+	}
+	if n := bt.wedged.Load(); n != 0 {
+		t.Fatalf("%d sends still on the wire after Close", n)
+	}
+	st := fleet.ClusterStats()
+	if st.Forwards != 0 || st.ForwardFailures == 0 || st.ForwardFailures > r.resp.Cache.Stores {
+		t.Fatalf("undelivered forwards not counted as failures: %+v for %d stored verdicts", st, r.resp.Cache.Stores)
 	}
 }

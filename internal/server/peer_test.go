@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"entangle/internal/cluster"
 	"entangle/internal/core"
 	"entangle/internal/fingerprint"
 	"entangle/internal/models"
@@ -30,11 +31,11 @@ func newPeerServer(t *testing.T) (*Server, *httptest.Server, *vcache.Cache) {
 	return srv, ts, vc
 }
 
-func peerURL(ts *httptest.Server, key fingerprint.Hash) string {
-	return ts.URL + "/v1/peer/verdict?key=" + key.Hex()
-}
+func peerURL(ts *httptest.Server) string { return ts.URL + "/v1/peer/verdicts" }
 
-func doPeer(t *testing.T, method, url string, body []byte) *http.Response {
+// doPeer sends one batch and returns the status and, on 200, the
+// reply's frames.
+func doPeer(t *testing.T, method, url string, body []byte) (int, []cluster.Frame) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
@@ -44,90 +45,189 @@ func doPeer(t *testing.T, method, url string, body []byte) *http.Response {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, nil
+	}
+	var frames []cluster.Frame
+	fr := cluster.NewFrameReader(resp.Body)
+	for {
+		f, err := fr.Next()
+		if err == io.EOF {
+			return resp.StatusCode, frames
+		}
+		if err != nil {
+			t.Fatalf("reply does not parse as frames: %v", err)
+		}
+		frames = append(frames, f)
+	}
 }
 
-// TestPeerVerdictRoundTrip drives the fleet exchange end to end over
-// real HTTP: a miss is an authoritative 404, an offered entry is
-// validated and stored, and a subsequent fetch returns bytes that
-// decode to the same entry.
-func TestPeerVerdictRoundTrip(t *testing.T) {
-	_, ts, vc := newPeerServer(t)
-	key := fingerprint.Hash{1, 2, 3}
-	e := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{"I0"}}}}
+func keysOf(keys ...fingerprint.Hash) []byte {
+	frames := make([]cluster.Frame, len(keys))
+	for i, key := range keys {
+		frames[i].Key = key
+	}
+	return cluster.EncodeFrames(frames)
+}
+
+func peerEntry(t *testing.T, key fingerprint.Hash, out string) (*vcache.Entry, cluster.Frame) {
+	t.Helper()
+	e := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{out}}}}
 	data, err := vcache.EncodeEntry(key, e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e, cluster.Frame{Key: key, Data: data}
+}
 
-	if resp := doPeer(t, http.MethodGet, peerURL(ts, key), nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("miss: status %d", resp.StatusCode)
+// TestPeerVerdictRoundTrip drives the fleet exchange end to end over
+// real HTTP: a miss is an authoritative bare frame, offered entries are
+// validated and stored, and a subsequent fetch returns, per key and in
+// the order asked, bytes that decode to the same entries. The peer
+// counters count keys, not requests.
+func TestPeerVerdictRoundTrip(t *testing.T) {
+	_, ts, vc := newPeerServer(t)
+	k1, k2, absent := fingerprint.Hash{1, 2, 3}, fingerprint.Hash{4, 5, 6}, fingerprint.Hash{7}
+	e1, f1 := peerEntry(t, k1, "I0")
+	_, f2 := peerEntry(t, k2, "I1")
+
+	status, reply := doPeer(t, http.MethodPost, peerURL(ts), keysOf(k1, k2))
+	if status != http.StatusOK || len(reply) != 2 || reply[0].Data != nil || reply[1].Data != nil ||
+		reply[0].Key != k1 || reply[1].Key != k2 {
+		t.Fatalf("miss: status %d, reply %+v", status, reply)
 	}
-	if resp := doPeer(t, http.MethodPut, peerURL(ts, key), data); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("offer: status %d", resp.StatusCode)
+	if status, refused := doPeer(t, http.MethodPut, peerURL(ts), cluster.EncodeFrames([]cluster.Frame{f1, f2})); status != http.StatusOK || len(refused) != 0 {
+		t.Fatalf("offer: status %d, refused %+v", status, refused)
 	}
-	if got := vc.Get(key); got == nil || got.Verdict != vcache.VerdictRefined {
+	if got := vc.Get(k1); got == nil || got.Verdict != vcache.VerdictRefined {
 		t.Fatalf("offer did not land in the local shard: %+v", got)
 	}
 
-	resp := doPeer(t, http.MethodGet, peerURL(ts, key), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fetch: status %d", resp.StatusCode)
+	status, reply = doPeer(t, http.MethodPost, peerURL(ts), keysOf(k2, absent, k1))
+	if status != http.StatusOK || len(reply) != 3 || reply[0].Key != k2 || reply[1].Key != absent || reply[2].Key != k1 {
+		t.Fatalf("fetch: status %d, reply %+v", status, reply)
 	}
-	wire, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	if reply[1].Data != nil {
+		t.Fatalf("unknown key answered with %d bytes", len(reply[1].Data))
 	}
-	back, err := vcache.DecodeEntry(key, wire)
+	if _, err := vcache.DecodeEntry(k2, reply[0].Data); err != nil {
+		t.Fatalf("fetched bytes fail the decode gate: %v", err)
+	}
+	back, err := vcache.DecodeEntry(k1, reply[2].Data)
 	if err != nil {
 		t.Fatalf("fetched bytes fail the decode gate: %v", err)
 	}
-	if back.Verdict != e.Verdict || len(back.Outputs) != 1 || back.Outputs[0].Main[0] != "I0" {
+	if back.Verdict != e1.Verdict || len(back.Outputs) != 1 || back.Outputs[0].Main[0] != "I0" {
 		t.Fatalf("round trip mangled the entry: %+v", back)
+	}
+	if !bytes.Equal(reply[2].Data, f1.Data) {
+		t.Fatal("the wire bytes are not the EVCACHE1 bytes offered")
 	}
 
 	stats := getStats(t, ts)
-	if stats.PeerGets != 2 || stats.PeerPuts != 1 {
-		t.Fatalf("peer counters: gets %d puts %d", stats.PeerGets, stats.PeerPuts)
+	if stats.PeerGets != 5 || stats.PeerPuts != 2 {
+		t.Fatalf("peer counters: gets %d puts %d, want 5 keys fetched and 2 stored", stats.PeerGets, stats.PeerPuts)
 	}
 }
 
-// TestPeerVerdictRejectsCorrupt flips one payload byte: the offer must
-// be refused with 400 and must not reach the shard — the decode gate is
-// what keeps a corrupting peer from planting wrong verdicts.
+// TestPeerVerdictRejectsCorrupt offers one damaged frame among valid
+// ones, and one valid entry under another key's frame: the valid ones
+// are stored, the bad ones are refused, reported and never reach the
+// shard — the decode gate is what keeps a corrupting peer from planting
+// wrong verdicts — and a sender counts exactly those as forward
+// failures.
 func TestPeerVerdictRejectsCorrupt(t *testing.T) {
 	_, ts, vc := newPeerServer(t)
-	key := fingerprint.Hash{9}
-	data, err := vcache.EncodeEntry(key, &vcache.Entry{Verdict: vcache.VerdictRefined})
-	if err != nil {
-		t.Fatal(err)
+	keys := []fingerprint.Hash{{9}, {10}, {11}, {12}}
+	frames := make([]cluster.Frame, len(keys))
+	entries := make([]*vcache.Entry, len(keys))
+	for i, key := range keys {
+		entries[i], frames[i] = peerEntry(t, key, "I0")
 	}
-	data[len(data)-1] ^= 0xff
+	frames[1].Data = append([]byte(nil), frames[1].Data...)
+	frames[1].Data[len(frames[1].Data)-1] ^= 0xff
+	frames[2].Data = frames[0].Data // intact bytes, wrong key
 
-	if resp := doPeer(t, http.MethodPut, peerURL(ts, key), data); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt offer: status %d", resp.StatusCode)
+	status, refused := doPeer(t, http.MethodPut, peerURL(ts), cluster.EncodeFrames(frames))
+	if status != http.StatusOK || len(refused) != 2 || refused[0].Key != keys[1] || refused[1].Key != keys[2] {
+		t.Fatalf("offer with two bad frames: status %d, refused %+v", status, refused)
 	}
-	if vc.Get(key) != nil {
-		t.Fatal("corrupt offer was stored")
+	for i, key := range keys {
+		if stored := vc.Get(key) != nil; stored != (i == 0 || i == 3) {
+			t.Fatalf("frame %d: stored = %v", i, stored)
+		}
 	}
+	if stats := getStats(t, ts); stats.PeerPuts != 2 {
+		t.Fatalf("peer_puts = %d, want the 2 stored", stats.PeerPuts)
+	}
+
+	// The shipped sender against the same endpoint. It encodes its own
+	// entries, so the damage is done on the wire.
+	client := cluster.NewClient(cluster.ClientConfig{Transport: &damagingTransport{key: keys[1]}})
+	errs := client.OfferMany(context.Background(), cluster.Member{ID: "p", URL: ts.URL}, keys, entries)
+	for i, err := range errs {
+		if (err != nil) != (i == 1) {
+			t.Fatalf("sender's outcome for frame %d: %v", i, err)
+		}
+	}
+	if st := client.Stats(); st.Offers != 3 || st.OfferFailures != 1 || st.RoundTrips != 1 {
+		t.Fatalf("sender stats = %+v, want 3 offers, 1 failure, 1 round trip", st)
+	}
+}
+
+// damagingTransport is the HTTP transport with one key's frame damaged
+// in flight.
+type damagingTransport struct {
+	cluster.HTTPTransport
+	key fingerprint.Hash
+}
+
+func (d *damagingTransport) OfferMany(ctx context.Context, peer cluster.Member, frames []cluster.Frame) ([]fingerprint.Hash, error) {
+	sent := append([]cluster.Frame(nil), frames...)
+	for i := range sent {
+		if sent[i].Key == d.key {
+			sent[i].Data = sent[i].Data[:len(sent[i].Data)/2]
+		}
+	}
+	return d.HTTPTransport.OfferMany(ctx, peer, sent)
 }
 
 func TestPeerVerdictRequestValidation(t *testing.T) {
-	_, ts, _ := newPeerServer(t)
+	_, ts, vc := newPeerServer(t)
 	key := fingerprint.Hash{4}
+	_, f := peerEntry(t, key, "I0")
 
-	if resp := doPeer(t, http.MethodGet, ts.URL+"/v1/peer/verdict?key=zz", nil); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad key: status %d", resp.StatusCode)
+	// A body that does not parse as frames is refused as a whole; the
+	// frame before the damage was a valid offer and stays stored.
+	cut := cluster.EncodeFrames([]cluster.Frame{f, f})
+	if status, _ := doPeer(t, http.MethodPut, peerURL(ts), cut[:len(cut)-3]); status != http.StatusBadRequest {
+		t.Fatalf("cut-short batch: status %d", status)
 	}
-	if resp := doPeer(t, http.MethodDelete, peerURL(ts, key), nil); resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("bad method: status %d", resp.StatusCode)
+	if vc.Get(key) == nil {
+		t.Fatal("the valid frame ahead of the cut was not stored")
+	}
+	if status, _ := doPeer(t, http.MethodPost, peerURL(ts), []byte("zz")); status != http.StatusBadRequest {
+		t.Fatalf("garbage keys: status %d", status)
+	}
+	// A key on its own carries nothing to store.
+	if status, refused := doPeer(t, http.MethodPut, peerURL(ts), keysOf(key)); status != http.StatusOK || len(refused) != 1 {
+		t.Fatalf("bare frame offered: status %d, refused %+v", status, refused)
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		if status, _ := doPeer(t, method, peerURL(ts), nil); status != http.StatusMethodNotAllowed {
+			t.Fatalf("%s: status %d", method, status)
+		}
+	}
+	// The single-key endpoint is gone.
+	if status, _ := doPeer(t, http.MethodGet, ts.URL+"/v1/peer/verdict", nil); status != http.StatusNotFound {
+		t.Fatalf("old endpoint: status %d", status)
 	}
 
 	// A daemon without a local shard is not a fleet node: 404.
 	single, _ := newTestServer(t)
-	if resp := doPeer(t, http.MethodGet, peerURL(single, key), nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("single-node peer fetch: status %d", resp.StatusCode)
+	if status, _ := doPeer(t, http.MethodPost, peerURL(single), keysOf(key)); status != http.StatusNotFound {
+		t.Fatalf("single-node peer fetch: status %d", status)
 	}
 }
 
@@ -138,8 +238,10 @@ func TestPeerVerdictDraining(t *testing.T) {
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if resp := doPeer(t, http.MethodGet, peerURL(ts, fingerprint.Hash{7}), nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining peer fetch: status %d", resp.StatusCode)
+	for _, method := range []string{http.MethodPost, http.MethodPut} {
+		if status, _ := doPeer(t, method, peerURL(ts), keysOf(fingerprint.Hash{7})); status != http.StatusServiceUnavailable {
+			t.Fatalf("draining peer %s: status %d", method, status)
+		}
 	}
 }
 
@@ -189,19 +291,22 @@ func TestBodyLimit(t *testing.T) {
 	}
 
 	key := fingerprint.Hash{5}
-	big := make([]byte, 8192)
-	if resp := doPeer(t, http.MethodPut, peerURL(ts, key), big); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized peer offer: status %d", resp.StatusCode)
+	_, small := peerEntry(t, key, "I0")
+	var big []cluster.Frame
+	for i := 0; i < 8192/len(small.Data)+1; i++ {
+		big = append(big, small)
+	}
+	if status, _ := doPeer(t, http.MethodPut, peerURL(ts), cluster.EncodeFrames(big)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized peer offer: status %d", status)
+	}
+	if status, _ := doPeer(t, http.MethodPost, peerURL(ts), make([]byte, 8192)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized peer fetch: status %d", status)
 	}
 
 	// Small requests still pass the bound (the error, if any, is about
 	// content, not size).
-	small, err := vcache.EncodeEntry(key, &vcache.Entry{Verdict: vcache.VerdictRefined})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := doPeer(t, http.MethodPut, peerURL(ts, key), small); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("in-bound peer offer: status %d", resp.StatusCode)
+	if status, refused := doPeer(t, http.MethodPut, peerURL(ts), cluster.EncodeFrames([]cluster.Frame{small})); status != http.StatusOK || len(refused) != 0 {
+		t.Fatalf("in-bound peer offer: status %d, refused %+v", status, refused)
 	}
 	if stats := getStats(t, ts); stats.Errors == 0 {
 		t.Fatalf("oversized bodies not counted as errors: %+v", stats)

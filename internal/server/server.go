@@ -12,6 +12,8 @@
 //	                    downstream cone is re-saturated)
 //	GET  /v1/healthz  — liveness ("ok")
 //	GET  /v1/stats    — daemon counters + verdict-cache counters
+//	POST|PUT /v1/peer/verdicts — fleet nodes only: a batch of verdicts
+//	                    fetched from / offered to this node's shard
 //
 // Checks run under a bounded admission gate (Config.MaxConcurrent, see
 // gate.go) and a per-request deadline threaded through context, so one
@@ -24,9 +26,9 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"entangle/internal/cluster"
 	"entangle/internal/core"
 	"entangle/internal/egraph"
 	"entangle/internal/exprparse"
@@ -66,7 +69,7 @@ type Config struct {
 	// buffering without bound.
 	MaxBodyBytes int64
 	// Local is this node's own verdict shard, served raw to fleet
-	// peers on /v1/peer/verdict. It is deliberately distinct from
+	// peers on /v1/peer/verdicts. It is deliberately distinct from
 	// Options.Cache: in a fleet, Options.Cache is the cluster-routing
 	// store, and peer traffic must hit the local shard directly or a
 	// fetch could recurse back into the fleet. Nil disables the peer
@@ -96,8 +99,8 @@ type Server struct {
 	failed   atomic.Int64 // checks that disproved or degraded
 	errored  atomic.Int64 // malformed requests, cancellations, faults
 	inflight atomic.Int64 // checks currently running or queued
-	peerGets atomic.Int64 // /v1/peer/verdict fetches served (hit or miss)
-	peerPuts atomic.Int64 // /v1/peer/verdict offers accepted
+	peerGets atomic.Int64 // keys fetched over /v1/peer/verdicts (hit or miss)
+	peerPuts atomic.Int64 // entries offered over /v1/peer/verdicts and accepted
 }
 
 // New builds a server.
@@ -120,7 +123,7 @@ func New(cfg Config) *Server {
 	}
 	s.mux.HandleFunc("/v1/check", s.handleCheck)
 	s.mux.HandleFunc("/v1/recheck", s.handleRecheck)
-	s.mux.HandleFunc("/v1/peer/verdict", s.handlePeerVerdict)
+	s.mux.HandleFunc("/v1/peer/verdicts", s.handlePeerVerdicts)
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	return s
@@ -226,16 +229,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePeerVerdict serves the fleet's peer-to-peer verdict exchange:
-// GET fetches this node's entry for a key, PUT accepts a forwarded
-// verdict. Both sides speak the vcache on-disk byte format (EncodeEntry
-// /DecodeEntry), so the same defensive gates that protect the disk
-// store protect the wire: a corrupt offer is rejected with 400 and
-// never stored, and a reply that fails the fetcher's decode is treated
-// as a miss. The handler serves Config.Local — the node's own shard —
-// directly, never Options.Cache, so peer traffic cannot recurse back
-// into fleet routing.
-func (s *Server) handlePeerVerdict(w http.ResponseWriter, r *http.Request) {
+// handlePeerVerdicts serves the fleet's peer-to-peer verdict exchange,
+// a batch per request: POST fetches this node's entries for the keys
+// in the body, PUT accepts forwarded verdicts. Bodies and replies are
+// cluster frame streams whose entry bytes are the vcache on-disk format
+// (EncodeEntry/DecodeEntry), so the same defensive gate that protects
+// the disk store protects the wire, frame by frame: an offered frame
+// that fails DecodeEntry under its own key is refused — never stored,
+// named in the reply — while its neighbours are stored, and a reply
+// frame that fails the fetcher's decode is that key's miss. A body
+// that does not parse as frames is refused as a whole (400). The
+// handler serves Config.Local — the node's own shard — directly, never
+// Options.Cache, so peer traffic cannot recurse back into fleet
+// routing.
+func (s *Server) handlePeerVerdicts(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Local == nil {
 		http.Error(w, "not a fleet node", http.StatusNotFound)
 		return
@@ -247,59 +254,62 @@ func (s *Server) handlePeerVerdict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	raw, err := hex.DecodeString(r.URL.Query().Get("key"))
-	var key fingerprint.Hash
-	if err != nil || len(raw) != len(key) {
-		http.Error(w, "key must be 64 hex characters", http.StatusBadRequest)
+	if r.Method != http.MethodPost && r.Method != http.MethodPut {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	copy(key[:], raw)
 
-	switch r.Method {
-	case http.MethodGet:
-		s.peerGets.Add(1)
-		e := s.cfg.Local.Get(key)
-		if e == nil {
-			http.Error(w, "not found", http.StatusNotFound)
-			return
+	// Read the whole request before the first reply byte. Offered
+	// entries are stored as their frames arrive; the reply holds only
+	// keys until it is written.
+	frames := cluster.NewFrameReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var reply []fingerprint.Hash // POST: the keys asked; PUT: the keys refused
+	for {
+		f, err := frames.Next()
+		if err == io.EOF {
+			break
 		}
-		data, err := vcache.EncodeEntry(key, e)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("encoding entry: %v", err), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(data)
-
-	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				http.Error(w, fmt.Sprintf("entry exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+				http.Error(w, fmt.Sprintf("batch exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
 				return
 			}
-			http.Error(w, fmt.Sprintf("reading entry: %v", err), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("reading batch: %v", err), http.StatusBadRequest)
 			return
 		}
-		e, err := vcache.DecodeEntry(key, body)
-		if err != nil {
-			// The decode gate is the correctness boundary: an offer that
-			// fails validation is refused, so a confused or corrupting
-			// peer can never plant a wrong verdict in this shard.
-			http.Error(w, fmt.Sprintf("rejecting entry: %v", err), http.StatusBadRequest)
-			return
+		if r.Method == http.MethodPost {
+			reply = append(reply, f.Key)
+			continue
 		}
-		if err := s.cfg.Local.Put(key, e); err != nil {
-			http.Error(w, fmt.Sprintf("storing entry: %v", err), http.StatusInternalServerError)
-			return
+		// The decode gate is the correctness boundary: a frame that
+		// fails validation is refused, so a confused or corrupting peer
+		// can never plant a wrong verdict in this shard.
+		e, err := vcache.DecodeEntry(f.Key, f.Data)
+		if err != nil || s.cfg.Local.Put(f.Key, e) != nil {
+			reply = append(reply, f.Key)
+			continue
 		}
 		s.peerPuts.Add(1)
-		w.WriteHeader(http.StatusNoContent)
-
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+
+	w.Header().Set("Content-Type", "application/octet-stream")
+	out := bufio.NewWriter(w)
+	var buf []byte
+	for _, key := range reply {
+		f := cluster.Frame{Key: key}
+		if r.Method == http.MethodPost {
+			s.peerGets.Add(1)
+			if e := s.cfg.Local.Get(key); e != nil {
+				// An entry that will not encode is answered as a miss,
+				// which only ever means "compute it yourself".
+				f.Data, _ = vcache.EncodeEntry(key, e)
+			}
+		}
+		buf = cluster.AppendFrame(buf[:0], f)
+		_, _ = out.Write(buf)
+	}
+	_ = out.Flush()
 }
 
 // decodeBody decodes a JSON request body under the configured byte

@@ -44,6 +44,12 @@ go test -race -timeout 300s ./internal/bench/...
 go test -race -timeout 300s ./internal/fuzz/...
 go test -race -short ./internal/mc/...
 
+echo "== go test -fuzz (peer frame codec + /v1/peer/verdicts, 10s) =="
+# Arbitrary bytes as an offered batch and as a peer's fetch reply: no
+# panic, and nothing failing vcache.DecodeEntry is stored or returned.
+# The minimizer is capped so the ten seconds go to new inputs.
+go test -run '^$' -fuzz=FuzzPeerFrames -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
+
 echo "== entangle-mc (exhaustive model check, ci scope) =="
 # Every protocol model must check clean at the ci scope, and the
 # planted known-bug model must still be caught — a regression test for
