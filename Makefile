@@ -21,23 +21,18 @@ benchmark:
 benchmark-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
-# The full gate: gofmt, vet, build, tests, and the race detector over
-# the concurrent packages. See scripts/verify.sh.
+# The full gate: gofmt, vet, build, tests, the race detector over the
+# concurrent packages, peer-wire fuzzing, the model checker and the
+# linter. scripts/verify.sh is the only list of what each stage runs;
+# `make lint` and `make mc` run one stage of it.
 verify:
 	sh scripts/verify.sh
 
-# Static analysis only: entangle-lint over the lemma registry, the
-# engine source, and generated capture graphs. See scripts/lint.sh.
 lint:
-	sh scripts/lint.sh
+	sh scripts/verify.sh lint
 
-# Exhaustive model check of the concurrency core at the ci scope, plus
-# both planted-bug regression gates — the same three commands as
-# scripts/verify.sh and the mc CI job. See cmd/entangle-mc.
 mc:
-	$(GO) run ./cmd/entangle-mc -scope ci
-	$(GO) run ./cmd/entangle-mc -model known-bug -expect-violation
-	$(GO) run ./cmd/entangle-mc -model known-bug-cluster -expect-violation
+	sh scripts/verify.sh mc
 
 # Short fuzz pass: replay the committed regression corpus (all nine
 # paper bug classes), then run one bounded randomized campaign. Exits

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"entangle"
+	"entangle/internal/server"
 )
 
 func buildTool(t *testing.T, dir, pkg string) string {
@@ -362,5 +364,111 @@ func TestCLIDaemon(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "drained") {
 		t.Fatalf("daemon stderr missing drain notice:\n%s", stderr.String())
+	}
+}
+
+// agreement is the one table the two front ends meet through: a CLI
+// exit code and the HTTP statuses that say the same thing.
+var agreement = map[int][]int{
+	0: {http.StatusOK},
+	1: {http.StatusUnprocessableEntity},
+	2: {http.StatusBadRequest, http.StatusInternalServerError},
+	3: {http.StatusServiceUnavailable},
+}
+
+// TestCLIAndDaemonAgree runs the same problems through cmd/entangle and
+// through /v1/check — a clean pair, the six Table-3 defects a plain
+// refinement check reaches, a malformed graph, an unmapped input, an
+// expired deadline, in first-error and keep-going mode — and requires
+// exit code and status to meet in the agreement table. Both are
+// renderings of core.Classify; neither may mean something else by
+// "failed".
+func TestCLIAndDaemonAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	gen := buildTool(t, dir, "./cmd/entangle-graphgen")
+	check := buildTool(t, dir, "./cmd/entangle")
+	ts := httptest.NewServer(server.New(server.Config{}))
+	defer ts.Close()
+
+	type problem struct {
+		name, gs, gd, rel, timeout string
+		wantExit                   int
+	}
+	generate := func(name string, wantExit int, args ...string) problem {
+		prefix := filepath.Join(dir, name)
+		run(t, gen, 0, append(args, "-o", prefix)...)
+		return problem{name: name, gs: prefix + "-seq.json", gd: prefix + "-dist.json", rel: prefix + "-relation.json", wantExit: wantExit}
+	}
+	clean := generate("clean", 0, "-model", "gpt", "-tp", "2")
+	problems := []problem{clean}
+	for _, bug := range []string{"1", "2", "3", "4"} {
+		problems = append(problems, generate("bug"+bug, 1, "-model", "seedmoe", "-tp", "2", "-bug", bug))
+	}
+	problems = append(problems,
+		generate("bug6", 1, "-model", "regression", "-tp", "2", "-bug", "6"),
+		generate("bug7", 1, "-model", "gpt", "-tp", "2", "-bug", "7"))
+
+	malformed := clean
+	malformed.name, malformed.gd, malformed.wantExit = "malformed graph", filepath.Join(dir, "malformed.json"), 2
+	os.WriteFile(malformed.gd, []byte(`[]`), 0o644)
+
+	var rel map[string][]string
+	data, err := os.ReadFile(clean.rel)
+	if err != nil || json.Unmarshal(data, &rel) != nil {
+		t.Fatalf("reading %s: %v", clean.rel, err)
+	}
+	for name := range rel {
+		delete(rel, name) // any one input
+		break
+	}
+	unmapped := clean
+	unmapped.name, unmapped.rel, unmapped.wantExit = "unmapped input", filepath.Join(dir, "unmapped.json"), 2
+	data, _ = json.Marshal(rel)
+	os.WriteFile(unmapped.rel, data, 0o644)
+
+	expired := clean
+	expired.name, expired.timeout, expired.wantExit = "expired deadline", "1ns", 3
+	problems = append(problems, malformed, unmapped, expired)
+
+	for _, p := range problems {
+		for _, keepGoing := range []bool{false, true} {
+			args := []string{"-gs", p.gs, "-gd", p.gd, "-rel", p.rel}
+			body := map[string]any{"keep_going": keepGoing}
+			for field, path := range map[string]string{"gs": p.gs, "gd": p.gd, "rel": p.rel} {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body[field] = json.RawMessage(raw)
+			}
+			if keepGoing {
+				args = append(args, "-keep-going")
+			}
+			if p.timeout != "" {
+				args, body["timeout"] = append(args, "-timeout", p.timeout), p.timeout
+			}
+			run(t, check, p.wantExit, args...)
+
+			data, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/check", "application/json", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			agrees := false
+			for _, status := range agreement[p.wantExit] {
+				agrees = agrees || status == resp.StatusCode
+			}
+			if !agrees {
+				t.Errorf("%s (keep-going %v): the CLI exits %d, the daemon answers %d; want one of %v",
+					p.name, keepGoing, p.wantExit, resp.StatusCode, agreement[p.wantExit])
+			}
+		}
 	}
 }

@@ -7,15 +7,8 @@
 //	entangle -gs seq.json -gd dist.json -rel relation.json \
 //	    -timeout 5m -op-timeout 30s -keep-going
 //
-// -timeout bounds the whole run (Ctrl-C cancels it the same way);
-// -op-timeout bounds each operator's check, classifying a stalled
-// operator inconclusive instead of aborting; -keep-going reports every
-// failing operator (skipping their downstream cones) instead of
-// stopping at the first; -budget-escalations retries budget-limited
-// operators with geometrically larger saturation budgets; -cache DIR
-// keeps a content-addressed verdict cache across runs, so re-checking
-// an unchanged (or mostly unchanged) model pair replays stored
-// verdicts instead of re-saturating.
+// Every flag is defined in newFlagSet and tabulated in README.md; -h
+// prints them.
 //
 // With -diff, positional arguments name the old and new sequential
 // graphs, and the checker re-verifies incrementally: operators whose
@@ -27,11 +20,6 @@
 //
 //	entangle -diff -gd dist.json -rel relation.json \
 //	    -cache /var/cache/entangle old.json new.json
-//
-// Without -cache the diff uses a run-local in-memory cache: the old
-// graph is checked first to populate it, which still demonstrates the
-// delta but saves no wall clock; a persistent -cache directory is the
-// intended mode.
 //
 // With -lint, positional arguments name captured graph files, and the
 // graph IR lint layer (internal/lint) runs over each instead of a
@@ -47,8 +35,9 @@
 // Exit status: 0 when refinement holds (the output relation is printed),
 // 1 on a refinement failure (the failing operator is printed — with
 // -keep-going, every failing operator), 2 on usage or input errors, 3
-// when the check was cancelled by -timeout or an interrupt before
-// reaching a verdict.
+// when the check was cancelled by -timeout, SIGINT or SIGTERM before
+// reaching a verdict. What a run amounts to is core.Classify's decision;
+// this command renders it and maps it to a status (exitCode).
 package main
 
 import (
@@ -60,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"entangle"
@@ -68,128 +58,141 @@ import (
 	"entangle/internal/lint"
 )
 
+// options is everything the command line sets; the checker's own
+// knobs are parsed straight into its options.
+type options struct {
+	checker                            entangle.CheckerOptions
+	gs, gd, rel, format, expect, cache string
+	verbose, lint, diff, json          bool
+	timeout                            time.Duration
+}
+
+// newFlagSet defines the command's flags, all of them and only here:
+// main parses the set and the README test walks it.
+func newFlagSet(name string) (*flag.FlagSet, *options) {
+	o := new(options)
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&o.gs, "gs", "", "sequential model graph file")
+	fs.StringVar(&o.gd, "gd", "", "distributed implementation graph file")
+	fs.StringVar(&o.rel, "rel", "", "input relation JSON file")
+	fs.StringVar(&o.format, "format", "json", "graph file format: json or hlo")
+	fs.BoolVar(&o.verbose, "v", false, "print the full relation, including intermediates")
+	fs.StringVar(&o.expect, "expect", "", "optional §4.4 expectation JSON: {\"fs\": <expr over G_s outputs>, \"fd\": <expr over G_d outputs>}")
+	fs.IntVar(&o.checker.Workers, "workers", 0, "checker worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "whole-run deadline; an expired check exits 3 (0 = none)")
+	fs.DurationVar(&o.checker.OpTimeout, "op-timeout", 0, "per-operator deadline; an operator exceeding it is inconclusive, not fatal (0 = none)")
+	fs.BoolVar(&o.checker.KeepGoing, "keep-going", false, "on a per-operator failure, skip its downstream cone and keep checking independent operators; report every failure")
+	fs.IntVar(&o.checker.BudgetEscalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
+	fs.StringVar(&o.cache, "cache", "", "verdict cache directory: operators whose content-addressed fingerprint matches a prior run replay the stored verdict instead of re-saturating (empty = no cache)")
+	fs.BoolVar(&o.lint, "lint", false, "lint the given graph files instead of checking refinement")
+	fs.BoolVar(&o.diff, "diff", false, "incrementally re-verify: positional args are the old and new G_s; only the edit's downstream cone is re-checked")
+	fs.BoolVar(&o.json, "json", false, "with -lint: emit findings as JSON")
+	return fs, o
+}
+
+// exitCode is the command's whole reading of a check's outcome.
+var exitCode = map[core.Outcome]int{core.Refined: 0, core.Failed: 1, core.Fault: 2, core.Invalid: 2, core.Cancelled: 3}
+
 func main() {
-	var (
-		gsPath  = flag.String("gs", "", "sequential model graph file")
-		gdPath  = flag.String("gd", "", "distributed implementation graph file")
-		relPath = flag.String("rel", "", "input relation JSON file")
-		format  = flag.String("format", "json", "graph file format: json or hlo")
-		verbose = flag.Bool("v", false, "print the full relation, including intermediates")
-		expect  = flag.String("expect", "", "optional §4.4 expectation JSON: {\"fs\": <expr over G_s outputs>, \"fd\": <expr over G_d outputs>}")
-		workers = flag.Int("workers", 0, "checker worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		timeout = flag.Duration("timeout", 0, "whole-run deadline; an expired check exits 3 (0 = none)")
-		opTO    = flag.Duration("op-timeout", 0, "per-operator deadline; an operator exceeding it is inconclusive, not fatal (0 = none)")
-		keepGo  = flag.Bool("keep-going", false, "on a per-operator failure, skip its downstream cone and keep checking independent operators; report every failure")
-		escal   = flag.Int("budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
-		cache   = flag.String("cache", "", "verdict cache directory: operators whose content-addressed fingerprint matches a prior run replay the stored verdict instead of re-saturating (empty = no cache)")
-		doLint  = flag.Bool("lint", false, "lint the given graph files instead of checking refinement")
-		doDiff  = flag.Bool("diff", false, "incrementally re-verify: positional args are the old and new G_s; only the edit's downstream cone is re-checked")
-		jsonOut = flag.Bool("json", false, "with -lint: emit findings as JSON")
-	)
-	flag.Parse()
-	if *doLint {
-		lintGraphs(flag.Args(), *format, *jsonOut)
+	fs, o := newFlagSet(os.Args[0])
+	_ = fs.Parse(os.Args[1:]) // ExitOnError
+	if o.lint {
+		lintGraphs(fs.Args(), o.format, o.json)
 		return
 	}
-	opts := entangle.CheckerOptions{
-		Workers:           *workers,
-		OpTimeout:         *opTO,
-		KeepGoing:         *keepGo,
-		BudgetEscalations: *escal,
-	}
-	if *cache != "" {
-		vc, err := entangle.OpenVerdictCache(entangle.VerdictCacheConfig{Dir: *cache})
+	opts := o.checker
+	if o.cache != "" || o.diff {
+		// A diff without -cache keeps the old graph's verdicts in a
+		// run-local in-memory cache (an empty Dir): it still shows the
+		// delta but saves no wall clock.
+		vc, err := entangle.OpenVerdictCache(entangle.VerdictCacheConfig{Dir: o.cache})
 		if err != nil {
-			fatal(2, "opening cache: %v", err)
+			fatal("opening cache: %v", err)
 		}
 		opts.Cache = vc
 	}
-	if *doDiff {
-		diffGraphs(flag.Args(), *gdPath, *relPath, *format, opts, *timeout, *verbose)
+	checker := entangle.NewChecker(opts)
+	if o.diff {
+		diffGraphs(checker, fs.Args(), o)
 		return
 	}
-	if *gsPath == "" || *gdPath == "" || *relPath == "" {
+	if o.gs == "" || o.gd == "" || o.rel == "" {
 		fmt.Fprintln(os.Stderr, "usage: entangle -gs <graph> -gd <graph> -rel <relation.json> [-format json|hlo] [-v]\n       entangle -lint [-json] <graph>...")
 		os.Exit(2)
 	}
+	gs := mustGraph("G_s", o.gs, o.format)
+	gd := mustGraph("G_d", o.gd, o.format)
+	ri := mustRelation("relation", o.rel, gs, gd)
 
-	gs, err := loadGraph(*gsPath, *format)
-	if err != nil {
-		fatal(2, "loading G_s: %v", err)
-	}
-	gd, err := loadGraph(*gdPath, *format)
-	if err != nil {
-		fatal(2, "loading G_d: %v", err)
-	}
-	ri, err := loadRelation(*relPath, gs, gd)
-	if err != nil {
-		fatal(2, "loading relation: %v", err)
-	}
-
-	checker := entangle.NewChecker(opts)
-	if *expect != "" {
-		if err := checkExpectation(checker, gs, gd, ri, *expect); err != nil {
+	if o.expect != "" {
+		if err := checkExpectation(checker, gs, gd, ri, o.expect); err != nil {
 			var ee *entangle.ExpectationError
 			if errors.As(err, &ee) {
 				fmt.Fprintf(os.Stderr, "EXPECTATION VIOLATED\n%v\n", ee)
 				os.Exit(1)
 			}
-			fatal(2, "%v", err)
+			fatal("%v", err)
 		}
 		fmt.Println("user expectation verified")
 		return
 	}
 
-	// The run context: Ctrl-C (SIGINT/SIGTERM) and -timeout both cancel
-	// it; the checker observes cancellation between saturation
-	// iterations, so the process exits promptly either way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := runContext(o.timeout)
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	report, err := checker.CheckContext(ctx, gs, gd, ri)
-	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "entangle: check cancelled (%v): %v\n", ctx.Err(), err)
-			os.Exit(3)
-		}
-		if report != nil && len(report.Failures) > 0 {
+	exitUnlessRefined("check", ctx, core.Classify(ctx, report, err), report, err)
+	fmt.Printf("refinement verified: %q refines %q (%d operators checked in %s)\n",
+		gd.Name, gs.Name, report.OpsProcessed, report.Duration.Round(1e6))
+	fmt.Println("output relation R_o:")
+	fmt.Print(report.OutputRelation.Render(gs))
+	if o.verbose {
+		fmt.Println("full relation (including intermediates):")
+		fmt.Print(report.FullRelation.Render(gs))
+	}
+}
+
+// runContext is the context every check of this process runs under:
+// SIGINT, SIGTERM and -timeout all cancel it, and the checker observes
+// cancellation between saturation iterations, so the process exits
+// promptly whichever it was.
+func runContext(timeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	if timeout <= 0 {
+		return ctx, stop
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	return ctx, func() { cancel(); stop() }
+}
+
+// exitUnlessRefined renders a run ("check", "diff") that did not end
+// Refined on stderr and exits with the outcome's status.
+func exitUnlessRefined(what string, ctx context.Context, outcome core.Outcome, report *core.Report, err error) {
+	switch outcome {
+	case core.Refined:
+		return
+	case core.Cancelled:
+		fmt.Fprintf(os.Stderr, "entangle: %s cancelled (%v): %v\n", what, ctx.Err(), err)
+	case core.Failed:
+		if report != nil {
 			// -keep-going: the partial report lists every failing
 			// operator (and its skipped cone) in topological order.
 			fmt.Fprintf(os.Stderr, "REFINEMENT FAILED (%d operators, %d checked)\n%s",
 				len(report.Failures), report.OpsProcessed, report.RenderFailures())
 			fmt.Fprintf(os.Stderr, "first failure:\n%v\n", err)
-			os.Exit(1)
+			break
 		}
-		if core.FailingOp(err) != nil {
-			header := "REFINEMENT FAILED"
-			var ie *entangle.InconclusiveError
-			if errors.As(err, &ie) {
-				header = "REFINEMENT INCONCLUSIVE"
-			}
-			fmt.Fprintf(os.Stderr, "%s\n%v\n", header, err)
-			os.Exit(1)
+		header := "REFINEMENT FAILED"
+		var ie *entangle.InconclusiveError
+		if errors.As(err, &ie) {
+			header = "REFINEMENT INCONCLUSIVE"
 		}
-		var ef *entangle.EngineFaultError
-		if errors.As(err, &ef) {
-			fmt.Fprintf(os.Stderr, "ENGINE FAULT\n%v\n", ef)
-			os.Exit(2)
-		}
-		fatal(2, "%v", err)
+		fmt.Fprintf(os.Stderr, "%s\n%v\n", header, err)
+	case core.Fault:
+		fmt.Fprintf(os.Stderr, "ENGINE FAULT\n%v\n", err)
+	default:
+		fmt.Fprintf(os.Stderr, "entangle: %v\n", err)
 	}
-
-	fmt.Printf("refinement verified: %q refines %q (%d operators checked in %s)\n",
-		gd.Name, gs.Name, report.OpsProcessed, report.Duration.Round(1e6))
-	fmt.Println("output relation R_o:")
-	fmt.Print(report.OutputRelation.Render(gs))
-	if *verbose {
-		fmt.Println("full relation (including intermediates):")
-		fmt.Print(report.FullRelation.Render(gs))
-	}
+	os.Exit(exitCode[outcome])
 }
 
 // diffGraphs runs the -diff mode: check the old graph (replaying from
@@ -197,81 +200,44 @@ func main() {
 // re-verify the new graph and print the delta. Exit codes mirror the
 // plain check: 0 when the new graph refines, 1 on a refinement
 // failure, 2 on input errors, 3 when cancelled.
-func diffGraphs(paths []string, gdPath, relPath, format string, opts entangle.CheckerOptions, timeout time.Duration, verbose bool) {
-	if len(paths) != 2 || gdPath == "" || relPath == "" {
+func diffGraphs(checker *entangle.Checker, paths []string, o *options) {
+	if len(paths) != 2 || o.gd == "" || o.rel == "" {
 		fmt.Fprintln(os.Stderr, "usage: entangle -diff -gd <graph> -rel <relation.json> [-cache DIR] <old-gs> <new-gs>")
 		os.Exit(2)
 	}
-	oldGs, err := loadGraph(paths[0], format)
-	if err != nil {
-		fatal(2, "loading old G_s: %v", err)
-	}
-	newGs, err := loadGraph(paths[1], format)
-	if err != nil {
-		fatal(2, "loading new G_s: %v", err)
-	}
-	gd, err := loadGraph(gdPath, format)
-	if err != nil {
-		fatal(2, "loading G_d: %v", err)
-	}
-	oldRi, err := loadRelation(relPath, oldGs, gd)
-	if err != nil {
-		fatal(2, "loading relation against old G_s: %v", err)
-	}
-	newRi, err := loadRelation(relPath, newGs, gd)
-	if err != nil {
-		fatal(2, "loading relation against new G_s: %v", err)
-	}
-	if opts.Cache == nil {
-		vc, err := entangle.OpenVerdictCache(entangle.VerdictCacheConfig{})
-		if err != nil {
-			fatal(2, "opening in-memory cache: %v", err)
-		}
-		opts.Cache = vc
-	}
+	oldGs := mustGraph("old G_s", paths[0], o.format)
+	newGs := mustGraph("new G_s", paths[1], o.format)
+	gd := mustGraph("G_d", o.gd, o.format)
+	oldRi := mustRelation("relation against old G_s", o.rel, oldGs, gd)
+	newRi := mustRelation("relation against new G_s", o.rel, newGs, gd)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := runContext(o.timeout)
 	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+	// Old-graph failures are delta context ("already failing before the
+	// edit"), not fatal; only a pass that could not run ends the diff.
+	_, err := checker.CheckBaseContext(ctx, oldGs, gd, oldRi)
+	outcome := core.Classify(ctx, nil, err)
+	if outcome != core.Refined && outcome != core.Cancelled {
+		err = fmt.Errorf("checking old G_s: %v", err)
 	}
+	exitUnlessRefined("diff", ctx, outcome, nil, err)
 
-	// Baseline pass over the old graph: a warm cache replays it, a cold
-	// one is populated. Old-graph failures are delta context ("already
-	// failing before the edit"), not fatal — KeepGoing caches every
-	// independent verdict regardless.
-	warm := opts
-	warm.KeepGoing = true
-	if _, err := entangle.NewChecker(warm).CheckContext(ctx, oldGs, gd, oldRi); err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "entangle: diff cancelled (%v): %v\n", ctx.Err(), err)
-			os.Exit(3)
-		}
-		if core.FailingOp(err) == nil {
-			fatal(2, "checking old G_s: %v", err)
-		}
-	}
-
-	delta, err := entangle.NewChecker(opts).DiffCheckContext(ctx, oldGs, newGs, gd, oldRi, newRi)
+	delta, err := checker.DiffCheckContext(ctx, oldGs, newGs, gd, oldRi, newRi)
 	if delta == nil {
-		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "entangle: diff cancelled (%v): %v\n", ctx.Err(), err)
-			os.Exit(3)
-		}
-		fatal(2, "%v", err)
+		exitUnlessRefined("diff", ctx, core.Classify(ctx, nil, err), nil, err)
 	}
 	fmt.Print(delta.Render())
-	if verbose {
+	if o.verbose {
 		fmt.Println("output relation R_o:")
 		fmt.Print(delta.Report.OutputRelation.Render(newGs))
 	}
-	if err != nil {
+	if outcome = core.Classify(ctx, delta.Report, err); outcome == core.Failed {
+		// The delta above says which of these failures are new.
 		fmt.Fprintf(os.Stderr, "REFINEMENT FAILED (%d operators, %d checked)\n%s",
 			len(delta.Report.Failures), delta.Report.OpsProcessed, delta.Report.RenderFailures())
-		os.Exit(1)
+		os.Exit(exitCode[outcome])
 	}
+	exitUnlessRefined("diff", ctx, outcome, nil, err)
 }
 
 // lintGraphs runs the graph IR lint layer over captured graph files;
@@ -283,25 +249,39 @@ func lintGraphs(paths []string, format string, jsonOut bool) {
 	}
 	var report lint.Report
 	for _, path := range paths {
-		g, err := loadGraph(path, format)
-		if err != nil {
-			fatal(2, "loading %s: %v", path, err)
-		}
-		for _, d := range lint.Graph(g) {
+		for _, d := range lint.Graph(mustGraph(path, path, format)) {
 			d.Subject = path + ": " + d.Subject
 			report.Add(d)
 		}
 	}
+	write := report.WriteText
 	if jsonOut {
-		if err := report.WriteJSON(os.Stdout); err != nil {
-			fatal(2, "%v", err)
-		}
-	} else if err := report.WriteText(os.Stdout); err != nil {
-		fatal(2, "%v", err)
+		write = report.WriteJSON
+	}
+	if err := write(os.Stdout); err != nil {
+		fatal("%v", err)
 	}
 	if report.Errors() > 0 {
 		os.Exit(1)
 	}
+}
+
+// mustGraph and mustRelation load an input file; failing that they exit
+// 2 naming what the file was to be.
+func mustGraph(what, path, format string) *entangle.Graph {
+	g, err := loadGraph(path, format)
+	if err != nil {
+		fatal("loading %s: %v", what, err)
+	}
+	return g
+}
+
+func mustRelation(what, path string, gs, gd *entangle.Graph) *entangle.Relation {
+	ri, err := loadRelation(path, gs, gd)
+	if err != nil {
+		fatal("loading %s: %v", what, err)
+	}
+	return ri
 }
 
 func loadGraph(path, format string) (*entangle.Graph, error) {
@@ -356,7 +336,8 @@ func checkExpectation(checker *entangle.Checker, gs, gd *entangle.Graph, ri *ent
 	return checker.CheckExpectation(gs, gd, ri, entangle.Expectation{Fs: fs, Fd: fd})
 }
 
-func fatal(code int, format string, args ...any) {
+// fatal reports a usage or input error and exits 2.
+func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "entangle: "+format+"\n", args...)
-	os.Exit(code)
+	os.Exit(2)
 }

@@ -48,35 +48,52 @@ import (
 	"entangle/internal/vcache"
 )
 
+// options is everything the command line sets.
+type options struct {
+	addr, cache, self, peers                 string
+	workers, maxConcurrent, escalations      int
+	requestTimeout, opTimeout, drainTimeout  time.Duration
+	headerTimeout, readTimeout, writeTimeout time.Duration
+	idleTimeout                              time.Duration
+	maxBodyBytes                             int64
+}
+
+// newFlagSet defines the daemon's flags, all of them and only here:
+// main parses the set and the README test walks it.
+func newFlagSet(name string) (*flag.FlagSet, *options) {
+	o := new(options)
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8372", "listen address")
+	fs.StringVar(&o.cache, "cache", "", "verdict cache directory shared across requests (empty = in-memory cache only)")
+	fs.IntVar(&o.workers, "workers", 0, "per-check worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "simultaneous checks (0 = GOMAXPROCS); further requests queue")
+	fs.DurationVar(&o.requestTimeout, "request-timeout", 5*time.Minute, "default per-check deadline when the request carries none (0 = none)")
+	fs.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operator deadline within each check (0 = none)")
+	fs.IntVar(&o.escalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks and, in a fleet, the forwards queued behind them")
+
+	// Transport hardening: every stage of an HTTP exchange gets a
+	// deadline so one slow or malicious client can never pin a
+	// connection (and its goroutine) forever.
+	fs.DurationVar(&o.headerTimeout, "read-header-timeout", 10*time.Second, "deadline for reading a request's headers")
+	fs.DurationVar(&o.readTimeout, "read-timeout", 2*time.Minute, "deadline for reading a whole request including its body")
+	fs.DurationVar(&o.writeTimeout, "write-timeout", 0, "deadline for writing a response (0 = request-timeout + 1m, or none when request-timeout is 0)")
+	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
+	fs.Int64Var(&o.maxBodyBytes, "max-body-bytes", 0, "request body cap; oversized requests get 413 (0 = 64 MiB)")
+
+	fs.StringVar(&o.self, "self", "", "this node's fleet member ID (required with -peers)")
+	fs.StringVar(&o.peers, "peers", "", "static fleet member list as id=url,... including this node; enables sharded peer caching")
+	return fs, o
+}
+
 func main() {
-	var (
-		addr    = flag.String("addr", "127.0.0.1:8372", "listen address")
-		cache   = flag.String("cache", "", "verdict cache directory shared across requests (empty = in-memory cache only)")
-		workers = flag.Int("workers", 0, "per-check worker pool size (0 = GOMAXPROCS)")
-		conc    = flag.Int("max-concurrent", 0, "simultaneous checks (0 = GOMAXPROCS); further requests queue")
-		reqTO   = flag.Duration("request-timeout", 5*time.Minute, "default per-check deadline when the request carries none (0 = none)")
-		opTO    = flag.Duration("op-timeout", 0, "per-operator deadline within each check (0 = none)")
-		escal   = flag.Int("budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
-		drainTO = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks and, in a fleet, the forwards queued behind them")
-
-		// Transport hardening: every stage of an HTTP exchange gets a
-		// deadline so one slow or malicious client can never pin a
-		// connection (and its goroutine) forever.
-		hdrTO   = flag.Duration("read-header-timeout", 10*time.Second, "deadline for reading a request's headers")
-		readTO  = flag.Duration("read-timeout", 2*time.Minute, "deadline for reading a whole request including its body")
-		writeTO = flag.Duration("write-timeout", 0, "deadline for writing a response (0 = request-timeout + 1m, or none when request-timeout is 0)")
-		idleTO  = flag.Duration("idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
-		maxBody = flag.Int64("max-body-bytes", 0, "request body cap; oversized requests get 413 (0 = 64 MiB)")
-
-		selfID = flag.String("self", "", "this node's fleet member ID (required with -peers)")
-		peers  = flag.String("peers", "", "static fleet member list as id=url,... including this node; enables sharded peer caching")
-	)
-	flag.Parse()
+	fs, o := newFlagSet(os.Args[0])
+	_ = fs.Parse(os.Args[1:]) // ExitOnError
 
 	// The daemon always runs with a verdict cache — sharing warm
 	// verdicts across requests is its reason to exist. -cache adds the
 	// on-disk layer so warmth survives restarts.
-	vc, err := entangle.OpenVerdictCache(entangle.VerdictCacheConfig{Dir: *cache})
+	vc, err := entangle.OpenVerdictCache(entangle.VerdictCacheConfig{Dir: o.cache})
 	if err != nil {
 		fatal("opening cache: %v", err)
 	}
@@ -88,15 +105,15 @@ func main() {
 	var local *vcache.Cache
 	var clusterInfo func() any
 	var fleet *cluster.Cache
-	if *peers != "" {
-		if *selfID == "" {
+	if o.peers != "" {
+		if o.self == "" {
 			fatal("-peers requires -self")
 		}
-		members, err := cluster.ParsePeers(*peers)
+		members, err := cluster.ParsePeers(o.peers)
 		if err != nil {
 			fatal("%v", err)
 		}
-		ms, err := cluster.NewMembership(*selfID, members)
+		ms, err := cluster.NewMembership(o.self, members)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -114,35 +131,35 @@ func main() {
 				"client":  fleet.ClientStats(),
 			}
 		}
-	} else if *selfID != "" {
+	} else if o.self != "" {
 		fatal("-self requires -peers")
 	}
 
 	srv := server.New(server.Config{
 		Options: entangle.CheckerOptions{
-			Workers:           *workers,
-			OpTimeout:         *opTO,
-			BudgetEscalations: *escal,
+			Workers:           o.workers,
+			OpTimeout:         o.opTimeout,
+			BudgetEscalations: o.escalations,
 			Cache:             store,
 		},
-		MaxConcurrent:  *conc,
-		DefaultTimeout: *reqTO,
-		MaxBodyBytes:   *maxBody,
+		MaxConcurrent:  o.maxConcurrent,
+		DefaultTimeout: o.requestTimeout,
+		MaxBodyBytes:   o.maxBodyBytes,
 		Local:          local,
 		ClusterInfo:    clusterInfo,
 	})
 	// The write deadline must outlast the longest admissible check, or
 	// the server would cut off a verdict mid-response.
-	if *writeTO == 0 && *reqTO > 0 {
-		*writeTO = *reqTO + time.Minute
+	if o.writeTimeout == 0 && o.requestTimeout > 0 {
+		o.writeTimeout = o.requestTimeout + time.Minute
 	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           srv,
-		ReadHeaderTimeout: *hdrTO,
-		ReadTimeout:       *readTO,
-		WriteTimeout:      *writeTO,
-		IdleTimeout:       *idleTO,
+		ReadHeaderTimeout: o.headerTimeout,
+		ReadTimeout:       o.readTimeout,
+		WriteTimeout:      o.writeTimeout,
+		IdleTimeout:       o.idleTimeout,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -150,7 +167,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "entangled: listening on %s (cache %s%s)\n", *addr, cacheDesc(*cache), fleetDesc(fleet))
+	fmt.Fprintf(os.Stderr, "entangled: listening on %s (cache %s%s)\n", o.addr, cacheDesc(o.cache), fleetDesc(fleet))
 
 	select {
 	case err := <-errc:
@@ -169,7 +186,7 @@ func main() {
 	// The gate's drain protocol is exhaustively model-checked
 	// (entangle-mc -model daemon).
 	fmt.Fprintln(os.Stderr, "entangled: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	go func() { _ = srv.Drain(drainCtx) }()
 	err = httpSrv.Shutdown(drainCtx)

@@ -141,8 +141,7 @@ func (c *Cache) Close() {
 // Membership exposes the fleet view (stats, tests).
 func (c *Cache) Membership() *Membership { return c.ms }
 
-// Local exposes the local shard (the daemon's peer endpoints serve it
-// directly — peer traffic must never recurse through the router).
+// Local exposes the node's own shard, the store a Shard serves.
 func (c *Cache) Local() *vcache.Cache { return c.local }
 
 // Stats returns the LOCAL store's counters, satisfying

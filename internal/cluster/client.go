@@ -210,14 +210,12 @@ type Fetched struct {
 	Err   error
 }
 
-// FetchMany retrieves and validates the peer's entries for keys, in
-// as few round trips as maxBatchKeys allows, and reports each key's
-// outcome at its position. Every reply frame is decoded with
-// vcache.DecodeEntry under its own key — the exact defensive gate the
-// disk store uses — so a corrupt or truncated frame is an error for
-// that key (counted as FetchCorrupt), never a wrong verdict and never
-// its neighbours' problem. A call that fails as a whole fails every
-// key it carried.
+// FetchMany retrieves the peer's entries for keys, in as few round
+// trips as maxBatchKeys allows, and reports each key's outcome at its
+// position. The fetcher's side of the decode gate (see Frame) is here:
+// a corrupt or truncated frame is an error for that key (counted as
+// FetchCorrupt), never a wrong verdict and never its neighbours'
+// problem. A call that fails as a whole fails every key it carried.
 func (c *Client) FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) []Fetched {
 	out := make([]Fetched, len(keys))
 	for lo := 0; lo < len(keys); lo += maxBatchKeys {
@@ -249,11 +247,9 @@ func (c *Client) fetchBatch(ctx context.Context, peer Member, keys []fingerprint
 		default:
 			e, derr := vcache.DecodeEntry(key, frames[i].Data)
 			if derr != nil {
-				// The peer answered, but with bytes that fail
-				// validation: a degradation-worthy failure for this key
-				// (the local cold check takes over), surfaced in the
-				// counters — a persistently corrupt peer is worth
-				// alerting on.
+				// The peer answered with bytes that fail validation: the
+				// local cold check takes over for this key, and the
+				// counter shows a peer worth alerting on.
 				st.FetchCorrupt++
 				st.FetchFailures++
 				out[i].Err = fmt.Errorf("cluster: peer %s returned corrupt entry: %v", peer.ID, derr)

@@ -55,18 +55,7 @@ const (
 	maxBatchBytes = 1 << 20
 )
 
-// AppendFrame appends f's wire form to buf.
-func AppendFrame(buf []byte, f Frame) []byte {
-	buf = append(buf, f.Key[:]...)
-	if f.Data == nil {
-		return append(buf, frameBare)
-	}
-	buf = append(buf, frameData)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Data)))
-	return append(buf, f.Data...)
-}
-
-// EncodeFrames renders a batch.
+// EncodeFrames renders a batch: each frame's wire form, back to back.
 func EncodeFrames(frames []Frame) []byte {
 	n := 0
 	for _, f := range frames {
@@ -74,7 +63,14 @@ func EncodeFrames(frames []Frame) []byte {
 	}
 	buf := make([]byte, 0, n)
 	for _, f := range frames {
-		buf = AppendFrame(buf, f)
+		buf = append(buf, f.Key[:]...)
+		if f.Data == nil {
+			buf = append(buf, frameBare)
+			continue
+		}
+		buf = append(buf, frameData)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Data)))
+		buf = append(buf, f.Data...)
 	}
 	return buf
 }

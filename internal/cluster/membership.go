@@ -130,9 +130,6 @@ func (ms *Membership) Peers() []Member {
 // split-brain bug the mc known-bug-cluster model demonstrates.
 func (ms *Membership) Owner(key fingerprint.Hash) Member { return Owner(ms.members, key) }
 
-// Owns reports whether this node owns the key.
-func (ms *Membership) Owns(key fingerprint.Hash) bool { return ms.Owner(key).ID == ms.self.ID }
-
 // Owner is the shipped ownership function: the member with the highest
 // rendezvous score for the key, ties broken by smaller ID. Pure — a
 // deterministic function of (member IDs, key) only — which is what

@@ -100,8 +100,7 @@ type Node struct {
 	ID string
 
 	c     *Cluster
-	local *vcache.Cache
-	cache *cluster.Cache
+	cache *cluster.Cache // swapped by Restart, under c.mu
 }
 
 // New builds and starts a fleet of cfg.Nodes nodes.
@@ -127,17 +126,17 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.nodes = make([]*Node, cfg.Nodes)
 	for i := range c.nodes {
-		n, err := c.boot(i)
+		cache, err := c.boot(i)
 		if err != nil {
 			return nil, err
 		}
-		c.nodes[i] = n
+		c.nodes[i] = &Node{ID: c.members[i].ID, c: c, cache: cache}
 	}
 	return c, nil
 }
 
 // boot opens (or reopens) node i's shard and builds its fleet cache.
-func (c *Cluster) boot(i int) (*Node, error) {
+func (c *Cluster) boot(i int) (*cluster.Cache, error) {
 	id := c.members[i].ID
 	local, err := vcache.Open(vcache.Config{Dir: filepath.Join(c.cfg.Dir, id)})
 	if err != nil {
@@ -160,16 +159,12 @@ func (c *Cluster) boot(i int) (*Node, error) {
 		Breaker:   c.cfg.Breaker,
 		Clock:     c.clock,
 	})
-	cache, err := cluster.NewCache(cluster.CacheConfig{
+	return cluster.NewCache(cluster.CacheConfig{
 		Membership:  ms,
 		Local:       local,
 		Client:      client,
 		CallTimeout: callTimeout,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Node{ID: id, c: c, local: local, cache: cache}, nil
 }
 
 // Members returns the static fleet view.
@@ -218,7 +213,7 @@ func (c *Cluster) Close() {
 	nodes := append([]*Node(nil), c.nodes...)
 	c.mu.Unlock()
 	for _, n := range nodes {
-		n.crash()
+		n.Store().Close()
 	}
 }
 
@@ -245,7 +240,7 @@ func (c *Cluster) Crash(i int) {
 	n := c.nodes[i]
 	c.down[n.ID] = true
 	c.mu.Unlock()
-	n.crash()
+	n.Store().Close()
 }
 
 // Restart brings a crashed node back: the shard directory is reopened
@@ -259,9 +254,7 @@ func (c *Cluster) Restart(i int) error {
 	}
 	c.mu.Lock()
 	n := c.nodes[i]
-	c.mu.Unlock()
-	n.adopt(fresh)
-	c.mu.Lock()
+	n.cache = fresh
 	delete(c.down, n.ID)
 	c.mu.Unlock()
 	return nil
@@ -289,8 +282,8 @@ func (c *Cluster) Heal() {
 }
 
 // reachable decides whether a message from src to dst can be delivered
-// at all, and hands back the destination node when it can.
-func (c *Cluster) reachable(src, dst string) (*Node, error) {
+// at all, and hands back the destination's shard when it can.
+func (c *Cluster) reachable(src, dst string) (*cluster.Shard, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.down[dst] {
@@ -301,7 +294,7 @@ func (c *Cluster) reachable(src, dst string) (*Node, error) {
 	}
 	for _, n := range c.nodes {
 		if n.ID == dst {
-			return n, nil
+			return &cluster.Shard{Local: n.cache.Local()}, nil
 		}
 	}
 	return nil, fmt.Errorf("sim: unknown node %s", dst)
@@ -329,30 +322,12 @@ func (n *Node) Store() *cluster.Cache {
 }
 
 // Local returns the node's raw shard (assertions on what is committed).
-func (n *Node) Local() *vcache.Cache {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	return n.local
-}
+func (n *Node) Local() *vcache.Cache { return n.Store().Local() }
 
-func (n *Node) crash() {
-	n.c.mu.Lock()
-	cache := n.cache
-	n.c.mu.Unlock()
-	cache.Close()
-}
-
-func (n *Node) adopt(fresh *Node) {
-	n.c.mu.Lock()
-	n.local, n.cache = fresh.local, fresh.cache
-	n.c.mu.Unlock()
-}
-
-// transport is one node's view of the simulated network. It mirrors the
-// daemon's /v1/peer/verdicts semantics — a fetch serves the
-// destination's raw shard, an offer runs the destination's decode gate
-// frame by frame. Reachability (crash, partition) fails a call as a
-// whole; the fault injector then decides each frame's fate on its own.
+// transport is one node's view of the simulated network. Reachability
+// (crash, partition) fails a call as a whole; the fault injector then
+// decides each frame's fate on its own, and what gets through meets the
+// destination's cluster.Shard — the code behind the daemon's endpoint.
 type transport struct {
 	c   *Cluster
 	src string
@@ -364,36 +339,27 @@ func (t *transport) FetchMany(ctx context.Context, peer cluster.Member, keys []f
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dst, err := t.c.reachable(t.src, peer.ID)
+	shard, err := t.c.reachable(t.src, peer.ID)
 	if err != nil {
 		return nil, err
 	}
 	frames := make([]cluster.Frame, len(keys))
 	for i, key := range keys {
-		frames[i].Key = key
 		label := t.c.label("fetch", t.src, peer.ID, key)
-		fault := t.c.net.Decide(label)
-		if fault == faultinject.NetDrop || fault == faultinject.NetDelay {
+		switch fault := t.c.net.Decide(label); fault {
+		case faultinject.NetDrop, faultinject.NetDelay:
 			// The frame never makes it back intact. What arrives in its
 			// place is not an entry, so the fetcher's decode gate
 			// degrades this key — and must not read it as a miss.
-			frames[i].Data = []byte{}
-			continue
+			frames[i] = cluster.Frame{Key: key, Data: []byte{}}
+		default:
+			frames[i] = shard.Fetch(keys[i : i+1])[0]
+			if fault == faultinject.NetCorrupt && frames[i].Data != nil {
+				// The reply is damaged in flight; the fetcher's decode gate
+				// must turn this into a degradation, never a wrong verdict.
+				frames[i].Data = faultinject.Damage(frames[i].Data, t.c.net.DamageMode(label))
+			}
 		}
-		e := dst.Local().Get(key)
-		if e == nil {
-			continue // authoritative miss
-		}
-		data, err := vcache.EncodeEntry(key, e)
-		if err != nil {
-			return nil, err
-		}
-		if fault == faultinject.NetCorrupt {
-			// The reply is damaged in flight; the fetcher's decode gate
-			// must turn this into a degradation, never a wrong verdict.
-			data = faultinject.Damage(data, t.c.net.DamageMode(label))
-		}
-		frames[i].Data = data
 	}
 	return frames, nil
 }
@@ -402,28 +368,21 @@ func (t *transport) OfferMany(ctx context.Context, peer cluster.Member, frames [
 	if err := t.c.hold(ctx); err != nil {
 		return nil, err
 	}
-	dst, err := t.c.reachable(t.src, peer.ID)
+	shard, err := t.c.reachable(t.src, peer.ID)
 	if err != nil {
 		return nil, err
 	}
 	var refused []fingerprint.Hash
 	for _, f := range frames {
 		label := t.c.label("offer", t.src, peer.ID, f.Key)
-		data := f.Data
-		switch t.c.net.Decide(label) {
-		case faultinject.NetDrop, faultinject.NetDelay:
-			// The frame is lost on the way: the owner stores nothing
-			// and the sender counts a forward failure.
-			refused = append(refused, f.Key)
-			continue
-		case faultinject.NetCorrupt:
-			data = faultinject.Damage(data, t.c.net.DamageMode(label))
+		fault := t.c.net.Decide(label)
+		if fault == faultinject.NetCorrupt {
+			f.Data = faultinject.Damage(f.Data, t.c.net.DamageMode(label))
 		}
-		// The receiving node's decode gate: a damaged frame is refused
-		// (the sender counts a forward failure), exactly like the
-		// daemon's.
-		e, err := vcache.DecodeEntry(f.Key, data)
-		if err != nil || dst.Local().Put(f.Key, e) != nil {
+		// A frame lost on the way is stored nowhere; one damaged on the
+		// way is the owner's decode gate's to refuse. Either way the
+		// sender counts a forward failure.
+		if fault == faultinject.NetDrop || fault == faultinject.NetDelay || !shard.Offer(f) {
 			refused = append(refused, f.Key)
 		}
 	}

@@ -17,18 +17,12 @@ import (
 // is neither retried nor counted against the peer's circuit breaker.
 var ErrNotFound = errors.New("cluster: peer has no entry for key")
 
-// Transport moves batches of encoded verdict-cache entries between
-// peers, one round trip per call. Frames carry the exact EVCACHE1 byte
-// format vcache writes to disk — versioned header, key fingerprint,
-// payload checksum — so the wire inherits the store's defensive
-// decoding: whoever receives a frame validates it with
-// vcache.DecodeEntry under the frame's key, and any damage in flight
-// is a miss for that key, never a wrong verdict.
-//
+// Transport moves batches of frames (frame.go) between peers, one round
+// trip per call; what a batch means to the peer is Shard's business.
 // Implementations: HTTPTransport (production, over the daemon's
-// /v1/peer/verdicts endpoint) and sim.Transport (deterministic
-// in-memory fleet with fault injection). An error fails the whole call
-// and is subject to the client's retry policy.
+// PeerPath endpoint) and the simulator's in-memory transport with fault
+// injection. An error fails the whole call and is subject to the
+// client's retry policy.
 type Transport interface {
 	// FetchMany asks the peer for its entries under keys. The reply has
 	// one frame per key, in the order asked; a frame without Data is
@@ -46,9 +40,9 @@ type Transport interface {
 // the fetching client and the daemon's offer path.
 const maxWireEntry = 16 << 20
 
-// HTTPTransport reaches peers over the daemon's /v1/peer/verdicts
-// endpoint: POST fetches, PUT offers, both bodies and both replies
-// frame streams. Safe for concurrent use.
+// HTTPTransport reaches peers over the daemon's PeerPath endpoint: POST
+// fetches, PUT offers, both bodies and both replies frame streams. Safe
+// for concurrent use.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; nil selects
 	// http.DefaultClient. Per-attempt deadlines arrive via ctx (the
@@ -70,7 +64,7 @@ func (t *HTTPTransport) client() *http.Client {
 // (bounded) before it is closed on every status, so a refusal does not
 // cost the keep-alive connection.
 func (t *HTTPTransport) exchange(ctx context.Context, method string, peer Member, frames []Frame, each func(Frame) error) error {
-	req, err := http.NewRequestWithContext(ctx, method, peer.URL+"/v1/peer/verdicts", bytes.NewReader(EncodeFrames(frames)))
+	req, err := http.NewRequestWithContext(ctx, method, peer.URL+PeerPath, bytes.NewReader(EncodeFrames(frames)))
 	if err != nil {
 		return err
 	}

@@ -168,6 +168,22 @@ func (d *DeltaReport) Render() string {
 	return b.String()
 }
 
+// CheckBaseContext is the pass a diff starts from: a full check of the
+// predecessor that leaves its verdicts in Options.Cache, with KeepGoing
+// forced on so every independent verdict is stored whatever else
+// fails. failed says the base itself does not refine — context for the
+// delta, whose failures then classify as pre-existing, not an error;
+// err is only ever fatal (read it with Classify).
+func (c *Checker) CheckBaseContext(ctx context.Context, oldGs, gd *graph.Graph, oldRi *relation.Relation) (failed bool, err error) {
+	opts := c.opts
+	opts.KeepGoing = true
+	report, err := (&Checker{opts: opts}).CheckContext(ctx, oldGs, gd, oldRi)
+	if report != nil {
+		return err != nil, nil
+	}
+	return false, err
+}
+
 // DiffCheck is DiffCheckContext with a background context.
 func (c *Checker) DiffCheck(oldGs, newGs, gd *graph.Graph, oldRi, newRi *relation.Relation) (*DeltaReport, error) {
 	return c.DiffCheckContext(context.Background(), oldGs, newGs, gd, oldRi, newRi)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -147,6 +148,46 @@ func FailingOp(err error) *graph.Node {
 		return ie.Op
 	}
 	return nil
+}
+
+// Outcome is what one whole check amounts to: the sentence a front end
+// turns into an exit code or an HTTP status, and decides no part of.
+type Outcome int
+
+const (
+	// Refined: G_d refines G_s and the report carries R_o.
+	Refined Outcome = iota
+	// Failed: the checker's statement about the model. Some operator is
+	// disproved or inconclusive — or faulted in KeepGoing mode, where
+	// the report survives and lists it beside the others.
+	Failed
+	// Cancelled: the run's context ended before a verdict.
+	Cancelled
+	// Fault: an operator's check panicked and took a first-error run
+	// with it. The engine failed, not the model or the caller.
+	Fault
+	// Invalid: not a checkable problem — a malformed graph, a
+	// collective in G_s, an input without a relation.
+	Invalid
+)
+
+// Classify reads the outcome off what CheckContext, DiffCheckContext
+// (pass its Report) or CheckBaseContext returned under ctx. The order
+// decides: a run whose context ended is Cancelled whatever else it says,
+// and a report with Failures is Failed even when the first is a fault.
+func Classify(ctx context.Context, report *Report, err error) Outcome {
+	var ef *EngineFaultError
+	switch {
+	case err == nil:
+		return Refined
+	case ctx.Err() != nil:
+		return Cancelled
+	case report != nil && len(report.Failures) > 0, FailingOp(err) != nil:
+		return Failed
+	case errors.As(err, &ef):
+		return Fault
+	}
+	return Invalid
 }
 
 // EngineFaultError reports a panic recovered during one operator's

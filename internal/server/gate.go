@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -89,8 +90,8 @@ func (g *Gate) bump() {
 }
 
 // Acquire admits the caller or reports why it cannot: ErrDraining once
-// shutdown has begun, or ctx.Err() if the context expires while queued
-// at capacity.
+// shutdown has begun, or an error wrapping ctx.Err() if the context
+// expires while queued at capacity.
 func (g *Gate) Acquire(ctx context.Context) error {
 	for {
 		g.mu.Lock()
@@ -107,7 +108,7 @@ func (g *Gate) Acquire(ctx context.Context) error {
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return ctx.Err()
+			return fmt.Errorf("queued past deadline: %w", ctx.Err())
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -60,7 +61,8 @@ func goldenEdit(t *testing.T, gs *graph.Graph, broken bool) *graph.Graph {
 // TestGoldenResponses pins status and body (minus wall-clock fields)
 // of /v1/check and /v1/recheck, plus /v1/stats' daemon counters, over one daemon: cold, warm,
 // keep_going failure, a recheck batch (edit, identical, broken edit),
-// malformed timeouts, and admission refusal while draining.
+// malformed timeouts, and admission refusal while draining; then, over
+// a daemon whose checker faults, what an engine fault is answered with.
 func TestGoldenResponses(t *testing.T) {
 	build := func(b *models.Built, err error) *models.Built {
 		t.Helper()
@@ -73,13 +75,19 @@ func TestGoldenResponses(t *testing.T) {
 	gptBad := build(models.GPT(models.Options{TP: 2, Bug: models.Bug7MissingAllReduce}))
 	moe := build(models.SeedMoE(models.Options{TP: 2}))
 
-	vc, err := vcache.Open(vcache.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
+	daemon := func(opts core.Options) (*Server, *httptest.Server) {
+		t.Helper()
+		vc, err := vcache.Open(vcache.Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Cache = vc
+		srv := New(Config{Options: opts, MaxConcurrent: 2})
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return srv, ts
 	}
-	srv := New(Config{Options: core.Options{Cache: vc}, MaxConcurrent: 2})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	srv, ts := daemon(core.Options{})
 
 	var got strings.Builder
 	do := func(name, method, path string, body []byte) {
@@ -143,6 +151,32 @@ func TestGoldenResponses(t *testing.T) {
 	stats := getStats(t, ts)
 	stats.UptimeSeconds, stats.Cache = 0, nil
 	fmt.Fprintf(&got, "== stats ==\n%+v\n", stats)
+
+	// A second daemon whose checker panics at one operator, as a buggy
+	// lemma would: the engine-fault answers (the daemon's log, where the
+	// stacks go, is not part of them).
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	_, ts = daemon(core.Options{PreOp: bombAt("L0/fc1", always)})
+	do("fault check", "POST", "/v1/check", requestBody(t, gpt, nil))
+	do("fault check keep_going", "POST", "/v1/check", requestBody(t, gpt, setField("keep_going", true)))
+	var check map[string]json.RawMessage
+	if err := json.Unmarshal(requestBody(t, gpt, nil), &check); err != nil {
+		t.Fatal(err)
+	}
+	faulting, err := json.Marshal(map[string]any{
+		"base":       check["gs"],
+		"candidates": []json.RawMessage{graphJSON(t, goldenEdit(t, gpt.Gs, false))},
+		"gd":         check["gd"],
+		"rel":        check["rel"],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do("fault recheck", "POST", "/v1/recheck", faulting)
+	stats = getStats(t, ts)
+	stats.UptimeSeconds, stats.Cache = 0, nil
+	fmt.Fprintf(&got, "== fault stats ==\n%+v\n", stats)
 
 	if *update {
 		if err := os.WriteFile(goldenResponses, []byte(got.String()), 0o644); err != nil {

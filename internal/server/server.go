@@ -15,6 +15,10 @@
 //	POST|PUT /v1/peer/verdicts — fleet nodes only: a batch of verdicts
 //	                    fetched from / offered to this node's shard
 //
+// The handlers are codecs: every check — /v1/check, a recheck's base
+// pass, each candidate — goes through run, what it amounts to is
+// core.Classify's decision, and answers is the daemon's reading of it.
+//
 // Checks run under a bounded admission gate (Config.MaxConcurrent, see
 // gate.go) and a per-request deadline threaded through context, so one
 // pathological graph can neither monopolize the process nor hang a
@@ -26,15 +30,15 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -42,7 +46,6 @@ import (
 	"entangle/internal/core"
 	"entangle/internal/egraph"
 	"entangle/internal/exprparse"
-	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
 	"entangle/internal/hlo"
 	"entangle/internal/lemmas"
@@ -68,12 +71,10 @@ type Config struct {
 	// (0 = DefaultMaxBodyBytes). Oversized requests get 413 instead of
 	// buffering without bound.
 	MaxBodyBytes int64
-	// Local is this node's own verdict shard, served raw to fleet
-	// peers on /v1/peer/verdicts. It is deliberately distinct from
-	// Options.Cache: in a fleet, Options.Cache is the cluster-routing
-	// store, and peer traffic must hit the local shard directly or a
-	// fetch could recurse back into the fleet. Nil disables the peer
-	// endpoints (404).
+	// Local is this node's own verdict shard, served to fleet peers on
+	// cluster.PeerPath — the raw store, where Options.Cache is the
+	// fleet-routing one (see cluster.Shard). Nil disables the peer
+	// endpoint (404).
 	Local *vcache.Cache
 	// ClusterInfo, when non-nil, is rendered into /v1/stats under
 	// "cluster" (the daemon wires the fleet cache's counters here).
@@ -89,7 +90,7 @@ const DefaultMaxBodyBytes = 64 << 20
 // Server handles the daemon's HTTP API. Safe for concurrent use.
 type Server struct {
 	cfg   Config
-	cache core.VerdictStore
+	shard *cluster.Shard // nil unless Config.Local is set
 	mux   *http.ServeMux
 	gate  *Gate
 	start time.Time
@@ -99,8 +100,6 @@ type Server struct {
 	failed   atomic.Int64 // checks that disproved or degraded
 	errored  atomic.Int64 // malformed requests, cancellations, faults
 	inflight atomic.Int64 // checks currently running or queued
-	peerGets atomic.Int64 // keys fetched over /v1/peer/verdicts (hit or miss)
-	peerPuts atomic.Int64 // entries offered over /v1/peer/verdicts and accepted
 }
 
 // New builds a server.
@@ -116,17 +115,30 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:   cfg,
-		cache: cfg.Options.Cache,
 		mux:   http.NewServeMux(),
 		gate:  NewGate(cfg.MaxConcurrent),
 		start: time.Now(),
 	}
-	s.mux.HandleFunc("/v1/check", s.handleCheck)
-	s.mux.HandleFunc("/v1/recheck", s.handleRecheck)
-	s.mux.HandleFunc("/v1/peer/verdicts", s.handlePeerVerdicts)
-	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	if cfg.Local != nil {
+		s.shard = &cluster.Shard{Local: cfg.Local}
+	}
+	s.mux.HandleFunc("/v1/check", only(http.MethodPost, s.handleCheck))
+	s.mux.HandleFunc("/v1/recheck", only(http.MethodPost, s.handleRecheck))
+	s.mux.HandleFunc(cluster.PeerPath, s.handlePeerVerdicts)
+	s.mux.HandleFunc("/v1/healthz", only(http.MethodGet, s.handleHealthz))
+	s.mux.HandleFunc("/v1/stats", only(http.MethodGet, s.handleStats))
 	return s
+}
+
+// only answers every other method 405.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		h(w, r)
+	}
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -153,7 +165,7 @@ type CheckRequest struct {
 
 // CheckResponse is the /v1/check reply. Verdict is "refined",
 // "failed", or "cancelled"; Error carries the failure text verbatim
-// (the same rendering the CLI prints).
+// (the same rendering the CLI prints, minus an engine fault's stack).
 type CheckResponse struct {
 	Verdict string `json:"verdict"`
 	Error   string `json:"error,omitempty"`
@@ -192,19 +204,11 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
@@ -215,13 +219,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		Draining:      s.gate.Snapshot().Draining,
 	}
-	if s.cache != nil {
-		snap := s.cache.Stats().Snapshot()
+	if s.cfg.Options.Cache != nil {
+		snap := s.cfg.Options.Cache.Stats().Snapshot()
 		resp.Cache = &snap
 	}
-	if s.cfg.Local != nil {
-		resp.PeerGets = s.peerGets.Load()
-		resp.PeerPuts = s.peerPuts.Load()
+	if s.shard != nil {
+		resp.PeerGets, resp.PeerPuts = s.shard.Served()
 	}
 	if s.cfg.ClusterInfo != nil {
 		resp.Cluster = s.cfg.ClusterInfo()
@@ -229,87 +232,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePeerVerdicts serves the fleet's peer-to-peer verdict exchange,
-// a batch per request: POST fetches this node's entries for the keys
-// in the body, PUT accepts forwarded verdicts. Bodies and replies are
-// cluster frame streams whose entry bytes are the vcache on-disk format
-// (EncodeEntry/DecodeEntry), so the same defensive gate that protects
-// the disk store protects the wire, frame by frame: an offered frame
-// that fails DecodeEntry under its own key is refused — never stored,
-// named in the reply — while its neighbours are stored, and a reply
-// frame that fails the fetcher's decode is that key's miss. A body
-// that does not parse as frames is refused as a whole (400). The
-// handler serves Config.Local — the node's own shard — directly, never
-// Options.Cache, so peer traffic cannot recurse back into fleet
-// routing.
+// handlePeerVerdicts mounts the node's shard (cluster.Shard, where the
+// peer protocol lives) behind the daemon's own concerns: the body bound
+// and a drain. Peers treat 503 like any transport failure — retry or
+// degrade to a local cold check — so a drain never waits on peer chatter.
 func (s *Server) handlePeerVerdicts(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Local == nil {
+	switch {
+	case s.shard == nil:
 		http.Error(w, "not a fleet node", http.StatusNotFound)
-		return
-	}
-	if s.gate.Snapshot().Draining {
-		// Peers treat 503 like any transport failure: retry elsewhere in
-		// time or degrade to a local cold check. Refusing early keeps a
-		// drain from waiting on peer chatter.
+	case s.gate.Snapshot().Draining:
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+	default:
+		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		s.shard.ServeHTTP(w, r)
 	}
-	if r.Method != http.MethodPost && r.Method != http.MethodPut {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-
-	// Read the whole request before the first reply byte. Offered
-	// entries are stored as their frames arrive; the reply holds only
-	// keys until it is written.
-	frames := cluster.NewFrameReader(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	var reply []fingerprint.Hash // POST: the keys asked; PUT: the keys refused
-	for {
-		f, err := frames.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				http.Error(w, fmt.Sprintf("batch exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-				return
-			}
-			http.Error(w, fmt.Sprintf("reading batch: %v", err), http.StatusBadRequest)
-			return
-		}
-		if r.Method == http.MethodPost {
-			reply = append(reply, f.Key)
-			continue
-		}
-		// The decode gate is the correctness boundary: a frame that
-		// fails validation is refused, so a confused or corrupting peer
-		// can never plant a wrong verdict in this shard.
-		e, err := vcache.DecodeEntry(f.Key, f.Data)
-		if err != nil || s.cfg.Local.Put(f.Key, e) != nil {
-			reply = append(reply, f.Key)
-			continue
-		}
-		s.peerPuts.Add(1)
-	}
-
-	w.Header().Set("Content-Type", "application/octet-stream")
-	out := bufio.NewWriter(w)
-	var buf []byte
-	for _, key := range reply {
-		f := cluster.Frame{Key: key}
-		if r.Method == http.MethodPost {
-			s.peerGets.Add(1)
-			if e := s.cfg.Local.Get(key); e != nil {
-				// An entry that will not encode is answered as a miss,
-				// which only ever means "compute it yourself".
-				f.Data, _ = vcache.EncodeEntry(key, e)
-			}
-		}
-		buf = cluster.AppendFrame(buf[:0], f)
-		_, _ = out.Write(buf)
-	}
-	_ = out.Flush()
 }
 
 // decodeBody decodes a JSON request body under the configured byte
@@ -320,24 +256,86 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	if err := json.NewDecoder(body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.errored.Add(1)
-			writeJSON(w, http.StatusRequestEntityTooLarge, CheckResponse{
-				Verdict: "failed",
-				Error:   fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-			})
-			return false
+			s.refuse(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		} else {
+			s.badRequest(w, "decoding request: %v", err)
 		}
-		s.badRequest(w, "decoding request: %v", err)
 		return false
 	}
 	return true
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
+// answers is the daemon's whole reading of a check's outcome: the
+// status it is answered with and the verdict word in the body. A fault
+// is the daemon's failure (500), an invalid problem the client's (400).
+var answers = map[core.Outcome]struct {
+	status  int
+	verdict string
+}{
+	core.Refined:   {http.StatusOK, "refined"},
+	core.Failed:    {http.StatusUnprocessableEntity, "failed"},
+	core.Cancelled: {http.StatusServiceUnavailable, "cancelled"},
+	core.Fault:     {http.StatusInternalServerError, "failed"},
+	core.Invalid:   {http.StatusBadRequest, "failed"},
+}
+
+// count files one classified check under its /v1/stats counter, which
+// agrees with its status: 200 refined, 422 failed, anything else errors.
+func (s *Server) count(o core.Outcome) {
+	switch o {
+	case core.Refined:
+		s.refined.Add(1)
+	case core.Failed:
+		s.failed.Add(1)
+	default:
+		s.errored.Add(1)
 	}
+}
+
+// run is the daemon's one way to run a check: a context of its own (the
+// request's, which caps a whole batch, under the per-check timeout), a
+// gate slot, the check, and core.Classify over what came back. The gate
+// bounds concurrent saturations and refuses admission once a drain has
+// begun; a check it refuses, or one still queued at its deadline, is
+// Cancelled with the reason as its message instead of running late. msg
+// is the error as a response body carries it.
+func (s *Server) run(r *http.Request, timeout time.Duration,
+	check func(context.Context) (*core.Report, error)) (o core.Outcome, report *core.Report, msg string) {
+	ctx, cancel := context.WithCancel(r.Context())
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(r.Context(), timeout)
+	}
+	defer cancel()
+	if err := s.gate.Acquire(ctx); err != nil {
+		return core.Cancelled, nil, err.Error()
+	}
+	defer s.gate.Release()
+	report, err := check(ctx)
+	if o = core.Classify(ctx, report, err); err != nil {
+		msg = err.Error()
+	}
+	if o == core.Fault || (report != nil && len(report.Failures) > 0 && report.Failures[0].Kind == core.VerdictEngineFault) {
+		// An engine fault's text ends in the panicking goroutine's stack,
+		// which is the daemon's to log: the client gets the first line
+		// (and, from a KeepGoing report, the operator among its failures).
+		log.Printf("entangled: %s", msg)
+		msg, _, _ = strings.Cut(msg, "\n")
+	}
+	return o, report, msg
+}
+
+// describe lists a report's failing operators, one deterministic line
+// each (KeepGoing mode; nil otherwise).
+func describe(report *core.Report) (failures []string) {
+	if report != nil {
+		for _, v := range report.Failures {
+			failures = append(failures, v.Describe())
+		}
+	}
+	return failures
+}
+
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -361,66 +359,31 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "loading relation: %v", err)
 		return
 	}
-	checkCtx, ok := s.parseTimeout(w, r, req.Timeout)
+	timeout, ok := s.parseTimeout(w, req.Timeout)
 	if !ok {
 		return
 	}
-	ctx, cancel := checkCtx()
-	defer cancel()
-	if msg, err := s.admit(ctx); err != nil {
-		s.errored.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable,
-			CheckResponse{Verdict: "cancelled", Error: msg})
-		return
-	}
-	defer s.gate.Release()
-
 	opts := s.cfg.Options
 	opts.KeepGoing = opts.KeepGoing || req.KeepGoing
-	report, err := core.NewChecker(opts).CheckContext(ctx, gs, gd, ri)
-	switch {
-	case err == nil:
-		s.refined.Add(1)
-		resp := CheckResponse{
-			Verdict:      "refined",
-			OpsProcessed: report.OpsProcessed,
-			DurationMS:   report.Duration.Milliseconds(),
-			Stats:        report.Stats,
-			LiveStats:    report.LiveStats,
-			Cache:        report.Cache,
-		}
+	o, report, msg := s.run(r, timeout, func(ctx context.Context) (*core.Report, error) {
+		return core.NewChecker(opts).CheckContext(ctx, gs, gd, ri)
+	})
+	s.count(o)
+	resp := CheckResponse{Verdict: answers[o].verdict, Error: msg, Failures: describe(report)}
+	if report != nil {
+		resp.OpsProcessed = report.OpsProcessed
+		resp.DurationMS = report.Duration.Milliseconds()
+		resp.Stats = report.Stats
+		resp.LiveStats = report.LiveStats
+		resp.Cache = report.Cache
+	}
+	if o == core.Refined {
 		resp.OutputRelation = renderOutputs(report, gs)
 		if req.Verbose {
 			resp.FullRelation = report.FullRelation.Render(gs)
 		}
-		writeJSON(w, http.StatusOK, resp)
-
-	case ctx.Err() != nil:
-		s.errored.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable,
-			CheckResponse{Verdict: "cancelled", Error: err.Error()})
-
-	default:
-		resp := CheckResponse{Verdict: "failed", Error: err.Error()}
-		if core.FailingOp(err) == nil {
-			// Malformed graphs or an engine fault, not an analysis
-			// verdict.
-			s.badRequest(w, "%v", err)
-			return
-		}
-		s.failed.Add(1)
-		if report != nil {
-			resp.OpsProcessed = report.OpsProcessed
-			resp.DurationMS = report.Duration.Milliseconds()
-			resp.Stats = report.Stats
-			resp.LiveStats = report.LiveStats
-			resp.Cache = report.Cache
-			for _, v := range report.Failures {
-				resp.Failures = append(resp.Failures, v.Describe())
-			}
-		}
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
 	}
+	writeJSON(w, answers[o].status, resp)
 }
 
 // RecheckRequest is the /v1/recheck body: one base (already-verified)
@@ -467,10 +430,6 @@ type RecheckResponse struct {
 }
 
 func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	s.requests.Add(1)
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -498,159 +457,113 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "loading relation against base: %v", err)
 		return
 	}
-	// Per-check context: the request context caps the whole batch, the
-	// timeout caps each admitted check individually.
-	checkCtx, ok := s.parseTimeout(w, r, req.Timeout)
+	timeout, ok := s.parseTimeout(w, req.Timeout)
 	if !ok {
 		return
 	}
 
 	// Warm the cache with the base graph's verdicts under one gate slot
-	// (replays when the daemon has seen it before). Base refinement
-	// failures are delta context — candidates then classify their own
-	// failures as pre-existing — not batch errors.
+	// (replays when the daemon has seen it before). A base that fails
+	// refinement is delta context — candidates then classify their own
+	// failures as pre-existing — not a batch error.
 	resp := RecheckResponse{BaseVerdict: "refined"}
-	warm := s.cfg.Options
-	warm.KeepGoing = true
-	baseErr := func() error {
-		ctx, cancel := checkCtx()
-		defer cancel()
-		if _, err := s.admit(ctx); err != nil {
-			return err
-		}
-		defer s.gate.Release()
-		_, err := core.NewChecker(warm).CheckContext(ctx, base, gd, baseRi)
-		if core.FailingOp(err) != nil {
+	checker := core.NewChecker(s.cfg.Options)
+	switch o, _, msg := s.run(r, timeout, func(ctx context.Context) (*core.Report, error) {
+		failed, err := checker.CheckBaseContext(ctx, base, gd, baseRi)
+		if failed {
 			resp.BaseVerdict = "failed"
-			return nil
 		}
-		return err
-	}()
-	if baseErr != nil {
-		if r.Context().Err() != nil || errors.Is(baseErr, ErrDraining) || errors.Is(baseErr, context.DeadlineExceeded) {
-			s.errored.Add(1)
-			resp.BaseVerdict = "cancelled"
-			resp.Error = baseErr.Error()
-			writeJSON(w, http.StatusServiceUnavailable, resp)
-			return
-		}
-		s.badRequest(w, "checking base G_s: %v", baseErr)
+		return nil, err
+	}); o {
+	case core.Refined:
+	case core.Cancelled:
+		s.errored.Add(1)
+		resp.BaseVerdict, resp.Error = answers[o].verdict, msg
+		writeJSON(w, answers[o].status, resp)
+		return
+	default:
+		s.refuse(w, answers[o].status, "checking base G_s: %s", msg)
 		return
 	}
 
 	// Each candidate takes its own gate slot, so a drain begun
 	// mid-batch bounces the remaining candidates ("draining") while the
-	// finished ones keep their deltas.
-	anyFailed, anyCancelled := false, false
+	// finished ones keep their deltas; the worst status answers the batch.
+	status := http.StatusOK
 	for _, raw := range req.Candidates {
-		resp.Candidates = append(resp.Candidates, s.recheckOne(checkCtx, req.Format, raw, base, baseRi, gd, req.Rel))
-		c := &resp.Candidates[len(resp.Candidates)-1]
-		switch c.Verdict {
-		case "refined":
-			s.refined.Add(1)
-		case "failed":
-			s.failed.Add(1)
-			anyFailed = true
-		default:
-			s.errored.Add(1)
-			anyCancelled = true
-		}
+		o, c := s.recheckOne(r, timeout, checker, &req, raw, base, gd, baseRi)
+		s.count(o)
+		resp.Candidates = append(resp.Candidates, c)
+		status = max(status, answers[o].status)
 	}
-	switch {
-	case anyCancelled:
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-	case anyFailed:
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
-	default:
-		writeJSON(w, http.StatusOK, resp)
-	}
+	writeJSON(w, status, resp)
 }
 
-// recheckOne incrementally re-verifies a single candidate against the
-// warmed base under its own gate slot.
-func (s *Server) recheckOne(checkCtx func() (context.Context, context.CancelFunc),
-	format string, raw json.RawMessage, base *graph.Graph, baseRi *relation.Relation,
-	gd *graph.Graph, rel map[string][]string) RecheckCandidate {
-	cand, err := decodeGraph(raw, format)
+// recheckOne incrementally re-verifies one candidate against the warmed
+// base under its own gate slot. Within a batch a candidate that cannot be
+// loaded or checked is a failed candidate, never Invalid or Fault.
+func (s *Server) recheckOne(r *http.Request, timeout time.Duration, checker *core.Checker, req *RecheckRequest, raw json.RawMessage,
+	base, gd *graph.Graph, baseRi *relation.Relation) (core.Outcome, RecheckCandidate) {
+	failed := func(format string, err error) (core.Outcome, RecheckCandidate) {
+		return core.Failed, RecheckCandidate{Verdict: answers[core.Failed].verdict, Error: fmt.Sprintf(format, err)}
+	}
+	cand, err := decodeGraph(raw, req.Format)
 	if err != nil {
-		return RecheckCandidate{Verdict: "failed", Error: fmt.Sprintf("loading candidate: %v", err)}
+		return failed("loading candidate: %v", err)
 	}
-	ri, err := exprparse.ParseRelation(rel, cand, gd)
+	ri, err := exprparse.ParseRelation(req.Rel, cand, gd)
 	if err != nil {
-		return RecheckCandidate{Verdict: "failed", Error: fmt.Sprintf("loading relation against candidate: %v", err)}
+		return failed("loading relation against candidate: %v", err)
 	}
-	ctx, cancel := checkCtx()
-	defer cancel()
-	if msg, err := s.admit(ctx); err != nil {
-		return RecheckCandidate{Verdict: "cancelled", Error: msg}
-	}
-	defer s.gate.Release()
-
-	delta, err := core.NewChecker(s.cfg.Options).DiffCheckContext(ctx, base, cand, gd, baseRi, ri)
-	if delta == nil {
-		if ctx.Err() != nil {
-			return RecheckCandidate{Verdict: "cancelled", Error: err.Error()}
-		}
-		return RecheckCandidate{Verdict: "failed", Error: err.Error()}
-	}
-	c := RecheckCandidate{
-		Verdict:      "refined",
-		UnchangedOps: delta.UnchangedOps,
-		ReplayedOps:  delta.ReplayedOps,
-		RecheckedOps: delta.RecheckedOps,
-		Changed:      delta.Changed,
-		NewlyFailing: delta.NewlyFailing,
-		DurationMS:   delta.Report.Duration.Milliseconds(),
-		Cache:        delta.Report.Cache,
-	}
-	if err != nil {
-		c.Verdict = "failed"
-		c.Error = err.Error()
-		for _, v := range delta.Report.Failures {
-			c.Failures = append(c.Failures, v.Describe())
-		}
-	}
-	return c
-}
-
-// parseTimeout turns a request's timeout field (empty selects
-// Config.DefaultTimeout) into a constructor of per-check contexts; a
-// malformed value is answered 400 and reported as !ok.
-func (s *Server) parseTimeout(w http.ResponseWriter, r *http.Request, field string) (func() (context.Context, context.CancelFunc), bool) {
-	timeout := s.cfg.DefaultTimeout
-	if field != "" {
+	var delta *core.DeltaReport
+	o, report, msg := s.run(r, timeout, func(ctx context.Context) (*core.Report, error) {
 		var err error
-		if timeout, err = time.ParseDuration(field); err != nil || timeout <= 0 {
-			s.badRequest(w, "bad timeout %q", field)
-			return nil, false
+		if delta, err = checker.DiffCheckContext(ctx, base, cand, gd, baseRi, ri); delta == nil {
+			return nil, err
 		}
+		return delta.Report, err
+	})
+	if o == core.Invalid || o == core.Fault {
+		o = core.Failed
 	}
-	return func() (context.Context, context.CancelFunc) {
-		if timeout > 0 {
-			return context.WithTimeout(r.Context(), timeout)
-		}
-		return context.WithCancel(r.Context())
-	}, true
+	c := RecheckCandidate{Verdict: answers[o].verdict, Error: msg, Failures: describe(report)}
+	if delta != nil {
+		c.UnchangedOps = delta.UnchangedOps
+		c.ReplayedOps = delta.ReplayedOps
+		c.RecheckedOps = delta.RecheckedOps
+		c.Changed = delta.Changed
+		c.NewlyFailing = delta.NewlyFailing
+		c.DurationMS = report.Duration.Milliseconds()
+		c.Cache = report.Cache
+	}
+	return o, c
 }
 
-// admit takes a gate slot, which the caller releases. The gate bounds
-// concurrent saturations and refuses admission once a drain has begun;
-// a request whose deadline expires while queued reports the
-// cancellation (msg, for the client) instead of running late.
-func (s *Server) admit(ctx context.Context) (msg string, err error) {
-	switch err = s.gate.Acquire(ctx); {
-	case err == nil:
-		return "", nil
-	case errors.Is(err, ErrDraining):
-		return err.Error(), err
+// parseTimeout reads a request's timeout field (empty selects
+// Config.DefaultTimeout, 0 = none); a malformed value is answered 400
+// and reported as !ok.
+func (s *Server) parseTimeout(w http.ResponseWriter, field string) (timeout time.Duration, ok bool) {
+	if field == "" {
+		return s.cfg.DefaultTimeout, true
 	}
-	return fmt.Sprintf("queued past deadline: %v", err), err
+	timeout, err := time.ParseDuration(field)
+	if err != nil || timeout <= 0 {
+		s.badRequest(w, "bad timeout %q", field)
+		return 0, false
+	}
+	return timeout, true
+}
+
+// refuse answers a request that never became a classified check —
+// unreadable, oversized, a base pass that could not run — and counts it
+// as errored.
+func (s *Server) refuse(w http.ResponseWriter, status int, format string, args ...any) {
+	s.errored.Add(1)
+	writeJSON(w, status, CheckResponse{Verdict: "failed", Error: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
-	s.errored.Add(1)
-	writeJSON(w, http.StatusBadRequest,
-		CheckResponse{Verdict: "failed", Error: fmt.Sprintf(format, args...)})
+	s.refuse(w, http.StatusBadRequest, format, args...)
 }
 
 func decodeGraph(raw json.RawMessage, format string) (*graph.Graph, error) {

@@ -1,64 +1,104 @@
 #!/bin/sh
-# Full verification gate: formatting, vet, build, the complete test
-# suite, and the race detector over the concurrent packages (the
-# wavefront scheduler in core, the e-graph engine it drives, and the
-# synchronized relation store). CI and `make verify` both run this.
+# The verification gate, stage by stage. This file is the only list of
+# what each stage runs: `make verify` runs every stage, `make lint` and
+# `make mc` one each, and the CI jobs call the stages they overlap with.
+#
+#   sh scripts/verify.sh            # all stages, in the order below
+#   sh scripts/verify.sh mc lint    # the named stages
 set -eu
+
+stages="fmt vet test race peerfuzz mc lint"
 
 cd "$(dirname "$0")/.."
 
-echo "== gofmt =="
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-    echo "gofmt: files need formatting:" >&2
-    echo "$unformatted" >&2
-    exit 1
-fi
+stage_fmt() {
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: files need formatting:" >&2
+        echo "$unformatted" >&2
+        exit 1
+    fi
+}
 
-echo "== go vet =="
-go vet ./...
+stage_vet() {
+    go vet ./...
+}
 
-echo "== go build =="
-go build ./...
+stage_test() {
+    go build ./...
+    go test ./...
+}
 
-echo "== go test =="
-go test ./...
+# The race detector over the concurrent packages (the wavefront
+# scheduler in core, the e-graph engine it drives, the synchronized
+# relation store, the caches, the daemon, the fleet).
+stage_race() {
+    # -timeout on core: the robustness suite's worst regression mode is a
+    # deadlocked worker pool, which must fail the gate instead of hanging it.
+    # ENTANGLE_CHECK_INVARIANTS makes every e-graph Rebuild finish with the
+    # full structural audit, so the race section doubles as the
+    # invariant-checked test mode (memo/class agreement, parent
+    # registration, count bookkeeping — see egraph.CheckInvariants).
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/egraph/... ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
+    go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/... ./internal/cluster/...
+    # bench drives the checker through its concurrent harnesses — including
+    # the planned-vs-unplanned differential at workers 1/4 that pins the
+    # plan/execute refactor byte-identical; mc's own large-scope exploration
+    # is skipped here (-short) and covered by the dedicated mc CI job.
+    go test -race -timeout 300s ./internal/bench/...
+    # fuzz composes random strategies and checks them with Workers>1; the
+    # race run doubles as a worker-count-independence stress.
+    go test -race -timeout 300s ./internal/fuzz/...
+    go test -race -short ./internal/mc/...
+}
 
-echo "== go test -race (core, egraph, relation, lemmas, faultinject, vcache, server, cluster, bench, fuzz, mc) =="
-# -timeout on core: the robustness suite's worst regression mode is a
-# deadlocked worker pool, which must fail the gate instead of hanging it.
-# ENTANGLE_CHECK_INVARIANTS makes every e-graph Rebuild finish with the
-# full structural audit, so the race section doubles as the
-# invariant-checked test mode (memo/class agreement, parent
-# registration, count bookkeeping — see egraph.CheckInvariants).
-ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
-ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/egraph/... ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
-go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/... ./internal/cluster/...
-# bench drives the checker through its concurrent harnesses — including
-# the planned-vs-unplanned differential at workers 1/4 that pins the
-# plan/execute refactor byte-identical; mc's own large-scope exploration
-# is skipped here (-short) and covered by the dedicated mc CI job.
-go test -race -timeout 300s ./internal/bench/...
-# fuzz composes random strategies and checks them with Workers>1; the
-# race run doubles as a worker-count-independence stress.
-go test -race -timeout 300s ./internal/fuzz/...
-go test -race -short ./internal/mc/...
+# Ten seconds of arbitrary bytes as an offered batch and as a peer's
+# fetch reply, on both ends of the peer wire: no panic, and nothing
+# failing vcache.DecodeEntry is stored or returned. The minimizer is
+# capped so the ten seconds go to new inputs.
+stage_peerfuzz() {
+    go test -run '^$' -fuzz=FuzzPeerFrames -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
+}
 
-echo "== go test -fuzz (peer frame codec + /v1/peer/verdicts, 10s) =="
-# Arbitrary bytes as an offered batch and as a peer's fetch reply: no
-# panic, and nothing failing vcache.DecodeEntry is stored or returned.
-# The minimizer is capped so the ten seconds go to new inputs.
-go test -run '^$' -fuzz=FuzzPeerFrames -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
+# Every protocol model must check clean at the ci scope, and both
+# planted-bug models (scheduler slot leak, cluster split-brain) must
+# still be caught — a regression test for the checker's teeth, not just
+# for the protocols.
+stage_mc() {
+    go run ./cmd/entangle-mc -scope ci
+    go run ./cmd/entangle-mc -model known-bug -expect-violation >/dev/null
+    go run ./cmd/entangle-mc -model known-bug-cluster -expect-violation >/dev/null
+}
 
-echo "== entangle-mc (exhaustive model check, ci scope) =="
-# Every protocol model must check clean at the ci scope, and the
-# planted known-bug model must still be caught — a regression test for
-# the checker's teeth, not just for the protocols.
-go run ./cmd/entangle-mc -scope ci
-go run ./cmd/entangle-mc -model known-bug -expect-violation >/dev/null
-go run ./cmd/entangle-mc -model known-bug-cluster -expect-violation >/dev/null
+# entangle-lint over the built-in lemma registry, the engine's own
+# source (nondeterminism hazards), and a freshly generated pair of
+# capture graphs. Fails on any error-severity finding.
+stage_lint() {
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    go run ./cmd/entangle-lint \
+        internal/egraph internal/core internal/lemmas \
+        internal/graph internal/relation internal/lint \
+        internal/fingerprint internal/vcache internal/server \
+        internal/mc internal/mc/models internal/faultinject \
+        internal/bench internal/cluster internal/cluster/sim \
+        internal/fuzz internal/det
+    go run ./cmd/entangle-graphgen -model gpt -tp 2 -o "$tmp/model" >/dev/null
+    go run ./cmd/entangle -lint "$tmp"/model-seq.json "$tmp"/model-dist.json
+}
 
-echo "== entangle-lint =="
-sh scripts/lint.sh
-
+[ $# -gt 0 ] || set -- $stages
+for stage in "$@"; do
+    case " $stages " in
+    *" $stage "*)
+        echo "== $stage =="
+        "stage_$stage"
+        ;;
+    *)
+        echo "verify.sh: unknown stage '$stage' (stages: $stages)" >&2
+        exit 2
+        ;;
+    esac
+done
 echo "verify: OK"
