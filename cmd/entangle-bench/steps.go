@@ -79,8 +79,8 @@ func appendTrajectory[P any](path string, points []P) error {
 }
 
 // runSaturate additionally gates on `-baseline`: the cold-check
-// hot-path numbers must not regress against that trajectory's last
-// committed run.
+// hot-path numbers — throughput, and e-matches per check — must not
+// regress against that trajectory's last committed run.
 func runSaturate() (string, error) {
 	txt, points, err := bench.Saturate()
 	if err != nil {
@@ -91,17 +91,16 @@ func runSaturate() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		// A measurement that regresses is retried before the gate
-		// fails: a genuine regression reproduces on every attempt,
-		// while a transient slow period on a shared CI runner does
-		// not. Only a run that violates the tolerance on all attempts
-		// fails the gate.
+		// A throughput measurement that regresses is retried before
+		// the gate fails: a genuine regression reproduces on every
+		// attempt, while a transient slow period on a shared CI runner
+		// does not. The match count is exact: a rise fails at once.
 		const gateAttempts = 3
 		var cmp string
-		var violations []string
+		var slower, moreMatches []string
 		for attempt := 1; ; attempt++ {
-			cmp, violations = bench.CompareSaturate(base.Points, points, *tolerance)
-			if len(violations) == 0 || attempt == gateAttempts {
+			cmp, slower, moreMatches = bench.CompareSaturate(base.Points, points, *tolerance)
+			if len(slower) == 0 || len(moreMatches) > 0 || attempt == gateAttempts {
 				break
 			}
 			fmt.Fprintf(os.Stderr, "entangle-bench: saturate: attempt %d/%d regressed, re-measuring\n",
@@ -112,12 +111,12 @@ func runSaturate() (string, error) {
 			}
 		}
 		txt += fmt.Sprintf("baseline: %s (%s, go %s)\n%s", *baseline, base.Timestamp, base.Go, cmp)
-		if len(violations) > 0 {
+		if violations := append(moreMatches, slower...); len(violations) > 0 {
 			for _, v := range violations {
 				fmt.Fprintf(os.Stderr, "entangle-bench: saturate: REGRESSION: %s\n", v)
 			}
-			return "", fmt.Errorf("cold-check throughput regressed beyond %.0f%% on %d workload(s)",
-				*tolerance*100, len(violations))
+			return "", fmt.Errorf("cold check regressed: throughput beyond %.0f%% on %d workload(s), e-matches above baseline on %d",
+				*tolerance*100, len(slower), len(moreMatches))
 		}
 		txt += "regression gate: OK\n"
 	}

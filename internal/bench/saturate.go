@@ -162,32 +162,39 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	}, nil
 }
 
-// CompareSaturate gates CI on cold-throughput regressions: for every
+// CompareSaturate gates CI on cold-check regressions: for every
 // workload present in both the baseline (the committed trajectory's
 // last run) and the current points, the current checks/sec must be at
-// least (1 - tolerance) × baseline. It returns a human-readable
-// comparison plus the list of violations.
-func CompareSaturate(baseline, current []SaturatePoint, tolerance float64) (string, []string) {
+// least (1 - tolerance) × baseline, and the e-matches collected per
+// check must not exceed the baseline's. It returns a human-readable
+// comparison plus the violations of each kind. A throughput violation
+// is a timing and may be a noisy neighbour, so the caller re-measures
+// before believing it; a match-count violation is an exact counter —
+// the matcher offered rules work it used to withhold — and is final.
+func CompareSaturate(baseline, current []SaturatePoint, tolerance float64) (report string, slower, moreMatches []string) {
 	base := map[string]SaturatePoint{}
 	for _, p := range baseline {
 		base[p.Workload] = p
 	}
 	var out strings.Builder
-	var violations []string
-	fmt.Fprintf(&out, "%-16s %12s %12s %8s\n", "model", "base chk/s", "now chk/s", "ratio")
+	fmt.Fprintf(&out, "%-16s %12s %12s %8s %12s %12s\n", "model", "base chk/s", "now chk/s", "ratio", "base matches", "now matches")
 	for _, p := range current {
 		b, ok := base[p.Workload]
 		if !ok || b.ChecksPerSec <= 0 {
-			fmt.Fprintf(&out, "%-16s %12s %12.1f %8s\n", p.Workload, "(none)", p.ChecksPerSec, "-")
+			fmt.Fprintf(&out, "%-16s %12s %12.1f %8s %12s %12d\n", p.Workload, "(none)", p.ChecksPerSec, "-", "(none)", p.Matches)
 			continue
 		}
 		ratio := p.ChecksPerSec / b.ChecksPerSec
-		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio)
+		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx %12d %12d\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio, b.Matches, p.Matches)
 		if ratio < 1-tolerance {
-			violations = append(violations,
+			slower = append(slower,
 				fmt.Sprintf("%s: cold throughput %.1f checks/s is %.0f%% of baseline %.1f (floor %.0f%%)",
 					p.Workload, p.ChecksPerSec, 100*ratio, b.ChecksPerSec, 100*(1-tolerance)))
 		}
+		if p.Matches > b.Matches {
+			moreMatches = append(moreMatches,
+				fmt.Sprintf("%s: %d e-matches per check, baseline %d", p.Workload, p.Matches, b.Matches))
+		}
 	}
-	return out.String(), violations
+	return out.String(), slower, moreMatches
 }

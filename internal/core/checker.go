@@ -720,10 +720,13 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		acc.Merge(eg.Saturate(r.rules, satOpts))
 
 		// Grow T_rel with tensors appearing in newly derived clean
-		// expressions of v's outputs ("related to v's outputs").
+		// expressions of v's outputs ("related to v's outputs"). Every
+		// question this step asks is about the graph Saturate just left,
+		// so one clean-cost table answers them all.
+		clean := eg.CleanCosts(allowGdLeaf)
 		grew := false
 		for _, oc := range outClasses {
-			for _, t := range eg.ExtractAllClean(oc, allowGdLeaf, r.opts.MaxMappings) {
+			for _, t := range clean.ExtractAll(oc, r.opts.MaxMappings) {
 				for _, leaf := range t.Leaves() {
 					if relation.IsGd(leaf) {
 						id := relation.GdTensorID(leaf)
@@ -744,7 +747,7 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 				}
 				t := r.gd.Tensor(out)
 				if cls, ok := eg.LookupTerm(relation.GdLeaf(t)); ok {
-					if eg.HasCleanRepresentation(cls, allowGdLeaf) {
+					if clean.Has(cls) {
 						tRel[out] = true
 						grew = true
 					}

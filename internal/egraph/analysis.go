@@ -21,15 +21,23 @@ func (g *EGraph) SetLeafShapeFn(fn func(tid int) (shape.Shape, bool)) {
 // ShapeOf returns the shape of the tensor denoted by class c, if
 // derivable from leaf shapes. Results are memoized per canonical
 // class; memo entries stay valid across unions because members of a
-// class always denote the same tensor value.
+// class always denote the same tensor value. A failed query is
+// remembered on the graph (shapeUnknown): a later union can make the
+// shape derivable from arbitrarily far below the asking rule's match,
+// which no bounded read footprint covers.
 func (g *EGraph) ShapeOf(c ClassID) (shape.Shape, bool) {
 	if g.leafShape == nil {
+		g.shapeUnknown = true
 		return nil, false
 	}
 	if g.shapeVisiting == nil {
 		g.shapeVisiting = map[ClassID]bool{}
 	}
-	return g.shapeOf(c)
+	s, ok := g.shapeOf(c)
+	if !ok {
+		g.shapeUnknown = true
+	}
+	return s, ok
 }
 
 func (g *EGraph) shapeOf(c ClassID) (shape.Shape, bool) {

@@ -38,6 +38,13 @@ type ENode struct {
 	// Struct copies carry it along, which is safe because heads are
 	// immutable and IDs are only ever read by the graph that set them.
 	head headID
+
+	// born is the match phase (EGraph.phase) current when the owning
+	// e-graph inserted this node: a node born before the previous match
+	// phase began was already offered to every rule, which is what lets
+	// the indexed matcher skip it when nothing it points at has changed
+	// (index.go). It shares the padding after head.
+	born uint32
 }
 
 // Leaf builds a tensor-leaf ENode.
@@ -129,9 +136,25 @@ type EGraph struct {
 
 	// dirty accumulates classes whose node sets grew (fresh classes and
 	// union survivors) since the saturation loop last drained it; only
-	// these classes — plus ancestors within pattern-depth reach — can
-	// root an e-match that was not already produced.
+	// these classes — plus ancestors within a rule's reach — can root a
+	// match whose application was not already executed.
 	dirty []ClassID
+
+	// phase counts the match phases run on this graph (both matchers);
+	// addNode stamps it on new nodes (ENode.born).
+	phase uint32
+
+	// shapeUnknown records that some ShapeOf query on this graph has
+	// failed. A shape turning known later is the one read a rule can
+	// make arbitrarily far below its match, so from then on the indexed
+	// matcher re-offers footprint rules everywhere (index.go).
+	shapeUnknown bool
+
+	// lateEffects counts, under InvariantChecks, withheld matches that
+	// were no-ops when the match phase ended but that an earlier
+	// application of the same apply phase had made effective by the
+	// time their turn came (rewrite.go).
+	lateEffects int
 
 	// Saturation node budget (rewrite.go). nodeLimit is non-zero only
 	// while Saturate runs; Instantiate then declines rule applications
@@ -155,17 +178,21 @@ type EGraph struct {
 	scratchSeen  map[uint64]int32 // repair dedup: node hash → first index
 	mark         []int32          // per class slot, stamped with markEpoch
 	markEpoch    int32
+	dist         []int8  // per class slot: hops from a dirty class, valid where mark == the dirtyTake epoch
+	consumed     []int32 // per class slot: stamped with the dirtyTake epoch when a dirty class's node consumes it
 	dirtyFront   []ClassID
 	dirtyNext    []ClassID
-	dirtyAll     []ClassID
 	classScratch []ClassID
-	child0ID     []opID     // per-rule child-0 op filter, resolved per iteration
-	fpBuf        []byte     // fingerprint scratch (appendFingerprint)
-	substStack   []*Subst   // e-matching result stack (matchClassOnStack)
-	headBuf      []byte     // head-key scratch (headOf)
-	substArena   substArena // per-match-phase Subst recycling (newSubst)
-	arenaOn      bool       // arena active: only during saturation matching
-	cleanCostBuf []int      // extraction cost table (cleanCosts), indexed by ClassID
+	child0ID     []opID      // per-rule child-0 op filter, resolved per iteration
+	fpBuf        []byte      // fingerprint scratch (appendFingerprint)
+	todoBuf      []ruleMatch // match-list scratch (Saturate)
+	withheld     []int       // indexes into the match list of gate-withheld matches (InvariantChecks only)
+	substStack   []*Subst    // e-matching result stack (matchClassOnStack)
+	headBuf      []byte      // head-key scratch (headOf)
+	substArena   substArena  // per-match-phase Subst recycling (newSubst)
+	arenaOn      bool        // arena active: only during saturation matching
+	cleanCostBuf []int       // extraction cost table (CleanCosts), indexed by ClassID
+	cleanGen     uint32      // stamps the table cleanCostBuf currently holds
 
 	// shape analysis (analysis.go)
 	leafShape     func(tid int) (shape.Shape, bool)
@@ -284,6 +311,7 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	}
 	id := g.newClass()
 	cl := g.classes[id]
+	n.born = g.phase
 	cl.nodes = append(cl.nodes, n)
 	cl.opsAdd(g.opOfHead(h), 1)
 	g.memo.put(hash, h, n.Kids, id)
@@ -375,17 +403,21 @@ func (g *EGraph) Rebuild() {
 	}
 }
 
-// nextEpoch advances the scratch-mark epoch, growing the mark slice to
-// cover every allocated class slot. A slot is "in the current set" iff
+// nextEpoch advances the scratch-mark epoch, growing the per-slot
+// scratch (mark and the dirtyTake annotations beside it) to cover every
+// allocated class slot. A slot is "in the current set" iff
 // mark[slot] == epoch, so set resets are O(1).
 func (g *EGraph) nextEpoch() int32 {
-	if len(g.mark) < len(g.parent) {
-		g.mark = append(g.mark, make([]int32, len(g.parent)-len(g.mark))...)
+	if grow := len(g.parent) - len(g.mark); grow > 0 {
+		g.mark = append(g.mark, make([]int32, grow)...)
+		g.dist = append(g.dist, make([]int8, grow)...)
+		g.consumed = append(g.consumed, make([]int32, grow)...)
 	}
 	g.markEpoch++
 	if g.markEpoch <= 0 { // epoch wrapped: stale marks could alias, wipe them
 		for i := range g.mark {
 			g.mark[i] = 0
+			g.consumed[i] = 0
 		}
 		g.markEpoch = 1
 	}
@@ -393,47 +425,52 @@ func (g *EGraph) nextEpoch() int32 {
 }
 
 // dirtyTake drains the dirty-class accumulator into a canonical,
-// deduplicated candidate set, then expands it by `hops` parent steps:
-// a pattern of depth d rooted at class R can only see a node gained by
-// class D if R is within d-1 parent hops of D. Membership is recorded
-// in the epoch marks (mark[c] == markEpoch after the call); the
-// returned slice is scratch, valid until the next call.
-func (g *EGraph) dirtyTake(hops int) []ClassID {
+// deduplicated candidate set, then expands it by `hops` parent steps,
+// recording each class's hop distance from the nearest dirty class in
+// dist: a rule that reads d class levels below its root can only see a
+// node gained (or a merge suffered) by class D from a root within d
+// parent hops of D. Every class some dirty class's node points at is
+// stamped in consumed — the classes whose consumer list, or whose
+// consumers' classes, changed (what a ReadsConsumers rule reads).
+// Membership is recorded in the epoch marks (mark[c] == markEpoch after
+// the call, consumed[c] likewise).
+func (g *EGraph) dirtyTake(hops int) {
 	epoch := g.nextEpoch()
-	all := g.dirtyAll[:0]
 	front := g.dirtyFront[:0]
 	next := g.dirtyNext[:0]
 	for _, d := range g.dirty {
 		c := g.Find(d)
-		if g.mark[c] == epoch || g.classes[c] == nil {
+		cl := g.classes[c]
+		if g.mark[c] == epoch || cl == nil {
 			continue
 		}
 		g.mark[c] = epoch
+		g.dist[c] = 0
 		front = append(front, c)
+		for i := range cl.nodes {
+			for _, k := range cl.nodes[i].Kids {
+				g.consumed[g.Find(k)] = epoch
+			}
+		}
 	}
 	g.dirty = g.dirty[:0]
-	all = append(all, front...)
-	for hop := 0; hop < hops && len(front) > 0; hop++ {
+	for hop := 1; hop <= hops && len(front) > 0; hop++ {
 		next = next[:0]
 		for _, c := range front {
 			cl := g.classes[c]
-			if cl == nil {
-				continue
-			}
 			for i := range cl.parents {
 				pc := g.Find(cl.parents[i].class)
 				if g.mark[pc] == epoch || g.classes[pc] == nil {
 					continue
 				}
 				g.mark[pc] = epoch
+				g.dist[pc] = int8(hop)
 				next = append(next, pc)
 			}
 		}
-		all = append(all, next...)
 		front, next = next, front
 	}
-	g.dirtyFront, g.dirtyNext, g.dirtyAll = front, next, all
-	return all
+	g.dirtyFront, g.dirtyNext = front, next
 }
 
 func (g *EGraph) repair(c ClassID) {
@@ -481,6 +518,7 @@ func (g *EGraph) repair(c ClassID) {
 	// hash-plus-verify dedup, indexing the rebuilt parents slice.
 	seenP := g.scratchSeen
 	clear(seenP)
+	orig := len(cl.parents)
 	parents := cl.parents[:0]
 	findEquiv := func(cn *ENode, hash uint64) int {
 		if j, ok := seenP[hash]; ok {
@@ -529,6 +567,12 @@ func (g *EGraph) repair(c ClassID) {
 			}
 		}
 		g.memo.put(hash, h, cn.Kids, g.Find(pc))
+	}
+	// A union above that merged another class into this one appended
+	// that class's parents to cl.parents behind the loop's back; they
+	// are kept for the repair the union queued.
+	if g.classes[c] == cl {
+		parents = append(parents, cl.parents[orig:]...)
 	}
 	cl.parents = parents
 }

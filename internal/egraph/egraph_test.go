@@ -429,3 +429,45 @@ func TestQuickHashconsCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairKeepsParentsMergedMidRepair is the regression test for a
+// lost-parents bug: repairing a class that holds a node over itself can
+// find that node congruent with a parent in another class and merge
+// that class into the one under repair. Union appends the absorbed
+// class's parents to the survivor's list — the list the repair loop was
+// rebuilding, whose result then overwrote the appended entries, so the
+// absorbed class's consumers were never re-canonicalized.
+func TestRepairKeepsParentsMergedMidRepair(t *testing.T) {
+	g := New(nil)
+	a := g.AddTerm(leafT(1, "a"))
+	b := g.AddTerm(leafT(2, "b"))
+	ga := g.AddNode(ENode{Op: opG, Kids: []ClassID{a}})
+	gb := g.AddNode(ENode{Op: opG, Kids: []ClassID{b}})
+	hgb := g.AddNode(ENode{Op: opF, Kids: []ClassID{gb}}) // the consumer that went missing
+	g.Union(a, ga)                                        // a = g(a): a class over itself
+	g.Rebuild()
+	g.Union(a, b) // repairing a∪b finds g(a) ≅ g(b) and merges g(b)'s class in
+	g.Rebuild()   // TestMain's InvariantChecks audits the parent lists here
+	if g.Find(gb) != g.Find(a) {
+		t.Fatal("g(b) must have joined the class of a = g(a) by congruence")
+	}
+	if c, ok := g.Lookup(ENode{Op: opF, Kids: []ClassID{a}}); !ok || g.Find(c) != g.Find(hgb) {
+		t.Fatal("f(g(b)) was not re-canonicalized to f(a): its parent entry was lost")
+	}
+	assertCongruent(t, g)
+}
+
+// TestSubstArenaManyChunks is the regression test for the arena's
+// chunk-size shift overflowing: past some fifty chunks 64<<n went
+// negative before the cap was applied, and a match phase with that many
+// substitutions panicked in makeslice.
+func TestSubstArenaManyChunks(t *testing.T) {
+	g := New(nil)
+	g.arenaOn = true
+	for i := 0; i < 70*1024; i++ {
+		g.newSubst()
+	}
+	if n := len(g.substArena.chunks); n < 60 {
+		t.Fatalf("expected the arena to grow past the overflow point, got %d chunks", n)
+	}
+}

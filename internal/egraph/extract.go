@@ -14,46 +14,67 @@ import (
 
 const inf = int(^uint(0) >> 2)
 
-// cleanCosts computes, for every class, the minimal size of a clean
-// expression over allowed leaves representing it (inf when none
-// exists). Fixpoint iteration handles cycles introduced by unions; the
-// fixpoint is order-independent, so costs can live in a dense slice
-// indexed by canonical ClassID. The slice is the e-graph's reusable
-// scratch — the checker runs an extraction per G_s output plus a
-// HasCleanRepresentation per operator output, and a per-call map was
-// the lemma path's largest steady-state allocation. The returned slice
-// aliases that scratch: it is valid until the next cleanCosts call.
-func (g *EGraph) cleanCosts(allowed func(tid int) bool) []int {
+// CleanCosts is the clean-cost table of the graph as it stood when
+// CleanCosts() built it: for every class, the minimal size of a clean
+// expression over the allowed leaves representing it (inf when none
+// exists). One table answers any number of ExtractAll / Has questions
+// — the checker asks one per G_s output plus one per folded G_d output
+// after every Saturate, all about the same unchanged graph. The table
+// lives in the e-graph's reusable scratch: it describes the graph only
+// until the graph next changes, and building the next table overwrites
+// it (using it after that panics).
+type CleanCosts struct {
+	g       *EGraph
+	cost    []int
+	allowed func(tid int) bool
+	gen     uint32
+}
+
+// CleanCosts computes the table by fixpoint iteration, which handles
+// the cycles unions introduce; the fixpoint is order-independent, so
+// costs can live in a dense slice indexed by canonical ClassID. A
+// per-call map here was once the lemma path's largest steady-state
+// allocation, hence the scratch.
+func (g *EGraph) CleanCosts(allowed func(tid int) bool) CleanCosts {
 	n := len(g.parent)
 	if cap(g.cleanCostBuf) < n {
 		g.cleanCostBuf = make([]int, n)
 	}
-	cost := g.cleanCostBuf[:n]
-	for i := range cost {
-		cost[i] = inf
+	g.cleanGen++
+	v := CleanCosts{g: g, cost: g.cleanCostBuf[:n], allowed: allowed, gen: g.cleanGen}
+	for i := range v.cost {
+		v.cost[i] = inf
 	}
 	for {
 		changed := false
 		for id, cl := range g.classes {
-			best := cost[id]
-			for _, n := range cl.nodes {
-				c := g.nodeCleanCost(n, cost, allowed)
-				if c < best {
+			best := v.cost[id]
+			for i := range cl.nodes {
+				if c := v.nodeCost(&cl.nodes[i]); c < best {
 					best = c
 					changed = true
 				}
 			}
-			cost[id] = best
+			v.cost[id] = best
 		}
 		if !changed {
-			return cost
+			return v
 		}
 	}
 }
 
-func (g *EGraph) nodeCleanCost(n ENode, cost []int, allowed func(tid int) bool) int {
+// of returns the cost of class c, refusing a table that a later
+// CleanCosts call has overwritten.
+func (v CleanCosts) of(c ClassID) int {
+	if v.gen != v.g.cleanGen {
+		panic("egraph: CleanCosts table used after a later one was built")
+	}
+	return v.cost[v.g.Find(c)]
+}
+
+func (v CleanCosts) nodeCost(n *ENode) int {
 	if n.isLeaf() {
-		if allowed(n.TID) {
+		if v.allowed(n.TID) {
 			return 0
 		}
 		return inf
@@ -63,7 +84,7 @@ func (g *EGraph) nodeCleanCost(n ENode, cost []int, allowed func(tid int) bool) 
 	}
 	total := 1
 	for _, k := range n.Kids {
-		kc := cost[g.Find(k)]
+		kc := v.cost[v.g.Find(k)]
 		if kc >= inf {
 			return inf
 		}
@@ -78,21 +99,20 @@ func (g *EGraph) nodeCleanCost(n ENode, cost []int, allowed func(tid int) bool) 
 // ExtractClean returns the minimal clean expression for class c over
 // the allowed leaves, or ok=false when the class has none.
 func (g *EGraph) ExtractClean(c ClassID, allowed func(tid int) bool) (*expr.Term, bool) {
-	cost := g.cleanCosts(allowed)
-	c = g.Find(c)
-	if cost[c] >= inf {
+	v := g.CleanCosts(allowed)
+	if v.of(c) >= inf {
 		return nil, false
 	}
-	return g.buildMin(c, cost, allowed), true
+	return v.buildMin(c), true
 }
 
-func (g *EGraph) buildMin(c ClassID, cost []int, allowed func(tid int) bool) *expr.Term {
-	cl := g.classes[g.Find(c)]
+func (v CleanCosts) buildMin(c ClassID) *expr.Term {
+	cl := v.g.classes[v.g.Find(c)]
 	var best *ENode
 	bestCost := inf
 	for i := range cl.nodes {
 		n := &cl.nodes[i]
-		nc := g.nodeCleanCost(*n, cost, allowed)
+		nc := v.nodeCost(n)
 		if nc < bestCost {
 			bestCost = nc
 			best = n
@@ -106,30 +126,28 @@ func (g *EGraph) buildMin(c ClassID, cost []int, allowed func(tid int) bool) *ex
 	}
 	args := make([]*expr.Term, len(best.Kids))
 	for i, k := range best.Kids {
-		args[i] = g.buildMin(k, cost, allowed)
+		args[i] = v.buildMin(k)
 	}
 	return &expr.Term{Op: best.Op, Str: best.Str, Ints: best.Ints, Args: args}
 }
 
-// ExtractAllClean enumerates distinct clean expressions for class c:
+// ExtractAll enumerates distinct clean expressions for class c:
 // one per clean top-level ENode, each completed with minimal clean
 // subterms (so the count stays bounded by the class width). The paper
 // collects *all* clean mappings for a tensor — e.g. both
 // sum(C1, C2) and concat(D1, D2) in the running example — because a
 // later operator may need any of them. Results are sorted smallest
 // first, capped at limit (0 = no cap).
-func (g *EGraph) ExtractAllClean(c ClassID, allowed func(tid int) bool, limit int) []*expr.Term {
-	cost := g.cleanCosts(allowed)
-	c = g.Find(c)
-	if cost[c] >= inf {
+func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
+	if v.of(c) >= inf {
 		return nil
 	}
-	cl := g.classes[c]
+	cl := v.g.classes[v.g.Find(c)]
 	seen := map[string]bool{}
 	var out []*expr.Term
 	for i := range cl.nodes {
 		n := &cl.nodes[i]
-		if g.nodeCleanCost(*n, cost, allowed) >= inf {
+		if v.nodeCost(n) >= inf {
 			continue
 		}
 		var t *expr.Term
@@ -139,7 +157,7 @@ func (g *EGraph) ExtractAllClean(c ClassID, allowed func(tid int) bool, limit in
 			args := make([]*expr.Term, len(n.Kids))
 			ok := true
 			for j, k := range n.Kids {
-				args[j] = g.buildMin(k, cost, allowed)
+				args[j] = v.buildMin(k)
 				if args[j] == nil {
 					ok = false
 					break
@@ -164,9 +182,19 @@ func (g *EGraph) ExtractAllClean(c ClassID, allowed func(tid int) bool, limit in
 	return out
 }
 
-// HasCleanRepresentation reports whether class c contains any clean
-// expression over the allowed leaves. It only consults the cost table
-// — no term is materialized.
+// Has reports whether class c contains any clean expression over the
+// allowed leaves. It only consults the table — no term is
+// materialized.
+func (v CleanCosts) Has(c ClassID) bool { return v.of(c) < inf }
+
+// ExtractAllClean is CleanCosts(allowed).ExtractAll(c, limit), for a
+// caller with one question.
+func (g *EGraph) ExtractAllClean(c ClassID, allowed func(tid int) bool, limit int) []*expr.Term {
+	return g.CleanCosts(allowed).ExtractAll(c, limit)
+}
+
+// HasCleanRepresentation is CleanCosts(allowed).Has(c), for a caller
+// with one question.
 func (g *EGraph) HasCleanRepresentation(c ClassID, allowed func(tid int) bool) bool {
-	return g.cleanCosts(allowed)[g.Find(c)] < inf
+	return g.CleanCosts(allowed).Has(c)
 }

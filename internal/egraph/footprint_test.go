@@ -1,0 +1,369 @@
+package egraph_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"entangle/internal/egraph"
+	"entangle/internal/expr"
+	"entangle/internal/lemmas"
+	"entangle/internal/shape"
+	"entangle/internal/sym"
+)
+
+// The footprint differential: the indexed matcher withholds a rule from
+// every node its gate says cannot have changed, the naive matcher
+// (SaturateOpts.Unindexed) withholds nothing, and the two must be
+// indistinguishable — same applications, iterations, node count, class
+// partition (class IDs included) and clean extractions — on random term
+// sets with the checker's kind of union interleaved between Saturate
+// calls, under the real lemma registry.
+//
+// Each script runs three times. Naive is the reference. Indexed under
+// InvariantChecks audits every withheld match as a no-op on the graph
+// the match phase saw (Saturate panics otherwise) and then replays it in
+// its naive-order turn, which makes that run the naive run exactly and
+// counts the late effects: withheld matches an earlier application of
+// the same apply phase had made effective by their turn. The gates
+// promise nothing about those — the naive matcher applies such a match
+// at once, the indexed matcher (as it always has for pure rules) one
+// iteration later — so the third run, indexed as in production, must
+// equal the reference on every script that has none.
+
+const (
+	diffLeaves = 4
+	diffExtent = 8 // every tensor is [8, 8]
+)
+
+// termGen draws random terms over concat/slice/sum/scale/add/unary. Every
+// term denotes an [8, 8] tensor: slices come in tiling groups re-joined
+// by a concat. Leaves are the base tensors plus the tensors the script
+// has defined so far.
+type termGen struct {
+	r      *rand.Rand
+	leaves int
+}
+
+func diffLeaf(id int) *expr.Term { return expr.Tensor(id, fmt.Sprintf("t%d", id)) }
+
+func (tg *termGen) term(depth int) *expr.Term {
+	if depth == 0 {
+		return diffLeaf(tg.r.Intn(tg.leaves))
+	}
+	sub := func() *expr.Term { return tg.term(depth - 1) }
+	d := int64(tg.r.Intn(2))
+	switch tg.r.Intn(10) {
+	case 0:
+		return expr.Add(sub(), sub())
+	case 8: // opaque to every structural lemma
+		return expr.Unary("f", sub())
+	case 1:
+		return expr.Sum(sub(), sub(), sub())
+	case 2:
+		return expr.Scale(sub(), 1, int64(2+tg.r.Intn(2)))
+	case 3: // sum of equal scales
+		den := int64(2 + tg.r.Intn(2))
+		return expr.Sum(expr.Scale(sub(), 1, den), expr.Scale(sub(), 1, den))
+	case 4: // a tensor cut into tiles and concatenated back
+		return tg.tiles(sub(), d)
+	case 5: // tiles of two tensors summed tile by tile
+		return expr.Sum(tg.tiles(sub(), d), tg.tiles(sub(), d))
+	case 6: // nested concat: the halves of a concatenation of halves
+		x := sub()
+		lo := expr.ConcatI(d, expr.SliceI(x, d, 0, 2), expr.SliceI(x, d, 2, 4))
+		return expr.ConcatI(d, lo, expr.SliceI(x, d, 4, diffExtent))
+	case 7: // tiles of two spellings of one tensor, proven equal only after several iterations
+		a, b, c := sub(), sub(), sub()
+		x, y := expr.Unary("f", expr.Sum(a, b, c)), expr.Unary("f", expr.Add(expr.Add(c, a), b))
+		return expr.ConcatI(d, expr.SliceI(x, d, 0, 4), expr.SliceI(y, d, 4, diffExtent))
+	}
+	return diffLeaf(tg.r.Intn(tg.leaves))
+}
+
+func (tg *termGen) tiles(x *expr.Term, d int64) *expr.Term {
+	cuts := [][]int64{{0, 4, 8}, {0, 2, 4, 8}, {0, 6, 8}}[tg.r.Intn(3)]
+	parts := make([]*expr.Term, len(cuts)-1)
+	for i := range parts {
+		parts[i] = expr.SliceI(x, d, cuts[i], cuts[i+1])
+	}
+	return expr.ConcatI(d, parts...)
+}
+
+// diffScript is one random scenario, replayable on any number of
+// graphs: rounds of terms to add, each followed by a Saturate call. The
+// unions interleaved between the calls are the checker's kind — a
+// fresh tensor leaf unioned with the term that defines it, which later
+// terms then mention — so every union is consistent with some
+// assignment of values, as every union the checker makes is.
+type diffScript struct {
+	rounds [][]*expr.Term
+	// defines[r][i] is the leaf rounds[r][i] defines, or -1 for a term
+	// added on its own.
+	defines [][]int
+	// lateDefs delays each definition's union by two rounds, and
+	// defined leaves have no shape of their own: a term that mentions
+	// one gets a shape only when that union lands.
+	lateDefs bool
+}
+
+func newDiffScript(seed int64, lateDefs bool) diffScript {
+	r := rand.New(rand.NewSource(seed))
+	tg := &termGen{r: r, leaves: diffLeaves}
+	s := diffScript{lateDefs: lateDefs}
+	rounds := 3
+	if lateDefs {
+		rounds = 4
+	}
+	for round := 0; round < rounds; round++ {
+		n := 1 + r.Intn(2)
+		terms, defs := make([]*expr.Term, n), make([]int, n)
+		defined := 0
+		for i := range terms {
+			terms[i] = tg.term(1 + r.Intn(2))
+			defs[i] = -1
+			if r.Intn(3) > 0 {
+				defs[i] = tg.leaves + defined
+				defined++
+			}
+		}
+		tg.leaves += defined // the next round's terms may mention them
+		s.rounds = append(s.rounds, terms)
+		s.defines = append(s.defines, defs)
+	}
+	return s
+}
+
+// observation is everything the matchers must agree on after one
+// Saturate call.
+type observation struct {
+	apps    map[string]int
+	iters   int
+	nodes   int
+	stop    egraph.StopReason
+	classes string // the partition, class IDs and canonical nodes included
+	clean   string // ExtractAllClean of every root
+}
+
+// diffOpts keeps a script on which some class comes to contain a sum of
+// itself from running away; both matchers must hit the budget at the
+// same point.
+var diffOpts = egraph.SaturateOpts{MaxIters: 10, MaxNodes: 600}
+
+// run replays the script on a fresh graph and returns what each
+// Saturate call left, plus the graph's late-effect count.
+func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool) ([]observation, int) {
+	defer func(was bool) { egraph.InvariantChecks = was }(egraph.InvariantChecks)
+	egraph.InvariantChecks = audit
+	g := egraph.New(nil)
+	if leafShapes {
+		g.SetLeafShapeFn(func(tid int) (shape.Shape, bool) {
+			known := !s.lateDefs || tid < diffLeaves
+			return shape.Shape{sym.Const(diffExtent), sym.Const(diffExtent)}, known
+		})
+	}
+	opts := diffOpts
+	opts.Unindexed = unindexed
+	var roots []egraph.ClassID
+	var waiting [][][2]egraph.ClassID // late definitions, by the round that made them
+	var out []observation
+	for round, terms := range s.rounds {
+		// A late definition lands two rounds on: the round between has
+		// saturated terms that mention the leaf while it had no shape.
+		if round >= 2 {
+			for _, u := range waiting[round-2] {
+				g.Union(u[0], u[1])
+			}
+		}
+		waiting = append(waiting, nil)
+		for i, t := range terms {
+			c := g.AddTerm(t)
+			roots = append(roots, c)
+			if id := s.defines[round][i]; id >= 0 {
+				def := [2]egraph.ClassID{g.AddTerm(diffLeaf(id)), c}
+				if s.lateDefs {
+					waiting[round] = append(waiting[round], def)
+				} else {
+					g.Union(def[0], def[1])
+				}
+			}
+		}
+		g.Rebuild()
+		st := g.Saturate(rules, opts)
+		out = append(out, observation{
+			apps: st.Applications, iters: st.Iterations, nodes: st.Nodes, stop: st.StopReason,
+			classes: dumpClasses(g), clean: dumpClean(g, roots),
+		})
+	}
+	return out, egraph.LateEffects(g)
+}
+
+func dumpClasses(g *egraph.EGraph) string {
+	var b strings.Builder
+	for _, id := range g.Classes() {
+		fmt.Fprintf(&b, "%d:", id)
+		for _, n := range g.Class(id).Nodes() {
+			fmt.Fprintf(&b, " %s%v(", n.Op, n.Ints)
+			if n.Op == expr.OpTensor {
+				fmt.Fprintf(&b, "t%d", n.TID)
+			}
+			for _, k := range n.Kids {
+				fmt.Fprintf(&b, "%d,", g.Find(k))
+			}
+			b.WriteByte(')')
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func dumpClean(g *egraph.EGraph, roots []egraph.ClassID) string {
+	var b strings.Builder
+	for _, c := range roots {
+		for _, t := range g.ExtractAllClean(c, func(int) bool { return true }, 0) {
+			b.WriteString(t.Key())
+			b.WriteByte(';')
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func firstDivergence(got, want []observation) string {
+	for i := range want {
+		a, b := got[i], want[i]
+		switch {
+		case !reflect.DeepEqual(a.apps, b.apps):
+			return fmt.Sprintf("round %d: applications %v, naive %v", i, a.apps, b.apps)
+		case a.iters != b.iters || a.nodes != b.nodes || a.stop != b.stop:
+			return fmt.Sprintf("round %d: iters=%d nodes=%d stop=%v, naive iters=%d nodes=%d stop=%v",
+				i, a.iters, a.nodes, a.stop, b.iters, b.nodes, b.stop)
+		case a.classes != b.classes:
+			return fmt.Sprintf("round %d: class partitions differ:\n%s\nnaive:\n%s", i, a.classes, b.classes)
+		case a.clean != b.clean:
+			return fmt.Sprintf("round %d: clean extractions differ:\n%s\nnaive:\n%s", i, a.clean, b.clean)
+		}
+	}
+	return ""
+}
+
+// compareMatchers runs one script under the three regimes and returns
+// a description of the first divergence ("" when there is none) and
+// whether the script was free of late effects, i.e. whether the
+// production run was held to the reference. A panic from the audit is
+// reported as a divergence.
+func compareMatchers(rules []*egraph.Rule, s diffScript, leafShapes bool) (diverged string, comparable bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			diverged = fmt.Sprintf("audit: %v", p)
+		}
+	}()
+	naive, _ := s.run(rules, true, false, leafShapes)
+	audited, late := s.run(rules, false, true, leafShapes)
+	if d := firstDivergence(audited, naive); d != "" {
+		return "audited indexed run: " + d, false
+	}
+	if late > 0 {
+		return "", false
+	}
+	indexed, _ := s.run(rules, false, false, leafShapes)
+	if d := firstDivergence(indexed, naive); d != "" {
+		return "indexed run: " + d, true
+	}
+	return "", true
+}
+
+const diffSeeds = 60
+
+func runDifferential(t *testing.T, lateDefs, leafShapes bool, minComparable int) {
+	t.Helper()
+	rules := lemmas.Default().Rules()
+	comparable := 0
+	for seed := int64(1); seed <= diffSeeds; seed++ {
+		d, ok := compareMatchers(rules, newDiffScript(seed, lateDefs), leafShapes)
+		if d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
+		}
+		if ok {
+			comparable++
+		}
+	}
+	t.Logf("%d of %d scripts had no late effect and were compared in production mode", comparable, diffSeeds)
+	if comparable < minComparable {
+		t.Errorf("only %d of %d scripts were comparable, want at least %d: the generator no longer tests the production matcher", comparable, diffSeeds, minComparable)
+	}
+}
+
+func TestFootprintDifferential(t *testing.T) { runDifferential(t, false, true, diffSeeds/4) }
+
+// The shape fallback. With no leaf-shape oracle every ShapeOf query
+// fails; with late definitions a term's shape becomes derivable only
+// after a later union, arbitrarily far below the rules that asked for
+// it. Either way the first failed query lifts every footprint to "reads
+// the graph", nothing more is withheld from a footprint rule, and the
+// matchers agree.
+func TestFootprintDifferentialNoShapes(t *testing.T) { runDifferential(t, false, false, diffSeeds/2) }
+
+func TestFootprintDifferentialLateShapes(t *testing.T) { runDifferential(t, true, true, diffSeeds/10) }
+
+// TestFootprintShapeFallback is the late-shape case by hand. f(t4) is
+// cut into two tiles and concatenated back while t4 — and so f(t4) —
+// has no shape; the tiles cover f(t4) exactly, but nothing can know
+// that. Two rounds later t4 is defined as t0: the union touches a class
+// two levels below the tiles and three below the concat, out of every
+// footprint's reach, and without the fallback slice-tiling would never
+// be offered f(t4) again.
+func TestFootprintShapeFallback(t *testing.T) {
+	late := diffLeaf(diffLeaves)
+	u := expr.Unary("f", late)
+	s := diffScript{
+		lateDefs: true,
+		rounds: [][]*expr.Term{
+			{diffLeaf(0)},
+			{expr.ConcatI(0, expr.SliceI(u, 0, 0, 4), expr.SliceI(u, 0, 4, diffExtent))},
+			{diffLeaf(1)},
+		},
+		defines: [][]int{{late.TID}, {-1}, {-1}},
+	}
+	rules := lemmas.Default().Rules()
+	if d, _ := compareMatchers(rules, s, true); d != "" {
+		t.Fatal(d)
+	}
+	indexed, _ := s.run(rules, false, false, true)
+	if indexed[1].apps["slice-tiling"] != 0 || indexed[2].apps["slice-tiling"] != 1 {
+		t.Fatalf("slice-tiling must fire exactly when f(t4) gets its shape, in round 2: %v then %v", indexed[1].apps, indexed[2].apps)
+	}
+}
+
+// TestFootprintCatchesShallowDeclaration plants the bug the audit
+// exists for: concat-of-slices compares the classes its kids' slice
+// nodes point at (two levels below the match), so declared one level
+// too shallow it is withheld from matches it would fire on. Some
+// script's audit must notice.
+func TestFootprintCatchesShallowDeclaration(t *testing.T) {
+	var rules []*egraph.Rule
+	planted := false
+	for _, r := range lemmas.Default().Rules() {
+		if r.Name == "concat-of-slices" {
+			shallow := *r
+			shallow.Reads = egraph.ReadsBelow(1)
+			r, planted = &shallow, true
+		}
+		rules = append(rules, r)
+	}
+	if !planted {
+		t.Fatal("the registry no longer has a concat-of-slices rule to plant the bug in")
+	}
+	for seed := int64(1); seed <= diffSeeds; seed++ {
+		if d, _ := compareMatchers(rules, newDiffScript(seed, false), true); d != "" {
+			if !strings.Contains(d, `rule "concat-of-slices" (reads below(1)) was withheld`) {
+				t.Fatalf("seed %d diverged, but not on the planted declaration: %.300s", seed, d)
+			}
+			t.Logf("seed %d: %.200s", seed, d)
+			return
+		}
+	}
+	t.Fatalf("concat-of-slices declared ReadsBelow(1) survived %d scripts' audits", diffSeeds)
+}

@@ -6,37 +6,53 @@ import "entangle/internal/expr"
 //
 // The naive matcher (matchRules, pattern.go) visits every class × rule
 // pair each iteration; on real models most of that work re-derives
-// matches already produced, whose applications the fingerprint filter
-// then discards. The indexed matcher cuts the re-derivation two ways:
+// matches whose application is already done — a pure rule's, which the
+// fingerprint filter then discards, or a footprint rule's, whose Apply
+// then rebuilds hash-consed nodes and repeats merged unions. The
+// indexed matcher cuts the re-derivation two ways:
 //
-//   - Dirty-class tracking: pure rules only visit classes that gained
-//     nodes since the previous iteration, plus ancestors within
-//     pattern-depth reach (dirtyTake). Every match the naive matcher
-//     would produce outside that set is a repeat of one produced — and
-//     fingerprinted — earlier, so dropping it changes no application.
-//     The full scan runs only when there is no earlier coverage to
-//     lean on: the first iteration of a Saturate call whose graph is
-//     not carrying a fixpoint from the previous same-rules call
-//     (rewrite.go). Stateful rules are exempt: their contract is to
-//     re-run every iteration because their Apply scans graph state
-//     beyond the match.
+//   - Dirty tracking against each rule's read footprint. A class is
+//     dirty when it gained a node or absorbed another class since the
+//     previous match phase; dirtyTake walks parent lists upward from
+//     the dirty classes and records every class's hop distance. A rule
+//     is offered a class only within its own reach of a change: LHS
+//     depth - 1 hops for a pure rule, the levels it declared for
+//     ReadsBelow, and for ReadsConsumers the dirty classes themselves
+//     plus the classes their nodes consume. Inside such a class a node
+//     that predates the change (ENode.born) is offered only if one of
+//     its own kid classes is within the remaining reach. Every match
+//     the naive matcher would produce outside those gates is a repeat:
+//     its fingerprint is applied, or nothing its Apply reads has moved
+//     since it last ran. Two things have no bound: a ReadsGraph rule,
+//     and any footprint rule on a graph where a ShapeOf query has
+//     failed (a shape can turn known from arbitrarily far below); both
+//     are offered every class every iteration. The full scan runs only
+//     when there is no earlier coverage to lean on: the first iteration
+//     of a Saturate call whose graph is not carrying a fixpoint from
+//     the previous same-rules call (rewrite.go).
 //
 //   - First-symbol discrimination: a pattern whose first child is an
 //     operator application can only match a node whose child-0 class
 //     holds a node with that operator; the per-class op counts
 //     (Class.ops) answer that without descending into matchNode.
 //
-// Both filters are exact, and candidate classes are visited in the
-// same ascending order with the same per-class rule order as the naive
-// matcher, so the produced match list is an order-preserving subset of
-// the naive list whose omissions all carry already-applied
-// fingerprints. That is what keeps Stats.Applications, extraction, and
-// report bytes identical between the two paths (the differential tests
-// pin this).
+// Candidate classes are visited in the same ascending order with the
+// same per-class rule order as the naive matcher, so the produced
+// match list is an order-preserving subset of the naive list, and every
+// omission is a no-op on the graph this match phase sees. That is the
+// whole contract, and what InvariantChecks audits (Saturate). It says
+// nothing about a withheld match that an earlier application of the
+// same apply phase reaches into before its turn: the naive matcher
+// applies that one at once, this one in the next iteration. None of
+// the model zoo, the fuzz corpus or the goldens has such a match with
+// an effect, which is what keeps Stats.Applications, class IDs,
+// extraction and report bytes identical between the two paths there
+// (the differential tests pin this).
 
 // CompiledRules is the matcher's analysis of a rule set: rules
-// bucketed by root operator, the per-rule child-0 filter, and the
-// dirty-closure depth. It is independent of any e-graph and read-only
+// bucketed by root operator, the per-rule child-0 filter, and each
+// rule's gate — how near a change a class must be for the rule to be
+// offered it again. It is independent of any e-graph and read-only
 // during matching, so one value may be compiled once (CompileRules)
 // and shared across goroutines via SaturateOpts.Compiled.
 type CompiledRules struct {
@@ -44,9 +60,21 @@ type CompiledRules struct {
 	varRules []int             // indexes of bare-variable-LHS rules, in order
 	byOp     map[expr.Op][]int // op-rooted rules bucketed by root op, in order
 	child0   []expr.Op         // per rule: required op of child 0 ("" = no filter)
-	// maxPureDepth is the deepest pure-rule LHS; dirty candidates are
-	// expanded by maxPureDepth-1 parent hops.
-	maxPureDepth int
+	gates    []ruleGate        // per rule
+	// maxReach is the deepest reach of any gated rule: the dirty closure
+	// is expanded by that many parent hops.
+	maxReach  int
+	unbounded bool // some rule declares ReadsGraph
+	footprint bool // some rule declares any footprint at all
+}
+
+// ruleGate is one rule's re-offer condition. reach is in parent hops
+// above a changed class: LHS depth - 1 for a pure rule (each rule pays
+// its own depth, not the set's maximum), the declared levels for
+// ReadsBelow (never less than the LHS's own reach).
+type ruleGate struct {
+	kind  footprintKind
+	reach int8
 }
 
 // CompileRules analyzes a rule set for the indexed matcher. The result
@@ -57,6 +85,7 @@ func CompileRules(rules []*Rule) *CompiledRules {
 		rules:  rules,
 		byOp:   map[expr.Op][]int{},
 		child0: make([]expr.Op, len(rules)),
+		gates:  make([]ruleGate, len(rules)),
 	}
 	for i, r := range rules {
 		if r.LHS.Var != "" {
@@ -67,11 +96,23 @@ func CompileRules(rules []*Rule) *CompiledRules {
 				cr.child0[i] = r.LHS.Kids[0].Op
 			}
 		}
-		if !r.Stateful {
-			if d := patternDepth(r.LHS); d > cr.maxPureDepth {
-				cr.maxPureDepth = d
+		gate := ruleGate{kind: r.Reads.kind, reach: int8(r.LHS.Depth() - 1)}
+		switch gate.kind {
+		case readsBelow:
+			if r.Reads.levels > int(gate.reach) {
+				gate.reach = int8(min(r.Reads.levels, int(farAway)-1))
 			}
+		case readsConsumers:
+			gate.reach = 0
+		case readsGraph:
+			gate.reach = 0
+			cr.unbounded = true
 		}
+		if int(gate.reach) > cr.maxReach {
+			cr.maxReach = int(gate.reach)
+		}
+		cr.footprint = cr.footprint || !r.Reads.Pure()
+		cr.gates[i] = gate
 	}
 	return cr
 }
@@ -94,11 +135,14 @@ func (g *EGraph) resolveChild0(cr *CompiledRules) {
 	}
 }
 
-// patternDepth is the match depth of a pattern: how many class levels
+// Depth is the match depth of a pattern: how many class levels
 // e-matching inspects. A bare variable binds the root class (depth 1);
 // VarKids binds the child-class list (depth 2); operator patterns add
-// one level over their deepest child.
-func patternDepth(p *Pattern) int {
+// one level over their deepest child. A match rooted at class R can
+// therefore only change when a class within Depth-1 parent hops below
+// R does — the reach a pure rule is gated by, and the least a
+// ReadsBelow footprint may declare.
+func (p *Pattern) Depth() int {
 	if p.Var != "" {
 		return 1
 	}
@@ -107,41 +151,63 @@ func patternDepth(p *Pattern) int {
 	}
 	d := 1
 	for _, k := range p.Kids {
-		if kd := 1 + patternDepth(k); kd > d {
+		if kd := 1 + k.Depth(); kd > d {
 			d = kd
 		}
 	}
 	return d
 }
 
+// farAway is the hop distance of a class outside the dirty closure.
+const farAway = int8(127)
+
 // matchRulesIndexed is the indexed counterpart of matchRules. With
-// full set, every class is a pure-rule candidate; otherwise pure rules
-// only visit the dirty closure. Matches append to out (a reused
-// scratch slice).
+// full set every rule is offered every node; otherwise each rule is
+// offered a node only where its gate says the outcome can differ from
+// the last time it ran there (see the file comment). Matches append to
+// out (a reused scratch slice). Under InvariantChecks the withheld
+// matches are appended too, in their naive-order places, with their
+// indexes in g.withheld: Saturate audits them.
 func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch) []ruleMatch {
 	g.resolveChild0(cr)
-	candEpoch := int32(0)
+	g.withheld = g.withheld[:0]
+	epoch := int32(0)
 	if full {
 		g.dirty = g.dirty[:0] // the full scan covers everything accumulated
 	} else {
-		hops := cr.maxPureDepth - 1
-		if hops < 0 {
-			hops = 0
-		}
-		g.dirtyTake(hops)
-		candEpoch = g.markEpoch // dirtyTake marked the closure with this epoch
+		g.dirtyTake(cr.maxReach)
+		epoch = g.markEpoch // dirtyTake marked the closure with this epoch
 	}
+	// A failed ShapeOf lifts every footprint rule to "reads the graph".
+	noBound := g.shapeUnknown
+	audit := InvariantChecks && !full
+	everywhere := full || audit || cr.unbounded || (noBound && cr.footprint)
 	for _, id := range g.sortedClassIDsScratch() {
+		d, consumed := farAway, false
+		if full {
+			d = 0
+		} else {
+			if g.mark[id] == epoch {
+				d = g.dist[id]
+			}
+			consumed = g.consumed[id] == epoch
+		}
+		if d == farAway && !consumed && !everywhere {
+			continue
+		}
 		cl := g.classes[id]
-		pureCand := full || g.mark[id] == candEpoch
 		for _, ri := range cr.varRules {
 			r := cr.rules[ri]
-			if !pureCand && !r.Stateful {
+			offer := cr.gate(ri, noBound).open(d, consumed)
+			if !offer && !audit {
 				continue
 			}
 			mark := len(g.substStack)
 			g.matchClassOnStack(r.LHS, id, emptySubst)
 			for _, s := range g.substStack[mark:] {
+				if !offer {
+					g.withheld = append(g.withheld, len(out))
+				}
 				out = append(out, ruleMatch{rule: r, m: Match{Class: id, Subst: s}})
 			}
 			g.substStack = g.substStack[:mark]
@@ -152,11 +218,27 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 			if len(cands) == 0 {
 				continue
 			}
+			// A node born since the previous match phase began has been
+			// offered to nothing yet.
+			fresh := full || n.born+1 >= g.phase
+			nearestKid := int8(-1) // computed on first use
 			var canon ENode
 			canonDone := false
 			for _, ri := range cands {
 				r := cr.rules[ri]
-				if !pureCand && !r.Stateful {
+				gate := cr.gate(ri, noBound)
+				offer := gate.open(d, consumed)
+				if offer && !fresh && gate.perNode(d) {
+					// The class is within reach of a change, but this
+					// node was here before it: what the rule reads through
+					// the node starts at the node's own kid classes, one
+					// level down.
+					if nearestKid < 0 {
+						nearestKid = g.nearestKid(n, epoch)
+					}
+					offer = nearestKid < gate.reach
+				}
+				if !offer && !audit {
 					continue
 				}
 				if cr.child0[ri] != "" && len(n.Kids) > 0 {
@@ -175,6 +257,9 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 					canonDone = true
 				}
 				for _, s := range g.substStack[mark:] {
+					if !offer {
+						g.withheld = append(g.withheld, len(out))
+					}
 					out = append(out, ruleMatch{rule: r, m: Match{Class: id, Node: canon, Subst: s}})
 				}
 				g.substStack = g.substStack[:mark]
@@ -182,4 +267,48 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 		}
 	}
 	return out
+}
+
+// gate returns rule ri's gate for this match phase: its own, unless a
+// ShapeOf query has failed on the graph, which lifts every footprint to
+// ReadsGraph.
+func (cr *CompiledRules) gate(ri int, noBound bool) ruleGate {
+	gate := cr.gates[ri]
+	if noBound && gate.kind != readsBindings {
+		gate.kind = readsGraph
+	}
+	return gate
+}
+
+// open reports whether the rule is offered a class d hops from the
+// nearest change (consumed: a changed class's node points at it).
+func (gate ruleGate) open(d int8, consumed bool) bool {
+	switch gate.kind {
+	case readsGraph:
+		return true
+	case readsConsumers:
+		return d == 0 || consumed
+	}
+	return d <= gate.reach
+}
+
+// perNode reports whether, inside a class the gate is open for, the
+// rule still needs only the nodes whose own kid classes are near a
+// change. A pure rule's fingerprint includes the root class, so a
+// merged root (d == 0) re-offers all of it; a footprint's contract
+// excludes the root's identity, so ReadsBelow rules are per-node at any
+// distance.
+func (gate ruleGate) perNode(d int8) bool {
+	return gate.kind == readsBelow || (gate.kind == readsBindings && d > 0)
+}
+
+// nearestKid returns the smallest hop distance among n's kid classes.
+func (g *EGraph) nearestKid(n *ENode, epoch int32) int8 {
+	best := farAway
+	for _, k := range n.Kids {
+		if k = g.Find(k); g.mark[k] == epoch && g.dist[k] < best {
+			best = g.dist[k]
+		}
+	}
+	return best
 }

@@ -6,12 +6,16 @@ import (
 )
 
 // InvariantChecks, when true, makes every Rebuild finish with a full
-// CheckInvariants audit and panic on drift. It defaults on when the
-// ENTANGLE_CHECK_INVARIANTS environment variable is non-empty — the
-// race-gated test runs set it (scripts/verify.sh) so congruence drift
-// surfaces at the rebuild that caused it, not as a mysterious wrong
-// extraction later. The audits are O(graph) per rebuild; never enable
-// in production.
+// CheckInvariants audit and panic on drift, and makes Saturate execute
+// every match the indexed matcher withheld, panicking unless it was a
+// no-op (auditWithheld; the withheld matches then take their turn in
+// the apply loop, so an audited run follows the naive matcher's order
+// exactly). It defaults on when the ENTANGLE_CHECK_INVARIANTS
+// environment variable is non-empty — the race-gated test runs set it
+// (scripts/verify.sh) so congruence drift surfaces at the rebuild that
+// caused it, and a too-shallow read footprint at the match it
+// withheld, not as a mysterious wrong extraction later. The audits are
+// O(graph) per rebuild and per match phase; never enable in production.
 var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 
 // CheckInvariants audits the e-graph's structural invariants and

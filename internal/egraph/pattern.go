@@ -123,9 +123,9 @@ func (g *EGraph) newSubst() *Subst {
 	}
 	a := &g.substArena
 	if a.ci == len(a.chunks) {
-		size := 64 << uint(len(a.chunks))
-		if size > 1024 {
-			size = 1024
+		size := 1024
+		if n := len(a.chunks); n < 4 { // bound the shift, not its result: 64<<n overflows
+			size = 64 << uint(n)
 		}
 		a.chunks = append(a.chunks, make([]Subst, size))
 	}

@@ -24,12 +24,15 @@ type Rule struct {
 	// from e-graph state leave RHS nil.
 	RHS *RTerm
 
-	// Stateful marks rules whose Apply inspects e-graph state beyond
-	// the match bindings (scanning class members or parents). Pure
-	// rules are applied at most once per distinct match fingerprint;
-	// stateful rules re-run every iteration because the graph may have
-	// grown what they scan.
-	Stateful bool
+	// Reads declares what Apply reads of the e-graph beyond the match
+	// bindings. The zero value is a pure rule — Apply is a function of
+	// its bindings — which is applied at most once per distinct match
+	// fingerprint. A rule that scans class members or consumers
+	// declares how far (ReadsBelow, ReadsConsumers) and is re-applied,
+	// unfingerprinted, wherever that footprint met a change since it
+	// last ran; ReadsGraph declares no bound and re-runs on every class
+	// every iteration. See Footprint.
+	Reads Footprint
 
 	// Apply builds the right-hand side(s) and returns the class pairs
 	// to union. Most rules union the matched class with one RHS class
@@ -37,6 +40,74 @@ type Rule struct {
 	// Conditioned rules inspect g.Ctx and the substitution and decline
 	// by returning nil.
 	Apply func(g *EGraph, m Match) []UnionPair
+}
+
+// Footprint is a rule's declaration of what its Apply reads beyond the
+// match bindings — the one thing the indexed matcher (index.go) needs
+// to know to re-run the rule only where something changed. The
+// contract of a bounded footprint: between two applications of the
+// same match, Apply's result can only differ if a class inside the
+// footprint gained a node or was merged, or a ShapeOf query that
+// failed now succeeds (the matcher falls back to every-iteration
+// matching on a graph where any ShapeOf query has failed, so shapes
+// need no declaration). The matched class itself may only be used as
+// a union endpoint: which class the matched node sits in is not part
+// of any footprint.
+type Footprint struct {
+	kind   footprintKind
+	levels int
+}
+
+type footprintKind uint8
+
+const (
+	readsBindings footprintKind = iota // pure: the zero value
+	readsBelow
+	readsConsumers
+	readsGraph
+)
+
+// ReadsBelow declares that Apply reads the node sets, or compares the
+// union-find identity, of classes up to levels steps below the matched
+// root — the root's kid classes are level 1 — and nothing else. It
+// must cover at least what the LHS binds (levels >= LHS depth - 1,
+// which entangle-lint enforces): a variadic rule that only reorders
+// its bound kid list declares 1, one that scans the kid classes'
+// nodes declares 1, one that also compares the classes those nodes
+// point at declares 2.
+func ReadsBelow(levels int) Footprint { return Footprint{kind: readsBelow, levels: levels} }
+
+// ReadsConsumers declares a bare-variable rule whose Apply enumerates
+// the consumers of the matched class (EachParent, ParentsOf) and the
+// classes holding them.
+func ReadsConsumers() Footprint { return Footprint{kind: readsConsumers} }
+
+// ReadsGraph declares no bound at all: Apply may read anything, so
+// the rule is re-matched on every class every iteration. Nothing in
+// the lemma library should need it (entangle-lint reports a registry
+// rule that declares it); it is the honest spelling for a test rule
+// with side effects.
+func ReadsGraph() Footprint { return Footprint{kind: readsGraph} }
+
+// Pure reports the zero footprint: Apply reads only its bindings.
+func (f Footprint) Pure() bool { return f.kind == readsBindings }
+
+// Unbounded reports a ReadsGraph footprint.
+func (f Footprint) Unbounded() bool { return f.kind == readsGraph }
+
+// Levels returns the declared depth of a ReadsBelow footprint.
+func (f Footprint) Levels() (int, bool) { return f.levels, f.kind == readsBelow }
+
+func (f Footprint) String() string {
+	switch f.kind {
+	case readsBelow:
+		return fmt.Sprintf("below(%d)", f.levels)
+	case readsConsumers:
+		return "consumers"
+	case readsGraph:
+		return "graph"
+	}
+	return "bindings"
 }
 
 // UnionPair is one equivalence a rule asserts.
@@ -98,9 +169,12 @@ type SaturateOpts struct {
 	Ctx context.Context
 	// Unindexed selects the naive reference matcher, which re-visits
 	// every class × rule pair each iteration, instead of the indexed
-	// dirty-tracked matcher (index.go). Both produce identical
-	// applications, stats, and extraction results — the differential
-	// tests compare the two paths — so this exists for those tests and
+	// dirty-tracked matcher (index.go). The indexed matcher withholds
+	// only matches that are no-ops on the graph a match phase sees, so
+	// the two produce identical applications, stats, and extraction
+	// results wherever no application reaches into a withheld match
+	// later in its own apply phase — everywhere in the model corpus,
+	// which the differential tests pin. This exists for those tests and
 	// for bisecting matcher regressions, not for production use.
 	Unindexed bool
 	// Compiled, when non-nil, supplies a precompiled analysis of
@@ -166,8 +240,9 @@ type Stats struct {
 	Nodes        int
 	// Matches counts e-matches collected across all iterations (before
 	// the applied-fingerprint filter): the match-loop work the
-	// `-exp saturate` bench tracks per iteration. With dirty-class
-	// tracking this is far below classes × rules × iterations.
+	// `-exp saturate` bench tracks per iteration. With dirty tracking
+	// against each rule's footprint this is far below classes × rules ×
+	// iterations; it is the one statistic the two matchers differ in.
 	Matches int
 	// Runs counts the saturation runs accumulated into this value.
 	// The zero value (Runs == 0) is the identity of Merge: merging a
@@ -272,6 +347,37 @@ func (g *EGraph) appendFingerprint(buf []byte, p ruleMatch) []byte {
 	return buf
 }
 
+// auditWithheld executes a match the indexed matcher withheld, on the
+// graph exactly as the match phase left it, and panics unless it is the
+// no-op the gates claim: nothing inserted, nothing merged (a pure match
+// may instead carry an applied fingerprint, which the apply loop drops
+// unexecuted). It runs only under InvariantChecks, so the test corpus
+// audits every footprint declaration and the gating itself.
+func (g *EGraph) auditWithheld(p ruleMatch, fpBuf []byte) []byte {
+	if p.rule.Reads.Pure() {
+		fpBuf = g.appendFingerprint(fpBuf[:0], p)
+		if g.appliedFP[string(fpBuf)] {
+			return fpBuf
+		}
+	}
+	slots := len(g.parent)
+	pairs := p.rule.Apply(g, p.m)
+	effect := ""
+	if len(g.parent) != slots || g.budgetDenied {
+		effect = "inserts a node"
+	}
+	for _, up := range pairs {
+		if effect == "" && g.Find(up.A) != g.Find(up.B) {
+			effect = fmt.Sprintf("merges classes %d and %d", g.Find(up.A), g.Find(up.B))
+		}
+	}
+	if effect != "" {
+		panic(fmt.Sprintf("egraph: rule %q (reads %s) was withheld from class %d in match phase %d, but applying it %s: its footprint is declared too shallow, or the matcher's gating is wrong",
+			p.rule.Name, p.rule.Reads, p.m.Class, g.phase, effect))
+	}
+	return fpBuf
+}
+
 // sameRules reports whether two rule slices hold identical rules in
 // identical order — the condition for carrying saturation state from
 // one Saturate call to the next on the same graph.
@@ -322,7 +428,16 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	defer func() { g.nodeLimit = 0; g.budgetDenied = false }()
 	limitHit := false
 	cancelled := false
-	var todo []ruleMatch
+	// The match list is graph scratch: the checker's frontier loop
+	// calls Saturate many times per graph. It is handed back cleared,
+	// so it does not pin the last run's substitutions.
+	todo, todoHigh := g.todoBuf[:0], 0
+	defer func() {
+		if !opts.Unindexed { // the naive matcher allocates its own list
+			clear(todo[:todoHigh])
+			g.todoBuf = todo[:0]
+		}
+	}()
 	for iter := 0; iter < opts.MaxIters && !limitHit && !cancelled; iter++ {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			cancelled = true
@@ -333,16 +448,35 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		// finishes with them; the next phase's reset recycles the slots.
 		g.substArena.reset()
 		g.arenaOn = true
+		g.phase++
+		// withheld indexes the matches in todo that the indexed matcher's
+		// gates withheld; it is empty unless InvariantChecks is on. They
+		// are audited as no-ops on the graph the match phase saw, then
+		// take their turn in the apply loop like the naive matcher's
+		// matches would — where one can only have an effect if an earlier
+		// application of this same phase reached into what it reads
+		// (counted in lateEffects: the naive matcher applies such a match
+		// now, the indexed matcher one iteration later).
+		var withheld []int
 		if opts.Unindexed {
 			g.dirty = g.dirty[:0] // keep the accumulator bounded
 			todo = g.matchRules(rules)
 		} else {
 			todo = g.matchRulesIndexed(cr, iter == 0 && !carry, todo[:0])
+			withheld = g.withheld
 		}
 		g.arenaOn = false
-		stats.Matches += len(todo)
+		stats.Matches += len(todo) - len(withheld)
+		todoHigh = max(todoHigh, len(todo))
+		for _, mi := range withheld {
+			fpBuf = g.auditWithheld(todo[mi], fpBuf)
+		}
 		changed := false
 		for mi, p := range todo {
+			late := len(withheld) > 0 && withheld[0] == mi
+			if late {
+				withheld = withheld[1:]
+			}
 			// Poll for cancellation mid-iteration, then fall through to
 			// Rebuild below: stopping without it would leave the memo
 			// and parent lists stale and later extractions
@@ -352,7 +486,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				cancelled = true
 				break
 			}
-			pure := !p.rule.Stateful
+			pure := p.rule.Reads.Pure()
 			if pure {
 				// Pure rules: one application per canonical match. The
 				// map probe uses the byte buffer directly (no string
@@ -368,12 +502,21 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				limitHit = true
 				break
 			}
+			slots := len(g.parent)
 			pairs := p.rule.Apply(g, p.m)
+			effect := len(g.parent) != slots
 			for _, up := range pairs {
 				if g.Union(up.A, up.B) {
 					changed = true
 					stats.Applications[p.rule.Name]++
+					effect = true
 				}
+			}
+			if late && (effect || pure) {
+				// Effective in its turn — or a pure match executed at all:
+				// the naive matcher now holds a fingerprint the indexed
+				// one never records.
+				g.lateEffects++
 			}
 			if g.budgetDenied {
 				// The instantiation cap declined part of this

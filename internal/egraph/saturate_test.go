@@ -42,9 +42,9 @@ func unionRule(name string, trigger, a, b int) *Rule {
 func growRule(name string, trigger int) *Rule {
 	n := 0
 	return &Rule{
-		Name:     name,
-		Stateful: true,
-		LHS:      &Pattern{Op: expr.OpTensor, LeafTID: &trigger},
+		Name:  name,
+		Reads: ReadsGraph(),
+		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: &trigger},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			n++
 			fresh := g.AddNode(ENode{Op: opG, Str: string(rune('A' + n)), Kids: []ClassID{m.Class}})
@@ -284,9 +284,9 @@ func TestSaturateCancelMidRunLeavesCongruent(t *testing.T) {
 	// Iteration 1: union a=b, grow, and cancel. Iteration 2 must never
 	// start, but the a=b union must still be congruence-closed.
 	cancelRule := &Rule{
-		Name:     "cancel",
-		Stateful: true,
-		LHS:      &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
+		Name:  "cancel",
+		Reads: ReadsGraph(),
+		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			cancel()
 			return nil
@@ -331,9 +331,9 @@ func TestSaturateInstantiateBudgetBounded(t *testing.T) {
 	const width = 8
 	n := 0
 	explode := &Rule{
-		Name:     "explode",
-		Stateful: true,
-		LHS:      &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
+		Name:  "explode",
+		Reads: ReadsGraph(),
+		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			n++
 			tm := RClass(m.Class)
@@ -377,9 +377,9 @@ func TestSaturateCancelPollBoundsLatency(t *testing.T) {
 	}
 	apps := 0
 	countAndCancel := &Rule{
-		Name:     "count-and-cancel",
-		Stateful: true,
-		LHS:      PVar("x"),
+		Name:  "count-and-cancel",
+		Reads: ReadsGraph(),
+		LHS:   PVar("x"),
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			apps++
 			cancel()

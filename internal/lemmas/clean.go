@@ -51,8 +51,11 @@ func registerSumBasics(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "sum-commutative", Kind: KindClean, Complexity: 2, LOC: 16,
 		Rules: []*egraph.Rule{{
-			Name: "sum-commutative", Stateful: true,
-			LHS: egraph.POpN(expr.OpSum, nil, "xs"),
+			Name: "sum-commutative",
+			// Bindings only — but sorted by class ID, so not a function
+			// of the canonical match: the kid list's identity is the read.
+			Reads: egraph.ReadsBelow(1),
+			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				sorted := make([]egraph.ClassID, len(kids))
@@ -74,8 +77,9 @@ func registerSumBasics(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "sum-flatten", Kind: KindClean, Complexity: 2, LOC: 22,
 		Rules: []*egraph.Rule{{
-			Name: "sum-flatten", Stateful: true,
-			LHS: egraph.POpN(expr.OpSum, nil, "xs"),
+			Name:  "sum-flatten",
+			Reads: egraph.ReadsBelow(1), // the kid classes' nodes
+			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				for i, k := range kids {
@@ -124,8 +128,11 @@ func registerSumOfConcats(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "sum-of-concats", Kind: KindClean, Complexity: 4, LOC: 38,
 		Rules: []*egraph.Rule{{
-			Name: "sum-of-concats", Stateful: true,
-			LHS: egraph.POpN(expr.OpSum, nil, "xs"),
+			Name: "sum-of-concats",
+			// The kid classes' concat nodes, and the chunk classes those
+			// point at (their extents must align).
+			Reads: egraph.ReadsBelow(2),
+			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				var dim sym.Expr
@@ -182,8 +189,9 @@ func registerConcatFlatten(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "concat-flatten", Kind: KindClean, Complexity: 2, LOC: 24,
 		Rules: []*egraph.Rule{{
-			Name: "concat-flatten", Stateful: true,
-			LHS: egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
+			Name:  "concat-flatten",
+			Reads: egraph.ReadsBelow(1), // the kid classes' nodes
+			LHS:   egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				d := m.Subst.AttrOf("d")
 				kids := m.Subst.KidsOf("xs")
@@ -212,8 +220,11 @@ func registerConcatOfSlices(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "concat-of-slices", Kind: KindClean, Complexity: 3, LOC: 44,
 		Rules: []*egraph.Rule{{
-			Name: "concat-of-slices", Stateful: true,
-			LHS: egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
+			Name: "concat-of-slices",
+			// The kid classes' slice nodes, and whether the classes they
+			// slice are one and the same.
+			Reads: egraph.ReadsBelow(2),
+			LHS:   egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				d := m.Subst.AttrOf("d")
 				kids := m.Subst.KidsOf("xs")
@@ -266,12 +277,13 @@ func registerSliceJoin(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "slice-tiling", Kind: KindClean, Complexity: 3, LOC: 58,
 		Rules: []*egraph.Rule{{
-			Name: "slice-tiling", Stateful: true,
-			LHS: egraph.PVar("x"),
+			Name:  "slice-tiling",
+			Reads: egraph.ReadsConsumers(), // the slice nodes over x
+			LHS:   egraph.PVar("x"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				// This rule visits every class each iteration; the fast
-				// path — a class with no constant-span slice parents —
-				// must not allocate, so the map is built lazily.
+				// Most classes this rule is offered have no constant-span
+				// slice parents; that fast path must not allocate, so the
+				// map is built lazily.
 				var byDim map[int][]tileSlice
 				xc := g.Find(m.Class)
 				g.EachParent(xc, func(n *egraph.ENode, owner egraph.ClassID) bool {

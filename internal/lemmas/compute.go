@@ -132,8 +132,9 @@ func registerScale(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "sum-of-equal-scales", Kind: KindGeneral, Complexity: 3, LOC: 30,
 		Rules: []*egraph.Rule{{
-			Name: "sum-of-equal-scales", Stateful: true,
-			LHS: egraph.POpN(expr.OpSum, nil, "xs"),
+			Name:  "sum-of-equal-scales",
+			Reads: egraph.ReadsBelow(1), // the kid classes' scale nodes
+			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				var n, dn sym.Expr

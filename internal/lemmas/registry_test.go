@@ -135,7 +135,7 @@ func TestRegistryGolden(t *testing.T) {
 		fmt.Fprintf(&b, "%d %s kind=%c complexity=%d loc=%d\n", l.ID, l.Name, l.Kind, l.Complexity, l.LOC)
 		for _, rule := range l.Rules {
 			fmt.Fprintf(&b, "  %s stateful=%t declarative=%t lhs=%s\n",
-				rule.Name, rule.Stateful, rule.RHS != nil, shapeOf(rule.LHS, map[string]string{}))
+				rule.Name, !rule.Reads.Pure(), rule.RHS != nil, shapeOf(rule.LHS, map[string]string{}))
 		}
 	}
 	if *update {

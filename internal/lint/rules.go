@@ -41,6 +41,18 @@ const (
 	// patterns. Only computable for lemmas whose rules all carry
 	// declarative RHS templates.
 	CheckLemmaComplexityDrift = "lemma-complexity-drift"
+	// CheckRuleFootprintShallow fires when a rule declares
+	// egraph.ReadsBelow with fewer levels than its own LHS reaches: the
+	// declaration claims Apply reads less than matching already did.
+	// (The matcher never gates a rule below its LHS depth, so this is
+	// a wrong declaration, not yet a wrong answer — but the next edit
+	// to the LHS would make it one.)
+	CheckRuleFootprintShallow = "rule-footprint-shallow"
+	// CheckRuleReadsGraph fires when a rule declares egraph.ReadsGraph:
+	// it is re-matched on every class every iteration, the cost the
+	// indexed matcher exists to avoid. A lemma that scans e-graph
+	// state should say how far (ReadsBelow, ReadsConsumers).
+	CheckRuleReadsGraph = "rule-reads-graph"
 )
 
 // Lemmas lints a lemma collection (normally Registry.All()). The
@@ -59,6 +71,7 @@ func Lemmas(ls []*lemmas.Lemma) []Diagnostic {
 	}
 	for _, r := range all {
 		out = append(out, checkRuleTemplates(r)...)
+		out = append(out, checkFootprint(r)...)
 	}
 	out = append(out, checkShadowing(all)...)
 	for _, l := range ls {
@@ -132,6 +145,28 @@ func checkRuleTemplates(r *egraph.Rule) []Diagnostic {
 		})
 	}
 	return out
+}
+
+// checkFootprint checks a rule's read-footprint declaration against
+// what is statically known about the rule.
+func checkFootprint(r *egraph.Rule) []Diagnostic {
+	if r.Reads.Unbounded() {
+		return []Diagnostic{{
+			Check: CheckRuleReadsGraph, Severity: SevWarning, Subject: r.Name,
+			Message: "declares ReadsGraph: the rule is re-matched on every class in every saturation iteration; declare how far Apply reads (ReadsBelow, ReadsConsumers) so the matcher can skip unchanged classes",
+		}}
+	}
+	levels, ok := r.Reads.Levels()
+	if !ok || r.LHS == nil {
+		return nil
+	}
+	if need := r.LHS.Depth() - 1; levels < need {
+		return []Diagnostic{{
+			Check: CheckRuleFootprintShallow, Severity: SevError, Subject: r.Name,
+			Message: fmt.Sprintf("declares ReadsBelow(%d), but its LHS %s already reads %d level(s) below the match root", levels, r.LHS, need),
+		}}
+	}
+	return nil
 }
 
 // checkShadowing flags declarative rules fully covered by an earlier

@@ -107,6 +107,47 @@ func TestLemmaComplexityDrift(t *testing.T) {
 	noDiag(t, ds, CheckLemmaComplexityDrift, "ok/dynamic-lemma")
 }
 
+// scanning is a dynamic rule over LHS with the given footprint; its
+// Apply is irrelevant to the lint.
+func scanning(name string, lhs *egraph.Pattern, reads egraph.Footprint) *egraph.Rule {
+	return &egraph.Rule{
+		Name: name, LHS: lhs, Reads: reads,
+		Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair { return nil },
+	}
+}
+
+func TestRuleFootprintShallow(t *testing.T) {
+	// sum(identity(?x), …) matched by hand: the LHS alone reads the
+	// node set one level down and the classes two levels down.
+	deep := egraph.POp(expr.OpSum, nil, egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")))
+	ds := Lemmas([]*lemmas.Lemma{one("bad/shallow-lemma", 2, scanning("bad/shallow", deep, egraph.ReadsBelow(1)))})
+	d := findDiag(t, ds, CheckRuleFootprintShallow, "bad/shallow")
+	if d.Severity != SevError {
+		t.Errorf("a footprint shallower than the LHS must be error severity, got %s", d.Severity)
+	}
+
+	// Exactly the LHS's own reach is the least a rule may declare; a
+	// variadic rule reads its kid list, one level down.
+	ds = Lemmas([]*lemmas.Lemma{one("ok/exact-lemma", 2,
+		scanning("ok/exact", deep, egraph.ReadsBelow(2)),
+		scanning("ok/variadic", egraph.POpN(expr.OpSum, nil, "xs"), egraph.ReadsBelow(1)),
+		scanning("ok/consumers", egraph.PVar("x"), egraph.ReadsConsumers()))})
+	for _, name := range []string{"ok/exact", "ok/variadic", "ok/consumers"} {
+		noDiag(t, ds, CheckRuleFootprintShallow, name)
+	}
+}
+
+func TestRuleReadsGraph(t *testing.T) {
+	ds := Lemmas([]*lemmas.Lemma{one("bad/reads-graph-lemma", 1,
+		scanning("bad/reads-graph", egraph.PVar("x"), egraph.ReadsGraph()))})
+	d := findDiag(t, ds, CheckRuleReadsGraph, "bad/reads-graph")
+	if d.Severity != SevWarning {
+		t.Errorf("ReadsGraph is a cost, not a bug: want warning severity, got %s", d.Severity)
+	}
+	ds = Lemmas([]*lemmas.Lemma{one("ok/pure-lemma", 1, idElim("ok/pure"))})
+	noDiag(t, ds, CheckRuleReadsGraph, "ok/pure")
+}
+
 // TestLemmasGolden pins the full report for a collection exhibiting
 // every Layer-1 finding at once, in the order Lemmas emits them.
 func TestLemmasGolden(t *testing.T) {
@@ -124,6 +165,11 @@ func TestLemmasGolden(t *testing.T) {
 				egraph.POp(expr.OpIdentity, nil,
 					egraph.POp(expr.OpIdentity, nil, egraph.PVar("y"))),
 				egraph.ROp(expr.OpIdentity, nil, "", egraph.RVar("y")))),
+		one("bad/footprints", 2,
+			scanning("bad/shallow",
+				egraph.POp(expr.OpSum, nil, egraph.POp(expr.OpIdentity, nil, egraph.PVar("x"))),
+				egraph.ReadsBelow(1)),
+			scanning("bad/reads-graph", egraph.PVar("x"), egraph.ReadsGraph())),
 	}
 	checkGolden(t, "rules_golden.txt", Lemmas(bad))
 }

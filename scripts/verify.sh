@@ -38,7 +38,11 @@ stage_race() {
     # ENTANGLE_CHECK_INVARIANTS makes every e-graph Rebuild finish with the
     # full structural audit, so the race section doubles as the
     # invariant-checked test mode (memo/class agreement, parent
-    # registration, count bookkeeping — see egraph.CheckInvariants).
+    # registration, count bookkeeping — see egraph.CheckInvariants). It
+    # also makes Saturate execute every match the indexed matcher's
+    # footprint gates withheld and panic unless it was a no-op — over
+    # core's goldens, the lemma suites, and below the whole zoo (bench)
+    # and the fuzz corpus.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
     ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/egraph/... ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
     go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/... ./internal/cluster/...
@@ -46,10 +50,10 @@ stage_race() {
     # the planned-vs-unplanned differential at workers 1/4 that pins the
     # plan/execute refactor byte-identical; mc's own large-scope exploration
     # is skipped here (-short) and covered by the dedicated mc CI job.
-    go test -race -timeout 300s ./internal/bench/...
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/bench/...
     # fuzz composes random strategies and checks them with Workers>1; the
     # race run doubles as a worker-count-independence stress.
-    go test -race -timeout 300s ./internal/fuzz/...
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/fuzz/...
     go test -race -short ./internal/mc/...
 }
 
