@@ -79,8 +79,9 @@ func appendTrajectory[P any](path string, points []P) error {
 }
 
 // runSaturate additionally gates on `-baseline`: the cold-check
-// hot-path numbers — throughput, and e-matches per check — must not
-// regress against that trajectory's last committed run.
+// hot-path numbers — throughput, and the e-matches and allocated bytes
+// per check — must not regress against that trajectory's last
+// committed run.
 func runSaturate() (string, error) {
 	txt, points, err := bench.Saturate()
 	if err != nil {
@@ -94,13 +95,13 @@ func runSaturate() (string, error) {
 		// A throughput measurement that regresses is retried before
 		// the gate fails: a genuine regression reproduces on every
 		// attempt, while a transient slow period on a shared CI runner
-		// does not. The match count is exact: a rise fails at once.
+		// does not. The match and byte counts repeat: a rise fails at once.
 		const gateAttempts = 3
 		var cmp string
-		var slower, moreMatches []string
+		var slower, moreWork []string
 		for attempt := 1; ; attempt++ {
-			cmp, slower, moreMatches = bench.CompareSaturate(base.Points, points, *tolerance)
-			if len(slower) == 0 || len(moreMatches) > 0 || attempt == gateAttempts {
+			cmp, slower, moreWork = bench.CompareSaturate(base.Points, points, *tolerance)
+			if len(slower) == 0 || len(moreWork) > 0 || attempt == gateAttempts {
 				break
 			}
 			fmt.Fprintf(os.Stderr, "entangle-bench: saturate: attempt %d/%d regressed, re-measuring\n",
@@ -111,12 +112,12 @@ func runSaturate() (string, error) {
 			}
 		}
 		txt += fmt.Sprintf("baseline: %s (%s, go %s)\n%s", *baseline, base.Timestamp, base.Go, cmp)
-		if violations := append(moreMatches, slower...); len(violations) > 0 {
+		if violations := append(moreWork, slower...); len(violations) > 0 {
 			for _, v := range violations {
 				fmt.Fprintf(os.Stderr, "entangle-bench: saturate: REGRESSION: %s\n", v)
 			}
-			return "", fmt.Errorf("cold check regressed: throughput beyond %.0f%% on %d workload(s), e-matches above baseline on %d",
-				*tolerance*100, len(slower), len(moreMatches))
+			return "", fmt.Errorf("cold check regressed: throughput beyond %.0f%% on %d workload(s), e-matches or allocated bytes above baseline %d time(s)",
+				*tolerance*100, len(slower), len(moreWork))
 		}
 		txt += "regression gate: OK\n"
 	}

@@ -12,7 +12,6 @@ import (
 
 	"entangle/internal/core"
 	"entangle/internal/lemmas"
-	"entangle/internal/models"
 )
 
 // update rewrites testdata/golden_zoo.txt. The file was recorded at the
@@ -22,77 +21,18 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 const goldenZoo = "testdata/golden_zoo.txt"
 
-type zooCase struct {
-	name        string
-	build       func() (*models.Built, error)
-	viaHLO      bool
-	expectation bool
-}
-
-// zooCases is every model the repository can build: each Figure 3
-// workload at each parallelism it supports, the DP/PP/CP/grad-sync
-// extensions, and the nine Table 3 bugs.
-func zooCases() []zooCase {
-	var cases []zooCase
-	for _, w := range Fig3Workloads() {
-		w := w
-		degrees := w.Parallelisms
-		if degrees == nil {
-			degrees = []int{2}
-		}
-		for _, p := range degrees {
-			p := p
-			cases = append(cases, zooCase{
-				name:   fmt.Sprintf("%s(%d)", w.Name, p),
-				build:  func() (*models.Built, error) { return w.Build(p, 1) },
-				viaHLO: w.ViaHLO,
-			})
-		}
-	}
-	for _, r := range []int{2, 4} {
-		r := r
-		cases = append(cases,
-			zooCase{name: fmt.Sprintf("DataParallel(%d)", r), build: func() (*models.Built, error) { return models.DataParallel(r, true) }},
-			zooCase{name: fmt.Sprintf("DataParallel(%d)/expectation", r), expectation: true,
-				build: func() (*models.Built, error) { return models.DataParallel(r, true) }},
-			zooCase{name: fmt.Sprintf("Pipeline(%d)", r), build: func() (*models.Built, error) { return models.Pipeline(r, false) }},
-			zooCase{name: fmt.Sprintf("Pipeline(%d)/buggy-scaling", r), build: func() (*models.Built, error) { return models.Pipeline(r, true) }},
-			zooCase{name: fmt.Sprintf("ContextParallel(%d)", r), build: func() (*models.Built, error) { return models.ContextParallel(r) }},
-		)
-	}
-	cases = append(cases, zooCase{name: "DataParallel(2)/unsynced-expectation", expectation: true,
-		build: func() (*models.Built, error) { return models.DataParallel(2, false) }})
-	for _, m := range []models.GradSyncModule{models.ModuleLayerNorm, models.ModuleMoERouter, models.ModuleTELayerNorm} {
-		m := m
-		cases = append(cases,
-			zooCase{name: fmt.Sprintf("GradSync(%s)", m), build: func() (*models.Built, error) { return models.GradSync(m, 2, true) }},
-			zooCase{name: fmt.Sprintf("GradSync(%s)/expectation", m), expectation: true,
-				build: func() (*models.Built, error) { return models.GradSync(m, 2, true) }})
-	}
-	for _, c := range BugCases() {
-		cases = append(cases, zooCase{name: fmt.Sprintf("bug%d", c.ID), build: c.Build, expectation: c.Expectation})
-	}
-	return cases
-}
-
 // runZooCase renders one case's per-rule applications, saturation
 // counters and R_o (or failure text), and adds the applications to
 // fired.
-func runZooCase(t *testing.T, c zooCase, fired map[string]int) string {
+func runZooCase(t *testing.T, c ZooCase, fired map[string]int) string {
 	t.Helper()
-	b, err := c.build()
+	b, gs, gd, ri, err := c.Graphs()
 	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
-	gs, gd, ri := b.Gs, b.Gd, b.Ri
-	if c.viaHLO {
-		if gs, gd, ri, err = roundTripHLO(b); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		t.Fatal(err)
 	}
 	checker := core.NewChecker(core.Options{Registry: lemmas.Default()})
 	var out strings.Builder
-	if c.expectation {
+	if c.Expectation {
 		err = checker.CheckExpectation(gs, gd, ri, core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd})
 		var ee *core.ExpectationError
 		fmt.Fprintf(&out, "expectation violated: %t\n", errors.As(err, &ee))
@@ -109,7 +49,7 @@ func runZooCase(t *testing.T, c zooCase, fired map[string]int) string {
 		fmt.Fprintf(&out, "error: %v\n", err)
 		rep, _ = core.NewChecker(core.Options{Registry: lemmas.Default(), KeepGoing: true}).Check(gs, gd, ri)
 		if rep == nil {
-			t.Fatalf("%s: KeepGoing returned no report", c.name)
+			t.Fatalf("%s: KeepGoing returned no report", c.Name)
 		}
 		out.WriteString("failures:\n" + rep.RenderFailures())
 	}
@@ -141,9 +81,9 @@ func TestGoldenZoo(t *testing.T) {
 	fired := map[string]int{}
 	var names []string
 	sections := map[string]string{}
-	for _, c := range zooCases() {
-		names = append(names, c.name)
-		sections[c.name] = runZooCase(t, c, fired)
+	for _, c := range Zoo() {
+		names = append(names, c.Name)
+		sections[c.Name] = runZooCase(t, c, fired)
 	}
 	var idle strings.Builder
 	for _, r := range lemmas.Default().Rules() {

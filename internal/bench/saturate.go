@@ -80,8 +80,8 @@ func Saturate() (string, []SaturatePoint, error) {
 
 // saturatePoint times repeated cold checks of one workload. The build
 // and (for Llama) the HLO round trip happen once, outside the timed
-// region; each timed check re-runs the full wavefront walk with fresh
-// per-operator e-graphs.
+// region; each timed check re-runs the full wavefront walk, every
+// per-operator e-graph saturating from empty.
 func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	gs, gd, ri, err := w.graphs(parallel, layers)
 	if err != nil {
@@ -162,39 +162,52 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	}, nil
 }
 
+// bytesSlack is how far bytes_per_check may read above the baseline
+// before the gate calls it a rise. The count itself repeats to within
+// a few hundredths of a percent from run to run (the per-process fixed
+// cost is spread over however many checks the timing budget allowed);
+// what the gate is after — scratch that stopped surviving a graph's
+// Release, a new per-match allocation — moves it by tens of percent.
+const bytesSlack = 0.01
+
 // CompareSaturate gates CI on cold-check regressions: for every
 // workload present in both the baseline (the committed trajectory's
 // last run) and the current points, the current checks/sec must be at
-// least (1 - tolerance) × baseline, and the e-matches collected per
-// check must not exceed the baseline's. It returns a human-readable
-// comparison plus the violations of each kind. A throughput violation
-// is a timing and may be a noisy neighbour, so the caller re-measures
-// before believing it; a match-count violation is an exact counter —
-// the matcher offered rules work it used to withhold — and is final.
-func CompareSaturate(baseline, current []SaturatePoint, tolerance float64) (report string, slower, moreMatches []string) {
+// least (1 - tolerance) × baseline, and neither the e-matches collected
+// nor the bytes allocated per check may exceed the baseline's. It
+// returns a human-readable comparison plus the violations of each kind.
+// A throughput violation is a timing and may be a noisy neighbour, so
+// the caller re-measures before believing it; the other two are counts —
+// the matcher offered rules work it used to withhold, a check allocates
+// what it used to recycle — and are final.
+func CompareSaturate(baseline, current []SaturatePoint, tolerance float64) (report string, slower, moreWork []string) {
 	base := map[string]SaturatePoint{}
 	for _, p := range baseline {
 		base[p.Workload] = p
 	}
 	var out strings.Builder
-	fmt.Fprintf(&out, "%-16s %12s %12s %8s %12s %12s\n", "model", "base chk/s", "now chk/s", "ratio", "base matches", "now matches")
+	fmt.Fprintf(&out, "%-16s %12s %12s %8s %12s %12s %12s %12s\n", "model", "base chk/s", "now chk/s", "ratio", "base matches", "now matches", "base KB/chk", "now KB/chk")
 	for _, p := range current {
 		b, ok := base[p.Workload]
 		if !ok || b.ChecksPerSec <= 0 {
-			fmt.Fprintf(&out, "%-16s %12s %12.1f %8s %12s %12d\n", p.Workload, "(none)", p.ChecksPerSec, "-", "(none)", p.Matches)
+			fmt.Fprintf(&out, "%-16s %12s %12.1f %8s %12s %12d %12s %12.0f\n", p.Workload, "(none)", p.ChecksPerSec, "-", "(none)", p.Matches, "(none)", p.BytesPerCheck/1024)
 			continue
 		}
 		ratio := p.ChecksPerSec / b.ChecksPerSec
-		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx %12d %12d\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio, b.Matches, p.Matches)
+		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx %12d %12d %12.0f %12.0f\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio, b.Matches, p.Matches, b.BytesPerCheck/1024, p.BytesPerCheck/1024)
 		if ratio < 1-tolerance {
 			slower = append(slower,
 				fmt.Sprintf("%s: cold throughput %.1f checks/s is %.0f%% of baseline %.1f (floor %.0f%%)",
 					p.Workload, p.ChecksPerSec, 100*ratio, b.ChecksPerSec, 100*(1-tolerance)))
 		}
 		if p.Matches > b.Matches {
-			moreMatches = append(moreMatches,
+			moreWork = append(moreWork,
 				fmt.Sprintf("%s: %d e-matches per check, baseline %d", p.Workload, p.Matches, b.Matches))
 		}
+		if b.BytesPerCheck > 0 && p.BytesPerCheck > b.BytesPerCheck*(1+bytesSlack) {
+			moreWork = append(moreWork,
+				fmt.Sprintf("%s: %.0f bytes allocated per check, baseline %.0f", p.Workload, p.BytesPerCheck, b.BytesPerCheck))
+		}
 	}
-	return out.String(), slower, moreMatches
+	return out.String(), slower, moreWork
 }

@@ -418,7 +418,10 @@ func mergedContext(gs, gd *graph.Graph) *sym.Context {
 }
 
 // newEGraph builds a per-operator e-graph wired to both graphs' tensor
-// shapes.
+// shapes. The caller hands it back with Release once it has extracted
+// what it needs — after its return statement's operands are evaluated,
+// not in a defer: a panic must unwind past the Release, so that the
+// graph it interrupted is dropped instead of recycled.
 func (r *runState) newEGraph() *egraph.EGraph {
 	eg := egraph.New(r.ctx)
 	eg.SetLeafShapeFn(func(tid int) (shape.Shape, bool) {
@@ -514,7 +517,7 @@ type opResult struct {
 //
 // Determinism: for a fixed graph, options, and (injected) faults, the
 // verdict depends only on the operator — attempts run the saturation
-// from a fresh e-graph with deterministic budgets — so any Workers
+// from an empty e-graph with deterministic budgets — so any Workers
 // value yields the same verdict for every operator. Timeout verdicts
 // (OpTimeout) are the one wall-clock-dependent exception.
 //
@@ -653,14 +656,21 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 // failure). budget bounds each saturation run; checkOp escalates it
 // across attempts.
 func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
-	var acc egraph.Stats
 	if expr.Collective(v.Op) {
-		return acc, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
+		return egraph.Stats{}, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
 	}
+	eg := r.newEGraph()
+	acc, outs, err := r.processOpIn(ctx, eg, v, budget)
+	eg.Release()
+	return acc, outs, err
+}
+
+// processOpIn is processOp's search, run in the e-graph it is given.
+func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
+	var acc egraph.Stats
 	satOpts := budget
 	satOpts.Ctx = ctx
 	satOpts.Compiled = r.compiled
-	eg := r.newEGraph()
 
 	// Step 1 (rewrite_t_to_expr): leaves for v's inputs, unioned with
 	// every known mapping. In e-graph form, substitution is union.
@@ -689,17 +699,16 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 
 	// Listing 3: the related-tensor frontier T_rel starts from the G_d
 	// tensors reachable through the mappings of v's inputs.
-	tRel := map[graph.TensorID]bool{}
+	tRel, folded := r.frontierSets()
 	for _, gdID := range r.rel.GdLeaves(v.Inputs) {
-		tRel[gdID] = true
+		relate(tRel, gdID)
 	}
 	if r.opts.DisableFrontier {
-		for _, t := range r.gd.Tensors {
-			tRel[t.ID] = true
+		for i := range tRel {
+			tRel[i] = true
 		}
 	}
 
-	folded := make(map[graph.NodeID]bool, len(r.gd.Nodes))
 	maxIters := r.opts.MaxFrontierIters
 	if maxIters == 0 {
 		maxIters = len(r.gd.Nodes) + 1
@@ -728,20 +737,19 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 		for _, oc := range outClasses {
 			for _, t := range clean.ExtractAll(oc, r.opts.MaxMappings) {
 				for _, leaf := range t.Leaves() {
-					if relation.IsGd(leaf) {
-						id := relation.GdTensorID(leaf)
-						if !tRel[id] {
-							tRel[id] = true
-							grew = true
-						}
+					if relation.IsGd(leaf) && relate(tRel, relation.GdTensorID(leaf)) {
+						grew = true
 					}
 				}
 			}
 		}
 		// Outputs of folded nodes whose class gained a clean
 		// representation are also related.
-		for id := range folded {
-			for _, out := range r.gd.Node(id).Outputs {
+		for _, n := range r.gdOrder {
+			if !folded[n.ID] {
+				continue
+			}
+			for _, out := range n.Outputs {
 				if tRel[out] {
 					continue
 				}
@@ -788,12 +796,30 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 	return acc, outs, nil
 }
 
+// frontierSets returns the two sets a frontier walk keeps, both empty:
+// the related G_d tensors and the folded G_d nodes, as tables over the
+// graph's (dense) tensor and node IDs.
+func (r *runState) frontierSets() (tRel, folded []bool) {
+	return make([]bool, len(r.gd.Tensors)), make([]bool, len(r.gd.Nodes))
+}
+
+// relate adds the G_d tensor a mapping's leaf names to tRel and reports
+// whether it was new. A leaf outside G_d's tensor table relates
+// nothing: no G_d node consumes it.
+func relate(tRel []bool, id graph.TensorID) bool {
+	if int(id) >= len(tRel) || tRel[id] {
+		return false
+	}
+	tRel[id] = true
+	return true
+}
+
 // foldReady folds, in G_d topological order, every not-yet-folded G_d
 // node whose inputs are all in tRel, and reports whether any was. With
 // relateOutputs a folded node's outputs join tRel at once, so one pass
 // cascades forward (output resolution); without, they join only when
 // the caller finds them related (the Listing-3 frontier).
-func (r *runState) foldReady(eg *egraph.EGraph, tRel map[graph.TensorID]bool, folded map[graph.NodeID]bool, relateOutputs bool) (bool, error) {
+func (r *runState) foldReady(eg *egraph.EGraph, tRel, folded []bool, relateOutputs bool) (bool, error) {
 	progress := false
 nodes:
 	for _, n := range r.gdOrder {
@@ -919,42 +945,13 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 		return nil, fail(VerdictDisproved, ReasonNone)
 	}
 	eg := r.newEGraph()
-	cls := eg.AddTerm(relation.GsLeaf(r.gs.Tensor(o)))
-	tRel := map[graph.TensorID]bool{}
-	for _, m := range maps {
-		eg.Union(cls, eg.AddTerm(m))
-		for _, leaf := range m.Leaves() {
-			if relation.IsGd(leaf) {
-				tRel[relation.GdTensorID(leaf)] = true
-			}
-		}
-	}
-	eg.Rebuild()
-
-	folded := map[graph.NodeID]bool{}
-	for iter := 0; iter <= len(r.gd.Nodes); iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
-		}
-		progress, err := r.foldReady(eg, tRel, folded, true)
-		if err != nil {
-			return nil, err
-		}
-		if !progress {
-			break
-		}
-	}
-	satOpts := r.opts.Saturate
-	satOpts.Ctx = ctx
-	satOpts.Compiled = r.compiled
-	resolveStats := eg.Saturate(r.rules, satOpts)
+	out, resolveStats, err := r.resolveOutputIn(ctx, eg, o, maps)
+	eg.Release()
 	report.Stats.Merge(resolveStats)
 	report.LiveStats.Merge(resolveStats)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
+	if err != nil {
+		return nil, err
 	}
-
-	out := eg.ExtractAllClean(eg.Find(cls), r.allowGdOutput, r.opts.MaxMappings)
 	if len(out) == 0 {
 		if resolveStats.Saturated {
 			return nil, fail(VerdictDisproved, ReasonNone)
@@ -964,4 +961,42 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 		return nil, fail(VerdictInconclusive, ReasonBudgetExhausted)
 	}
 	return out, nil
+}
+
+// resolveOutputIn is resolveOutput's search, run in the e-graph it is
+// given: G_d folded forward from o's known mappings, one saturation,
+// and the mappings over O(G_d) it leaves o with (none is not an error).
+func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o graph.TensorID, maps []*expr.Term) ([]*expr.Term, egraph.Stats, error) {
+	cls := eg.AddTerm(relation.GsLeaf(r.gs.Tensor(o)))
+	tRel, folded := r.frontierSets()
+	for _, m := range maps {
+		eg.Union(cls, eg.AddTerm(m))
+		for _, leaf := range m.Leaves() {
+			if relation.IsGd(leaf) {
+				relate(tRel, relation.GdTensorID(leaf))
+			}
+		}
+	}
+	eg.Rebuild()
+
+	for iter := 0; iter <= len(r.gd.Nodes); iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, egraph.Stats{}, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
+		}
+		progress, err := r.foldReady(eg, tRel, folded, true)
+		if err != nil {
+			return nil, egraph.Stats{}, err
+		}
+		if !progress {
+			break
+		}
+	}
+	satOpts := r.opts.Saturate
+	satOpts.Ctx = ctx
+	satOpts.Compiled = r.compiled
+	stats := eg.Saturate(r.rules, satOpts)
+	if err := ctx.Err(); err != nil {
+		return nil, stats, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
+	}
+	return eg.ExtractAllClean(eg.Find(cls), r.allowGdOutput, r.opts.MaxMappings), stats, nil
 }

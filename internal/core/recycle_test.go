@@ -1,0 +1,68 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"entangle/internal/egraph"
+	"entangle/internal/graph"
+	"entangle/internal/models"
+)
+
+// TestRecycledCheckAllocs is the allocation ratchet for the recycled
+// per-operator e-graph: one fixed operator of the zoo, checked over and
+// over on the graph its previous check released, must stay under the
+// ceilings recorded when recycling landed (3,252 allocations and 284 KB
+// a check; building the graph anew each time took 3,456 and 484 KB).
+// Both are exact counts, not timings, so the gate is safe in CI; a rise
+// means some scratch stopped surviving Release, or something new
+// allocates per check.
+func TestRecycledCheckAllocs(t *testing.T) {
+	if raceEnabled || egraph.InvariantChecks {
+		t.Skip("the race detector and the invariant audits allocate on their own account")
+	}
+	const (
+		label        = "L0/res2" // GPT, TP 2 + SP, one layer: 641 e-matches over 10 iterations
+		allocCeiling = 3_350
+		byteCeiling  = 300_000
+	)
+	b, err := models.GPT(models.Options{TP: 2, SP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run, _, err := NewChecker(Options{Workers: 1}).checkContext(ctx, b.Gs, b.Gd, b.Ri, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v *graph.Node
+	for _, n := range run.order {
+		if n.Label == label {
+			v = n
+		}
+	}
+	if v == nil {
+		t.Fatalf("GPT has no operator %q", label)
+	}
+	check := func() {
+		if st, _, err := run.processOp(ctx, v, run.opts.Saturate); err != nil || st.Matches == 0 {
+			t.Fatalf("checking %s: %d matches, %v", label, st.Matches, err)
+		}
+	}
+	check() // leaves its graph, grown to this operator's size, on the free list
+
+	if allocs := testing.AllocsPerRun(20, check); allocs > allocCeiling {
+		t.Errorf("%s: %.0f allocations per check on a recycled graph, ceiling %d", label, allocs, allocCeiling)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > byteCeiling {
+		t.Errorf("%s: %d bytes allocated per check on a recycled graph, ceiling %d", label, bytes, byteCeiling)
+	}
+}

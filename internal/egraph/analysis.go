@@ -15,7 +15,10 @@ import (
 // SetLeafShapeFn installs the tensor-leaf shape oracle.
 func (g *EGraph) SetLeafShapeFn(fn func(tid int) (shape.Shape, bool)) {
 	g.leafShape = fn
-	g.shapeMemo = map[ClassID]shape.Shape{}
+	if g.shapeMemo == nil {
+		g.shapeMemo = map[ClassID]shape.Shape{}
+	}
+	clear(g.shapeMemo)
 }
 
 // ShapeOf returns the shape of the tensor denoted by class c, if

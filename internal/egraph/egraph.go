@@ -9,7 +9,6 @@ package egraph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"entangle/internal/expr"
@@ -36,7 +35,8 @@ type ENode struct {
 	// kid-independent identity (see intern.go). Zero means not yet
 	// interned; the owning e-graph fills it on first insert/lookup.
 	// Struct copies carry it along, which is safe because heads are
-	// immutable and IDs are only ever read by the graph that set them.
+	// immutable and IDs are only ever read by the graph life that set
+	// them: a copy must not outlive that graph's Release.
 	head headID
 
 	// born is the match phase (EGraph.phase) current when the owning
@@ -122,12 +122,18 @@ func (c *Class) opsAdd(op opID, delta int32) {
 
 // EGraph is the equality-saturation engine.
 type EGraph struct {
-	parent  []ClassID
-	rank    []int
-	classes map[ClassID]*Class
-	memo    *memoTable
-	intern  *interner
-	work    []ClassID
+	parent []ClassID
+	rank   []int
+	// classes is indexed by ClassID — IDs are dense, newClass hands them
+	// out in order — with nil in the slot of a class a Union absorbed;
+	// live counts the non-nil slots.
+	classes []*Class
+	live    int
+	memo    memoTable
+	intern  interner
+	// work is Rebuild's worklist and workDone the list it drained last
+	// round, kept so the two swap instead of reallocating.
+	work, workDone []ClassID
 
 	// Ctx resolves symbolic-scalar comparisons in rule conditions.
 	Ctx *sym.Context
@@ -182,7 +188,6 @@ type EGraph struct {
 	consumed     []int32 // per class slot: stamped with the dirtyTake epoch when a dirty class's node consumes it
 	dirtyFront   []ClassID
 	dirtyNext    []ClassID
-	classScratch []ClassID
 	child0ID     []opID      // per-rule child-0 op filter, resolved per iteration
 	fpBuf        []byte      // fingerprint scratch (appendFingerprint)
 	todoBuf      []ruleMatch // match-list scratch (Saturate)
@@ -198,21 +203,10 @@ type EGraph struct {
 	leafShape     func(tid int) (shape.Shape, bool)
 	shapeMemo     map[ClassID]shape.Shape
 	shapeVisiting map[ClassID]bool
-}
 
-// New returns an empty e-graph using ctx for symbolic reasoning (nil
-// means an empty context).
-func New(ctx *sym.Context) *EGraph {
-	if ctx == nil {
-		ctx = sym.NewContext()
-	}
-	return &EGraph{
-		classes:     map[ClassID]*Class{},
-		memo:        newMemoTable(),
-		intern:      newInterner(),
-		scratchSeen: map[uint64]int32{},
-		Ctx:         ctx,
-	}
+	// released marks a graph between Release and the New that hands it
+	// out again (lifetime.go).
+	released bool
 }
 
 // NodeCount returns the number of live ENodes: distinct nodes
@@ -226,13 +220,15 @@ func (g *EGraph) NodeCount() int { return g.nodeCount }
 func nodeTotal(g *EGraph) int {
 	n := 0
 	for _, c := range g.classes {
-		n += len(c.nodes)
+		if c != nil {
+			n += len(c.nodes)
+		}
 	}
 	return n
 }
 
 // ClassCount returns the number of live equivalence classes.
-func (g *EGraph) ClassCount() int { return len(g.classes) }
+func (g *EGraph) ClassCount() int { return g.live }
 
 // Find returns the canonical representative of a class.
 func (g *EGraph) Find(c ClassID) ClassID {
@@ -247,7 +243,8 @@ func (g *EGraph) newClass() ClassID {
 	id := ClassID(len(g.parent))
 	g.parent = append(g.parent, id)
 	g.rank = append(g.rank, 0)
-	g.classes[id] = &Class{id: id}
+	g.classes = append(g.classes, &Class{id: id})
+	g.live++
 	g.dirty = append(g.dirty, id)
 	return id
 }
@@ -278,6 +275,9 @@ func (g *EGraph) canonNode(n ENode) ENode {
 // Used by constrained lemmas (§4.3.2) that may only target existing
 // ENodes.
 func (g *EGraph) Lookup(n ENode) (ClassID, bool) {
+	if InvariantChecks {
+		g.checkHead(&n)
+	}
 	n = g.canonNode(n)
 	id, ok := g.memoLookup(&n)
 	if !ok {
@@ -299,6 +299,9 @@ func (g *EGraph) AddNode(n ENode) ClassID {
 // instead of creating a node beyond the live-node limit, recording the
 // denial so Saturate reports a node-limit stop.
 func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
+	if InvariantChecks {
+		g.checkHead(&n)
+	}
 	n = g.canonNode(n)
 	h := g.headOf(&n)
 	hash := memoHash(h, n.Kids)
@@ -372,7 +375,8 @@ func (g *EGraph) Union(a, b ClassID) bool {
 	for _, oc := range cb.ops {
 		ca.opsAdd(oc.op, oc.n)
 	}
-	delete(g.classes, b)
+	g.classes[b] = nil
+	g.live--
 	g.work = append(g.work, a)
 	g.dirty = append(g.dirty, a)
 	return true
@@ -384,8 +388,9 @@ func (g *EGraph) Union(a, b ClassID) bool {
 // rebuild is followed by a full structural audit that panics on drift.
 func (g *EGraph) Rebuild() {
 	for len(g.work) > 0 {
+		// repair queues the next round on g.work while this one drains.
 		todo := g.work
-		g.work = nil
+		g.work = g.workDone[:0]
 		epoch := g.nextEpoch()
 		for _, c := range todo {
 			c = g.Find(c)
@@ -395,6 +400,7 @@ func (g *EGraph) Rebuild() {
 			g.mark[c] = epoch
 			g.repair(c)
 		}
+		g.workDone = todo
 	}
 	if InvariantChecks {
 		if err := g.CheckInvariants(); err != nil {
@@ -579,32 +585,17 @@ func (g *EGraph) repair(c ClassID) {
 
 // Classes returns the live canonical class IDs in ascending order.
 // Class IDs are assigned deterministically by insertion, so iterating
-// in this order (instead of Go's randomized map order) makes
-// e-matching — and therefore union order, extraction tie-breaking, and
-// per-rule application counts — reproducible across runs. The
-// wavefront scheduler relies on this to keep parallel and sequential
-// reports byte-identical.
+// in this order — the class table's own — makes e-matching, and
+// therefore union order, extraction tie-breaking, and per-rule
+// application counts, reproducible across runs. The wavefront scheduler
+// relies on this to keep parallel and sequential reports byte-identical.
 func (g *EGraph) Classes() []ClassID {
-	out := make([]ClassID, 0, len(g.classes))
-	for id := range g.classes {
-		out = append(out, id)
+	out := make([]ClassID, 0, g.live)
+	for id, cl := range g.classes {
+		if cl != nil {
+			out = append(out, ClassID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (g *EGraph) sortedClassIDs() []ClassID { return g.Classes() }
-
-// sortedClassIDsScratch is Classes() into a reusable buffer — the
-// saturation loop calls it once per iteration, so the ID slice would
-// otherwise be a steady allocation. Valid until the next call.
-func (g *EGraph) sortedClassIDsScratch() []ClassID {
-	out := g.classScratch[:0]
-	for id := range g.classes {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	g.classScratch = out
 	return out
 }
 

@@ -4,3 +4,44 @@ package egraph
 // withheld matches the InvariantChecks replay found effective in their
 // turn (EGraph.lateEffects).
 func LateEffects(g *EGraph) int { return g.lateEffects }
+
+// The free list's test seams (lifetime.go).
+
+// SetFreeListCap empties the free list and sets how many graphs it
+// keeps from now on; 0 switches recycling off — every New then builds
+// from scratch, as if Release were never called. It returns the
+// previous bound.
+func SetFreeListCap(n int) (old int) {
+	freeList.Lock()
+	defer freeList.Unlock()
+	old, freeListCap = freeListCap, n
+	clear(freeList.graphs)
+	freeList.graphs = freeList.graphs[:0]
+	return old
+}
+
+// FreeListLen reports how many graphs are waiting for a New.
+func FreeListLen() int {
+	freeList.Lock()
+	defer freeList.Unlock()
+	return len(freeList.graphs)
+}
+
+// OnFreeList reports whether g is waiting for a New.
+func OnFreeList(g *EGraph) bool {
+	freeList.Lock()
+	defer freeList.Unlock()
+	for _, f := range freeList.graphs {
+		if f == g {
+			return true
+		}
+	}
+	return false
+}
+
+// SetReleaseHook installs fn to see every graph as Release receives it,
+// before the reset (nil uninstalls).
+func SetReleaseHook(fn func(*EGraph)) { releaseHook = fn }
+
+// ShapeUnknown reports whether a ShapeOf query has failed on g.
+func ShapeUnknown(g *EGraph) bool { return g.shapeUnknown }

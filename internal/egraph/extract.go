@@ -48,6 +48,9 @@ func (g *EGraph) CleanCosts(allowed func(tid int) bool) CleanCosts {
 	for {
 		changed := false
 		for id, cl := range g.classes {
+			if cl == nil {
+				continue
+			}
 			best := v.cost[id]
 			for i := range cl.nodes {
 				if c := v.nodeCost(&cl.nodes[i]); c < best {

@@ -152,8 +152,11 @@ type observation struct {
 // same point.
 var diffOpts = egraph.SaturateOpts{MaxIters: 10, MaxNodes: 600}
 
-// run replays the script on a fresh graph and returns what each
-// Saturate call left, plus the graph's late-effect count.
+// run replays the script on a graph from New — a recycled one, then:
+// every run hands its graph back, so the three regimes of one script,
+// and one script and the next, follow each other on the same objects —
+// and returns what each Saturate call left, plus the graph's
+// late-effect count. (An audit panic unwinds past the Release.)
 func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool) ([]observation, int) {
 	defer func(was bool) { egraph.InvariantChecks = was }(egraph.InvariantChecks)
 	egraph.InvariantChecks = audit
@@ -197,7 +200,9 @@ func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool)
 			classes: dumpClasses(g), clean: dumpClean(g, roots),
 		})
 	}
-	return out, egraph.LateEffects(g)
+	late := egraph.LateEffects(g)
+	g.Release()
+	return out, late
 }
 
 func dumpClasses(g *egraph.EGraph) string {

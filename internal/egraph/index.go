@@ -182,7 +182,11 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 	noBound := g.shapeUnknown
 	audit := InvariantChecks && !full
 	everywhere := full || audit || cr.unbounded || (noBound && cr.footprint)
-	for _, id := range g.sortedClassIDsScratch() {
+	for i, cl := range g.classes {
+		if cl == nil {
+			continue
+		}
+		id := ClassID(i)
 		d, consumed := farAway, false
 		if full {
 			d = 0
@@ -195,7 +199,6 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 		if d == farAway && !consumed && !everywhere {
 			continue
 		}
-		cl := g.classes[id]
 		for _, ri := range cr.varRules {
 			r := cr.rules[ri]
 			offer := cr.gate(ri, noBound).open(d, consumed)

@@ -1,6 +1,9 @@
 package egraph
 
-import "strconv"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Interned node identity. An ENode's structural identity splits into a
 // "head" — operator, Str attribute, symbolic Ints, and leaf TID,
@@ -11,11 +14,15 @@ import "strconv"
 // one fmt-heavy string construction per canonicalization and was,
 // with its allocations, ~25% of cold-check CPU.
 //
-// Head IDs are e-graph-local. Nodes read back from one graph (via
-// Class.Nodes or ParentsOf) carry that graph's head ID in an
-// unexported field; inserting such a copy into a *different* graph is
-// not supported (fresh ENode literals, which every rule builds, are
-// always safe — their zero head is interned on first insert).
+// Head IDs are local to one life of one e-graph: Release clears the
+// interner, and the next life hands the IDs out afresh. Nodes read back
+// from a graph (via Class.Nodes, ParentsOf or Match.Node) carry that
+// life's head ID in an unexported field, so such a copy dies with the
+// graph's Release — inserting it into a different graph, or into the
+// same object after Release, is not supported, and under
+// InvariantChecks AddNode and Lookup panic on it (checkHead). Fresh
+// ENode literals, which every rule builds, are always safe: their zero
+// head is interned on first insert.
 
 // headID identifies an interned node head. 0 means "not yet interned";
 // valid IDs start at 1 and index headOps at id-1.
@@ -33,8 +40,15 @@ type interner struct {
 	ops     map[string]opID
 }
 
-func newInterner() *interner {
-	return &interner{heads: map[string]headID{}, ops: map[string]opID{}}
+func newInterner() interner {
+	return interner{heads: map[string]headID{}, ops: map[string]opID{}}
+}
+
+// reset forgets every head and operator, keeping the maps' buckets.
+func (in *interner) reset() {
+	clear(in.heads)
+	clear(in.ops)
+	in.headOps = in.headOps[:0]
 }
 
 func (in *interner) opOf(op string) opID {
@@ -94,6 +108,23 @@ func (g *EGraph) headOf(n *ENode) headID {
 	return id
 }
 
+// checkHead panics when n arrives carrying a cached head that this life
+// of the graph did not hand out for n's head key: the node was copied
+// out of another graph, or out of this one before its last Release.
+// (A stale ID that happens to re-derive to itself is, by definition,
+// the right one.) It runs only under InvariantChecks, at the two doors
+// outside nodes come in through.
+func (g *EGraph) checkHead(n *ENode) {
+	if n.head == 0 {
+		return
+	}
+	g.headBuf = appendHeadKey(g.headBuf[:0], n)
+	if id, ok := g.intern.heads[string(g.headBuf)]; !ok || id != n.head {
+		panic(fmt.Sprintf("egraph: node %s carries head %d cached by another graph life (this one has %d for it): an ENode copied out of a graph dies with that graph's Release",
+			g.headBuf, n.head, id))
+	}
+}
+
 // opOfHead returns the interned operator of a head.
 func (g *EGraph) opOfHead(h headID) opID { return g.intern.headOps[h-1] }
 
@@ -147,8 +178,19 @@ type memoEntry struct {
 
 const memoTombstone headID = -1
 
-func newMemoTable() *memoTable {
-	return &memoTable{entries: make([]memoEntry, 64)}
+func newMemoTable() memoTable {
+	return memoTable{entries: make([]memoEntry, 64)}
+}
+
+// reset empties the table, keeping its slots unless it grew past
+// keepSlots.
+func (m *memoTable) reset() {
+	if len(m.entries) > keepSlots {
+		*m = newMemoTable()
+		return
+	}
+	clear(m.entries) // the entries point at kid slices
+	m.live, m.used = 0, 0
 }
 
 func (m *memoTable) mask() uint64 { return uint64(len(m.entries) - 1) }

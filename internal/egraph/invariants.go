@@ -22,8 +22,10 @@ var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 // returns the first violation found, or nil. The invariants, which
 // Rebuild is supposed to (re)establish:
 //
-//  1. Class records are canonical: every classes-map key is its own
-//     union-find representative and matches the record's id.
+//  1. Class records are canonical: every occupied class-table slot is
+//     its own union-find representative and matches the record's id,
+//     the table has one slot per union-find slot, and the live count
+//     is the number of occupied slots.
 //  2. NodeCount bookkeeping: the incrementally maintained live-node
 //     count equals the stored-node total, and per-class operator
 //     counts (the first-symbol index) match a recount.
@@ -38,17 +40,33 @@ var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 //     its kids' parent lists with the owning class.
 func (g *EGraph) CheckInvariants() error {
 	// 1. Canonical class records.
-	for id, cl := range g.classes {
+	if len(g.classes) != len(g.parent) {
+		return fmt.Errorf("class table has %d slots, the union-find %d", len(g.classes), len(g.parent))
+	}
+	live := 0
+	for i, cl := range g.classes {
+		if cl == nil {
+			continue
+		}
+		live++
+		id := ClassID(i)
 		if g.Find(id) != id {
-			return fmt.Errorf("class %d is in the class map but not canonical (Find = %d)", id, g.Find(id))
+			return fmt.Errorf("class %d is in the class table but not canonical (Find = %d)", id, g.Find(id))
 		}
 		if cl.id != id {
 			return fmt.Errorf("class %d record carries id %d", id, cl.id)
 		}
 	}
+	if live != g.live {
+		return fmt.Errorf("live class count %d != occupied class slots %d", g.live, live)
+	}
 
 	total := 0
-	for id, cl := range g.classes {
+	for i, cl := range g.classes {
+		if cl == nil {
+			continue
+		}
+		id := ClassID(i)
 		total += len(cl.nodes)
 
 		// 2b + 3. Operator counts and intra-class dedup.

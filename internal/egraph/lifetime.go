@@ -1,0 +1,228 @@
+package egraph
+
+import (
+	"fmt"
+	"sync"
+
+	"entangle/internal/sym"
+)
+
+// Graph lifetime. The checker builds one e-graph per G_s operator
+// (§4.3.1) — dozens per request, most of them a few hundred nodes — so
+// an e-graph is a recycled object: New hands out a reset graph from a
+// small free list when one is there, and Release resets a graph and
+// puts it back. A reset graph is observably a fresh one — same class
+// IDs, same match order, same statistics. What it keeps is the capacity
+// of its scratch, each piece only up to a fixed size and with every
+// pointer into the life that ended cleared. Class records and their
+// node and parent lists are not kept: a parent entry is a whole ENode
+// copy, and a slot that remembered the largest list it ever held cost
+// more resident memory than the allocations it saved.
+//
+// The list is package-level because graph lifetimes are shorter than
+// anything that could own it: the daemon builds a Checker per request,
+// and a check's operators come and go on its workers. What it can pin
+// is bounded by construction — freeListCap graphs, each within the
+// keep* sizes below — and there is nothing to tune: a piece the bounds
+// do not fit is simply rebuilt, which is what every graph was before.
+
+// The retention bounds, sized for the operators of a multi-layer,
+// degree-8 zoo model (peak ≈ 700 live nodes), not for the budget
+// ceiling: smaller bounds measured faster than larger ones, not only
+// leaner. A piece that outgrew its bound during the life that ended
+// goes back to the collector; the graph keeps the rest.
+const (
+	// keepSlots bounds everything that grows with the graph's classes
+	// and nodes: the per-class-slot arrays (union-find parent and rank,
+	// the class table, the mark/dist/consumed annotations, the clean-cost
+	// table: 41 bytes a slot together) with the maps a graph of that many
+	// classes fills (interner, shape memo, repair dedup); the hash-cons
+	// table (48-byte entries); the applied-fingerprint set; the class
+	// worklists.
+	keepSlots = 1024
+	// keepMatches bounds what grows with the matches of one phase: the
+	// match list (136-byte entries) and the e-matching stack.
+	keepMatches = 512
+	// keepArenaChunks is how many of the substitution arena's chunks
+	// (64, 128, … Substs of 272 bytes) survive.
+	keepArenaChunks = 2
+)
+
+// freeListCap bounds the free list. It is a variable only so this
+// package's tests can switch recycling off (export_test.go); nothing
+// else writes it.
+var freeListCap = 4
+
+// releaseHook, when a test installs one (export_test.go), sees every
+// graph Release is handed, as its life left it.
+var releaseHook func(*EGraph)
+
+var freeList struct {
+	sync.Mutex
+	graphs []*EGraph
+}
+
+// New returns an empty e-graph using ctx for symbolic reasoning (nil
+// means an empty context). Hand it back with Release when done.
+func New(ctx *sym.Context) *EGraph {
+	if ctx == nil {
+		ctx = sym.NewContext()
+	}
+	freeList.Lock()
+	var g *EGraph
+	if n := len(freeList.graphs); n > 0 {
+		g = freeList.graphs[n-1]
+		freeList.graphs[n-1] = nil
+		freeList.graphs = freeList.graphs[:n-1]
+	}
+	freeList.Unlock()
+	if g == nil {
+		g = build()
+	}
+	g.released = false
+	g.Ctx = ctx
+	return g
+}
+
+// build makes an e-graph from nothing.
+func build() *EGraph {
+	return &EGraph{
+		memo:        newMemoTable(),
+		intern:      newInterner(),
+		scratchSeen: map[uint64]int32{},
+	}
+}
+
+// Release ends the graph's life: it is reset to the state New returns
+// and may be handed to any later New, so the caller must not touch it —
+// or any ENode, Class or CleanCosts obtained from it — again. Releasing
+// is optional (an unreleased graph is garbage like any other) and must
+// be skipped for a graph a panic unwound through, whose state nothing
+// vouches for.
+func (g *EGraph) Release() {
+	if g.released {
+		panic("egraph: Release of a graph that was already released")
+	}
+	if releaseHook != nil {
+		releaseHook(g)
+	}
+	g.reset()
+	if InvariantChecks {
+		if err := g.checkEmpty(); err != nil {
+			panic(fmt.Sprintf("egraph: graph not empty after reset: %v", err))
+		}
+	}
+	g.released = true
+	freeList.Lock()
+	if len(freeList.graphs) < freeListCap {
+		freeList.graphs = append(freeList.graphs, g)
+	}
+	freeList.Unlock()
+}
+
+// reset returns every field to what New builds. Slices are truncated
+// and maps emptied in place — capacity is what recycling is for — after
+// clearing whatever in them points into the life that ended.
+func (g *EGraph) reset() {
+	if cap(g.parent) > keepSlots {
+		g.parent, g.rank, g.classes = nil, nil, nil
+		g.mark, g.dist, g.consumed, g.cleanCostBuf = nil, nil, nil, nil
+		g.intern = newInterner()
+		g.shapeMemo = nil // SetLeafShapeFn makes the next
+		g.scratchSeen = map[uint64]int32{}
+	} else {
+		clear(g.classes) // the life's classes, nodes and parent lists
+		g.parent, g.rank, g.classes = g.parent[:0], g.rank[:0], g.classes[:0]
+		// nextEpoch re-extends the annotations with zeroes, so the epoch
+		// restarts with them.
+		g.mark, g.dist, g.consumed = g.mark[:0], g.dist[:0], g.consumed[:0]
+		g.intern.reset()
+		clear(g.shapeMemo)
+		clear(g.scratchSeen)
+	}
+	g.markEpoch = 0
+	g.live, g.nodeCount = 0, 0
+	g.memo.reset()
+	g.work, g.workDone = truncate(g.work, keepSlots), truncate(g.workDone, keepSlots)
+	g.dirty = truncate(g.dirty, keepSlots)
+	g.dirtyFront, g.dirtyNext = truncate(g.dirtyFront, keepSlots), truncate(g.dirtyNext, keepSlots)
+
+	g.Ctx = nil
+	g.phase = 0
+	g.shapeUnknown = false
+	g.lateEffects = 0
+	g.nodeLimit, g.budgetDenied = 0, false
+	if len(g.appliedFP) > keepSlots {
+		g.appliedFP = nil // a map never gives buckets back; Saturate makes the next
+	}
+	clear(g.appliedFP)
+	g.satRules, g.satFixpoint = nil, false
+	g.leafShape = nil
+	clear(g.shapeVisiting)
+
+	// Saturate hands the match list back cleared; the e-matching stack is
+	// truncated by discipline, which leaves its pointers behind.
+	g.todoBuf = truncate(g.todoBuf, keepMatches)
+	clear(g.substStack[:cap(g.substStack)])
+	g.substStack = truncate(g.substStack, keepMatches)
+	g.withheld = truncate(g.withheld, keepMatches)
+	g.substArena.release()
+	g.arenaOn = false
+	// cleanGen keeps counting: a CleanCosts table of the life that ended
+	// then still fails its generation check instead of aliasing a new one.
+}
+
+// truncate empties s, or drops it when it grew past keep.
+func truncate[T any](s []T, keep int) []T {
+	if cap(s) > keep {
+		return nil
+	}
+	return s[:0]
+}
+
+// release cuts the arena back to its first chunks and zeroes them:
+// slots are reused without zeroing within a life, so they still hold
+// the last match phase's bindings.
+func (a *substArena) release() {
+	if len(a.chunks) > keepArenaChunks {
+		clear(a.chunks[keepArenaChunks:])
+		a.chunks = a.chunks[:keepArenaChunks]
+	}
+	for _, ch := range a.chunks {
+		clear(ch)
+	}
+	a.reset()
+}
+
+// checkEmpty reports the first way in which g differs observably from a
+// graph New just built (InvariantChecks: Release asserts it).
+func (g *EGraph) checkEmpty() error {
+	switch {
+	case len(g.parent) != 0 || len(g.rank) != 0 || len(g.classes) != 0 || g.live != 0 || g.nodeCount != 0:
+		return fmt.Errorf("%d union-find slots, %d class slots, %d live classes, %d nodes", len(g.parent), len(g.classes), g.live, g.nodeCount)
+	case g.memo.live != 0 || g.memo.used != 0:
+		return fmt.Errorf("memo holds %d entries (%d slots used)", g.memo.live, g.memo.used)
+	case len(g.intern.heads) != 0 || len(g.intern.ops) != 0 || len(g.intern.headOps) != 0:
+		return fmt.Errorf("interner holds %d heads, %d operators", len(g.intern.heads), len(g.intern.ops))
+	case len(g.dirty) != 0 || len(g.work) != 0:
+		return fmt.Errorf("%d dirty classes, %d queued repairs", len(g.dirty), len(g.work))
+	case len(g.appliedFP) != 0 || g.satFixpoint || g.satRules != nil:
+		return fmt.Errorf("%d applied fingerprints, fixpoint carry %t", len(g.appliedFP), g.satFixpoint)
+	case g.shapeUnknown || len(g.shapeMemo) != 0 || g.leafShape != nil:
+		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, %d memoized)", g.shapeUnknown, len(g.shapeMemo))
+	case g.nodeLimit != 0 || g.budgetDenied:
+		return fmt.Errorf("node limit still armed (%d, denied %t)", g.nodeLimit, g.budgetDenied)
+	case g.arenaOn || g.substArena.ci != 0 || g.substArena.ni != 0:
+		return fmt.Errorf("substitution arena still active")
+	case g.phase != 0 || g.markEpoch != 0 || len(g.mark) != 0:
+		return fmt.Errorf("match phase %d, mark epoch %d over %d slots", g.phase, g.markEpoch, len(g.mark))
+	case g.Ctx != nil:
+		return fmt.Errorf("symbolic context still attached")
+	}
+	for i := range g.memo.entries {
+		if e := &g.memo.entries[i]; e.head != 0 || e.kids != nil {
+			return fmt.Errorf("memo slot %d not cleared", i)
+		}
+	}
+	return nil
+}

@@ -1,0 +1,291 @@
+package egraph
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"entangle/internal/expr"
+	"entangle/internal/shape"
+	"entangle/internal/sym"
+)
+
+// emptyFreeList gives the test a free list of its own: empty now, n
+// graphs at most, the previous bound (and an empty list) back when the
+// test ends.
+func emptyFreeList(t *testing.T, n int) {
+	t.Helper()
+	old := SetFreeListCap(n)
+	t.Cleanup(func() { SetFreeListCap(old) })
+}
+
+// lifeRules fire on everything a scripted life inserts: a pure rule
+// with attribute and kid-list bindings, a union, and a ReadsGraph rule
+// that keeps inserting until a budget stops it.
+func lifeRules() []*Rule {
+	return []*Rule{
+		{Name: "concat-first", LHS: POpN(expr.OpConcat, []AttrPat{AVar("d")}, "ks"),
+			Apply: func(g *EGraph, m Match) []UnionPair { return m.With(m.Subst.KidsOf("ks")[0]) }},
+		unionRule("join", 1, 1, 2),
+		growRule("grow", 3),
+	}
+}
+
+// life runs one scripted life on g — terms, a union, shape queries that
+// fail, a saturation that stops on its node budget, an extraction — and
+// renders everything an observer can see of it: the class IDs handed
+// out, the statistics, the class partition, the extracted terms.
+func life(g *EGraph, width int) string {
+	var b strings.Builder
+	g.SetLeafShapeFn(func(tid int) (shape.Shape, bool) {
+		return shape.Shape{sym.Const(4)}, tid != 2 // t2's shape is unknown
+	})
+	var roots []ClassID
+	for i := 0; i < width; i++ {
+		t := expr.New(expr.OpConcat, []sym.Expr{sym.Const(0)}, "",
+			expr.Unary("gelu", leafT(1+i%3, "x")), leafT(2, "y"), expr.MatMul(leafT(3, "z"), leafT(4+i, "w")))
+		roots = append(roots, g.AddTerm(t))
+	}
+	g.Union(roots[0], roots[len(roots)-1])
+	g.Rebuild()
+	_, known := g.ShapeOf(roots[0])
+	st := g.Saturate(lifeRules(), SaturateOpts{MaxIters: 6, MaxNodes: 5*width + 2})
+	fmt.Fprintf(&b, "roots=%v shape-known=%t stats=%+v classes=%d nodes=%d\n", roots, known, st, g.ClassCount(), g.NodeCount())
+	for _, id := range g.Classes() {
+		fmt.Fprintf(&b, "%d:", id)
+		for _, n := range g.Class(id).Nodes() {
+			fmt.Fprintf(&b, " %s", g.canonNode(n).key())
+		}
+		b.WriteByte('\n')
+	}
+	for _, r := range roots {
+		for _, t := range g.ExtractAllClean(r, func(int) bool { return true }, 0) {
+			b.WriteString(t.Key() + ";")
+		}
+	}
+	return b.String()
+}
+
+// A released graph is observably a fresh one: whatever life it led
+// before, the next life on it reads exactly like that life on a graph
+// New built from nothing.
+func TestReleasedGraphIsFresh(t *testing.T) {
+	emptyFreeList(t, 1)
+	want := life(build(), 3)
+	if !strings.Contains(want, "StopReason:node-limit") || !strings.Contains(want, "shape-known=false") {
+		t.Fatalf("the scripted life no longer stops on its node budget with a failed shape query:\n%s", want)
+	}
+	g := New(nil)
+	for _, width := range []int{40, 2, 9} { // a heavy life, a tiny one, a middling one
+		life(g, width)
+		g.Release()
+		if !OnFreeList(g) {
+			t.Fatalf("released graph (width %d) is not on the free list", width)
+		}
+		if got := New(nil); got != g {
+			t.Fatal("New did not hand out the released graph")
+		}
+		if got := life(g, 3); got != want {
+			t.Fatalf("after a life of width %d the recycled graph differs from a fresh one:\n--- recycled ---\n%s\n--- fresh ---\n%s", width, got, want)
+		}
+		g.Release()
+		if got := New(nil); got != g {
+			t.Fatal("New did not hand out the released graph")
+		}
+	}
+}
+
+// Release's emptiness assertion sees each piece of state a life can
+// leave behind.
+func TestCheckEmptyCatchesLeftovers(t *testing.T) {
+	leftovers := map[string]func(g *EGraph){
+		"live class":          func(g *EGraph) { g.AddTerm(leafT(1, "a")) },
+		"memo entry":          func(g *EGraph) { g.memo.put(7, 1, nil, 0) },
+		"interned head":       func(g *EGraph) { g.headOf(&ENode{Op: opF}) },
+		"dirty class":         func(g *EGraph) { g.dirty = append(g.dirty, 0) },
+		"queued repair":       func(g *EGraph) { g.work = append(g.work, 0) },
+		"applied fingerprint": func(g *EGraph) { g.appliedFP = map[string]bool{"x": true} },
+		"fixpoint carry":      func(g *EGraph) { g.satFixpoint = true },
+		"shapeUnknown":        func(g *EGraph) { g.shapeUnknown = true },
+		"shape memo":          func(g *EGraph) { g.shapeMemo = map[ClassID]shape.Shape{0: nil} },
+		"armed node limit":    func(g *EGraph) { g.nodeLimit = 10 },
+		"budget denial":       func(g *EGraph) { g.budgetDenied = true },
+		"active arena":        func(g *EGraph) { g.arenaOn = true },
+		"used arena slot":     func(g *EGraph) { g.arenaOn = true; g.newSubst(); g.arenaOn = false },
+		"match phase":         func(g *EGraph) { g.phase = 3 },
+		"context":             func(g *EGraph) { g.Ctx = sym.NewContext() },
+	}
+	for name, leave := range leftovers {
+		g := New(nil)
+		life(g, 5)
+		g.reset()
+		if err := g.checkEmpty(); err != nil {
+			t.Fatalf("a reset graph is not empty: %v", err)
+		}
+		leave(g)
+		if err := g.checkEmpty(); err == nil {
+			t.Errorf("checkEmpty missed a leftover %s", name)
+		}
+	}
+}
+
+// An ENode copied out of a graph dies with that graph's Release: its
+// cached head belongs to the life that set it.
+func TestStaleHeadPanics(t *testing.T) {
+	emptyFreeList(t, 1)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s: no panic", what)
+			} else if !strings.Contains(fmt.Sprint(r), "another graph life") {
+				t.Errorf("%s: panicked with %v", what, r)
+			}
+		}()
+		fn()
+	}
+	g := New(nil)
+	g.AddTerm(leafT(9, "pad")) // takes head 1, so the copy below carries head 2
+	c := g.AddTerm(expr.Unary("gelu", leafT(1, "x")))
+	stale := g.Class(c).Nodes()[0]
+	if again := g.AddNode(stale); again != c {
+		t.Fatalf("re-inserting a node into the life that interned it gave class %d, want %d", again, c)
+	}
+	g.Release()
+
+	g = New(nil) // the same object, a new life
+	k := g.AddTerm(leafT(1, "x"))
+	stale.Kids = []ClassID{k}
+	mustPanic("AddNode of a copy from before Release", func() { g.AddNode(stale) })
+	mustPanic("Lookup of a copy from before Release", func() { g.Lookup(stale) })
+
+	other := build()
+	other.AddTerm(leafT(1, "x"))
+	mustPanic("AddNode of a copy from another graph", func() { other.AddNode(stale) })
+
+	// A literal carries no head and is always safe; so is a copy whose
+	// head this life happens to have handed out for the same key.
+	fresh := ENode{Op: expr.OpUnary, Str: "gelu", Kids: []ClassID{k}}
+	c2 := g.AddNode(fresh)
+	if again := g.AddNode(g.Class(c2).Nodes()[0]); again != c2 {
+		t.Fatalf("re-insert gave class %d, want %d", again, c2)
+	}
+}
+
+func TestReleaseTwicePanics(t *testing.T) {
+	emptyFreeList(t, 0)
+	g := New(nil)
+	g.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("second Release did not panic")
+		}
+	}()
+	g.Release()
+}
+
+// What the free list keeps is bounded: a kept graph carries no scratch
+// beyond the keep* sizes, whatever its last life needed.
+func TestReleaseBoundsRetention(t *testing.T) {
+	emptyFreeList(t, 2)
+
+	big := New(nil)
+	for i := 0; i <= keepSlots; i++ {
+		big.AddTerm(leafT(i, "t"))
+	}
+	big.Release()
+	if !OnFreeList(big) {
+		t.Fatal("released graph was not kept")
+	}
+	if n := cap(big.parent) + cap(big.rank) + cap(big.classes) + cap(big.mark) + cap(big.dirty); n != 0 {
+		t.Errorf("a graph of %d class slots kept %d slots of per-class arrays (keepSlots = %d)", keepSlots+1, n, keepSlots)
+	}
+
+	// Within keepSlots, but heavy on everything else: a wide concat that
+	// every iteration re-matches into far more substitutions, matches and
+	// memo entries than the bounds keep.
+	g := New(nil)
+	kids := make([]*expr.Term, 0, 200)
+	for i := 0; i < 200; i++ {
+		kids = append(kids, expr.Unary("gelu", leafT(i, "t")))
+	}
+	for i := 0; i < 3; i++ {
+		g.AddTerm(expr.New(expr.OpConcat, []sym.Expr{sym.Const(int64(i))}, "", kids...))
+	}
+	g.Rebuild()
+	probe := &Rule{Name: "probe", Reads: ReadsGraph(),
+		LHS:   POp(expr.OpUnary, nil, PVar("x")),
+		Apply: func(*EGraph, Match) []UnionPair { return nil }}
+	many := make([]*Rule, 8)
+	for i := range many {
+		many[i] = probe
+	}
+	g.Saturate(many, SaturateOpts{MaxIters: 2})
+	for i := 0; i < keepSlots; i++ { // stale memo keys, as repairs leave them
+		g.memo.put(uint64(i)<<20, 1, []ClassID{ClassID(i), ClassID(i)}, 0)
+	}
+	if len(g.memo.entries) <= keepSlots || cap(g.todoBuf) <= keepMatches || len(g.substArena.chunks) <= keepArenaChunks {
+		t.Fatalf("the life was not heavy enough to test the bounds: memo %d, match list %d, arena chunks %d",
+			len(g.memo.entries), cap(g.todoBuf), len(g.substArena.chunks))
+	}
+	g.Release()
+	if !OnFreeList(g) {
+		t.Fatal("released graph was not kept")
+	}
+	if cap(g.parent) == 0 {
+		t.Errorf("a graph within keepSlots lost its per-class arrays")
+	}
+	if len(g.memo.entries) > keepSlots {
+		t.Errorf("kept memo table has %d slots, bound %d", len(g.memo.entries), keepSlots)
+	}
+	if cap(g.todoBuf) > keepMatches {
+		t.Errorf("kept match list has capacity %d, bound %d", cap(g.todoBuf), keepMatches)
+	}
+	if len(g.substArena.chunks) > keepArenaChunks {
+		t.Errorf("kept arena has %d chunks, bound %d", len(g.substArena.chunks), keepArenaChunks)
+	}
+	for ci, ch := range g.substArena.chunks {
+		for i := range ch {
+			if s := &ch[i]; s.classes != nil || s.attrs != nil || s.kids != nil || s.cbuf[0].name != "" {
+				t.Fatalf("kept arena slot %d/%d still holds bindings", ci, i)
+			}
+		}
+	}
+	for i, cl := range g.classes[:cap(g.classes)] {
+		if cl != nil {
+			t.Fatalf("kept class table still points at class %d", i)
+		}
+	}
+}
+
+// New and Release from many goroutines at once (run under -race): every
+// life must read like a fresh graph's, whoever held the graph before.
+func TestNewReleaseConcurrent(t *testing.T) {
+	emptyFreeList(t, 4)
+	want := life(build(), 3)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				g := New(nil)
+				width := 3
+				if (i+w)%4 == 0 {
+					width = 10 + w // leave something bigger behind now and then
+				}
+				got := life(g, width)
+				if width == 3 && got != want {
+					t.Errorf("worker %d life %d differs from a fresh graph's:\n%s\nwant:\n%s", w, i, got, want)
+					return
+				}
+				g.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := FreeListLen(); n > 4 {
+		t.Errorf("free list holds %d graphs, bound 4", n)
+	}
+}

@@ -169,9 +169,7 @@ func (s *Subst) lookupKids(name string) ([]ClassID, bool) {
 // the receiver is unchanged (backing arrays are never appended in
 // place: capacities equal lengths by construction).
 func (s *Subst) withClass(g *EGraph, name string, c ClassID) *Subst {
-	n := g.newSubst()
-	n.attrs = s.attrs
-	n.kids = s.kids
+	n := s.clone(g)
 	l := len(s.classes)
 	if l < len(n.cbuf) {
 		copy(n.cbuf[:], s.classes)
@@ -185,38 +183,45 @@ func (s *Subst) withClass(g *EGraph, name string, c ClassID) *Subst {
 	return n
 }
 
-func (s *Subst) withAttr(g *EGraph, name string, e sym.Expr) *Subst {
+// clone returns a new substitution sharing the receiver's three binding
+// lists.
+func (s *Subst) clone(g *EGraph) *Subst {
 	n := g.newSubst()
-	n.classes = s.classes
-	n.kids = s.kids
-	l := len(s.attrs)
-	if l < len(n.abuf) {
-		copy(n.abuf[:], s.attrs)
-		n.abuf[l] = attrBinding{name: name, e: e}
-		n.attrs = n.abuf[: l+1 : l+1]
-		return n
-	}
-	n.attrs = make([]attrBinding, l+1)
-	copy(n.attrs, s.attrs)
-	n.attrs[l] = attrBinding{name: name, e: e}
+	n.classes, n.attrs, n.kids = s.classes, s.attrs, s.kids
 	return n
 }
 
-func (s *Subst) withKids(g *EGraph, name string, ks []ClassID) *Subst {
-	n := g.newSubst()
-	n.classes = s.classes
-	n.attrs = s.attrs
-	l := len(s.kids)
-	if l < len(n.kbuf) {
-		copy(n.kbuf[:], s.kids)
-		n.kbuf[l] = kidsBinding{name: name, ks: ks}
-		n.kids = n.kbuf[: l+1 : l+1]
-		return n
+// addAttr and addKids extend a substitution in place, moving the list
+// they extend into the receiver's own storage. Only the matcher step
+// that made the receiver may call them, before anything else can see
+// it: one node's attribute and kid-list bindings then cost one Subst,
+// not one each.
+func (s *Subst) addAttr(name string, e sym.Expr) {
+	l := len(s.attrs)
+	if l < len(s.abuf) {
+		copy(s.abuf[:], s.attrs) // a no-op once the list lives here
+		s.abuf[l] = attrBinding{name: name, e: e}
+		s.attrs = s.abuf[: l+1 : l+1]
+		return
 	}
-	n.kids = make([]kidsBinding, l+1)
-	copy(n.kids, s.kids)
-	n.kids[l] = kidsBinding{name: name, ks: ks}
-	return n
+	attrs := make([]attrBinding, l+1)
+	copy(attrs, s.attrs)
+	attrs[l] = attrBinding{name: name, e: e}
+	s.attrs = attrs
+}
+
+func (s *Subst) addKids(name string, ks []ClassID) {
+	l := len(s.kids)
+	if l < len(s.kbuf) {
+		copy(s.kbuf[:], s.kids)
+		s.kbuf[l] = kidsBinding{name: name, ks: ks}
+		s.kids = s.kbuf[: l+1 : l+1]
+		return
+	}
+	kids := make([]kidsBinding, l+1)
+	copy(kids, s.kids)
+	kids[l] = kidsBinding{name: name, ks: ks}
+	s.kids = kids
 }
 
 // KidsOf returns the child list bound to a variadic variable.
@@ -259,8 +264,11 @@ type Match struct {
 // MatchAll returns every match of p across all classes.
 func (g *EGraph) MatchAll(p *Pattern) []Match {
 	var out []Match
-	for _, id := range g.sortedClassIDs() {
-		cl := g.classes[id]
+	for i, cl := range g.classes {
+		if cl == nil {
+			continue
+		}
+		id := ClassID(i)
 		if p.Var != "" {
 			for _, s := range g.matchClass(p, id, emptySubst) {
 				out = append(out, Match{Class: id, Subst: s})
@@ -300,8 +308,11 @@ func (g *EGraph) matchRules(rules []*Rule) []ruleMatch {
 		byOp[r.LHS.Op] = append(byOp[r.LHS.Op], r)
 	}
 	var out []ruleMatch
-	for _, id := range g.sortedClassIDs() {
-		cl := g.classes[id]
+	for i, cl := range g.classes {
+		if cl == nil {
+			continue
+		}
+		id := ClassID(i)
 		for _, r := range varRules {
 			for _, s := range g.matchClass(r.LHS, id, emptySubst) {
 				out = append(out, ruleMatch{rule: r, m: Match{Class: id, Subst: s}})
@@ -400,6 +411,15 @@ func (g *EGraph) matchNodeOnStack(p *Pattern, n *ENode, base *Subst) {
 		return
 	}
 	s := base
+	// bind extends s by what this node binds: the first binding clones
+	// base, the rest extend that clone in place — nothing else has seen
+	// it yet.
+	bind := func() *Subst {
+		if s == base {
+			s = base.clone(g)
+		}
+		return s
+	}
 	// Attributes first (cheap).
 	for i, ap := range p.Attrs {
 		got := n.Ints[i]
@@ -415,7 +435,7 @@ func (g *EGraph) matchNodeOnStack(p *Pattern, n *ENode, base *Subst) {
 			}
 			continue
 		}
-		s = s.withAttr(g, ap.Var, got)
+		bind().addAttr(ap.Var, got)
 	}
 	if p.VarKids != "" {
 		if bound, ok := s.lookupKids(p.VarKids); ok {
@@ -434,7 +454,8 @@ func (g *EGraph) matchNodeOnStack(p *Pattern, n *ENode, base *Subst) {
 		for i, k := range n.Kids {
 			kids[i] = g.Find(k)
 		}
-		g.substStack = append(g.substStack, s.withKids(g, p.VarKids, kids))
+		bind().addKids(p.VarKids, kids)
+		g.substStack = append(g.substStack, s)
 		return
 	}
 	if len(p.Kids) == 0 {

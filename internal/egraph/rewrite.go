@@ -323,7 +323,6 @@ func (g *EGraph) appendFingerprint(buf []byte, p ruleMatch) []byte {
 	buf = append(buf, p.rule.Name...)
 	buf = append(buf, 0) // rule names are NUL-free, so the prefix is unambiguous
 	put(g.Find(p.m.Class))
-	//lint:ignore source-map-range-append Subst.classes is a slice; the name collides with the EGraph.classes map in the linter's field-name index
 	for i := range p.m.Subst.classes {
 		buf = append(buf, 'c')
 		put(g.Find(p.m.Subst.classes[i].c))

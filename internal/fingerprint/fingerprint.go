@@ -34,6 +34,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"entangle/internal/expr"
@@ -265,9 +266,9 @@ func (p *termParser) parseLeaf() (*expr.Term, error) {
 	if p.pos == start {
 		return nil, fmt.Errorf("fingerprint: leaf without id at %d in %q", start, p.src)
 	}
-	var id int
-	if _, err := fmt.Sscanf(p.src[start:p.pos], "%d", &id); err != nil {
-		return nil, err
+	id, err := strconv.Atoi(p.src[start:p.pos]) // all digits: only overflow fails
+	if err != nil {
+		return nil, fmt.Errorf("fingerprint: leaf id at %d in %q: %w", start, p.src, err)
 	}
 	if space == 'd' {
 		if p.ix != nil {

@@ -3,7 +3,10 @@ package fingerprint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -402,6 +405,42 @@ func TestTermCodecRoundTrip(t *testing.T) {
 	}
 	if back.Key() != deep.Key() {
 		t.Errorf("deep term round trip: %q vs %q", back.Key(), deep.Key())
+	}
+}
+
+// A leaf is its space letter and a decimal id: every id an int holds
+// decodes to that id, and one more digit than an int holds is an error
+// (the cache then reads a miss), not a wrapped-around tensor.
+func TestDecodeTermLeafIDs(t *testing.T) {
+	cases := []struct {
+		src string
+		tid int // decoded TID; -1 = error
+	}{
+		{"s0", 0},
+		{"s7", 7},
+		{"s007", 7},
+		{"s1234567", 1234567},
+		{"d0", relation.GdOffset},
+		{"d42", relation.GdOffset + 42},
+		{"s99999999999999999999", -1},                      // overflows int
+		{"d99999999999999999999", -1},                      // in either space
+		{"(identity|||s99999999999999999999)", -1},         // and below an operator
+		{"s" + strconv.Itoa(math.MaxInt64), math.MaxInt64}, // the largest id is still an id
+	}
+	for _, c := range cases {
+		got, err := DecodeTerm(c.src, nil, nil)
+		switch {
+		case c.tid < 0:
+			if err == nil {
+				t.Errorf("DecodeTerm(%q) = %v, want an overflow error", c.src, got)
+			} else if !errors.Is(err, strconv.ErrRange) {
+				t.Errorf("DecodeTerm(%q): error %v does not wrap strconv.ErrRange", c.src, err)
+			}
+		case err != nil:
+			t.Errorf("DecodeTerm(%q): %v", c.src, err)
+		case !got.IsLeaf() || got.TID != c.tid:
+			t.Errorf("DecodeTerm(%q) = %v (TID %d), want leaf %d", c.src, got, got.TID, c.tid)
+		}
 	}
 }
 

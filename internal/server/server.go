@@ -578,7 +578,7 @@ func decodeGraph(raw json.RawMessage, format string) (*graph.Graph, error) {
 		if err := json.Unmarshal(raw, &text); err != nil {
 			return nil, fmt.Errorf("hlo graphs must be JSON strings: %v", err)
 		}
-		return hlo.Parse(bytes.NewReader([]byte(text)))
+		return hlo.Parse(strings.NewReader(text))
 	}
 	return nil, fmt.Errorf("unknown format %q", format)
 }

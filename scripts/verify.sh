@@ -42,9 +42,16 @@ stage_race() {
     # also makes Saturate execute every match the indexed matcher's
     # footprint gates withheld and panic unless it was a no-op — over
     # core's goldens, the lemma suites, and below the whole zoo (bench)
-    # and the fuzz corpus.
+    # and the fuzz corpus. And it makes every Release assert that the
+    # graph it resets is observably empty, and AddNode/Lookup refuse a
+    # node copied out of an earlier graph life: egraph's recycled == fresh
+    # differential (TestRecycledMatchesFresh*: the zoo, the fuzz corpus,
+    # the golden models, once on a free list stocked with graphs that last
+    # served the heaviest zoo operator, once with recycling off) and its
+    # New/Release hammer run here, audited and raced.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/egraph/... ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
     go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/... ./internal/cluster/...
     # bench drives the checker through its concurrent harnesses — including
     # the planned-vs-unplanned differential at workers 1/4 that pins the
