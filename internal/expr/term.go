@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"entangle/internal/sym"
@@ -170,7 +171,9 @@ func (t *Term) Key() string {
 
 func (t *Term) writeKey(b *strings.Builder) {
 	if t.IsLeaf() {
-		fmt.Fprintf(b, "t%d", t.TID)
+		var digits [20]byte
+		b.WriteByte('t')
+		b.Write(strconv.AppendInt(digits[:0], int64(t.TID), 10))
 		return
 	}
 	b.WriteString(string(t.Op))

@@ -30,9 +30,11 @@
 package fingerprint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,17 +62,23 @@ func CanonicalExpr(e sym.Expr) string { return e.Key() }
 
 // CanonicalShape returns the canonical encoding of a shape:
 // "[k1,k2,…]" over CanonicalExpr dims.
-func CanonicalShape(s shape.Shape) string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, d := range s {
+func CanonicalShape(s shape.Shape) string { return string(appendShape(nil, s)) }
+
+func appendShape(b []byte, s shape.Shape) []byte {
+	b = append(b, '[')
+	b = appendExprs(b, s)
+	return append(b, ']')
+}
+
+// appendExprs appends the canonical encodings of es, comma-separated.
+func appendExprs(b []byte, es []sym.Expr) []byte {
+	for i, e := range es {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(CanonicalExpr(d))
+		b = e.AppendKey(b)
 	}
-	b.WriteByte(']')
-	return b.String()
+	return b
 }
 
 // GdIndex assigns every tensor of one graph a canonical ordinal: the
@@ -83,7 +91,7 @@ func CanonicalShape(s shape.Shape) string {
 // instead of IDs.
 type GdIndex struct {
 	g       *graph.Graph
-	ord     map[graph.TensorID]int
+	ord     []int            // tensor ID → ordinal
 	tensors []graph.TensorID // ordinal → tensor ID
 }
 
@@ -93,7 +101,7 @@ func NewGdIndex(g *graph.Graph) (*GdIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &GdIndex{g: g, ord: make(map[graph.TensorID]int, len(g.Tensors))}
+	ix := &GdIndex{g: g, ord: make([]int, len(g.Tensors)), tensors: make([]graph.TensorID, 0, len(g.Tensors))}
 	add := func(id graph.TensorID) {
 		ix.ord[id] = len(ix.tensors)
 		ix.tensors = append(ix.tensors, id)
@@ -120,45 +128,38 @@ func (ix *GdIndex) Graph() *graph.Graph { return ix.g }
 // omitted: they are display metadata, rebound from the current graphs
 // on decode. The encoding is injective on structurally distinct terms
 // and DecodeTerm inverts it.
-func CanonicalTerm(t *expr.Term, ix *GdIndex) string {
-	var b strings.Builder
-	writeTerm(&b, t, ix)
-	return b.String()
-}
+func CanonicalTerm(t *expr.Term, ix *GdIndex) string { return string(appendTerm(nil, t, ix)) }
 
-func writeTerm(b *strings.Builder, t *expr.Term, ix *GdIndex) {
+func appendTerm(b []byte, t *expr.Term, ix *GdIndex) []byte {
 	if t.IsLeaf() {
-		if relation.IsGd(t.TID) {
-			id := relation.GdTensorID(t.TID)
-			if ix != nil {
-				fmt.Fprintf(b, "d%d", ix.ord[id])
+		if !relation.IsGd(t.TID) {
+			return strconv.AppendInt(append(b, 's'), int64(t.TID), 10)
+		}
+		id := int(relation.GdTensorID(t.TID))
+		if ix != nil {
+			// A leaf outside the indexed graph has ordinal 0, as it always had.
+			if id < len(ix.ord) {
+				id = ix.ord[id]
 			} else {
-				fmt.Fprintf(b, "d%d", int(id))
+				id = 0
 			}
-		} else {
-			fmt.Fprintf(b, "s%d", t.TID)
 		}
-		return
+		return strconv.AppendInt(append(b, 'd'), int64(id), 10)
 	}
-	b.WriteByte('(')
-	b.WriteString(string(t.Op))
-	b.WriteByte('|')
-	b.WriteString(t.Str)
-	b.WriteByte('|')
-	for i, e := range t.Ints {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(CanonicalExpr(e))
-	}
-	b.WriteByte('|')
+	b = append(b, '(')
+	b = append(b, t.Op...)
+	b = append(b, '|')
+	b = append(b, t.Str...)
+	b = append(b, '|')
+	b = appendExprs(b, t.Ints)
+	b = append(b, '|')
 	for i, a := range t.Args {
 		if i > 0 {
-			b.WriteByte(';')
+			b = append(b, ';')
 		}
-		writeTerm(b, a, ix)
+		b = appendTerm(b, a, ix)
 	}
-	b.WriteByte(')')
+	return append(b, ')')
 }
 
 // LeafNameFn resolves a decoded leaf back to a display name. space is
@@ -325,10 +326,15 @@ func canonicalAssumptions(ctx *sym.Context) string {
 // graph does not.
 type ConeHasher struct {
 	g     *graph.Graph
-	inPos map[graph.TensorID]int
+	inPos []int              // by tensor: position among g.Inputs, -1 for the rest
 	rel   *relation.Relation // nil when hashing a bare graph (G_d)
 	gdix  *GdIndex           // resolves G_d leaves inside rel's terms
-	memo  map[graph.NodeID]Hash
+	memo  []Hash             // by node
+	done  []bool             // by node: memo holds its fingerprint
+	// buf is the one pre-image under construction. A node hashes its
+	// producers before it writes the first byte of its own encoding, so
+	// the recursion never has two pre-images open.
+	buf []byte
 }
 
 // NewConeHasher builds a hasher for g. ri carries the input-relation
@@ -336,69 +342,86 @@ type ConeHasher struct {
 // canonicalized through gdix; both nil hashes the bare structure
 // (used for G_d's whole-graph digest).
 func NewConeHasher(g *graph.Graph, ri *relation.Relation, gdix *GdIndex) *ConeHasher {
-	inPos := make(map[graph.TensorID]int, len(g.Inputs))
+	inPos := make([]int, len(g.Tensors))
+	for i := range inPos {
+		inPos[i] = -1
+	}
 	for i, id := range g.Inputs {
 		inPos[id] = i
 	}
-	return &ConeHasher{g: g, inPos: inPos, rel: ri, gdix: gdix, memo: make(map[graph.NodeID]Hash, len(g.Nodes))}
+	return &ConeHasher{g: g, inPos: inPos, rel: ri, gdix: gdix,
+		memo: make([]Hash, len(g.Nodes)), done: make([]bool, len(g.Nodes))}
 }
 
 // Node returns the cone fingerprint of node id, memoized.
+//
+// The pre-image — "node|op=…|str=…|ints=…" then "|in=" per input and
+// "|out=" per output shape — is frozen: it is what every cached verdict
+// on disk and every peer in a fleet is keyed by. How its bytes are
+// produced may change; which bytes may not, short of a CheckerVersion
+// bump (TestKeysGolden holds every key of the zoo).
 func (c *ConeHasher) Node(id graph.NodeID) Hash {
-	if h, ok := c.memo[id]; ok {
-		return h
+	if c.done[id] {
+		return c.memo[id]
 	}
 	n := c.g.Node(id)
-	var b strings.Builder
-	b.WriteString("node|op=")
-	b.WriteString(string(n.Op))
-	b.WriteString("|str=")
-	b.WriteString(n.Str)
-	b.WriteString("|ints=")
-	for i, e := range n.Ints {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(CanonicalExpr(e))
-	}
 	for _, in := range n.Inputs {
-		b.WriteString("|in=")
-		c.writeTensorDesc(&b, in)
+		if p := c.g.Tensor(in).Producer; p != graph.NoProducer {
+			c.Node(p)
+		}
+	}
+	b := append(c.buf[:0], "node|op="...)
+	b = append(b, n.Op...)
+	b = append(b, "|str="...)
+	b = append(b, n.Str...)
+	b = append(b, "|ints="...)
+	b = appendExprs(b, n.Ints)
+	for _, in := range n.Inputs {
+		b = append(b, "|in="...)
+		b = c.appendTensorDesc(b, in)
 	}
 	for _, out := range n.Outputs {
-		b.WriteString("|out=")
-		b.WriteString(CanonicalShape(c.g.Tensor(out).Shape))
+		b = append(b, "|out="...)
+		b = appendShape(b, c.g.Tensor(out).Shape)
 	}
-	h := sum([]byte(b.String()))
-	c.memo[id] = h
-	return h
+	c.buf = b
+	c.memo[id], c.done[id] = sum(b), true
+	return c.memo[id]
 }
 
-// writeTensorDesc encodes a tensor's structural identity: produced
-// tensors chain to their producer's cone fingerprint and output index;
-// graph inputs use their declared position, shape, and (when a
-// relation is attached) their sorted canonical relation entries.
-func (c *ConeHasher) writeTensorDesc(b *strings.Builder, id graph.TensorID) {
+// appendTensorDesc encodes a tensor's structural identity: produced
+// tensors chain to their producer's cone fingerprint — already
+// memoized, the caller saw to it — and output index; graph inputs use
+// their declared position, shape, and (when a relation is attached)
+// their sorted canonical relation entries.
+func (c *ConeHasher) appendTensorDesc(b []byte, id graph.TensorID) []byte {
 	t := c.g.Tensor(id)
 	if t.Producer != graph.NoProducer {
-		fmt.Fprintf(b, "p%s.%d", c.Node(t.Producer).Hex(), t.OutIndex)
-		return
+		b = append(b, 'p')
+		b = hex.AppendEncode(b, c.memo[t.Producer][:])
+		b = append(b, '.')
+		return strconv.AppendInt(b, int64(t.OutIndex), 10)
 	}
-	pos, ok := c.inPos[id]
-	if !ok {
-		pos = -1
-	}
-	fmt.Fprintf(b, "i%d@%s", pos, CanonicalShape(t.Shape))
+	b = append(b, 'i')
+	b = strconv.AppendInt(b, int64(c.inPos[id]), 10)
+	b = append(b, '@')
+	b = appendShape(b, t.Shape)
 	if c.rel == nil {
-		return
+		return b
 	}
 	var entries []string
 	for _, m := range c.rel.Get(id) {
 		entries = append(entries, CanonicalTerm(m, c.gdix))
 	}
 	sort.Strings(entries)
-	b.WriteString("&rel=")
-	b.WriteString(strings.Join(entries, ";"))
+	b = append(b, "&rel="...)
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = append(b, e...)
+	}
+	return b
 }
 
 // GraphDigest returns the whole-graph structural digest of g: the
@@ -409,31 +432,38 @@ func (c *ConeHasher) writeTensorDesc(b *strings.Builder, id graph.TensorID) {
 // the frontier exploration, so all of them are semantic.
 func GraphDigest(g *graph.Graph) Hash {
 	c := NewConeHasher(g, nil, nil)
-	var nodes []string
 	for _, n := range g.Nodes {
-		nodes = append(nodes, c.Node(n.ID).Hex())
+		c.Node(n.ID)
 	}
-	sort.Strings(nodes)
-	var b strings.Builder
-	b.WriteString("graph|nodes=")
-	b.WriteString(strings.Join(nodes, ","))
-	b.WriteString("|inputs=")
+	// The pre-image lists the fingerprints as sorted lowercase hex, which
+	// is the order of the bytes they spell.
+	nodes := append([]Hash(nil), c.memo...)
+	slices.SortFunc(nodes, func(a, b Hash) int { return bytes.Compare(a[:], b[:]) })
+	b := make([]byte, 0, len("graph|nodes=")+len(nodes)*(2*sha256.Size+1)+256)
+	b = append(b, "graph|nodes="...)
+	for i := range nodes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = hex.AppendEncode(b, nodes[i][:])
+	}
+	b = append(b, "|inputs="...)
 	for i, in := range g.Inputs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(CanonicalShape(g.Tensor(in).Shape))
+		b = appendShape(b, g.Tensor(in).Shape)
 	}
-	b.WriteString("|outputs=")
+	b = append(b, "|outputs="...)
 	for i, out := range g.Outputs {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		c.writeTensorDesc(&b, out)
+		b = c.appendTensorDesc(b, out)
 	}
-	b.WriteString("|assume=")
-	b.WriteString(canonicalAssumptions(g.Ctx))
-	return sum([]byte(b.String()))
+	b = append(b, "|assume="...)
+	b = append(b, canonicalAssumptions(g.Ctx)...)
+	return sum(b)
 }
 
 // Ambient digests the run-level configuration shared by every key of

@@ -18,6 +18,9 @@ type Builder struct {
 	g    *Graph
 	err  error
 	auto int // for auto-generated names
+	// inShapes is MultiOp's view of its operands' shapes, reused from
+	// one node to the next (shape.Infer keeps none of it).
+	inShapes []shape.Shape
 }
 
 // NewBuilder returns a builder for a graph with the given name.
@@ -83,15 +86,15 @@ func (b *Builder) MultiOp(op expr.Op, label string, outNames []string, str strin
 	if b.err != nil {
 		return nil
 	}
-	inShapes := make([]shape.Shape, len(inputs))
-	for i, in := range inputs {
+	b.inShapes = b.inShapes[:0]
+	for _, in := range inputs {
 		if int(in) < 0 || int(in) >= len(b.g.Tensors) {
 			b.fail("graph %s: op %s input %d missing", b.g.Name, op, in)
 			return nil
 		}
-		inShapes[i] = b.g.Tensor(in).Shape
+		b.inShapes = append(b.inShapes, b.g.Tensor(in).Shape)
 	}
-	outShapes, err := shape.Infer(op, str, ints, inShapes, b.g.Ctx)
+	outShapes, err := shape.Infer(op, str, ints, b.inShapes, b.g.Ctx)
 	if err != nil {
 		b.fail("graph %s: %s (%s): %v", b.g.Name, op, label, err)
 		return nil
@@ -104,7 +107,7 @@ func (b *Builder) MultiOp(op expr.Op, label string, outNames []string, str strin
 	if label == "" {
 		label = fmt.Sprintf("%s_%d", op, nid)
 	}
-	n := &Node{ID: nid, Op: op, Str: str, Ints: ints, Inputs: inputs, Label: label}
+	n := &Node{ID: nid, Op: op, Str: str, Ints: ints, Inputs: inputs, Label: label, Outputs: make([]TensorID, 0, len(outNames))}
 	for i, name := range outNames {
 		if name == "" {
 			name = fmt.Sprintf("%s_out%d", label, b.auto)

@@ -136,44 +136,53 @@ func (g *Graph) Consumers(id TensorID) []*Node {
 }
 
 // TopoSort returns the nodes in a topological order; it fails if the
-// graph has a cycle or dangling tensor references.
+// graph has a cycle or dangling tensor references. The order is the
+// breadth-first one: nodes with no produced input first, as declared,
+// then each node as its last produced input becomes available.
 func (g *Graph) TopoSort() ([]*Node, error) {
+	// Consumers per tensor in compressed rows: cons[start[t]:start[t+1]]
+	// are the nodes reading tensor t, once per read, in node order.
+	start := make([]int, len(g.Tensors)+2)
 	indeg := make([]int, len(g.Nodes))
-	ready := make(map[TensorID]bool, len(g.Tensors))
-	for _, t := range g.Tensors {
-		if t.Producer == NoProducer {
-			ready[t.ID] = true
-		}
-	}
-	consumers := make(map[TensorID][]NodeID)
+	reads := 0
 	for _, n := range g.Nodes {
 		for _, in := range n.Inputs {
 			if int(in) < 0 || int(in) >= len(g.Tensors) {
 				return nil, fmt.Errorf("graph %s: node %s references missing tensor %d", g.Name, n.Label, in)
 			}
-			if !ready[in] {
+			if g.Tensors[in].Producer != NoProducer {
 				indeg[n.ID]++
 			}
-			consumers[in] = append(consumers[in], n.ID)
+			start[in+2]++
+			reads++
 		}
 	}
-	var queue []NodeID
+	for t := 2; t < len(start); t++ {
+		start[t] += start[t-1]
+	}
+	// start[t+1] is now where t's row begins; filling the rows advances
+	// it to where the row ends, which is where start[t+1] belongs.
+	cons := make([]NodeID, reads)
+	for _, n := range g.Nodes {
+		for _, in := range n.Inputs {
+			cons[start[in+1]] = n.ID
+			start[in+1]++
+		}
+	}
+	order := make([]*Node, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if indeg[n.ID] == 0 {
-			queue = append(queue, n.ID)
+			order = append(order, n)
 		}
 	}
-	var order []*Node
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		n := g.Nodes[id]
-		order = append(order, n)
-		for _, out := range n.Outputs {
-			for _, c := range consumers[out] {
-				indeg[c]--
-				if indeg[c] == 0 {
-					queue = append(queue, c)
+	for head := 0; head < len(order); head++ {
+		for _, out := range order[head].Outputs {
+			if int(out) < 0 || int(out) >= len(g.Tensors) {
+				continue
+			}
+			for _, c := range cons[start[out]:start[out+1]] {
+				if indeg[c]--; indeg[c] == 0 {
+					order = append(order, g.Nodes[c])
 				}
 			}
 		}
@@ -198,13 +207,14 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
+	var inShapes []shape.Shape // reused: shape.Infer keeps none of it
 	for i, n := range g.Nodes {
 		if int(n.ID) != i {
 			return fmt.Errorf("graph %s: node %q has inconsistent id", g.Name, n.Label)
 		}
-		inShapes := make([]shape.Shape, len(n.Inputs))
-		for j, in := range n.Inputs {
-			inShapes[j] = g.Tensor(in).Shape
+		inShapes = inShapes[:0]
+		for _, in := range n.Inputs {
+			inShapes = append(inShapes, g.Tensor(in).Shape)
 		}
 		outs, err := shape.Infer(n.Op, n.Str, n.Ints, inShapes, g.Ctx)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"entangle/internal/expr"
+	"entangle/internal/jsonspan"
 	"entangle/internal/shape"
 	"entangle/internal/sym"
 )
@@ -51,18 +52,6 @@ func encodeShape(s shape.Shape) []string {
 	return out
 }
 
-func decodeShape(ss []string) (shape.Shape, error) {
-	out := make(shape.Shape, len(ss))
-	for i, s := range ss {
-		e, err := sym.Parse(s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
-	}
-	return out, nil
-}
-
 // MarshalJSON encodes the graph in the interchange format.
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	jg := jsonGraph{Name: g.Name}
@@ -97,71 +86,234 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a graph from the interchange format and
-// validates it.
+// validates it. The text is read once, by a span scanner that checks
+// its syntax and indexes every string the build needs as a sub-slice
+// of data; the graph is then built from the index in dependency order
+// (assumptions, inputs, nodes, outputs) wherever the text put them.
+//
+// What a document means is what encoding/json made of it for the
+// struct MarshalJSON encodes: unknown members are ignored, a member's
+// name matches under case folding, null leaves a string as it was and
+// empties a list, a repeated member replaces the earlier one, and
+// anything after the graph object is an error.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
+	s := jsonspan.New(data)
+	var x spans
+	if err := x.graph(s); err != nil {
 		return err
 	}
-	ctx := sym.NewContext()
-	for _, a := range jg.Assumptions {
-		lhs, err := sym.Parse(a.Lhs)
-		if err != nil {
-			return fmt.Errorf("graph json: assumption lhs: %v", err)
-		}
-		rhs, err := sym.Parse(a.Rhs)
-		if err != nil {
-			return fmt.Errorf("graph json: assumption rhs: %v", err)
-		}
-		ctx.AssumeGE(lhs, rhs)
+	if err := s.End(); err != nil {
+		return err
 	}
-	b := NewBuilder(jg.Name, ctx)
-	names := map[string]TensorID{}
-	for _, in := range jg.Inputs {
-		sh, err := decodeShape(in.Shape)
-		if err != nil {
-			return fmt.Errorf("graph json: input %q: %v", in.Name, err)
-		}
-		names[in.Name] = b.Input(in.Name, sh)
-	}
-	for _, jn := range jg.Nodes {
-		var ints []sym.Expr
-		for _, s := range jn.Ints {
-			e, err := sym.Parse(s)
-			if err != nil {
-				return fmt.Errorf("graph json: node %q attr: %v", jn.Label, err)
-			}
-			ints = append(ints, e)
-		}
-		inputs := make([]TensorID, len(jn.Inputs))
-		for i, name := range jn.Inputs {
-			id, ok := names[name]
-			if !ok {
-				return fmt.Errorf("graph json: node %q input %q undefined", jn.Label, name)
-			}
-			inputs[i] = id
-		}
-		outs := b.MultiOp(expr.Op(jn.Op), jn.Label, jn.Outputs, jn.Str, ints, inputs...)
-		if b.Err() != nil {
-			return b.Err()
-		}
-		for i, name := range jn.Outputs {
-			names[name] = outs[i]
-		}
-	}
-	for _, name := range jg.Outputs {
-		id, ok := names[name]
-		if !ok {
-			return fmt.Errorf("graph json: output %q undefined", name)
-		}
-		b.Output(id)
-	}
-	built, err := b.Build()
+	built, err := x.build()
 	if err != nil {
 		return err
 	}
 	*g = *built
 	return nil
+}
+
+// spans is the span index of one graph document: every string a build
+// reads, unquoted but not yet copied, in the shape of the document.
+type spans struct {
+	name        []byte
+	inputs      []tensorSpans
+	nodes       []nodeSpans
+	outputs     list
+	assumptions []ineqSpans
+	// strs holds the elements of every string list back to back.
+	strs [][]byte
+}
+
+// list is one string list: strs[lo:hi].
+type list struct{ lo, hi int }
+
+type tensorSpans struct {
+	name  []byte
+	shape list
+}
+
+type nodeSpans struct {
+	op, str, label        []byte
+	ints, inputs, outputs list
+}
+
+type ineqSpans struct{ lhs, rhs []byte }
+
+// str reads a string member: a null leaves dst as it was.
+func str(s *jsonspan.Scanner, dst *[]byte) error {
+	v, ok, err := s.String()
+	if ok {
+		*dst = v
+	}
+	return err
+}
+
+// list reads a list-of-strings member; a null element is "".
+func (x *spans) list(s *jsonspan.Scanner, dst *list) error {
+	lo := len(x.strs)
+	err := s.Array(func() error {
+		v, _, err := s.String()
+		x.strs = append(x.strs, v)
+		return err
+	})
+	*dst = list{lo, len(x.strs)}
+	return err
+}
+
+func (x *spans) graph(s *jsonspan.Scanner) error {
+	return s.Object(func(key []byte) error {
+		switch jsonspan.Field(key, "name", "inputs", "nodes", "outputs", "assumptions") {
+		case 0:
+			return str(s, &x.name)
+		case 1:
+			x.inputs = x.inputs[:0]
+			return s.Array(func() error {
+				x.inputs = append(x.inputs, tensorSpans{})
+				return x.tensor(s, &x.inputs[len(x.inputs)-1])
+			})
+		case 2:
+			x.nodes = x.nodes[:0]
+			return s.Array(func() error {
+				x.nodes = append(x.nodes, nodeSpans{})
+				return x.node(s, &x.nodes[len(x.nodes)-1])
+			})
+		case 3:
+			return x.list(s, &x.outputs)
+		case 4:
+			x.assumptions = x.assumptions[:0]
+			return s.Array(func() error {
+				x.assumptions = append(x.assumptions, ineqSpans{})
+				a := &x.assumptions[len(x.assumptions)-1]
+				return s.Object(func(key []byte) error {
+					switch jsonspan.Field(key, "lhs", "rhs") {
+					case 0:
+						return str(s, &a.lhs)
+					case 1:
+						return str(s, &a.rhs)
+					}
+					return s.Skip()
+				})
+			})
+		}
+		return s.Skip()
+	})
+}
+
+func (x *spans) tensor(s *jsonspan.Scanner, t *tensorSpans) error {
+	return s.Object(func(key []byte) error {
+		switch jsonspan.Field(key, "name", "shape") {
+		case 0:
+			return str(s, &t.name)
+		case 1:
+			return x.list(s, &t.shape)
+		}
+		return s.Skip()
+	})
+}
+
+func (x *spans) node(s *jsonspan.Scanner, n *nodeSpans) error {
+	return s.Object(func(key []byte) error {
+		switch jsonspan.Field(key, "op", "str", "ints", "inputs", "outputs", "label") {
+		case 0:
+			return str(s, &n.op)
+		case 1:
+			return str(s, &n.str)
+		case 2:
+			return x.list(s, &n.ints)
+		case 3:
+			return x.list(s, &n.inputs)
+		case 4:
+			return x.list(s, &n.outputs)
+		case 5:
+			return str(s, &n.label)
+		}
+		return s.Skip()
+	})
+}
+
+// scalar parses one symbolic scalar; a plain decimal, what almost every
+// dimension and attribute is, without the trip through a string.
+func scalar(b []byte) (sym.Expr, error) {
+	if 0 < len(b) && len(b) <= 18 {
+		var v int64
+		for _, c := range b {
+			if c < '0' || c > '9' {
+				return sym.Parse(string(b))
+			}
+			v = v*10 + int64(c-'0')
+		}
+		return sym.Const(v), nil
+	}
+	return sym.Parse(string(b))
+}
+
+// build assembles and validates the graph the index describes.
+func (x *spans) build() (*Graph, error) {
+	ctx := sym.NewContext()
+	for _, a := range x.assumptions {
+		lhs, err := sym.Parse(string(a.lhs))
+		if err != nil {
+			return nil, fmt.Errorf("graph json: assumption lhs: %v", err)
+		}
+		rhs, err := sym.Parse(string(a.rhs))
+		if err != nil {
+			return nil, fmt.Errorf("graph json: assumption rhs: %v", err)
+		}
+		ctx.AssumeGE(lhs, rhs)
+	}
+	b := NewBuilder(string(x.name), ctx)
+	names := make(map[string]TensorID, len(x.inputs)+len(x.nodes))
+	for _, in := range x.inputs {
+		sh := make(shape.Shape, 0, in.shape.hi-in.shape.lo)
+		for _, d := range x.strs[in.shape.lo:in.shape.hi] {
+			e, err := scalar(d)
+			if err != nil {
+				return nil, fmt.Errorf("graph json: input %q: %v", in.name, err)
+			}
+			sh = append(sh, e)
+		}
+		name := string(in.name)
+		names[name] = b.Input(name, sh)
+	}
+	var outNames []string
+	for _, jn := range x.nodes {
+		var ints []sym.Expr
+		for _, a := range x.strs[jn.ints.lo:jn.ints.hi] {
+			e, err := scalar(a)
+			if err != nil {
+				return nil, fmt.Errorf("graph json: node %q attr: %v", jn.label, err)
+			}
+			ints = append(ints, e)
+		}
+		inputs := make([]TensorID, 0, jn.inputs.hi-jn.inputs.lo)
+		for _, name := range x.strs[jn.inputs.lo:jn.inputs.hi] {
+			id, ok := names[string(name)]
+			if !ok {
+				return nil, fmt.Errorf("graph json: node %q input %q undefined", jn.label, name)
+			}
+			inputs = append(inputs, id)
+		}
+		outNames = outNames[:0]
+		for _, name := range x.strs[jn.outputs.lo:jn.outputs.hi] {
+			outNames = append(outNames, string(name))
+		}
+		outs := b.MultiOp(expr.Op(jn.op), string(jn.label), outNames, string(jn.str), ints, inputs...)
+		if b.Err() != nil {
+			return nil, b.Err()
+		}
+		for i, name := range outNames {
+			names[name] = outs[i]
+		}
+	}
+	for _, name := range x.strs[x.outputs.lo:x.outputs.hi] {
+		id, ok := names[string(name)]
+		if !ok {
+			return nil, fmt.Errorf("graph json: output %q undefined", name)
+		}
+		b.Output(id)
+	}
+	return b.Build()
 }
 
 // Write encodes the graph to w.

@@ -10,9 +10,11 @@ package hlo
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"entangle/internal/expr"
@@ -136,220 +138,250 @@ func shapeText(s shape.Shape) string {
 	return "[" + strings.Join(parts, ",") + "]"
 }
 
+// maxLine bounds one line of a module: a longer one is an error, not
+// an allocation.
+const maxLine = 1 << 20
+
 // parsedLine is one instruction before graph assembly.
 type parsedLine struct {
+	name   string
+	shape  shape.Shape
+	mn     string
+	lo, hi int // operands: parser.args[lo:hi]
+	ints   []sym.Expr
+	fn     string
+	out    int
+	label  string
+	param  int // ≥0 for parameters
+}
+
+// parser is one module being read: its instructions in order, their
+// operand names back to back. Everything it keeps of the text is a
+// substring of it.
+type parser struct {
 	name  string
-	shape shape.Shape
-	mn    string
+	ctx   *sym.Context
+	lines []parsedLine
 	args  []string
-	ints  []sym.Expr
-	fn    string
-	out   int
-	label string
-	param int // ≥0 for parameters
+	roots []string
 }
 
 // Parse reads an HLO-flavoured module back into a graph.
 func Parse(r io.Reader) (*graph.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var name string
-	ctx := sym.NewContext()
-	var lines []parsedLine
-	var roots []string
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "HloModule "):
-			name = strings.TrimSpace(strings.TrimPrefix(line, "HloModule "))
-		case strings.HasPrefix(line, "// assume "):
-			txt := strings.TrimSuffix(strings.TrimPrefix(line, "// assume "), " >= 0")
-			e, err := sym.Parse(txt)
-			if err != nil {
-				return nil, fmt.Errorf("hlo:%d: %v", lineNo, err)
-			}
-			ctx.AssumeGE(e, sym.Const(0))
-		case strings.HasPrefix(line, "//"):
-			continue
-		case strings.HasPrefix(line, "ROOT "):
-			open := strings.Index(line, "tuple(")
-			if open < 0 || !strings.HasSuffix(line, ")") {
-				return nil, fmt.Errorf("hlo:%d: malformed ROOT", lineNo)
-			}
-			inner := line[open+len("tuple(") : len(line)-1]
-			for _, p := range strings.Split(inner, ",") {
-				p = strings.TrimSpace(p)
-				roots = append(roots, strings.TrimPrefix(p, "%"))
-			}
-		case strings.HasPrefix(line, "%"):
-			pl, err := parseInstruction(line)
-			if err != nil {
-				return nil, fmt.Errorf("hlo:%d: %v", lineNo, err)
-			}
-			lines = append(lines, pl)
-		default:
-			return nil, fmt.Errorf("hlo:%d: unrecognized line %q", lineNo, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
 		return nil, err
 	}
-	return assemble(name, ctx, lines, roots)
+	return ParseString(text.String())
 }
 
-func parseInstruction(line string) (parsedLine, error) {
-	var pl parsedLine
-	pl.param = -1
-	pl.out = -1
+// ParseString is Parse over a module already in memory.
+func ParseString(src string) (*graph.Graph, error) {
+	p := &parser{ctx: sym.NewContext(), lines: make([]parsedLine, 0, strings.Count(src, "\n")+1)}
+	for lineNo := 1; src != ""; lineNo++ {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
+		if len(line) >= maxLine {
+			return nil, fmt.Errorf("hlo:%d: line longer than %d bytes", lineNo, maxLine-1)
+		}
+		if err := p.line(strings.TrimSpace(line)); err != nil {
+			return nil, fmt.Errorf("hlo:%d: %v", lineNo, err)
+		}
+	}
+	return p.assemble()
+}
+
+func (p *parser) line(line string) error {
+	switch {
+	case line == "":
+	case line == "HloModule":
+		p.name = ""
+	case strings.HasPrefix(line, "HloModule "):
+		p.name = strings.TrimSpace(line[len("HloModule "):])
+	case strings.HasPrefix(line, "// assume "):
+		e, err := sym.Parse(strings.TrimSuffix(line[len("// assume "):], " >= 0"))
+		if err != nil {
+			return err
+		}
+		p.ctx.AssumeGE(e, sym.Const(0))
+	case strings.HasPrefix(line, "//"):
+	case strings.HasPrefix(line, "ROOT "):
+		open := strings.Index(line, "tuple(")
+		if open < 0 || !strings.HasSuffix(line, ")") {
+			return fmt.Errorf("malformed ROOT")
+		}
+		inner := line[open+len("tuple(") : len(line)-1]
+		for more := strings.TrimSpace(inner) != ""; more; {
+			var root string
+			root, inner, more = strings.Cut(inner, ",")
+			p.roots = append(p.roots, strings.TrimPrefix(strings.TrimSpace(root), "%"))
+		}
+	case strings.HasPrefix(line, "%"):
+		return p.instruction(line)
+	default:
+		return fmt.Errorf("unrecognized line %q", line)
+	}
+	return nil
+}
+
+func (p *parser) instruction(line string) error {
+	pl := parsedLine{param: -1, out: -1, lo: len(p.args), hi: len(p.args)}
 	eq := strings.Index(line, " = ")
 	if eq < 0 {
-		return pl, fmt.Errorf("missing '='")
+		return fmt.Errorf("missing '='")
 	}
-	pl.name = strings.TrimPrefix(line[:eq], "%")
+	pl.name = line[1:eq]
 	rest := line[eq+3:]
 	if !strings.HasPrefix(rest, "f32[") {
-		return pl, fmt.Errorf("missing shape")
+		return fmt.Errorf("missing shape")
 	}
-	close := strings.Index(rest, "]")
+	close := strings.IndexByte(rest, ']')
 	if close < 0 {
-		return pl, fmt.Errorf("unterminated shape")
+		return fmt.Errorf("unterminated shape")
 	}
-	shapeTxt := rest[len("f32["):close]
-	if shapeTxt != "" {
-		for _, d := range strings.Split(shapeTxt, ",") {
-			e, err := sym.Parse(strings.TrimSpace(d))
+	if dims := rest[len("f32["):close]; dims != "" {
+		pl.shape = make(shape.Shape, 0, strings.Count(dims, ",")+1)
+		for more := true; more; {
+			var d string
+			d, dims, more = strings.Cut(dims, ",")
+			e, err := sym.Parse(d)
 			if err != nil {
-				return pl, err
+				return err
 			}
 			pl.shape = append(pl.shape, e)
 		}
 	}
 	rest = strings.TrimSpace(rest[close+1:])
-	open := strings.Index(rest, "(")
+	open := strings.IndexByte(rest, '(')
 	if open < 0 {
-		return pl, fmt.Errorf("missing operand list")
+		return fmt.Errorf("missing operand list")
 	}
 	pl.mn = strings.TrimSpace(rest[:open])
-	depth := 0
 	closeIdx := -1
-	for i := open; i < len(rest); i++ {
+	for i, depth := open, 0; i < len(rest) && closeIdx < 0; i++ {
 		switch rest[i] {
 		case '(':
 			depth++
 		case ')':
-			depth--
-			if depth == 0 {
+			if depth--; depth == 0 {
 				closeIdx = i
 			}
 		}
-		if closeIdx >= 0 {
-			break
-		}
 	}
 	if closeIdx < 0 {
-		return pl, fmt.Errorf("unterminated operand list")
+		return fmt.Errorf("unterminated operand list")
 	}
 	operands := strings.TrimSpace(rest[open+1 : closeIdx])
 	if pl.mn == "parameter" {
-		var idx int
-		if _, err := fmt.Sscanf(operands, "%d", &idx); err != nil {
-			return pl, fmt.Errorf("bad parameter index %q", operands)
+		idx, err := strconv.Atoi(operands)
+		if err != nil {
+			return fmt.Errorf("bad parameter index %q", operands)
 		}
 		pl.param = idx
-		return pl, nil
+		p.lines = append(p.lines, pl)
+		return nil
 	}
-	if operands != "" {
-		for _, a := range strings.Split(operands, ",") {
-			a = strings.TrimSpace(a)
-			if !strings.HasPrefix(a, "%") {
-				return pl, fmt.Errorf("operand %q not a reference", a)
-			}
-			pl.args = append(pl.args, strings.TrimPrefix(a, "%"))
+	for more := operands != ""; more; {
+		var a string
+		a, operands, more = strings.Cut(operands, ",")
+		if a = strings.TrimSpace(a); !strings.HasPrefix(a, "%") {
+			return fmt.Errorf("operand %q not a reference", a)
 		}
+		p.args = append(p.args, a[1:])
 	}
-	attrs := strings.TrimSpace(rest[closeIdx+1:])
-	attrs = strings.TrimPrefix(attrs, ",")
-	for _, kv := range splitAttrs(attrs) {
+	pl.hi = len(p.args)
+	attrs := strings.TrimPrefix(strings.TrimSpace(rest[closeIdx+1:]), ",")
+	for attrs != "" {
+		var kv string
+		kv, attrs = cutAttr(attrs)
 		switch {
 		case strings.HasPrefix(kv, "ints={"):
-			inner := strings.TrimSuffix(strings.TrimPrefix(kv, "ints={"), "}")
-			if inner != "" {
-				for _, t := range strings.Split(inner, ",") {
-					e, err := sym.Parse(strings.TrimSpace(t))
-					if err != nil {
-						return pl, err
-					}
-					pl.ints = append(pl.ints, e)
+			inner := strings.TrimSuffix(kv[len("ints={"):], "}")
+			for more := inner != ""; more; {
+				var t string
+				t, inner, more = strings.Cut(inner, ",")
+				e, err := sym.Parse(t)
+				if err != nil {
+					return err
 				}
+				pl.ints = append(pl.ints, e)
 			}
 		case strings.HasPrefix(kv, "fn="):
-			pl.fn = strings.Trim(strings.TrimPrefix(kv, "fn="), `"`)
+			pl.fn = unquote(kv[len("fn="):])
 		case strings.HasPrefix(kv, "out="):
-			if _, err := fmt.Sscanf(strings.TrimPrefix(kv, "out="), "%d", &pl.out); err != nil {
-				return pl, err
+			out, err := strconv.Atoi(kv[len("out="):])
+			if err != nil {
+				return fmt.Errorf("bad output index %q", kv[len("out="):])
 			}
+			pl.out = out
 		case strings.HasPrefix(kv, "label="):
-			pl.label = strings.Trim(strings.TrimPrefix(kv, "label="), `"`)
+			pl.label = unquote(kv[len("label="):])
 		case kv == "":
 		default:
-			return pl, fmt.Errorf("unknown attribute %q", kv)
+			return fmt.Errorf("unknown attribute %q", kv)
 		}
 	}
-	return pl, nil
+	p.lines = append(p.lines, pl)
+	return nil
 }
 
-// splitAttrs splits "ints={1,2}, fn=\"x\"" on commas outside braces
-// and quotes.
-func splitAttrs(s string) []string {
-	var out []string
-	depth := 0
-	quoted := false
-	start := 0
+// cutAttr splits "ints={1,2}, fn=\"x\"" at its first comma outside
+// braces and quotes; inside quotes a backslash escapes, as Print's %q
+// writes them.
+func cutAttr(s string) (attr, rest string) {
+	depth, quoted := 0, false
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '{':
-			depth++
-		case '}':
-			depth--
-		case '"':
+		switch c := s[i]; {
+		case c == '"':
 			quoted = !quoted
-		case ',':
-			if depth == 0 && !quoted {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
+		case quoted:
+			if c == '\\' {
+				i++
 			}
+		case c == '{':
+			depth++
+		case c == '}':
+			depth--
+		case c == ',' && depth == 0:
+			return strings.TrimSpace(s[:i]), s[i+1:]
 		}
 	}
-	if t := strings.TrimSpace(s[start:]); t != "" {
-		out = append(out, t)
-	}
-	return out
+	return strings.TrimSpace(s), ""
 }
 
-func assemble(name string, ctx *sym.Context, lines []parsedLine, roots []string) (*graph.Graph, error) {
-	b := graph.NewBuilder(name, ctx)
-	ids := map[string]graph.TensorID{}
+// unquote reads an fn= or label= value: the string Print quoted, or,
+// for text no printer wrote, whatever stands between the quotes.
+func unquote(v string) string {
+	if len(v) >= 2 && v[0] == '"' {
+		if s, err := strconv.Unquote(v); err == nil {
+			return s
+		}
+	}
+	return strings.Trim(v, `"`)
+}
+
+func (p *parser) assemble() (*graph.Graph, error) {
+	b := graph.NewBuilder(p.name, p.ctx)
+	ids := make(map[string]graph.TensorID, len(p.lines))
 
 	// Parameters first, in declared order.
-	var params []parsedLine
-	for _, pl := range lines {
-		if pl.param >= 0 {
-			params = append(params, pl)
+	var params []*parsedLine
+	for i := range p.lines {
+		if p.lines[i].param >= 0 {
+			params = append(params, &p.lines[i])
 		}
 	}
-	sort.SliceStable(params, func(i, j int) bool { return params[i].param < params[j].param })
+	slices.SortStableFunc(params, func(a, b *parsedLine) int { return cmp.Compare(a.param, b.param) })
 	for _, pl := range params {
 		ids[pl.name] = b.Input(pl.name, pl.shape)
 	}
 
-	// Multi-output instructions appear once per output with out=N;
-	// group consecutive lines with the same mnemonic and args.
-	for i := 0; i < len(lines); i++ {
-		pl := lines[i]
+	// A multi-output instruction appears once per output with out=N:
+	// consecutive lines with the same mnemonic and operands, up to the
+	// next out=0, are one node.
+	var outNames []string
+	for i := 0; i < len(p.lines); i++ {
+		pl := &p.lines[i]
 		if pl.param >= 0 {
 			continue
 		}
@@ -357,35 +389,34 @@ func assemble(name string, ctx *sym.Context, lines []parsedLine, roots []string)
 		if !ok {
 			return nil, fmt.Errorf("hlo: unknown mnemonic %q", pl.mn)
 		}
-		group := []parsedLine{pl}
+		args := p.args[pl.lo:pl.hi]
+		outNames = append(outNames[:0], pl.name)
 		if pl.out >= 0 {
-			for i+1 < len(lines) && lines[i+1].out >= 0 &&
-				lines[i+1].mn == pl.mn && sameArgs(lines[i+1].args, pl.args) {
-				i++
-				group = append(group, lines[i])
+			for ; i+1 < len(p.lines); i++ {
+				next := &p.lines[i+1]
+				if next.out <= 0 || next.mn != pl.mn || !slices.Equal(p.args[next.lo:next.hi], args) {
+					break
+				}
+				outNames = append(outNames, next.name)
 			}
 		}
-		inputs := make([]graph.TensorID, len(pl.args))
-		for j, a := range pl.args {
+		inputs := make([]graph.TensorID, len(args))
+		for j, a := range args {
 			id, ok := ids[a]
 			if !ok {
 				return nil, fmt.Errorf("hlo: %%%s references undefined %%%s", pl.name, a)
 			}
 			inputs[j] = id
 		}
-		outNames := make([]string, len(group))
-		for j, g := range group {
-			outNames[j] = g.name
-		}
 		outs := b.MultiOp(op, pl.label, outNames, pl.fn, pl.ints, inputs...)
 		if b.Err() != nil {
 			return nil, b.Err()
 		}
-		for j, g := range group {
-			ids[g.name] = outs[j]
+		for j, name := range outNames {
+			ids[name] = outs[j]
 		}
 	}
-	for _, root := range roots {
+	for _, root := range p.roots {
 		id, ok := ids[root]
 		if !ok {
 			return nil, fmt.Errorf("hlo: ROOT references undefined %%%s", root)
@@ -393,16 +424,4 @@ func assemble(name string, ctx *sym.Context, lines []parsedLine, roots []string)
 		b.Output(id)
 	}
 	return b.Build()
-}
-
-func sameArgs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

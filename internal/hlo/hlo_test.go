@@ -109,12 +109,78 @@ func TestParseErrors(t *testing.T) {
 		"HloModule m\n%x = f32[2] parameter(0)\nROOT %r = tuple(%nope)\n",
 		"HloModule m\n%x = f32[2 parameter(0)\n",
 		"garbage\n",
+		// An index is a whole decimal number, not a prefix of one.
+		"HloModule m\n%x = f32[2] parameter(0zz)\nROOT %r = tuple(%x)\n",
+		"HloModule m\n%x = f32[2] parameter(0)\n%y = f32[2] all-reduce(%x), out=1x\nROOT %r = tuple(%y)\n",
+		// A line is bounded however the text arrives.
+		"HloModule m\n// " + strings.Repeat("x", 1<<20) + "\n%x = f32[2] parameter(0)\nROOT %r = tuple(%x)\n",
 	}
 	for i, c := range cases {
 		if _, err := Parse(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d should fail", i)
+		} else if !strings.HasPrefix(err.Error(), "hlo") {
+			t.Errorf("case %d: error %q does not say where it is from", i, err)
 		}
 	}
+	// And what is not an error: CRLF line ends, a last line without its
+	// newline, a comment just under the line bound.
+	for i, c := range []string{
+		"HloModule m\r\n%x = f32[2] parameter(0)\r\nROOT %r = tuple(%x)\r\n",
+		"HloModule m\n%x = f32[2] parameter(0)\nROOT %r = tuple(%x)",
+		"HloModule m\n// " + strings.Repeat("x", 1<<20-4) + "\n%x = f32[2] parameter(0)\nROOT %r = tuple(%x)\n",
+	} {
+		g, err := Parse(strings.NewReader(c))
+		if err != nil {
+			t.Errorf("accepted case %d: %v", i, err)
+		} else if g.Name != "m" || len(g.Inputs) != 1 || len(g.Outputs) != 1 || g.Tensor(g.Outputs[0]).Name != "x" {
+			t.Errorf("accepted case %d parsed as %+v", i, g)
+		}
+	}
+}
+
+// FuzzHLOParse: no text makes the parser panic, and a module it accepts
+// is one the printer can write and the parser read back as the same
+// module — same text, so same names, shapes, attributes and order.
+func FuzzHLOParse(f *testing.F) {
+	for _, build := range []func() (*models.Built, error){
+		func() (*models.Built, error) { return models.Llama(models.Options{TP: 2}) },
+		func() (*models.Built, error) { return models.Regression(models.Options{GradAccum: 2}) },
+	} {
+		b, err := build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, g := range []*graph.Graph{b.Gs, b.Gd} {
+			var text bytes.Buffer
+			if err := Print(&text, g); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(text.String())
+		}
+	}
+	f.Add("HloModule m\n// assume S-2 >= 0\n%x = f32[S,8] parameter(0)\n%y = f32[S,8] map(%x), fn=\"re\\\"lu\", label=\"a,{b\"\nROOT %r = tuple(%y)\n")
+	f.Add("%x0 = f32[4,8] parameter(1)\n%x1 = f32[4,8] parameter(0)\n%a = f32[2,8] reduce-scatter(%x0, %x1), ints={0}, out=0\n%b = f32[2,8] reduce-scatter(%x0, %x1), ints={0}, out=1\n")
+	f.Add("HloModule m\n%x f32[2] parameter(0)\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := ParseString(src)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := Print(&first, g); err != nil {
+			t.Fatalf("an accepted module does not print: %v", err)
+		}
+		g2, err := ParseString(first.String())
+		if err != nil {
+			t.Fatalf("the printed module does not parse: %v\n%s", err, first.String())
+		}
+		if err := Print(&second, g2); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("the module changed on its way through the text:\n%s\nbecame\n%s", first.String(), second.String())
+		}
+	})
 }
 
 // rebuildRelationByName re-keys b.Ri against re-parsed graphs:

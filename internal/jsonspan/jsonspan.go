@@ -1,0 +1,404 @@
+// Package jsonspan reads JSON the way the daemon's front end needs it
+// read: one forward pass over a byte slice that validates the syntax
+// and hands out spans of that slice — no reflection, no token values,
+// no copy of anything it does not have to unquote. The request
+// envelope (internal/server) and the graph interchange format
+// (internal/graph) are both decoded through it.
+//
+// The scanner accepts exactly the texts encoding/json accepts (RFC
+// 8259 values, the same four whitespace bytes, raw control bytes in
+// strings refused, invalid UTF-8 let through, at most 10000 open
+// containers), and its typed reads follow encoding/json's rules for a
+// struct target: a null where a string, object or array is expected is
+// not an error and reads as "absent", any other mismatch is. What it
+// does not share is encoding/json's error order — a mismatch is
+// reported where it is met, not after the rest of the text has been
+// checked — and the wording of its errors.
+package jsonspan
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+)
+
+// maxDepth is encoding/json's bound on open containers.
+const maxDepth = 10000
+
+// Scanner is a cursor over one JSON text. Every read skips leading
+// whitespace and consumes exactly one value; the function handed to
+// Object or Array must do one read per call.
+type Scanner struct {
+	data  []byte
+	pos   int
+	depth int // containers open around pos
+}
+
+// New returns a scanner at the start of data.
+func New(data []byte) *Scanner { return &Scanner{data: data} }
+
+// SyntaxError reports text that is not JSON.
+type SyntaxError struct {
+	Msg    string
+	Offset int
+}
+
+func (e *SyntaxError) Error() string { return e.Msg }
+
+// TypeError reports a well-formed value of the wrong kind.
+type TypeError struct {
+	Have, Want string
+	Offset     int
+}
+
+func (e *TypeError) Error() string {
+	return fmt.Sprintf("json: %s at offset %d where %s is expected", e.Have, e.Offset, e.Want)
+}
+
+func (s *Scanner) eof() error {
+	return &SyntaxError{"unexpected end of JSON input", len(s.data)}
+}
+
+// bad reports the byte at i as out of place.
+func (s *Scanner) bad(i int, context string) error {
+	return &SyntaxError{fmt.Sprintf("invalid character %q %s", rune(s.data[i]), context), i}
+}
+
+// next skips whitespace and returns the byte the cursor rests on; ok
+// is false at the end of the text.
+func (s *Scanner) next() (c byte, ok bool) {
+	for ; s.pos < len(s.data); s.pos++ {
+		switch c = s.data[s.pos]; c {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return c, true
+		}
+	}
+	return 0, false
+}
+
+// End reports anything but whitespace after the value read.
+func (s *Scanner) End() error {
+	if _, more := s.next(); more {
+		return s.bad(s.pos, "after top-level value")
+	}
+	return nil
+}
+
+// Skip validates and passes over one value of any kind.
+func (s *Scanner) Skip() error {
+	c, ok := s.next()
+	if !ok {
+		return s.eof()
+	}
+	switch {
+	case c == '{':
+		return s.members(nil)
+	case c == '[':
+		return s.elements(s.Skip)
+	case c == '"':
+		_, _, err := s.literalString()
+		return err
+	case c == 't':
+		return s.word("true")
+	case c == 'f':
+		return s.word("false")
+	case c == 'n':
+		return s.word("null")
+	case c == '-' || '0' <= c && c <= '9':
+		return s.number()
+	}
+	return s.bad(s.pos, "looking for beginning of value")
+}
+
+// Span validates one value of any kind and returns its bytes, a
+// sub-slice of the scanner's data.
+func (s *Scanner) Span() ([]byte, error) {
+	s.next()
+	start := s.pos
+	if err := s.Skip(); err != nil {
+		return nil, err
+	}
+	return s.data[start:s.pos:s.pos], nil
+}
+
+// expect rests the cursor on a value that starts with open. A null is
+// consumed instead (null = true); any other kind is a TypeError.
+func (s *Scanner) expect(open byte, want string) (null bool, err error) {
+	c, ok := s.next()
+	if !ok {
+		return false, s.eof()
+	}
+	have := "number"
+	switch {
+	case c == open:
+		return false, nil
+	case c == 'n':
+		return true, s.word("null")
+	case c == '{':
+		have = "object"
+	case c == '[':
+		have = "array"
+	case c == '"':
+		have = "string"
+	case c == 't' || c == 'f':
+		have = "bool"
+	case c == '-' || '0' <= c && c <= '9':
+	default:
+		return false, s.bad(s.pos, "looking for beginning of value")
+	}
+	return false, &TypeError{Have: have, Want: want, Offset: s.pos}
+}
+
+// String reads a string value, unquoted: a sub-slice of the scanner's
+// data when the literal has no escape and no byte outside ASCII, what
+// encoding/json makes of it otherwise. A null reads as ok = false.
+func (s *Scanner) String() (val []byte, ok bool, err error) {
+	if null, err := s.expect('"', "a string"); null || err != nil {
+		return nil, false, err
+	}
+	val, err = s.unquoted()
+	return val, err == nil, err
+}
+
+// Object reads an object, calling member with each member's unquoted
+// name, in order, the cursor before its value. A null is an object
+// without members.
+func (s *Scanner) Object(member func(name []byte) error) error {
+	if null, err := s.expect('{', "an object"); null || err != nil {
+		return err
+	}
+	return s.members(member)
+}
+
+// Array reads an array, calling elem with the cursor before each
+// element. A null is an array without elements.
+func (s *Scanner) Array(elem func() error) error {
+	if null, err := s.expect('[', "an array"); null || err != nil {
+		return err
+	}
+	return s.elements(elem)
+}
+
+// Field returns the index of the name that key spells, as encoding/json
+// matches a member to a struct field: exactly, or else under Unicode
+// case folding; -1 when it spells none.
+func Field(key []byte, names ...string) int {
+	for i, name := range names {
+		if string(key) == name {
+			return i
+		}
+	}
+	for i, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// enter steps over the byte that opens a container.
+func (s *Scanner) enter() error {
+	if s.depth++; s.depth > maxDepth {
+		return &SyntaxError{"exceeded max depth", s.pos}
+	}
+	s.pos++
+	return nil
+}
+
+// members reads the object the cursor rests on. A nil member skips
+// every value.
+func (s *Scanner) members(member func(name []byte) error) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	for first := true; ; first = false {
+		c, ok := s.next()
+		switch {
+		case !ok:
+			return s.eof()
+		case c == '}' && first:
+			s.pos++
+			s.depth--
+			return nil
+		case c != '"':
+			return s.bad(s.pos, "looking for beginning of object key string")
+		}
+		var name []byte
+		var err error
+		if member == nil {
+			_, _, err = s.literalString()
+		} else {
+			name, err = s.unquoted()
+		}
+		if err != nil {
+			return err
+		}
+		if c, ok = s.next(); !ok {
+			return s.eof()
+		} else if c != ':' {
+			return s.bad(s.pos, "after object key")
+		}
+		s.pos++
+		if member == nil {
+			err = s.Skip()
+		} else {
+			err = member(name)
+		}
+		if err != nil {
+			return err
+		}
+		switch c, ok = s.next(); {
+		case !ok:
+			return s.eof()
+		case c == '}':
+			s.pos++
+			s.depth--
+			return nil
+		case c != ',':
+			return s.bad(s.pos, "after object key:value pair")
+		}
+		s.pos++
+	}
+}
+
+// elements reads the array the cursor rests on.
+func (s *Scanner) elements(elem func() error) error {
+	if err := s.enter(); err != nil {
+		return err
+	}
+	if c, ok := s.next(); ok && c == ']' {
+		s.pos++
+		s.depth--
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		switch c, ok := s.next(); {
+		case !ok:
+			return s.eof()
+		case c == ']':
+			s.pos++
+			s.depth--
+			return nil
+		case c != ',':
+			return s.bad(s.pos, "after array element")
+		}
+		s.pos++
+	}
+}
+
+// unquoted reads the string literal the cursor rests on and returns
+// its value.
+func (s *Scanner) unquoted() ([]byte, error) {
+	lit, plain, err := s.literalString()
+	if err != nil {
+		return nil, err
+	}
+	if plain {
+		return lit[1 : len(lit)-1 : len(lit)-1], nil
+	}
+	var v string
+	if err := json.Unmarshal(lit, &v); err != nil {
+		return nil, err
+	}
+	return []byte(v), nil
+}
+
+// literalString passes over the string literal the cursor rests on and
+// returns it, quotes included; plain means no escape and no byte
+// outside ASCII, so the value is the text between the quotes.
+func (s *Scanner) literalString() (lit []byte, plain bool, err error) {
+	plain = true
+	for i := s.pos + 1; i < len(s.data); i++ {
+		switch c := s.data[i]; {
+		case c == '"':
+			lit = s.data[s.pos : i+1]
+			s.pos = i + 1
+			return lit, plain, nil
+		case c == '\\':
+			plain = false
+			if i++; i >= len(s.data) {
+				return nil, false, s.eof()
+			}
+			switch s.data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				for end := i + 4; i < end; {
+					if i++; i >= len(s.data) {
+						return nil, false, s.eof()
+					}
+					if c := s.data[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+						return nil, false, s.bad(i, `in \u hexadecimal character escape`)
+					}
+				}
+			default:
+				return nil, false, s.bad(i, "in string escape code")
+			}
+		case c < ' ':
+			return nil, false, s.bad(i, "in string literal")
+		case c >= 0x80:
+			plain = false
+		}
+	}
+	return nil, false, s.eof()
+}
+
+// word passes over the literal name the cursor rests on the first byte
+// of.
+func (s *Scanner) word(name string) error {
+	for i := 1; i < len(name); i++ {
+		if s.pos+i >= len(s.data) {
+			return s.eof()
+		}
+		if s.data[s.pos+i] != name[i] {
+			return s.bad(s.pos+i, fmt.Sprintf("in literal %s (expecting %q)", name, name[i]))
+		}
+	}
+	s.pos += len(name)
+	return nil
+}
+
+// number passes over the number the cursor rests on.
+func (s *Scanner) number() error {
+	i := s.pos
+	digits := func(context string) error {
+		start := i
+		for i < len(s.data) && '0' <= s.data[i] && s.data[i] <= '9' {
+			i++
+		}
+		switch {
+		case i > start:
+			return nil
+		case i >= len(s.data):
+			return s.eof()
+		}
+		return s.bad(i, context)
+	}
+	if s.data[i] == '-' {
+		i++
+	}
+	if i < len(s.data) && s.data[i] == '0' {
+		i++
+	} else if err := digits("in numeric literal"); err != nil {
+		return err
+	}
+	if i < len(s.data) && s.data[i] == '.' {
+		i++
+		if err := digits("after decimal point in numeric literal"); err != nil {
+			return err
+		}
+	}
+	if i < len(s.data) && (s.data[i] == 'e' || s.data[i] == 'E') {
+		if i++; i < len(s.data) && (s.data[i] == '+' || s.data[i] == '-') {
+			i++
+		}
+		if err := digits("in exponent of numeric literal"); err != nil {
+			return err
+		}
+	}
+	s.pos = i
+	return nil
+}

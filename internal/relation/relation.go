@@ -7,6 +7,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,8 +82,9 @@ func (r *Relation) AddAll(id graph.TensorID, ts []*expr.Term) {
 }
 
 // addLocked is Add under r.mu. The mapping list stays sorted
-// simplest-first with insertion order breaking ties (sort is stable),
-// which keeps list order deterministic however callers interleave.
+// simplest-first with insertion order breaking ties: the new term goes
+// after the last one no larger than itself, which keeps list order
+// deterministic however callers interleave.
 func (r *Relation) addLocked(id graph.TensorID, t *expr.Term) bool {
 	k := t.Key()
 	if r.keys[id] == nil {
@@ -92,9 +94,12 @@ func (r *Relation) addLocked(id graph.TensorID, t *expr.Term) bool {
 		return false
 	}
 	r.keys[id][k] = true
-	lst := append(r.m[id], t)
-	sort.SliceStable(lst, func(i, j int) bool { return lst[i].Size() < lst[j].Size() })
-	r.m[id] = lst
+	lst, size := r.m[id], t.Size()
+	at := len(lst)
+	for at > 0 && lst[at-1].Size() > size {
+		at--
+	}
+	r.m[id] = slices.Insert(lst, at, t)
 	return true
 }
 

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -170,5 +172,52 @@ func TestGetReturnsCopy(t *testing.T) {
 	got := r.Get(7)
 	if len(got) != 2 || got[0].Size() > got[1].Size() {
 		t.Fatalf("mappings not simplest-first: %v", got)
+	}
+}
+
+// TestAddOrderMatchesStableSort drives random add sequences through
+// addLocked's insertion rule and through the rule it replaced — append,
+// then a stable sort of the whole list by size — and compares Get for
+// every tensor: same terms, same order, duplicates dropped alike.
+func TestAddOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// Terms of sizes 0..4 with many ties and repeats: sums nested to a
+	// random depth over a handful of leaves.
+	term := func() *expr.Term {
+		t := expr.Tensor(GdOffset+rng.Intn(4), "")
+		for depth := rng.Intn(5); depth > 0; depth-- {
+			t = expr.Sum(t, expr.Tensor(GdOffset+rng.Intn(4), ""))
+		}
+		return t
+	}
+	for seq := 0; seq < 1000; seq++ {
+		r := New()
+		old := map[graph.TensorID][]*expr.Term{}
+		for n := rng.Intn(40); n > 0; n-- {
+			id, m := graph.TensorID(rng.Intn(3)), term()
+			fresh := true
+			for _, have := range old[id] {
+				fresh = fresh && have.Key() != m.Key()
+			}
+			if r.Add(id, m) != fresh {
+				t.Fatalf("sequence %d: Add(%d, %s) = %v", seq, id, m, !fresh)
+			}
+			if fresh {
+				lst := append(old[id], m)
+				sort.SliceStable(lst, func(i, j int) bool { return lst[i].Size() < lst[j].Size() })
+				old[id] = lst
+			}
+		}
+		for id := graph.TensorID(0); id < 3; id++ {
+			got := r.Get(id)
+			if len(got) != len(old[id]) {
+				t.Fatalf("sequence %d tensor %d: %d mappings, want %d", seq, id, len(got), len(old[id]))
+			}
+			for i := range got {
+				if got[i] != old[id][i] {
+					t.Fatalf("sequence %d tensor %d: mapping %d is %s, the stable sort puts %s there", seq, id, i, got[i], old[id][i])
+				}
+			}
+		}
 	}
 }

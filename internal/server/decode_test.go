@@ -1,0 +1,169 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"entangle/internal/exprparse"
+	"entangle/internal/fingerprint"
+	"entangle/internal/hlo"
+	"entangle/internal/models"
+)
+
+// hloBody is requestBody with both graphs as HLO text.
+func hloBody(t testing.TB, b *models.Built) []byte {
+	t.Helper()
+	var gs, gd bytes.Buffer
+	if err := hlo.Print(&gs, b.Gs); err != nil {
+		t.Fatal(err)
+	}
+	if err := hlo.Print(&gd, b.Gd); err != nil {
+		t.Fatal(err)
+	}
+	return requestBody(t, b, func(m *map[string]any) {
+		(*m)["format"], (*m)["gs"], (*m)["gd"] = "hlo", gs.String(), gd.String()
+	})
+}
+
+// FuzzCheckEnvelope: on any bytes at all, the span-indexed request
+// decoders and json.Unmarshal into the same structs give the same
+// verdict and, when they accept, the same fields.
+func FuzzCheckEnvelope(f *testing.F) {
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	reg, err := models.Regression(models.Options{GradAccum: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(requestBody(f, gpt, nil))
+	f.Add(hloBody(f, reg))
+	recheck, err := json.Marshal(map[string]any{"base": graphJSON(f, reg.Gs), "candidates": []json.RawMessage{graphJSON(f, reg.Gs), []byte("null")},
+		"gd": graphJSON(f, reg.Gd), "rel": map[string][]string{"x": {"concat(a, b, dim=0)"}}, "timeout": "30s"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recheck)
+	for _, seed := range []string{
+		`{`, `null`, `[]`, `{} x`, ` {"gs":null,"GS":{},"gd":[1,2.5e-3,"é"],"rel":{"a":["b"]},"rel":{"c":null},"keep_going":true} `,
+		`{"format":"hlo","format":null,"timeout":5}`, `{"candidates":[{},null,[]],"candidates":null,"Candidateſ":[1]}`,
+		`{"verbose":"yes"}`, `{"rel":{"a":"b"}}`, `{"unknown":{"deep":[[[]]]},"timeout":"1s"}`, `{"gs":{"name":"g"},}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var check, checkRef CheckRequest
+		err, refErr := check.decode(body), json.Unmarshal(body, &checkRef)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("check: span decoder says %v, json.Unmarshal says %v", err, refErr)
+		}
+		if err == nil && !reflect.DeepEqual(check, checkRef) {
+			t.Fatalf("check: decoded %+v, json.Unmarshal %+v", check, checkRef)
+		}
+		var recheck, recheckRef RecheckRequest
+		err, refErr = recheck.decode(body), json.Unmarshal(body, &recheckRef)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("recheck: span decoder says %v, json.Unmarshal says %v", err, refErr)
+		}
+		if len(recheckRef.Candidates) == 0 {
+			recheckRef.Candidates = nil // "candidates": [] and null are both "none"
+		}
+		if err == nil && !reflect.DeepEqual(recheck, recheckRef) {
+			t.Fatalf("recheck: decoded %+v, json.Unmarshal %+v", recheck, recheckRef)
+		}
+	})
+}
+
+// frontEnd is everything between a /v1/check body and the first cache
+// probe: the envelope, both graphs, the relation, the G_d index, every
+// G_s cone hash and the G_d digest.
+func frontEnd(t testing.TB, body []byte) {
+	var req CheckRequest
+	if err := req.decode(body); err != nil {
+		t.Fatal(err)
+	}
+	gs, err := decodeGraph(req.Gs, req.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, err := decodeGraph(req.Gd, req.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri, err := exprparse.ParseRelation(req.Rel, gs, gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gdix, err := fingerprint.NewGdIndex(gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := gs.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasher := fingerprint.NewConeHasher(gs, ri, gdix)
+	for _, v := range order {
+		hasher.Node(v.ID)
+	}
+	fingerprint.GraphDigest(gd)
+}
+
+// TestFrontEndAllocs is the front end's allocation ratchet: a request's
+// way to its cache keys may not allocate more than 60% of what it did
+// when encoding/json reflected the graphs into structs, the HLO reader
+// sat behind a 1 MiB scanner buffer and the hasher wrote hex strings
+// through fmt (the counts at that commit: 3053 for the JSON body, 3897
+// for the HLO one).
+func TestFrontEndAllocs(t *testing.T) {
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	llama, err := models.Llama(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		body    []byte
+		ceiling float64
+	}{
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 0.6 * 3053},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 0.6 * 3897},
+	} {
+		got := testing.AllocsPerRun(20, func() { frontEnd(t, c.body) })
+		t.Logf("%s: %.0f allocations per request", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocations per request, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+func BenchmarkFrontEnd(b *testing.B) {
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	llama, err := models.Llama(models.Options{TP: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"GPT-JSON", requestBody(b, gpt, nil)},
+		{"Llama-HLO", hloBody(b, llama)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				frontEnd(b, c.body)
+			}
+		})
+	}
+}

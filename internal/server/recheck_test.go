@@ -49,7 +49,7 @@ func recheckGs(t *testing.T, swap bool, fn string) *graph.Graph {
 	return bs.MustBuild()
 }
 
-func graphJSON(t *testing.T, g *graph.Graph) json.RawMessage {
+func graphJSON(t testing.TB, g *graph.Graph) json.RawMessage {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := g.Write(&buf); err != nil {

@@ -48,6 +48,7 @@ import (
 	"entangle/internal/exprparse"
 	"entangle/internal/graph"
 	"entangle/internal/hlo"
+	"entangle/internal/jsonspan"
 	"entangle/internal/lemmas"
 	"entangle/internal/relation"
 	"entangle/internal/vcache"
@@ -248,21 +249,113 @@ func (s *Server) handlePeerVerdicts(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeBody decodes a JSON request body under the configured byte
-// bound. Oversized bodies are answered 413 and malformed ones 400; in
-// both cases the request is counted as errored and false is returned.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.refuse(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			s.badRequest(w, "decoding request: %v", err)
-		}
+// decodeBody reads a request body whole under the configured byte
+// bound and hands it to decode. A body over the bound is answered 413
+// whatever it holds, one that does not decode 400; in both cases the
+// request is counted as errored and false is returned.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) bool {
+	var body bytes.Buffer
+	// One allocation for a body that is as long as it says; a length
+	// nobody has sent yet reserves no more than bodyReserve.
+	body.Grow(int(min(max(r.ContentLength, 0), bodyReserve)) + bytes.MinRead)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.refuse(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return false
+	case err != nil:
+		s.badRequest(w, "reading request: %v", err)
+		return false
+	}
+	if err := decode(body.Bytes()); err != nil {
+		s.badRequest(w, "decoding request: %v", err)
 		return false
 	}
 	return true
+}
+
+// bodyReserve caps what a Content-Length header alone makes the daemon
+// allocate.
+const bodyReserve = 1 << 20
+
+// decode reads a /v1/check body in one pass: a span scanner checks the
+// whole text and indexes the request object's members. The graphs stay
+// spans of body — decodeGraph reads them in place — and the small
+// members go through encoding/json on their own spans, in the order
+// they appear, so a repeated, null or mistyped one means what
+// json.Unmarshal into the struct makes it mean.
+func (req *CheckRequest) decode(body []byte) error {
+	s := jsonspan.New(body)
+	err := s.Object(func(key []byte) error {
+		switch jsonspan.Field(key, "format", "gs", "gd", "rel", "timeout", "keep_going", "verbose") {
+		case 0:
+			return small(s, &req.Format)
+		case 1:
+			return span(s, &req.Gs)
+		case 2:
+			return span(s, &req.Gd)
+		case 3:
+			return small(s, &req.Rel)
+		case 4:
+			return small(s, &req.Timeout)
+		case 5:
+			return small(s, &req.KeepGoing)
+		case 6:
+			return small(s, &req.Verbose)
+		}
+		return s.Skip()
+	})
+	if err != nil {
+		return err
+	}
+	return s.End()
+}
+
+// decode reads a /v1/recheck body the way CheckRequest.decode reads a
+// check's.
+func (req *RecheckRequest) decode(body []byte) error {
+	s := jsonspan.New(body)
+	err := s.Object(func(key []byte) error {
+		switch jsonspan.Field(key, "format", "base", "candidates", "gd", "rel", "timeout") {
+		case 0:
+			return small(s, &req.Format)
+		case 1:
+			return span(s, &req.Base)
+		case 2:
+			req.Candidates = nil
+			return s.Array(func() error {
+				req.Candidates = append(req.Candidates, nil)
+				return span(s, &req.Candidates[len(req.Candidates)-1])
+			})
+		case 3:
+			return span(s, &req.Gd)
+		case 4:
+			return small(s, &req.Rel)
+		case 5:
+			return small(s, &req.Timeout)
+		}
+		return s.Skip()
+	})
+	if err != nil {
+		return err
+	}
+	return s.End()
+}
+
+// span takes the next value as it stands in the body.
+func span(s *jsonspan.Scanner, dst *json.RawMessage) (err error) {
+	*dst, err = s.Span()
+	return err
+}
+
+// small decodes the next value into dst with encoding/json.
+func small(s *jsonspan.Scanner, dst any) error {
+	raw, err := s.Span()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, dst)
 }
 
 // answers is the daemon's whole reading of a check's outcome: the
@@ -341,7 +434,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	var req CheckRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, req.decode) {
 		return
 	}
 	gs, err := decodeGraph(req.Gs, req.Format)
@@ -435,7 +528,7 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	var req RecheckRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, req.decode) {
 		return
 	}
 	if len(req.Candidates) == 0 {
@@ -566,19 +659,25 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 	s.refuse(w, http.StatusBadRequest, format, args...)
 }
 
+// decodeGraph reads one graph member of a request, in place: raw is a
+// span of the body.
 func decodeGraph(raw json.RawMessage, format string) (*graph.Graph, error) {
-	if len(raw) == 0 {
+	if len(raw) == 0 || string(raw) == "null" {
 		return nil, fmt.Errorf("missing graph")
 	}
 	switch format {
 	case "", "json":
-		return graph.Read(bytes.NewReader(raw))
+		g := &graph.Graph{}
+		if err := g.UnmarshalJSON(raw); err != nil {
+			return nil, err
+		}
+		return g, nil
 	case "hlo":
 		var text string
 		if err := json.Unmarshal(raw, &text); err != nil {
 			return nil, fmt.Errorf("hlo graphs must be JSON strings: %v", err)
 		}
-		return hlo.Parse(strings.NewReader(text))
+		return hlo.ParseString(text)
 	}
 	return nil, fmt.Errorf("unknown format %q", format)
 }

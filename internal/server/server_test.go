@@ -45,7 +45,7 @@ func renderRel(t *expr.Term) string {
 }
 
 // requestBody builds a /v1/check body from a built model.
-func requestBody(t *testing.T, b *models.Built, mutate func(*map[string]any)) []byte {
+func requestBody(t testing.TB, b *models.Built, mutate func(*map[string]any)) []byte {
 	t.Helper()
 	var gs, gd bytes.Buffer
 	if err := b.Gs.Write(&gs); err != nil {
@@ -256,6 +256,23 @@ func TestBadRequests(t *testing.T) {
 		"unknown name": requestBody(t, b, func(m *map[string]any) { (*m)["rel"] = map[string][]string{"nope": {"x"}} }),
 		"bad format":   requestBody(t, b, func(m *map[string]any) { (*m)["format"] = "protobuf" }),
 	}
+	// The body is read whole: what follows the request object counts, a
+	// null graph is a missing one, and a member is honoured wherever it
+	// stands — here after the graphs it governs.
+	good := requestBody(t, b, nil)
+	trailing := func(member string) []byte {
+		return append(append(good[:len(good)-1:len(good)-1], member...), '}')
+	}
+	wantText := map[string]string{
+		"trailing garbage": "decoding request: invalid character 'x' after top-level value",
+		"null graph":       "loading G_s: missing graph",
+		"late format":      `unknown format "protobuf"`,
+		"late timeout":     `bad timeout "soon"`,
+	}
+	cases["trailing garbage"] = append(append([]byte(nil), good...), " x"...)
+	cases["null graph"] = requestBody(t, b, func(m *map[string]any) { (*m)["gs"] = nil })
+	cases["late format"] = trailing(`,"format":"protobuf"`)
+	cases["late timeout"] = trailing(`,"timeout":"soon"`)
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {
 			status, resp := post(t, ts, body)
@@ -265,7 +282,22 @@ func TestBadRequests(t *testing.T) {
 			if resp.Error == "" {
 				t.Fatal("bad request carried no error text")
 			}
+			if want := wantText[name]; !strings.Contains(resp.Error, want) {
+				t.Fatalf("error %q does not say %q", resp.Error, want)
+			}
 		})
+	}
+
+	// 413 is a matter of the body's length alone: a request that would
+	// decode, padded past the bound, is too large.
+	small := httptest.NewServer(New(Config{MaxBodyBytes: int64(len(good)) + 64}))
+	defer small.Close()
+	if status, resp := post(t, small, good); status != http.StatusOK {
+		t.Fatalf("under the bound: status %d resp %+v", status, resp)
+	}
+	padded := append(append([]byte(nil), good...), bytes.Repeat([]byte(" "), 65)...)
+	if status, resp := post(t, small, padded); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded past the bound: status %d resp %+v", status, resp)
 	}
 
 	// Wrong methods.
