@@ -22,8 +22,9 @@ benchmark-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
 # The full gate: gofmt, vet, build, tests, the race detector over the
-# concurrent packages, peer-wire fuzzing, the model checker and the
-# linter. scripts/verify.sh is the only list of what each stage runs;
+# concurrent packages, ten seconds of fuzzing per wire and file format
+# (verify.sh's `fuzz` stage; not the strategy fuzzer below), the model
+# checker and the linter. scripts/verify.sh is the only list of what each stage runs;
 # `make lint` and `make mc` run one stage of it.
 verify:
 	sh scripts/verify.sh

@@ -119,6 +119,9 @@ func frontEnd(t testing.TB, body []byte) {
 // through fmt (the counts at that commit: 3053 for the JSON body, 3897
 // for the HLO one).
 func TestFrontEndAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
 	gpt, err := models.GPT(models.Options{TP: 2})
 	if err != nil {
 		t.Fatal(err)

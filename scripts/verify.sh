@@ -7,7 +7,7 @@
 #   sh scripts/verify.sh mc lint    # the named stages
 set -eu
 
-stages="fmt vet test race peerfuzz mc lint"
+stages="fmt vet test race fuzz mc lint"
 
 cd "$(dirname "$0")/.."
 
@@ -64,12 +64,23 @@ stage_race() {
     go test -race -short ./internal/mc/...
 }
 
-# Ten seconds of arbitrary bytes as an offered batch and as a peer's
-# fetch reply, on both ends of the peer wire: no panic, and nothing
-# failing vcache.DecodeEntry is stored or returned. The minimizer is
-# capped so the ten seconds go to new inputs.
-stage_peerfuzz() {
-    go test -run '^$' -fuzz=FuzzPeerFrames -fuzztime=10s -fuzzminimizetime=1s ./internal/server/
+# Ten seconds of arbitrary bytes into each parser that reads what a
+# client or a peer sends. The peer wire, as an offered batch and as a
+# fetch reply on both ends: no panic, and nothing failing
+# vcache.DecodeEntry is stored or returned. The graph decoder and the
+# request envelope against their encoding/json references: same
+# verdict, same graph, same fields. The HLO reader: no panic, and what
+# it accepts survives Print -> Parse. The minimizer is capped so the ten
+# seconds go to new inputs; go test takes one -fuzz target per run.
+stage_fuzz() {
+    for target in \
+        FuzzPeerFrames:./internal/server/ \
+        FuzzCheckEnvelope:./internal/server/ \
+        FuzzGraphDecode:./internal/graph/ \
+        FuzzHLOParse:./internal/hlo/
+    do
+        go test -run '^$' -fuzz="^${target%%:*}\$" -fuzztime=10s -fuzzminimizetime=1s "${target#*:}"
+    done
 }
 
 # Every protocol model must check clean at the ci scope, and both
@@ -90,7 +101,8 @@ stage_lint() {
     trap 'rm -rf "$tmp"' EXIT
     go run ./cmd/entangle-lint \
         internal/egraph internal/core internal/lemmas \
-        internal/graph internal/relation internal/lint \
+        internal/graph internal/hlo internal/jsonspan \
+        internal/relation internal/lint \
         internal/fingerprint internal/vcache internal/server \
         internal/mc internal/mc/models internal/faultinject \
         internal/bench internal/cluster internal/cluster/sim \
