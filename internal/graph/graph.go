@@ -144,7 +144,6 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 	// are the nodes reading tensor t, once per read, in node order.
 	start := make([]int, len(g.Tensors)+2)
 	indeg := make([]int, len(g.Nodes))
-	reads := 0
 	for _, n := range g.Nodes {
 		for _, in := range n.Inputs {
 			if int(in) < 0 || int(in) >= len(g.Tensors) {
@@ -154,7 +153,6 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 				indeg[n.ID]++
 			}
 			start[in+2]++
-			reads++
 		}
 	}
 	for t := 2; t < len(start); t++ {
@@ -162,7 +160,7 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 	}
 	// start[t+1] is now where t's row begins; filling the rows advances
 	// it to where the row ends, which is where start[t+1] belongs.
-	cons := make([]NodeID, reads)
+	cons := make([]NodeID, start[len(start)-1])
 	for _, n := range g.Nodes {
 		for _, in := range n.Inputs {
 			cons[start[in+1]] = n.ID
