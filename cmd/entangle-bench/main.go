@@ -11,9 +11,9 @@
 // run's data points to a BENCH_cache.json-style trajectory), saturate
 // (cold-check hot-path microbenchmark; -json appends to a
 // BENCH_saturate.json-style trajectory, -baseline FILE fails the run
-// on a >20% cold-throughput regression, or a rise in e-matches or
-// allocated bytes per check, vs. that trajectory's last recorded run —
-// the CI smoke gate),
+// on a >20% cold-throughput regression, a rise in e-matches or
+// allocated bytes per check, or any change in rule applications per
+// check, vs. that trajectory's last recorded run — the CI smoke gate),
 // diff (single-op-edit incremental re-verification vs a cold full
 // check; fails unless the diff
 // re-checks exactly the edit's downstream cone and replays everything
@@ -47,7 +47,7 @@ import (
 
 var (
 	jsonOut    = flag.String("json", "", "append the cache/saturate experiment's data points to this JSON trajectory file (e.g. BENCH_cache.json, BENCH_saturate.json)")
-	baseline   = flag.String("baseline", "", "saturate: compare against this trajectory's last run and exit non-zero on a cold-throughput regression beyond -tolerance, or on a rise in e-matches or allocated bytes per check")
+	baseline   = flag.String("baseline", "", "saturate: compare against this trajectory's last run and exit non-zero on a cold-throughput regression beyond -tolerance, on a rise in e-matches or allocated bytes per check, or on any change in rule applications per check")
 	tolerance  = flag.Float64("tolerance", 0.20, "saturate: allowed fractional cold-throughput drop vs. -baseline before failing")
 	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected experiments to this file")
 	memprofile = flag.String("memprofile", "", "write a pprof allocation profile taken after the selected experiments to this file")

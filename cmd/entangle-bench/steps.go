@@ -81,7 +81,7 @@ func appendTrajectory[P any](path string, points []P) error {
 // runSaturate additionally gates on `-baseline`: the cold-check
 // hot-path numbers — throughput, and the e-matches and allocated bytes
 // per check — must not regress against that trajectory's last
-// committed run.
+// committed run, and the rule applications per check must not move.
 func runSaturate() (string, error) {
 	txt, points, err := bench.Saturate()
 	if err != nil {
@@ -95,7 +95,8 @@ func runSaturate() (string, error) {
 		// A throughput measurement that regresses is retried before
 		// the gate fails: a genuine regression reproduces on every
 		// attempt, while a transient slow period on a shared CI runner
-		// does not. The match and byte counts repeat: a rise fails at once.
+		// does not. The match, byte and application counts repeat: those
+		// fail at once.
 		const gateAttempts = 3
 		var cmp string
 		var slower, moreWork []string
@@ -116,7 +117,7 @@ func runSaturate() (string, error) {
 			for _, v := range violations {
 				fmt.Fprintf(os.Stderr, "entangle-bench: saturate: REGRESSION: %s\n", v)
 			}
-			return "", fmt.Errorf("cold check regressed: throughput beyond %.0f%% on %d workload(s), e-matches or allocated bytes above baseline %d time(s)",
+			return "", fmt.Errorf("cold check regressed: throughput beyond %.0f%% on %d workload(s), e-matches or allocated bytes above baseline or applications off it %d time(s)",
 				*tolerance*100, len(slower), len(moreWork))
 		}
 		txt += "regression gate: OK\n"

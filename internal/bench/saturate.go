@@ -32,6 +32,12 @@ type SaturatePoint struct {
 	Iterations     int     `json:"iterations"`
 	Matches        int     `json:"matches"`
 	MatchesPerIter float64 `json:"matches_per_iter"`
+	// Applications is the rule applications of one check, all rules
+	// together. It is deterministic and no matcher change may move it:
+	// a gate that withholds a match an earlier application of the same
+	// apply phase would have made effective shows up here first (zero in
+	// runs recorded before the field existed).
+	Applications int `json:"applications,omitempty"`
 	// AllocsPerCheck / BytesPerCheck are heap allocation counts and
 	// bytes per cold check (runtime.MemStats deltas over the timed
 	// runs) — the GC-pressure metric interning and scratch reuse drive
@@ -59,8 +65,8 @@ func saturateWorkloads() []Workload {
 func Saturate() (string, []SaturatePoint, error) {
 	var out strings.Builder
 	fmt.Fprintln(&out, "Saturate: cold-check hot path (no cache, workers=1, parallelism 2, 1 layer)")
-	fmt.Fprintf(&out, "%-16s %6s %10s %10s %8s %9s %11s %11s\n",
-		"model", "#ops", "cold", "checks/s", "iters", "matches", "allocs/chk", "MB/chk")
+	fmt.Fprintf(&out, "%-16s %6s %10s %10s %8s %9s %7s %11s %11s\n",
+		"model", "#ops", "cold", "checks/s", "iters", "matches", "apps", "allocs/chk", "MB/chk")
 	var points []SaturatePoint
 	for _, w := range saturateWorkloads() {
 		p, err := saturatePoint(w, 2, 1)
@@ -68,10 +74,10 @@ func Saturate() (string, []SaturatePoint, error) {
 			return "", nil, err
 		}
 		points = append(points, *p)
-		fmt.Fprintf(&out, "%-16s %6d %10s %10.1f %8d %9d %11.0f %11.2f\n",
+		fmt.Fprintf(&out, "%-16s %6d %10s %10.1f %8d %9d %7d %11.0f %11.2f\n",
 			p.Workload, p.Ops,
 			time.Duration(p.ColdMS*float64(time.Millisecond)).Round(10*time.Microsecond),
-			p.ChecksPerSec, p.Iterations, p.Matches, p.AllocsPerCheck,
+			p.ChecksPerSec, p.Iterations, p.Matches, p.Applications, p.AllocsPerCheck,
 			p.BytesPerCheck/(1<<20))
 	}
 	fmt.Fprintln(&out, "(every check is cold: the per-op e-graphs saturate from scratch — the floor under each cache miss)")
@@ -148,6 +154,10 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	if iters > 0 {
 		mpi = float64(matches) / float64(iters)
 	}
+	apps := 0
+	for _, n := range warm.Stats.Applications {
+		apps += n
+	}
 	return &SaturatePoint{
 		Workload:       w.Name,
 		Ops:            gs.OperatorCount() + gd.OperatorCount(),
@@ -157,6 +167,7 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 		Iterations:     iters,
 		Matches:        matches,
 		MatchesPerIter: mpi,
+		Applications:   apps,
 		AllocsPerCheck: float64(after.Mallocs-before.Mallocs) / float64(n),
 		BytesPerCheck:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 	}, nil
@@ -173,13 +184,15 @@ const bytesSlack = 0.01
 // CompareSaturate gates CI on cold-check regressions: for every
 // workload present in both the baseline (the committed trajectory's
 // last run) and the current points, the current checks/sec must be at
-// least (1 - tolerance) × baseline, and neither the e-matches collected
-// nor the bytes allocated per check may exceed the baseline's. It
-// returns a human-readable comparison plus the violations of each kind.
-// A throughput violation is a timing and may be a noisy neighbour, so
-// the caller re-measures before believing it; the other two are counts —
-// the matcher offered rules work it used to withhold, a check allocates
-// what it used to recycle — and are final.
+// least (1 - tolerance) × baseline, neither the e-matches collected nor
+// the bytes allocated per check may exceed the baseline's, and the rule
+// applications per check must equal the baseline's (where it recorded
+// them). It returns a human-readable comparison plus the violations of
+// each kind. A throughput violation is a timing and may be a noisy
+// neighbour, so the caller re-measures before believing it; the others
+// are counts — the matcher offered rules work it used to withhold, a
+// check allocates what it used to recycle, a gate withheld a match that
+// would have fired in its turn — and are final.
 func CompareSaturate(baseline, current []SaturatePoint, tolerance float64) (report string, slower, moreWork []string) {
 	base := map[string]SaturatePoint{}
 	for _, p := range baseline {
@@ -203,6 +216,10 @@ func CompareSaturate(baseline, current []SaturatePoint, tolerance float64) (repo
 		if p.Matches > b.Matches {
 			moreWork = append(moreWork,
 				fmt.Sprintf("%s: %d e-matches per check, baseline %d", p.Workload, p.Matches, b.Matches))
+		}
+		if b.Applications > 0 && p.Applications != b.Applications {
+			moreWork = append(moreWork,
+				fmt.Sprintf("%s: %d rule applications per check, baseline %d: they are deterministic, and a matcher change must not move them", p.Workload, p.Applications, b.Applications))
 		}
 		if b.BytesPerCheck > 0 && p.BytesPerCheck > b.BytesPerCheck*(1+bytesSlack) {
 			moreWork = append(moreWork,

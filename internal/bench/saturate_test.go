@@ -3,27 +3,34 @@ package bench
 import "testing"
 
 // TestCompareSaturateGates pins the -baseline gate: the tolerance
-// applies to the timing only; the match count is exact, and the bytes
-// allocated per check may not rise beyond their counting slack.
+// applies to the timing only; the match count is exact, the bytes
+// allocated per check may not rise beyond their counting slack, and
+// the applications per check may not move either way.
 func TestCompareSaturateGates(t *testing.T) {
 	base := []SaturatePoint{
 		{Workload: "a", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6},
 		{Workload: "b", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6},
 		{Workload: "c", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6},
 		{Workload: "d", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6},
+		{Workload: "e", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6, Applications: 50},
+		{Workload: "f", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6, Applications: 50},
+		{Workload: "g", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6}, // recorded before the field existed
 	}
 	now := []SaturatePoint{
-		{Workload: "a", ChecksPerSec: 85, Matches: 1000, BytesPerCheck: 1.005e6}, // within tolerance, same work
-		{Workload: "b", ChecksPerSec: 70, Matches: 600, BytesPerCheck: 0.5e6},    // slower
-		{Workload: "c", ChecksPerSec: 140, Matches: 1001, BytesPerCheck: 1e6},    // faster, but one more match
-		{Workload: "d", ChecksPerSec: 140, Matches: 900, BytesPerCheck: 1.2e6},   // faster, but allocates more
+		{Workload: "a", ChecksPerSec: 85, Matches: 1000, BytesPerCheck: 1.005e6},               // within tolerance, same work
+		{Workload: "b", ChecksPerSec: 70, Matches: 600, BytesPerCheck: 0.5e6},                  // slower
+		{Workload: "c", ChecksPerSec: 140, Matches: 1001, BytesPerCheck: 1e6},                  // faster, but one more match
+		{Workload: "d", ChecksPerSec: 140, Matches: 900, BytesPerCheck: 1.2e6},                 // faster, but allocates more
+		{Workload: "e", ChecksPerSec: 140, Matches: 900, BytesPerCheck: 1e6, Applications: 49}, // fewer matches, and an application went missing
+		{Workload: "f", ChecksPerSec: 100, Matches: 900, BytesPerCheck: 1e6, Applications: 50},
+		{Workload: "g", ChecksPerSec: 100, Matches: 900, BytesPerCheck: 1e6, Applications: 50},
 		{Workload: "new", ChecksPerSec: 1, Matches: 1 << 20, BytesPerCheck: 1e9},
 	}
 	_, slower, moreWork := CompareSaturate(base, now, 0.20)
 	if len(slower) != 1 || slower[0][:2] != "b:" {
 		t.Errorf("throughput violations = %q, want exactly workload b", slower)
 	}
-	if len(moreWork) != 2 || moreWork[0][:2] != "c:" || moreWork[1][:2] != "d:" {
-		t.Errorf("count violations = %q, want workload c (matches) and workload d (bytes)", moreWork)
+	if len(moreWork) != 3 || moreWork[0][:2] != "c:" || moreWork[1][:2] != "d:" || moreWork[2][:2] != "e:" {
+		t.Errorf("count violations = %q, want workload c (matches), workload d (bytes) and workload e (applications)", moreWork)
 	}
 }

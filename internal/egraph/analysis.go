@@ -105,27 +105,42 @@ func (g *EGraph) ParentsOf(c ClassID) []ParentRef {
 	}
 	out := make([]ParentRef, 0, len(cl.parents))
 	for _, p := range cl.parents {
-		out = append(out, ParentRef{Node: g.canonNode(p.node), Class: g.Find(p.class)})
+		out = append(out, ParentRef{Node: g.canonNode(g.arena[p.node]), Class: g.Find(ClassID(p.class))})
 	}
 	return out
 }
 
 // EachParent visits the consumers of class c without materializing a
 // slice — the allocation-free form of ParentsOf for lemmas that run
-// every iteration. The node pointer aliases the e-graph's own storage
-// and is valid only for the duration of the call; its Kids are not
-// canonicalized (pass them through Find before comparing).
+// every iteration. The node pointer aliases the e-graph's node arena
+// and is valid only for the duration of the call, which must not insert
+// nodes; its Kids are not canonicalized (pass them through Find before
+// comparing).
 func (g *EGraph) EachParent(c ClassID, fn func(n *ENode, owner ClassID) bool) {
 	cl := g.classes[g.Find(c)]
 	if cl == nil {
 		return
 	}
-	for i := range cl.parents {
-		p := &cl.parents[i]
-		if !fn(&p.node, g.Find(p.class)) {
+	for _, p := range cl.parents {
+		if !fn(&g.arena[p.node], g.Find(ClassID(p.class))) {
 			return
 		}
 	}
+}
+
+// ConsumedBy reports whether a node with operator op may list class c
+// among its kids. False is exact — no such node does — and O(1): a rule
+// that only acts on op consumers (slice tiling) declines on it without
+// enumerating EachParent. True is a superset: the bits behind it are
+// sticky (Class.consumers), set when the consumer is inserted and kept
+// through merges and deduplication.
+func (g *EGraph) ConsumedBy(c ClassID, op expr.Op) bool {
+	id := g.intern.lookupOp(string(op))
+	if id == 0 {
+		return false // no node of this graph has the operator
+	}
+	cl := g.classes[g.Find(c)]
+	return cl != nil && cl.consumers&consumerBit(id) != 0
 }
 
 // RankOf returns the rank of the tensor denoted by class c, if shape
@@ -137,5 +152,3 @@ func (g *EGraph) RankOf(c ClassID) (int, bool) {
 	}
 	return len(s), true
 }
-
-var _ = expr.OpTensor // keep expr import for doc references

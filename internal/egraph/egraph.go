@@ -71,9 +71,14 @@ func (n ENode) key() string {
 	return b.String()
 }
 
+// parentEntry records one consumer of a class: the consuming node, as
+// its index in the graph's node arena (EGraph.arena), and the class that
+// held it when the entry was written (Find it before use). Eight bytes,
+// where an entry used to carry a 112-byte copy of the node — a node with
+// k kids is registered k times.
 type parentEntry struct {
-	node  ENode
-	class ClassID
+	node  int32
+	class int32
 }
 
 // opCount tracks how many nodes with one operator a class holds. The
@@ -90,11 +95,18 @@ type Class struct {
 	nodes   []ENode
 	parents []parentEntry
 
-	// ops counts this class's nodes per operator — the first-symbol
-	// index rule matching consults: a pattern whose first child must be
-	// rooted at op X cannot match a node whose child-0 class holds no
-	// X node, so the matcher skips it without descending.
+	// ops counts this class's nodes per operator — what the matcher's
+	// kid-operator gates consult (index.go): a pattern whose kid i must
+	// be rooted at op X cannot match a node whose kid-i class holds no X
+	// node, so the matcher skips it without descending.
 	ops []opCount
+
+	// consumers has bit consumerBit(X) set if a node with operator X ever
+	// listed this class — or a class merged into it — as a kid. Sticky: a
+	// consumer deduplicated away leaves its bit behind, so a set bit means
+	// "maybe" and a clear one "no X node consumes this class", which is
+	// the half a rule needs to decline without walking the parent list.
+	consumers uint64
 }
 
 // Nodes returns the ENodes currently in the class.
@@ -109,6 +121,10 @@ func (c *Class) hasOp(op opID) bool {
 	}
 	return false
 }
+
+// consumerBit maps an interned operator to its bit in Class.consumers;
+// operators past the 62nd share the last bit (still a superset).
+func consumerBit(op opID) uint64 { return 1 << min(uint(op), 63) }
 
 func (c *Class) opsAdd(op opID, delta int32) {
 	for i := range c.ops {
@@ -129,8 +145,14 @@ type EGraph struct {
 	// live counts the non-nil slots.
 	classes []*Class
 	live    int
-	memo    memoTable
-	intern  interner
+	// arena holds one copy of every node addNode ever inserted, in
+	// insertion order; parent entries index it. repair canonicalizes the
+	// copies in place; a node deduplicated out of its class leaves its
+	// slot behind (nothing points at it once its parent entries are
+	// dropped), so the arena is as long as the union-find.
+	arena  []ENode
+	memo   memoTable
+	intern interner
 	// work is Rebuild's worklist and workDone the list it drained last
 	// round, kept so the two swap instead of reallocating.
 	work, workDone []ClassID
@@ -188,16 +210,16 @@ type EGraph struct {
 	consumed     []int32 // per class slot: stamped with the dirtyTake epoch when a dirty class's node consumes it
 	dirtyFront   []ClassID
 	dirtyNext    []ClassID
-	child0ID     []opID      // per-rule child-0 op filter, resolved per iteration
-	fpBuf        []byte      // fingerprint scratch (appendFingerprint)
-	todoBuf      []ruleMatch // match-list scratch (Saturate)
-	withheld     []int       // indexes into the match list of gate-withheld matches (InvariantChecks only)
-	substStack   []*Subst    // e-matching result stack (matchClassOnStack)
-	headBuf      []byte      // head-key scratch (headOf)
-	substArena   substArena  // per-match-phase Subst recycling (newSubst)
-	arenaOn      bool        // arena active: only during saturation matching
-	cleanCostBuf []int       // extraction cost table (CleanCosts), indexed by ClassID
-	cleanGen     uint32      // stamps the table cleanCostBuf currently holds
+	gateOpID     []opID          // the rule set's kid-gate operators, resolved per iteration
+	fpBuf        []byte          // fingerprint scratch (appendFingerprint)
+	todoBuf      []ruleMatch     // match-list scratch (Saturate)
+	withheld     []withheldMatch // the gate-withheld matches of the match list (InvariantChecks only)
+	substStack   []*Subst        // e-matching result stack (matchClassOnStack)
+	headBuf      []byte          // head-key scratch (headOf)
+	substArena   substArena      // per-match-phase Subst recycling (newSubst)
+	arenaOn      bool            // arena active: only during saturation matching
+	cleanCostBuf []int           // extraction cost table (CleanCosts), indexed by ClassID
+	cleanGen     uint32          // stamps the table cleanCostBuf currently holds
 
 	// shape analysis (analysis.go)
 	leafShape     func(tid int) (shape.Shape, bool)
@@ -316,13 +338,18 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	cl := g.classes[id]
 	n.born = g.phase
 	cl.nodes = append(cl.nodes, n)
-	cl.opsAdd(g.opOfHead(h), 1)
+	op := g.opOfHead(h)
+	cl.opsAdd(op, 1)
 	g.memo.put(hash, h, n.Kids, id)
 	g.nodeCount++
+	entry := parentEntry{node: int32(len(g.arena)), class: int32(id)}
+	bit := consumerBit(op)
 	for _, kid := range n.Kids {
 		kc := g.classes[g.Find(kid)]
-		kc.parents = append(kc.parents, parentEntry{node: n, class: id})
+		kc.parents = append(kc.parents, entry)
+		kc.consumers |= bit
 	}
+	g.arena = append(g.arena, n)
 	return id, true
 }
 
@@ -375,6 +402,7 @@ func (g *EGraph) Union(a, b ClassID) bool {
 	for _, oc := range cb.ops {
 		ca.opsAdd(oc.op, oc.n)
 	}
+	ca.consumers |= cb.consumers
 	g.classes[b] = nil
 	g.live--
 	g.work = append(g.work, a)
@@ -465,7 +493,7 @@ func (g *EGraph) dirtyTake(hops int) {
 		for _, c := range front {
 			cl := g.classes[c]
 			for i := range cl.parents {
-				pc := g.Find(cl.parents[i].class)
+				pc := g.Find(ClassID(cl.parents[i].class))
 				if g.mark[pc] == epoch || g.classes[pc] == nil {
 					continue
 				}
@@ -520,19 +548,20 @@ func (g *EGraph) repair(c ClassID) {
 	}
 	cl.nodes = nodes
 
-	// Re-canonicalize parents; detect newly congruent parents. Same
-	// hash-plus-verify dedup, indexing the rebuilt parents slice.
+	// Re-canonicalize parents, in place in the arena; detect newly
+	// congruent parents. Same hash-plus-verify dedup, indexing the
+	// rebuilt parents slice.
 	seenP := g.scratchSeen
 	clear(seenP)
 	orig := len(cl.parents)
 	parents := cl.parents[:0]
 	findEquiv := func(cn *ENode, hash uint64) int {
 		if j, ok := seenP[hash]; ok {
-			if nodesEquiv(&parents[j].node, cn) {
+			if nodesEquiv(&g.arena[parents[j].node], cn) {
 				return int(j)
 			}
 			for k := range parents {
-				if nodesEquiv(&parents[k].node, cn) {
+				if nodesEquiv(&g.arena[parents[k].node], cn) {
 					return k
 				}
 			}
@@ -540,19 +569,21 @@ func (g *EGraph) repair(c ClassID) {
 		return -1
 	}
 	for _, p := range cl.parents {
-		cn := g.canonNode(p.node)
+		stale := g.arena[p.node].Kids
+		cn := g.canonNode(g.arena[p.node])
 		h := g.headOf(&cn)
 		hash := memoHash(h, cn.Kids)
-		if !kidsEqual(p.node.Kids, cn.Kids) {
-			g.memo.del(memoHash(h, p.node.Kids), h, p.node.Kids)
+		if !kidsEqual(stale, cn.Kids) {
+			g.memo.del(memoHash(h, stale), h, stale)
+			g.arena[p.node] = cn
 		}
-		pc := g.Find(p.class)
+		pc := g.Find(ClassID(p.class))
 		if j := findEquiv(&cn, hash); j >= 0 {
-			prev := g.Find(parents[j].class)
+			prev := g.Find(ClassID(parents[j].class))
 			if prev != pc {
 				g.Union(prev, pc)
 				pc = g.Find(pc)
-				parents[j].class = pc
+				parents[j].class = int32(pc)
 			} else {
 				// Two congruent parent copies live in the same class:
 				// that class now holds duplicate nodes, so queue it for
@@ -565,7 +596,7 @@ func (g *EGraph) repair(c ClassID) {
 			if _, ok := seenP[hash]; !ok {
 				seenP[hash] = int32(len(parents))
 			}
-			parents = append(parents, parentEntry{node: cn, class: pc})
+			parents = append(parents, parentEntry{node: p.node, class: int32(pc)})
 		}
 		if memoC, ok := g.memo.get(hash, h, cn.Kids); ok {
 			if g.Find(memoC) != pc {

@@ -31,7 +31,8 @@ import (
 // promise nothing about those — the naive matcher applies such a match
 // at once, the indexed matcher (as it always has for pure rules) one
 // iteration later — so the third run, indexed as in production, must
-// equal the reference on every script that has none.
+// equal the reference round for round up to the script's first late
+// effect: to the end, on a script that has none.
 
 const (
 	diffLeaves = 4
@@ -55,7 +56,7 @@ func (tg *termGen) term(depth int) *expr.Term {
 	}
 	sub := func() *expr.Term { return tg.term(depth - 1) }
 	d := int64(tg.r.Intn(2))
-	switch tg.r.Intn(10) {
+	switch tg.r.Intn(12) {
 	case 0:
 		return expr.Add(sub(), sub())
 	case 8: // opaque to every structural lemma
@@ -79,6 +80,14 @@ func (tg *termGen) term(depth int) *expr.Term {
 		a, b, c := sub(), sub(), sub()
 		x, y := expr.Unary("f", expr.Sum(a, b, c)), expr.Unary("f", expr.Add(expr.Add(c, a), b))
 		return expr.ConcatI(d, expr.SliceI(x, d, 0, 4), expr.SliceI(y, d, 4, diffExtent))
+	case 9: // a sum whose kids are one class: at once, or only once the two spellings are proven equal
+		a, b := sub(), sub()
+		if tg.r.Intn(2) == 0 {
+			return expr.Sum(a, a)
+		}
+		return expr.Sum(expr.Add(a, b), expr.Sum(b, a))
+	case 10: // tiles of a sum: slice-of-sum gives the summands their first slice consumers mid-phase
+		return tg.tiles(expr.Sum(sub(), sub()), d)
 	}
 	return diffLeaf(tg.r.Intn(tg.leaves))
 }
@@ -145,6 +154,8 @@ type observation struct {
 	stop    egraph.StopReason
 	classes string // the partition, class IDs and canonical nodes included
 	clean   string // ExtractAllClean of every root
+	late    int    // the graph's late effects so far (audited runs count them)
+	matches int    // not compared: the one statistic the matchers differ in
 }
 
 // diffOpts keeps a script on which some class comes to contain a sum of
@@ -155,9 +166,9 @@ var diffOpts = egraph.SaturateOpts{MaxIters: 10, MaxNodes: 600}
 // run replays the script on a graph from New — a recycled one, then:
 // every run hands its graph back, so the three regimes of one script,
 // and one script and the next, follow each other on the same objects —
-// and returns what each Saturate call left, plus the graph's
-// late-effect count. (An audit panic unwinds past the Release.)
-func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool) ([]observation, int) {
+// and returns what each Saturate call left. (An audit panic unwinds
+// past the Release.)
+func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool) []observation {
 	defer func(was bool) { egraph.InvariantChecks = was }(egraph.InvariantChecks)
 	egraph.InvariantChecks = audit
 	g := egraph.New(nil)
@@ -197,12 +208,12 @@ func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool)
 		st := g.Saturate(rules, opts)
 		out = append(out, observation{
 			apps: st.Applications, iters: st.Iterations, nodes: st.Nodes, stop: st.StopReason,
-			classes: dumpClasses(g), clean: dumpClean(g, roots),
+			classes: dumpClasses(g), clean: dumpClean(g, roots), late: egraph.LateEffects(g),
+			matches: st.Matches,
 		})
 	}
-	late := egraph.LateEffects(g)
 	g.Release()
-	return out, late
+	return out
 }
 
 func dumpClasses(g *egraph.EGraph) string {
@@ -218,6 +229,16 @@ func dumpClasses(g *egraph.EGraph) string {
 				fmt.Fprintf(&b, "%d,", g.Find(k))
 			}
 			b.WriteByte(')')
+		}
+		// The consumers, through the node arena, and the consumer bits.
+		b.WriteString(" <-")
+		for _, p := range g.ParentsOf(id) {
+			fmt.Fprintf(&b, " %s@%d", p.Node.Op, p.Class)
+		}
+		for _, op := range []expr.Op{expr.OpSlice, expr.OpConcat, expr.OpSum, expr.OpScale, expr.OpAdd, expr.OpUnary, expr.OpMatMul} {
+			if g.ConsumedBy(id, op) {
+				fmt.Fprintf(&b, " +%s", op)
+			}
 		}
 		b.WriteByte('\n')
 	}
@@ -236,8 +257,9 @@ func dumpClean(g *egraph.EGraph, roots []egraph.ClassID) string {
 	return b.String()
 }
 
-func firstDivergence(got, want []observation) string {
-	for i := range want {
+// firstDivergence compares the leading rounds of two runs.
+func firstDivergence(got, want []observation, rounds int) string {
+	for i := range want[:rounds] {
 		a, b := got[i], want[i]
 		switch {
 		case !reflect.DeepEqual(a.apps, b.apps):
@@ -255,53 +277,60 @@ func firstDivergence(got, want []observation) string {
 }
 
 // compareMatchers runs one script under the three regimes and returns
-// a description of the first divergence ("" when there is none) and
-// whether the script was free of late effects, i.e. whether the
+// a description of the first divergence ("" when there is none) and how
+// many leading rounds were free of late effects, i.e. on how many the
 // production run was held to the reference. A panic from the audit is
 // reported as a divergence.
-func compareMatchers(rules []*egraph.Rule, s diffScript, leafShapes bool) (diverged string, comparable bool) {
+func compareMatchers(rules []*egraph.Rule, s diffScript, leafShapes bool) (diverged string, comparable int) {
 	defer func() {
 		if p := recover(); p != nil {
 			diverged = fmt.Sprintf("audit: %v", p)
 		}
 	}()
-	naive, _ := s.run(rules, true, false, leafShapes)
-	audited, late := s.run(rules, false, true, leafShapes)
-	if d := firstDivergence(audited, naive); d != "" {
-		return "audited indexed run: " + d, false
+	naive := s.run(rules, true, false, leafShapes)
+	audited := s.run(rules, false, true, leafShapes)
+	if d := firstDivergence(audited, naive, len(naive)); d != "" {
+		return "audited indexed run: " + d, 0
 	}
-	if late > 0 {
-		return "", false
+	for comparable < len(audited) && audited[comparable].late == 0 {
+		comparable++
 	}
-	indexed, _ := s.run(rules, false, false, leafShapes)
-	if d := firstDivergence(indexed, naive); d != "" {
-		return "indexed run: " + d, true
+	if comparable == 0 {
+		return "", 0
 	}
-	return "", true
+	indexed := s.run(rules, false, false, leafShapes)
+	if d := firstDivergence(indexed, naive, comparable); d != "" {
+		return "indexed run: " + d, comparable
+	}
+	return "", comparable
 }
 
 const diffSeeds = 60
 
-func runDifferential(t *testing.T, lateDefs, leafShapes bool, minComparable int) {
+// runDifferential holds the generator to two floors: scripts compared in
+// production mode to their end, and rounds so compared in all.
+func runDifferential(t *testing.T, lateDefs, leafShapes bool, minScripts, minRounds int) {
 	t.Helper()
 	rules := lemmas.Default().Rules()
-	comparable := 0
+	scripts, rounds := 0, 0
 	for seed := int64(1); seed <= diffSeeds; seed++ {
-		d, ok := compareMatchers(rules, newDiffScript(seed, lateDefs), leafShapes)
+		s := newDiffScript(seed, lateDefs)
+		d, n := compareMatchers(rules, s, leafShapes)
 		if d != "" {
 			t.Fatalf("seed %d: %s", seed, d)
 		}
-		if ok {
-			comparable++
+		rounds += n
+		if n == len(s.rounds) {
+			scripts++
 		}
 	}
-	t.Logf("%d of %d scripts had no late effect and were compared in production mode", comparable, diffSeeds)
-	if comparable < minComparable {
-		t.Errorf("only %d of %d scripts were comparable, want at least %d: the generator no longer tests the production matcher", comparable, diffSeeds, minComparable)
+	t.Logf("%d of %d scripts had no late effect; %d rounds in all were compared in production mode", scripts, diffSeeds, rounds)
+	if scripts < minScripts || rounds < minRounds {
+		t.Errorf("%d scripts and %d rounds were comparable, want at least %d and %d: the generator no longer tests the production matcher", scripts, rounds, minScripts, minRounds)
 	}
 }
 
-func TestFootprintDifferential(t *testing.T) { runDifferential(t, false, true, diffSeeds/4) }
+func TestFootprintDifferential(t *testing.T) { runDifferential(t, false, true, 8, 55) }
 
 // The shape fallback. With no leaf-shape oracle every ShapeOf query
 // fails; with late definitions a term's shape becomes derivable only
@@ -309,9 +338,9 @@ func TestFootprintDifferential(t *testing.T) { runDifferential(t, false, true, d
 // it. Either way the first failed query lifts every footprint to "reads
 // the graph", nothing more is withheld from a footprint rule, and the
 // matchers agree.
-func TestFootprintDifferentialNoShapes(t *testing.T) { runDifferential(t, false, false, diffSeeds/2) }
+func TestFootprintDifferentialNoShapes(t *testing.T) { runDifferential(t, false, false, 15, 75) }
 
-func TestFootprintDifferentialLateShapes(t *testing.T) { runDifferential(t, true, true, diffSeeds/10) }
+func TestFootprintDifferentialLateShapes(t *testing.T) { runDifferential(t, true, true, 3, 60) }
 
 // TestFootprintShapeFallback is the late-shape case by hand. f(t4) is
 // cut into two tiles and concatenated back while t4 — and so f(t4) —
@@ -336,7 +365,7 @@ func TestFootprintShapeFallback(t *testing.T) {
 	if d, _ := compareMatchers(rules, s, true); d != "" {
 		t.Fatal(d)
 	}
-	indexed, _ := s.run(rules, false, false, true)
+	indexed := s.run(rules, false, false, true)
 	if indexed[1].apps["slice-tiling"] != 0 || indexed[2].apps["slice-tiling"] != 1 {
 		t.Fatalf("slice-tiling must fire exactly when f(t4) gets its shape, in round 2: %v then %v", indexed[1].apps, indexed[2].apps)
 	}
@@ -348,19 +377,7 @@ func TestFootprintShapeFallback(t *testing.T) {
 // too shallow it is withheld from matches it would fire on. Some
 // script's audit must notice.
 func TestFootprintCatchesShallowDeclaration(t *testing.T) {
-	var rules []*egraph.Rule
-	planted := false
-	for _, r := range lemmas.Default().Rules() {
-		if r.Name == "concat-of-slices" {
-			shallow := *r
-			shallow.Reads = egraph.ReadsBelow(1)
-			r, planted = &shallow, true
-		}
-		rules = append(rules, r)
-	}
-	if !planted {
-		t.Fatal("the registry no longer has a concat-of-slices rule to plant the bug in")
-	}
+	rules := replaceRule(t, "concat-of-slices", func(r *egraph.Rule) { r.Reads = egraph.ReadsBelow(1) })
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		if d, _ := compareMatchers(rules, newDiffScript(seed, false), true); d != "" {
 			if !strings.Contains(d, `rule "concat-of-slices" (reads below(1)) was withheld`) {
@@ -371,4 +388,111 @@ func TestFootprintCatchesShallowDeclaration(t *testing.T) {
 		}
 	}
 	t.Fatalf("concat-of-slices declared ReadsBelow(1) survived %d scripts' audits", diffSeeds)
+}
+
+// replaceRule returns the registry's rules with the named one swapped
+// for an edited copy.
+func replaceRule(t *testing.T, name string, edit func(*egraph.Rule)) []*egraph.Rule {
+	t.Helper()
+	var rules []*egraph.Rule
+	planted := false
+	for _, r := range lemmas.Default().Rules() {
+		if r.Name == name {
+			edited := *r
+			edit(&edited)
+			r, planted = &edited, true
+		}
+		rules = append(rules, r)
+	}
+	if !planted {
+		t.Fatalf("the registry no longer has a %s rule", name)
+	}
+	return rules
+}
+
+// TestKidGateCatchesWrongDeclaration plants the bug the audit exists
+// for on the kid-requirement side: concat-flatten fires when some kid
+// class holds a concat, so declared EveryKid it is withheld from
+// matches it would fire on. Some script's audit must notice.
+func TestKidGateCatchesWrongDeclaration(t *testing.T) {
+	rules := replaceRule(t, "concat-flatten", func(r *egraph.Rule) { r.Kids = egraph.EveryKid(expr.OpConcat) })
+	for seed := int64(1); seed <= diffSeeds; seed++ {
+		if d, _ := compareMatchers(rules, newDiffScript(seed, false), true); d != "" {
+			if !strings.Contains(d, `rule "concat-flatten" (reads below(1)) was withheld`) || !strings.Contains(d, "by its kid requirement every:concat") {
+				t.Fatalf("seed %d diverged, but not on the planted declaration: %.300s", seed, d)
+			}
+			t.Logf("seed %d: %.200s", seed, d)
+			return
+		}
+	}
+	t.Fatalf("concat-flatten declared EveryKid(concat) survived %d scripts' audits", diffSeeds)
+}
+
+// TestDifferentialReachesEveryKidGate holds the generator to every
+// declared kid requirement of the registry: over the scripts, each
+// gated rule must fire (its gate opens on a match with an effect) and
+// must be withheld matches it would otherwise collect (dropping its
+// declaration alone raises the match count).
+func TestDifferentialReachesEveryKidGate(t *testing.T) {
+	rules := lemmas.Default().Rules()
+	kinds := map[string]bool{}
+	for _, r := range rules {
+		if r.Kids.None() {
+			continue
+		}
+		kinds[strings.SplitN(r.Kids.String(), ":", 2)[0]] = true
+		undeclared := replaceRule(t, r.Name, func(r *egraph.Rule) { r.Kids = egraph.KidReq{} })
+		fired, withheld := 0, 0
+		for seed := int64(1); seed <= diffSeeds; seed++ {
+			s := newDiffScript(seed, false)
+			with, without := s.run(rules, false, false, true), s.run(undeclared, false, false, true)
+			for i := range with {
+				fired += with[i].apps[r.Name]
+				withheld += without[i].matches - with[i].matches
+			}
+		}
+		t.Logf("%s (kids %s): %d applications, %d matches withheld", r.Name, r.Kids, fired, withheld)
+		if fired == 0 || withheld <= 0 {
+			t.Errorf("%s (kids %s): %d applications and %d withheld matches over %d scripts: the generator does not reach this gate", r.Name, r.Kids, fired, withheld, diffSeeds)
+		}
+	}
+	for _, kind := range []string{"every", "some", "same"} {
+		if !kinds[kind] {
+			t.Errorf("no registry rule declares a %q kid requirement any more: the differential does not test that gate kind", kind)
+		}
+	}
+}
+
+// TestSliceTilingSeesSlicesMintedThisPhase is the reason slice-tiling
+// asks the consumer bits in its Apply and is not gated on them by the
+// matcher. Class x has no slice consumer when the match phase collects
+// slice-tiling on it; slice-of-sum, applied to the lower-numbered
+// classes earlier in the same apply phase, mints the two slices of x
+// that tile it, and the naive matcher's slice-tiling application — in
+// its turn, later in that phase — fires. So must the indexed one's.
+func TestSliceTilingSeesSlicesMintedThisPhase(t *testing.T) {
+	rules := lemmas.Default().Rules()
+	for _, unindexed := range []bool{true, false} {
+		g := egraph.New(nil)
+		g.SetLeafShapeFn(func(int) (shape.Shape, bool) {
+			return shape.Shape{sym.Const(diffExtent), sym.Const(diffExtent)}, true
+		})
+		sum := expr.Sum(diffLeaf(0), diffLeaf(1))
+		g.AddTerm(expr.ConcatI(0, expr.SliceI(sum, 0, 0, 4), expr.SliceI(sum, 0, 4, diffExtent)))
+		// x = t0 = t9: the merged class takes t9's ID, above the slices'.
+		x := g.AddTerm(diffLeaf(9))
+		g.Union(x, g.AddTerm(diffLeaf(0)))
+		g.Rebuild()
+		if g.Find(x) != x || g.ConsumedBy(x, expr.OpSlice) {
+			t.Fatalf("setup: x is class %d (want %d), slice consumer %t (want none yet)", g.Find(x), x, g.ConsumedBy(x, expr.OpSlice))
+		}
+		st := g.Saturate(rules, egraph.SaturateOpts{MaxIters: 1, Unindexed: unindexed})
+		if st.Applications["slice-of-sum"] == 0 || st.Applications["slice-tiling"] == 0 {
+			t.Errorf("unindexed=%t: slice-of-sum and slice-tiling must both fire in the first iteration: %v", unindexed, st.Applications)
+		}
+		if !g.ConsumedBy(x, expr.OpSlice) {
+			t.Errorf("unindexed=%t: x has slice consumers now, but its consumer bit is clear", unindexed)
+		}
+		g.Release()
+	}
 }

@@ -31,10 +31,18 @@ import "entangle/internal/expr"
 //     of a Saturate call whose graph is not carrying a fixpoint from
 //     the previous same-rules call (rewrite.go).
 //
-//   - First-symbol discrimination: a pattern whose first child is an
-//     operator application can only match a node whose child-0 class
-//     holds a node with that operator; the per-class op counts
-//     (Class.ops) answer that without descending into matchNode.
+//   - Kid-operator gates, answered from the per-class operator counts
+//     (Class.ops) and Find before any substitution is built. Derived:
+//     a fixed-arity pattern whose kid i is an operator application can
+//     only match a node whose kid-i class holds a node with that
+//     operator, so the node is skipped without descending into
+//     matchNode — no match exists, nothing is withheld. Declared: a
+//     variadic (POpN) pattern binds its kid list whole and leaves the
+//     looking to Apply, so the rule says next to its footprint what
+//     Apply insists on (Rule.Kids: every kid class holds op X, some kid
+//     class does, all kids are one class), and where that fails the
+//     match — which the naive matcher would collect and Apply decline —
+//     is withheld like one outside the footprint.
 //
 // Candidate classes are visited in the same ascending order with the
 // same per-class rule order as the naive matcher, so the produced
@@ -50,7 +58,7 @@ import "entangle/internal/expr"
 // (the differential tests pin this).
 
 // CompiledRules is the matcher's analysis of a rule set: rules
-// bucketed by root operator, the per-rule child-0 filter, and each
+// bucketed by root operator, each rule's kid-operator gates, and each
 // rule's gate — how near a change a class must be for the rule to be
 // offered it again. It is independent of any e-graph and read-only
 // during matching, so one value may be compiled once (CompileRules)
@@ -59,7 +67,8 @@ type CompiledRules struct {
 	rules    []*Rule
 	varRules []int             // indexes of bare-variable-LHS rules, in order
 	byOp     map[expr.Op][]int // op-rooted rules bucketed by root op, in order
-	child0   []expr.Op         // per rule: required op of child 0 ("" = no filter)
+	kidGates [][]kidGate       // per rule: derived gates, then the declared one
+	gateOps  []expr.Op         // the distinct operators the kid gates name
 	gates    []ruleGate        // per rule
 	// maxReach is the deepest reach of any gated rule: the dirty closure
 	// is expanded by that many parent hops.
@@ -77,24 +86,63 @@ type ruleGate struct {
 	reach int8
 }
 
+// kidGate is one condition on a candidate root node's kid classes.
+// kidAt gates are derived from a fixed-arity LHS and exact (failing
+// means no match); the others compile a rule's declared KidReq, and
+// failing means a match Apply declines.
+type kidGate struct {
+	kind kidReqKind
+	pos  int16 // kidAt: the kid position
+	op   int16 // index into CompiledRules.gateOps (not kidsSame)
+}
+
+// gateOp returns op's index in cr.gateOps, adding it if new.
+func (cr *CompiledRules) gateOp(op expr.Op) int16 {
+	for i, o := range cr.gateOps {
+		if o == op {
+			return int16(i)
+		}
+	}
+	cr.gateOps = append(cr.gateOps, op)
+	return int16(len(cr.gateOps) - 1)
+}
+
+// compileKidGates derives r's gates from its LHS and appends the
+// declared requirement, which only a variadic root can carry
+// (entangle-lint rejects it elsewhere; here it is ignored).
+func (cr *CompiledRules) compileKidGates(r *Rule) []kidGate {
+	var gates []kidGate
+	for i, k := range r.LHS.Kids {
+		if k.Var == "" {
+			gates = append(gates, kidGate{kind: kidAt, pos: int16(i), op: cr.gateOp(k.Op)})
+		}
+	}
+	if r.LHS.VarKids != "" && !r.Kids.None() {
+		gt := kidGate{kind: r.Kids.kind}
+		if op, named := r.Kids.Op(); named {
+			gt.op = cr.gateOp(op)
+		}
+		gates = append(gates, gt)
+	}
+	return gates
+}
+
 // CompileRules analyzes a rule set for the indexed matcher. The result
 // must be passed (via SaturateOpts.Compiled) only alongside exactly
 // the same rules slice.
 func CompileRules(rules []*Rule) *CompiledRules {
 	cr := &CompiledRules{
-		rules:  rules,
-		byOp:   map[expr.Op][]int{},
-		child0: make([]expr.Op, len(rules)),
-		gates:  make([]ruleGate, len(rules)),
+		rules:    rules,
+		byOp:     map[expr.Op][]int{},
+		kidGates: make([][]kidGate, len(rules)),
+		gates:    make([]ruleGate, len(rules)),
 	}
 	for i, r := range rules {
 		if r.LHS.Var != "" {
 			cr.varRules = append(cr.varRules, i)
 		} else {
 			cr.byOp[r.LHS.Op] = append(cr.byOp[r.LHS.Op], i)
-			if len(r.LHS.Kids) > 0 && r.LHS.Kids[0].Var == "" {
-				cr.child0[i] = r.LHS.Kids[0].Op
-			}
+			cr.kidGates[i] = cr.compileKidGates(r)
 		}
 		gate := ruleGate{kind: r.Reads.kind, reach: int8(r.LHS.Depth() - 1)}
 		switch gate.kind {
@@ -117,21 +165,54 @@ func CompileRules(rules []*Rule) *CompiledRules {
 	return cr
 }
 
-// resolveChild0 refreshes the interned child-0 filter ops against g's
-// interner, into the per-graph scratch g.child0ID (CompiledRules is
+// resolveGateOps refreshes the interned kid-gate operators against g's
+// interner, into the per-graph scratch g.gateOpID (CompiledRules is
 // shared and stays read-only). An op can first appear mid-saturation,
 // so this runs once per iteration; an unresolved op (ID 0) means no
-// node in the graph has it, which makes the filter reject — exactly
-// what matching would conclude.
-func (g *EGraph) resolveChild0(cr *CompiledRules) {
-	if cap(g.child0ID) < len(cr.child0) {
-		g.child0ID = make([]opID, len(cr.child0))
+// node in the graph has it, which no class's counts hold either —
+// exactly what matching would conclude.
+func (g *EGraph) resolveGateOps(cr *CompiledRules) {
+	if cap(g.gateOpID) < len(cr.gateOps) {
+		g.gateOpID = make([]opID, len(cr.gateOps))
 	}
-	g.child0ID = g.child0ID[:len(cr.child0)]
-	for i, op := range cr.child0 {
-		if op != "" {
-			g.child0ID[i] = g.intern.lookupOp(string(op))
+	g.gateOpID = g.gateOpID[:len(cr.gateOps)]
+	for i, op := range cr.gateOps {
+		g.gateOpID[i] = g.intern.lookupOp(string(op))
+	}
+}
+
+// kidHas reports whether kid class k holds a node with operator op.
+func (g *EGraph) kidHas(k ClassID, op opID) bool {
+	kc := g.classes[g.Find(k)]
+	return op != 0 && kc != nil && kc.hasOp(op)
+}
+
+// passes evaluates one kid gate on a candidate root node.
+func (g *EGraph) passes(gt kidGate, n *ENode) bool {
+	switch gt.kind {
+	case kidAt:
+		return int(gt.pos) < len(n.Kids) && g.kidHas(n.Kids[gt.pos], g.gateOpID[gt.op])
+	case kidsEvery:
+		for _, k := range n.Kids {
+			if !g.kidHas(k, g.gateOpID[gt.op]) {
+				return false
+			}
 		}
+		return true
+	case kidsSome:
+		for _, k := range n.Kids {
+			if g.kidHas(k, g.gateOpID[gt.op]) {
+				return true
+			}
+		}
+		return false
+	default: // kidsSame
+		for _, k := range n.Kids {
+			if g.Find(k) != g.Find(n.Kids[0]) {
+				return false
+			}
+		}
+		return true
 	}
 }
 
@@ -167,9 +248,9 @@ const farAway = int8(127)
 // the last time it ran there (see the file comment). Matches append to
 // out (a reused scratch slice). Under InvariantChecks the withheld
 // matches are appended too, in their naive-order places, with their
-// indexes in g.withheld: Saturate audits them.
+// places in g.withheld: Saturate audits them.
 func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch) []ruleMatch {
-	g.resolveChild0(cr)
+	g.resolveGateOps(cr)
 	g.withheld = g.withheld[:0]
 	epoch := int32(0)
 	if full {
@@ -180,7 +261,7 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 	}
 	// A failed ShapeOf lifts every footprint rule to "reads the graph".
 	noBound := g.shapeUnknown
-	audit := InvariantChecks && !full
+	audit := InvariantChecks // a full scan withholds too: by declared kid requirement
 	everywhere := full || audit || cr.unbounded || (noBound && cr.footprint)
 	for i, cl := range g.classes {
 		if cl == nil {
@@ -209,7 +290,7 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 			g.matchClassOnStack(r.LHS, id, emptySubst)
 			for _, s := range g.substStack[mark:] {
 				if !offer {
-					g.withheld = append(g.withheld, len(out))
+					g.withheld = append(g.withheld, withheldMatch{at: len(out)})
 				}
 				out = append(out, ruleMatch{rule: r, m: Match{Class: id, Subst: s}})
 			}
@@ -227,6 +308,7 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 			nearestKid := int8(-1) // computed on first use
 			var canon ENode
 			canonDone := false
+		rules:
 			for _, ri := range cands {
 				r := cr.rules[ri]
 				gate := cr.gate(ri, noBound)
@@ -244,14 +326,20 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 				if !offer && !audit {
 					continue
 				}
-				if cr.child0[ri] != "" && len(n.Kids) > 0 {
-					filter := g.child0ID[ri]
-					if filter == 0 {
+				// A derived kid gate that fails means there is nothing to
+				// match; the declared one, a match Apply declines.
+				byKids := false
+				for _, gt := range cr.kidGates[ri] {
+					if g.passes(gt, n) {
 						continue
 					}
-					if kc := g.classes[g.Find(n.Kids[0])]; kc == nil || !kc.hasOp(filter) {
-						continue
+					if gt.kind == kidAt {
+						continue rules
 					}
+					byKids, offer = offer, false
+				}
+				if !offer && !audit {
+					continue
 				}
 				mark := len(g.substStack)
 				g.matchNodeOnStack(r.LHS, n, emptySubst)
@@ -261,7 +349,7 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 				}
 				for _, s := range g.substStack[mark:] {
 					if !offer {
-						g.withheld = append(g.withheld, len(out))
+						g.withheld = append(g.withheld, withheldMatch{at: len(out), byKids: byKids})
 					}
 					out = append(out, ruleMatch{rule: r, m: Match{Class: id, Node: canon, Subst: s}})
 				}
@@ -270,6 +358,14 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 		}
 	}
 	return out
+}
+
+// withheldMatch places one gate-withheld match in the match list.
+// byKids: the rule's footprint gate was open, its declared kid
+// requirement withheld the match.
+type withheldMatch struct {
+	at     int
+	byKids bool
 }
 
 // gate returns rule ri's gate for this match phase: its own, unless a

@@ -37,7 +37,11 @@ var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 //     its class. (Congruence: two classes holding the same canonical
 //     node would collide on the memo entry and fail this.)
 //  5. Parent registration: every non-leaf node is recorded in each of
-//     its kids' parent lists with the owning class.
+//     its kids' parent lists — by an entry whose arena node
+//     canonicalizes to it — with the owning class, and each kid class
+//     has the consumer bit of the node's operator set (the bits may
+//     say more than the live consumers, never less). The arena has
+//     one node per union-find slot and every parent entry indexes it.
 func (g *EGraph) CheckInvariants() error {
 	// 1. Canonical class records.
 	if len(g.classes) != len(g.parent) {
@@ -60,6 +64,9 @@ func (g *EGraph) CheckInvariants() error {
 	if live != g.live {
 		return fmt.Errorf("live class count %d != occupied class slots %d", g.live, live)
 	}
+	if len(g.arena) != len(g.parent) {
+		return fmt.Errorf("node arena holds %d nodes, the union-find %d slots", len(g.arena), len(g.parent))
+	}
 
 	total := 0
 	for i, cl := range g.classes {
@@ -68,6 +75,11 @@ func (g *EGraph) CheckInvariants() error {
 		}
 		id := ClassID(i)
 		total += len(cl.nodes)
+		for _, p := range cl.parents {
+			if p.node < 0 || int(p.node) >= len(g.arena) || p.class < 0 || int(p.class) >= len(g.parent) {
+				return fmt.Errorf("class %d has parent entry (node %d, class %d) outside the arena's %d nodes or the union-find's %d slots", id, p.node, p.class, len(g.arena), len(g.parent))
+			}
+		}
 
 		// 2b + 3. Operator counts and intra-class dedup.
 		recount := map[opID]int32{}
@@ -91,22 +103,25 @@ func (g *EGraph) CheckInvariants() error {
 				return fmt.Errorf("class %d node %s maps to class %d in memo", id, k, g.Find(mc))
 			}
 
-			// 5. Parent registration.
+			// 5. Parent registration and consumer bits.
 			for _, kid := range cn.Kids {
 				kc := g.classes[g.Find(kid)]
 				if kc == nil {
 					return fmt.Errorf("class %d node %s has kid %d with no class record", id, k, kid)
 				}
 				found := false
-				for j := range kc.parents {
-					pn := g.canonNode(kc.parents[j].node)
-					if g.Find(kc.parents[j].class) == id && nodesEquiv(&pn, &cn) {
+				for _, p := range kc.parents {
+					pn := g.canonNode(g.arena[p.node])
+					if g.Find(ClassID(p.class)) == id && nodesEquiv(&pn, &cn) {
 						found = true
 						break
 					}
 				}
 				if !found {
 					return fmt.Errorf("class %d node %s not registered in parents of kid class %d", id, k, g.Find(kid))
+				}
+				if kc.consumers&consumerBit(g.opOfHead(h)) == 0 {
+					return fmt.Errorf("class %d is consumed by %s node %s of class %d, but its consumer bit is clear", g.Find(kid), cn.Op, k, id)
 				}
 			}
 		}

@@ -15,9 +15,9 @@ import (
 // IDs, same match order, same statistics. What it keeps is the capacity
 // of its scratch, each piece only up to a fixed size and with every
 // pointer into the life that ended cleared. Class records and their
-// node and parent lists are not kept: a parent entry is a whole ENode
-// copy, and a slot that remembered the largest list it ever held cost
-// more resident memory than the allocations it saved.
+// node and parent lists are not kept: a slot that remembered the
+// largest list it ever held cost more resident memory than the
+// allocations it saved.
 //
 // The list is package-level because graph lifetimes are shorter than
 // anything that could own it: the daemon builds a Checker per request,
@@ -35,10 +35,10 @@ const (
 	// keepSlots bounds everything that grows with the graph's classes
 	// and nodes: the per-class-slot arrays (union-find parent and rank,
 	// the class table, the mark/dist/consumed annotations, the clean-cost
-	// table: 41 bytes a slot together) with the maps a graph of that many
-	// classes fills (interner, shape memo, repair dedup); the hash-cons
-	// table (48-byte entries); the applied-fingerprint set; the class
-	// worklists.
+	// table: 41 bytes a slot together; the node arena: 112) with the maps
+	// a graph of that many classes fills (interner, shape memo, repair
+	// dedup); the hash-cons table (48-byte entries); the
+	// applied-fingerprint set; the class worklists.
 	keepSlots = 1024
 	// keepMatches bounds what grows with the matches of one phase: the
 	// match list (136-byte entries) and the e-matching stack.
@@ -125,14 +125,15 @@ func (g *EGraph) Release() {
 // clearing whatever in them points into the life that ended.
 func (g *EGraph) reset() {
 	if cap(g.parent) > keepSlots {
-		g.parent, g.rank, g.classes = nil, nil, nil
+		g.parent, g.rank, g.classes, g.arena = nil, nil, nil, nil
 		g.mark, g.dist, g.consumed, g.cleanCostBuf = nil, nil, nil, nil
 		g.intern = newInterner()
 		g.shapeMemo = nil // SetLeafShapeFn makes the next
 		g.scratchSeen = map[uint64]int32{}
 	} else {
-		clear(g.classes) // the life's classes, nodes and parent lists
-		g.parent, g.rank, g.classes = g.parent[:0], g.rank[:0], g.classes[:0]
+		clear(g.classes) // the life's classes with their node lists, parent lists and consumer bits
+		clear(g.arena)   // the nodes point at attribute and kid slices
+		g.parent, g.rank, g.classes, g.arena = g.parent[:0], g.rank[:0], g.classes[:0], g.arena[:0]
 		// nextEpoch re-extends the annotations with zeroes, so the epoch
 		// restarts with them.
 		g.mark, g.dist, g.consumed = g.mark[:0], g.dist[:0], g.consumed[:0]
@@ -180,18 +181,24 @@ func truncate[T any](s []T, keep int) []T {
 	return s[:0]
 }
 
-// release cuts the arena back to its first chunks and zeroes them:
-// slots are reused without zeroing within a life, so they still hold
-// the last match phase's bindings.
+// release cuts the arena back to its first chunks and zeroes the slots
+// the life used — slots are reused without zeroing within a life, so
+// they still hold some match phase's bindings — and no more: most lives
+// use a few of the 192 kept slots, and clearing pointer-bearing memory
+// is not free.
 func (a *substArena) release() {
+	a.reset() // folds the last phase into hi
 	if len(a.chunks) > keepArenaChunks {
 		clear(a.chunks[keepArenaChunks:])
 		a.chunks = a.chunks[:keepArenaChunks]
 	}
+	left := a.hi
 	for _, ch := range a.chunks {
-		clear(ch)
+		n := min(left, len(ch))
+		clear(ch[:n])
+		left -= n
 	}
-	a.reset()
+	a.hi = 0
 }
 
 // checkEmpty reports the first way in which g differs observably from a
@@ -200,6 +207,8 @@ func (g *EGraph) checkEmpty() error {
 	switch {
 	case len(g.parent) != 0 || len(g.rank) != 0 || len(g.classes) != 0 || g.live != 0 || g.nodeCount != 0:
 		return fmt.Errorf("%d union-find slots, %d class slots, %d live classes, %d nodes", len(g.parent), len(g.classes), g.live, g.nodeCount)
+	case len(g.arena) != 0:
+		return fmt.Errorf("node arena holds %d nodes", len(g.arena))
 	case g.memo.live != 0 || g.memo.used != 0:
 		return fmt.Errorf("memo holds %d entries (%d slots used)", g.memo.live, g.memo.used)
 	case len(g.intern.heads) != 0 || len(g.intern.ops) != 0 || len(g.intern.headOps) != 0:
@@ -212,7 +221,7 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, %d memoized)", g.shapeUnknown, len(g.shapeMemo))
 	case g.nodeLimit != 0 || g.budgetDenied:
 		return fmt.Errorf("node limit still armed (%d, denied %t)", g.nodeLimit, g.budgetDenied)
-	case g.arenaOn || g.substArena.ci != 0 || g.substArena.ni != 0:
+	case g.arenaOn || g.substArena.ci != 0 || g.substArena.ni != 0 || g.substArena.hi != 0:
 		return fmt.Errorf("substitution arena still active")
 	case g.phase != 0 || g.markEpoch != 0 || len(g.mark) != 0:
 		return fmt.Errorf("match phase %d, mark epoch %d over %d slots", g.phase, g.markEpoch, len(g.mark))
@@ -222,6 +231,18 @@ func (g *EGraph) checkEmpty() error {
 	for i := range g.memo.entries {
 		if e := &g.memo.entries[i]; e.head != 0 || e.kids != nil {
 			return fmt.Errorf("memo slot %d not cleared", i)
+		}
+	}
+	for ci, ch := range g.substArena.chunks {
+		for i := range ch {
+			if s := &ch[i]; s.classes != nil || s.attrs != nil || s.kids != nil || s.cbuf != [4]classBinding{} || s.abuf[0].name != "" || s.abuf[1].name != "" || s.kbuf[0].ks != nil {
+				return fmt.Errorf("substitution arena slot %d/%d not cleared", ci, i)
+			}
+		}
+	}
+	for i, n := range g.arena[:cap(g.arena)] {
+		if n.Kids != nil || n.Ints != nil || n.Str != "" || n.Name != "" {
+			return fmt.Errorf("node arena slot %d not cleared", i)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"entangle/internal/expr"
 	"entangle/internal/shape"
@@ -56,6 +57,15 @@ func life(g *EGraph, width int) string {
 		fmt.Fprintf(&b, "%d:", id)
 		for _, n := range g.Class(id).Nodes() {
 			fmt.Fprintf(&b, " %s", g.canonNode(n).key())
+		}
+		b.WriteString(" <-")
+		for _, p := range g.ParentsOf(id) { // through the node arena
+			fmt.Fprintf(&b, " %s@%d", p.Node.key(), p.Class)
+		}
+		for _, op := range []expr.Op{expr.OpConcat, expr.OpUnary, expr.OpMatMul, expr.OpSlice} {
+			if g.ConsumedBy(id, op) {
+				fmt.Fprintf(&b, " +%s", op)
+			}
 		}
 		b.WriteByte('\n')
 	}
@@ -113,6 +123,10 @@ func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 		"budget denial":       func(g *EGraph) { g.budgetDenied = true },
 		"active arena":        func(g *EGraph) { g.arenaOn = true },
 		"used arena slot":     func(g *EGraph) { g.arenaOn = true; g.newSubst(); g.arenaOn = false },
+		"arena high-water":    func(g *EGraph) { g.substArena.hi = 1 },
+		"stale substitution":  func(g *EGraph) { g.substArena.chunks[0][7].cbuf[0].name = "x" },
+		"arena node":          func(g *EGraph) { g.arena = append(g.arena, ENode{}) },
+		"stale arena node":    func(g *EGraph) { g.arena[:1][0].Kids = []ClassID{0} },
 		"match phase":         func(g *EGraph) { g.phase = 3 },
 		"context":             func(g *EGraph) { g.Ctx = sym.NewContext() },
 	}
@@ -198,7 +212,7 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	if !OnFreeList(big) {
 		t.Fatal("released graph was not kept")
 	}
-	if n := cap(big.parent) + cap(big.rank) + cap(big.classes) + cap(big.mark) + cap(big.dirty); n != 0 {
+	if n := cap(big.parent) + cap(big.rank) + cap(big.classes) + cap(big.arena) + cap(big.mark) + cap(big.dirty); n != 0 {
 		t.Errorf("a graph of %d class slots kept %d slots of per-class arrays (keepSlots = %d)", keepSlots+1, n, keepSlots)
 	}
 
@@ -255,6 +269,40 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	for i, cl := range g.classes[:cap(g.classes)] {
 		if cl != nil {
 			t.Fatalf("kept class table still points at class %d", i)
+		}
+	}
+	if cap(g.arena) == 0 || cap(g.arena) > keepSlots {
+		t.Errorf("kept node arena has capacity %d, want within (0, %d]", cap(g.arena), keepSlots)
+	}
+	if err := g.checkEmpty(); err != nil { // every kept slot, the node arena's included, is zero
+		t.Errorf("the kept graph is not empty: %v", err)
+	}
+}
+
+// A parent entry is an index and a class, not a node: a node with k
+// kids is registered k times.
+func TestParentEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(parentEntry{}); got != 8 {
+		t.Errorf("parentEntry is %d bytes, want 8", got)
+	}
+}
+
+// Releasing zeroes only the substitution slots the life used, and
+// leaves every kept slot zero all the same.
+func TestArenaReleaseClearsWhatTheLifeUsed(t *testing.T) {
+	emptyFreeList(t, 1)
+	defer func(was bool) { InvariantChecks = was }(InvariantChecks)
+	InvariantChecks = true // Release asserts checkEmpty: every kept slot is zero
+	g := New(nil)
+	for _, width := range []int{30, 2, 1, 12} { // lives that dirty both kept chunks, then a few slots, then more again
+		life(g, width)
+		used := max(g.substArena.hi, g.substArena.used())
+		if used == 0 {
+			t.Fatalf("a life of width %d used no substitution slot", width)
+		}
+		g.Release()
+		if g = New(nil); g.substArena.hi != 0 {
+			t.Fatalf("high-water mark %d survived Release", g.substArena.hi)
 		}
 	}
 }

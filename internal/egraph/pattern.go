@@ -106,9 +106,24 @@ var emptySubst = &Subst{}
 type substArena struct {
 	chunks [][]Subst
 	ci, ni int
+	// hi is the slot count of the graph life's largest match phase so
+	// far: what release has to zero.
+	hi int
 }
 
-func (a *substArena) reset() { a.ci, a.ni = 0, 0 }
+// used returns how many slots the current phase has handed out.
+func (a *substArena) used() int {
+	n := a.ni
+	for _, ch := range a.chunks[:a.ci] {
+		n += len(ch)
+	}
+	return n
+}
+
+func (a *substArena) reset() {
+	a.hi = max(a.hi, a.used())
+	a.ci, a.ni = 0, 0
+}
 
 // newSubst allocates a Subst: from the arena while a saturation match
 // phase is active, from the heap otherwise (MatchAll results escape to

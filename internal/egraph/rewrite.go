@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+
+	"entangle/internal/expr"
 )
 
 // Rule is a rewrite rule (a "lemma" in the paper's terms, §4.2.1).
@@ -33,6 +35,16 @@ type Rule struct {
 	// last ran; ReadsGraph declares no bound and re-runs on every class
 	// every iteration. See Footprint.
 	Reads Footprint
+
+	// Kids declares, for a rule whose LHS is variadic at the root (POpN),
+	// what its Apply requires of the bound kid list before it does
+	// anything (EveryKid, SomeKid, SameKids); the zero value requires
+	// nothing. The indexed matcher answers it from the per-class operator
+	// counts and withholds the match where it fails, before any
+	// substitution is built. A fixed-arity LHS declares nothing: its
+	// operator-rooted kid positions say the same and are read off the
+	// pattern. See KidReq.
+	Kids KidReq
 
 	// Apply builds the right-hand side(s) and returns the class pairs
 	// to union. Most rules union the matched class with one RHS class
@@ -108,6 +120,62 @@ func (f Footprint) String() string {
 		return "graph"
 	}
 	return "bindings"
+}
+
+// KidReq is a variadic rule's declaration of a necessary condition for
+// its Apply to have an effect, over the kid classes the LHS binds: on a
+// graph where the condition fails, Apply inserts nothing and returns no
+// effective union. It is a promise about Apply, not a replacement for
+// its checks — Apply still makes them, on the graph it runs on, which
+// an earlier application of the same apply phase may have changed — and
+// what lets the indexed matcher (index.go) withhold the match. Like a
+// read footprint, a wrong declaration is caught by the withheld-match
+// audit under InvariantChecks.
+type KidReq struct {
+	kind kidReqKind
+	op   expr.Op
+}
+
+type kidReqKind uint8
+
+const (
+	kidsAny   kidReqKind = iota // the zero value: no requirement
+	kidsEvery                   // every kid class holds an op node
+	kidsSome                    // at least one kid class holds an op node
+	kidsSame                    // all kids are one class
+	// kidAt is not declarable: the matcher derives it from an
+	// operator-rooted kid position of a fixed-arity LHS (index.go).
+	kidAt
+)
+
+// EveryKid declares that Apply declines unless every bound kid class
+// holds a node with operator op.
+func EveryKid(op expr.Op) KidReq { return KidReq{kind: kidsEvery, op: op} }
+
+// SomeKid declares that Apply declines unless at least one bound kid
+// class holds a node with operator op.
+func SomeKid(op expr.Op) KidReq { return KidReq{kind: kidsSome, op: op} }
+
+// SameKids declares that Apply declines unless all bound kids are one
+// and the same class.
+func SameKids() KidReq { return KidReq{kind: kidsSame} }
+
+// None reports the zero requirement.
+func (k KidReq) None() bool { return k.kind == kidsAny }
+
+// Op returns the operator an EveryKid or SomeKid requirement names.
+func (k KidReq) Op() (expr.Op, bool) { return k.op, k.kind == kidsEvery || k.kind == kidsSome }
+
+func (k KidReq) String() string {
+	switch k.kind {
+	case kidsEvery:
+		return "every:" + string(k.op)
+	case kidsSome:
+		return "some:" + string(k.op)
+	case kidsSame:
+		return "same"
+	}
+	return "-"
 }
 
 // UnionPair is one equivalence a rule asserts.
@@ -352,7 +420,7 @@ func (g *EGraph) appendFingerprint(buf []byte, p ruleMatch) []byte {
 // may instead carry an applied fingerprint, which the apply loop drops
 // unexecuted). It runs only under InvariantChecks, so the test corpus
 // audits every footprint declaration and the gating itself.
-func (g *EGraph) auditWithheld(p ruleMatch, fpBuf []byte) []byte {
+func (g *EGraph) auditWithheld(p ruleMatch, byKids bool, fpBuf []byte) []byte {
 	if p.rule.Reads.Pure() {
 		fpBuf = g.appendFingerprint(fpBuf[:0], p)
 		if g.appliedFP[string(fpBuf)] {
@@ -371,8 +439,14 @@ func (g *EGraph) auditWithheld(p ruleMatch, fpBuf []byte) []byte {
 		}
 	}
 	if effect != "" {
-		panic(fmt.Sprintf("egraph: rule %q (reads %s) was withheld from class %d in match phase %d, but applying it %s: its footprint is declared too shallow, or the matcher's gating is wrong",
-			p.rule.Name, p.rule.Reads, p.m.Class, g.phase, effect))
+		why := "its footprint is declared too shallow"
+		gate := ""
+		if byKids {
+			why = "Apply does not require what the rule declares"
+			gate = fmt.Sprintf(" by its kid requirement %s", p.rule.Kids)
+		}
+		panic(fmt.Sprintf("egraph: rule %q (reads %s) was withheld from class %d in match phase %d%s, but applying it %s: %s, or the matcher's gating is wrong",
+			p.rule.Name, p.rule.Reads, p.m.Class, g.phase, gate, effect, why))
 	}
 	return fpBuf
 }
@@ -456,7 +530,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		// application of this same phase reached into what it reads
 		// (counted in lateEffects: the naive matcher applies such a match
 		// now, the indexed matcher one iteration later).
-		var withheld []int
+		var withheld []withheldMatch
 		if opts.Unindexed {
 			g.dirty = g.dirty[:0] // keep the accumulator bounded
 			todo = g.matchRules(rules)
@@ -467,12 +541,13 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		g.arenaOn = false
 		stats.Matches += len(todo) - len(withheld)
 		todoHigh = max(todoHigh, len(todo))
-		for _, mi := range withheld {
-			fpBuf = g.auditWithheld(todo[mi], fpBuf)
+		for _, w := range withheld {
+			fpBuf = g.auditWithheld(todo[w.at], w.byKids, fpBuf)
 		}
 		changed := false
 		for mi, p := range todo {
-			late := len(withheld) > 0 && withheld[0] == mi
+			late := len(withheld) > 0 && withheld[0].at == mi
+			byKids := late && withheld[0].byKids
 			if late {
 				withheld = withheld[1:]
 			}
@@ -511,10 +586,14 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 					effect = true
 				}
 			}
-			if late && (effect || pure) {
+			if late && (effect || pure && !byKids) {
 				// Effective in its turn — or a pure match executed at all:
 				// the naive matcher now holds a fingerprint the indexed
-				// one never records.
+				// one never records. (Not so for a match withheld by the
+				// rule's kid requirement: it is executed here every time it
+				// is collected, and its fingerprint names the kid classes
+				// that fail the requirement, so no match the indexed
+				// matcher offers can carry it.)
 				g.lateEffects++
 			}
 			if g.budgetDenied {

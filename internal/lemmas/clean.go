@@ -1,6 +1,7 @@
 package lemmas
 
 import (
+	"slices"
 	"sort"
 
 	"entangle/internal/egraph"
@@ -58,15 +59,12 @@ func registerSumBasics(r *Registry) {
 			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
-				sorted := make([]egraph.ClassID, len(kids))
-				copy(sorted, kids)
-				sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-				for i := range kids {
-					if sorted[i] != kids[i] {
-						return m.With(addAll(g, expr.OpSum, nil, "", sorted))
-					}
+				if slices.IsSorted(kids) { // the common case: nothing to reorder
+					return nil
 				}
-				return nil
+				sorted := slices.Clone(kids)
+				slices.Sort(sorted)
+				return m.With(addAll(g, expr.OpSum, nil, "", sorted))
 			},
 		}},
 	})
@@ -106,6 +104,7 @@ func registerSumBasics(r *Registry) {
 		Name: "sum-identical-scale", Kind: KindClean, Complexity: 2, LOC: 14,
 		Rules: []*egraph.Rule{{
 			Name: "sum-identical-scale",
+			Kids: egraph.SameKids(),
 			LHS:  egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
@@ -191,6 +190,7 @@ func registerConcatFlatten(r *Registry) {
 		Rules: []*egraph.Rule{{
 			Name:  "concat-flatten",
 			Reads: egraph.ReadsBelow(1), // the kid classes' nodes
+			Kids:  egraph.SomeKid(expr.OpConcat),
 			LHS:   egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				d := m.Subst.AttrOf("d")
@@ -224,6 +224,7 @@ func registerConcatOfSlices(r *Registry) {
 			// The kid classes' slice nodes, and whether the classes they
 			// slice are one and the same.
 			Reads: egraph.ReadsBelow(2),
+			Kids:  egraph.EveryKid(expr.OpSlice),
 			LHS:   egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				d := m.Subst.AttrOf("d")
@@ -281,11 +282,18 @@ func registerSliceJoin(r *Registry) {
 			Reads: egraph.ReadsConsumers(), // the slice nodes over x
 			LHS:   egraph.PVar("x"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				// Most classes this rule is offered have no constant-span
-				// slice parents; that fast path must not allocate, so the
-				// map is built lazily.
-				var byDim map[int][]tileSlice
+				// Most classes this rule is offered have no slice consumer
+				// at all, which the class's consumer bits answer without a
+				// look at the parent list. (Asked here, not of the matcher:
+				// slice-of-sum mints slices of a class earlier in this same
+				// apply phase, and they count.) Of the rest most have no
+				// constant-span slice parents; that path must not allocate,
+				// so the map is built lazily.
 				xc := g.Find(m.Class)
+				if !g.ConsumedBy(xc, expr.OpSlice) {
+					return nil
+				}
+				var byDim map[int][]tileSlice
 				g.EachParent(xc, func(n *egraph.ENode, owner egraph.ClassID) bool {
 					if n.Op != expr.OpSlice || len(n.Kids) != 1 || g.Find(n.Kids[0]) != xc {
 						return true

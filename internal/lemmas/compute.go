@@ -134,6 +134,7 @@ func registerScale(r *Registry) {
 		Rules: []*egraph.Rule{{
 			Name:  "sum-of-equal-scales",
 			Reads: egraph.ReadsBelow(1), // the kid classes' scale nodes
+			Kids:  egraph.EveryKid(expr.OpScale),
 			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")

@@ -123,9 +123,9 @@ func shapeOf(p *egraph.Pattern, names map[string]string) string {
 }
 
 // TestRegistryGolden pins the library's identity: every lemma's
-// position, name, kind, complexity and LOC, every rule's name, flags
-// and left-hand-side structure, and the registry fingerprint the
-// verdict cache keys on.
+// position, name, kind, complexity and LOC, every rule's name, flags,
+// declared kid requirement and left-hand-side structure, and the
+// registry fingerprint the verdict cache keys on.
 func TestRegistryGolden(t *testing.T) {
 	const golden = "testdata/registry_golden.txt"
 	r := Default()
@@ -134,8 +134,8 @@ func TestRegistryGolden(t *testing.T) {
 	for _, l := range r.All() {
 		fmt.Fprintf(&b, "%d %s kind=%c complexity=%d loc=%d\n", l.ID, l.Name, l.Kind, l.Complexity, l.LOC)
 		for _, rule := range l.Rules {
-			fmt.Fprintf(&b, "  %s stateful=%t declarative=%t lhs=%s\n",
-				rule.Name, !rule.Reads.Pure(), rule.RHS != nil, shapeOf(rule.LHS, map[string]string{}))
+			fmt.Fprintf(&b, "  %s stateful=%t declarative=%t kids=%s lhs=%s\n",
+				rule.Name, !rule.Reads.Pure(), rule.RHS != nil, rule.Kids, shapeOf(rule.LHS, map[string]string{}))
 		}
 	}
 	if *update {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"entangle/internal/egraph"
+	"entangle/internal/expr"
 	"entangle/internal/lemmas"
 )
 
@@ -53,6 +54,23 @@ const (
 	// indexed matcher exists to avoid. A lemma that scans e-graph
 	// state should say how far (ReadsBelow, ReadsConsumers).
 	CheckRuleReadsGraph = "rule-reads-graph"
+	// CheckRuleKidReqMisplaced fires when a rule declares a kid
+	// requirement (egraph.EveryKid, SomeKid, SameKids) but its LHS is not
+	// variadic at the root: the matcher ignores the declaration there — a
+	// fixed-arity pattern's operator-rooted kid positions already say it,
+	// and a bare variable binds no kid list.
+	CheckRuleKidReqMisplaced = "rule-kidreq-misplaced"
+	// CheckRuleKidReqUnknownOp fires when a declared kid requirement
+	// names an operator expr does not define: no class ever holds such a
+	// node, so the rule would be withheld everywhere (or, for a typo of
+	// the intended operator, from every match it should fire on).
+	CheckRuleKidReqUnknownOp = "rule-kidreq-unknown-op"
+	// CheckRuleKidReqUnread fires when a pure rule declares EveryKid or
+	// SomeKid: the requirement is about the kid classes' node sets, which
+	// a rule whose Apply reads only its bindings cannot depend on — and a
+	// pure match is fingerprinted, so the naive matcher would never
+	// re-apply the match a node gained later opens the gate for.
+	CheckRuleKidReqUnread = "rule-kidreq-unread"
 )
 
 // Lemmas lints a lemma collection (normally Registry.All()). The
@@ -72,6 +90,7 @@ func Lemmas(ls []*lemmas.Lemma) []Diagnostic {
 	for _, r := range all {
 		out = append(out, checkRuleTemplates(r)...)
 		out = append(out, checkFootprint(r)...)
+		out = append(out, checkKidReq(r)...)
 	}
 	out = append(out, checkShadowing(all)...)
 	for _, l := range ls {
@@ -167,6 +186,36 @@ func checkFootprint(r *egraph.Rule) []Diagnostic {
 		}}
 	}
 	return nil
+}
+
+// checkKidReq checks a rule's declared kid requirement against its LHS
+// and footprint.
+func checkKidReq(r *egraph.Rule) []Diagnostic {
+	if r.Kids.None() || r.LHS == nil {
+		return nil
+	}
+	var out []Diagnostic
+	if r.LHS.VarKids == "" {
+		out = append(out, Diagnostic{
+			Check: CheckRuleKidReqMisplaced, Severity: SevError, Subject: r.Name,
+			Message: fmt.Sprintf("declares the kid requirement %s, but its LHS %s is not variadic at the root: only a POpN pattern binds a kid list to require something of (a fixed-arity pattern's requirements are derived from its operator-rooted kids)", r.Kids, r.LHS),
+		})
+	}
+	if op, named := r.Kids.Op(); named {
+		if _, known := expr.Arity(op); !known {
+			out = append(out, Diagnostic{
+				Check: CheckRuleKidReqUnknownOp, Severity: SevError, Subject: r.Name,
+				Message: fmt.Sprintf("declares the kid requirement %s, but expr defines no operator %q", r.Kids, op),
+			})
+		}
+		if r.Reads.Pure() {
+			out = append(out, Diagnostic{
+				Check: CheckRuleKidReqUnread, Severity: SevError, Subject: r.Name,
+				Message: fmt.Sprintf("declares the kid requirement %s but no read footprint: a rule that looks for operator nodes in its kid classes reads one level below the match and must declare ReadsBelow(1) or more", r.Kids),
+			})
+		}
+	}
+	return out
 }
 
 // checkShadowing flags declarative rules fully covered by an earlier

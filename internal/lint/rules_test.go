@@ -148,6 +148,43 @@ func TestRuleReadsGraph(t *testing.T) {
 	noDiag(t, ds, CheckRuleReadsGraph, "ok/pure")
 }
 
+// requiring is scanning with a declared kid requirement.
+func requiring(name string, lhs *egraph.Pattern, reads egraph.Footprint, kids egraph.KidReq) *egraph.Rule {
+	r := scanning(name, lhs, reads)
+	r.Kids = kids
+	return r
+}
+
+func TestRuleKidReq(t *testing.T) {
+	sumN := egraph.POpN(expr.OpSum, nil, "xs")
+	ds := Lemmas([]*lemmas.Lemma{one("bad/kidreq-lemma", 1,
+		requiring("bad/fixed-arity", egraph.POp(expr.OpAdd, nil, egraph.PVar("x"), egraph.PVar("y")), egraph.ReadsBelow(1), egraph.EveryKid(expr.OpScale)),
+		requiring("bad/bare-var", egraph.PVar("x"), egraph.ReadsConsumers(), egraph.SameKids()),
+		requiring("bad/typo", sumN, egraph.ReadsBelow(1), egraph.SomeKid("concta")),
+		requiring("bad/unread", sumN, egraph.Footprint{}, egraph.EveryKid(expr.OpScale)))})
+	for name, check := range map[string]string{
+		"bad/fixed-arity": CheckRuleKidReqMisplaced,
+		"bad/bare-var":    CheckRuleKidReqMisplaced,
+		"bad/typo":        CheckRuleKidReqUnknownOp,
+		"bad/unread":      CheckRuleKidReqUnread,
+	} {
+		if d := findDiag(t, ds, check, name); d.Severity != SevError {
+			t.Errorf("%s: a kid requirement the matcher cannot honour must be error severity, got %s", name, d.Severity)
+		}
+	}
+
+	ds = Lemmas([]*lemmas.Lemma{one("ok/kidreq-lemma", 1,
+		requiring("ok/every", sumN, egraph.ReadsBelow(1), egraph.EveryKid(expr.OpScale)),
+		requiring("ok/some", sumN, egraph.ReadsBelow(2), egraph.SomeKid(expr.OpConcat)),
+		requiring("ok/same", sumN, egraph.Footprint{}, egraph.SameKids()), // kid identity is a binding: pure is fine
+		scanning("ok/derived", egraph.POp(expr.OpSlice, nil, egraph.POpN(expr.OpConcat, nil, "xs")), egraph.Footprint{}))})
+	for _, name := range []string{"ok/every", "ok/some", "ok/same", "ok/derived"} {
+		for _, check := range []string{CheckRuleKidReqMisplaced, CheckRuleKidReqUnknownOp, CheckRuleKidReqUnread} {
+			noDiag(t, ds, check, name)
+		}
+	}
+}
+
 // TestLemmasGolden pins the full report for a collection exhibiting
 // every Layer-1 finding at once, in the order Lemmas emits them.
 func TestLemmasGolden(t *testing.T) {
@@ -170,6 +207,9 @@ func TestLemmasGolden(t *testing.T) {
 				egraph.POp(expr.OpSum, nil, egraph.POp(expr.OpIdentity, nil, egraph.PVar("x"))),
 				egraph.ReadsBelow(1)),
 			scanning("bad/reads-graph", egraph.PVar("x"), egraph.ReadsGraph())),
+		one("bad/kidreqs", 1,
+			requiring("bad/kidreq-fixed", egraph.POp(expr.OpIdentity, nil, egraph.PVar("z")), egraph.ReadsBelow(1), egraph.EveryKid(expr.OpScale)),
+			requiring("bad/kidreq-typo", egraph.POpN(expr.OpConcat, nil, "xs"), egraph.Footprint{}, egraph.SomeKid("concta"))),
 	}
 	checkGolden(t, "rules_golden.txt", Lemmas(bad))
 }
