@@ -6,8 +6,6 @@ import (
 	"os"
 	"runtime"
 	"time"
-
-	"entangle/internal/bench"
 )
 
 // text adapts an experiment that also returns data to a text-only step.
@@ -18,28 +16,58 @@ func text[D any](exp func() (string, D, error)) func() (string, error) {
 	}
 }
 
-// recorded adapts an experiment yielding trajectory points to a step
-// that, under -json, appends them to the trajectory file. The
-// experiments self-gate on correctness, so every recorded point is a
-// verified one.
-func recorded[P any](exp func() (string, []P, error)) func() (string, error) {
+// gated adapts an experiment that keeps a trajectory. Under -baseline
+// its points must not regress against that trajectory's last committed
+// run, as compare judges; under -json they are then appended to the
+// trajectory. The experiments self-gate on correctness, so every
+// recorded point is a verified one.
+//
+// compare returns the timing violations apart from the count
+// violations. A timing that regresses is re-measured before the gate
+// fails: a genuine regression reproduces on every attempt, while a
+// transient slow period on a shared CI runner does not. Counts repeat:
+// those fail at once.
+func gated[P any](measure func() (string, []P, error), compare func(base, now []P) (report string, timing, counts []string)) func() (string, error) {
 	return func() (string, error) {
-		txt, points, err := exp()
+		txt, points, err := measure()
 		if err != nil {
 			return "", err
 		}
-		return record(txt, points)
-	}
-}
-
-func record[P any](txt string, points []P) (string, error) {
-	if *jsonOut == "" {
+		if *baseline != "" {
+			base, err := lastRun[P](*baseline)
+			if err != nil {
+				return "", err
+			}
+			const gateAttempts = 3
+			var cmp string
+			var timing, counts []string
+			for attempt := 1; ; attempt++ {
+				cmp, timing, counts = compare(base.Points, points)
+				if len(timing) == 0 || len(counts) > 0 || attempt == gateAttempts {
+					break
+				}
+				fmt.Fprintf(os.Stderr, "entangle-bench: attempt %d/%d regressed, re-measuring\n", attempt, gateAttempts)
+				if txt, points, err = measure(); err != nil {
+					return "", err
+				}
+			}
+			txt += fmt.Sprintf("baseline: %s (%s, go %s)\n%s", *baseline, base.Timestamp, base.Go, cmp)
+			if violations := append(counts, timing...); len(violations) > 0 {
+				for _, v := range violations {
+					fmt.Fprintf(os.Stderr, "entangle-bench: REGRESSION: %s\n", v)
+				}
+				return "", fmt.Errorf("regressed against %s: %d count and %d timing violation(s)", *baseline, len(counts), len(timing))
+			}
+			txt += "regression gate: OK\n"
+		}
+		if *jsonOut != "" {
+			if err := appendTrajectory(*jsonOut, points); err != nil {
+				return "", err
+			}
+			txt += fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut)
+		}
 		return txt, nil
 	}
-	if err := appendTrajectory(*jsonOut, points); err != nil {
-		return "", err
-	}
-	return txt + fmt.Sprintf("appended %d data points to %s\n", len(points), *jsonOut), nil
 }
 
 // benchRun is one recorded experiment invocation in a trajectory file:
@@ -78,59 +106,14 @@ func appendTrajectory[P any](path string, points []P) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// runSaturate additionally gates on `-baseline`: the cold-check
-// hot-path numbers — throughput, and the e-matches and allocated bytes
-// per check — must not regress against that trajectory's last
-// committed run, and the rule applications per check must not move.
-func runSaturate() (string, error) {
-	txt, points, err := bench.Saturate()
-	if err != nil {
-		return "", err
-	}
-	if *baseline != "" {
-		base, err := lastSaturateRun(*baseline)
-		if err != nil {
-			return "", err
-		}
-		// A throughput measurement that regresses is retried before
-		// the gate fails: a genuine regression reproduces on every
-		// attempt, while a transient slow period on a shared CI runner
-		// does not. The match, byte and application counts repeat: those
-		// fail at once.
-		const gateAttempts = 3
-		var cmp string
-		var slower, moreWork []string
-		for attempt := 1; ; attempt++ {
-			cmp, slower, moreWork = bench.CompareSaturate(base.Points, points, *tolerance)
-			if len(slower) == 0 || len(moreWork) > 0 || attempt == gateAttempts {
-				break
-			}
-			fmt.Fprintf(os.Stderr, "entangle-bench: saturate: attempt %d/%d regressed, re-measuring\n",
-				attempt, gateAttempts)
-			txt, points, err = bench.Saturate()
-			if err != nil {
-				return "", err
-			}
-		}
-		txt += fmt.Sprintf("baseline: %s (%s, go %s)\n%s", *baseline, base.Timestamp, base.Go, cmp)
-		if violations := append(moreWork, slower...); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "entangle-bench: saturate: REGRESSION: %s\n", v)
-			}
-			return "", fmt.Errorf("cold check regressed: throughput beyond %.0f%% on %d workload(s), e-matches or allocated bytes above baseline or applications off it %d time(s)",
-				*tolerance*100, len(slower), len(moreWork))
-		}
-		txt += "regression gate: OK\n"
-	}
-	return record(txt, points)
-}
-
-func lastSaturateRun(path string) (*benchRun[bench.SaturatePoint], error) {
+// lastRun reads the run a -baseline gate compares against: the last
+// one of the trajectory at path, its points decoded as P.
+func lastRun[P any](path string) (*benchRun[P], error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var runs []benchRun[bench.SaturatePoint]
+	var runs []benchRun[P]
 	if err := json.Unmarshal(data, &runs); err != nil {
 		return nil, fmt.Errorf("%s: trajectory unreadable: %v", path, err)
 	}

@@ -14,9 +14,6 @@ import (
 // recording session never rewrites history.
 func TestAppendTrajectoryPreservesRuns(t *testing.T) {
 	for name, appendRun := range map[string]func(path string) error{
-		"BENCH_cache.json":    func(p string) error { return appendTrajectory(p, []bench.CachePoint{{}}) },
-		"BENCH_fleet.json":    func(p string) error { return appendTrajectory(p, []bench.FleetPoint{{}}) },
-		"BENCH_diff.json":     func(p string) error { return appendTrajectory(p, []bench.DiffPoint{{}}) },
 		"BENCH_fuzz.json":     func(p string) error { return appendTrajectory(p, []bench.FuzzPoint{{}}) },
 		"BENCH_saturate.json": func(p string) error { return appendTrajectory(p, []bench.SaturatePoint{{}}) },
 	} {
@@ -40,13 +37,37 @@ func TestAppendTrajectoryPreservesRuns(t *testing.T) {
 			t.Errorf("%s: appending a run rewrote the existing runs", name)
 		}
 	}
-	// The saturate gate reads the typed form of what was appended.
+	// The -baseline gates read the typed form of what was appended.
 	path := filepath.Join(t.TempDir(), "new.json")
 	if err := appendTrajectory(path, []bench.SaturatePoint{{Workload: "w"}}); err != nil {
 		t.Fatal(err)
 	}
-	last, err := lastSaturateRun(path)
+	last, err := lastRun[bench.SaturatePoint](path)
 	if err != nil || len(last.Points) != 1 || last.Points[0].Workload != "w" {
 		t.Fatalf("round trip: %+v, %v", last, err)
+	}
+}
+
+// TestTrajectoryFlagsNeedOneExperiment: a trajectory file holds one
+// experiment's runs, so -json or -baseline without -exp saturate or
+// -exp fuzz is a usage error (exit 2) before anything runs or is
+// written. Under the default -exp all, -json used to append every
+// recordable experiment's points to the one file, and -exp saturate
+// -baseline then read the last (fuzz) run as saturate points.
+func TestTrajectoryFlagsNeedOneExperiment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.json")
+	defer func() { *exp, *jsonOut, *baseline = "all", "", "" }()
+	for _, e := range []string{"all", "fig3"} {
+		*exp, *jsonOut, *baseline = e, path, ""
+		if code := run(); code != 2 {
+			t.Errorf("-exp %s -json: exit %d, want 2", e, code)
+		}
+		*jsonOut, *baseline = "", path
+		if code := run(); code != 2 {
+			t.Errorf("-exp %s -baseline: exit %d, want 2", e, code)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote %s (stat: %v)", path, err)
 	}
 }

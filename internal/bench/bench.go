@@ -9,7 +9,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -139,13 +138,6 @@ func (w Workload) graphs(parallel, layers int) (*graph.Graph, *graph.Graph, *rel
 		return roundTripHLO(b)
 	}
 	return b.Gs, b.Gd, b.Ri, nil
-}
-
-// tempDir makes one measurement's scratch directory (verdict stores,
-// simulated fleets); the caller defers cleanup.
-func tempDir(name string) (dir string, cleanup func(), err error) {
-	dir, err = os.MkdirTemp("", "entangle-bench-"+name+"-")
-	return dir, func() { os.RemoveAll(dir) }, err
 }
 
 // roundTripHLO prints both graphs to the HLO text format and parses

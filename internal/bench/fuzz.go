@@ -14,7 +14,7 @@ import (
 // every paper bug class came back as a minimized Disproved witness,
 // every correct composition passed the numeric differential, and no
 // case was unsound, so the trajectory tracks throughput and gap counts
-// of a *verified* fuzzer.
+// of a *verified* fuzzer; CompareFuzz ratchets the counts.
 type FuzzPoint struct {
 	// Cases is how many compositions (correct + injected) the campaign
 	// checked and cross-checked numerically.
@@ -98,4 +98,32 @@ func Fuzz() (string, []FuzzPoint, error) {
 		point.CasesPerSec, point.UniqueGaps, point.ShrinkMeanOps)
 	out.WriteString("gates: all 9 bug classes rediscovered as Disproved; zero unsound; every Refined case passed the numeric differential\n")
 	return out.String(), []FuzzPoint{point}, nil
+}
+
+// CompareFuzz is the fuzz trajectory's ratchet: against the baseline
+// (the committed trajectory's last run) the distinct lemma gaps may not
+// rise, the share of injected defects rediscovered may not fall, and
+// every paper bug class must have come back. All three are counts of a
+// seeded campaign and repeat, so — unlike CompareSaturate's throughput —
+// none is worth re-measuring: the timing violations are always empty.
+func CompareFuzz(baseline, current []FuzzPoint) (report string, timing, counts []string) {
+	if len(baseline) != 1 || baseline[0].Injected == 0 {
+		return "", nil, []string{"the baseline's last run is not a fuzz campaign"}
+	}
+	b, p := baseline[0], current[0]
+	const row = "%-9s %12d %13d %9d %8d\n"
+	report = fmt.Sprintf("%-9s %12s %13s %9s %8s\n", "", "unique gaps", "rediscovered", "injected", "classes") +
+		fmt.Sprintf(row, "baseline", b.UniqueGaps, b.Rediscovered, b.Injected, b.ClassesRediscovered) +
+		fmt.Sprintf(row, "now", p.UniqueGaps, p.Rediscovered, p.Injected, p.ClassesRediscovered)
+	if p.UniqueGaps > b.UniqueGaps {
+		counts = append(counts, fmt.Sprintf("%d unique lemma gaps, baseline %d", p.UniqueGaps, b.UniqueGaps))
+	}
+	if p.ClassesRediscovered < len(fuzz.Classes) {
+		counts = append(counts, fmt.Sprintf("%d of %d bug classes rediscovered", p.ClassesRediscovered, len(fuzz.Classes)))
+	}
+	if p.Rediscovered*b.Injected < b.Rediscovered*p.Injected {
+		counts = append(counts, fmt.Sprintf("%d of %d injected defects rediscovered, baseline %d of %d",
+			p.Rediscovered, p.Injected, b.Rediscovered, b.Injected))
+	}
+	return report, nil, counts
 }

@@ -4,8 +4,10 @@ import "testing"
 
 // TestCompareSaturateGates pins the -baseline gate: the tolerance
 // applies to the timing only; the match count is exact, the bytes
-// allocated per check may not rise beyond their counting slack, and
-// the applications per check may not move either way.
+// allocated per check may not rise beyond their counting slack, the
+// applications per check may not move either way, and a measured
+// workload the baseline has no point for fails: that baseline is
+// another experiment's file.
 func TestCompareSaturateGates(t *testing.T) {
 	base := []SaturatePoint{
 		{Workload: "a", ChecksPerSec: 100, Matches: 1000, BytesPerCheck: 1e6},
@@ -24,13 +26,13 @@ func TestCompareSaturateGates(t *testing.T) {
 		{Workload: "e", ChecksPerSec: 140, Matches: 900, BytesPerCheck: 1e6, Applications: 49}, // fewer matches, and an application went missing
 		{Workload: "f", ChecksPerSec: 100, Matches: 900, BytesPerCheck: 1e6, Applications: 50},
 		{Workload: "g", ChecksPerSec: 100, Matches: 900, BytesPerCheck: 1e6, Applications: 50},
-		{Workload: "new", ChecksPerSec: 1, Matches: 1 << 20, BytesPerCheck: 1e9},
+		{Workload: "new", ChecksPerSec: 100, Matches: 900, BytesPerCheck: 1e6}, // not in the baseline
 	}
-	_, slower, moreWork := CompareSaturate(base, now, 0.20)
+	_, slower, moreWork := CompareSaturate(base, now)
 	if len(slower) != 1 || slower[0][:2] != "b:" {
 		t.Errorf("throughput violations = %q, want exactly workload b", slower)
 	}
-	if len(moreWork) != 3 || moreWork[0][:2] != "c:" || moreWork[1][:2] != "d:" || moreWork[2][:2] != "e:" {
-		t.Errorf("count violations = %q, want workload c (matches), workload d (bytes) and workload e (applications)", moreWork)
+	if len(moreWork) != 4 || moreWork[0][:2] != "c:" || moreWork[1][:2] != "d:" || moreWork[2][:2] != "e:" || moreWork[3][:4] != "new:" {
+		t.Errorf("count violations = %q, want workload c (matches), workload d (bytes), workload e (applications) and workload new (no baseline point)", moreWork)
 	}
 }

@@ -3,10 +3,10 @@
 // injection (message drop, delay, in-flight corruption via
 // internal/faultinject's network fault family) and scripted topology
 // events (node crash/restart, partition/heal). It exists to let chaos
-// tests and `entangle-bench -exp fleet` drive the real production
-// stack — cluster.Cache, cluster.Client, the rendezvous router, the
-// vcache byte format — through hostile conditions without sockets,
-// goroutine sleeps, or wall-clock dependence:
+// tests — TestFleetDifferential runs real checks through it — drive the
+// real production stack — cluster.Cache, cluster.Client, the rendezvous
+// router, the vcache byte format — through hostile conditions without
+// sockets, goroutine sleeps, or wall-clock dependence:
 //
 //   - The transport never sleeps: a "delayed" or "dropped" frame is
 //     lost at once, so a chaos run completes in milliseconds and

@@ -9,6 +9,7 @@ import (
 	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
 	"entangle/internal/lemmas"
+	"entangle/internal/models"
 	"entangle/internal/relation"
 	"entangle/internal/shape"
 	"entangle/internal/vcache"
@@ -172,6 +173,65 @@ func TestDiffCheckReplaysUnchanged(t *testing.T) {
 	// The incremental run's relation must match a from-scratch check of
 	// the edited graph — replay never changes results, only work.
 	full, err := NewChecker(Options{Registry: reg}).Check(newGs, gd, newRi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := delta.Report.OutputRelation.Render(newGs), full.OutputRelation.Render(newGs); got != want {
+		t.Errorf("diff relation differs from full check:\n--- full ---\n%s\n--- diff ---\n%s", want, got)
+	}
+}
+
+// TestDiffCheckRechecksWholeCone runs the same contract on a real model
+// with an edit high in the graph: on SeedMoE (TP 2) the operands of the
+// first add/sum with two distinct inputs are swapped, so the re-checked
+// set must be that operator's whole downstream cone — many operators,
+// not the single one an edit of the last add leaves — every operator
+// outside it replays, and the relation equals a from-scratch check's.
+func TestDiffCheckRechecksWholeCone(t *testing.T) {
+	b, err := models.SeedMoE(models.Options{TP: 2, Cfg: models.Config{Layers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := b.Gs.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newGs := b.Gs.Clone() // keeps tensor IDs: b.Ri serves the edited graph too
+	cone := map[graph.NodeID]bool{}
+	for _, v := range order {
+		if len(cone) == 0 {
+			if (v.Op == expr.OpAdd || v.Op == expr.OpSum) && len(v.Inputs) == 2 && v.Inputs[0] != v.Inputs[1] {
+				n := newGs.Node(v.ID)
+				n.Inputs[0], n.Inputs[1] = n.Inputs[1], n.Inputs[0]
+				cone[v.ID] = true
+			}
+			continue
+		}
+		for _, in := range v.Inputs {
+			if p := b.Gs.Tensor(in).Producer; p != graph.NoProducer && cone[p] {
+				cone[v.ID] = true
+			}
+		}
+	}
+	if len(cone) < 2 || len(cone) == len(order) {
+		t.Fatalf("edit's downstream cone has %d of %d operators: the case is degenerate", len(cone), len(order))
+	}
+
+	reg := lemmas.Default()
+	checker := NewChecker(Options{Registry: reg, Cache: openCache(t)})
+	if _, err := checker.Check(b.Gs, b.Gd, b.Ri); err != nil {
+		t.Fatalf("old graph: %v", err)
+	}
+	delta, err := checker.DiffCheck(b.Gs, newGs, b.Gd, b.Ri, b.Ri)
+	if err != nil {
+		t.Fatalf("diff check: %v", err)
+	}
+	if delta.RecheckedOps != len(cone) || delta.UnchangedOps != len(order)-len(cone) || delta.ReplayedOps != delta.UnchangedOps {
+		t.Fatalf("delta counts %d unchanged / %d replayed / %d rechecked, want %d/%d/%d",
+			delta.UnchangedOps, delta.ReplayedOps, delta.RecheckedOps,
+			len(order)-len(cone), len(order)-len(cone), len(cone))
+	}
+	full, err := NewChecker(Options{Registry: reg}).Check(newGs, b.Gd, b.Ri)
 	if err != nil {
 		t.Fatal(err)
 	}

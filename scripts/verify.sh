@@ -1,7 +1,7 @@
 #!/bin/sh
 # The verification gate, stage by stage. This file is the only list of
 # what each stage runs: `make verify` runs every stage, `make lint` and
-# `make mc` one each, and the CI jobs call the stages they overlap with.
+# `make mc` one each, and CI's other jobs run only what no stage here does.
 #
 #   sh scripts/verify.sh            # all stages, in the order below
 #   sh scripts/verify.sh mc lint    # the named stages
@@ -56,7 +56,7 @@ stage_race() {
     # bench drives the checker through its concurrent harnesses — including
     # the planned-vs-unplanned differential at workers 1/4 that pins the
     # plan/execute refactor byte-identical; mc's own large-scope exploration
-    # is skipped here (-short) and covered by the dedicated mc CI job.
+    # is skipped here (-short) and runs raced in the dedicated mc CI job.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/bench/...
     # fuzz composes random strategies and checks them with Workers>1; the
     # race run doubles as a worker-count-independence stress.
