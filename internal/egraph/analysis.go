@@ -57,7 +57,8 @@ func (g *EGraph) shapeOf(c ClassID) (shape.Shape, bool) {
 	if cl == nil {
 		return nil, false
 	}
-	for _, n := range cl.nodes {
+	for ni := cl.first; ni >= 0; ni = g.next[ni] {
+		n := &g.arena[ni]
 		if n.isLeaf() {
 			if s, ok := g.leafShape(n.TID); ok {
 				g.shapeMemo[c] = s
@@ -88,31 +89,9 @@ func (g *EGraph) shapeOf(c ClassID) (shape.Shape, bool) {
 	return nil, false
 }
 
-// ParentRef is one consumer of a class: the consuming ENode and the
-// class that node belongs to.
-type ParentRef struct {
-	Node  ENode
-	Class ClassID
-}
-
-// ParentsOf returns the nodes that consume class c as a child, with
-// their owning classes; generative lemmas (slice tiling) enumerate
-// these to find existing sibling ENodes.
-func (g *EGraph) ParentsOf(c ClassID) []ParentRef {
-	cl := g.classes[g.Find(c)]
-	if cl == nil {
-		return nil
-	}
-	out := make([]ParentRef, 0, len(cl.parents))
-	for _, p := range cl.parents {
-		out = append(out, ParentRef{Node: g.canonNode(g.arena[p.node]), Class: g.Find(ClassID(p.class))})
-	}
-	return out
-}
-
-// EachParent visits the consumers of class c without materializing a
-// slice — the allocation-free form of ParentsOf for lemmas that run
-// every iteration. The node pointer aliases the e-graph's node arena
+// EachParent visits the consumers of class c — what generative lemmas
+// (slice tiling) enumerate to find existing sibling ENodes. The node
+// pointer aliases the e-graph's node arena
 // and is valid only for the duration of the call, which must not insert
 // nodes; its Kids are not canonicalized (pass them through Find before
 // comparing).
@@ -127,6 +106,40 @@ func (g *EGraph) EachParent(c ClassID, fn func(n *ENode, owner ClassID) bool) {
 		}
 	}
 }
+
+// NodeIter walks the nodes of one class, in the class's own order:
+//
+//	for it := g.NodesOf(c); it.Valid(); it.Next() {
+//		n := it.Node()
+//		…
+//	}
+//
+// Like EachParent's, the node pointer aliases the e-graph's node arena:
+// it is valid until the walk's caller returns or inserts a node,
+// whichever comes first, must not be written through, and its Kids are
+// canonical only as far as the last Rebuild made them (pass them
+// through Find before comparing).
+type NodeIter struct {
+	g  *EGraph
+	at int32
+}
+
+// NodesOf starts a walk over the nodes of class c.
+func (g *EGraph) NodesOf(c ClassID) NodeIter {
+	if cl := g.classes[g.Find(c)]; cl != nil {
+		return NodeIter{g: g, at: cl.first}
+	}
+	return NodeIter{g: g, at: -1}
+}
+
+// Valid reports whether the walk is at a node.
+func (it NodeIter) Valid() bool { return it.at >= 0 }
+
+// Next moves to the class's next node.
+func (it *NodeIter) Next() { it.at = it.g.next[it.at] }
+
+// Node returns the node the walk is at.
+func (it NodeIter) Node() *ENode { return &it.g.arena[it.at] }
 
 // ConsumedBy reports whether a node with operator op may list class c
 // among its kids. False is exact — no such node does — and O(1): a rule

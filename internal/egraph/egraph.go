@@ -89,17 +89,26 @@ type opCount struct {
 	n  int32
 }
 
-// Class is an equivalence class: the set of ENodes known equal.
+// Class is an equivalence class: the set of ENodes known equal. The
+// record holds no node: a class's nodes are arena indices, chained in
+// insertion order through EGraph.next from first to last (count of
+// them; a live class has at least one). A node's index is the class
+// slot it was born into, so a class starts as the one-element chain of
+// its own ID, Union splices two chains in O(1) and repair unlinks the
+// duplicates — none of which allocates.
 type Class struct {
-	id      ClassID
-	nodes   []ENode
-	parents []parentEntry
+	id                 ClassID
+	first, last, count int32
+	parents            []parentEntry
 
 	// ops counts this class's nodes per operator — what the matcher's
 	// kid-operator gates consult (index.go): a pattern whose kid i must
 	// be rooted at op X cannot match a node whose kid-i class holds no X
 	// node, so the matcher skips it without descending.
-	ops []opCount
+	// The first two entries live in the record (a class is born with one
+	// node, and few ever mix more than two operators).
+	ops    []opCount
+	opsBuf [2]opCount
 
 	// consumers has bit consumerBit(X) set if a node with operator X ever
 	// listed this class — or a class merged into it — as a kid. Sticky: a
@@ -108,9 +117,6 @@ type Class struct {
 	// the half a rule needs to decline without walking the parent list.
 	consumers uint64
 }
-
-// Nodes returns the ENodes currently in the class.
-func (c *Class) Nodes() []ENode { return c.nodes }
 
 // hasOp reports whether the class currently holds a node with op.
 func (c *Class) hasOp(op opID) bool {
@@ -133,6 +139,9 @@ func (c *Class) opsAdd(op opID, delta int32) {
 			return
 		}
 	}
+	if c.ops == nil {
+		c.ops = c.opsBuf[:0]
+	}
 	c.ops = append(c.ops, opCount{op: op, n: delta})
 }
 
@@ -142,15 +151,21 @@ type EGraph struct {
 	rank   []int
 	// classes is indexed by ClassID — IDs are dense, newClass hands them
 	// out in order — with nil in the slot of a class a Union absorbed;
-	// live counts the non-nil slots.
-	classes []*Class
-	live    int
-	// arena holds one copy of every node addNode ever inserted, in
-	// insertion order; parent entries index it. repair canonicalizes the
-	// copies in place; a node deduplicated out of its class leaves its
-	// slot behind (nothing points at it once its parent entries are
-	// dropped), so the arena is as long as the union-find.
+	// live counts the non-nil slots. The records come from classSlab.
+	classes   []*Class
+	live      int
+	classSlab classSlab
+	// arena holds the one copy of every node addNode ever inserted, in
+	// insertion order: class node chains, parent entries, memo entries
+	// and match bindings all name a node by its index here. repair
+	// canonicalizes the kid lists in place (replacing the slice, never
+	// writing through it); a node deduplicated out of its class leaves
+	// its slot behind (nothing points at it once its parent entries are
+	// dropped), so the arena is as long as the union-find. next chains
+	// each class's nodes through it (Class): next[i] is the arena index
+	// of the node after i in i's class, -1 at the end.
 	arena  []ENode
+	next   []int32
 	memo   memoTable
 	intern interner
 	// work is Rebuild's worklist and workDone the list it drained last
@@ -203,8 +218,9 @@ type EGraph struct {
 
 	// Reusable scratch, so the rebuild/match loops allocate nothing
 	// steady-state.
-	scratchSeen  map[uint64]int32 // repair dedup: node hash → first index
-	mark         []int32          // per class slot, stamped with markEpoch
+	dedup        firstByHash // repair dedup: node hash → first survivor
+	keptBuf      []int32     // repair dedup: the surviving nodes of the class in hand
+	mark         []int32     // per class slot, stamped with markEpoch
 	markEpoch    int32
 	dist         []int8  // per class slot: hops from a dirty class, valid where mark == the dirtyTake epoch
 	consumed     []int32 // per class slot: stamped with the dirtyTake epoch when a dirty class's node consumes it
@@ -235,19 +251,8 @@ type EGraph struct {
 // currently stored across all classes, after rebuild dedup. This is
 // the count SaturateOpts.MaxNodes budgets against. It is maintained
 // incrementally (AddNode increments, repair decrements per deduped
-// node) so it is O(1); nodeTotal is the O(classes) cross-check used
-// by tests.
+// node) so it is O(1); CheckInvariants recounts it.
 func (g *EGraph) NodeCount() int { return g.nodeCount }
-
-func nodeTotal(g *EGraph) int {
-	n := 0
-	for _, c := range g.classes {
-		if c != nil {
-			n += len(c.nodes)
-		}
-	}
-	return n
-}
 
 // ClassCount returns the number of live equivalence classes.
 func (g *EGraph) ClassCount() int { return g.live }
@@ -265,7 +270,9 @@ func (g *EGraph) newClass() ClassID {
 	id := ClassID(len(g.parent))
 	g.parent = append(g.parent, id)
 	g.rank = append(g.rank, 0)
-	g.classes = append(g.classes, &Class{id: id})
+	cl := g.classSlab.alloc()
+	cl.id, cl.first, cl.last = id, -1, -1
+	g.classes = append(g.classes, cl)
 	g.live++
 	g.dirty = append(g.dirty, id)
 	return id
@@ -327,7 +334,7 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	n = g.canonNode(n)
 	h := g.headOf(&n)
 	hash := memoHash(h, n.Kids)
-	if id, ok := g.memo.get(hash, h, n.Kids); ok {
+	if id, ok := g.memo.get(g.arena, hash, h, n.Kids); ok {
 		return g.Find(id), true
 	}
 	if budget && g.nodeLimit > 0 && g.nodeCount >= g.nodeLimit {
@@ -337,19 +344,21 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	id := g.newClass()
 	cl := g.classes[id]
 	n.born = g.phase
-	cl.nodes = append(cl.nodes, n)
+	at := int32(len(g.arena)) // == int32(id): one arena slot per class slot
+	g.arena = append(g.arena, n)
+	g.next = append(g.next, -1)
+	cl.first, cl.last, cl.count = at, at, 1
 	op := g.opOfHead(h)
 	cl.opsAdd(op, 1)
-	g.memo.put(hash, h, n.Kids, id)
+	g.memo.put(g.arena, hash, h, at, id)
 	g.nodeCount++
-	entry := parentEntry{node: int32(len(g.arena)), class: int32(id)}
+	entry := parentEntry{node: at, class: int32(id)}
 	bit := consumerBit(op)
 	for _, kid := range n.Kids {
 		kc := g.classes[g.Find(kid)]
 		kc.parents = append(kc.parents, entry)
 		kc.consumers |= bit
 	}
-	g.arena = append(g.arena, n)
 	return id, true
 }
 
@@ -397,12 +406,14 @@ func (g *EGraph) Union(a, b ClassID) bool {
 	// b is absorbed into a.
 	g.parent[b] = a
 	ca, cb := g.classes[a], g.classes[b]
-	ca.nodes = append(ca.nodes, cb.nodes...)
+	g.next[ca.last] = cb.first
+	ca.last, ca.count = cb.last, ca.count+cb.count
 	ca.parents = append(ca.parents, cb.parents...)
 	for _, oc := range cb.ops {
 		ca.opsAdd(oc.op, oc.n)
 	}
 	ca.consumers |= cb.consumers
+	cb.parents, cb.ops = nil, nil // the record stays in the slab until Release
 	g.classes[b] = nil
 	g.live--
 	g.work = append(g.work, a)
@@ -481,8 +492,8 @@ func (g *EGraph) dirtyTake(hops int) {
 		g.mark[c] = epoch
 		g.dist[c] = 0
 		front = append(front, c)
-		for i := range cl.nodes {
-			for _, k := range cl.nodes[i].Kids {
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			for _, k := range g.arena[ni].Kids {
 				g.consumed[g.Find(k)] = epoch
 			}
 		}
@@ -507,56 +518,134 @@ func (g *EGraph) dirtyTake(hops int) {
 	g.dirtyFront, g.dirtyNext = front, next
 }
 
+// firstByHash answers, for a list being deduplicated in place, "which
+// survivor was the first to carry this hash". A short list records its
+// survivors' hashes in a slice and scans it; only a list longer than
+// linearDedup pays for the Go map, whose clear costs what the widest
+// list of the graph's life left behind in buckets, not what this list
+// holds. Both forms give the same answer.
+type firstByHash struct {
+	hashes []uint64         // per survivor, in order (short lists)
+	byHash map[uint64]int32 // hash → first survivor (long lists)
+	long   bool
+}
+
+// linearDedup is the longest list deduplicated by scanning.
+const linearDedup = 16
+
+// start readies f for a list of n entries.
+func (f *firstByHash) start(n int) {
+	f.hashes = f.hashes[:0]
+	if f.long = n > linearDedup; f.long {
+		clear(f.byHash)
+	}
+}
+
+// find returns the index of the first survivor recorded under hash.
+func (f *firstByHash) find(hash uint64) (int32, bool) {
+	if f.long {
+		j, ok := f.byHash[hash]
+		return j, ok
+	}
+	for j, h := range f.hashes {
+		if h == hash {
+			return int32(j), true
+		}
+	}
+	return 0, false
+}
+
+// add records hash for the survivor at index j, the next one.
+func (f *firstByHash) add(hash uint64, j int32) {
+	if !f.long {
+		f.hashes = append(f.hashes, hash)
+	} else if _, ok := f.byHash[hash]; !ok {
+		f.byHash[hash] = j
+	}
+}
+
+// canonHash is memoHash of n's canonical form, without building it.
+func (g *EGraph) canonHash(n *ENode) uint64 {
+	x := memoHashHead(n.head)
+	for _, k := range n.Kids {
+		x = memoHashKid(x, g.Find(k))
+	}
+	return x
+}
+
+// canonEquiv reports whether two interned nodes canonicalize to the
+// same identity.
+func (g *EGraph) canonEquiv(a, b *ENode) bool {
+	if a.head != b.head || len(a.Kids) != len(b.Kids) {
+		return false
+	}
+	for i := range a.Kids {
+		if a.Kids[i] != b.Kids[i] && g.Find(a.Kids[i]) != g.Find(b.Kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (g *EGraph) repair(c ClassID) {
 	cl := g.classes[c]
 	if cl == nil {
 		return
 	}
-	// Re-canonicalize and dedupe this class's own nodes. Dropped
-	// duplicates shrink the live node count NodeCount reports. Dedup is
-	// by 64-bit node hash with a structural-equality verify; a genuine
-	// hash collision falls back to a linear scan, so correctness never
-	// depends on hashes being unique.
-	seen := g.scratchSeen
-	clear(seen)
-	nodes := cl.nodes[:0]
-	for _, n := range cl.nodes {
-		cn := g.canonNode(n)
-		h := g.headOf(&cn)
-		hash := memoHash(h, cn.Kids)
-		dup := false
-		if j, ok := seen[hash]; ok {
-			if nodesEquiv(&nodes[j], &cn) {
-				dup = true
-			} else {
-				for k := range nodes {
-					if nodesEquiv(&nodes[k], &cn) {
-						dup = true
-						break
+	// Dedupe this class's own nodes by canonical identity, unlinking the
+	// later copy of each from the chain (the arena is left alone: a node's
+	// kid list is rewritten only through a parent entry, below, where its
+	// memo key moves with it). Dropped duplicates shrink the live node
+	// count NodeCount reports. Dedup is by 64-bit node hash with a
+	// structural-equality verify; a genuine hash collision falls back to
+	// a linear scan, so correctness never depends on hashes being unique.
+	seen := &g.dedup
+	if cl.count > 1 {
+		seen.start(int(cl.count))
+		kept := g.keptBuf[:0]
+		prev := int32(-1)
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			n := &g.arena[ni]
+			hash := g.canonHash(n)
+			dup := false
+			if j, ok := seen.find(hash); ok {
+				if g.canonEquiv(&g.arena[kept[j]], n) {
+					dup = true
+				} else {
+					for _, k := range kept {
+						if g.canonEquiv(&g.arena[k], n) {
+							dup = true
+							break
+						}
 					}
 				}
 			}
-		} else {
-			seen[hash] = int32(len(nodes))
+			if dup {
+				// Unlinked, the node keeps its own next link, which is what
+				// carries this loop past it. prev >= 0: a chain's first node
+				// is never the duplicate.
+				g.nodeCount--
+				cl.opsAdd(g.opOfHead(n.head), -1)
+				g.next[prev] = g.next[ni]
+				cl.count--
+				continue
+			}
+			seen.add(hash, int32(len(kept)))
+			kept = append(kept, ni)
+			prev = ni
 		}
-		if dup {
-			g.nodeCount--
-			cl.opsAdd(g.opOfHead(h), -1)
-			continue
-		}
-		nodes = append(nodes, cn)
+		cl.last = prev
+		g.keptBuf = kept[:0]
 	}
-	cl.nodes = nodes
 
 	// Re-canonicalize parents, in place in the arena; detect newly
 	// congruent parents. Same hash-plus-verify dedup, indexing the
 	// rebuilt parents slice.
-	seenP := g.scratchSeen
-	clear(seenP)
+	seen.start(len(cl.parents))
 	orig := len(cl.parents)
 	parents := cl.parents[:0]
 	findEquiv := func(cn *ENode, hash uint64) int {
-		if j, ok := seenP[hash]; ok {
+		if j, ok := seen.find(hash); ok {
 			if nodesEquiv(&g.arena[parents[j].node], cn) {
 				return int(j)
 			}
@@ -571,11 +660,14 @@ func (g *EGraph) repair(c ClassID) {
 	for _, p := range cl.parents {
 		stale := g.arena[p.node].Kids
 		cn := g.canonNode(g.arena[p.node])
-		h := g.headOf(&cn)
+		h := cn.head
 		hash := memoHash(h, cn.Kids)
 		if !kidsEqual(stale, cn.Kids) {
-			g.memo.del(memoHash(h, stale), h, stale)
-			g.arena[p.node] = cn
+			// The memo entry under the stale key reads its kids off an
+			// arena node with exactly these kids — this one or a twin — so
+			// it goes before the node's kid list is replaced.
+			g.memo.del(g.arena, memoHash(h, stale), h, stale)
+			g.arena[p.node].Kids = cn.Kids
 		}
 		pc := g.Find(ClassID(p.class))
 		if j := findEquiv(&cn, hash); j >= 0 {
@@ -593,17 +685,15 @@ func (g *EGraph) repair(c ClassID) {
 				g.work = append(g.work, pc)
 			}
 		} else {
-			if _, ok := seenP[hash]; !ok {
-				seenP[hash] = int32(len(parents))
-			}
+			seen.add(hash, int32(len(parents)))
 			parents = append(parents, parentEntry{node: p.node, class: int32(pc)})
 		}
-		if memoC, ok := g.memo.get(hash, h, cn.Kids); ok {
+		if memoC, ok := g.memo.get(g.arena, hash, h, cn.Kids); ok {
 			if g.Find(memoC) != pc {
 				g.Union(memoC, pc)
 			}
 		}
-		g.memo.put(hash, h, cn.Kids, g.Find(pc))
+		g.memo.put(g.arena, hash, h, p.node, g.Find(pc))
 	}
 	// A union above that merged another class into this one appended
 	// that class's parents to cl.parents behind the loop's back; they

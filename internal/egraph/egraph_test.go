@@ -232,7 +232,7 @@ func TestConditionedRule(t *testing.T) {
 		t.Fatal("conditioned rule should fire when d1≠d2")
 	}
 	cls := g.Class(bad)
-	if len(cls.nodes) != 1 {
+	if cls.count != 1 {
 		t.Fatal("conditioned rule must not fire when d1=d2 branch missing")
 	}
 }

@@ -45,3 +45,42 @@ func SetReleaseHook(fn func(*EGraph)) { releaseHook = fn }
 
 // ShapeUnknown reports whether a ShapeOf query has failed on g.
 func ShapeUnknown(g *EGraph) bool { return g.shapeUnknown }
+
+// ParentRef is one consumer of a class: the consuming ENode,
+// canonicalized, and the class that node belongs to.
+type ParentRef struct {
+	Node  ENode
+	Class ClassID
+}
+
+// ParentsOf materializes what EachParent visits: the nodes that consume
+// class c as a child, with their owning classes.
+func (g *EGraph) ParentsOf(c ClassID) []ParentRef {
+	var out []ParentRef
+	g.EachParent(c, func(n *ENode, owner ClassID) bool {
+		out = append(out, ParentRef{Node: g.canonNode(*n), Class: owner})
+		return true
+	})
+	return out
+}
+
+// Nodes copies out the nodes of class c, in the class's order.
+func (g *EGraph) Nodes(c ClassID) []ENode {
+	var out []ENode
+	for it := g.NodesOf(c); it.Valid(); it.Next() {
+		out = append(out, *it.Node())
+	}
+	return out
+}
+
+// nodeTotal recounts the live nodes class by class, the O(classes)
+// cross-check of NodeCount.
+func nodeTotal(g *EGraph) int {
+	n := 0
+	for _, c := range g.classes {
+		if c != nil {
+			n += int(c.count)
+		}
+	}
+	return n
+}

@@ -1,7 +1,8 @@
 package egraph
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"entangle/internal/expr"
 )
@@ -52,8 +53,8 @@ func (g *EGraph) CleanCosts(allowed func(tid int) bool) CleanCosts {
 				continue
 			}
 			best := v.cost[id]
-			for i := range cl.nodes {
-				if c := v.nodeCost(&cl.nodes[i]); c < best {
+			for ni := cl.first; ni >= 0; ni = g.next[ni] {
+				if c := v.nodeCost(&g.arena[ni]); c < best {
 					best = c
 					changed = true
 				}
@@ -110,11 +111,12 @@ func (g *EGraph) ExtractClean(c ClassID, allowed func(tid int) bool) (*expr.Term
 }
 
 func (v CleanCosts) buildMin(c ClassID) *expr.Term {
-	cl := v.g.classes[v.g.Find(c)]
+	g := v.g
+	cl := g.classes[g.Find(c)]
 	var best *ENode
 	bestCost := inf
-	for i := range cl.nodes {
-		n := &cl.nodes[i]
+	for ni := cl.first; ni >= 0; ni = g.next[ni] {
+		n := &g.arena[ni]
 		nc := v.nodeCost(n)
 		if nc < bestCost {
 			bestCost = nc
@@ -145,11 +147,12 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 	if v.of(c) >= inf {
 		return nil
 	}
-	cl := v.g.classes[v.g.Find(c)]
+	g := v.g
+	cl := g.classes[g.Find(c)]
 	seen := map[string]bool{}
 	var out []*expr.Term
-	for i := range cl.nodes {
-		n := &cl.nodes[i]
+	for ni := cl.first; ni >= 0; ni = g.next[ni] {
+		n := &g.arena[ni]
 		if v.nodeCost(n) >= inf {
 			continue
 		}
@@ -178,7 +181,7 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 		seen[k] = true
 		out = append(out, t)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Size() < out[j].Size() })
+	slices.SortStableFunc(out, func(a, b *expr.Term) int { return cmp.Compare(a.Size(), b.Size()) })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}

@@ -220,7 +220,7 @@ func dumpClasses(g *egraph.EGraph) string {
 	var b strings.Builder
 	for _, id := range g.Classes() {
 		fmt.Fprintf(&b, "%d:", id)
-		for _, n := range g.Class(id).Nodes() {
+		for _, n := range g.Nodes(id) {
 			fmt.Fprintf(&b, " %s%v(", n.Op, n.Ints)
 			if n.Op == expr.OpTensor {
 				fmt.Fprintf(&b, "t%d", n.TID)

@@ -296,8 +296,8 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 			}
 			g.substStack = g.substStack[:mark]
 		}
-		for ni := range cl.nodes {
-			n := &cl.nodes[ni]
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			n := &g.arena[ni]
 			cands := cr.byOp[n.Op]
 			if len(cands) == 0 {
 				continue

@@ -142,27 +142,40 @@ func nodesEquiv(a, b *ENode) bool {
 	return true
 }
 
-// memoHash mixes a node identity FNV-1a style.
+// memoHash mixes a node identity FNV-1a style; memoHashHead and
+// memoHashKid are its two steps, for a caller that canonicalizes the
+// kids as it goes.
 func memoHash(h headID, kids []ClassID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	x := uint64(offset64)
-	x ^= uint64(uint32(h))
-	x *= prime64
+	x := memoHashHead(h)
 	for _, k := range kids {
-		x ^= uint64(uint32(k))
-		x *= prime64
+		x = memoHashKid(x, k)
 	}
 	return x
 }
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func memoHashHead(h headID) uint64 {
+	return (fnvOffset64 ^ uint64(uint32(h))) * fnvPrime64
+}
+
+func memoHashKid(x uint64, k ClassID) uint64 {
+	return (x ^ uint64(uint32(k))) * fnvPrime64
+}
+
 // memoTable is the hash-cons memo: an open-addressing table from
-// (headID, canonical kids) to the class storing that node. Entries
-// share the node's canonical Kids slice — canonNode copies on change,
-// so stored slices never mutate. Deletion (repair dropping a stale
-// key) leaves a tombstone, cleared on the next growth rehash.
+// (headID, canonical kids) to the class storing that node. An entry
+// holds no kid list of its own: it names an arena node that has exactly
+// the key's kids — the node that was inserted or re-canonicalized under
+// the key — and compares through it, so every method takes the arena.
+// That stays true because a node's kid list is replaced in one place
+// (repair), which deletes the entry under the old key first. The
+// entries are 24 pointer-free bytes: the collector never looks at the
+// table, and reset need not wait for it. Deletion leaves a tombstone,
+// cleared on the next growth rehash.
 type memoTable struct {
 	entries []memoEntry
 	live    int // occupied entries
@@ -172,8 +185,8 @@ type memoTable struct {
 type memoEntry struct {
 	hash  uint64
 	head  headID // 0 = empty, -1 = tombstone
-	class ClassID
-	kids  []ClassID
+	node  int32  // arena index of a node with the key's kids
+	class int32
 }
 
 const memoTombstone headID = -1
@@ -189,28 +202,28 @@ func (m *memoTable) reset() {
 		*m = newMemoTable()
 		return
 	}
-	clear(m.entries) // the entries point at kid slices
+	clear(m.entries)
 	m.live, m.used = 0, 0
 }
 
 func (m *memoTable) mask() uint64 { return uint64(len(m.entries) - 1) }
 
 // get returns the class recorded for (h, kids).
-func (m *memoTable) get(hash uint64, h headID, kids []ClassID) (ClassID, bool) {
+func (m *memoTable) get(arena []ENode, hash uint64, h headID, kids []ClassID) (ClassID, bool) {
 	mask := m.mask()
 	for i := hash & mask; ; i = (i + 1) & mask {
 		e := &m.entries[i]
 		if e.head == 0 {
 			return 0, false
 		}
-		if e.head == h && e.hash == hash && kidsEqual(e.kids, kids) {
-			return e.class, true
+		if e.head == h && e.hash == hash && kidsEqual(arena[e.node].Kids, kids) {
+			return ClassID(e.class), true
 		}
 	}
 }
 
-// put inserts or updates the class for (h, kids).
-func (m *memoTable) put(hash uint64, h headID, kids []ClassID, class ClassID) {
+// put inserts or updates the class for the key (h, arena[node].Kids).
+func (m *memoTable) put(arena []ENode, hash uint64, h headID, node int32, class ClassID) {
 	if (m.used+1)*4 >= len(m.entries)*3 {
 		m.grow()
 	}
@@ -225,29 +238,29 @@ func (m *memoTable) put(hash uint64, h headID, kids []ClassID, class ClassID) {
 			} else {
 				m.used++
 			}
-			*e = memoEntry{hash: hash, head: h, class: class, kids: kids}
+			*e = memoEntry{hash: hash, head: h, node: node, class: int32(class)}
 			m.live++
 			return
 		case e.head == memoTombstone:
 			if firstFree < 0 {
 				firstFree = int(i)
 			}
-		case e.head == h && e.hash == hash && kidsEqual(e.kids, kids):
-			e.class = class
+		case e.head == h && e.hash == hash && kidsEqual(arena[e.node].Kids, arena[node].Kids):
+			e.class = int32(class)
 			return
 		}
 	}
 }
 
 // del removes the entry for (h, kids), if present.
-func (m *memoTable) del(hash uint64, h headID, kids []ClassID) {
+func (m *memoTable) del(arena []ENode, hash uint64, h headID, kids []ClassID) {
 	mask := m.mask()
 	for i := hash & mask; ; i = (i + 1) & mask {
 		e := &m.entries[i]
 		if e.head == 0 {
 			return
 		}
-		if e.head == h && e.hash == hash && kidsEqual(e.kids, kids) {
+		if e.head == h && e.hash == hash && kidsEqual(arena[e.node].Kids, kids) {
 			*e = memoEntry{head: memoTombstone}
 			m.live--
 			return
@@ -280,13 +293,9 @@ func (m *memoTable) grow() {
 }
 
 // each calls fn for every live entry (diagnostics and invariants).
-func (m *memoTable) each(fn func(h headID, kids []ClassID, class ClassID) bool) {
+func (m *memoTable) each(fn func(e memoEntry) bool) {
 	for i := range m.entries {
-		e := &m.entries[i]
-		if e.head <= 0 {
-			continue
-		}
-		if !fn(e.head, e.kids, e.class) {
+		if e := m.entries[i]; e.head > 0 && !fn(e) {
 			return
 		}
 	}
@@ -307,5 +316,5 @@ func kidsEqual(a, b []ClassID) bool {
 // memoLookup probes the memo for a canonical node, interning its head.
 func (g *EGraph) memoLookup(n *ENode) (ClassID, bool) {
 	h := g.headOf(n)
-	return g.memo.get(memoHash(h, n.Kids), h, n.Kids)
+	return g.memo.get(g.arena, memoHash(h, n.Kids), h, n.Kids)
 }

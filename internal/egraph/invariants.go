@@ -26,16 +26,20 @@ var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 //     its own union-find representative and matches the record's id,
 //     the table has one slot per union-find slot, and the live count
 //     is the number of occupied slots.
-//  2. NodeCount bookkeeping: the incrementally maintained live-node
-//     count equals the stored-node total, and per-class operator
-//     counts (the first-symbol index) match a recount.
+//  2. Node chains: every class's chain runs from first to last over
+//     count arena slots, and no arena slot is on two chains (or twice
+//     on one). The incrementally maintained live-node count equals
+//     the chained total, and per-class operator counts (the
+//     first-symbol index) match a recount.
 //  3. No intra-class duplicates: no two nodes of one class
 //     canonicalize to the same identity.
-//  4. Memo ↔ class agreement, both directions: every live memo entry
-//     resolves to a class that actually holds the node, and every
-//     stored node's canonical form is in the memo pointing back at
-//     its class. (Congruence: two classes holding the same canonical
-//     node would collide on the memo entry and fail this.)
+//  4. Memo ↔ arena agreement, both directions: every live memo entry
+//     names an arena slot, sits under the hash of that node's head and
+//     kids, and — when those kids are canonical — resolves to the
+//     class whose chain holds such a node; every chained node's
+//     canonical form is in the memo pointing back at its class.
+//     (Congruence: two classes holding the same canonical node would
+//     collide on the memo entry and fail this.)
 //  5. Parent registration: every non-leaf node is recorded in each of
 //     its kids' parent lists — by an entry whose arena node
 //     canonicalizes to it — with the owning class, and each kid class
@@ -64,29 +68,49 @@ func (g *EGraph) CheckInvariants() error {
 	if live != g.live {
 		return fmt.Errorf("live class count %d != occupied class slots %d", g.live, live)
 	}
-	if len(g.arena) != len(g.parent) {
-		return fmt.Errorf("node arena holds %d nodes, the union-find %d slots", len(g.arena), len(g.parent))
+	if len(g.arena) != len(g.parent) || len(g.next) != len(g.arena) {
+		return fmt.Errorf("node arena holds %d nodes chained by %d links, the union-find %d slots", len(g.arena), len(g.next), len(g.parent))
 	}
 
 	total := 0
+	owner := make([]ClassID, len(g.arena)) // arena slot → the class whose chain holds it, +1
 	for i, cl := range g.classes {
 		if cl == nil {
 			continue
 		}
 		id := ClassID(i)
-		total += len(cl.nodes)
 		for _, p := range cl.parents {
 			if p.node < 0 || int(p.node) >= len(g.arena) || p.class < 0 || int(p.class) >= len(g.parent) {
 				return fmt.Errorf("class %d has parent entry (node %d, class %d) outside the arena's %d nodes or the union-find's %d slots", id, p.node, p.class, len(g.arena), len(g.parent))
 			}
 		}
 
+		// 2. The chain.
+		chained, last := 0, int32(-1)
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			if int(ni) >= len(g.arena) {
+				return fmt.Errorf("class %d chains node %d, outside the arena's %d slots", id, ni, len(g.arena))
+			}
+			if owner[ni] != 0 {
+				return fmt.Errorf("arena slot %d is chained by class %d and by class %d", ni, owner[ni]-1, id)
+			}
+			owner[ni] = id + 1
+			chained, last = chained+1, ni
+		}
+		if chained == 0 || chained != int(cl.count) || last != cl.last {
+			return fmt.Errorf("class %d chains %d nodes ending at %d, but records %d ending at %d", id, chained, last, cl.count, cl.last)
+		}
+		total += chained
+
 		// 2b + 3. Operator counts and intra-class dedup.
 		recount := map[opID]int32{}
 		seen := map[string]bool{}
-		for i := range cl.nodes {
-			cn := g.canonNode(cl.nodes[i])
-			h := g.headOf(&cn)
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			cn := g.canonNode(g.arena[ni])
+			h := cn.head
+			if h == 0 {
+				return fmt.Errorf("class %d node %s (arena slot %d) has no interned head", id, cn.key(), ni)
+			}
 			recount[g.opOfHead(h)]++
 			k := cn.key()
 			if seen[k] {
@@ -95,7 +119,7 @@ func (g *EGraph) CheckInvariants() error {
 			seen[k] = true
 
 			// 4 (node → memo direction).
-			mc, ok := g.memo.get(memoHash(h, cn.Kids), h, cn.Kids)
+			mc, ok := g.memo.get(g.arena, memoHash(h, cn.Kids), h, cn.Kids)
 			if !ok {
 				return fmt.Errorf("class %d node %s missing from memo", id, k)
 			}
@@ -111,8 +135,7 @@ func (g *EGraph) CheckInvariants() error {
 				}
 				found := false
 				for _, p := range kc.parents {
-					pn := g.canonNode(g.arena[p.node])
-					if g.Find(ClassID(p.class)) == id && nodesEquiv(&pn, &cn) {
+					if g.Find(ClassID(p.class)) == id && g.canonEquiv(&g.arena[p.node], &cn) {
 						found = true
 						break
 					}
@@ -138,35 +161,41 @@ func (g *EGraph) CheckInvariants() error {
 
 	// 2a. Live-node bookkeeping.
 	if g.nodeCount != total {
-		return fmt.Errorf("nodeCount %d != stored-node total %d", g.nodeCount, total)
+		return fmt.Errorf("nodeCount %d != chained-node total %d", g.nodeCount, total)
 	}
 
-	// 4 (memo → class direction).
+	// 4 (memo → arena direction).
 	var memoErr error
-	g.memo.each(func(h headID, kids []ClassID, class ClassID) bool {
-		cl := g.classes[g.Find(class)]
-		if cl == nil {
-			memoErr = fmt.Errorf("memo entry (head %d) points at dead class %d", h, class)
+	g.memo.each(func(e memoEntry) bool {
+		if e.node < 0 || int(e.node) >= len(g.arena) {
+			memoErr = fmt.Errorf("memo entry (head %d) names node %d, outside the arena's %d slots", e.head, e.node, len(g.arena))
 			return false
 		}
-		probe := ENode{head: h, Kids: kids}
-		for i := range cl.nodes {
-			cn := g.canonNode(cl.nodes[i])
-			g.headOf(&cn)
-			if nodesEquiv(&cn, &probe) {
-				return true
-			}
+		n := &g.arena[e.node]
+		if n.head != e.head || memoHash(e.head, n.Kids) != e.hash {
+			memoErr = fmt.Errorf("memo entry (head %d, hash %x) names node %s, whose head is %d and hash %x", e.head, e.hash, n.key(), n.head, memoHash(n.head, n.Kids))
+			return false
+		}
+		cl := g.classes[g.Find(ClassID(e.class))]
+		if cl == nil {
+			memoErr = fmt.Errorf("memo entry (head %d) points at dead class %d", e.head, e.class)
+			return false
 		}
 		// Stale memo entries whose kids are no longer canonical are
 		// tolerated as long as the canonical form also resolves (the
 		// node→memo direction above checked it); a fully canonical
 		// entry must be present in its class.
-		for _, k := range kids {
+		for _, k := range n.Kids {
 			if g.Find(k) != k {
 				return true
 			}
 		}
-		memoErr = fmt.Errorf("memo entry (head %d, kids %v) not present in class %d", h, kids, g.Find(class))
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			if g.canonEquiv(&g.arena[ni], n) {
+				return true
+			}
+		}
+		memoErr = fmt.Errorf("memo entry %s not present in class %d", n.key(), g.Find(ClassID(e.class)))
 		return false
 	})
 	return memoErr

@@ -87,9 +87,9 @@ func New(ctx *sym.Context) *EGraph {
 // build makes an e-graph from nothing.
 func build() *EGraph {
 	return &EGraph{
-		memo:        newMemoTable(),
-		intern:      newInterner(),
-		scratchSeen: map[uint64]int32{},
+		memo:   newMemoTable(),
+		intern: newInterner(),
+		dedup:  firstByHash{byHash: map[uint64]int32{}},
 	}
 }
 
@@ -125,22 +125,24 @@ func (g *EGraph) Release() {
 // clearing whatever in them points into the life that ended.
 func (g *EGraph) reset() {
 	if cap(g.parent) > keepSlots {
-		g.parent, g.rank, g.classes, g.arena = nil, nil, nil, nil
+		g.parent, g.rank, g.classes, g.arena, g.next = nil, nil, nil, nil, nil
 		g.mark, g.dist, g.consumed, g.cleanCostBuf = nil, nil, nil, nil
 		g.intern = newInterner()
 		g.shapeMemo = nil // SetLeafShapeFn makes the next
-		g.scratchSeen = map[uint64]int32{}
+		g.dedup = firstByHash{byHash: map[uint64]int32{}}
 	} else {
-		clear(g.classes) // the life's classes with their node lists, parent lists and consumer bits
+		clear(g.classes) // pointers into the class slab
 		clear(g.arena)   // the nodes point at attribute and kid slices
-		g.parent, g.rank, g.classes, g.arena = g.parent[:0], g.rank[:0], g.classes[:0], g.arena[:0]
+		g.parent, g.rank, g.classes, g.arena, g.next = g.parent[:0], g.rank[:0], g.classes[:0], g.arena[:0], g.next[:0]
 		// nextEpoch re-extends the annotations with zeroes, so the epoch
 		// restarts with them.
 		g.mark, g.dist, g.consumed = g.mark[:0], g.dist[:0], g.consumed[:0]
 		g.intern.reset()
 		clear(g.shapeMemo)
-		clear(g.scratchSeen)
+		// The dedup map is emptied by the long list that next uses it.
 	}
+	g.classSlab.release()
+	g.keptBuf = truncate(g.keptBuf, keepSlots)
 	g.markEpoch = 0
 	g.live, g.nodeCount = 0, 0
 	g.memo.reset()
@@ -171,6 +173,45 @@ func (g *EGraph) reset() {
 	g.arenaOn = false
 	// cleanGen keeps counting: a CleanCosts table of the life that ended
 	// then still fails its generation check instead of aliasing a new one.
+}
+
+// classSlab hands out Class records in chunks, so that a class costs a
+// record in a shared array instead of a heap object of its own. Chunks
+// are fixed-size and never reallocated: the class table's pointers stay
+// valid as the slab grows.
+type classSlab struct {
+	chunks [][]Class
+	ci, ni int
+}
+
+// classChunk is a chunk's record count; a graph keeps one chunk.
+const classChunk = 128
+
+// alloc returns a zero record.
+func (a *classSlab) alloc() *Class {
+	if a.ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]Class, classChunk))
+	}
+	cl := &a.chunks[a.ci][a.ni]
+	if a.ni++; a.ni == classChunk {
+		a.ci, a.ni = a.ci+1, 0
+	}
+	return cl
+}
+
+// release cuts the slab back to its first chunk and zeroes the records
+// of it that the life used: they point at parent lists.
+func (a *classSlab) release() {
+	if len(a.chunks) > 0 {
+		used := classChunk
+		if a.ci == 0 {
+			used = a.ni
+		}
+		clear(a.chunks[0][:used])
+		clear(a.chunks[1:])
+		a.chunks = a.chunks[:1]
+	}
+	a.ci, a.ni = 0, 0
 }
 
 // truncate empties s, or drops it when it grew past keep.
@@ -207,8 +248,10 @@ func (g *EGraph) checkEmpty() error {
 	switch {
 	case len(g.parent) != 0 || len(g.rank) != 0 || len(g.classes) != 0 || g.live != 0 || g.nodeCount != 0:
 		return fmt.Errorf("%d union-find slots, %d class slots, %d live classes, %d nodes", len(g.parent), len(g.classes), g.live, g.nodeCount)
-	case len(g.arena) != 0:
-		return fmt.Errorf("node arena holds %d nodes", len(g.arena))
+	case len(g.arena) != 0 || len(g.next) != 0:
+		return fmt.Errorf("node arena holds %d nodes, %d chain links", len(g.arena), len(g.next))
+	case g.classSlab.ci != 0 || g.classSlab.ni != 0 || len(g.classSlab.chunks) > 1:
+		return fmt.Errorf("class slab still in use")
 	case g.memo.live != 0 || g.memo.used != 0:
 		return fmt.Errorf("memo holds %d entries (%d slots used)", g.memo.live, g.memo.used)
 	case len(g.intern.heads) != 0 || len(g.intern.ops) != 0 || len(g.intern.headOps) != 0:
@@ -229,8 +272,15 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("symbolic context still attached")
 	}
 	for i := range g.memo.entries {
-		if e := &g.memo.entries[i]; e.head != 0 || e.kids != nil {
+		if g.memo.entries[i].head != 0 {
 			return fmt.Errorf("memo slot %d not cleared", i)
+		}
+	}
+	for _, ch := range g.classSlab.chunks {
+		for i := range ch {
+			if cl := &ch[i]; cl.parents != nil || cl.ops != nil {
+				return fmt.Errorf("class slab record %d not cleared", i)
+			}
 		}
 	}
 	for ci, ch := range g.substArena.chunks {

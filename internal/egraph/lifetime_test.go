@@ -55,7 +55,7 @@ func life(g *EGraph, width int) string {
 	fmt.Fprintf(&b, "roots=%v shape-known=%t stats=%+v classes=%d nodes=%d\n", roots, known, st, g.ClassCount(), g.NodeCount())
 	for _, id := range g.Classes() {
 		fmt.Fprintf(&b, "%d:", id)
-		for _, n := range g.Class(id).Nodes() {
+		for _, n := range g.Nodes(id) {
 			fmt.Fprintf(&b, " %s", g.canonNode(n).key())
 		}
 		b.WriteString(" <-")
@@ -111,7 +111,7 @@ func TestReleasedGraphIsFresh(t *testing.T) {
 func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 	leftovers := map[string]func(g *EGraph){
 		"live class":          func(g *EGraph) { g.AddTerm(leafT(1, "a")) },
-		"memo entry":          func(g *EGraph) { g.memo.put(7, 1, nil, 0) },
+		"memo entry":          func(g *EGraph) { g.memo.put(nil, 7, 1, 0, 0) },
 		"interned head":       func(g *EGraph) { g.headOf(&ENode{Op: opF}) },
 		"dirty class":         func(g *EGraph) { g.dirty = append(g.dirty, 0) },
 		"queued repair":       func(g *EGraph) { g.work = append(g.work, 0) },
@@ -162,7 +162,7 @@ func TestStaleHeadPanics(t *testing.T) {
 	g := New(nil)
 	g.AddTerm(leafT(9, "pad")) // takes head 1, so the copy below carries head 2
 	c := g.AddTerm(expr.Unary("gelu", leafT(1, "x")))
-	stale := g.Class(c).Nodes()[0]
+	stale := g.Nodes(c)[0]
 	if again := g.AddNode(stale); again != c {
 		t.Fatalf("re-inserting a node into the life that interned it gave class %d, want %d", again, c)
 	}
@@ -182,7 +182,7 @@ func TestStaleHeadPanics(t *testing.T) {
 	// head this life happens to have handed out for the same key.
 	fresh := ENode{Op: expr.OpUnary, Str: "gelu", Kids: []ClassID{k}}
 	c2 := g.AddNode(fresh)
-	if again := g.AddNode(g.Class(c2).Nodes()[0]); again != c2 {
+	if again := g.AddNode(g.Nodes(c2)[0]); again != c2 {
 		t.Fatalf("re-insert gave class %d, want %d", again, c2)
 	}
 }
@@ -237,7 +237,7 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	}
 	g.Saturate(many, SaturateOpts{MaxIters: 2})
 	for i := 0; i < keepSlots; i++ { // stale memo keys, as repairs leave them
-		g.memo.put(uint64(i)<<20, 1, []ClassID{ClassID(i), ClassID(i)}, 0)
+		g.memo.put(g.arena, uint64(i)<<20, 1, 0, 0)
 	}
 	if len(g.memo.entries) <= keepSlots || cap(g.todoBuf) <= keepMatches || len(g.substArena.chunks) <= keepArenaChunks {
 		t.Fatalf("the life was not heavy enough to test the bounds: memo %d, match list %d, arena chunks %d",

@@ -290,8 +290,8 @@ func (g *EGraph) MatchAll(p *Pattern) []Match {
 			}
 			continue
 		}
-		for ni := range cl.nodes {
-			n := &cl.nodes[ni]
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			n := &g.arena[ni]
 			if n.Op != p.Op {
 				continue
 			}
@@ -333,8 +333,8 @@ func (g *EGraph) matchRules(rules []*Rule) []ruleMatch {
 				out = append(out, ruleMatch{rule: r, m: Match{Class: id, Subst: s}})
 			}
 		}
-		for ni := range cl.nodes {
-			n := &cl.nodes[ni]
+		for ni := cl.first; ni >= 0; ni = g.next[ni] {
+			n := &g.arena[ni]
 			cands := byOp[n.Op]
 			if len(cands) == 0 {
 				continue
@@ -402,8 +402,8 @@ func (g *EGraph) matchClassOnStack(p *Pattern, c ClassID, base *Subst) {
 	if cl == nil {
 		return
 	}
-	for ni := range cl.nodes {
-		g.matchNodeOnStack(p, &cl.nodes[ni], base)
+	for ni := cl.first; ni >= 0; ni = g.next[ni] {
+		g.matchNodeOnStack(p, &g.arena[ni], base)
 	}
 }
 

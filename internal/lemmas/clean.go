@@ -81,7 +81,8 @@ func registerSumBasics(r *Registry) {
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				for i, k := range kids {
-					for _, n := range g.Class(k).Nodes() {
+					for it := g.NodesOf(k); it.Valid(); it.Next() {
+						n := it.Node()
 						if n.Op != expr.OpSum || len(kids)+len(n.Kids)-1 > maxNaryWidth {
 							continue
 						}
@@ -138,7 +139,8 @@ func registerSumOfConcats(r *Registry) {
 				var chunks [][]egraph.ClassID
 				for _, k := range kids {
 					found := false
-					for _, n := range g.Class(k).Nodes() {
+					for it := g.NodesOf(k); it.Valid(); it.Next() {
+						n := it.Node()
 						if n.Op != expr.OpConcat {
 							continue
 						}
@@ -196,7 +198,8 @@ func registerConcatFlatten(r *Registry) {
 				d := m.Subst.AttrOf("d")
 				kids := m.Subst.KidsOf("xs")
 				for i, k := range kids {
-					for _, n := range g.Class(k).Nodes() {
+					for it := g.NodesOf(k); it.Valid(); it.Next() {
+						n := it.Node()
 						if n.Op != expr.OpConcat || !n.Ints[0].Equal(d) ||
 							len(kids)+len(n.Kids)-1 > maxNaryWidth {
 							continue
@@ -233,7 +236,8 @@ func registerConcatOfSlices(r *Registry) {
 				var begin, end sym.Expr
 				for i, k := range kids {
 					matched := false
-					for _, n := range g.Class(k).Nodes() {
+					for it := g.NodesOf(k); it.Valid(); it.Next() {
+						n := it.Node()
 						if n.Op != expr.OpSlice || !n.Ints[0].Equal(d) {
 							continue
 						}

@@ -142,7 +142,8 @@ func registerScale(r *Registry) {
 				inner := make([]egraph.ClassID, len(kids))
 				for i, k := range kids {
 					found := false
-					for _, nd := range g.Class(k).Nodes() {
+					for it := g.NodesOf(k); it.Valid(); it.Next() {
+						nd := it.Node()
 						if nd.Op != expr.OpScale {
 							continue
 						}

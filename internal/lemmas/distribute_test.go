@@ -97,11 +97,11 @@ func applyAtRoot(t *testing.T, f *fuzzEnv, lhs *expr.Term, rule *egraph.Rule, sh
 // termOf reads a term back out of classes no union has touched yet.
 func termOf(t *testing.T, g *egraph.EGraph, c egraph.ClassID) *expr.Term {
 	t.Helper()
-	nodes := g.Class(c).Nodes()
-	if len(nodes) != 1 {
-		t.Fatalf("class %d holds %d nodes", c, len(nodes))
+	it := g.NodesOf(c)
+	n := it.Node()
+	if it.Next(); it.Valid() {
+		t.Fatalf("class %d holds more than one node", c)
 	}
-	n := nodes[0]
 	if n.Op == expr.OpTensor {
 		return expr.Tensor(n.TID, n.Name)
 	}
