@@ -230,10 +230,10 @@ type EGraph struct {
 	fpBuf        []byte          // fingerprint scratch (appendFingerprint)
 	todoBuf      []ruleMatch     // match-list scratch (Saturate)
 	withheld     []withheldMatch // the gate-withheld matches of the match list (InvariantChecks only)
-	substStack   []*Subst        // e-matching result stack (matchClassOnStack)
+	substStack   []int32         // e-matching result stack (matchClassOnStack): indexes into substs
+	substs       []Subst         // the match phase's substitutions: a pointer-free slab, overwritten by the next phase
+	appsBuf      []int32         // effective applications per compiled rule (Saturate)
 	headBuf      []byte          // head-key scratch (headOf)
-	substArena   substArena      // per-match-phase Subst recycling (newSubst)
-	arenaOn      bool            // arena active: only during saturation matching
 	cleanCostBuf []int           // extraction cost table (CleanCosts), indexed by ClassID
 	cleanGen     uint32          // stamps the table cleanCostBuf currently holds
 

@@ -457,17 +457,25 @@ func TestRepairKeepsParentsMergedMidRepair(t *testing.T) {
 	assertCongruent(t, g)
 }
 
-// TestSubstArenaManyChunks is the regression test for the arena's
-// chunk-size shift overflowing: past some fifty chunks 64<<n went
-// negative before the cap was applied, and a match phase with that many
-// substitutions panicked in makeslice.
+// TestSubstArenaManyChunks dates from the chunked substitution arena,
+// whose chunk-size shift overflowed past some fifty chunks: a match
+// phase with 70k substitutions panicked in makeslice. The slab that
+// replaced it is one slice; the phase size stays pinned, with every
+// record reachable by the index extend returned for it.
 func TestSubstArenaManyChunks(t *testing.T) {
 	g := New(nil)
-	g.arenaOn = true
-	for i := 0; i < 70*1024; i++ {
-		g.newSubst()
+	const n = 70 * 1024
+	for i := 0; i < n; i++ {
+		s := g.extend(int32(i) - 1) // each a copy of the one before
+		g.substs[s].slot[i%maxSlots] = int32(i)
 	}
-	if n := len(g.substArena.chunks); n < 60 {
-		t.Fatalf("expected the arena to grow past the overflow point, got %d chunks", n)
+	if len(g.substs) != n {
+		t.Fatalf("slab holds %d substitutions, want %d", len(g.substs), n)
+	}
+	last := g.substs[n-1].slot
+	for k := range last {
+		if want := int32(n - maxSlots + k); last[want%maxSlots] != want {
+			t.Fatalf("slot %d of the last substitution is %d, want %d", want%maxSlots, last[want%maxSlots], want)
+		}
 	}
 }

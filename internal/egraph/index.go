@@ -57,7 +57,8 @@ import "entangle/internal/expr"
 // extraction and report bytes identical between the two paths there
 // (the differential tests pin this).
 
-// CompiledRules is the matcher's analysis of a rule set: rules
+// CompiledRules is the matchers' analysis of a rule set: each LHS with
+// its variables numbered into substitution slots (pattern.go), rules
 // bucketed by root operator, each rule's kid-operator gates, and each
 // rule's gate — how near a change a class must be for the rule to be
 // offered it again. It is independent of any e-graph and read-only
@@ -65,11 +66,13 @@ import "entangle/internal/expr"
 // and shared across goroutines via SaturateOpts.Compiled.
 type CompiledRules struct {
 	rules    []*Rule
-	varRules []int             // indexes of bare-variable-LHS rules, in order
-	byOp     map[expr.Op][]int // op-rooted rules bucketed by root op, in order
-	kidGates [][]kidGate       // per rule: derived gates, then the declared one
-	gateOps  []expr.Op         // the distinct operators the kid gates name
-	gates    []ruleGate        // per rule
+	pats     []*compiledPattern // per rule: the LHS, compiled
+	vars     []*slotTable       // per rule: what names the LHS's slots
+	varRules []int              // indexes of bare-variable-LHS rules, in order
+	byOp     map[expr.Op][]int  // op-rooted rules bucketed by root op, in order
+	kidGates [][]kidGate        // per rule: derived gates, then the declared one
+	gateOps  []expr.Op          // the distinct operators the kid gates name
+	gates    []ruleGate         // per rule
 	// maxReach is the deepest reach of any gated rule: the dirty closure
 	// is expanded by that many parent hops.
 	maxReach  int
@@ -127,17 +130,20 @@ func (cr *CompiledRules) compileKidGates(r *Rule) []kidGate {
 	return gates
 }
 
-// CompileRules analyzes a rule set for the indexed matcher. The result
+// CompileRules analyzes a rule set for the matchers. The result
 // must be passed (via SaturateOpts.Compiled) only alongside exactly
 // the same rules slice.
 func CompileRules(rules []*Rule) *CompiledRules {
 	cr := &CompiledRules{
 		rules:    rules,
+		pats:     make([]*compiledPattern, len(rules)),
+		vars:     make([]*slotTable, len(rules)),
 		byOp:     map[expr.Op][]int{},
 		kidGates: make([][]kidGate, len(rules)),
 		gates:    make([]ruleGate, len(rules)),
 	}
 	for i, r := range rules {
+		cr.pats[i], cr.vars[i] = compilePattern(r.LHS)
 		if r.LHS.Var != "" {
 			cr.varRules = append(cr.varRules, i)
 		} else {
@@ -281,18 +287,17 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 			continue
 		}
 		for _, ri := range cr.varRules {
-			r := cr.rules[ri]
 			offer := cr.gate(ri, noBound).open(d, consumed)
 			if !offer && !audit {
 				continue
 			}
 			mark := len(g.substStack)
-			g.matchClassOnStack(r.LHS, id, emptySubst)
+			g.matchClassOnStack(cr.pats[ri], id, -1)
 			for _, s := range g.substStack[mark:] {
 				if !offer {
 					g.withheld = append(g.withheld, withheldMatch{at: len(out)})
 				}
-				out = append(out, ruleMatch{rule: r, m: Match{Class: id, Subst: s}})
+				out = append(out, ruleMatch{rule: int32(ri), class: int32(id), node: -1, subst: s})
 			}
 			g.substStack = g.substStack[:mark]
 		}
@@ -306,11 +311,8 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 			// offered to nothing yet.
 			fresh := full || n.born+1 >= g.phase
 			nearestKid := int8(-1) // computed on first use
-			var canon ENode
-			canonDone := false
 		rules:
 			for _, ri := range cands {
-				r := cr.rules[ri]
 				gate := cr.gate(ri, noBound)
 				offer := gate.open(d, consumed)
 				if offer && !fresh && gate.perNode(d) {
@@ -342,16 +344,12 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 					continue
 				}
 				mark := len(g.substStack)
-				g.matchNodeOnStack(r.LHS, n, emptySubst)
-				if len(g.substStack) > mark && !canonDone {
-					canon = g.canonNode(*n)
-					canonDone = true
-				}
+				g.matchNodeOnStack(cr.pats[ri], ni, -1)
 				for _, s := range g.substStack[mark:] {
 					if !offer {
 						g.withheld = append(g.withheld, withheldMatch{at: len(out), byKids: byKids})
 					}
-					out = append(out, ruleMatch{rule: r, m: Match{Class: id, Node: canon, Subst: s}})
+					out = append(out, ruleMatch{rule: int32(ri), class: int32(id), node: ni, subst: s})
 				}
 				g.substStack = g.substStack[:mark]
 			}

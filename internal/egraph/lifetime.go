@@ -3,6 +3,7 @@ package egraph
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"entangle/internal/sym"
 )
@@ -40,13 +41,22 @@ const (
 	// dedup); the hash-cons table (48-byte entries); the
 	// applied-fingerprint set; the class worklists.
 	keepSlots = 1024
-	// keepMatches bounds what grows with the matches of one phase: the
-	// match list (136-byte entries) and the e-matching stack.
-	keepMatches = 512
-	// keepArenaChunks is how many of the substitution arena's chunks
-	// (64, 128, … Substs of 272 bytes) survive.
-	keepArenaChunks = 2
+	// keepMatchBytes bounds, each on its own, the three pieces that grow
+	// with the matches of one phase: the match list (16-byte entries), the
+	// substitution slab (32-byte records) and the e-matching stack (4-byte
+	// indexes). In bytes, because that is what a kept graph costs: none of
+	// the three holds a pointer, so keeping them costs the collector
+	// nothing and Release does not clear them — the only price is
+	// resident memory, and an entry count would let the widest entry set
+	// it.
+	keepMatchBytes = 32 << 10
 )
+
+// keepOf is how many entries of type T fit in keepMatchBytes.
+func keepOf[T any]() int {
+	var z T
+	return keepMatchBytes / int(unsafe.Sizeof(z))
+}
 
 // freeListCap bounds the free list. It is a variable only so this
 // package's tests can switch recycling off (export_test.go); nothing
@@ -163,14 +173,12 @@ func (g *EGraph) reset() {
 	g.leafShape = nil
 	clear(g.shapeVisiting)
 
-	// Saturate hands the match list back cleared; the e-matching stack is
-	// truncated by discipline, which leaves its pointers behind.
-	g.todoBuf = truncate(g.todoBuf, keepMatches)
-	clear(g.substStack[:cap(g.substStack)])
-	g.substStack = truncate(g.substStack, keepMatches)
-	g.withheld = truncate(g.withheld, keepMatches)
-	g.substArena.release()
-	g.arenaOn = false
+	// Pointer-free, all of it: kept as it is, stale entries and all.
+	g.todoBuf = truncate(g.todoBuf, keepOf[ruleMatch]())
+	g.substs = truncate(g.substs, keepOf[Subst]())
+	g.substStack = truncate(g.substStack, keepOf[int32]())
+	g.withheld = truncate(g.withheld, keepOf[withheldMatch]())
+	g.appsBuf = truncate(g.appsBuf, keepSlots)
 	// cleanGen keeps counting: a CleanCosts table of the life that ended
 	// then still fails its generation check instead of aliasing a new one.
 }
@@ -222,26 +230,6 @@ func truncate[T any](s []T, keep int) []T {
 	return s[:0]
 }
 
-// release cuts the arena back to its first chunks and zeroes the slots
-// the life used — slots are reused without zeroing within a life, so
-// they still hold some match phase's bindings — and no more: most lives
-// use a few of the 192 kept slots, and clearing pointer-bearing memory
-// is not free.
-func (a *substArena) release() {
-	a.reset() // folds the last phase into hi
-	if len(a.chunks) > keepArenaChunks {
-		clear(a.chunks[keepArenaChunks:])
-		a.chunks = a.chunks[:keepArenaChunks]
-	}
-	left := a.hi
-	for _, ch := range a.chunks {
-		n := min(left, len(ch))
-		clear(ch[:n])
-		left -= n
-	}
-	a.hi = 0
-}
-
 // checkEmpty reports the first way in which g differs observably from a
 // graph New just built (InvariantChecks: Release asserts it).
 func (g *EGraph) checkEmpty() error {
@@ -264,8 +252,8 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, %d memoized)", g.shapeUnknown, len(g.shapeMemo))
 	case g.nodeLimit != 0 || g.budgetDenied:
 		return fmt.Errorf("node limit still armed (%d, denied %t)", g.nodeLimit, g.budgetDenied)
-	case g.arenaOn || g.substArena.ci != 0 || g.substArena.ni != 0 || g.substArena.hi != 0:
-		return fmt.Errorf("substitution arena still active")
+	case len(g.substs) != 0 || len(g.substStack) != 0 || len(g.todoBuf) != 0:
+		return fmt.Errorf("%d substitutions, %d stacked, %d matches listed", len(g.substs), len(g.substStack), len(g.todoBuf))
 	case g.phase != 0 || g.markEpoch != 0 || len(g.mark) != 0:
 		return fmt.Errorf("match phase %d, mark epoch %d over %d slots", g.phase, g.markEpoch, len(g.mark))
 	case g.Ctx != nil:
@@ -280,13 +268,6 @@ func (g *EGraph) checkEmpty() error {
 		for i := range ch {
 			if cl := &ch[i]; cl.parents != nil || cl.ops != nil {
 				return fmt.Errorf("class slab record %d not cleared", i)
-			}
-		}
-	}
-	for ci, ch := range g.substArena.chunks {
-		for i := range ch {
-			if s := &ch[i]; s.classes != nil || s.attrs != nil || s.kids != nil || s.cbuf != [4]classBinding{} || s.abuf[0].name != "" || s.abuf[1].name != "" || s.kbuf[0].ks != nil {
-				return fmt.Errorf("substitution arena slot %d/%d not cleared", ci, i)
 			}
 		}
 	}

@@ -121,10 +121,12 @@ func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 		"shape memo":          func(g *EGraph) { g.shapeMemo = map[ClassID]shape.Shape{0: nil} },
 		"armed node limit":    func(g *EGraph) { g.nodeLimit = 10 },
 		"budget denial":       func(g *EGraph) { g.budgetDenied = true },
-		"active arena":        func(g *EGraph) { g.arenaOn = true },
-		"used arena slot":     func(g *EGraph) { g.arenaOn = true; g.newSubst(); g.arenaOn = false },
-		"arena high-water":    func(g *EGraph) { g.substArena.hi = 1 },
-		"stale substitution":  func(g *EGraph) { g.substArena.chunks[0][7].cbuf[0].name = "x" },
+		"substitution":        func(g *EGraph) { g.extend(-1) },
+		"stacked match":       func(g *EGraph) { g.substStack = append(g.substStack, 0) },
+		"listed match":        func(g *EGraph) { g.todoBuf = append(g.todoBuf, ruleMatch{}) },
+		"class record in use": func(g *EGraph) { g.classSlab.alloc() },
+		"stale class record":  func(g *EGraph) { g.classSlab.chunks[0][7].parents = []parentEntry{{}} },
+		"chain link":          func(g *EGraph) { g.next = append(g.next, -1) },
 		"arena node":          func(g *EGraph) { g.arena = append(g.arena, ENode{}) },
 		"stale arena node":    func(g *EGraph) { g.arena[:1][0].Kids = []ClassID{0} },
 		"match phase":         func(g *EGraph) { g.phase = 3 },
@@ -231,7 +233,7 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	probe := &Rule{Name: "probe", Reads: ReadsGraph(),
 		LHS:   POp(expr.OpUnary, nil, PVar("x")),
 		Apply: func(*EGraph, Match) []UnionPair { return nil }}
-	many := make([]*Rule, 8)
+	many := make([]*Rule, 12)
 	for i := range many {
 		many[i] = probe
 	}
@@ -239,9 +241,9 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	for i := 0; i < keepSlots; i++ { // stale memo keys, as repairs leave them
 		g.memo.put(g.arena, uint64(i)<<20, 1, 0, 0)
 	}
-	if len(g.memo.entries) <= keepSlots || cap(g.todoBuf) <= keepMatches || len(g.substArena.chunks) <= keepArenaChunks {
-		t.Fatalf("the life was not heavy enough to test the bounds: memo %d, match list %d, arena chunks %d",
-			len(g.memo.entries), cap(g.todoBuf), len(g.substArena.chunks))
+	if len(g.memo.entries) <= keepSlots || cap(g.todoBuf) <= keepOf[ruleMatch]() || cap(g.substs) <= keepOf[Subst]() || len(g.classSlab.chunks) < 2 {
+		t.Fatalf("the life was not heavy enough to test the bounds: memo %d, match list %d, substitution slab %d, class slab chunks %d",
+			len(g.memo.entries), cap(g.todoBuf), cap(g.substs), len(g.classSlab.chunks))
 	}
 	g.Release()
 	if !OnFreeList(g) {
@@ -253,17 +255,23 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	if len(g.memo.entries) > keepSlots {
 		t.Errorf("kept memo table has %d slots, bound %d", len(g.memo.entries), keepSlots)
 	}
-	if cap(g.todoBuf) > keepMatches {
-		t.Errorf("kept match list has capacity %d, bound %d", cap(g.todoBuf), keepMatches)
+	// The pointer-free scratch is bounded in bytes, and kept as it is.
+	if kept := cap(g.todoBuf) * int(unsafe.Sizeof(ruleMatch{})); kept > keepMatchBytes {
+		t.Errorf("kept match list is %d bytes, bound %d", kept, keepMatchBytes)
 	}
-	if len(g.substArena.chunks) > keepArenaChunks {
-		t.Errorf("kept arena has %d chunks, bound %d", len(g.substArena.chunks), keepArenaChunks)
+	if kept := cap(g.substs) * int(unsafe.Sizeof(Subst{})); kept > keepMatchBytes {
+		t.Errorf("kept substitution slab is %d bytes, bound %d", kept, keepMatchBytes)
 	}
-	for ci, ch := range g.substArena.chunks {
-		for i := range ch {
-			if s := &ch[i]; s.classes != nil || s.attrs != nil || s.kids != nil || s.cbuf[0].name != "" {
-				t.Fatalf("kept arena slot %d/%d still holds bindings", ci, i)
-			}
+	if kept := cap(g.substStack) * 4; kept > keepMatchBytes {
+		t.Errorf("kept e-matching stack is %d bytes, bound %d", kept, keepMatchBytes)
+	}
+	// The scanned slab is cut back to a chunk, with every record zero.
+	if len(g.classSlab.chunks) != 1 {
+		t.Errorf("kept class slab has %d chunks, want 1", len(g.classSlab.chunks))
+	}
+	for i := range g.classSlab.chunks[0] {
+		if cl := &g.classSlab.chunks[0][i]; cl.parents != nil || cl.ops != nil || cl.count != 0 {
+			t.Fatalf("kept class record %d still holds a class", i)
 		}
 	}
 	for i, cl := range g.classes[:cap(g.classes)] {
@@ -287,22 +295,27 @@ func TestParentEntrySize(t *testing.T) {
 	}
 }
 
-// Releasing zeroes only the substitution slots the life used, and
-// leaves every kept slot zero all the same.
+// Releasing zeroes only the records of the kept slab chunk that the life
+// used — the class slab is the one piece of per-node state the collector
+// still scans — and leaves every kept record zero all the same. The
+// substitution slab, which this test was written for, holds no pointer
+// any more and is kept as the life left it.
 func TestArenaReleaseClearsWhatTheLifeUsed(t *testing.T) {
 	emptyFreeList(t, 1)
 	defer func(was bool) { InvariantChecks = was }(InvariantChecks)
-	InvariantChecks = true // Release asserts checkEmpty: every kept slot is zero
+	InvariantChecks = true // Release asserts checkEmpty: every kept class record is zero
 	g := New(nil)
-	for _, width := range []int{30, 2, 1, 12} { // lives that dirty both kept chunks, then a few slots, then more again
+	for _, width := range []int{30, 2, 1, 12} { // lives that outgrow the kept chunk, then use a few records, then more again
 		life(g, width)
-		used := max(g.substArena.hi, g.substArena.used())
-		if used == 0 {
-			t.Fatalf("a life of width %d used no substitution slot", width)
+		if g.classSlab.ci == 0 && g.classSlab.ni == 0 {
+			t.Fatalf("a life of width %d used no class record", width)
+		}
+		if len(g.substs) == 0 {
+			t.Fatalf("a life of width %d left no substitution on the slab", width)
 		}
 		g.Release()
-		if g = New(nil); g.substArena.hi != 0 {
-			t.Fatalf("high-water mark %d survived Release", g.substArena.hi)
+		if g = New(nil); g.classSlab.ci != 0 || g.classSlab.ni != 0 || len(g.substs) != 0 {
+			t.Fatalf("slab cursors survived Release: class slab at %d/%d, %d substitutions", g.classSlab.ci, g.classSlab.ni, len(g.substs))
 		}
 	}
 }

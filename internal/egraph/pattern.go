@@ -61,197 +61,191 @@ func POpN(op expr.Op, attrs []AttrPat, kidsVar string) *Pattern {
 	return &Pattern{Op: op, Attrs: attrs, VarKids: kidsVar}
 }
 
-// Subst is a substitution produced by e-matching. Bindings are stored
-// in small slices (matches bind at most a handful of variables);
-// extension is copy-on-write so substitutions can be shared across
-// backtracking branches. The common binding counts live in inline
-// buffers so extending costs one allocation (the Subst itself), not
-// two; the slices are capacity-capped at their length, so an append
-// can never reach into a shared buffer.
+// Subst is one substitution as e-matching produces and stores it: a
+// fixed record of int32 slots and nothing else — no name, no slice, no
+// pointer. What a slot holds is decided when the pattern is compiled
+// (compilePattern): a class variable's slot holds the class ID it is
+// bound to; an operator position that binds attribute variables or a
+// kid-list variable gets one slot holding the arena index of the node
+// matched there, and the variables read that node's Ints[pos] and Kids.
+// A rule's Apply reads a Subst through Bindings, which adds the slot
+// table that names the slots and the graph whose arena they index.
+//
+// Extension is by copy: a record is 32 bytes, and the records of a match
+// phase sit in one slab (EGraph.substs) that the collector never scans
+// and the next phase overwrites.
 type Subst struct {
-	classes []classBinding
-	attrs   []attrBinding
-	kids    []kidsBinding
-
-	cbuf [4]classBinding
-	abuf [2]attrBinding
-	kbuf [1]kidsBinding
+	slot [maxSlots]int32
 }
 
-type classBinding struct {
+// maxSlots bounds the class variables plus binding operator positions of
+// one pattern. The lemma library's widest (a three-operand distribution
+// row under a scale) uses six.
+const maxSlots = 8
+
+// slotTable names the slots of one compiled pattern. Each list is in
+// binding order — a pre-order walk of the pattern, a node's attributes
+// before its kid list before its kids, first occurrences only — which is
+// the order match fingerprints serialize bindings in.
+type slotTable struct {
+	classes []slotVar
+	attrs   []slotVar
+	kids    []slotVar
+	used    int
+}
+
+// slotVar places one pattern variable: the slot it reads and, for an
+// attribute variable, the position in the slot's node's Ints.
+type slotVar struct {
 	name string
-	c    ClassID
+	slot int8
+	pos  int8
 }
 
-type attrBinding struct {
-	name string
-	e    sym.Expr
-}
-
-type kidsBinding struct {
-	name string
-	ks   []ClassID
-}
-
-// emptySubst is the shared starting substitution (read-only).
-var emptySubst = &Subst{}
-
-// substArena bump-allocates Substs for the saturation matchers. A match
-// phase's substitutions are all dead once the apply loop that consumes
-// them finishes, so each phase recycles the previous phase's slots
-// instead of paying malloc + GC per binding — extension was the single
-// largest allocator on the cold-check path. Chunks are fixed-size and
-// never reallocated, so handed-out pointers stay stable as the arena
-// grows.
-type substArena struct {
-	chunks [][]Subst
-	ci, ni int
-	// hi is the slot count of the graph life's largest match phase so
-	// far: what release has to zero.
-	hi int
-}
-
-// used returns how many slots the current phase has handed out.
-func (a *substArena) used() int {
-	n := a.ni
-	for _, ch := range a.chunks[:a.ci] {
-		n += len(ch)
-	}
-	return n
-}
-
-func (a *substArena) reset() {
-	a.hi = max(a.hi, a.used())
-	a.ci, a.ni = 0, 0
-}
-
-// newSubst allocates a Subst: from the arena while a saturation match
-// phase is active, from the heap otherwise (MatchAll results escape to
-// callers with arbitrary lifetimes). Arena slots are reused without
-// zeroing — every caller overwrites all three binding slices, and the
-// inline buffers are only read up to those lengths. Chunks start small
-// and double (the checker builds one e-graph per operator, most of
-// them tiny) up to a cap that keeps big matches from over-reserving.
-func (g *EGraph) newSubst() *Subst {
-	if !g.arenaOn {
-		return &Subst{}
-	}
-	a := &g.substArena
-	if a.ci == len(a.chunks) {
-		size := 1024
-		if n := len(a.chunks); n < 4 { // bound the shift, not its result: 64<<n overflows
-			size = 64 << uint(n)
+func findVar(vars []slotVar, name string) (slotVar, bool) {
+	for _, v := range vars {
+		if v.name == name {
+			return v, true
 		}
-		a.chunks = append(a.chunks, make([]Subst, size))
 	}
-	ch := a.chunks[a.ci]
-	s := &ch[a.ni]
-	if a.ni++; a.ni == len(ch) {
-		a.ci++
-		a.ni = 0
-	}
-	return s
+	return slotVar{}, false
 }
 
-func (s *Subst) lookupClass(name string) (ClassID, bool) {
-	for i := range s.classes {
-		if s.classes[i].name == name {
-			return s.classes[i].c, true
+func (t *slotTable) newSlot(p *Pattern) int8 {
+	if t.used == maxSlots {
+		panic(fmt.Sprintf("egraph: pattern %s needs more than %d binding slots (class variables plus operator positions that bind attributes or kid lists)", p, maxSlots))
+	}
+	t.used++
+	return int8(t.used - 1)
+}
+
+// compiledPattern is a Pattern with its variables resolved to slots, so
+// the matcher never compares a name: whether an occurrence of a variable
+// binds or checks is fixed by where it stands in the pattern.
+type compiledPattern struct {
+	p *Pattern
+
+	// A bare variable (p.Var != ""): its slot, and whether this
+	// occurrence is the first, which binds.
+	classSlot int8
+	binds     bool
+
+	// An operator application. nodeSlot receives the matched node's arena
+	// index when the position binds an attribute or kid-list variable (-1
+	// otherwise). lits and repeats are the attribute positions that
+	// filter: a literal to equal, an earlier binding to equal. kidsRepeat
+	// is the slot of the node an already bound kid-list variable reads
+	// (-1: VarKids binds here, or is absent).
+	nodeSlot   int8
+	lits       []int8
+	repeats    []attrRepeat
+	kidsRepeat int8
+	// kids are the compiled kid patterns. bindKids lists the kid
+	// positions that are first occurrences of a class variable — each
+	// matches any class and binds it, so they are filled into the node's
+	// own record at once — and restKids, in order, the positions matched
+	// one after the other over the substitutions so far.
+	kids     []*compiledPattern
+	bindKids []slotVar // pos is the kid position
+	restKids []int8
+}
+
+// attrRepeat requires the attribute at pos to equal an earlier binding.
+type attrRepeat struct {
+	pos int8
+	ref slotVar
+}
+
+// compilePattern numbers p's variables and returns the compiled pattern
+// with its slot table.
+func compilePattern(p *Pattern) (*compiledPattern, *slotTable) {
+	t := &slotTable{}
+	return t.compile(p), t
+}
+
+func (t *slotTable) compile(p *Pattern) *compiledPattern {
+	cp := &compiledPattern{p: p, nodeSlot: -1, kidsRepeat: -1}
+	if p.Var != "" {
+		v, bound := findVar(t.classes, p.Var)
+		if !bound {
+			v = slotVar{name: p.Var, slot: t.newSlot(p)}
+			t.classes = append(t.classes, v)
+		}
+		cp.classSlot, cp.binds = v.slot, !bound
+		return cp
+	}
+	nodeSlot := func() int8 {
+		if cp.nodeSlot < 0 {
+			cp.nodeSlot = t.newSlot(p)
+		}
+		return cp.nodeSlot
+	}
+	for i, ap := range p.Attrs {
+		if ap.Var == "" {
+			cp.lits = append(cp.lits, int8(i))
+		} else if v, bound := findVar(t.attrs, ap.Var); bound {
+			cp.repeats = append(cp.repeats, attrRepeat{pos: int8(i), ref: v})
+		} else {
+			t.attrs = append(t.attrs, slotVar{name: ap.Var, slot: nodeSlot(), pos: int8(i)})
+		}
+	}
+	if p.VarKids != "" {
+		if v, bound := findVar(t.kids, p.VarKids); bound {
+			cp.kidsRepeat = v.slot
+		} else {
+			t.kids = append(t.kids, slotVar{name: p.VarKids, slot: nodeSlot()})
+		}
+		return cp
+	}
+	cp.kids = make([]*compiledPattern, len(p.Kids))
+	for i, k := range p.Kids {
+		kc := t.compile(k)
+		cp.kids[i] = kc
+		if k.Var != "" && kc.binds {
+			cp.bindKids = append(cp.bindKids, slotVar{slot: kc.classSlot, pos: int8(i)})
+		} else {
+			cp.restKids = append(cp.restKids, int8(i))
+		}
+	}
+	return cp
+}
+
+// Bindings is a substitution as a rule's Apply (or a MatchAll caller)
+// reads it: the record, the slot table of the pattern that produced it,
+// and the graph whose arena its node slots index. Attribute and
+// kid-list bindings are read off the arena when asked for, so a Bindings
+// is valid as long as the match is: for an Apply, the call.
+type Bindings struct {
+	g    *EGraph
+	vars *slotTable
+	s    *Subst
+}
+
+func (b Bindings) lookupClass(name string) (ClassID, bool) {
+	if b.vars != nil {
+		if v, ok := findVar(b.vars.classes, name); ok {
+			return ClassID(b.s.slot[v.slot]), true
 		}
 	}
 	return 0, false
 }
 
-func (s *Subst) lookupAttr(name string) (sym.Expr, bool) {
-	for i := range s.attrs {
-		if s.attrs[i].name == name {
-			return s.attrs[i].e, true
+// KidsOf returns the child list bound to a variadic variable. The slice
+// is the matched node's own kid list: read it, do not write to it. It is
+// canonical as of the graph's last Rebuild, which is as of the match.
+func (b Bindings) KidsOf(name string) []ClassID {
+	if b.vars != nil {
+		if v, ok := findVar(b.vars.kids, name); ok {
+			return b.g.arena[b.s.slot[v.slot]].Kids
 		}
 	}
-	return sym.Expr{}, false
-}
-
-func (s *Subst) lookupKids(name string) ([]ClassID, bool) {
-	for i := range s.kids {
-		if s.kids[i].name == name {
-			return s.kids[i].ks, true
-		}
-	}
-	return nil, false
-}
-
-// withClass returns a new substitution extended by one class binding;
-// the receiver is unchanged (backing arrays are never appended in
-// place: capacities equal lengths by construction).
-func (s *Subst) withClass(g *EGraph, name string, c ClassID) *Subst {
-	n := s.clone(g)
-	l := len(s.classes)
-	if l < len(n.cbuf) {
-		copy(n.cbuf[:], s.classes)
-		n.cbuf[l] = classBinding{name: name, c: c}
-		n.classes = n.cbuf[: l+1 : l+1]
-		return n
-	}
-	n.classes = make([]classBinding, l+1)
-	copy(n.classes, s.classes)
-	n.classes[l] = classBinding{name: name, c: c}
-	return n
-}
-
-// clone returns a new substitution sharing the receiver's three binding
-// lists.
-func (s *Subst) clone(g *EGraph) *Subst {
-	n := g.newSubst()
-	n.classes, n.attrs, n.kids = s.classes, s.attrs, s.kids
-	return n
-}
-
-// addAttr and addKids extend a substitution in place, moving the list
-// they extend into the receiver's own storage. Only the matcher step
-// that made the receiver may call them, before anything else can see
-// it: one node's attribute and kid-list bindings then cost one Subst,
-// not one each.
-func (s *Subst) addAttr(name string, e sym.Expr) {
-	l := len(s.attrs)
-	if l < len(s.abuf) {
-		copy(s.abuf[:], s.attrs) // a no-op once the list lives here
-		s.abuf[l] = attrBinding{name: name, e: e}
-		s.attrs = s.abuf[: l+1 : l+1]
-		return
-	}
-	attrs := make([]attrBinding, l+1)
-	copy(attrs, s.attrs)
-	attrs[l] = attrBinding{name: name, e: e}
-	s.attrs = attrs
-}
-
-func (s *Subst) addKids(name string, ks []ClassID) {
-	l := len(s.kids)
-	if l < len(s.kbuf) {
-		copy(s.kbuf[:], s.kids)
-		s.kbuf[l] = kidsBinding{name: name, ks: ks}
-		s.kids = s.kbuf[: l+1 : l+1]
-		return
-	}
-	kids := make([]kidsBinding, l+1)
-	copy(kids, s.kids)
-	kids[l] = kidsBinding{name: name, ks: ks}
-	s.kids = kids
-}
-
-// KidsOf returns the child list bound to a variadic variable.
-func (s *Subst) KidsOf(name string) []ClassID {
-	k, ok := s.lookupKids(name)
-	if !ok {
-		panic(fmt.Sprintf("egraph: unbound kids variable ?%s", name))
-	}
-	return k
+	panic(fmt.Sprintf("egraph: unbound kids variable ?%s", name))
 }
 
 // ClassOf returns the class bound to var name, panicking on a missing
 // binding (a rule-programming error).
-func (s *Subst) ClassOf(name string) ClassID {
-	c, ok := s.lookupClass(name)
+func (b Bindings) ClassOf(name string) ClassID {
+	c, ok := b.lookupClass(name)
 	if !ok {
 		panic(fmt.Sprintf("egraph: unbound pattern variable ?%s", name))
 	}
@@ -259,97 +253,112 @@ func (s *Subst) ClassOf(name string) ClassID {
 }
 
 // AttrOf returns the attribute bound to name.
-func (s *Subst) AttrOf(name string) sym.Expr {
-	a, ok := s.lookupAttr(name)
-	if !ok {
-		panic(fmt.Sprintf("egraph: unbound attribute variable ?%s", name))
+func (b Bindings) AttrOf(name string) sym.Expr {
+	if b.vars != nil {
+		if v, ok := findVar(b.vars.attrs, name); ok {
+			return b.g.arena[b.s.slot[v.slot]].Ints[v.pos]
+		}
 	}
-	return a
+	panic(fmt.Sprintf("egraph: unbound attribute variable ?%s", name))
 }
 
-// Match pairs a matched class with one substitution. Node is the ENode
-// that rooted the match (zero-valued for bare-variable patterns);
-// dynamic lemmas read attributes and children from it.
+// Match is one match as a rule's Apply sees it: the matched class, the
+// node that rooted the match, and the substitution. Node points into the
+// graph's node arena (at a zero node for a bare-variable pattern): read
+// its Str and Ints, which never change; it is valid for the call.
 type Match struct {
 	Class ClassID
-	Node  ENode
-	Subst *Subst
+	Node  *ENode
+	Subst Bindings
 }
 
-// MatchAll returns every match of p across all classes.
+// noNode is what Match.Node points at when no node rooted the match.
+var noNode ENode
+
+// ruleMatch is one entry of a match phase's match list: everything by
+// index — the rule in the compiled set, the matched class, the rooting
+// node in the arena (-1: none), the substitution in the phase's slab
+// (-1: the pattern binds nothing). Sixteen pointer-free bytes.
+type ruleMatch struct {
+	rule, class, node, subst int32
+}
+
+// matchOf assembles the Match an Apply is handed for entry p.
+func (g *EGraph) matchOf(vars *slotTable, p ruleMatch) Match {
+	m := Match{Class: ClassID(p.class), Node: &noNode, Subst: Bindings{g: g, vars: vars}}
+	if p.node >= 0 {
+		m.Node = &g.arena[p.node]
+	}
+	if p.subst >= 0 {
+		m.Subst.s = &g.substs[p.subst]
+	}
+	return m
+}
+
+// MatchAll returns every match of p across all classes. The matches own
+// their substitutions, but read attribute and kid-list bindings off the
+// graph: they are good until it is released.
 func (g *EGraph) MatchAll(p *Pattern) []Match {
-	var out []Match
+	cp, vars := compilePattern(p)
+	// Work above whatever a running match phase has on the slab and the
+	// stack, and hand both back as found.
+	slab, mark := len(g.substs), len(g.substStack)
+	var hits []ruleMatch
 	for i, cl := range g.classes {
 		if cl == nil {
 			continue
 		}
-		id := ClassID(i)
 		if p.Var != "" {
-			for _, s := range g.matchClass(p, id, emptySubst) {
-				out = append(out, Match{Class: id, Subst: s})
+			g.matchClassOnStack(cp, ClassID(i), -1)
+			for _, s := range g.substStack[mark:] {
+				hits = append(hits, ruleMatch{class: int32(i), node: -1, subst: s})
 			}
+			g.substStack = g.substStack[:mark]
 			continue
 		}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
-			n := &g.arena[ni]
-			if n.Op != p.Op {
-				continue
-			}
-			mark := len(g.substStack)
-			g.matchNodeOnStack(p, n, emptySubst)
-			if len(g.substStack) > mark {
-				canon := g.canonNode(*n)
-				for _, s := range g.substStack[mark:] {
-					out = append(out, Match{Class: id, Node: canon, Subst: s})
-				}
+			g.matchNodeOnStack(cp, ni, -1)
+			for _, s := range g.substStack[mark:] {
+				hits = append(hits, ruleMatch{class: int32(i), node: ni, subst: s})
 			}
 			g.substStack = g.substStack[:mark]
 		}
 	}
+	out := make([]Match, len(hits))
+	own := make([]Subst, len(hits))
+	for i, h := range hits {
+		out[i] = g.matchOf(vars, h)
+		if h.subst >= 0 {
+			own[i] = g.substs[h.subst]
+			out[i].Subst.s = &own[i]
+		}
+	}
+	g.substs = g.substs[:slab]
 	return out
 }
 
-// matchRules matches a rule set in one pass over the e-graph, grouping
-// nodes by operator so each rule only visits candidate roots. It is
-// the saturation loop's batched form of MatchAll.
-func (g *EGraph) matchRules(rules []*Rule) []ruleMatch {
-	byOp := map[expr.Op][]*Rule{}
-	var varRules []*Rule
-	for _, r := range rules {
-		if r.LHS.Var != "" {
-			varRules = append(varRules, r)
-			continue
-		}
-		byOp[r.LHS.Op] = append(byOp[r.LHS.Op], r)
-	}
-	var out []ruleMatch
+// matchRules matches a rule set in one pass over the e-graph, every
+// class against every rule that could root there. It is the saturation
+// loop's naive reference for matchRulesIndexed (index.go).
+func (g *EGraph) matchRules(cr *CompiledRules, out []ruleMatch) []ruleMatch {
 	for i, cl := range g.classes {
 		if cl == nil {
 			continue
 		}
-		id := ClassID(i)
-		for _, r := range varRules {
-			for _, s := range g.matchClass(r.LHS, id, emptySubst) {
-				out = append(out, ruleMatch{rule: r, m: Match{Class: id, Subst: s}})
+		for _, ri := range cr.varRules {
+			mark := len(g.substStack)
+			g.matchClassOnStack(cr.pats[ri], ClassID(i), -1)
+			for _, s := range g.substStack[mark:] {
+				out = append(out, ruleMatch{rule: int32(ri), class: int32(i), node: -1, subst: s})
 			}
+			g.substStack = g.substStack[:mark]
 		}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
-			n := &g.arena[ni]
-			cands := byOp[n.Op]
-			if len(cands) == 0 {
-				continue
-			}
-			var canon ENode
-			canonDone := false
-			for _, r := range cands {
+			for _, ri := range cr.byOp[g.arena[ni].Op] {
 				mark := len(g.substStack)
-				g.matchNodeOnStack(r.LHS, n, emptySubst)
-				if len(g.substStack) > mark && !canonDone {
-					canon = g.canonNode(*n)
-					canonDone = true
-				}
+				g.matchNodeOnStack(cr.pats[ri], ni, -1)
 				for _, s := range g.substStack[mark:] {
-					out = append(out, ruleMatch{rule: r, m: Match{Class: id, Node: canon, Subst: s}})
+					out = append(out, ruleMatch{rule: int32(ri), class: int32(i), node: ni, subst: s})
 				}
 				g.substStack = g.substStack[:mark]
 			}
@@ -358,44 +367,35 @@ func (g *EGraph) matchRules(rules []*Rule) []ruleMatch {
 	return out
 }
 
-// ruleMatch pairs a rule with one of its matches.
-type ruleMatch struct {
-	rule *Rule
-	m    Match
-}
-
-// matchClass matches pattern p against class c, extending base; it
-// returns all consistent substitutions as a fresh slice. The
-// saturation matchers use matchClassOnStack directly to avoid the
-// materialization.
-func (g *EGraph) matchClass(p *Pattern, c ClassID, base *Subst) []*Subst {
-	mark := len(g.substStack)
-	g.matchClassOnStack(p, c, base)
-	if len(g.substStack) == mark {
-		return nil
+// extend appends a copy of substitution base (-1: the empty one) to the
+// phase's slab and returns its index, for the caller to fill slots in.
+func (g *EGraph) extend(base int32) int32 {
+	var s Subst
+	if base >= 0 {
+		s = g.substs[base]
 	}
-	out := make([]*Subst, len(g.substStack)-mark)
-	copy(out, g.substStack[mark:])
-	g.substStack = g.substStack[:mark]
-	return out
+	g.substs = append(g.substs, s)
+	return int32(len(g.substs) - 1)
 }
 
-// matchClassOnStack matches pattern p against class c, extending base,
-// and pushes every consistent substitution onto g.substStack. The
-// stack discipline — callers record len(g.substStack), consume the
-// entries above it, and truncate back — is what lets the matchers run
-// allocation-free: only the substitutions themselves live on the heap,
-// never the intermediate result lists.
-func (g *EGraph) matchClassOnStack(p *Pattern, c ClassID, base *Subst) {
+// matchClassOnStack matches pattern cp against class c, extending
+// substitution base, and pushes every consistent substitution onto
+// g.substStack. The stack discipline — callers record
+// len(g.substStack), consume the entries above it, and truncate back —
+// and the slab the substitutions sit in are what let the matchers run
+// allocation-free: everything is an index into scratch the graph keeps.
+func (g *EGraph) matchClassOnStack(cp *compiledPattern, c ClassID, base int32) {
 	c = g.Find(c)
-	if p.Var != "" {
-		if bound, ok := base.lookupClass(p.Var); ok {
-			if g.Find(bound) == c {
+	if cp.p.Var != "" {
+		if !cp.binds {
+			if g.Find(ClassID(g.substs[base].slot[cp.classSlot])) == c {
 				g.substStack = append(g.substStack, base)
 			}
 			return
 		}
-		g.substStack = append(g.substStack, base.withClass(g, p.Var, c))
+		s := g.extend(base)
+		g.substs[s].slot[cp.classSlot] = int32(c)
+		g.substStack = append(g.substStack, s)
 		return
 	}
 	cl := g.classes[c]
@@ -403,11 +403,13 @@ func (g *EGraph) matchClassOnStack(p *Pattern, c ClassID, base *Subst) {
 		return
 	}
 	for ni := cl.first; ni >= 0; ni = g.next[ni] {
-		g.matchNodeOnStack(p, &g.arena[ni], base)
+		g.matchNodeOnStack(cp, ni, base)
 	}
 }
 
-func (g *EGraph) matchNodeOnStack(p *Pattern, n *ENode, base *Subst) {
+// matchNodeOnStack matches operator pattern cp against arena node ni.
+func (g *EGraph) matchNodeOnStack(cp *compiledPattern, ni int32, base int32) {
+	p, n := cp.p, &g.arena[ni]
 	if n.Op != p.Op {
 		return
 	}
@@ -425,70 +427,64 @@ func (g *EGraph) matchNodeOnStack(p *Pattern, n *ENode, base *Subst) {
 	if p.VarKids == "" && len(p.Kids) != len(n.Kids) {
 		return
 	}
-	s := base
-	// bind extends s by what this node binds: the first binding clones
-	// base, the rest extend that clone in place — nothing else has seen
-	// it yet.
-	bind := func() *Subst {
-		if s == base {
-			s = base.clone(g)
-		}
-		return s
-	}
-	// Attributes first (cheap).
-	for i, ap := range p.Attrs {
-		got := n.Ints[i]
-		if ap.Var == "" {
-			if !got.Equal(ap.Lit) {
-				return
-			}
-			continue
-		}
-		if bound, ok := s.lookupAttr(ap.Var); ok {
-			if !bound.Equal(got) {
-				return
-			}
-			continue
-		}
-		bind().addAttr(ap.Var, got)
-	}
-	if p.VarKids != "" {
-		if bound, ok := s.lookupKids(p.VarKids); ok {
-			if len(bound) != len(n.Kids) {
-				return
-			}
-			for i := range n.Kids {
-				if g.Find(bound[i]) != g.Find(n.Kids[i]) {
-					return
-				}
-			}
-			g.substStack = append(g.substStack, s)
+	// Attributes first (cheap): nothing is bound until they all pass.
+	for _, i := range cp.lits {
+		if !n.Ints[i].Equal(p.Attrs[i].Lit) {
 			return
 		}
-		kids := make([]ClassID, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = g.Find(k)
+	}
+	for _, r := range cp.repeats {
+		from := n // the variable's first occurrence is on this very node
+		if r.ref.slot != cp.nodeSlot {
+			from = &g.arena[g.substs[base].slot[r.ref.slot]]
 		}
-		bind().addKids(p.VarKids, kids)
+		if !from.Ints[r.ref.pos].Equal(n.Ints[r.pos]) {
+			return
+		}
+	}
+	if cp.kidsRepeat >= 0 {
+		bound := g.arena[g.substs[base].slot[cp.kidsRepeat]].Kids
+		if len(bound) != len(n.Kids) {
+			return
+		}
+		for i := range n.Kids {
+			if g.Find(bound[i]) != g.Find(n.Kids[i]) {
+				return
+			}
+		}
+	}
+	// One record takes everything this position binds: the node, for its
+	// attribute and kid-list variables, and the classes of the kids that
+	// are fresh variables.
+	s := base
+	if cp.nodeSlot >= 0 || len(cp.bindKids) > 0 {
+		s = g.extend(base)
+		rec := &g.substs[s]
+		if cp.nodeSlot >= 0 {
+			rec.slot[cp.nodeSlot] = ni
+		}
+		for _, v := range cp.bindKids {
+			rec.slot[v.slot] = int32(g.Find(n.Kids[v.pos]))
+		}
+	}
+	if len(cp.restKids) == 0 {
 		g.substStack = append(g.substStack, s)
 		return
 	}
-	if len(p.Kids) == 0 {
-		g.substStack = append(g.substStack, s)
-		return
-	}
-	// Children: cartesian backtracking, level by level on the stack.
-	// Frame [lo, hi) holds the substitutions consistent through child
-	// i-1; matching child i extends each onto the stack top. Indexing
-	// (not pointers) keeps the loop safe across stack reallocation.
+	// The other children: cartesian backtracking, level by level on the
+	// stack. Frame [lo, hi) holds the substitutions consistent through
+	// the children so far; matching the next extends each onto the stack
+	// top.
 	mark := len(g.substStack)
-	g.matchClassOnStack(p.Kids[0], n.Kids[0], s)
-	lo, hi := mark, len(g.substStack)
-	for i := 1; i < len(p.Kids) && lo < hi; i++ {
+	g.substStack = append(g.substStack, s)
+	lo, hi := mark, mark+1
+	for _, i := range cp.restKids {
 		for j := lo; j < hi; j++ {
-			g.matchClassOnStack(p.Kids[i], n.Kids[i], g.substStack[j])
+			g.matchClassOnStack(cp.kids[i], n.Kids[i], g.substStack[j])
 		}
-		lo, hi = hi, len(g.substStack)
+		if lo, hi = hi, len(g.substStack); lo == hi {
+			break
+		}
 	}
 	// Slide the final frame down over the intermediate levels.
 	kept := copy(g.substStack[mark:], g.substStack[lo:hi])
@@ -537,7 +533,7 @@ func RLeaf(tid int, name string) *RTerm { return &RTerm{IsLeaf: true, LeafTID: t
 // fails, leaving the graph congruent (nodes built for earlier template
 // positions stay — they are valid, just unused). Saturate observes the
 // denial and stops with a node-limit verdict.
-func (g *EGraph) Instantiate(t *RTerm, s *Subst, lookupOnly bool) (ClassID, bool) {
+func (g *EGraph) Instantiate(t *RTerm, s Bindings, lookupOnly bool) (ClassID, bool) {
 	switch {
 	case t.VarName != "":
 		c, ok := s.lookupClass(t.VarName)

@@ -379,32 +379,40 @@ func (s *Stats) Merge(o Stats) {
 const cancelPollEvery = 32
 
 // appendFingerprint serializes a pure-rule match identity into buf:
-// rule name plus every bound class (canonicalized), attribute, and
-// kid-list, length-prefixed so distinct matches never collide. Both
-// matchers fingerprint identically, which is what makes the indexed
-// matcher's skipped re-matches unobservable.
-func (g *EGraph) appendFingerprint(buf []byte, p ruleMatch) []byte {
+// rule name plus every bound class (canonicalized), attribute value, and
+// kid-list, each in binding order (the slot table's), length-prefixed so
+// distinct matches never collide. Both matchers fingerprint identically,
+// which is what makes the indexed matcher's skipped re-matches
+// unobservable. Attributes go in by value, not by where they were read:
+// two matches that bind equal attributes off different nodes are one
+// application.
+func (g *EGraph) appendFingerprint(buf []byte, cr *CompiledRules, p ruleMatch) []byte {
 	put := func(v ClassID) {
 		u := uint32(v)
 		buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
-	buf = append(buf, p.rule.Name...)
+	buf = append(buf, cr.rules[p.rule].Name...)
 	buf = append(buf, 0) // rule names are NUL-free, so the prefix is unambiguous
-	put(g.Find(p.m.Class))
-	for i := range p.m.Subst.classes {
-		buf = append(buf, 'c')
-		put(g.Find(p.m.Subst.classes[i].c))
+	put(g.Find(ClassID(p.class)))
+	vars := cr.vars[p.rule]
+	if vars.used == 0 {
+		return buf
 	}
-	for i := range p.m.Subst.attrs {
+	slot := &g.substs[p.subst].slot
+	for _, v := range vars.classes {
+		buf = append(buf, 'c')
+		put(g.Find(ClassID(slot[v.slot])))
+	}
+	for _, v := range vars.attrs {
 		buf = append(buf, 'a')
 		lenAt := len(buf)
 		buf = append(buf, 0, 0, 0, 0)
-		buf = p.m.Subst.attrs[i].e.AppendKey(buf)
+		buf = g.arena[slot[v.slot]].Ints[v.pos].AppendKey(buf)
 		n := uint32(len(buf) - lenAt - 4)
 		buf[lenAt], buf[lenAt+1], buf[lenAt+2], buf[lenAt+3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 	}
-	for i := range p.m.Subst.kids {
-		ks := p.m.Subst.kids[i].ks
+	for _, v := range vars.kids {
+		ks := g.arena[slot[v.slot]].Kids
 		buf = append(buf, 'k')
 		put(ClassID(len(ks)))
 		for _, k := range ks {
@@ -420,15 +428,16 @@ func (g *EGraph) appendFingerprint(buf []byte, p ruleMatch) []byte {
 // may instead carry an applied fingerprint, which the apply loop drops
 // unexecuted). It runs only under InvariantChecks, so the test corpus
 // audits every footprint declaration and the gating itself.
-func (g *EGraph) auditWithheld(p ruleMatch, byKids bool, fpBuf []byte) []byte {
-	if p.rule.Reads.Pure() {
-		fpBuf = g.appendFingerprint(fpBuf[:0], p)
+func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBuf []byte) []byte {
+	rule := cr.rules[p.rule]
+	if rule.Reads.Pure() {
+		fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
 		if g.appliedFP[string(fpBuf)] {
 			return fpBuf
 		}
 	}
 	slots := len(g.parent)
-	pairs := p.rule.Apply(g, p.m)
+	pairs := rule.Apply(g, g.matchOf(cr.vars[p.rule], p))
 	effect := ""
 	if len(g.parent) != slots || g.budgetDenied {
 		effect = "inserts a node"
@@ -443,10 +452,10 @@ func (g *EGraph) auditWithheld(p ruleMatch, byKids bool, fpBuf []byte) []byte {
 		gate := ""
 		if byKids {
 			why = "Apply does not require what the rule declares"
-			gate = fmt.Sprintf(" by its kid requirement %s", p.rule.Kids)
+			gate = fmt.Sprintf(" by its kid requirement %s", rule.Kids)
 		}
 		panic(fmt.Sprintf("egraph: rule %q (reads %s) was withheld from class %d in match phase %d%s, but applying it %s: %s, or the matcher's gating is wrong",
-			p.rule.Name, p.rule.Reads, p.m.Class, g.phase, gate, effect, why))
+			rule.Name, rule.Reads, p.class, g.phase, gate, effect, why))
 	}
 	return fpBuf
 }
@@ -482,7 +491,7 @@ func sameRules(a, b []*Rule) bool {
 // applications that fully executed).
 func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	opts = opts.withDefaults()
-	stats := Stats{Applications: map[string]int{}, Runs: 1}
+	stats := Stats{Runs: 1}
 	if g.appliedFP == nil {
 		g.appliedFP = map[string]bool{}
 	}
@@ -492,9 +501,16 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	g.satRules = rules
 	fpBuf := g.fpBuf
 	cr := opts.Compiled
-	if cr == nil && !opts.Unindexed {
+	if cr == nil {
 		cr = CompileRules(rules)
 	}
+	// Effective applications are counted per compiled rule and named once,
+	// on the way out.
+	if cap(g.appsBuf) < len(rules) {
+		g.appsBuf = make([]int32, len(rules))
+	}
+	apps := g.appsBuf[:len(rules)]
+	clear(apps)
 	// Arm the instantiation budget for the duration of the run.
 	g.nodeLimit = opts.MaxNodes
 	g.budgetDenied = false
@@ -502,15 +518,8 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	limitHit := false
 	cancelled := false
 	// The match list is graph scratch: the checker's frontier loop
-	// calls Saturate many times per graph. It is handed back cleared,
-	// so it does not pin the last run's substitutions.
-	todo, todoHigh := g.todoBuf[:0], 0
-	defer func() {
-		if !opts.Unindexed { // the naive matcher allocates its own list
-			clear(todo[:todoHigh])
-			g.todoBuf = todo[:0]
-		}
-	}()
+	// calls Saturate many times per graph.
+	todo := g.todoBuf[:0]
 	for iter := 0; iter < opts.MaxIters && !limitHit && !cancelled; iter++ {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			cancelled = true
@@ -518,9 +527,8 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		}
 		stats.Iterations = iter + 1
 		// Substitutions live from here until the apply loop below
-		// finishes with them; the next phase's reset recycles the slots.
-		g.substArena.reset()
-		g.arenaOn = true
+		// finishes with them; the next phase overwrites the slab.
+		g.substs = g.substs[:0]
 		g.phase++
 		// withheld indexes the matches in todo that the indexed matcher's
 		// gates withheld; it is empty unless InvariantChecks is on. They
@@ -533,16 +541,14 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		var withheld []withheldMatch
 		if opts.Unindexed {
 			g.dirty = g.dirty[:0] // keep the accumulator bounded
-			todo = g.matchRules(rules)
+			todo = g.matchRules(cr, todo[:0])
 		} else {
 			todo = g.matchRulesIndexed(cr, iter == 0 && !carry, todo[:0])
 			withheld = g.withheld
 		}
-		g.arenaOn = false
 		stats.Matches += len(todo) - len(withheld)
-		todoHigh = max(todoHigh, len(todo))
 		for _, w := range withheld {
-			fpBuf = g.auditWithheld(todo[w.at], w.byKids, fpBuf)
+			fpBuf = g.auditWithheld(cr, todo[w.at], w.byKids, fpBuf)
 		}
 		changed := false
 		for mi, p := range todo {
@@ -560,12 +566,13 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				cancelled = true
 				break
 			}
-			pure := p.rule.Reads.Pure()
+			rule := rules[p.rule]
+			pure := rule.Reads.Pure()
 			if pure {
 				// Pure rules: one application per canonical match. The
 				// map probe uses the byte buffer directly (no string
 				// allocation unless the key is inserted).
-				fpBuf = g.appendFingerprint(fpBuf[:0], p)
+				fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
 				if applied[string(fpBuf)] {
 					continue
 				}
@@ -577,12 +584,12 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				break
 			}
 			slots := len(g.parent)
-			pairs := p.rule.Apply(g, p.m)
+			pairs := rule.Apply(g, g.matchOf(cr.vars[p.rule], p))
 			effect := len(g.parent) != slots
 			for _, up := range pairs {
 				if g.Union(up.A, up.B) {
 					changed = true
-					stats.Applications[p.rule.Name]++
+					apps[p.rule]++
 					effect = true
 				}
 			}
@@ -614,8 +621,20 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 			break
 		}
 	}
-	g.fpBuf = fpBuf[:0]
+	g.fpBuf, g.todoBuf = fpBuf[:0], todo[:0]
 	g.satFixpoint = stats.Saturated
+	fired := 0
+	for _, n := range apps {
+		if n > 0 {
+			fired++
+		}
+	}
+	stats.Applications = make(map[string]int, fired)
+	for ri, n := range apps {
+		if n > 0 {
+			stats.Applications[rules[ri].Name] += int(n)
+		}
+	}
 	switch {
 	case cancelled:
 		stats.StopReason = StopCancelled

@@ -340,7 +340,7 @@ func TestSaturateInstantiateBudgetBounded(t *testing.T) {
 			for i := 0; i < width; i++ {
 				tm = ROp(opG, nil, fmt.Sprintf("x%d-%d", n, i), tm)
 			}
-			c, ok := g.Instantiate(tm, emptySubst, false)
+			c, ok := g.Instantiate(tm, Bindings{}, false)
 			if !ok {
 				return nil
 			}

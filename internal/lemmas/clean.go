@@ -114,7 +114,7 @@ func registerSumBasics(r *Registry) {
 				}
 				c, _ := g.Instantiate(egraph.ROp(expr.OpScale,
 					[]sym.Expr{sym.Const(int64(len(kids))), sym.Const(1)}, "",
-					egraph.RClass(kids[0])), nil, false)
+					egraph.RClass(kids[0])), egraph.Bindings{}, false)
 				return m.With(c)
 			},
 		}},

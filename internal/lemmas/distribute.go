@@ -137,7 +137,7 @@ func (d *dist) rule(name string) *egraph.Rule {
 	}
 }
 
-func attrOf(s *egraph.Subst, a egraph.AttrPat) sym.Expr {
+func attrOf(s egraph.Bindings, a egraph.AttrPat) sym.Expr {
 	if a.Var == "" {
 		return a.Lit
 	}
