@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"entangle/internal/egraph"
@@ -404,6 +405,52 @@ type runState struct {
 	// the scheduler starts and read-only afterwards; nil on the
 	// Options.Unplanned path.
 	plan *Plan
+	// gdDefs memoizes each G_d node's defining equations (gdDefOf),
+	// indexed by node ID. The table is made by the first fold of the run —
+	// a run that replays every verdict folds nothing — and an entry by the
+	// first fold of its node; both are read-only from then on, so workers
+	// share them.
+	gdDefsOnce sync.Once
+	gdDefs     []gdDef
+}
+
+// gdDef is one G_d node's defining equations, rebased into the G_d ID
+// space: per output tensor, its leaf and the operator's expression over
+// the input leaves (collectives expanded to clean operators).
+type gdDef struct {
+	once sync.Once
+	outs []gdEquation
+	err  error
+}
+
+type gdEquation struct{ leaf, def *expr.Term }
+
+// gdDefOf returns n's equations, building them on first use. The terms
+// are shared by every e-graph that folds n — the residual stream makes
+// each later operator re-fold every earlier layer — so they must not be
+// modified; AddTerm and LookupTerm only read them.
+func (r *runState) gdDefOf(n *graph.Node) ([]gdEquation, error) {
+	r.gdDefsOnce.Do(func() { r.gdDefs = make([]gdDef, len(r.gd.Nodes)) })
+	d := &r.gdDefs[n.ID]
+	d.once.Do(func() {
+		d.outs = make([]gdEquation, len(n.Outputs))
+		for i, out := range n.Outputs {
+			def, err := r.gd.OutputExpr(n, i)
+			if err != nil {
+				d.outs, d.err = nil, err
+				return
+			}
+			// Rebase leaves into the G_d ID space.
+			def = def.Map(func(t *expr.Term) *expr.Term {
+				if t.IsLeaf() && !relation.IsGd(t.TID) {
+					return relation.GdLeaf(r.gd.Tensor(graph.TensorID(t.TID)))
+				}
+				return t
+			})
+			d.outs[i] = gdEquation{leaf: relation.GdLeaf(r.gd.Tensor(out)), def: def}
+		}
+	})
+	return d.outs, d.err
 }
 
 func mergedContext(gs, gd *graph.Graph) *sym.Context {
@@ -749,16 +796,14 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 			if !folded[n.ID] {
 				continue
 			}
-			for _, out := range n.Outputs {
+			eqs, _ := r.gdDefOf(n) // folded: built, and without error
+			for i, out := range n.Outputs {
 				if tRel[out] {
 					continue
 				}
-				t := r.gd.Tensor(out)
-				if cls, ok := eg.LookupTerm(relation.GdLeaf(t)); ok {
-					if clean.Has(cls) {
-						tRel[out] = true
-						grew = true
-					}
+				if cls, ok := eg.LookupTerm(eqs[i].leaf); ok && clean.Has(cls) {
+					tRel[out] = true
+					grew = true
 				}
 			}
 		}
@@ -849,20 +894,12 @@ nodes:
 // output tensor, the leaf is unioned with the operator's expression
 // over its input leaves (collectives expand to clean operators).
 func (r *runState) foldGdNode(eg *egraph.EGraph, n *graph.Node) error {
-	for i, out := range n.Outputs {
-		def, err := r.gd.OutputExpr(n, i)
-		if err != nil {
-			return err
-		}
-		// Rebase leaves into the G_d ID space.
-		def = def.Map(func(t *expr.Term) *expr.Term {
-			if t.IsLeaf() && !relation.IsGd(t.TID) {
-				return relation.GdLeaf(r.gd.Tensor(graph.TensorID(t.TID)))
-			}
-			return t
-		})
-		leafCls := eg.AddTerm(relation.GdLeaf(r.gd.Tensor(out)))
-		eg.Union(leafCls, eg.AddTerm(def))
+	eqs, err := r.gdDefOf(n)
+	if err != nil {
+		return err
+	}
+	for _, eq := range eqs {
+		eg.Union(eg.AddTerm(eq.leaf), eg.AddTerm(eq.def))
 	}
 	eg.Rebuild()
 	return nil

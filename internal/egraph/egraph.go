@@ -208,11 +208,11 @@ type EGraph struct {
 
 	// Cross-call saturation state (rewrite.go). appliedFP records the
 	// fingerprint of every pure-rule application actually executed on
-	// this graph, across Saturate calls; satFixpoint remembers that the
+	// this graph, across Saturate calls (applied.go); satFixpoint remembers that the
 	// previous call reached fixpoint under satRules, which lets the
 	// next same-rules call skip the full first-iteration scan and
 	// e-match only classes dirtied since — the frontier-fold hot path.
-	appliedFP   map[string]bool
+	appliedFP   appliedSet
 	satRules    []*Rule
 	satFixpoint bool
 

@@ -50,6 +50,10 @@ const (
 	// resident memory, and an entry count would let the widest entry set
 	// it.
 	keepMatchBytes = 32 << 10
+	// keepAppliedBytes bounds the applied-fingerprint set's key slab, and
+	// its table again: pointer-free like the match scratch, and emptied
+	// (the table has to read as empty) rather than cleared.
+	keepAppliedBytes = 32 << 10
 )
 
 // keepOf is how many entries of type T fit in keepMatchBytes.
@@ -165,10 +169,7 @@ func (g *EGraph) reset() {
 	g.shapeUnknown = false
 	g.lateEffects = 0
 	g.nodeLimit, g.budgetDenied = 0, false
-	if len(g.appliedFP) > keepSlots {
-		g.appliedFP = nil // a map never gives buckets back; Saturate makes the next
-	}
-	clear(g.appliedFP)
+	g.appliedFP.reset()
 	g.satRules, g.satFixpoint = nil, false
 	g.leafShape = nil
 	clear(g.shapeVisiting)
@@ -246,8 +247,8 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("interner holds %d heads, %d operators", len(g.intern.heads), len(g.intern.ops))
 	case len(g.dirty) != 0 || len(g.work) != 0:
 		return fmt.Errorf("%d dirty classes, %d queued repairs", len(g.dirty), len(g.work))
-	case len(g.appliedFP) != 0 || g.satFixpoint || g.satRules != nil:
-		return fmt.Errorf("%d applied fingerprints, fixpoint carry %t", len(g.appliedFP), g.satFixpoint)
+	case g.appliedFP.n != 0 || len(g.appliedFP.keys) != 0 || g.satFixpoint || g.satRules != nil:
+		return fmt.Errorf("%d applied fingerprints, fixpoint carry %t", g.appliedFP.n, g.satFixpoint)
 	case g.shapeUnknown || len(g.shapeMemo) != 0 || g.leafShape != nil:
 		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, %d memoized)", g.shapeUnknown, len(g.shapeMemo))
 	case g.nodeLimit != 0 || g.budgetDenied:

@@ -432,7 +432,7 @@ func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBu
 	rule := cr.rules[p.rule]
 	if rule.Reads.Pure() {
 		fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
-		if g.appliedFP[string(fpBuf)] {
+		if g.appliedFP.has(fpBuf, hashFingerprint(fpBuf)) {
 			return fpBuf
 		}
 	}
@@ -492,10 +492,7 @@ func sameRules(a, b []*Rule) bool {
 func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	opts = opts.withDefaults()
 	stats := Stats{Runs: 1}
-	if g.appliedFP == nil {
-		g.appliedFP = map[string]bool{}
-	}
-	applied := g.appliedFP
+	applied := &g.appliedFP
 	carry := g.satFixpoint && sameRules(g.satRules, rules)
 	g.satFixpoint = false
 	g.satRules = rules
@@ -568,12 +565,12 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 			}
 			rule := rules[p.rule]
 			pure := rule.Reads.Pure()
+			var fpHash uint32
 			if pure {
-				// Pure rules: one application per canonical match. The
-				// map probe uses the byte buffer directly (no string
-				// allocation unless the key is inserted).
+				// Pure rules: one application per canonical match.
 				fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
-				if applied[string(fpBuf)] {
+				fpHash = hashFingerprint(fpBuf)
+				if applied.has(fpBuf, fpHash) {
 					continue
 				}
 			}
@@ -612,7 +609,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				break
 			}
 			if pure {
-				applied[string(fpBuf)] = true
+				applied.add(fpBuf, fpHash)
 			}
 		}
 		g.Rebuild()
