@@ -288,11 +288,10 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 		gd:      gd,
 		rel:     ri.Clone(),
 		ctx:     mergedContext(gs, gd),
-		rules:   c.opts.Registry.Rules(), // materialized once per Check
 		order:   order,
 		gdOrder: gdOrder,
 	}
-	run.compiled = egraph.CompileRules(run.rules)
+	run.rules, run.compiled = c.opts.Registry.Compiled() // materialized once per registry
 	for _, in := range gs.Inputs {
 		if !run.rel.Has(in) {
 			return nil, nil, fmt.Errorf("core: input relation has no mapping for G_s input %q", gs.Tensor(in).Name)

@@ -67,10 +67,12 @@ type Registry struct {
 	// hands out. Saturation runs once per operator per frontier
 	// iteration; materializing the slice every call was measurable
 	// allocation churn, so it is built once and invalidated on
-	// Register. The same lock guards fpCache (Fingerprint).
-	rulesMu    sync.Mutex
-	rulesCache []*egraph.Rule
-	fpCache    string
+	// Register. The same lock guards fpCache (Fingerprint) and
+	// compiledCache (Compiled).
+	rulesMu       sync.Mutex
+	rulesCache    []*egraph.Rule
+	compiledCache *egraph.CompiledRules
+	fpCache       string
 }
 
 // NewRegistry returns an empty registry.
@@ -104,8 +106,8 @@ func (r *Registry) Register(l *Lemma) (*Lemma, error) {
 		r.byRule[rule.Name] = l
 	}
 	r.rulesMu.Lock()
-	r.rulesCache = nil // invalidate the flattened-rule cache
-	r.fpCache = ""     // and the registry fingerprint
+	r.rulesCache, r.compiledCache = nil, nil // invalidate the flattened-rule cache and its compilation
+	r.fpCache = ""                           // and the registry fingerprint
 	r.rulesMu.Unlock()
 	return l, nil
 }
@@ -139,6 +141,25 @@ func (r *Registry) ByName(name string) (*Lemma, bool) {
 func (r *Registry) Rules() []*egraph.Rule {
 	r.rulesMu.Lock()
 	defer r.rulesMu.Unlock()
+	return r.rulesLocked()
+}
+
+// Compiled returns Rules() together with the matchers' analysis of
+// exactly that slice (egraph.CompileRules), for SaturateOpts.Compiled.
+// The analysis numbers every LHS's variables and is read-only, so it is
+// built once per registry, not once per check; Register invalidates it
+// with the rules.
+func (r *Registry) Compiled() ([]*egraph.Rule, *egraph.CompiledRules) {
+	r.rulesMu.Lock()
+	defer r.rulesMu.Unlock()
+	rules := r.rulesLocked()
+	if r.compiledCache == nil {
+		r.compiledCache = egraph.CompileRules(rules)
+	}
+	return rules, r.compiledCache
+}
+
+func (r *Registry) rulesLocked() []*egraph.Rule {
 	if r.rulesCache == nil {
 		out := make([]*egraph.Rule, 0, len(r.lemmas)*2)
 		for _, l := range r.lemmas {
