@@ -71,3 +71,54 @@ func TestTrajectoryFlagsNeedOneExperiment(t *testing.T) {
 		t.Errorf("a refused run wrote %s (stat: %v)", path, err)
 	}
 }
+
+// TestGateClearsEachWorkloadByItsBestAttempt: a timing violation is a
+// workload's own, and one attempt in which that workload clears the
+// floor clears it — the gate used to want a single attempt in which
+// every workload did, and failed an unchanged tree when two workloads
+// took turns being slow. A workload slow in every attempt still fails,
+// and a count violation fails at once, without a re-measurement.
+func TestGateClearsEachWorkloadByItsBestAttempt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := appendTrajectory(path, []string{"baseline"}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { *baseline = "" }()
+	*baseline = path
+	// A point is the names of the workloads that are slow in that
+	// measurement; "count!" is a count violation.
+	compare := func(_, now []string) (string, map[string]string, []string) {
+		timing, counts := map[string]string{}, []string(nil)
+		for _, w := range now {
+			if w == "count!" {
+				counts = append(counts, "a count moved")
+			} else {
+				timing[w] = w + ": slow"
+			}
+		}
+		return "", timing, counts
+	}
+	for _, tc := range []struct {
+		name     string
+		attempts [][]string
+		measured int
+		ok       bool
+	}{
+		{"all clear at once", [][]string{{}}, 1, true},
+		{"two workloads take turns", [][]string{{"a"}, {"b"}, {"a", "b"}}, 2, true},
+		{"cleared on the last attempt", [][]string{{"a", "b"}, {"a"}, {"b"}}, 3, true},
+		{"one workload slow every time", [][]string{{"a", "b"}, {"a"}, {"a", "c"}}, 3, false},
+		{"a count fails at once", [][]string{{"a", "count!"}, {}}, 1, false},
+		{"a count in a re-measurement", [][]string{{"a"}, {"count!"}, {}}, 2, false},
+	} {
+		measured := 0
+		measure := func() (string, []string, error) {
+			measured++
+			return "", tc.attempts[measured-1], nil
+		}
+		_, err := gated(measure, compare)()
+		if (err == nil) != tc.ok || measured != tc.measured {
+			t.Errorf("%s: gate error %v after %d measurements, want ok=%t after %d", tc.name, err, measured, tc.ok, tc.measured)
+		}
+	}
+}

@@ -106,7 +106,7 @@ func Fuzz() (string, []FuzzPoint, error) {
 // every paper bug class must have come back. All three are counts of a
 // seeded campaign and repeat, so — unlike CompareSaturate's throughput —
 // none is worth re-measuring: the timing violations are always empty.
-func CompareFuzz(baseline, current []FuzzPoint) (report string, timing, counts []string) {
+func CompareFuzz(baseline, current []FuzzPoint) (report string, timing map[string]string, counts []string) {
 	if len(baseline) != 1 || baseline[0].Injected == 0 {
 		return "", nil, []string{"the baseline's last run is not a fuzz campaign"}
 	}

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,15 +61,39 @@ func saturateWorkloads() []Workload {
 	return out
 }
 
+// saturateCase is one measured point: a corpus model at a parallelism
+// degree and depth.
+type saturateCase struct {
+	name             string
+	w                Workload
+	parallel, layers int
+}
+
+// saturateCases is what `-exp saturate` measures: the corpus at its
+// Figure 3 configuration — e-graphs of at most a hundred nodes, under a
+// megabyte a check — and GPT at parallelism 8 with three layers, where
+// the end-to-end benchmark's cost sits: e-graphs of 700 nodes, which
+// outgrow what a recycled graph keeps.
+func saturateCases() []saturateCase {
+	var out, deep []saturateCase
+	for _, w := range saturateWorkloads() {
+		out = append(out, saturateCase{w.Name, w, 2, 1})
+		if w.Name == "GPT" {
+			deep = append(deep, saturateCase{"GPT-tp8-L3", w, 8, 3})
+		}
+	}
+	return append(out, deep...)
+}
+
 // Saturate measures the cold-check hot path on the saturation corpus.
 func Saturate() (string, []SaturatePoint, error) {
 	var out strings.Builder
-	fmt.Fprintln(&out, "Saturate: cold-check hot path (no cache, workers=1, parallelism 2, 1 layer)")
+	fmt.Fprintln(&out, "Saturate: cold-check hot path (no cache, workers=1; parallelism 2, 1 layer unless named otherwise)")
 	fmt.Fprintf(&out, "%-16s %6s %10s %10s %8s %9s %7s %11s %11s\n",
 		"model", "#ops", "cold", "checks/s", "iters", "matches", "apps", "allocs/chk", "MB/chk")
 	var points []SaturatePoint
-	for _, w := range saturateWorkloads() {
-		p, err := saturatePoint(w, 2, 1)
+	for _, c := range saturateCases() {
+		p, err := saturatePoint(c)
 		if err != nil {
 			return "", nil, err
 		}
@@ -88,8 +112,8 @@ func Saturate() (string, []SaturatePoint, error) {
 // and (for Llama) the HLO round trip happen once, outside the timed
 // region; each timed check re-runs the full wavefront walk, every
 // per-operator e-graph saturating from empty.
-func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
-	gs, gd, ri, err := w.graphs(parallel, layers)
+func saturatePoint(c saturateCase) (*SaturatePoint, error) {
+	gs, gd, ri, err := c.w.graphs(c.parallel, c.layers)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +124,7 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	// runs, so one sample suffices).
 	warm, err := checker.Check(gs, gd, ri)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %v", w.Name, err)
+		return nil, fmt.Errorf("%s: %v", c.name, err)
 	}
 
 	// Time enough checks to cover ~1s of wall clock (min 4), split
@@ -132,7 +156,7 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 		start := time.Now()
 		for i := 0; i < per; i++ {
 			if _, err := checker.Check(gs, gd, ri); err != nil {
-				return nil, fmt.Errorf("%s: %v", w.Name, err)
+				return nil, fmt.Errorf("%s: %v", c.name, err)
 			}
 		}
 		durs[b] = time.Since(start)
@@ -140,7 +164,7 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 	}
 	n = total
 	runtime.ReadMemStats(&after)
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	slices.Sort(durs)
 	med := durs[batches/2]
 
 	coldMS := msOf(med) / float64(per)
@@ -159,7 +183,7 @@ func saturatePoint(w Workload, parallel, layers int) (*SaturatePoint, error) {
 		apps += n
 	}
 	return &SaturatePoint{
-		Workload:       w.Name,
+		Workload:       c.name,
 		Ops:            gs.OperatorCount() + gd.OperatorCount(),
 		Checks:         n,
 		ColdMS:         coldMS,
@@ -196,11 +220,13 @@ const bytesSlack = 0.01
 // check must equal the baseline's (where it recorded them). It returns
 // a human-readable comparison plus the violations of each kind. A
 // throughput violation is a timing and may be a noisy neighbour, so the
-// caller re-measures before believing it; the others are counts — the
+// caller re-measures before believing it, workload by workload (slower
+// is keyed by workload); the others are counts — the
 // matcher offered rules work it used to withhold, a check allocates
 // what it used to recycle, a gate withheld a match that would have
 // fired in its turn — and are final.
-func CompareSaturate(baseline, current []SaturatePoint) (report string, slower, moreWork []string) {
+func CompareSaturate(baseline, current []SaturatePoint) (report string, slower map[string]string, moreWork []string) {
+	slower = map[string]string{}
 	base := map[string]SaturatePoint{}
 	for _, p := range baseline {
 		base[p.Workload] = p
@@ -217,9 +243,8 @@ func CompareSaturate(baseline, current []SaturatePoint) (report string, slower, 
 		ratio := p.ChecksPerSec / b.ChecksPerSec
 		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx %12d %12d %12.0f %12.0f\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio, b.Matches, p.Matches, b.BytesPerCheck/1024, p.BytesPerCheck/1024)
 		if ratio < 1-throughputTolerance {
-			slower = append(slower,
-				fmt.Sprintf("%s: cold throughput %.1f checks/s is %.0f%% of baseline %.1f (floor %.0f%%)",
-					p.Workload, p.ChecksPerSec, 100*ratio, b.ChecksPerSec, 100*(1-throughputTolerance)))
+			slower[p.Workload] = fmt.Sprintf("%s: cold throughput %.1f checks/s is %.0f%% of baseline %.1f (floor %.0f%%)",
+				p.Workload, p.ChecksPerSec, 100*ratio, b.ChecksPerSec, 100*(1-throughputTolerance))
 		}
 		if p.Matches > b.Matches {
 			moreWork = append(moreWork,

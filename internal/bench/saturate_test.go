@@ -29,7 +29,7 @@ func TestCompareSaturateGates(t *testing.T) {
 		{Workload: "new", ChecksPerSec: 100, Matches: 900, BytesPerCheck: 1e6}, // not in the baseline
 	}
 	_, slower, moreWork := CompareSaturate(base, now)
-	if len(slower) != 1 || slower[0][:2] != "b:" {
+	if len(slower) != 1 || slower["b"][:2] != "b:" {
 		t.Errorf("throughput violations = %q, want exactly workload b", slower)
 	}
 	if len(moreWork) != 4 || moreWork[0][:2] != "c:" || moreWork[1][:2] != "d:" || moreWork[2][:2] != "e:" || moreWork[3][:4] != "new:" {

@@ -13,10 +13,12 @@ import (
 // TestRecycledCheckAllocs is the allocation ratchet for the recycled
 // per-operator e-graph: one fixed operator of the zoo, checked over and
 // over on the graph its previous check released, must stay under the
-// ceilings (2,695 allocations and 219 KB a check since parent entries
-// became arena indexes and variadic rules declare their kid
-// requirements; 3,252 and 284 KB when recycling landed, when building
-// the graph anew each time took 3,456 and 484 KB).
+// ceilings (1,567 allocations and 64 KB a check since substitutions,
+// match records, class node lists, memo entries and the applied set
+// became pointer-free slabs the graph keeps; 2,695 and 219 KB before
+// that, when parent entries became arena indexes and variadic rules
+// declared their kid requirements; 3,252 and 284 KB when recycling
+// landed, when building the graph anew each time took 3,456 and 484 KB).
 // Both are exact counts, not timings, so the gate is safe in CI; a rise
 // means some scratch stopped surviving Release, or something new
 // allocates per check.
@@ -26,8 +28,8 @@ func TestRecycledCheckAllocs(t *testing.T) {
 	}
 	const (
 		label        = "L0/res2" // GPT, TP 2 + SP, one layer: 10 iterations
-		allocCeiling = 2_780
-		byteCeiling  = 232_000
+		allocCeiling = 1_620
+		byteCeiling  = 68_000
 	)
 	b, err := models.GPT(models.Options{TP: 2, SP: true})
 	if err != nil {

@@ -99,7 +99,10 @@ type opCount struct {
 type Class struct {
 	id                 ClassID
 	first, last, count int32
-	parents            []parentEntry
+	// parents lists the class's consumers; the first two entries live in
+	// the record (most classes never have a third).
+	parents    []parentEntry
+	parentsBuf [2]parentEntry
 
 	// ops counts this class's nodes per operator — what the matcher's
 	// kid-operator gates consult (index.go): a pattern whose kid i must
@@ -356,6 +359,9 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	bit := consumerBit(op)
 	for _, kid := range n.Kids {
 		kc := g.classes[g.Find(kid)]
+		if kc.parents == nil {
+			kc.parents = kc.parentsBuf[:0]
+		}
 		kc.parents = append(kc.parents, entry)
 		kc.consumers |= bit
 	}

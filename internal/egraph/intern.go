@@ -16,8 +16,8 @@ import (
 //
 // Head IDs are local to one life of one e-graph: Release clears the
 // interner, and the next life hands the IDs out afresh. Nodes read back
-// from a graph (via Class.Nodes, ParentsOf or Match.Node) carry that
-// life's head ID in an unexported field, so such a copy dies with the
+// from a graph (through NodesOf, EachParent or Match.Node) carry that
+// life's head ID in an unexported field, so a copy of one dies with the
 // graph's Release — inserting it into a different graph, or into the
 // same object after Release, is not supported, and under
 // InvariantChecks AddNode and Lookup panic on it (checkHead). Fresh

@@ -72,6 +72,21 @@ func (g *EGraph) CheckInvariants() error {
 		return fmt.Errorf("node arena holds %d nodes chained by %d links, the union-find %d slots", len(g.arena), len(g.next), len(g.parent))
 	}
 
+	// 4 (memo → arena direction), before anything probes the memo: an
+	// entry compares through the node it names.
+	var memoErr error
+	g.memo.each(func(e memoEntry) bool {
+		if e.node < 0 || int(e.node) >= len(g.arena) {
+			memoErr = fmt.Errorf("memo entry (head %d) names node %d, outside the arena's %d slots", e.head, e.node, len(g.arena))
+		} else if n := &g.arena[e.node]; n.head != e.head || memoHash(e.head, n.Kids) != e.hash {
+			memoErr = fmt.Errorf("memo entry (head %d, hash %x) names node %s, whose head is %d and hash %x", e.head, e.hash, n.key(), n.head, memoHash(n.head, n.Kids))
+		}
+		return memoErr == nil
+	})
+	if memoErr != nil {
+		return memoErr
+	}
+
 	total := 0
 	owner := make([]ClassID, len(g.arena)) // arena slot → the class whose chain holds it, +1
 	for i, cl := range g.classes {
@@ -164,18 +179,9 @@ func (g *EGraph) CheckInvariants() error {
 		return fmt.Errorf("nodeCount %d != chained-node total %d", g.nodeCount, total)
 	}
 
-	// 4 (memo → arena direction).
-	var memoErr error
+	// 4 (memo → class direction).
 	g.memo.each(func(e memoEntry) bool {
-		if e.node < 0 || int(e.node) >= len(g.arena) {
-			memoErr = fmt.Errorf("memo entry (head %d) names node %d, outside the arena's %d slots", e.head, e.node, len(g.arena))
-			return false
-		}
 		n := &g.arena[e.node]
-		if n.head != e.head || memoHash(e.head, n.Kids) != e.hash {
-			memoErr = fmt.Errorf("memo entry (head %d, hash %x) names node %s, whose head is %d and hash %x", e.head, e.hash, n.key(), n.head, memoHash(n.head, n.Kids))
-			return false
-		}
 		cl := g.classes[g.Find(ClassID(e.class))]
 		if cl == nil {
 			memoErr = fmt.Errorf("memo entry (head %d) points at dead class %d", e.head, e.class)

@@ -14,11 +14,21 @@ import (
 // small free list when one is there, and Release resets a graph and
 // puts it back. A reset graph is observably a fresh one — same class
 // IDs, same match order, same statistics. What it keeps is the capacity
-// of its scratch, each piece only up to a fixed size and with every
-// pointer into the life that ended cleared. Class records and their
-// node and parent lists are not kept: a slot that remembered the
-// largest list it ever held cost more resident memory than the
-// allocations it saved.
+// of its scratch, each piece only up to a fixed size. Scratch comes in
+// two kinds. What holds pointers — the node arena (nodes point at
+// attribute and kid slices), the class table and the first chunk of the
+// class slab (records point at parent lists), the interner — the
+// collector scans, so reset clears it: nothing of the life that ended
+// stays reachable. What holds none — the union-find and its per-slot
+// annotations, the node chains, the memo table, the match list, the
+// substitution slab, the e-matching stack, the applied-fingerprint set —
+// is truncated and left as it is (the two hash tables, which have to
+// read as empty, are zeroed — no write barriers, no scan): stale bytes
+// the next life overwrites, which cost nothing to keep but resident
+// memory, hence bounds in bytes for the pieces whose entries differ in
+// size. Parent lists are not
+// kept: a class slot that remembered the largest list it ever held cost
+// more resident memory than the allocations it saved.
 //
 // The list is package-level because graph lifetimes are shorter than
 // anything that could own it: the daemon builds a Checker per request,
@@ -35,11 +45,11 @@ import (
 const (
 	// keepSlots bounds everything that grows with the graph's classes
 	// and nodes: the per-class-slot arrays (union-find parent and rank,
-	// the class table, the mark/dist/consumed annotations, the clean-cost
-	// table: 41 bytes a slot together; the node arena: 112) with the maps
-	// a graph of that many classes fills (interner, shape memo, repair
-	// dedup); the hash-cons table (48-byte entries); the
-	// applied-fingerprint set; the class worklists.
+	// the class table, the node chain links, the mark/dist/consumed
+	// annotations, the clean-cost table: 45 bytes a slot together; the
+	// node arena: 112) with the maps a graph of that many classes fills
+	// (interner, shape memo, repair dedup); the hash-cons table (24-byte
+	// entries); the class worklists.
 	keepSlots = 1024
 	// keepMatchBytes bounds, each on its own, the three pieces that grow
 	// with the matches of one phase: the match list (16-byte entries), the

@@ -90,8 +90,8 @@ const (
 func ReadsBelow(levels int) Footprint { return Footprint{kind: readsBelow, levels: levels} }
 
 // ReadsConsumers declares a bare-variable rule whose Apply enumerates
-// the consumers of the matched class (EachParent, ParentsOf) and the
-// classes holding them.
+// the consumers of the matched class (EachParent) and the classes
+// holding them.
 func ReadsConsumers() Footprint { return Footprint{kind: readsConsumers} }
 
 // ReadsGraph declares no bound at all: Apply may read anything, so
@@ -300,7 +300,8 @@ func (r StopReason) String() string {
 
 // Stats reports what a saturation run did. Applications counts, per
 // rule name, the number of matches whose union changed the e-graph —
-// the quantity plotted in the paper's Figure 6 heatmap.
+// the quantity plotted in the paper's Figure 6 heatmap; Saturate leaves
+// it nil when no rule fired, and Merge makes the accumulator's.
 type Stats struct {
 	Iterations   int
 	Applications map[string]int
@@ -620,15 +621,11 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	}
 	g.fpBuf, g.todoBuf = fpBuf[:0], todo[:0]
 	g.satFixpoint = stats.Saturated
-	fired := 0
-	for _, n := range apps {
-		if n > 0 {
-			fired++
-		}
-	}
-	stats.Applications = make(map[string]int, fired)
 	for ri, n := range apps {
 		if n > 0 {
+			if stats.Applications == nil { // left nil by a run in which nothing fired
+				stats.Applications = map[string]int{}
+			}
 			stats.Applications[rules[ri].Name] += int(n)
 		}
 	}

@@ -8,7 +8,6 @@ package relation
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -139,7 +138,7 @@ func (r *Relation) Tensors() []graph.TensorID {
 		out = append(out, id)
 	}
 	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -186,7 +185,7 @@ func (r *Relation) GdLeaves(ids []graph.TensorID) []graph.TensorID {
 		}
 	}
 	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
