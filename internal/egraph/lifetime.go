@@ -26,9 +26,9 @@ import (
 // read as empty, are zeroed — no write barriers, no scan): stale bytes
 // the next life overwrites, which cost nothing to keep but resident
 // memory, hence bounds in bytes for the pieces whose entries differ in
-// size. Parent lists are not
-// kept: a class slot that remembered the largest list it ever held cost
-// more resident memory than the allocations it saved.
+// size. Parent lists are not kept: a class slot that remembered the
+// largest list it ever held cost more resident memory than the
+// allocations it saved.
 //
 // The list is package-level because graph lifetimes are shorter than
 // anything that could own it: the daemon builds a Checker per request,
