@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"entangle/internal/graph"
 	"entangle/internal/models"
 )
 
@@ -125,3 +126,21 @@ func TestRunBugBuildErrorSurfaces(t *testing.T) {
 }
 
 var errTest = fmt.Errorf("synthetic build failure")
+
+// TestZooGraphsValidate: every graph of the zoo — builder graphs,
+// autodiff's backward graphs, graphs re-read from HLO text — passes the
+// full Validate: shapes re-inferred, producer links, acyclicity. It is
+// what lets Builder.Build skip that work.
+func TestZooGraphsValidate(t *testing.T) {
+	for _, c := range Zoo() {
+		_, gs, gd, _, err := c.Graphs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*graph.Graph{gs, gd} {
+			if err := g.Validate(); err != nil {
+				t.Errorf("%s: %v", c.Name, err)
+			}
+		}
+	}
+}

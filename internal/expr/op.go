@@ -119,6 +119,24 @@ var opArity = map[Op]int{
 	OpAllReduce: -1, OpReduceScatter: -1, OpAllGather: -1,
 }
 
+// vocabulary is every known operator by its spelling.
+var vocabulary = func() map[string]Op {
+	m := make(map[string]Op, len(opArity))
+	for op := range opArity {
+		m[string(op)] = op
+	}
+	return m
+}()
+
+// OpOf returns the operator text spells: a known one without copying
+// text, so a decoder pays nothing per node for its operator names.
+func OpOf(text []byte) Op {
+	if op, ok := vocabulary[string(text)]; ok {
+		return op
+	}
+	return Op(text)
+}
+
 // Arity returns the operator's argument count (-1 when variadic) and
 // whether the operator is known.
 func Arity(op Op) (int, bool) {

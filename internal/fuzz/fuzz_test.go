@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"entangle/internal/det"
+	"entangle/internal/graph"
 )
 
 // ---------------------------------------------------------------------
@@ -296,5 +297,37 @@ func TestLoadCorpusRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadCorpus(dir); err == nil {
 		t.Fatal("malformed corpus file accepted")
+	}
+}
+
+// TestComposedGraphsValidate: the composer's graphs, correct and with
+// each defect class injected, pass the full Validate after Build — the
+// builder's by-construction validity, on the repository's most varied
+// builder user.
+func TestComposedGraphsValidate(t *testing.T) {
+	master := det.NewRNG(31)
+	for i := 0; i < 12; i++ {
+		p := RandomPlan(master, Families, 4)
+		cs, err := Compose(p, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		cases := []*Case{cs}
+		for _, cl := range Classes {
+			if cs.Sites[cl] > 0 {
+				injected, err := Compose(p, &Defect{Class: cl, Site: 0})
+				if err != nil {
+					t.Fatalf("%s with %s: %v", p, cl, err)
+				}
+				cases = append(cases, injected)
+			}
+		}
+		for _, c := range cases {
+			for _, g := range []*graph.Graph{c.Gs, c.Gd} {
+				if err := g.Validate(); err != nil {
+					t.Errorf("%s (defect %v): %v", p, c.Defect, err)
+				}
+			}
+		}
 	}
 }

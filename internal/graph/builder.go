@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"entangle/internal/expr"
 	"entangle/internal/shape"
@@ -21,6 +22,16 @@ type Builder struct {
 	// inShapes is MultiOp's view of its operands' shapes, reused from
 	// one node to the next (shape.Infer keeps none of it).
 	inShapes []shape.Shape
+	// The graph's tensors, nodes and their input and output ID lists are
+	// cut from these slabs. A slab that runs short is replaced, never
+	// grown in place, so nothing handed out moves.
+	tensors []Tensor
+	nodes   []Node
+	ids     []TensorID
+	// unnamed is one more than the last tensor declared without a name
+	// (0: none); madeUp marks the tensors whose names the builder made up.
+	unnamed TensorID
+	madeUp  map[TensorID]bool
 }
 
 // NewBuilder returns a builder for a graph with the given name.
@@ -30,6 +41,76 @@ func NewBuilder(name string, ctx *sym.Context) *Builder {
 
 // Ctx returns the symbolic context of the graph under construction.
 func (b *Builder) Ctx() *sym.Context { return b.g.Ctx }
+
+// Grow reserves room for tensors more tensors and nodes more nodes,
+// whose input and output lists hold ids tensor IDs between them, so a
+// caller that knows its graph's size up front (a decoder) has each cut
+// from one allocation.
+func (b *Builder) Grow(tensors, nodes, ids int) {
+	reserve(&b.tensors, tensors)
+	reserve(&b.nodes, nodes)
+	reserve(&b.ids, ids)
+	b.g.Tensors = slices.Grow(b.g.Tensors, tensors)
+	b.g.Nodes = slices.Grow(b.g.Nodes, nodes)
+	if len(b.g.byName) == 0 {
+		b.g.byName = make(map[string]TensorID, tensors)
+	}
+}
+
+// reserve makes room for n more elements in *slab.
+func reserve[T any](slab *[]T, n int) {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, n)
+	}
+}
+
+// take cuts n elements from *slab, first replacing a slab too short
+// for them with one twice its size (at least 16 elements). The result's
+// capacity is its length: an append to it cannot reach its neighbours.
+func take[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, 2*cap(s), 16))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// idList copies ids into the ID slab. An empty list stays as it was
+// given, nil or not, and keeps nothing of the caller's.
+func (b *Builder) idList(ids []TensorID) []TensorID {
+	if len(ids) == 0 {
+		if ids == nil {
+			return nil
+		}
+		return []TensorID{}
+	}
+	out := take(&b.ids, len(ids))
+	copy(out, ids)
+	return out
+}
+
+// declare notes that tensor id was declared with name.
+func (b *Builder) declare(name string, id TensorID) {
+	if name == "" {
+		if b.madeUp == nil {
+			b.madeUp = map[TensorID]bool{}
+		}
+		b.unnamed, b.madeUp[id] = id+1, true
+	}
+}
+
+// Declared resolves name as a document declaring the graph's tensors
+// means it — a decoder's one name table: the tensor declared with that
+// name, or for "" the last one declared without a name. A name the
+// builder made up for an unnamed tensor names nothing.
+func (b *Builder) Declared(name string) (TensorID, bool) {
+	if name == "" {
+		return b.unnamed - 1, b.unnamed > 0
+	}
+	id, ok := b.g.byName[name]
+	return id, ok && !b.madeUp[id]
+}
 
 // Err returns the first recorded error.
 func (b *Builder) Err() error { return b.err }
@@ -54,10 +135,11 @@ func (b *Builder) Input(name string, sh shape.Shape) TensorID {
 	if b.err != nil {
 		return 0
 	}
-	id, err := b.g.addTensor(name, sh, NoProducer, 0)
+	id, err := b.g.addTensorAt(&take(&b.tensors, 1)[0], name, sh, NoProducer, 0)
 	if err != nil {
 		return b.fail("%v", err)
 	}
+	b.declare(name, id)
 	b.g.Inputs = append(b.g.Inputs, id)
 	return id
 }
@@ -83,16 +165,37 @@ func (b *Builder) Op(op expr.Op, label, outName string, str string, ints []sym.E
 
 // MultiOp appends an operator node with len(outNames) outputs.
 func (b *Builder) MultiOp(op expr.Op, label string, outNames []string, str string, ints []sym.Expr, inputs ...TensorID) []TensorID {
+	n := b.addNode(op, label, outNames, str, ints, inputs)
+	if n == nil {
+		return nil
+	}
+	// Return a copy: callers routinely overwrite entries of the
+	// returned slice (x[r] = nextOp(...)), which must not reach the
+	// node's own output list.
+	return b.idList(n.Outputs)
+}
+
+// AddNode appends an operator node as MultiOp does, for a caller that
+// finds the outputs by name (Declared) and so needs no copy of their
+// IDs: a decoder. It returns the builder's first error.
+func (b *Builder) AddNode(op expr.Op, label string, outNames []string, str string, ints []sym.Expr, inputs []TensorID) error {
+	b.addNode(op, label, outNames, str, ints, inputs)
+	return b.err
+}
+
+// addNode is MultiOp returning the node itself (nil once the builder
+// has failed); the node's input list is a copy of inputs.
+func (b *Builder) addNode(op expr.Op, label string, outNames []string, str string, ints []sym.Expr, inputs []TensorID) *Node {
 	if b.err != nil {
 		return nil
 	}
 	b.inShapes = b.inShapes[:0]
 	for _, in := range inputs {
-		if int(in) < 0 || int(in) >= len(b.g.Tensors) {
+		if !b.g.hasTensor(in) {
 			b.fail("graph %s: op %s input %d missing", b.g.Name, op, in)
 			return nil
 		}
-		b.inShapes = append(b.inShapes, b.g.Tensor(in).Shape)
+		b.inShapes = append(b.inShapes, b.g.Tensors[in].Shape)
 	}
 	outShapes, err := shape.Infer(op, str, ints, b.inShapes, b.g.Ctx)
 	if err != nil {
@@ -107,26 +210,27 @@ func (b *Builder) MultiOp(op expr.Op, label string, outNames []string, str strin
 	if label == "" {
 		label = fmt.Sprintf("%s_%d", op, nid)
 	}
-	n := &Node{ID: nid, Op: op, Str: str, Ints: ints, Inputs: inputs, Label: label, Outputs: make([]TensorID, 0, len(outNames))}
-	for i, name := range outNames {
+	n := &take(&b.nodes, 1)[0]
+	*n = Node{ID: nid, Op: op, Str: str, Ints: ints, Inputs: b.idList(inputs), Label: label, Outputs: []TensorID{}}
+	if len(outNames) > 0 {
+		n.Outputs = take(&b.ids, len(outNames))
+	}
+	for i, declared := range outNames {
+		name := declared
 		if name == "" {
 			name = fmt.Sprintf("%s_out%d", label, b.auto)
 			b.auto++
 		}
-		tid, err := b.g.addTensor(name, outShapes[i], nid, i)
+		tid, err := b.g.addTensorAt(&take(&b.tensors, 1)[0], name, outShapes[i], nid, i)
 		if err != nil {
 			b.fail("%v", err)
 			return nil
 		}
-		n.Outputs = append(n.Outputs, tid)
+		b.declare(declared, tid)
+		n.Outputs[i] = tid
 	}
 	b.g.Nodes = append(b.g.Nodes, n)
-	// Return a copy: callers routinely overwrite entries of the
-	// returned slice (x[r] = nextOp(...)), which must not reach the
-	// node's own output list.
-	out := make([]TensorID, len(n.Outputs))
-	copy(out, n.Outputs)
-	return out
+	return n
 }
 
 // Convenience wrappers for common operators. Each takes a label used
@@ -260,12 +364,16 @@ func (b *Builder) AllGather(label string, dim int64, shards ...TensorID) []Tenso
 	return b.MultiOp(expr.OpAllGather, label, names, "", []sym.Expr{sym.Const(dim)}, shards...)
 }
 
-// Build validates and returns the constructed graph.
+// Build returns the constructed graph, or the first error recorded.
+// The graph is valid by construction — every node's inputs existed
+// before it, so the node list is a topological order, and its output
+// shapes are the ones shape.Infer gave — which leaves only the declared
+// outputs to check.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if err := b.g.Validate(); err != nil {
+	if err := b.g.checkOutputs(); err != nil {
 		return nil, err
 	}
 	return b.g, nil
@@ -281,5 +389,6 @@ func (b *Builder) MustBuild() *Graph {
 }
 
 // Graph exposes the partially built graph (used by strategies that
-// need to inspect shapes mid-construction).
+// need to inspect shapes mid-construction). It is for reading: an edit
+// through it voids what Build relies on.
 func (b *Builder) Graph() *Graph { return b.g }

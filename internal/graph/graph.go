@@ -96,6 +96,11 @@ func (g *Graph) TensorByName(name string) (*Tensor, bool) {
 
 // addTensor appends a tensor, enforcing name uniqueness.
 func (g *Graph) addTensor(name string, sh shape.Shape, prod NodeID, outIdx int) (TensorID, error) {
+	return g.addTensorAt(new(Tensor), name, sh, prod, outIdx)
+}
+
+// addTensorAt is addTensor with the tensor stored in t.
+func (g *Graph) addTensorAt(t *Tensor, name string, sh shape.Shape, prod NodeID, outIdx int) (TensorID, error) {
 	if name == "" {
 		name = fmt.Sprintf("t%d", len(g.Tensors))
 	}
@@ -103,7 +108,8 @@ func (g *Graph) addTensor(name string, sh shape.Shape, prod NodeID, outIdx int) 
 		return 0, fmt.Errorf("graph %s: duplicate tensor name %q", g.Name, name)
 	}
 	id := TensorID(len(g.Tensors))
-	g.Tensors = append(g.Tensors, &Tensor{ID: id, Name: name, Shape: sh, Producer: prod, OutIndex: outIdx})
+	*t = Tensor{ID: id, Name: name, Shape: sh, Producer: prod, OutIndex: outIdx}
+	g.Tensors = append(g.Tensors, t)
 	g.byName[name] = id
 	return id, nil
 }
@@ -192,14 +198,21 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 }
 
 // Validate checks structural invariants: tensor/node ID consistency,
-// producer links, acyclicity, and re-derivable output shapes.
+// references in range, producer links, acyclicity, and re-derivable
+// output shapes. A Builder's graph holds them by construction (Build
+// checks only its outputs); Validate is for graphs assembled or edited
+// outside one — Clone plus Append, autodiff, a model's re-appended
+// outputs.
 func (g *Graph) Validate() error {
 	for i, t := range g.Tensors {
 		if int(t.ID) != i {
 			return fmt.Errorf("graph %s: tensor %q has inconsistent id", g.Name, t.Name)
 		}
 		if t.Producer != NoProducer {
-			n := g.Node(t.Producer)
+			if !g.hasNode(t.Producer) {
+				return fmt.Errorf("graph %s: tensor %q produced by missing node %d", g.Name, t.Name, t.Producer)
+			}
+			n := g.Nodes[t.Producer]
 			if t.OutIndex >= len(n.Outputs) || n.Outputs[t.OutIndex] != t.ID {
 				return fmt.Errorf("graph %s: tensor %q producer link broken", g.Name, t.Name)
 			}
@@ -212,7 +225,10 @@ func (g *Graph) Validate() error {
 		}
 		inShapes = inShapes[:0]
 		for _, in := range n.Inputs {
-			inShapes = append(inShapes, g.Tensor(in).Shape)
+			if !g.hasTensor(in) {
+				return fmt.Errorf("graph %s: node %q references missing tensor %d", g.Name, n.Label, in)
+			}
+			inShapes = append(inShapes, g.Tensors[in].Shape)
 		}
 		outs, err := shape.Infer(n.Op, n.Str, n.Ints, inShapes, g.Ctx)
 		if err != nil {
@@ -222,18 +238,34 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph %s: node %q: %d inferred outputs, %d declared", g.Name, n.Label, len(outs), len(n.Outputs))
 		}
 		for j, out := range n.Outputs {
-			if !g.Tensor(out).Shape.Equal(outs[j], g.Ctx) {
+			if !g.hasTensor(out) {
+				return fmt.Errorf("graph %s: node %q output %d is missing tensor %d", g.Name, n.Label, j, out)
+			}
+			if !g.Tensors[out].Shape.Equal(outs[j], g.Ctx) {
 				return fmt.Errorf("graph %s: node %q output %d shape %s, inferred %s",
-					g.Name, n.Label, j, g.Tensor(out).Shape, outs[j])
+					g.Name, n.Label, j, g.Tensors[out].Shape, outs[j])
 			}
 		}
 	}
-	for _, o := range g.Outputs {
-		g.Tensor(o) // bounds check
+	if err := g.checkOutputs(); err != nil {
+		return err
 	}
 	_, err := g.TopoSort()
 	return err
 }
+
+// checkOutputs reports a graph output that names no tensor.
+func (g *Graph) checkOutputs() error {
+	for i, o := range g.Outputs {
+		if !g.hasTensor(o) {
+			return fmt.Errorf("graph %s: output %d is missing tensor %d", g.Name, i, o)
+		}
+	}
+	return nil
+}
+
+func (g *Graph) hasTensor(id TensorID) bool { return 0 <= id && int(id) < len(g.Tensors) }
+func (g *Graph) hasNode(id NodeID) bool     { return 0 <= id && int(id) < len(g.Nodes) }
 
 // OutputExpr returns the expression defining output outIdx of node n in
 // terms of n's input tensors as leaves. Collective kernels are

@@ -283,3 +283,38 @@ func TestAppend(t *testing.T) {
 		t.Fatal("duplicate name append must fail")
 	}
 }
+
+// TestValidateDanglingReferences: a reference to a tensor or node that
+// does not exist is an error from Validate, never a panic.
+func TestValidateDanglingReferences(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(g *Graph)
+		want string
+	}{
+		{"graph output", func(g *Graph) { g.Outputs = append(g.Outputs, 99) }, "output 1 is missing tensor 99"},
+		{"node input", func(g *Graph) { g.Nodes[1].Inputs[0] = 99 }, `node "matsub" references missing tensor 99`},
+		{"node output", func(g *Graph) {
+			g.Tensors[g.Nodes[0].Outputs[0]].Producer = NoProducer // so the producer links hold
+			g.Nodes[0].Outputs[0] = -1
+		}, `node "matmul" output 0 is missing tensor -1`},
+		{"producer", func(g *Graph) { g.Tensors[2].Producer = 7 }, "produced by missing node 7"},
+	} {
+		g := figure1Sequential(t).Clone()
+		c.edit(g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate says %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestBuildChecksOutputs: an output that names no tensor is Build's
+// error, as the builder's deferred-error contract has it.
+func TestBuildChecksOutputs(t *testing.T) {
+	b := NewBuilder("g", nil)
+	x := b.Input("x", shape.Of(4))
+	b.Output(b.Identity("id", x) + 5)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "output 0 is missing tensor 6") {
+		t.Fatalf("Build says %v", err)
+	}
+}

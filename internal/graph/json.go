@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"entangle/internal/expr"
 	"entangle/internal/jsonspan"
@@ -98,7 +101,16 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // anything after the graph object is an error.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	s := jsonspan.New(data)
-	var x spans
+	// The index is sized from counts over the text: a string holds two
+	// quotes and a member name is a string before a colon, so what is
+	// left bounds the strings the lists can hold; a tensor has a shape
+	// and a node an op. A text that fools a count costs a regrowth.
+	quotes, colons := bytes.Count(data, []byte{'"'}), bytes.Count(data, []byte{':'})
+	x := spans{
+		inputs: make([]tensorSpans, 0, bytes.Count(data, []byte(`"shape"`))),
+		nodes:  make([]nodeSpans, 0, bytes.Count(data, []byte(`"op"`))),
+		strs:   make([][]byte, 0, max(quotes/2-colons, 0)),
+	}
 	if err := x.graph(s); err != nil {
 		return err
 	}
@@ -248,7 +260,11 @@ func scalar(b []byte) (sym.Expr, error) {
 	return sym.Parse(string(b))
 }
 
-// build assembles and validates the graph the index describes.
+func (l list) len() int { return l.hi - l.lo }
+
+// build assembles the graph the index describes. The index knows the
+// graph's size, so its tensors, nodes, ID lists and scalars are each cut
+// from one allocation.
 func (x *spans) build() (*Graph, error) {
 	ctx := sym.NewContext()
 	for _, a := range x.assumptions {
@@ -262,52 +278,94 @@ func (x *spans) build() (*Graph, error) {
 		}
 		ctx.AssumeGE(lhs, rhs)
 	}
-	b := NewBuilder(string(x.name), ctx)
-	names := make(map[string]TensorID, len(x.inputs)+len(x.nodes))
+	tensors, ids, scalars, chars := len(x.inputs), 0, 0, len(x.name)
 	for _, in := range x.inputs {
-		sh := make(shape.Shape, 0, in.shape.hi-in.shape.lo)
-		for _, d := range x.strs[in.shape.lo:in.shape.hi] {
-			e, err := scalar(d)
-			if err != nil {
-				return nil, fmt.Errorf("graph json: input %q: %v", in.name, err)
-			}
-			sh = append(sh, e)
-		}
-		name := string(in.name)
-		names[name] = b.Input(name, sh)
+		scalars += in.shape.len()
+		chars += len(in.name)
 	}
+	for _, jn := range x.nodes {
+		tensors += jn.outputs.len()
+		ids += jn.inputs.len() + jn.outputs.len()
+		scalars += jn.ints.len()
+		chars += len(jn.label) + len(jn.str)
+		for _, name := range x.strs[jn.outputs.lo:jn.outputs.hi] {
+			chars += len(name)
+		}
+	}
+	// Every name, label and str the graph keeps is cut from one string.
+	var text strings.Builder
+	text.Grow(chars)
+	keep := func(b []byte) string {
+		start := text.Len()
+		text.Write(b)
+		return text.String()[start:]
+	}
+	b := NewBuilder(keep(x.name), ctx)
+	b.Grow(tensors, len(x.nodes), ids)
+	b.g.Inputs = slices.Grow(b.g.Inputs, len(x.inputs))
+	b.g.Outputs = slices.Grow(b.g.Outputs, x.outputs.len())
+	exprs := make([]sym.Expr, 0, scalars)
+	parse := func(l list) ([]sym.Expr, error) {
+		if l.len() == 0 {
+			return nil, nil
+		}
+		for _, s := range x.strs[l.lo:l.hi] {
+			e, err := scalar(s)
+			if err != nil {
+				return nil, err
+			}
+			exprs = append(exprs, e)
+		}
+		return exprs[len(exprs)-l.len() : len(exprs) : len(exprs)], nil
+	}
+
+	// Builder.Declared, without a string per name.
+	lookup := func(name []byte) (TensorID, bool) {
+		if len(name) == 0 {
+			return b.Declared("")
+		}
+		id, ok := b.g.byName[string(name)]
+		return id, ok && !b.madeUp[id]
+	}
+
+	for _, in := range x.inputs {
+		sh, err := parse(in.shape)
+		if err != nil {
+			return nil, fmt.Errorf("graph json: input %q: %v", in.name, err)
+		}
+		if sh == nil {
+			sh = shape.Shape{}
+		}
+		b.Input(keep(in.name), sh)
+	}
+	var inputs []TensorID
 	var outNames []string
 	for _, jn := range x.nodes {
-		var ints []sym.Expr
-		for _, a := range x.strs[jn.ints.lo:jn.ints.hi] {
-			e, err := scalar(a)
-			if err != nil {
-				return nil, fmt.Errorf("graph json: node %q attr: %v", jn.label, err)
-			}
-			ints = append(ints, e)
+		ints, err := parse(jn.ints)
+		if err != nil {
+			return nil, fmt.Errorf("graph json: node %q attr: %v", jn.label, err)
 		}
-		inputs := make([]TensorID, 0, jn.inputs.hi-jn.inputs.lo)
+		inputs = inputs[:0]
 		for _, name := range x.strs[jn.inputs.lo:jn.inputs.hi] {
-			id, ok := names[string(name)]
+			id, ok := lookup(name)
 			if !ok {
 				return nil, fmt.Errorf("graph json: node %q input %q undefined", jn.label, name)
 			}
 			inputs = append(inputs, id)
 		}
+		if inputs == nil {
+			inputs = []TensorID{}
+		}
 		outNames = outNames[:0]
 		for _, name := range x.strs[jn.outputs.lo:jn.outputs.hi] {
-			outNames = append(outNames, string(name))
+			outNames = append(outNames, keep(name))
 		}
-		outs := b.MultiOp(expr.Op(jn.op), string(jn.label), outNames, string(jn.str), ints, inputs...)
-		if b.Err() != nil {
-			return nil, b.Err()
-		}
-		for i, name := range outNames {
-			names[name] = outs[i]
+		if err := b.AddNode(expr.OpOf(jn.op), keep(jn.label), outNames, keep(jn.str), ints, inputs); err != nil {
+			return nil, err
 		}
 	}
 	for _, name := range x.strs[x.outputs.lo:x.outputs.hi] {
-		id, ok := names[string(name)]
+		id, ok := lookup(name)
 		if !ok {
 			return nil, fmt.Errorf("graph json: output %q undefined", name)
 		}

@@ -144,16 +144,15 @@ const maxLine = 1 << 20
 
 // parsedLine is one instruction before graph assembly.
 type parsedLine struct {
-	name   string
-	shape  shape.Shape
-	mn     string
-	lo, hi int // operands: parser.args[lo:hi]
-	ints   []sym.Expr
-	fn     string
-	out    int
-	label  string
-	param  int // ≥0 for parameters
+	name, mn, fn, label string
+	lo, hi              int32 // operands: parser.args[lo:hi]
+	shape, ints         span
+	out                 int
+	param               int // ≥0 for parameters
 }
+
+// span is the scalars parser.exprs[lo:hi].
+type span struct{ lo, hi int32 }
 
 // parser is one module being read: its instructions in order, their
 // operand names back to back. Everything it keeps of the text is a
@@ -164,6 +163,17 @@ type parser struct {
 	lines []parsedLine
 	args  []string
 	roots []string
+	// exprs holds every line's shape and attribute scalars back to back;
+	// the graph's shapes and attribute lists are cut from it.
+	exprs []sym.Expr
+}
+
+// scalars returns the scalars of s, nil for none.
+func (p *parser) scalars(s span) []sym.Expr {
+	if s.lo == s.hi {
+		return nil
+	}
+	return p.exprs[s.lo:s.hi:s.hi]
 }
 
 // Parse reads an HLO-flavoured module back into a graph.
@@ -175,9 +185,33 @@ func Parse(r io.Reader) (*graph.Graph, error) {
 	return ParseString(text.String())
 }
 
+// scalarCount bounds the scalars of a module's shapes and ints lists:
+// one per list and one per comma inside one.
+func scalarCount(src string) int {
+	n, depth := 0, 0
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '[', '{':
+			depth++
+			n++
+		case ']', '}':
+			depth--
+		case ',':
+			if depth > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // ParseString is Parse over a module already in memory.
 func ParseString(src string) (*graph.Graph, error) {
-	p := &parser{ctx: sym.NewContext(), lines: make([]parsedLine, 0, strings.Count(src, "\n")+1)}
+	// Every line is at most one instruction, and every operand is a %name
+	// that does not start a line.
+	p := &parser{ctx: sym.NewContext(), lines: make([]parsedLine, 0, strings.Count(src, "\n")+1),
+		args:  make([]string, 0, strings.Count(src, "%")-strings.Count(src, "\n%")),
+		exprs: make([]sym.Expr, 0, scalarCount(src))}
 	for lineNo := 1; src != ""; lineNo++ {
 		var line string
 		line, src, _ = strings.Cut(src, "\n")
@@ -225,7 +259,7 @@ func (p *parser) line(line string) error {
 }
 
 func (p *parser) instruction(line string) error {
-	pl := parsedLine{param: -1, out: -1, lo: len(p.args), hi: len(p.args)}
+	pl := parsedLine{param: -1, out: -1, lo: int32(len(p.args)), hi: int32(len(p.args))}
 	eq := strings.Index(line, " = ")
 	if eq < 0 {
 		return fmt.Errorf("missing '='")
@@ -240,7 +274,7 @@ func (p *parser) instruction(line string) error {
 		return fmt.Errorf("unterminated shape")
 	}
 	if dims := rest[len("f32["):close]; dims != "" {
-		pl.shape = make(shape.Shape, 0, strings.Count(dims, ",")+1)
+		pl.shape.lo = int32(len(p.exprs))
 		for more := true; more; {
 			var d string
 			d, dims, more = strings.Cut(dims, ",")
@@ -248,8 +282,9 @@ func (p *parser) instruction(line string) error {
 			if err != nil {
 				return err
 			}
-			pl.shape = append(pl.shape, e)
+			p.exprs = append(p.exprs, e)
 		}
+		pl.shape.hi = int32(len(p.exprs))
 	}
 	rest = strings.TrimSpace(rest[close+1:])
 	open := strings.IndexByte(rest, '(')
@@ -289,7 +324,7 @@ func (p *parser) instruction(line string) error {
 		}
 		p.args = append(p.args, a[1:])
 	}
-	pl.hi = len(p.args)
+	pl.hi = int32(len(p.args))
 	attrs := strings.TrimPrefix(strings.TrimSpace(rest[closeIdx+1:]), ",")
 	for attrs != "" {
 		var kv string
@@ -297,6 +332,9 @@ func (p *parser) instruction(line string) error {
 		switch {
 		case strings.HasPrefix(kv, "ints={"):
 			inner := strings.TrimSuffix(kv[len("ints={"):], "}")
+			if pl.ints.lo == pl.ints.hi { // a repeated ints= extends the first
+				pl.ints = span{int32(len(p.exprs)), int32(len(p.exprs))}
+			}
 			for more := inner != ""; more; {
 				var t string
 				t, inner, more = strings.Cut(inner, ",")
@@ -304,7 +342,8 @@ func (p *parser) instruction(line string) error {
 				if err != nil {
 					return err
 				}
-				pl.ints = append(pl.ints, e)
+				p.exprs = append(p.exprs, e)
+				pl.ints.hi = int32(len(p.exprs))
 			}
 		case strings.HasPrefix(kv, "fn="):
 			pl.fn = unquote(kv[len("fn="):])
@@ -362,7 +401,6 @@ func unquote(v string) string {
 
 func (p *parser) assemble() (*graph.Graph, error) {
 	b := graph.NewBuilder(p.name, p.ctx)
-	ids := make(map[string]graph.TensorID, len(p.lines))
 
 	// Parameters first, in declared order.
 	var params []*parsedLine
@@ -371,15 +409,20 @@ func (p *parser) assemble() (*graph.Graph, error) {
 			params = append(params, &p.lines[i])
 		}
 	}
+	// Every line is one tensor and at most one node, whose input list is
+	// its operands.
+	ops := len(p.lines) - len(params)
+	b.Grow(len(p.lines), ops, len(p.args)+ops)
 	slices.SortStableFunc(params, func(a, b *parsedLine) int { return cmp.Compare(a.param, b.param) })
 	for _, pl := range params {
-		ids[pl.name] = b.Input(pl.name, pl.shape)
+		b.Input(pl.name, p.scalars(pl.shape))
 	}
 
 	// A multi-output instruction appears once per output with out=N:
 	// consecutive lines with the same mnemonic and operands, up to the
 	// next out=0, are one node.
 	var outNames []string
+	var inputs []graph.TensorID
 	for i := 0; i < len(p.lines); i++ {
 		pl := &p.lines[i]
 		if pl.param >= 0 {
@@ -400,24 +443,20 @@ func (p *parser) assemble() (*graph.Graph, error) {
 				outNames = append(outNames, next.name)
 			}
 		}
-		inputs := make([]graph.TensorID, len(args))
-		for j, a := range args {
-			id, ok := ids[a]
+		inputs = inputs[:0]
+		for _, a := range args {
+			id, ok := b.Declared(a)
 			if !ok {
 				return nil, fmt.Errorf("hlo: %%%s references undefined %%%s", pl.name, a)
 			}
-			inputs[j] = id
+			inputs = append(inputs, id)
 		}
-		outs := b.MultiOp(op, pl.label, outNames, pl.fn, pl.ints, inputs...)
-		if b.Err() != nil {
-			return nil, b.Err()
-		}
-		for j, name := range outNames {
-			ids[name] = outs[j]
+		if err := b.AddNode(op, pl.label, outNames, pl.fn, p.scalars(pl.ints), inputs); err != nil {
+			return nil, err
 		}
 	}
 	for _, root := range p.roots {
-		id, ok := ids[root]
+		id, ok := b.Declared(root)
 		if !ok {
 			return nil, fmt.Errorf("hlo: ROOT references undefined %%%s", root)
 		}

@@ -165,6 +165,8 @@ func FuzzHLOParse(f *testing.F) {
 	f.Add("HloModule m\n// assume S-2 >= 0\n%x = f32[S,8] parameter(0)\n%y = f32[S,8] map(%x), fn=\"re\\\"lu\", label=\"a,{b\"\nROOT %r = tuple(%y)\n")
 	f.Add("%x0 = f32[4,8] parameter(1)\n%x1 = f32[4,8] parameter(0)\n%a = f32[2,8] reduce-scatter(%x0, %x1), ints={0}, out=0\n%b = f32[2,8] reduce-scatter(%x0, %x1), ints={0}, out=1\n")
 	f.Add("HloModule m\n%x f32[2] parameter(0)\n")
+	// An empty ints list, and one repeated: the second extends the first.
+	f.Add("%x = f32[4,8] parameter(0)\n%y = f32[4,8] copy(%x), ints={}\n%z = f32[2,8] slice(%y), ints={0,0}, ints={2}\nROOT %r = tuple(%z)\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ParseString(src)
 		if err != nil {

@@ -18,8 +18,10 @@ package jsonspan
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // maxDepth is encoding/json's bound on open containers.
@@ -161,6 +163,15 @@ func (s *Scanner) String() (val []byte, ok bool, err error) {
 	return val, err == nil, err
 }
 
+// Null consumes the next value when it is null, reporting whether it
+// was; any other value is left for the next read.
+func (s *Scanner) Null() (bool, error) {
+	if c, ok := s.next(); !ok || c != 'n' {
+		return false, nil
+	}
+	return true, s.word("null")
+}
+
 // Object reads an object, calling member with each member's unquoted
 // name, in order, the cursor before its value. A null is an object
 // without members.
@@ -297,22 +308,130 @@ func (s *Scanner) unquoted() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	body := lit[1 : len(lit)-1 : len(lit)-1]
 	if plain {
-		return lit[1 : len(lit)-1 : len(lit)-1], nil
+		return body, nil
 	}
-	var v string
-	if err := json.Unmarshal(lit, &v); err != nil {
-		return nil, err
+	var v bytes.Buffer
+	v.Grow(len(body))
+	unquote(&v, body)
+	return v.Bytes(), nil
+}
+
+// Text reads a string value into a string of its own: one copy, even
+// when the literal has escapes to resolve. A null reads as ok = false.
+func (s *Scanner) Text() (val string, ok bool, err error) {
+	if null, err := s.expect('"', "a string"); null || err != nil {
+		return "", false, err
 	}
-	return []byte(v), nil
+	lit, plain, err := s.literalString()
+	if err != nil {
+		return "", false, err
+	}
+	body := lit[1 : len(lit)-1]
+	if plain {
+		return string(body), true, nil
+	}
+	var v strings.Builder
+	v.Grow(len(body))
+	unquote(&v, body)
+	return v.String(), true, nil
+}
+
+// writer is what unquote writes to: a bytes.Buffer or strings.Builder.
+type writer interface {
+	Write([]byte) (int, error)
+	WriteByte(byte) error
+	WriteRune(rune) (int, error)
+}
+
+// unquote writes the value of a literal's body, which literalString
+// accepted, as encoding/json reads it: escapes resolved, and an escaped
+// lone surrogate and every byte of invalid UTF-8 read as U+FFFD.
+func unquote(w writer, body []byte) {
+	for len(body) > 0 {
+		r := 0
+		for r < len(body) && body[r] != '\\' {
+			if body[r] < utf8.RuneSelf {
+				r++
+				continue
+			}
+			rr, size := utf8.DecodeRune(body[r:])
+			if rr == utf8.RuneError && size == 1 {
+				break
+			}
+			r += size
+		}
+		w.Write(body[:r])
+		switch body = body[r:]; {
+		case len(body) == 0:
+		case body[0] != '\\':
+			w.WriteRune(utf8.RuneError)
+			body = body[1:]
+		case body[1] == 'u':
+			rr := hex4(body[2:])
+			body = body[6:]
+			if utf16.IsSurrogate(rr) && len(body) >= 6 && body[0] == '\\' && body[1] == 'u' {
+				if pair := utf16.DecodeRune(rr, hex4(body[2:])); pair != utf8.RuneError {
+					rr = pair
+					body = body[6:]
+				}
+			}
+			if utf16.IsSurrogate(rr) {
+				rr = utf8.RuneError
+			}
+			w.WriteRune(rr)
+		default:
+			w.WriteByte(escaped[body[1]])
+			body = body[2:]
+		}
+	}
+}
+
+// escaped maps the byte after a backslash to the byte it stands for.
+var escaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// hex4 reads the four hexadecimal digits literalString checked.
+func hex4(b []byte) rune {
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c <= 'F':
+			c -= 'A' - 10
+		default:
+			c -= 'a' - 10
+		}
+		r = r<<4 | rune(c)
+	}
+	return r
 }
 
 // literalString passes over the string literal the cursor rests on and
 // returns it, quotes included; plain means no escape and no byte
 // outside ASCII, so the value is the text between the quotes.
 func (s *Scanner) literalString() (lit []byte, plain bool, err error) {
+	i := s.pos + 1
+	// Most literals are plain up to the first quote, found at memchr
+	// speed. Otherwise the careful loop takes over at the first byte that
+	// is not plain — never back at a quote search per escape, which on a
+	// long text full of \n (an HLO module) would be quadratic.
+	if q := bytes.IndexByte(s.data[i:], '"'); q >= 0 {
+		run := s.data[i : i+q]
+		k := 0
+		for k < len(run) && ' ' <= run[k] && run[k] < utf8.RuneSelf && run[k] != '\\' {
+			k++
+		}
+		if k == len(run) {
+			lit = s.data[s.pos : i+q+1]
+			s.pos = i + q + 1
+			return lit, true, nil
+		}
+		i += k
+	}
 	plain = true
-	for i := s.pos + 1; i < len(s.data); i++ {
+	for ; i < len(s.data); i++ {
 		switch c := s.data[i]; {
 		case c == '"':
 			lit = s.data[s.pos : i+1]

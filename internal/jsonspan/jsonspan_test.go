@@ -87,3 +87,33 @@ func TestTypedReads(t *testing.T) {
 		t.Error("Field does not fold as encoding/json does")
 	}
 }
+
+// TestStringsReadAsJSONDoes: String and Text unquote every literal the
+// way json.Unmarshal into a string does — escapes, surrogate pairs and
+// lone halves, invalid UTF-8 — and Text's string is the same value.
+func TestStringsReadAsJSONDoes(t *testing.T) {
+	for _, lit := range []string{
+		`""`, `"plain"`, `"a\"b\\c\/d\b\f\n\r\t"`, `"é😀"`, `"é€"`, `"😀"`, `"\ud83d"`, `"\ud83dx"`,
+		`"\ude00\ud83d"`, `"\ud83dA"`, `"\ud83d😀"`, "\"\xff\xfe\"", "\"a\xed\xa0\x80b\"", "\"\xe2\x82\"",
+		`"line one\nline two\n` + strings.Repeat(`%x = f32[2] parameter(0)\n`, 50) + `"`,
+	} {
+		var want string
+		if err := json.Unmarshal([]byte(lit), &want); err != nil {
+			t.Fatalf("%q: %v", lit, err)
+		}
+		v, ok, err := New([]byte(lit)).String()
+		if err != nil || !ok || string(v) != want {
+			t.Errorf("String %q = %q, %v, %v; want %q", lit, v, ok, err, want)
+		}
+		text, ok, err := New([]byte(lit)).Text()
+		if err != nil || !ok || text != want {
+			t.Errorf("Text %q = %q, %v, %v; want %q", lit, text, ok, err, want)
+		}
+	}
+	if null, err := New([]byte(` null`)).Null(); !null || err != nil {
+		t.Errorf("Null over null: %v, %v", null, err)
+	}
+	if null, err := New([]byte(`"null"`)).Null(); null || err != nil {
+		t.Errorf(`Null over "null": %v, %v`, null, err)
+	}
+}

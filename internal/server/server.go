@@ -281,24 +281,25 @@ const bodyReserve = 1 << 20
 
 // decode reads a /v1/check body in one pass: a span scanner checks the
 // whole text and indexes the request object's members. The graphs stay
-// spans of body — decodeGraph reads them in place — and the small
-// members go through encoding/json on their own spans, in the order
-// they appear, so a repeated, null or mistyped one means what
-// json.Unmarshal into the struct makes it mean.
+// spans of body — decodeGraph reads them in place — the strings and the
+// relation are read by the scanner, and the flags go through
+// encoding/json on their own spans, in the order they appear, so a
+// repeated, null or mistyped member means what json.Unmarshal into the
+// struct makes it mean.
 func (req *CheckRequest) decode(body []byte) error {
 	s := jsonspan.New(body)
 	err := s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "format", "gs", "gd", "rel", "timeout", "keep_going", "verbose") {
 		case 0:
-			return small(s, &req.Format)
+			return text(s, &req.Format)
 		case 1:
 			return span(s, &req.Gs)
 		case 2:
 			return span(s, &req.Gd)
 		case 3:
-			return small(s, &req.Rel)
+			return rel(s, &req.Rel)
 		case 4:
-			return small(s, &req.Timeout)
+			return text(s, &req.Timeout)
 		case 5:
 			return small(s, &req.KeepGoing)
 		case 6:
@@ -319,7 +320,7 @@ func (req *RecheckRequest) decode(body []byte) error {
 	err := s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "format", "base", "candidates", "gd", "rel", "timeout") {
 		case 0:
-			return small(s, &req.Format)
+			return text(s, &req.Format)
 		case 1:
 			return span(s, &req.Base)
 		case 2:
@@ -331,9 +332,9 @@ func (req *RecheckRequest) decode(body []byte) error {
 		case 3:
 			return span(s, &req.Gd)
 		case 4:
-			return small(s, &req.Rel)
+			return rel(s, &req.Rel)
 		case 5:
-			return small(s, &req.Timeout)
+			return text(s, &req.Timeout)
 		}
 		return s.Skip()
 	})
@@ -347,6 +348,46 @@ func (req *RecheckRequest) decode(body []byte) error {
 func span(s *jsonspan.Scanner, dst *json.RawMessage) (err error) {
 	*dst, err = s.Span()
 	return err
+}
+
+// text reads a string member: a null leaves dst as it was.
+func text(s *jsonspan.Scanner, dst *string) error {
+	v, ok, err := s.Text()
+	if ok {
+		*dst = v
+	}
+	return err
+}
+
+// rel reads the relation member as json.Unmarshal reads it into a
+// map[string][]string: a null empties the map, an object adds its
+// members to the map a repeated member already made (a member named
+// twice keeps its last list), a null list is nil and an empty one is
+// not, a null in a list is "".
+func rel(s *jsonspan.Scanner, dst *map[string][]string) error {
+	if null, err := s.Null(); null || err != nil {
+		if null {
+			*dst = nil
+		}
+		return err
+	}
+	if *dst == nil {
+		*dst = map[string][]string{}
+	}
+	return s.Object(func(name []byte) error {
+		var exprs []string
+		null, err := s.Null()
+		if !null && err == nil {
+			exprs = []string{}
+			err = s.Array(func() error {
+				v, _, err := s.Text()
+				exprs = append(exprs, v)
+				return err
+			})
+		}
+		(*dst)[string(name)] = exprs
+		return err
+	})
 }
 
 // small decodes the next value into dst with encoding/json.
@@ -673,8 +714,8 @@ func decodeGraph(raw json.RawMessage, format string) (*graph.Graph, error) {
 		}
 		return g, nil
 	case "hlo":
-		var text string
-		if err := json.Unmarshal(raw, &text); err != nil {
+		text, _, err := jsonspan.New(raw).Text()
+		if err != nil {
 			return nil, fmt.Errorf("hlo graphs must be JSON strings: %v", err)
 		}
 		return hlo.ParseString(text)
