@@ -129,17 +129,14 @@ type sideKeys struct {
 	cones, keys []fingerprint.Hash
 }
 
-// newKeyDerivation indexes gd; sides carry keys when opts has a cache.
-func newKeyDerivation(gd *graph.Graph, opts *Options) (*keyDerivation, error) {
-	gdix, err := fingerprint.NewGdIndex(gd)
-	if err != nil {
-		return nil, err
-	}
-	kd := &keyDerivation{gdix: gdix}
+// newKeyDerivation indexes gd, of which gdOrder is a topological order;
+// sides carry keys when opts has a cache.
+func newKeyDerivation(gd *graph.Graph, gdOrder []*graph.Node, opts *Options) *keyDerivation {
+	kd := &keyDerivation{gdix: fingerprint.IndexGd(gd, gdOrder)}
 	if opts != nil && opts.Cache != nil {
 		kd.opts, kd.gdDigest = opts, fingerprint.GraphDigest(gd)
 	}
-	return kd, nil
+	return kd
 }
 
 // side derives gs's side; order must be a topological order of gs.

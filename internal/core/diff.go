@@ -44,10 +44,11 @@ import (
 // stale", "every changed-cone operator is re-checked") exhaustively at
 // bounded scopes against this exact code.
 func DiffPlan(oldGs *graph.Graph, oldRi *relation.Relation, newGs *graph.Graph, newRi *relation.Relation, gd *graph.Graph) (*Plan, error) {
-	kd, err := newKeyDerivation(gd, nil)
+	gdOrder, err := gd.TopoSort()
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: G_d: %v", err)
 	}
+	kd := newKeyDerivation(gd, gdOrder, nil)
 	old, err := kd.diffBase(oldGs, oldRi)
 	if err != nil {
 		return nil, err
