@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"entangle/internal/egraph"
+	"entangle/internal/expr"
 	"entangle/internal/graph"
 	"entangle/internal/lemmas"
 	"entangle/internal/models"
+	"entangle/internal/relation"
 	"entangle/internal/vcache"
 )
 
@@ -98,6 +100,58 @@ func TestCacheWarmAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d re-saturated: %+v", workers, warm.LiveStats)
 		}
 		assertReportsMatch(t, b, cold, warm)
+	}
+}
+
+// TestReplaySharesGdLeaves: four workers replaying a primed check race
+// to fill the run's table of G_d leaves, and every replayed mapping
+// still reads each G_d tensor through one *expr.Term. Under -race
+// (verify.sh's race stage) it is the table's concurrency test.
+func TestReplaySharesGdLeaves(t *testing.T) {
+	b, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := openCache(t)
+	reg := lemmas.Default()
+	if _, err := NewChecker(Options{Registry: reg, Cache: cache}).Check(b.Gs, b.Gd, b.Ri); err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	warm, err := NewChecker(Options{Registry: reg, Cache: cache, Workers: 4}).Check(b.Gs, b.Gd, b.Ri)
+	if err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	if int(warm.Cache.Hits) != warm.OpsProcessed {
+		t.Fatalf("warm hits %d, want one per operator (%d)", warm.Cache.Hits, warm.OpsProcessed)
+	}
+	leaves := map[int]*expr.Term{}
+	var walk func(m *expr.Term)
+	walk = func(m *expr.Term) {
+		if !m.IsLeaf() {
+			for _, a := range m.Args {
+				walk(a)
+			}
+			return
+		}
+		if !relation.IsGd(m.TID) {
+			return
+		}
+		if first, ok := leaves[m.TID]; ok && first != m {
+			t.Fatalf("G_d tensor %s is read through two leaf terms", m.Name)
+		}
+		leaves[m.TID] = m
+	}
+	// The operators' outputs are what replay decoded; the inputs' mappings
+	// are the caller's relation.
+	for _, n := range b.Gs.Nodes {
+		for _, out := range n.Outputs {
+			for _, m := range warm.FullRelation.Get(out) {
+				walk(m)
+			}
+		}
+	}
+	if len(leaves) == 0 {
+		t.Fatal("no replayed mapping reads a G_d tensor")
 	}
 }
 

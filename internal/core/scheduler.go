@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"entangle/internal/egraph"
@@ -135,6 +136,7 @@ func (r *runState) runSchedule(ctx context.Context, workers int, report *Report)
 	}
 	// Deterministic aggregation: fold the ledger in topo order, never in
 	// completion order.
+	report.Verdicts = slices.Grow(report.Verdicts, n)
 	for i := range s.ledger {
 		res := &s.ledger[i]
 		report.Stats.Merge(res.stats)

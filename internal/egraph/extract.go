@@ -149,7 +149,7 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 	}
 	g := v.g
 	cl := g.classes[g.Find(c)]
-	seen := map[string]bool{}
+	var seen expr.Distinct
 	var out []*expr.Term
 	for ni := cl.first; ni >= 0; ni = g.next[ni] {
 		n := &g.arena[ni]
@@ -174,12 +174,9 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 			}
 			t = &expr.Term{Op: n.Op, Str: n.Str, Ints: n.Ints, Args: args}
 		}
-		k := t.Key()
-		if seen[k] {
-			continue
+		if seen.Add(out, t) {
+			out = append(out, t)
 		}
-		seen[k] = true
-		out = append(out, t)
 	}
 	slices.SortStableFunc(out, func(a, b *expr.Term) int { return cmp.Compare(a.Size(), b.Size()) })
 	if limit > 0 && len(out) > limit {

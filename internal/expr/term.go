@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"entangle/internal/det"
 	"entangle/internal/sym"
 )
 
@@ -199,15 +200,91 @@ func (t *Term) writeKey(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
-// Equal reports structural equality.
+// Equal reports structural equality — exactly what equal Keys mean:
+// leaves by tensor ID (the name is display metadata), interior terms by
+// operator, string attribute, integer attributes (sym.Expr.Equal) and
+// arguments.
 func (t *Term) Equal(o *Term) bool {
 	if t == o {
 		return true
 	}
-	if t == nil || o == nil {
+	if t == nil || o == nil || t.IsLeaf() != o.IsLeaf() {
 		return false
 	}
-	return t.Key() == o.Key()
+	if t.IsLeaf() {
+		return t.TID == o.TID
+	}
+	if t.Op != o.Op || t.Str != o.Str || len(t.Ints) != len(o.Ints) || len(t.Args) != len(o.Args) {
+		return false
+	}
+	for i, e := range t.Ints {
+		if !e.Equal(o.Ints[i]) {
+			return false
+		}
+	}
+	for i, a := range t.Args {
+		if !a.Equal(o.Args[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Hash returns a structural hash consistent with Equal: Equal terms hash
+// equal. It narrows a search; Equal decides it.
+func (t *Term) Hash() uint64 {
+	if t.IsLeaf() {
+		return det.Mix(uint64(t.TID))
+	}
+	h := det.String(det.String(det.String(det.FNVOffset, string(t.Op)), "\x00"), t.Str)
+	for _, e := range t.Ints {
+		h = det.Mix(h ^ e.Hash())
+	}
+	h = det.Mix(h + uint64(len(t.Ints)))
+	for _, a := range t.Args {
+		h = det.Mix(h ^ a.Hash())
+	}
+	return h
+}
+
+// distinctScan is the longest list Distinct scans; past it, it indexes.
+const distinctScan = 8
+
+// Distinct deduplicates a growing list of terms under Equal without a
+// key string: it scans the list while the list is short and, once the
+// list outgrows distinctScan, indexes it by Hash. A zero Distinct is
+// ready, holds nothing of a short list, and may be handed any list —
+// it indexes one it finds already long.
+type Distinct struct {
+	byHash map[uint64][]*Term
+}
+
+// Add reports whether list, the terms admitted so far, has no term
+// Equal to t, and if so admits t: the caller adds it to the list.
+func (d *Distinct) Add(list []*Term, t *Term) bool {
+	if d.byHash == nil {
+		for _, u := range list {
+			if u.Equal(t) {
+				return false
+			}
+		}
+		if len(list) < distinctScan {
+			return true
+		}
+		d.byHash = make(map[uint64][]*Term, 2*len(list))
+		for _, u := range list {
+			h := u.Hash()
+			d.byHash[h] = append(d.byHash[h], u)
+		}
+	}
+	h := t.Hash()
+	for _, u := range d.byHash[h] {
+		if u.Equal(t) {
+			return false
+		}
+	}
+	d.byHash[h] = append(d.byHash[h], t)
+	return true
 }
 
 // String renders the term in the paper's notation, e.g.

@@ -408,32 +408,37 @@ func TestTermCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// A leaf is its space letter and a decimal id: every id an int holds
-// decodes to that id, and one more digit than an int holds is an error
-// (the cache then reads a miss), not a wrapped-around tensor.
+// A leaf is its space letter and a decimal id, spelled as CanonicalTerm
+// spells it: every id its space holds decodes to that id; one more digit
+// than an int holds is an error (the cache then reads a miss), not a
+// wrapped-around tensor; a leading zero, or an id that would land in the
+// other space, is an error too.
 func TestDecodeTermLeafIDs(t *testing.T) {
 	cases := []struct {
 		src string
-		tid int // decoded TID; -1 = error
+		tid int // decoded TID; -1 = overflow error, -2 = any other error
 	}{
 		{"s0", 0},
 		{"s7", 7},
-		{"s007", 7},
-		{"s1234567", 1234567},
+		{"s007", -2}, // 7 is spelled "7"
+		{"d00", -2},
+		{"s" + strconv.Itoa(relation.GdOffset-1), relation.GdOffset - 1}, // the largest G_s id
+		{"s" + strconv.Itoa(relation.GdOffset), -2},                      // is in the G_d space
 		{"d0", relation.GdOffset},
 		{"d42", relation.GdOffset + 42},
-		{"s99999999999999999999", -1},                      // overflows int
-		{"d99999999999999999999", -1},                      // in either space
-		{"(identity|||s99999999999999999999)", -1},         // and below an operator
-		{"s" + strconv.Itoa(math.MaxInt64), math.MaxInt64}, // the largest id is still an id
+		{"s99999999999999999999", -1},                                        // overflows int
+		{"d99999999999999999999", -1},                                        // in either space
+		{"(identity|||s99999999999999999999)", -1},                           // and below an operator
+		{"d" + strconv.Itoa(math.MaxInt64-relation.GdOffset), math.MaxInt64}, // the largest id is still an id
+		{"d" + strconv.Itoa(math.MaxInt64-relation.GdOffset+1), -2},          // one more has no TID
 	}
 	for _, c := range cases {
 		got, err := DecodeTerm(c.src, nil, nil)
 		switch {
 		case c.tid < 0:
 			if err == nil {
-				t.Errorf("DecodeTerm(%q) = %v, want an overflow error", c.src, got)
-			} else if !errors.Is(err, strconv.ErrRange) {
+				t.Errorf("DecodeTerm(%q) = %v, want an error", c.src, got)
+			} else if c.tid == -1 && !errors.Is(err, strconv.ErrRange) {
 				t.Errorf("DecodeTerm(%q): error %v does not wrap strconv.ErrRange", c.src, err)
 			}
 		case err != nil:

@@ -48,57 +48,64 @@ func GdTensorID(tid int) graph.TensorID { return graph.TensorID(tid - GdOffset) 
 // re-sorted or appended to by a concurrent Add. Terms themselves are
 // immutable and shared freely.
 type Relation struct {
-	mu   sync.RWMutex
-	m    map[graph.TensorID][]*expr.Term
-	keys map[graph.TensorID]map[string]bool
+	mu sync.RWMutex
+	m  map[graph.TensorID]mappings
+}
+
+// mappings is one tensor's list, simplest first, and what deduplicates
+// it.
+type mappings struct {
+	terms    []*expr.Term
+	distinct expr.Distinct
 }
 
 // New returns an empty relation.
 func New() *Relation {
-	return &Relation{m: map[graph.TensorID][]*expr.Term{}, keys: map[graph.TensorID]map[string]bool{}}
+	return &Relation{m: map[graph.TensorID]mappings{}}
 }
 
-// Add records a mapping for tensor id; duplicates (by structural key)
-// are ignored. It reports whether the mapping was new.
+// Add records a mapping for tensor id; duplicates (structurally Equal
+// terms) are ignored. It reports whether the mapping was new.
 func (r *Relation) Add(id graph.TensorID, t *expr.Term) bool {
 	if t == nil {
 		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.addLocked(id, t)
+	return r.addLocked(id, t, 1)
 }
 
 // AddAll records several mappings.
 func (r *Relation) AddAll(id graph.TensorID, ts []*expr.Term) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, t := range ts {
+	for i, t := range ts {
 		if t != nil {
-			r.addLocked(id, t)
+			r.addLocked(id, t, len(ts)-i)
 		}
 	}
 }
 
-// addLocked is Add under r.mu. The mapping list stays sorted
-// simplest-first with insertion order breaking ties: the new term goes
-// after the last one no larger than itself, which keeps list order
-// deterministic however callers interleave.
-func (r *Relation) addLocked(id graph.TensorID, t *expr.Term) bool {
-	k := t.Key()
-	if r.keys[id] == nil {
-		r.keys[id] = map[string]bool{}
-	}
-	if r.keys[id][k] {
+// addLocked is Add under r.mu, with room made for up to more terms
+// (t and those after it) when the list has to grow. The mapping list
+// stays sorted simplest-first with insertion order breaking ties: the
+// new term goes after the last one no larger than itself, which keeps
+// list order deterministic however callers interleave.
+func (r *Relation) addLocked(id graph.TensorID, t *expr.Term, more int) bool {
+	ms := r.m[id]
+	if !ms.distinct.Add(ms.terms, t) {
 		return false
 	}
-	r.keys[id][k] = true
-	lst, size := r.m[id], t.Size()
-	at := len(lst)
-	for at > 0 && lst[at-1].Size() > size {
+	size := t.Size()
+	at := len(ms.terms)
+	for at > 0 && ms.terms[at-1].Size() > size {
 		at--
 	}
-	r.m[id] = slices.Insert(lst, at, t)
+	if len(ms.terms) == cap(ms.terms) {
+		ms.terms = slices.Grow(ms.terms, more)
+	}
+	ms.terms = slices.Insert(ms.terms, at, t)
+	r.m[id] = ms
 	return true
 }
 
@@ -107,7 +114,7 @@ func (r *Relation) addLocked(id graph.TensorID, t *expr.Term) bool {
 func (r *Relation) Get(id graph.TensorID) []*expr.Term {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	lst := r.m[id]
+	lst := r.m[id].terms
 	if len(lst) == 0 {
 		return nil
 	}
@@ -120,7 +127,7 @@ func (r *Relation) Get(id graph.TensorID) []*expr.Term {
 func (r *Relation) Has(id graph.TensorID) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.m[id]) > 0
+	return len(r.m[id].terms) > 0
 }
 
 // Len returns the number of mapped tensors.
@@ -148,7 +155,7 @@ func (r *Relation) Complete(outputs []graph.TensorID) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, o := range outputs {
-		if len(r.m[o]) == 0 {
+		if len(r.m[o].terms) == 0 {
 			return false
 		}
 	}
@@ -163,7 +170,7 @@ func (r *Relation) GdLeaves(ids []graph.TensorID) []graph.TensorID {
 	seen := map[graph.TensorID]bool{}
 	var out []graph.TensorID
 	collect := func(id graph.TensorID) {
-		for _, t := range r.m[id] {
+		for _, t := range r.m[id].terms {
 			for _, leaf := range t.Leaves() {
 				if IsGd(leaf) {
 					gd := GdTensorID(leaf)
@@ -190,16 +197,20 @@ func (r *Relation) GdLeaves(ids []graph.TensorID) []graph.TensorID {
 }
 
 // Clone returns a deep-enough copy (terms are immutable and shared).
-func (r *Relation) Clone() *Relation {
-	n := New()
+func (r *Relation) Clone() *Relation { return r.CloneSized(0) }
+
+// CloneSized is Clone with room for the mappings of n tensors in all —
+// a run that will map every tensor of its graph never regrows the map.
+// The lists are already deduplicated and in order, so they are copied
+// as they stand; each copy's Distinct indexes it if it needs to.
+func (r *Relation) CloneSized(n int) *Relation {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for id, ts := range r.m {
-		for _, t := range ts {
-			n.addLocked(id, t)
-		}
+	c := &Relation{m: make(map[graph.TensorID]mappings, max(n, len(r.m)))}
+	for id, ms := range r.m {
+		c.m[id] = mappings{terms: slices.Clone(ms.terms)}
 	}
-	return n
+	return c
 }
 
 // Render formats the relation for humans, resolving G_s tensor names
@@ -212,7 +223,7 @@ func (r *Relation) Render(gs *graph.Graph) string {
 			name = gs.Tensor(id).Name
 		}
 		r.mu.RLock()
-		ts := append([]*expr.Term(nil), r.m[id]...)
+		ts := append([]*expr.Term(nil), r.m[id].terms...)
 		r.mu.RUnlock()
 		for _, t := range ts {
 			fmt.Fprintf(&b, "  %s = %s\n", name, t)

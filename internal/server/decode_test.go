@@ -3,13 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"entangle/internal/core"
 	"entangle/internal/exprparse"
 	"entangle/internal/fingerprint"
 	"entangle/internal/hlo"
 	"entangle/internal/models"
+	"entangle/internal/vcache"
 )
 
 // hloBody is requestBody with both graphs as HLO text.
@@ -113,11 +118,11 @@ func frontEnd(t testing.TB, body []byte) {
 }
 
 // TestFrontEndAllocs is the front end's allocation ratchet: a request's
-// way to its cache keys may not allocate more than 60% of what it did
-// when encoding/json reflected the graphs into structs, the HLO reader
-// sat behind a 1 MiB scanner buffer and the hasher wrote hex strings
-// through fmt (the counts at that commit: 3053 for the JSON body, 3897
-// for the HLO one).
+// way to its cache keys may allocate at most 10% more than it did once
+// graphs were built from per-graph slabs (414 for the JSON body, 497 for
+// the HLO one; 3053 and 3897 when encoding/json reflected the graphs
+// into structs, the HLO reader sat behind a 1 MiB scanner buffer and the
+// hasher wrote hex strings through fmt).
 func TestFrontEndAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -135,14 +140,117 @@ func TestFrontEndAllocs(t *testing.T) {
 		body    []byte
 		ceiling float64
 	}{
-		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 0.6 * 3053},
-		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 0.6 * 3897},
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 1.1 * 414},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 1.1 * 497},
 	} {
 		got := testing.AllocsPerRun(20, func() { frontEnd(t, c.body) })
 		t.Logf("%s: %.0f allocations per request", c.name, got)
 		if got > c.ceiling {
 			t.Errorf("%s: %.0f allocations per request, ceiling %.0f", c.name, got, c.ceiling)
 		}
+	}
+}
+
+// warmCheck is one /v1/check of body against s, through the handler,
+// answered 200.
+func warmCheck(t testing.TB, s *Server, body []byte) {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// primedServer is a daemon whose verdict cache has seen every body once.
+func primedServer(t testing.TB, bodies ...[]byte) *Server {
+	vc, err := vcache.Open(vcache.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Options: core.Options{Cache: vc}})
+	for _, body := range bodies {
+		warmCheck(t, s, body)
+	}
+	return s
+}
+
+// bytesPerRun is what one call of f allocates in bytes, averaged over
+// runs after a warm-up call — AllocsPerRun's measure, for bytes.
+func bytesPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWarmCheckAllocs is the warm path's allocation ratchet: a whole
+// /v1/check the cache has every verdict of — envelope, both graphs,
+// relation, keys, replay, response — may allocate no more than 65% of
+// the objects and 70% of the bytes it did before the graphs were built
+// from slabs and replay shared its leaves (the counts at that commit:
+// 1789 objects and 168,187 bytes for the JSON body, 1923 and 197,580
+// for the HLO one).
+func TestWarmCheckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	llama, err := models.Llama(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name         string
+		body         []byte
+		allocs, size float64 // at that commit
+	}{
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 1789, 168187},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 1923, 197580},
+	} {
+		s := primedServer(t, c.body)
+		check := func() { warmCheck(t, s, c.body) }
+		allocs, size := testing.AllocsPerRun(50, check), bytesPerRun(50, check)
+		t.Logf("%s: %.0f allocations, %.0f bytes per request", c.name, allocs, size)
+		if allocs > 0.65*c.allocs {
+			t.Errorf("%s: %.0f allocations per request, ceiling %.0f", c.name, allocs, 0.65*c.allocs)
+		}
+		if size > 0.70*c.size {
+			t.Errorf("%s: %.0f bytes per request, ceiling %.0f", c.name, size, 0.70*c.size)
+		}
+	}
+}
+
+func BenchmarkWarmCheck(b *testing.B) {
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	llama, err := models.Llama(models.Options{TP: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"GPT-JSON", requestBody(b, gpt, nil)},
+		{"Llama-HLO", hloBody(b, llama)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := primedServer(b, c.body)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				warmCheck(b, s, c.body)
+			}
+		})
 	}
 }
 

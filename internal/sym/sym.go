@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"entangle/internal/det"
 )
 
 // Symbol names a symbolic integer variable (e.g. a sequence length "S").
@@ -161,6 +163,17 @@ func (e Expr) Equal(o Expr) bool {
 		}
 	}
 	return true
+}
+
+// Hash returns a hash of e consistent with Equal: equal expressions
+// hash equal, whatever order their symbols were added in.
+func (e Expr) Hash() uint64 {
+	h := det.Mix(uint64(e.konst))
+	for s, c := range e.coeffs {
+		// A sum, so the map's order cannot show.
+		h += det.Mix(det.String(det.FNVOffset, string(s)) ^ det.Mix(uint64(c)))
+	}
+	return h
 }
 
 // Key returns a canonical string for use in hash-cons maps. Two

@@ -70,14 +70,17 @@ stage_race() {
 # vcache.DecodeEntry is stored or returned. The graph decoder and the
 # request envelope against their encoding/json references: same
 # verdict, same graph, same fields. The HLO reader: no panic, and what
-# it accepts survives Print -> Parse. The minimizer is capped so the ten
-# seconds go to new inputs; go test takes one -fuzz target per run.
+# it accepts survives Print -> Parse. A cached verdict's terms: no panic,
+# and what DecodeTerm accepts CanonicalTerm spells back byte for byte.
+# The minimizer is capped so the ten seconds go to new inputs; go test
+# takes one -fuzz target per run.
 stage_fuzz() {
     for target in \
         FuzzPeerFrames:./internal/server/ \
         FuzzCheckEnvelope:./internal/server/ \
         FuzzGraphDecode:./internal/graph/ \
-        FuzzHLOParse:./internal/hlo/
+        FuzzHLOParse:./internal/hlo/ \
+        FuzzTermDecode:./internal/fingerprint/
     do
         go test -run '^$' -fuzz="^${target%%:*}\$" -fuzztime=10s -fuzzminimizetime=1s "${target#*:}"
     done
