@@ -5,40 +5,37 @@ import (
 	"time"
 )
 
-// BreakerConfig tunes the per-peer circuit breaker.
-type BreakerConfig struct {
-	// FailThreshold is how many consecutive failures open the breaker
-	// (0 = DefaultFailThreshold).
-	FailThreshold int
-	// Cooldown is how long an open breaker refuses traffic before
-	// allowing one half-open probe (0 = DefaultCooldown).
-	Cooldown time.Duration
-}
-
+// The per-peer circuit breaker's two constants.
 const (
-	DefaultFailThreshold = 3
-	DefaultCooldown      = 5 * time.Second
+	breakerThreshold = 3               // consecutive failed calls that open it
+	breakerCooldown  = 5 * time.Second // how long it stays open before one probe
 )
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = DefaultFailThreshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	return c
+// Clock is the breakers' time seam: production reads the wall clock,
+// while tests and the simulator substitute their own — keeping the
+// package inside the determinism lint's contract (no direct wall-clock
+// reads on decision paths).
+type Clock interface {
+	Now() time.Time
+}
+
+// RealClock is the production Clock.
+type RealClock struct{}
+
+// Now returns the wall-clock time.
+func (RealClock) Now() time.Time {
+	//lint:ignore determinism the breaker cooldown is wall-clock by design; tests inject a fake Clock
+	return time.Now()
 }
 
 // breaker is one peer's circuit breaker: closed (traffic flows) →
-// open after FailThreshold consecutive failures (traffic skipped, the
-// caller degrades to its local path without paying a timeout) →
-// half-open after Cooldown (exactly one probe allowed) → closed again
-// on probe success, open on probe failure. Hammering a dead peer costs
-// a timeout per attempt per worker; the breaker caps that at one
-// timeout per cooldown window for the whole node.
+// open after breakerThreshold consecutive failed calls (traffic
+// skipped, the caller degrades to its local path without paying a
+// timeout) → half-open after breakerCooldown (exactly one probe
+// allowed) → closed again on probe success, open on probe failure.
+// Calling a dead peer costs a timeout per call; the breaker caps that
+// at one timeout per cooldown window for the whole node.
 type breaker struct {
-	cfg   BreakerConfig
 	clock Clock
 
 	mu        sync.Mutex
@@ -47,8 +44,8 @@ type breaker struct {
 	probing   bool      // a half-open probe is in flight
 }
 
-func newBreaker(cfg BreakerConfig, clock Clock) *breaker {
-	return &breaker{cfg: cfg.withDefaults(), clock: clock}
+func newBreaker(clock Clock) *breaker {
+	return &breaker{clock: clock}
 }
 
 // Allow reports whether a call to the peer may proceed. While open it
@@ -87,22 +84,22 @@ func (b *breaker) Failure() (reopened bool) {
 	defer b.mu.Unlock()
 	if b.probing {
 		b.probing = false
-		b.openUntil = b.clock.Now().Add(b.cfg.Cooldown)
+		b.openUntil = b.clock.Now().Add(breakerCooldown)
 		return true
 	}
 	if !b.openUntil.IsZero() {
 		return false // already open; late failures from in-flight calls don't extend it
 	}
 	b.failures++
-	if b.failures >= b.cfg.FailThreshold {
-		b.openUntil = b.clock.Now().Add(b.cfg.Cooldown)
+	if b.failures >= breakerThreshold {
+		b.openUntil = b.clock.Now().Add(breakerCooldown)
 		b.failures = 0
 	}
 	return false
 }
 
 // Open reports whether the breaker is currently refusing traffic
-// (stats only; racy by nature).
+// (tests only; racy by nature).
 func (b *breaker) Open() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
@@ -25,8 +24,8 @@ type CacheStats struct {
 	// "not found", so this node computes the verdict (and forwards it).
 	PeerMisses int64 `json:"peer_misses"`
 	// Degraded are Gets that fell back to a local cold check because
-	// the owner was unreachable, slow past the retry budget, behind an
-	// open breaker, or returned corrupt bytes. A degraded Get costs
+	// the owner was unreachable, slow past the client's timeout, behind
+	// an open breaker, or returned corrupt bytes. A degraded Get costs
 	// wall clock, never correctness.
 	Degraded int64 `json:"degraded"`
 	// Forwards and ForwardFailures count Put-side verdict forwarding
@@ -45,17 +44,9 @@ type CacheConfig struct {
 	// Local is this node's shard: the vcache holding self-owned keys,
 	// this node's own computed verdicts, and lazily warmed copies.
 	Local *vcache.Cache
-	// Client is the hardened peer caller.
+	// Client is the peer caller; it bounds each call with its Timeout.
 	Client *Client
-	// CallTimeout bounds one whole peer exchange — a batch fetch or a
-	// batch forward — including retries and backoff
-	// (0 = DefaultCallTimeout). VerdictStore's methods carry no
-	// context, so the bound lives here.
-	CallTimeout time.Duration
 }
-
-// DefaultCallTimeout bounds one whole peer exchange (all attempts).
-const DefaultCallTimeout = 10 * time.Second
 
 // maxQueuedForwards bounds the verdicts waiting for the forwarder. A
 // queued forward only pins an entry the local store already holds, so
@@ -72,13 +63,13 @@ const maxQueuedForwards = 4096
 // peer replies are validated by vcache.DecodeEntry, and anything
 // doubtful is a miss. Safe for concurrent use.
 type Cache struct {
-	ms      *Membership
-	local   *vcache.Cache
-	client  *Client
-	timeout time.Duration
+	ms     *Membership
+	local  *vcache.Cache
+	client *Client
 
-	// base is the lifecycle context for peer calls; Close cancels it,
-	// failing in-flight and future calls fast (they degrade locally).
+	// base is the lifecycle context for peer calls (VerdictStore's
+	// methods carry none); Close cancels it, failing in-flight and
+	// future calls fast (they degrade locally).
 	base   context.Context
 	cancel context.CancelFunc
 
@@ -110,18 +101,14 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.Membership == nil || cfg.Local == nil || cfg.Client == nil {
 		return nil, fmt.Errorf("cluster: cache needs membership, local store, and client")
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = DefaultCallTimeout
-	}
 	base, cancel := context.WithCancel(context.Background())
 	c := &Cache{
-		ms:      cfg.Membership,
-		local:   cfg.Local,
-		client:  cfg.Client,
-		timeout: cfg.CallTimeout,
-		base:    base,
-		cancel:  cancel,
-		wake:    make(chan struct{}, 1),
+		ms:     cfg.Membership,
+		local:  cfg.Local,
+		client: cfg.Client,
+		base:   base,
+		cancel: cancel,
+		wake:   make(chan struct{}, 1),
 	}
 	c.forwarder.Add(1)
 	go c.forwardLoop()
@@ -177,8 +164,8 @@ func (c *Cache) Get(key fingerprint.Hash) *vcache.Entry {
 //  1. Local store first — self-owned keys, own computed verdicts, and
 //     previously warmed copies all answer without network traffic.
 //  2. The keys left over are grouped by rendezvous owner and each
-//     owner is asked once, all owners concurrently, under the retry
-//     policy. A valid entry is stored locally (lazy warm-up) and
+//     owner is asked once, all owners concurrently, in one call
+//     each. A valid entry is stored locally (lazy warm-up) and
 //     returned; an authoritative miss is nil (the checker computes the
 //     verdict, and Put forwards it to the owner); any failure —
 //     timeout, refusal, open breaker, corrupt bytes — degrades to nil,
@@ -229,9 +216,7 @@ func (c *Cache) fetchFrom(owner Member, keys []fingerprint.Hash, at []int, out [
 	for j, i := range at {
 		want[j] = keys[i]
 	}
-	ctx, cancel := context.WithTimeout(c.base, c.timeout)
-	defer cancel()
-	for j, got := range c.client.FetchMany(ctx, owner, want) {
+	for j, got := range c.client.FetchMany(c.base, owner, want) {
 		switch {
 		case got.Err == nil:
 			c.peerHits.Add(1)
@@ -344,9 +329,7 @@ func (c *Cache) sendForwards(batch []forward) {
 			c.forwardFailures.Add(int64(len(keys)))
 			continue
 		}
-		ctx, cancel := context.WithTimeout(c.base, c.timeout)
-		errs := c.client.OfferMany(ctx, owner, keys, entries)
-		cancel()
+		errs := c.client.OfferMany(c.base, owner, keys, entries)
 		for _, err := range errs {
 			if err != nil {
 				c.forwardFailures.Add(1) // counted, not fatal, as in Put

@@ -5,99 +5,38 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
-	"entangle/internal/det"
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
 )
-
-// RetryPolicy bounds how hard the client tries to reach a peer before
-// degrading. Every remote interaction is governed by one: per-attempt
-// timeouts keep a slow link from stalling a worker, bounded attempts
-// keep a dead peer from consuming unbounded wall clock, and capped
-// exponential backoff with deterministic seeded jitter spaces the
-// attempts without synchronizing retry storms across workers.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (0 = DefaultAttempts).
-	Attempts int
-	// AttemptTimeout bounds each individual try
-	// (0 = DefaultAttemptTimeout).
-	AttemptTimeout time.Duration
-	// BackoffBase is the delay before the second attempt; it doubles
-	// per attempt (0 = DefaultBackoffBase).
-	BackoffBase time.Duration
-	// BackoffCap caps the grown delay (0 = DefaultBackoffCap).
-	BackoffCap time.Duration
-	// JitterSeed drives the deterministic jitter hash. Two clients
-	// with the same seed back off identically for the same (peer, key,
-	// attempt) — reproducible under test, decorrelated across distinct
-	// keys in production.
-	JitterSeed uint64
-}
-
-const (
-	DefaultAttempts       = 3
-	DefaultAttemptTimeout = 2 * time.Second
-	DefaultBackoffBase    = 50 * time.Millisecond
-	DefaultBackoffCap     = 2 * time.Second
-)
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = DefaultAttempts
-	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = DefaultAttemptTimeout
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = DefaultBackoffBase
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = DefaultBackoffCap
-	}
-	return p
-}
-
-// backoff returns the pause before attempt (1-based: the pause taken
-// after attempt failures), with the exponential growth capped and the
-// result jittered into [half, full] by a pure hash of (seed, label,
-// attempt) — no shared rand state, no lock, schedule-independent.
-func (p RetryPolicy) backoff(label string, attempt int) time.Duration {
-	d := p.BackoffBase << (attempt - 1)
-	if d > p.BackoffCap || d <= 0 {
-		d = p.BackoffCap
-	}
-	// Jitter in [0.5, 1.0): splitmix64 over (seed, label, attempt).
-	u := det.Unit(det.Mix(det.String(p.JitterSeed, label) ^ uint64(attempt)))
-	return time.Duration(float64(d) * (0.5 + 0.5*u))
-}
 
 // ClientStats counts the client's peer traffic. Every field but
 // RoundTrips counts verdicts (keys), however many shared a call, so
 // keys per round trip is (fetches + offers) / RoundTrips. All fields
 // are monotone; Stats returns a plain copy.
 type ClientStats struct {
-	FetchHits      int64 `json:"fetch_hits"`      // fetches that returned a valid entry
-	FetchMisses    int64 `json:"fetch_misses"`    // authoritative peer misses (ErrNotFound)
-	FetchFailures  int64 `json:"fetch_failures"`  // fetches abandoned after retries/breaker
-	FetchCorrupt   int64 `json:"fetch_corrupt"`   // replies rejected by DecodeEntry
-	Offers         int64 `json:"offers"`          // successful verdict forwards
-	OfferFailures  int64 `json:"offer_failures"`  // forwards abandoned after retries/breaker
-	Retries        int64 `json:"retries"`         // extra attempts beyond the first
+	FetchHits     int64 `json:"fetch_hits"`     // fetches that returned a valid entry
+	FetchMisses   int64 `json:"fetch_misses"`   // authoritative peer misses (ErrNotFound)
+	FetchFailures int64 `json:"fetch_failures"` // fetches lost to a failed call, an open breaker or a corrupt frame
+	FetchCorrupt  int64 `json:"fetch_corrupt"`  // replies rejected by DecodeEntry
+	Offers        int64 `json:"offers"`         // successful verdict forwards
+	OfferFailures int64 `json:"offer_failures"` // forwards lost to a failed call, an open breaker or a refusal
+	// Retries is always 0: a call makes one attempt. The field stays
+	// until the stats types are merged (ROADMAP item 1(b)), so /v1/stats
+	// and the benchmark keep their shape.
+	Retries        int64 `json:"retries"`
 	BreakerSkips   int64 `json:"breaker_skips"`   // calls skipped by an open breaker
 	BreakerReopens int64 `json:"breaker_reopens"` // failed half-open probes
-	RoundTrips     int64 `json:"round_trips"`     // batch calls the transport carried, retries included
+	RoundTrips     int64 `json:"round_trips"`     // batch calls the transport carried
 }
 
-// Client is the hardened peer caller: Transport plus retry policy,
-// backoff, and per-peer circuit breakers. Safe for concurrent use.
+// Client is the peer caller: Transport plus a per-call timeout and
+// per-peer circuit breakers. Safe for concurrent use.
 type Client struct {
 	transport Transport
-	policy    RetryPolicy
-	breaker   BreakerConfig
+	timeout   time.Duration
 	clock     Clock
 
 	mu       sync.Mutex
@@ -112,21 +51,27 @@ type Client struct {
 // ClientConfig assembles a Client.
 type ClientConfig struct {
 	Transport Transport
-	Policy    RetryPolicy
-	Breaker   BreakerConfig
-	// Clock is the time seam (nil = RealClock).
+	// Timeout bounds one peer call, a batch fetch or a batch offer
+	// (0 = DefaultTimeout).
+	Timeout time.Duration
+	// Clock is the breakers' time seam (nil = RealClock).
 	Clock Clock
 }
 
+// DefaultTimeout bounds one peer call.
+const DefaultTimeout = 2 * time.Second
+
 // NewClient builds a client.
 func NewClient(cfg ClientConfig) *Client {
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = DefaultTimeout
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock{}
 	}
 	return &Client{
 		transport: cfg.Transport,
-		policy:    cfg.Policy.withDefaults(),
-		breaker:   cfg.Breaker,
+		timeout:   cfg.Timeout,
 		clock:     cfg.Clock,
 		breakers:  map[string]*breaker{},
 	}
@@ -151,52 +96,33 @@ func (c *Client) peerBreaker(peer Member) *breaker {
 	defer c.mu.Unlock()
 	b, ok := c.breakers[peer.ID]
 	if !ok {
-		b = newBreaker(c.breaker, c.clock)
+		b = newBreaker(c.clock)
 		c.breakers[peer.ID] = b
 	}
 	return b
 }
 
-// BreakerOpen reports whether the peer's breaker is currently open
-// (stats/debugging).
-func (c *Client) BreakerOpen(peer Member) bool {
-	return c.peerBreaker(peer).Open()
-}
-
 // errBreakerOpen distinguishes breaker skips from transport failures.
 var errBreakerOpen = errors.New("cluster: breaker open")
 
-// call runs op against peer under the retry policy: per-attempt
-// timeout, capped jittered backoff between attempts, breaker
-// accounting around the whole exchange. One call is one batch: the
-// peer's circuit breaker and the retry budget see round trips, not
-// keys. A context already cancelled or expiring mid-backoff aborts
-// without burning remaining attempts.
-func (c *Client) call(ctx context.Context, peer Member, label string, op func(context.Context) error) error {
+// call runs op against peer once, under the client's timeout, with the
+// peer's circuit breaker around it. One call is one batch: the breaker
+// sees round trips, not keys. A failed call is not retried — its keys
+// degrade to the local path, which a second attempt at an unreachable
+// peer could only delay.
+func (c *Client) call(ctx context.Context, peer Member, op func(context.Context) error) error {
 	br := c.peerBreaker(peer)
 	if !br.Allow() {
 		c.count(func(s *ClientStats) { s.BreakerSkips++ })
 		return errBreakerOpen
 	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		attemptCtx, cancel := context.WithTimeout(ctx, c.policy.AttemptTimeout)
-		err = op(attemptCtx)
-		cancel()
-		c.count(func(s *ClientStats) { s.RoundTrips++ })
-		if err == nil {
-			br.Success()
-			return nil
-		}
-		if ctx.Err() != nil || attempt >= c.policy.Attempts {
-			break
-		}
-		c.count(func(s *ClientStats) { s.Retries++ })
-		if serr := c.clock.Sleep(ctx, c.policy.backoff(label+"#"+strconv.Itoa(attempt), attempt)); serr != nil {
-			break
-		}
-	}
-	if br.Failure() {
+	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	err := op(ctx)
+	cancel()
+	c.count(func(s *ClientStats) { s.RoundTrips++ })
+	if err == nil {
+		br.Success()
+	} else if br.Failure() {
 		c.count(func(s *ClientStats) { s.BreakerReopens++ })
 	}
 	return err
@@ -227,7 +153,7 @@ func (c *Client) FetchMany(ctx context.Context, peer Member, keys []fingerprint.
 
 func (c *Client) fetchBatch(ctx context.Context, peer Member, keys []fingerprint.Hash, out []Fetched) {
 	var frames []Frame
-	err := c.call(ctx, peer, batchLabel("fetch", peer, keys[0], len(keys)), func(ctx context.Context) error {
+	err := c.call(ctx, peer, func(ctx context.Context) error {
 		var err error
 		frames, err = c.transport.FetchMany(ctx, peer, keys)
 		if err == nil && len(frames) != len(keys) {
@@ -291,7 +217,7 @@ func (c *Client) OfferMany(ctx context.Context, peer Member, keys []fingerprint.
 			return
 		}
 		var refused []fingerprint.Hash
-		err := c.call(ctx, peer, batchLabel("offer", peer, frames[0].Key, len(frames)), func(ctx context.Context) error {
+		err := c.call(ctx, peer, func(ctx context.Context) error {
 			var err error
 			refused, err = c.transport.OfferMany(ctx, peer, frames)
 			return err
@@ -334,9 +260,4 @@ func (c *Client) OfferMany(ctx context.Context, peer Member, keys []fingerprint.
 // Offer is OfferMany for one entry.
 func (c *Client) Offer(ctx context.Context, peer Member, key fingerprint.Hash, e *vcache.Entry) error {
 	return c.OfferMany(ctx, peer, []fingerprint.Hash{key}, []*vcache.Entry{e})[0]
-}
-
-// batchLabel names one batch call for the backoff jitter hash.
-func batchLabel(verb string, peer Member, first fingerprint.Hash, n int) string {
-	return verb + "/" + peer.ID + "/" + first.Hex() + "+" + strconv.Itoa(n)
 }

@@ -112,38 +112,7 @@ func TestOwnerProperties(t *testing.T) {
 	}
 }
 
-func TestBackoffDeterministicCappedJittered(t *testing.T) {
-	p := RetryPolicy{BackoffBase: 100 * time.Millisecond, BackoffCap: 1 * time.Second, JitterSeed: 7}.withDefaults()
-	for attempt := 1; attempt <= 12; attempt++ {
-		d1 := p.backoff("fetch/n1/abc", attempt)
-		d2 := p.backoff("fetch/n1/abc", attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
-		}
-		if d1 > p.BackoffCap {
-			t.Fatalf("attempt %d: backoff %v exceeds cap %v", attempt, d1, p.BackoffCap)
-		}
-		uncapped := p.BackoffBase << (attempt - 1)
-		limit := uncapped
-		if limit > p.BackoffCap || limit <= 0 {
-			limit = p.BackoffCap
-		}
-		if d1 < limit/2 {
-			t.Fatalf("attempt %d: backoff %v below jitter floor %v", attempt, d1, limit/2)
-		}
-	}
-	for i, want := range []time.Duration{78637036, 195072808, 221981271, 611435602, 617876928} {
-		if got := p.backoff("fetch/n1/abc", i+1); got != want {
-			t.Errorf("attempt %d: jitter moved: %d, pinned %d", i+1, got, want)
-		}
-	}
-	if p.backoff("fetch/n1/abc#1", 1) == p.backoff("fetch/n2/abc#1", 1) {
-		t.Error("distinct labels produced identical jitter (suspicious)")
-	}
-}
-
-// fakeClock advances instantly: Sleep never blocks, Now moves only
-// when the test says so.
+// fakeClock moves only when the test says so.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -155,13 +124,6 @@ func (c *fakeClock) Now() time.Time {
 	return c.now
 }
 
-func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return nil
-}
-
 func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
@@ -170,9 +132,9 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
-	b := newBreaker(BreakerConfig{FailThreshold: 3, Cooldown: time.Minute}, clock)
+	b := newBreaker(clock)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		if !b.Allow() {
 			t.Fatalf("failure %d: breaker opened early", i)
 		}
@@ -181,11 +143,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("breaker still closed after threshold failures")
 	}
-	clock.advance(30 * time.Second)
+	clock.advance(breakerCooldown / 2)
 	if b.Allow() {
 		t.Fatal("breaker admitted traffic mid-cooldown")
 	}
-	clock.advance(31 * time.Second)
+	clock.advance(breakerCooldown / 2)
 	if !b.Allow() {
 		t.Fatal("no half-open probe after cooldown")
 	}
@@ -198,7 +160,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("breaker closed after failed probe")
 	}
-	clock.advance(2 * time.Minute)
+	clock.advance(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("no probe after second cooldown")
 	}
@@ -208,21 +170,21 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-// scriptTransport fails a configurable number of times per call site
-// before succeeding, and records attempts.
+// scriptTransport fails every call when fail is set, and counts the
+// calls it was given.
 type scriptTransport struct {
-	mu        sync.Mutex
-	failFirst int
-	attempts  int
-	entry     []byte
-	notFound  bool
+	mu       sync.Mutex
+	fail     bool
+	attempts int
+	entry    []byte
+	notFound bool
 }
 
 func (s *scriptTransport) FetchMany(ctx context.Context, peer Member, keys []fingerprint.Hash) ([]Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempts++
-	if s.attempts <= s.failFirst {
+	if s.fail {
 		return nil, errors.New("connection refused")
 	}
 	frames := make([]Frame, len(keys))
@@ -239,19 +201,14 @@ func (s *scriptTransport) OfferMany(ctx context.Context, peer Member, frames []F
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempts++
-	if s.attempts <= s.failFirst {
+	if s.fail {
 		return nil, errors.New("connection refused")
 	}
 	return nil, nil
 }
 
 func newTestClient(tr Transport) *Client {
-	return NewClient(ClientConfig{
-		Transport: tr,
-		Policy:    RetryPolicy{Attempts: 3, AttemptTimeout: time.Second, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond},
-		Breaker:   BreakerConfig{FailThreshold: 3, Cooldown: time.Minute},
-		Clock:     &fakeClock{now: time.Unix(0, 0)},
-	})
+	return NewClient(ClientConfig{Transport: tr, Clock: &fakeClock{now: time.Unix(0, 0)}})
 }
 
 func mustEntry(t *testing.T, key fingerprint.Hash) (*vcache.Entry, []byte) {
@@ -264,50 +221,58 @@ func mustEntry(t *testing.T, key fingerprint.Hash) (*vcache.Entry, []byte) {
 	return e, data
 }
 
-func TestClientRetriesThenSucceeds(t *testing.T) {
+// TestClientMakesOneAttempt: a failed call is not retried — its keys
+// degrade to the local path at once, and the failure is counted per key.
+func TestClientMakesOneAttempt(t *testing.T) {
 	key := testKey(1)
-	_, data := mustEntry(t, key)
-	tr := &scriptTransport{failFirst: 2, entry: data}
+	e, _ := mustEntry(t, key)
+	tr := &scriptTransport{fail: true}
 	c := newTestClient(tr)
-	e, err := c.Fetch(context.Background(), Member{ID: "p"}, key)
-	if err != nil || e == nil {
-		t.Fatalf("fetch failed after retries: %v", err)
+	peer := Member{ID: "p"}
+	if got, err := c.Fetch(context.Background(), peer, key); err == nil || got != nil {
+		t.Fatalf("fetch against a failing transport: entry %v, err %v", got, err)
 	}
-	if tr.attempts != 3 {
-		t.Fatalf("got %d attempts, want 3", tr.attempts)
+	if tr.attempts != 1 {
+		t.Fatalf("failed fetch made %d transport attempts, want 1", tr.attempts)
+	}
+	if err := c.Offer(context.Background(), peer, key, e); err == nil {
+		t.Fatal("offer against a failing transport succeeded")
+	}
+	if tr.attempts != 2 {
+		t.Fatalf("failed offer made %d transport attempts, want 1", tr.attempts-1)
 	}
 	st := c.Stats()
-	if st.Retries != 2 || st.FetchHits != 1 {
-		t.Fatalf("stats = %+v, want 2 retries / 1 hit", st)
+	if st.FetchFailures != 1 || st.OfferFailures != 1 || st.RoundTrips != 2 || st.Retries != 0 {
+		t.Fatalf("stats = %+v, want 1 fetch failure, 1 offer failure, 2 round trips, 0 retries", st)
 	}
 }
 
 func TestClientBoundedRetriesAndBreaker(t *testing.T) {
 	key := testKey(2)
-	tr := &scriptTransport{failFirst: 1 << 30}
+	tr := &scriptTransport{fail: true}
 	c := newTestClient(tr)
 	peer := Member{ID: "p"}
-	for call := 0; call < 3; call++ {
+	for call := 0; call < breakerThreshold; call++ {
 		if _, err := c.Fetch(context.Background(), peer, key); err == nil {
 			t.Fatal("fetch succeeded against always-failing transport")
 		}
 	}
-	if tr.attempts != 9 {
-		t.Fatalf("3 calls made %d attempts, want 9 (3 each)", tr.attempts)
+	if tr.attempts != breakerThreshold {
+		t.Fatalf("%d calls made %d attempts, want one each", breakerThreshold, tr.attempts)
 	}
-	// Threshold (3 failed exchanges) reached: breaker open, further
-	// calls are skipped without touching the transport.
-	if !c.BreakerOpen(peer) {
+	// Threshold reached: breaker open, further calls are skipped without
+	// touching the transport.
+	if !c.peerBreaker(peer).Open() {
 		t.Fatal("breaker not open after consecutive failures")
 	}
 	if _, err := c.Fetch(context.Background(), peer, key); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("expected breaker skip, got %v", err)
 	}
-	if tr.attempts != 9 {
+	if tr.attempts != breakerThreshold {
 		t.Fatalf("breaker-skipped call still reached the transport (%d attempts)", tr.attempts)
 	}
-	if st := c.Stats(); st.BreakerSkips != 1 {
-		t.Fatalf("stats = %+v, want 1 breaker skip", st)
+	if st := c.Stats(); st.BreakerSkips != 1 || st.FetchFailures != breakerThreshold+1 || st.Retries != 0 {
+		t.Fatalf("stats = %+v, want 1 breaker skip, %d fetch failures", st, breakerThreshold+1)
 	}
 }
 
@@ -320,7 +285,7 @@ func TestClientNotFoundIsNotRetriedOrCounted(t *testing.T) {
 	if tr.attempts != 1 {
 		t.Fatalf("authoritative miss was retried: %d attempts", tr.attempts)
 	}
-	if c.BreakerOpen(Member{ID: "p"}) {
+	if c.peerBreaker(Member{ID: "p"}).Open() {
 		t.Fatal("miss counted against the breaker")
 	}
 	if st := c.Stats(); st.FetchMisses != 1 || st.FetchFailures != 0 {
@@ -431,11 +396,7 @@ func newRouterFixture(t *testing.T) *routerFixture {
 	cache, err := NewCache(CacheConfig{
 		Membership: ms,
 		Local:      f.stores["n0"],
-		Client: NewClient(ClientConfig{
-			Transport: f,
-			Policy:    RetryPolicy{Attempts: 2, AttemptTimeout: time.Second, BackoffBase: time.Millisecond},
-			Clock:     &fakeClock{now: time.Unix(0, 0)},
-		}),
+		Client:     NewClient(ClientConfig{Transport: f, Clock: &fakeClock{now: time.Unix(0, 0)}}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +575,7 @@ func TestClientBatchFailureIsPerFrame(t *testing.T) {
 	if st.FetchHits != 1 || st.FetchMisses != 1 || st.FetchCorrupt != 3 || st.FetchFailures != 3 || st.RoundTrips != 1 || st.Retries != 0 {
 		t.Errorf("fetch stats = %+v", st)
 	}
-	if c.BreakerOpen(Member{ID: "p"}) {
+	if c.peerBreaker(Member{ID: "p"}).Open() {
 		t.Error("damaged frames counted against the breaker")
 	}
 

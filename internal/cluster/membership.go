@@ -1,9 +1,9 @@
 // Package cluster scales the entangled daemon into a sharded
 // multi-node checker fleet. The design center is robustness: every
-// remote interaction has a per-attempt timeout, a bounded retry policy
-// with capped exponential backoff and deterministic seeded jitter, and
-// a degradation path that can cost wall clock but never a wrong or
-// lost verdict.
+// remote interaction is one attempt under one timeout, and every
+// failure degrades to a local cold check — it can cost wall clock but
+// never a wrong or lost verdict. A peer exchange only ever saves work,
+// so a failed one is not retried: the local path is the fallback.
 //
 // Sharding is content-addressed: each verdict fingerprint has exactly
 // one owner, chosen by rendezvous (highest-random-weight) hashing over
@@ -29,10 +29,11 @@
 //     counted, never fatal; a re-joined owner is lazily re-warmed by
 //     the next forwards and fetches that reach it.
 //
-// A per-peer circuit breaker stops hammering dead nodes: after
-// consecutive failures the peer is skipped outright (degrading straight
-// to local checks) until a cooldown expires, then a single probe
-// decides whether to close the breaker again.
+// A per-peer circuit breaker stops calling dead nodes: after
+// consecutive failed calls the peer is skipped outright (degrading
+// straight to local checks, without waiting out a timeout) until a
+// cooldown expires, then a single probe decides whether to close the
+// breaker again.
 package cluster
 
 import (
@@ -112,17 +113,6 @@ func (ms *Membership) Self() Member { return ms.self }
 // Members returns the full member list, sorted by ID. Callers must not
 // mutate it.
 func (ms *Membership) Members() []Member { return ms.members }
-
-// Peers returns every member except self, sorted by ID.
-func (ms *Membership) Peers() []Member {
-	out := make([]Member, 0, len(ms.members)-1)
-	for _, m := range ms.members {
-		if m.ID != ms.self.ID {
-			out = append(out, m)
-		}
-	}
-	return out
-}
 
 // Owner returns the key's owning member under rendezvous hashing over
 // the full static list. It MUST be called with the same list on every

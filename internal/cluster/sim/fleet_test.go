@@ -25,7 +25,8 @@ import (
 //     report;
 //   - under seeded drop/delay/corrupt faults and a crash / partition /
 //     heal script every check still renders that report, and the faults
-//     were really injected;
+//     were really injected; once healed, a warm check fetches from its
+//     peers again;
 //   - every verdict committed to a node's disk survives a crash/restart
 //     of the whole fleet byte for byte.
 func TestFleetDifferential(t *testing.T) {
@@ -38,9 +39,9 @@ func TestFleetDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fault-free differential. The forward model's render at workers 4
-	// is kept: the scale and chaos phases must reproduce it too.
-	var baseline string
+	// Fault-free differential. Each model's render at workers 4 is kept:
+	// the scale and chaos phases must reproduce them too.
+	var baseline, bwdBaseline string
 	for _, m := range []struct {
 		name string
 		b    *models.Built
@@ -58,6 +59,8 @@ func TestFleetDifferential(t *testing.T) {
 			}
 			if m.b == fwd && workers == 4 {
 				baseline = single
+			} else if workers == 4 {
+				bwdBaseline = single
 			}
 		}
 	}
@@ -100,14 +103,31 @@ func TestFleetDifferential(t *testing.T) {
 			}
 			c.Partition([]int{0}, []int{1, 2})
 		}, 1},
-		// Healed: the peer-fetch path resumes, still under message
-		// faults.
-		{"healed", c.Heal, 2},
 	} {
 		s.prep()
 		if got := fleetStep(t, "chaos "+s.name, c, s.node, 4, fwd, false); got != baseline {
 			t.Fatalf("chaos %s: report diverged from the fault-free single-node baseline\n--- baseline ---\n%s--- chaos ---\n%s", s.name, baseline, got)
 		}
+	}
+	// Healed: the peer-fetch path resumes, still under message faults.
+	// n2 already holds every forward-model verdict, so the backward model
+	// — new to this fleet — goes cold on n0 and then warm on n2, which
+	// must fetch what its peers own to reproduce the single-node report.
+	c.Heal()
+	if got := fleetStep(t, "chaos healed cold", c, 0, 4, bwd, false); got != bwdBaseline {
+		t.Fatalf("chaos healed cold: report diverged from the fault-free single-node baseline\n--- baseline ---\n%s--- chaos ---\n%s", bwdBaseline, got)
+	}
+	warm := c.Node(2).Store()
+	trips, hits := warm.ClientStats().RoundTrips, warm.ClusterStats().PeerHits
+	got := fleetCheck(t, "chaos healed warm", warm, 4, bwd)
+	// Offers are held until the Flush, so these round trips are fetches.
+	fetches := warm.ClientStats().RoundTrips - trips
+	c.Flush()
+	if got != bwdBaseline {
+		t.Fatalf("chaos healed warm: report diverged from the fault-free single-node baseline\n--- baseline ---\n%s--- chaos ---\n%s", bwdBaseline, got)
+	}
+	if hits = warm.ClusterStats().PeerHits - hits; fetches == 0 || hits == 0 {
+		t.Fatalf("chaos healed warm: %d fetch round trips, %d peer hits; the peer-fetch path did not resume", fetches, hits)
 	}
 	fleetDurability(t, c)
 	inj := c.Injected()

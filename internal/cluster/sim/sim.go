@@ -14,8 +14,7 @@
 //
 //   - Every fault decision is made per frame — per key, however the
 //     keys were batched — as a pure hash of (seed, frame label), and
-//     backoff sleeps run on an instant clock that advances virtual time
-//     instead of sleeping.
+//     the breakers read a clock stopped at a fixed instant.
 //
 //   - Forwards are delivered at step boundaries: the network holds the
 //     offers a node's forwarder sends until the script calls Flush, so
@@ -36,7 +35,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"entangle/internal/cluster"
@@ -55,22 +53,13 @@ type Config struct {
 	// Net is the per-message fault configuration (zero rates = fault
 	// free).
 	Net faultinject.NetConfig
-	// Policy and Breaker tune every node's peer client (zero values =
-	// production defaults, except that the wall-clock deadlines default
-	// to heldTimeout; backoff runs on the instant clock either way).
-	Policy  cluster.RetryPolicy
-	Breaker cluster.BreakerConfig
-	// CallTimeout bounds each node's whole peer exchange in wall-clock
-	// time (0 = heldTimeout).
-	CallTimeout time.Duration
 }
 
-// heldTimeout is the simulator's default for the peer client's
-// wall-clock deadlines. Simulated time is virtual — a slow message is
-// an injected fault, not a slow call — but an offer waits on the
-// network from the moment a forwarder sends it until the step's Flush,
-// which is as long as the step's check takes on this machine. The
-// deadlines are therefore only a guard against a script that never
+// heldTimeout is every node's peer-call timeout. A slow message is an
+// injected fault, not a slow call, but an offer waits on the network
+// from the moment a forwarder sends it until the step's Flush, which is
+// as long as the step's check takes on the machine running it. The
+// timeout is therefore only a guard against a script that never
 // flushes.
 const heldTimeout = 10 * time.Minute
 
@@ -81,7 +70,6 @@ type Cluster struct {
 	cfg     Config
 	net     *faultinject.NetInjector
 	members []cluster.Member
-	clock   *instantClock
 
 	mu    sync.Mutex
 	nodes []*Node
@@ -109,12 +97,11 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("sim: fleet needs at least one node")
 	}
 	c := &Cluster{
-		cfg:   cfg,
-		net:   faultinject.NewNet(cfg.Net),
-		clock: newInstantClock(),
-		down:  map[string]bool{},
-		part:  map[string]int{},
-		seq:   map[string]uint64{},
+		cfg:  cfg,
+		net:  faultinject.NewNet(cfg.Net),
+		down: map[string]bool{},
+		part: map[string]int{},
+		seq:  map[string]uint64{},
 
 		release: make(chan struct{}),
 	}
@@ -146,25 +133,12 @@ func (c *Cluster) boot(i int) (*cluster.Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, callTimeout := c.cfg.Policy, c.cfg.CallTimeout
-	if policy.AttemptTimeout == 0 {
-		policy.AttemptTimeout = heldTimeout
-	}
-	if callTimeout == 0 {
-		callTimeout = heldTimeout
-	}
 	client := cluster.NewClient(cluster.ClientConfig{
 		Transport: &transport{c: c, src: id},
-		Policy:    policy,
-		Breaker:   c.cfg.Breaker,
-		Clock:     c.clock,
+		Timeout:   heldTimeout,
+		Clock:     stoppedClock{},
 	})
-	return cluster.NewCache(cluster.CacheConfig{
-		Membership:  ms,
-		Local:       local,
-		Client:      client,
-		CallTimeout: callTimeout,
-	})
+	return cluster.NewCache(cluster.CacheConfig{Membership: ms, Local: local, Client: client})
 }
 
 // Members returns the static fleet view.
@@ -301,8 +275,8 @@ func (c *Cluster) reachable(src, dst string) (*cluster.Shard, error) {
 }
 
 // label builds the fault-decision key for one message: verb, endpoints,
-// content key, and a per-message sequence number so a retry of the same
-// logical message re-rolls its fate.
+// content key, and a per-message sequence number so the same key sent
+// again over the same link re-rolls its fate.
 func (c *Cluster) label(verb, src, dst string, key fingerprint.Hash) string {
 	base := verb + "/" + src + ">" + dst + "/" + key.Hex()
 	c.mu.Lock()
@@ -389,30 +363,10 @@ func (t *transport) OfferMany(ctx context.Context, peer cluster.Member, frames [
 	return refused, nil
 }
 
-// instantClock advances virtual time instead of sleeping, so retry
-// backoff and breaker cooldowns behave realistically (monotone,
-// ordered) while a chaos run finishes in real milliseconds.
-type instantClock struct {
-	base time.Time
-	ns   atomic.Int64
-}
+// stoppedClock is the breakers' clock: a fixed instant, because
+// nothing in a simulated fleet waits. A breaker that opens stays open
+// until Restart gives its node a new client, whatever the machine's
+// speed.
+type stoppedClock struct{}
 
-func newInstantClock() *instantClock {
-	// An arbitrary fixed epoch: virtual time must be deterministic, so
-	// it cannot start at wall clock.
-	return &instantClock{base: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *instantClock) Now() time.Time {
-	return c.base.Add(time.Duration(c.ns.Load()))
-}
-
-func (c *instantClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d > 0 {
-		c.ns.Add(int64(d))
-	}
-	return nil
-}
+func (stoppedClock) Now() time.Time { return time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC) }

@@ -7,22 +7,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"entangle/internal/fingerprint"
 )
 
 // ErrNotFound is an authoritative miss: the peer was reached and
 // answered that it has no entry for the key. It is NOT a failure — it
-// is neither retried nor counted against the peer's circuit breaker.
+// does not count against the peer's circuit breaker, and the checker
+// computes the verdict as it would on a cold cache.
 var ErrNotFound = errors.New("cluster: peer has no entry for key")
 
 // Transport moves batches of frames (frame.go) between peers, one round
 // trip per call; what a batch means to the peer is Shard's business.
 // Implementations: HTTPTransport (production, over the daemon's
 // PeerPath endpoint) and the simulator's in-memory transport with fault
-// injection. An error fails the whole call and is subject to the
-// client's retry policy.
+// injection. An error fails the whole call: the client does not retry
+// it, and every key the call carried degrades to the local path.
 type Transport interface {
 	// FetchMany asks the peer for its entries under keys. The reply has
 	// one frame per key, in the order asked; a frame without Data is
@@ -45,9 +45,9 @@ const maxWireEntry = 16 << 20
 // for concurrent use.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; nil selects
-	// http.DefaultClient. Per-attempt deadlines arrive via ctx (the
-	// cluster client applies its AttemptTimeout), so the http.Client
-	// needs no Timeout of its own.
+	// http.DefaultClient. Per-call deadlines arrive via ctx (the
+	// cluster client applies its Timeout), so the http.Client needs no
+	// Timeout of its own.
 	Client *http.Client
 }
 
@@ -59,8 +59,14 @@ func (t *HTTPTransport) client() *http.Client {
 }
 
 // exchange sends one batch and hands the 200 reply's frames to each.
-// The body is a sized in-memory reader, so net/http can replay it on a
-// connection the peer closed between requests; the reply is drained
+// net/http re-sends a POST or PUT on a fresh connection only if the
+// request is marked idempotent, or if nothing of it was written before
+// the old connection failed. Both peer calls are idempotent — a fetch
+// only reads, and an offer is content-addressed — so exchange marks them
+// with a nil Idempotency-Key, which net/http honours without sending it.
+// A batch that went out on a kept-alive connection the peer closed
+// (its idle timeout shorter than ours) is then replayed from the sized
+// in-memory body instead of failing the call. The reply is drained
 // (bounded) before it is closed on every status, so a refusal does not
 // cost the keep-alive connection.
 func (t *HTTPTransport) exchange(ctx context.Context, method string, peer Member, frames []Frame, each func(Frame) error) error {
@@ -69,6 +75,7 @@ func (t *HTTPTransport) exchange(ctx context.Context, method string, peer Member
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
+	req.Header["Idempotency-Key"] = nil
 	resp, err := t.client().Do(req)
 	if err != nil {
 		return err
@@ -130,39 +137,4 @@ func (t *HTTPTransport) OfferMany(ctx context.Context, peer Member, frames []Fra
 		return nil, err
 	}
 	return refused, nil
-}
-
-// Clock is the time seam for everything in this package that waits:
-// backoff sleeps and breaker cooldowns route through it, so production
-// uses the real clock while tests and the simulator substitute an
-// instant one — keeping chaos runs fast and the package inside the
-// determinism lint's contract (no direct wall-clock reads on decision
-// paths).
-type Clock interface {
-	// Now returns the current time (breaker cooldown bookkeeping).
-	Now() time.Time
-	// Sleep waits for d or until ctx is done, returning ctx.Err() in
-	// the latter case.
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-// RealClock is the production Clock.
-type RealClock struct{}
-
-// Now returns the wall-clock time.
-func (RealClock) Now() time.Time {
-	//lint:ignore determinism the breaker cooldown is wall-clock by design; tests inject a fake Clock
-	return time.Now()
-}
-
-// Sleep waits for d, or returns early with ctx.Err().
-func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

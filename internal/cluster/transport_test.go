@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -119,5 +120,84 @@ func TestFetchReplyMustMatchKeysAsked(t *testing.T) {
 		if !errors.Is(err, ErrMalformedFrames) {
 			t.Errorf("%s reply: err %v, want ErrMalformedFrames", name, err)
 		}
+	}
+}
+
+// TestStaleKeepAliveConnectionIsReplayed: a peer may close a kept-alive
+// connection just as the next batch goes out on it (its idle timeout
+// shorter than the client's). Both peer calls are idempotent, so the
+// batch is re-sent on a fresh connection instead of failing the call.
+func TestStaleKeepAliveConnectionIsReplayed(t *testing.T) {
+	for _, method := range []string{http.MethodPost, http.MethodPut} {
+		t.Run(method, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var conns atomic.Int32
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					first := conns.Add(1) == 1
+					// Answer each request with an authoritative miss (a
+					// fetch) or nothing refused (an offer) — except the
+					// second request on the first connection, which is
+					// read and then hung up on.
+					r := bufio.NewReader(conn)
+					for served := 0; ; served++ {
+						req, err := http.ReadRequest(r)
+						if err != nil {
+							break
+						}
+						_, _ = io.Copy(io.Discard, req.Body)
+						if first && served == 1 {
+							break
+						}
+						var reply []byte
+						if req.Method == http.MethodPost {
+							reply = EncodeFrames([]Frame{{Key: testKey(0)}})
+						}
+						resp := &http.Response{StatusCode: http.StatusOK, ProtoMajor: 1, ProtoMinor: 1,
+							ContentLength: int64(len(reply)), Body: io.NopCloser(bytes.NewReader(reply))}
+						if resp.Write(conn) != nil {
+							break
+						}
+					}
+					conn.Close()
+				}
+			}()
+
+			client := &http.Transport{}
+			defer func() {
+				// Ends the peer's read on the kept-alive connection, then
+				// its Accept; the goroutine is gone before the test is.
+				client.CloseIdleConnections()
+				ln.Close()
+				<-served
+			}()
+			tr := &HTTPTransport{Client: &http.Client{Transport: client}}
+			peer := Member{ID: "p", URL: "http://" + ln.Addr().String()}
+			call := func() error {
+				if method == http.MethodPost {
+					_, err := tr.FetchMany(context.Background(), peer, []fingerprint.Hash{testKey(0)})
+					return err
+				}
+				_, err := tr.OfferMany(context.Background(), peer, []Frame{{Key: testKey(0), Data: []byte("x")}})
+				return err
+			}
+			for i := 0; i < 2; i++ {
+				if err := call(); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			if n := conns.Load(); n != 2 {
+				t.Fatalf("%d connections, want the first closed under the second call and one fresh", n)
+			}
+		})
 	}
 }

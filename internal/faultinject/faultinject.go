@@ -310,10 +310,10 @@ type NetFault int
 const (
 	// NetNone: the message is delivered intact.
 	NetNone NetFault = iota
-	// NetDrop: the message vanishes; the sender sees a connection
-	// error (and its retry policy decides what happens next).
+	// NetDrop: the message vanishes; the sender sees a failure and
+	// falls back to its local path.
 	NetDrop
-	// NetDelay: the reply arrives after the sender's per-attempt
+	// NetDelay: the reply arrives after the sender's per-call
 	// deadline; the sender sees a timeout. The simulator models this
 	// as an immediate deadline error rather than a real sleep, so
 	// chaos tests stay fast and deterministic.
@@ -347,7 +347,7 @@ type NetConfig struct {
 	// DropRate is the fraction of messages that vanish.
 	DropRate float64
 	// DelayRate is the fraction of messages that miss the sender's
-	// per-attempt deadline.
+	// per-call deadline.
 	DelayRate float64
 	// CorruptRate is the fraction of messages whose payload is damaged
 	// in flight.
@@ -356,9 +356,10 @@ type NetConfig struct {
 
 // NetInjector makes deterministic per-message fault decisions. A
 // message is identified by a label the transport builds from
-// (src, dst, verb, key, attempt), so decisions are schedule-independent
-// — the same message gets the same fate however worker goroutines
-// interleave — while a retry (different attempt number) re-rolls.
+// (src, dst, verb, key, sequence number), so decisions are
+// schedule-independent — the same message gets the same fate however
+// worker goroutines interleave — while the same key sent again over the
+// same link (a later sequence number) re-rolls.
 type NetInjector struct {
 	cfg NetConfig
 

@@ -120,7 +120,7 @@ func FuzzPeerFrames(f *testing.F) {
 		}
 		client := cluster.NewClient(cluster.ClientConfig{
 			Transport: &cluster.HTTPTransport{Client: &http.Client{Transport: replyWith(wire)}},
-			Policy:    cluster.RetryPolicy{Attempts: 1, AttemptTimeout: time.Minute},
+			Timeout:   time.Minute,
 		})
 		for i, got := range client.FetchMany(context.Background(), cluster.Member{ID: "p", URL: "http://peer"}, keys) {
 			if !parsed || len(frames) == 0 {

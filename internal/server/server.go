@@ -235,8 +235,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handlePeerVerdicts mounts the node's shard (cluster.Shard, where the
 // peer protocol lives) behind the daemon's own concerns: the body bound
-// and a drain. Peers treat 503 like any transport failure — retry or
-// degrade to a local cold check — so a drain never waits on peer chatter.
+// and a drain. Peers treat 503 like any transport failure — they degrade
+// to a local cold check — so a drain never waits on peer chatter.
 func (s *Server) handlePeerVerdicts(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.shard == nil:

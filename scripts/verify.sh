@@ -33,8 +33,9 @@ stage_test() {
 # scheduler in core, the e-graph engine it drives, the synchronized
 # relation store, the caches, the daemon, the fleet).
 stage_race() {
-    # -timeout on core: the robustness suite's worst regression mode is a
-    # deadlocked worker pool, which must fail the gate instead of hanging it.
+    # -timeout on core and cluster: the robustness suite's worst regression
+    # mode is a deadlocked worker pool, the fleet's a wedged forwarder or
+    # Flush; either must fail the gate in minutes instead of hanging it.
     # ENTANGLE_CHECK_INVARIANTS makes every e-graph Rebuild finish with the
     # full structural audit, so the race section doubles as the
     # invariant-checked test mode (memo/class agreement, parent
@@ -52,7 +53,8 @@ stage_race() {
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
     ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
-    go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/... ./internal/cluster/...
+    go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/...
+    go test -race -timeout 120s ./internal/cluster/...
     # bench drives the checker through its concurrent harnesses — including
     # the planned-vs-unplanned differential at workers 1/4 that pins the
     # plan/execute refactor byte-identical; mc's own large-scope exploration
