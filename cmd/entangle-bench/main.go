@@ -6,11 +6,11 @@
 //	entangle-bench -exp bugs       # Table 3
 //
 // Experiments: fig3, fig4, fig5, fig6, bugs (Table 3), ablation,
-// extensions, parallel and chaos (fault-injection robustness matrix)
-// print the paper's text artefacts. Two more keep a committed
-// trajectory and gate CI against its last run — with one of them
-// selected, -json FILE appends the run's data points to the trajectory
-// and -baseline FILE fails the run on a regression against it:
+// extensions and parallel print the paper's text artefacts. Two more
+// keep a committed trajectory and gate CI against its last run — with
+// one of them selected, -json FILE appends the run's data points to the
+// trajectory and -baseline FILE fails the run on a regression against
+// it:
 // saturate (cold-check hot-path microbenchmark, BENCH_saturate.json:
 // fails on a >20% cold-throughput drop, a rise in e-matches or
 // allocated bytes per check, or any change in rule applications per
@@ -38,7 +38,7 @@ import (
 )
 
 var (
-	exp        = flag.String("exp", "all", "experiment: fig3, fig4, fig5, fig6, bugs, ablation, extensions, parallel, chaos, saturate, fuzz, all")
+	exp        = flag.String("exp", "all", "experiment: fig3, fig4, fig5, fig6, bugs, ablation, extensions, parallel, saturate, fuzz, all")
 	jsonOut    = flag.String("json", "", "saturate, fuzz: append the run's data points to this JSON trajectory file (BENCH_saturate.json, BENCH_fuzz.json)")
 	baseline   = flag.String("baseline", "", "saturate, fuzz: compare against this trajectory's last run and exit non-zero on a regression (the package comment says what each gates)")
 	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected experiments to this file")
@@ -65,7 +65,6 @@ func run() int {
 		{"ablation", bench.Ablation},
 		{"extensions", bench.Extensions},
 		{"parallel", bench.Parallel},
-		{"chaos", bench.Chaos},
 		{"saturate", gated(bench.Saturate, bench.CompareSaturate)},
 		{"fuzz", gated(bench.Fuzz, bench.CompareFuzz)},
 	}

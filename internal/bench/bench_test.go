@@ -103,19 +103,6 @@ func TestFig4Harness(t *testing.T) {
 	t.Log("\n" + txt)
 }
 
-func TestChaosMatrix(t *testing.T) {
-	txt, err := Chaos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"MultiTower-8", "GPT (TP)", "ByteDance-Fwd", "identical", "yes"} {
-		if !strings.Contains(txt, want) {
-			t.Fatalf("chaos output missing %q:\n%s", want, txt)
-		}
-	}
-	t.Log("\n" + txt)
-}
-
 func TestRunBugBuildErrorSurfaces(t *testing.T) {
 	bad := BugCase{ID: 99, Build: func() (*models.Built, error) {
 		return nil, errTest

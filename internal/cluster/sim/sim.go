@@ -1,6 +1,6 @@
 // Package sim is a deterministic in-process cluster simulator: N fleet
 // nodes wired over in-memory transports, with seed-driven fault
-// injection (message drop, delay, in-flight corruption via
+// injection (message drop and in-flight corruption via
 // internal/faultinject's network fault family) and scripted topology
 // events (node crash/restart, partition/heal). It exists to let chaos
 // tests — TestFleetDifferential runs real checks through it — drive the
@@ -8,9 +8,9 @@
 // router, the vcache byte format — through hostile conditions without
 // sockets, goroutine sleeps, or wall-clock dependence:
 //
-//   - The transport never sleeps: a "delayed" or "dropped" frame is
-//     lost at once, so a chaos run completes in milliseconds and
-//     injects identically on every machine.
+//   - The transport never sleeps: a dropped frame — lost, or late past
+//     its sender's deadline — is lost at once, so a chaos run completes
+//     in milliseconds and injects identically on every machine.
 //
 //   - Every fault decision is made per frame — per key, however the
 //     keys were batched — as a pure hash of (seed, frame label), and
@@ -32,6 +32,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -68,7 +69,6 @@ const heldTimeout = 10 * time.Minute
 // scripted from the test goroutine between checks.
 type Cluster struct {
 	cfg     Config
-	net     *faultinject.NetInjector
 	members []cluster.Member
 
 	mu    sync.Mutex
@@ -76,6 +76,8 @@ type Cluster struct {
 	down  map[string]bool
 	part  map[string]int // node ID → partition group (all 0 when healed)
 	seq   map[string]uint64
+	// injected is the census of network faults fired so far.
+	injected map[faultinject.NetFault]int
 	// release is closed while a Flush is delivering held offers, and
 	// replaced by an open channel when it ends.
 	release chan struct{}
@@ -97,11 +99,11 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("sim: fleet needs at least one node")
 	}
 	c := &Cluster{
-		cfg:  cfg,
-		net:  faultinject.NewNet(cfg.Net),
-		down: map[string]bool{},
-		part: map[string]int{},
-		seq:  map[string]uint64{},
+		cfg:      cfg,
+		down:     map[string]bool{},
+		part:     map[string]int{},
+		seq:      map[string]uint64{},
+		injected: map[faultinject.NetFault]int{},
 
 		release: make(chan struct{}),
 	}
@@ -156,7 +158,11 @@ func (c *Cluster) Node(i int) *Node {
 }
 
 // Injected reports the network faults fired so far.
-func (c *Cluster) Injected() map[faultinject.NetFault]int { return c.net.Injected() }
+func (c *Cluster) Injected() map[faultinject.NetFault]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.injected)
+}
 
 // Flush ends a step: the offers the nodes' forwarders have sent since
 // the last Flush are delivered (each frame meeting its own fault
@@ -274,16 +280,20 @@ func (c *Cluster) reachable(src, dst string) (*cluster.Shard, error) {
 	return nil, fmt.Errorf("sim: unknown node %s", dst)
 }
 
-// label builds the fault-decision key for one message: verb, endpoints,
-// content key, and a per-message sequence number so the same key sent
-// again over the same link re-rolls its fate.
-func (c *Cluster) label(verb, src, dst string, key fingerprint.Hash) string {
+// fate decides one message's network fault and counts it. The decision
+// key, returned as label, is the verb, endpoints, content key, and a
+// per-message sequence number so the same key sent again over the same
+// link re-rolls its fate.
+func (c *Cluster) fate(verb, src, dst string, key fingerprint.Hash) (fault faultinject.NetFault, label string) {
 	base := verb + "/" + src + ">" + dst + "/" + key.Hex()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.seq[base]++
-	n := c.seq[base]
-	c.mu.Unlock()
-	return base + "#" + strconv.FormatUint(n, 10)
+	label = base + "#" + strconv.FormatUint(c.seq[base], 10)
+	if fault = c.cfg.Net.Decide(label); fault != faultinject.NetNone {
+		c.injected[fault]++
+	}
+	return fault, label
 }
 
 // Store returns the node's fleet-routing verdict store (a
@@ -299,8 +309,8 @@ func (n *Node) Store() *cluster.Cache {
 func (n *Node) Local() *vcache.Cache { return n.Store().Local() }
 
 // transport is one node's view of the simulated network. Reachability
-// (crash, partition) fails a call as a whole; the fault injector then
-// decides each frame's fate on its own, and what gets through meets the
+// (crash, partition) fails a call as a whole; Config.Net then decides
+// each frame's fate on its own, and what gets through meets the
 // destination's cluster.Shard — the code behind the daemon's endpoint.
 type transport struct {
 	c   *Cluster
@@ -319,9 +329,8 @@ func (t *transport) FetchMany(ctx context.Context, peer cluster.Member, keys []f
 	}
 	frames := make([]cluster.Frame, len(keys))
 	for i, key := range keys {
-		label := t.c.label("fetch", t.src, peer.ID, key)
-		switch fault := t.c.net.Decide(label); fault {
-		case faultinject.NetDrop, faultinject.NetDelay:
+		switch fault, label := t.c.fate("fetch", t.src, peer.ID, key); fault {
+		case faultinject.NetDrop:
 			// The frame never makes it back intact. What arrives in its
 			// place is not an entry, so the fetcher's decode gate
 			// degrades this key — and must not read it as a miss.
@@ -331,7 +340,7 @@ func (t *transport) FetchMany(ctx context.Context, peer cluster.Member, keys []f
 			if fault == faultinject.NetCorrupt && frames[i].Data != nil {
 				// The reply is damaged in flight; the fetcher's decode gate
 				// must turn this into a degradation, never a wrong verdict.
-				frames[i].Data = faultinject.Damage(frames[i].Data, t.c.net.DamageMode(label))
+				frames[i].Data = faultinject.Damage(frames[i].Data, t.c.cfg.Net.DamageMode(label))
 			}
 		}
 	}
@@ -348,15 +357,14 @@ func (t *transport) OfferMany(ctx context.Context, peer cluster.Member, frames [
 	}
 	var refused []fingerprint.Hash
 	for _, f := range frames {
-		label := t.c.label("offer", t.src, peer.ID, f.Key)
-		fault := t.c.net.Decide(label)
+		fault, label := t.c.fate("offer", t.src, peer.ID, f.Key)
 		if fault == faultinject.NetCorrupt {
-			f.Data = faultinject.Damage(f.Data, t.c.net.DamageMode(label))
+			f.Data = faultinject.Damage(f.Data, t.c.cfg.Net.DamageMode(label))
 		}
 		// A frame lost on the way is stored nowhere; one damaged on the
 		// way is the owner's decode gate's to refuse. Either way the
 		// sender counts a forward failure.
-		if fault == faultinject.NetDrop || fault == faultinject.NetDelay || !shard.Offer(f) {
+		if fault == faultinject.NetDrop || !shard.Offer(f) {
 			refused = append(refused, f.Key)
 		}
 	}

@@ -197,8 +197,7 @@ func TestPartitionHeal(t *testing.T) {
 func TestChaosNeverWrongVerdict(t *testing.T) {
 	c := newFleet(t, 3, faultinject.NetConfig{
 		Seed:        42,
-		DropRate:    0.2,
-		DelayRate:   0.2,
+		DropRate:    0.4,
 		CorruptRate: 0.2,
 	})
 	const keys = 200
@@ -226,20 +225,19 @@ func TestChaosNeverWrongVerdict(t *testing.T) {
 		t.Fatal("chaos killed every fetch; rates too hot for a meaningful test")
 	}
 	inj := c.Injected()
-	if inj[faultinject.NetDrop] == 0 || inj[faultinject.NetDelay] == 0 || inj[faultinject.NetCorrupt] == 0 {
+	if inj[faultinject.NetDrop] == 0 || inj[faultinject.NetCorrupt] == 0 {
 		t.Fatalf("chaos injected nothing: %v (degraded %d)", inj, degraded)
 	}
 }
 
 // TestDeterministicInjection runs the identical single-threaded script
 // on two fleets with the same seed: the injected-fault census must
-// match exactly.
+// match exactly, and match its pinned value.
 func TestDeterministicInjection(t *testing.T) {
 	run := func() (map[faultinject.NetFault]int, []bool) {
 		c := newFleet(t, 3, faultinject.NetConfig{
 			Seed:        99,
-			DropRate:    0.25,
-			DelayRate:   0.25,
+			DropRate:    0.5,
 			CorruptRate: 0.25,
 		})
 		var hits []bool
@@ -254,9 +252,15 @@ func TestDeterministicInjection(t *testing.T) {
 	}
 	injA, hitsA := run()
 	injB, hitsB := run()
-	for _, f := range []faultinject.NetFault{faultinject.NetDrop, faultinject.NetDelay, faultinject.NetCorrupt} {
+	// Seeded decisions replay: a change to the hash, the carving or the
+	// message labels moves this census.
+	pinned := map[faultinject.NetFault]int{faultinject.NetDrop: 65, faultinject.NetCorrupt: 34}
+	for _, f := range []faultinject.NetFault{faultinject.NetDrop, faultinject.NetCorrupt} {
 		if injA[f] != injB[f] {
 			t.Fatalf("fault %v: %d vs %d", f, injA[f], injB[f])
+		}
+		if injA[f] != pinned[f] {
+			t.Errorf("fault %v: %d injected, pinned %d", f, injA[f], pinned[f])
 		}
 	}
 	for i := range hitsA {
@@ -273,7 +277,7 @@ func TestDeterministicInjection(t *testing.T) {
 func TestBatchedFramesMeetTheirOwnFaults(t *testing.T) {
 	const keys = 60
 	run := func(perStep int) (map[faultinject.NetFault]int, []bool, []bool) {
-		c := newFleet(t, 3, faultinject.NetConfig{Seed: 42, DropRate: 0.15, DelayRate: 0.15, CorruptRate: 0.15})
+		c := newFleet(t, 3, faultinject.NetConfig{Seed: 42, DropRate: 0.3, CorruptRate: 0.15})
 		for i := 0; i < keys; i++ {
 			if err := c.Node(0).Store().Put(key(i), entry(i)); err != nil {
 				t.Fatal(err)
@@ -307,7 +311,7 @@ func TestBatchedFramesMeetTheirOwnFaults(t *testing.T) {
 	}
 	injOne, landedOne, fetchedOne := run(1)
 	injAll, landedAll, fetchedAll := run(keys)
-	for _, f := range []faultinject.NetFault{faultinject.NetDrop, faultinject.NetDelay, faultinject.NetCorrupt} {
+	for _, f := range []faultinject.NetFault{faultinject.NetDrop, faultinject.NetCorrupt} {
 		if injOne[f] != injAll[f] || injOne[f] == 0 {
 			t.Errorf("fault %v: %d injected key by key, %d batched", f, injOne[f], injAll[f])
 		}

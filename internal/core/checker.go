@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -90,7 +91,7 @@ type Options struct {
 	// worker goroutine that will check it; returning a non-nil
 	// SaturateOpts replaces that operator's base saturation budget
 	// (escalation still multiplies it). Fault-injection harnesses
-	// (internal/faultinject) use this hook to panic, stall, or starve
+	// (internal/faultinject) use this hook to panic or starve
 	// specific operators; a panic in PreOp is recovered into an
 	// EngineFault verdict exactly like a panicking lemma.
 	PreOp func(v *graph.Node) *egraph.SaturateOpts
@@ -402,6 +403,9 @@ type runState struct {
 	// the scheduler starts and read-only afterwards; nil on the
 	// Options.Unplanned path.
 	plan *Plan
+	// ledger is the scheduler's per-operator record (scheduler.go),
+	// topo-indexed; set once the pool drains.
+	ledger []opResult
 	// gdDefs memoizes each G_d node's defining equations (gdDefOf),
 	// indexed by node ID. The table is made by the first fold of the run —
 	// a run that replays every verdict folds nothing — and an entry by the
@@ -987,14 +991,27 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 		return nil, err
 	}
 	if len(out) == 0 {
-		if resolveStats.Saturated {
+		if resolveStats.Saturated && r.producerSaturated(producer) {
 			return nil, fail(VerdictDisproved, ReasonNone)
 		}
-		// The resolve search stopped on a budget before fixpoint; a
-		// mapping may exist beyond the limit, so don't call it a bug.
+		// The resolve search, or the producer's own that left o the
+		// mappings it started from, stopped on a budget before fixpoint;
+		// a mapping may exist beyond the limit, so don't call it a bug.
 		return nil, fail(VerdictInconclusive, ReasonBudgetExhausted)
 	}
 	return out, nil
+}
+
+// producerSaturated reports whether the operator producing a G_s output
+// reached fixpoint in every saturation of its check — whether the
+// output's mappings are all there are, rather than what a budget left.
+// A graph input's mappings are R_i's, complete by definition.
+func (r *runState) producerSaturated(producer graph.NodeID) bool {
+	if producer == graph.NoProducer {
+		return true
+	}
+	i := slices.IndexFunc(r.order, func(v *graph.Node) bool { return v.ID == producer })
+	return r.ledger[i].stats.Saturated
 }
 
 // resolveOutputIn is resolveOutput's search, run in the e-graph it is

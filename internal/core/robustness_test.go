@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -304,10 +305,14 @@ func TestBudgetEscalation(t *testing.T) {
 	}
 }
 
-// TestChaosDeterminism is the acceptance criterion: under a fixed
-// faultinject seed, Workers=1 and Workers=8 KeepGoing runs produce
-// byte-identical multi-failure reports — same verdicts, same topo
-// order — and no injected panic crashes the process or hangs the pool.
+// TestChaosDeterminism is the fault matrix: three correct models under
+// seeded operator faults, each checked KeepGoing with Workers=1 and
+// Workers=8. In every cell the two multi-failure reports are
+// byte-identical — same verdicts, same topo order — no injected panic
+// crashes the process or hangs the pool, every panicked operator is an
+// engine fault, every starved one refines or is inconclusive, and no
+// verdict is disproved: a disproof is a bug report, and these models
+// have no bug. The log carries one counts row per cell.
 func TestChaosDeterminism(t *testing.T) {
 	reg := lemmas.Default()
 	cfgs := []faultinject.Config{
@@ -315,47 +320,74 @@ func TestChaosDeterminism(t *testing.T) {
 		{Seed: 2, StarveRate: 0.3},
 		{Seed: 3, PanicRate: 0.1, StarveRate: 0.2},
 		{Seed: 99, PanicRate: 0.5},
+		{Seed: 11, PanicRate: 0.15},
+		{Seed: 23, StarveRate: 0.25},
+		{Seed: 37, PanicRate: 0.1, StarveRate: 0.15},
 	}
-	builds := map[string]func() (*models.Built, error){
-		"multitower": func() (*models.Built, error) { return models.MultiTower(8, 2) },
-		"gpt":        func() (*models.Built, error) { return models.GPT(models.Options{TP: 2}) },
-		"seedmoe":    func() (*models.Built, error) { return models.SeedMoE(models.Options{TP: 2}) },
+	builds := []struct {
+		name  string
+		build func() (*models.Built, error)
+	}{
+		{"MultiTower-8", func() (*models.Built, error) { return models.MultiTower(8, 2) }},
+		{"GPT (TP)", func() (*models.Built, error) { return models.GPT(models.Options{TP: 2}) }},
+		{"ByteDance-Fwd", func() (*models.Built, error) { return models.SeedMoE(models.Options{TP: 2}) }},
 	}
-	for name, build := range builds {
+	t.Logf("%-14s %5s %6s %7s %5s %5s %4s %7s %6s %5s", "model", "seed", "panic", "starve", "#ops", "ok", "esc", "incncl", "fault", "skip")
+	for _, m := range builds {
 		for _, cfg := range cfgs {
-			b, err := build()
+			b, err := m.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			var renders []string
+			cell := fmt.Sprintf("%s seed %d", m.name, cfg.Seed)
+			var reports []*Report
 			var errTexts []string
 			for _, workers := range []int{1, 8} {
-				inj := faultinject.New(cfg)
 				checker := NewChecker(Options{
 					Registry:  reg,
 					Workers:   workers,
 					KeepGoing: true,
-					PreOp:     inj.PreOp,
+					PreOp:     cfg.PreOp,
 				})
 				rep, err := checkWithDeadline(t, checker, b, 120*time.Second)
 				if rep == nil {
-					t.Fatalf("%s seed %d workers %d: no report (err %v)", name, cfg.Seed, workers, err)
+					t.Fatalf("%s workers %d: no report (err %v)", cell, workers, err)
 				}
 				if (err != nil) != (len(rep.Failures) > 0) {
-					t.Fatalf("%s seed %d workers %d: err %v vs %d failures", name, cfg.Seed, workers, err, len(rep.Failures))
+					t.Fatalf("%s workers %d: err %v vs %d failures", cell, workers, err, len(rep.Failures))
 				}
-				renders = append(renders, rep.RenderFailures())
+				for _, v := range rep.Verdicts {
+					ran := v.Kind != VerdictSkipped
+					switch f := cfg.Decide(v.Op.Label); {
+					case v.Kind == VerdictDisproved:
+						t.Errorf("%s workers %d: %s (fault %v) is a false bug report", cell, workers, v.Describe(), f)
+					case ran && f == faultinject.Panic && v.Kind != VerdictEngineFault,
+						ran && f == faultinject.Starve && v.Kind != VerdictRefined && v.Kind != VerdictInconclusive:
+						t.Errorf("%s workers %d: injected %v, verdict %s", cell, workers, f, v.Describe())
+					}
+				}
+				reports = append(reports, rep)
 				if err != nil {
 					errTexts = append(errTexts, firstLine(err.Error()))
 				}
 			}
-			if renders[0] != renders[1] {
-				t.Fatalf("%s seed %d: reports differ\n--- workers=1 ---\n%s--- workers=8 ---\n%s",
-					name, cfg.Seed, renders[0], renders[1])
+			if r1, r8 := reports[0].RenderFailures(), reports[1].RenderFailures(); r1 != r8 {
+				t.Fatalf("%s: reports differ\n--- workers=1 ---\n%s--- workers=8 ---\n%s", cell, r1, r8)
 			}
 			if len(errTexts) == 2 && errTexts[0] != errTexts[1] {
-				t.Fatalf("%s seed %d: first-failure errors differ:\n%s\n%s", name, cfg.Seed, errTexts[0], errTexts[1])
+				t.Fatalf("%s: first-failure errors differ:\n%s\n%s", cell, errTexts[0], errTexts[1])
 			}
+			counts := map[VerdictKind]int{}
+			escalated := 0
+			for _, v := range reports[0].Verdicts {
+				counts[v.Kind]++
+				if v.Escalations > 0 {
+					escalated++
+				}
+			}
+			t.Logf("%-14s %5d %6.2f %7.2f %5d %5d %4d %7d %6d %5d", m.name, cfg.Seed, cfg.PanicRate, cfg.StarveRate,
+				len(reports[0].Verdicts), counts[VerdictRefined], escalated, counts[VerdictInconclusive],
+				counts[VerdictEngineFault], counts[VerdictSkipped])
 		}
 	}
 }

@@ -127,6 +127,7 @@ func (r *runState) runSchedule(ctx context.Context, workers int, report *Report)
 		}()
 	}
 	wg.Wait()
+	r.ledger = s.ledger
 
 	if s.fatal != nil {
 		return s.fatal

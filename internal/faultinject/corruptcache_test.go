@@ -29,6 +29,13 @@ func testEntry(i int) (fingerprint.Hash, *vcache.Entry) {
 	}
 }
 
+// corruptEvery damages every verdict-cache entry file under dir with one
+// fixed fault mode — the targeted variant CorruptCache's seeded sampling
+// cannot guarantee for any single file.
+func corruptEvery(dir string, mode CacheFault) (int, error) {
+	return corruptCache(dir, func(string) CacheFault { return mode })
+}
+
 // TestCorruptCacheModeEveryModeIsAMiss is the edge-case sweep the
 // seeded CorruptCache cannot guarantee per file: every fault mode —
 // including truncation to zero bytes (Empty), a header-only file, and
@@ -45,7 +52,7 @@ func TestCorruptCacheModeEveryModeIsAMiss(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			n, err := CorruptCacheMode(dir, mode)
+			n, err := corruptEvery(dir, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +106,7 @@ func TestCorruptCacheModeShapes(t *testing.T) {
 
 	t.Run("empty-truncates-to-zero-bytes", func(t *testing.T) {
 		dir, path, _ := writeOne(t)
-		if _, err := CorruptCacheMode(dir, Empty); err != nil {
+		if _, err := corruptEvery(dir, Empty); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -113,7 +120,7 @@ func TestCorruptCacheModeShapes(t *testing.T) {
 
 	t.Run("header-only-keeps-exactly-the-header", func(t *testing.T) {
 		dir, path, clean := writeOne(t)
-		if _, err := CorruptCacheMode(dir, HeaderOnly); err != nil {
+		if _, err := corruptEvery(dir, HeaderOnly); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -130,7 +137,7 @@ func TestCorruptCacheModeShapes(t *testing.T) {
 
 	t.Run("flip-checksum-leaves-payload-intact", func(t *testing.T) {
 		dir, path, clean := writeOne(t)
-		if _, err := CorruptCacheMode(dir, FlipChecksum); err != nil {
+		if _, err := corruptEvery(dir, FlipChecksum); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)

@@ -1,27 +1,27 @@
-// Package faultinject is a deterministic, seed-driven fault injector
-// for the checking pipeline's chaos tests and the `entangle-bench
-// -exp chaos` experiment. Faults are keyed purely by operator label —
-// a splitmix64-style hash of (seed, label) decides, independently of
-// worker count, scheduling order, or wall clock, whether an operator's
-// check panics, stalls, or runs budget-starved. That schedule
-// independence is what lets the chaos harness demand byte-identical
-// KeepGoing failure reports from Workers=1 and Workers=8 runs under
-// the same seed.
+// Package faultinject is deterministic, seed-driven fault injection for
+// the checking pipeline's chaos tests and the cluster simulator. A
+// fault family is a plain value — a seed and its rates — whose
+// decisions are pure functions of (seed, label): a splitmix64-style
+// hash decides, independently of worker count, scheduling order, or
+// wall clock, whether an operator's check panics or runs
+// budget-starved, and whether a peer message is dropped or corrupted.
+// That schedule independence is what lets the chaos tests demand
+// byte-identical KeepGoing failure reports from Workers=1 and Workers=8
+// runs under the same seed. Nothing here counts what it injected: a
+// caller that needs a census keeps one.
 //
-// The injector attaches to the checker through core.Options.PreOp,
-// which runs on the worker goroutine about to check the operator —
-// exactly where a buggy lemma would fault:
+// Config attaches to the checker through core.Options.PreOp, which runs
+// on the worker goroutine about to check the operator — exactly where a
+// buggy lemma would fault:
 //
-//	inj := faultinject.New(faultinject.Config{Seed: 7, PanicRate: 0.1})
-//	opts := core.Options{PreOp: inj.PreOp, KeepGoing: true}
+//	cfg := faultinject.Config{Seed: 7, PanicRate: 0.1}
+//	opts := core.Options{PreOp: cfg.PreOp, KeepGoing: true}
 package faultinject
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"entangle/internal/det"
 	"entangle/internal/egraph"
@@ -37,14 +37,17 @@ const (
 	// Panic: the worker panics before the check starts (the checker
 	// must recover it into an EngineFault verdict).
 	Panic
-	// Slow: the worker sleeps for Config.SlowFor before checking (the
-	// checker's OpTimeout turns this into an Inconclusive(Timeout)
-	// verdict when the sleep exceeds it).
-	Slow
-	// Starve: the operator runs with the starved saturation budget
-	// (Config.StarveMaxIters/StarveMaxNodes), exercising budget
-	// escalation and the Inconclusive(BudgetExhausted) verdict.
+	// Starve: the operator runs with the starved saturation budget,
+	// exercising budget escalation and the Inconclusive(BudgetExhausted)
+	// verdict.
 	Starve
+)
+
+// The starved saturation budget: small enough that any real operator
+// hits the limit.
+const (
+	starveMaxIters = 1
+	starveMaxNodes = 8
 )
 
 func (f Fault) String() string {
@@ -53,113 +56,45 @@ func (f Fault) String() string {
 		return "none"
 	case Panic:
 		return "panic"
-	case Slow:
-		return "slow"
 	case Starve:
 		return "starve"
 	}
 	return fmt.Sprintf("Fault(%d)", int(f))
 }
 
-// Config parameterizes an Injector. Rates are per-operator
+// Config is the operator fault family. Rates are per-operator
 // probabilities in [0, 1], carved out of the unit interval in order
-// panic, slow, starve: an operator's hash point u ∈ [0,1) injects a
-// panic when u < PanicRate, a stall when u < PanicRate+SlowRate, and
-// so on. Zero rates inject nothing.
+// panic, starve: an operator's hash point u ∈ [0,1) injects a panic when
+// u < PanicRate and starves it when u < PanicRate+StarveRate. Zero rates
+// inject nothing.
 type Config struct {
-	// Seed drives the per-operator hash. Two injectors with the same
-	// seed and rates make identical decisions for every label.
+	// Seed drives the per-operator hash. Two configs with the same seed
+	// and rates make identical decisions for every label.
 	Seed uint64
 	// PanicRate is the fraction of operators whose check panics.
 	PanicRate float64
-	// SlowRate is the fraction of operators stalled for SlowFor.
-	SlowRate float64
-	// SlowFor is the stall duration (default 50ms).
-	SlowFor time.Duration
 	// StarveRate is the fraction of operators run budget-starved.
 	StarveRate float64
-	// StarveMaxIters / StarveMaxNodes are the starved saturation
-	// budget (defaults 1 iteration, 8 nodes — small enough that any
-	// real operator hits the limit).
-	StarveMaxIters int
-	StarveMaxNodes int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SlowFor == 0 {
-		c.SlowFor = 50 * time.Millisecond
-	}
-	if c.StarveMaxIters == 0 {
-		c.StarveMaxIters = 1
-	}
-	if c.StarveMaxNodes == 0 {
-		c.StarveMaxNodes = 8
-	}
-	return c
-}
-
-// Injector makes deterministic per-operator fault decisions and
-// records what it injected.
-type Injector struct {
-	cfg Config
-
-	mu       sync.Mutex
-	injected map[string]Fault // label → decision, for reporting
-}
-
-// New builds an injector for the given config.
-func New(cfg Config) *Injector {
-	return &Injector{cfg: cfg.withDefaults(), injected: map[string]Fault{}}
 }
 
 // Decide returns the fault for an operator label. Pure: it depends
 // only on (Seed, rates, label).
-func (in *Injector) Decide(label string) Fault {
-	u := unit(in.cfg.Seed, label)
-	switch {
-	case u < in.cfg.PanicRate:
-		return Panic
-	case u < in.cfg.PanicRate+in.cfg.SlowRate:
-		return Slow
-	case u < in.cfg.PanicRate+in.cfg.SlowRate+in.cfg.StarveRate:
-		return Starve
-	}
-	return None
+func (c Config) Decide(label string) Fault {
+	return Fault(carve(c.Seed, label, c.PanicRate, c.StarveRate))
 }
 
 // PreOp is the core.Options.PreOp hook: it executes the decided fault
 // for v on the calling worker goroutine. Panic faults panic with a
-// recognizable value; Slow faults sleep; Starve faults return the
-// starved saturation budget; None returns nil (keep the configured
-// budget).
-func (in *Injector) PreOp(v *graph.Node) *egraph.SaturateOpts {
-	f := in.Decide(v.Label)
-	in.mu.Lock()
-	if f != None {
-		in.injected[v.Label] = f
-	}
-	in.mu.Unlock()
-	switch f {
+// recognizable value; Starve faults return the starved saturation
+// budget; None returns nil (keep the configured budget).
+func (c Config) PreOp(v *graph.Node) *egraph.SaturateOpts {
+	switch c.Decide(v.Label) {
 	case Panic:
-		panic(fmt.Sprintf("faultinject: injected panic in lemma for operator %q (seed %d)", v.Label, in.cfg.Seed))
-	case Slow:
-		time.Sleep(in.cfg.SlowFor)
+		panic(fmt.Sprintf("faultinject: injected panic in lemma for operator %q (seed %d)", v.Label, c.Seed))
 	case Starve:
-		return &egraph.SaturateOpts{MaxIters: in.cfg.StarveMaxIters, MaxNodes: in.cfg.StarveMaxNodes}
+		return &egraph.SaturateOpts{MaxIters: starveMaxIters, MaxNodes: starveMaxNodes}
 	}
 	return nil
-}
-
-// Injected reports how many faults of each kind fired so far. Safe for
-// concurrent use with PreOp.
-func (in *Injector) Injected() map[Fault]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := map[Fault]int{}
-	for _, f := range in.injected {
-		out[f]++
-	}
-	return out
 }
 
 // CacheFault is one way an on-disk verdict-cache entry can be damaged.
@@ -272,16 +207,7 @@ func Damage(data []byte, mode CacheFault) []byte {
 // The cache contract under this attack is total miss, never a wrong
 // verdict: vcache classifies every damaged file as corrupt.
 func CorruptCache(dir string, seed uint64) (int, error) {
-	return corruptCache(dir, func(name string) CacheFault {
-		return CacheFault(uint64(unit(seed, name)*float64(numCacheFaults))) % numCacheFaults
-	})
-}
-
-// CorruptCacheMode damages every verdict-cache entry file under dir
-// with one fixed fault mode — the targeted variant CorruptCache's
-// seeded sampling cannot guarantee for any single file.
-func CorruptCacheMode(dir string, mode CacheFault) (int, error) {
-	return corruptCache(dir, func(string) CacheFault { return mode })
+	return corruptCache(dir, func(name string) CacheFault { return pickDamage(seed, name) })
 }
 
 func corruptCache(dir string, pick func(name string) CacheFault) (int, error) {
@@ -310,17 +236,13 @@ type NetFault int
 const (
 	// NetNone: the message is delivered intact.
 	NetNone NetFault = iota
-	// NetDrop: the message vanishes; the sender sees a failure and
-	// falls back to its local path.
+	// NetDrop: the message is lost, or its reply misses the sender's
+	// per-call deadline — either way the sender sees a failure at once
+	// and falls back to its local path.
 	NetDrop
-	// NetDelay: the reply arrives after the sender's per-call
-	// deadline; the sender sees a timeout. The simulator models this
-	// as an immediate deadline error rather than a real sleep, so
-	// chaos tests stay fast and deterministic.
-	NetDelay
-	// NetCorrupt: the payload is damaged in flight (a Damage mode
-	// chosen from the same hash); the receiver's DecodeEntry must
-	// classify it as a miss, never a wrong verdict.
+	// NetCorrupt: the payload is damaged in flight (the Damage mode
+	// DamageMode picks); the receiver's DecodeEntry must classify it as
+	// a miss, never a wrong verdict.
 	NetCorrupt
 )
 
@@ -330,84 +252,60 @@ func (f NetFault) String() string {
 		return "none"
 	case NetDrop:
 		return "drop"
-	case NetDelay:
-		return "delay"
 	case NetCorrupt:
 		return "corrupt"
 	}
 	return fmt.Sprintf("NetFault(%d)", int(f))
 }
 
-// NetConfig parameterizes a NetInjector. Rates are per-message
-// probabilities carved out of the unit interval in order drop, delay,
-// corrupt — the same discipline as operator faults.
+// NetConfig is the network fault family. Rates are per-message
+// probabilities carved out of the unit interval in order drop, corrupt
+// — the same discipline as operator faults. A message is identified by
+// a label the transport builds from (src, dst, verb, key, sequence
+// number), so decisions are schedule-independent — the same message
+// gets the same fate however worker goroutines interleave — while the
+// same key sent again over the same link (a later sequence number)
+// re-rolls.
 type NetConfig struct {
 	// Seed drives the per-message hash.
 	Seed uint64
-	// DropRate is the fraction of messages that vanish.
+	// DropRate is the fraction of messages that are lost or late.
 	DropRate float64
-	// DelayRate is the fraction of messages that miss the sender's
-	// per-call deadline.
-	DelayRate float64
 	// CorruptRate is the fraction of messages whose payload is damaged
 	// in flight.
 	CorruptRate float64
 }
 
-// NetInjector makes deterministic per-message fault decisions. A
-// message is identified by a label the transport builds from
-// (src, dst, verb, key, sequence number), so decisions are
-// schedule-independent — the same message gets the same fate however
-// worker goroutines interleave — while the same key sent again over the
-// same link (a later sequence number) re-rolls.
-type NetInjector struct {
-	cfg NetConfig
-
-	mu       sync.Mutex
-	injected map[NetFault]int
-}
-
-// NewNet builds a network fault injector.
-func NewNet(cfg NetConfig) *NetInjector {
-	return &NetInjector{cfg: cfg, injected: map[NetFault]int{}}
-}
-
 // Decide returns the fault for one message label. Pure: it depends
 // only on (Seed, rates, label).
-func (in *NetInjector) Decide(label string) NetFault {
-	u := unit(in.cfg.Seed, label)
-	var f NetFault
-	switch {
-	case u < in.cfg.DropRate:
-		f = NetDrop
-	case u < in.cfg.DropRate+in.cfg.DelayRate:
-		f = NetDelay
-	case u < in.cfg.DropRate+in.cfg.DelayRate+in.cfg.CorruptRate:
-		f = NetCorrupt
-	default:
-		return NetNone
-	}
-	in.mu.Lock()
-	in.injected[f]++
-	in.mu.Unlock()
-	return f
+func (c NetConfig) Decide(label string) NetFault {
+	return NetFault(carve(c.Seed, label, c.DropRate, c.CorruptRate))
 }
 
 // DamageMode picks the Damage mode for a NetCorrupt message,
-// deterministically from the same (seed, label) hash family.
-func (in *NetInjector) DamageMode(label string) CacheFault {
-	return CacheFault(uint64(unit(in.cfg.Seed^0xc0a7, label)*float64(numCacheFaults))) % numCacheFaults
+// deterministically from a hash of (seed, label) independent of
+// Decide's.
+func (c NetConfig) DamageMode(label string) CacheFault {
+	return pickDamage(c.Seed^0xc0a7, label)
 }
 
-// Injected reports how many faults of each kind fired so far.
-func (in *NetInjector) Injected() map[NetFault]int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := map[NetFault]int{}
-	for f, n := range in.injected {
-		out[f] = n
+// carve returns 1 + the index of the rate interval (seed, label)'s
+// hash point falls in, the rates carved out of [0, 1) in order; 0 when
+// it falls past them all. A fault enum lists its faults in rate order
+// after its zero "none", so the result converts to it directly.
+func carve(seed uint64, label string, rates ...float64) int {
+	u, edge := unit(seed, label), 0.0
+	for i, r := range rates {
+		if edge += r; u < edge {
+			return i + 1
+		}
 	}
-	return out
+	return 0
+}
+
+// pickDamage chooses a Damage mode uniformly from (seed, label).
+func pickDamage(seed uint64, label string) CacheFault {
+	return CacheFault(uint64(unit(seed, label)*float64(numCacheFaults))) % numCacheFaults
 }
 
 // unit hashes (seed, label) to a uniform point in [0, 1).

@@ -30,6 +30,7 @@ var determinismDirs = []string{
 	"internal/core",
 	"internal/det",
 	"internal/egraph",
+	"internal/faultinject",
 	"internal/fingerprint",
 	"internal/fuzz",
 	"internal/mc",

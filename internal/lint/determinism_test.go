@@ -56,7 +56,9 @@ func TestDeterminismScope(t *testing.T) {
 	// And the suffix match must hold for absolute paths too, across
 	// every package carrying the contract — internal/fingerprint joined
 	// when the diff planner started deriving dirty sets from its cone
-	// hashes, so a wall-clock read there would silently break plans.
+	// hashes, so a wall-clock read there would silently break plans;
+	// internal/faultinject, whose fault decisions the chaos tests replay
+	// by seed, promises them independent of the clock.
 	for _, pkg := range determinismDirs {
 		abs := filepath.Join(t.TempDir(), "work", filepath.FromSlash(pkg))
 		if err := os.MkdirAll(abs, 0o755); err != nil {
@@ -76,5 +78,8 @@ func TestDeterminismScope(t *testing.T) {
 		if !found {
 			t.Errorf("determinism check did not fire in an absolute %s path", pkg)
 		}
+	}
+	if !determinismScoped("internal/faultinject") {
+		t.Error("internal/faultinject is outside the determinism contract")
 	}
 }
