@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"entangle/internal/egraph"
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
 )
@@ -213,7 +214,7 @@ func newTestClient(tr Transport) *Client {
 
 func mustEntry(t *testing.T, key fingerprint.Hash) (*vcache.Entry, []byte) {
 	t.Helper()
-	e := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{"I0"}}}}
+	e := vcache.Refined(key, 0, egraph.Stats{}, [][]string{{"I0"}})
 	data, err := vcache.EncodeEntry(key, e)
 	if err != nil {
 		t.Fatal(err)
@@ -624,9 +625,11 @@ func TestClientCutsBatches(t *testing.T) {
 		t.Errorf("fetch batches of %v keys", tr.fetched)
 	}
 
-	big := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{strings.Repeat("x", maxBatchBytes/2)}}}}
-	huge := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{strings.Repeat("x", 2*maxBatchBytes)}}}}
-	errs := c.OfferMany(context.Background(), Member{ID: "p"}, keys[:4], []*vcache.Entry{big, big, huge, big})
+	sized := func(i, n int) *vcache.Entry {
+		return vcache.Refined(keys[i], 0, egraph.Stats{}, [][]string{{strings.Repeat("x", n)}})
+	}
+	big, huge := maxBatchBytes/2, 2*maxBatchBytes
+	errs := c.OfferMany(context.Background(), Member{ID: "p"}, keys[:4], []*vcache.Entry{sized(0, big), sized(1, big), sized(2, huge), sized(3, big)})
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("offer %d: %v", i, err)

@@ -12,10 +12,10 @@ import (
 )
 
 // Frame is one key's slot in a peer batch: the key and, when the key
-// has an entry to carry, that entry's EVCACHE1 bytes exactly as vcache
-// writes them to disk. A frame without bytes (Data == nil) is a key on
-// its own: a key asked for in a fetch request, an authoritative miss
-// in a fetch reply, a refused key in an offer reply.
+// has an entry to carry, that entry's EVCACHE2 bytes exactly as vcache
+// holds them and writes them to disk. A frame without bytes (Data ==
+// nil) is a key on its own: a key asked for in a fetch request, an
+// authoritative miss in a fetch reply, a refused key in an offer reply.
 //
 // The frame layer moves bytes and nothing else. Whether a frame's
 // bytes are a verdict is decided per frame by vcache.DecodeEntry under

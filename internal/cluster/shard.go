@@ -19,7 +19,7 @@ const PeerPath = "/v1/peer/verdicts"
 // verdicts. The daemon mounts it at PeerPath and the simulator calls
 // Fetch and Offer directly, so the safety boundary exists once: frame
 // by frame, nothing that fails vcache.DecodeEntry under its own key is
-// stored, and nothing that will not encode is served.
+// stored. What is served is the bytes the store holds, as they are.
 type Shard struct {
 	// Local is the node's raw store — never the fleet-routing Cache, or
 	// a peer's fetch could recurse back into the fleet.
@@ -28,15 +28,15 @@ type Shard struct {
 	gets, puts atomic.Int64
 }
 
-// Fetch answers one frame per key, in the order asked. A frame without
-// Data is the authoritative miss (an entry that will not encode is one
-// too: a miss only ever means "compute it yourself").
+// Fetch answers one frame per key, in the order asked: the held entry's
+// bytes, or no Data for the authoritative miss (a miss only ever means
+// "compute it yourself").
 func (s *Shard) Fetch(keys []fingerprint.Hash) []Frame {
 	frames := make([]Frame, len(keys))
 	for i, key := range keys {
 		frames[i].Key = key
 		if e := s.Local.Get(key); e != nil {
-			frames[i].Data, _ = vcache.EncodeEntry(key, e)
+			frames[i].Data = e.Bytes()
 		}
 	}
 	s.gets.Add(int64(len(keys)))

@@ -186,7 +186,7 @@ func fleetDurability(t *testing.T, c *Cluster) {
 	nodes := len(c.Members())
 	for i := 0; i < sentinels; i++ {
 		// Forward failures under chaos degrade the Put, never fail it.
-		if err := c.Node(i%nodes).Store().Put(key(i), entry(i)); err != nil {
+		if err := c.Node(i%nodes).Store().Put(key(i), entry(key(i), i)); err != nil {
 			t.Fatalf("sentinel put %d: %v", i, err)
 		}
 	}
@@ -195,18 +195,11 @@ func fleetDurability(t *testing.T, c *Cluster) {
 		node, key int
 		data      []byte
 	}
-	encode := func(i int, e *vcache.Entry) []byte {
-		data, err := vcache.EncodeEntry(key(i), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	var before []committed
 	for i := 0; i < sentinels; i++ {
 		for n := 0; n < nodes; n++ {
 			if e := c.Node(n).Local().Get(key(i)); e != nil {
-				before = append(before, committed{n, i, encode(i, e)})
+				before = append(before, committed{n, i, e.Bytes()})
 			}
 		}
 	}
@@ -224,7 +217,7 @@ func fleetDurability(t *testing.T, c *Cluster) {
 		if e == nil {
 			t.Fatalf("committed verdict lost: sentinel %d vanished from n%d across crash/restart", cm.key, cm.node)
 		}
-		if !bytes.Equal(encode(cm.key, e), cm.data) {
+		if !bytes.Equal(e.Bytes(), cm.data) {
 			t.Fatalf("committed verdict mutated: sentinel %d on n%d changed across crash/restart", cm.key, cm.node)
 		}
 	}

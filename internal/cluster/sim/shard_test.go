@@ -23,21 +23,21 @@ import (
 // for frame: the simulator's chaos results say something about the
 // daemon only while that holds.
 func TestDaemonAndSimulatedNodeAreOneShardSide(t *testing.T) {
-	valid, err := vcache.EncodeEntry(key(0), entry(0))
+	valid, err := vcache.EncodeEntry(key(0), entry(key(0), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := []cluster.Frame{{Key: key(0), Data: valid}, {Key: key(1), Data: valid}}
 	for i, mode := range faultinject.CacheFaults() {
 		k := key(2 + i)
-		data, err := vcache.EncodeEntry(k, entry(2+i))
+		data, err := vcache.EncodeEntry(k, entry(k, 2+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, cluster.Frame{Key: k, Data: faultinject.Damage(data, mode)})
 	}
 	last := key(len(frames))
-	data, err := vcache.EncodeEntry(last, entry(len(frames)))
+	data, err := vcache.EncodeEntry(last, entry(last, len(frames)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +103,19 @@ func TestDaemonAndSimulatedNodeAreOneShardSide(t *testing.T) {
 		}
 		if served := daemonServed[i].Data != nil; served != good {
 			t.Fatalf("frame %d served = %v", i, served)
+		}
+		// One encoding: an accepted offer is held, and served back, as
+		// the very bytes offered — on both wires.
+		if good {
+			for name, held := range map[string][]byte{
+				"daemon holds":         shard.Get(k).Bytes(),
+				"simulated node holds": c.Node(1).Local().Get(k).Bytes(),
+				"daemon serves":        daemonServed[i].Data,
+			} {
+				if !bytes.Equal(held, frames[i].Data) {
+					t.Fatalf("frame %d: what the %s is not the bytes offered", i, name)
+				}
+			}
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"entangle/internal/cluster"
+	"entangle/internal/egraph"
 	"entangle/internal/faultinject"
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
@@ -25,11 +27,9 @@ func key(i int) fingerprint.Hash {
 	return h
 }
 
-func entry(i int) *vcache.Entry {
-	return &vcache.Entry{
-		Verdict: vcache.VerdictRefined,
-		Outputs: []vcache.Mapping{{Main: []string{"I" + string(rune('0'+i%10))}}},
-	}
+// entry is verdict number i, sealed for k.
+func entry(k fingerprint.Hash, i int) *vcache.Entry {
+	return vcache.Refined(k, 0, egraph.Stats{}, [][]string{{"I" + string(rune('0'+i%10))}})
 }
 
 // ownerIndex finds which node owns a key under rendezvous hashing.
@@ -64,7 +64,7 @@ func TestForwardAndFetch(t *testing.T) {
 	k := pickKey(t, c, 1)
 	writer, owner, reader := c.Node(0), c.Node(1), c.Node(2)
 
-	if err := writer.Store().Put(k, entry(7)); err != nil {
+	if err := writer.Store().Put(k, entry(k, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if owner.Local().Get(k) != nil {
@@ -77,7 +77,7 @@ func TestForwardAndFetch(t *testing.T) {
 	if owner.Local().Get(k) == nil {
 		t.Fatal("forward did not land in the owner's shard")
 	}
-	if got := reader.Store().Get(k); got == nil || got.Verdict != vcache.VerdictRefined {
+	if got := reader.Store().Get(k); got == nil || got.Verdict() != vcache.VerdictRefined {
 		t.Fatalf("reader fetch: %+v", got)
 	}
 	if reader.Local().Get(k) == nil {
@@ -102,7 +102,7 @@ func TestCrashRestartDurability(t *testing.T) {
 	k := pickKey(t, c, 1)
 	writer, reader := c.Node(0), c.Node(2)
 
-	if err := writer.Store().Put(k, entry(3)); err != nil {
+	if err := writer.Store().Put(k, entry(k, 3)); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -121,7 +121,7 @@ func TestCrashRestartDurability(t *testing.T) {
 	if k2 == k {
 		k2 = key(20000) // distinct fallback; ownership does not matter here
 	}
-	if err := writer.Store().Put(k2, entry(4)); err != nil {
+	if err := writer.Store().Put(k2, entry(k2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -150,7 +150,7 @@ func TestRejoinWarmUp(t *testing.T) {
 	writer := c.Node(0)
 
 	c.Crash(1)
-	if err := writer.Store().Put(k, entry(5)); err != nil {
+	if err := writer.Store().Put(k, entry(k, 5)); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -161,7 +161,7 @@ func TestRejoinWarmUp(t *testing.T) {
 		t.Fatal("owner knew a verdict committed while it was down (no transfer protocol exists)")
 	}
 	// The next Put of the same key re-forwards and warms the owner.
-	if err := writer.Store().Put(k, entry(5)); err != nil {
+	if err := writer.Store().Put(k, entry(k, 5)); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -177,7 +177,7 @@ func TestPartitionHeal(t *testing.T) {
 	k := pickKey(t, c, 1)
 	writer, reader := c.Node(0), c.Node(2)
 
-	if err := writer.Store().Put(k, entry(1)); err != nil {
+	if err := writer.Store().Put(k, entry(k, 1)); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
@@ -202,7 +202,7 @@ func TestChaosNeverWrongVerdict(t *testing.T) {
 	})
 	const keys = 200
 	for i := 0; i < keys; i++ {
-		if err := c.Node(i%3).Store().Put(key(i), entry(i)); err != nil {
+		if err := c.Node(i%3).Store().Put(key(i), entry(key(i), i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		c.Flush()
@@ -216,9 +216,8 @@ func TestChaosNeverWrongVerdict(t *testing.T) {
 			continue
 		}
 		returned++
-		want := entry(i)
-		if got.Verdict != want.Verdict || len(got.Outputs) != 1 || got.Outputs[0].Main[0] != want.Outputs[0].Main[0] {
-			t.Fatalf("key %d: wrong verdict under chaos: got %+v want %+v", i, got, want)
+		if want := entry(key(i), i); !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("key %d: wrong verdict under chaos: got %q want %q", i, got.Bytes(), want.Bytes())
 		}
 	}
 	if returned == 0 {
@@ -242,7 +241,7 @@ func TestDeterministicInjection(t *testing.T) {
 		})
 		var hits []bool
 		for i := 0; i < 100; i++ {
-			if err := c.Node(i%3).Store().Put(key(i), entry(i)); err != nil {
+			if err := c.Node(i%3).Store().Put(key(i), entry(key(i), i)); err != nil {
 				t.Fatal(err)
 			}
 			c.Flush()
@@ -279,7 +278,7 @@ func TestBatchedFramesMeetTheirOwnFaults(t *testing.T) {
 	run := func(perStep int) (map[faultinject.NetFault]int, []bool, []bool) {
 		c := newFleet(t, 3, faultinject.NetConfig{Seed: 42, DropRate: 0.3, CorruptRate: 0.15})
 		for i := 0; i < keys; i++ {
-			if err := c.Node(0).Store().Put(key(i), entry(i)); err != nil {
+			if err := c.Node(0).Store().Put(key(i), entry(key(i), i)); err != nil {
 				t.Fatal(err)
 			}
 			if (i+1)%perStep == 0 {
@@ -298,8 +297,8 @@ func TestBatchedFramesMeetTheirOwnFaults(t *testing.T) {
 			}
 			for j, e := range c.Node(2).Store().GetMany(want) {
 				landed = append(landed, e != nil)
-				if e != nil && e.Outputs[0].Main[0] != entry(i + j).Outputs[0].Main[0] {
-					t.Fatalf("key %d: wrong verdict under chaos: %+v", i+j, e)
+				if e != nil && !bytes.Equal(e.Bytes(), entry(key(i+j), i+j).Bytes()) {
+					t.Fatalf("key %d: wrong verdict under chaos: %q", i+j, e.Bytes())
 				}
 			}
 		}
@@ -333,7 +332,7 @@ func TestCrashBeforeFlushLosesForwardsNotVerdicts(t *testing.T) {
 	k := pickKey(t, c, 1)
 	writer := c.Node(0)
 	store := writer.Store()
-	if err := store.Put(k, entry(2)); err != nil {
+	if err := store.Put(k, entry(k, 2)); err != nil {
 		t.Fatal(err)
 	}
 	c.Crash(0) // before the step's Flush

@@ -181,83 +181,72 @@ func (r *runState) oldVerdict(label string) vcache.Verdict {
 			continue
 		}
 		if e := r.cache.cache.Get(old.keys[i]); e != nil {
-			return e.Verdict
+			return e.Verdict()
 		}
 	}
 	return ""
 }
 
-// replayEntry reconstructs the run-state effects of a cached verdict.
+// replayEntry reconstructs the run-state effects of a cached verdict,
+// reading its stats and terms straight out of the entry's bytes.
 func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (egraph.Stats, OpVerdict, bool) {
-	switch e.Verdict {
+	switch e.Verdict() {
 	case vcache.VerdictRefined:
-		if len(e.Outputs) != len(v.Outputs) {
+		if e.Outputs() != len(v.Outputs) {
 			return egraph.Stats{}, OpVerdict{}, false
 		}
 		// Decode everything before mutating the relation, so a defect
 		// half-way cannot leave partial replay state behind.
-		type decoded struct{ main, restricted []*expr.Term }
-		all := make([]decoded, len(e.Outputs))
-		for i, m := range e.Outputs {
-			var d decoded
-			for _, src := range m.Main {
-				t, err := fingerprint.DecodeTerm(src, r.cache.gdix, nil)
-				if err != nil {
-					return egraph.Stats{}, OpVerdict{}, false
-				}
-				d.main = append(d.main, t)
-			}
-			for _, src := range m.Restricted {
-				t, err := fingerprint.DecodeTerm(src, r.cache.gdix, nil)
-				if err != nil {
-					return egraph.Stats{}, OpVerdict{}, false
-				}
-				d.restricted = append(d.restricted, t)
-			}
-			if len(d.main) == 0 {
-				return egraph.Stats{}, OpVerdict{}, false
-			}
-			all[i] = d
-		}
-		for i, out := range v.Outputs {
-			r.rel.AddAll(out, all[i].main)
-			r.rel.AddAll(out, all[i].restricted)
-		}
-		return e.Stats, OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations, Replayed: true}, true
-
-	case vcache.VerdictDisproved:
-		if e.FailOutput < 0 || e.FailOutput >= len(v.Outputs) {
+		all := make([][]*expr.Term, len(v.Outputs))
+		err := e.EachTerm(func(out int, src string) error {
+			t, err := fingerprint.DecodeTerm(src, r.cache.gdix, nil)
+			all[out] = append(all[out], t)
+			return err
+		})
+		if err != nil {
 			return egraph.Stats{}, OpVerdict{}, false
 		}
-		re := &RefinementError{Op: v, Tensor: r.gs.Tensor(v.Outputs[e.FailOutput]),
+		for _, terms := range all {
+			if len(terms) == 0 {
+				return egraph.Stats{}, OpVerdict{}, false
+			}
+		}
+		for i, out := range v.Outputs {
+			r.rel.AddAll(out, all[i])
+		}
+		return e.Stats(), OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations(), Replayed: true}, true
+
+	case vcache.VerdictDisproved:
+		fail := e.FailOutput()
+		if fail < 0 || fail >= len(v.Outputs) {
+			return egraph.Stats{}, OpVerdict{}, false
+		}
+		re := &RefinementError{Op: v, Tensor: r.gs.Tensor(v.Outputs[fail]),
 			InputMappings: r.renderInputMappings(v)}
-		return e.Stats, OpVerdict{Op: v, Kind: VerdictDisproved, Err: re, Escalations: e.Escalations, Replayed: true}, true
+		return e.Stats(), OpVerdict{Op: v, Kind: VerdictDisproved, Err: re, Escalations: e.Escalations(), Replayed: true}, true
 	}
 	return egraph.Stats{}, OpVerdict{}, false
 }
 
 // storeVerdict persists a just-computed live verdict when it is
-// cacheable. outs carries the per-output extracted mappings of a
-// Refined run (nil otherwise).
-func (r *runState) storeVerdict(topo int, acc egraph.Stats, verdict OpVerdict, outs []outputMapping) (stored bool) {
-	v := r.order[topo]
-	entry := &vcache.Entry{Escalations: verdict.Escalations, Stats: acc}
+// cacheable. outs carries each output's extracted mappings of a Refined
+// run, in the order they were added to the relation (nil otherwise).
+func (r *runState) storeVerdict(topo int, acc egraph.Stats, verdict OpVerdict, outs [][]*expr.Term) (stored bool) {
+	v, key := r.order[topo], r.cache.keys.keys[topo]
+	var entry *vcache.Entry
 	switch verdict.Kind {
 	case VerdictRefined:
 		if len(outs) != len(v.Outputs) {
 			return
 		}
-		entry.Verdict = vcache.VerdictRefined
-		for _, om := range outs {
-			m := vcache.Mapping{}
-			for _, t := range om.main {
-				m.Main = append(m.Main, fingerprint.CanonicalTerm(t, r.cache.gdix))
+		terms := make([][]string, len(outs))
+		for i, ts := range outs {
+			terms[i] = make([]string, len(ts))
+			for j, t := range ts {
+				terms[i][j] = fingerprint.CanonicalTerm(t, r.cache.gdix)
 			}
-			for _, t := range om.restricted {
-				m.Restricted = append(m.Restricted, fingerprint.CanonicalTerm(t, r.cache.gdix))
-			}
-			entry.Outputs = append(entry.Outputs, m)
 		}
+		entry = vcache.Refined(key, verdict.Escalations, acc, terms)
 	case VerdictDisproved:
 		re, isRefinement := verdict.Err.(*RefinementError)
 		if !isRefinement || re.Tensor == nil {
@@ -276,19 +265,11 @@ func (r *runState) storeVerdict(topo int, acc egraph.Stats, verdict OpVerdict, o
 			// operator's cone — not cacheable.
 			return
 		}
-		entry.Verdict = vcache.VerdictDisproved
-		entry.FailOutput = fail
+		entry = vcache.Disproved(key, verdict.Escalations, acc, fail)
 	default:
 		return
 	}
 	// Store errors are counted by the cache itself (StoreErrors) and
 	// never affect the verdict; the entry stays usable in memory.
-	return r.cache.cache.Put(r.cache.keys.keys[topo], entry) == nil
-}
-
-// outputMapping carries one output's extracted clean expressions out
-// of processOp, in extraction order, for cache storage.
-type outputMapping struct {
-	main       []*expr.Term
-	restricted []*expr.Term
+	return r.cache.cache.Put(key, entry) == nil
 }

@@ -328,6 +328,82 @@ func TestCacheCorruptStoreIsSafe(t *testing.T) {
 	assertReportsMatch(t, b, plain, rep)
 }
 
+// TestCacheUpgradeFromEVCACHE1 opens a cache directory the previous
+// entry format wrote — testdata/evcache1: the EVCACHE1 files under v1/
+// that checks of GPT TP2 and its Bug-7 variant left behind — with this
+// one. The old files are never read: every probe is a clean miss (none
+// counted corrupt), every operator is re-checked, the reports are
+// byte-identical to checks over an empty directory, the new verdicts
+// land under v2/ at the same keys, and the old tree is left untouched.
+func TestCacheUpgradeFromEVCACHE1(t *testing.T) {
+	good, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := models.GPT(models.Options{TP: 2, Bug: models.Bug7MissingAllReduce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// files maps each file under root to its bytes, by relative path.
+	files := func(root string) map[string]string {
+		out := map[string]string{}
+		err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(root, path)
+			out[rel] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	old := files("testdata/evcache1/v1")
+	dir := t.TempDir()
+	for rel, data := range old {
+		path := filepath.Join(dir, "v1", rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(dir string) (string, vcache.StatsSnapshot) {
+		c, err := vcache.Open(vcache.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := lemmas.Default()
+		rep, err := NewChecker(Options{Registry: reg, Cache: c}).Check(good.Gs, good.Gd, good.Ri)
+		out := goldenReport(rep, err, good.Gs)
+		rep, err = NewChecker(Options{Registry: reg, Cache: c, KeepGoing: true}).Check(bad.Gs, bad.Gd, bad.Ri)
+		return out + goldenReport(rep, err, bad.Gs), c.Stats().Snapshot()
+	}
+	upgraded, st := run(dir)
+	if fresh, _ := run(t.TempDir()); upgraded != fresh {
+		t.Errorf("reports over the EVCACHE1 directory differ from reports over an empty one:\n--- empty ---\n%s\n--- EVCACHE1 ---\n%s", fresh, upgraded)
+	}
+	if st.Hits != 0 || st.Corrupt != 0 || st.Stores != int64(len(old)) {
+		t.Errorf("cache counters %+v: want no hit, nothing corrupt, and the %d old verdicts stored anew", st, len(old))
+	}
+	if now := files(filepath.Join(dir, "v1")); !reflect.DeepEqual(now, old) {
+		t.Error("the v1/ tree changed")
+	}
+	written := files(filepath.Join(dir, "v2"))
+	for rel := range old {
+		if _, ok := written[rel]; !ok {
+			t.Errorf("no v2/ verdict for the old entry %s", rel)
+		}
+	}
+	if len(written) != len(old) {
+		t.Errorf("%d verdicts under v2/, %d under v1/", len(written), len(old))
+	}
+}
+
 // assertReportsMatch compares the schedule- and cache-invariant parts
 // of two successful reports byte for byte.
 func assertReportsMatch(t *testing.T, b *models.Built, want, got *Report) {

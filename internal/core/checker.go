@@ -491,7 +491,7 @@ func (r *runState) newEGraph() *egraph.EGraph {
 func allowGdLeaf(tid int) bool { return relation.IsGd(tid) }
 
 // observedProcessOp wraps processOp with the OpObserver timing hook.
-func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
+func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
 	if r.opts.OpObserver == nil {
 		return r.processOp(ctx, v, budget)
 	}
@@ -508,7 +508,7 @@ func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget 
 // structured *EngineFaultError naming the operator, with the stack,
 // instead of unwinding through the worker pool (where, before this
 // layer, it deadlocked the scheduler by leaking an active slot).
-func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (stats egraph.Stats, outs []outputMapping, err error) {
+func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (stats egraph.Stats, outs [][]*expr.Term, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs = nil
@@ -703,7 +703,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 // one iteration as a context error (never disguised as a refinement
 // failure). budget bounds each saturation run; checkOp escalates it
 // across attempts.
-func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
+func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
 	if expr.Collective(v.Op) {
 		return egraph.Stats{}, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
 	}
@@ -714,7 +714,7 @@ func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.S
 }
 
 // processOpIn is processOp's search, run in the e-graph it is given.
-func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, []outputMapping, error) {
+func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
 	var acc egraph.Stats
 	satOpts := budget
 	satOpts.Ctx = ctx
@@ -820,9 +820,9 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 	}
 
 	// Step 4: extract and record the clean output relation R_v. The
-	// exact slices added to the relation are also returned, in order,
-	// so checkOp can cache them for replay.
-	outs := make([]outputMapping, 0, len(v.Outputs))
+	// terms added to the relation are also returned, per output in the
+	// order they were added, so checkOp can cache them for replay.
+	outs := make([][]*expr.Term, 0, len(v.Outputs))
 	for i, out := range v.Outputs {
 		mappings := eg.ExtractAllClean(outClasses[i], allowGdLeaf, r.opts.MaxMappings)
 		if len(mappings) == 0 {
@@ -830,14 +830,13 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 				InputMappings: r.renderInputMappings(v)}
 		}
 		r.rel.AddAll(out, mappings)
-		om := outputMapping{main: mappings}
 		// Opportunistically record output-restricted mappings too.
 		if r.gs.IsOutput(out) {
 			restricted := eg.ExtractAllClean(outClasses[i], r.allowGdOutput, r.opts.MaxMappings)
 			r.rel.AddAll(out, restricted)
-			om.restricted = restricted
+			mappings = slices.Concat(mappings, restricted)
 		}
-		outs = append(outs, om)
+		outs = append(outs, mappings)
 	}
 	return acc, outs, nil
 }

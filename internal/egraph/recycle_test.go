@@ -2,7 +2,6 @@ package egraph_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,7 +78,7 @@ func (l *verdictLog) Stats() *vcache.Stats { return &l.stats }
 
 // render is every operator's stored verdict — its own saturation
 // statistics and the mappings extracted for it — in key order.
-func (l *verdictLog) render(t testing.TB) string {
+func (l *verdictLog) render() string {
 	keys := make([]string, 0, len(l.stored))
 	byKey := map[string]*vcache.Entry{}
 	for k, e := range l.stored {
@@ -90,11 +89,7 @@ func (l *verdictLog) render(t testing.TB) string {
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		data, err := json.Marshal(byKey[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&b, "%s %s\n", k[:12], data)
+		fmt.Fprintf(&b, "%s %q\n", k[:12], byKey[k].Bytes())
 	}
 	return b.String()
 }
@@ -182,7 +177,7 @@ func observeCheck(t testing.TB, gs, gd *graph.Graph, ri *relation.Relation, work
 		store := &verdictLog{}
 		rep, err := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: workers, Cache: store, KeepGoing: keepGoing}).
 			Check(gs, gd, ri)
-		return checkView{report: renderReport(rep, err, gs), perOp: store.render(t), classes: releases.partitions()}, err
+		return checkView{report: renderReport(rep, err, gs), perOp: store.render(), classes: releases.partitions()}, err
 	}
 	view, err := run(false)
 	if err != nil {
@@ -215,8 +210,8 @@ func newHeavyLives(t testing.TB) *heavyLives {
 	h := &heavyLives{b: b, store: &verdictLog{serve: rec.stored}}
 	most := -1
 	for k, e := range rec.stored {
-		if e.Stats.Matches > most {
-			most, h.store.withheld = e.Stats.Matches, k
+		if m := e.Stats().Matches; m > most {
+			most, h.store.withheld = m, k
 		}
 	}
 	if most < 1000 {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"entangle/internal/egraph"
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
 )
@@ -23,10 +24,7 @@ func diskCache(t *testing.T, dir string) *vcache.Cache {
 
 func testEntry(i int) (fingerprint.Hash, *vcache.Entry) {
 	key := fingerprint.Hash(sha256.Sum256([]byte(fmt.Sprintf("corrupt-key-%d", i))))
-	return key, &vcache.Entry{
-		Verdict: vcache.VerdictRefined,
-		Outputs: []vcache.Mapping{{Main: []string{fmt.Sprintf("t%d", i)}}},
-	}
+	return key, vcache.Refined(key, 0, egraph.Stats{}, [][]string{{fmt.Sprintf("t%d", i)}})
 }
 
 // corruptEvery damages every verdict-cache entry file under dir with one
@@ -78,7 +76,7 @@ func TestCorruptCacheModeEveryModeIsAMiss(t *testing.T) {
 			}
 			third := diskCache(t, dir)
 			got := third.Get(key)
-			if got == nil || got.Verdict != e.Verdict {
+			if got == nil || !bytes.Equal(got.Bytes(), e.Bytes()) {
 				t.Fatalf("mode %s: cache did not recover after re-Put", mode)
 			}
 		})
@@ -96,7 +94,7 @@ func TestCorruptCacheModeShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		hx := key.Hex()
-		path := filepath.Join(dir, "v1", hx[:2], hx)
+		path := filepath.Join(dir, "v2", hx[:2], hx)
 		clean, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +171,7 @@ func TestCorruptCacheModeShapes(t *testing.T) {
 // over degenerate inputs — zero-length data and data with no newlines
 // must not panic for any mode.
 func TestDamagePureAndTotal(t *testing.T) {
-	orig := []byte("EVCACHE1\nkey\nsum\n{}")
+	orig := []byte("EVCACHE2\nkey\nsum\nR")
 	for _, mode := range CacheFaults() {
 		snapshot := append([]byte(nil), orig...)
 		_ = Damage(orig, mode)

@@ -18,10 +18,10 @@ type entryLog struct {
 
 func (l *entryLog) Get(fingerprint.Hash) *vcache.Entry { return nil }
 func (l *entryLog) Put(_ fingerprint.Hash, e *vcache.Entry) error {
-	for _, m := range e.Outputs {
-		l.terms = append(append(l.terms, m.Main...), m.Restricted...)
-	}
-	return nil
+	return e.EachTerm(func(_ int, term string) error {
+		l.terms = append(l.terms, term)
+		return nil
+	})
 }
 func (l *entryLog) Stats() *vcache.Stats { return &l.stats }
 

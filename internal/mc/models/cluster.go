@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"entangle/internal/cluster"
+	"entangle/internal/egraph"
 	"entangle/internal/faultinject"
 	"entangle/internal/fingerprint"
 	"entangle/internal/mc"
@@ -95,11 +96,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterM, error) {
 	for k := 0; k < cfg.Keys; k++ {
 		key := fingerprint.Hash(sha256.Sum256([]byte(fmt.Sprintf("mc-cluster-key-%d", k))))
 		m.keys = append(m.keys, key)
-		e := &vcache.Entry{
-			Verdict:     vcache.VerdictRefined,
-			Escalations: k,
-			Outputs:     []vcache.Mapping{{Main: []string{fmt.Sprintf("c%d", k)}}},
-		}
+		e := vcache.Refined(key, k, egraph.Stats{}, [][]string{{fmt.Sprintf("c%d", k)}})
 		data, err := vcache.EncodeEntry(key, e)
 		if err != nil {
 			return nil, err

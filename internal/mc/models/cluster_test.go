@@ -51,8 +51,8 @@ func TestClusterModelUsesRealCodec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("key %d clean bytes do not decode: %v", k, err)
 		}
-		if e.Verdict != vcache.VerdictRefined {
-			t.Fatalf("key %d verdict drifted: %s", k, e.Verdict)
+		if e.Verdict() != vcache.VerdictRefined {
+			t.Fatalf("key %d verdict drifted: %s", k, e.Verdict())
 		}
 		for mi, mode := range m.modes {
 			if _, err := vcache.DecodeEntry(m.keys[k], m.damaged[k][mi]); err == nil {

@@ -179,8 +179,8 @@ func TestVCacheModelUsesRealCodec(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clean bytes k=%d v=%d do not decode: %v", k, v, err)
 			}
-			if e.Verdict != m.entries[k][v].Verdict {
-				t.Fatalf("k=%d v=%d verdict drifted: %s", k, v, e.Verdict)
+			if e.Verdict() != m.entries[k][v].Verdict() {
+				t.Fatalf("k=%d v=%d verdict drifted: %s", k, v, e.Verdict())
 			}
 			for mi, mode := range m.modes {
 				if _, err := vcache.DecodeEntry(m.keys[k], m.damaged[k][v][mi]); err == nil {

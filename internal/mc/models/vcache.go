@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"entangle/internal/egraph"
 	"entangle/internal/faultinject"
 	"entangle/internal/fingerprint"
 	"entangle/internal/mc"
@@ -70,7 +71,7 @@ func NewVCache(cfg VCacheConfig) (*VCache, error) {
 		var clean [][]byte
 		var damaged [][][]byte
 		for v := 0; v < versions; v++ {
-			e := entryVersion(k, v)
+			e := entryVersion(key, k, v)
 			data, err := vcache.EncodeEntry(key, e)
 			if err != nil {
 				return nil, err
@@ -96,15 +97,11 @@ func NewVCache(cfg VCacheConfig) (*VCache, error) {
 
 // entryVersion fabricates distinct cacheable entries: even versions
 // refined with an output mapping, odd versions disproved.
-func entryVersion(k, v int) *vcache.Entry {
+func entryVersion(key fingerprint.Hash, k, v int) *vcache.Entry {
 	if v%2 == 1 {
-		return &vcache.Entry{Verdict: vcache.VerdictDisproved, Escalations: v, FailOutput: k}
+		return vcache.Disproved(key, v, egraph.Stats{}, k)
 	}
-	return &vcache.Entry{
-		Verdict:     vcache.VerdictRefined,
-		Escalations: v,
-		Outputs:     []vcache.Mapping{{Main: []string{fmt.Sprintf("t%d_%d", k, v)}}},
-	}
+	return vcache.Refined(key, v, egraph.Stats{}, [][]string{{fmt.Sprintf("t%d_%d", k, v)}})
 }
 
 // Writer program counters.

@@ -189,11 +189,11 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestWarmCheckAllocs is the warm path's allocation ratchet: a whole
 // /v1/check the cache has every verdict of — envelope, both graphs,
-// relation, keys, replay, response — may allocate no more than 65% of
-// the objects and 70% of the bytes it did before the graphs were built
-// from slabs and replay shared its leaves (the counts at that commit:
-// 1789 objects and 168,187 bytes for the JSON body, 1923 and 197,580
-// for the HLO one).
+// relation, keys, replay, response — may allocate at most 10% more
+// objects and bytes than it did once verdicts were held as their bytes
+// (793 objects and 111,013 bytes for the JSON body, 948 and 131,295 for
+// the HLO one; 1789 and 168,187, 1923 and 197,580 before the graphs were
+// built from slabs and replay shared its leaves).
 func TestWarmCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -211,18 +211,18 @@ func TestWarmCheckAllocs(t *testing.T) {
 		body         []byte
 		allocs, size float64 // at that commit
 	}{
-		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 1789, 168187},
-		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 1923, 197580},
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 793, 111013},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 948, 131295},
 	} {
 		s := primedServer(t, c.body)
 		check := func() { warmCheck(t, s, c.body) }
 		allocs, size := testing.AllocsPerRun(50, check), bytesPerRun(50, check)
 		t.Logf("%s: %.0f allocations, %.0f bytes per request", c.name, allocs, size)
-		if allocs > 0.65*c.allocs {
-			t.Errorf("%s: %.0f allocations per request, ceiling %.0f", c.name, allocs, 0.65*c.allocs)
+		if allocs > 1.1*c.allocs {
+			t.Errorf("%s: %.0f allocations per request, ceiling %.0f", c.name, allocs, 1.1*c.allocs)
 		}
-		if size > 0.70*c.size {
-			t.Errorf("%s: %.0f bytes per request, ceiling %.0f", c.name, size, 0.70*c.size)
+		if size > 1.1*c.size {
+			t.Errorf("%s: %.0f bytes per request, ceiling %.0f", c.name, size, 1.1*c.size)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"entangle/internal/cluster"
 	"entangle/internal/core"
+	"entangle/internal/egraph"
 	"entangle/internal/fingerprint"
 	"entangle/internal/lemmas"
 	"entangle/internal/vcache"
@@ -34,7 +35,7 @@ func (b replyWith) RoundTrip(*http.Request) (*http.Response, error) {
 func FuzzPeerFrames(f *testing.F) {
 	k1, k2 := fingerprint.Hash{1}, fingerprint.Hash{2}
 	entry := func(key fingerprint.Hash, out string) cluster.Frame {
-		data, err := vcache.EncodeEntry(key, &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{out}}}})
+		data, err := vcache.EncodeEntry(key, vcache.Refined(key, 0, egraph.Stats{}, [][]string{{out}}))
 		if err != nil {
 			f.Fatal(err)
 		}

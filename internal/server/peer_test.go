@@ -3,15 +3,20 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"entangle/internal/cluster"
 	"entangle/internal/core"
+	"entangle/internal/egraph"
 	"entangle/internal/fingerprint"
 	"entangle/internal/models"
 	"entangle/internal/vcache"
@@ -73,7 +78,7 @@ func keysOf(keys ...fingerprint.Hash) []byte {
 
 func peerEntry(t *testing.T, key fingerprint.Hash, out string) (*vcache.Entry, cluster.Frame) {
 	t.Helper()
-	e := &vcache.Entry{Verdict: vcache.VerdictRefined, Outputs: []vcache.Mapping{{Main: []string{out}}}}
+	e := vcache.Refined(key, 0, egraph.Stats{}, [][]string{{out}})
 	data, err := vcache.EncodeEntry(key, e)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +105,7 @@ func TestPeerVerdictRoundTrip(t *testing.T) {
 	if status, refused := doPeer(t, http.MethodPut, peerURL(ts), cluster.EncodeFrames([]cluster.Frame{f1, f2})); status != http.StatusOK || len(refused) != 0 {
 		t.Fatalf("offer: status %d, refused %+v", status, refused)
 	}
-	if got := vc.Get(k1); got == nil || got.Verdict != vcache.VerdictRefined {
+	if got := vc.Get(k1); got == nil || got.Verdict() != vcache.VerdictRefined {
 		t.Fatalf("offer did not land in the local shard: %+v", got)
 	}
 
@@ -114,20 +119,74 @@ func TestPeerVerdictRoundTrip(t *testing.T) {
 	if _, err := vcache.DecodeEntry(k2, reply[0].Data); err != nil {
 		t.Fatalf("fetched bytes fail the decode gate: %v", err)
 	}
-	back, err := vcache.DecodeEntry(k1, reply[2].Data)
-	if err != nil {
-		t.Fatalf("fetched bytes fail the decode gate: %v", err)
-	}
-	if back.Verdict != e1.Verdict || len(back.Outputs) != 1 || back.Outputs[0].Main[0] != "I0" {
-		t.Fatalf("round trip mangled the entry: %+v", back)
-	}
-	if !bytes.Equal(reply[2].Data, f1.Data) {
-		t.Fatal("the wire bytes are not the EVCACHE1 bytes offered")
+	if !bytes.Equal(reply[2].Data, f1.Data) || !bytes.Equal(reply[2].Data, e1.Bytes()) {
+		t.Fatal("the wire bytes are not the EVCACHE2 bytes offered")
 	}
 
 	stats := getStats(t, ts)
 	if stats.PeerGets != 5 || stats.PeerPuts != 2 {
 		t.Fatalf("peer counters: gets %d puts %d, want 5 keys fetched and 2 stored", stats.PeerGets, stats.PeerPuts)
+	}
+}
+
+// TestOneEncodingEverywhere: a verdict has one byte form. For every
+// verdict a real check stores, the bytes the daemon holds, its disk
+// file, the frame a peer fetch is answered with, and what a second node
+// holds and writes after accepting that frame as an offer are the same
+// bytes.
+func TestOneEncodingEverywhere(t *testing.T) {
+	b, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts, vc := newPeerServer(t)
+	if status, resp := post(t, ts, requestBody(t, b, nil)); status != http.StatusOK {
+		t.Fatalf("check: status %d, %+v", status, resp)
+	}
+	file := func(vc *vcache.Cache, k fingerprint.Hash) []byte {
+		hx := k.Hex()
+		data, err := os.ReadFile(filepath.Join(vc.Dir(), "v2", hx[:2], hx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	var keys []fingerprint.Hash
+	err = filepath.WalkDir(filepath.Join(vc.Dir(), "v2"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		var k fingerprint.Hash
+		if _, err := hex.Decode(k[:], []byte(d.Name())); err != nil {
+			return err
+		}
+		keys = append(keys, k)
+		return nil
+	})
+	if err != nil || len(keys) < b.Gs.OperatorCount() {
+		t.Fatalf("%d verdict files for %d operators: %v", len(keys), b.Gs.OperatorCount(), err)
+	}
+
+	status, fetched := doPeer(t, http.MethodPost, peerURL(ts), keysOf(keys...))
+	if status != http.StatusOK || len(fetched) != len(keys) {
+		t.Fatalf("fetch: status %d, %d frames for %d keys", status, len(fetched), len(keys))
+	}
+	_, ts2, vc2 := newPeerServer(t)
+	if status, refused := doPeer(t, http.MethodPut, peerURL(ts2), cluster.EncodeFrames(fetched)); status != http.StatusOK || len(refused) != 0 {
+		t.Fatalf("offer: status %d, refused %+v", status, refused)
+	}
+	for i, k := range keys {
+		held := vc.Get(k).Bytes()
+		for what, data := range map[string][]byte{
+			"disk file":        file(vc, k),
+			"fetch reply":      fetched[i].Data,
+			"offer, held":      vc2.Get(k).Bytes(),
+			"offer, disk file": file(vc2, k),
+		} {
+			if !bytes.Equal(data, held) {
+				t.Fatalf("key %s: the %s is not the held bytes:\n%q\n%q", k.Hex(), what, data, held)
+			}
+		}
 	}
 }
 

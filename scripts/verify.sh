@@ -73,16 +73,19 @@ stage_race() {
 # request envelope against their encoding/json references: same
 # verdict, same graph, same fields. The HLO reader: no panic, and what
 # it accepts survives Print -> Parse. A cached verdict's terms: no panic,
-# and what DecodeTerm accepts CanonicalTerm spells back byte for byte.
-# The minimizer is capped so the ten seconds go to new inputs; go test
-# takes one -fuzz target per run.
+# and what DecodeTerm accepts CanonicalTerm spells back byte for byte. A
+# cached verdict's bytes, as a file and as a payload under a valid
+# header: no panic, and what DecodeEntry accepts the entry constructors
+# build back byte for byte. The minimizer is capped so the ten seconds
+# go to new inputs; go test takes one -fuzz target per run.
 stage_fuzz() {
     for target in \
         FuzzPeerFrames:./internal/server/ \
         FuzzCheckEnvelope:./internal/server/ \
         FuzzGraphDecode:./internal/graph/ \
         FuzzHLOParse:./internal/hlo/ \
-        FuzzTermDecode:./internal/fingerprint/
+        FuzzTermDecode:./internal/fingerprint/ \
+        FuzzDecodeEntry:./internal/vcache/
     do
         go test -run '^$' -fuzz="^${target%%:*}\$" -fuzztime=10s -fuzzminimizetime=1s "${target#*:}"
     done
