@@ -12,9 +12,9 @@
 // trajectory and -baseline FILE fails the run on a regression against
 // it:
 // saturate (cold-check hot-path microbenchmark, BENCH_saturate.json:
-// fails on a >20% cold-throughput drop, a rise in e-matches or
-// allocated bytes per check, or any change in rule applications per
-// check) and fuzz (randomized strategy fuzzer, BENCH_fuzz.json: a
+// fails on a >20% cold-throughput drop, a rise in e-matches per
+// check, allocated bytes or allocations per check more than 1% over the
+// last run, or any change in rule applications per check) and fuzz (randomized strategy fuzzer, BENCH_fuzz.json: a
 // seeded campaign of composed parallelizations cross-checked against
 // the numeric oracle plus the §6.2 bug-class rediscovery sweep;
 // self-gates on soundness and full class coverage, and fails on a rise

@@ -203,21 +203,23 @@ func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecon
 // baseline that the gate still puts down to the machine.
 const throughputTolerance = 0.20
 
-// bytesSlack is how far bytes_per_check may read above the baseline
-// before the gate calls it a rise. The count itself repeats to within
-// a few hundredths of a percent from run to run (the per-process fixed
-// cost is spread over however many checks the timing budget allowed);
-// what the gate is after — scratch that stopped surviving a graph's
-// Release, a new per-match allocation — moves it by tens of percent.
-const bytesSlack = 0.01
+// allocSlack is how far bytes_per_check and allocs_per_check may each
+// read above the baseline before the gate calls it a rise. The counts
+// repeat to within a few hundredths of a percent from run to run (the
+// per-process fixed cost is spread over however many checks the timing
+// budget allowed); what the gate is after — scratch that stopped
+// surviving a graph's Release, a new per-match allocation — moves them
+// by tens of percent.
+const allocSlack = 0.01
 
 // CompareSaturate gates CI on cold-check regressions: every measured
 // workload must have a point in the baseline (the committed
 // trajectory's last run) — a baseline without one is the wrong file,
 // not a pass — its checks/sec must be at least (1 - throughputTolerance)
-// × baseline, neither the e-matches collected nor the bytes allocated
-// per check may exceed the baseline's, and the rule applications per
-// check must equal the baseline's (where it recorded them). It returns
+// × baseline, neither the e-matches collected nor the bytes and
+// objects allocated per check may exceed the baseline's, and the rule
+// applications per check must equal the baseline's (where it recorded
+// them). It returns
 // a human-readable comparison plus the violations of each kind. A
 // throughput violation is a timing and may be a noisy neighbour, so the
 // caller re-measures before believing it, workload by workload (slower
@@ -232,16 +234,19 @@ func CompareSaturate(baseline, current []SaturatePoint) (report string, slower m
 		base[p.Workload] = p
 	}
 	var out strings.Builder
-	fmt.Fprintf(&out, "%-16s %12s %12s %8s %12s %12s %12s %12s\n", "model", "base chk/s", "now chk/s", "ratio", "base matches", "now matches", "base KB/chk", "now KB/chk")
+	fmt.Fprintf(&out, "%-16s %12s %12s %8s %12s %12s %12s %12s %12s %12s\n", "model", "base chk/s", "now chk/s", "ratio",
+		"base matches", "now matches", "base KB/chk", "now KB/chk", "base allocs", "now allocs")
 	for _, p := range current {
 		b, ok := base[p.Workload]
 		if !ok || b.ChecksPerSec <= 0 {
-			fmt.Fprintf(&out, "%-16s %12s %12.1f %8s %12s %12d %12s %12.0f\n", p.Workload, "(none)", p.ChecksPerSec, "-", "(none)", p.Matches, "(none)", p.BytesPerCheck/1024)
+			fmt.Fprintf(&out, "%-16s %12s %12.1f %8s %12s %12d %12s %12.0f %12s %12.0f\n", p.Workload, "(none)", p.ChecksPerSec, "-",
+				"(none)", p.Matches, "(none)", p.BytesPerCheck/1024, "(none)", p.AllocsPerCheck)
 			moreWork = append(moreWork, fmt.Sprintf("%s: the baseline's last run has no point for it", p.Workload))
 			continue
 		}
 		ratio := p.ChecksPerSec / b.ChecksPerSec
-		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx %12d %12d %12.0f %12.0f\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio, b.Matches, p.Matches, b.BytesPerCheck/1024, p.BytesPerCheck/1024)
+		fmt.Fprintf(&out, "%-16s %12.1f %12.1f %7.2fx %12d %12d %12.0f %12.0f %12.0f %12.0f\n", p.Workload, b.ChecksPerSec, p.ChecksPerSec, ratio,
+			b.Matches, p.Matches, b.BytesPerCheck/1024, p.BytesPerCheck/1024, b.AllocsPerCheck, p.AllocsPerCheck)
 		if ratio < 1-throughputTolerance {
 			slower[p.Workload] = fmt.Sprintf("%s: cold throughput %.1f checks/s is %.0f%% of baseline %.1f (floor %.0f%%)",
 				p.Workload, p.ChecksPerSec, 100*ratio, b.ChecksPerSec, 100*(1-throughputTolerance))
@@ -254,9 +259,13 @@ func CompareSaturate(baseline, current []SaturatePoint) (report string, slower m
 			moreWork = append(moreWork,
 				fmt.Sprintf("%s: %d rule applications per check, baseline %d: they are deterministic, and a matcher change must not move them", p.Workload, p.Applications, b.Applications))
 		}
-		if b.BytesPerCheck > 0 && p.BytesPerCheck > b.BytesPerCheck*(1+bytesSlack) {
+		if b.BytesPerCheck > 0 && p.BytesPerCheck > b.BytesPerCheck*(1+allocSlack) {
 			moreWork = append(moreWork,
 				fmt.Sprintf("%s: %.0f bytes allocated per check, baseline %.0f", p.Workload, p.BytesPerCheck, b.BytesPerCheck))
+		}
+		if b.AllocsPerCheck > 0 && p.AllocsPerCheck > b.AllocsPerCheck*(1+allocSlack) {
+			moreWork = append(moreWork,
+				fmt.Sprintf("%s: %.0f allocations per check, baseline %.0f", p.Workload, p.AllocsPerCheck, b.AllocsPerCheck))
 		}
 	}
 	return out.String(), slower, moreWork

@@ -15,26 +15,25 @@ import (
 // SetLeafShapeFn installs the tensor-leaf shape oracle.
 func (g *EGraph) SetLeafShapeFn(fn func(tid int) (shape.Shape, bool)) {
 	g.leafShape = fn
-	if g.shapeMemo == nil {
-		g.shapeMemo = map[ClassID]shape.Shape{}
-	}
-	clear(g.shapeMemo)
+	clear(g.shapes)
+	g.shapeAt, g.shapes = g.shapeAt[:0], g.shapes[:0]
 }
 
 // ShapeOf returns the shape of the tensor denoted by class c, if
-// derivable from leaf shapes. Results are memoized per canonical
-// class; memo entries stay valid across unions because members of a
-// class always denote the same tensor value. A failed query is
-// remembered on the graph (shapeUnknown): a later union can make the
-// shape derivable from arbitrarily far below the asking rule's match,
-// which no bounded read footprint covers.
+// derivable from leaf shapes. Results are memoized per canonical class
+// in a dense table (shapeAt, indexed by class slot); an entry stays
+// valid across unions because members of a class always denote the
+// same tensor value. A failed query is remembered on the graph
+// (shapeUnknown): a later union can make the shape derivable from
+// arbitrarily far below the asking rule's match, which no bounded read
+// footprint covers.
 func (g *EGraph) ShapeOf(c ClassID) (shape.Shape, bool) {
 	if g.leafShape == nil {
 		g.shapeUnknown = true
 		return nil, false
 	}
-	if g.shapeVisiting == nil {
-		g.shapeVisiting = map[ClassID]bool{}
+	if grow := len(g.parent) - len(g.shapeAt); grow > 0 {
+		g.shapeAt = append(g.shapeAt, make([]int32, grow)...)
 	}
 	s, ok := g.shapeOf(c)
 	if !ok {
@@ -45,48 +44,56 @@ func (g *EGraph) ShapeOf(c ClassID) (shape.Shape, bool) {
 
 func (g *EGraph) shapeOf(c ClassID) (shape.Shape, bool) {
 	c = g.Find(c)
-	if s, ok := g.shapeMemo[c]; ok {
-		return s, true
-	}
-	if g.shapeVisiting[c] {
+	switch at := g.shapeAt[c]; {
+	case at > 0:
+		return g.shapes[at-1], true
+	case at < 0:
 		return nil, false // cycle: try other derivations
 	}
-	g.shapeVisiting[c] = true
-	defer delete(g.shapeVisiting, c)
 	cl := g.classes[c]
 	if cl == nil {
 		return nil, false
 	}
+	g.shapeAt[c] = -1
 	for ni := cl.first; ni >= 0; ni = g.next[ni] {
 		n := &g.arena[ni]
 		if n.isLeaf() {
 			if s, ok := g.leafShape(n.TID); ok {
-				g.shapeMemo[c] = s
-				return s, true
+				return g.derived(c, s), true
 			}
 			continue
 		}
-		kidShapes := make([]shape.Shape, len(n.Kids))
+		// The kid shapes go on shapeArgs above those of the derivations
+		// this one is nested in.
+		base := len(g.shapeArgs)
 		ok := true
-		for i, k := range n.Kids {
+		for _, k := range n.Kids {
 			s, got := g.shapeOf(k)
 			if !got {
 				ok = false
 				break
 			}
-			kidShapes[i] = s
+			g.shapeArgs = append(g.shapeArgs, s)
 		}
-		if !ok {
-			continue
+		var outs []shape.Shape
+		var err error
+		if ok {
+			outs, err = shape.Infer(n.Op, n.Str, n.Ints, g.shapeArgs[base:], g.Ctx)
 		}
-		outs, err := shape.Infer(n.Op, n.Str, n.Ints, kidShapes, g.Ctx)
-		if err != nil || len(outs) != 1 {
-			continue
+		g.shapeArgs = g.shapeArgs[:base]
+		if ok && err == nil && len(outs) == 1 {
+			return g.derived(c, outs[0]), true
 		}
-		g.shapeMemo[c] = outs[0]
-		return outs[0], true
 	}
+	g.shapeAt[c] = 0
 	return nil, false
+}
+
+// derived records s as the shape of class c and returns it.
+func (g *EGraph) derived(c ClassID, s shape.Shape) shape.Shape {
+	g.shapes = append(g.shapes, s)
+	g.shapeAt[c] = int32(len(g.shapes))
+	return s
 }
 
 // EachParent visits the consumers of class c — what generative lemmas
@@ -148,7 +155,7 @@ func (it NodeIter) Node() *ENode { return &it.g.arena[it.at] }
 // sticky (Class.consumers), set when the consumer is inserted and kept
 // through merges and deduplication.
 func (g *EGraph) ConsumedBy(c ClassID, op expr.Op) bool {
-	id := g.intern.lookupOp(string(op))
+	id := g.intern.lookupOp(op)
 	if id == 0 {
 		return false // no node of this graph has the operator
 	}

@@ -52,7 +52,7 @@ func Leaf(tid int, name string) ENode {
 	return ENode{Op: expr.OpTensor, TID: tid, Name: name}
 }
 
-func (n ENode) isLeaf() bool { return n.Op == expr.OpTensor }
+func (n *ENode) isLeaf() bool { return n.Op == expr.OpTensor }
 
 // key renders a node's full structural identity as a string, for
 // diagnostics and invariant messages. The hot path never calls it:
@@ -100,7 +100,8 @@ type Class struct {
 	id                 ClassID
 	first, last, count int32
 	// parents lists the class's consumers; the first two entries live in
-	// the record (most classes never have a third).
+	// the record (most classes never have a third), a longer list in the
+	// graph's parent slab (appendParents).
 	parents    []parentEntry
 	parentsBuf [2]parentEntry
 
@@ -160,17 +161,21 @@ type EGraph struct {
 	classSlab classSlab
 	// arena holds the one copy of every node addNode ever inserted, in
 	// insertion order: class node chains, parent entries, memo entries
-	// and match bindings all name a node by its index here. repair
-	// canonicalizes the kid lists in place (replacing the slice, never
-	// writing through it); a node deduplicated out of its class leaves
-	// its slot behind (nothing points at it once its parent entries are
-	// dropped), so the arena is as long as the union-find. next chains
-	// each class's nodes through it (Class): next[i] is the arena index
-	// of the node after i in i's class, -1 at the end.
-	arena  []ENode
-	next   []int32
-	memo   memoTable
-	intern interner
+	// and match bindings all name a node by its index here. Each node's
+	// kid list is its own, cut from kidSlab when it was inserted, and
+	// repair canonicalizes it in place; a node deduplicated out of its
+	// class leaves its slot behind (nothing points at it once its parent
+	// entries are dropped), so the arena is as long as the union-find.
+	// next chains each class's nodes through it (Class): next[i] is the
+	// arena index of the node after i in i's class, -1 at the end.
+	arena   []ENode
+	next    []int32
+	kidSlab bump[ClassID]
+	// parentSlab holds the parent lists that outgrew their class record's
+	// two entries (appendParents): pointer-free, like the kid slab.
+	parentSlab bump[parentEntry]
+	memo       memoTable
+	intern     interner
 	// work is Rebuild's worklist and workDone the list it drained last
 	// round, kept so the two swap instead of reallocating.
 	work, workDone []ClassID
@@ -230,20 +235,24 @@ type EGraph struct {
 	dirtyFront   []ClassID
 	dirtyNext    []ClassID
 	gateOpID     []opID          // the rule set's kid-gate operators, resolved per iteration
+	rulesByOp    [][]int         // per interned operator: the compiled rules rooted at it, resolved per iteration
 	fpBuf        []byte          // fingerprint scratch (appendFingerprint)
 	todoBuf      []ruleMatch     // match-list scratch (Saturate)
 	withheld     []withheldMatch // the gate-withheld matches of the match list (InvariantChecks only)
 	substStack   []int32         // e-matching result stack (matchClassOnStack): indexes into substs
 	substs       []Subst         // the match phase's substitutions: a pointer-free slab, overwritten by the next phase
 	appsBuf      []int32         // effective applications per compiled rule (Saturate)
-	headBuf      []byte          // head-key scratch (headOf)
+	canonBuf     []ClassID       // the canonical kid list canonNode last built
+	kidStack     []ClassID       // kid lists AddTerm, LookupTerm and Instantiate build, stack-wise
 	cleanCostBuf []int           // extraction cost table (CleanCosts), indexed by ClassID
 	cleanGen     uint32          // stamps the table cleanCostBuf currently holds
+	scratch      lemmaScratch    // what a rule's Apply draws its buffers from (scratch.go)
 
 	// shape analysis (analysis.go)
-	leafShape     func(tid int) (shape.Shape, bool)
-	shapeMemo     map[ClassID]shape.Shape
-	shapeVisiting map[ClassID]bool
+	leafShape func(tid int) (shape.Shape, bool)
+	shapeAt   []int32       // per class slot: 0 not derived, -1 being derived, k > 0 shapes[k-1]
+	shapes    []shape.Shape // the shapes derived, in derivation order
+	shapeArgs []shape.Shape // the kid shapes of the derivations in progress, stack-wise
 
 	// released marks a graph between Release and the New that hands it
 	// out again (lifetime.go).
@@ -281,37 +290,42 @@ func (g *EGraph) newClass() ClassID {
 	return id
 }
 
-func (g *EGraph) canonNode(n ENode) ENode {
-	if len(n.Kids) == 0 {
-		return n
+// canonNode makes n's kid list canonical. A list that already is — the
+// common post-rebuild case — stays as it is; otherwise n.Kids is pointed
+// at the canonical list, built in the graph's scratch (canonBuf) and
+// good until the next canonNode: the caller's slice is never written.
+func (g *EGraph) canonNode(n *ENode) {
+	if g.canonical(n.Kids) {
+		return
 	}
-	changed := false
-	for _, k := range n.Kids {
-		if g.Find(k) != k {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return n // already canonical: the common post-rebuild case, no copy
-	}
-	kids := make([]ClassID, len(n.Kids))
-	for i, k := range n.Kids {
+	kids := append(g.canonBuf[:0], n.Kids...)
+	for i, k := range kids {
 		kids[i] = g.Find(k)
 	}
-	n.Kids = kids
-	return n
+	g.canonBuf, n.Kids = kids, kids
+}
+
+// canonical reports whether every class in kids is its own
+// representative.
+func (g *EGraph) canonical(kids []ClassID) bool {
+	for _, k := range kids {
+		if g.Find(k) != k {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup reports whether an ENode already exists, without inserting.
 // Used by constrained lemmas (§4.3.2) that may only target existing
-// ENodes.
-func (g *EGraph) Lookup(n ENode) (ClassID, bool) {
+// ENodes. It interns n's head into n and may point n.Kids at the
+// canonical kid list (canonNode): inserting n next costs neither again.
+func (g *EGraph) Lookup(n *ENode) (ClassID, bool) {
 	if InvariantChecks {
-		g.checkHead(&n)
+		g.checkHead(n)
 	}
-	n = g.canonNode(n)
-	id, ok := g.memoLookup(&n)
+	g.canonNode(n)
+	id, ok := g.memoLookup(n)
 	if !ok {
 		return 0, false
 	}
@@ -322,20 +336,23 @@ func (g *EGraph) Lookup(n ENode) (ClassID, bool) {
 // never budget-limited: saturation's MaxNodes cap applies to rule
 // instantiation (addNode with budget), not to direct graph building.
 func (g *EGraph) AddNode(n ENode) ClassID {
-	id, _ := g.addNode(n, false)
+	id, _ := g.addNode(&n, false)
 	return id
 }
 
-// addNode is the hash-consing insert. With budget set (rule
-// instantiation during saturation) it declines — returns ok == false —
-// instead of creating a node beyond the live-node limit, recording the
-// denial so Saturate reports a node-limit stop.
-func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
+// addNode is the hash-consing insert, by reference: n's head is interned
+// into n and its kid list canonicalized (canonNode), and a new node gets
+// a copy of that list from the kid slab — the caller's slice is never
+// kept. With budget set (rule instantiation during saturation) it
+// declines — returns ok == false — instead of creating a node beyond the
+// live-node limit, recording the denial so Saturate reports a node-limit
+// stop.
+func (g *EGraph) addNode(n *ENode, budget bool) (ClassID, bool) {
 	if InvariantChecks {
-		g.checkHead(&n)
+		g.checkHead(n)
 	}
-	n = g.canonNode(n)
-	h := g.headOf(&n)
+	g.canonNode(n)
+	h := g.headOf(n)
 	hash := memoHash(h, n.Kids)
 	if id, ok := g.memo.get(g.arena, hash, h, n.Kids); ok {
 		return g.Find(id), true
@@ -346,9 +363,14 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	}
 	id := g.newClass()
 	cl := g.classes[id]
-	n.born = g.phase
+	var kids []ClassID
+	if len(n.Kids) > 0 {
+		kids = g.kidSlab.take(len(n.Kids))
+		copy(kids, n.Kids)
+	}
 	at := int32(len(g.arena)) // == int32(id): one arena slot per class slot
-	g.arena = append(g.arena, n)
+	g.arena = append(g.arena, ENode{Op: n.Op, Str: n.Str, Ints: n.Ints, Kids: kids,
+		TID: n.TID, Name: n.Name, head: h, born: g.phase})
 	g.next = append(g.next, -1)
 	cl.first, cl.last, cl.count = at, at, 1
 	op := g.opOfHead(h)
@@ -357,15 +379,28 @@ func (g *EGraph) addNode(n ENode, budget bool) (ClassID, bool) {
 	g.nodeCount++
 	entry := parentEntry{node: at, class: int32(id)}
 	bit := consumerBit(op)
-	for _, kid := range n.Kids {
+	for _, kid := range kids {
 		kc := g.classes[g.Find(kid)]
-		if kc.parents == nil {
-			kc.parents = kc.parentsBuf[:0]
-		}
-		kc.parents = append(kc.parents, entry)
+		g.appendParents(kc, entry)
 		kc.consumers |= bit
 	}
 	return id, true
+}
+
+// appendParents appends entries to class cl's parent list. A list that
+// outgrows its room moves to a region of the parent slab twice its
+// length, so a growing list costs no allocation.
+func (g *EGraph) appendParents(cl *Class, entries ...parentEntry) {
+	ps := cl.parents
+	if ps == nil {
+		ps = cl.parentsBuf[:0]
+	}
+	if need := len(ps) + len(entries); need > cap(ps) {
+		grown := g.parentSlab.take(max(2*cap(ps), need))
+		copy(grown, ps)
+		ps = grown[:len(ps)]
+	}
+	cl.parents = append(ps, entries...)
 }
 
 // AddTerm inserts a whole expression tree, returning its class.
@@ -373,28 +408,38 @@ func (g *EGraph) AddTerm(t *expr.Term) ClassID {
 	if t.IsLeaf() {
 		return g.AddNode(Leaf(t.TID, t.Name))
 	}
-	kids := make([]ClassID, len(t.Args))
-	for i, a := range t.Args {
-		kids[i] = g.AddTerm(a)
+	// The kid list is built on kidStack above whatever the callers up the
+	// tree have there; the insert copies it, and the stack drops it.
+	base := len(g.kidStack)
+	for _, a := range t.Args {
+		k := g.AddTerm(a)
+		g.kidStack = append(g.kidStack, k)
 	}
-	return g.AddNode(ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: kids})
+	id := g.AddNode(ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: g.kidStack[base:]})
+	g.kidStack = g.kidStack[:base]
+	return id
 }
 
 // LookupTerm reports the class of an expression tree if every node of
 // it already exists; it never inserts.
 func (g *EGraph) LookupTerm(t *expr.Term) (ClassID, bool) {
 	if t.IsLeaf() {
-		return g.Lookup(Leaf(t.TID, t.Name))
+		n := Leaf(t.TID, t.Name)
+		return g.Lookup(&n)
 	}
-	kids := make([]ClassID, len(t.Args))
-	for i, a := range t.Args {
+	base := len(g.kidStack)
+	for _, a := range t.Args {
 		k, ok := g.LookupTerm(a)
 		if !ok {
+			g.kidStack = g.kidStack[:base]
 			return 0, false
 		}
-		kids[i] = k
+		g.kidStack = append(g.kidStack, k)
 	}
-	return g.Lookup(ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: kids})
+	n := ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: g.kidStack[base:]}
+	id, ok := g.Lookup(&n)
+	g.kidStack = g.kidStack[:base]
+	return id, ok
 }
 
 // Union merges two classes; it returns true when they were distinct.
@@ -414,7 +459,7 @@ func (g *EGraph) Union(a, b ClassID) bool {
 	ca, cb := g.classes[a], g.classes[b]
 	g.next[ca.last] = cb.first
 	ca.last, ca.count = cb.last, ca.count+cb.count
-	ca.parents = append(ca.parents, cb.parents...)
+	g.appendParents(ca, cb.parents...)
 	for _, oc := range cb.ops {
 		ca.opsAdd(oc.op, oc.n)
 	}
@@ -664,19 +709,22 @@ func (g *EGraph) repair(c ClassID) {
 		return -1
 	}
 	for _, p := range cl.parents {
-		stale := g.arena[p.node].Kids
-		cn := g.canonNode(g.arena[p.node])
+		// The arena node itself is canonicalized: its kid list is its own
+		// (addNode cut it from the kid slab), so it is rewritten in place.
+		cn := &g.arena[p.node]
 		h := cn.head
-		hash := memoHash(h, cn.Kids)
-		if !kidsEqual(stale, cn.Kids) {
+		if !g.canonical(cn.Kids) {
 			// The memo entry under the stale key reads its kids off an
 			// arena node with exactly these kids — this one or a twin — so
-			// it goes before the node's kid list is replaced.
-			g.memo.del(g.arena, memoHash(h, stale), h, stale)
-			g.arena[p.node].Kids = cn.Kids
+			// it goes before the node's kid list is rewritten.
+			g.memo.del(g.arena, memoHash(h, cn.Kids), h, cn.Kids)
+			for i, k := range cn.Kids {
+				cn.Kids[i] = g.Find(k)
+			}
 		}
+		hash := memoHash(h, cn.Kids)
 		pc := g.Find(ClassID(p.class))
-		if j := findEquiv(&cn, hash); j >= 0 {
+		if j := findEquiv(cn, hash); j >= 0 {
 			prev := g.Find(ClassID(parents[j].class))
 			if prev != pc {
 				g.Union(prev, pc)

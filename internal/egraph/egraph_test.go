@@ -451,7 +451,7 @@ func TestRepairKeepsParentsMergedMidRepair(t *testing.T) {
 	if g.Find(gb) != g.Find(a) {
 		t.Fatal("g(b) must have joined the class of a = g(a) by congruence")
 	}
-	if c, ok := g.Lookup(ENode{Op: opF, Kids: []ClassID{a}}); !ok || g.Find(c) != g.Find(hgb) {
+	if c, ok := g.Lookup(&ENode{Op: opF, Kids: []ClassID{a}}); !ok || g.Find(c) != g.Find(hgb) {
 		t.Fatal("f(g(b)) was not re-canonicalized to f(a): its parent entry was lost")
 	}
 	assertCongruent(t, g)

@@ -1,5 +1,7 @@
 package egraph
 
+import "slices"
+
 // LateEffects exposes, to the external differential test, how many
 // withheld matches the InvariantChecks replay found effective in their
 // turn (EGraph.lateEffects).
@@ -58,19 +60,31 @@ type ParentRef struct {
 func (g *EGraph) ParentsOf(c ClassID) []ParentRef {
 	var out []ParentRef
 	g.EachParent(c, func(n *ENode, owner ClassID) bool {
-		out = append(out, ParentRef{Node: g.canonNode(*n), Class: owner})
+		out = append(out, ParentRef{Node: g.canonCopy(n), Class: owner})
 		return true
 	})
 	return out
 }
 
-// Nodes copies out the nodes of class c, in the class's order.
+// Nodes copies out the nodes of class c, in the class's order, each
+// with a kid list of its own (repair rewrites the arena's in place).
 func (g *EGraph) Nodes(c ClassID) []ENode {
 	var out []ENode
 	for it := g.NodesOf(c); it.Valid(); it.Next() {
-		out = append(out, *it.Node())
+		n := *it.Node()
+		n.Kids = slices.Clone(n.Kids)
+		out = append(out, n)
 	}
 	return out
+}
+
+// canonCopy returns a copy of n, canonicalized, with a kid list of its
+// own.
+func (g *EGraph) canonCopy(n *ENode) ENode {
+	cn := *n
+	g.canonNode(&cn)
+	cn.Kids = slices.Clone(cn.Kids)
+	return cn
 }
 
 // nodeTotal recounts the live nodes class by class, the O(classes)

@@ -76,7 +76,7 @@ func (v CleanCosts) of(c ClassID) int {
 	return v.cost[v.g.Find(c)]
 }
 
-func (v CleanCosts) nodeCost(n *ENode) int {
+func (v *CleanCosts) nodeCost(n *ENode) int {
 	if n.isLeaf() {
 		if v.allowed(n.TID) {
 			return 0

@@ -69,10 +69,15 @@ type CompiledRules struct {
 	pats     []*compiledPattern // per rule: the LHS, compiled
 	vars     []*slotTable       // per rule: what names the LHS's slots
 	varRules []int              // indexes of bare-variable-LHS rules, in order
-	byOp     map[expr.Op][]int  // op-rooted rules bucketed by root op, in order
-	kidGates [][]kidGate        // per rule: derived gates, then the declared one
-	gateOps  []expr.Op          // the distinct operators the kid gates name
-	gates    []ruleGate         // per rule
+	// rootOps are the distinct root operators of the op-rooted rules, and
+	// byRoot[i] the rules rooted at rootOps[i], in order: the buckets a
+	// graph files under its own operator IDs each match phase
+	// (resolveOps), so a node finds its candidate rules by index.
+	rootOps  []expr.Op
+	byRoot   [][]int
+	kidGates [][]kidGate // per rule: derived gates, then the declared one
+	gateOps  []expr.Op   // the distinct operators the kid gates name
+	gates    []ruleGate  // per rule
 	// maxReach is the deepest reach of any gated rule: the dirty closure
 	// is expanded by that many parent hops.
 	maxReach  int
@@ -101,13 +106,18 @@ type kidGate struct {
 
 // gateOp returns op's index in cr.gateOps, adding it if new.
 func (cr *CompiledRules) gateOp(op expr.Op) int16 {
-	for i, o := range cr.gateOps {
+	return int16(indexOf(&cr.gateOps, op))
+}
+
+// indexOf returns op's index in *ops, appending it if new.
+func indexOf(ops *[]expr.Op, op expr.Op) int {
+	for i, o := range *ops {
 		if o == op {
-			return int16(i)
+			return i
 		}
 	}
-	cr.gateOps = append(cr.gateOps, op)
-	return int16(len(cr.gateOps) - 1)
+	*ops = append(*ops, op)
+	return len(*ops) - 1
 }
 
 // compileKidGates derives r's gates from its LHS and appends the
@@ -138,7 +148,6 @@ func CompileRules(rules []*Rule) *CompiledRules {
 		rules:    rules,
 		pats:     make([]*compiledPattern, len(rules)),
 		vars:     make([]*slotTable, len(rules)),
-		byOp:     map[expr.Op][]int{},
 		kidGates: make([][]kidGate, len(rules)),
 		gates:    make([]ruleGate, len(rules)),
 	}
@@ -147,7 +156,11 @@ func CompileRules(rules []*Rule) *CompiledRules {
 		if r.LHS.Var != "" {
 			cr.varRules = append(cr.varRules, i)
 		} else {
-			cr.byOp[r.LHS.Op] = append(cr.byOp[r.LHS.Op], i)
+			if at := indexOf(&cr.rootOps, r.LHS.Op); at == len(cr.byRoot) {
+				cr.byRoot = append(cr.byRoot, []int{i})
+			} else {
+				cr.byRoot[at] = append(cr.byRoot[at], i)
+			}
 			cr.kidGates[i] = cr.compileKidGates(r)
 		}
 		gate := ruleGate{kind: r.Reads.kind, reach: int8(r.LHS.Depth() - 1)}
@@ -171,21 +184,38 @@ func CompileRules(rules []*Rule) *CompiledRules {
 	return cr
 }
 
-// resolveGateOps refreshes the interned kid-gate operators against g's
-// interner, into the per-graph scratch g.gateOpID (CompiledRules is
-// shared and stays read-only). An op can first appear mid-saturation,
-// so this runs once per iteration; an unresolved op (ID 0) means no
-// node in the graph has it, which no class's counts hold either —
-// exactly what matching would conclude.
-func (g *EGraph) resolveGateOps(cr *CompiledRules) {
+// resolveOps files the rule set's operators under g's interned operator
+// IDs, into per-graph scratch (CompiledRules is shared and stays
+// read-only): the kid-gate operators into g.gateOpID, the root buckets
+// into g.rulesByOp, indexed by operator ID. An op can first appear
+// mid-saturation, so this runs once per match phase, in which nothing
+// is inserted; an unresolved op (ID 0) means no node in the graph has
+// it, which no class's counts hold either, and no node can root a match
+// at it — exactly what matching would conclude.
+func (g *EGraph) resolveOps(cr *CompiledRules) {
 	if cap(g.gateOpID) < len(cr.gateOps) {
 		g.gateOpID = make([]opID, len(cr.gateOps))
 	}
 	g.gateOpID = g.gateOpID[:len(cr.gateOps)]
 	for i, op := range cr.gateOps {
-		g.gateOpID[i] = g.intern.lookupOp(string(op))
+		g.gateOpID[i] = g.intern.lookupOp(op)
+	}
+	if n := len(g.intern.ops) + 1; cap(g.rulesByOp) < n {
+		g.rulesByOp = make([][]int, n)
+	} else {
+		g.rulesByOp = g.rulesByOp[:n]
+		clear(g.rulesByOp)
+	}
+	for i, op := range cr.rootOps {
+		if id := g.intern.lookupOp(op); id != 0 {
+			g.rulesByOp[id] = cr.byRoot[i]
+		}
 	}
 }
+
+// rulesAt returns the compiled rules rooted at n's operator, as the
+// match phase's resolveOps filed them.
+func (g *EGraph) rulesAt(n *ENode) []int { return g.rulesByOp[g.opOfHead(n.head)] }
 
 // kidHas reports whether kid class k holds a node with operator op.
 func (g *EGraph) kidHas(k ClassID, op opID) bool {
@@ -256,7 +286,7 @@ const farAway = int8(127)
 // matches are appended too, in their naive-order places, with their
 // places in g.withheld: Saturate audits them.
 func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch) []ruleMatch {
-	g.resolveGateOps(cr)
+	g.resolveOps(cr)
 	g.withheld = g.withheld[:0]
 	epoch := int32(0)
 	if full {
@@ -303,7 +333,7 @@ func (g *EGraph) matchRulesIndexed(cr *CompiledRules, full bool, out []ruleMatch
 		}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
 			n := &g.arena[ni]
-			cands := cr.byOp[n.Op]
+			cands := g.rulesAt(n)
 			if len(cands) == 0 {
 				continue
 			}

@@ -2,7 +2,12 @@ package egraph
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+
+	"entangle/internal/det"
+	"entangle/internal/expr"
+	"entangle/internal/sym"
 )
 
 // Interned node identity. An ENode's structural identity splits into a
@@ -13,6 +18,12 @@ import (
 // on the hot path: the old ENode.key() + map[string]ClassID pair cost
 // one fmt-heavy string construction per canonicalization and was,
 // with its allocations, ~25% of cold-check CPU.
+//
+// The interner is itself a hash table over the heads' fields, compared
+// field by field: a lemma looks up a freshly built node on almost every
+// application, and rendering its head to a string key and probing a
+// map with it was, after the rest of the path stopped allocating, the
+// largest cost left on it.
 //
 // Head IDs are local to one life of one e-graph: Release clears the
 // interner, and the next life hands the IDs out afresh. Nodes read back
@@ -25,52 +36,151 @@ import (
 // head is interned on first insert.
 
 // headID identifies an interned node head. 0 means "not yet interned";
-// valid IDs start at 1 and index headOps at id-1.
+// valid IDs start at 1 and index interner.heads at id-1.
 type headID int32
 
 // opID identifies an interned operator symbol, used by the per-class
 // operator counts that drive rule indexing. 0 is unused; valid IDs
-// start at 1.
+// start at 1 and index interner.ops at id-1.
 type opID int32
 
 type interner struct {
-	heads map[string]headID
-	// headOps maps headID-1 to the interned operator of that head.
-	headOps []opID
-	ops     map[string]opID
+	heads []head    // by headID-1
+	table []headID  // open addressing on the heads' hashes; 0 is an empty slot
+	ops   []expr.Op // by opID-1
+}
+
+// head is the identity of one interned head: a leaf's TID, or an
+// operator application's operator, Str and Ints (a copy the interner
+// owns: the node it was first seen on may be lemma scratch).
+type head struct {
+	hash uint64
+	op   opID
+	tid  int
+	str  string
+	ints []sym.Expr
 }
 
 func newInterner() interner {
-	return interner{heads: map[string]headID{}, ops: map[string]opID{}}
+	return interner{table: make([]headID, 64)}
 }
 
-// reset forgets every head and operator, keeping the maps' buckets.
+// reset forgets every head and operator, keeping the table's slots and
+// up to keepMatchBytes of head records.
 func (in *interner) reset() {
-	clear(in.heads)
+	clear(in.heads) // the records point at attribute lists
+	in.heads = truncate(in.heads, keepOf[head]())
+	if len(in.table) > 2*keepSlots {
+		in.table = make([]headID, 64)
+	} else {
+		clear(in.table)
+	}
 	clear(in.ops)
-	in.headOps = in.headOps[:0]
+	in.ops = in.ops[:0]
 }
 
-func (in *interner) opOf(op string) opID {
-	if id, ok := in.ops[op]; ok {
+func (in *interner) opOf(op expr.Op) opID {
+	if id := in.lookupOp(op); id != 0 {
 		return id
 	}
-	id := opID(len(in.ops) + 1)
-	in.ops[op] = id
-	return id
+	in.ops = append(in.ops, op)
+	return opID(len(in.ops))
 }
 
 // lookupOp returns the interned ID for op without creating one; 0
-// means no node with this operator was ever interned here.
-func (in *interner) lookupOp(op string) opID {
-	return in.ops[op]
+// means no node with this operator was ever interned here. A graph
+// holds a few dozen operators at most, so a scan beats a map.
+func (in *interner) lookupOp(op expr.Op) opID {
+	for i, o := range in.ops {
+		if o == op {
+			return opID(i + 1)
+		}
+	}
+	return 0
+}
+
+// headHash hashes n's head: what the interner's table is keyed on.
+func headHash(n *ENode) uint64 {
+	if n.isLeaf() {
+		return det.Mix(uint64(n.TID))
+	}
+	x := det.String(det.FNVOffset, string(n.Op))
+	x = det.String(x*fnvPrime64, n.Str)
+	for _, e := range n.Ints {
+		x = (x ^ e.Hash()) * fnvPrime64
+	}
+	return x
+}
+
+// is reports whether n has head h.
+func (in *interner) is(h *head, n *ENode) bool {
+	if n.isLeaf() {
+		return in.ops[h.op-1] == n.Op && h.tid == n.TID
+	}
+	if in.ops[h.op-1] != n.Op || h.str != n.Str || len(h.ints) != len(n.Ints) {
+		return false
+	}
+	for i := range h.ints {
+		if !h.ints[i].Equal(n.Ints[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the slot of n's head in the table: holding its ID, or
+// empty where it would go.
+func (in *interner) find(n *ENode, hash uint64) *headID {
+	mask := uint64(len(in.table) - 1)
+	for i := hash & mask; ; i = (i + 1) & mask {
+		id := &in.table[i]
+		if *id == 0 {
+			return id
+		}
+		if h := &in.heads[*id-1]; h.hash == hash && in.is(h, n) {
+			return id
+		}
+	}
+}
+
+// intern returns n's head ID, handing out the next one if n's head is
+// new.
+func (in *interner) intern(n *ENode) headID {
+	hash := headHash(n)
+	slot := in.find(n, hash)
+	if *slot != 0 {
+		return *slot
+	}
+	h := head{hash: hash, op: in.opOf(n.Op), tid: n.TID}
+	if !n.isLeaf() {
+		h.str = n.Str
+		if len(n.Ints) > 0 {
+			h.ints = slices.Clone(n.Ints)
+		}
+	}
+	in.heads = append(in.heads, h)
+	*slot = headID(len(in.heads))
+	if len(in.heads)*4 >= len(in.table)*3 {
+		in.grow()
+	}
+	return headID(len(in.heads))
+}
+
+// grow doubles the table, re-placing every head.
+func (in *interner) grow() {
+	in.table = make([]headID, 2*len(in.table))
+	mask := uint64(len(in.table) - 1)
+	for k := range in.heads {
+		i := in.heads[k].hash & mask
+		for in.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		in.table[i] = headID(k + 1)
+	}
 }
 
 // appendHeadKey renders the kid-independent part of a node's identity
-// into buf. Keys are only built for nodes whose cached head ID is
-// unset; known heads resolve without allocating — the lookup probes
-// the intern map with the byte buffer directly, so only the first
-// sighting of a head pays for a string.
+// into buf, for diagnostics (ENode.key and checkHead's message).
 func appendHeadKey(buf []byte, n *ENode) []byte {
 	if n.isLeaf() {
 		buf = append(buf, 't')
@@ -93,40 +203,30 @@ func appendHeadKey(buf []byte, n *ENode) []byte {
 
 // headOf interns n's head, caching the ID in the node.
 func (g *EGraph) headOf(n *ENode) headID {
-	if n.head != 0 {
-		return n.head
+	if n.head == 0 {
+		n.head = g.intern.intern(n)
 	}
-	g.headBuf = appendHeadKey(g.headBuf[:0], n)
-	if id, ok := g.intern.heads[string(g.headBuf)]; ok {
-		n.head = id
-		return id
-	}
-	id := headID(len(g.intern.headOps) + 1)
-	g.intern.heads[string(g.headBuf)] = id
-	g.intern.headOps = append(g.intern.headOps, g.intern.opOf(string(n.Op)))
-	n.head = id
-	return id
+	return n.head
 }
 
 // checkHead panics when n arrives carrying a cached head that this life
-// of the graph did not hand out for n's head key: the node was copied
-// out of another graph, or out of this one before its last Release.
-// (A stale ID that happens to re-derive to itself is, by definition,
-// the right one.) It runs only under InvariantChecks, at the two doors
+// of the graph did not hand out for n's head: the node was copied out
+// of another graph, or out of this one before its last Release. (A
+// stale ID that happens to re-derive to itself is, by definition, the
+// right one.) It runs only under InvariantChecks, at the two doors
 // outside nodes come in through.
 func (g *EGraph) checkHead(n *ENode) {
 	if n.head == 0 {
 		return
 	}
-	g.headBuf = appendHeadKey(g.headBuf[:0], n)
-	if id, ok := g.intern.heads[string(g.headBuf)]; !ok || id != n.head {
+	if id := *g.intern.find(n, headHash(n)); id != n.head {
 		panic(fmt.Sprintf("egraph: node %s carries head %d cached by another graph life (this one has %d for it): an ENode copied out of a graph dies with that graph's Release",
-			g.headBuf, n.head, id))
+			appendHeadKey(nil, n), n.head, id))
 	}
 }
 
 // opOfHead returns the interned operator of a head.
-func (g *EGraph) opOfHead(h headID) opID { return g.intern.headOps[h-1] }
+func (g *EGraph) opOfHead(h headID) opID { return g.intern.heads[h-1].op }
 
 // nodesEquiv reports structural equality of two canonical, interned
 // nodes.

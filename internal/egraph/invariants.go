@@ -121,7 +121,8 @@ func (g *EGraph) CheckInvariants() error {
 		recount := map[opID]int32{}
 		seen := map[string]bool{}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
-			cn := g.canonNode(g.arena[ni])
+			cn := g.arena[ni]
+			g.canonNode(&cn)
 			h := cn.head
 			if h == 0 {
 				return fmt.Errorf("class %d node %s (arena slot %d) has no interned head", id, cn.key(), ni)

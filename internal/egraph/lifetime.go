@@ -17,18 +17,21 @@ import (
 // of its scratch, each piece only up to a fixed size. Scratch comes in
 // two kinds. What holds pointers — the node arena (nodes point at
 // attribute and kid slices), the class table and the first chunk of the
-// class slab (records point at parent lists), the interner — the
+// class slab (records point at parent lists), the interner's head
+// records, the derived shapes, the lemma scratch's symbolic buffer — the
 // collector scans, so reset clears it: nothing of the life that ended
 // stays reachable. What holds none — the union-find and its per-slot
-// annotations, the node chains, the memo table, the match list, the
-// substitution slab, the e-matching stack, the applied-fingerprint set —
-// is truncated and left as it is (the two hash tables, which have to
-// read as empty, are zeroed — no write barriers, no scan): stale bytes
-// the next life overwrites, which cost nothing to keep but resident
-// memory, hence bounds in bytes for the pieces whose entries differ in
-// size. Parent lists are not kept: a class slot that remembered the
-// largest list it ever held cost more resident memory than the
-// allocations it saved.
+// annotations, the node chains, the shape table, the kid and parent
+// slabs, the memo table, the interner's table, the rest of the lemma
+// scratch, the match list, the substitution slab, the e-matching stack,
+// the applied-fingerprint set — is truncated and left as it is (the
+// hash tables, which have to read as empty, are zeroed — no write
+// barriers, no scan): stale bytes the next life overwrites, which cost
+// nothing to keep but resident memory, hence bounds in bytes for the
+// pieces whose entries differ in size. Parent lists are not kept per
+// class slot: a slot that remembered the largest list it ever held cost
+// more resident memory than the allocations it saved; the parent slab
+// they grow into is kept whole.
 //
 // The list is package-level because graph lifetimes are shorter than
 // anything that could own it: the daemon builds a Checker per request,
@@ -47,9 +50,9 @@ const (
 	// and nodes: the per-class-slot arrays (union-find parent and rank,
 	// the class table, the node chain links, the mark/dist/consumed
 	// annotations, the clean-cost table: 45 bytes a slot together; the
-	// node arena: 112) with the maps a graph of that many classes fills
-	// (interner, shape memo, repair dedup); the hash-cons table (24-byte
-	// entries); the class worklists.
+	// shape table: 4; the node arena: 112) with the tables a graph of that
+	// many classes fills (interner, repair dedup) and the kid and parent
+	// slabs; the hash-cons table (24-byte entries); the class worklists.
 	keepSlots = 1024
 	// keepMatchBytes bounds, each on its own, the three pieces that grow
 	// with the matches of one phase: the match list (16-byte entries), the
@@ -58,7 +61,8 @@ const (
 	// the three holds a pointer, so keeping them costs the collector
 	// nothing and Release does not clear them — the only price is
 	// resident memory, and an entry count would let the widest entry set
-	// it.
+	// it. It bounds the kid and parent slabs, the interner's head records
+	// and each lemma scratch buffer the same way.
 	keepMatchBytes = 32 << 10
 	// keepAppliedBytes bounds the applied-fingerprint set's key slab, and
 	// its table again: pointer-free like the match scratch, and emptied
@@ -151,21 +155,30 @@ func (g *EGraph) reset() {
 	if cap(g.parent) > keepSlots {
 		g.parent, g.rank, g.classes, g.arena, g.next = nil, nil, nil, nil, nil
 		g.mark, g.dist, g.consumed, g.cleanCostBuf = nil, nil, nil, nil
+		g.kidSlab, g.parentSlab, g.shapeAt, g.shapes = bump[ClassID]{}, bump[parentEntry]{}, nil, nil
 		g.intern = newInterner()
-		g.shapeMemo = nil // SetLeafShapeFn makes the next
 		g.dedup = firstByHash{byHash: map[uint64]int32{}}
 	} else {
 		clear(g.classes) // pointers into the class slab
 		clear(g.arena)   // the nodes point at attribute and kid slices
+		clear(g.shapes)  // and the shapes at their extents
 		g.parent, g.rank, g.classes, g.arena, g.next = g.parent[:0], g.rank[:0], g.classes[:0], g.arena[:0], g.next[:0]
 		// nextEpoch re-extends the annotations with zeroes, so the epoch
-		// restarts with them.
+		// restarts with them; ShapeOf does the same for the shape table.
 		g.mark, g.dist, g.consumed = g.mark[:0], g.dist[:0], g.consumed[:0]
+		g.shapeAt, g.shapes = g.shapeAt[:0], g.shapes[:0]
+		// Pointer-free: the next life overwrites them.
+		g.kidSlab.release(keepMatchBytes)
+		g.parentSlab.release(keepMatchBytes)
 		g.intern.reset()
-		clear(g.shapeMemo)
 		// The dedup map is emptied by the long list that next uses it.
 	}
 	g.classSlab.release()
+	g.scratch.release()
+	clear(g.shapeArgs[:cap(g.shapeArgs)]) // a stack: what it popped is still there
+	clear(g.rulesByOp[:cap(g.rulesByOp)]) // the buckets of a shared rule set
+	g.shapeArgs, g.rulesByOp = truncate(g.shapeArgs, keepSlots), truncate(g.rulesByOp, keepSlots)
+	g.canonBuf, g.kidStack = truncate(g.canonBuf, keepSlots), truncate(g.kidStack, keepSlots)
 	g.keptBuf = truncate(g.keptBuf, keepSlots)
 	g.markEpoch = 0
 	g.live, g.nodeCount = 0, 0
@@ -182,7 +195,6 @@ func (g *EGraph) reset() {
 	g.appliedFP.reset()
 	g.satRules, g.satFixpoint = nil, false
 	g.leafShape = nil
-	clear(g.shapeVisiting)
 
 	// Pointer-free, all of it: kept as it is, stale entries and all.
 	g.todoBuf = truncate(g.todoBuf, keepOf[ruleMatch]())
@@ -253,14 +265,19 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("class slab still in use")
 	case g.memo.live != 0 || g.memo.used != 0:
 		return fmt.Errorf("memo holds %d entries (%d slots used)", g.memo.live, g.memo.used)
-	case len(g.intern.heads) != 0 || len(g.intern.ops) != 0 || len(g.intern.headOps) != 0:
+	case len(g.intern.heads) != 0 || len(g.intern.ops) != 0:
 		return fmt.Errorf("interner holds %d heads, %d operators", len(g.intern.heads), len(g.intern.ops))
 	case len(g.dirty) != 0 || len(g.work) != 0:
 		return fmt.Errorf("%d dirty classes, %d queued repairs", len(g.dirty), len(g.work))
 	case g.appliedFP.n != 0 || len(g.appliedFP.keys) != 0 || g.satFixpoint || g.satRules != nil:
 		return fmt.Errorf("%d applied fingerprints, fixpoint carry %t", g.appliedFP.n, g.satFixpoint)
-	case g.shapeUnknown || len(g.shapeMemo) != 0 || g.leafShape != nil:
-		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, %d memoized)", g.shapeUnknown, len(g.shapeMemo))
+	case g.shapeUnknown || len(g.shapeAt) != 0 || len(g.shapes) != 0 || len(g.shapeArgs) != 0 || g.leafShape != nil:
+		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, a table of %d slots, %d shapes derived)", g.shapeUnknown, len(g.shapeAt), len(g.shapes))
+	case g.kidSlab.at != 0 || len(g.kidStack) != 0 || g.parentSlab.at != 0:
+		return fmt.Errorf("kid slab holds %d kids, %d stacked; parent slab %d entries", g.kidSlab.at, len(g.kidStack), g.parentSlab.at)
+	case g.scratch.classes.at != 0 || g.scratch.exprs.at != 0 || g.scratch.tiles.at != 0 || g.scratch.pairs.at != 0:
+		return fmt.Errorf("lemma scratch still handed out (%d classes, %d expressions, %d tiles, %d union pairs)",
+			g.scratch.classes.at, g.scratch.exprs.at, g.scratch.tiles.at, g.scratch.pairs.at)
 	case g.nodeLimit != 0 || g.budgetDenied:
 		return fmt.Errorf("node limit still armed (%d, denied %t)", g.nodeLimit, g.budgetDenied)
 	case len(g.substs) != 0 || len(g.substStack) != 0 || len(g.todoBuf) != 0:
@@ -275,6 +292,16 @@ func (g *EGraph) checkEmpty() error {
 			return fmt.Errorf("memo slot %d not cleared", i)
 		}
 	}
+	for i, id := range g.intern.table {
+		if id != 0 {
+			return fmt.Errorf("interner slot %d not cleared", i)
+		}
+	}
+	for i, h := range g.intern.heads[:cap(g.intern.heads)] {
+		if h.ints != nil || h.str != "" {
+			return fmt.Errorf("interned head record %d not cleared", i)
+		}
+	}
 	for _, ch := range g.classSlab.chunks {
 		for i := range ch {
 			if cl := &ch[i]; cl.parents != nil || cl.ops != nil {
@@ -285,6 +312,21 @@ func (g *EGraph) checkEmpty() error {
 	for i, n := range g.arena[:cap(g.arena)] {
 		if n.Kids != nil || n.Ints != nil || n.Str != "" || n.Name != "" {
 			return fmt.Errorf("node arena slot %d not cleared", i)
+		}
+	}
+	for i, s := range g.shapes[:cap(g.shapes)] {
+		if s != nil {
+			return fmt.Errorf("shape table entry %d not cleared", i)
+		}
+	}
+	for i, s := range g.shapeArgs[:cap(g.shapeArgs)] {
+		if s != nil {
+			return fmt.Errorf("kid shape %d not cleared", i)
+		}
+	}
+	for i, e := range g.scratch.exprs.buf {
+		if !e.Zero() {
+			return fmt.Errorf("lemma scratch expression %d not cleared", i)
 		}
 	}
 	return nil

@@ -56,7 +56,7 @@ func life(g *EGraph, width int) string {
 	for _, id := range g.Classes() {
 		fmt.Fprintf(&b, "%d:", id)
 		for _, n := range g.Nodes(id) {
-			fmt.Fprintf(&b, " %s", g.canonNode(n).key())
+			fmt.Fprintf(&b, " %s", g.canonCopy(&n).key())
 		}
 		b.WriteString(" <-")
 		for _, p := range g.ParentsOf(id) { // through the node arena
@@ -118,7 +118,21 @@ func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 		"applied fingerprint": func(g *EGraph) { g.appliedFP.add([]byte("x"), 1) },
 		"fixpoint carry":      func(g *EGraph) { g.satFixpoint = true },
 		"shapeUnknown":        func(g *EGraph) { g.shapeUnknown = true },
-		"shape memo":          func(g *EGraph) { g.shapeMemo = map[ClassID]shape.Shape{0: nil} },
+		"shape table slot":    func(g *EGraph) { g.shapeAt = append(g.shapeAt, 1) },
+		"derived shape":       func(g *EGraph) { g.shapes = append(g.shapes, shape.Shape{sym.Const(2)}) },
+		"stale derived shape": func(g *EGraph) { g.shapes[:1][0] = shape.Shape{sym.Const(2)} },
+		"stacked kid shape":   func(g *EGraph) { g.shapeArgs = append(g.shapeArgs, nil) },
+		"kid slab in use":     func(g *EGraph) { g.kidSlab.take(2) },
+		"stacked kid list":    func(g *EGraph) { g.kidStack = append(g.kidStack, 0) },
+		"parent slab in use":  func(g *EGraph) { g.parentSlab.take(4) },
+		"lemma scratch":       func(g *EGraph) { g.ScratchClasses(1) },
+		"scratch expressions": func(g *EGraph) { g.ScratchExprs(1) },
+		"scratch tiles":       func(g *EGraph) { g.ScratchTiles(1) },
+		"scratch union pair":  func(g *EGraph) { Match{Subst: Bindings{g: g}}.With(0) },
+		"stale scratch expression": func(g *EGraph) {
+			g.ScratchExprs(1)[0] = sym.Const(3)
+			g.scratch.rewind()
+		},
 		"armed node limit":    func(g *EGraph) { g.nodeLimit = 10 },
 		"budget denial":       func(g *EGraph) { g.budgetDenied = true },
 		"substitution":        func(g *EGraph) { g.extend(-1) },
@@ -174,7 +188,7 @@ func TestStaleHeadPanics(t *testing.T) {
 	k := g.AddTerm(leafT(1, "x"))
 	stale.Kids = []ClassID{k}
 	mustPanic("AddNode of a copy from before Release", func() { g.AddNode(stale) })
-	mustPanic("Lookup of a copy from before Release", func() { g.Lookup(stale) })
+	mustPanic("Lookup of a copy from before Release", func() { g.Lookup(&stale) })
 
 	other := build()
 	other.AddTerm(leafT(1, "x"))

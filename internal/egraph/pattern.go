@@ -2,6 +2,7 @@ package egraph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"entangle/internal/expr"
@@ -341,6 +342,7 @@ func (g *EGraph) MatchAll(p *Pattern) []Match {
 // class against every rule that could root there. It is the saturation
 // loop's naive reference for matchRulesIndexed (index.go).
 func (g *EGraph) matchRules(cr *CompiledRules, out []ruleMatch) []ruleMatch {
+	g.resolveOps(cr)
 	for i, cl := range g.classes {
 		if cl == nil {
 			continue
@@ -354,7 +356,7 @@ func (g *EGraph) matchRules(cr *CompiledRules, out []ruleMatch) []ruleMatch {
 			g.substStack = g.substStack[:mark]
 		}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
-			for _, ri := range cr.byOp[g.arena[ni].Op] {
+			for _, ri := range g.rulesAt(&g.arena[ni]) {
 				mark := len(g.substStack)
 				g.matchNodeOnStack(cr.pats[ri], ni, -1)
 				for _, s := range g.substStack[mark:] {
@@ -546,42 +548,52 @@ func (g *EGraph) Instantiate(t *RTerm, s Bindings, lookupOnly bool) (ClassID, bo
 	case t.IsLeaf:
 		n := Leaf(t.LeafTID, t.LeafName)
 		if lookupOnly {
-			return g.Lookup(n)
+			return g.Lookup(&n)
 		}
-		return g.addNode(n, true)
+		return g.addNode(&n, true)
 	}
-	kids := make([]ClassID, len(t.Kids))
-	for i, k := range t.Kids {
+	// The kid list is built on kidStack above whatever the enclosing
+	// template positions have there.
+	base := len(g.kidStack)
+	for _, k := range t.Kids {
 		c, ok := g.Instantiate(k, s, lookupOnly)
 		if !ok {
+			g.kidStack = g.kidStack[:base]
 			return 0, false
 		}
-		kids[i] = c
+		g.kidStack = append(g.kidStack, c)
 	}
-	n := ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: kids}
+	n := ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: g.kidStack[base:]}
+	var id ClassID
+	var ok bool
 	if lookupOnly {
-		return g.Lookup(n)
+		id, ok = g.Lookup(&n)
+	} else {
+		id, ok = g.addNode(&n, true)
 	}
-	return g.addNode(n, true)
+	g.kidStack = g.kidStack[:base]
+	return id, ok
 }
 
-// InstantiateOp inserts a single n-ary node over existing kid classes
-// and returns its class — the one-level special case of Instantiate
-// that dynamic lemmas hit on every application, stripped of the RTerm
-// template tree. It is budgeted exactly like rule instantiation: a
-// node that would push the live count past SaturateOpts.MaxNodes is
-// declined (ok == false). The common case — the node already exists —
-// allocates nothing; only a genuine insert copies kids (addNode
-// retains its kid slice in the memo table and parent lists, and
-// callers routinely reuse theirs).
-func (g *EGraph) InstantiateOp(op expr.Op, ints []sym.Expr, str string, kids []ClassID) (ClassID, bool) {
-	n := ENode{Op: op, Str: str, Ints: ints, Kids: kids}
+// InstantiateOp inserts a single node over existing kid classes and
+// returns its class — the one-level special case of Instantiate that
+// dynamic lemmas hit on every application, stripped of the RTerm
+// template tree. It is budgeted exactly like rule instantiation: a node
+// that would push the live count past SaturateOpts.MaxNodes is declined
+// (ok == false). n is taken by reference, as Lookup takes it, and its
+// slices may be lemma scratch: the common case — the node already
+// exists — copies and allocates nothing, and only a genuine insert
+// copies the kid list (to the kid slab) and the attributes (to a list
+// of their own, which extracted terms may keep past the graph's life).
+func (g *EGraph) InstantiateOp(n *ENode) (ClassID, bool) {
 	if id, ok := g.Lookup(n); ok {
 		return id, true
 	}
-	ck := make([]ClassID, len(kids))
-	copy(ck, kids)
-	n.Kids = ck
+	if len(n.Ints) > 0 {
+		n.Ints = slices.Clone(n.Ints)
+	} else {
+		n.Ints = nil
+	}
 	return g.addNode(n, true)
 }
 

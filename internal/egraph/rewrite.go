@@ -181,9 +181,13 @@ func (k KidReq) String() string {
 // UnionPair is one equivalence a rule asserts.
 type UnionPair struct{ A, B ClassID }
 
-// With pairs the matched class with c — the common rule result.
+// With pairs the matched class with c — the common rule result. The
+// list is lemma scratch, which Saturate reads before it takes the
+// scratch back; appending to it copies it.
 func (m Match) With(c ClassID) []UnionPair {
-	return []UnionPair{{m.Class, c}}
+	p := m.Subst.g.scratch.pairs.take(1)
+	p[0] = UnionPair{m.Class, c}
+	return p
 }
 
 // Simple builds the common universal-lemma shape: LHS pattern →
@@ -423,6 +427,23 @@ func (g *EGraph) appendFingerprint(buf []byte, cr *CompiledRules, p ruleMatch) [
 	return buf
 }
 
+// apply runs rule's Apply on match p with the whole lemma scratch to
+// itself. The pairs it returns may be scratch (Match.With): the caller
+// reads them, then calls applied.
+func (g *EGraph) apply(rule *Rule, cr *CompiledRules, p ruleMatch) []UnionPair {
+	g.scratch.rewind()
+	return rule.Apply(g, g.matchOf(cr.vars[p.rule], p))
+}
+
+// applied ends an application begun by apply. Under InvariantChecks it
+// overwrites the lemma scratch with garbage, so a rule that kept a
+// scratch slice past its Apply corrupts a later result (scratch.go).
+func (g *EGraph) applied() {
+	if InvariantChecks {
+		g.scratch.poison()
+	}
+}
+
 // auditWithheld executes a match the indexed matcher withheld, on the
 // graph exactly as the match phase left it, and panics unless it is the
 // no-op the gates claim: nothing inserted, nothing merged (a pure match
@@ -438,7 +459,7 @@ func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBu
 		}
 	}
 	slots := len(g.parent)
-	pairs := rule.Apply(g, g.matchOf(cr.vars[p.rule], p))
+	pairs := g.apply(rule, cr, p)
 	effect := ""
 	if len(g.parent) != slots || g.budgetDenied {
 		effect = "inserts a node"
@@ -448,6 +469,7 @@ func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBu
 			effect = fmt.Sprintf("merges classes %d and %d", g.Find(up.A), g.Find(up.B))
 		}
 	}
+	g.applied()
 	if effect != "" {
 		why := "its footprint is declared too shallow"
 		gate := ""
@@ -582,7 +604,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				break
 			}
 			slots := len(g.parent)
-			pairs := rule.Apply(g, g.matchOf(cr.vars[p.rule], p))
+			pairs := g.apply(rule, cr, p)
 			effect := len(g.parent) != slots
 			for _, up := range pairs {
 				if g.Union(up.A, up.B) {
@@ -591,6 +613,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 					effect = true
 				}
 			}
+			g.applied()
 			if late && (effect || pure && !byKids) {
 				// Effective in its turn — or a pure match executed at all:
 				// the naive matcher now holds a fingerprint the indexed

@@ -24,11 +24,12 @@ func unionRule(name string, trigger, a, b int) *Rule {
 		Name: name,
 		LHS:  &Pattern{Op: expr.OpTensor, LeafTID: &trigger},
 		Apply: func(g *EGraph, m Match) []UnionPair {
-			ca, ok := g.Lookup(Leaf(a, "a"))
+			na, nb := Leaf(a, "a"), Leaf(b, "b")
+			ca, ok := g.Lookup(&na)
 			if !ok {
 				return nil
 			}
-			cb, ok := g.Lookup(Leaf(b, "b"))
+			cb, ok := g.Lookup(&nb)
 			if !ok {
 				return nil
 			}

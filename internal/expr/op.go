@@ -70,22 +70,16 @@ const (
 	OpAllGather     Op = "allgather"     // Ints[0]=dim; every output = concat(inputs)
 )
 
-// cleanOps is the set of operators permitted inside clean expressions
-// (§3.2): element rearrangement plus tensor-combining reductions.
-var cleanOps = map[Op]bool{
-	OpTensor:    true,
-	OpConcat:    true,
-	OpSlice:     true,
-	OpTranspose: true,
-	OpReshape:   true,
-	OpPad:       true,
-	OpIdentity:  true,
-	OpSum:       true,
-	OpAdd:       true,
+// CleanOp reports whether op may appear in a clean expression (§3.2):
+// element rearrangement plus tensor-combining reductions. Extraction
+// asks it of every node it costs, so it is a switch, not a map.
+func CleanOp(op Op) bool {
+	switch op {
+	case OpTensor, OpConcat, OpSlice, OpTranspose, OpReshape, OpPad, OpIdentity, OpSum, OpAdd:
+		return true
+	}
+	return false
 }
-
-// CleanOp reports whether op may appear in a clean expression.
-func CleanOp(op Op) bool { return cleanOps[op] }
 
 // Commutative reports whether the operator's arguments may be permuted.
 func Commutative(op Op) bool {
@@ -107,22 +101,20 @@ func Elementwise(op Op) bool {
 	return false
 }
 
-// opArity records fixed arities; -1 means variadic (≥1).
-var opArity = map[Op]int{
-	OpTensor: 0, OpConcat: -1, OpSlice: 1, OpTranspose: 1, OpReshape: 1,
-	OpPad: 1, OpIdentity: 1, OpSum: -1, OpAdd: 2, OpSub: 2, OpMul: 2,
-	OpDiv: 2, OpScale: 1, OpUnary: 1, OpMatMul: 2, OpReduceSum: 1,
-	OpSoftmax: 1, OpLayerNorm: 3, OpRMSNorm: 2, OpEmbedding: 2,
-	OpEmbeddingShard: 2, OpRoPE: 3, OpAttention: 3, OpMSELoss: 2,
-	OpSquaredError: 2, OpRouter: 2, OpAuxLoss: 1,
-	OpFusedAddRMSNorm: 3, OpFusedSiluMul: 2,
-	OpAllReduce: -1, OpReduceScatter: -1, OpAllGather: -1,
+// knownOps is the vocabulary: every operator Arity knows.
+var knownOps = [...]Op{
+	OpTensor, OpConcat, OpSlice, OpTranspose, OpReshape, OpPad, OpIdentity, OpSum,
+	OpAdd, OpSub, OpMul, OpDiv, OpScale, OpUnary,
+	OpMatMul, OpReduceSum, OpSoftmax, OpLayerNorm, OpRMSNorm, OpEmbedding,
+	OpEmbeddingShard, OpRoPE, OpAttention, OpMSELoss, OpSquaredError, OpRouter, OpAuxLoss,
+	OpFusedAddRMSNorm, OpFusedSiluMul,
+	OpAllReduce, OpReduceScatter, OpAllGather,
 }
 
 // vocabulary is every known operator by its spelling.
 var vocabulary = func() map[string]Op {
-	m := make(map[string]Op, len(opArity))
-	for op := range opArity {
+	m := make(map[string]Op, len(knownOps))
+	for _, op := range knownOps {
 		m[string(op)] = op
 	}
 	return m
@@ -137,11 +129,24 @@ func OpOf(text []byte) Op {
 	return Op(text)
 }
 
-// Arity returns the operator's argument count (-1 when variadic) and
-// whether the operator is known.
+// Arity returns the operator's argument count (-1 when variadic, ≥1)
+// and whether the operator is known.
 func Arity(op Op) (int, bool) {
-	a, ok := opArity[op]
-	return a, ok
+	switch op {
+	case OpTensor:
+		return 0, true
+	case OpSlice, OpTranspose, OpReshape, OpPad, OpIdentity, OpScale, OpUnary,
+		OpReduceSum, OpSoftmax, OpAuxLoss:
+		return 1, true
+	case OpAdd, OpSub, OpMul, OpDiv, OpMatMul, OpRMSNorm, OpEmbedding,
+		OpEmbeddingShard, OpMSELoss, OpSquaredError, OpRouter, OpFusedSiluMul:
+		return 2, true
+	case OpLayerNorm, OpRoPE, OpAttention, OpFusedAddRMSNorm:
+		return 3, true
+	case OpConcat, OpSum, OpAllReduce, OpReduceScatter, OpAllGather:
+		return -1, true
+	}
+	return 0, false
 }
 
 // Collective reports whether op is a multi-output communication kernel.

@@ -217,6 +217,41 @@ func TestCollectiveClassification(t *testing.T) {
 	}
 }
 
+// The vocabulary's arities and clean set, as the tables they were before
+// Arity and CleanOp became switches: OpOf, Arity and CleanOp must agree
+// with them operator for operator.
+func TestVocabularyTable(t *testing.T) {
+	arity := map[Op]int{
+		OpTensor: 0, OpConcat: -1, OpSlice: 1, OpTranspose: 1, OpReshape: 1,
+		OpPad: 1, OpIdentity: 1, OpSum: -1, OpAdd: 2, OpSub: 2, OpMul: 2,
+		OpDiv: 2, OpScale: 1, OpUnary: 1, OpMatMul: 2, OpReduceSum: 1,
+		OpSoftmax: 1, OpLayerNorm: 3, OpRMSNorm: 2, OpEmbedding: 2,
+		OpEmbeddingShard: 2, OpRoPE: 3, OpAttention: 3, OpMSELoss: 2,
+		OpSquaredError: 2, OpRouter: 2, OpAuxLoss: 1,
+		OpFusedAddRMSNorm: 3, OpFusedSiluMul: 2,
+		OpAllReduce: -1, OpReduceScatter: -1, OpAllGather: -1,
+	}
+	clean := map[Op]bool{OpTensor: true, OpConcat: true, OpSlice: true, OpTranspose: true,
+		OpReshape: true, OpPad: true, OpIdentity: true, OpSum: true, OpAdd: true}
+	if len(knownOps) != len(arity) || len(vocabulary) != len(arity) {
+		t.Fatalf("vocabulary has %d operators (%d spellings), want %d", len(knownOps), len(vocabulary), len(arity))
+	}
+	for op, want := range arity {
+		if got, ok := Arity(op); !ok || got != want {
+			t.Errorf("Arity(%s) = %d, %t; want %d, true", op, got, ok, want)
+		}
+		if got := OpOf([]byte(op)); got != op {
+			t.Errorf("OpOf(%q) = %q", op, got)
+		}
+		if CleanOp(op) != clean[op] {
+			t.Errorf("CleanOp(%s) = %t, want %t", op, CleanOp(op), clean[op])
+		}
+	}
+	if _, ok := Arity("conv2d"); ok || CleanOp("conv2d") {
+		t.Error("an unknown operator has an arity or is clean")
+	}
+}
+
 func TestElementwiseAndCommutative(t *testing.T) {
 	if !Elementwise(OpAdd) || !Elementwise(OpUnary) || Elementwise(OpMatMul) || Elementwise(OpConcat) {
 		t.Fatal("elementwise classification wrong")

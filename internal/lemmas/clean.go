@@ -2,7 +2,6 @@ package lemmas
 
 import (
 	"slices"
-	"sort"
 
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
@@ -62,7 +61,7 @@ func registerSumBasics(r *Registry) {
 				if slices.IsSorted(kids) { // the common case: nothing to reorder
 					return nil
 				}
-				sorted := slices.Clone(kids)
+				sorted := classes(g, kids...)
 				slices.Sort(sorted)
 				return m.With(addAll(g, expr.OpSum, nil, "", sorted))
 			},
@@ -86,11 +85,7 @@ func registerSumBasics(r *Registry) {
 						if n.Op != expr.OpSum || len(kids)+len(n.Kids)-1 > maxNaryWidth {
 							continue
 						}
-						flat := make([]egraph.ClassID, 0, len(kids)+len(n.Kids)-1)
-						flat = append(flat, kids[:i]...)
-						flat = append(flat, n.Kids...)
-						flat = append(flat, kids[i+1:]...)
-						return m.With(addAll(g, expr.OpSum, nil, "", flat))
+						return m.With(addAll(g, expr.OpSum, nil, "", splice(g, kids, i, n.Kids)))
 					}
 				}
 				return nil
@@ -135,21 +130,25 @@ func registerSumOfConcats(r *Registry) {
 			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
+				// Row i of chunks is kid i's concat: width chunks along dim,
+				// the first kid's concat setting both.
 				var dim sym.Expr
-				var chunks [][]egraph.ClassID
-				for _, k := range kids {
+				var chunks []egraph.ClassID
+				width := 0
+				for i, k := range kids {
 					found := false
 					for it := g.NodesOf(k); it.Valid(); it.Next() {
 						n := it.Node()
 						if n.Op != expr.OpConcat {
 							continue
 						}
-						if chunks == nil {
-							dim = n.Ints[0]
-						} else if !n.Ints[0].Equal(dim) || len(n.Kids) != len(chunks[0]) {
+						if i == 0 {
+							dim, width = n.Ints[0], len(n.Kids)
+							chunks = g.ScratchClasses(len(kids) * width)
+						} else if !n.Ints[0].Equal(dim) || len(n.Kids) != width {
 							continue
 						}
-						chunks = append(chunks, n.Kids)
+						copy(chunks[i*width:], n.Kids)
 						found = true
 						break
 					}
@@ -161,25 +160,25 @@ func registerSumOfConcats(r *Registry) {
 				if !ok {
 					return nil
 				}
-				ext0, _, ok := kidExtents(g, chunks[0], d)
+				ext0, _, ok := kidExtents(g, chunks[:width], d)
 				if !ok {
 					return nil
 				}
-				for _, row := range chunks[1:] {
-					exts, _, ok := kidExtents(g, row, d)
+				for i := 1; i < len(kids); i++ {
+					exts, _, ok := kidExtents(g, chunks[i*width:(i+1)*width], d)
 					if !ok || !pairwiseAligned(g.Ctx, ext0, exts) {
 						return nil
 					}
 				}
-				cols := make([]egraph.ClassID, len(chunks[0]))
+				cols := g.ScratchClasses(width)
+				col := g.ScratchClasses(len(kids))
 				for j := range cols {
-					col := make([]egraph.ClassID, len(chunks))
-					for i := range chunks {
-						col[i] = chunks[i][j]
+					for i := range col {
+						col[i] = chunks[i*width+j]
 					}
 					cols[j] = addAll(g, expr.OpSum, nil, "", col)
 				}
-				return m.With(addAll(g, expr.OpConcat, []sym.Expr{dim}, "", cols))
+				return m.With(addAll(g, expr.OpConcat, exprs(g, dim), "", cols))
 			},
 		}},
 	})
@@ -204,11 +203,7 @@ func registerConcatFlatten(r *Registry) {
 							len(kids)+len(n.Kids)-1 > maxNaryWidth {
 							continue
 						}
-						flat := make([]egraph.ClassID, 0, len(kids)+len(n.Kids)-1)
-						flat = append(flat, kids[:i]...)
-						flat = append(flat, n.Kids...)
-						flat = append(flat, kids[i+1:]...)
-						return m.With(addAll(g, expr.OpConcat, []sym.Expr{d}, "", flat))
+						return m.With(addAll(g, expr.OpConcat, exprs(g, d), "", splice(g, kids, i, n.Kids)))
 					}
 				}
 				return nil
@@ -260,7 +255,7 @@ func registerConcatOfSlices(r *Registry) {
 				if !ok {
 					return nil
 				}
-				pairs := m.With(addAll(g, expr.OpSlice, []sym.Expr{d, begin, end}, "", []egraph.ClassID{base}))
+				pairs := m.With(addAll(g, expr.OpSlice, exprs(g, d, begin, end), "", classes(g, base)))
 				if s, got := g.ShapeOf(base); got && di < len(s) &&
 					g.Ctx.ProveEQ(begin, sym.Const(0)) && g.Ctx.ProveEQ(end, s[di]) {
 					pairs = append(pairs, egraph.UnionPair{A: m.Class, B: base})
@@ -291,71 +286,54 @@ func registerSliceJoin(r *Registry) {
 				// look at the parent list. (Asked here, not of the matcher:
 				// slice-of-sum mints slices of a class earlier in this same
 				// apply phase, and they count.) Of the rest most have no
-				// constant-span slice parents; that path must not allocate,
-				// so the map is built lazily.
+				// constant-span slice parents: they are counted before any
+				// scratch is taken.
 				xc := g.Find(m.Class)
 				if !g.ConsumedBy(xc, expr.OpSlice) {
 					return nil
 				}
-				var byDim map[int][]tileSlice
-				g.EachParent(xc, func(n *egraph.ENode, owner egraph.ClassID) bool {
-					if n.Op != expr.OpSlice || len(n.Kids) != 1 || g.Find(n.Kids[0]) != xc {
-						return true
+				n := 0
+				g.EachParent(xc, func(p *egraph.ENode, _ egraph.ClassID) bool {
+					if _, ok := sliceTile(g, xc, p); ok {
+						n++
 					}
-					d, ok := dimConst(n.Ints[0])
-					if !ok {
-						return true
-					}
-					b, okB := n.Ints[1].IsConst()
-					e, okE := n.Ints[2].IsConst()
-					if !okB || !okE {
-						return true
-					}
-					if byDim == nil {
-						byDim = map[int][]tileSlice{}
-					}
-					byDim[d] = append(byDim[d], tileSlice{begin: b, end: e, class: owner})
 					return true
 				})
-				if byDim == nil {
+				if n == 0 {
 					return nil
 				}
-				// Iterate dimensions in sorted order: ranging the map
-				// directly would let Go's randomized iteration order
-				// pick which addAll runs first, minting different
-				// class IDs across runs.
-				dims := make([]int, 0, len(byDim))
-				for d := range byDim {
-					dims = append(dims, d)
-				}
-				sort.Ints(dims)
+				tiles := g.ScratchTiles(n)[:0]
+				g.EachParent(xc, func(p *egraph.ENode, owner egraph.ClassID) bool {
+					if t, ok := sliceTile(g, xc, p); ok {
+						t.Class = owner
+						tiles = append(tiles, t)
+					}
+					return true
+				})
+				// Dimensions in ascending order, each one's slices by span:
+				// which addAll runs first decides the class IDs minted.
+				sortTiles(tiles)
 				var out []egraph.UnionPair
-				for _, d := range dims {
-					slices := byDim[d]
-					sortTileSlices(slices)
+				join := func(d int, path []egraph.ClassID, target egraph.ClassID) {
+					if len(path) >= 2 {
+						joined := addAll(g, expr.OpConcat, exprs(g, sym.Const(int64(d))), "", path)
+						out = append(out, egraph.UnionPair{A: joined, B: target})
+					}
+				}
+				for lo, hi := 0, 0; lo < len(tiles); lo = hi {
+					d := tiles[lo].Dim
+					for hi = lo + 1; hi < len(tiles) && tiles[hi].Dim == d; hi++ {
+					}
+					dim := tiles[lo:hi]
 					// Targets: the base tensor's full extent, plus every
 					// existing slice span.
-					type target struct {
-						begin, end int64
-						class      egraph.ClassID
-					}
-					var targets []target
 					if s, got := g.ShapeOf(xc); got && d < len(s) {
 						if ext, isC := s[d].IsConst(); isC {
-							targets = append(targets, target{0, ext, xc})
+							join(d, tilePath(g, dim, 0, ext, xc), xc)
 						}
 					}
-					for _, t := range slices {
-						targets = append(targets, target{t.begin, t.end, t.class})
-					}
-					for _, t := range targets {
-						path := tilePath(slices, t.begin, t.end, t.class, g)
-						if len(path) < 2 {
-							continue
-						}
-						joined := addAll(g, expr.OpConcat,
-							[]sym.Expr{sym.Const(int64(d))}, "", path)
-						out = append(out, egraph.UnionPair{A: joined, B: t.class})
+					for _, t := range dim {
+						join(d, tilePath(g, dim, t.Begin, t.End, t.Class), t.Class)
 					}
 				}
 				return out
@@ -364,59 +342,73 @@ func registerSliceJoin(r *Registry) {
 	})
 }
 
-// tileSlice is one slice ENode of a base class: its constant span and
-// the class holding it.
-type tileSlice struct {
-	begin, end int64
-	class      egraph.ClassID
+// sliceTile reads node p as a slice of class x with a constant span
+// along a constant dimension, if it is one; the tile's Class is left
+// for the caller.
+func sliceTile(g *egraph.EGraph, x egraph.ClassID, p *egraph.ENode) (egraph.Tile, bool) {
+	if p.Op != expr.OpSlice || len(p.Kids) != 1 || g.Find(p.Kids[0]) != x {
+		return egraph.Tile{}, false
+	}
+	d, ok := dimConst(p.Ints[0])
+	b, okB := p.Ints[1].IsConst()
+	e, okE := p.Ints[2].IsConst()
+	return egraph.Tile{Dim: d, Begin: b, End: e}, ok && okB && okE
 }
 
-// sortTileSlices orders slices by (begin, end) ascending. A hand-rolled
-// insertion sort: the lists are short and sort.Slice's reflection-based
-// swapper was a measurable share of saturation allocations.
-func sortTileSlices(s []tileSlice) {
+// sortTiles orders tiles by (dim, begin, end) ascending, stably. A
+// hand-rolled insertion sort: the lists are short and sort.Slice's
+// reflection-based swapper was a measurable share of saturation
+// allocations.
+func sortTiles(s []egraph.Tile) {
+	less := func(a, b egraph.Tile) bool {
+		if a.Dim != b.Dim {
+			return a.Dim < b.Dim
+		}
+		return a.Begin < b.Begin || a.Begin == b.Begin && a.End < b.End
+	}
 	for i := 1; i < len(s); i++ {
-		for j := i; j > 0; j-- {
-			if s[j].begin > s[j-1].begin ||
-				(s[j].begin == s[j-1].begin && s[j].end >= s[j-1].end) {
-				break
-			}
+		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
 }
 
-// tilePath finds slice classes that tile [b, e) exactly, by greedy
-// chaining with backtracking over ties; the target's own class is
-// excluded so a span never "tiles" itself. The chain is accumulated in
-// a single slice trimmed on backtrack rather than rebuilt per level.
-func tilePath(slices []tileSlice, b, e int64, exclude egraph.ClassID, g *egraph.EGraph) []egraph.ClassID {
-	var path []egraph.ClassID
-	var dfs func(cur int64, depth int) bool
-	dfs = func(cur int64, depth int) bool {
-		if cur == e {
-			return true
-		}
-		if cur > e || depth > 64 {
-			return false
-		}
-		for _, s := range slices {
-			if s.begin != cur || s.end > e {
-				continue
+// maxTilePath bounds the length of a tiling chain: the search gives up
+// on a longer one.
+const maxTilePath = 65
+
+// tilePath finds tiles of one dimension that tile [b, e) exactly — a
+// depth-first search over chains, each step taking the first tile (in
+// sorted order) that starts where the chain ends and fits, backtracking
+// over ties — and returns their classes in lemma scratch, or nil. The
+// target's own class is excluded so a span never "tiles" itself.
+func tilePath(g *egraph.EGraph, tiles []egraph.Tile, b, e int64, exclude egraph.ClassID) []egraph.ClassID {
+	var chain [maxTilePath]int // chain[i]: the tile at step i of the chain being tried
+	depth, cur, from := 0, b, 0
+	for cur != e {
+		i := len(tiles)
+		if cur < e && depth < maxTilePath {
+			for i = from; i < len(tiles); i++ {
+				t := &tiles[i]
+				if t.Begin == cur && t.End <= e &&
+					!(t.Begin == b && t.End == e && g.Find(t.Class) == g.Find(exclude)) {
+					break
+				}
 			}
-			if s.begin == b && s.end == e && g.Find(s.class) == g.Find(exclude) {
-				continue // the target itself
-			}
-			path = append(path, s.class)
-			if dfs(s.end, depth+1) {
-				return true
-			}
-			path = path[:len(path)-1]
 		}
-		return false
+		if i < len(tiles) { // extend the chain
+			chain[depth], depth, cur, from = i, depth+1, tiles[i].End, 0
+			continue
+		}
+		if depth == 0 {
+			return nil
+		}
+		depth-- // backtrack: try the step's next tile
+		cur, from = tiles[chain[depth]].Begin, chain[depth]+1
 	}
-	if !dfs(b, 0) {
-		return nil
+	path := g.ScratchClasses(depth)
+	for i := range path {
+		path[i] = tiles[chain[i]].Class
 	}
 	return path
 }
@@ -439,9 +431,9 @@ func registerSliceOfConcat(r *Registry) {
 				e := m.Subst.AttrOf("e")
 				kids := m.Subst.KidsOf("xs")
 				if g.Ctx.ProveNE(d1, d2) {
-					c := mapKids(g, expr.OpConcat, []sym.Expr{d1}, "", kids,
+					c := mapKids(g, expr.OpConcat, exprs(g, d1), "", kids,
 						func(_ int, k egraph.ClassID) egraph.ClassID {
-							return addAll(g, expr.OpSlice, []sym.Expr{d2, b, e}, "", []egraph.ClassID{k})
+							return addAll(g, expr.OpSlice, exprs(g, d2, b, e), "", classes(g, k))
 						})
 					return m.With(c)
 				}
@@ -456,7 +448,7 @@ func registerSliceOfConcat(r *Registry) {
 				if !ok {
 					return nil
 				}
-				offs := prefixOffsets(exts)
+				offs := prefixOffsets(g, exts)
 				// Single-chunk containment: off[i] ≤ b ∧ e ≤ off[i+1].
 				for i := range kids {
 					if g.Ctx.ProveLE(offs[i], b) && g.Ctx.ProveLE(e, offs[i+1]) {
@@ -464,8 +456,7 @@ func registerSliceOfConcat(r *Registry) {
 							return m.With(kids[i])
 						}
 						c := addAll(g, expr.OpSlice,
-							[]sym.Expr{d1, b.Sub(offs[i]), e.Sub(offs[i])}, "",
-							[]egraph.ClassID{kids[i]})
+							exprs(g, d1, b.Sub(offs[i]), e.Sub(offs[i])), "", kids[i:i+1])
 						return m.With(c)
 					}
 				}
@@ -476,7 +467,7 @@ func registerSliceOfConcat(r *Registry) {
 					}
 					for j := i + 2; j <= len(kids); j++ {
 						if g.Ctx.ProveEQ(e, offs[j]) {
-							return m.With(addAll(g, expr.OpConcat, []sym.Expr{d1}, "", kids[i:j]))
+							return m.With(addAll(g, expr.OpConcat, exprs(g, d1), "", kids[i:j]))
 						}
 					}
 				}
@@ -504,8 +495,8 @@ func registerSliceCompose(r *Registry) {
 				}
 				b1 := m.Subst.AttrOf("b1")
 				b2, e2 := m.Subst.AttrOf("b2"), m.Subst.AttrOf("e2")
-				c := addAll(g, expr.OpSlice, []sym.Expr{d1, b1.Add(b2), b1.Add(e2)}, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x")})
+				c := addAll(g, expr.OpSlice, exprs(g, d1, b1.Add(b2), b1.Add(e2)), "",
+					classes(g, m.Subst.ClassOf("x")))
 				return m.With(c)
 			},
 		}},
@@ -582,8 +573,7 @@ func registerSliceOfPad(r *Registry) {
 				if g.Ctx.ProveEQ(b, bf) && g.Ctx.ProveEQ(e, hi) {
 					return m.With(xc)
 				}
-				c := addAll(g, expr.OpSlice, []sym.Expr{ds, b.Sub(bf), e.Sub(bf)}, "",
-					[]egraph.ClassID{xc})
+				c := addAll(g, expr.OpSlice, exprs(g, ds, b.Sub(bf), e.Sub(bf)), "", classes(g, xc))
 				return m.With(c)
 			},
 		}},
@@ -612,8 +602,7 @@ func registerTranspose(r *Registry) {
 				if a.Equal(b) {
 					return m.With(m.Subst.ClassOf("x"))
 				}
-				c := addAll(g, expr.OpTranspose, []sym.Expr{b, a}, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x")})
+				c := addAll(g, expr.OpTranspose, exprs(g, b, a), "", classes(g, m.Subst.ClassOf("x")))
 				return m.With(c)
 			},
 		}},
@@ -643,11 +632,9 @@ func registerTranspose(r *Registry) {
 				case d.Equal(q):
 					dOut = p
 				}
-				tr := addAll(g, expr.OpTranspose, []sym.Expr{p, q}, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x")})
+				tr := addAll(g, expr.OpTranspose, exprs(g, p, q), "", classes(g, m.Subst.ClassOf("x")))
 				c := addAll(g, expr.OpSlice,
-					[]sym.Expr{dOut, m.Subst.AttrOf("b"), m.Subst.AttrOf("e")}, "",
-					[]egraph.ClassID{tr})
+					exprs(g, dOut, m.Subst.AttrOf("b"), m.Subst.AttrOf("e")), "", classes(g, tr))
 				return m.With(c)
 			},
 		}},
@@ -664,8 +651,7 @@ func registerReshape(r *Registry) {
 			LHS: egraph.POp(expr.OpReshape, nil,
 				egraph.POp(expr.OpReshape, nil, egraph.PVar("x"))),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				c := addAll(g, expr.OpReshape, m.Node.Ints, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x")})
+				c := addAll(g, expr.OpReshape, m.Node.Ints, "", classes(g, m.Subst.ClassOf("x")))
 				return m.With(c)
 			},
 		}},

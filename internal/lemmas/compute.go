@@ -74,11 +74,8 @@ func registerMatMul(r *Registry) {
 				egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")}, egraph.PVar("x")),
 				egraph.PVar("w")),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				mm := addAll(g, expr.OpMatMul, nil, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x"), m.Subst.ClassOf("w")})
-				c := addAll(g, expr.OpScale,
-					[]sym.Expr{m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")}, "",
-					[]egraph.ClassID{mm})
+				mm := addAll(g, expr.OpMatMul, nil, "", classes(g, m.Subst.ClassOf("x"), m.Subst.ClassOf("w")))
+				c := addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, mm))
 				return m.With(c)
 			},
 		}},
@@ -139,7 +136,7 @@ func registerScale(r *Registry) {
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				var n, dn sym.Expr
-				inner := make([]egraph.ClassID, len(kids))
+				inner := g.ScratchClasses(len(kids))
 				for i, k := range kids {
 					found := false
 					for it := g.NodesOf(k); it.Valid(); it.Next() {
@@ -161,7 +158,7 @@ func registerScale(r *Registry) {
 					}
 				}
 				sumC := addAll(g, expr.OpSum, nil, "", inner)
-				c := addAll(g, expr.OpScale, []sym.Expr{n, dn}, "", []egraph.ClassID{sumC})
+				c := addAll(g, expr.OpScale, exprs(g, n, dn), "", classes(g, sumC))
 				return m.With(c)
 			},
 		}},
@@ -178,11 +175,8 @@ func registerScale(r *Registry) {
 				egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")},
 					egraph.PVar("x"))),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				rs := addAll(g, expr.OpReshape, m.Node.Ints, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x")})
-				c := addAll(g, expr.OpScale,
-					[]sym.Expr{m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")}, "",
-					[]egraph.ClassID{rs})
+				rs := addAll(g, expr.OpReshape, m.Node.Ints, "", classes(g, m.Subst.ClassOf("x")))
+				c := addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, rs))
 				return m.With(c)
 			},
 		}},
@@ -206,13 +200,11 @@ func registerScale(r *Registry) {
 				a, b := m.Subst.ClassOf("a"), m.Subst.ClassOf("b")
 				var mm egraph.ClassID
 				if scaleLeft {
-					mm = addAll(g, expr.OpMul, nil, "", []egraph.ClassID{a, b})
+					mm = addAll(g, expr.OpMul, nil, "", classes(g, a, b))
 				} else {
-					mm = addAll(g, expr.OpMul, nil, "", []egraph.ClassID{b, a})
+					mm = addAll(g, expr.OpMul, nil, "", classes(g, b, a))
 				}
-				c := addAll(g, expr.OpScale,
-					[]sym.Expr{m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")}, "",
-					[]egraph.ClassID{mm})
+				c := addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, mm))
 				return m.With(c)
 			},
 		}
@@ -248,8 +240,7 @@ func registerScale(r *Registry) {
 				if g := gcd(n, d); g > 1 {
 					n, d = n/g, d/g
 				}
-				c := addAll(g, expr.OpScale, []sym.Expr{sym.Const(n), sym.Const(d)}, "",
-					[]egraph.ClassID{m.Subst.ClassOf("x")})
+				c := addAll(g, expr.OpScale, exprs(g, sym.Const(n), sym.Const(d)), "", classes(g, m.Subst.ClassOf("x")))
 				return m.With(c)
 			},
 		}, {
@@ -417,10 +408,8 @@ func registerLosses(r *Registry) {
 				if numel == 0 {
 					return nil
 				}
-				se := addAll(g, expr.OpSquaredError, nil, "",
-					[]egraph.ClassID{xc, m.Subst.ClassOf("t")})
-				c := addAll(g, expr.OpScale, []sym.Expr{sym.Const(1), sym.Const(numel)}, "",
-					[]egraph.ClassID{se})
+				se := addAll(g, expr.OpSquaredError, nil, "", classes(g, xc, m.Subst.ClassOf("t")))
+				c := addAll(g, expr.OpScale, exprs(g, sym.Const(1), sym.Const(numel)), "", classes(g, se))
 				return m.With(c)
 			},
 		}},

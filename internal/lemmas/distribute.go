@@ -243,17 +243,18 @@ func (d *dist) apply(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 			}
 		}
 		if d.part != nil {
-			offs = prefixOffsets(exts)
+			offs = prefixOffsets(g, exts)
 		}
 	}
 
-	attrs := append([]sym.Expr(nil), s.attrs[:len(d.attrs)]...) // nil, and no allocation, without attributes
+	attrs := exprs(g, s.attrs[:len(d.attrs)]...)
 	joinOp, joinAttrs := expr.OpSum, []sym.Expr(nil)
 	if d.out == concat {
-		joinOp, joinAttrs = expr.OpConcat, []sym.Expr{s.dim}
+		joinOp, joinAttrs = expr.OpConcat, exprs(g, s.dim)
 	}
 	str := m.Node.Str // a unary's activation name; empty for every other op
-	kids := make([]egraph.ClassID, len(d.args))
+	// Part i's operands, rewritten part by part: an insert copies them.
+	kids := g.ScratchClasses(len(d.args))
 	c := mapKids(g, joinOp, joinAttrs, "", many[lead], func(i int, _ egraph.ClassID) egraph.ClassID {
 		for j := range kids {
 			if kids[j] = one[j]; many[j] != nil {
@@ -267,9 +268,9 @@ func (d *dist) apply(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 	})
 	switch d.out {
 	case mean:
-		c = addAll(g, expr.OpScale, []sym.Expr{sym.Const(1), sym.Const(int64(s.k))}, "", []egraph.ClassID{c})
+		c = addAll(g, expr.OpScale, exprs(g, sym.Const(1), sym.Const(int64(s.k))), "", classes(g, c))
 	case scaledSum:
-		c = addAll(g, expr.OpScale, []sym.Expr{m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")}, "", []egraph.ClassID{c})
+		c = addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, c))
 	}
 	return m.With(c)
 }
@@ -320,13 +321,13 @@ func headsPerGroup(_ *egraph.EGraph, s site) (site, bool) {
 // vocabShard: table shard i answers for the ids from its first row on;
 // ids outside the shard yield 0.
 func vocabShard(g *egraph.EGraph, offs []sym.Expr, i int, kids []egraph.ClassID) egraph.ClassID {
-	return addAll(g, expr.OpEmbeddingShard, []sym.Expr{offs[i]}, "", kids)
+	return addAll(g, expr.OpEmbeddingShard, exprs(g, offs[i]), "", kids)
 }
 
 // ropeSpan: sequence shard i rotates by its own rows of the cos/sin
 // tables.
 func ropeSpan(g *egraph.EGraph, offs []sym.Expr, i int, kids []egraph.ClassID) egraph.ClassID {
-	span := []sym.Expr{sym.Const(0), offs[i], offs[i+1]}
+	span := exprs(g, sym.Const(0), offs[i], offs[i+1])
 	kids[1] = addAll(g, expr.OpSlice, span, "", kids[1:2])
 	kids[2] = addAll(g, expr.OpSlice, span, "", kids[2:3])
 	return addAll(g, expr.OpRoPE, nil, "", kids)

@@ -88,9 +88,9 @@ func registerHLO(r *Registry) {
 					return nil
 				}
 				z, o := sym.Const(0), sym.Const(1)
-				xt := addAll(g, expr.OpTranspose, []sym.Expr{z, o}, "", []egraph.ClassID{xc})
-				mm := addAll(g, expr.OpMatMul, nil, "", []egraph.ClassID{wc, xt})
-				c := addAll(g, expr.OpTranspose, []sym.Expr{z, o}, "", []egraph.ClassID{mm})
+				xt := addAll(g, expr.OpTranspose, exprs(g, z, o), "", classes(g, xc))
+				mm := addAll(g, expr.OpMatMul, nil, "", classes(g, wc, xt))
+				c := addAll(g, expr.OpTranspose, exprs(g, z, o), "", classes(g, mm))
 				return m.With(c)
 			},
 		}},

@@ -25,10 +25,39 @@ func dimConst(e sym.Expr) (int, bool) {
 	return int(v), true
 }
 
-// kidExtents returns each class's extent along dimension d, plus the
-// common rank. All kids must have derivable shapes of the same rank
-// with d in range.
+// The lists below come from the graph's lemma scratch
+// (egraph.EGraph.ScratchExprs and ScratchClasses): a lemma's Apply uses
+// them and hands them to addAll, and never keeps one past its return.
+
+// exprs returns es as an attribute list for addAll, in lemma scratch.
+func exprs(g *egraph.EGraph, es ...sym.Expr) []sym.Expr {
+	out := g.ScratchExprs(len(es))
+	copy(out, es)
+	return out
+}
+
+// classes returns ks as a kid list for addAll, in lemma scratch.
+func classes(g *egraph.EGraph, ks ...egraph.ClassID) []egraph.ClassID {
+	out := g.ScratchClasses(len(ks))
+	copy(out, ks)
+	return out
+}
+
+// splice returns kids with the one at i replaced by the list ins, in
+// lemma scratch: one level of a flattening.
+func splice(g *egraph.EGraph, kids []egraph.ClassID, i int, ins []egraph.ClassID) []egraph.ClassID {
+	out := g.ScratchClasses(len(kids) + len(ins) - 1)
+	at := copy(out, kids[:i])
+	at += copy(out[at:], ins)
+	copy(out[at:], kids[i+1:])
+	return out
+}
+
+// kidExtents returns each class's extent along dimension d, in lemma
+// scratch, plus the common rank. All kids must have derivable shapes of
+// the same rank with d in range.
 func kidExtents(g *egraph.EGraph, kids []egraph.ClassID, d int) (exts []sym.Expr, rank int, ok bool) {
+	exts = g.ScratchExprs(len(kids))
 	for i, k := range kids {
 		s, got := g.ShapeOf(k)
 		if !got || d >= len(s) {
@@ -39,15 +68,15 @@ func kidExtents(g *egraph.EGraph, kids []egraph.ClassID, d int) (exts []sym.Expr
 		} else if len(s) != rank {
 			return nil, 0, false
 		}
-		exts = append(exts, s[d])
+		exts[i] = s[d]
 	}
 	return exts, rank, true
 }
 
 // prefixOffsets returns the running start offsets of chunks with the
-// given extents: [0, e0, e0+e1, …, Σe].
-func prefixOffsets(exts []sym.Expr) []sym.Expr {
-	out := make([]sym.Expr, len(exts)+1)
+// given extents, in lemma scratch: [0, e0, e0+e1, …, Σe].
+func prefixOffsets(g *egraph.EGraph, exts []sym.Expr) []sym.Expr {
+	out := g.ScratchExprs(len(exts) + 1)
 	out[0] = sym.Const(0)
 	for i, e := range exts {
 		out[i+1] = out[i].Add(e)
@@ -92,16 +121,18 @@ func allSameClass(g *egraph.EGraph, kids []egraph.ClassID) bool {
 // addAll inserts an n-ary node over concrete kid classes. It goes
 // through InstantiateOp rather than an RTerm template: lemmas call it
 // on every application, and the template tree was pure allocation
-// overhead for an already-concrete node.
+// overhead for an already-concrete node. ints and kids may be lemma
+// scratch: an insert copies what it keeps.
 func addAll(g *egraph.EGraph, op expr.Op, ints []sym.Expr, str string, kids []egraph.ClassID) egraph.ClassID {
-	c, _ := g.InstantiateOp(op, ints, str, kids)
+	n := egraph.ENode{Op: op, Str: str, Ints: ints, Kids: kids}
+	c, _ := g.InstantiateOp(&n)
 	return c
 }
 
 // mapKids applies f to each kid class and inserts op over the results.
 func mapKids(g *egraph.EGraph, op expr.Op, ints []sym.Expr, str string,
 	kids []egraph.ClassID, f func(i int, k egraph.ClassID) egraph.ClassID) egraph.ClassID {
-	mapped := make([]egraph.ClassID, len(kids))
+	mapped := g.ScratchClasses(len(kids))
 	for i, k := range kids {
 		mapped[i] = f(i, k)
 	}

@@ -90,6 +90,9 @@ func (e *Expr) put(s Symbol, v int64) {
 func (e Expr) Add(o Expr) Expr {
 	r := e.clone()
 	r.konst += o.konst
+	if len(o.coeffs) == 0 { // constant o: no symbol to walk (a range over even a nil map costs an iterator)
+		return r
+	}
 	for s, v := range o.coeffs {
 		r.put(s, r.coeffs[s]+v)
 	}
@@ -108,6 +111,9 @@ func (e Expr) MulConst(k int64) Expr {
 		return Expr{}
 	}
 	r := Expr{konst: e.konst * k}
+	if len(e.coeffs) == 0 {
+		return r
+	}
 	for s, v := range e.coeffs {
 		r.put(s, v*k)
 	}
@@ -157,6 +163,9 @@ func (e Expr) Equal(o Expr) bool {
 	if e.konst != o.konst || len(e.coeffs) != len(o.coeffs) {
 		return false
 	}
+	if len(e.coeffs) == 0 { // two constants
+		return true
+	}
 	for s, v := range e.coeffs {
 		if o.coeffs[s] != v {
 			return false
@@ -169,6 +178,9 @@ func (e Expr) Equal(o Expr) bool {
 // hash equal, whatever order their symbols were added in.
 func (e Expr) Hash() uint64 {
 	h := det.Mix(uint64(e.konst))
+	if len(e.coeffs) == 0 {
+		return h
+	}
 	for s, c := range e.coeffs {
 		// A sum, so the map's order cannot show.
 		h += det.Mix(det.String(det.FNVOffset, string(s)) ^ det.Mix(uint64(c)))
