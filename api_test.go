@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -163,4 +166,40 @@ func ExampleChecker_Check() {
 	f, _ := gs.TensorByName("matsub.out")
 	fmt.Println("F =", report.OutputRelation.Get(f.ID)[0])
 	// Output: F = concat(r0/matsub.out, r1/matsub.out, dim=0)
+}
+
+// TestREADMEOptionsTable fails when README's options table and the
+// exported fields of CheckerOptions and VerdictCacheConfig disagree in
+// either direction: a new knob needs a row.
+func TestREADMEOptionsTable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, found := strings.Cut(string(readme), "<!-- options: CheckerOptions -->")
+	if !found {
+		t.Fatal("README.md has no options table marker")
+	}
+	table, _, _ := strings.Cut(strings.TrimLeft(after, "\n"), "\n\n")
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(\\w+\\.\\w+)`").FindAllStringSubmatch(table, -1) {
+		rows[m[1]] = true
+	}
+	for name, typ := range map[string]reflect.Type{
+		"CheckerOptions":     reflect.TypeOf(CheckerOptions{}),
+		"VerdictCacheConfig": reflect.TypeOf(VerdictCacheConfig{}),
+	} {
+		for _, f := range reflect.VisibleFields(typ) {
+			if !f.IsExported() {
+				continue
+			}
+			if !rows[name+"."+f.Name] {
+				t.Errorf("%s.%s has no row in README.md's options table", name, f.Name)
+			}
+			delete(rows, name+"."+f.Name)
+		}
+	}
+	for row := range rows {
+		t.Errorf("README.md tabulates %s, which is not an exported field", row)
+	}
 }

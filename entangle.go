@@ -117,8 +117,9 @@ type (
 	// CheckerOptions.Cache: operators whose fingerprint matches a prior
 	// run replay the stored verdict instead of re-saturating.
 	VerdictCache = vcache.Cache
-	// VerdictCacheConfig sizes a VerdictCache (directory, in-memory
-	// capacity, shard count).
+	// VerdictCacheConfig says where a VerdictCache keeps its verdicts:
+	// a directory of append-only segments, or memory only. The
+	// in-memory LRU's size is fixed (vcache.DefaultMaxEntries).
 	VerdictCacheConfig = vcache.Config
 	// VerdictStore is the cache interface CheckerOptions.Cache accepts:
 	// a single-node *VerdictCache or a fleet-routing cluster cache
@@ -172,7 +173,7 @@ func DefaultLemmas() *LemmaRegistry { return lemmas.Default() }
 
 // OpenVerdictCache opens (creating if needed) a verdict cache; one
 // cache may be shared across checkers and concurrent Check calls. A
-// cache on a directory holds its files open until its Close.
+// cache on a directory holds its segments open until its Close.
 func OpenVerdictCache(cfg VerdictCacheConfig) (*VerdictCache, error) { return vcache.Open(cfg) }
 
 // GdLeaf references a distributed-graph tensor inside a relation

@@ -2,12 +2,10 @@
 // and figure of the paper's evaluation (§6) — Figure 3's end-to-end
 // verification times, Figure 4's scalability sweeps, Figure 5's lemma
 // statistics, Figure 6's lemma-application heatmap, and Table 3's bug
-// suite — as plain-text reports. cmd/entangle-bench and the root
-// bench_test.go benchmarks both drive it.
+// suite — as plain-text reports, which cmd/entangle-bench prints.
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -19,8 +17,6 @@ import (
 	"entangle/internal/lemmas"
 	"entangle/internal/models"
 	"entangle/internal/relation"
-
-	"entangle/internal/expr"
 )
 
 // Workload is one verifiable model configuration.
@@ -135,56 +131,9 @@ func (w Workload) graphs(parallel, layers int) (*graph.Graph, *graph.Graph, *rel
 		return nil, nil, nil, err
 	}
 	if w.ViaHLO {
-		return roundTripHLO(b)
+		return hlo.RoundTrip(b.Gs, b.Gd, b.Ri)
 	}
 	return b.Gs, b.Gd, b.Ri, nil
-}
-
-// roundTripHLO prints both graphs to the HLO text format and parses
-// them back, re-keying the input relation by tensor name.
-func roundTripHLO(b *models.Built) (*graph.Graph, *graph.Graph, *relation.Relation, error) {
-	rt := func(g *graph.Graph) (*graph.Graph, error) {
-		var buf bytes.Buffer
-		if err := hlo.Print(&buf, g); err != nil {
-			return nil, err
-		}
-		return hlo.Parse(&buf)
-	}
-	gs2, err := rt(b.Gs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	gd2, err := rt(b.Gd)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ri2 := relation.New()
-	for _, id := range b.Ri.Tensors() {
-		oldT := b.Gs.Tensor(id)
-		newT, ok := gs2.TensorByName(oldT.Name)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("hlo round trip lost G_s tensor %q", oldT.Name)
-		}
-		for _, m := range b.Ri.Get(id) {
-			var fail error
-			m2 := m.Map(func(l *expr.Term) *expr.Term {
-				if !l.IsLeaf() {
-					return l
-				}
-				gdT, ok := gd2.TensorByName(l.Name)
-				if !ok {
-					fail = fmt.Errorf("hlo round trip lost G_d tensor %q", l.Name)
-					return l
-				}
-				return relation.GdLeaf(gdT)
-			})
-			if fail != nil {
-				return nil, nil, nil, fail
-			}
-			ri2.Add(newT.ID, m2)
-		}
-	}
-	return gs2, gd2, ri2, nil
 }
 
 // Fig3 verifies every workload at parallelism 2 with one layer and

@@ -6,22 +6,30 @@ import (
 	"testing"
 
 	"entangle/internal/core"
-	"entangle/internal/egraph"
 	"entangle/internal/lemmas"
 	"entangle/internal/vcache"
 )
 
-// TestSaturationDifferential is the equivalence property test for the
-// indexed saturation path: over the saturation corpus, the indexed
-// matcher (with dirty-class tracking and the applied-fingerprint
-// filter) must be observationally identical to the naive full-scan
-// matcher, and any worker count must be observationally identical to
-// the sequential walk. "Observationally identical" is pinned as: the
-// same per-rule application counts, the same iteration count and stop
-// profile, the same verdict lines, and byte-identical output-relation
-// renderings. Matches are deliberately NOT compared — the indexed
-// matcher is free to skip already-applied matches that the naive
-// matcher still enumerates.
+// describeVerdicts renders a report's verdict lines, one per operator.
+func describeVerdicts(rep *core.Report) string {
+	var vs strings.Builder
+	for _, ov := range rep.Verdicts {
+		vs.WriteString(ov.Describe())
+		vs.WriteByte('\n')
+	}
+	return vs.String()
+}
+
+// TestSaturationDifferential is the schedule-independence property
+// test for saturation over the saturation corpus: a sequential check,
+// a check at four workers, and a second check on the first checker
+// (whose e-graphs come off the free list the first one stocked) are
+// observationally identical. "Observationally identical" is pinned as:
+// the same per-rule application counts, the same iteration count and
+// stop profile, the same verdict lines, and byte-identical
+// output-relation renderings. The naive-vs-indexed matcher comparison,
+// which needs egraph's reference matcher, is egraph's
+// TestNaiveMatcherMatchesIndexedZoo.
 func TestSaturationDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model corpus differential is not short")
@@ -29,27 +37,9 @@ func TestSaturationDifferential(t *testing.T) {
 	for _, w := range saturateWorkloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			b, err := w.Build(2, 1)
+			gs, gd, ri, err := w.graphs(2, 1)
 			if err != nil {
 				t.Fatal(err)
-			}
-			gs, gd, ri := b.Gs, b.Gd, b.Ri
-			if w.ViaHLO {
-				gs, gd, ri, err = roundTripHLO(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			type variant struct {
-				name string
-				opts core.Options
-			}
-			variants := []variant{
-				{"indexed-w1", core.Options{Registry: lemmas.Default(), Workers: 1}},
-				{"naive-w1", core.Options{Registry: lemmas.Default(), Workers: 1,
-					Saturate: egraph.SaturateOpts{Unindexed: true}}},
-				{"indexed-w4", core.Options{Registry: lemmas.Default(), Workers: 4}},
 			}
 
 			type observed struct {
@@ -59,29 +49,30 @@ func TestSaturationDifferential(t *testing.T) {
 				verdicts string
 				outputs  string
 			}
-			obs := make([]observed, len(variants))
-			for i, v := range variants {
-				rep, err := core.NewChecker(v.opts).Check(gs, gd, ri)
+			observe := func(checker *core.Checker) observed {
+				rep, err := checker.Check(gs, gd, ri)
 				if err != nil {
-					t.Fatalf("%s: %v", v.name, err)
+					t.Fatal(err)
 				}
-				var vs strings.Builder
-				for _, ov := range rep.Verdicts {
-					vs.WriteString(ov.Describe())
-					vs.WriteByte('\n')
-				}
-				obs[i] = observed{
+				return observed{
 					apps:     rep.Stats.Applications,
 					iters:    rep.Stats.Iterations,
 					stops:    [3]int{rep.Stats.Runs, rep.Stats.BudgetHit, rep.Stats.Cancelled},
-					verdicts: vs.String(),
+					verdicts: describeVerdicts(rep),
 					outputs:  rep.OutputRelation.Render(gs),
 				}
 			}
-
-			base := obs[0]
-			for i, v := range variants[1:] {
-				got := obs[i+1]
+			sequential := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1})
+			base := observe(sequential)
+			variants := []struct {
+				name string
+				got  observed
+			}{
+				{"w4", observe(core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 4}))},
+				{"w1-again", observe(sequential)},
+			}
+			for _, v := range variants {
+				got := v.got
 				if !reflect.DeepEqual(base.apps, got.apps) {
 					t.Errorf("%s: rule applications diverge:\n base %v\n got  %v", v.name, base.apps, got.apps)
 				}
@@ -100,14 +91,14 @@ func TestSaturationDifferential(t *testing.T) {
 	}
 }
 
-// TestPlannedPathDifferential is the equivalence property test for the
-// plan/execute split: over the saturation corpus, the planned path
-// (dispositions decided up front, cache probes prefetched into the
-// Plan) must be observationally identical to the legacy inline path
-// (Options.Unplanned) at workers 1 and 4, on both a cold and a warm
-// verdict cache. "Observationally identical" here additionally pins
-// the cache counters: the plan-time prefetch must not double-count
-// hits or misses relative to inline probing.
+// TestPlannedPathDifferential is the cache-independence property test
+// for the planned path over the saturation corpus: at workers 1 and 4,
+// a check against a cold verdict cache and its replay against the
+// now-warm cache are observationally identical to an uncached check,
+// and the cache counters are the plan's: every operator probed once,
+// every probe a miss cold and a hit warm, whatever the worker count.
+// The planned-vs-unplanned comparison, which needs core's reference
+// executor, is core's TestPlanUnplannedByteIdentical.
 func TestPlannedPathDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model corpus differential is not short")
@@ -115,101 +106,50 @@ func TestPlannedPathDifferential(t *testing.T) {
 	for _, w := range saturateWorkloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			b, err := w.Build(2, 1)
+			gs, gd, ri, err := w.graphs(2, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gs, gd, ri := b.Gs, b.Gd, b.Ri
-			if w.ViaHLO {
-				gs, gd, ri, err = roundTripHLO(b)
-				if err != nil {
-					t.Fatal(err)
-				}
+			ref, err := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1}).Check(gs, gd, ri)
+			if err != nil {
+				t.Fatal(err)
 			}
+			wantVerdicts, wantOutputs := describeVerdicts(ref), ref.OutputRelation.Render(gs)
+			ops := int64(len(ref.Verdicts))
 
-			type variant struct {
-				name      string
-				workers   int
-				unplanned bool
-			}
-			variants := []variant{
-				{"planned-w1", 1, false},
-				{"unplanned-w1", 1, true},
-				{"planned-w4", 4, false},
-				{"unplanned-w4", 4, true},
-			}
-
-			type observed struct {
-				verdicts string
-				outputs  string
-				iters    int
-				cache    core.CacheStats
-			}
-			// Each variant gets its own fresh cache so cold runs are
-			// genuinely cold; phase 0 is the cold pass, phase 1 replays
-			// the same check against the now-warm cache.
-			obs := make([][2]observed, len(variants))
-			for i, v := range variants {
+			for _, workers := range []int{1, 4} {
+				// Each worker count gets its own fresh cache so the cold
+				// pass is genuinely cold; the warm pass replays the same
+				// check against the cache the cold pass filled.
 				vc, err := vcache.Open(vcache.Config{Dir: t.TempDir()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				checker := core.NewChecker(core.Options{
-					Registry: lemmas.Default(), Workers: v.workers,
-					Cache: vc, Unplanned: v.unplanned,
-				})
-				for phase := 0; phase < 2; phase++ {
+				checker := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: workers, Cache: vc})
+				for _, phase := range []string{"cold", "warm"} {
 					rep, err := checker.Check(gs, gd, ri)
 					if err != nil {
-						t.Fatalf("%s phase %d: %v", v.name, phase, err)
+						t.Fatalf("workers=%d %s: %v", workers, phase, err)
 					}
-					var vs strings.Builder
-					for _, ov := range rep.Verdicts {
-						vs.WriteString(ov.Describe())
-						vs.WriteByte('\n')
+					if got := describeVerdicts(rep); got != wantVerdicts {
+						t.Errorf("workers=%d %s: verdict lines diverge:\n uncached:\n%s\n got:\n%s", workers, phase, wantVerdicts, got)
 					}
-					cache := rep.Cache
-					obs[i][phase] = observed{
-						verdicts: vs.String(),
-						outputs:  rep.OutputRelation.Render(gs),
-						iters:    rep.Stats.Iterations,
-						cache:    cache,
+					if got := rep.OutputRelation.Render(gs); got != wantOutputs {
+						t.Errorf("workers=%d %s: output relation diverges:\n uncached:\n%s\n got:\n%s", workers, phase, wantOutputs, got)
 					}
-					if v.unplanned && rep.Plan != nil {
-						t.Fatalf("%s phase %d: unplanned run still produced a plan", v.name, phase)
+					if rep.Plan == nil {
+						t.Fatalf("workers=%d %s: planned run produced no plan", workers, phase)
 					}
-					if !v.unplanned && rep.Plan == nil {
-						t.Fatalf("%s phase %d: planned run produced no plan", v.name, phase)
+					c := rep.Cache
+					if c.Hits+c.Misses != ops {
+						t.Errorf("workers=%d %s: %d probes for %d operators: %+v", workers, phase, c.Hits+c.Misses, ops, c)
 					}
-				}
-			}
-
-			for phase, label := range []string{"cold", "warm"} {
-				base := obs[0][phase]
-				for i, v := range variants[1:] {
-					got := obs[i+1][phase]
-					if base.verdicts != got.verdicts {
-						t.Errorf("%s %s: verdict lines diverge:\n base:\n%s\n got:\n%s", v.name, label, base.verdicts, got.verdicts)
+					if phase == "cold" && (c.Hits != 0 || c.Stores != ops) {
+						t.Errorf("workers=%d cold: want every probe a miss and every verdict stored: %+v", workers, c)
 					}
-					if base.outputs != got.outputs {
-						t.Errorf("%s %s: output relation diverges:\n base:\n%s\n got:\n%s", v.name, label, base.outputs, got.outputs)
-					}
-					if base.iters != got.iters {
-						t.Errorf("%s %s: iterations diverge: base %d, got %d", v.name, label, base.iters, got.iters)
-					}
-					// Counter parity: every op is probed exactly once on
-					// both paths, so hits+misses always agree. The split
-					// itself agrees only on the warm pass: on a cold cache
-					// the inline path can hit a verdict stored EARLIER IN
-					// THE SAME RUN by a duplicate-cone sibling, which the
-					// plan-time prefetch (all probes before any store)
-					// deliberately reads as a miss — the verdicts still
-					// match, since a duplicate cone replays identically.
-					if base.cache.Hits+base.cache.Misses != got.cache.Hits+got.cache.Misses {
-						t.Errorf("%s %s: probe counts diverge: base %+v, got %+v", v.name, label, base.cache, got.cache)
-					}
-					if phase == 1 && base.cache != got.cache {
-						t.Errorf("%s %s: cache counters diverge: base %+v, got %+v", v.name, label, base.cache, got.cache)
+					if phase == "warm" && (c.Misses != 0 || c.Stores != 0 || rep.Plan.Replays != int(ops)) {
+						t.Errorf("workers=%d warm: want every operator replayed from the cache: %+v, plan %d replays",
+							workers, c, rep.Plan.Replays)
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"entangle/internal/core"
@@ -103,47 +102,35 @@ type scheduleProfile struct {
 	simSpeedup float64 // work / simulated W-worker makespan
 }
 
-// profileSchedule times every operator of one sequential check via
-// Options.OpObserver, then computes the critical path of G_s weighted
-// by those durations and simulates the wavefront policy (W workers,
-// earliest-topo-index-first) to get its makespan.
+// profileSchedule times every operator of one sequential check — its
+// verdict's Duration, every escalation attempt included — then computes
+// the critical path of G_s weighted by those durations and simulates
+// the wavefront policy (W workers, earliest-topo-index-first) to get
+// its makespan.
 func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfile, error) {
 	gs, gd, ri, err := w.graphs(parallel, layers)
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
-	durs := map[graph.NodeID]time.Duration{}
-	checker := core.NewChecker(core.Options{
-		Registry: lemmas.Default(),
-		Workers:  1,
-		OpObserver: func(v *graph.Node, d time.Duration) {
-			mu.Lock()
-			durs[v.ID] = d
-			mu.Unlock()
-		},
-	})
-	if _, err := checker.Check(gs, gd, ri); err != nil {
+	rep, err := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1}).Check(gs, gd, ri)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %v", w.Name, err)
 	}
 
-	order, err := gs.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	n := len(order)
+	// Verdicts are in topological order.
+	n := len(rep.Verdicts)
 	pos := make(map[graph.NodeID]int, n)
 	d := make([]time.Duration, n)
 	var work time.Duration
-	for i, v := range order {
-		pos[v.ID] = i
-		d[i] = durs[v.ID]
+	for i, v := range rep.Verdicts {
+		pos[v.Op.ID] = i
+		d[i] = v.Duration
 		work += d[i]
 	}
 	producers := func(i int) []int {
 		var ps []int
 		seen := map[int]bool{}
-		for _, in := range order[i].Inputs {
+		for _, in := range rep.Verdicts[i].Op.Inputs {
 			p := gs.Tensor(in).Producer
 			if p == graph.NoProducer {
 				continue
@@ -159,7 +146,7 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 	// Critical path (span): longest duration-weighted producer chain.
 	cp := make([]time.Duration, n)
 	var span time.Duration
-	for i := range order {
+	for i := range n {
 		var best time.Duration
 		for _, j := range producers(i) {
 			if cp[j] > best {
@@ -177,7 +164,7 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 	// are event-driven.
 	deps := make([]int, n)
 	children := make([][]int, n)
-	for i := range order {
+	for i := range n {
 		for _, j := range producers(i) {
 			deps[i]++
 			children[j] = append(children[j], i)

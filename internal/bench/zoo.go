@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"entangle/internal/graph"
+	"entangle/internal/hlo"
 	"entangle/internal/models"
 	"entangle/internal/relation"
 )
@@ -28,7 +29,7 @@ func (c ZooCase) Graphs() (b *models.Built, gs, gd *graph.Graph, ri *relation.Re
 	}
 	gs, gd, ri = b.Gs, b.Gd, b.Ri
 	if c.ViaHLO {
-		if gs, gd, ri, err = roundTripHLO(b); err != nil {
+		if gs, gd, ri, err = hlo.RoundTrip(b.Gs, b.Gd, b.Ri); err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("%s: %v", c.Name, err)
 		}
 	}

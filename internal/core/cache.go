@@ -106,11 +106,13 @@ type cacheState struct {
 // cacheOptionsString is the canonical encoding of the verdict-relevant
 // options, hashed into the ambient digest. Workers, OpTimeout,
 // KeepGoing, and observers are deliberately absent: they steer
-// scheduling and wall clocks, never a cacheable verdict.
+// scheduling and wall clocks, never a cacheable verdict. The mapping
+// cap, the base budget and the frontier bound (mfi=0: |G_d|+1) are
+// constants, spelled in anyway: the string is hashed into every key,
+// which keys_golden.txt pins.
 func (o Options) cacheOptionsString() string {
-	return fmt.Sprintf("mm=%d|mfi=%d|df=%t|si=%d|sn=%d|be=%d",
-		o.MaxMappings, o.MaxFrontierIters, o.DisableFrontier,
-		o.Saturate.MaxIters, o.Saturate.MaxNodes, o.BudgetEscalations)
+	return fmt.Sprintf("mm=%d|mfi=0|df=%t|si=%d|sn=%d|be=%d",
+		maxMappings, o.DisableFrontier, baseMaxIters, baseMaxNodes, o.BudgetEscalations)
 }
 
 // keyDerivation is the one source of cone fingerprints and cache keys

@@ -239,7 +239,7 @@ func TestCacheAmbientInvalidation(t *testing.T) {
 	if _, err := NewChecker(Options{Registry: reg, Cache: cache}).Check(b.Gs, b.Gd, b.Ri); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := NewChecker(Options{Registry: reg, Cache: cache, MaxMappings: 17}).Check(b.Gs, b.Gd, b.Ri)
+	rep, err := NewChecker(Options{Registry: reg, Cache: cache, BudgetEscalations: 2}).Check(b.Gs, b.Gd, b.Ri)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCachePreOpOverrideBypasses(t *testing.T) {
 	}
 	cache := openCache(t)
 	reg := lemmas.Default()
-	override := egraph.SaturateOpts{MaxIters: 24, MaxNodes: 60_000}
+	override := baseBudget()
 	checker := NewChecker(Options{Registry: reg, Cache: cache,
 		PreOp: func(v *graph.Node) *egraph.SaturateOpts { return &override }})
 	rep, err := checker.Check(b.Gs, b.Gd, b.Ri)

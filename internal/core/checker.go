@@ -30,20 +30,11 @@ import (
 )
 
 // Options tune the checker. The zero value selects the defaults used
-// throughout the evaluation.
+// throughout the evaluation. What the paper fixes — one lemma library
+// under one budget (baseMaxIters, baseMaxNodes), the maxMappings
+// simplest mappings per tensor, a frontier walk of at most |G_d|+1
+// rounds — is a constant, not an option.
 type Options struct {
-	// Saturate bounds each per-operator equality-saturation run.
-	Saturate egraph.SaturateOpts
-	// MaxMappings caps how many clean mappings are kept per tensor
-	// (the paper keeps "the simplest version of each set", §4.3.2; we
-	// keep the MaxMappings simplest distinct ones). It must exceed the
-	// parallelism degree — replicated tensors carry one bare-leaf
-	// mapping per rank, and dropping any starves the T_rel frontier.
-	// Default 16.
-	MaxMappings int
-	// MaxFrontierIters bounds the Listing-3 exploration loop.
-	// Default: |G_d| + 1.
-	MaxFrontierIters int
 	// DisableFrontier folds every G_d node into every per-operator
 	// e-graph, disabling the §4.3.1 optimization. Used by the ablation
 	// benchmarks.
@@ -59,13 +50,15 @@ type Options struct {
 	// the earliest failing operator — so this is purely a wall-clock
 	// knob.
 	Workers int
-	// OpObserver, when non-nil, is called after each operator's check
-	// completes, with its wall-clock duration. It is invoked from pool
-	// goroutines (the scheduler runs even Workers == 1 on a pool of
-	// one) and must be safe for concurrent use when Workers > 1. The
-	// bench harness uses it for the wavefront speedup study. A panic
-	// in the observer is recovered into an EngineFault verdict for the
-	// observed operator.
+	// OpObserver, when non-nil, is called after each saturation attempt
+	// of an operator, with that attempt's wall-clock duration: an
+	// escalated operator is observed once per attempt, a replayed one
+	// not at all (OpVerdict.Duration is the whole per-operator time).
+	// It is invoked from pool goroutines (the scheduler runs even
+	// Workers == 1 on a pool of one) and must be safe for concurrent
+	// use when Workers > 1. benchmark/trace.go uses it for the live
+	// operator spans of a traced run. A panic in the observer is
+	// recovered into an EngineFault verdict for the observed operator.
 	OpObserver func(v *graph.Node, d time.Duration)
 	// OpTimeout bounds each operator's wall-clock check time. An
 	// operator that exceeds it is classified Inconclusive(Timeout)
@@ -82,9 +75,9 @@ type Options struct {
 	// preserves the paper's first-error-only behaviour.
 	KeepGoing bool
 	// BudgetEscalations is how many times an operator whose saturation
-	// hit MaxNodes/MaxIters without disproving refinement is retried
-	// with a geometrically larger budget (×4 per escalation) before
-	// being declared inconclusive. 0 selects the default of 1
+	// hit its node or iteration limit without disproving refinement is
+	// retried with a geometrically larger budget (×4 per escalation)
+	// before being declared inconclusive. 0 selects the default of 1
 	// escalation; negative disables escalation entirely.
 	BudgetEscalations int
 	// PreOp, when non-nil, runs before each operator's check on the
@@ -104,29 +97,38 @@ type Options struct {
 	// *vcache.Cache is the single-node store; a cluster.Cache routes
 	// the same Get/Put through shard owners across a fleet.
 	Cache VerdictStore
-	// Unplanned bypasses the planning layer (planner.go): dispositions
+
+	// unplanned bypasses the planning layer (planner.go): dispositions
 	// are decided inline at check time, the pre-plan code path. Both
-	// paths produce byte-identical reports — the differential suite
-	// asserts exactly that — so this exists for those tests and for
-	// bisecting planner regressions, not for production use.
-	Unplanned bool
+	// paths produce byte-identical reports, which this package's tests
+	// assert; it is a reference for them, set nowhere else.
+	unplanned bool
 }
 
-// escalationFactor is the geometric budget growth per escalation.
-const escalationFactor = 4
+const (
+	// baseMaxIters and baseMaxNodes are every operator's first-attempt
+	// saturation budget (escalation multiplies it by escalationFactor)
+	// and the budget of a dedicated output-resolution pass.
+	baseMaxIters = 24
+	baseMaxNodes = 60_000
+	// maxMappings caps how many clean mappings are kept per tensor (the
+	// paper keeps "the simplest version of each set", §4.3.2; we keep
+	// the maxMappings simplest distinct ones). It must exceed the
+	// parallelism degree — replicated tensors carry one bare-leaf
+	// mapping per rank, and dropping any starves the T_rel frontier.
+	maxMappings = 16
+	// escalationFactor is the geometric budget growth per escalation.
+	escalationFactor = 4
+)
+
+// baseBudget returns the base saturation budget.
+func baseBudget() egraph.SaturateOpts {
+	return egraph.SaturateOpts{MaxIters: baseMaxIters, MaxNodes: baseMaxNodes}
+}
 
 func (o Options) withDefaults() Options {
-	if o.MaxMappings == 0 {
-		o.MaxMappings = 16
-	}
 	if o.Registry == nil {
 		o.Registry = lemmas.Default()
-	}
-	if o.Saturate.MaxIters == 0 {
-		o.Saturate.MaxIters = 24
-	}
-	if o.Saturate.MaxNodes == 0 {
-		o.Saturate.MaxNodes = 60_000
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -201,8 +203,8 @@ type Report struct {
 	// Options.Cache is nil.
 	Cache CacheStats
 	// Plan is the decision layer's output this run executed: one
-	// disposition per operator in topo order (planner.go). Nil on the
-	// Options.Unplanned path.
+	// disposition per operator in topo order (planner.go). Never nil:
+	// only this package's tests take the unplanned path.
 	Plan *Plan
 	// OpsProcessed counts the G_s operators actually checked (skipped
 	// cone members in KeepGoing mode are excluded).
@@ -371,7 +373,7 @@ func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
 	switch {
 	case r.plan != nil:
 		r.prefetch(r.plan)
-	case !r.opts.Unplanned:
+	case !r.opts.unplanned:
 		r.plan = r.buildPlan()
 	}
 	return nil
@@ -400,8 +402,8 @@ type runState struct {
 	// starts and read-only afterwards.
 	cache *cacheState
 	// plan is the decision layer's output (planner.go), built before
-	// the scheduler starts and read-only afterwards; nil on the
-	// Options.Unplanned path.
+	// the scheduler starts and read-only afterwards; nil only on the
+	// unplanned reference path.
 	plan *Plan
 	// ledger is the scheduler's per-operator record (scheduler.go),
 	// topo-indexed; set once the pool drains.
@@ -588,7 +590,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		defer cancel()
 	}
 
-	budget := r.opts.Saturate
+	budget := baseBudget()
 	overridden := false
 	if r.opts.PreOp != nil {
 		override, err := r.safePreOp(v)
@@ -757,12 +759,9 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		}
 	}
 
-	maxIters := r.opts.MaxFrontierIters
-	if maxIters == 0 {
-		maxIters = len(r.gd.Nodes) + 1
-	}
-
-	for iter := 0; iter < maxIters; iter++ {
+	// The walk stops when T_rel stops growing, and after |G_d|+1
+	// rounds at the latest.
+	for iter := 0; iter <= len(r.gd.Nodes); iter++ {
 		if err := ctx.Err(); err != nil {
 			return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 		}
@@ -783,7 +782,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		clean := eg.CleanCosts(allowGdLeaf)
 		grew := false
 		for _, oc := range outClasses {
-			for _, t := range clean.ExtractAll(oc, r.opts.MaxMappings) {
+			for _, t := range clean.ExtractAll(oc, maxMappings) {
 				for _, leaf := range t.Leaves() {
 					if relation.IsGd(leaf) && relate(tRel, relation.GdTensorID(leaf)) {
 						grew = true
@@ -824,7 +823,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 	// order they were added, so checkOp can cache them for replay.
 	outs := make([][]*expr.Term, 0, len(v.Outputs))
 	for i, out := range v.Outputs {
-		mappings := eg.ExtractAllClean(outClasses[i], allowGdLeaf, r.opts.MaxMappings)
+		mappings := eg.ExtractAllClean(outClasses[i], allowGdLeaf, maxMappings)
 		if len(mappings) == 0 {
 			return acc, nil, &RefinementError{Op: v, Tensor: r.gs.Tensor(out),
 				InputMappings: r.renderInputMappings(v)}
@@ -832,7 +831,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		r.rel.AddAll(out, mappings)
 		// Opportunistically record output-restricted mappings too.
 		if r.gs.IsOutput(out) {
-			restricted := eg.ExtractAllClean(outClasses[i], r.allowGdOutput, r.opts.MaxMappings)
+			restricted := eg.ExtractAllClean(outClasses[i], r.allowGdOutput, maxMappings)
 			r.rel.AddAll(out, restricted)
 			mappings = slices.Concat(mappings, restricted)
 		}
@@ -1041,12 +1040,12 @@ func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o gra
 			break
 		}
 	}
-	satOpts := r.opts.Saturate
+	satOpts := baseBudget()
 	satOpts.Ctx = ctx
 	satOpts.Compiled = r.compiled
 	stats := eg.Saturate(r.rules, satOpts)
 	if err := ctx.Err(); err != nil {
 		return nil, stats, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
 	}
-	return eg.ExtractAllClean(eg.Find(cls), r.allowGdOutput, r.opts.MaxMappings), stats, nil
+	return eg.ExtractAllClean(eg.Find(cls), r.allowGdOutput, maxMappings), stats, nil
 }

@@ -205,7 +205,7 @@ func (c *Checker) DiffCheck(oldGs, newGs, gd *graph.Graph, oldRi, newRi *relatio
 func (c *Checker) DiffCheckContext(ctx context.Context, oldGs, newGs, gd *graph.Graph, oldRi, newRi *relation.Relation) (*DeltaReport, error) {
 	opts := c.opts
 	opts.KeepGoing = true
-	opts.Unplanned = false
+	opts.unplanned = false
 	run, report, err := (&Checker{opts: opts}).checkContext(ctx, newGs, gd, newRi, oldGs, oldRi)
 	if report == nil {
 		return nil, err

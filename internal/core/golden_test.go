@@ -104,7 +104,7 @@ type goldenSection struct{ name, text string }
 // section must be identical across workers and planned/unplanned.
 func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers int, unplanned bool) []goldenSection {
 	t.Helper()
-	opts := Options{Registry: lemmas.Default(), Cache: openCache(t), Workers: workers, Unplanned: unplanned}
+	opts := Options{Registry: lemmas.Default(), Cache: openCache(t), Workers: workers, unplanned: unplanned}
 	checker := NewChecker(opts)
 	opts.KeepGoing = true
 	keepGoing := NewChecker(opts)
@@ -145,7 +145,7 @@ func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers 
 
 // TestGoldenReports pins the complete Report (Stats, LiveStats, Cache,
 // Verdicts, Failures, relations, Plan) and DeltaReport.Render for a
-// small zoo at Workers 1 and 4, planned and Unplanned, against bytes
+// small zoo at Workers 1 and 4, planned and unplanned, against bytes
 // recorded before the ledger refactor.
 func TestGoldenReports(t *testing.T) {
 	build := func(b *models.Built, err error) *models.Built {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"runtime"
 	"testing"
 
@@ -51,46 +50,19 @@ func TestFrontierMatchesWholeGraphOnAllModels(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxMappings != 16 || o.Registry == nil || o.Saturate.MaxIters != 24 {
+	if o.Registry == nil || o.BudgetEscalations != 1 {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	if o.Workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Workers default %d, want GOMAXPROCS %d", o.Workers, runtime.GOMAXPROCS(0))
 	}
 	// Explicit values survive.
-	o2 := Options{MaxMappings: 3, Workers: 1}.withDefaults()
-	if o2.MaxMappings != 3 {
-		t.Fatal("explicit MaxMappings overridden")
-	}
-	if o2.Workers != 1 {
+	if o2 := (Options{Workers: 1}).withDefaults(); o2.Workers != 1 {
 		t.Fatal("explicit Workers overridden")
 	}
 	// Negative worker counts clamp to sequential.
 	if o3 := (Options{Workers: -4}).withDefaults(); o3.Workers != 1 {
 		t.Fatalf("negative Workers must clamp to 1, got %d", o3.Workers)
-	}
-}
-
-func TestMaxFrontierItersBounds(t *testing.T) {
-	// A pathologically small frontier budget loses completeness the
-	// sound way: a RefinementError (false alarm), never a wrong
-	// verification or a crash. A generous budget verifies.
-	b, err := models.Regression(models.Options{GradAccum: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewChecker(Options{MaxFrontierIters: 2}).Check(b.Gs, b.Gd, b.Ri)
-	if err != nil {
-		// The truncated search may surface as a plain disproof or as an
-		// InconclusiveError wrapping one; either way errors.As must
-		// still localize the RefinementError.
-		var re *RefinementError
-		if !errors.As(err, &re) {
-			t.Fatalf("tiny budget must degrade to RefinementError, got %v", err)
-		}
-	}
-	if _, err := NewChecker(Options{MaxFrontierIters: 64}).Check(b.Gs, b.Gd, b.Ri); err != nil {
-		t.Fatalf("generous budget must verify: %v", err)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestRecycledCheckAllocs(t *testing.T) {
 		t.Fatalf("GPT has no operator %q", label)
 	}
 	check := func() {
-		if st, _, err := run.processOp(ctx, v, run.opts.Saturate); err != nil || st.Matches == 0 {
+		if st, _, err := run.processOp(ctx, v, baseBudget()); err != nil || st.Matches == 0 {
 			t.Fatalf("checking %s: %d matches, %v", label, st.Matches, err)
 		}
 	}

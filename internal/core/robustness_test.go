@@ -254,18 +254,21 @@ func TestOpTimeoutInconclusive(t *testing.T) {
 
 // TestBudgetEscalation: a budget-starved operator either recovers via
 // geometric escalation or is declared Inconclusive(BudgetExhausted) —
-// never misreported as disproved. The starved budget is chosen so the
-// first attempt cannot finish but 4×–16× can.
+// never misreported as disproved. Every operator is starved through
+// PreOp, as faultinject does, with a budget chosen so the first attempt
+// cannot finish but 4×–16× can.
 func TestBudgetEscalation(t *testing.T) {
 	b, err := models.Regression(models.Options{GradAccum: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	starved := egraph.SaturateOpts{MaxIters: 1, MaxNodes: 20}
+	starve := func(*graph.Node) *egraph.SaturateOpts {
+		return &egraph.SaturateOpts{MaxIters: 1, MaxNodes: 20}
+	}
 
 	// Escalation disabled: the starved run must be inconclusive, with
 	// the budget-exhaustion reason, not a disproof.
-	noEsc := NewChecker(Options{Saturate: starved, BudgetEscalations: -1, Workers: 1})
+	noEsc := NewChecker(Options{PreOp: starve, BudgetEscalations: -1, Workers: 1})
 	_, err = noEsc.Check(b.Gs, b.Gd, b.Ri)
 	if err == nil {
 		t.Fatal("starved check without escalation must fail")
@@ -286,7 +289,7 @@ func TestBudgetEscalation(t *testing.T) {
 
 	// With escalation: 1 iter/20 nodes → ×4 → ×16 reaches the default
 	// ballpark and the model verifies.
-	esc := NewChecker(Options{Saturate: starved, BudgetEscalations: 3, Workers: 1})
+	esc := NewChecker(Options{PreOp: starve, BudgetEscalations: 3, Workers: 1})
 	rep, err := esc.Check(b.Gs, b.Gd, b.Ri)
 	if err != nil {
 		t.Fatalf("escalated check must recover: %v", err)

@@ -7,6 +7,14 @@ import "slices"
 // turn (EGraph.lateEffects).
 func LateEffects(g *EGraph) int { return g.lateEffects }
 
+// SetNaiveMatcher switches Saturate to the naive reference matcher
+// (on) or back to the indexed one, and returns the previous setting.
+// Set it only while no saturation runs.
+func SetNaiveMatcher(on bool) (old bool) {
+	old, naiveMatcher = naiveMatcher, on
+	return old
+}
+
 // The free list's test seams (lifetime.go).
 
 // SetFreeListCap empties the free list and sets how many graphs it

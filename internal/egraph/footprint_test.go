@@ -16,7 +16,7 @@ import (
 
 // The footprint differential: the indexed matcher withholds a rule from
 // every node its gate says cannot have changed, the naive matcher
-// (SaturateOpts.Unindexed) withholds nothing, and the two must be
+// (SetNaiveMatcher) withholds nothing, and the two must be
 // indistinguishable — same applications, iterations, node count, class
 // partition (class IDs included) and clean extractions — on random term
 // sets with the checker's kind of union interleaved between Saturate
@@ -171,6 +171,7 @@ var diffOpts = egraph.SaturateOpts{MaxIters: 10, MaxNodes: 600}
 func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool) []observation {
 	defer func(was bool) { egraph.InvariantChecks = was }(egraph.InvariantChecks)
 	egraph.InvariantChecks = audit
+	defer egraph.SetNaiveMatcher(egraph.SetNaiveMatcher(unindexed))
 	g := egraph.New(nil)
 	if leafShapes {
 		g.SetLeafShapeFn(func(tid int) (shape.Shape, bool) {
@@ -178,8 +179,6 @@ func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool)
 			return shape.Shape{sym.Const(diffExtent), sym.Const(diffExtent)}, known
 		})
 	}
-	opts := diffOpts
-	opts.Unindexed = unindexed
 	var roots []egraph.ClassID
 	var waiting [][][2]egraph.ClassID // late definitions, by the round that made them
 	var out []observation
@@ -205,7 +204,7 @@ func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool)
 			}
 		}
 		g.Rebuild()
-		st := g.Saturate(rules, opts)
+		st := g.Saturate(rules, diffOpts)
 		out = append(out, observation{
 			apps: st.Applications, iters: st.Iterations, nodes: st.Nodes, stop: st.StopReason,
 			classes: dumpClasses(g), clean: dumpClean(g, roots), late: egraph.LateEffects(g),
@@ -486,7 +485,9 @@ func TestSliceTilingSeesSlicesMintedThisPhase(t *testing.T) {
 		if g.Find(x) != x || g.ConsumedBy(x, expr.OpSlice) {
 			t.Fatalf("setup: x is class %d (want %d), slice consumer %t (want none yet)", g.Find(x), x, g.ConsumedBy(x, expr.OpSlice))
 		}
-		st := g.Saturate(rules, egraph.SaturateOpts{MaxIters: 1, Unindexed: unindexed})
+		was := egraph.SetNaiveMatcher(unindexed)
+		st := g.Saturate(rules, egraph.SaturateOpts{MaxIters: 1})
+		egraph.SetNaiveMatcher(was)
 		if st.Applications["slice-of-sum"] == 0 || st.Applications["slice-tiling"] == 0 {
 			t.Errorf("unindexed=%t: slice-of-sum and slice-tiling must both fire in the first iteration: %v", unindexed, st.Applications)
 		}

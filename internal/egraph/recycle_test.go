@@ -303,6 +303,38 @@ func TestRecycledMatchesFreshZoo(t *testing.T) {
 	}
 }
 
+// The naive ≡ indexed differential over the whole zoo: a check under
+// the naive reference matcher (SetNaiveMatcher) and one under the
+// indexed matcher show the same report — verdicts, relations, every
+// statistic but Matches, the one the two matchers differ in.
+func TestNaiveMatcherMatchesIndexedZoo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-zoo differential is not short")
+	}
+	for _, c := range bench.Zoo() {
+		b, gs, gd, ri, err := c.Graphs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		observe := func(naive bool) string {
+			defer egraph.SetNaiveMatcher(egraph.SetNaiveMatcher(naive))
+			checker := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1})
+			if c.Expectation {
+				err := checker.CheckExpectation(gs, gd, ri, core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd})
+				return fmt.Sprintf("expectation: %v", err)
+			}
+			rep, err := checker.Check(gs, gd, ri)
+			if rep != nil {
+				rep.Stats.Matches, rep.LiveStats.Matches = 0, 0
+			}
+			return renderReport(rep, err, gs)
+		}
+		if naive, indexed := observe(true), observe(false); naive != indexed {
+			t.Errorf("%s: reports differ:\n--- naive ---\n%s\n--- indexed ---\n%s", c.Name, naive, indexed)
+		}
+	}
+}
+
 func TestRecycledMatchesFreshFuzzCorpus(t *testing.T) {
 	corpus, err := fuzz.LoadCorpus("../fuzz/testdata/corpus")
 	if err != nil {
@@ -406,6 +438,13 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 		}}, order[2]
 	}
 
+	// starved returns options under which every operator's first and
+	// only attempt runs under budget.
+	starved := func(budget egraph.SaturateOpts) core.Options {
+		return core.Options{KeepGoing: true, BudgetEscalations: -1,
+			PreOp: func(*graph.Node) *egraph.SaturateOpts { return &budget }}
+	}
+
 	// Each stop runs a check of `small` that ends the given way, reports
 	// the graph the stop happened in, and whether that graph may be
 	// recycled.
@@ -451,8 +490,7 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 		}},
 		{"MaxNodes denial", true, func(t *testing.T) *egraph.EGraph {
 			g, _ := lastReleased(t, func() {
-				rep, _ := check(core.Options{KeepGoing: true, BudgetEscalations: -1,
-					Saturate: egraph.SaturateOpts{MaxNodes: 12}}, context.Background(), small.Ri)
+				rep, _ := check(starved(egraph.SaturateOpts{MaxNodes: 12}), context.Background(), small.Ri)
 				if rep == nil || rep.Stats.StopReason != egraph.StopNodeLimit {
 					t.Fatalf("want a node-limit stop, got %+v", rep)
 				}
@@ -461,8 +499,7 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 		}},
 		{"MaxIters stop", true, func(t *testing.T) *egraph.EGraph {
 			g, _ := lastReleased(t, func() {
-				rep, _ := check(core.Options{KeepGoing: true, BudgetEscalations: -1,
-					Saturate: egraph.SaturateOpts{MaxIters: 1}}, context.Background(), small.Ri)
+				rep, _ := check(starved(egraph.SaturateOpts{MaxIters: 1}), context.Background(), small.Ri)
 				if rep == nil || rep.Stats.StopReason != egraph.StopIterLimit {
 					t.Fatalf("want an iteration-limit stop, got %+v", rep)
 				}

@@ -219,6 +219,17 @@ func templated(name string, lhs *Pattern, rhs *RTerm, lookupOnly bool) *Rule {
 	}
 }
 
+// naiveMatcher selects the naive reference matcher (matchRules), which
+// re-visits every class × rule pair each iteration, instead of the
+// indexed dirty-tracked matcher (index.go). The indexed matcher
+// withholds only matches that are no-ops on the graph a match phase
+// sees, so the two produce identical applications, stats, and
+// extraction results wherever no application reaches into a withheld
+// match later in its own apply phase — everywhere in the model corpus,
+// which this package's differential tests pin. Only those tests set it
+// (SetNaiveMatcher, export_test.go).
+var naiveMatcher bool
+
 // SaturateOpts bound a saturation run. Zero values select defaults.
 type SaturateOpts struct {
 	MaxIters int // default 16
@@ -239,16 +250,6 @@ type SaturateOpts struct {
 	// Rebuild, leaving the e-graph congruent exactly as on a budget
 	// stop. A nil Ctx never cancels.
 	Ctx context.Context
-	// Unindexed selects the naive reference matcher, which re-visits
-	// every class × rule pair each iteration, instead of the indexed
-	// dirty-tracked matcher (index.go). The indexed matcher withholds
-	// only matches that are no-ops on the graph a match phase sees, so
-	// the two produce identical applications, stats, and extraction
-	// results wherever no application reaches into a withheld match
-	// later in its own apply phase — everywhere in the model corpus,
-	// which the differential tests pin. This exists for those tests and
-	// for bisecting matcher regressions, not for production use.
-	Unindexed bool
 	// Compiled, when non-nil, supplies a precompiled analysis of
 	// exactly the rules slice passed to Saturate (CompileRules), saving
 	// the per-call compilation. A CompiledRules value is read-only
@@ -559,7 +560,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		// (counted in lateEffects: the naive matcher applies such a match
 		// now, the indexed matcher one iteration later).
 		var withheld []withheldMatch
-		if opts.Unindexed {
+		if naiveMatcher {
 			g.dirty = g.dirty[:0] // keep the accumulator bounded
 			todo = g.matchRules(cr, todo[:0])
 		} else {

@@ -30,8 +30,12 @@ var updateKeys = flag.Bool("update-keys", false, "rewrite testdata/keys_golden.t
 const keysGolden = "testdata/keys_golden.txt"
 
 // defaultCacheOptions is core.Options{}'s verdict-relevant encoding
-// after defaults; TestKeysGolden checks it against the keys a checker
-// actually probes, so a drift fails there and not silently here.
+// after defaults: the mapping cap (mm), the frontier bound's old
+// default spelling (mfi=0), DisableFrontier (df), the base saturation
+// budget (si, sn) — constants of core, kept in the string so no key
+// moves — and BudgetEscalations (be). TestKeysGolden checks it against
+// the keys a checker actually probes, so a drift fails there and not
+// silently here.
 const defaultCacheOptions = "mm=16|mfi=0|df=false|si=24|sn=60000|be=1"
 
 // keyLog is a verdict store that only records the keys it is asked for.

@@ -10,6 +10,7 @@ package hlo
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 
 	"entangle/internal/expr"
 	"entangle/internal/graph"
+	"entangle/internal/relation"
 	"entangle/internal/shape"
 	"entangle/internal/sym"
 )
@@ -463,4 +465,52 @@ func (p *parser) assemble() (*graph.Graph, error) {
 		b.Output(id)
 	}
 	return b.Build()
+}
+
+// RoundTrip prints a check's two graphs in the HLO text format and
+// parses them back, re-keying the input relation ri by tensor name: what
+// a check of the pair looks like after a trip through this front end.
+func RoundTrip(gs, gd *graph.Graph, ri *relation.Relation) (*graph.Graph, *graph.Graph, *relation.Relation, error) {
+	rt := func(g *graph.Graph) (*graph.Graph, error) {
+		var buf bytes.Buffer
+		if err := Print(&buf, g); err != nil {
+			return nil, err
+		}
+		return Parse(&buf)
+	}
+	gs2, err := rt(gs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	gd2, err := rt(gd)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ri2 := relation.New()
+	for _, id := range ri.Tensors() {
+		oldT := gs.Tensor(id)
+		newT, ok := gs2.TensorByName(oldT.Name)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("hlo round trip lost G_s tensor %q", oldT.Name)
+		}
+		for _, m := range ri.Get(id) {
+			var fail error
+			m2 := m.Map(func(l *expr.Term) *expr.Term {
+				if !l.IsLeaf() {
+					return l
+				}
+				gdT, ok := gd2.TensorByName(l.Name)
+				if !ok {
+					fail = fmt.Errorf("hlo round trip lost G_d tensor %q", l.Name)
+					return l
+				}
+				return relation.GdLeaf(gdT)
+			})
+			if fail != nil {
+				return nil, nil, nil, fail
+			}
+			ri2.Add(newT.ID, m2)
+		}
+	}
+	return gs2, gd2, ri2, nil
 }

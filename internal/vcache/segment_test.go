@@ -184,7 +184,7 @@ func TestIndexEntryCost(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c, err := Open(Config{Dir: dir, MaxEntries: 1, Shards: 1})
+	c, err := openSized(Config{Dir: dir}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

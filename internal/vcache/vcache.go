@@ -102,21 +102,19 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// Config sizes a cache.
+// Config says where a cache keeps its verdicts.
 type Config struct {
 	// Dir is the directory holding the on-disk segments; empty keeps
 	// the cache memory-only.
 	Dir string
-	// MaxEntries bounds the in-memory entry count across all shards
-	// (0 = DefaultMaxEntries). Disk entries are never evicted.
-	MaxEntries int
-	// Shards is the lock-striping factor (0 = DefaultShards).
-	Shards int
 }
 
 const (
+	// DefaultMaxEntries bounds the in-memory entry count across all
+	// shards. Disk entries are never evicted.
 	DefaultMaxEntries = 4096
-	DefaultShards     = 16
+	// DefaultShards is the LRU's lock-striping factor.
+	DefaultShards = 16
 
 	// magic is the versioned header tag, and version prefixes the
 	// names of the segments entries of this format live in; bump both
@@ -159,14 +157,14 @@ type Cache struct {
 // startup, not mid-check. A disk cache holds its segments open until
 // Close.
 func Open(cfg Config) (*Cache, error) {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = DefaultMaxEntries
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	perShard := (cfg.MaxEntries + cfg.Shards - 1) / cfg.Shards
-	c := &Cache{dir: cfg.Dir, shards: make([]*shard, cfg.Shards)}
+	return openSized(cfg, DefaultMaxEntries, DefaultShards)
+}
+
+// openSized is Open with an LRU of maxEntries over the given number of
+// shards, for the eviction tests.
+func openSized(cfg Config, maxEntries, shards int) (*Cache, error) {
+	perShard := (maxEntries + shards - 1) / shards
+	c := &Cache{dir: cfg.Dir, shards: make([]*shard, shards)}
 	for i := range c.shards {
 		c.shards[i] = &shard{index: map[fingerprint.Hash]int32{}, head: -1, tail: -1, max: perShard}
 	}

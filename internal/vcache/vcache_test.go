@@ -204,7 +204,7 @@ func TestDecodeEntryAcceptsOneSpelling(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// One shard, capacity 2: inserting 3 distinct keys evicts the
 	// least recently used.
-	c, err := Open(Config{MaxEntries: 2, Shards: 1})
+	c, err := openSized(Config{}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestLRUEviction(t *testing.T) {
 // with a plain most-recent-first list of the same capacity.
 func TestLRUOrderMatchesAList(t *testing.T) {
 	const capacity, keys, steps = 5, 12, 2000
-	c, err := Open(Config{MaxEntries: capacity, Shards: 1})
+	c, err := openSized(Config{}, capacity, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestKeyMismatchIsCorrupt(t *testing.T) {
 // and disk traffic; run under -race in CI.
 func TestConcurrentHammer(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(Config{Dir: dir, MaxEntries: 32, Shards: 4})
+	c, err := openSized(Config{Dir: dir}, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

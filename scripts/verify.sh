@@ -50,15 +50,19 @@ stage_race() {
     # the golden models, once on a free list stocked with graphs that last
     # served the heaviest zoo operator, once with recycling off) and its
     # New/Release hammer run here, audited and raced.
+    # core runs the planned-vs-unplanned differential at workers 1/4 that
+    # pins the plan/execute refactor byte-identical, cold and warm.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
+    # egraph runs the naive-vs-indexed matcher differential over the zoo.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
     ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
     go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/...
     go test -race -timeout 120s ./internal/cluster/...
-    # bench drives the checker through its concurrent harnesses — including
-    # the planned-vs-unplanned differential at workers 1/4 that pins the
-    # plan/execute refactor byte-identical; mc's own large-scope exploration
-    # is skipped here (-short) and runs raced in the dedicated mc CI job.
+    # bench drives the checker through its concurrent harnesses and its
+    # corpus differentials (workers 1/4, recycled graphs, cold/warm/no
+    # cache: TestSaturationDifferential, TestPlannedPathDifferential); mc's own
+    # large-scope exploration is skipped here (-short) and runs raced in the
+    # dedicated mc CI job.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/bench/...
     # fuzz composes random strategies and checks them with Workers>1; the
     # race run doubles as a worker-count-independence stress.
