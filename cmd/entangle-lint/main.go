@@ -5,10 +5,11 @@
 //	entangle-lint                         # lint the built-in lemma registry
 //	entangle-lint internal/egraph         # + source lint of one package dir
 //	entangle-lint model-dist.json         # + graph IR lint of a captured graph
-//	entangle-lint -json internal/core g.json
+//	entangle-lint -json internal/core g.json g.hlo
 //
-// Positional arguments are classified by shape: *.json files get the
-// graph IR checks, directories get the Go source checks. The lemma
+// Positional arguments are classified by shape: *.json and *.hlo files
+// get the graph IR checks (read as the JSON interchange format or the
+// HLO text IR), directories get the Go source checks. The lemma
 // registry checks run unless -registry=false. Findings print one per
 // line (or as one JSON object with -json).
 //
@@ -23,6 +24,7 @@ import (
 	"strings"
 
 	"entangle/internal/graph"
+	"entangle/internal/hlo"
 	"entangle/internal/lemmas"
 	"entangle/internal/lint"
 )
@@ -47,7 +49,7 @@ func main() {
 	var srcDirs []string
 	for _, arg := range flag.Args() {
 		switch {
-		case strings.HasSuffix(arg, ".json"):
+		case strings.HasSuffix(arg, ".json"), strings.HasSuffix(arg, ".hlo"):
 			g, err := readGraph(arg)
 			if err != nil {
 				fatal("%s: %v", arg, err)
@@ -62,7 +64,7 @@ func main() {
 				fatal("%v", err)
 			}
 			if !info.IsDir() {
-				fatal("%s: not a directory or .json graph", arg)
+				fatal("%s: not a directory, .json or .hlo graph", arg)
 			}
 			srcDirs = append(srcDirs, arg)
 		}
@@ -100,6 +102,9 @@ func readGraph(path string) (*graph.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
+	if strings.HasSuffix(path, ".hlo") {
+		return hlo.Parse(f)
+	}
 	return graph.Read(f)
 }
 

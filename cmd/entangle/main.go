@@ -21,12 +21,6 @@
 //	entangle -diff -gd dist.json -rel relation.json \
 //	    -cache /var/cache/entangle old.json new.json
 //
-// With -lint, positional arguments name captured graph files, and the
-// graph IR lint layer (internal/lint) runs over each instead of a
-// refinement check:
-//
-//	entangle -lint captured.json other.json
-//
 // The relation file maps sequential input names to clean expressions
 // over distributed tensor names, in the textual form the paper uses:
 //
@@ -55,7 +49,6 @@ import (
 	"entangle"
 	"entangle/internal/core"
 	"entangle/internal/exprparse"
-	"entangle/internal/lint"
 )
 
 // options is everything the command line sets; the checker's own
@@ -63,7 +56,7 @@ import (
 type options struct {
 	checker                            entangle.CheckerOptions
 	gs, gd, rel, format, expect, cache string
-	verbose, lint, diff, json          bool
+	verbose, diff                      bool
 	timeout                            time.Duration
 }
 
@@ -84,9 +77,7 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.checker.KeepGoing, "keep-going", false, "on a per-operator failure, skip its downstream cone and keep checking independent operators; report every failure")
 	fs.IntVar(&o.checker.BudgetEscalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
 	fs.StringVar(&o.cache, "cache", "", "verdict cache directory: operators whose content-addressed fingerprint matches a prior run replay the stored verdict instead of re-saturating (empty = no cache)")
-	fs.BoolVar(&o.lint, "lint", false, "lint the given graph files instead of checking refinement")
 	fs.BoolVar(&o.diff, "diff", false, "incrementally re-verify: positional args are the old and new G_s; only the edit's downstream cone is re-checked")
-	fs.BoolVar(&o.json, "json", false, "with -lint: emit findings as JSON")
 	return fs, o
 }
 
@@ -96,10 +87,6 @@ var exitCode = map[core.Outcome]int{core.Refined: 0, core.Failed: 1, core.Fault:
 func main() {
 	fs, o := newFlagSet(os.Args[0])
 	_ = fs.Parse(os.Args[1:]) // ExitOnError
-	if o.lint {
-		lintGraphs(fs.Args(), o.format, o.json)
-		return
-	}
 	opts := o.checker
 	if o.cache != "" || o.diff {
 		// A diff without -cache keeps the old graph's verdicts in a
@@ -117,7 +104,7 @@ func main() {
 		return
 	}
 	if o.gs == "" || o.gd == "" || o.rel == "" {
-		fmt.Fprintln(os.Stderr, "usage: entangle -gs <graph> -gd <graph> -rel <relation.json> [-format json|hlo] [-v]\n       entangle -lint [-json] <graph>...")
+		fmt.Fprintln(os.Stderr, "usage: entangle -gs <graph> -gd <graph> -rel <relation.json> [-format json|hlo] [-v]")
 		os.Exit(2)
 	}
 	gs := mustGraph("G_s", o.gs, o.format)
@@ -238,32 +225,6 @@ func diffGraphs(checker *entangle.Checker, paths []string, o *options) {
 		os.Exit(exitCode[outcome])
 	}
 	exitUnlessRefined("diff", ctx, outcome, nil, err)
-}
-
-// lintGraphs runs the graph IR lint layer over captured graph files;
-// exit 0 when clean, 1 on error-severity findings, 2 on input errors.
-func lintGraphs(paths []string, format string, jsonOut bool) {
-	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: entangle -lint [-json] [-format json|hlo] <graph>...")
-		os.Exit(2)
-	}
-	var report lint.Report
-	for _, path := range paths {
-		for _, d := range lint.Graph(mustGraph(path, path, format)) {
-			d.Subject = path + ": " + d.Subject
-			report.Add(d)
-		}
-	}
-	write := report.WriteText
-	if jsonOut {
-		write = report.WriteJSON
-	}
-	if err := write(os.Stdout); err != nil {
-		fatal("%v", err)
-	}
-	if report.Errors() > 0 {
-		os.Exit(1)
-	}
 }
 
 // mustGraph and mustRelation load an input file; failing that they exit

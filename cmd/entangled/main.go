@@ -50,12 +50,11 @@ import (
 
 // options is everything the command line sets.
 type options struct {
-	addr, cache, self, peers                 string
-	workers, maxConcurrent, escalations      int
-	requestTimeout, opTimeout, drainTimeout  time.Duration
-	headerTimeout, readTimeout, writeTimeout time.Duration
-	idleTimeout                              time.Duration
-	maxBodyBytes                             int64
+	addr, cache, self, peers                string
+	workers, maxConcurrent, escalations     int
+	requestTimeout, opTimeout, drainTimeout time.Duration
+	headerTimeout, readTimeout, idleTimeout time.Duration
+	maxBodyBytes                            int64
 }
 
 // newFlagSet defines the daemon's flags, all of them and only here:
@@ -74,10 +73,10 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 
 	// Transport hardening: every stage of an HTTP exchange gets a
 	// deadline so one slow or malicious client can never pin a
-	// connection (and its goroutine) forever.
+	// connection (and its goroutine) forever. Writing a response has
+	// its own, which the server sets as the write starts.
 	fs.DurationVar(&o.headerTimeout, "read-header-timeout", 10*time.Second, "deadline for reading a request's headers")
 	fs.DurationVar(&o.readTimeout, "read-timeout", 2*time.Minute, "deadline for reading a whole request including its body")
-	fs.DurationVar(&o.writeTimeout, "write-timeout", 0, "deadline for writing a response (0 = request-timeout + 1m, or none when request-timeout is 0)")
 	fs.DurationVar(&o.idleTimeout, "idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is kept open")
 	fs.Int64Var(&o.maxBodyBytes, "max-body-bytes", 0, "request body cap; oversized requests get 413 (0 = 64 MiB)")
 
@@ -148,17 +147,11 @@ func main() {
 		Local:          local,
 		ClusterInfo:    clusterInfo,
 	})
-	// The write deadline must outlast the longest admissible check, or
-	// the server would cut off a verdict mid-response.
-	if o.writeTimeout == 0 && o.requestTimeout > 0 {
-		o.writeTimeout = o.requestTimeout + time.Minute
-	}
 	httpSrv := &http.Server{
 		Addr:              o.addr,
 		Handler:           srv,
 		ReadHeaderTimeout: o.headerTimeout,
 		ReadTimeout:       o.readTimeout,
-		WriteTimeout:      o.writeTimeout,
 		IdleTimeout:       o.idleTimeout,
 	}
 

@@ -11,9 +11,9 @@ import (
 	"entangle/internal/vcache"
 )
 
-// CacheStats counts the cluster cache's routing decisions, layered on
-// top of the local vcache counters and the client's transport
-// counters.
+// CacheStats counts the cluster cache's routing decisions, one count
+// per key, layered on top of the local vcache counters. The client
+// underneath counts only what it alone sees (ClientStats).
 type CacheStats struct {
 	// LocalHits served a Get from the local shard (self-owned keys and
 	// lazily warmed copies) without touching the network.
@@ -132,8 +132,7 @@ func (c *Cache) Membership() *Membership { return c.ms }
 func (c *Cache) Local() *vcache.Cache { return c.local }
 
 // Stats returns the LOCAL store's counters, satisfying
-// core.VerdictStore: the checker's per-run cache section keys off
-// them. Fleet-level counters live in ClusterStats.
+// core.VerdictStore. Fleet-level counters live in ClusterStats.
 func (c *Cache) Stats() *vcache.Stats { return c.local.Stats() }
 
 // ClusterStats snapshots the routing counters.

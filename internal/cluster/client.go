@@ -12,20 +12,16 @@ import (
 	"entangle/internal/vcache"
 )
 
-// ClientStats counts the client's peer traffic. Every field but
-// RoundTrips counts verdicts (keys), however many shared a call, so
-// keys per round trip is (fetches + offers) / RoundTrips. All fields
-// are monotone; Stats returns a plain copy.
+// ClientStats counts what only the client sees of its peer traffic.
+// What became of each fetched or offered key is counted once, by the
+// cluster Cache the client serves (CacheStats: PeerHits, PeerMisses,
+// Degraded, Forwards, ForwardFailures). All fields are monotone; Stats
+// returns a plain copy.
 type ClientStats struct {
-	FetchHits     int64 `json:"fetch_hits"`     // fetches that returned a valid entry
-	FetchMisses   int64 `json:"fetch_misses"`   // authoritative peer misses (ErrNotFound)
-	FetchFailures int64 `json:"fetch_failures"` // fetches lost to a failed call, an open breaker or a corrupt frame
-	FetchCorrupt  int64 `json:"fetch_corrupt"`  // replies rejected by DecodeEntry
-	Offers        int64 `json:"offers"`         // successful verdict forwards
-	OfferFailures int64 `json:"offer_failures"` // forwards lost to a failed call, an open breaker or a refusal
+	FetchCorrupt int64 `json:"fetch_corrupt"` // fetched keys whose reply DecodeEntry rejected
 	// Retries is always 0: a call makes one attempt. The field stays
-	// until the stats types are merged (ROADMAP item 1(b)), so /v1/stats
-	// and the benchmark keep their shape.
+	// until the stats types are merged (ROADMAP item 1(b)): the
+	// benchmark reads it.
 	Retries        int64 `json:"retries"`
 	BreakerSkips   int64 `json:"breaker_skips"`   // calls skipped by an open breaker
 	BreakerReopens int64 `json:"breaker_reopens"` // failed half-open probes
@@ -171,14 +167,12 @@ func (c *Client) fetchBatch(ctx context.Context, peer Member, keys []fingerprint
 		}
 		return err
 	})
-	var st ClientStats
+	var corrupt int64
 	for i, key := range keys {
 		switch {
 		case err != nil:
-			st.FetchFailures++
 			out[i].Err = err
 		case frames[i].Data == nil:
-			st.FetchMisses++
 			out[i].Err = ErrNotFound
 		default:
 			e, derr := vcache.DecodeEntry(key, frames[i].Data)
@@ -186,21 +180,14 @@ func (c *Client) fetchBatch(ctx context.Context, peer Member, keys []fingerprint
 				// The peer answered with bytes that fail validation: the
 				// local cold check takes over for this key, and the
 				// counter shows a peer worth alerting on.
-				st.FetchCorrupt++
-				st.FetchFailures++
+				corrupt++
 				out[i].Err = fmt.Errorf("cluster: peer %s returned corrupt entry: %v", peer.ID, derr)
 				continue
 			}
-			st.FetchHits++
 			out[i].Entry = e
 		}
 	}
-	c.count(func(s *ClientStats) {
-		s.FetchHits += st.FetchHits
-		s.FetchMisses += st.FetchMisses
-		s.FetchFailures += st.FetchFailures
-		s.FetchCorrupt += st.FetchCorrupt
-	})
+	c.count(func(s *ClientStats) { s.FetchCorrupt += corrupt })
 }
 
 // Fetch is FetchMany for one key.
@@ -211,7 +198,7 @@ func (c *Client) Fetch(ctx context.Context, peer Member, key fingerprint.Hash) (
 
 // OfferMany forwards entries to their owner, cutting the batch at
 // maxBatchBytes, and reports each key's outcome at its position (nil =
-// the peer stored it). Failures are counted and returned but are never
+// the peer stored it). Failures are returned but are never
 // fatal to the forwarding node: its local store already holds the
 // verdicts. A key the peer refused fails alone; a call that fails as a
 // whole fails every key it carried.
@@ -254,16 +241,6 @@ func (c *Client) OfferMany(ctx context.Context, peer Member, keys []fingerprint.
 		frames, at, size = append(frames, vcache.Frame{Key: key, Data: data}), append(at, i), size+len(data)
 	}
 	send()
-	failed := 0
-	for _, err := range errs {
-		if err != nil {
-			failed++
-		}
-	}
-	c.count(func(s *ClientStats) {
-		s.Offers += int64(len(errs) - failed)
-		s.OfferFailures += int64(failed)
-	})
 	return errs
 }
 

@@ -48,8 +48,8 @@ import (
 const CheckerVersion = "entangle-core/2"
 
 // VerdictStore is the verdict-cache surface the checker consults: a
-// content-addressed Get/Put plus the monotone counters the Report's
-// cache section is derived from. *vcache.Cache is the single-node
+// content-addressed Get/Put plus the store's own monotone counters,
+// which the daemon's /v1/stats reports. *vcache.Cache is the single-node
 // implementation; internal/cluster's Cache implements the same
 // interface over a sharded fleet (local shard + peer fetch/forward
 // with graceful degradation), so everything above this seam — the
@@ -73,10 +73,10 @@ type manyGetter interface {
 	GetMany(keys []fingerprint.Hash) []*vcache.Entry
 }
 
-// CacheStats summarizes one run's verdict-cache traffic in the Report.
+// CacheStats summarizes one run's verdict-cache traffic in the Report:
+// its own lookups and stores, never another run's on the same store
+// (the store's totals are its Stats).
 type CacheStats struct {
-	// Hits/Misses/Stores/ReplayRejects count this run's own lookups
-	// and stores.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Stores int64 `json:"stores"`
@@ -84,11 +84,6 @@ type CacheStats struct {
 	// the current graphs (counted in Misses too); nonzero values
 	// indicate a fingerprint scheme bug and are worth alerting on.
 	ReplayRejects int64 `json:"replay_rejects,omitempty"`
-	// Corrupt and Evictions are deltas of the shared cache's global
-	// counters across this run; concurrent runs on one cache may
-	// attribute each other's events.
-	Corrupt   int64 `json:"corrupt"`
-	Evictions int64 `json:"evictions"`
 }
 
 // cacheState is the per-run cache context hanging off runState.
@@ -99,8 +94,6 @@ type cacheState struct {
 	// starts keeps the cone hasher's memo single-threaded; afterwards
 	// workers only read — and old the diff base's (nil on a full check).
 	keys, old *sideKeys
-
-	baseCorrupt, baseEvictions int64
 }
 
 // cacheOptionsString is the canonical encoding of the verdict-relevant
@@ -157,17 +150,6 @@ func (kd *keyDerivation) side(gs *graph.Graph, ri *relation.Relation, order []*g
 		}
 	}
 	return s
-}
-
-// reportCache fills the Report's shared-store deltas; the run's own
-// counters are folded from the ledger.
-func (r *runState) reportCache(report *Report) {
-	if r.cache == nil {
-		return
-	}
-	snap := r.cache.cache.Stats().Snapshot()
-	report.Cache.Corrupt = snap.Corrupt - r.cache.baseCorrupt
-	report.Cache.Evictions = snap.Evictions - r.cache.baseEvictions
 }
 
 // oldVerdict looks up what the cache knew about the diff base's

@@ -322,8 +322,8 @@ func TestCacheCorruptStoreIsSafe(t *testing.T) {
 	if rep.Cache.Hits != 0 {
 		t.Fatalf("corrupt entries served: %+v", rep.Cache)
 	}
-	if rep.Cache.Corrupt == 0 {
-		t.Fatalf("corruption not counted: %+v", rep.Cache)
+	if st := c2.Stats().Snapshot(); st.Corrupt == 0 {
+		t.Fatalf("corruption not counted: %+v", st)
 	}
 	plain, err := NewChecker(Options{Registry: reg}).Check(b.Gs, b.Gd, b.Ri)
 	if err != nil {
@@ -374,10 +374,11 @@ func TestCacheUpgradeFromOlderFormats(t *testing.T) {
 		}
 		defer c.Close()
 		reg := lemmas.Default()
+		last := c.Stats().Snapshot()
 		rep, err := NewChecker(Options{Registry: reg, Cache: c}).Check(good.Gs, good.Gd, good.Ri)
-		out := goldenReport(rep, err, good.Gs)
+		out := goldenReport(rep, err, good.Gs, storeDelta(c, &last))
 		rep, err = NewChecker(Options{Registry: reg, Cache: c, KeepGoing: true}).Check(bad.Gs, bad.Gd, bad.Ri)
-		return out + goldenReport(rep, err, bad.Gs), c.Stats().Snapshot()
+		return out + goldenReport(rep, err, bad.Gs, storeDelta(c, &last)), c.Stats().Snapshot()
 	}
 	fresh, _ := run(t.TempDir())
 	for _, tree := range []string{"testdata/evcache1/v1", "testdata/v2files/v2"} {

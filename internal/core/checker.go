@@ -316,7 +316,6 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	// partial report with the earliest failure as the error (the same
 	// operator the default mode would have reported).
 	finish := func(err error) (*runState, *Report, error) {
-		run.reportCache(report)
 		//lint:ignore determinism Report.Duration is timing metadata, not checker input
 		report.Duration = time.Since(start)
 		return run, report, err
@@ -365,9 +364,7 @@ func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
 			r.plan = diffPlan(old, cur, r.gs)
 		}
 		if r.opts.Cache != nil {
-			snap := r.opts.Cache.Stats().Snapshot()
-			r.cache = &cacheState{cache: r.opts.Cache, gdix: kd.gdix, keys: cur, old: old,
-				baseCorrupt: snap.Corrupt, baseEvictions: snap.Evictions}
+			r.cache = &cacheState{cache: r.opts.Cache, gdix: kd.gdix, keys: cur, old: old}
 		}
 	}
 	switch {

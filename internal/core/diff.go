@@ -90,7 +90,7 @@ func diffPlan(old, cur *sideKeys, newGs *graph.Graph) *Plan {
 				break
 			}
 		}
-		op := PlanOp{Index: i, Label: v.Label, Op: string(v.Op)}
+		op := PlanOp{Label: v.Label}
 		switch {
 		case !dirty[i]:
 			op.Disposition = DispSkipUnchanged
@@ -132,8 +132,6 @@ type DeltaReport struct {
 	// Report is the new graph's complete check report (KeepGoing mode,
 	// so Failures carries every failing operator).
 	Report *Report `json:"-"`
-	// Plan is the executed diff plan (identical to Report.Plan).
-	Plan *Plan `json:"plan"`
 	// Changed lists the re-checked operators (dispositions Check and
 	// TaintedUpstream) in topological order.
 	Changed []DeltaOp `json:"changed"`
@@ -156,7 +154,7 @@ type DeltaReport struct {
 func (d *DeltaReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "diff: %d ops — %d unchanged (%d replayed), %d re-checked\n",
-		len(d.Plan.Ops), d.UnchangedOps, d.ReplayedOps, d.RecheckedOps)
+		len(d.Report.Plan.Ops), d.UnchangedOps, d.ReplayedOps, d.RecheckedOps)
 	for _, op := range d.Changed {
 		fmt.Fprintf(&b, "  %s: %s (%s) -> %s\n", op.Label, op.Disposition, op.Cause, op.Verdict)
 	}
@@ -222,7 +220,7 @@ func (r *runState) buildDelta(report *Report) *DeltaReport {
 	// A verdict is replayed exactly when its probe hit, and a KeepGoing
 	// run processes every operator it does not skip.
 	replayed := int(report.Cache.Hits)
-	d := &DeltaReport{Report: report, Plan: report.Plan, UnchangedOps: report.Plan.Skips,
+	d := &DeltaReport{Report: report, UnchangedOps: report.Plan.Skips,
 		ReplayedOps: replayed, RecheckedOps: report.OpsProcessed - replayed}
 	for i := range report.Plan.Ops {
 		po, verdict := &report.Plan.Ops[i], report.Verdicts[i]

@@ -298,10 +298,8 @@ func TestDiffCheckNoCache(t *testing.T) {
 		t.Fatalf("delta counts %d unchanged / %d replayed / %d rechecked, want 1/0/3",
 			delta.UnchangedOps, delta.ReplayedOps, delta.RecheckedOps)
 	}
-	for _, op := range delta.Plan.Ops {
-		if op.Key != "" {
-			t.Fatalf("cacheless diff plan op carries a key: %+v", op)
-		}
+	if delta.Report.Cache != (CacheStats{}) {
+		t.Fatalf("cacheless diff touched a cache: %+v", delta.Report.Cache)
 	}
 }
 
@@ -334,7 +332,7 @@ func TestDiffCheckProbesOncePerOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := store.gets.Load(), int64(len(delta.Plan.Ops)); got != want {
+	if got, want := store.gets.Load(), int64(len(delta.Report.Plan.Ops)); got != want {
 		t.Fatalf("all-refined diff issued %d Gets for %d operators", got, want)
 	}
 
@@ -345,7 +343,7 @@ func TestDiffCheckProbesOncePerOperator(t *testing.T) {
 	if delta, err = checker.DiffCheck(oldGs, badGs, gd, oldRi, badRi); err == nil || len(delta.NewlyFailing) != 1 {
 		t.Fatalf("broken edit: delta %+v err %v", delta, err)
 	}
-	if got, want := store.gets.Load(), int64(len(delta.Plan.Ops)+1); got != want {
+	if got, want := store.gets.Load(), int64(len(delta.Report.Plan.Ops)+1); got != want {
 		t.Fatalf("one-failure diff issued %d Gets, want %d", got, want)
 	}
 }
@@ -393,8 +391,8 @@ func TestPrefetchHandsABatchStoreEveryKeyAtOnce(t *testing.T) {
 		if len(batch) != len(got.Plan.Ops) {
 			t.Fatalf("pass %d: batch of %d keys for %d operators", pass, len(batch), len(got.Plan.Ops))
 		}
-		for i, op := range got.Plan.Ops {
-			if batch[i].Hex() != op.Key {
+		for i, key := range opKeys(t, Options{Registry: lemmas.Default(), Cache: store}, gs, gd, ri) {
+			if batch[i] != key {
 				t.Fatalf("pass %d: batch key %d is not operator %d's", pass, i, i)
 			}
 		}

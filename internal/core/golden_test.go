@@ -11,9 +11,12 @@ import (
 
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
+	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
 	"entangle/internal/lemmas"
 	"entangle/internal/models"
+	"entangle/internal/relation"
+	"entangle/internal/vcache"
 )
 
 // update rewrites testdata/golden_reports.txt. The file was recorded at
@@ -33,15 +36,32 @@ func goldenVerdict(v OpVerdict) string {
 	return fmt.Sprintf("  %s escalations=%d replayed=%t\n", v.Describe(), v.Escalations, v.Replayed)
 }
 
-// goldenReport renders every deterministic Report field except Plan.
-func goldenReport(rep *Report, err error, gs *graph.Graph) string {
+// goldenCache is a run's cache section beside what the run did to its
+// store's corrupt-entry and eviction counters, in the golden file's
+// layout.
+type goldenCache struct{ Hits, Misses, Stores, ReplayRejects, Corrupt, Evictions int64 }
+
+// storeDelta is what happened to store's corrupt-entry and eviction
+// counters since *last, which it moves to now.
+func storeDelta(store *vcache.Cache, last *vcache.StatsSnapshot) vcache.StatsSnapshot {
+	now := store.Stats().Snapshot()
+	d := vcache.StatsSnapshot{Corrupt: now.Corrupt - last.Corrupt, Evictions: now.Evictions - last.Evictions}
+	*last = now
+	return d
+}
+
+// goldenReport renders every deterministic Report field except Plan,
+// and store, the run's storeDelta.
+func goldenReport(rep *Report, err error, gs *graph.Graph, store vcache.StatsSnapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "error: %v\n", err != nil)
 	if rep == nil {
 		return b.String()
 	}
+	c := rep.Cache
 	fmt.Fprintf(&b, "ops_processed=%d\nstats: %s\nlive:  %s\ncache: %+v\nverdicts:\n",
-		rep.OpsProcessed, goldenStats(rep.Stats), goldenStats(rep.LiveStats), rep.Cache)
+		rep.OpsProcessed, goldenStats(rep.Stats), goldenStats(rep.LiveStats),
+		goldenCache{c.Hits, c.Misses, c.Stores, c.ReplayRejects, store.Corrupt, store.Evictions})
 	for _, v := range rep.Verdicts {
 		b.WriteString(goldenVerdict(v))
 	}
@@ -59,14 +79,19 @@ func goldenReport(rep *Report, err error, gs *graph.Graph) string {
 	return b.String()
 }
 
-func goldenPlan(p *Plan) string {
-	var b, keys strings.Builder
-	for _, op := range p.Ops {
-		fmt.Fprintf(&b, "  %d %s %s: %s (%s)\n", op.Index, op.Label, op.Op, op.Disposition, op.Reason)
-		keys.WriteString(op.Key + ";")
+// goldenPlan renders a plan of gs's operators beside their cache keys.
+func goldenPlan(t *testing.T, p *Plan, gs *graph.Graph, keys []fingerprint.Hash) string {
+	order, err := gs.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b, hexKeys strings.Builder
+	for i, op := range p.Ops {
+		fmt.Fprintf(&b, "  %d %s %s: %s (%s)\n", i, op.Label, order[i].Op, op.Disposition, op.Reason)
+		hexKeys.WriteString(keys[i].Hex() + ";")
 	}
 	return fmt.Sprintf("mode=%s checks=%d replays=%d skips=%d tainted=%d keys=%x\n%s",
-		p.Mode, p.Checks, p.Replays, p.Skips, p.Tainted, sha256.Sum256([]byte(keys.String())), b.String())
+		p.Mode, p.Checks, p.Replays, p.Skips, p.Tainted, sha256.Sum256([]byte(hexKeys.String())), b.String())
 }
 
 // goldenEdit clones gs and rewires the last two-operand add/sum in
@@ -104,21 +129,23 @@ type goldenSection struct{ name, text string }
 // section must be identical across workers and planned/unplanned.
 func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers int, unplanned bool) []goldenSection {
 	t.Helper()
-	opts := Options{Registry: lemmas.Default(), Cache: openCache(t), Workers: workers, unplanned: unplanned}
+	cache := openCache(t)
+	last := cache.Stats().Snapshot()
+	opts := Options{Registry: lemmas.Default(), Cache: cache, Workers: workers, unplanned: unplanned}
 	checker := NewChecker(opts)
 	opts.KeepGoing = true
 	keepGoing := NewChecker(opts)
 
 	var out []goldenSection
-	add := func(section string, rep *Report, err error, gs *graph.Graph) {
-		out = append(out, goldenSection{name + "/" + section, goldenReport(rep, err, gs)})
+	add := func(section string, rep *Report, err error, gs, gd *graph.Graph, ri *relation.Relation) {
+		out = append(out, goldenSection{name + "/" + section, goldenReport(rep, err, gs, storeDelta(cache, &last))})
 		if rep != nil && rep.Plan != nil {
-			out = append(out, goldenSection{name + "/" + section + ".plan", goldenPlan(rep.Plan)})
+			out = append(out, goldenSection{name + "/" + section + ".plan", goldenPlan(t, rep.Plan, gs, opKeys(t, opts, gs, gd, ri))})
 		}
 	}
 	for _, phase := range []string{"cold", "warm"} {
 		rep, err := checker.Check(good.Gs, good.Gd, good.Ri)
-		add(phase, rep, err, good.Gs)
+		add(phase, rep, err, good.Gs, good.Gd, good.Ri)
 	}
 	// The clone preserves tensor IDs, so the relation serves the edit.
 	for _, broken := range []bool{false, true} {
@@ -126,19 +153,19 @@ func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers 
 		edited := goldenEdit(t, good.Gs, broken)
 		if unplanned {
 			rep, err := keepGoing.Check(edited, good.Gd, good.Ri)
-			add(section, rep, err, edited)
+			add(section, rep, err, edited, good.Gd, good.Ri)
 			continue
 		}
 		delta, err := checker.DiffCheck(good.Gs, edited, good.Gd, good.Ri, good.Ri)
 		if delta == nil {
 			t.Fatalf("%s %s: %v", name, section, err)
 		}
-		add(section, delta.Report, err, edited)
+		add(section, delta.Report, err, edited, good.Gd, good.Ri)
 		out = append(out, goldenSection{name + "/" + section + ".delta", delta.Render()})
 	}
 	for _, phase := range []string{"fail-cold", "fail-warm"} {
 		rep, err := keepGoing.Check(bad.Gs, bad.Gd, bad.Ri)
-		add(phase, rep, err, bad.Gs)
+		add(phase, rep, err, bad.Gs, bad.Gd, bad.Ri)
 	}
 	return out
 }

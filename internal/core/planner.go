@@ -4,12 +4,10 @@ package core
 // *executing checks*. A Plan assigns every G_s operator (in topo
 // order) a Disposition — run it live, replay its cached verdict, or,
 // in diff mode, skip it as provably unchanged — plus the reason for
-// the decision and the operator's cache key. The wavefront executor
-// (scheduler.go → checkOp) consumes the Plan instead of re-deriving
-// dispositions inline, which is what makes incremental re-verification
-// (diff.go) a planner variant rather than a second checker, and what
-// lets a future sharded fleet route serialized Plans between nodes:
-// the Plan is plain data (JSON-tagged, no graph pointers).
+// the decision. The wavefront executor (scheduler.go → checkOp)
+// consumes the Plan instead of re-deriving dispositions inline, which
+// is what makes incremental re-verification (diff.go) a planner
+// variant rather than a second checker.
 //
 // Planning is best-effort, execution is honest: a prefetched cache
 // entry that fails to replay falls back to a live check, and a
@@ -63,7 +61,8 @@ func (d Disposition) String() string {
 }
 
 // MarshalJSON encodes the disposition as its canonical name, keeping
-// serialized Plans readable and stable across reorderings of the enum.
+// /v1/recheck's changed operators readable and stable across
+// reorderings of the enum.
 func (d Disposition) MarshalJSON() ([]byte, error) {
 	s, ok := dispositionNames[d]
 	if !ok {
@@ -97,28 +96,20 @@ const (
 	PlanModeDiff = "diff"
 )
 
-// PlanOp is one operator's planned treatment. Index is the operator's
-// position in the G_s topological order — the same index the wavefront
-// scheduler uses — so a Plan aligns with a check of the same graph
-// positionally, without graph pointers.
+// PlanOp is one operator's planned treatment. Plan.Ops[i] is the
+// operator at position i of the G_s topological order — the same index
+// the wavefront scheduler uses.
 type PlanOp struct {
-	Index       int         `json:"index"`
 	Label       string      `json:"label"`
-	Op          string      `json:"op"`
 	Disposition Disposition `json:"disposition"`
 	// Reason says why the disposition was chosen ("cache miss",
 	// "cone unchanged", "upstream cone changed", …).
 	Reason string `json:"reason"`
-	// Key is the operator's verdict-cache key (hex), empty when the run
-	// has no cache.
-	Key string `json:"key,omitempty"`
 
 	// entry is the cache entry prefetched at plan time, consumed by
 	// checkOp on this operator's worker. Entries are immutable once
 	// stored, so holding the pointer across the plan/execute boundary
-	// is safe under concurrent cache traffic. Runtime-only: it does not
-	// survive serialization, and a deserialized Plan simply re-probes
-	// (a Plan can cost time when stale, never correctness).
+	// is safe under concurrent cache traffic.
 	entry *vcache.Entry
 }
 
@@ -151,11 +142,11 @@ func (p *Plan) recount() {
 	}
 }
 
-// prefetch fills every PlanOp's cache key and probes the cache once
-// per operator, attaching the entries the executor will replay. Probes
-// happen single-threaded at plan time (the cone hasher's memo and the
-// keys are already built), so a store that can answer many keys at
-// once is handed the whole run's keys in one call; they touch no run
+// prefetch probes the cache once per operator, attaching the entries
+// the executor will replay. Probes happen single-threaded at plan time
+// (the cone hasher's memo and the keys are already built), so a store
+// that can answer many keys at once is handed the whole run's keys in
+// one call; they touch no run
 // counters — hits and misses are accounted when operators execute,
 // keeping counter totals identical to the unplanned path.
 func (r *runState) prefetch(p *Plan) {
@@ -172,9 +163,8 @@ func (r *runState) prefetch(p *Plan) {
 			entries[i] = r.cache.cache.Get(key)
 		}
 	}
-	for i, key := range keys {
-		p.Ops[i].Key = key.Hex()
-		p.Ops[i].entry = entries[i]
+	for i, e := range entries {
+		p.Ops[i].entry = e
 	}
 }
 
@@ -183,8 +173,7 @@ func (r *runState) prefetch(p *Plan) {
 func (r *runState) buildPlan() *Plan {
 	p := &Plan{Mode: PlanModeFull, Ops: make([]PlanOp, len(r.order))}
 	for i, v := range r.order {
-		p.Ops[i] = PlanOp{Index: i, Label: v.Label, Op: string(v.Op),
-			Disposition: DispCheck, Reason: "no cache configured"}
+		p.Ops[i] = PlanOp{Label: v.Label, Disposition: DispCheck, Reason: "no cache configured"}
 	}
 	r.prefetch(p)
 	if r.cache != nil {

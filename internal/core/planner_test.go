@@ -23,9 +23,9 @@ func planOpByLabel(t *testing.T, p *Plan, label string) PlanOp {
 }
 
 // TestPlanFullDispositions checks the full-mode planner's decisions on
-// the three configurations that exist: no cache (everything checked,
-// keyless), cold cache (everything checked, keyed misses), warm cache
-// (everything replayed).
+// the three configurations that exist: no cache (everything checked),
+// cold cache (everything checked, misses), warm cache (everything
+// replayed).
 func TestPlanFullDispositions(t *testing.T) {
 	gs, gd, ri := figure1(t)
 	reg := lemmas.Default()
@@ -41,7 +41,7 @@ func TestPlanFullDispositions(t *testing.T) {
 		t.Fatalf("plan covers %d ops, report processed %d", len(plain.Plan.Ops), plain.OpsProcessed)
 	}
 	for _, op := range plain.Plan.Ops {
-		if op.Disposition != DispCheck || op.Reason != "no cache configured" || op.Key != "" {
+		if op.Disposition != DispCheck || op.Reason != "no cache configured" {
 			t.Fatalf("cacheless plan op %+v", op)
 		}
 	}
@@ -53,7 +53,7 @@ func TestPlanFullDispositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range cold.Plan.Ops {
-		if op.Disposition != DispCheck || op.Reason != "cache miss" || op.Key == "" {
+		if op.Disposition != DispCheck || op.Reason != "cache miss" {
 			t.Fatalf("cold plan op %+v", op)
 		}
 	}
@@ -78,10 +78,9 @@ func TestPlanFullDispositions(t *testing.T) {
 	}
 }
 
-// TestPlanJSONRoundTrip: a Plan is plain data (ROADMAP item 1's
-// sharded fleet routes them between nodes). Serialize, decode,
+// TestPlanJSONRoundTrip: a Plan is plain data. Serialize, decode,
 // re-serialize: byte-identical, with dispositions spelled as their
-// canonical names.
+// canonical names (the spelling /v1/recheck's changed operators carry).
 func TestPlanJSONRoundTrip(t *testing.T) {
 	gs, gd, ri := figure1(t)
 	cache := openCache(t)

@@ -447,8 +447,8 @@ func TestChaosCacheCorruption(t *testing.T) {
 				if rep.Cache.Hits != 0 {
 					t.Fatalf("%s seed %d workers %d: corrupt entries served: %+v", name, seed, workers, rep.Cache)
 				}
-				if rep.Cache.Corrupt == 0 {
-					t.Fatalf("%s seed %d workers %d: corruption not counted: %+v", name, seed, workers, rep.Cache)
+				if st := vandalized.Stats().Snapshot(); st.Corrupt == 0 {
+					t.Fatalf("%s seed %d workers %d: corruption not counted: %+v", name, seed, workers, st)
 				}
 				if got, want := rep.RenderFailures(), baseline.RenderFailures(); got != want {
 					t.Fatalf("%s seed %d workers %d: failures differ from cache-disabled run:\n--- want ---\n%s--- got ---\n%s",

@@ -175,13 +175,6 @@ func (c *SchedCore) propagateTaint(i int) (skipped []int) {
 	return skipped
 }
 
-// Quiesced reports whether the run has drained given the number of
-// operators currently being processed: nothing runnable and nothing
-// active that could still unlock work.
-func (c *SchedCore) Quiesced(active int) bool {
-	return active == 0 && !c.Runnable()
-}
-
 // Clone deep-copies the mutable scheduling state (children is shared —
 // it is immutable after construction). The model checker clones once
 // per explored transition.

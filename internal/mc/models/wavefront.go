@@ -249,7 +249,9 @@ func (m *Wavefront) Terminal(st mc.State) bool {
 	return len(st.(*wfState).wedged) == 0
 }
 
-// quiesced mirrors SchedCore.Quiesced with the model's worker view.
+// quiesced is the model's own drain predicate: no worker running or
+// wedged, and nothing runnable. (The scheduler's, wavefrontState.stopped,
+// also counts a fatal error as stopping all scheduling.)
 func (s *wfState) quiesced() bool {
 	return len(s.running) == 0 && len(s.wedged) == 0 && !s.core.Runnable()
 }

@@ -245,6 +245,7 @@ func (s *Server) handlePeerVerdicts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 	default:
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		setWriteDeadline(w)
 		s.shard.ServeHTTP(w, r)
 	}
 }
@@ -737,7 +738,20 @@ func renderOutputs(report *core.Report, gs *graph.Graph) map[string][]string {
 	return out
 }
 
+// writeDeadline bounds writing one response. It is set as the writing
+// starts, so it bounds the write, not the check before it: a check is
+// bounded by its own timeout, and a /v1/recheck batch runs one check
+// after another before it writes once.
+const writeDeadline = time.Minute
+
+// setWriteDeadline starts w's write deadline (a writer with no
+// connection under it, such as a test recorder, has none).
+func setWriteDeadline(w http.ResponseWriter) {
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(writeDeadline))
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	setWriteDeadline(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

@@ -110,10 +110,13 @@ stage_mc() {
 
 # entangle-lint over the built-in lemma registry, the engine's own
 # source (nondeterminism hazards), and a freshly generated pair of
-# capture graphs. Fails on any error-severity finding.
+# capture graphs in each graph format. Fails on any error-severity
+# finding.
 stage_lint() {
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
+    go run ./cmd/entangle-graphgen -model gpt -tp 2 -o "$tmp/model" >/dev/null
+    go run ./cmd/entangle-graphgen -model gpt -tp 2 -format hlo -o "$tmp/model" >/dev/null
     go run ./cmd/entangle-lint \
         internal/egraph internal/core internal/lemmas \
         internal/graph internal/hlo internal/jsonspan \
@@ -121,9 +124,9 @@ stage_lint() {
         internal/fingerprint internal/vcache internal/server \
         internal/mc internal/mc/models internal/faultinject \
         internal/bench internal/cluster internal/cluster/sim \
-        internal/fuzz internal/det
-    go run ./cmd/entangle-graphgen -model gpt -tp 2 -o "$tmp/model" >/dev/null
-    go run ./cmd/entangle -lint "$tmp"/model-seq.json "$tmp"/model-dist.json
+        internal/fuzz internal/det \
+        "$tmp"/model-seq.json "$tmp"/model-dist.json \
+        "$tmp"/model-seq.hlo "$tmp"/model-dist.hlo
 }
 
 [ $# -gt 0 ] || set -- $stages
