@@ -129,9 +129,43 @@ type sideKeys struct {
 func newKeyDerivation(gd *graph.Graph, gdOrder []*graph.Node, opts *Options) *keyDerivation {
 	kd := &keyDerivation{gdix: fingerprint.IndexGd(gd, gdOrder)}
 	if opts != nil && opts.Cache != nil {
-		kd.opts, kd.gdDigest = opts, fingerprint.GraphDigest(gd)
+		kd.opts, kd.gdDigest = opts, opts.gdDigest.of(gd)
 	}
 	return kd
+}
+
+// boundDigest is fingerprint.GraphDigest of one *graph.Graph object,
+// handed in by a caller that already knows it.
+type boundDigest struct {
+	gd     *graph.Graph
+	digest fingerprint.Hash
+}
+
+// WithGdDigest returns a checker that takes digest for
+// fingerprint.GraphDigest(gd) instead of deriving it, for the graph
+// object gd only: a check against any other G_d derives its own. The
+// caller vouches for digest — the daemon hands in the one it derived
+// from the very bytes it decoded gd from — and with
+// egraph.InvariantChecks on, a check derives it anyway and panics if
+// the two disagree.
+func (c *Checker) WithGdDigest(gd *graph.Graph, digest fingerprint.Hash) *Checker {
+	opts := c.opts
+	opts.gdDigest = boundDigest{gd: gd, digest: digest}
+	return &Checker{opts: opts}
+}
+
+// of is gd's digest: the bound one when gd is the graph it is bound
+// to, derived otherwise.
+func (b boundDigest) of(gd *graph.Graph) fingerprint.Hash {
+	if b.gd == nil || b.gd != gd {
+		return fingerprint.GraphDigest(gd)
+	}
+	if egraph.InvariantChecks {
+		if d := fingerprint.GraphDigest(gd); d != b.digest {
+			panic(fmt.Sprintf("core: G_d digest %s handed in, %s derived", b.digest.Hex(), d.Hex()))
+		}
+	}
+	return b.digest
 }
 
 // side derives gs's side; order must be a topological order of gs.
@@ -172,12 +206,13 @@ func (r *runState) oldVerdict(label string) vcache.Verdict {
 }
 
 // replayEntry reconstructs the run-state effects of a cached verdict,
-// reading its stats and terms straight out of the entry's bytes.
-func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (egraph.Stats, OpVerdict, bool) {
+// reading its terms straight out of the entry's bytes. What the verdict
+// took stays in the entry: the ledger keeps it, and the fold reads it.
+func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (OpVerdict, bool) {
 	switch e.Verdict() {
 	case vcache.VerdictRefined:
 		if e.Outputs() != len(v.Outputs) {
-			return egraph.Stats{}, OpVerdict{}, false
+			return OpVerdict{}, false
 		}
 		// Decode everything before mutating the relation, so a defect
 		// half-way cannot leave partial replay state behind.
@@ -188,28 +223,28 @@ func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (egraph.Stats, Op
 			return err
 		})
 		if err != nil {
-			return egraph.Stats{}, OpVerdict{}, false
+			return OpVerdict{}, false
 		}
 		for _, terms := range all {
 			if len(terms) == 0 {
-				return egraph.Stats{}, OpVerdict{}, false
+				return OpVerdict{}, false
 			}
 		}
 		for i, out := range v.Outputs {
 			r.rel.AddAll(out, all[i])
 		}
-		return e.Stats(), OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations(), Replayed: true}, true
+		return OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations(), Replayed: true}, true
 
 	case vcache.VerdictDisproved:
 		fail := e.FailOutput()
 		if fail < 0 || fail >= len(v.Outputs) {
-			return egraph.Stats{}, OpVerdict{}, false
+			return OpVerdict{}, false
 		}
 		re := &RefinementError{Op: v, Tensor: r.gs.Tensor(v.Outputs[fail]),
 			InputMappings: r.renderInputMappings(v)}
-		return e.Stats(), OpVerdict{Op: v, Kind: VerdictDisproved, Err: re, Escalations: e.Escalations(), Replayed: true}, true
+		return OpVerdict{Op: v, Kind: VerdictDisproved, Err: re, Escalations: e.Escalations(), Replayed: true}, true
 	}
-	return egraph.Stats{}, OpVerdict{}, false
+	return OpVerdict{}, false
 }
 
 // storeVerdict persists a just-computed live verdict when it is

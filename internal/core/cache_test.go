@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"entangle/internal/egraph"
@@ -76,6 +79,53 @@ func TestCacheWarmRunIdentical(t *testing.T) {
 		t.Fatalf("cache-disabled: %v", err)
 	}
 	assertReportsMatch(t, b, plain, warm)
+}
+
+// TestBoundGdDigest: a G_d digest handed in with WithGdDigest is taken
+// for the graph object it is bound to, and for no other. Bound to a
+// structurally equal copy it is ignored — the keys are the graph's own
+// even under a digest that is nobody's; bound to the graph itself it
+// is taken as handed in, and one that is wrong fails the invariant
+// audit instead.
+func TestBoundGdDigest(t *testing.T) {
+	b, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := b.Gd.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := graph.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Registry: lemmas.Default(), Cache: openCache(t)}
+	keysWith := func(gd *graph.Graph, digest fingerprint.Hash) []fingerprint.Hash {
+		return opKeys(t, NewChecker(opts).WithGdDigest(gd, digest).opts, b.Gs, b.Gd, b.Ri)
+	}
+	own := opKeys(t, opts, b.Gs, b.Gd, b.Ri)
+	wrong := fingerprint.Hash{1}
+
+	defer func(was bool) { egraph.InvariantChecks = was }(egraph.InvariantChecks)
+	egraph.InvariantChecks = false
+	if got := keysWith(twin, wrong); !reflect.DeepEqual(got, own) {
+		t.Fatal("a digest bound to another graph object moved the keys")
+	}
+	if got := keysWith(b.Gd, fingerprint.GraphDigest(b.Gd)); !reflect.DeepEqual(got, own) {
+		t.Fatal("the graph's own digest, handed in, moved the keys")
+	}
+	if got := keysWith(b.Gd, wrong); reflect.DeepEqual(got, own) {
+		t.Fatal("a digest bound to the graph was not taken")
+	}
+
+	egraph.InvariantChecks = true
+	defer func() {
+		if rec := recover(); rec == nil || !strings.Contains(fmt.Sprint(rec), "handed in") {
+			t.Fatalf("a wrong digest for the right graph under the invariant audit: recovered %v, want a panic", rec)
+		}
+	}()
+	keysWith(b.Gd, wrong)
 }
 
 // TestCacheWarmAcrossWorkers replays a warm cache at several worker

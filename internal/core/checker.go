@@ -98,6 +98,10 @@ type Options struct {
 	// the same Get/Put through shard owners across a fleet.
 	Cache VerdictStore
 
+	// gdDigest is a G_d digest the caller already knows (WithGdDigest),
+	// bound to the graph object it was derived from.
+	gdDigest boundDigest
+
 	// unplanned bypasses the planning layer (planner.go): dispositions
 	// are decided inline at check time, the pre-plan code path. Both
 	// paths produce byte-identical reports, which this package's tests
@@ -543,10 +547,12 @@ const (
 
 // opResult is one operator's line in the run ledger (scheduler.go):
 // every per-operator number in a Report is folded from it. stats is the
-// operator's total saturation work — replayed from the cache when
-// verdict.Replayed, performed this run otherwise.
+// operator's total saturation work — performed this run, or, when
+// verdict.Replayed, read from entry without its rule counts, which the
+// fold reads from entry's bytes.
 type opResult struct {
 	stats   egraph.Stats
+	entry   *vcache.Entry // the replayed verdict
 	verdict OpVerdict
 	cache   cacheOutcome
 	stored  bool // the cache accepted the live verdict
@@ -617,8 +623,8 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		}
 		res.cache = cacheMiss
 		if e != nil {
-			if stats, cached, ok := r.replayEntry(v, e); ok {
-				res.cache, *acc, *verdict = cacheHit, stats, cached
+			if cached, ok := r.replayEntry(v, e); ok {
+				res.cache, res.entry, *acc, *verdict = cacheHit, e, e.Stats(), cached
 				return
 			}
 			res.cache = cacheReject

@@ -142,6 +142,7 @@ func (r *runState) runSchedule(ctx context.Context, workers int, report *Report)
 		res := &s.ledger[i]
 		report.Stats.Merge(res.stats)
 		if res.verdict.Replayed {
+			res.entry.EachApplication(func(rule string, n int) { report.Stats.Applications[rule] += n })
 			report.LiveStats.Merge(egraph.Stats{}) // nothing ran; still materializes Applications
 		} else {
 			report.LiveStats.Merge(res.stats)

@@ -207,8 +207,16 @@ func DecodeTerm(s string, ix *GdIndex, name LeafNameFn) (t *expr.Term, err error
 			t, err = nil, fmt.Errorf("fingerprint: decoding term %q: %v", s, rec)
 		}
 	}()
-	// Every argument follows its parent's header or a ';'.
-	p := &termParser{src: s, ix: ix, name: name, args: make([]*expr.Term, 0, strings.Count(s, ";")+strings.Count(s, "("))}
+	// Every interior term opens with a '(' and every argument follows
+	// its parent's header or a ';', so the counts bound what the term
+	// holds: its interior terms are cut from one slab, its argument
+	// lists from the front half of another, whose back half holds the
+	// arguments still pending.
+	terms := strings.Count(s, "(")
+	args := terms + strings.Count(s, ";")
+	slab := make([]*expr.Term, 2*args)
+	p := &termParser{src: s, ix: ix, name: name, nodes: make([]expr.Term, 0, terms),
+		lists: slab[:0:args], args: slab[args:args]}
 	t, err = p.parse()
 	if err != nil {
 		return nil, err
@@ -224,8 +232,12 @@ type termParser struct {
 	pos  int
 	ix   *GdIndex
 	name LeafNameFn
+	// nodes holds the interior terms made so far, and lists their
+	// argument lists, each a window of it.
+	nodes []expr.Term
+	lists []*expr.Term
 	// args holds the arguments of every term still being parsed, the
-	// innermost last; a finished term takes a copy of its own.
+	// innermost last; a finished term moves its own to lists.
 	args []*expr.Term
 }
 
@@ -255,13 +267,9 @@ func (p *termParser) parse() (*expr.Term, error) {
 		for more := true; more; {
 			var part string
 			part, intsRaw, more = strings.Cut(intsRaw, ",")
-			e, perr := sym.Parse(part)
-			if perr != nil {
-				return nil, fmt.Errorf("fingerprint: term attr %q: %v", part, perr)
-			}
-			var key [32]byte
-			if string(e.AppendKey(key[:0])) != part {
-				return nil, fmt.Errorf("fingerprint: term attr %q is not canonical", part)
+			e, err := attr(part)
+			if err != nil {
+				return nil, err
 			}
 			ints = append(ints, e)
 		}
@@ -286,14 +294,56 @@ func (p *termParser) parse() (*expr.Term, error) {
 		}
 		return nil, fmt.Errorf("fingerprint: unexpected %q at %d in %q", p.src[p.pos], p.pos, p.src)
 	}
-	args := slices.Clone(p.args[base:])
+	from := len(p.lists)
+	p.lists = append(p.lists, p.args[base:]...)
+	args := p.lists[from:len(p.lists):len(p.lists)]
 	p.args = p.args[:base]
-	if _, known := expr.Arity(expr.Op(op)); !known {
+	arity, known := expr.Arity(expr.Op(op))
+	switch {
+	case !known:
 		return nil, fmt.Errorf("fingerprint: unknown operator %q in %q", op, p.src)
+	case arity >= 0 && len(args) != arity:
+		return nil, fmt.Errorf("fingerprint: %s takes %d arguments, not %d, in %q", op, arity, len(args), p.src)
 	}
-	// expr.New panics on arity violations; the deferred recover in
-	// DecodeTerm converts that into an error.
-	return expr.New(expr.Op(op), ints, str, args...), nil
+	// What expr.New would build, cut from the slab.
+	p.nodes = append(p.nodes, expr.Term{Op: expr.Op(op), Str: str, Ints: ints, Args: args})
+	return &p.nodes[len(p.nodes)-1], nil
+}
+
+// attr decodes one integer attribute, which must be spelled as
+// sym.Expr.Key spells it. A constant's spelling is read without
+// sym.Parse, as graph decoding reads one; anything else takes the round
+// trip.
+func attr(part string) (sym.Expr, error) {
+	if v, ok := plainDecimal(part); ok {
+		return sym.Const(v), nil
+	}
+	e, err := sym.Parse(part)
+	if err != nil {
+		return sym.Expr{}, fmt.Errorf("fingerprint: term attr %q: %v", part, err)
+	}
+	var key [32]byte
+	if string(e.AppendKey(key[:0])) != part {
+		return sym.Expr{}, fmt.Errorf("fingerprint: term attr %q is not canonical", part)
+	}
+	return e, nil
+}
+
+// plainDecimal reads a non-negative constant as Key spells it: 1 to 18
+// digits (no overflow), no '+' and no leading zero.
+func plainDecimal(s string) (int64, bool) {
+	if len(s) == 0 || len(s) > 18 || s[0] == '0' && len(s) > 1 {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	return v, true
 }
 
 func (p *termParser) parseLeaf() (*expr.Term, error) {

@@ -5,6 +5,7 @@ import (
 
 	"entangle/internal/bench"
 	"entangle/internal/core"
+	"entangle/internal/expr"
 	"entangle/internal/fingerprint"
 	"entangle/internal/vcache"
 )
@@ -64,4 +65,56 @@ func FuzzTermDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestZooTermsDecodeAsExtracted: every term the zoo's cold checks store
+// decodes to a term Equal to, and hashing like, the one the live check
+// extracted — the term of the check's own relation that CanonicalTerm
+// spells the same, which is the stored one up to structure.
+func TestZooTermsDecodeAsExtracted(t *testing.T) {
+	n := 0
+	for _, c := range bench.Zoo() {
+		if c.Expectation {
+			continue
+		}
+		name := c.Name
+		_, gs, gd, ri, err := c.Graphs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := fingerprint.NewGdIndex(gd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := &entryLog{} // one worker: Put is never called concurrently
+		report, _ := core.NewChecker(core.Options{Cache: stored, Workers: 1, KeepGoing: true}).Check(gs, gd, ri)
+		if report == nil {
+			t.Fatalf("%s: no report", name)
+		}
+		live := map[string]*expr.Term{}
+		for _, id := range report.FullRelation.Tensors() {
+			for _, term := range report.FullRelation.Get(id) {
+				live[fingerprint.CanonicalTerm(term, ix)] = term
+			}
+		}
+		for _, src := range stored.terms {
+			back, err := fingerprint.DecodeTerm(src, ix, nil)
+			if err != nil {
+				t.Fatalf("%s: stored term %q: %v", name, src, err)
+			}
+			want := live[src]
+			if want == nil {
+				t.Fatalf("%s: stored term %q is no term of the check's relation", name, src)
+			}
+			if !back.Equal(want) || back.Hash() != want.Hash() {
+				t.Errorf("%s: %q decodes to %v (hash %x), the check extracted %v (hash %x)",
+					name, src, back, back.Hash(), want, want.Hash())
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("the zoo stored no terms")
+	}
+	t.Logf("%d stored terms", n)
 }

@@ -84,8 +84,9 @@ func FuzzCheckEnvelope(f *testing.F) {
 
 // frontEnd is everything between a /v1/check body and the first cache
 // probe: the envelope, both graphs, the relation, the G_d index, every
-// G_s cone hash and the G_d digest.
-func frontEnd(t testing.TB, body []byte) {
+// G_s cone hash and the G_d digest, which the daemon's table tab holds
+// (a hit) or derives (a miss).
+func frontEnd(t testing.TB, tab *digestTable, body []byte) {
 	var req CheckRequest
 	if err := req.decode(body); err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func frontEnd(t testing.TB, body []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, err := decodeGraph(req.Gd, req.Format)
+	gd, _, err := tab.decodeGd(req.Gd, req.Format)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +115,28 @@ func frontEnd(t testing.TB, body []byte) {
 	for _, v := range order {
 		hasher.Node(v.ID)
 	}
-	fingerprint.GraphDigest(gd)
+}
+
+// frontEndRuns is frontEnd of body against a table that holds its G_d
+// (hit) or does not (a miss: the table is emptied first).
+func frontEndRuns(t testing.TB, body []byte, hit bool) func() {
+	var tab digestTable
+	return func() {
+		if !hit {
+			clear(tab.slots[:])
+		}
+		frontEnd(t, &tab, body)
+	}
 }
 
 // TestFrontEndAllocs is the front end's allocation ratchet: a request's
 // way to its cache keys may allocate at most 10% more than it did once
 // graphs were built from per-graph slabs (414 for the JSON body, 497 for
-// the HLO one; 3053 and 3897 when encoding/json reflected the graphs
-// into structs, the HLO reader sat behind a 1 MiB scanner buffer and the
-// hasher wrote hex strings through fmt).
+// the HLO one, as they still do when the digest table misses; 3053 and
+// 3897 when encoding/json reflected the graphs into structs, the HLO
+// reader sat behind a 1 MiB scanner buffer and the hasher wrote hex
+// strings through fmt) — and a request whose G_d the table holds, at
+// most 10% more than it did once the table was there (405 and 488).
 func TestFrontEndAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -136,17 +150,23 @@ func TestFrontEndAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name    string
-		body    []byte
-		ceiling float64
+		name      string
+		body      []byte
+		miss, hit float64 // at those commits
 	}{
-		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 1.1 * 414},
-		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 1.1 * 497},
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 414, 405},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 497, 488},
 	} {
-		got := testing.AllocsPerRun(20, func() { frontEnd(t, c.body) })
-		t.Logf("%s: %.0f allocations per request", c.name, got)
-		if got > c.ceiling {
-			t.Errorf("%s: %.0f allocations per request, ceiling %.0f", c.name, got, c.ceiling)
+		for _, r := range []struct {
+			table    string
+			hit      bool
+			recorded float64
+		}{{"miss", false, c.miss}, {"hit", true, c.hit}} {
+			got := testing.AllocsPerRun(20, frontEndRuns(t, c.body, r.hit))
+			t.Logf("%s, digest table %s: %.0f allocations per request", c.name, r.table, got)
+			if got > 1.1*r.recorded {
+				t.Errorf("%s, digest table %s: %.0f allocations per request, ceiling %.0f", c.name, r.table, got, 1.1*r.recorded)
+			}
 		}
 	}
 }
@@ -190,9 +210,11 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestWarmCheckAllocs is the warm path's allocation ratchet: a whole
 // /v1/check the cache has every verdict of — envelope, both graphs,
 // relation, keys, replay, response — may allocate at most 10% more
-// objects and bytes than it did once verdicts were held as their bytes
-// (793 objects and 111,013 bytes for the JSON body, 948 and 131,295 for
-// the HLO one; 1789 and 168,187, 1923 and 197,580 before the graphs were
+// objects and bytes than it did once the daemon kept one G_d digest per
+// distinct G_d and replay decoded terms without per-node garbage (712
+// objects and 101,384 bytes for the JSON body, 846 and 121,048 for the
+// HLO one; 793 and 111,013, 948 and 131,295 once verdicts were held as
+// their bytes; 1789 and 168,187, 1923 and 197,580 before the graphs were
 // built from slabs and replay shared its leaves).
 func TestWarmCheckAllocs(t *testing.T) {
 	if raceEnabled {
@@ -211,8 +233,8 @@ func TestWarmCheckAllocs(t *testing.T) {
 		body         []byte
 		allocs, size float64 // at that commit
 	}{
-		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 793, 111013},
-		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 948, 131295},
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 712, 101384},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 846, 121048},
 	} {
 		s := primedServer(t, c.body)
 		check := func() { warmCheck(t, s, c.body) }
@@ -227,22 +249,33 @@ func TestWarmCheckAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkWarmCheck(b *testing.B) {
-	gpt, err := models.GPT(models.Options{TP: 2})
-	if err != nil {
-		b.Fatal(err)
+// benchBodies are the bodies the benchmarks time: the TP2 L1 pair the
+// allocation ratchets pin, and a pair the size of the end-to-end
+// benchmark's bodies (a G_d of 162 nodes as JSON, of 210 as HLO).
+func benchBodies(b *testing.B) []struct {
+	name string
+	body []byte
+} {
+	build := func(model func(models.Options) (*models.Built, error), tp, layers int) *models.Built {
+		m, err := model(models.Options{TP: tp, Cfg: models.Config{Layers: layers}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
 	}
-	llama, err := models.Llama(models.Options{TP: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
+	return []struct {
 		name string
 		body []byte
 	}{
-		{"GPT-JSON", requestBody(b, gpt, nil)},
-		{"Llama-HLO", hloBody(b, llama)},
-	} {
+		{"GPT-TP2-L1-JSON", requestBody(b, build(models.GPT, 2, 1), nil)},
+		{"Llama-TP2-L1-HLO", hloBody(b, build(models.Llama, 2, 1))},
+		{"GPT-TP4-L3-JSON", requestBody(b, build(models.GPT, 4, 3), nil)},
+		{"Llama-TP4-L3-HLO", hloBody(b, build(models.Llama, 4, 3))},
+	}
+}
+
+func BenchmarkWarmCheck(b *testing.B) {
+	for _, c := range benchBodies(b) {
 		b.Run(c.name, func(b *testing.B) {
 			s := primedServer(b, c.body)
 			b.ReportAllocs()
@@ -255,26 +288,17 @@ func BenchmarkWarmCheck(b *testing.B) {
 }
 
 func BenchmarkFrontEnd(b *testing.B) {
-	gpt, err := models.GPT(models.Options{TP: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	llama, err := models.Llama(models.Options{TP: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		body []byte
-	}{
-		{"GPT-JSON", requestBody(b, gpt, nil)},
-		{"Llama-HLO", hloBody(b, llama)},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				frontEnd(b, c.body)
-			}
-		})
+	for _, c := range benchBodies(b) {
+		for _, table := range []string{"miss", "hit"} {
+			b.Run(c.name+"/"+table, func(b *testing.B) {
+				run := frontEndRuns(b, c.body, table == "hit")
+				run()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
+		}
 	}
 }

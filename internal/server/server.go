@@ -95,6 +95,9 @@ type Server struct {
 	mux   *http.ServeMux
 	gate  *Gate
 	start time.Time
+	// gds holds the digest of each distinct G_d decoded, for the
+	// checker's cache keys.
+	gds digestTable
 
 	requests atomic.Int64 // /v1/check requests accepted
 	refined  atomic.Int64 // checks that verified refinement
@@ -484,7 +487,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "loading G_s: %v", err)
 		return
 	}
-	gd, err := decodeGraph(req.Gd, req.Format)
+	gd, gdDigest, err := s.gds.decodeGd(req.Gd, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading G_d: %v", err)
 		return
@@ -501,7 +504,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	opts := s.cfg.Options
 	opts.KeepGoing = opts.KeepGoing || req.KeepGoing
 	o, report, msg := s.run(r, timeout, func(ctx context.Context) (*core.Report, error) {
-		return core.NewChecker(opts).CheckContext(ctx, gs, gd, ri)
+		return core.NewChecker(opts).WithGdDigest(gd, gdDigest).CheckContext(ctx, gs, gd, ri)
 	})
 	s.count(o)
 	resp := CheckResponse{Verdict: answers[o].verdict, Error: msg, Failures: describe(report)}
@@ -582,7 +585,7 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "loading base G_s: %v", err)
 		return
 	}
-	gd, err := decodeGraph(req.Gd, req.Format)
+	gd, gdDigest, err := s.gds.decodeGd(req.Gd, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading G_d: %v", err)
 		return
@@ -602,7 +605,7 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	// refinement is delta context — candidates then classify their own
 	// failures as pre-existing — not a batch error.
 	resp := RecheckResponse{BaseVerdict: "refined"}
-	checker := core.NewChecker(s.cfg.Options)
+	checker := core.NewChecker(s.cfg.Options).WithGdDigest(gd, gdDigest)
 	switch o, _, msg := s.run(r, timeout, func(ctx context.Context) (*core.Report, error) {
 		failed, err := checker.CheckBaseContext(ctx, base, gd, baseRi)
 		if failed {

@@ -469,7 +469,8 @@ func (e *Entry) validate() error {
 	r := e.payload()
 	tag := r.u8()
 	r.int() // escalations
-	r.stats(false)
+	r.stats()
+	r.applications(nil)
 	switch tag {
 	case tagRefined:
 		for range r.count() {
@@ -514,13 +515,25 @@ func (e *Entry) Escalations() int {
 	return r.int()
 }
 
-// Stats is the saturation work the verdict took: the operator's ledger
-// line on replay. Rule names share the entry's bytes.
+// Stats is the saturation work the verdict took, all but its rule
+// counts: Applications is left nil, and EachApplication reads them.
 func (e *Entry) Stats() egraph.Stats {
 	r := e.payload()
 	r.u8()
 	r.int()
-	return r.stats(true)
+	return r.stats()
+}
+
+// EachApplication calls f with each rule the verdict's saturation
+// applied and how often, in ascending rule-name order — what Stats'
+// Applications would hold, read straight out of the bytes. Rule names
+// share the entry's bytes.
+func (e *Entry) EachApplication(f func(rule string, n int)) {
+	r := e.payload()
+	r.u8()
+	r.int()
+	r.stats()
+	r.applications(f)
 }
 
 // FailOutput is the index of a Disproved verdict's failing output (0
@@ -575,7 +588,8 @@ func (e *Entry) body() (byte, reader) {
 	r := e.payload()
 	tag := r.u8()
 	r.int()
-	r.stats(false)
+	r.stats()
+	r.applications(nil)
 	return tag, r
 }
 
@@ -651,9 +665,9 @@ func (r *reader) str() string {
 	return s
 }
 
-// stats reads the stats block, building the Applications map only when
-// apps is set.
-func (r *reader) stats(apps bool) egraph.Stats {
+// stats reads the stats block up to its rule counts, which
+// applications reads.
+func (r *reader) stats() egraph.Stats {
 	st := egraph.Stats{
 		Iterations: r.int(), Nodes: r.int(), Matches: r.int(), Runs: r.int(),
 		Cancelled: r.int(), BudgetHit: r.int(), StopReason: egraph.StopReason(r.int()),
@@ -665,20 +679,24 @@ func (r *reader) stats(apps bool) egraph.Stats {
 	default:
 		r.fail()
 	}
-	n := r.count()
-	if apps && n > 0 {
-		st.Applications = make(map[string]int, n)
-	}
+	return st
+}
+
+// applications reads the rule counts, handing each to f (when non-nil)
+// until a defect.
+func (r *reader) applications(f func(rule string, n int)) {
 	prev := ""
-	for i := range n {
+	for i := range r.count() {
 		name, count := r.str(), r.int()
 		if i > 0 && name <= prev {
 			r.fail()
 		}
-		if st.Applications != nil {
-			st.Applications[name] = count
+		if r.bad {
+			return
+		}
+		if f != nil {
+			f(name, count)
 		}
 		prev = name
 	}
-	return st
 }

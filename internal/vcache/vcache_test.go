@@ -97,8 +97,8 @@ func TestEntryRoundTripsEveryField(t *testing.T) {
 	k := key(1)
 	refined := Refined(k, 5, st, terms)
 	if refined.Verdict() != VerdictRefined || refined.Escalations() != 5 || refined.Outputs() != len(terms) ||
-		refined.FailOutput() != 0 || !reflect.DeepEqual(refined.Stats(), st) {
-		t.Fatalf("refined entry reads back as %s/%d/%d outputs/%+v", refined.Verdict(), refined.Escalations(), refined.Outputs(), refined.Stats())
+		refined.FailOutput() != 0 || !reflect.DeepEqual(FullStats(refined), st) {
+		t.Fatalf("refined entry reads back as %s/%d/%d outputs/%+v", refined.Verdict(), refined.Escalations(), refined.Outputs(), FullStats(refined))
 	}
 	back := make([][]string, refined.Outputs())
 	err := refined.EachTerm(func(out int, term string) error {
@@ -110,7 +110,7 @@ func TestEntryRoundTripsEveryField(t *testing.T) {
 	}
 	disproved := Disproved(k, 1, egraph.Stats{}, -7)
 	if disproved.Verdict() != VerdictDisproved || disproved.FailOutput() != -7 || disproved.Outputs() != 0 ||
-		disproved.Escalations() != 1 || !reflect.DeepEqual(disproved.Stats(), egraph.Stats{}) {
+		disproved.Escalations() != 1 || !reflect.DeepEqual(FullStats(disproved), egraph.Stats{}) {
 		t.Fatalf("disproved entry reads back as %s/%d/%d", disproved.Verdict(), disproved.FailOutput(), disproved.Escalations())
 	}
 	for _, e := range []*Entry{refined, disproved} {

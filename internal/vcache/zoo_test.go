@@ -71,14 +71,14 @@ func zooVerdicts(tb testing.TB) []verdict {
 // rebuild seals what e reads back as, through the constructors, for k.
 func rebuild(k fingerprint.Hash, e *vcache.Entry) *vcache.Entry {
 	if e.Verdict() == vcache.VerdictDisproved {
-		return vcache.Disproved(k, e.Escalations(), e.Stats(), e.FailOutput())
+		return vcache.Disproved(k, e.Escalations(), vcache.FullStats(e), e.FailOutput())
 	}
 	terms := make([][]string, e.Outputs())
 	_ = e.EachTerm(func(out int, term string) error {
 		terms[out] = append(terms[out], term)
 		return nil
 	})
-	return vcache.Refined(k, e.Escalations(), e.Stats(), terms)
+	return vcache.Refined(k, e.Escalations(), vcache.FullStats(e), terms)
 }
 
 // FuzzDecodeEntry: on any bytes under any key — taken as a whole entry

@@ -56,7 +56,10 @@ stage_race() {
     # egraph runs the naive-vs-indexed matcher differential over the zoo.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
     ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
-    go test -race ./internal/fingerprint/... ./internal/vcache/... ./internal/server/...
+    go test -race ./internal/fingerprint/... ./internal/vcache/...
+    # The daemon hands core the G_d digest its table holds; audited, core
+    # derives every one it is handed again and panics on a disagreement.
+    ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/server/...
     go test -race -timeout 120s ./internal/cluster/...
     # bench drives the checker through its concurrent harnesses and its
     # corpus differentials (workers 1/4, recycled graphs, cold/warm/no
