@@ -11,12 +11,13 @@ import (
 	"testing"
 
 	"entangle/internal/core"
+	"entangle/internal/fuzz"
 	"entangle/internal/lemmas"
 )
 
-// update rewrites testdata/golden_zoo.txt. The file was recorded at the
-// commit preceding the lemma-schema refactor; regenerate it only for a
-// change that is meant to alter which lemmas fire or what R_o reads.
+// update rewrites testdata/golden_zoo.txt. Regenerate it only for a
+// change that is meant to alter which lemmas fire, how often they are
+// matched, or what R_o reads.
 var update = flag.Bool("update", false, "rewrite golden files")
 
 const goldenZoo = "testdata/golden_zoo.txt"
@@ -73,10 +74,10 @@ func runZooCase(t *testing.T, c ZooCase, fired map[string]int) string {
 
 // TestGoldenZoo pins, for every model the repository can build, the
 // per-rule Stats.Applications (Figure 6's input), the saturation
-// counters, the rendered R_o and the failure text of every bug case
-// against bytes recorded before the lemma library became schema rows.
-// Its last section lists the rules no model fires, so which lemmas the
-// zoo exercises is recorded rather than guessed.
+// counters, the rendered R_o and the failure text of every bug case.
+// Its last section lists the rules that fire nowhere in the zoo or the
+// committed fuzz corpus, and the test fails unless that list is empty:
+// every registered rule has a witness in the repository that fires it.
 func TestGoldenZoo(t *testing.T) {
 	fired := map[string]int{}
 	var names []string
@@ -85,13 +86,20 @@ func TestGoldenZoo(t *testing.T) {
 		names = append(names, c.Name)
 		sections[c.Name] = runZooCase(t, c, fired)
 	}
+	corpusApplications(t, fired)
 	var idle strings.Builder
+	var idleRules []string
 	for _, r := range lemmas.Default().Rules() {
 		if fired[r.Name] == 0 {
 			idle.WriteString("  " + r.Name + "\n")
+			idleRules = append(idleRules, r.Name)
 		}
 	}
-	const idleName = "rules that fire nowhere in the zoo"
+	if len(idleRules) > 0 {
+		t.Errorf("rules with no witness in the zoo or the fuzz corpus: %s (promote a case that fires each, or delete the rule)",
+			strings.Join(idleRules, ", "))
+	}
+	const idleName = "rules that fire nowhere in the zoo or the fuzz corpus"
 	names = append(names, idleName)
 	sections[idleName] = idle.String()
 
@@ -123,6 +131,30 @@ func TestGoldenZoo(t *testing.T) {
 			t.Errorf("section %s not in %s", n, goldenZoo)
 		} else if sections[n] != want {
 			t.Errorf("section %s differs\n--- want ---\n%s--- got ---\n%s", n, want, sections[n])
+		}
+	}
+}
+
+// corpusApplications adds the lemma traffic of every committed fuzz
+// corpus case to fired. The check runs in KeepGoing mode, so a case
+// that rediscovers a bug still counts what its other operators fire.
+func corpusApplications(t *testing.T, fired map[string]int) {
+	t.Helper()
+	cases, err := fuzz.LoadCorpus("../fuzz/testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		cs, err := fuzz.Compose(c.Plan, c.Defect)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		rep, _ := core.NewChecker(core.Options{Registry: lemmas.Default(), KeepGoing: true}).Check(cs.Gs, cs.Gd, cs.Env.Ri)
+		if rep == nil {
+			t.Fatalf("%s: KeepGoing returned no report", c.Name)
+		}
+		for name, n := range rep.Stats.Applications {
+			fired[name] += n
 		}
 	}
 }

@@ -9,32 +9,19 @@ import (
 )
 
 // registerClean registers the structural lemmas over clean operators
-// (Figure 6's "c"-marked lemmas): slice, concat, transpose, reshape,
-// pad, sum, identity. These dominate application counts in the paper's
-// heatmap because every distribution strategy manipulates shards.
+// (Figure 6's "c"-marked lemmas): slice, concat, transpose, pad, sum.
+// These dominate application counts in the paper's heatmap because
+// every distribution strategy manipulates shards.
 func registerClean(r *Registry) {
-	registerIdentity(r)
 	registerSumBasics(r)
 	registerSumOfConcats(r)
 	registerConcatFlatten(r)
 	registerConcatOfSlices(r)
 	registerSliceJoin(r)
 	registerSliceOfConcat(r)
-	registerSliceCompose(r)
-	registerSliceFull(r)
 	registerSliceOfSum(r)
 	registerSliceOfPad(r)
 	registerTranspose(r)
-	registerReshape(r)
-}
-
-func registerIdentity(r *Registry) {
-	r.MustRegister(&Lemma{
-		Name: "identity-elim", Kind: KindClean, Complexity: 1, LOC: 4,
-		Rules: []*egraph.Rule{egraph.Simple("identity-elim",
-			egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-			egraph.RVar("x"))},
-	})
 }
 
 func registerSumBasics(r *Registry) {
@@ -477,58 +464,6 @@ func registerSliceOfConcat(r *Registry) {
 	})
 }
 
-func registerSliceCompose(r *Registry) {
-	// x[b1:e1 @d][b2:e2 @d] = x[b1+b2 : b1+e2 @d].
-	r.MustRegister(&Lemma{
-		Name: "slice-compose", Kind: KindClean, Complexity: 3, LOC: 18,
-		Rules: []*egraph.Rule{{
-			Name: "slice-compose",
-			LHS: egraph.POp(expr.OpSlice,
-				[]egraph.AttrPat{egraph.AVar("d2"), egraph.AVar("b2"), egraph.AVar("e2")},
-				egraph.POp(expr.OpSlice,
-					[]egraph.AttrPat{egraph.AVar("d1"), egraph.AVar("b1"), egraph.AVar("e1")},
-					egraph.PVar("x"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d1, d2 := m.Subst.AttrOf("d1"), m.Subst.AttrOf("d2")
-				if !g.Ctx.ProveEQ(d1, d2) {
-					return nil
-				}
-				b1 := m.Subst.AttrOf("b1")
-				b2, e2 := m.Subst.AttrOf("b2"), m.Subst.AttrOf("e2")
-				c := addAll(g, expr.OpSlice, exprs(g, d1, b1.Add(b2), b1.Add(e2)), "",
-					classes(g, m.Subst.ClassOf("x")))
-				return m.With(c)
-			},
-		}},
-	})
-}
-
-func registerSliceFull(r *Registry) {
-	// x[0:extent @d] = x.
-	r.MustRegister(&Lemma{
-		Name: "slice-full", Kind: KindClean, Complexity: 1, LOC: 20,
-		Rules: []*egraph.Rule{{
-			Name: "slice-full",
-			LHS:  egraph.POp(expr.OpSlice, []egraph.AttrPat{egraph.AVar("d"), egraph.AVar("b"), egraph.AVar("e")}, egraph.PVar("x")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				if !g.Ctx.ProveEQ(m.Subst.AttrOf("b"), sym.Const(0)) {
-					return nil
-				}
-				di, ok := dimConst(m.Subst.AttrOf("d"))
-				if !ok {
-					return nil
-				}
-				xc := m.Subst.ClassOf("x")
-				s, got := g.ShapeOf(xc)
-				if !got || di >= len(s) || !g.Ctx.ProveEQ(m.Subst.AttrOf("e"), s[di]) {
-					return nil
-				}
-				return m.With(xc)
-			},
-		}},
-	})
-}
-
 func registerSliceOfSum(r *Registry) {
 	// slice(sum(xs), d, b, e) = sum(slice(x_i, d, b, e)).
 	r.MustRegister(&Lemma{
@@ -582,17 +517,6 @@ func registerSliceOfPad(r *Registry) {
 
 func registerTranspose(r *Registry) {
 	r.MustRegister(&Lemma{
-		Name: "transpose-involution", Kind: KindClean, Complexity: 2, LOC: 12,
-		Rules: []*egraph.Rule{
-			egraph.Simple("transpose-involution",
-				egraph.POp(expr.OpTranspose, []egraph.AttrPat{egraph.AVar("a"), egraph.AVar("b")},
-					egraph.POp(expr.OpTranspose, []egraph.AttrPat{egraph.AVar("a"), egraph.AVar("b")},
-						egraph.PVar("x"))),
-				egraph.RVar("x")),
-		},
-	})
-
-	r.MustRegister(&Lemma{
 		Name: "transpose-dim-symmetry", Kind: KindClean, Complexity: 2, LOC: 12,
 		Rules: []*egraph.Rule{{
 			Name: "transpose-dim-symmetry",
@@ -636,45 +560,6 @@ func registerTranspose(r *Registry) {
 				c := addAll(g, expr.OpSlice,
 					exprs(g, dOut, m.Subst.AttrOf("b"), m.Subst.AttrOf("e")), "", classes(g, tr))
 				return m.With(c)
-			},
-		}},
-	})
-}
-
-func registerReshape(r *Registry) {
-	// reshape(reshape(x, s1), s2) = reshape(x, s2); the constrained
-	// form of the x = reshape(reshape(x)) lemma the paper discusses.
-	r.MustRegister(&Lemma{
-		Name: "reshape-compose", Kind: KindClean, Complexity: 3, LOC: 16,
-		Rules: []*egraph.Rule{{
-			Name: "reshape-compose",
-			LHS: egraph.POp(expr.OpReshape, nil,
-				egraph.POp(expr.OpReshape, nil, egraph.PVar("x"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				c := addAll(g, expr.OpReshape, m.Node.Ints, "", classes(g, m.Subst.ClassOf("x")))
-				return m.With(c)
-			},
-		}},
-	})
-
-	// reshape(x, shape(x)) = x.
-	r.MustRegister(&Lemma{
-		Name: "reshape-self", Kind: KindClean, Complexity: 1, LOC: 20,
-		Rules: []*egraph.Rule{{
-			Name: "reshape-self",
-			LHS:  egraph.POp(expr.OpReshape, nil, egraph.PVar("x")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xc := m.Subst.ClassOf("x")
-				s, got := g.ShapeOf(xc)
-				if !got || len(s) != len(m.Node.Ints) {
-					return nil
-				}
-				for i := range s {
-					if !g.Ctx.ProveEQ(s[i], m.Node.Ints[i]) {
-						return nil
-					}
-				}
-				return m.With(xc)
 			},
 		}},
 	})

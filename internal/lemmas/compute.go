@@ -83,31 +83,27 @@ func registerMatMul(r *Registry) {
 }
 
 func registerElementwise(r *Registry) {
-	binary := []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv}
-
 	// f(concat(xs, d), concat(ys, d)) = concat(f(x_i, y_i), d) for the
 	// binary elementwise operators, when the chunks align pairwise.
-	for _, op := range binary {
+	for _, op := range []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul} {
 		r.MustRegister(&Lemma{
 			Name: fmt.Sprintf("%s-concat-distribute", op), Kind: KindGeneral, Complexity: 4, LOC: 30,
 			dists: []dist{{op: op, args: []arg{alongD, alongD}, when: aligned}},
 		})
 	}
 
-	// Broadcast forms: f(y, concat(xs, d)) = concat(f(y, x_i), d) when
-	// y has extent 1 along d (so every chunk sees the same broadcast
-	// operand) — e.g. a [1,H] norm weight against sequence shards, or
-	// a scalar loss seed against anything. Registered per operator and
+	// Broadcast form: mul(y, concat(xs, d)) = concat(mul(y, x_i), d)
+	// when y has extent 1 along d (so every chunk sees the same
+	// broadcast operand) — e.g. a [1,H] norm weight against sequence
+	// shards, or a scalar loss seed against anything. Registered per
 	// operand side.
-	for _, op := range binary {
-		r.MustRegister(&Lemma{
-			Name: fmt.Sprintf("%s-broadcast-concat", op), Kind: KindGeneral, Complexity: 4, LOC: 34,
-			dists: []dist{
-				{variant: "/lhs", op: op, args: []arg{alongD, broadcast}},
-				{variant: "/rhs", op: op, args: []arg{broadcast, alongD}},
-			},
-		})
-	}
+	r.MustRegister(&Lemma{
+		Name: "mul-broadcast-concat", Kind: KindGeneral, Complexity: 4, LOC: 34,
+		dists: []dist{
+			{variant: "/lhs", op: expr.OpMul, args: []arg{alongD, broadcast}},
+			{variant: "/rhs", op: expr.OpMul, args: []arg{broadcast, alongD}},
+		},
+	})
 
 	// Unary elementwise functions distribute over concat on any dim.
 	r.MustRegister(&Lemma{
@@ -164,24 +160,6 @@ func registerScale(r *Registry) {
 		}},
 	})
 
-	// Scaling commutes with reshape: reshape(scale(x,n,d), s) =
-	// scale(reshape(x,s), n, d). Backward graphs reshape scaled loss
-	// seeds, so this lemma lets the factor float out.
-	r.MustRegister(&Lemma{
-		Name: "scale-reshape-commute", Kind: KindGeneral, Complexity: 3, LOC: 16,
-		Rules: []*egraph.Rule{{
-			Name: "scale-reshape-commute",
-			LHS: egraph.POp(expr.OpReshape, nil,
-				egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")},
-					egraph.PVar("x"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				rs := addAll(g, expr.OpReshape, m.Node.Ints, "", classes(g, m.Subst.ClassOf("x")))
-				c := addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, rs))
-				return m.With(c)
-			},
-		}},
-	})
-
 	// A scale on either multiplicand floats out of the product:
 	// mul(scale(a,n,d), b) = scale(mul(a,b), n, d).
 	mulScale := func(name string, scaleLeft bool) *egraph.Rule {
@@ -217,9 +195,9 @@ func registerScale(r *Registry) {
 		},
 	})
 
-	// scale(scale(x, a, b), c, d) = scale(x, ac, bd); scale(x, k, k) = x.
+	// scale(scale(x, a, b), c, d) = scale(x, ac, bd), or x when ac = bd.
 	r.MustRegister(&Lemma{
-		Name: "scale-compose", Kind: KindGeneral, Complexity: 3, LOC: 26,
+		Name: "scale-compose", Kind: KindGeneral, Complexity: 3, LOC: 18,
 		Rules: []*egraph.Rule{{
 			Name: "scale-compose",
 			LHS: egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n2"), egraph.AVar("d2")},
@@ -242,16 +220,6 @@ func registerScale(r *Registry) {
 				}
 				c := addAll(g, expr.OpScale, exprs(g, sym.Const(n), sym.Const(d)), "", classes(g, m.Subst.ClassOf("x")))
 				return m.With(c)
-			},
-		}, {
-			Name: "scale-one",
-			LHS: egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("d")},
-				egraph.PVar("x")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				if !m.Subst.AttrOf("n").Equal(m.Subst.AttrOf("d")) {
-					return nil
-				}
-				return m.With(m.Subst.ClassOf("x"))
 			},
 		}},
 	})
@@ -285,12 +253,6 @@ func registerReduceSum(r *Registry) {
 		Name: "reducesum-concat-same-dim", Kind: KindGeneral, Complexity: 4, LOC: 22,
 		dists: []dist{{op: expr.OpReduceSum, attrs: vars("dr"), args: []arg{alongD},
 			when: attrIsDim, out: sum}},
-	})
-
-	// reducesum over another dim keeps the concat structure.
-	r.MustRegister(&Lemma{
-		Name: "reducesum-concat-other-dim", Kind: KindGeneral, Complexity: 4, LOC: 22,
-		dists: []dist{{op: expr.OpReduceSum, attrs: vars("dr"), args: []arg{alongD}, when: attrNotDim}},
 	})
 }
 

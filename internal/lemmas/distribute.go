@@ -94,10 +94,9 @@ const (
 type combiner byte
 
 const (
-	concat    combiner = iota // concat(part_i, dim)
-	sum                       // sum(part_i)
-	mean                      // scale(sum(part_i), 1, k): the mean over k equal chunks is the mean of their means
-	scaledSum                 // the match is scale(op(…), n, dn), the result scale(sum(part_i), n, dn)
+	concat combiner = iota // concat(part_i, dim)
+	sum                    // sum(part_i)
+	mean                   // scale(sum(part_i), 1, k): the mean over k equal chunks is the mean of their means
 )
 
 // site is what a prep hook sees of one application. It is all values,
@@ -126,13 +125,9 @@ func (d *dist) rule(name string) *egraph.Rule {
 			kids[i] = egraph.POpN(expr.OpSum, nil, argVars[i])
 		}
 	}
-	lhs := egraph.POp(d.op, d.attrs, kids...)
-	if d.out == scaledSum {
-		lhs = egraph.POp(expr.OpScale, vars("n", "dn"), lhs)
-	}
 	return &egraph.Rule{
 		Name:  name + d.variant,
-		LHS:   lhs,
+		LHS:   egraph.POp(d.op, d.attrs, kids...),
 		Apply: d.apply,
 	}
 }
@@ -146,7 +141,7 @@ func attrOf(s egraph.Bindings, a egraph.AttrPat) sym.Expr {
 
 // apply is the interpreter. Conditions run cheapest first — a declined
 // match is still an application, and most matches of the broadcast and
-// same-dim/other-dim rows decline. Nodes go in part by part, in part
+// attrIsDim/attrNotDim rows decline. Nodes go in part by part, in part
 // order, then the combiner: class IDs, and with them extraction
 // tie-breaks, depend on that order.
 func (d *dist) apply(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
@@ -266,11 +261,8 @@ func (d *dist) apply(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 		}
 		return addAll(g, d.op, attrs, str, kids)
 	})
-	switch d.out {
-	case mean:
+	if d.out == mean {
 		c = addAll(g, expr.OpScale, exprs(g, sym.Const(1), sym.Const(int64(s.k))), "", classes(g, c))
-	case scaledSum:
-		c = addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, c))
 	}
 	return m.With(c)
 }

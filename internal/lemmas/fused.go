@@ -31,20 +31,15 @@ func registerVLLM(r *Registry) {
 		},
 	})
 
-	// fused_silu_mul(gate, up) = mul(silu(gate), up), both directions.
+	// fused_silu_mul(gate, up) = mul(silu(gate), up).
 	r.MustRegister(&Lemma{
-		Name: "fused-silu-mul-unfuse", Kind: KindVLLM, Complexity: 3, LOC: 14,
+		Name: "fused-silu-mul-unfuse", Kind: KindVLLM, Complexity: 3, LOC: 8,
 		Rules: []*egraph.Rule{
 			egraph.Simple("fused-silu-mul-unfuse",
 				egraph.POp(expr.OpFusedSiluMul, nil, egraph.PVar("g"), egraph.PVar("u")),
 				egraph.ROp(expr.OpMul, nil, "",
 					egraph.ROp(expr.OpUnary, nil, "silu", egraph.RVar("g")),
 					egraph.RVar("u"))),
-			egraph.Simple("fused-silu-mul-fuse",
-				egraph.POp(expr.OpMul, nil,
-					&egraph.Pattern{Op: expr.OpUnary, Str: "silu", Kids: []*egraph.Pattern{egraph.PVar("g")}},
-					egraph.PVar("u")),
-				egraph.ROp(expr.OpFusedSiluMul, nil, "", egraph.RVar("g"), egraph.RVar("u"))),
 		},
 	})
 
@@ -66,8 +61,8 @@ func registerVLLM(r *Registry) {
 // registerHLO registers lemmas for HLO-flavoured operator spellings
 // (Figure 6's "h"-marked lemmas). The HLO front end maps most HLO ops
 // onto the shared vocabulary — which is why, as the paper observes,
-// HLO models "reuse many of the popular lemmas" — but a few HLO idioms
-// need their own rules.
+// HLO models "reuse many of the popular lemmas" — but one HLO idiom
+// needs its own rule.
 func registerHLO(r *Registry) {
 	// HLO's dot with a transposed rhs: matmul(x, transpose(w, 0, 1)) =
 	// transpose(matmul(w, transpose(x, 0, 1)), 0, 1) for rank-2
@@ -94,26 +89,5 @@ func registerHLO(r *Registry) {
 				return m.With(c)
 			},
 		}},
-	})
-
-	// HLO spells row-splits of a transposed weight as transposed
-	// column-splits: transpose(concat(ws, 0), 0, 1) =
-	// concat(transpose(w_i, 0, 1), 1).
-	r.MustRegister(&Lemma{
-		Name: "hlo-transpose-row-concat", Kind: KindHLO, Complexity: 4, LOC: 20,
-		dists: []dist{{op: expr.OpTranspose, attrs: []egraph.AttrPat{egraph.AInt(0), egraph.AInt(1)},
-			args: []arg{along0}, prep: swappedDim}},
-	})
-
-	// HLO reduce over the token dim of a concat (used by collective
-	// epilogues emitted by XLA): reduce(concat(xs, d), d) spelled as a
-	// reducesum is covered by the general lemmas; the h-variant here
-	// covers the scaled mean-reduce HLO emits for loss epilogues:
-	// scale(reducesum(concat(xs, d), d), 1, k) over k equal chunks =
-	// scale(sum(reducesum(x_i, d)), 1, k).
-	r.MustRegister(&Lemma{
-		Name: "hlo-mean-reduce-split", Kind: KindHLO, Complexity: 6, LOC: 28,
-		dists: []dist{{op: expr.OpReduceSum, attrs: vars("dr"), args: []arg{alongD},
-			when: attrIsDim, out: scaledSum}},
 	})
 }

@@ -81,9 +81,8 @@ func TestRegisterInvalidatesRulesCache(t *testing.T) {
 	}
 }
 
-// update rewrites testdata/registry_golden.txt. The file was recorded
-// at the commit preceding the lemma-schema refactor; regenerate it only
-// for a change that is meant to invalidate every on-disk verdict cache
+// update rewrites testdata/registry_golden.txt. Regenerate it only for
+// a change that is meant to invalidate every on-disk verdict cache
 // (Fingerprint) or to move Figure 6's columns (lemma order).
 var update = flag.Bool("update", false, "rewrite golden files")
 

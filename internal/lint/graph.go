@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"entangle/internal/graph"
-	"entangle/internal/shape"
 )
 
 // Layer 2: graph IR lint. Graph.Validate enforces the invariants a
@@ -15,10 +14,6 @@ import (
 // often exhibits: computation that cannot reach any output, tensors
 // nobody reads, and duplicate bug-localization labels.
 const (
-	// CheckGraphShapeMismatch fires when a node's declared output
-	// shapes disagree with shape inference over its input shapes (or
-	// inference rejects the node outright).
-	CheckGraphShapeMismatch = "graph-shape-mismatch"
 	// CheckGraphDeadNode fires when no path leads from a node to any
 	// graph output: the node's computation is unobservable and the
 	// checker will still pay to map it.
@@ -72,7 +67,6 @@ func Graph(g *graph.Graph) []Diagnostic {
 
 	labels := map[string]string{} // label → first node's description
 	for _, n := range g.Nodes {
-		out = append(out, checkNodeShapes(g, n)...)
 		if !live[n.ID] {
 			out = append(out, Diagnostic{
 				Check: CheckGraphDeadNode, Severity: SevWarning, Subject: nodeSubject(n),
@@ -112,49 +106,6 @@ func Graph(g *graph.Graph) []Diagnostic {
 			out = append(out, Diagnostic{
 				Check: CheckGraphUnusedInput, Severity: SevWarning, Subject: g.Tensors[in].Name,
 				Message: "graph input is never read by any node",
-			})
-		}
-	}
-	return out
-}
-
-func checkNodeShapes(g *graph.Graph, n *graph.Node) []Diagnostic {
-	inShapes := make([]shape.Shape, len(n.Inputs))
-	for i, in := range n.Inputs {
-		if int(in) < 0 || int(in) >= len(g.Tensors) {
-			return []Diagnostic{{
-				Check: CheckGraphShapeMismatch, Severity: SevError, Subject: nodeSubject(n),
-				Message: fmt.Sprintf("input %d references missing tensor %d", i, in),
-			}}
-		}
-		inShapes[i] = g.Tensors[in].Shape
-	}
-	outs, err := shape.Infer(n.Op, n.Str, n.Ints, inShapes, g.Ctx)
-	if err != nil {
-		return []Diagnostic{{
-			Check: CheckGraphShapeMismatch, Severity: SevError, Subject: nodeSubject(n),
-			Message: fmt.Sprintf("shape inference rejects the node: %v", err),
-		}}
-	}
-	if len(outs) != len(n.Outputs) {
-		return []Diagnostic{{
-			Check: CheckGraphShapeMismatch, Severity: SevError, Subject: nodeSubject(n),
-			Message: fmt.Sprintf("%d outputs inferred, %d declared", len(outs), len(n.Outputs)),
-		}}
-	}
-	var out []Diagnostic
-	for i, o := range n.Outputs {
-		if int(o) < 0 || int(o) >= len(g.Tensors) {
-			out = append(out, Diagnostic{
-				Check: CheckGraphShapeMismatch, Severity: SevError, Subject: nodeSubject(n),
-				Message: fmt.Sprintf("output %d references missing tensor %d", i, o),
-			})
-			continue
-		}
-		if !g.Tensors[o].Shape.Equal(outs[i], g.Ctx) {
-			out = append(out, Diagnostic{
-				Check: CheckGraphShapeMismatch, Severity: SevError, Subject: g.Tensors[o].Name,
-				Message: fmt.Sprintf("declared shape %s, inferred %s from %s", g.Tensors[o].Shape, outs[i], nodeSubject(n)),
 			})
 		}
 	}

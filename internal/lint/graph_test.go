@@ -39,19 +39,6 @@ func TestGraphBadCorpus(t *testing.T) {
 	checkGolden(t, "bad-graph-golden.txt", ds)
 }
 
-// TestGraphShapeMismatch corrupts a declared shape after building (the
-// codecs always infer shapes, so the corruption a capture bug would
-// introduce has to be simulated in memory).
-func TestGraphShapeMismatch(t *testing.T) {
-	g, sum := smallGraph(t)
-	g.Tensors[sum].Shape = shape.Shape{sym.Const(3)}
-	ds := Graph(g)
-	d := findDiag(t, ds, CheckGraphShapeMismatch, "sum_out")
-	if d.Severity != SevError {
-		t.Errorf("shape mismatch must be error severity, got %s", d.Severity)
-	}
-}
-
 func TestGraphClean(t *testing.T) {
 	g, _ := smallGraph(t)
 	if ds := Graph(g); len(ds) != 0 {

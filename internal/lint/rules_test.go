@@ -90,7 +90,7 @@ func TestLemmaComplexityDrift(t *testing.T) {
 	ds := Lemmas([]*lemmas.Lemma{one("bad/drift", 5, idElim("bad/drift-rule"))})
 	findDiag(t, ds, CheckLemmaComplexityDrift, "bad/drift")
 
-	// Correct metadata: identity-elim has exactly one operator.
+	// Correct metadata: identity(?x) → ?x has exactly one operator.
 	ds = Lemmas([]*lemmas.Lemma{one("ok/exact", 1, idElim("ok/exact-rule"))})
 	noDiag(t, ds, CheckLemmaComplexityDrift, "ok/exact")
 
