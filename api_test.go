@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"entangle/internal/lemmas"
 )
 
 // buildFigure1 constructs the paper's running example through the
@@ -148,9 +150,8 @@ func TestPublicAPISymbolics(t *testing.T) {
 }
 
 func TestDefaultLemmasExposed(t *testing.T) {
-	reg := DefaultLemmas()
-	if reg.Len() < 40 {
-		t.Fatalf("lemma library too small: %d", reg.Len())
+	if got, want := DefaultLemmas().Fingerprint(), lemmas.Default().Fingerprint(); got != want {
+		t.Fatalf("DefaultLemmas fingerprint %s, the built-in library's %s", got, want)
 	}
 }
 

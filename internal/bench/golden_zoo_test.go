@@ -6,13 +6,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"entangle/internal/core"
+	"entangle/internal/egraph"
 	"entangle/internal/fuzz"
+	"entangle/internal/graph"
 	"entangle/internal/lemmas"
+	"entangle/internal/relation"
 )
 
 // update rewrites testdata/golden_zoo.txt. Regenerate it only for a
@@ -140,21 +144,113 @@ func TestGoldenZoo(t *testing.T) {
 // that rediscovers a bug still counts what its other operators fire.
 func corpusApplications(t *testing.T, fired map[string]int) {
 	t.Helper()
-	cases, err := fuzz.LoadCorpus("../fuzz/testdata/corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cases {
-		cs, err := fuzz.Compose(c.Plan, c.Defect)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
+	for _, cs := range corpusCases(t) {
 		rep, _ := core.NewChecker(core.Options{Registry: lemmas.Default(), KeepGoing: true}).Check(cs.Gs, cs.Gd, cs.Env.Ri)
 		if rep == nil {
-			t.Fatalf("%s: KeepGoing returned no report", c.Name)
+			t.Fatalf("%s: KeepGoing returned no report", cs.Plan)
 		}
 		for name, n := range rep.Stats.Applications {
 			fired[name] += n
 		}
+	}
+}
+
+// corpusCases composes every committed fuzz corpus case.
+func corpusCases(t *testing.T) []*fuzz.Case {
+	t.Helper()
+	cases, err := fuzz.LoadCorpus("../fuzz/testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*fuzz.Case, len(cases))
+	for i, c := range cases {
+		if out[i], err = fuzz.Compose(c.Plan, c.Defect); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+	}
+	return out
+}
+
+// ablationCase is one check of the zoo or the corpus, built once and
+// re-checked under each ablated registry.
+type ablationCase struct {
+	gs, gd *graph.Graph
+	ri     *relation.Relation
+	expect *core.Expectation // nil for a refinement check
+}
+
+// outcome renders what a check of c under reg decides: the verdict and
+// failure text of every operator, R_o and the full relation — not the
+// saturation counters, which any rule set moves.
+func (c ablationCase) outcome(reg *lemmas.Registry) string {
+	if c.expect != nil {
+		return fmt.Sprint(core.NewChecker(core.Options{Registry: reg}).CheckExpectation(c.gs, c.gd, c.ri, *c.expect))
+	}
+	rep, err := core.NewChecker(core.Options{Registry: reg, KeepGoing: true}).Check(c.gs, c.gd, c.ri)
+	if rep == nil {
+		return fmt.Sprint(err)
+	}
+	out := fmt.Sprintf("%v\n%s", err, rep.RenderFailures())
+	if rep.OutputRelation != nil {
+		out += rep.OutputRelation.Render(c.gs)
+	}
+	return out + rep.FullRelation.Render(c.gs)
+}
+
+// registryWithout re-registers lib's lemmas with the named rule left
+// out, and a lemma left with no rule dropped whole.
+func registryWithout(lib *lemmas.Registry, rule string) *lemmas.Registry {
+	r := lemmas.NewRegistry()
+	for _, l := range lib.All() {
+		rules := slices.DeleteFunc(slices.Clone(l.Rules), func(x *egraph.Rule) bool { return x.Name == rule })
+		if len(rules) > 0 {
+			r.MustRegister(&lemmas.Lemma{Name: l.Name, Kind: l.Kind, Complexity: l.Complexity, LOC: l.LOC, Rules: rules})
+		}
+	}
+	return r
+}
+
+// TestEveryRuleIsNeeded is the lemma library's ratchet, stricter than
+// TestGoldenZoo's "fires somewhere": for every registered rule the zoo
+// and the committed fuzz corpus are checked again with a registry that
+// lacks it, and some check's verdict, failure text, output relation or
+// full relation must move. A rule whose removal moves none of them has
+// no committed witness that needs it: promote a case that does, or
+// delete the rule.
+func TestEveryRuleIsNeeded(t *testing.T) {
+	var cases []ablationCase
+	for _, c := range Zoo() {
+		b, gs, gd, ri, err := c.Graphs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac := ablationCase{gs: gs, gd: gd, ri: ri}
+		if c.Expectation {
+			ac.expect = &core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd}
+		}
+		cases = append(cases, ac)
+	}
+	for _, cs := range corpusCases(t) {
+		cases = append(cases, ablationCase{gs: cs.Gs, gd: cs.Gd, ri: cs.Env.Ri})
+	}
+	lib := lemmas.Default()
+	want := make([]string, len(cases))
+	for i, c := range cases {
+		want[i] = c.outcome(lib)
+	}
+	var unneeded []string
+	for _, r := range lib.Rules() {
+		reg := registryWithout(lib, r.Name)
+		moved := false
+		for i := 0; i < len(cases) && !moved; i++ {
+			moved = cases[i].outcome(reg) != want[i]
+		}
+		if !moved {
+			unneeded = append(unneeded, r.Name)
+		}
+	}
+	if len(unneeded) > 0 {
+		t.Errorf("rules whose removal moves no verdict, failure text or relation in the zoo or the fuzz corpus: %s (promote a case that needs each, or delete the rule)",
+			strings.Join(unneeded, ", "))
 	}
 }

@@ -206,6 +206,10 @@ type EGraph struct {
 	// application of the same apply phase had made effective by the
 	// time their turn came (rewrite.go).
 	lateEffects int
+	// kidWithheld counts, under InvariantChecks and by rule name, the
+	// matches the indexed matcher withheld because they failed the
+	// rule's declared kid requirement (auditWithheld).
+	kidWithheld map[string]int
 
 	// Saturation node budget (rewrite.go). nodeLimit is non-zero only
 	// while Saturate runs; Instantiate then declines rule applications

@@ -1,11 +1,19 @@
 package egraph
 
-import "slices"
+import (
+	"maps"
+	"slices"
+)
 
 // LateEffects exposes, to the external differential test, how many
 // withheld matches the InvariantChecks replay found effective in their
 // turn (EGraph.lateEffects).
 func LateEffects(g *EGraph) int { return g.lateEffects }
+
+// KidWithheld copies out, per rule name, how many matches the
+// InvariantChecks audit saw withheld by a declared kid requirement
+// (EGraph.kidWithheld).
+func KidWithheld(g *EGraph) map[string]int { return maps.Clone(g.kidWithheld) }
 
 // SetNaiveMatcher switches Saturate to the naive reference matcher
 // (on) or back to the indexed one, and returns the previous setting.

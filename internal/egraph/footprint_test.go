@@ -156,6 +156,9 @@ type observation struct {
 	clean   string // ExtractAllClean of every root
 	late    int    // the graph's late effects so far (audited runs count them)
 	matches int    // not compared: the one statistic the matchers differ in
+	// kidWithheld is, per rule, the matches withheld by its declared
+	// kid requirement so far (audited runs count them).
+	kidWithheld map[string]int
 }
 
 // diffOpts keeps a script on which some class comes to contain a sum of
@@ -208,7 +211,7 @@ func (s diffScript) run(rules []*egraph.Rule, unindexed, audit, leafShapes bool)
 		out = append(out, observation{
 			apps: st.Applications, iters: st.Iterations, nodes: st.Nodes, stop: st.StopReason,
 			classes: dumpClasses(g), clean: dumpClean(g, roots), late: egraph.LateEffects(g),
-			matches: st.Matches,
+			matches: st.Matches, kidWithheld: egraph.KidWithheld(g),
 		})
 	}
 	g.Release()
@@ -410,55 +413,55 @@ func replaceRule(t *testing.T, name string, edit func(*egraph.Rule)) []*egraph.R
 }
 
 // TestKidGateCatchesWrongDeclaration plants the bug the audit exists
-// for on the kid-requirement side: concat-flatten fires when some kid
-// class holds a concat, so declared EveryKid it is withheld from
-// matches it would fire on. Some script's audit must notice.
+// for on the kid-requirement side: concat-of-slices fires when every
+// kid class holds a slice, so declared EveryKid(concat) it is withheld
+// from matches it would fire on. Some script's audit must notice.
 func TestKidGateCatchesWrongDeclaration(t *testing.T) {
-	rules := replaceRule(t, "concat-flatten", func(r *egraph.Rule) { r.Kids = egraph.EveryKid(expr.OpConcat) })
+	rules := replaceRule(t, "concat-of-slices", func(r *egraph.Rule) { r.Kids = egraph.EveryKid(expr.OpConcat) })
 	for seed := int64(1); seed <= diffSeeds; seed++ {
 		if d, _ := compareMatchers(rules, newDiffScript(seed, false), true); d != "" {
-			if !strings.Contains(d, `rule "concat-flatten" (reads below(1)) was withheld`) || !strings.Contains(d, "by its kid requirement every:concat") {
+			if !strings.Contains(d, `rule "concat-of-slices" (reads below(2)) was withheld`) || !strings.Contains(d, "by its kid requirement every:concat") {
 				t.Fatalf("seed %d diverged, but not on the planted declaration: %.300s", seed, d)
 			}
 			t.Logf("seed %d: %.200s", seed, d)
 			return
 		}
 	}
-	t.Fatalf("concat-flatten declared EveryKid(concat) survived %d scripts' audits", diffSeeds)
+	t.Fatalf("concat-of-slices declared EveryKid(concat) survived %d scripts' audits", diffSeeds)
 }
 
 // TestDifferentialReachesEveryKidGate holds the generator to every
 // declared kid requirement of the registry: over the scripts, each
 // gated rule must fire (its gate opens on a match with an effect) and
-// must be withheld matches it would otherwise collect (dropping its
-// declaration alone raises the match count).
+// must be withheld matches it would otherwise collect, counted in the
+// audited run, which executes each one as the no-op it must be. (A
+// production run with the declaration dropped is no measure: it can
+// saturate to a different graph — withheld matches that an earlier
+// application of their phase made effective run an iteration later —
+// and so collect fewer matches in all.)
 func TestDifferentialReachesEveryKidGate(t *testing.T) {
 	rules := lemmas.Default().Rules()
-	kinds := map[string]bool{}
+	gated := 0
 	for _, r := range rules {
 		if r.Kids.None() {
 			continue
 		}
-		kinds[strings.SplitN(r.Kids.String(), ":", 2)[0]] = true
-		undeclared := replaceRule(t, r.Name, func(r *egraph.Rule) { r.Kids = egraph.KidReq{} })
+		gated++
 		fired, withheld := 0, 0
 		for seed := int64(1); seed <= diffSeeds; seed++ {
-			s := newDiffScript(seed, false)
-			with, without := s.run(rules, false, false, true), s.run(undeclared, false, false, true)
-			for i := range with {
-				fired += with[i].apps[r.Name]
-				withheld += without[i].matches - with[i].matches
+			audited := newDiffScript(seed, false).run(rules, false, true, true)
+			for _, o := range audited {
+				fired += o.apps[r.Name]
 			}
+			withheld += audited[len(audited)-1].kidWithheld[r.Name]
 		}
 		t.Logf("%s (kids %s): %d applications, %d matches withheld", r.Name, r.Kids, fired, withheld)
-		if fired == 0 || withheld <= 0 {
+		if fired == 0 || withheld == 0 {
 			t.Errorf("%s (kids %s): %d applications and %d withheld matches over %d scripts: the generator does not reach this gate", r.Name, r.Kids, fired, withheld, diffSeeds)
 		}
 	}
-	for _, kind := range []string{"every", "some", "same"} {
-		if !kinds[kind] {
-			t.Errorf("no registry rule declares a %q kid requirement any more: the differential does not test that gate kind", kind)
-		}
+	if gated == 0 {
+		t.Error("no registry rule declares a kid requirement any more: the differential does not test the kid gate")
 	}
 }
 

@@ -39,10 +39,10 @@ import "entangle/internal/expr"
 //     matchNode — no match exists, nothing is withheld. Declared: a
 //     variadic (POpN) pattern binds its kid list whole and leaves the
 //     looking to Apply, so the rule says next to its footprint what
-//     Apply insists on (Rule.Kids: every kid class holds op X, some kid
-//     class does, all kids are one class), and where that fails the
-//     match — which the naive matcher would collect and Apply decline —
-//     is withheld like one outside the footprint.
+//     Apply insists on (Rule.Kids: every kid class holds op X), and
+//     where that fails the match — which the naive matcher would
+//     collect and Apply decline — is withheld like one outside the
+//     footprint.
 //
 // Candidate classes are visited in the same ascending order with the
 // same per-class rule order as the naive matcher, so the produced
@@ -101,7 +101,7 @@ type ruleGate struct {
 type kidGate struct {
 	kind kidReqKind
 	pos  int16 // kidAt: the kid position
-	op   int16 // index into CompiledRules.gateOps (not kidsSame)
+	op   int16 // index into CompiledRules.gateOps
 }
 
 // gateOp returns op's index in cr.gateOps, adding it if new.
@@ -131,11 +131,7 @@ func (cr *CompiledRules) compileKidGates(r *Rule) []kidGate {
 		}
 	}
 	if r.LHS.VarKids != "" && !r.Kids.None() {
-		gt := kidGate{kind: r.Kids.kind}
-		if op, named := r.Kids.Op(); named {
-			gt.op = cr.gateOp(op)
-		}
-		gates = append(gates, gt)
+		gates = append(gates, kidGate{kind: r.Kids.kind, op: cr.gateOp(r.Kids.op)})
 	}
 	return gates
 }
@@ -228,23 +224,9 @@ func (g *EGraph) passes(gt kidGate, n *ENode) bool {
 	switch gt.kind {
 	case kidAt:
 		return int(gt.pos) < len(n.Kids) && g.kidHas(n.Kids[gt.pos], g.gateOpID[gt.op])
-	case kidsEvery:
+	default: // kidsEvery
 		for _, k := range n.Kids {
 			if !g.kidHas(k, g.gateOpID[gt.op]) {
-				return false
-			}
-		}
-		return true
-	case kidsSome:
-		for _, k := range n.Kids {
-			if g.kidHas(k, g.gateOpID[gt.op]) {
-				return true
-			}
-		}
-		return false
-	default: // kidsSame
-		for _, k := range n.Kids {
-			if g.Find(k) != g.Find(n.Kids[0]) {
 				return false
 			}
 		}

@@ -191,6 +191,7 @@ func (g *EGraph) reset() {
 	g.phase = 0
 	g.shapeUnknown = false
 	g.lateEffects = 0
+	clear(g.kidWithheld)
 	g.nodeLimit, g.budgetDenied = 0, false
 	g.appliedFP.reset()
 	g.satRules, g.satFixpoint = nil, false

@@ -38,12 +38,11 @@ type Rule struct {
 
 	// Kids declares, for a rule whose LHS is variadic at the root (POpN),
 	// what its Apply requires of the bound kid list before it does
-	// anything (EveryKid, SomeKid, SameKids); the zero value requires
-	// nothing. The indexed matcher answers it from the per-class operator
-	// counts and withholds the match where it fails, before any
-	// substitution is built. A fixed-arity LHS declares nothing: its
-	// operator-rooted kid positions say the same and are read off the
-	// pattern. See KidReq.
+	// anything (EveryKid); the zero value requires nothing. The indexed
+	// matcher answers it from the per-class operator counts and withholds
+	// the match where it fails, before any substitution is built. A
+	// fixed-arity LHS declares nothing: its operator-rooted kid positions
+	// say the same and are read off the pattern. See KidReq.
 	Kids KidReq
 
 	// Apply builds the right-hand side(s) and returns the class pairs
@@ -141,8 +140,6 @@ type kidReqKind uint8
 const (
 	kidsAny   kidReqKind = iota // the zero value: no requirement
 	kidsEvery                   // every kid class holds an op node
-	kidsSome                    // at least one kid class holds an op node
-	kidsSame                    // all kids are one class
 	// kidAt is not declarable: the matcher derives it from an
 	// operator-rooted kid position of a fixed-arity LHS (index.go).
 	kidAt
@@ -152,28 +149,16 @@ const (
 // holds a node with operator op.
 func EveryKid(op expr.Op) KidReq { return KidReq{kind: kidsEvery, op: op} }
 
-// SomeKid declares that Apply declines unless at least one bound kid
-// class holds a node with operator op.
-func SomeKid(op expr.Op) KidReq { return KidReq{kind: kidsSome, op: op} }
-
-// SameKids declares that Apply declines unless all bound kids are one
-// and the same class.
-func SameKids() KidReq { return KidReq{kind: kidsSame} }
-
 // None reports the zero requirement.
 func (k KidReq) None() bool { return k.kind == kidsAny }
 
-// Op returns the operator an EveryKid or SomeKid requirement names.
-func (k KidReq) Op() (expr.Op, bool) { return k.op, k.kind == kidsEvery || k.kind == kidsSome }
+// Op returns the operator an EveryKid requirement names ("" for the
+// zero value).
+func (k KidReq) Op() expr.Op { return k.op }
 
 func (k KidReq) String() string {
-	switch k.kind {
-	case kidsEvery:
+	if k.kind == kidsEvery {
 		return "every:" + string(k.op)
-	case kidsSome:
-		return "some:" + string(k.op)
-	case kidsSame:
-		return "same"
 	}
 	return "-"
 }
@@ -453,6 +438,12 @@ func (g *EGraph) applied() {
 // audits every footprint declaration and the gating itself.
 func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBuf []byte) []byte {
 	rule := cr.rules[p.rule]
+	if byKids {
+		if g.kidWithheld == nil {
+			g.kidWithheld = map[string]int{}
+		}
+		g.kidWithheld[rule.Name]++
+	}
 	if rule.Reads.Pure() {
 		fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
 		if g.appliedFP.has(fpBuf, hashFingerprint(fpBuf)) {

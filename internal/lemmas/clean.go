@@ -15,7 +15,6 @@ import (
 func registerClean(r *Registry) {
 	registerSumBasics(r)
 	registerSumOfConcats(r)
-	registerConcatFlatten(r)
 	registerConcatOfSlices(r)
 	registerSliceJoin(r)
 	registerSliceOfConcat(r)
@@ -76,28 +75,6 @@ func registerSumBasics(r *Registry) {
 					}
 				}
 				return nil
-			},
-		}},
-	})
-
-	// sum of n identical tensors is a scaling by n: the shape of the
-	// replicated-computation bugs (§6.2 bugs 2 and 6) — the buggy
-	// implementation maps only to scale(x, n, 1), which is not clean.
-	r.MustRegister(&Lemma{
-		Name: "sum-identical-scale", Kind: KindClean, Complexity: 2, LOC: 14,
-		Rules: []*egraph.Rule{{
-			Name: "sum-identical-scale",
-			Kids: egraph.SameKids(),
-			LHS:  egraph.POpN(expr.OpSum, nil, "xs"),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				kids := m.Subst.KidsOf("xs")
-				if len(kids) < 2 || !allSameClass(g, kids) {
-					return nil
-				}
-				c, _ := g.Instantiate(egraph.ROp(expr.OpScale,
-					[]sym.Expr{sym.Const(int64(len(kids))), sym.Const(1)}, "",
-					egraph.RClass(kids[0])), egraph.Bindings{}, false)
-				return m.With(c)
 			},
 		}},
 	})
@@ -166,34 +143,6 @@ func registerSumOfConcats(r *Registry) {
 					cols[j] = addAll(g, expr.OpSum, nil, "", col)
 				}
 				return m.With(addAll(g, expr.OpConcat, exprs(g, dim), "", cols))
-			},
-		}},
-	})
-}
-
-func registerConcatFlatten(r *Registry) {
-	// concat(…, concat(ys, d), …, d) flattens one level (same dim).
-	r.MustRegister(&Lemma{
-		Name: "concat-flatten", Kind: KindClean, Complexity: 2, LOC: 24,
-		Rules: []*egraph.Rule{{
-			Name:  "concat-flatten",
-			Reads: egraph.ReadsBelow(1), // the kid classes' nodes
-			Kids:  egraph.SomeKid(expr.OpConcat),
-			LHS:   egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				d := m.Subst.AttrOf("d")
-				kids := m.Subst.KidsOf("xs")
-				for i, k := range kids {
-					for it := g.NodesOf(k); it.Valid(); it.Next() {
-						n := it.Node()
-						if n.Op != expr.OpConcat || !n.Ints[0].Equal(d) ||
-							len(kids)+len(n.Kids)-1 > maxNaryWidth {
-							continue
-						}
-						return m.With(addAll(g, expr.OpConcat, exprs(g, d), "", splice(g, kids, i, n.Kids)))
-					}
-				}
-				return nil
 			},
 		}},
 	})
@@ -537,30 +486,5 @@ func registerTranspose(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "transpose-concat-commutative", Kind: KindClean, Complexity: 4, LOC: 28,
 		dists: []dist{{op: expr.OpTranspose, attrs: vars("a", "b"), args: []arg{alongD}, prep: swappedDim}},
-	})
-
-	// transpose(slice(x, d, b, e), p, q) = slice(transpose(x, p, q), σ(d), b, e).
-	r.MustRegister(&Lemma{
-		Name: "transpose-slice-commutative", Kind: KindClean, Complexity: 4, LOC: 26,
-		Rules: []*egraph.Rule{{
-			Name: "transpose-slice-commutative",
-			LHS: egraph.POp(expr.OpTranspose, []egraph.AttrPat{egraph.AVar("p"), egraph.AVar("q")},
-				egraph.POp(expr.OpSlice, []egraph.AttrPat{egraph.AVar("d"), egraph.AVar("b"), egraph.AVar("e")},
-					egraph.PVar("x"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				p, q, d := m.Subst.AttrOf("p"), m.Subst.AttrOf("q"), m.Subst.AttrOf("d")
-				dOut := d
-				switch {
-				case d.Equal(p):
-					dOut = q
-				case d.Equal(q):
-					dOut = p
-				}
-				tr := addAll(g, expr.OpTranspose, exprs(g, p, q), "", classes(g, m.Subst.ClassOf("x")))
-				c := addAll(g, expr.OpSlice,
-					exprs(g, dOut, m.Subst.AttrOf("b"), m.Subst.AttrOf("e")), "", classes(g, tr))
-				return m.With(c)
-			},
-		}},
 	})
 }

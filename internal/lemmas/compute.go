@@ -55,30 +55,10 @@ func registerMatMul(r *Registry) {
 			when: dimBeforeLast}},
 	})
 
-	// Bilinearity over sums, both operands.
+	// Bilinearity over a sum in the left operand.
 	r.MustRegister(&Lemma{
 		Name: "matmul-sum-lhs", Kind: KindGeneral, Complexity: 3, LOC: 14,
 		dists: []dist{{op: expr.OpMatMul, args: []arg{summed, whole}, out: sum}},
-	})
-	r.MustRegister(&Lemma{
-		Name: "matmul-sum-rhs", Kind: KindGeneral, Complexity: 3, LOC: 14,
-		dists: []dist{{op: expr.OpMatMul, args: []arg{whole, summed}, out: sum}},
-	})
-
-	// Scaling factors float out of matmul.
-	r.MustRegister(&Lemma{
-		Name: "matmul-scale-lhs", Kind: KindGeneral, Complexity: 3, LOC: 12,
-		Rules: []*egraph.Rule{{
-			Name: "matmul-scale-lhs",
-			LHS: egraph.POp(expr.OpMatMul, nil,
-				egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")}, egraph.PVar("x")),
-				egraph.PVar("w")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				mm := addAll(g, expr.OpMatMul, nil, "", classes(g, m.Subst.ClassOf("x"), m.Subst.ClassOf("w")))
-				c := addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, mm))
-				return m.With(c)
-			},
-		}},
 	})
 }
 
@@ -155,70 +135,6 @@ func registerScale(r *Registry) {
 				}
 				sumC := addAll(g, expr.OpSum, nil, "", inner)
 				c := addAll(g, expr.OpScale, exprs(g, n, dn), "", classes(g, sumC))
-				return m.With(c)
-			},
-		}},
-	})
-
-	// A scale on either multiplicand floats out of the product:
-	// mul(scale(a,n,d), b) = scale(mul(a,b), n, d).
-	mulScale := func(name string, scaleLeft bool) *egraph.Rule {
-		var lhs *egraph.Pattern
-		sc := egraph.POp(expr.OpScale,
-			[]egraph.AttrPat{egraph.AVar("n"), egraph.AVar("dn")}, egraph.PVar("a"))
-		if scaleLeft {
-			lhs = egraph.POp(expr.OpMul, nil, sc, egraph.PVar("b"))
-		} else {
-			lhs = egraph.POp(expr.OpMul, nil, egraph.PVar("b"), sc)
-		}
-		return &egraph.Rule{
-			Name: name,
-			LHS:  lhs,
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				a, b := m.Subst.ClassOf("a"), m.Subst.ClassOf("b")
-				var mm egraph.ClassID
-				if scaleLeft {
-					mm = addAll(g, expr.OpMul, nil, "", classes(g, a, b))
-				} else {
-					mm = addAll(g, expr.OpMul, nil, "", classes(g, b, a))
-				}
-				c := addAll(g, expr.OpScale, exprs(g, m.Subst.AttrOf("n"), m.Subst.AttrOf("dn")), "", classes(g, mm))
-				return m.With(c)
-			},
-		}
-	}
-	r.MustRegister(&Lemma{
-		Name: "mul-scale-assoc", Kind: KindGeneral, Complexity: 3, LOC: 26,
-		Rules: []*egraph.Rule{
-			mulScale("mul-scale-assoc/lhs", true),
-			mulScale("mul-scale-assoc/rhs", false),
-		},
-	})
-
-	// scale(scale(x, a, b), c, d) = scale(x, ac, bd), or x when ac = bd.
-	r.MustRegister(&Lemma{
-		Name: "scale-compose", Kind: KindGeneral, Complexity: 3, LOC: 18,
-		Rules: []*egraph.Rule{{
-			Name: "scale-compose",
-			LHS: egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n2"), egraph.AVar("d2")},
-				egraph.POp(expr.OpScale, []egraph.AttrPat{egraph.AVar("n1"), egraph.AVar("d1")},
-					egraph.PVar("x"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				n1, _ := m.Subst.AttrOf("n1").IsConst()
-				d1, _ := m.Subst.AttrOf("d1").IsConst()
-				n2, _ := m.Subst.AttrOf("n2").IsConst()
-				d2, _ := m.Subst.AttrOf("d2").IsConst()
-				if n1 == 0 || d1 == 0 || n2 == 0 || d2 == 0 {
-					return nil
-				}
-				n, d := n1*n2, d1*d2
-				if n == d {
-					return m.With(m.Subst.ClassOf("x"))
-				}
-				if g := gcd(n, d); g > 1 {
-					n, d = n/g, d/g
-				}
-				c := addAll(g, expr.OpScale, exprs(g, sym.Const(n), sym.Const(d)), "", classes(g, m.Subst.ClassOf("x")))
 				return m.With(c)
 			},
 		}},
@@ -345,38 +261,6 @@ func registerLosses(r *Registry) {
 		dists: []dist{{op: expr.OpSquaredError, args: []arg{along0, along0}, when: aligned, out: sum}},
 	})
 
-	// MSE is the sum of squares scaled by 1/numel (when the element
-	// count is concrete); lets mean-based and sum-based loss spellings
-	// meet in one class.
-	r.MustRegister(&Lemma{
-		Name: "mse-as-scaled-sqerr", Kind: KindGeneral, Complexity: 3, LOC: 24,
-		Rules: []*egraph.Rule{{
-			Name: "mse-as-scaled-sqerr",
-			LHS:  egraph.POp(expr.OpMSELoss, nil, egraph.PVar("x"), egraph.PVar("t")),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xc := m.Subst.ClassOf("x")
-				s, got := g.ShapeOf(xc)
-				if !got {
-					return nil
-				}
-				numel := int64(1)
-				for _, d := range s {
-					v, isC := d.IsConst()
-					if !isC {
-						return nil
-					}
-					numel *= v
-				}
-				if numel == 0 {
-					return nil
-				}
-				se := addAll(g, expr.OpSquaredError, nil, "", classes(g, xc, m.Subst.ClassOf("t")))
-				c := addAll(g, expr.OpScale, exprs(g, sym.Const(1), sym.Const(numel)), "", classes(g, se))
-				return m.With(c)
-			},
-		}},
-	})
-
 	// Mean-squared error over k equal batch shards is the scaled sum
 	// of per-shard means — gradient accumulation's loss-scaling lemma
 	// (§6.2's bug 6 omits the 1/k).
@@ -384,20 +268,4 @@ func registerLosses(r *Registry) {
 		Name: "mse-batch-split", Kind: KindGeneral, Complexity: 5, LOC: 36,
 		dists: []dist{{op: expr.OpMSELoss, args: []arg{along0, along0}, when: equalChunks, out: mean}},
 	})
-}
-
-func gcd(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
-		return 1
-	}
-	return a
 }

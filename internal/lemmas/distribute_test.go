@@ -266,10 +266,6 @@ var distCases = map[string]caseGen{
 		x, n := randShape(rng, 2), 1+rng.Intn(3)
 		return distCase{args: [][][]int{parts(x, 0, even(k, x[0])), single(x[1], n)}}
 	},
-	"matmul-sum-rhs": func(rng *rand.Rand, k int) distCase {
-		w, m := randShape(rng, 2), 1+rng.Intn(3)
-		return distCase{args: [][][]int{single(m, w[0]), parts(w, 0, even(k, w[0]))}}
-	},
 
 	"add-concat-distribute": binaryAligned,
 	"sub-concat-distribute": binaryAligned,
@@ -290,7 +286,6 @@ var distCases = map[string]caseGen{
 	"reducesum-concat-same-dim":    reduceCase("dr", true),
 	"layernorm-concat-commutative": normCase(1, 2),
 	"rmsnorm-concat-commutative":   normCase(1, 1),
-	"fused-add-rmsnorm-concat":     normCase(2, 1),
 
 	"embedding-vocab-parallel": func(rng *rand.Rand, k int) distCase {
 		exts := uneven(rng, k)
@@ -418,8 +413,6 @@ var distDeclines = []struct {
 		distCase{vars: map[string]int64{"d": 1}, args: [][][]int{{{2, 2}, {2, 2}}, single(4)}}},
 	{"dimNotLast", "layernorm-concat-commutative",
 		distCase{vars: map[string]int64{"d": 1}, args: [][][]int{{{2, 2}, {2, 2}}, single(4), single(4)}}},
-	{"dimNotLast", "fused-add-rmsnorm-concat",
-		distCase{vars: map[string]int64{"d": 1}, args: [][][]int{{{2, 2}, {2, 2}}, {{2, 2}, {2, 2}}, single(4)}}},
 	{"dimBeforeLast", "matmul-row-split-lhs", // a split of the contraction dim
 		distCase{vars: map[string]int64{"d": 1}, args: [][][]int{{{2, 2}, {2, 2}}, single(4, 3)}}},
 	{"attrIsDim", "reducesum-concat-same-dim",

@@ -9,49 +9,13 @@ import (
 // registerVLLM registers lemmas for fused kernels used by serving
 // frameworks (Figure 6's "v"-marked lemmas). The paper adds these when
 // verifying Qwen2 under vLLM, whose kernels fuse residual-add with
-// RMSNorm and SiLU with the gated multiply.
+// RMSNorm and SiLU with the gated multiply. Only the second needs a
+// lemma here: tensor parallelism hands the fused add-RMSNorm replicated
+// operands, which map by congruence alone.
 func registerVLLM(r *Registry) {
-	// fused_add_rmsnorm(x, res, w) = rmsnorm(add(x, res), w): relate
-	// the fused kernel to its unfused semantics, both directions.
-	r.MustRegister(&Lemma{
-		Name: "fused-add-rmsnorm-unfuse", Kind: KindVLLM, Complexity: 3, LOC: 14,
-		Rules: []*egraph.Rule{
-			egraph.Simple("fused-add-rmsnorm-unfuse",
-				egraph.POp(expr.OpFusedAddRMSNorm, nil,
-					egraph.PVar("x"), egraph.PVar("r"), egraph.PVar("w")),
-				egraph.ROp(expr.OpRMSNorm, nil, "",
-					egraph.ROp(expr.OpAdd, nil, "", egraph.RVar("x"), egraph.RVar("r")),
-					egraph.RVar("w"))),
-			egraph.Simple("fused-add-rmsnorm-fuse",
-				egraph.POp(expr.OpRMSNorm, nil,
-					egraph.POp(expr.OpAdd, nil, egraph.PVar("x"), egraph.PVar("r")),
-					egraph.PVar("w")),
-				egraph.ROp(expr.OpFusedAddRMSNorm, nil, "",
-					egraph.RVar("x"), egraph.RVar("r"), egraph.RVar("w"))),
-		},
-	})
-
-	// fused_silu_mul(gate, up) = mul(silu(gate), up).
-	r.MustRegister(&Lemma{
-		Name: "fused-silu-mul-unfuse", Kind: KindVLLM, Complexity: 3, LOC: 8,
-		Rules: []*egraph.Rule{
-			egraph.Simple("fused-silu-mul-unfuse",
-				egraph.POp(expr.OpFusedSiluMul, nil, egraph.PVar("g"), egraph.PVar("u")),
-				egraph.ROp(expr.OpMul, nil, "",
-					egraph.ROp(expr.OpUnary, nil, "silu", egraph.RVar("g")),
-					egraph.RVar("u"))),
-		},
-	})
-
-	// Direct shard distribution for the fused kernels: derivable from
-	// the unfused lemmas but registered directly, as the paper does,
-	// to keep saturation short on serving graphs.
-	r.MustRegister(&Lemma{
-		Name: "fused-add-rmsnorm-concat", Kind: KindVLLM, Complexity: 5, LOC: 36,
-		dists: []dist{{op: expr.OpFusedAddRMSNorm, args: []arg{alongD, alongD, whole},
-			when: dimNotLast | aligned}},
-	})
-
+	// Shard distribution for fused_silu_mul(gate, up) =
+	// mul(silu(gate), up), registered directly, as the paper does,
+	// rather than derived through the unfused spelling.
 	r.MustRegister(&Lemma{
 		Name: "fused-silu-mul-concat", Kind: KindVLLM, Complexity: 4, LOC: 30,
 		dists: []dist{{op: expr.OpFusedSiluMul, args: []arg{alongD, alongD}, when: aligned}},

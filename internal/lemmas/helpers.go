@@ -108,16 +108,6 @@ func allEqual(ctx *sym.Context, exts []sym.Expr) bool {
 	return true
 }
 
-// allSameClass reports whether every class is the same one.
-func allSameClass(g *egraph.EGraph, kids []egraph.ClassID) bool {
-	for _, k := range kids[1:] {
-		if g.Find(k) != g.Find(kids[0]) {
-			return false
-		}
-	}
-	return true
-}
-
 // addAll inserts an n-ary node over concrete kid classes. It goes
 // through InstantiateOp rather than an RTerm template: lemmas call it
 // on every application, and the template tree was pure allocation

@@ -55,21 +55,21 @@ const (
 	// state should say how far (ReadsBelow, ReadsConsumers).
 	CheckRuleReadsGraph = "rule-reads-graph"
 	// CheckRuleKidReqMisplaced fires when a rule declares a kid
-	// requirement (egraph.EveryKid, SomeKid, SameKids) but its LHS is not
-	// variadic at the root: the matcher ignores the declaration there — a
-	// fixed-arity pattern's operator-rooted kid positions already say it,
-	// and a bare variable binds no kid list.
+	// requirement (egraph.EveryKid) but its LHS is not variadic at the
+	// root: the matcher ignores the declaration there — a fixed-arity
+	// pattern's operator-rooted kid positions already say it, and a bare
+	// variable binds no kid list.
 	CheckRuleKidReqMisplaced = "rule-kidreq-misplaced"
 	// CheckRuleKidReqUnknownOp fires when a declared kid requirement
 	// names an operator expr does not define: no class ever holds such a
 	// node, so the rule would be withheld everywhere (or, for a typo of
 	// the intended operator, from every match it should fire on).
 	CheckRuleKidReqUnknownOp = "rule-kidreq-unknown-op"
-	// CheckRuleKidReqUnread fires when a pure rule declares EveryKid or
-	// SomeKid: the requirement is about the kid classes' node sets, which
-	// a rule whose Apply reads only its bindings cannot depend on — and a
-	// pure match is fingerprinted, so the naive matcher would never
-	// re-apply the match a node gained later opens the gate for.
+	// CheckRuleKidReqUnread fires when a pure rule declares EveryKid: the
+	// requirement is about the kid classes' node sets, which a rule whose
+	// Apply reads only its bindings cannot depend on — and a pure match
+	// is fingerprinted, so the naive matcher would never re-apply the
+	// match a node gained later opens the gate for.
 	CheckRuleKidReqUnread = "rule-kidreq-unread"
 )
 
@@ -201,19 +201,17 @@ func checkKidReq(r *egraph.Rule) []Diagnostic {
 			Message: fmt.Sprintf("declares the kid requirement %s, but its LHS %s is not variadic at the root: only a POpN pattern binds a kid list to require something of (a fixed-arity pattern's requirements are derived from its operator-rooted kids)", r.Kids, r.LHS),
 		})
 	}
-	if op, named := r.Kids.Op(); named {
-		if _, known := expr.Arity(op); !known {
-			out = append(out, Diagnostic{
-				Check: CheckRuleKidReqUnknownOp, Severity: SevError, Subject: r.Name,
-				Message: fmt.Sprintf("declares the kid requirement %s, but expr defines no operator %q", r.Kids, op),
-			})
-		}
-		if r.Reads.Pure() {
-			out = append(out, Diagnostic{
-				Check: CheckRuleKidReqUnread, Severity: SevError, Subject: r.Name,
-				Message: fmt.Sprintf("declares the kid requirement %s but no read footprint: a rule that looks for operator nodes in its kid classes reads one level below the match and must declare ReadsBelow(1) or more", r.Kids),
-			})
-		}
+	if _, known := expr.Arity(r.Kids.Op()); !known {
+		out = append(out, Diagnostic{
+			Check: CheckRuleKidReqUnknownOp, Severity: SevError, Subject: r.Name,
+			Message: fmt.Sprintf("declares the kid requirement %s, but expr defines no operator %q", r.Kids, r.Kids.Op()),
+		})
+	}
+	if r.Reads.Pure() {
+		out = append(out, Diagnostic{
+			Check: CheckRuleKidReqUnread, Severity: SevError, Subject: r.Name,
+			Message: fmt.Sprintf("declares the kid requirement %s but no read footprint: a rule that looks for operator nodes in its kid classes reads one level below the match and must declare ReadsBelow(1) or more", r.Kids),
+		})
 	}
 	return out
 }

@@ -159,8 +159,8 @@ func TestRuleKidReq(t *testing.T) {
 	sumN := egraph.POpN(expr.OpSum, nil, "xs")
 	ds := Lemmas([]*lemmas.Lemma{one("bad/kidreq-lemma", 1,
 		requiring("bad/fixed-arity", egraph.POp(expr.OpAdd, nil, egraph.PVar("x"), egraph.PVar("y")), egraph.ReadsBelow(1), egraph.EveryKid(expr.OpScale)),
-		requiring("bad/bare-var", egraph.PVar("x"), egraph.ReadsConsumers(), egraph.SameKids()),
-		requiring("bad/typo", sumN, egraph.ReadsBelow(1), egraph.SomeKid("concta")),
+		requiring("bad/bare-var", egraph.PVar("x"), egraph.ReadsConsumers(), egraph.EveryKid(expr.OpSlice)),
+		requiring("bad/typo", sumN, egraph.ReadsBelow(1), egraph.EveryKid("concta")),
 		requiring("bad/unread", sumN, egraph.Footprint{}, egraph.EveryKid(expr.OpScale)))})
 	for name, check := range map[string]string{
 		"bad/fixed-arity": CheckRuleKidReqMisplaced,
@@ -175,10 +175,9 @@ func TestRuleKidReq(t *testing.T) {
 
 	ds = Lemmas([]*lemmas.Lemma{one("ok/kidreq-lemma", 1,
 		requiring("ok/every", sumN, egraph.ReadsBelow(1), egraph.EveryKid(expr.OpScale)),
-		requiring("ok/some", sumN, egraph.ReadsBelow(2), egraph.SomeKid(expr.OpConcat)),
-		requiring("ok/same", sumN, egraph.Footprint{}, egraph.SameKids()), // kid identity is a binding: pure is fine
+		requiring("ok/every-deep", sumN, egraph.ReadsBelow(2), egraph.EveryKid(expr.OpConcat)),
 		scanning("ok/derived", egraph.POp(expr.OpSlice, nil, egraph.POpN(expr.OpConcat, nil, "xs")), egraph.Footprint{}))})
-	for _, name := range []string{"ok/every", "ok/some", "ok/same", "ok/derived"} {
+	for _, name := range []string{"ok/every", "ok/every-deep", "ok/derived"} {
 		for _, check := range []string{CheckRuleKidReqMisplaced, CheckRuleKidReqUnknownOp, CheckRuleKidReqUnread} {
 			noDiag(t, ds, check, name)
 		}
@@ -209,7 +208,7 @@ func TestLemmasGolden(t *testing.T) {
 			scanning("bad/reads-graph", egraph.PVar("x"), egraph.ReadsGraph())),
 		one("bad/kidreqs", 1,
 			requiring("bad/kidreq-fixed", egraph.POp(expr.OpIdentity, nil, egraph.PVar("z")), egraph.ReadsBelow(1), egraph.EveryKid(expr.OpScale)),
-			requiring("bad/kidreq-typo", egraph.POpN(expr.OpConcat, nil, "xs"), egraph.Footprint{}, egraph.SomeKid("concta"))),
+			requiring("bad/kidreq-typo", egraph.POpN(expr.OpConcat, nil, "xs"), egraph.Footprint{}, egraph.EveryKid("concta"))),
 	}
 	checkGolden(t, "rules_golden.txt", Lemmas(bad))
 }
