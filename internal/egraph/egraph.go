@@ -212,7 +212,7 @@ type EGraph struct {
 	kidWithheld map[string]int
 
 	// Saturation node budget (rewrite.go). nodeLimit is non-zero only
-	// while Saturate runs; Instantiate then declines rule applications
+	// while Saturate runs; InstantiateOp then declines inserts
 	// that would push the live node count past it, setting budgetDenied
 	// so Saturate reports the node-limit stop.
 	nodeLimit    int
@@ -247,7 +247,7 @@ type EGraph struct {
 	substs       []Subst         // the match phase's substitutions: a pointer-free slab, overwritten by the next phase
 	appsBuf      []int32         // effective applications per compiled rule (Saturate)
 	canonBuf     []ClassID       // the canonical kid list canonNode last built
-	kidStack     []ClassID       // kid lists AddTerm, LookupTerm and Instantiate build, stack-wise
+	kidStack     []ClassID       // kid lists AddTerm and LookupTerm build, stack-wise
 	cleanCostBuf []int           // extraction cost table (CleanCosts), indexed by ClassID
 	cleanGen     uint32          // stamps the table cleanCostBuf currently holds
 	scratch      lemmaScratch    // what a rule's Apply draws its buffers from (scratch.go)

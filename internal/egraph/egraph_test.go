@@ -153,19 +153,32 @@ func TestMatchAcrossUnions(t *testing.T) {
 	}
 }
 
+// insert adds op(kids…) the way a rule's Apply does, through
+// InstantiateOp. A budget-declined insert is Saturate's to notice, so
+// the class it returns then is never unioned.
+func insert(g *EGraph, op expr.Op, ints []sym.Expr, kids ...ClassID) ClassID {
+	c, _ := g.InstantiateOp(&ENode{Op: op, Ints: ints, Kids: kids})
+	return c
+}
+
 func TestSimpleRuleSaturation(t *testing.T) {
 	g := New(nil)
 	root := g.AddTerm(expr.MatMul(
 		expr.ConcatI(1, leafT(11, "A1"), leafT(12, "A2")),
 		expr.ConcatI(0, leafT(21, "B1"), leafT(22, "B2"))))
 	// Block-matmul lemma: matmul(concat(a0,a1,1), concat(b0,b1,0)) = add(matmul(a0,b0), matmul(a1,b1))
-	rule := Simple("mm-block",
-		POp(expr.OpMatMul, nil,
+	rule := &Rule{
+		Name: "mm-block",
+		LHS: POp(expr.OpMatMul, nil,
 			POp(expr.OpConcat, []AttrPat{AInt(1)}, PVar("a0"), PVar("a1")),
 			POp(expr.OpConcat, []AttrPat{AInt(0)}, PVar("b0"), PVar("b1"))),
-		ROp(expr.OpAdd, nil, "",
-			ROp(expr.OpMatMul, nil, "", RVar("a0"), RVar("b0")),
-			ROp(expr.OpMatMul, nil, "", RVar("a1"), RVar("b1"))))
+		Apply: func(g *EGraph, m Match) []UnionPair {
+			s := m.Subst
+			return m.With(insert(g, expr.OpAdd, nil,
+				insert(g, expr.OpMatMul, nil, s.ClassOf("a0"), s.ClassOf("b0")),
+				insert(g, expr.OpMatMul, nil, s.ClassOf("a1"), s.ClassOf("b1"))))
+		},
+	}
 	stats := g.Saturate([]*Rule{rule}, SaturateOpts{})
 	if !stats.Saturated {
 		t.Fatal("tiny system must saturate")
@@ -188,9 +201,17 @@ func TestConstrainedRuleOnlyTargetsExisting(t *testing.T) {
 	a := g.AddTerm(leafT(1, "A"))
 	b := g.AddTerm(leafT(2, "B"))
 	idb := g.AddTerm(expr.New(expr.OpIdentity, nil, "", leafT(2, "B")))
-	rule := Constrained("id-intro",
-		PVar("x"),
-		ROp(expr.OpIdentity, nil, "", RVar("x")))
+	rule := &Rule{
+		Name: "id-intro",
+		LHS:  PVar("x"),
+		Apply: func(g *EGraph, m Match) []UnionPair {
+			c, ok := g.Lookup(&ENode{Op: expr.OpIdentity, Kids: []ClassID{m.Subst.ClassOf("x")}})
+			if !ok {
+				return nil
+			}
+			return m.With(c)
+		},
+	}
 	g.Saturate([]*Rule{rule}, SaturateOpts{MaxIters: 2})
 	if g.Find(b) != g.Find(idb) {
 		t.Fatal("constrained rule should fire where target exists")
@@ -218,10 +239,9 @@ func TestConditionedRule(t *testing.T) {
 				return nil
 			}
 			b, e := m.Subst.AttrOf("b"), m.Subst.AttrOf("e")
-			c, _ := g.Instantiate(ROp(expr.OpConcat, []sym.Expr{d1}, "",
-				ROp(expr.OpSlice, []sym.Expr{d2, b, e}, "", RVar("x")),
-				ROp(expr.OpSlice, []sym.Expr{d2, b, e}, "", RVar("y"))), m.Subst, false)
-			return m.With(c)
+			return m.With(insert(g, expr.OpConcat, []sym.Expr{d1},
+				insert(g, expr.OpSlice, []sym.Expr{d2, b, e}, m.Subst.ClassOf("x")),
+				insert(g, expr.OpSlice, []sym.Expr{d2, b, e}, m.Subst.ClassOf("y"))))
 		},
 	}
 	g.Saturate([]*Rule{rule}, SaturateOpts{})
@@ -301,7 +321,13 @@ func TestSelfLoopSaturates(t *testing.T) {
 	// relies on when lemmas like reshape∘reshape fire everywhere.
 	g := New(nil)
 	g.AddTerm(leafT(1, "A"))
-	rule := Simple("id-wrap", PVar("x"), ROp(expr.OpIdentity, nil, "", RVar("x")))
+	rule := &Rule{
+		Name: "id-wrap",
+		LHS:  PVar("x"),
+		Apply: func(g *EGraph, m Match) []UnionPair {
+			return m.With(insert(g, expr.OpIdentity, nil, m.Subst.ClassOf("x")))
+		},
+	}
 	stats := g.Saturate([]*Rule{rule}, SaturateOpts{MaxIters: 8})
 	if !stats.Saturated {
 		t.Fatal("identity-wrapping must saturate via self-loop")
@@ -321,8 +347,7 @@ func TestSaturationLimits(t *testing.T) {
 		LHS:  POp(expr.OpPad, []AttrPat{AVar("d"), AVar("b"), AVar("k")}, PVar("x")),
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			d, b, k := m.Subst.AttrOf("d"), m.Subst.AttrOf("b"), m.Subst.AttrOf("k")
-			c, _ := g.Instantiate(ROp(expr.OpPad, []sym.Expr{d, b, k.AddConst(1)}, "", RVar("x")), m.Subst, false)
-			return m.With(c)
+			return m.With(insert(g, expr.OpPad, []sym.Expr{d, b, k.AddConst(1)}, m.Subst.ClassOf("x")))
 		},
 	}
 	stats := g.Saturate([]*Rule{rule}, SaturateOpts{MaxIters: 3})

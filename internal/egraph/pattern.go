@@ -222,15 +222,6 @@ type Bindings struct {
 	s    *Subst
 }
 
-func (b Bindings) lookupClass(name string) (ClassID, bool) {
-	if b.vars != nil {
-		if v, ok := findVar(b.vars.classes, name); ok {
-			return ClassID(b.s.slot[v.slot]), true
-		}
-	}
-	return 0, false
-}
-
 // KidsOf returns the child list bound to a variadic variable. The slice
 // is the matched node's own kid list: read it, do not write to it. It is
 // canonical as of the graph's last Rebuild, which is as of the match.
@@ -246,11 +237,12 @@ func (b Bindings) KidsOf(name string) []ClassID {
 // ClassOf returns the class bound to var name, panicking on a missing
 // binding (a rule-programming error).
 func (b Bindings) ClassOf(name string) ClassID {
-	c, ok := b.lookupClass(name)
-	if !ok {
-		panic(fmt.Sprintf("egraph: unbound pattern variable ?%s", name))
+	if b.vars != nil {
+		if v, ok := findVar(b.vars.classes, name); ok {
+			return ClassID(b.s.slot[v.slot])
+		}
 	}
-	return c
+	panic(fmt.Sprintf("egraph: unbound pattern variable ?%s", name))
 }
 
 // AttrOf returns the attribute bound to name.
@@ -493,94 +485,14 @@ func (g *EGraph) matchNodeOnStack(cp *compiledPattern, ni int32, base int32) {
 	g.substStack = g.substStack[:mark+kept]
 }
 
-// RTerm is a term template used to build rewrite right-hand sides.
-// Exactly one of VarName (copy a bound class), Direct (use a concrete
-// class), or Op (build an ENode over Kids) is used.
-type RTerm struct {
-	VarName   string
-	Direct    ClassID
-	HasDirect bool
-
-	Op   expr.Op
-	Str  string
-	Ints []sym.Expr
-	Kids []*RTerm
-
-	LeafTID  int
-	LeafName string
-	IsLeaf   bool
-}
-
-// RVar references a class bound by the LHS.
-func RVar(name string) *RTerm { return &RTerm{VarName: name} }
-
-// RClass references a concrete class directly.
-func RClass(c ClassID) *RTerm { return &RTerm{Direct: c, HasDirect: true} }
-
-// ROp builds an operator application template.
-func ROp(op expr.Op, ints []sym.Expr, str string, kids ...*RTerm) *RTerm {
-	return &RTerm{Op: op, Str: str, Ints: ints, Kids: kids}
-}
-
-// RLeaf builds a tensor-leaf template.
-func RLeaf(tid int, name string) *RTerm { return &RTerm{IsLeaf: true, LeafTID: tid, LeafName: name} }
-
-// Instantiate adds the template to the e-graph under subst and returns
-// its class. When lookupOnly is set it never inserts: it fails (ok =
-// false) unless every node already exists — this implements the
-// paper's constrained lemmas (§4.3.2).
-//
-// During saturation, inserts are budgeted: a node that would push the
-// live count past SaturateOpts.MaxNodes is declined and Instantiate
-// fails, leaving the graph congruent (nodes built for earlier template
-// positions stay — they are valid, just unused). Saturate observes the
-// denial and stops with a node-limit verdict.
-func (g *EGraph) Instantiate(t *RTerm, s Bindings, lookupOnly bool) (ClassID, bool) {
-	switch {
-	case t.VarName != "":
-		c, ok := s.lookupClass(t.VarName)
-		if !ok {
-			panic(fmt.Sprintf("egraph: RHS references unbound ?%s", t.VarName))
-		}
-		return g.Find(c), true
-	case t.HasDirect:
-		return g.Find(t.Direct), true
-	case t.IsLeaf:
-		n := Leaf(t.LeafTID, t.LeafName)
-		if lookupOnly {
-			return g.Lookup(&n)
-		}
-		return g.addNode(&n, true)
-	}
-	// The kid list is built on kidStack above whatever the enclosing
-	// template positions have there.
-	base := len(g.kidStack)
-	for _, k := range t.Kids {
-		c, ok := g.Instantiate(k, s, lookupOnly)
-		if !ok {
-			g.kidStack = g.kidStack[:base]
-			return 0, false
-		}
-		g.kidStack = append(g.kidStack, c)
-	}
-	n := ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: g.kidStack[base:]}
-	var id ClassID
-	var ok bool
-	if lookupOnly {
-		id, ok = g.Lookup(&n)
-	} else {
-		id, ok = g.addNode(&n, true)
-	}
-	g.kidStack = g.kidStack[:base]
-	return id, ok
-}
-
 // InstantiateOp inserts a single node over existing kid classes and
-// returns its class — the one-level special case of Instantiate that
-// dynamic lemmas hit on every application, stripped of the RTerm
-// template tree. It is budgeted exactly like rule instantiation: a node
-// that would push the live count past SaturateOpts.MaxNodes is declined
-// (ok == false). n is taken by reference, as Lookup takes it, and its
+// returns its class: the one way a rule's Apply adds to the graph (a
+// rule that must only look up, like the paper's constrained lemmas of
+// §4.3.2, calls Lookup instead). During saturation it is budgeted: a
+// node that would push the live count past SaturateOpts.MaxNodes is
+// declined (ok == false), and Saturate, seeing the denial, drops the
+// whole application and stops with a node-limit verdict. n is taken by
+// reference, as Lookup takes it, and its
 // slices may be lemma scratch: the common case — the node already
 // exists — copies and allocates nothing, and only a genuine insert
 // copies the kid list (to the kid slab) and the attributes (to a list

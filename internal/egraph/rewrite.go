@@ -17,15 +17,6 @@ type Rule struct {
 
 	LHS *Pattern
 
-	// RHS is the declarative right-hand-side template, when the rule
-	// has one (rules built with Simple and Constrained always do).
-	// Apply remains the executable form; RHS exists so static tooling
-	// (internal/lint) can reason about what the rule builds — unbound
-	// template variables, trivial self-loops, redundant specializations
-	// — without running it. Rules whose right-hand side is computed
-	// from e-graph state leave RHS nil.
-	RHS *RTerm
-
 	// Reads declares what Apply reads of the e-graph beyond the match
 	// bindings. The zero value is a pure rule — Apply is a function of
 	// its bindings — which is applied at most once per distinct match
@@ -45,11 +36,12 @@ type Rule struct {
 	// say the same and are read off the pattern. See KidReq.
 	Kids KidReq
 
-	// Apply builds the right-hand side(s) and returns the class pairs
-	// to union. Most rules union the matched class with one RHS class
-	// (use m.With); generative lemmas may union other pairs.
-	// Conditioned rules inspect g.Ctx and the substitution and decline
-	// by returning nil.
+	// Apply builds the right-hand side(s), inserting through
+	// InstantiateOp, and returns the class pairs to union. Most rules
+	// union the matched class with one RHS class (use m.With);
+	// generative lemmas may union other pairs. Conditioned rules
+	// inspect g.Ctx and the substitution and decline by returning nil;
+	// constrained rules Lookup instead of inserting.
 	Apply func(g *EGraph, m Match) []UnionPair
 }
 
@@ -175,35 +167,6 @@ func (m Match) With(c ClassID) []UnionPair {
 	return p
 }
 
-// Simple builds the common universal-lemma shape: LHS pattern →
-// RHS template, unconditionally. The template is kept on Rule.RHS as
-// declarative metadata alongside the Apply closure that executes it.
-func Simple(name string, lhs *Pattern, rhs *RTerm) *Rule {
-	return templated(name, lhs, rhs, false)
-}
-
-// Constrained builds a rule whose RHS is only added when its nodes
-// already exist in the e-graph (the paper's constrained lemmas,
-// §4.3.2, used for generative rules like slice splitting).
-func Constrained(name string, lhs *Pattern, rhs *RTerm) *Rule {
-	return templated(name, lhs, rhs, true)
-}
-
-func templated(name string, lhs *Pattern, rhs *RTerm, lookupOnly bool) *Rule {
-	return &Rule{
-		Name: name,
-		LHS:  lhs,
-		RHS:  rhs,
-		Apply: func(g *EGraph, m Match) []UnionPair {
-			c, ok := g.Instantiate(rhs, m.Subst, lookupOnly)
-			if !ok {
-				return nil
-			}
-			return m.With(c)
-		},
-	}
-}
-
 // naiveMatcher selects the naive reference matcher (matchRules), which
 // re-visits every class × rule pair each iteration, instead of the
 // indexed dirty-tracked matcher (index.go). The indexed matcher
@@ -220,9 +183,9 @@ type SaturateOpts struct {
 	MaxIters int // default 16
 	// MaxNodes caps the number of *live* ENodes — the value reported
 	// by EGraph.NodeCount(), i.e. distinct nodes currently stored
-	// across all classes, after dedup. The cap is enforced inside rule
-	// instantiation: an application that would create a node beyond it
-	// is declined (its unions don't happen), and Saturate stops
+	// across all classes, after dedup. The cap is enforced inside
+	// InstantiateOp: an application that would create a node beyond it
+	// is declined (none of its unions happen), and Saturate stops
 	// applying further matches, rebuilds (so the e-graph is left
 	// congruent), and returns with Saturated == false. Rules that
 	// build nodes directly through AddNode bypass the per-node check,
@@ -597,6 +560,17 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 			}
 			slots := len(g.parent)
 			pairs := g.apply(rule, cr, p)
+			if g.budgetDenied {
+				// The instantiation cap declined part of this
+				// application: it is incomplete, so it asserts nothing —
+				// a declined insert's class stands for no term, and a
+				// union with it would be unsound — and it stays out of
+				// the applied set: a later run with a bigger budget must
+				// re-derive it.
+				g.applied()
+				limitHit = true
+				break
+			}
 			effect := len(g.parent) != slots
 			for _, up := range pairs {
 				if g.Union(up.A, up.B) {
@@ -615,14 +589,6 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				// that fail the requirement, so no match the indexed
 				// matcher offers can carry it.)
 				g.lateEffects++
-			}
-			if g.budgetDenied {
-				// The instantiation cap declined part of this
-				// application: it is incomplete, so it stays out of the
-				// applied set — a later run with a bigger budget must
-				// re-derive it.
-				limitHit = true
-				break
 			}
 			if pure {
 				applied.add(fpBuf, fpHash)

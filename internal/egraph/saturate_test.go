@@ -322,8 +322,8 @@ func TestMain(m *testing.M) {
 // TestSaturateInstantiateBudgetBounded is the regression test for the
 // MaxNodes overshoot bug: an explosive rule whose every application
 // instantiates a chain of fresh nodes used to blow far past the budget
-// before the between-applications check noticed, because Instantiate
-// itself never consulted the limit. With the in-Instantiate budget, a
+// before the between-applications check noticed, because the insert
+// itself never consulted the limit. With the in-insert budget, a
 // declined insertion fails the application and the live node count
 // never exceeds MaxNodes at all.
 func TestSaturateInstantiateBudgetBounded(t *testing.T) {
@@ -337,13 +337,13 @@ func TestSaturateInstantiateBudgetBounded(t *testing.T) {
 		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			n++
-			tm := RClass(m.Class)
+			c := m.Class
 			for i := 0; i < width; i++ {
-				tm = ROp(opG, nil, fmt.Sprintf("x%d-%d", n, i), tm)
-			}
-			c, ok := g.Instantiate(tm, Bindings{}, false)
-			if !ok {
-				return nil
+				var ok bool
+				c, ok = g.InstantiateOp(&ENode{Op: opG, Str: fmt.Sprintf("x%d-%d", n, i), Kids: []ClassID{c}})
+				if !ok {
+					return nil
+				}
 			}
 			return m.With(c)
 		},
@@ -358,6 +358,40 @@ func TestSaturateInstantiateBudgetBounded(t *testing.T) {
 	}
 	if nodeTotal(g) != g.NodeCount() {
 		t.Fatalf("count bookkeeping: NodeCount %d, live total %d", g.NodeCount(), nodeTotal(g))
+	}
+	assertCongruent(t, g)
+}
+
+// TestSaturateDeniedApplicationAssertsNothing is the regression test
+// for a budget-declined insert whose rule still returned its union: the
+// declined insert hands back class 0, and Saturate used to union the
+// match with it before it looked at the denial — merging add(x, y) with
+// whatever term class 0 holds. A denied application must assert
+// nothing.
+func TestSaturateDeniedApplicationAssertsNothing(t *testing.T) {
+	g := New(nil)
+	other := g.AddTerm(leafT(9, "other"))
+	if other != 0 {
+		t.Fatalf("the unrelated leaf must sit at class 0, got %d", other)
+	}
+	add := g.AddTerm(expr.Add(leafT(1, "x"), leafT(2, "y")))
+	rule := &Rule{
+		Name: "add-is-sum",
+		LHS:  POp(expr.OpAdd, nil, PVar("x"), PVar("y")),
+		Apply: func(g *EGraph, m Match) []UnionPair {
+			c, _ := g.InstantiateOp(&ENode{Op: expr.OpSum, Kids: []ClassID{m.Subst.ClassOf("x"), m.Subst.ClassOf("y")}})
+			return m.With(c)
+		},
+	}
+	stats := g.Saturate([]*Rule{rule}, SaturateOpts{MaxIters: 4, MaxNodes: g.NodeCount()})
+	if stats.StopReason != StopNodeLimit {
+		t.Fatalf("a declined insert must stop the run on the node limit: %+v", stats)
+	}
+	if g.Find(add) == g.Find(other) {
+		t.Fatal("a budget-denied application merged add(x, y) with class 0")
+	}
+	if len(stats.Applications) != 0 {
+		t.Fatalf("a denied application counted as applied: %v", stats.Applications)
 	}
 	assertCongruent(t, g)
 }

@@ -8,8 +8,11 @@ import (
 	"reflect"
 	"testing"
 
+	"entangle/internal/core"
 	"entangle/internal/det"
+	"entangle/internal/egraph"
 	"entangle/internal/graph"
+	"entangle/internal/numeric"
 )
 
 // ---------------------------------------------------------------------
@@ -165,6 +168,62 @@ func TestCampaignProperties(t *testing.T) {
 
 // ---------------------------------------------------------------------
 // Rediscovery of the paper's bug classes
+
+// TestStarvedRefinementsAreNumericallyRight checks what the checker
+// asserts when a node budget cuts saturation short: an operator that
+// still comes back refined must rest only on true equalities. The first
+// 40 plans seed 7 draws are composed correctly and checked with every
+// operator held to {MaxIters 24, MaxNodes n} and no escalation, and
+// every FullRelation mapping of every refined operator's outputs is
+// evaluated against G_s's own value.
+func TestStarvedRefinementsAreNumericallyRight(t *testing.T) {
+	master := det.NewRNG(7)
+	var cases []*Case
+	for i := 0; i < 40; i++ {
+		cs, err := Compose(RandomPlan(master, Families, 4), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, cs)
+	}
+	for _, maxNodes := range []int{16, 32, 64} {
+		budget := egraph.SaturateOpts{MaxIters: 24, MaxNodes: maxNodes}
+		checker := core.NewChecker(core.Options{KeepGoing: true, Workers: 1, BudgetEscalations: -1,
+			PreOp: func(*graph.Node) *egraph.SaturateOpts { return &budget }})
+		wrong := 0
+		for _, cs := range cases {
+			report, _ := checker.Check(cs.Gs, cs.Gd, cs.Env.Ri)
+			if report == nil {
+				t.Fatalf("%s: no report", cs.Plan)
+			}
+			gsVals, gdVals, err := evalBoth(cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lookup := mappingLookup(gdVals)
+			for _, v := range report.Verdicts {
+				if v.Kind != core.VerdictRefined {
+					continue
+				}
+				for _, out := range v.Op.Outputs {
+					for _, m := range report.FullRelation.Get(out) {
+						got, err := numeric.EvalTerm(m, nil, lookup)
+						if err == nil && numeric.AllClose(gsVals[out], got, numTol) {
+							continue
+						}
+						if wrong++; wrong <= 3 {
+							t.Errorf("MaxNodes %d, %s: refined %s maps %s = %s, which is numerically wrong (%v)",
+								maxNodes, cs.Plan, v.Op.Label, cs.Gs.Tensors[out].Name, m, err)
+						}
+					}
+				}
+			}
+		}
+		if wrong > 0 {
+			t.Errorf("MaxNodes %d: %d numerically wrong mappings of refined operators", maxNodes, wrong)
+		}
+	}
+}
 
 func TestAllNineClassesRediscovered(t *testing.T) {
 	for _, cl := range Classes {

@@ -129,21 +129,9 @@ func gapKey(report *core.Report) string {
 // and compared too — a refined case must agree both through the
 // composer's own layout bookkeeping and through the checker's proof.
 func diffNumeric(cs *Case, verified *relation.Relation) (agree bool, maxDiff float64, err error) {
-	gsIn, err := ConcreteInputs(cs.Gs, cs.Plan.Seed)
+	gsVals, gdVals, err := evalBoth(cs)
 	if err != nil {
 		return false, 0, err
-	}
-	gsVals, err := numeric.EvalGraph(cs.Gs, gsIn, nil)
-	if err != nil {
-		return false, 0, fmt.Errorf("eval G_s: %w", err)
-	}
-	gdIn, err := cs.Env.SplitInputs(gsIn)
-	if err != nil {
-		return false, 0, err
-	}
-	gdVals, err := numeric.EvalGraph(cs.Gd, gdIn, nil)
-	if err != nil {
-		return false, 0, fmt.Errorf("eval G_d: %w", err)
 	}
 
 	agree = true
@@ -209,6 +197,27 @@ func diffNumeric(cs *Case, verified *relation.Relation) (agree bool, maxDiff flo
 		}
 	}
 	return agree, maxDiff, nil
+}
+
+// evalBoth evaluates G_s on the case's seeded concrete inputs and G_d
+// on those inputs split by the recorded derivations: every tensor of
+// each graph, by ID.
+func evalBoth(cs *Case) (gsVals, gdVals map[graph.TensorID]*numeric.Dense, err error) {
+	gsIn, err := ConcreteInputs(cs.Gs, cs.Plan.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if gsVals, err = numeric.EvalGraph(cs.Gs, gsIn, nil); err != nil {
+		return nil, nil, fmt.Errorf("eval G_s: %w", err)
+	}
+	gdIn, err := cs.Env.SplitInputs(gsIn)
+	if err != nil {
+		return nil, nil, err
+	}
+	if gdVals, err = numeric.EvalGraph(cs.Gd, gdIn, nil); err != nil {
+		return nil, nil, fmt.Errorf("eval G_d: %w", err)
+	}
+	return gsVals, gdVals, nil
 }
 
 // ConcreteInputs draws seeded concrete values for every graph input.

@@ -28,9 +28,14 @@ func registerSumBasics(r *Registry) {
 	// into one class lets every sum lemma cover both spellings.
 	r.MustRegister(&Lemma{
 		Name: "add-is-sum", Kind: KindClean, Complexity: 2, LOC: 6,
-		Rules: []*egraph.Rule{egraph.Simple("add-is-sum",
-			egraph.POp(expr.OpAdd, nil, egraph.PVar("x"), egraph.PVar("y")),
-			egraph.ROp(expr.OpSum, nil, "", egraph.RVar("x"), egraph.RVar("y")))},
+		Rules: []*egraph.Rule{{
+			Name: "add-is-sum",
+			LHS:  egraph.POp(expr.OpAdd, nil, egraph.PVar("x"), egraph.PVar("y")),
+			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
+				x, y := m.Subst.ClassOf("x"), m.Subst.ClassOf("y")
+				return m.With(addAll(g, expr.OpSum, nil, "", classes(g, x, y)))
+			},
+		}},
 	})
 
 	// sum is commutative: union with the class-sorted spelling.

@@ -108,11 +108,12 @@ func allEqual(ctx *sym.Context, exts []sym.Expr) bool {
 	return true
 }
 
-// addAll inserts an n-ary node over concrete kid classes. It goes
-// through InstantiateOp rather than an RTerm template: lemmas call it
-// on every application, and the template tree was pure allocation
-// overhead for an already-concrete node. ints and kids may be lemma
-// scratch: an insert copies what it keeps.
+// addAll inserts an n-ary node over concrete kid classes through
+// InstantiateOp, the one way a lemma adds to the graph. ints and kids
+// may be lemma scratch: an insert copies what it keeps. It ignores
+// InstantiateOp's ok: a budget-declined insert returns class 0, and
+// Saturate, which sees the denial, drops the whole application — none
+// of its unions happen — so no lemma needs to check.
 func addAll(g *egraph.EGraph, op expr.Op, ints []sym.Expr, str string, kids []egraph.ClassID) egraph.ClassID {
 	n := egraph.ENode{Op: op, Str: str, Ints: ints, Kids: kids}
 	c, _ := g.InstantiateOp(&n)

@@ -12,9 +12,13 @@ import (
 )
 
 func idRule(name string) *egraph.Rule {
-	return egraph.Simple(name,
-		egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-		egraph.RVar("x"))
+	return &egraph.Rule{
+		Name: name,
+		LHS:  egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
+		Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
+			return m.With(m.Subst.ClassOf("x"))
+		},
+	}
 }
 
 func TestRegisterRejectsDuplicateLemmaName(t *testing.T) {
@@ -133,8 +137,8 @@ func TestRegistryGolden(t *testing.T) {
 	for _, l := range r.All() {
 		fmt.Fprintf(&b, "%d %s kind=%c complexity=%d loc=%d\n", l.ID, l.Name, l.Kind, l.Complexity, l.LOC)
 		for _, rule := range l.Rules {
-			fmt.Fprintf(&b, "  %s stateful=%t declarative=%t kids=%s lhs=%s\n",
-				rule.Name, !rule.Reads.Pure(), rule.RHS != nil, rule.Kids, shapeOf(rule.LHS, map[string]string{}))
+			fmt.Fprintf(&b, "  %s stateful=%t kids=%s lhs=%s\n",
+				rule.Name, !rule.Reads.Pure(), rule.Kids, shapeOf(rule.LHS, map[string]string{}))
 		}
 	}
 	if *update {

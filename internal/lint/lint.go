@@ -4,9 +4,9 @@
 // counterpart to the runtime soundness fuzzing in
 // internal/lemmas/soundness_test.go. It has three layers:
 //
-//   - Lemmas: lint the rewrite-rule library — unbound RHS template
-//     variables, self-looping rules, duplicate names, rules shadowed
-//     by an earlier more-general rule, and lemma metadata drift.
+//   - Lemmas: lint the rewrite-rule library — duplicate names, rules
+//     with no LHS, and read-footprint and kid-requirement declarations
+//     that disagree with the rule's LHS.
 //   - Graph: lint a computation graph beyond Graph.Validate — dead
 //     nodes, unused tensors, duplicate labels, shape inconsistencies.
 //   - Source: a go/ast analysis over the engine's own source that
@@ -58,7 +58,7 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 
 // Diagnostic is one lint finding.
 type Diagnostic struct {
-	// Check is the stable check ID, e.g. "rule-unbound-rhs-var".
+	// Check is the stable check ID, e.g. "rule-footprint-shallow".
 	Check string `json:"check"`
 	// Severity gates: SevError findings fail the verify gate.
 	Severity Severity `json:"severity"`
@@ -74,7 +74,7 @@ type Diagnostic struct {
 // String renders the finding in the single-line compiler-style form:
 //
 //	error: internal/egraph/x.go:12:2 [source-map-range-mutation] ...
-//	warning: my-lemma [lemma-complexity-drift] ...
+//	warning: my-rule [rule-reads-graph] ...
 func (d Diagnostic) String() string {
 	head := d.Subject
 	if d.Pos != "" {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"sort"
 
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
@@ -12,36 +11,19 @@ import (
 // Layer 1: rule/lemma lint. The lemma library is the trusted base of
 // every refinement proof, and most of it is hand-written pattern code
 // — exactly the kind of library "Searching Entangled Program Spaces"
-// observes is fragile without its own tooling. These checks run over
-// the declarative parts of every rule: the LHS pattern always, and
-// the RHS template when the rule was built with egraph.Simple or
-// egraph.Constrained (dynamic rules keep RHS nil and are skipped by
-// the template checks).
+// observes is fragile without its own tooling. A rule is an LHS
+// pattern plus an Apply closure; these checks read what is declared
+// beside the closure: names, the LHS, the read footprint and the kid
+// requirement. What Apply builds is the soundness tests' to check.
 const (
 	// CheckLemmaDuplicateName fires when two lemmas share a name.
 	CheckLemmaDuplicateName = "lemma-duplicate-name"
 	// CheckRuleDuplicateName fires when two rules share a name, across
 	// all lemmas.
 	CheckRuleDuplicateName = "rule-duplicate-name"
-	// CheckRuleUnboundRHSVar fires when a declarative RHS template
-	// references a class variable the LHS never binds — instantiation
-	// would panic at rewrite time.
-	CheckRuleUnboundRHSVar = "rule-unbound-rhs-var"
-	// CheckRuleSelfLoop fires when a declarative rule's RHS rebuilds
-	// its LHS verbatim: the union is always a no-op and the rule is
-	// dead weight in every saturation iteration.
-	CheckRuleSelfLoop = "rule-self-loop"
-	// CheckRuleShadowed fires when a declarative rule is subsumed by
-	// an earlier declarative rule with a more general LHS and a
-	// coinciding RHS — every union the later rule could add, the
-	// earlier one already adds.
-	CheckRuleShadowed = "rule-shadowed"
-	// CheckLemmaComplexityDrift fires when a lemma's declared
-	// Complexity (operators appearing in the lemma, the paper's
-	// Figure 5a metric) disagrees with the operator count in its own
-	// patterns. Only computable for lemmas whose rules all carry
-	// declarative RHS templates.
-	CheckLemmaComplexityDrift = "lemma-complexity-drift"
+	// CheckRuleNoLHS fires when a rule has no LHS pattern: it can never
+	// match, and compiling it would panic.
+	CheckRuleNoLHS = "rule-no-lhs"
 	// CheckRuleFootprintShallow fires when a rule declares
 	// egraph.ReadsBelow with fewer levels than its own LHS reaches: the
 	// declaration claims Apply reads less than matching already did.
@@ -79,22 +61,12 @@ const (
 func Lemmas(ls []*lemmas.Lemma) []Diagnostic {
 	var out []Diagnostic
 	out = append(out, checkDuplicateNames(ls)...)
-	var all []*egraph.Rule
-	owners := map[*egraph.Rule]*lemmas.Lemma{}
 	for _, l := range ls {
 		for _, r := range l.Rules {
-			all = append(all, r)
-			owners[r] = l
+			out = append(out, checkLHS(r)...)
+			out = append(out, checkFootprint(r)...)
+			out = append(out, checkKidReq(r)...)
 		}
-	}
-	for _, r := range all {
-		out = append(out, checkRuleTemplates(r)...)
-		out = append(out, checkFootprint(r)...)
-		out = append(out, checkKidReq(r)...)
-	}
-	out = append(out, checkShadowing(all)...)
-	for _, l := range ls {
-		out = append(out, checkComplexity(l)...)
 	}
 	return out
 }
@@ -125,45 +97,15 @@ func checkDuplicateNames(ls []*lemmas.Lemma) []Diagnostic {
 	return out
 }
 
-// checkRuleTemplates runs the per-rule declarative checks: unbound
-// RHS variables and trivial self-loops.
-func checkRuleTemplates(r *egraph.Rule) []Diagnostic {
-	var out []Diagnostic
-	if r.LHS == nil {
-		out = append(out, Diagnostic{
-			Check: CheckRuleUnboundRHSVar, Severity: SevError, Subject: r.Name,
-			Message: "rule has no LHS pattern",
-		})
-		return out
+// checkLHS reports a rule with no LHS pattern.
+func checkLHS(r *egraph.Rule) []Diagnostic {
+	if r.LHS != nil {
+		return nil
 	}
-	if r.RHS == nil {
-		return nil // dynamic rule: nothing declarative to check
-	}
-	bound := map[string]bool{}
-	collectBoundVars(r.LHS, bound)
-	var unbound []string
-	collectRHSVars(r.RHS, func(v string) {
-		if !bound[v] {
-			unbound = append(unbound, v)
-		}
-	})
-	sort.Strings(unbound)
-	for i, v := range unbound {
-		if i > 0 && unbound[i-1] == v {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Check: CheckRuleUnboundRHSVar, Severity: SevError, Subject: r.Name,
-			Message: fmt.Sprintf("RHS template references ?%s, which the LHS never binds; Instantiate would panic on the first match", v),
-		})
-	}
-	if patternEqualsRTerm(r.LHS, r.RHS) {
-		out = append(out, Diagnostic{
-			Check: CheckRuleSelfLoop, Severity: SevError, Subject: r.Name,
-			Message: "RHS rebuilds the LHS verbatim; the rule can only union a class with itself",
-		})
-	}
-	return out
+	return []Diagnostic{{
+		Check: CheckRuleNoLHS, Severity: SevError, Subject: r.Name,
+		Message: "rule has no LHS pattern",
+	}}
 }
 
 // checkFootprint checks a rule's read-footprint declaration against
@@ -214,152 +156,4 @@ func checkKidReq(r *egraph.Rule) []Diagnostic {
 		})
 	}
 	return out
-}
-
-// checkShadowing flags declarative rules fully covered by an earlier
-// declarative rule: the earlier LHS subsumes the later one, and under
-// that subsumption the two RHS templates build the same term. Such a
-// rule never contributes a union the earlier rule hasn't already
-// made.
-func checkShadowing(rules []*egraph.Rule) []Diagnostic {
-	var out []Diagnostic
-	for i, general := range rules {
-		if general.RHS == nil || general.LHS == nil {
-			continue
-		}
-		for _, specific := range rules[i+1:] {
-			if specific.RHS == nil || specific.LHS == nil || specific.Name == general.Name {
-				continue
-			}
-			bind := newBinding()
-			if !subsumes(general.LHS, specific.LHS, bind) {
-				continue
-			}
-			if !rhsCoincides(general.RHS, specific.RHS, bind) {
-				continue
-			}
-			out = append(out, Diagnostic{
-				Check: CheckRuleShadowed, Severity: SevWarning, Subject: specific.Name,
-				Message: fmt.Sprintf("shadowed by earlier rule %q, whose more general LHS %s already produces the same RHS on every match", general.Name, general.LHS),
-			})
-		}
-	}
-	return out
-}
-
-// checkComplexity recomputes a lemma's Complexity from its patterns —
-// the count of operator applications on both sides of the rewrite,
-// maximized over the lemma's rules (forward and reverse directions of
-// one equation give the same count). Lemmas with any dynamic rule are
-// skipped: their RHS operator count is not statically visible.
-func checkComplexity(l *lemmas.Lemma) []Diagnostic {
-	computed := 0
-	for _, r := range l.Rules {
-		if r.RHS == nil || r.LHS == nil {
-			return nil
-		}
-		if n := patternOpCount(r.LHS) + rtermOpCount(r.RHS); n > computed {
-			computed = n
-		}
-	}
-	if len(l.Rules) == 0 || computed == l.Complexity {
-		return nil
-	}
-	return []Diagnostic{{
-		Check: CheckLemmaComplexityDrift, Severity: SevWarning, Subject: l.Name,
-		Message: fmt.Sprintf("declared Complexity %d, but the rule patterns contain %d operator applications", l.Complexity, computed),
-	}}
-}
-
-// collectBoundVars gathers every class variable a pattern binds
-// (bare-class vars only: RHS templates cannot reference attribute or
-// variadic-kids bindings, which are only reachable through Apply
-// closures).
-func collectBoundVars(p *egraph.Pattern, into map[string]bool) {
-	if p == nil {
-		return
-	}
-	if p.Var != "" {
-		into[p.Var] = true
-		return
-	}
-	for _, k := range p.Kids {
-		collectBoundVars(k, into)
-	}
-}
-
-func collectRHSVars(t *egraph.RTerm, f func(string)) {
-	if t == nil {
-		return
-	}
-	if t.VarName != "" {
-		f(t.VarName)
-		return
-	}
-	for _, k := range t.Kids {
-		collectRHSVars(k, f)
-	}
-}
-
-// patternOpCount counts operator applications in a pattern (variables
-// count zero; a variadic-kids node counts one, its width is dynamic).
-func patternOpCount(p *egraph.Pattern) int {
-	if p == nil || p.Var != "" {
-		return 0
-	}
-	n := 1
-	for _, k := range p.Kids {
-		n += patternOpCount(k)
-	}
-	return n
-}
-
-func rtermOpCount(t *egraph.RTerm) int {
-	if t == nil || t.VarName != "" || t.HasDirect || t.IsLeaf {
-		return 0
-	}
-	n := 1
-	for _, k := range t.Kids {
-		n += rtermOpCount(k)
-	}
-	return n
-}
-
-// patternEqualsRTerm reports whether an RHS template rebuilds exactly
-// the term shape the pattern matches — the self-loop test. Attribute
-// variables in the pattern can never equal the template's concrete
-// attribute expressions, so any AttrPat.Var makes the answer false.
-func patternEqualsRTerm(p *egraph.Pattern, t *egraph.RTerm) bool {
-	if p == nil || t == nil {
-		return false
-	}
-	if p.Var != "" {
-		return t.VarName == p.Var
-	}
-	if t.VarName != "" || t.HasDirect {
-		return false
-	}
-	if p.LeafTID != nil {
-		return t.IsLeaf && t.LeafTID == *p.LeafTID
-	}
-	if t.IsLeaf {
-		return false
-	}
-	if p.Op != t.Op || p.Str != t.Str || p.VarKids != "" {
-		return false
-	}
-	if len(p.Kids) != len(t.Kids) || len(p.Attrs) != len(t.Ints) {
-		return false
-	}
-	for i, a := range p.Attrs {
-		if a.Var != "" || !a.Lit.Equal(t.Ints[i]) {
-			return false
-		}
-	}
-	for i := range p.Kids {
-		if !patternEqualsRTerm(p.Kids[i], t.Kids[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -11,8 +11,8 @@ import (
 // The Layer-1 corpus is constructed in code (lemmas are Go values, not
 // data files): one deliberately broken lemma collection per check,
 // each proving a true positive, plus negatives guarding against the
-// false-positive modes the shadow and self-loop checks are designed
-// around.
+// false-positive modes the footprint and kid-requirement checks are
+// designed around.
 
 func one(name string, complexity int, rules ...*egraph.Rule) *lemmas.Lemma {
 	return &lemmas.Lemma{Name: name, Complexity: complexity, Rules: rules}
@@ -20,9 +20,13 @@ func one(name string, complexity int, rules ...*egraph.Rule) *lemmas.Lemma {
 
 // idElim is identity(?x) → ?x with a caller-chosen rule name.
 func idElim(name string) *egraph.Rule {
-	return egraph.Simple(name,
-		egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-		egraph.RVar("x"))
+	return &egraph.Rule{
+		Name: name,
+		LHS:  egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
+		Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
+			return m.With(m.Subst.ClassOf("x"))
+		},
+	}
 }
 
 func TestLemmaDuplicateName(t *testing.T) {
@@ -40,71 +44,6 @@ func TestRuleDuplicateName(t *testing.T) {
 	})
 	findDiag(t, ds, CheckRuleDuplicateName, "bad/dup-rule")
 	noDiag(t, ds, CheckLemmaDuplicateName, "bad/l1")
-}
-
-func TestRuleUnboundRHSVar(t *testing.T) {
-	unbound := egraph.Simple("bad/unbound",
-		egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-		egraph.ROp(expr.OpAdd, nil, "", egraph.RVar("x"), egraph.RVar("y")))
-	ds := Lemmas([]*lemmas.Lemma{one("bad/unbound-lemma", 2, unbound)})
-	d := findDiag(t, ds, CheckRuleUnboundRHSVar, "bad/unbound")
-	if d.Severity != SevError {
-		t.Errorf("unbound RHS var must be error severity, got %s", d.Severity)
-	}
-}
-
-func TestRuleSelfLoop(t *testing.T) {
-	loop := egraph.Simple("bad/self-loop",
-		egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-		egraph.ROp(expr.OpIdentity, nil, "", egraph.RVar("x")))
-	ds := Lemmas([]*lemmas.Lemma{one("bad/self-loop-lemma", 1, loop)})
-	findDiag(t, ds, CheckRuleSelfLoop, "bad/self-loop")
-
-	// identity(?x) → ?x is a collapse, not a self-loop.
-	ds = Lemmas([]*lemmas.Lemma{one("ok/collapse", 1, idElim("ok/collapse"))})
-	noDiag(t, ds, CheckRuleSelfLoop, "ok/collapse")
-}
-
-func TestRuleShadowed(t *testing.T) {
-	// identity(?x) → ?x already performs every union the narrower
-	// identity(identity(?y)) → identity(?y) could add.
-	general := idElim("ok/general")
-	specific := egraph.Simple("bad/shadowed",
-		egraph.POp(expr.OpIdentity, nil,
-			egraph.POp(expr.OpIdentity, nil, egraph.PVar("y"))),
-		egraph.ROp(expr.OpIdentity, nil, "", egraph.RVar("y")))
-	ds := Lemmas([]*lemmas.Lemma{one("bad/shadow-lemma", 1, general, specific)})
-	findDiag(t, ds, CheckRuleShadowed, "bad/shadowed")
-
-	// Same LHS subsumption but a different RHS: the narrower rule
-	// unions with a different class, so it is NOT shadowed.
-	different := egraph.Simple("ok/not-shadowed",
-		egraph.POp(expr.OpIdentity, nil,
-			egraph.POp(expr.OpIdentity, nil, egraph.PVar("y"))),
-		egraph.RVar("y"))
-	ds = Lemmas([]*lemmas.Lemma{one("ok/shadow-lemma", 1, general, different)})
-	noDiag(t, ds, CheckRuleShadowed, "ok/not-shadowed")
-}
-
-func TestLemmaComplexityDrift(t *testing.T) {
-	ds := Lemmas([]*lemmas.Lemma{one("bad/drift", 5, idElim("bad/drift-rule"))})
-	findDiag(t, ds, CheckLemmaComplexityDrift, "bad/drift")
-
-	// Correct metadata: identity(?x) → ?x has exactly one operator.
-	ds = Lemmas([]*lemmas.Lemma{one("ok/exact", 1, idElim("ok/exact-rule"))})
-	noDiag(t, ds, CheckLemmaComplexityDrift, "ok/exact")
-
-	// A dynamic rule (nil RHS) hides the operator count; the check
-	// must stay silent rather than guess.
-	dynamic := &egraph.Rule{
-		Name: "ok/dynamic",
-		LHS:  egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-		Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-			return nil
-		},
-	}
-	ds = Lemmas([]*lemmas.Lemma{one("ok/dynamic-lemma", 99, dynamic)})
-	noDiag(t, ds, CheckLemmaComplexityDrift, "ok/dynamic-lemma")
 }
 
 // scanning is a dynamic rule over LHS with the given footprint; its
@@ -189,18 +128,7 @@ func TestRuleKidReq(t *testing.T) {
 func TestLemmasGolden(t *testing.T) {
 	bad := []*lemmas.Lemma{
 		one("bad/dup", 1, idElim("ok/general")),
-		one("bad/dup", 2,
-			egraph.Simple("bad/unbound",
-				egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-				egraph.ROp(expr.OpAdd, nil, "", egraph.RVar("x"), egraph.RVar("y"))),
-			egraph.Simple("bad/self-loop",
-				egraph.POp(expr.OpIdentity, nil, egraph.PVar("x")),
-				egraph.ROp(expr.OpIdentity, nil, "", egraph.RVar("x")))),
-		one("bad/drift", 5,
-			egraph.Simple("bad/shadowed",
-				egraph.POp(expr.OpIdentity, nil,
-					egraph.POp(expr.OpIdentity, nil, egraph.PVar("y"))),
-				egraph.ROp(expr.OpIdentity, nil, "", egraph.RVar("y")))),
+		one("bad/dup", 2, &egraph.Rule{Name: "bad/no-lhs"}),
 		one("bad/footprints", 2,
 			scanning("bad/shallow",
 				egraph.POp(expr.OpSum, nil, egraph.POp(expr.OpIdentity, nil, egraph.PVar("x"))),

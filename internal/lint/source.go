@@ -23,7 +23,7 @@ import (
 const (
 	// CheckSourceMapRangeMutation fires when the body of a range over
 	// a map reaches an e-graph mutator (Union, AddNode, AddTerm,
-	// Instantiate, Saturate, or the lemma helpers addAll/mapKids):
+	// InstantiateOp, Saturate, or the lemma helpers addAll/mapKids):
 	// iteration order then decides union order and freshly minted
 	// class IDs.
 	CheckSourceMapRangeMutation = "source-map-range-mutation"
@@ -37,11 +37,11 @@ const (
 // sinkMethods are the mutators whose call order is observable in
 // e-graph state.
 var sinkMethods = map[string]bool{
-	"Union":       true,
-	"AddNode":     true,
-	"AddTerm":     true,
-	"Instantiate": true,
-	"Saturate":    true,
+	"Union":         true,
+	"AddNode":       true,
+	"AddTerm":       true,
+	"InstantiateOp": true,
+	"Saturate":      true,
 }
 
 // sinkFuncs are package-local helpers that wrap the mutators.

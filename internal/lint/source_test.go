@@ -14,6 +14,7 @@ func TestSourceBadCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	findDiag(t, ds, CheckSourceMapRangeMutation, "egraphStub.unionInMapOrder")
+	findDiag(t, ds, CheckSourceMapRangeMutation, "egraphStub.insertInMapOrder")
 	findDiag(t, ds, CheckSourceMapRangeAppend, "egraphStub.collectUnsorted")
 	for _, d := range ds {
 		switch d.Subject {

@@ -55,3 +55,16 @@ func (g *egraphStub) overSlice(ids []classID) {
 		g.Union(id, 0)
 	}
 }
+
+type eNode struct{ kids []classID }
+
+func (g *egraphStub) InstantiateOp(n *eNode) (classID, bool) { return classID(len(n.kids)), true }
+
+// insertInMapOrder inserts nodes through the one path a rule has, in
+// map iteration order: which class ID each new node gets varies across
+// runs.
+func (g *egraphStub) insertInMapOrder() {
+	for id := range g.classes {
+		g.InstantiateOp(&eNode{kids: []classID{id}})
+	}
+}
