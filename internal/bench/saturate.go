@@ -72,8 +72,8 @@ type saturateCase struct {
 // saturateCases is what `-exp saturate` measures: the corpus at its
 // Figure 3 configuration — e-graphs of at most a hundred nodes, under a
 // megabyte a check — and GPT at parallelism 8 with three layers, where
-// the end-to-end benchmark's cost sits: e-graphs of 700 nodes, which
-// outgrow what a recycled graph keeps.
+// the end-to-end benchmark's cost sits: e-graphs of up to ≈ 480 live
+// nodes over more class slots than a recycled graph keeps.
 func saturateCases() []saturateCase {
 	var out, deep []saturateCase
 	for _, w := range saturateWorkloads() {

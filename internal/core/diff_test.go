@@ -22,9 +22,9 @@ import (
 //	G_d: per rank r: S_r = add(X_r, Y_r); Z_r = act(S_r); U_r = gelu(V_r)
 //
 // The canonical refinement-preserving edit swaps the add's operands:
-// add(Y, X) still refines (add-is-sum + sum-commutative), but the cone
-// fingerprint hashes input ORDER, so the adder's cone — and its
-// consumers' — change.
+// add(Y, X) still refines (add-is-sum, and a sum hash-conses its kids as
+// a multiset), but the cone fingerprint hashes input ORDER, so the
+// adder's cone — and its consumers' — change.
 func diffGd(t *testing.T) *graph.Graph {
 	t.Helper()
 	bd := graph.NewBuilder("Gd", nil)

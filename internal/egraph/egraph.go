@@ -9,6 +9,7 @@ package egraph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"entangle/internal/expr"
@@ -246,7 +247,7 @@ type EGraph struct {
 	substStack   []int32         // e-matching result stack (matchClassOnStack): indexes into substs
 	substs       []Subst         // the match phase's substitutions: a pointer-free slab, overwritten by the next phase
 	appsBuf      []int32         // effective applications per compiled rule (Saturate)
-	canonBuf     []ClassID       // the canonical kid list canonNode last built
+	canonBuf     []ClassID       // the canonical kid list(s) canonNode, canonHash or canonEquiv last built
 	kidStack     []ClassID       // kid lists AddTerm and LookupTerm build, stack-wise
 	cleanCostBuf []int           // extraction cost table (CleanCosts), indexed by ClassID
 	cleanGen     uint32          // stamps the table cleanCostBuf currently holds
@@ -294,19 +295,32 @@ func (g *EGraph) newClass() ClassID {
 	return id
 }
 
-// canonNode makes n's kid list canonical. A list that already is — the
-// common post-rebuild case — stays as it is; otherwise n.Kids is pointed
-// at the canonical list, built in the graph's scratch (canonBuf) and
-// good until the next canonNode: the caller's slice is never written.
+// canonNode makes n's kid list canonical: its classes' representatives,
+// sorted when the operator's kid order does not matter (expr.Unordered),
+// so every kid order of one sum is one node. A list that already is
+// stays as it is; otherwise n.Kids is pointed at the canonical list,
+// built in the graph's scratch (canonBuf) and good until the next
+// canonNode: the caller's slice is never written.
 func (g *EGraph) canonNode(n *ENode) {
-	if g.canonical(n.Kids) {
+	unordered := expr.Unordered(n.Op)
+	if g.canonical(n.Kids) && (!unordered || slices.IsSorted(n.Kids)) {
 		return
 	}
-	kids := append(g.canonBuf[:0], n.Kids...)
-	for i, k := range kids {
-		kids[i] = g.Find(k)
-	}
+	kids := g.appendCanon(g.canonBuf[:0], n.Kids, unordered)
 	g.canonBuf, n.Kids = kids, kids
+}
+
+// appendCanon appends the representatives of kids to buf, sorting what
+// it appended when sorted is set.
+func (g *EGraph) appendCanon(buf, kids []ClassID, sorted bool) []ClassID {
+	at := len(buf)
+	for _, k := range kids {
+		buf = append(buf, g.Find(k))
+	}
+	if sorted {
+		slices.Sort(buf[at:])
+	}
+	return buf
 }
 
 // canonical reports whether every class in kids is its own
@@ -619,27 +633,22 @@ func (f *firstByHash) add(hash uint64, j int32) {
 	}
 }
 
-// canonHash is memoHash of n's canonical form, without building it.
+// canonHash is memoHash of n's canonical form, built in canonBuf.
 func (g *EGraph) canonHash(n *ENode) uint64 {
-	x := memoHashHead(n.head)
-	for _, k := range n.Kids {
-		x = memoHashKid(x, g.Find(k))
-	}
-	return x
+	g.canonBuf = g.appendCanon(g.canonBuf[:0], n.Kids, expr.Unordered(n.Op))
+	return memoHash(n.head, g.canonBuf)
 }
 
 // canonEquiv reports whether two interned nodes canonicalize to the
-// same identity.
+// same identity, comparing their canonical kid lists built in canonBuf:
+// neither node's kids may live there.
 func (g *EGraph) canonEquiv(a, b *ENode) bool {
 	if a.head != b.head || len(a.Kids) != len(b.Kids) {
 		return false
 	}
-	for i := range a.Kids {
-		if a.Kids[i] != b.Kids[i] && g.Find(a.Kids[i]) != g.Find(b.Kids[i]) {
-			return false
-		}
-	}
-	return true
+	sorted := expr.Unordered(a.Op) // one head, one operator
+	g.canonBuf = g.appendCanon(g.appendCanon(g.canonBuf[:0], a.Kids, sorted), b.Kids, sorted)
+	return kidsEqual(g.canonBuf[:len(a.Kids)], g.canonBuf[len(a.Kids):])
 }
 
 func (g *EGraph) repair(c ClassID) {
@@ -722,9 +731,7 @@ func (g *EGraph) repair(c ClassID) {
 			// arena node with exactly these kids — this one or a twin — so
 			// it goes before the node's kid list is rewritten.
 			g.memo.del(g.arena, memoHash(h, cn.Kids), h, cn.Kids)
-			for i, k := range cn.Kids {
-				cn.Kids[i] = g.Find(k)
-			}
+			g.appendCanon(cn.Kids[:0], cn.Kids, expr.Unordered(cn.Op)) // in place
 		}
 		hash := memoHash(h, cn.Kids)
 		pc := g.Find(ClassID(p.class))

@@ -2,6 +2,7 @@ package egraph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -502,5 +503,88 @@ func TestSubstArenaManyChunks(t *testing.T) {
 		if want := int32(n - maxSlots + k); last[want%maxSlots] != want {
 			t.Fatalf("slot %d of the last substitution is %d, want %d", want%maxSlots, last[want%maxSlots], want)
 		}
+	}
+}
+
+// A sum's kids are a multiset: every kid order is one node, found from
+// any order, while a repeated kid still counts.
+func TestSumIsOneNodePerKidMultiset(t *testing.T) {
+	g := New(nil)
+	a, b := g.AddTerm(leafT(1, "A")), g.AddTerm(leafT(2, "B"))
+	ab := insert(g, expr.OpSum, nil, a, b)
+	nodes := g.NodeCount()
+	if ba := insert(g, expr.OpSum, nil, b, a); ba != ab || g.NodeCount() != nodes {
+		t.Fatalf("sum(B, A) is class %d and the graph grew to %d nodes; want sum(A, B)'s class %d and %d nodes", ba, g.NodeCount(), ab, nodes)
+	}
+	aab := insert(g, expr.OpSum, nil, a, a, b)
+	if aab == ab {
+		t.Fatal("sum(A, A, B) hash-consed onto sum(A, B): kids are a multiset, not a set")
+	}
+	if baa := insert(g, expr.OpSum, nil, b, a, a); baa != aab {
+		t.Fatalf("sum(B, A, A) is class %d, sum(A, A, B) %d", baa, aab)
+	}
+
+	x, y, z := leafT(1, "A"), expr.Unary("gelu", leafT(2, "B")), leafT(3, "C")
+	want := g.AddTerm(expr.Sum(x, y, z))
+	for _, order := range [][]*expr.Term{{x, y, z}, {x, z, y}, {y, x, z}, {y, z, x}, {z, x, y}, {z, y, x}} {
+		got, ok := g.LookupTerm(expr.Sum(order...))
+		if !ok || got != want {
+			t.Errorf("LookupTerm(%s) = %d, %v; want class %d", expr.Sum(order...).Key(), got, ok, want)
+		}
+	}
+}
+
+// A union that reorders a sum's kid classes must leave one node per kid
+// multiset in the class, also when one of the two sums is a node whose
+// kid list repair never rewrote (its parent entry went to a congruent
+// twin): the class's own dedup then compares by the sorted canonical
+// lists, not position by position.
+func TestRebuildDedupsReorderedSums(t *testing.T) {
+	g := New(nil)
+	var l [6]ClassID // A..F, classes 0..5
+	for i := range l {
+		l[i] = g.AddTerm(leafT(i, string(rune('A'+i))))
+	}
+	a, b, c, d, e, f := l[0], l[1], l[2], l[3], l[4], l[5]
+	x := insert(g, expr.OpSum, nil, a, c)
+	y := insert(g, expr.OpSum, nil, b, c)
+	// y's class absorbs x's, so y leads the chain and x is the copy the
+	// class's dedup drops; a absorbs b, so x's parent entry leads a's list
+	// and y's is the one that goes: y keeps the kids of that rewrite.
+	g.Union(y, x)
+	g.Union(a, b)
+	g.Rebuild()
+	// a's class moves above c's: y's kids, canonicalized, now read (A, C)
+	// in descending class order, and y is never rewritten again.
+	g.Union(d, e)
+	g.Union(d, a)
+	g.Rebuild()
+	w := insert(g, expr.OpSum, nil, c, f)
+	g.Union(y, w)
+	g.Union(d, f) // w's kids become y's, in the other order
+	g.Rebuild()
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if nodes := g.Nodes(g.Find(y)); len(nodes) != 1 {
+		t.Errorf("class %d holds %d sum nodes over one kid multiset, want 1", g.Find(y), len(nodes))
+	}
+}
+
+// CheckInvariants reports a sum node whose canonical kids are out of
+// order: two spellings of one sum would no longer meet in the memo.
+func TestCheckInvariantsCatchesUnsortedSum(t *testing.T) {
+	g := New(nil)
+	a, b := g.AddTerm(leafT(1, "A")), g.AddTerm(leafT(2, "B"))
+	s := insert(g, expr.OpSum, nil, a, b)
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("a fresh graph violates: %v", err)
+	}
+	n := &g.arena[s]
+	g.memo.del(g.arena, memoHash(n.head, n.Kids), n.head, n.Kids)
+	n.Kids[0], n.Kids[1] = n.Kids[1], n.Kids[0]
+	g.memo.put(g.arena, memoHash(n.head, n.Kids), n.head, int32(s), s)
+	if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "canonical kids are not sorted") {
+		t.Errorf("CheckInvariants returned %v, want the unsorted sum reported", err)
 	}
 }

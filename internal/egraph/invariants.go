@@ -3,6 +3,9 @@ package egraph
 import (
 	"fmt"
 	"os"
+	"slices"
+
+	"entangle/internal/expr"
 )
 
 // InvariantChecks, when true, makes every Rebuild finish with a full
@@ -32,7 +35,8 @@ var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 //     the chained total, and per-class operator counts (the
 //     first-symbol index) match a recount.
 //  3. No intra-class duplicates: no two nodes of one class
-//     canonicalize to the same identity.
+//     canonicalize to the same identity. An unordered (sum) node whose
+//     kids are canonical lists them sorted: its one spelling.
 //  4. Memo ↔ arena agreement, both directions: every live memo entry
 //     names an arena slot, sits under the hash of that node's head and
 //     kids, and — when those kids are canonical — resolves to the
@@ -122,7 +126,10 @@ func (g *EGraph) CheckInvariants() error {
 		seen := map[string]bool{}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
 			cn := g.arena[ni]
-			g.canonNode(&cn)
+			if expr.Unordered(cn.Op) && g.canonical(cn.Kids) && !slices.IsSorted(cn.Kids) {
+				return fmt.Errorf("class %d holds %s node %s whose canonical kids are not sorted", id, cn.Op, cn.key())
+			}
+			cn.Kids = g.appendCanon(nil, cn.Kids, expr.Unordered(cn.Op)) // not in canonBuf, which canonEquiv uses
 			h := cn.head
 			if h == 0 {
 				return fmt.Errorf("class %d node %s (arena slot %d) has no interned head", id, cn.key(), ni)

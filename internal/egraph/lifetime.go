@@ -41,7 +41,7 @@ import (
 // do not fit is simply rebuilt, which is what every graph was before.
 
 // The retention bounds, sized for the operators of a multi-layer,
-// degree-8 zoo model (peak ≈ 700 live nodes), not for the budget
+// degree-8 zoo model (peak ≈ 480 live nodes), not for the budget
 // ceiling: smaller bounds measured faster than larger ones, not only
 // leaner. A piece that outgrew its bound during the life that ended
 // goes back to the collector; the graph keeps the rest.
@@ -53,7 +53,7 @@ const (
 	// shape table: 4; the node arena: 112) with the tables a graph of that
 	// many classes fills (interner, repair dedup) and the kid and parent
 	// slabs; the hash-cons table (24-byte entries); the class worklists.
-	keepSlots = 1024
+	keepSlots = 768
 	// keepMatchBytes bounds, each on its own, the three pieces that grow
 	// with the matches of one phase: the match list (16-byte entries), the
 	// substitution slab (32-byte records) and the e-matching stack (4-byte

@@ -149,6 +149,10 @@ func Arity(op Op) (int, bool) {
 	return 0, false
 }
 
+// Unordered reports whether the operator's kid order does not matter:
+// its kids are a multiset, so every permutation of them is one term.
+func Unordered(op Op) bool { return op == OpSum }
+
 // Collective reports whether op is a multi-output communication kernel.
 func Collective(op Op) bool {
 	switch op {

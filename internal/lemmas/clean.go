@@ -1,8 +1,6 @@
 package lemmas
 
 import (
-	"slices"
-
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
 	"entangle/internal/sym"
@@ -34,27 +32,6 @@ func registerSumBasics(r *Registry) {
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				x, y := m.Subst.ClassOf("x"), m.Subst.ClassOf("y")
 				return m.With(addAll(g, expr.OpSum, nil, "", classes(g, x, y)))
-			},
-		}},
-	})
-
-	// sum is commutative: union with the class-sorted spelling.
-	r.MustRegister(&Lemma{
-		Name: "sum-commutative", Kind: KindClean, Complexity: 2, LOC: 16,
-		Rules: []*egraph.Rule{{
-			Name: "sum-commutative",
-			// Bindings only — but sorted by class ID, so not a function
-			// of the canonical match: the kid list's identity is the read.
-			Reads: egraph.ReadsBelow(1),
-			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				kids := m.Subst.KidsOf("xs")
-				if slices.IsSorted(kids) { // the common case: nothing to reorder
-					return nil
-				}
-				sorted := classes(g, kids...)
-				slices.Sort(sorted)
-				return m.With(addAll(g, expr.OpSum, nil, "", sorted))
 			},
 		}},
 	})
