@@ -54,6 +54,20 @@ func FuzzTermDecode(f *testing.F) {
 	}
 	f.Add("(slice||0,0+1*S,4|d0)")
 	f.Add("(sum|||s0;(concat||1|d1;d2))")
+	// Sums the zoo stored while the e-graph kept one node per kid order:
+	// reordered and nested spellings a cache written then still holds.
+	for _, s := range []string{
+		"(sum|||(concat||0|d23;d24);d45;d46;d73;d74)",
+		"(sum|||(concat||0|d23;d24);d45;d46;(concat||0|d75;d76))",
+		"(sum|||d23;d53;d54;d39;d40)",
+		"(sum|||d23;d39;d40;(sum|||d53;d54))",
+		"(sum|||d39;d99;d100;d101;d102;d71;d72;d73;d74)",
+		"(sum|||d39;d71;d72;d73;d74;(sum|||d99;d100;d101;d102))",
+		"(sum|||d55;d103;d104;d105;d106;d107;d108;(sum|||d145;d146;d147;d148;d149;d150))",
+		"(sum|||d71;d135;d136;d137;d138;d139;d140;d141;d142;(sum|||d191;d192;d193;d194;d195;d196;d197;d198))",
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		for _, ix := range []*fingerprint.GdIndex{ix, nil} {
 			term, err := fingerprint.DecodeTerm(s, ix, nil)
