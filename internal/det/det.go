@@ -6,18 +6,19 @@
 package det
 
 // FNVOffset is the FNV-1a 64-bit offset basis, the usual start of a
-// String/Bytes fold.
-const FNVOffset uint64 = 14695981039346656037
-
+// String/Bytes fold; FNVPrime is the multiplier of each FNV-1a step,
+// for a caller that folds words rather than bytes.
 const (
-	fnvPrime = 1099511628211
-	gamma    = 0x9e3779b97f4a7c15
+	FNVOffset uint64 = 14695981039346656037
+	FNVPrime  uint64 = 1099511628211
 )
+
+const gamma = 0x9e3779b97f4a7c15
 
 // String folds s into h, one FNV-1a step per byte.
 func String(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
+		h = (h ^ uint64(s[i])) * FNVPrime
 	}
 	return h
 }
@@ -25,7 +26,7 @@ func String(h uint64, s string) uint64 {
 // Bytes is String over a byte slice.
 func Bytes(h uint64, b []byte) uint64 {
 	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
+		h = (h ^ uint64(c)) * FNVPrime
 	}
 	return h
 }

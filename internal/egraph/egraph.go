@@ -219,13 +219,10 @@ type EGraph struct {
 	nodeLimit    int
 	budgetDenied bool
 
-	// Cross-call saturation state (rewrite.go). appliedFP records the
-	// fingerprint of every pure-rule application actually executed on
-	// this graph, across Saturate calls (applied.go); satFixpoint remembers that the
-	// previous call reached fixpoint under satRules, which lets the
-	// next same-rules call skip the full first-iteration scan and
+	// Cross-call saturation state (rewrite.go). satFixpoint remembers
+	// that the previous call reached fixpoint under satRules, which lets
+	// the next same-rules call skip the full first-iteration scan and
 	// e-match only classes dirtied since — the frontier-fold hot path.
-	appliedFP   appliedSet
 	satRules    []*Rule
 	satFixpoint bool
 
@@ -241,7 +238,6 @@ type EGraph struct {
 	dirtyNext    []ClassID
 	gateOpID     []opID          // the rule set's kid-gate operators, resolved per iteration
 	rulesByOp    [][]int         // per interned operator: the compiled rules rooted at it, resolved per iteration
-	fpBuf        []byte          // fingerprint scratch (appendFingerprint)
 	todoBuf      []ruleMatch     // match-list scratch (Saturate)
 	withheld     []withheldMatch // the gate-withheld matches of the match list (InvariantChecks only)
 	substStack   []int32         // e-matching result stack (matchClassOnStack): indexes into substs

@@ -29,10 +29,10 @@ import (
 // counts the late effects: withheld matches an earlier application of
 // the same apply phase had made effective by their turn. The gates
 // promise nothing about those — the naive matcher applies such a match
-// at once, the indexed matcher (as it always has for pure rules) one
-// iteration later — so the third run, indexed as in production, must
-// equal the reference round for round up to the script's first late
-// effect: to the end, on a script that has none.
+// at once, the indexed matcher one iteration later — so the third run,
+// indexed as in production, must equal the reference round for round up
+// to the script's first late effect: to the end, on a script that has
+// none.
 
 const (
 	diffLeaves = 4

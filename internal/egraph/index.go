@@ -6,10 +6,9 @@ import "entangle/internal/expr"
 //
 // The naive matcher (matchRules, pattern.go) visits every class × rule
 // pair each iteration; on real models most of that work re-derives
-// matches whose application is already done — a pure rule's, which the
-// fingerprint filter then discards, or a footprint rule's, whose Apply
-// then rebuilds hash-consed nodes and repeats merged unions. The
-// indexed matcher cuts the re-derivation two ways:
+// matches whose application is already done, whose Apply then rebuilds
+// hash-consed nodes and repeats merged unions. The indexed matcher cuts
+// the re-derivation two ways:
 //
 //   - Dirty tracking against each rule's read footprint. A class is
 //     dirty when it gained a node or absorbed another class since the
@@ -22,14 +21,14 @@ import "entangle/internal/expr"
 //     that predates the change (ENode.born) is offered only if one of
 //     its own kid classes is within the remaining reach. Every match
 //     the naive matcher would produce outside those gates is a repeat:
-//     its fingerprint is applied, or nothing its Apply reads has moved
-//     since it last ran. Two things have no bound: a ReadsGraph rule,
-//     and any footprint rule on a graph where a ShapeOf query has
-//     failed (a shape can turn known from arbitrarily far below); both
-//     are offered every class every iteration. The full scan runs only
-//     when there is no earlier coverage to lean on: the first iteration
-//     of a Saturate call whose graph is not carrying a fixpoint from
-//     the previous same-rules call (rewrite.go).
+//     nothing its Apply reads has moved since it last ran. Two things
+//     have no bound: a ReadsGraph rule, and any footprint rule on a
+//     graph where a ShapeOf query has failed (a shape can turn known
+//     from arbitrarily far below); both are offered every class every
+//     iteration. The full scan runs only when there is no earlier
+//     coverage to lean on: the first iteration of a Saturate call whose
+//     graph is not carrying a fixpoint from the previous same-rules
+//     call (rewrite.go).
 //
 //   - Kid-operator gates, answered from the per-class operator counts
 //     (Class.ops) and Find before any substitution is built. Derived:
@@ -403,10 +402,10 @@ func (gate ruleGate) open(d int8, consumed bool) bool {
 
 // perNode reports whether, inside a class the gate is open for, the
 // rule still needs only the nodes whose own kid classes are near a
-// change. A pure rule's fingerprint includes the root class, so a
-// merged root (d == 0) re-offers all of it; a footprint's contract
-// excludes the root's identity, so ReadsBelow rules are per-node at any
-// distance.
+// change. A footprint's contract excludes the root's identity, so
+// ReadsBelow rules are per-node at any distance; a pure rule is offered
+// all of a merged root (d == 0). Offering that root node by node too
+// would lower Stats.Matches, a change to measure on its own.
 func (gate ruleGate) perNode(d int8) bool {
 	return gate.kind == readsBelow || (gate.kind == readsBindings && d > 0)
 }

@@ -105,9 +105,9 @@ func headHash(n *ENode) uint64 {
 		return det.Mix(uint64(n.TID))
 	}
 	x := det.String(det.FNVOffset, string(n.Op))
-	x = det.String(x*fnvPrime64, n.Str)
+	x = det.String(x*det.FNVPrime, n.Str)
 	for _, e := range n.Ints {
-		x = (x ^ e.Hash()) * fnvPrime64
+		x = (x ^ e.Hash()) * det.FNVPrime
 	}
 	return x
 }
@@ -253,17 +253,12 @@ func memoHash(h headID, kids []ClassID) uint64 {
 	return x
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
 func memoHashHead(h headID) uint64 {
-	return (fnvOffset64 ^ uint64(uint32(h))) * fnvPrime64
+	return (det.FNVOffset ^ uint64(uint32(h))) * det.FNVPrime
 }
 
 func memoHashKid(x uint64, k ClassID) uint64 {
-	return (x ^ uint64(uint32(k))) * fnvPrime64
+	return (x ^ uint64(uint32(k))) * det.FNVPrime
 }
 
 // memoTable is the hash-cons memo: an open-addressing table from

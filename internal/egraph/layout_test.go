@@ -40,7 +40,6 @@ func TestMatchRecordsArePointerFree(t *testing.T) {
 		{Subst{}, 32},
 		{ruleMatch{}, 16},
 		{memoEntry{}, 24},
-		{appliedSlot{}, 8},
 		{parentEntry{}, 8},
 		{withheldMatch{}, 16},
 	}
@@ -166,7 +165,7 @@ func TestRepairOfSmallClassTouchesNoMap(t *testing.T) {
 
 // Re-saturating a graph already at fixpoint under the same rules — what
 // the checker's frontier loop does whenever a fold adds nothing new — is
-// free: no match list, substitution, fingerprint or statistics map.
+// free: no match list, substitution or statistics map.
 func TestResaturateAtFixpointAllocatesNothing(t *testing.T) {
 	defer func(was bool) { InvariantChecks = was }(InvariantChecks)
 	InvariantChecks = false // the audit executes withheld matches

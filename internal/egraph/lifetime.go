@@ -23,15 +23,14 @@ import (
 // stays reachable. What holds none — the union-find and its per-slot
 // annotations, the node chains, the shape table, the kid and parent
 // slabs, the memo table, the interner's table, the rest of the lemma
-// scratch, the match list, the substitution slab, the e-matching stack,
-// the applied-fingerprint set — is truncated and left as it is (the
-// hash tables, which have to read as empty, are zeroed — no write
-// barriers, no scan): stale bytes the next life overwrites, which cost
-// nothing to keep but resident memory, hence bounds in bytes for the
-// pieces whose entries differ in size. Parent lists are not kept per
-// class slot: a slot that remembered the largest list it ever held cost
-// more resident memory than the allocations it saved; the parent slab
-// they grow into is kept whole.
+// scratch, the match list, the substitution slab, the e-matching stack
+// — is truncated and left as it is (the hash tables, which have to read
+// as empty, are zeroed — no write barriers, no scan): stale bytes the
+// next life overwrites, which cost nothing to keep but resident memory,
+// hence bounds in bytes for the pieces whose entries differ in size.
+// Parent lists are not kept per class slot: a slot that remembered the
+// largest list it ever held cost more resident memory than the
+// allocations it saved; the parent slab they grow into is kept whole.
 //
 // The list is package-level because graph lifetimes are shorter than
 // anything that could own it: the daemon builds a Checker per request,
@@ -64,10 +63,6 @@ const (
 	// it. It bounds the kid and parent slabs, the interner's head records
 	// and each lemma scratch buffer the same way.
 	keepMatchBytes = 32 << 10
-	// keepAppliedBytes bounds the applied-fingerprint set's key slab, and
-	// its table again: pointer-free like the match scratch, and emptied
-	// (the table has to read as empty) rather than cleared.
-	keepAppliedBytes = 32 << 10
 )
 
 // keepOf is how many entries of type T fit in keepMatchBytes.
@@ -193,7 +188,6 @@ func (g *EGraph) reset() {
 	g.lateEffects = 0
 	clear(g.kidWithheld)
 	g.nodeLimit, g.budgetDenied = 0, false
-	g.appliedFP.reset()
 	g.satRules, g.satFixpoint = nil, false
 	g.leafShape = nil
 
@@ -270,8 +264,8 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("interner holds %d heads, %d operators", len(g.intern.heads), len(g.intern.ops))
 	case len(g.dirty) != 0 || len(g.work) != 0:
 		return fmt.Errorf("%d dirty classes, %d queued repairs", len(g.dirty), len(g.work))
-	case g.appliedFP.n != 0 || len(g.appliedFP.keys) != 0 || g.satFixpoint || g.satRules != nil:
-		return fmt.Errorf("%d applied fingerprints, fixpoint carry %t", g.appliedFP.n, g.satFixpoint)
+	case g.satFixpoint || g.satRules != nil:
+		return fmt.Errorf("fixpoint carry %t under %d rules", g.satFixpoint, len(g.satRules))
 	case g.shapeUnknown || len(g.shapeAt) != 0 || len(g.shapes) != 0 || len(g.shapeArgs) != 0 || g.leafShape != nil:
 		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, a table of %d slots, %d shapes derived)", g.shapeUnknown, len(g.shapeAt), len(g.shapes))
 	case g.kidSlab.at != 0 || len(g.kidStack) != 0 || g.parentSlab.at != 0:

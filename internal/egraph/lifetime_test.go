@@ -115,7 +115,6 @@ func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 		"interned head":       func(g *EGraph) { g.headOf(&ENode{Op: opF}) },
 		"dirty class":         func(g *EGraph) { g.dirty = append(g.dirty, 0) },
 		"queued repair":       func(g *EGraph) { g.work = append(g.work, 0) },
-		"applied fingerprint": func(g *EGraph) { g.appliedFP.add([]byte("x"), 1) },
 		"fixpoint carry":      func(g *EGraph) { g.satFixpoint = true },
 		"shapeUnknown":        func(g *EGraph) { g.shapeUnknown = true },
 		"shape table slot":    func(g *EGraph) { g.shapeAt = append(g.shapeAt, 1) },

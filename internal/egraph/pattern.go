@@ -86,8 +86,7 @@ const maxSlots = 8
 
 // slotTable names the slots of one compiled pattern. Each list is in
 // binding order — a pre-order walk of the pattern, a node's attributes
-// before its kid list before its kids, first occurrences only — which is
-// the order match fingerprints serialize bindings in.
+// before its kid list before its kids, first occurrences only.
 type slotTable struct {
 	classes []slotVar
 	attrs   []slotVar

@@ -19,12 +19,11 @@ type Rule struct {
 
 	// Reads declares what Apply reads of the e-graph beyond the match
 	// bindings. The zero value is a pure rule — Apply is a function of
-	// its bindings — which is applied at most once per distinct match
-	// fingerprint. A rule that scans class members or consumers
-	// declares how far (ReadsBelow, ReadsConsumers) and is re-applied,
-	// unfingerprinted, wherever that footprint met a change since it
-	// last ran; ReadsGraph declares no bound and re-runs on every class
-	// every iteration. See Footprint.
+	// its bindings — which is re-offered only where a bound class
+	// changed. A rule that scans class members or consumers declares how
+	// far (ReadsBelow, ReadsConsumers) and is re-applied wherever that
+	// footprint met a change since it last ran; ReadsGraph declares no
+	// bound and re-runs on every class every iteration. See Footprint.
 	Reads Footprint
 
 	// Kids declares, for a rule whose LHS is variadic at the root (POpN),
@@ -260,11 +259,11 @@ type Stats struct {
 	Applications map[string]int
 	Saturated    bool // every merged run reached fixpoint (vs. limit hit)
 	Nodes        int
-	// Matches counts e-matches collected across all iterations (before
-	// the applied-fingerprint filter): the match-loop work the
-	// `-exp saturate` bench tracks per iteration. With dirty tracking
-	// against each rule's footprint this is far below classes × rules ×
-	// iterations; it is the one statistic the two matchers differ in.
+	// Matches counts e-matches collected across all iterations: the
+	// match-loop work the `-exp saturate` bench tracks per iteration.
+	// With dirty tracking against each rule's footprint this is far
+	// below classes × rules × iterations; it is the one statistic the
+	// two matchers differ in.
 	Matches int
 	// Runs counts the saturation runs accumulated into this value.
 	// The zero value (Runs == 0) is the identity of Merge: merging a
@@ -332,50 +331,6 @@ func (s *Stats) Merge(o Stats) {
 // apply cost, rare enough that Ctx.Err is off the hot path.
 const cancelPollEvery = 32
 
-// appendFingerprint serializes a pure-rule match identity into buf:
-// rule name plus every bound class (canonicalized), attribute value, and
-// kid-list, each in binding order (the slot table's), length-prefixed so
-// distinct matches never collide. Both matchers fingerprint identically,
-// which is what makes the indexed matcher's skipped re-matches
-// unobservable. Attributes go in by value, not by where they were read:
-// two matches that bind equal attributes off different nodes are one
-// application.
-func (g *EGraph) appendFingerprint(buf []byte, cr *CompiledRules, p ruleMatch) []byte {
-	put := func(v ClassID) {
-		u := uint32(v)
-		buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	}
-	buf = append(buf, cr.rules[p.rule].Name...)
-	buf = append(buf, 0) // rule names are NUL-free, so the prefix is unambiguous
-	put(g.Find(ClassID(p.class)))
-	vars := cr.vars[p.rule]
-	if vars.used == 0 {
-		return buf
-	}
-	slot := &g.substs[p.subst].slot
-	for _, v := range vars.classes {
-		buf = append(buf, 'c')
-		put(g.Find(ClassID(slot[v.slot])))
-	}
-	for _, v := range vars.attrs {
-		buf = append(buf, 'a')
-		lenAt := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = g.arena[slot[v.slot]].Ints[v.pos].AppendKey(buf)
-		n := uint32(len(buf) - lenAt - 4)
-		buf[lenAt], buf[lenAt+1], buf[lenAt+2], buf[lenAt+3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	}
-	for _, v := range vars.kids {
-		ks := g.arena[slot[v.slot]].Kids
-		buf = append(buf, 'k')
-		put(ClassID(len(ks)))
-		for _, k := range ks {
-			put(g.Find(k))
-		}
-	}
-	return buf
-}
-
 // apply runs rule's Apply on match p with the whole lemma scratch to
 // itself. The pairs it returns may be scratch (Match.With): the caller
 // reads them, then calls applied.
@@ -395,23 +350,16 @@ func (g *EGraph) applied() {
 
 // auditWithheld executes a match the indexed matcher withheld, on the
 // graph exactly as the match phase left it, and panics unless it is the
-// no-op the gates claim: nothing inserted, nothing merged (a pure match
-// may instead carry an applied fingerprint, which the apply loop drops
-// unexecuted). It runs only under InvariantChecks, so the test corpus
-// audits every footprint declaration and the gating itself.
-func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBuf []byte) []byte {
+// no-op the gates claim: nothing inserted, nothing merged. It runs only
+// under InvariantChecks, so the test corpus audits every footprint
+// declaration and the gating itself.
+func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool) {
 	rule := cr.rules[p.rule]
 	if byKids {
 		if g.kidWithheld == nil {
 			g.kidWithheld = map[string]int{}
 		}
 		g.kidWithheld[rule.Name]++
-	}
-	if rule.Reads.Pure() {
-		fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
-		if g.appliedFP.has(fpBuf, hashFingerprint(fpBuf)) {
-			return fpBuf
-		}
 	}
 	slots := len(g.parent)
 	pairs := g.apply(rule, cr, p)
@@ -435,7 +383,6 @@ func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool, fpBu
 		panic(fmt.Sprintf("egraph: rule %q (reads %s) was withheld from class %d in match phase %d%s, but applying it %s: %s, or the matcher's gating is wrong",
 			rule.Name, rule.Reads, p.class, g.phase, gate, effect, why))
 	}
-	return fpBuf
 }
 
 // sameRules reports whether two rule slices hold identical rules in
@@ -457,24 +404,24 @@ func sameRules(a, b []*Rule) bool {
 // are collected on a frozen view each iteration, then applied — the
 // standard egg iteration structure.
 //
-// Saturation state persists on the graph across calls: the
-// applied-fingerprint set survives (an application executes at most
-// once per graph lifetime, not once per call), and when the previous
-// call reached fixpoint under the same rules, the next call skips the
-// full first-iteration scan and e-matches only classes dirtied since —
-// which makes the checker's fold-a-node-then-resaturate frontier loop
-// incremental instead of quadratic. A call that stopped on a budget or
-// cancellation clears the fixpoint carry, so the next call rescans
-// everything (the applied set stays valid either way: it records only
-// applications that fully executed).
+// Every collected match is applied. One that already ran is a no-op:
+// InstantiateOp finds its hash-consed right-hand side and Union of two
+// equal classes reports no change, so it counts no application. The
+// indexed matcher's dirty tracking keeps such repeats rare.
+//
+// Saturation state persists on the graph across calls: when the
+// previous call reached fixpoint under the same rules, the next call
+// skips the full first-iteration scan and e-matches only classes
+// dirtied since — which makes the checker's fold-a-node-then-resaturate
+// frontier loop incremental instead of quadratic. A call that stopped
+// on a budget or cancellation clears the fixpoint carry, so the next
+// call rescans everything.
 func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	opts = opts.withDefaults()
 	stats := Stats{Runs: 1}
-	applied := &g.appliedFP
 	carry := g.satFixpoint && sameRules(g.satRules, rules)
 	g.satFixpoint = false
 	g.satRules = rules
-	fpBuf := g.fpBuf
 	cr := opts.Compiled
 	if cr == nil {
 		cr = CompileRules(rules)
@@ -523,12 +470,11 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		}
 		stats.Matches += len(todo) - len(withheld)
 		for _, w := range withheld {
-			fpBuf = g.auditWithheld(cr, todo[w.at], w.byKids, fpBuf)
+			g.auditWithheld(cr, todo[w.at], w.byKids)
 		}
 		changed := false
 		for mi, p := range todo {
 			late := len(withheld) > 0 && withheld[0].at == mi
-			byKids := late && withheld[0].byKids
 			if late {
 				withheld = withheld[1:]
 			}
@@ -541,17 +487,6 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				cancelled = true
 				break
 			}
-			rule := rules[p.rule]
-			pure := rule.Reads.Pure()
-			var fpHash uint32
-			if pure {
-				// Pure rules: one application per canonical match.
-				fpBuf = g.appendFingerprint(fpBuf[:0], cr, p)
-				fpHash = hashFingerprint(fpBuf)
-				if applied.has(fpBuf, fpHash) {
-					continue
-				}
-			}
 			if g.nodeCount > opts.MaxNodes {
 				// A direct-AddNode rule overshot the live count; stop
 				// applying matches.
@@ -559,14 +494,12 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				break
 			}
 			slots := len(g.parent)
-			pairs := g.apply(rule, cr, p)
+			pairs := g.apply(rules[p.rule], cr, p)
 			if g.budgetDenied {
 				// The instantiation cap declined part of this
 				// application: it is incomplete, so it asserts nothing —
 				// a declined insert's class stands for no term, and a
-				// union with it would be unsound — and it stays out of
-				// the applied set: a later run with a bigger budget must
-				// re-derive it.
+				// union with it would be unsound.
 				g.applied()
 				limitHit = true
 				break
@@ -580,18 +513,8 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				}
 			}
 			g.applied()
-			if late && (effect || pure && !byKids) {
-				// Effective in its turn — or a pure match executed at all:
-				// the naive matcher now holds a fingerprint the indexed
-				// one never records. (Not so for a match withheld by the
-				// rule's kid requirement: it is executed here every time it
-				// is collected, and its fingerprint names the kid classes
-				// that fail the requirement, so no match the indexed
-				// matcher offers can carry it.)
+			if late && effect {
 				g.lateEffects++
-			}
-			if pure {
-				applied.add(fpBuf, fpHash)
 			}
 		}
 		g.Rebuild()
@@ -600,7 +523,7 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 			break
 		}
 	}
-	g.fpBuf, g.todoBuf = fpBuf[:0], todo[:0]
+	g.todoBuf = todo[:0]
 	g.satFixpoint = stats.Saturated
 	for ri, n := range apps {
 		if n > 0 {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"entangle/internal/expr"
+	"entangle/internal/shape"
+	"entangle/internal/sym"
 )
 
 // opF/opG/opH are private test operators; CleanOp treats unknown ops
@@ -392,6 +394,53 @@ func TestSaturateDeniedApplicationAssertsNothing(t *testing.T) {
 	}
 	if len(stats.Applications) != 0 {
 		t.Fatalf("a denied application counted as applied: %v", stats.Applications)
+	}
+	assertCongruent(t, g)
+}
+
+// TestSaturatePureRuleRetriesAfterShapeKnown is the regression test for
+// a pure match that declined because a shape was not known yet: a later
+// union that gives the bound class a shape must let the match fire when
+// the matcher offers it again, even though every bound class keeps its
+// ID. A record of executed pure matches keyed on their canonical
+// bindings used to drop it unexecuted, so the union never happened.
+func TestSaturatePureRuleRetriesAfterShapeKnown(t *testing.T) {
+	g := New(nil)
+	g.SetLeafShapeFn(func(tid int) (shape.Shape, bool) {
+		return shape.Shape{sym.Const(4)}, tid == 2 // x (tid 1) has no shape of its own
+	})
+	x := g.AddTerm(leafT(1, "x"))
+	fx := insert(g, opF, nil, x)
+	rule := &Rule{
+		Name: "shaped-f",
+		LHS:  POp(opF, nil, PVar("a")),
+		Apply: func(g *EGraph, m Match) []UnionPair {
+			a := m.Subst.ClassOf("a")
+			if _, ok := g.ShapeOf(a); !ok {
+				return nil
+			}
+			return m.With(insert(g, opG, nil, a))
+		},
+	}
+	rules := []*Rule{rule}
+	if stats := g.Saturate(rules, SaturateOpts{}); !stats.Saturated || len(stats.Applications) != 0 {
+		t.Fatalf("with x unshaped the rule must decline and the run saturate: %+v", stats)
+	}
+	g.Union(x, g.AddTerm(leafT(2, "y")))
+	g.Rebuild()
+	if g.Find(x) != x {
+		t.Fatalf("x's class must keep its ID across the union, so the match's bindings are unchanged: Find = %d, want %d", g.Find(x), x)
+	}
+	if _, ok := g.ShapeOf(x); !ok {
+		t.Fatal("the union with y must give x's class a shape")
+	}
+	stats := g.Saturate(rules, SaturateOpts{})
+	if stats.Applications["shaped-f"] != 1 {
+		t.Fatalf("the declined match must fire once its shape is known: %v", stats.Applications)
+	}
+	gx, ok := g.Lookup(&ENode{Op: opG, Kids: []ClassID{x}})
+	if !ok || g.Find(gx) != g.Find(fx) {
+		t.Fatal("f(x) and test_g(x) must be one class")
 	}
 	assertCongruent(t, g)
 }

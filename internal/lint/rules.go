@@ -49,9 +49,7 @@ const (
 	CheckRuleKidReqUnknownOp = "rule-kidreq-unknown-op"
 	// CheckRuleKidReqUnread fires when a pure rule declares EveryKid: the
 	// requirement is about the kid classes' node sets, which a rule whose
-	// Apply reads only its bindings cannot depend on — and a pure match
-	// is fingerprinted, so the naive matcher would never re-apply the
-	// match a node gained later opens the gate for.
+	// Apply reads only its bindings cannot depend on.
 	CheckRuleKidReqUnread = "rule-kidreq-unread"
 )
 

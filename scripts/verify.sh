@@ -111,23 +111,20 @@ stage_mc() {
     go run ./cmd/entangle-mc -model known-bug-cluster -expect-violation >/dev/null
 }
 
-# entangle-lint over the built-in lemma registry, the engine's own
-# source (nondeterminism hazards), and a freshly generated pair of
-# capture graphs in each graph format. Fails on any error-severity
-# finding.
+# entangle-lint over the built-in lemma registry, the source of every
+# package under internal/ and cmd/ (nondeterminism hazards; the list is
+# go list's, so a new package cannot be missed), and a freshly
+# generated pair of capture graphs in each graph format. Fails on any
+# error-severity finding.
 stage_lint() {
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
+    mod=$(go list -m)
+    pkgs=$(go list ./internal/... ./cmd/... | sed "s|^$mod/||")
     go run ./cmd/entangle-graphgen -model gpt -tp 2 -o "$tmp/model" >/dev/null
     go run ./cmd/entangle-graphgen -model gpt -tp 2 -format hlo -o "$tmp/model" >/dev/null
-    go run ./cmd/entangle-lint \
-        internal/egraph internal/core internal/lemmas \
-        internal/graph internal/hlo internal/jsonspan \
-        internal/relation internal/lint \
-        internal/fingerprint internal/vcache internal/server \
-        internal/mc internal/mc/models internal/faultinject \
-        internal/bench internal/cluster internal/cluster/sim \
-        internal/fuzz internal/det \
+    # $pkgs is left unquoted on purpose: one directory per word.
+    go run ./cmd/entangle-lint $pkgs \
         "$tmp"/model-seq.json "$tmp"/model-dist.json \
         "$tmp"/model-seq.hlo "$tmp"/model-dist.hlo
 }
