@@ -31,7 +31,7 @@ func run() int {
 		seed      = flag.Uint64("seed", 1, "master seed for the campaign stream")
 		n         = flag.Int("n", 50, "correct compositions per campaign (each also gets one injection per applicable defect class)")
 		models    = flag.String("models", "", "comma-separated model families: chain,gpt,seedmoe,regression (empty = all)")
-		maxDegree = flag.Int("max-degree", 4, "maximum parallelism degree (power of two, >= 2)")
+		maxDegree = flag.Int("max-degree", 4, "parallelism degree bound: plans draw R 2, or R 2 and 4 at 4 or more (above 4 acts as 4)")
 		workers   = flag.Int("workers", 2, "checker workers per case")
 		soak      = flag.Duration("soak", 0, "keep running fresh campaigns until this wall-clock budget is spent (0 = one campaign)")
 		corpus    = flag.String("corpus", "", "replay this corpus directory before fuzzing; replay failure fails the run")

@@ -66,6 +66,3 @@ func (r *RNG) Intn(n int) int {
 
 // Bool flips a fair coin.
 func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
-// OneIn is true once per n draws on average.
-func (r *RNG) OneIn(n int) bool { return r.Intn(n) == 0 }

@@ -82,17 +82,18 @@ type Case struct {
 var ErrSiteUnused = errors.New("fuzz: defect site not reached during composition")
 
 // composer walks G_s in topological (construction) order and emits a
-// distributed implementation, tracking each tensor's layout. All
-// structural decisions come from the plan-seeded splitmix64 stream, so
-// a (plan, defect) pair rebuilds byte-identically.
+// distributed implementation, tracking each tensor's layout. Every
+// structural decision is one weighted pick through its chooser: Compose
+// drives it with the plan-seeded splitmix64 stream, so a (plan, defect)
+// pair rebuilds byte-identically, and Enumerate walks every sequence.
 //
 // Determinism contract: an injected defect may change what nodes are
-// EMITTED, but never consumes extra decision draws, so the site
-// indices counted by a correct build stay valid for injected rebuilds.
-// The one sanctioned divergence is missing-register, which changes the
+// EMITTED, but never makes an extra decision, so the site indices
+// counted by a correct build stay valid for injected rebuilds. The one
+// sanctioned divergence is missing-register, which changes the
 // downstream layout only after its own site fired.
 type composer struct {
-	rng     *det.RNG
+	ch      chooser
 	gs      *graph.Graph
 	env     *strategy.Env
 	b       *graph.Builder
@@ -107,17 +108,99 @@ type composer struct {
 	intLike map[graph.TensorID]bool
 }
 
+// chooser makes the composer's decisions: pick returns an index into
+// weights, one entry per choice, each weight positive.
+type chooser interface{ pick(weights []int) int }
+
+// randomChooser draws Intn(sum of weights) and walks the weights in
+// order: a choice of weight w owns w adjacent values of the draw.
+type randomChooser struct{ rng *det.RNG }
+
+func (r randomChooser) pick(weights []int) int {
+	total := 0
+	for _, w := range weights {
+		total += w
+	}
+	n := r.rng.Intn(total)
+	for i, w := range weights {
+		if n < w {
+			return i
+		}
+		n -= w
+	}
+	panic("fuzz: unreachable weighted pick")
+}
+
+// pathChooser replays path, extends it with first choices, and records
+// each decision's arity (its weights are ignored).
+type pathChooser struct {
+	path    []int
+	arities []int
+}
+
+func (c *pathChooser) pick(weights []int) int {
+	i := len(c.arities)
+	c.arities = append(c.arities, len(weights))
+	if i == len(c.path) {
+		c.path = append(c.path, 0)
+	}
+	return c.path[i]
+}
+
 // Compose builds plan p's distributed implementation, optionally with
 // one injected defect. The returned case carries the graphs, the input
 // relation, the ground truth, and the site census.
 func Compose(p Plan, d *Defect) (*Case, error) {
+	return compose(p, d, randomChooser{det.NewRNG(p.Seed)})
+}
+
+// Enumerate composes plan p once per distinct choice sequence of the
+// composer, depth first, and hands each correct build to visit. The
+// plan's seed still fixes its block parameters (buildChain's own
+// stream); only the composer's decisions are walked. An error from a
+// composition or from visit stops the walk and is returned, which is
+// how a caller caps it.
+func Enumerate(p Plan, visit func(*Case) error) error {
+	return enumerate(p, func(cs *Case, _ *pathChooser) error { return visit(cs) })
+}
+
+// enumerate is Enumerate handing visit the chooser that built the case
+// as well: its path and arities are valid until visit returns.
+func enumerate(p Plan, visit func(*Case, *pathChooser) error) error {
+	var path []int
+	for {
+		ch := &pathChooser{path: path}
+		cs, err := compose(p, nil, ch)
+		if err != nil {
+			return err
+		}
+		if err := visit(cs, ch); err != nil {
+			return err
+		}
+		// Odometer step: advance the deepest decision with room left and
+		// let the next composition extend the path past it.
+		path = ch.path
+		i := len(path) - 1
+		for i >= 0 && path[i]+1 >= ch.arities[i] {
+			i--
+		}
+		if i < 0 {
+			return nil
+		}
+		path[i]++
+		path = path[:i+1]
+	}
+}
+
+// compose is Compose with every decision made by ch.
+func compose(p Plan, d *Defect, ch chooser) (*Case, error) {
 	gs, err := BuildSequential(p)
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: %s: G_s: %w", p, err)
 	}
 	env := strategy.NewEnv(gs, "gd", p.Degree)
 	c := &composer{
-		rng:     det.NewRNG(p.Seed),
+		ch:      ch,
 		gs:      gs,
 		env:     env,
 		b:       env.B,
@@ -169,11 +252,16 @@ func (c *composer) site(class DefectClass) bool {
 	return false
 }
 
+// paddedOrPlain weighs the two idioms of gather and resolve: pick 0 is
+// the padded gather (in resolve, the reduce-scatter) at weight 1, pick 1
+// the plain all-gather (all-reduce) at weight 2.
+var paddedOrPlain = []int{1, 2}
+
 func rname(r int, label string) string { return fmt.Sprintf("r%d/%s", r, label) }
 
 // declareInput chooses a placement for one G_s input: shared (one
 // copy), replicated (per-rank copies), or sharded along a divisible
-// dim. Shard candidates are weighted up so compositions stay
+// dim. Shard candidates weigh double so compositions stay
 // interesting. Shared placements are missing-register sites: the
 // injected form registers an unused master copy and computes with
 // unregistered per-rank working copies — the ZeRO-style registration
@@ -185,13 +273,15 @@ func (c *composer) declareInput(t *graph.Tensor) {
 		kShard
 	)
 	type cand struct{ kind, dim int }
-	cands := []cand{{kShared, 0}, {kShared, 0}, {kReplicate, 0}}
+	cands := []cand{{kShared, 0}, {kReplicate, 0}}
+	weights := []int{2, 1}
 	for d := range t.Shape {
 		if ext, ok := t.Shape[d].IsConst(); ok && ext%int64(c.R) == 0 && ext >= int64(c.R) {
-			cands = append(cands, cand{kShard, d}, cand{kShard, d})
+			cands = append(cands, cand{kShard, d})
+			weights = append(weights, 2)
 		}
 	}
-	pick := cands[c.rng.Intn(len(cands))]
+	pick := cands[c.ch.pick(weights)]
 	switch pick.kind {
 	case kShared:
 		if c.site(DefectMissingRegister) {
@@ -287,12 +377,12 @@ func (c *composer) full(gsID graph.TensorID) []graph.TensorID {
 
 // gather assembles full copies from shards, either with a plain
 // all-gather (gather-order site: shards reassembled in rotated rank
-// order) or with the padded gather-then-strip idiom (pad-slice site:
-// the strip slices use the unpadded stride).
+// order) or, one pick in three, with the padded gather-then-strip
+// idiom (pad-slice site: the strip slices use the unpadded stride).
 func (c *composer) gather(name string, v *dval) []graph.TensorID {
 	dim := int64(v.dim)
 	chunk, chunkOK := c.b.Graph().Tensor(v.ids[0]).Shape[v.dim].IsConst()
-	if !chunkOK || !c.rng.OneIn(3) {
+	if !chunkOK || c.ch.pick(paddedOrPlain) == 1 {
 		ins := v.ids
 		if c.site(DefectGatherOrder) {
 			rot := make([]graph.TensorID, len(ins))
@@ -329,9 +419,9 @@ func (c *composer) gather(name string, v *dval) []graph.TensorID {
 
 // resolve turns partial sums into full copies: either a direct
 // all-reduce (missing-collective site: the reduce is skipped and ranks
-// consume their own partial) or a reduce-scatter along dim 0 followed
-// by a gather (scatter-no-reduce site: each rank slices its own
-// partial locally instead of reduce-scattering).
+// consume their own partial) or, one pick in three, a reduce-scatter
+// along dim 0 followed by a gather (scatter-no-reduce site: each rank
+// slices its own partial locally instead of reduce-scattering).
 func (c *composer) resolve(name string, v *dval) []graph.TensorID {
 	sh := c.b.Graph().Tensor(v.ids[0]).Shape
 	var ext int64
@@ -340,7 +430,7 @@ func (c *composer) resolve(name string, v *dval) []graph.TensorID {
 		ext, extOK = sh[0].IsConst()
 	}
 	canScatter := extOK && ext%int64(c.R) == 0 && ext >= int64(c.R)
-	if !canScatter || !c.rng.OneIn(3) {
+	if !canScatter || c.ch.pick(paddedOrPlain) == 1 {
 		if c.site(DefectMissingCollective) {
 			return v.ids
 		}
@@ -434,17 +524,17 @@ func (c *composer) emitMatMul(n *graph.Node) {
 		ruleColumn          // full activation × column-sharded weight (TP column)
 		ruleRow             // contraction-sharded both sides → partial (TP row)
 	)
-	rules := []int{ruleLocal}
+	rules, weights := []int{ruleLocal}, []int{1}
 	if rank2 && va.kind == stSharded && va.dim == 0 {
-		rules = append(rules, ruleRowSplit, ruleRowSplit)
+		rules, weights = append(rules, ruleRowSplit), append(weights, 2)
 	}
 	if rank2 && vw.kind == stSharded && vw.dim == 1 {
-		rules = append(rules, ruleColumn, ruleColumn)
+		rules, weights = append(rules, ruleColumn), append(weights, 2)
 	}
 	if rank2 && va.kind == stSharded && va.dim == 1 && vw.kind == stSharded && vw.dim == 0 {
-		rules = append(rules, ruleRow, ruleRow, ruleRow)
+		rules, weights = append(rules, ruleRow), append(weights, 3)
 	}
-	switch rules[c.rng.Intn(len(rules))] {
+	switch rules[c.ch.pick(weights)] {
 	case ruleLocal:
 		c.perRank(n, stReplicated, 0, c.full(a), c.full(w))
 	case ruleRowSplit:
@@ -574,22 +664,22 @@ func (c *composer) emitEmbedding(n *graph.Node) {
 		ruleHidden        // hidden-sharded table
 		ruleVocab         // vocab-sharded table → partial lookups
 	)
-	rules := []int{ruleLocal}
+	rules, weights := []int{ruleLocal}, []int{1}
 	if vi.kind == stSharded && vi.dim == 0 {
-		rules = append(rules, ruleSeq, ruleSeq)
+		rules, weights = append(rules, ruleSeq), append(weights, 2)
 	}
 	if vt.kind == stSharded && vt.dim == 1 {
-		rules = append(rules, ruleHidden, ruleHidden)
+		rules, weights = append(rules, ruleHidden), append(weights, 2)
 	}
 	chunkV, vOK := int64(0), false
 	if vt.kind == stSharded && vt.dim == 0 {
 		chunkV, vOK = c.b.Graph().Tensor(vt.ids[0]).Shape[0].IsConst()
 		if vOK {
-			rules = append(rules, ruleVocab, ruleVocab)
+			rules, weights = append(rules, ruleVocab), append(weights, 2)
 		}
 	}
 	outLast := len(c.gs.Tensor(n.Outputs[0]).Shape) - 1
-	switch rules[c.rng.Intn(len(rules))] {
+	switch rules[c.ch.pick(weights)] {
 	case ruleLocal:
 		c.perRank(n, stReplicated, 0, c.full(table), c.full(ids))
 	case ruleSeq:

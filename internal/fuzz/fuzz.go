@@ -16,7 +16,8 @@ type Config struct {
 	N int
 	// Families restricts the sequential-model sources (nil = all).
 	Families []Family
-	// MaxDegree bounds the parallelism degree (minimum 2).
+	// MaxDegree bounds the parallelism degree (minimum 2): plans draw
+	// R 2, or R 2 and 4 from 4 up, so a bound above 4 acts as 4.
 	MaxDegree int
 	// Workers sets the checker's parallelism per case.
 	Workers int
@@ -216,7 +217,9 @@ func sanitize(s string) string {
 // both applies and is disproved by the checker, then shrinks it to a
 // minimal witness. It is the §6.2 rediscovery experiment in library
 // form: every paper bug class must come back as a minimized Disproved
-// case. maxTries bounds the plan search.
+// case. maxTries bounds the plan search; a plan without a site or whose
+// injection the checker misses is skipped, but a composition or
+// evaluation error is returned.
 func Rediscover(class DefectClass, seed uint64, workers, maxTries int) (*Result, error) {
 	master := det.NewRNG(seed)
 	tpl := rediscoverTemplate(class)
@@ -225,7 +228,7 @@ func Rediscover(class DefectClass, seed uint64, workers, maxTries int) (*Result,
 		p.Seed = master.Uint64()
 		cs, err := Compose(p, nil)
 		if err != nil {
-			continue
+			return nil, err
 		}
 		n := cs.Sites[class]
 		if n == 0 {
@@ -234,10 +237,13 @@ func Rediscover(class DefectClass, seed uint64, workers, maxTries int) (*Result,
 		d := &Defect{Class: class, Site: master.Intn(n)}
 		ics, err := Compose(p, d)
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("fuzz: inject %s: %w", d, err)
 		}
 		res, err := Evaluate(ics, workers)
-		if err != nil || res.Outcome != OutcomeRediscovered {
+		if err != nil {
+			return nil, fmt.Errorf("fuzz: inject %s: %w", d, err)
+		}
+		if res.Outcome != OutcomeRediscovered {
 			continue
 		}
 		_, shrunk, err := Shrink(p, d, workers, func(r *Result) bool {

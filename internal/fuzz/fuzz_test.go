@@ -2,10 +2,13 @@ package fuzz
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"entangle/internal/core"
@@ -84,6 +87,49 @@ func TestSameSeedIsByteIdentical(t *testing.T) {
 	if got := fmt.Sprintf("%x", corpus.Sum(nil)); got != "8294069bf24373ff65d48261843457e3e3ec9a0efb5ca82aa314388a165d9a4d" {
 		t.Errorf("seed 99 no longer composes the same corpus: digest %s", got)
 	}
+
+	// Seed 1's first 100 plans with every (class, site) rebuild reach
+	// every weighted branch of the composer, the padded gather and the
+	// reduce-scatter included: this digest pins the decision stream on
+	// all of them.
+	master = det.NewRNG(1)
+	streams := sha256.New()
+	pads, scatters := 0, 0
+	for i := 0; i < 100; i++ {
+		p := RandomPlan(master, Families, 4)
+		cs, err := Compose(p, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		builds := []*Case{cs}
+		for _, cl := range Classes {
+			for s := 0; s < cs.Sites[cl]; s++ {
+				ics, err := Compose(p, &Defect{Class: cl, Site: s})
+				if err != nil {
+					t.Fatalf("%s: inject %s@%d: %v", p, cl, s, err)
+				}
+				builds = append(builds, ics)
+			}
+		}
+		for _, b := range builds {
+			dgd, _ := Digest(b.Gd)
+			fmt.Fprintf(streams, "%s %v %s;", p, b.Defect, dgd)
+			for _, n := range b.Gd.Nodes {
+				switch {
+				case strings.HasSuffix(n.Label, "/pad"):
+					pads++
+				case strings.HasSuffix(n.Label, "/reducescatter"):
+					scatters++
+				}
+			}
+		}
+	}
+	if pads == 0 || scatters == 0 {
+		t.Errorf("seed 1 sample misses a weighted branch: %d pad, %d reducescatter nodes", pads, scatters)
+	}
+	if got := fmt.Sprintf("%x", streams.Sum(nil)); got != "65afea960e07e62a26def92454ec9b8ec606e3c454b1cca3006ac74ef8b43880" {
+		t.Errorf("seed 1 no longer composes the same rebuilds: digest %s (%d pad, %d reducescatter nodes)", got, pads, scatters)
+	}
 }
 
 func TestVerdictIndependentOfWorkers(t *testing.T) {
@@ -139,6 +185,36 @@ func TestEverySiteInCensusFires(t *testing.T) {
 	}
 }
 
+// TestInjectionsReplayTheCorrectDecisions observes the determinism
+// contract through the chooser: for every enumerated composition of a
+// small plan, each injection of a class other than missing-register
+// makes exactly the correct build's decisions — the same count, the
+// same arities, the same picks.
+func TestInjectionsReplayTheCorrectDecisions(t *testing.T) {
+	p := enumPlan(blockFFN, 1)
+	err := enumerate(p, func(cs *Case, ch *pathChooser) error {
+		for _, cl := range Classes {
+			if cl == DefectMissingRegister {
+				continue // may change the layout after its site: sanctioned
+			}
+			for s := 0; s < cs.Sites[cl]; s++ {
+				replay := &pathChooser{path: slices.Clone(ch.path)}
+				if _, err := compose(p, &Defect{Class: cl, Site: s}, replay); err != nil {
+					return err
+				}
+				if !slices.Equal(replay.path, ch.path) || !slices.Equal(replay.arities, ch.arities) {
+					return fmt.Errorf("%s@%d diverges from %v (arities %v): picks %v, arities %v",
+						cl, s, ch.path, ch.arities, replay.path, replay.arities)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", p, err)
+	}
+}
+
 // The campaign is the main property test: correct compositions must
 // never disagree with the numeric oracle, injected defects must be
 // disproved or surface as lemma gaps, and nothing may be unsound.
@@ -163,6 +239,70 @@ func TestCampaignProperties(t *testing.T) {
 	// Every outcome must be accounted for.
 	if stats.Agree+stats.Rediscovered+stats.LemmaGaps+stats.Masked+stats.Unsound != stats.Cases {
 		t.Fatalf("outcome counts do not add up: %+v", stats)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Enumeration
+
+// enumPlan is a one-block chain at R 2 under an MSE head.
+func enumPlan(block int, seed uint64) Plan {
+	return Plan{Seed: seed, Family: FamilyChain, Degree: 2, Blocks: []int{block}, Head: headMSE}
+}
+
+// TestEnumerateWalksEveryChoiceSequence: Enumerate visits each choice
+// sequence of a plan once, the sequence counts of two small plans are
+// pinned, and each random composition of such a plan, over 20 seeds, is
+// among the G_d its enumeration visits. The seed fixes block parameters
+// (the FFN's activation), so plans are enumerated once per G_s.
+func TestEnumerateWalksEveryChoiceSequence(t *testing.T) {
+	for _, tc := range []struct{ block, sequences int }{{blockRMSNorm, 132}, {blockFFN, 3456}} {
+		enumerated := map[string]map[string]bool{} // G_s digest → G_d digests
+		for seed := uint64(1); seed <= 20; seed++ {
+			p := enumPlan(tc.block, seed)
+			cs, err := Compose(p, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			dgs, _ := Digest(cs.Gs)
+			gds, ok := enumerated[dgs]
+			if !ok {
+				gds = map[string]bool{}
+				seen := map[string]bool{}
+				err := enumerate(p, func(e *Case, ch *pathChooser) error {
+					key := fmt.Sprint(ch.path)
+					if seen[key] || len(ch.path) != len(ch.arities) {
+						return fmt.Errorf("choice sequence %v (arities %v) visited twice or cut short", ch.path, ch.arities)
+					}
+					seen[key] = true
+					dgd, err := Digest(e.Gd)
+					gds[dgd] = true
+					return err
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", p, err)
+				}
+				if len(seen) != tc.sequences {
+					t.Errorf("%s: %d choice sequences, want %d", p, len(seen), tc.sequences)
+				}
+				enumerated[dgs] = gds
+			}
+			if dgd, _ := Digest(cs.Gd); !gds[dgd] {
+				t.Errorf("%s: random composition is not among the %d enumerated G_d", p, len(gds))
+			}
+		}
+	}
+	// An error from visit stops the walk: it is how a caller caps it.
+	stop := errors.New("cap")
+	visits := 0
+	err := Enumerate(enumPlan(blockFFN, 1), func(*Case) error {
+		if visits++; visits == 10 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || visits != 10 {
+		t.Fatalf("capped walk: %v after %d visits, want %v after 10", err, visits, stop)
 	}
 }
 

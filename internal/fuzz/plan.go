@@ -112,8 +112,9 @@ func (p Plan) String() string {
 }
 
 // RandomPlan draws a plan from the master stream. maxDegree bounds the
-// parallelism degree; degrees are powers of two so the fixed chain
-// dimensions always divide.
+// parallelism degree: R is 2, or 2 or 4 when maxDegree is 4 or more, so
+// a bound above 4 acts as 4. Degrees are powers of two so the fixed
+// chain dimensions always divide.
 func RandomPlan(rng *det.RNG, families []Family, maxDegree int) Plan {
 	p := Plan{
 		Seed:   rng.Uint64(),

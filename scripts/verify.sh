@@ -86,17 +86,17 @@ stage_race() {
 # build back byte for byte. Any bytes as a disk segment: no panic, the
 # scan indexes only whole frames, and a Get returns only what
 # DecodeEntry accepts. The minimizer is capped so the ten seconds
-# go to new inputs; go test takes one -fuzz target per run.
+# go to new inputs; go test takes one -fuzz target per run. The
+# NAME:package list is go test -list's (each package's names come
+# before its "ok" line), so a new Fuzz target cannot be missed.
 stage_fuzz() {
-    for target in \
-        FuzzPeerFrames:./internal/server/ \
-        FuzzCheckEnvelope:./internal/server/ \
-        FuzzGraphDecode:./internal/graph/ \
-        FuzzHLOParse:./internal/hlo/ \
-        FuzzTermDecode:./internal/fingerprint/ \
-        FuzzDecodeEntry:./internal/vcache/ \
-        FuzzSegmentScan:./internal/vcache/
-    do
+    list=$(go test -list '^Fuzz' ./internal/...)
+    targets=$(printf '%s\n' "$list" | awk '
+        /^Fuzz/ { names = names " " $1; next }
+        /^ok/ { n = split(names, a, " "); for (i = 1; i <= n; i++) print a[i] ":" $2; names = "" }')
+    [ -n "$targets" ] || { echo "stage_fuzz: no Fuzz targets found" >&2; exit 1; }
+    # $targets is left unquoted on purpose: one NAME:package per word.
+    for target in $targets; do
         go test -run '^$' -fuzz="^${target%%:*}\$" -fuzztime=10s -fuzzminimizetime=1s "${target#*:}"
     done
 }
