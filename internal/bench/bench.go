@@ -154,21 +154,27 @@ func Fig3() (string, []*Result, error) {
 	return out.String(), results, nil
 }
 
+// fig4Layers is Figure 4's layer axis: the paper's 1–3, then deeper, where
+// a check's cost per added layer shows.
+var fig4Layers = []int{1, 2, 3, 6, 12}
+
 // Fig4 sweeps parallelism degree and layer count for GPT (TP+SP+VP)
 // and Llama-3 (TP), the paper's scalability study.
-func Fig4() (string, []*Result, error) {
+func Fig4() (string, []*Result, error) { return fig4(fig4Layers) }
+
+func fig4(layers []int) (string, []*Result, error) {
 	var out strings.Builder
 	var all []*Result
 	sweep := func(title string, parallelisms []int, build func(p, l int) (*models.Built, error), viaHLO bool) error {
 		fmt.Fprintf(&out, "Figure 4: %s scalability (verification time)\n", title)
 		fmt.Fprintf(&out, "%-12s", "par \\ layers")
-		for _, l := range []int{1, 2, 3} {
+		for _, l := range layers {
 			fmt.Fprintf(&out, " %10d", l)
 		}
 		fmt.Fprintln(&out)
 		for _, p := range parallelisms {
 			fmt.Fprintf(&out, "%-12d", p)
-			for _, l := range []int{1, 2, 3} {
+			for _, l := range layers {
 				res, err := Run(Workload{Name: title, Build: build, ViaHLO: viaHLO}, p, l)
 				if err != nil {
 					return err

@@ -86,16 +86,24 @@ func TestExtensionsHarness(t *testing.T) {
 	t.Log("\n" + txt)
 }
 
+// TestFig4Harness sweeps Figure 4: 35 cells, GPT's four degrees and
+// Llama-3's three at five depths. Under the race detector (the audited
+// race stage of scripts/verify.sh) it sweeps the paper's 1–3 layers,
+// 21 cells: the 6- and 12-layer cells take minutes there.
 func TestFig4Harness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig4 sweep is the long harness run")
 	}
-	txt, results, err := Fig4()
+	layers, want := fig4Layers, 35
+	if raceEnabled {
+		layers, want = fig4Layers[:3], 21
+	}
+	txt, results, err := fig4(layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4*3+3*3 {
-		t.Fatalf("want %d sweep cells, got %d", 4*3+3*3, len(results))
+	if len(results) != want {
+		t.Fatalf("want %d sweep cells, got %d", want, len(results))
 	}
 	if !strings.Contains(txt, "no degree-6 column") {
 		t.Fatal("missing the Llama degree-6 note")

@@ -38,6 +38,10 @@ type SaturatePoint struct {
 	// apply phase would have made effective shows up here first (zero in
 	// runs recorded before the field existed).
 	Applications int `json:"applications,omitempty"`
+	// LiveMatches is the e-matches of the saturations that ran: Matches
+	// less those of the searches a check reused from an ancestor operator
+	// instead of running (zero in runs recorded before the field existed).
+	LiveMatches int `json:"live_matches,omitempty"`
 	// AllocsPerCheck / BytesPerCheck are heap allocation counts and
 	// bytes per cold check (runtime.MemStats deltas over the timed
 	// runs) — the GC-pressure metric interning and scratch reuse drive
@@ -89,8 +93,8 @@ func saturateCases() []saturateCase {
 func Saturate() (string, []SaturatePoint, error) {
 	var out strings.Builder
 	fmt.Fprintln(&out, "Saturate: cold-check hot path (no cache, workers=1; parallelism 2, 1 layer unless named otherwise)")
-	fmt.Fprintf(&out, "%-16s %6s %10s %10s %8s %9s %7s %11s %11s\n",
-		"model", "#ops", "cold", "checks/s", "iters", "matches", "apps", "allocs/chk", "MB/chk")
+	fmt.Fprintf(&out, "%-16s %6s %10s %10s %8s %9s %9s %7s %11s %11s\n",
+		"model", "#ops", "cold", "checks/s", "iters", "matches", "live", "apps", "allocs/chk", "MB/chk")
 	var points []SaturatePoint
 	for _, c := range saturateCases() {
 		p, err := saturatePoint(c)
@@ -98,10 +102,10 @@ func Saturate() (string, []SaturatePoint, error) {
 			return "", nil, err
 		}
 		points = append(points, *p)
-		fmt.Fprintf(&out, "%-16s %6d %10s %10.1f %8d %9d %7d %11.0f %11.2f\n",
+		fmt.Fprintf(&out, "%-16s %6d %10s %10.1f %8d %9d %9d %7d %11.0f %11.2f\n",
 			p.Workload, p.Ops,
 			time.Duration(p.ColdMS*float64(time.Millisecond)).Round(10*time.Microsecond),
-			p.ChecksPerSec, p.Iterations, p.Matches, p.Applications, p.AllocsPerCheck,
+			p.ChecksPerSec, p.Iterations, p.Matches, p.LiveMatches, p.Applications, p.AllocsPerCheck,
 			p.BytesPerCheck/(1<<20))
 	}
 	fmt.Fprintln(&out, "(every check is cold: the per-op e-graphs saturate from scratch — the floor under each cache miss)")
@@ -192,6 +196,7 @@ func saturatePoint(c saturateCase) (*SaturatePoint, error) {
 		Matches:        matches,
 		MatchesPerIter: mpi,
 		Applications:   apps,
+		LiveMatches:    warm.LiveStats.Matches,
 		AllocsPerCheck: float64(after.Mallocs-before.Mallocs) / float64(n),
 		BytesPerCheck:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 	}, nil
@@ -217,9 +222,10 @@ const allocSlack = 0.01
 // trajectory's last run) — a baseline without one is the wrong file,
 // not a pass — its checks/sec must be at least (1 - throughputTolerance)
 // × baseline, neither the e-matches collected nor the bytes and
-// objects allocated per check may exceed the baseline's, and the rule
-// applications per check must equal the baseline's (where it recorded
-// them). It returns
+// objects allocated per check may exceed the baseline's, nor may the
+// e-matches of the saturations that ran (where it recorded them), and
+// the rule applications per check must equal the baseline's (where it
+// recorded them). It returns
 // a human-readable comparison plus the violations of each kind. A
 // throughput violation is a timing and may be a noisy neighbour, so the
 // caller re-measures before believing it, workload by workload (slower
@@ -254,6 +260,10 @@ func CompareSaturate(baseline, current []SaturatePoint) (report string, slower m
 		if p.Matches > b.Matches {
 			moreWork = append(moreWork,
 				fmt.Sprintf("%s: %d e-matches per check, baseline %d", p.Workload, p.Matches, b.Matches))
+		}
+		if b.LiveMatches > 0 && p.LiveMatches > b.LiveMatches {
+			moreWork = append(moreWork,
+				fmt.Sprintf("%s: %d e-matches ran per check, baseline %d", p.Workload, p.LiveMatches, b.LiveMatches))
 		}
 		if b.Applications > 0 && p.Applications != b.Applications {
 			moreWork = append(moreWork,

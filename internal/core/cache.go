@@ -89,7 +89,6 @@ type CacheStats struct {
 // cacheState is the per-run cache context hanging off runState.
 type cacheState struct {
 	cache VerdictStore
-	gdix  *fingerprint.GdIndex
 	// keys is this run's derivation — deriving it before the scheduler
 	// starts keeps the cone hasher's memo single-threaded; afterwards
 	// workers only read — and old the diff base's (nil on a full check).
@@ -124,12 +123,12 @@ type sideKeys struct {
 	cones, keys []fingerprint.Hash
 }
 
-// newKeyDerivation indexes gd, of which gdOrder is a topological order;
-// sides carry keys when opts has a cache.
-func newKeyDerivation(gd *graph.Graph, gdOrder []*graph.Node, opts *Options) *keyDerivation {
-	kd := &keyDerivation{gdix: fingerprint.IndexGd(gd, gdOrder)}
+// newKeyDerivation derives over G_d's index gdix; sides carry keys
+// when opts has a cache.
+func newKeyDerivation(gdix *fingerprint.GdIndex, opts *Options) *keyDerivation {
+	kd := &keyDerivation{gdix: gdix}
 	if opts != nil && opts.Cache != nil {
-		kd.opts, kd.gdDigest = opts, opts.gdDigest.of(gd)
+		kd.opts, kd.gdDigest = opts, opts.gdDigest.of(gdix.Graph())
 	}
 	return kd
 }
@@ -218,7 +217,7 @@ func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (OpVerdict, bool)
 		// half-way cannot leave partial replay state behind.
 		all := make([][]*expr.Term, len(v.Outputs))
 		err := e.EachTerm(func(out int, src string) error {
-			t, err := fingerprint.DecodeTerm(src, r.cache.gdix, nil)
+			t, err := fingerprint.DecodeTerm(src, r.gdix, nil)
 			all[out] = append(all[out], t)
 			return err
 		})
@@ -230,9 +229,7 @@ func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (OpVerdict, bool)
 				return OpVerdict{}, false
 			}
 		}
-		for i, out := range v.Outputs {
-			r.rel.AddAll(out, all[i])
-		}
+		r.addOutputs(v, all)
 		return OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations(), Replayed: true}, true
 
 	case vcache.VerdictDisproved:
@@ -262,7 +259,7 @@ func (r *runState) storeVerdict(topo int, acc egraph.Stats, verdict OpVerdict, o
 		for i, ts := range outs {
 			terms[i] = make([]string, len(ts))
 			for j, t := range ts {
-				terms[i][j] = fingerprint.CanonicalTerm(t, r.cache.gdix)
+				terms[i][j] = fingerprint.CanonicalTerm(t, r.gdix)
 			}
 		}
 		entry = vcache.Refined(key, verdict.Escalations, acc, terms)

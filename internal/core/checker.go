@@ -21,6 +21,7 @@ import (
 
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
+	"entangle/internal/fingerprint"
 	"entangle/internal/graph"
 	"entangle/internal/lemmas"
 	"entangle/internal/relation"
@@ -107,6 +108,10 @@ type Options struct {
 	// paths produce byte-identical reports, which this package's tests
 	// assert; it is a reference for them, set nowhere else.
 	unplanned bool
+	// noReuse turns off the in-run reuse table (reuse.go): every
+	// operator searches live. Reports are byte-identical either way but
+	// for LiveStats, which this package's tests assert; set nowhere else.
+	noReuse bool
 }
 
 const (
@@ -196,12 +201,14 @@ type Report struct {
 	FullRelation *relation.Relation
 	// Stats aggregates saturation statistics; Stats.Applications feeds
 	// the Figure 6 lemma heatmap. Cache hits contribute their STORED
-	// stats here, so the aggregate matches a cache-disabled run.
+	// stats here, and operators that reused an ancestor's search
+	// (reuse.go) that search's, so the aggregate matches a cache-disabled
+	// run.
 	Stats egraph.Stats
 	// LiveStats aggregates only the saturation work actually performed
-	// this run: cache hits contribute nothing. On a fully warm cache
-	// LiveStats.Iterations is zero — the acceptance signal that no
-	// operator was re-saturated.
+	// this run: cache hits and reused searches contribute nothing. On a
+	// fully warm cache LiveStats.Iterations is zero — the acceptance
+	// signal that no operator was re-saturated.
 	LiveStats egraph.Stats
 	// Cache summarizes this run's verdict-cache traffic; zero when
 	// Options.Cache is nil.
@@ -297,8 +304,11 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 		ctx:     mergedContext(gs, gd),
 		order:   order,
 		gdOrder: gdOrder,
+		gdix:    fingerprint.IndexGd(gd, gdOrder),
 	}
 	run.rules, run.compiled = c.opts.Registry.Compiled() // materialized once per registry
+	run.leafShape, run.leafTerm = run.leafShapeOf, run.sharedLeaf
+	run.reuse.on = !c.opts.noReuse && !c.opts.DisableFrontier
 	for _, in := range gs.Inputs {
 		if !run.rel.Has(in) {
 			return nil, nil, fmt.Errorf("core: input relation has no mapping for G_s input %q", gs.Tensor(in).Name)
@@ -357,7 +367,7 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 // planner against that predecessor.
 func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
 	if r.opts.Cache != nil || oldGs != nil {
-		kd := newKeyDerivation(r.gd, r.gdOrder, &r.opts)
+		kd := newKeyDerivation(r.gdix, &r.opts)
 		cur := kd.side(r.gs, r.rel, r.order)
 		var old *sideKeys
 		if oldGs != nil {
@@ -368,7 +378,7 @@ func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
 			r.plan = diffPlan(old, cur, r.gs)
 		}
 		if r.opts.Cache != nil {
-			r.cache = &cacheState{cache: r.opts.Cache, gdix: kd.gdix, keys: cur, old: old}
+			r.cache = &cacheState{cache: r.opts.Cache, keys: cur, old: old}
 		}
 	}
 	switch {
@@ -398,6 +408,16 @@ type runState struct {
 	// order and gdOrder are topological orders of gs and gd; order's
 	// indices are the ledger's, the plan's and the cache keys'.
 	order, gdOrder []*graph.Node
+	// gdix indexes gd's tensors; its leaf table is the run's one leaf
+	// term per G_d tensor, shared by every definition, extraction, cache
+	// replay and reuse hit.
+	gdix *fingerprint.GdIndex
+	// leafShape and leafTerm are the leaf oracles every per-operator
+	// e-graph is wired to (newEGraph), made once per run.
+	leafShape func(tid int) (shape.Shape, bool)
+	leafTerm  func(tid int) *expr.Term
+	// reuse is the run's record of solved searches (reuse.go).
+	reuse reuseTable
 	// cache is the per-run verdict-cache context (cache.go); nil when
 	// Options.Cache is nil. Its keys are derived before the scheduler
 	// starts and read-only afterwards.
@@ -429,29 +449,27 @@ type gdDef struct {
 
 type gdEquation struct{ leaf, def *expr.Term }
 
-// gdDefOf returns n's equations, building them on first use. The terms
-// are shared by every e-graph that folds n — the residual stream makes
-// each later operator re-fold every earlier layer — so they must not be
-// modified; AddTerm and LookupTerm only read them.
+// gdDefOf returns n's equations, building them on first use over the
+// run's shared G_d leaves. The terms are shared by every e-graph that
+// folds n — the residual stream makes each later operator re-fold every
+// earlier layer — so they must not be modified; AddTerm and LookupTerm
+// only read them.
 func (r *runState) gdDefOf(n *graph.Node) ([]gdEquation, error) {
 	r.gdDefsOnce.Do(func() { r.gdDefs = make([]gdDef, len(r.gd.Nodes)) })
 	d := &r.gdDefs[n.ID]
 	d.once.Do(func() {
+		leaves := make([]*expr.Term, len(n.Inputs))
+		for i, in := range n.Inputs {
+			leaves[i] = r.gdix.Leaf(in)
+		}
+		defs, err := r.gd.OutputExprs(n, leaves)
+		if err != nil {
+			d.err = err
+			return
+		}
 		d.outs = make([]gdEquation, len(n.Outputs))
 		for i, out := range n.Outputs {
-			def, err := r.gd.OutputExpr(n, i)
-			if err != nil {
-				d.outs, d.err = nil, err
-				return
-			}
-			// Rebase leaves into the G_d ID space.
-			def = def.Map(func(t *expr.Term) *expr.Term {
-				if t.IsLeaf() && !relation.IsGd(t.TID) {
-					return relation.GdLeaf(r.gd.Tensor(graph.TensorID(t.TID)))
-				}
-				return t
-			})
-			d.outs[i] = gdEquation{leaf: relation.GdLeaf(r.gd.Tensor(out)), def: def}
+			d.outs[i] = gdEquation{leaf: r.gdix.Leaf(out), def: defs[i]}
 		}
 	})
 	return d.outs, d.err
@@ -475,32 +493,53 @@ func mergedContext(gs, gd *graph.Graph) *sym.Context {
 // graph it interrupted is dropped instead of recycled.
 func (r *runState) newEGraph() *egraph.EGraph {
 	eg := egraph.New(r.ctx)
-	eg.SetLeafShapeFn(func(tid int) (shape.Shape, bool) {
-		if relation.IsGd(tid) {
-			id := relation.GdTensorID(tid)
-			if int(id) < len(r.gd.Tensors) {
-				return r.gd.Tensor(id).Shape, true
-			}
-			return nil, false
-		}
-		if tid >= 0 && tid < len(r.gs.Tensors) {
-			return r.gs.Tensor(graph.TensorID(tid)).Shape, true
-		}
-		return nil, false
-	})
+	eg.SetLeafShapeFn(r.leafShape)
+	eg.SetLeafTermFn(r.leafTerm)
 	return eg
+}
+
+// leafShapeOf is the shape of the tensor a leaf names, in either graph.
+func (r *runState) leafShapeOf(tid int) (shape.Shape, bool) {
+	if t := r.leafTensor(tid); t != nil {
+		return t.Shape, true
+	}
+	return nil, false
+}
+
+// leafTensor is the tensor a leaf names, in either graph; nil when the
+// ID is outside both tables.
+func (r *runState) leafTensor(tid int) *graph.Tensor {
+	if relation.IsGd(tid) {
+		if id := relation.GdTensorID(tid); int(id) < len(r.gd.Tensors) {
+			return r.gd.Tensor(id)
+		}
+		return nil
+	}
+	if tid >= 0 && tid < len(r.gs.Tensors) {
+		return r.gs.Tensor(graph.TensorID(tid))
+	}
+	return nil
+}
+
+// sharedLeaf is the run's one term for a G_d tensor's leaf; nil for any
+// other leaf, which extraction then builds itself.
+func (r *runState) sharedLeaf(tid int) *expr.Term {
+	if !relation.IsGd(tid) || int(relation.GdTensorID(tid)) >= len(r.gd.Tensors) {
+		return nil
+	}
+	return r.gdix.Leaf(relation.GdTensorID(tid))
 }
 
 func allowGdLeaf(tid int) bool { return relation.IsGd(tid) }
 
-// observedProcessOp wraps processOp with the OpObserver timing hook.
-func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
+// observedProcessOp wraps searchOp with the OpObserver timing hook.
+func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	if r.opts.OpObserver == nil {
-		return r.processOp(ctx, v, budget)
+		return r.searchOp(ctx, v, budget, tr)
 	}
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	start := time.Now()
-	stats, outs, err := r.processOp(ctx, v, budget)
+	stats, outs, err := r.searchOp(ctx, v, budget, tr)
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	r.opts.OpObserver(v, time.Since(start))
 	return stats, outs, err
@@ -511,14 +550,14 @@ func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget 
 // structured *EngineFaultError naming the operator, with the stack,
 // instead of unwinding through the worker pool (where, before this
 // layer, it deadlocked the scheduler by leaking an active slot).
-func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (stats egraph.Stats, outs [][]*expr.Term, err error) {
+func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (stats egraph.Stats, outs [][]*expr.Term, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs = nil
 			err = &EngineFaultError{Op: v, Recovered: rec, Stack: debug.Stack()}
 		}
 	}()
-	return r.observedProcessOp(ctx, v, budget)
+	return r.observedProcessOp(ctx, v, budget, tr)
 }
 
 // safePreOp invokes the PreOp hook under the same panic recovery.
@@ -547,15 +586,17 @@ const (
 
 // opResult is one operator's line in the run ledger (scheduler.go):
 // every per-operator number in a Report is folded from it. stats is the
-// operator's total saturation work — performed this run, or, when
-// verdict.Replayed, read from entry without its rule counts, which the
-// fold reads from entry's bytes.
+// operator's total saturation work — performed this run; when reused,
+// the work of the ancestor's search it replayed; when verdict.Replayed,
+// read from entry without its rule counts, which the fold reads from
+// entry's bytes.
 type opResult struct {
 	stats   egraph.Stats
 	entry   *vcache.Entry // the replayed verdict
 	verdict OpVerdict
 	cache   cacheOutcome
 	stored  bool // the cache accepted the live verdict
+	reused  bool // an ancestor's search answered (reuse.go): nothing ran
 }
 
 // checkOp is the resilient per-operator harness: it runs processOp
@@ -631,10 +672,39 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		}
 	}
 
+	// An ancestor that solved the same search answers for this operator
+	// (reuse.go); a PreOp override changes the budget, so it bypasses
+	// reuse as it bypasses the cache.
+	var probe *reuseProbe
+	if r.reuse.on && !overridden {
+		if probe = r.reuseProbe(i); probe != nil {
+			defer r.releaseProbe(probe)
+			if e, outs := r.reusable(i, probe); e != nil {
+				if egraph.InvariantChecks {
+					r.auditReuse(opCtx, i, e, outs)
+				}
+				r.addOutputs(v, outs)
+				acc.Merge(e.stats)
+				res.reused = true
+				res.stored = useCache && r.storeVerdict(i, *acc, *verdict, outs)
+				return
+			}
+		}
+	}
+
 	for attempt := 0; ; attempt++ {
-		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget)
+		// Only a first attempt at the base budget is recorded for reuse,
+		// and only when a later operator might pose the same search.
+		var tr *searchTrace
+		if attempt == 0 && probe != nil && probe.record {
+			tr = probe.newTrace()
+		}
+		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget, tr)
 		acc.Merge(stats)
 		if err == nil {
+			if tr != nil {
+				r.recordSearch(i, probe, outs, *acc)
+			}
 			res.stored = useCache && r.storeVerdict(i, *acc, *verdict, outs)
 			return
 		}
@@ -709,17 +779,22 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 // failure). budget bounds each saturation run; checkOp escalates it
 // across attempts.
 func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
+	return r.searchOp(ctx, v, budget, nil)
+}
+
+// searchOp is processOp logging its frontier walk into tr (nil: no log).
+func (r *runState) searchOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	if expr.Collective(v.Op) {
 		return egraph.Stats{}, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
 	}
 	eg := r.newEGraph()
-	acc, outs, err := r.processOpIn(ctx, eg, v, budget)
+	acc, outs, err := r.processOpIn(ctx, eg, v, budget, tr)
 	eg.Release()
 	return acc, outs, err
 }
 
 // processOpIn is processOp's search, run in the e-graph it is given.
-func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
+func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	var acc egraph.Stats
 	satOpts := budget
 	satOpts.Ctx = ctx
@@ -727,6 +802,9 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 
 	// Step 1 (rewrite_t_to_expr): leaves for v's inputs, unioned with
 	// every known mapping. In e-graph form, substitution is union.
+	// Listing 3: the related-tensor frontier T_rel starts from the G_d
+	// tensors those mappings name.
+	tRel, folded := r.frontierSets()
 	for _, in := range v.Inputs {
 		t := r.gs.Tensor(in)
 		cls := eg.AddTerm(relation.GsLeaf(t))
@@ -737,6 +815,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		}
 		for _, m := range maps {
 			eg.Union(cls, eg.AddTerm(m))
+			relateLeaves(tRel, m)
 		}
 	}
 	eg.Rebuild()
@@ -750,12 +829,6 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		outClasses[i] = eg.AddTerm(base)
 	}
 
-	// Listing 3: the related-tensor frontier T_rel starts from the G_d
-	// tensors reachable through the mappings of v's inputs.
-	tRel, folded := r.frontierSets()
-	for _, gdID := range r.rel.GdLeaves(v.Inputs) {
-		relate(tRel, gdID)
-	}
 	if r.opts.DisableFrontier {
 		for i := range tRel {
 			tRel[i] = true
@@ -768,7 +841,8 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		if err := ctx.Err(); err != nil {
 			return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 		}
-		progress, err := r.foldReady(eg, tRel, folded, false)
+		tr.iteration()
+		progress, err := r.foldReady(eg, tRel, folded, false, tr)
 		if err != nil {
 			return acc, nil, err
 		}
@@ -784,13 +858,15 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		// so one clean-cost table answers them all.
 		clean := eg.CleanCosts(allowGdLeaf)
 		grew := false
+		relateLeaf := func(tid int) {
+			if relation.IsGd(tid) && relate(tRel, relation.GdTensorID(tid)) {
+				grew = true
+				tr.gain(relation.GdTensorID(tid))
+			}
+		}
 		for _, oc := range outClasses {
 			for _, t := range clean.ExtractAll(oc, maxMappings) {
-				for _, leaf := range t.Leaves() {
-					if relation.IsGd(leaf) && relate(tRel, relation.GdTensorID(leaf)) {
-						grew = true
-					}
-				}
+				t.EachLeaf(relateLeaf)
 			}
 		}
 		// Outputs of folded nodes whose class gained a clean
@@ -807,6 +883,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 				if cls, ok := eg.LookupTerm(eqs[i].leaf); ok && clean.Has(cls) {
 					tRel[out] = true
 					grew = true
+					tr.gain(out)
 				}
 			}
 		}
@@ -861,12 +938,22 @@ func relate(tRel []bool, id graph.TensorID) bool {
 	return true
 }
 
+// relateLeaves adds every G_d tensor t's leaves name to tRel.
+func relateLeaves(tRel []bool, t *expr.Term) {
+	t.EachLeaf(func(tid int) {
+		if relation.IsGd(tid) {
+			relate(tRel, relation.GdTensorID(tid))
+		}
+	})
+}
+
 // foldReady folds, in G_d topological order, every not-yet-folded G_d
 // node whose inputs are all in tRel, and reports whether any was. With
 // relateOutputs a folded node's outputs join tRel at once, so one pass
 // cascades forward (output resolution); without, they join only when
-// the caller finds them related (the Listing-3 frontier).
-func (r *runState) foldReady(eg *egraph.EGraph, tRel, folded []bool, relateOutputs bool) (bool, error) {
+// the caller finds them related (the Listing-3 frontier). A non-nil tr
+// logs the folded nodes, in order.
+func (r *runState) foldReady(eg *egraph.EGraph, tRel, folded []bool, relateOutputs bool, tr *searchTrace) (bool, error) {
 	progress := false
 nodes:
 	for _, n := range r.gdOrder {
@@ -881,6 +968,7 @@ nodes:
 		if err := r.foldGdNode(eg, n); err != nil {
 			return false, err
 		}
+		tr.fold(n)
 		if relateOutputs {
 			for _, out := range n.Outputs {
 				tRel[out] = true
@@ -955,12 +1043,11 @@ func (r *runState) resolveOutputs(ctx context.Context, report *Report) (*relatio
 }
 
 func (r *runState) leavesAreGdOutputs(t *expr.Term) bool {
-	for _, leaf := range t.Leaves() {
-		if !relation.IsGd(leaf) || !r.gd.IsOutput(relation.GdTensorID(leaf)) {
-			return false
-		}
-	}
-	return true
+	all := true
+	t.EachLeaf(func(tid int) {
+		all = all && relation.IsGd(tid) && r.gd.IsOutput(relation.GdTensorID(tid))
+	})
+	return all
 }
 
 func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *Report) ([]*expr.Term, error) {
@@ -1023,11 +1110,7 @@ func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o gra
 	tRel, folded := r.frontierSets()
 	for _, m := range maps {
 		eg.Union(cls, eg.AddTerm(m))
-		for _, leaf := range m.Leaves() {
-			if relation.IsGd(leaf) {
-				relate(tRel, relation.GdTensorID(leaf))
-			}
-		}
+		relateLeaves(tRel, m)
 	}
 	eg.Rebuild()
 
@@ -1035,7 +1118,7 @@ func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o gra
 		if err := ctx.Err(); err != nil {
 			return nil, egraph.Stats{}, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
 		}
-		progress, err := r.foldReady(eg, tRel, folded, true)
+		progress, err := r.foldReady(eg, tRel, folded, true, nil)
 		if err != nil {
 			return nil, egraph.Stats{}, err
 		}

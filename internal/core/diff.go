@@ -48,7 +48,7 @@ func DiffPlan(oldGs *graph.Graph, oldRi *relation.Relation, newGs *graph.Graph, 
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: G_d: %v", err)
 	}
-	kd := newKeyDerivation(gd, gdOrder, nil)
+	kd := newKeyDerivation(fingerprint.IndexGd(gd, gdOrder), nil)
 	old, err := kd.diffBase(oldGs, oldRi)
 	if err != nil {
 		return nil, err

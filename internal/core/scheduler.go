@@ -141,10 +141,13 @@ func (r *runState) runSchedule(ctx context.Context, workers int, report *Report)
 	for i := range s.ledger {
 		res := &s.ledger[i]
 		report.Stats.Merge(res.stats)
-		if res.verdict.Replayed {
+		switch {
+		case res.verdict.Replayed:
 			res.entry.EachApplication(func(rule string, n int) { report.Stats.Applications[rule] += n })
 			report.LiveStats.Merge(egraph.Stats{}) // nothing ran; still materializes Applications
-		} else {
+		case res.reused:
+			report.LiveStats.Merge(egraph.Stats{})
+		default:
 			report.LiveStats.Merge(res.stats)
 		}
 		switch res.cache {

@@ -255,6 +255,9 @@ type EGraph struct {
 	shapes    []shape.Shape // the shapes derived, in derivation order
 	shapeArgs []shape.Shape // the kid shapes of the derivations in progress, stack-wise
 
+	// leafTerm hands extraction the caller's leaf terms (SetLeafTermFn).
+	leafTerm func(tid int) *expr.Term
+
 	// released marks a graph between Release and the New that hands it
 	// out again (lifetime.go).
 	released bool

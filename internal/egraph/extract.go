@@ -100,6 +100,22 @@ func (v *CleanCosts) nodeCost(n *ENode) int {
 	return total
 }
 
+// SetLeafTermFn installs where extracted leaves come from: fn(tid) is the
+// term extraction returns for a leaf naming tid, or nil to have one made.
+// A caller that owns one term per tensor shares it with every extracted
+// expression instead of paying a leaf per extraction.
+func (g *EGraph) SetLeafTermFn(fn func(tid int) *expr.Term) { g.leafTerm = fn }
+
+// leafTermOf is the term extraction returns for leaf n.
+func (g *EGraph) leafTermOf(n *ENode) *expr.Term {
+	if g.leafTerm != nil {
+		if t := g.leafTerm(n.TID); t != nil {
+			return t
+		}
+	}
+	return expr.Tensor(n.TID, n.Name)
+}
+
 // ExtractClean returns the minimal clean expression for class c over
 // the allowed leaves, or ok=false when the class has none.
 func (g *EGraph) ExtractClean(c ClassID, allowed func(tid int) bool) (*expr.Term, bool) {
@@ -127,7 +143,7 @@ func (v CleanCosts) buildMin(c ClassID) *expr.Term {
 		return nil
 	}
 	if best.isLeaf() {
-		return expr.Tensor(best.TID, best.Name)
+		return g.leafTermOf(best)
 	}
 	args := make([]*expr.Term, len(best.Kids))
 	for i, k := range best.Kids {
@@ -158,7 +174,7 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 		}
 		var t *expr.Term
 		if n.isLeaf() {
-			t = expr.Tensor(n.TID, n.Name)
+			t = g.leafTermOf(n)
 		} else {
 			args := make([]*expr.Term, len(n.Kids))
 			ok := true

@@ -189,7 +189,7 @@ func (g *EGraph) reset() {
 	clear(g.kidWithheld)
 	g.nodeLimit, g.budgetDenied = 0, false
 	g.satRules, g.satFixpoint = nil, false
-	g.leafShape = nil
+	g.leafShape, g.leafTerm = nil, nil
 
 	// Pointer-free, all of it: kept as it is, stale entries and all.
 	g.todoBuf = truncate(g.todoBuf, keepOf[ruleMatch]())
@@ -268,6 +268,8 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("fixpoint carry %t under %d rules", g.satFixpoint, len(g.satRules))
 	case g.shapeUnknown || len(g.shapeAt) != 0 || len(g.shapes) != 0 || len(g.shapeArgs) != 0 || g.leafShape != nil:
 		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, a table of %d slots, %d shapes derived)", g.shapeUnknown, len(g.shapeAt), len(g.shapes))
+	case g.leafTerm != nil:
+		return fmt.Errorf("extraction's leaf term source survives")
 	case g.kidSlab.at != 0 || len(g.kidStack) != 0 || g.parentSlab.at != 0:
 		return fmt.Errorf("kid slab holds %d kids, %d stacked; parent slab %d entries", g.kidSlab.at, len(g.kidStack), g.parentSlab.at)
 	case g.scratch.classes.at != 0 || g.scratch.exprs.at != 0 || g.scratch.tiles.at != 0 || g.scratch.pairs.at != 0:

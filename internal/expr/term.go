@@ -127,26 +127,16 @@ func (t *Term) Clean() bool {
 	return true
 }
 
-// Leaves appends the distinct tensor IDs referenced by t to out and
-// returns the result (order of first occurrence).
-func (t *Term) Leaves() []int {
-	var out []int
-	seen := map[int]bool{}
-	var walk func(*Term)
-	walk = func(n *Term) {
-		if n.IsLeaf() {
-			if !seen[n.TID] {
-				seen[n.TID] = true
-				out = append(out, n.TID)
-			}
-			return
-		}
-		for _, a := range n.Args {
-			walk(a)
-		}
+// EachLeaf calls f with the tensor ID of every leaf of t, left to right,
+// once per occurrence.
+func (t *Term) EachLeaf(f func(tid int)) {
+	if t.IsLeaf() {
+		f(t.TID)
+		return
 	}
-	walk(t)
-	return out
+	for _, a := range t.Args {
+		a.EachLeaf(f)
+	}
 }
 
 // Size counts the operator applications in t (leaves count 0). The

@@ -97,8 +97,9 @@ func TestKeyEqualAgree(t *testing.T) {
 func TestLeaves(t *testing.T) {
 	a, b, c := leaf(1, "A"), leaf(2, "B"), leaf(3, "C")
 	e := Sum(MatMul(a, b), MatMul(a, c))
-	got := e.Leaves()
-	want := []int{1, 2, 3}
+	var got []int
+	e.EachLeaf(func(tid int) { got = append(got, tid) })
+	want := []int{1, 2, 1, 3}
 	if len(got) != len(want) {
 		t.Fatalf("leaves %v want %v", got, want)
 	}

@@ -95,9 +95,9 @@ type GdIndex struct {
 	g       *graph.Graph
 	ord     []int            // tensor ID → ordinal
 	tensors []graph.TensorID // ordinal → tensor ID
-	// leaves is the one leaf term of each tensor DecodeTerm hands out, by
+	// leaves is the one leaf term of each tensor (Leaf, DecodeTerm), by
 	// ordinal, made on first use. Terms are immutable, so every term a
-	// run decodes shares them; concurrent first uses agree on one.
+	// run builds shares them; concurrent first uses agree on one.
 	leaves []atomic.Pointer[expr.Term]
 }
 
@@ -133,6 +133,11 @@ func IndexGd(g *graph.Graph, order []*graph.Node) *GdIndex {
 
 // Graph returns the indexed graph.
 func (ix *GdIndex) Graph() *graph.Graph { return ix.g }
+
+// Leaf returns the one leaf term of tensor id, in the G_d leaf space
+// (relation.GdLeaf), made on first use: every term a run builds over the
+// indexed graph — decoded, extracted or defined — can share it.
+func (ix *GdIndex) Leaf(id graph.TensorID) *expr.Term { return ix.leaf(ix.ord[id]) }
 
 // leaf returns the shared leaf term of the tensor with ordinal ord.
 func (ix *GdIndex) leaf(ord int) *expr.Term {

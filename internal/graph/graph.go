@@ -281,6 +281,30 @@ func (g *Graph) OutputExpr(n *Node, outIdx int) (*expr.Term, error) {
 		t := g.Tensor(in)
 		leaves[i] = expr.Tensor(int(t.ID), t.Name)
 	}
+	return g.outputExpr(n, outIdx, leaves)
+}
+
+// OutputExprs is OutputExpr for every output of n at once, over the
+// given input leaves (one per input, in order). Outputs that carry the
+// same value — all outputs of an allreduce or of an allgather — share
+// one term.
+func (g *Graph) OutputExprs(n *Node, leaves []*expr.Term) ([]*expr.Term, error) {
+	outs := make([]*expr.Term, len(n.Outputs))
+	for i := range outs {
+		if i > 0 && (n.Op == expr.OpAllReduce || n.Op == expr.OpAllGather) {
+			outs[i] = outs[0]
+			continue
+		}
+		t, err := g.outputExpr(n, i, leaves)
+		if err != nil {
+			return nil, err
+		}
+		outs[i] = t
+	}
+	return outs, nil
+}
+
+func (g *Graph) outputExpr(n *Node, outIdx int, leaves []*expr.Term) (*expr.Term, error) {
 	switch n.Op {
 	case expr.OpAllReduce:
 		return expr.Sum(leaves...), nil

@@ -162,40 +162,6 @@ func (r *Relation) Complete(outputs []graph.TensorID) bool {
 	return true
 }
 
-// GdLeaves returns the distinct G_d tensor IDs referenced by any
-// mapping of the given G_s tensors (all mapped tensors when ids is
-// nil). This is the T_rel seed of the paper's Listing 3.
-func (r *Relation) GdLeaves(ids []graph.TensorID) []graph.TensorID {
-	r.mu.RLock()
-	seen := map[graph.TensorID]bool{}
-	var out []graph.TensorID
-	collect := func(id graph.TensorID) {
-		for _, t := range r.m[id].terms {
-			for _, leaf := range t.Leaves() {
-				if IsGd(leaf) {
-					gd := GdTensorID(leaf)
-					if !seen[gd] {
-						seen[gd] = true
-						out = append(out, gd)
-					}
-				}
-			}
-		}
-	}
-	if ids == nil {
-		for id := range r.m {
-			collect(id)
-		}
-	} else {
-		for _, id := range ids {
-			collect(id)
-		}
-	}
-	r.mu.RUnlock()
-	slices.Sort(out)
-	return out
-}
-
 // Clone returns a deep-enough copy (terms are immutable and shared).
 func (r *Relation) Clone() *Relation { return r.CloneSized(0) }
 

@@ -69,7 +69,7 @@ func TestAddDedupAndOrder(t *testing.T) {
 	}
 }
 
-func TestCompleteAndGdLeaves(t *testing.T) {
+func TestComplete(t *testing.T) {
 	gs, gd := twoGraphs(t)
 	aT, _ := gs.TensorByName("A")
 	yT, _ := gs.TensorByName("act.out")
@@ -80,12 +80,8 @@ func TestCompleteAndGdLeaves(t *testing.T) {
 	if r.Complete([]graph.TensorID{aT.ID, yT.ID}) {
 		t.Fatal("missing output must make relation incomplete")
 	}
-	leaves := r.GdLeaves([]graph.TensorID{aT.ID})
-	if len(leaves) != 2 || leaves[0] != a0.ID || leaves[1] != a1.ID {
-		t.Fatalf("gd leaves %v", leaves)
-	}
-	if len(r.GdLeaves(nil)) != 2 {
-		t.Fatal("nil ids should cover all mapped tensors")
+	if !r.Complete([]graph.TensorID{aT.ID}) {
+		t.Fatal("a mapped tensor must make the relation complete")
 	}
 }
 
@@ -138,7 +134,6 @@ func TestConcurrentAddGet(t *testing.T) {
 				r.AddAll(0, []*expr.Term{base}) // duplicate, must be ignored
 				_ = r.Get(id)
 				_ = r.Has(id)
-				_ = r.GdLeaves([]graph.TensorID{id})
 				_ = r.Len()
 			}
 		}(w)
