@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench benchmark benchmark-compare verify lint mc fuzz fmt
+.PHONY: build test bench benchmark benchmark-compare verify lint mc fuzz fmt loc
 
 build:
 	$(GO) build ./...
@@ -43,3 +43,14 @@ fuzz:
 
 fmt:
 	gofmt -w .
+
+# ROADMAP item 12's least-code count: non-test Go lines per package of
+# the checker, the e-graph, the fleet (with its simulator), the daemon,
+# the experiments and the end-to-end benchmark, then their total.
+LOC_PKGS = internal/core internal/egraph internal/cluster internal/server internal/bench benchmark
+
+loc:
+	@total=0; for d in $(LOC_PKGS); do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
+	done; printf '%-18s %6d\n' total $$total

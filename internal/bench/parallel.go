@@ -119,36 +119,22 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 
 	// Verdicts are in topological order.
 	n := len(rep.Verdicts)
-	pos := make(map[graph.NodeID]int, n)
+	order := make([]*graph.Node, n)
 	d := make([]time.Duration, n)
 	var work time.Duration
 	for i, v := range rep.Verdicts {
-		pos[v.Op.ID] = i
+		order[i] = v.Op
 		d[i] = v.Duration
 		work += d[i]
 	}
-	producers := func(i int) []int {
-		var ps []int
-		seen := map[int]bool{}
-		for _, in := range rep.Verdicts[i].Op.Inputs {
-			p := gs.Tensor(in).Producer
-			if p == graph.NoProducer {
-				continue
-			}
-			if j := pos[p]; !seen[j] {
-				seen[j] = true
-				ps = append(ps, j)
-			}
-		}
-		return ps
-	}
+	producers := gs.Producers(order)
 
 	// Critical path (span): longest duration-weighted producer chain.
 	cp := make([]time.Duration, n)
 	var span time.Duration
 	for i := range n {
 		var best time.Duration
-		for _, j := range producers(i) {
+		for _, j := range producers[i] {
 			if cp[j] > best {
 				best = cp[j]
 			}
@@ -162,15 +148,7 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 	// Simulate the wavefront policy: W workers drive the scheduler's own
 	// ready set (core.SchedCore: earliest topo index first), completions
 	// are event-driven.
-	deps := make([]int, n)
-	children := make([][]int, n)
-	for i := range n {
-		for _, j := range producers(i) {
-			deps[i]++
-			children[j] = append(children[j], i)
-		}
-	}
-	sched := core.NewSchedCore(deps, children, false)
+	sched := core.NewSchedCore(producers, false)
 	type running struct {
 		op   int
 		done time.Duration

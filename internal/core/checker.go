@@ -297,14 +297,15 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 		return nil, nil, fmt.Errorf("core: G_d: %v", err)
 	}
 	run := &runState{
-		opts:    c.opts,
-		gs:      gs,
-		gd:      gd,
-		rel:     ri.CloneSized(len(gs.Tensors)),
-		ctx:     mergedContext(gs, gd),
-		order:   order,
-		gdOrder: gdOrder,
-		gdix:    fingerprint.IndexGd(gd, gdOrder),
+		opts:      c.opts,
+		gs:        gs,
+		gd:        gd,
+		rel:       ri.CloneSized(len(gs.Tensors)),
+		ctx:       mergedContext(gs, gd),
+		order:     order,
+		producers: gs.Producers(order),
+		gdOrder:   gdOrder,
+		gdix:      fingerprint.IndexGd(gd, gdOrder),
 	}
 	run.rules, run.compiled = c.opts.Registry.Compiled() // materialized once per registry
 	run.leafShape, run.leafTerm = run.leafShapeOf, run.sharedLeaf
@@ -375,7 +376,7 @@ func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
 			if old, err = kd.diffBase(oldGs, oldRi); err != nil {
 				return err
 			}
-			r.plan = diffPlan(old, cur, r.gs)
+			r.plan = diffPlan(old, cur, r.producers)
 		}
 		if r.opts.Cache != nil {
 			r.cache = &cacheState{cache: r.opts.Cache, keys: cur, old: old}
@@ -408,6 +409,9 @@ type runState struct {
 	// order and gdOrder are topological orders of gs and gd; order's
 	// indices are the ledger's, the plan's and the cache keys'.
 	order, gdOrder []*graph.Node
+	// producers is gs's DAG over order's indices (graph.Producers): the
+	// scheduler, the diff planner and reuse's ancestor test walk it.
+	producers [][]int
 	// gdix indexes gd's tensors; its leaf table is the run's one leaf
 	// term per G_d tensor, shared by every definition, extraction, cache
 	// replay and reuse hit.
@@ -532,14 +536,14 @@ func (r *runState) sharedLeaf(tid int) *expr.Term {
 
 func allowGdLeaf(tid int) bool { return relation.IsGd(tid) }
 
-// observedProcessOp wraps searchOp with the OpObserver timing hook.
+// observedProcessOp wraps processOp with the OpObserver timing hook.
 func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	if r.opts.OpObserver == nil {
-		return r.searchOp(ctx, v, budget, tr)
+		return r.processOp(ctx, v, budget, tr)
 	}
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	start := time.Now()
-	stats, outs, err := r.searchOp(ctx, v, budget, tr)
+	stats, outs, err := r.processOp(ctx, v, budget, tr)
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	r.opts.OpObserver(v, time.Since(start))
 	return stats, outs, err
@@ -777,13 +781,8 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 // checked between frontier iterations, so cancellation surfaces within
 // one iteration as a context error (never disguised as a refinement
 // failure). budget bounds each saturation run; checkOp escalates it
-// across attempts.
-func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts) (egraph.Stats, [][]*expr.Term, error) {
-	return r.searchOp(ctx, v, budget, nil)
-}
-
-// searchOp is processOp logging its frontier walk into tr (nil: no log).
-func (r *runState) searchOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
+// across attempts. A non-nil tr logs the frontier walk for reuse.
+func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	if expr.Collective(v.Op) {
 		return egraph.Stats{}, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
 	}
@@ -804,7 +803,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 	// every known mapping. In e-graph form, substitution is union.
 	// Listing 3: the related-tensor frontier T_rel starts from the G_d
 	// tensors those mappings name.
-	tRel, folded := r.frontierSets()
+	f := r.newFrontier()
 	for _, in := range v.Inputs {
 		t := r.gs.Tensor(in)
 		cls := eg.AddTerm(relation.GsLeaf(t))
@@ -815,7 +814,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		}
 		for _, m := range maps {
 			eg.Union(cls, eg.AddTerm(m))
-			relateLeaves(tRel, m)
+			f.relateLeaves(m)
 		}
 	}
 	eg.Rebuild()
@@ -830,10 +829,14 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 	}
 
 	if r.opts.DisableFrontier {
-		for i := range tRel {
-			tRel[i] = true
+		for i := range f.rel {
+			f.rel[i] = true
 		}
 	}
+
+	// rv is R_v as the last round extracted it: every loop exit follows
+	// a round's extraction, and nothing changes the graph after it.
+	rv := make([][]*expr.Term, len(v.Outputs))
 
 	// The walk stops when T_rel stops growing, and after |G_d|+1
 	// rounds at the latest.
@@ -842,7 +845,7 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 			return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 		}
 		tr.iteration()
-		progress, err := r.foldReady(eg, tRel, folded, false, tr)
+		progress, err := r.foldReady(eg, f, false, tr)
 		if err != nil {
 			return acc, nil, err
 		}
@@ -859,29 +862,30 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		clean := eg.CleanCosts(allowGdLeaf)
 		grew := false
 		relateLeaf := func(tid int) {
-			if relation.IsGd(tid) && relate(tRel, relation.GdTensorID(tid)) {
+			if f.relate(tid) {
 				grew = true
 				tr.gain(relation.GdTensorID(tid))
 			}
 		}
-		for _, oc := range outClasses {
-			for _, t := range clean.ExtractAll(oc, maxMappings) {
+		for i, oc := range outClasses {
+			rv[i] = clean.ExtractAll(oc, maxMappings)
+			for _, t := range rv[i] {
 				t.EachLeaf(relateLeaf)
 			}
 		}
 		// Outputs of folded nodes whose class gained a clean
 		// representation are also related.
 		for _, n := range r.gdOrder {
-			if !folded[n.ID] {
+			if !f.folded[n.ID] {
 				continue
 			}
 			eqs, _ := r.gdDefOf(n) // folded: built, and without error
 			for i, out := range n.Outputs {
-				if tRel[out] {
+				if f.rel[out] {
 					continue
 				}
 				if cls, ok := eg.LookupTerm(eqs[i].leaf); ok && clean.Has(cls) {
-					tRel[out] = true
+					f.rel[out] = true
 					grew = true
 					tr.gain(out)
 				}
@@ -898,86 +902,104 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 	}
 
-	// Step 4: extract and record the clean output relation R_v. The
-	// terms added to the relation are also returned, per output in the
-	// order they were added, so checkOp can cache them for replay.
-	outs := make([][]*expr.Term, 0, len(v.Outputs))
+	// Step 4: record the clean output relation R_v. The terms added to
+	// the relation are also returned, per output in the order they were
+	// added, so checkOp can cache them for replay.
 	for i, out := range v.Outputs {
-		mappings := eg.ExtractAllClean(outClasses[i], allowGdLeaf, maxMappings)
-		if len(mappings) == 0 {
+		if len(rv[i]) == 0 {
 			return acc, nil, &RefinementError{Op: v, Tensor: r.gs.Tensor(out),
 				InputMappings: r.renderInputMappings(v)}
 		}
-		r.rel.AddAll(out, mappings)
+		r.rel.AddAll(out, rv[i])
 		// Opportunistically record output-restricted mappings too.
 		if r.gs.IsOutput(out) {
 			restricted := eg.ExtractAllClean(outClasses[i], r.allowGdOutput, maxMappings)
 			r.rel.AddAll(out, restricted)
-			mappings = slices.Concat(mappings, restricted)
+			rv[i] = slices.Concat(rv[i], restricted)
 		}
-		outs = append(outs, mappings)
 	}
-	return acc, outs, nil
+	return acc, rv, nil
 }
 
-// frontierSets returns the two sets a frontier walk keeps, both empty:
-// the related G_d tensors and the folded G_d nodes, as tables over the
-// graph's (dense) tensor and node IDs.
-func (r *runState) frontierSets() (tRel, folded []bool) {
-	return make([]bool, len(r.gd.Tensors)), make([]bool, len(r.gd.Nodes))
+// frontier is one Listing-3 walk's state over G_d: T_rel, the related
+// tensors, and the nodes folded so far, as tables over G_d's dense
+// tensor and node IDs. The search, output resolution and reuse replay
+// each walk G_d through one, so all three decide readiness alike.
+type frontier struct {
+	rel, folded []bool
 }
 
-// relate adds the G_d tensor a mapping's leaf names to tRel and reports
-// whether it was new. A leaf outside G_d's tensor table relates
-// nothing: no G_d node consumes it.
-func relate(tRel []bool, id graph.TensorID) bool {
-	if int(id) >= len(tRel) || tRel[id] {
+// newFrontier returns an empty frontier over r's G_d.
+func (r *runState) newFrontier() frontier {
+	nt := len(r.gd.Tensors)
+	sets := make([]bool, nt+len(r.gd.Nodes))
+	return frontier{rel: sets[:nt:nt], folded: sets[nt:]}
+}
+
+// relate adds the G_d tensor leaf tid names to T_rel and reports
+// whether it was new. A G_s leaf, or one outside G_d's tensor table,
+// relates nothing: no G_d node consumes it.
+func (f frontier) relate(tid int) bool {
+	if !relation.IsGd(tid) {
 		return false
 	}
-	tRel[id] = true
+	id := relation.GdTensorID(tid)
+	if int(id) >= len(f.rel) || f.rel[id] {
+		return false
+	}
+	f.rel[id] = true
 	return true
 }
 
-// relateLeaves adds every G_d tensor t's leaves name to tRel.
-func relateLeaves(tRel []bool, t *expr.Term) {
-	t.EachLeaf(func(tid int) {
-		if relation.IsGd(tid) {
-			relate(tRel, relation.GdTensorID(tid))
-		}
-	})
+// relateLeaves adds every G_d tensor t's leaves name to T_rel.
+func (f frontier) relateLeaves(t *expr.Term) {
+	t.EachLeaf(func(tid int) { f.relate(tid) })
 }
 
-// foldReady folds, in G_d topological order, every not-yet-folded G_d
-// node whose inputs are all in tRel, and reports whether any was. With
-// relateOutputs a folded node's outputs join tRel at once, so one pass
-// cascades forward (output resolution); without, they join only when
-// the caller finds them related (the Listing-3 frontier). A non-nil tr
-// logs the folded nodes, in order.
-func (r *runState) foldReady(eg *egraph.EGraph, tRel, folded []bool, relateOutputs bool, tr *searchTrace) (bool, error) {
-	progress := false
+// ready is the frontier's one readiness rule: it calls visit, in
+// gdOrder, on every not-yet-folded node whose inputs are all in T_rel,
+// and marks the node folded once visit returns nil. A node later in
+// the pass sees what visit added to T_rel. ready stops at visit's first
+// error and reports whether any node was ready.
+func (f frontier) ready(gdOrder []*graph.Node, visit func(n *graph.Node) error) (bool, error) {
+	found := false
 nodes:
-	for _, n := range r.gdOrder {
-		if folded[n.ID] {
+	for _, n := range gdOrder {
+		if f.folded[n.ID] {
 			continue
 		}
 		for _, in := range n.Inputs {
-			if !tRel[in] {
+			if !f.rel[in] {
 				continue nodes
 			}
 		}
-		if err := r.foldGdNode(eg, n); err != nil {
+		if err := visit(n); err != nil {
 			return false, err
+		}
+		f.folded[n.ID] = true
+		found = true
+	}
+	return found, nil
+}
+
+// foldReady folds every node f.ready yields and reports whether any
+// was. With relateOutputs a folded node's outputs join T_rel at once,
+// so one pass cascades forward (output resolution); without, they join
+// only when the caller finds them related (the Listing-3 frontier). A
+// non-nil tr logs the folded nodes, in order.
+func (r *runState) foldReady(eg *egraph.EGraph, f frontier, relateOutputs bool, tr *searchTrace) (bool, error) {
+	return f.ready(r.gdOrder, func(n *graph.Node) error {
+		if err := r.foldGdNode(eg, n); err != nil {
+			return err
 		}
 		tr.fold(n)
 		if relateOutputs {
 			for _, out := range n.Outputs {
-				tRel[out] = true
+				f.rel[out] = true
 			}
 		}
-		folded[n.ID] = true
-		progress = true
-	}
-	return progress, nil
+		return nil
+	})
 }
 
 // foldGdNode registers a G_d node's defining equations: for each
@@ -1107,10 +1129,10 @@ func (r *runState) producerSaturated(producer graph.NodeID) bool {
 // and the mappings over O(G_d) it leaves o with (none is not an error).
 func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o graph.TensorID, maps []*expr.Term) ([]*expr.Term, egraph.Stats, error) {
 	cls := eg.AddTerm(relation.GsLeaf(r.gs.Tensor(o)))
-	tRel, folded := r.frontierSets()
+	f := r.newFrontier()
 	for _, m := range maps {
 		eg.Union(cls, eg.AddTerm(m))
-		relateLeaves(tRel, m)
+		f.relateLeaves(m)
 	}
 	eg.Rebuild()
 
@@ -1118,7 +1140,7 @@ func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o gra
 		if err := ctx.Err(); err != nil {
 			return nil, egraph.Stats{}, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
 		}
-		progress, err := r.foldReady(eg, tRel, folded, true, nil)
+		progress, err := r.foldReady(eg, f, true, nil)
 		if err != nil {
 			return nil, egraph.Stats{}, err
 		}

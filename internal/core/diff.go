@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"entangle/internal/fingerprint"
@@ -57,7 +58,7 @@ func DiffPlan(oldGs *graph.Graph, oldRi *relation.Relation, newGs *graph.Graph, 
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: new G_s: %v", err)
 	}
-	return diffPlan(old, kd.side(newGs, newRi, newOrder), newGs), nil
+	return diffPlan(old, kd.side(newGs, newRi, newOrder), newGs.Producers(newOrder)), nil
 }
 
 // diffBase derives the predecessor graph's side of a diff.
@@ -69,27 +70,20 @@ func (kd *keyDerivation) diffBase(oldGs *graph.Graph, oldRi *relation.Relation) 
 	return kd.side(oldGs, oldRi, order), nil
 }
 
-// diffPlan is DiffPlan over already-derived cone fingerprints.
-func diffPlan(old, cur *sideKeys, newGs *graph.Graph) *Plan {
+// diffPlan is DiffPlan over already-derived cone fingerprints and the
+// new graph's producer lists over cur.order.
+func diffPlan(old, cur *sideKeys, producers [][]int) *Plan {
 	oldSet := make(map[fingerprint.Hash]bool, len(old.cones))
 	for _, cone := range old.cones {
 		oldSet[cone] = true
 	}
 	plan := &Plan{Mode: PlanModeDiff, Ops: make([]PlanOp, len(cur.order))}
-	pos := make(map[graph.NodeID]int, len(cur.order))
 	dirty := make([]bool, len(cur.order))
 	for i, v := range cur.order {
-		pos[v.ID] = i
 		dirty[i] = !oldSet[cur.cones[i]]
 		// A producer's changed cone is part of this operator's cone, so
 		// upstreamDirty implies dirty — the cases below are exhaustive.
-		upstreamDirty := false
-		for _, in := range v.Inputs {
-			if p := newGs.Tensor(in).Producer; p != graph.NoProducer && dirty[pos[p]] {
-				upstreamDirty = true
-				break
-			}
-		}
+		upstreamDirty := slices.ContainsFunc(producers[i], func(j int) bool { return dirty[j] })
 		op := PlanOp{Label: v.Label}
 		switch {
 		case !dirty[i]:

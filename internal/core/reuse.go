@@ -40,6 +40,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -63,8 +64,7 @@ type reuseTable struct {
 	mu      sync.Mutex
 	entries map[string][]*reuseEntry // in topo order of their operators
 
-	once   sync.Once
-	topoOf []int // G_s node ID → index in order
+	once sync.Once
 	// earlier[i] (later[i]) says that an operator before (after)
 	// order[i] in topo order has its signature's hash: its attributes
 	// and the shapes and output flags of its inputs and outputs, which
@@ -81,13 +81,12 @@ func (r *runState) twins(i int) (earlier, later bool) {
 	return t.earlier[i], t.later[i]
 }
 
-// index numbers gs's operators by topo index and finds their twins.
+// index finds the twins of gs's operators, in order.
 func (t *reuseTable) index(gs *graph.Graph, order []*graph.Node) {
-	t.topoOf, t.earlier, t.later = make([]int, len(gs.Nodes)), make([]bool, len(order)), make([]bool, len(order))
+	t.earlier, t.later = make([]bool, len(order)), make([]bool, len(order))
 	last := make(map[uint64]int, len(order))
 	var sig []byte
 	for i, v := range order {
-		t.topoOf[v.ID] = i
 		sig = appendAttrs(sig[:0], v.Op, v.Str, v.Ints)
 		for _, ids := range [][]graph.TensorID{v.Inputs, v.Outputs} {
 			sig = appendCount(sig, len(ids))
@@ -354,12 +353,8 @@ func (r *runState) isAncestor(j, i int) bool {
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, in := range r.order[k].Inputs {
-			p := r.gs.Tensor(in).Producer
-			if p == graph.NoProducer {
-				continue
-			}
-			switch pk := r.reuse.topoOf[p]; {
+		for _, pk := range r.producers[k] {
+			switch {
 			case pk == j:
 				return true
 			case pk > j && !seen[pk-j]:
@@ -391,35 +386,29 @@ func (r *runState) replay(e *reuseEntry, p *reuseProbe) ([][]*expr.Term, bool) {
 	return nil, false
 }
 
-// walkReplays re-runs foldReady's decision over the candidate's G_d
-// each iteration of e's walk: the nodes it folds must be the ones e's
-// walk folded, renamed, in order; then T_rel gains e's gains, renamed.
+// errNoReplay stops a replayed walk at the first node that e's walk
+// did not fold there.
+var errNoReplay = errors.New("core: the walk does not replay")
+
+// walkReplays walks the candidate's G_d through foldReady's own
+// readiness rule (frontier.ready) each iteration of e's walk: the nodes
+// it yields must be the ones e's walk folded, renamed, in order; then
+// T_rel gains e's gains, renamed.
 func (r *runState) walkReplays(e *reuseEntry, p *reuseProbe) bool {
-	tRel, folded := r.frontierSets()
+	f := r.newFrontier()
 	for _, tid := range p.num.tids {
-		if relation.IsGd(tid) {
-			relate(tRel, relation.GdTensorID(tid))
-		}
+		f.relate(tid)
 	}
 	for k := range e.trace.starts {
 		recs, gained := e.trace.span(k)
-	nodes:
-		for _, n := range r.gdOrder {
-			if folded[n.ID] {
-				continue
-			}
-			for _, in := range n.Inputs {
-				if !tRel[in] {
-					continue nodes
-				}
-			}
+		_, err := f.ready(r.gdOrder, func(n *graph.Node) error {
 			if len(recs) == 0 || !r.foldMatches(n, recs[0], p) {
-				return false
+				return errNoReplay
 			}
-			folded[n.ID] = true
 			recs = recs[1:]
-		}
-		if len(recs) != 0 {
+			return nil
+		})
+		if err != nil || len(recs) != 0 {
 			return false
 		}
 		for _, id := range gained {
@@ -427,7 +416,7 @@ func (r *runState) walkReplays(e *reuseEntry, p *reuseProbe) bool {
 			if !ok {
 				return false
 			}
-			relate(tRel, relation.GdTensorID(p.num.tids[o]))
+			f.relate(p.num.tids[o])
 		}
 	}
 	return true
@@ -519,7 +508,7 @@ func (r *runState) recordSearch(i int, p *reuseProbe, outs [][]*expr.Term, stats
 // fault.
 func (r *runState) auditReuse(ctx context.Context, i int, e *reuseEntry, outs [][]*expr.Term) {
 	v, from := r.order[i], r.order[e.op]
-	stats, live, err := r.processOp(ctx, v, baseBudget())
+	stats, live, err := r.processOp(ctx, v, baseBudget(), nil)
 	if err != nil {
 		if ctx.Err() != nil {
 			return

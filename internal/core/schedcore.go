@@ -63,21 +63,24 @@ func (o SchedOutcome) String() string {
 }
 
 // NewSchedCore builds the scheduling core for a DAG given per-index
-// outstanding-producer counts and consumer lists. children is retained
-// (and never mutated), deps is copied. Indices with no outstanding
-// producers start ready.
-func NewSchedCore(deps []int, children [][]int, keepGoing bool) *SchedCore {
-	n := len(deps)
+// parent lists (each parent once, graph.Producers' form). parents is
+// not retained. Indices with no parents start ready.
+func NewSchedCore(parents [][]int, keepGoing bool) *SchedCore {
+	n := len(parents)
 	c := &SchedCore{
-		deps:      append([]int(nil), deps...),
-		children:  children,
+		deps:      make([]int, n),
+		children:  make([][]int, n),
 		tainted:   make([]bool, n),
 		outcomes:  make([]SchedOutcome, n),
 		keepGoing: keepGoing,
 		errAt:     n,
 	}
-	for i := 0; i < n; i++ {
-		if c.deps[i] == 0 {
+	for i, ps := range parents {
+		c.deps[i] = len(ps)
+		for _, p := range ps {
+			c.children[p] = append(c.children[p], i)
+		}
+		if len(ps) == 0 {
 			heap.Push(&c.ready, i)
 		}
 	}

@@ -58,36 +58,6 @@ import (
 //     wake-up) runs in a defer, so even a panic that slips past the
 //     recovery layer drains the pool instead of deadlocking it.
 
-// buildSchedCore derives the dependency structure of order (which must
-// be a topological order of g): per-index outstanding-producer counts
-// and consumer lists. v waits on the distinct producers of its input
-// tensors; graph inputs are free.
-func buildSchedCore(g *graph.Graph, order []*graph.Node, keepGoing bool) *SchedCore {
-	n := len(order)
-	pos := make(map[graph.NodeID]int, n)
-	for i, v := range order {
-		pos[v.ID] = i
-	}
-	deps := make([]int, n)
-	children := make([][]int, n)
-	for i, v := range order {
-		seen := map[int]bool{}
-		for _, in := range v.Inputs {
-			p := g.Tensor(in).Producer
-			if p == graph.NoProducer {
-				continue
-			}
-			j := pos[p]
-			if !seen[j] {
-				seen[j] = true
-				deps[i]++
-				children[j] = append(children[j], i)
-			}
-		}
-	}
-	return NewSchedCore(deps, children, keepGoing)
-}
-
 // runSchedule checks the operators of r.order on a pool of workers and
 // fills report (stats, verdicts, cache counters, OpsProcessed) exactly
 // as a sequential topo-order walk would, by folding the ledger. A
@@ -97,7 +67,7 @@ func buildSchedCore(g *graph.Graph, order []*graph.Node, keepGoing bool) *SchedC
 func (r *runState) runSchedule(ctx context.Context, workers int, report *Report) error {
 	n := len(r.order)
 	s := &wavefrontState{
-		core:    buildSchedCore(r.gs, r.order, r.opts.KeepGoing),
+		core:    NewSchedCore(r.producers, r.opts.KeepGoing),
 		order:   r.order,
 		ledger:  make([]opResult, n),
 		fatalAt: n,

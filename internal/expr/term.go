@@ -317,29 +317,6 @@ func (t *Term) String() string {
 	return fmt.Sprintf("%s(%s)", t.Op, strings.Join(parts, ", "))
 }
 
-// Subst replaces every leaf whose tensor ID is id with repl, returning
-// a new term (t is unchanged). If no leaf matches, t itself is returned.
-func (t *Term) Subst(id int, repl *Term) *Term {
-	if t.IsLeaf() {
-		if t.TID == id {
-			return repl
-		}
-		return t
-	}
-	changed := false
-	args := make([]*Term, len(t.Args))
-	for i, a := range t.Args {
-		args[i] = a.Subst(id, repl)
-		if args[i] != a {
-			changed = true
-		}
-	}
-	if !changed {
-		return t
-	}
-	return &Term{Op: t.Op, Str: t.Str, Ints: t.Ints, Args: args}
-}
-
 // Map applies f bottom-up, rebuilding interior nodes whose children
 // changed; f receives each (already-rebuilt) node and returns its
 // replacement.

@@ -123,24 +123,6 @@ func TestSize(t *testing.T) {
 	}
 }
 
-func TestSubst(t *testing.T) {
-	a, b := leaf(1, "A"), leaf(2, "B")
-	e := MatMul(a, b)
-	r := e.Subst(1, ConcatI(1, leaf(11, "A1"), leaf(12, "A2")))
-	want := "matmul(concat(A1, A2, dim=1), B)"
-	if r.String() != want {
-		t.Fatalf("subst got %q want %q", r, want)
-	}
-	// original unchanged
-	if e.String() != "matmul(A, B)" {
-		t.Fatalf("original mutated: %s", e)
-	}
-	// no-op subst returns the same pointer
-	if e.Subst(99, a) != e {
-		t.Fatal("no-op subst should return the receiver")
-	}
-}
-
 func TestStringForms(t *testing.T) {
 	a, b := leaf(1, "A"), leaf(2, "B")
 	cases := map[string]*Term{

@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"entangle/internal/expr"
 	"entangle/internal/shape"
@@ -195,6 +196,31 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 		return nil, fmt.Errorf("graph %s: cycle detected (%d of %d nodes ordered)", g.Name, len(order), len(g.Nodes))
 	}
 	return order, nil
+}
+
+// Producers is the DAG of operators over positions in order, a
+// topological order of g: for each position, the positions of the
+// nodes producing its inputs, each producer once and in input order.
+// An input that is a graph input has no producer.
+func (g *Graph) Producers(order []*Node) [][]int {
+	pos := make([]int, len(g.Nodes))
+	reads := 0
+	for i, v := range order {
+		pos[v.ID] = i
+		reads += len(v.Inputs)
+	}
+	flat := make([]int, 0, reads)
+	out := make([][]int, len(order))
+	for i, v := range order {
+		start := len(flat)
+		for _, in := range v.Inputs {
+			if p := g.Tensors[in].Producer; p != NoProducer && !slices.Contains(flat[start:], pos[p]) {
+				flat = append(flat, pos[p])
+			}
+		}
+		out[i] = flat[start:len(flat):len(flat)]
+	}
+	return out
 }
 
 // Validate checks structural invariants: tensor/node ID consistency,

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +77,36 @@ func TestTopoSort(t *testing.T) {
 	}
 	if len(order) != 2 || order[0].Label != "matmul" || order[1].Label != "matsub" {
 		t.Fatalf("bad order: %v, %v", order[0].Label, order[1].Label)
+	}
+}
+
+func TestProducers(t *testing.T) {
+	b := NewBuilder("producers", nil)
+	A := b.Input("A", shape.Of(2, 3))
+	B := b.Input("B", shape.Of(2, 3))
+	x := b.Add("x", A, B)              // node 0: graph inputs only
+	y := b.Unary("y", "relu", A)       // node 1
+	ar := b.AllReduce("ar", x, y)      // node 2: two outputs
+	b.Output(b.Add("d", ar[0], ar[1])) // node 3: both outputs of ar
+	b.Output(b.Mul("s", x, x))         // node 4: x twice
+	g := b.MustBuild()
+	// A topological order that is not ID order: y, x, s, ar, d.
+	order := []*Node{g.Nodes[1], g.Nodes[0], g.Nodes[4], g.Nodes[2], g.Nodes[3]}
+	want := [][]int{
+		{},     // y reads graph input A
+		{},     // x reads graph inputs A, B
+		{1},    // s reads x twice
+		{1, 0}, // ar reads x then y
+		{3},    // d reads two outputs of ar
+	}
+	got := g.Producers(order)
+	if len(got) != len(want) {
+		t.Fatalf("Producers: %d lists, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("Producers of %s (position %d) = %v, want %v", order[i].Label, i, got[i], want[i])
+		}
 	}
 }
 

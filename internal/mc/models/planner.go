@@ -52,13 +52,7 @@ type Planner struct {
 // trivial G_d and the unedited base graph. Presets are compiled in, so
 // any build failure is a programming error and panics.
 func NewPlanner(cfg PlannerConfig) *Planner {
-	for i, ps := range cfg.DAG.Parents {
-		for _, p := range ps {
-			if p < 0 || p >= i {
-				panic(fmt.Sprintf("models: DAG %s is not topologically indexed: op %d has parent %d", cfg.DAG.Name, i, p))
-			}
-		}
-	}
+	cfg.DAG.mustBeTopological()
 	if cfg.MaxEdits <= 0 {
 		panic("models: planner needs an edit budget")
 	}

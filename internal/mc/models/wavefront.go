@@ -11,11 +11,24 @@ import (
 )
 
 // DAG is a small operator dependency graph, given as per-op parent
-// lists. Ops are topologically indexed: every parent index is smaller
-// than its child's (NewWavefront rejects anything else).
+// lists (each parent once: core.NewSchedCore's form). Ops are
+// topologically indexed: every parent index is smaller than its
+// child's (the models reject anything else).
 type DAG struct {
 	Name    string
 	Parents [][]int
+}
+
+// mustBeTopological panics unless d is topologically indexed: presets
+// are compiled in, so a violation is a programming error.
+func (d DAG) mustBeTopological() {
+	for i, ps := range d.Parents {
+		for _, p := range ps {
+			if p < 0 || p >= i {
+				panic(fmt.Sprintf("models: DAG %s is not topologically indexed: op %d has parent %d", d.Name, i, p))
+			}
+		}
+	}
 }
 
 // The preset DAGs cover the shapes the scheduler actually sees: pure
@@ -93,31 +106,17 @@ type WavefrontConfig struct {
 // machine the production worker pool drives under its mutex — so the
 // checked protocol is the shipped scheduling logic.
 type Wavefront struct {
-	cfg      WavefrontConfig
-	deps     []int
-	children [][]int
+	cfg WavefrontConfig
 }
 
-// NewWavefront builds the model, deriving dependency counts and
-// consumer lists from the DAG. It panics on a non-topological DAG:
-// presets are compiled in, so that is a programming error.
+// NewWavefront builds the model; the DAG's parent lists go to
+// core.NewSchedCore as they are. It panics on a non-topological DAG.
 func NewWavefront(cfg WavefrontConfig) *Wavefront {
-	n := len(cfg.DAG.Parents)
-	deps := make([]int, n)
-	children := make([][]int, n)
-	for i, ps := range cfg.DAG.Parents {
-		for _, p := range ps {
-			if p < 0 || p >= i {
-				panic(fmt.Sprintf("models: DAG %s is not topologically indexed: op %d has parent %d", cfg.DAG.Name, i, p))
-			}
-			deps[i]++
-			children[p] = append(children[p], i)
-		}
-	}
+	cfg.DAG.mustBeTopological()
 	if cfg.Workers <= 0 {
 		panic("models: wavefront needs at least one worker")
 	}
-	return &Wavefront{cfg: cfg, deps: deps, children: children}
+	return &Wavefront{cfg: cfg}
 }
 
 // wfState is one scheduler state: the SchedCore plus the pool's
@@ -190,7 +189,7 @@ func (m *Wavefront) Name() string { return m.cfg.Name }
 func (m *Wavefront) Init() []mc.State {
 	return []mc.State{&wfState{
 		m:    m,
-		core: core.NewSchedCore(m.deps, m.children, m.cfg.KeepGoing),
+		core: core.NewSchedCore(m.cfg.DAG.Parents, m.cfg.KeepGoing),
 	}}
 }
 
