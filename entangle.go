@@ -167,7 +167,7 @@ func DiffPlan(oldGs *Graph, oldRi *Relation, newGs *Graph, newRi *Relation, gd *
 // NewRelation returns an empty relation.
 func NewRelation() *Relation { return relation.New() }
 
-// DefaultLemmas builds the full lemma library (Figure 6's c/g/v/h
+// DefaultLemmas builds the full lemma library (Figure 6's c/g/v
 // families).
 func DefaultLemmas() *LemmaRegistry { return lemmas.Default() }
 

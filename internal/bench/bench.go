@@ -316,7 +316,7 @@ func Fig6() (string, error) {
 	fmt.Fprintf(&out, "%-12s ", "kind")
 	out.Write(kinds)
 	fmt.Fprintln(&out)
-	fmt.Fprintln(&out, "legend: c=clean-op lemma, g=general ATen, v=vLLM fused, h=HLO")
+	fmt.Fprintln(&out, "legend: c=clean-op lemma, g=general ATen, v=vLLM fused (no HLO-only h lemma)")
 	fmt.Fprintln(&out)
 	fmt.Fprintln(&out, "lemma IDs:")
 	for _, l := range reg.All() {

@@ -112,6 +112,10 @@ type Options struct {
 	// operator searches live. Reports are byte-identical either way but
 	// for LiveStats, which this package's tests assert; set nowhere else.
 	noReuse bool
+	// rungHook, when non-nil, is told the rung of every search checkOp
+	// starts: the ladder as this package's tests read it (the external
+	// ones through export_test.go's WithRungLog); set nowhere else.
+	rungHook func(v *graph.Node, rg rung)
 }
 
 const (
@@ -440,6 +444,15 @@ type runState struct {
 	// share them.
 	gdDefsOnce sync.Once
 	gdDefs     []gdDef
+	// spell is each G_s tensor's spellings (spellings.go), made by the
+	// first search or reuse probe of the run, an entry by the first
+	// consumer of its tensor; gdPos is the G_d ancestry they are decided
+	// over, made by the first tensor with two mappings. Workers share
+	// both, as they share gdDefs.
+	spellOnce sync.Once
+	spell     []spellings
+	gdPosOnce sync.Once
+	gdPos     []int32
 }
 
 // gdDef is one G_d node's defining equations, rebased into the G_d ID
@@ -537,13 +550,13 @@ func (r *runState) sharedLeaf(tid int) *expr.Term {
 func allowGdLeaf(tid int) bool { return relation.IsGd(tid) }
 
 // observedProcessOp wraps processOp with the OpObserver timing hook.
-func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
+func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	if r.opts.OpObserver == nil {
-		return r.processOp(ctx, v, budget, tr)
+		return r.processOp(ctx, v, budget, rg, tr)
 	}
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	start := time.Now()
-	stats, outs, err := r.processOp(ctx, v, budget, tr)
+	stats, outs, err := r.processOp(ctx, v, budget, rg, tr)
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	r.opts.OpObserver(v, time.Since(start))
 	return stats, outs, err
@@ -554,14 +567,14 @@ func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget 
 // structured *EngineFaultError naming the operator, with the stack,
 // instead of unwinding through the worker pool (where, before this
 // layer, it deadlocked the scheduler by leaking an active slot).
-func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (stats egraph.Stats, outs [][]*expr.Term, err error) {
+func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (stats egraph.Stats, outs [][]*expr.Term, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs = nil
 			err = &EngineFaultError{Op: v, Recovered: rec, Stack: debug.Stack()}
 		}
 	}()
-	return r.observedProcessOp(ctx, v, budget, tr)
+	return r.observedProcessOp(ctx, v, budget, rg, tr)
 }
 
 // safePreOp invokes the PreOp hook under the same panic recovery.
@@ -604,9 +617,10 @@ type opResult struct {
 }
 
 // checkOp is the resilient per-operator harness: it runs processOp
-// under panic recovery and a per-operator deadline, escalates the
-// saturation budget when the search stops on a limit without reaching
-// fixpoint, and classifies the outcome into an OpVerdict.
+// under panic recovery and a per-operator deadline, widens a failed
+// search up the ladder of rungs, escalates the saturation budget when
+// the search stops on a limit without reaching fixpoint, and classifies
+// the outcome into an OpVerdict.
 //
 // The returned fatal error, when non-nil, aborts the whole check even
 // in KeepGoing mode: it reports conditions that are not per-operator
@@ -696,14 +710,22 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		}
 	}
 
-	for attempt := 0; ; attempt++ {
-		// Only a first attempt at the base budget is recorded for reuse,
+	// The ladder (DESIGN §5.7): the first search reads only the newest
+	// input spellings; a failure widens it to every spelling at the base
+	// budget, and a failure at fixpoint to the whole of G_d before it is
+	// reported. Budget escalation applies to the wider rungs as before.
+	base, rg := budget, r.firstRung(v)
+	for searched := false; ; searched = true {
+		// Only the first search, at the base budget, is recorded for reuse,
 		// and only when a later operator might pose the same search.
 		var tr *searchTrace
-		if attempt == 0 && probe != nil && probe.record {
+		if !searched && probe != nil && probe.record {
 			tr = probe.newTrace()
 		}
-		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget, tr)
+		if r.opts.rungHook != nil {
+			r.opts.rungHook(v, rg)
+		}
+		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget, rg, tr)
 		acc.Merge(stats)
 		if err == nil {
 			if tr != nil {
@@ -740,28 +762,41 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 			fatal = err
 			return
 		}
-		if stats.Saturated || stats.Runs == 0 {
-			// Fixpoint reached (or the failure precedes any search):
-			// the e-graph holds every derivable equivalence and no
-			// clean mapping exists — refinement is genuinely disproved
-			// and more budget cannot change the answer.
-			verdict.Kind = VerdictDisproved
-			verdict.Err = re
-			res.stored = useCache && r.storeVerdict(i, *acc, *verdict, nil)
-			return
-		}
-		if attempt < r.opts.BudgetEscalations {
+		switch {
+		case stats.Runs == 0:
+			// The failure precedes any search (an input without a
+			// mapping): no rung or budget can change the answer.
+		case rg == rungNewest:
+			// An older spelling may be the one that maps: read them all.
+			rg, budget = rungAll, base
+			continue
+		case stats.Saturated && rg == rungAll:
+			// Fixpoint under the frontier, which only folds G_d nodes the
+			// input spellings reach: fold the whole of G_d before failing.
+			rg = rungWhole
+			continue
+		case stats.Saturated:
+		case verdict.Escalations < r.opts.BudgetEscalations:
 			// The search stopped on a budget, so the missing mapping
 			// may lie just beyond it: retry with a geometrically
 			// larger budget before declaring the operator inconclusive.
 			budget.MaxIters *= escalationFactor
 			budget.MaxNodes *= escalationFactor
-			verdict.Escalations = attempt + 1
+			verdict.Escalations++
 			continue
+		default:
+			verdict.Kind = VerdictInconclusive
+			verdict.Reason = ReasonBudgetExhausted
+			verdict.Err = &InconclusiveError{Op: v, Reason: ReasonBudgetExhausted, Escalations: verdict.Escalations, Cause: re}
+			return
 		}
-		verdict.Kind = VerdictInconclusive
-		verdict.Reason = ReasonBudgetExhausted
-		verdict.Err = &InconclusiveError{Op: v, Reason: ReasonBudgetExhausted, Escalations: verdict.Escalations, Cause: re}
+		// Fixpoint reached over the whole of G_d (or the failure precedes
+		// any search): the e-graph holds every derivable equivalence and no
+		// clean mapping exists — refinement is genuinely disproved and more
+		// budget cannot change the answer.
+		verdict.Kind = VerdictDisproved
+		verdict.Err = re
+		res.stored = useCache && r.storeVerdict(i, *acc, *verdict, nil)
 		return
 	}
 }
@@ -781,33 +816,35 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 // checked between frontier iterations, so cancellation surfaces within
 // one iteration as a context error (never disguised as a refinement
 // failure). budget bounds each saturation run; checkOp escalates it
-// across attempts. A non-nil tr logs the frontier walk for reuse.
-func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
+// across attempts, and rg is how widely the search reads (the ladder's
+// rung). A non-nil tr logs the frontier walk for reuse.
+func (r *runState) processOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	if expr.Collective(v.Op) {
 		return egraph.Stats{}, nil, fmt.Errorf("core: sequential model %s contains collective %q", r.gs.Name, v.Label)
 	}
 	eg := r.newEGraph()
-	acc, outs, err := r.processOpIn(ctx, eg, v, budget, tr)
+	acc, outs, err := r.processOpIn(ctx, eg, v, budget, rg, tr)
 	eg.Release()
 	return acc, outs, err
 }
 
 // processOpIn is processOp's search, run in the e-graph it is given.
-func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
+func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
 	var acc egraph.Stats
 	satOpts := budget
 	satOpts.Ctx = ctx
 	satOpts.Compiled = r.compiled
 
 	// Step 1 (rewrite_t_to_expr): leaves for v's inputs, unioned with
-	// every known mapping. In e-graph form, substitution is union.
-	// Listing 3: the related-tensor frontier T_rel starts from the G_d
-	// tensors those mappings name.
+	// the mappings the rung reads. In e-graph form, substitution is
+	// union. Listing 3: the related-tensor frontier T_rel starts from the
+	// G_d tensors those mappings name.
 	f := r.newFrontier()
+	defer f.release()
 	for _, in := range v.Inputs {
 		t := r.gs.Tensor(in)
 		cls := eg.AddTerm(relation.GsLeaf(t))
-		maps := r.rel.Get(in)
+		maps := r.inputMappings(in, rg)
 		if len(maps) == 0 {
 			return acc, nil, &RefinementError{Op: v, Tensor: t,
 				InputMappings: fmt.Sprintf("  (no mapping recorded for input %q)", t.Name)}
@@ -828,10 +865,8 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		outClasses[i] = eg.AddTerm(base)
 	}
 
-	if r.opts.DisableFrontier {
-		for i := range f.rel {
-			f.rel[i] = true
-		}
+	if rg == rungWhole {
+		f.relateAll()
 	}
 
 	// rv is R_v as the last round extracted it: every loop exit follows
@@ -876,16 +911,16 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		// Outputs of folded nodes whose class gained a clean
 		// representation are also related.
 		for _, n := range r.gdOrder {
-			if !f.folded[n.ID] {
+			if !f.isFolded(n) {
 				continue
 			}
 			eqs, _ := r.gdDefOf(n) // folded: built, and without error
 			for i, out := range n.Outputs {
-				if f.rel[out] {
+				if f.related(out) {
 					continue
 				}
 				if cls, ok := eg.LookupTerm(eqs[i].leaf); ok && clean.Has(cls) {
-					f.rel[out] = true
+					f.relateTensor(out)
 					grew = true
 					tr.gain(out)
 				}
@@ -902,14 +937,17 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 	}
 
-	// Step 4: record the clean output relation R_v. The terms added to
-	// the relation are also returned, per output in the order they were
-	// added, so checkOp can cache them for replay.
+	// Step 4: record the clean output relation R_v, once every output
+	// has a mapping: a failed rung leaves nothing behind for a wider one.
+	// The terms added to the relation are also returned, per output in
+	// the order they were added, so checkOp can cache them for replay.
 	for i, out := range v.Outputs {
 		if len(rv[i]) == 0 {
 			return acc, nil, &RefinementError{Op: v, Tensor: r.gs.Tensor(out),
 				InputMappings: r.renderInputMappings(v)}
 		}
+	}
+	for i, out := range v.Outputs {
 		r.rel.AddAll(out, rv[i])
 		// Opportunistically record output-restricted mappings too.
 		if r.gs.IsOutput(out) {
@@ -922,37 +960,75 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 }
 
 // frontier is one Listing-3 walk's state over G_d: T_rel, the related
-// tensors, and the nodes folded so far, as tables over G_d's dense
-// tensor and node IDs. The search, output resolution and reuse replay
-// each walk G_d through one, so all three decide readiness alike.
+// tensors, and the nodes folded so far, as marks over G_d's dense
+// tensor IDs and then its node IDs. An entry is set when it holds the
+// walk's epoch, so a slab is reused across walks without clearing it:
+// each newFrontier takes one from a pool and moves to a fresh epoch. The
+// search, output resolution and reuse replay each walk G_d through one,
+// so all three decide readiness alike.
 type frontier struct {
-	rel, folded []bool
+	marks []uint32
+	nt    int // G_d's tensor count: node n's mark is marks[nt+n.ID]
+	epoch uint32
 }
 
-// newFrontier returns an empty frontier over r's G_d.
-func (r *runState) newFrontier() frontier {
-	nt := len(r.gd.Tensors)
-	sets := make([]bool, nt+len(r.gd.Nodes))
-	return frontier{rel: sets[:nt:nt], folded: sets[nt:]}
+// frontiers holds released frontier slabs; a slab grows to the largest
+// G_d it has served.
+var frontiers = sync.Pool{New: func() any { return new(frontier) }}
+
+// newFrontier returns an empty frontier over r's G_d. Its holder hands
+// it back with release once the walk is over; unlike an e-graph's, the
+// release may be deferred: the marks of a walk a panic interrupted are
+// stale at the next epoch.
+func (r *runState) newFrontier() *frontier {
+	f := frontiers.Get().(*frontier)
+	f.nt = len(r.gd.Tensors)
+	if n := f.nt + len(r.gd.Nodes); len(f.marks) < n {
+		f.marks, f.epoch = make([]uint32, n), 0
+	}
+	if f.epoch++; f.epoch == 0 { // wrapped: forget every older walk's marks
+		clear(f.marks)
+		f.epoch = 1
+	}
+	return f
 }
+
+func (f *frontier) release() { frontiers.Put(f) }
+
+// related reports whether G_d tensor id is in T_rel.
+func (f *frontier) related(id graph.TensorID) bool { return f.marks[id] == f.epoch }
+
+// relateTensor adds G_d tensor id to T_rel.
+func (f *frontier) relateTensor(id graph.TensorID) { f.marks[id] = f.epoch }
+
+// relateAll puts every G_d tensor in T_rel: the walk folds all of G_d.
+func (f *frontier) relateAll() {
+	for i := range f.marks[:f.nt] {
+		f.marks[i] = f.epoch
+	}
+}
+
+func (f *frontier) isFolded(n *graph.Node) bool { return f.marks[f.nt+int(n.ID)] == f.epoch }
+
+func (f *frontier) markFolded(n *graph.Node) { f.marks[f.nt+int(n.ID)] = f.epoch }
 
 // relate adds the G_d tensor leaf tid names to T_rel and reports
 // whether it was new. A G_s leaf, or one outside G_d's tensor table,
 // relates nothing: no G_d node consumes it.
-func (f frontier) relate(tid int) bool {
+func (f *frontier) relate(tid int) bool {
 	if !relation.IsGd(tid) {
 		return false
 	}
 	id := relation.GdTensorID(tid)
-	if int(id) >= len(f.rel) || f.rel[id] {
+	if int(id) >= f.nt || f.related(id) {
 		return false
 	}
-	f.rel[id] = true
+	f.relateTensor(id)
 	return true
 }
 
 // relateLeaves adds every G_d tensor t's leaves name to T_rel.
-func (f frontier) relateLeaves(t *expr.Term) {
+func (f *frontier) relateLeaves(t *expr.Term) {
 	t.EachLeaf(func(tid int) { f.relate(tid) })
 }
 
@@ -961,22 +1037,22 @@ func (f frontier) relateLeaves(t *expr.Term) {
 // and marks the node folded once visit returns nil. A node later in
 // the pass sees what visit added to T_rel. ready stops at visit's first
 // error and reports whether any node was ready.
-func (f frontier) ready(gdOrder []*graph.Node, visit func(n *graph.Node) error) (bool, error) {
+func (f *frontier) ready(gdOrder []*graph.Node, visit func(n *graph.Node) error) (bool, error) {
 	found := false
 nodes:
 	for _, n := range gdOrder {
-		if f.folded[n.ID] {
+		if f.isFolded(n) {
 			continue
 		}
 		for _, in := range n.Inputs {
-			if !f.rel[in] {
+			if !f.related(in) {
 				continue nodes
 			}
 		}
 		if err := visit(n); err != nil {
 			return false, err
 		}
-		f.folded[n.ID] = true
+		f.markFolded(n)
 		found = true
 	}
 	return found, nil
@@ -987,7 +1063,7 @@ nodes:
 // so one pass cascades forward (output resolution); without, they join
 // only when the caller finds them related (the Listing-3 frontier). A
 // non-nil tr logs the folded nodes, in order.
-func (r *runState) foldReady(eg *egraph.EGraph, f frontier, relateOutputs bool, tr *searchTrace) (bool, error) {
+func (r *runState) foldReady(eg *egraph.EGraph, f *frontier, relateOutputs bool, tr *searchTrace) (bool, error) {
 	return f.ready(r.gdOrder, func(n *graph.Node) error {
 		if err := r.foldGdNode(eg, n); err != nil {
 			return err
@@ -995,7 +1071,7 @@ func (r *runState) foldReady(eg *egraph.EGraph, f frontier, relateOutputs bool, 
 		tr.fold(n)
 		if relateOutputs {
 			for _, out := range n.Outputs {
-				f.rel[out] = true
+				f.relateTensor(out)
 			}
 		}
 		return nil
@@ -1130,6 +1206,7 @@ func (r *runState) producerSaturated(producer graph.NodeID) bool {
 func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o graph.TensorID, maps []*expr.Term) ([]*expr.Term, egraph.Stats, error) {
 	cls := eg.AddTerm(relation.GsLeaf(r.gs.Tensor(o)))
 	f := r.newFrontier()
+	defer f.release()
 	for _, m := range maps {
 		eg.Union(cls, eg.AddTerm(m))
 		f.relateLeaves(m)

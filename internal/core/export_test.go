@@ -37,6 +37,20 @@ func WithoutReuse(opts Options) Options {
 	return opts
 }
 
+// The ladder's rungs (spellings.go), as WithRungLog reports them.
+const (
+	RungNewest = int(rungNewest)
+	RungAll    = int(rungAll)
+	RungWhole  = int(rungWhole)
+)
+
+// WithRungLog is opts with log told the rung of every search a check
+// starts (Options.rungHook), for the external tests.
+func WithRungLog(opts Options, log func(v *graph.Node, rung int)) Options {
+	opts.rungHook = func(v *graph.Node, rg rung) { log(v, int(rg)) }
+	return opts
+}
+
 // RenderReport renders every field of a check's outcome that neither the
 // Workers value nor the reuse table may move: goldenReport's text
 // without its live: line, with the full relation written out.

@@ -9,9 +9,10 @@ package core
 //
 //   - The key is the search's whole input, spelt with every leaf as its
 //     first-occurrence ordinal (with its shape and output flag): the
-//     operator, its attributes, each input's G_s leaf and mappings in
-//     relation order, and its outputs' shapes and output flags. Equal
-//     keys are compared byte for byte, not by hash.
+//     operator, its attributes, each input's G_s leaf and the mappings
+//     the ladder's first rung reads (its newest spellings) in relation
+//     order, and its outputs' shapes and output flags. Equal keys are
+//     compared byte for byte, not by hash.
 //   - The trace is what the recorded search's Listing-3 frontier walk
 //     did: per iteration, the G_d nodes foldReady folded and the
 //     tensors T_rel gained. A candidate replays it, numbering both
@@ -32,9 +33,10 @@ package core
 // Only an ancestor in G_s answers, the earliest whose search replays:
 // it has finished before its descendant starts, so whether an operator
 // reuses is a function of the graphs, not of the schedule, and
-// LiveStats is the same at any Workers value. Only a first attempt at the base budget that refined is
-// recorded, so a hit is always that; operators with a PreOp override and
-// runs with DisableFrontier neither record nor reuse. With
+// LiveStats is the same at any Workers value. Only a first search (the
+// ladder's first rung, at the base budget) that refined is recorded, so
+// a hit is always that; operators with a PreOp override and runs with
+// DisableFrontier neither record nor reuse. With
 // egraph.InvariantChecks on, every hit is checked live as well
 // (auditReuse).
 
@@ -243,7 +245,7 @@ func (r *runState) reuseProbe(i int) *reuseProbe {
 			r.releaseProbe(p)
 			return nil
 		}
-		maps := r.rel.Get(in)
+		maps := r.inputMappings(in, rungNewest)
 		b = appendCount(b, len(maps))
 		for _, m := range maps {
 			if b, ok = r.appendTerm(b, &p.num, m); !ok {
@@ -396,6 +398,7 @@ var errNoReplay = errors.New("core: the walk does not replay")
 // T_rel gains e's gains, renamed.
 func (r *runState) walkReplays(e *reuseEntry, p *reuseProbe) bool {
 	f := r.newFrontier()
+	defer f.release()
 	for _, tid := range p.num.tids {
 		f.relate(tid)
 	}
@@ -508,7 +511,7 @@ func (r *runState) recordSearch(i int, p *reuseProbe, outs [][]*expr.Term, stats
 // fault.
 func (r *runState) auditReuse(ctx context.Context, i int, e *reuseEntry, outs [][]*expr.Term) {
 	v, from := r.order[i], r.order[e.op]
-	stats, live, err := r.processOp(ctx, v, baseBudget(), nil)
+	stats, live, err := r.processOp(ctx, v, baseBudget(), rungNewest, nil)
 	if err != nil {
 		if ctx.Err() != nil {
 			return

@@ -30,7 +30,7 @@ import (
 // These tests run whole checks twice: once with the free list switched
 // off, so every New builds from nothing, exactly as if Release were
 // never called; once on a free list stocked with graphs that each last
-// served the heaviest operator of gpt-tp8-L3 (and that the check then
+// served the heaviest operator of one-layer gpt-tp8 (and that the check then
 // keeps recycling from operator to operator). Everything an observer
 // can see must be byte-identical: the report and both relations, each
 // operator's own statistics and extracted mappings (read off the
@@ -189,9 +189,11 @@ func observeCheck(t testing.TB, gs, gd *graph.Graph, ri *relation.Relation, work
 }
 
 // heavyLives stocks the free list with graphs whose last life was the
-// heaviest operator of gpt-tp8-L3: everything else of that model is
-// replayed from the verdicts of one recorded cold check, so a stocking
-// run saturates that one operator and nothing more.
+// heaviest operator of one-layer gpt-tp8 checked with the frontier off
+// (every G_d node folded, every input spelling read: with it on, that
+// operator collects 596 matches at any depth): everything else of that
+// model is replayed from the verdicts of one recorded cold check, so a
+// stocking run saturates that one operator and nothing more.
 type heavyLives struct {
 	b     *models.Built
 	store *verdictLog
@@ -199,12 +201,12 @@ type heavyLives struct {
 
 func newHeavyLives(t testing.TB) *heavyLives {
 	t.Helper()
-	b, err := models.GPT(models.Options{TP: 8, SP: true, Cfg: models.Config{Layers: 3}})
+	b, err := models.GPT(models.Options{TP: 8, SP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := &verdictLog{}
-	if _, err := core.NewChecker(core.Options{Workers: 1, Cache: rec}).Check(b.Gs, b.Gd, b.Ri); err != nil {
+	if _, err := core.NewChecker(core.Options{Workers: 1, Cache: rec, DisableFrontier: true}).Check(b.Gs, b.Gd, b.Ri); err != nil {
 		t.Fatal(err)
 	}
 	h := &heavyLives{b: b, store: &verdictLog{serve: rec.stored}}
@@ -215,7 +217,7 @@ func newHeavyLives(t testing.TB) *heavyLives {
 		}
 	}
 	if most < 1000 {
-		t.Fatalf("the heaviest operator of gpt-tp8-L3 collected %d matches: not heavy", most)
+		t.Fatalf("the heaviest operator of gpt-tp8 collected %d matches: not heavy", most)
 	}
 	return h
 }
@@ -231,7 +233,7 @@ func (h *heavyLives) stock(t testing.TB, n int) {
 	held := make([]*egraph.EGraph, 0, n)
 	for i := 0; i < n; i++ {
 		releases := watchReleases(false)
-		_, err := core.NewChecker(core.Options{Workers: 1, Cache: h.store}).Check(h.b.Gs, h.b.Gd, h.b.Ri)
+		_, err := core.NewChecker(core.Options{Workers: 1, Cache: h.store, DisableFrontier: true}).Check(h.b.Gs, h.b.Gd, h.b.Ri)
 		releases.done()
 		if err != nil {
 			t.Fatal(err)
@@ -549,7 +551,7 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 }
 
 // What the free list can pin is a fixed amount: with every slot holding
-// a graph that just served the heaviest operator of gpt-tp8-L3, the
+// a graph that just served the heaviest operator of one-layer gpt-tp8, the
 // heap bytes reachable only through the list — measured, by emptying
 // it — stay under a constant.
 func TestRetainedFootprintBounded(t *testing.T) {

@@ -30,7 +30,9 @@ func (l *entryLog) Stats() *vcache.Stats { return &l.stats }
 // a panic past its own recover fails the target — and a term it accepts
 // encodes back through CanonicalTerm to exactly those bytes, against
 // the first zoo pair's G_d index and against none. Seeded with every
-// term the zoo's cold checks store in a verdict cache.
+// term the zoo's cold checks store in a verdict cache, with the frontier
+// on and off: off, every input spelling is read, and the longer, older
+// spellings a deep relation carries are extracted too.
 func FuzzTermDecode(f *testing.F) {
 	var ix *fingerprint.GdIndex
 	for _, c := range bench.Zoo() {
@@ -46,10 +48,12 @@ func FuzzTermDecode(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		stored := &entryLog{} // one worker: Put is never called concurrently
-		_, _ = core.NewChecker(core.Options{Cache: stored, Workers: 1}).Check(gs, gd, ri)
-		for _, s := range stored.terms {
-			f.Add(s)
+		for _, off := range []bool{false, true} {
+			stored := &entryLog{} // one worker: Put is never called concurrently
+			_, _ = core.NewChecker(core.Options{Cache: stored, Workers: 1, DisableFrontier: off}).Check(gs, gd, ri)
+			for _, s := range stored.terms {
+				f.Add(s)
+			}
 		}
 	}
 	f.Add("(slice||0,0+1*S,4|d0)")

@@ -64,8 +64,10 @@ func registerMatMul(r *Registry) {
 
 func registerElementwise(r *Registry) {
 	// f(concat(xs, d), concat(ys, d)) = concat(f(x_i, y_i), d) for the
-	// binary elementwise operators, when the chunks align pairwise.
-	for _, op := range []expr.Op{expr.OpAdd, expr.OpSub, expr.OpMul} {
+	// binary elementwise operators, when the chunks align pairwise. add
+	// has no rule: add-is-sum makes it a sum, which sum-of-concats
+	// distributes.
+	for _, op := range []expr.Op{expr.OpSub, expr.OpMul} {
 		r.MustRegister(&Lemma{
 			Name: fmt.Sprintf("%s-concat-distribute", op), Kind: KindGeneral, Complexity: 4, LOC: 30,
 			dists: []dist{{op: op, args: []arg{alongD, alongD}, when: aligned}},

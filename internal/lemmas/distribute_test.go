@@ -267,7 +267,6 @@ var distCases = map[string]caseGen{
 		return distCase{args: [][][]int{parts(x, 0, even(k, x[0])), single(x[1], n)}}
 	},
 
-	"add-concat-distribute": binaryAligned,
 	"sub-concat-distribute": binaryAligned,
 	"mul-concat-distribute": binaryAligned,
 	"fused-silu-mul-concat": binaryAligned,
@@ -423,7 +422,7 @@ var distDeclines = []struct {
 		distCase{vars: map[string]int64{"d": 1, "ds": 1}, args: [][][]int{{{2, 2}, {2, 2}}}}},
 	{"attrNotDim", "softmax-concat-commutative",
 		distCase{vars: map[string]int64{"d": 0, "ds": 0}, args: [][][]int{{{2, 2}, {2, 2}}}}},
-	{"aligned", "add-concat-distribute", // same total, different cuts
+	{"aligned", "sub-concat-distribute", // same total, different cuts
 		distCase{vars: map[string]int64{"d": 0}, args: [][][]int{{{1, 2}, {3, 2}}, {{2, 2}, {2, 2}}}}},
 	{"aligned", "matmul-row-parallel",
 		distCase{vars: map[string]int64{"dx": 1}, args: [][][]int{{{2, 1}, {2, 3}}, {{2, 3}, {2, 3}}}}},

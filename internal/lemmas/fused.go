@@ -1,10 +1,6 @@
 package lemmas
 
-import (
-	"entangle/internal/egraph"
-	"entangle/internal/expr"
-	"entangle/internal/sym"
-)
+import "entangle/internal/expr"
 
 // registerVLLM registers lemmas for fused kernels used by serving
 // frameworks (Figure 6's "v"-marked lemmas). The paper adds these when
@@ -19,39 +15,5 @@ func registerVLLM(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "fused-silu-mul-concat", Kind: KindVLLM, Complexity: 4, LOC: 30,
 		dists: []dist{{op: expr.OpFusedSiluMul, args: []arg{alongD, alongD}, when: aligned}},
-	})
-}
-
-// registerHLO registers lemmas for HLO-flavoured operator spellings
-// (Figure 6's "h"-marked lemmas). The HLO front end maps most HLO ops
-// onto the shared vocabulary — which is why, as the paper observes,
-// HLO models "reuse many of the popular lemmas" — but one HLO idiom
-// needs its own rule.
-func registerHLO(r *Registry) {
-	// HLO's dot with a transposed rhs: matmul(x, transpose(w, 0, 1)) =
-	// transpose(matmul(w, transpose(x, 0, 1)), 0, 1) for rank-2
-	// operands (AᐧBᵀ = (BᐧAᵀ)ᵀ).
-	r.MustRegister(&Lemma{
-		Name: "hlo-dot-transpose", Kind: KindHLO, Complexity: 5, LOC: 30,
-		Rules: []*egraph.Rule{{
-			Name: "hlo-dot-transpose",
-			LHS: egraph.POp(expr.OpMatMul, nil,
-				egraph.PVar("x"),
-				egraph.POp(expr.OpTranspose, []egraph.AttrPat{egraph.AInt(0), egraph.AInt(1)}, egraph.PVar("w"))),
-			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
-				xc, wc := m.Subst.ClassOf("x"), m.Subst.ClassOf("w")
-				if rk, ok := g.RankOf(xc); !ok || rk != 2 {
-					return nil
-				}
-				if rk, ok := g.RankOf(wc); !ok || rk != 2 {
-					return nil
-				}
-				z, o := sym.Const(0), sym.Const(1)
-				xt := addAll(g, expr.OpTranspose, exprs(g, z, o), "", classes(g, xc))
-				mm := addAll(g, expr.OpMatMul, nil, "", classes(g, wc, xt))
-				c := addAll(g, expr.OpTranspose, exprs(g, z, o), "", classes(g, mm))
-				return m.With(c)
-			},
-		}},
 	})
 }

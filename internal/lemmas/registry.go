@@ -29,10 +29,10 @@ const (
 	// the paper's heatmap; we print them as "g".
 	KindGeneral Kind = 'g'
 	// KindVLLM lemmas concern fused operators from serving frameworks
-	// — marked "v".
+	// — marked "v". The paper's fourth kind, HLO lemmas ("h"), has no
+	// member: the HLO front end maps every HLO op it reads onto the
+	// shared vocabulary, and no check here needs an HLO-only rule.
 	KindVLLM Kind = 'v'
-	// KindHLO lemmas concern HLO operators — marked "h".
-	KindHLO Kind = 'h'
 )
 
 // Lemma is one rewrite lemma, possibly realized by several e-graph
@@ -234,12 +234,11 @@ func (r *Registry) UsedLemmas(apps map[string]int) []*Lemma {
 
 // Default builds the full lemma library. The registration order fixes
 // lemma IDs: clean/structural first, then general compute, then vLLM
-// fused, then HLO — mirroring the c…v…h layout of Figure 6's x-axis.
+// fused — mirroring the c…v layout of Figure 6's x-axis.
 func Default() *Registry {
 	r := NewRegistry()
 	registerClean(r)
 	registerCompute(r)
 	registerVLLM(r)
-	registerHLO(r)
 	return r
 }

@@ -249,6 +249,92 @@ func TestWarmCheckAllocs(t *testing.T) {
 	}
 }
 
+// TestReleasedBodyIsNotRead: a request body's buffer goes back to
+// bodies once the response is written, and a later request reads its
+// body into it. Nothing may read the old bytes then: the graphs and the
+// relation decoded from a body, and a response written from it, are
+// unchanged after the released buffer is overwritten.
+func TestReleasedBodyIsNotRead(t *testing.T) {
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	llama, err := models.Llama(models.Options{TP: 2, Cfg: models.Config{Layers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := requestBody(t, gpt, nil), requestBody(t, llama, nil)
+	scribble := func(buf *bytes.Buffer) {
+		old := buf.Bytes()[:buf.Cap()]
+		for i := range old {
+			old[i] = '#'
+		}
+	}
+
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Write(a)
+	var req CheckRequest
+	if err := req.decode(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	gs, err := decodeGraph(req.Gs, req.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, _, err := new(digestTable).decodeGd(req.Gd, req.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri, err := exprparse.ParseRelation(req.Rel, gs, gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := func() string {
+		js, err := gs.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jd, err := gd.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js) + string(jd) + ri.Render(gs)
+	}
+	before := decoded()
+	releaseBody(buf)
+	scribble(buf)
+	if decoded() != before {
+		t.Error("the graphs and relation decoded from a body changed when its released buffer was overwritten")
+	}
+
+	s := New(Config{Options: core.Options{KeepGoing: true}})
+	check := func(body []byte) (*httptest.ResponseRecorder, CheckResponse) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		var cr CheckResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
+			t.Fatal(err)
+		}
+		cr.DurationMS = 0
+		return rec, cr
+	}
+	rec, first := check(a)
+	written := rec.Body.String()
+	check(b) // reads its body into the buffer a's request released
+	buf = bodies.Get().(*bytes.Buffer)
+	scribble(buf)
+	releaseBody(buf)
+	if rec.Body.String() != written {
+		t.Error("a response changed when its request's buffer was reused")
+	}
+	if _, again := check(a); !reflect.DeepEqual(again, first) {
+		t.Errorf("the same body answered differently after its buffer was reused:\n%+v\n%+v", first, again)
+	}
+}
+
 // benchBodies are the bodies the benchmarks time: the TP2 L1 pair the
 // allocation ratchets pin, and a pair the size of the end-to-end
 // benchmark's bodies (a G_d of 162 nodes as JSON, of 210 as HLO).

@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -256,32 +257,51 @@ func (s *Server) handlePeerVerdicts(w http.ResponseWriter, r *http.Request) {
 // decodeBody reads a request body whole under the configured byte
 // bound and hands it to decode. A body over the bound is answered 413
 // whatever it holds, one that does not decode 400; in both cases the
-// request is counted as errored and false is returned.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) bool {
-	var body bytes.Buffer
-	// One allocation for a body that is as long as it says; a length
-	// nobody has sent yet reserves no more than bodyReserve.
+// request is counted as errored and nil is returned. Otherwise the
+// body's buffer is returned: what decode read stays spans of it, so the
+// handler hands it back with releaseBody only once it has written its
+// response.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) *bytes.Buffer {
+	body := bodies.Get().(*bytes.Buffer)
+	// At most one allocation for a body that is as long as it says; a
+	// length nobody has sent yet reserves no more than bodyReserve.
 	body.Grow(int(min(max(r.ContentLength, 0), bodyReserve)) + bytes.MinRead)
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
 		s.refuse(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-		return false
 	case err != nil:
 		s.badRequest(w, "reading request: %v", err)
-		return false
+	default:
+		if err = decode(body.Bytes()); err != nil {
+			s.badRequest(w, "decoding request: %v", err)
+		}
 	}
-	if err := decode(body.Bytes()); err != nil {
-		s.badRequest(w, "decoding request: %v", err)
-		return false
+	if err != nil {
+		releaseBody(body)
+		return nil
 	}
-	return true
+	return body
 }
 
 // bodyReserve caps what a Content-Length header alone makes the daemon
-// allocate.
+// allocate, and the size of a body buffer bodies keeps.
 const bodyReserve = 1 << 20
+
+// bodies holds request-body buffers between requests: a verdict-warm
+// check allocates little else, so a fresh buffer per body would set the
+// pace of the collector.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// releaseBody hands a body buffer back; one grown past bodyReserve is
+// left to the collector.
+func releaseBody(b *bytes.Buffer) {
+	if b.Cap() <= bodyReserve+bytes.MinRead {
+		b.Reset()
+		bodies.Put(b)
+	}
+}
 
 // decode reads a /v1/check body in one pass: a span scanner checks the
 // whole text and indexes the request object's members. The graphs stay
@@ -479,9 +499,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	var req CheckRequest
-	if !s.decodeBody(w, r, req.decode) {
+	body := s.decodeBody(w, r, req.decode)
+	if body == nil {
 		return
 	}
+	defer releaseBody(body)
 	gs, err := decodeGraph(req.Gs, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading G_s: %v", err)
@@ -573,9 +595,11 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	var req RecheckRequest
-	if !s.decodeBody(w, r, req.decode) {
+	body := s.decodeBody(w, r, req.decode)
+	if body == nil {
 		return
 	}
+	defer releaseBody(body)
 	if len(req.Candidates) == 0 {
 		s.badRequest(w, "recheck needs at least one candidate graph")
 		return
