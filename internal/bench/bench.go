@@ -7,6 +7,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -78,6 +79,12 @@ func Fig3Workloads() []Workload {
 	}
 }
 
+// fig3Workload returns the Figure 3 workload called name.
+func fig3Workload(name string) Workload {
+	ws := Fig3Workloads()
+	return ws[slices.IndexFunc(ws, func(w Workload) bool { return w.Name == name })]
+}
+
 // Result is one verification run's measurements.
 type Result struct {
 	Workload    string
@@ -136,20 +143,42 @@ func (w Workload) graphs(parallel, layers int) (*graph.Graph, *graph.Graph, *rel
 	return b.Gs, b.Gd, b.Ri, nil
 }
 
+// figureRuns is how many cold checks time one Figure 3 row or Figure 4
+// cell: it reads their median, to 0.1 ms. One check of a few
+// milliseconds is too noisy to read alone.
+const figureRuns = 5
+
+// timed runs a configuration n times and returns the last result, timed
+// at the rank-th fastest of the n (0: the best).
+func timed(n, rank int, w Workload, parallel, layers, workers int) (*Result, error) {
+	times := make([]time.Duration, n)
+	var res *Result
+	for i := range times {
+		r, err := RunWorkers(w, parallel, layers, workers)
+		if err != nil {
+			return nil, err
+		}
+		res, times[i] = r, r.Duration
+	}
+	slices.Sort(times)
+	res.Duration = times[rank]
+	return res, nil
+}
+
 // Fig3 verifies every workload at parallelism 2 with one layer and
 // renders the end-to-end time table.
 func Fig3() (string, []*Result, error) {
 	var out strings.Builder
-	fmt.Fprintf(&out, "Figure 3: end-to-end verification time (parallelism 2, 1 layer)\n")
+	fmt.Fprintf(&out, "Figure 3: end-to-end verification time (parallelism 2, 1 layer; median of %d, ms)\n", figureRuns)
 	fmt.Fprintf(&out, "%-16s %-26s %10s %12s\n", "model", "strategy", "#ops", "time")
 	var results []*Result
 	for _, w := range Fig3Workloads() {
-		res, err := Run(w, 2, 1)
+		res, err := timed(figureRuns, figureRuns/2, w, 2, 1, 1)
 		if err != nil {
 			return "", nil, err
 		}
 		results = append(results, res)
-		fmt.Fprintf(&out, "%-16s %-26s %10d %12s\n", res.Workload, w.Strategy, res.Ops, res.Duration.Round(time.Millisecond))
+		fmt.Fprintf(&out, "%-16s %-26s %10d %12.1f\n", res.Workload, w.Strategy, res.Ops, msOf(res.Duration))
 	}
 	return out.String(), results, nil
 }
@@ -165,36 +194,35 @@ func Fig4() (string, []*Result, error) { return fig4(fig4Layers) }
 func fig4(layers []int) (string, []*Result, error) {
 	var out strings.Builder
 	var all []*Result
-	sweep := func(title string, parallelisms []int, build func(p, l int) (*models.Built, error), viaHLO bool) error {
-		fmt.Fprintf(&out, "Figure 4: %s scalability (verification time)\n", title)
+	sweep := func(title string, w Workload) error {
+		fmt.Fprintf(&out, "Figure 4: %s scalability (verification time, median of %d, ms)\n", title, figureRuns)
 		fmt.Fprintf(&out, "%-12s", "par \\ layers")
 		for _, l := range layers {
 			fmt.Fprintf(&out, " %10d", l)
 		}
 		fmt.Fprintln(&out)
-		for _, p := range parallelisms {
+		for _, p := range w.Parallelisms {
 			fmt.Fprintf(&out, "%-12d", p)
 			for _, l := range layers {
-				res, err := Run(Workload{Name: title, Build: build, ViaHLO: viaHLO}, p, l)
+				res, err := timed(figureRuns, figureRuns/2, w, p, l, 1)
 				if err != nil {
 					return err
 				}
 				all = append(all, res)
-				fmt.Fprintf(&out, " %10s", res.Duration.Round(time.Millisecond))
+				fmt.Fprintf(&out, " %10.1f", msOf(res.Duration))
 			}
 			fmt.Fprintln(&out)
 		}
 		fmt.Fprintln(&out)
 		return nil
 	}
-	if err := sweep("GPT (TP+SP+VP)", []int{2, 4, 6, 8}, func(p, l int) (*models.Built, error) {
+	gpt := Workload{Name: "GPT (TP+SP+VP)", Parallelisms: []int{2, 4, 6, 8}, Build: func(p, l int) (*models.Built, error) {
 		return models.GPT(models.Options{TP: p, SP: true, VP: true, Cfg: models.Config{Layers: l}})
-	}, false); err != nil {
+	}}
+	if err := sweep("GPT (TP+SP+VP)", gpt); err != nil {
 		return "", nil, err
 	}
-	if err := sweep("Llama-3 (TP)", []int{2, 4, 8}, func(p, l int) (*models.Built, error) {
-		return models.Llama(models.Options{TP: p, Cfg: models.Config{Layers: l}})
-	}, true); err != nil {
+	if err := sweep("Llama-3 (TP)", fig3Workload("Llama-3")); err != nil {
 		return "", nil, err
 	}
 	out.WriteString("(Llama-3 has no degree-6 column: heads=8 cannot be evenly partitioned by 6.)\n")
@@ -260,24 +288,15 @@ func Fig6() (string, error) {
 		rows = append(rows, row{label: label, counts: res.Registry.LemmaCounts(res.Report.Stats.Applications)})
 		return nil
 	}
-	gpt := Workload{Name: "GPT", Build: func(p, l int) (*models.Built, error) {
-		return models.GPT(models.Options{TP: p, SP: true, Cfg: models.Config{Layers: l}})
-	}}
-	qwen := Workload{Name: "Qwen2", Build: func(p, l int) (*models.Built, error) {
-		return models.Qwen2(models.Options{TP: p, Cfg: models.Config{Layers: l}})
-	}}
-	llama := Workload{Name: "Llama-3", Build: func(p, l int) (*models.Built, error) {
-		return models.Llama(models.Options{TP: p, Cfg: models.Config{Layers: l}})
-	}, ViaHLO: true}
 	for _, p := range []int{2, 4, 8} {
-		if err := add(fmt.Sprintf("GPT(%d)", p), gpt, p); err != nil {
+		if err := add(fmt.Sprintf("GPT(%d)", p), fig3Workload("GPT"), p); err != nil {
 			return "", err
 		}
 	}
-	if err := add("Qwen2(4)", qwen, 4); err != nil {
+	if err := add("Qwen2(4)", fig3Workload("Qwen2"), 4); err != nil {
 		return "", err
 	}
-	if err := add("Llama-3(4)", llama, 4); err != nil {
+	if err := add("Llama-3(4)", fig3Workload("Llama-3"), 4); err != nil {
 		return "", err
 	}
 

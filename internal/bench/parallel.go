@@ -65,11 +65,11 @@ func Parallel() (string, error) {
 	fmt.Fprintf(&out, "%-22s %6s %10s %10s %9s %9s %9s\n",
 		"model", "#ops", "workers=1", fmt.Sprintf("workers=%d", workers), "measured", "span-lim", fmt.Sprintf("sim@%d", workers))
 	for _, c := range parallelWorkloads() {
-		seq, err := bestOf(3, c.w, c.parallel, c.layers, 1)
+		seq, err := timed(3, 0, c.w, c.parallel, c.layers, 1)
 		if err != nil {
 			return "", err
 		}
-		par, err := bestOf(3, c.w, c.parallel, c.layers, workers)
+		par, err := timed(3, 0, c.w, c.parallel, c.layers, workers)
 		if err != nil {
 			return "", err
 		}
@@ -181,19 +181,4 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 		prof.simSpeedup = float64(work) / float64(makespan)
 	}
 	return prof, nil
-}
-
-// bestOf runs a configuration n times and keeps the fastest result.
-func bestOf(n int, w Workload, parallel, layers, workers int) (*Result, error) {
-	var best *Result
-	for i := 0; i < n; i++ {
-		res, err := RunWorkers(w, parallel, layers, workers)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || res.Duration < best.Duration {
-			best = res
-		}
-	}
-	return best, nil
 }

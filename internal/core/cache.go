@@ -204,44 +204,42 @@ func (r *runState) oldVerdict(label string) vcache.Verdict {
 	return ""
 }
 
-// replayEntry reconstructs the run-state effects of a cached verdict,
-// reading its terms straight out of the entry's bytes. What the verdict
-// took stays in the entry: the ledger keeps it, and the fold reads it.
-func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (OpVerdict, bool) {
+// replayEntry reconstructs a cached verdict and, for a refined one, its
+// output mappings, reading its terms straight out of the entry's bytes.
+// What the verdict took stays in the entry: the ledger keeps it, and
+// the fold reads it.
+func (r *runState) replayEntry(v *graph.Node, e *vcache.Entry) (OpVerdict, [][]*expr.Term, bool) {
 	switch e.Verdict() {
 	case vcache.VerdictRefined:
 		if e.Outputs() != len(v.Outputs) {
-			return OpVerdict{}, false
+			return OpVerdict{}, nil, false
 		}
-		// Decode everything before mutating the relation, so a defect
-		// half-way cannot leave partial replay state behind.
 		all := make([][]*expr.Term, len(v.Outputs))
 		err := e.EachTerm(func(out int, src string) error {
-			t, err := fingerprint.DecodeTerm(src, r.gdix, nil)
+			t, err := fingerprint.DecodeTerm(src, r.gdix)
 			all[out] = append(all[out], t)
 			return err
 		})
 		if err != nil {
-			return OpVerdict{}, false
+			return OpVerdict{}, nil, false
 		}
 		for _, terms := range all {
 			if len(terms) == 0 {
-				return OpVerdict{}, false
+				return OpVerdict{}, nil, false
 			}
 		}
-		r.addOutputs(v, all)
-		return OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations(), Replayed: true}, true
+		return OpVerdict{Op: v, Kind: VerdictRefined, Escalations: e.Escalations(), Replayed: true}, all, true
 
 	case vcache.VerdictDisproved:
 		fail := e.FailOutput()
 		if fail < 0 || fail >= len(v.Outputs) {
-			return OpVerdict{}, false
+			return OpVerdict{}, nil, false
 		}
 		re := &RefinementError{Op: v, Tensor: r.gs.Tensor(v.Outputs[fail]),
 			InputMappings: r.renderInputMappings(v)}
-		return OpVerdict{Op: v, Kind: VerdictDisproved, Err: re, Escalations: e.Escalations(), Replayed: true}, true
+		return OpVerdict{Op: v, Kind: VerdictDisproved, Err: re, Escalations: e.Escalations(), Replayed: true}, nil, true
 	}
-	return OpVerdict{}, false
+	return OpVerdict{}, nil, false
 }
 
 // storeVerdict persists a just-computed live verdict when it is

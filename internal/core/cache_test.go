@@ -29,6 +29,56 @@ func openCache(t *testing.T) *vcache.Cache {
 	return c
 }
 
+// A G_d leaf of R_i that names no G_d tensor is keyed apart from every
+// tensor of G_d. Were it spelled as one of them, a check of the valid
+// relation would share its keys: against one cache, in either order,
+// each relation must be checked from verdicts of its own, the valid one
+// refining and the broken one not, and a diff between the two must
+// check again what reads the changed mapping.
+func TestGdLeafOutsideGdIsKeyedApart(t *testing.T) {
+	gs, gd, valid := figure1(t)
+	broken := relation.New()
+	for _, id := range valid.Tensors() {
+		for _, m := range valid.Get(id) {
+			broken.Add(id, m.Map(func(n *expr.Term) *expr.Term {
+				if n.IsLeaf() && n.Name == "A1" {
+					return expr.Tensor(relation.GdOffset+999, "A1")
+				}
+				return n
+			}))
+		}
+	}
+	for _, order := range [][]string{{"valid", "broken"}, {"broken", "valid"}} {
+		checker := NewChecker(Options{Cache: openCache(t), KeepGoing: true})
+		for _, which := range order {
+			ri := valid
+			if which == "broken" {
+				ri = broken
+			}
+			report, err := checker.Check(gs, gd, ri)
+			switch {
+			case report == nil:
+				t.Fatalf("%v: the %s relation: no report: %v", order, which, err)
+			case report.Cache.Hits != 0:
+				t.Fatalf("%v: the %s relation replayed %d verdicts of the other", order, which, report.Cache.Hits)
+			case which == "valid" && err != nil:
+				t.Fatalf("%v: the valid relation fails: %v", order, err)
+			case which == "broken" && err == nil:
+				t.Fatalf("%v: the broken relation refines", order)
+			}
+		}
+	}
+	for _, pair := range [][2]*relation.Relation{{valid, broken}, {broken, valid}} {
+		plan, err := DiffPlan(gs, pair[0], gs, pair[1], gd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Checks == 0 {
+			t.Errorf("a diff between the valid and the broken relation checks nothing: %+v", plan.Ops)
+		}
+	}
+}
+
 // TestCacheWarmRunIdentical is the cache's core contract: a warm run
 // replays every verdict without saturating anything, and the resulting
 // report is byte-identical to the cold run — same relations, same

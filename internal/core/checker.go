@@ -549,32 +549,28 @@ func (r *runState) sharedLeaf(tid int) *expr.Term {
 
 func allowGdLeaf(tid int) bool { return relation.IsGd(tid) }
 
-// observedProcessOp wraps processOp with the OpObserver timing hook.
-func (r *runState) observedProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (egraph.Stats, [][]*expr.Term, error) {
+// recoveredProcessOp runs one check attempt, timed for the OpObserver
+// hook, under panic recovery: a panicking lemma, shape rule, or
+// observer is converted into a structured *EngineFaultError naming the
+// operator, with the stack, instead of unwinding through the worker pool
+// (where, before this layer, it deadlocked the scheduler by leaking an
+// active slot).
+func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (stats egraph.Stats, outs [][]*expr.Term, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			stats, outs = egraph.Stats{}, nil
+			err = &EngineFaultError{Op: v, Recovered: rec, Stack: debug.Stack()}
+		}
+	}()
 	if r.opts.OpObserver == nil {
 		return r.processOp(ctx, v, budget, rg, tr)
 	}
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	start := time.Now()
-	stats, outs, err := r.processOp(ctx, v, budget, rg, tr)
+	stats, outs, err = r.processOp(ctx, v, budget, rg, tr)
 	//lint:ignore determinism observer latency is telemetry, not checker input
 	r.opts.OpObserver(v, time.Since(start))
 	return stats, outs, err
-}
-
-// recoveredProcessOp runs one check attempt under panic recovery: a
-// panicking lemma, shape rule, or observer is converted into a
-// structured *EngineFaultError naming the operator, with the stack,
-// instead of unwinding through the worker pool (where, before this
-// layer, it deadlocked the scheduler by leaking an active slot).
-func (r *runState) recoveredProcessOp(ctx context.Context, v *graph.Node, budget egraph.SaturateOpts, rg rung, tr *searchTrace) (stats egraph.Stats, outs [][]*expr.Term, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			outs = nil
-			err = &EngineFaultError{Op: v, Recovered: rec, Stack: debug.Stack()}
-		}
-	}()
-	return r.observedProcessOp(ctx, v, budget, rg, tr)
 }
 
 // safePreOp invokes the PreOp hook under the same panic recovery.
@@ -682,7 +678,8 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		}
 		res.cache = cacheMiss
 		if e != nil {
-			if cached, ok := r.replayEntry(v, e); ok {
+			if cached, outs, ok := r.replayEntry(v, e); ok {
+				r.addOutputs(v, outs)
 				res.cache, res.entry, *acc, *verdict = cacheHit, e, e.Stats(), cached
 				return
 			}
@@ -728,6 +725,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget, rg, tr)
 		acc.Merge(stats)
 		if err == nil {
+			r.addOutputs(v, outs)
 			if tr != nil {
 				r.recordSearch(i, probe, outs, *acc)
 			}
@@ -801,16 +799,27 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 	}
 }
 
+// addOutputs records v's output mappings (none when outs is nil), each
+// output's in the order a live search extracted them. checkOp is the one
+// caller: a search, a reused search and a cached verdict all record an
+// operator's outputs here, once the operator has succeeded.
+func (r *runState) addOutputs(v *graph.Node, outs [][]*expr.Term) {
+	for i, ts := range outs {
+		r.rel.AddAll(v.Outputs[i], ts)
+	}
+}
+
 // processOp is compute_node_out_rel (Listing 2) with the Listing-3
 // frontier optimization: seed the e-graph with v's output expression
 // and its input mappings, fold in G_d operator definitions restricted
 // to the related-tensor frontier, saturate with the lemma library, and
 // extract the clean mappings of v's outputs. It returns the operator's
-// saturation statistics; the caller merges them in topo order so the
-// aggregate is identical however ops were scheduled. processOp only
-// reads mappings of v's inputs (complete once their producers are
-// done) and only writes mappings of v's outputs, which is what makes
-// the wavefront schedule race-free and deterministic.
+// saturation statistics, which the caller merges in topo order so the
+// aggregate is identical however ops were scheduled, and the mappings,
+// which checkOp alone records. processOp only reads mappings of v's
+// inputs (complete once their producers are done) and writes nothing,
+// which is what makes the wavefront schedule race-free and
+// deterministic.
 //
 // ctx bounds the search: it is threaded into every Saturate call and
 // checked between frontier iterations, so cancellation surfaces within
@@ -937,10 +946,10 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 	}
 
-	// Step 4: record the clean output relation R_v, once every output
-	// has a mapping: a failed rung leaves nothing behind for a wider one.
-	// The terms added to the relation are also returned, per output in
-	// the order they were added, so checkOp can cache them for replay.
+	// Step 4: the clean output relation R_v, once every output has a
+	// mapping. Each output's list is its clean extraction, then, for a
+	// G_s output, its output-restricted one: checkOp records them in that
+	// order and caches them for replay.
 	for i, out := range v.Outputs {
 		if len(rv[i]) == 0 {
 			return acc, nil, &RefinementError{Op: v, Tensor: r.gs.Tensor(out),
@@ -948,12 +957,8 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		}
 	}
 	for i, out := range v.Outputs {
-		r.rel.AddAll(out, rv[i])
-		// Opportunistically record output-restricted mappings too.
 		if r.gs.IsOutput(out) {
-			restricted := eg.ExtractAllClean(outClasses[i], r.allowGdOutput, maxMappings)
-			r.rel.AddAll(out, restricted)
-			rv[i] = slices.Concat(rv[i], restricted)
+			rv[i] = slices.Concat(rv[i], eg.CleanCosts(r.allowGdOutput).ExtractAll(outClasses[i], maxMappings))
 		}
 	}
 	return acc, rv, nil
@@ -1094,10 +1099,7 @@ func (r *runState) foldGdNode(eg *egraph.EGraph, n *graph.Node) error {
 }
 
 func (r *runState) allowGdOutput(tid int) bool {
-	if !relation.IsGd(tid) {
-		return false
-	}
-	return r.gd.IsOutput(relation.GdTensorID(tid))
+	return relation.IsGd(tid) && r.gd.IsOutput(relation.GdTensorID(tid))
 }
 
 func (r *runState) renderInputMappings(v *graph.Node) string {
@@ -1142,9 +1144,7 @@ func (r *runState) resolveOutputs(ctx context.Context, report *Report) (*relatio
 
 func (r *runState) leavesAreGdOutputs(t *expr.Term) bool {
 	all := true
-	t.EachLeaf(func(tid int) {
-		all = all && relation.IsGd(tid) && r.gd.IsOutput(relation.GdTensorID(tid))
-	})
+	t.EachLeaf(func(tid int) { all = all && r.allowGdOutput(tid) })
 	return all
 }
 
@@ -1232,5 +1232,5 @@ func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o gra
 	if err := ctx.Err(); err != nil {
 		return nil, stats, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
 	}
-	return eg.ExtractAllClean(eg.Find(cls), r.allowGdOutput, maxMappings), stats, nil
+	return eg.CleanCosts(r.allowGdOutput).ExtractAll(eg.Find(cls), maxMappings), stats, nil
 }

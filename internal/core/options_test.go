@@ -40,7 +40,7 @@ func TestFrontierMatchesWholeGraphOnAllModels(t *testing.T) {
 				if len(fm) == 0 || len(sm) == 0 {
 					t.Fatalf("output %d unmapped (%d vs %d)", o, len(fm), len(sm))
 				}
-				if fm[0].Key() != sm[0].Key() {
+				if !fm[0].Equal(sm[0]) {
 					t.Fatalf("simplest mappings differ:\n  frontier: %s\n  whole:    %s", fm[0], sm[0])
 				}
 			}

@@ -497,11 +497,13 @@ func (r *runState) recordSearch(i int, p *reuseProbe, outs [][]*expr.Term, stats
 	if r.reuse.entries == nil {
 		r.reuse.entries = map[string][]*reuseEntry{}
 	}
-	at := len(r.reuse.entries[key])
-	for at > 0 && r.reuse.entries[key][at-1].op > i {
+	list := r.reuse.entries[key]
+	at := len(list)
+	for at > 0 && list[at-1].op > i {
 		at--
 	}
-	r.reuse.entries[key] = slices.Insert(r.reuse.entries[key], at, e)
+	// reusable reads a list outside the lock: the insert copies it.
+	r.reuse.entries[key] = slices.Insert(slices.Clip(list), at, e)
 }
 
 // auditReuse checks a reuse hit live: order[i]'s own search must extract
@@ -527,13 +529,5 @@ func (r *runState) auditReuse(ctx context.Context, i int, e *reuseEntry, outs []
 	}
 	if !same {
 		panic(fmt.Sprintf("core: %q reused the search of %q with outputs %v, but its own search extracts %v", v.Label, from.Label, outs, live))
-	}
-}
-
-// addOutputs records v's output mappings, each output's in the order a
-// live search extracted them.
-func (r *runState) addOutputs(v *graph.Node, outs [][]*expr.Term) {
-	for i, out := range v.Outputs {
-		r.rel.AddAll(out, outs[i])
 	}
 }

@@ -104,16 +104,26 @@ func TestExtractAllCleanLimit(t *testing.T) {
 		g.Union(c, g.AddTerm(leafT(i, "")))
 	}
 	g.Rebuild()
-	all := g.ExtractAllClean(c, func(int) bool { return true }, 3)
+	all := g.CleanCosts(func(int) bool { return true }).ExtractAll(c, 3)
 	if len(all) != 3 {
 		t.Fatalf("limit not honored: %d", len(all))
 	}
 }
 
+// simplestClean is the first, and so the simplest, of class c's clean
+// expressions over the allowed leaves.
+func simplestClean(g *EGraph, c ClassID, allowed func(tid int) bool) (*expr.Term, bool) {
+	all := g.CleanCosts(allowed).ExtractAll(c, 1)
+	if len(all) == 0 {
+		return nil, false
+	}
+	return all[0], true
+}
+
 func TestExtractCleanRejectsForbiddenLeaf(t *testing.T) {
 	g := New(nil)
 	c := g.AddTerm(expr.Sum(leafT(1, "A"), leafT(2, "B")))
-	got, ok := g.ExtractClean(c, func(tid int) bool { return tid == 1 })
+	got, ok := simplestClean(g, c, func(tid int) bool { return tid == 1 })
 	if ok {
 		t.Fatalf("sum needs both leaves; got %v", got)
 	}
@@ -126,7 +136,7 @@ func TestExtractCleanThroughNestedStructure(t *testing.T) {
 		expr.SliceI(leafT(1, "A"), 0, 0, 2),
 		expr.Sum(leafT(2, "B"), leafT(3, "C")))
 	c := g.AddTerm(term)
-	got, ok := g.ExtractClean(c, func(int) bool { return true })
+	got, ok := simplestClean(g, c, func(int) bool { return true })
 	if !ok || !got.Equal(term) {
 		t.Fatalf("extract %v ok=%v", got, ok)
 	}

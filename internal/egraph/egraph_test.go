@@ -267,7 +267,7 @@ func TestExtractClean(t *testing.T) {
 	g.Union(c, sumT)
 	g.Rebuild()
 	allowed := func(tid int) bool { return tid >= 100 }
-	got, ok := g.ExtractClean(c, allowed)
+	got, ok := simplestClean(g, c, allowed)
 	if !ok {
 		t.Fatal("clean representative must be found")
 	}
@@ -275,7 +275,7 @@ func TestExtractClean(t *testing.T) {
 		t.Fatalf("extracted %q", got)
 	}
 	// With G_d leaves disallowed, there is no clean representative.
-	if _, ok := g.ExtractClean(c, func(int) bool { return false }); ok {
+	if _, ok := simplestClean(g, c, func(int) bool { return false }); ok {
 		t.Fatal("no leaves allowed → no clean expr")
 	}
 }
@@ -288,7 +288,7 @@ func TestExtractPrefersSimplest(t *testing.T) {
 		expr.SliceI(leafT(100, "D"), 0, 2, 4)))
 	g.Union(base, split)
 	g.Rebuild()
-	got, ok := g.ExtractClean(base, func(tid int) bool { return tid >= 100 })
+	got, ok := simplestClean(g, base, func(tid int) bool { return tid >= 100 })
 	if !ok || got.Size() != 0 {
 		t.Fatalf("should extract the bare leaf, got %v", got)
 	}
@@ -303,7 +303,7 @@ func TestExtractAllClean(t *testing.T) {
 	g.Union(c, s)
 	g.Union(c, cc)
 	g.Rebuild()
-	all := g.ExtractAllClean(c, func(tid int) bool { return tid >= 100 }, 0)
+	all := g.CleanCosts(func(tid int) bool { return tid >= 100 }).ExtractAll(c, 0)
 	if len(all) != 2 {
 		t.Fatalf("want 2 clean mappings, got %d: %v", len(all), all)
 	}
@@ -529,7 +529,7 @@ func TestSumIsOneNodePerKidMultiset(t *testing.T) {
 	for _, order := range [][]*expr.Term{{x, y, z}, {x, z, y}, {y, x, z}, {y, z, x}, {z, x, y}, {z, y, x}} {
 		got, ok := g.LookupTerm(expr.Sum(order...))
 		if !ok || got != want {
-			t.Errorf("LookupTerm(%s) = %d, %v; want class %d", expr.Sum(order...).Key(), got, ok, want)
+			t.Errorf("LookupTerm(%s) = %d, %v; want class %d", expr.Sum(order...), got, ok, want)
 		}
 	}
 }

@@ -116,16 +116,6 @@ func (g *EGraph) leafTermOf(n *ENode) *expr.Term {
 	return expr.Tensor(n.TID, n.Name)
 }
 
-// ExtractClean returns the minimal clean expression for class c over
-// the allowed leaves, or ok=false when the class has none.
-func (g *EGraph) ExtractClean(c ClassID, allowed func(tid int) bool) (*expr.Term, bool) {
-	v := g.CleanCosts(allowed)
-	if v.of(c) >= inf {
-		return nil, false
-	}
-	return v.buildMin(c), true
-}
-
 func (v CleanCosts) buildMin(c ClassID) *expr.Term {
 	g := v.g
 	cl := g.classes[g.Find(c)]
@@ -165,7 +155,6 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 	}
 	g := v.g
 	cl := g.classes[g.Find(c)]
-	var seen expr.Distinct
 	var out []*expr.Term
 	for ni := cl.first; ni >= 0; ni = g.next[ni] {
 		n := &g.arena[ni]
@@ -190,7 +179,7 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 			}
 			t = &expr.Term{Op: n.Op, Str: n.Str, Ints: n.Ints, Args: args}
 		}
-		if seen.Add(out, t) {
+		if !slices.ContainsFunc(out, t.Equal) {
 			out = append(out, t)
 		}
 	}
@@ -205,15 +194,3 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 // allowed leaves. It only consults the table — no term is
 // materialized.
 func (v CleanCosts) Has(c ClassID) bool { return v.of(c) < inf }
-
-// ExtractAllClean is CleanCosts(allowed).ExtractAll(c, limit), for a
-// caller with one question.
-func (g *EGraph) ExtractAllClean(c ClassID, allowed func(tid int) bool, limit int) []*expr.Term {
-	return g.CleanCosts(allowed).ExtractAll(c, limit)
-}
-
-// HasCleanRepresentation is CleanCosts(allowed).Has(c), for a caller
-// with one question.
-func (g *EGraph) HasCleanRepresentation(c ClassID, allowed func(tid int) bool) bool {
-	return g.CleanCosts(allowed).Has(c)
-}

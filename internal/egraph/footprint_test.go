@@ -9,6 +9,7 @@ import (
 
 	"entangle/internal/egraph"
 	"entangle/internal/expr"
+	"entangle/internal/fingerprint"
 	"entangle/internal/lemmas"
 	"entangle/internal/shape"
 	"entangle/internal/sym"
@@ -153,7 +154,7 @@ type observation struct {
 	nodes   int
 	stop    egraph.StopReason
 	classes string // the partition, class IDs and canonical nodes included
-	clean   string // ExtractAllClean of every root
+	clean   string // every root's clean extraction
 	late    int    // the graph's late effects so far (audited runs count them)
 	matches int    // not compared: the one statistic the matchers differ in
 	// kidWithheld is, per rule, the matches withheld by its declared
@@ -250,8 +251,8 @@ func dumpClasses(g *egraph.EGraph) string {
 func dumpClean(g *egraph.EGraph, roots []egraph.ClassID) string {
 	var b strings.Builder
 	for _, c := range roots {
-		for _, t := range g.ExtractAllClean(c, func(int) bool { return true }, 0) {
-			b.WriteString(t.Key())
+		for _, t := range g.CleanCosts(func(int) bool { return true }).ExtractAll(c, 0) {
+			b.WriteString(fingerprint.CanonicalTerm(t, nil))
 			b.WriteByte(';')
 		}
 		b.WriteByte('\n')

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"entangle/internal/expr"
+	"entangle/internal/fingerprint"
 	"entangle/internal/shape"
 	"entangle/internal/sym"
 )
@@ -70,8 +71,8 @@ func life(g *EGraph, width int) string {
 		b.WriteByte('\n')
 	}
 	for _, r := range roots {
-		for _, t := range g.ExtractAllClean(r, func(int) bool { return true }, 0) {
-			b.WriteString(t.Key() + ";")
+		for _, t := range g.CleanCosts(func(int) bool { return true }).ExtractAll(r, 0) {
+			b.WriteString(fingerprint.CanonicalTerm(t, nil) + ";")
 		}
 	}
 	return b.String()

@@ -127,7 +127,7 @@ func TestSaturateBudgetExtractionSeesUnions(t *testing.T) {
 	g.Rebuild()
 
 	onlyC := func(tid int) bool { return tid == 4 }
-	if got := g.ExtractAllClean(cfa, onlyC, 0); len(got) != 0 {
+	if got := g.CleanCosts(onlyC).ExtractAll(cfa, 0); len(got) != 0 {
 		t.Fatalf("setup broken: f(a) must have no clean form yet, got %v", got)
 	}
 
@@ -138,12 +138,12 @@ func TestSaturateBudgetExtractionSeesUnions(t *testing.T) {
 	}
 	g.Saturate(rules, SaturateOpts{MaxIters: 8, MaxNodes: g.NodeCount()})
 
-	terms := g.ExtractAllClean(cfa, onlyC, 0)
+	terms := g.CleanCosts(onlyC).ExtractAll(cfa, 0)
 	if len(terms) == 0 {
 		t.Fatal("extraction does not see the congruence implied by the pre-budget union")
 	}
 	want := leafT(4, "c")
-	if terms[0].Key() != want.Key() {
+	if !terms[0].Equal(want) {
 		t.Fatalf("extracted %s, want %s", terms[0], want)
 	}
 }

@@ -2,10 +2,8 @@ package expr
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
-	"entangle/internal/det"
 	"entangle/internal/sym"
 )
 
@@ -153,47 +151,10 @@ func (t *Term) Size() int {
 	return n
 }
 
-// Key returns a canonical structural key: equal keys iff equal terms.
-func (t *Term) Key() string {
-	var b strings.Builder
-	t.writeKey(&b)
-	return b.String()
-}
-
-func (t *Term) writeKey(b *strings.Builder) {
-	if t.IsLeaf() {
-		var digits [20]byte
-		b.WriteByte('t')
-		b.Write(strconv.AppendInt(digits[:0], int64(t.TID), 10))
-		return
-	}
-	b.WriteString(string(t.Op))
-	if t.Str != "" {
-		b.WriteByte('.')
-		b.WriteString(t.Str)
-	}
-	b.WriteByte('[')
-	for i, e := range t.Ints {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(e.Key())
-	}
-	b.WriteByte(']')
-	b.WriteByte('(')
-	for i, a := range t.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		a.writeKey(b)
-	}
-	b.WriteByte(')')
-}
-
-// Equal reports structural equality — exactly what equal Keys mean:
-// leaves by tensor ID (the name is display metadata), interior terms by
-// operator, string attribute, integer attributes (sym.Expr.Equal) and
-// arguments.
+// Equal reports structural equality, a term's one identity: leaves by
+// tensor ID (the name is display metadata), interior terms by operator,
+// string attribute, integer attributes (sym.Expr.Equal) and arguments.
+// It is exactly equality of fingerprint.CanonicalTerm(t, nil).
 func (t *Term) Equal(o *Term) bool {
 	if t == o {
 		return true
@@ -217,63 +178,6 @@ func (t *Term) Equal(o *Term) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// Hash returns a structural hash consistent with Equal: Equal terms hash
-// equal. It narrows a search; Equal decides it.
-func (t *Term) Hash() uint64 {
-	if t.IsLeaf() {
-		return det.Mix(uint64(t.TID))
-	}
-	h := det.String(det.String(det.String(det.FNVOffset, string(t.Op)), "\x00"), t.Str)
-	for _, e := range t.Ints {
-		h = det.Mix(h ^ e.Hash())
-	}
-	h = det.Mix(h + uint64(len(t.Ints)))
-	for _, a := range t.Args {
-		h = det.Mix(h ^ a.Hash())
-	}
-	return h
-}
-
-// distinctScan is the longest list Distinct scans; past it, it indexes.
-const distinctScan = 8
-
-// Distinct deduplicates a growing list of terms under Equal without a
-// key string: it scans the list while the list is short and, once the
-// list outgrows distinctScan, indexes it by Hash. A zero Distinct is
-// ready, holds nothing of a short list, and may be handed any list —
-// it indexes one it finds already long.
-type Distinct struct {
-	byHash map[uint64][]*Term
-}
-
-// Add reports whether list, the terms admitted so far, has no term
-// Equal to t, and if so admits t: the caller adds it to the list.
-func (d *Distinct) Add(list []*Term, t *Term) bool {
-	if d.byHash == nil {
-		for _, u := range list {
-			if u.Equal(t) {
-				return false
-			}
-		}
-		if len(list) < distinctScan {
-			return true
-		}
-		d.byHash = make(map[uint64][]*Term, 2*len(list))
-		for _, u := range list {
-			h := u.Hash()
-			d.byHash[h] = append(d.byHash[h], u)
-		}
-	}
-	h := t.Hash()
-	for _, u := range d.byHash[h] {
-		if u.Equal(t) {
-			return false
-		}
-	}
-	d.byHash[h] = append(d.byHash[h], t)
 	return true
 }
 

@@ -3,7 +3,6 @@ package expr
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"entangle/internal/sym"
 )
@@ -64,33 +63,6 @@ func TestSingletonCollapse(t *testing.T) {
 	}
 	if Concat(sym.Const(0), a) != a {
 		t.Fatal("Concat of one term should collapse")
-	}
-}
-
-func TestKeyDistinguishesAttrs(t *testing.T) {
-	a := leaf(1, "A")
-	s1 := SliceI(a, 0, 0, 4)
-	s2 := SliceI(a, 0, 0, 5)
-	s3 := SliceI(a, 1, 0, 4)
-	if s1.Key() == s2.Key() || s1.Key() == s3.Key() {
-		t.Fatal("slice keys must encode attributes")
-	}
-	u1, u2 := Unary("gelu", a), Unary("silu", a)
-	if u1.Key() == u2.Key() {
-		t.Fatal("unary keys must encode the function name")
-	}
-}
-
-func TestKeyEqualAgree(t *testing.T) {
-	a, b := leaf(1, "A"), leaf(2, "B")
-	x := Sum(MatMul(a, b), MatMul(b, a))
-	y := Sum(MatMul(a, b), MatMul(b, a))
-	if !x.Equal(y) || x.Key() != y.Key() {
-		t.Fatal("structurally equal terms must agree on Key")
-	}
-	z := Sum(MatMul(a, b), MatMul(a, b))
-	if x.Equal(z) {
-		t.Fatal("different terms must not be Equal")
 	}
 }
 
@@ -158,36 +130,6 @@ func TestMapRebuild(t *testing.T) {
 	})
 	if !strings.Contains(r.String(), "X") || strings.Contains(e.String(), "X") {
 		t.Fatalf("map rebuild wrong: %s / %s", r, e)
-	}
-}
-
-// Property: Key is injective w.r.t. random nested clean expressions.
-func TestQuickKeyInjective(t *testing.T) {
-	build := func(seed []byte) *Term {
-		t := leaf(int(seed[0]%4), "")
-		for _, s := range seed[1:] {
-			switch s % 4 {
-			case 0:
-				t = ConcatI(int64(s%3), t, leaf(int(s%4), ""))
-			case 1:
-				t = SliceI(t, int64(s%2), int64(s%5), int64(s%5+3))
-			case 2:
-				t = Sum(t, leaf(int(s%4), ""))
-			case 3:
-				t = Transpose(t, sym.Const(int64(s%2)), sym.Const(int64(s%2+1)))
-			}
-		}
-		return t
-	}
-	f := func(x, y []byte) bool {
-		if len(x) == 0 || len(y) == 0 || len(x) > 8 || len(y) > 8 {
-			return true
-		}
-		a, b := build(x), build(y)
-		return (a.Key() == b.Key()) == a.Equal(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

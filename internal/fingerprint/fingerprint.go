@@ -154,7 +154,8 @@ func (ix *GdIndex) leaf(ord int) *expr.Term {
 // CanonicalTerm returns the canonical encoding of a clean expression
 // term. G_d leaves (TID ≥ relation.GdOffset) encode "d<ordinal>" via
 // ix's canonical enumeration (raw "d<id>" when ix is nil — only for
-// contexts with no graph at hand, e.g. debugging); G_s leaves encode
+// contexts with no graph at hand, e.g. debugging — and for a leaf
+// outside ix's graph, whose ID no ordinal reaches); G_s leaves encode
 // "s<id>"; interior nodes encode "(op|str|ints|arg;arg;…)". Names are
 // omitted: they are display metadata, rebound from the current graphs
 // on decode. The encoding is injective on structurally distinct terms
@@ -167,13 +168,10 @@ func appendTerm(b []byte, t *expr.Term, ix *GdIndex) []byte {
 			return strconv.AppendInt(append(b, 's'), int64(t.TID), 10)
 		}
 		id := int(relation.GdTensorID(t.TID))
-		if ix != nil {
-			// A leaf outside the indexed graph has ordinal 0, as it always had.
-			if id < len(ix.ord) {
-				id = ix.ord[id]
-			} else {
-				id = 0
-			}
+		// A leaf outside the indexed graph keeps its ID, which no
+		// ordinal reaches: it is spelled apart from every tensor of it.
+		if ix != nil && id < len(ix.ord) {
+			id = ix.ord[id]
 		}
 		return strconv.AppendInt(append(b, 'd'), int64(id), 10)
 	}
@@ -193,20 +191,16 @@ func appendTerm(b []byte, t *expr.Term, ix *GdIndex) []byte {
 	return append(b, ')')
 }
 
-// LeafNameFn resolves a decoded leaf back to a display name. space is
-// 's' (G_s) or 'd' (G_d); id is the tensor ID within that graph.
-type LeafNameFn func(space byte, id graph.TensorID) string
-
 // DecodeTerm inverts CanonicalTerm. G_d leaf ordinals are resolved to
 // the current graph's tensors through ix (raw IDs when nil) — to one
-// leaf term per tensor, shared by every term decoded through ix; G_s
-// leaf display names through name (nil leaves them empty). Any defect —
-// an unknown operator, an out-of-range ordinal or ID, a number or
-// attribute not spelled as CanonicalTerm spells it, and any arity
-// violation the rebuilt term would carry — is an error, never a panic:
-// the verdict cache treats a decode error as a miss. So whatever it
-// accepts, CanonicalTerm encodes back to the same bytes.
-func DecodeTerm(s string, ix *GdIndex, name LeafNameFn) (t *expr.Term, err error) {
+// leaf term per tensor, shared by every term decoded through ix. Other
+// leaves have no display name. Any defect — an unknown operator, an
+// out-of-range ordinal or ID, a number or attribute not spelled as
+// CanonicalTerm spells it, and any arity violation the rebuilt term
+// would carry — is an error, never a panic: the verdict cache treats a
+// decode error as a miss. So whatever it accepts, CanonicalTerm encodes
+// back to the same bytes.
+func DecodeTerm(s string, ix *GdIndex) (t *expr.Term, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			t, err = nil, fmt.Errorf("fingerprint: decoding term %q: %v", s, rec)
@@ -220,7 +214,7 @@ func DecodeTerm(s string, ix *GdIndex, name LeafNameFn) (t *expr.Term, err error
 	terms := strings.Count(s, "(")
 	args := terms + strings.Count(s, ";")
 	slab := make([]*expr.Term, 2*args)
-	p := &termParser{src: s, ix: ix, name: name, nodes: make([]expr.Term, 0, terms),
+	p := &termParser{src: s, ix: ix, nodes: make([]expr.Term, 0, terms),
 		lists: slab[:0:args], args: slab[args:args]}
 	t, err = p.parse()
 	if err != nil {
@@ -233,10 +227,9 @@ func DecodeTerm(s string, ix *GdIndex, name LeafNameFn) (t *expr.Term, err error
 }
 
 type termParser struct {
-	src  string
-	pos  int
-	ix   *GdIndex
-	name LeafNameFn
+	src string
+	pos int
+	ix  *GdIndex
 	// nodes holds the interior terms made so far, and lists their
 	// argument lists, each a window of it.
 	nodes []expr.Term
@@ -375,24 +368,16 @@ func (p *termParser) parseLeaf() (*expr.Term, error) {
 	if space == 's' && id >= relation.GdOffset || space == 'd' && id > math.MaxInt-relation.GdOffset {
 		return nil, fmt.Errorf("fingerprint: leaf id %d out of range at %d in %q", id, start, p.src)
 	}
-	if space == 'd' {
-		if p.ix != nil {
-			if id < 0 || id >= len(p.ix.tensors) {
-				return nil, fmt.Errorf("fingerprint: G_d ordinal %d out of range in %q", id, p.src)
-			}
-			return p.ix.leaf(id), nil
-		}
-		var display string
-		if p.name != nil {
-			display = p.name('d', graph.TensorID(id))
-		}
-		return expr.Tensor(id+relation.GdOffset, display), nil
+	if space == 's' {
+		return expr.Tensor(id, ""), nil
 	}
-	var display string
-	if p.name != nil {
-		display = p.name('s', graph.TensorID(id))
+	if p.ix == nil {
+		return expr.Tensor(id+relation.GdOffset, ""), nil
 	}
-	return expr.Tensor(id, display), nil
+	if id < 0 || id >= len(p.ix.tensors) {
+		return nil, fmt.Errorf("fingerprint: G_d ordinal %d out of range in %q", id, p.src)
+	}
+	return p.ix.leaf(id), nil
 }
 
 // until consumes up to (and including) the next occurrence of any

@@ -363,30 +363,23 @@ func TestRegistryFingerprint(t *testing.T) {
 	}
 }
 
-// The canonical term codec: decode inverts encode, rebinding display
-// names from the current graphs.
+// The canonical term codec: decode inverts encode, up to Equal.
 func TestTermCodecRoundTrip(t *testing.T) {
 	m := gptPair(t)
 	ix := gdIndex(t, m.Gd)
-	name := func(space byte, id graph.TensorID) string {
-		return m.Gs.Tensor(id).Name
-	}
 	n := 0
 	for _, id := range m.Ri.Tensors() {
 		for _, term := range m.Ri.Get(id) {
 			enc := CanonicalTerm(term, ix)
-			back, err := DecodeTerm(enc, ix, name)
+			back, err := DecodeTerm(enc, ix)
 			if err != nil {
 				t.Fatalf("decoding %q: %v", enc, err)
 			}
-			if back.Key() != term.Key() {
-				t.Errorf("round trip changed term: %q -> %q", term.Key(), back.Key())
+			if !back.Equal(term) {
+				t.Errorf("round trip changed term: %s -> %s", term, back)
 			}
 			if CanonicalTerm(back, ix) != enc {
 				t.Errorf("re-encode changed bytes for %q", enc)
-			}
-			if back.String() != term.String() {
-				t.Errorf("name rebinding lost display names: %q vs %q", back, term)
 			}
 			n++
 		}
@@ -399,12 +392,12 @@ func TestTermCodecRoundTrip(t *testing.T) {
 		expr.New(expr.OpTranspose, []sym.Expr{sym.Const(0), sym.Const(1)}, "",
 			expr.Tensor(3, "s3")),
 		expr.Tensor(relation.GdOffset+7, "d7"))
-	back, err := DecodeTerm(CanonicalTerm(deep, nil), nil, nil)
+	back, err := DecodeTerm(CanonicalTerm(deep, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Key() != deep.Key() {
-		t.Errorf("deep term round trip: %q vs %q", back.Key(), deep.Key())
+	if !back.Equal(deep) {
+		t.Errorf("deep term round trip: %s vs %s", back, deep)
 	}
 }
 
@@ -433,7 +426,7 @@ func TestDecodeTermLeafIDs(t *testing.T) {
 		{"d" + strconv.Itoa(math.MaxInt64-relation.GdOffset+1), -2},          // one more has no TID
 	}
 	for _, c := range cases {
-		got, err := DecodeTerm(c.src, nil, nil)
+		got, err := DecodeTerm(c.src, nil)
 		switch {
 		case c.tid < 0:
 			if err == nil {
@@ -465,13 +458,13 @@ func TestDecodeTermErrors(t *testing.T) {
 		strings.Repeat("(concat||1|", 4) + "s0" + strings.Repeat(")", 3), // unbalanced
 	}
 	for _, src := range cases {
-		if got, err := DecodeTerm(src, nil, nil); err == nil {
+		if got, err := DecodeTerm(src, nil); err == nil {
 			t.Errorf("DecodeTerm(%q) = %v, want error", src, got)
 		}
 	}
 	// An out-of-range G_d ordinal against a real index is an error too.
 	m := gptPair(t)
-	if got, err := DecodeTerm("d99999", gdIndex(t, m.Gd), nil); err == nil {
+	if got, err := DecodeTerm("d99999", gdIndex(t, m.Gd)); err == nil {
 		t.Errorf("DecodeTerm out-of-range ordinal = %v, want error", got)
 	}
 }

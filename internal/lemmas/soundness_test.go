@@ -136,7 +136,7 @@ func TestFuzzLemmaSoundness(t *testing.T) {
 
 		// Any clean representative over the leaves must agree with the
 		// original expression's value.
-		if rep, ok := g.ExtractClean(cls, func(int) bool { return true }); ok {
+		for _, rep := range g.CleanCosts(func(int) bool { return true }).ExtractAll(cls, 1) {
 			got, err := f.eval(rep)
 			if err != nil {
 				t.Fatalf("trial %d: eval extracted %s: %v", trial, rep, err)
@@ -148,7 +148,7 @@ func TestFuzzLemmaSoundness(t *testing.T) {
 		}
 
 		// Stronger: every distinct clean representative agrees too.
-		for _, rep := range g.ExtractAllClean(cls, func(int) bool { return true }, 8) {
+		for _, rep := range g.CleanCosts(func(int) bool { return true }).ExtractAll(cls, 8) {
 			got, err := f.eval(rep)
 			if err != nil {
 				t.Fatalf("trial %d: eval %s: %v", trial, rep, err)
@@ -198,7 +198,7 @@ func TestFuzzSlicedConcatEquivalences(t *testing.T) {
 		})
 		cls := g.AddTerm(probe)
 		g.Saturate(rules, egraph.SaturateOpts{MaxIters: 12, MaxNodes: 20_000})
-		for _, rep := range g.ExtractAllClean(cls, func(int) bool { return true }, 8) {
+		for _, rep := range g.CleanCosts(func(int) bool { return true }).ExtractAll(cls, 8) {
 			got, err := f.eval(rep)
 			if err != nil {
 				t.Fatalf("trial %d: eval %s: %v", trial, rep, err)
@@ -210,7 +210,7 @@ func TestFuzzSlicedConcatEquivalences(t *testing.T) {
 		}
 		// The minimal representative should collapse to a single slice
 		// of the base tensor (or the base itself).
-		if rep, ok := g.ExtractClean(cls, func(tid int) bool { return tid == base.TID }); ok {
+		for _, rep := range g.CleanCosts(func(tid int) bool { return tid == base.TID }).ExtractAll(cls, 1) {
 			got, _ := f.eval(rep)
 			if !numeric.AllClose(want, got, 1e-12) {
 				t.Fatalf("trial %d: collapsed slice wrong: %s", trial, rep)

@@ -49,19 +49,12 @@ func GdTensorID(tid int) graph.TensorID { return graph.TensorID(tid - GdOffset) 
 // immutable and shared freely.
 type Relation struct {
 	mu sync.RWMutex
-	m  map[graph.TensorID]mappings
-}
-
-// mappings is one tensor's list, simplest first, and what deduplicates
-// it.
-type mappings struct {
-	terms    []*expr.Term
-	distinct expr.Distinct
+	m  map[graph.TensorID][]*expr.Term
 }
 
 // New returns an empty relation.
 func New() *Relation {
-	return &Relation{m: map[graph.TensorID]mappings{}}
+	return &Relation{m: map[graph.TensorID][]*expr.Term{}}
 }
 
 // Add records a mapping for tensor id; duplicates (structurally Equal
@@ -90,22 +83,22 @@ func (r *Relation) AddAll(id graph.TensorID, ts []*expr.Term) {
 // (t and those after it) when the list has to grow. The mapping list
 // stays sorted simplest-first with insertion order breaking ties: the
 // new term goes after the last one no larger than itself, which keeps
-// list order deterministic however callers interleave.
+// list order deterministic however callers interleave. A list holds a
+// handful of terms, so a scan finds a duplicate.
 func (r *Relation) addLocked(id graph.TensorID, t *expr.Term, more int) bool {
-	ms := r.m[id]
-	if !ms.distinct.Add(ms.terms, t) {
+	lst := r.m[id]
+	if slices.ContainsFunc(lst, t.Equal) {
 		return false
 	}
 	size := t.Size()
-	at := len(ms.terms)
-	for at > 0 && ms.terms[at-1].Size() > size {
+	at := len(lst)
+	for at > 0 && lst[at-1].Size() > size {
 		at--
 	}
-	if len(ms.terms) == cap(ms.terms) {
-		ms.terms = slices.Grow(ms.terms, more)
+	if len(lst) == cap(lst) {
+		lst = slices.Grow(lst, more)
 	}
-	ms.terms = slices.Insert(ms.terms, at, t)
-	r.m[id] = ms
+	r.m[id] = slices.Insert(lst, at, t)
 	return true
 }
 
@@ -114,7 +107,7 @@ func (r *Relation) addLocked(id graph.TensorID, t *expr.Term, more int) bool {
 func (r *Relation) Get(id graph.TensorID) []*expr.Term {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	lst := r.m[id].terms
+	lst := r.m[id]
 	if len(lst) == 0 {
 		return nil
 	}
@@ -127,7 +120,7 @@ func (r *Relation) Get(id graph.TensorID) []*expr.Term {
 func (r *Relation) Has(id graph.TensorID) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.m[id].terms) > 0
+	return len(r.m[id]) > 0
 }
 
 // Len returns the number of mapped tensors.
@@ -155,7 +148,7 @@ func (r *Relation) Complete(outputs []graph.TensorID) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, o := range outputs {
-		if len(r.m[o].terms) == 0 {
+		if len(r.m[o]) == 0 {
 			return false
 		}
 	}
@@ -168,13 +161,13 @@ func (r *Relation) Clone() *Relation { return r.CloneSized(0) }
 // CloneSized is Clone with room for the mappings of n tensors in all —
 // a run that will map every tensor of its graph never regrows the map.
 // The lists are already deduplicated and in order, so they are copied
-// as they stand; each copy's Distinct indexes it if it needs to.
+// as they stand.
 func (r *Relation) CloneSized(n int) *Relation {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c := &Relation{m: make(map[graph.TensorID]mappings, max(n, len(r.m)))}
-	for id, ms := range r.m {
-		c.m[id] = mappings{terms: slices.Clone(ms.terms)}
+	c := &Relation{m: make(map[graph.TensorID][]*expr.Term, max(n, len(r.m)))}
+	for id, lst := range r.m {
+		c.m[id] = slices.Clone(lst)
 	}
 	return c
 }
@@ -189,7 +182,7 @@ func (r *Relation) Render(gs *graph.Graph) string {
 			name = gs.Tensor(id).Name
 		}
 		r.mu.RLock()
-		ts := append([]*expr.Term(nil), r.m[id].terms...)
+		ts := append([]*expr.Term(nil), r.m[id]...)
 		r.mu.RUnlock()
 		for _, t := range ts {
 			fmt.Fprintf(&b, "  %s = %s\n", name, t)
