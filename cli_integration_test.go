@@ -128,9 +128,9 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Fatalf("timeout output:\n%s", out)
 	}
 
-	// 8. -budget-escalations and -op-timeout are accepted on a healthy
-	// run and leave the verdict untouched.
-	out = run(t, check, 0, "-budget-escalations", "2", "-op-timeout", "1m",
+	// 8. -budget-escalations is accepted on a healthy run and leaves
+	// the verdict untouched.
+	out = run(t, check, 0, "-budget-escalations", "2",
 		"-gs", prefix+"-seq.json", "-gd", prefix+"-dist.json", "-rel", prefix+"-relation.json")
 	if !strings.Contains(out, "refinement verified") {
 		t.Fatalf("flags on healthy run:\n%s", out)

@@ -5,7 +5,7 @@
 //	entangle -gs seq.json -gd dist.json -rel relation.json
 //	entangle -gs seq.hlo -gd dist.hlo -rel relation.json -format hlo
 //	entangle -gs seq.json -gd dist.json -rel relation.json \
-//	    -timeout 5m -op-timeout 30s -keep-going
+//	    -timeout 5m -keep-going
 //
 // Every flag is defined in newFlagSet and tabulated in README.md; -h
 // prints them.
@@ -73,7 +73,6 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.expect, "expect", "", "optional §4.4 expectation JSON: {\"fs\": <expr over G_s outputs>, \"fd\": <expr over G_d outputs>}")
 	fs.IntVar(&o.checker.Workers, "workers", 0, "checker worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "whole-run deadline; an expired check exits 3 (0 = none)")
-	fs.DurationVar(&o.checker.OpTimeout, "op-timeout", 0, "per-operator deadline; an operator exceeding it is inconclusive, not fatal (0 = none)")
 	fs.BoolVar(&o.checker.KeepGoing, "keep-going", false, "on a per-operator failure, skip its downstream cone and keep checking independent operators; report every failure")
 	fs.IntVar(&o.checker.BudgetEscalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
 	fs.StringVar(&o.cache, "cache", "", "verdict cache directory: operators whose content-addressed fingerprint matches a prior run replay the stored verdict instead of re-saturating (empty = no cache)")

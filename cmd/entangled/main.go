@@ -52,7 +52,7 @@ import (
 type options struct {
 	addr, cache, self, peers                string
 	workers, maxConcurrent, escalations     int
-	requestTimeout, opTimeout, drainTimeout time.Duration
+	requestTimeout, drainTimeout            time.Duration
 	headerTimeout, readTimeout, idleTimeout time.Duration
 	maxBodyBytes                            int64
 }
@@ -67,7 +67,6 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.workers, "workers", 0, "per-check worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "simultaneous checks (0 = GOMAXPROCS); further requests queue")
 	fs.DurationVar(&o.requestTimeout, "request-timeout", 5*time.Minute, "default per-check deadline when the request carries none (0 = none)")
-	fs.DurationVar(&o.opTimeout, "op-timeout", 0, "per-operator deadline within each check (0 = none)")
 	fs.IntVar(&o.escalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks and, in a fleet, the forwards queued behind them")
 
@@ -137,7 +136,6 @@ func main() {
 	srv := server.New(server.Config{
 		Options: entangle.CheckerOptions{
 			Workers:           o.workers,
-			OpTimeout:         o.opTimeout,
 			BudgetEscalations: o.escalations,
 			Cache:             store,
 		},

@@ -80,11 +80,9 @@ type (
 	// VerdictKind is the verdict lattice: refined, disproved,
 	// inconclusive, engine-fault, skipped.
 	VerdictKind = core.VerdictKind
-	// InconclusiveReason says which limit stopped an inconclusive check.
-	InconclusiveReason = core.InconclusiveReason
-	// InconclusiveError reports a check stopped by budget or deadline
-	// before refinement could be proved or disproved; it unwraps to the
-	// final attempt's *RefinementError when one exists.
+	// InconclusiveError reports a check stopped by its budget before
+	// refinement could be proved or disproved; it unwraps to the final
+	// attempt's *RefinementError.
 	InconclusiveError = core.InconclusiveError
 	// EngineFaultError reports a panic recovered during one operator's
 	// check, with the operator identity and stack.
@@ -140,12 +138,6 @@ const (
 	VerdictInconclusive = core.VerdictInconclusive
 	VerdictEngineFault  = core.VerdictEngineFault
 	VerdictSkipped      = core.VerdictSkipped
-)
-
-// Inconclusive reasons (see InconclusiveReason).
-const (
-	ReasonBudgetExhausted = core.ReasonBudgetExhausted
-	ReasonTimeout         = core.ReasonTimeout
 )
 
 // Planner dispositions (see Disposition).

@@ -112,6 +112,7 @@ func (c *Client) call(ctx context.Context, peer Member, op func(context.Context)
 		c.count(func(s *ClientStats) { s.BreakerSkips++ })
 		return errBreakerOpen
 	}
+	//lint:ignore determinism a peer call's deadline decides only whether the node falls back to its own cold check, never what a verdict says
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	err := op(ctx)
 	cancel()

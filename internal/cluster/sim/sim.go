@@ -178,6 +178,7 @@ func (c *Cluster) Flush() {
 	for _, n := range nodes {
 		// A crashed node's cache is closed: nothing queued, returns at
 		// once. The context only bounds a wedged simulation.
+		//lint:ignore determinism a forward's deadline decides only whether a node falls back to its own cold check, never what a verdict says
 		ctx, cancel := context.WithTimeout(context.Background(), heldTimeout)
 		_ = n.Store().Flush(ctx)
 		cancel()

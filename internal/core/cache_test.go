@@ -79,6 +79,57 @@ func TestGdLeafOutsideGdIsKeyedApart(t *testing.T) {
 	}
 }
 
+// R_i relates G_s inputs only. A cache key spells an R_i entry only for
+// a tensor without a producer, so an entry on a produced tensor would
+// steer its consumers' searches unkeyed, and a check of the valid R_i
+// would replay verdicts of the one with the extra entry or the reverse.
+// Against one cache, in either order, the extra entry is refused naming
+// its tensor, and the valid relation replays nothing. A diff refuses it
+// on either side, and so does a check for a tensor G_s lacks.
+func TestRiOnProducedTensorIsRefused(t *testing.T) {
+	gs, gd, valid := figure1(t)
+	c, _ := gs.TensorByName("matmul.out")
+	e0, _ := gd.TensorByName("E0")
+	e1, _ := gd.TensorByName("E1")
+	produced := valid.Clone()
+	produced.Add(c.ID, expr.ConcatI(0, relation.GdLeaf(e0), relation.GdLeaf(e1)))
+	for _, order := range [][]string{{"valid", "produced"}, {"produced", "valid"}} {
+		checker := NewChecker(Options{Cache: openCache(t), KeepGoing: true})
+		for _, which := range order {
+			if which == "valid" {
+				report, err := checker.Check(gs, gd, valid)
+				if err != nil {
+					t.Fatalf("%v: the valid relation fails: %v", order, err)
+				}
+				if report.Cache.Hits != 0 {
+					t.Errorf("%v: the valid relation replayed %d verdicts of the other", order, report.Cache.Hits)
+				}
+				continue
+			}
+			report, err := checker.Check(gs, gd, produced)
+			switch {
+			case report != nil:
+				t.Errorf("%v: an R_i entry on matmul.out was checked (%d verdicts replayed), not refused", order, report.Cache.Hits)
+			case err == nil || !strings.Contains(err.Error(), `"matmul.out"`):
+				t.Errorf("%v: the refusal does not name matmul.out: %v", order, err)
+			}
+		}
+	}
+	for _, pair := range [][2]*relation.Relation{{valid, produced}, {produced, valid}} {
+		if _, err := DiffPlan(gs, pair[0], gs, pair[1], gd); err == nil {
+			t.Errorf("DiffPlan accepts an R_i entry on matmul.out")
+		}
+		if d, err := NewChecker(Options{}).DiffCheck(gs, gs, gd, pair[0], pair[1]); d != nil || err == nil {
+			t.Errorf("DiffCheck accepts an R_i entry on matmul.out: %v", err)
+		}
+	}
+	outside := valid.Clone()
+	outside.Add(graph.TensorID(len(gs.Tensors)), relation.GdLeaf(e0))
+	if _, err := NewChecker(Options{}).Check(gs, gd, outside); err == nil || !strings.Contains(err.Error(), "G_s does not have") {
+		t.Errorf("an R_i entry on a tensor G_s lacks: %v", err)
+	}
+}
+
 // TestCacheWarmRunIdentical is the cache's core contract: a warm run
 // replays every verdict without saturating anything, and the resulting
 // report is byte-identical to the cold run — same relations, same

@@ -61,12 +61,6 @@ type Options struct {
 	// operator spans of a traced run. A panic in the observer is
 	// recovered into an EngineFault verdict for the observed operator.
 	OpObserver func(v *graph.Node, d time.Duration)
-	// OpTimeout bounds each operator's wall-clock check time. An
-	// operator that exceeds it is classified Inconclusive(Timeout)
-	// instead of hanging or aborting the run. 0 disables the
-	// per-operator deadline. (The whole-run deadline is the context
-	// given to CheckContext.)
-	OpTimeout time.Duration
 	// KeepGoing selects graceful degradation: a failing operator's
 	// downstream cone is skipped, independent subgraphs keep checking,
 	// and Check returns a Report whose Failures field lists every
@@ -178,19 +172,6 @@ func (e *RefinementError) Error() string {
 	return msg
 }
 
-// outputResolveError classifies a failed dedicated output-resolution
-// pass (resolveOutput): the verdict names the producing operator and
-// records whether the resolve saturation reached fixpoint (disproved)
-// or stopped on a budget (inconclusive). It unwraps to the underlying
-// *RefinementError, and CheckContext strips the wrapper before
-// returning, so callers only ever see the refinement error; the
-// wrapper exists so KeepGoing mode can record the verdict and hand
-// back the partial report instead of dropping it.
-type outputResolveError struct{ verdict OpVerdict }
-
-func (e *outputResolveError) Error() string { return e.verdict.Err.Error() }
-func (e *outputResolveError) Unwrap() error { return e.verdict.Err }
-
 // Report is the result of a refinement check. On success every field
 // is populated; in KeepGoing mode a failing check still returns the
 // Report (alongside the earliest failure as the error) with Failures
@@ -296,6 +277,9 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: G_s: %v", err)
 	}
+	if err := checkRiDomain(gs, ri); err != nil {
+		return nil, nil, err
+	}
 	gdOrder, err := gd.TopoSort()
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: G_d: %v", err)
@@ -345,26 +329,41 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 	}
 
 	// Listing 1 line 9: filter to the output relation over O(G_d).
-	ro, err := run.resolveOutputs(ctx, report)
+	ro, failed, err := run.resolveOutputs(ctx, report)
 	if err != nil {
-		var oe *outputResolveError
-		if !errors.As(err, &oe) {
-			return nil, nil, err // context cancellation or an engine error
-		}
+		return nil, nil, err // context cancellation or an engine error
+	}
+	if failed != nil {
 		if !c.opts.KeepGoing {
-			return nil, nil, oe.verdict.Err
+			return nil, nil, failed.Err
 		}
 		// An unmappable output discovered after a clean walk is a
 		// failure like any other: record the verdict so KeepGoing mode
 		// hands back the partial report instead of dropping it. (The
 		// walk's per-operator budgets can trim mappings that a later
 		// dedicated resolution pass then misses.)
-		report.Verdicts = append(report.Verdicts, oe.verdict)
-		report.Failures = append(report.Failures, oe.verdict)
-		return finish(oe.verdict.Err)
+		report.Verdicts = append(report.Verdicts, *failed)
+		report.Failures = append(report.Failures, *failed)
+		return finish(failed.Err)
 	}
 	report.OutputRelation = ro
 	return finish(nil)
+}
+
+// checkRiDomain refuses an R_i entry on a tensor gs lacks or produces.
+// R_i relates G_s inputs only, and a cache key spells no other entry:
+// one on a produced tensor would steer its consumers' searches unkeyed.
+func checkRiDomain(gs *graph.Graph, ri *relation.Relation) error {
+	for _, id := range ri.Tensors() {
+		if id < 0 || int(id) >= len(gs.Tensors) {
+			return fmt.Errorf("core: input relation maps tensor %d, which G_s does not have", id)
+		}
+		if t := gs.Tensors[id]; t.Producer != graph.NoProducer {
+			return fmt.Errorf("core: input relation maps %q, which operator %q produces: R_i relates G_s inputs only",
+				t.Name, gs.Node(t.Producer).Label)
+		}
+	}
+	return nil
 }
 
 // prepare derives the run's keys (once, for every consumer) and
@@ -613,10 +612,10 @@ type opResult struct {
 }
 
 // checkOp is the resilient per-operator harness: it runs processOp
-// under panic recovery and a per-operator deadline, widens a failed
-// search up the ladder of rungs, escalates the saturation budget when
-// the search stops on a limit without reaching fixpoint, and classifies
-// the outcome into an OpVerdict.
+// under panic recovery, widens a failed search up the ladder of rungs,
+// escalates the saturation budget when the search stops on a limit
+// without reaching fixpoint, and classifies the outcome into an
+// OpVerdict.
 //
 // The returned fatal error, when non-nil, aborts the whole check even
 // in KeepGoing mode: it reports conditions that are not per-operator
@@ -626,8 +625,9 @@ type opResult struct {
 // Determinism: for a fixed graph, options, and (injected) faults, the
 // verdict depends only on the operator — attempts run the saturation
 // from an empty e-graph with deterministic budgets — so any Workers
-// value yields the same verdict for every operator. Timeout verdicts
-// (OpTimeout) are the one wall-clock-dependent exception.
+// value yields the same verdict for every operator. The run's context
+// is the one deadline: when it expires the whole check aborts, so no
+// verdict depends on the wall clock.
 //
 // The planned and unplanned paths differ only in *when* the cache was
 // probed — plan time versus check time; entries are immutable, so the
@@ -640,13 +640,6 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 	start := time.Now()
 	//lint:ignore determinism OpVerdict.Duration is timing metadata, not checker input
 	defer func() { verdict.Duration = time.Since(start) }()
-
-	opCtx := ctx
-	if r.opts.OpTimeout > 0 {
-		var cancel context.CancelFunc
-		opCtx, cancel = context.WithTimeout(ctx, r.opts.OpTimeout)
-		defer cancel()
-	}
 
 	budget := baseBudget()
 	overridden := false
@@ -696,7 +689,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 			defer r.releaseProbe(probe)
 			if e, outs := r.reusable(i, probe); e != nil {
 				if egraph.InvariantChecks {
-					r.auditReuse(opCtx, i, e, outs)
+					r.auditReuse(ctx, i, e, outs)
 				}
 				r.addOutputs(v, outs)
 				acc.Merge(e.stats)
@@ -722,7 +715,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 		if r.opts.rungHook != nil {
 			r.opts.rungHook(v, rg)
 		}
-		stats, outs, err := r.recoveredProcessOp(opCtx, v, budget, rg, tr)
+		stats, outs, err := r.recoveredProcessOp(ctx, v, budget, rg, tr)
 		acc.Merge(stats)
 		if err == nil {
 			r.addOutputs(v, outs)
@@ -745,16 +738,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 			return
 		}
 		var re *RefinementError
-		isRefinement := errors.As(err, &re)
-		if opCtx.Err() != nil {
-			// Only the per-operator deadline expired: this operator is
-			// inconclusive, the rest of the run continues.
-			verdict.Kind = VerdictInconclusive
-			verdict.Reason = ReasonTimeout
-			verdict.Err = &InconclusiveError{Op: v, Reason: ReasonTimeout, Escalations: verdict.Escalations, Cause: re}
-			return
-		}
-		if !isRefinement {
+		if !errors.As(err, &re) {
 			// Malformed input (a collective in G_s, an inexpressible
 			// operator definition): not an analysis outcome.
 			fatal = err
@@ -784,8 +768,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 			continue
 		default:
 			verdict.Kind = VerdictInconclusive
-			verdict.Reason = ReasonBudgetExhausted
-			verdict.Err = &InconclusiveError{Op: v, Reason: ReasonBudgetExhausted, Escalations: verdict.Escalations, Cause: re}
+			verdict.Err = &InconclusiveError{Op: v, Escalations: verdict.Escalations, Cause: re}
 			return
 		}
 		// Fixpoint reached over the whole of G_d (or the failure precedes
@@ -1122,7 +1105,10 @@ func (r *runState) renderInputMappings(v *graph.Node) string {
 // to expressions over O(G_d) (Listing 1 line 9). Outputs that did not
 // resolve during their producing operator's pass get one dedicated
 // resolution pass that folds G_d forward from their known mappings.
-func (r *runState) resolveOutputs(ctx context.Context, report *Report) (*relation.Relation, error) {
+// An output no pass resolves is failed: the verdict names its producing
+// operator, disproved when the searches reached fixpoint and
+// inconclusive when one stopped on a budget.
+func (r *runState) resolveOutputs(ctx context.Context, report *Report) (*relation.Relation, *OpVerdict, error) {
 	ro := relation.New()
 	for _, o := range r.gs.Outputs {
 		for _, m := range r.rel.Get(o) {
@@ -1133,13 +1119,13 @@ func (r *runState) resolveOutputs(ctx context.Context, report *Report) (*relatio
 		if ro.Has(o) {
 			continue
 		}
-		m, err := r.resolveOutput(ctx, o, report)
-		if err != nil {
-			return nil, err
+		m, failed, err := r.resolveOutput(ctx, o, report)
+		if failed != nil || err != nil {
+			return nil, failed, err
 		}
 		ro.AddAll(o, m)
 	}
-	return ro, nil
+	return ro, nil, nil
 }
 
 func (r *runState) leavesAreGdOutputs(t *expr.Term) bool {
@@ -1148,9 +1134,9 @@ func (r *runState) leavesAreGdOutputs(t *expr.Term) bool {
 	return all
 }
 
-func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *Report) ([]*expr.Term, error) {
+func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *Report) ([]*expr.Term, *OpVerdict, error) {
 	producer := r.gs.Tensor(o).Producer
-	fail := func(kind VerdictKind, reason InconclusiveReason) error {
+	fail := func(kind VerdictKind) ([]*expr.Term, *OpVerdict, error) {
 		var v *graph.Node
 		if producer != graph.NoProducer {
 			v = r.gs.Node(producer)
@@ -1159,14 +1145,14 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 		}
 		re := &RefinementError{Op: v, Tensor: r.gs.Tensor(o),
 			InputMappings: r.renderInputMappings(v)}
-		return &outputResolveError{verdict: OpVerdict{Op: v, Kind: kind, Reason: reason, Err: re}}
+		return nil, &OpVerdict{Op: v, Kind: kind, Err: re}, nil
 	}
 
 	maps := r.rel.Get(o)
 	if len(maps) == 0 {
 		// No mapping at all for the output: no search ran, nothing to
 		// escalate — the same classification checkOp gives Runs == 0.
-		return nil, fail(VerdictDisproved, ReasonNone)
+		return fail(VerdictDisproved)
 	}
 	eg := r.newEGraph()
 	out, resolveStats, err := r.resolveOutputIn(ctx, eg, o, maps)
@@ -1174,18 +1160,18 @@ func (r *runState) resolveOutput(ctx context.Context, o graph.TensorID, report *
 	report.Stats.Merge(resolveStats)
 	report.LiveStats.Merge(resolveStats)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(out) == 0 {
 		if resolveStats.Saturated && r.producerSaturated(producer) {
-			return nil, fail(VerdictDisproved, ReasonNone)
+			return fail(VerdictDisproved)
 		}
 		// The resolve search, or the producer's own that left o the
 		// mappings it started from, stopped on a budget before fixpoint;
 		// a mapping may exist beyond the limit, so don't call it a bug.
-		return nil, fail(VerdictInconclusive, ReasonBudgetExhausted)
+		return fail(VerdictInconclusive)
 	}
-	return out, nil
+	return out, nil, nil
 }
 
 // producerSaturated reports whether the operator producing a G_s output

@@ -58,6 +58,9 @@ func DiffPlan(oldGs *graph.Graph, oldRi *relation.Relation, newGs *graph.Graph, 
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: new G_s: %v", err)
 	}
+	if err := checkRiDomain(newGs, newRi); err != nil {
+		return nil, err
+	}
 	return diffPlan(old, kd.side(newGs, newRi, newOrder), newGs.Producers(newOrder)), nil
 }
 
@@ -66,6 +69,9 @@ func (kd *keyDerivation) diffBase(oldGs *graph.Graph, oldRi *relation.Relation) 
 	order, err := oldGs.TopoSort()
 	if err != nil {
 		return nil, fmt.Errorf("core: diff: old G_s: %v", err)
+	}
+	if err := checkRiDomain(oldGs, oldRi); err != nil {
+		return nil, err
 	}
 	return kd.side(oldGs, oldRi, order), nil
 }

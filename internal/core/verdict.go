@@ -27,9 +27,9 @@ const (
 	// equivalence, so more budget cannot change the answer. This is
 	// the paper's genuine bug-localization outcome.
 	VerdictDisproved
-	// VerdictInconclusive: the search stopped on a budget or deadline
-	// before reaching fixpoint; a mapping may exist beyond the limit.
-	// OpVerdict.Reason says which limit bit.
+	// VerdictInconclusive: the search stopped on its node or iteration
+	// budget, after every escalation, before reaching fixpoint; a
+	// mapping may exist beyond the limit.
 	VerdictInconclusive
 	// VerdictEngineFault: the operator's check panicked (a buggy
 	// lemma, observer, or injected fault); the panic was recovered on
@@ -57,40 +57,12 @@ func (k VerdictKind) String() string {
 	return fmt.Sprintf("VerdictKind(%d)", int(k))
 }
 
-// InconclusiveReason says which limit stopped an inconclusive check.
-type InconclusiveReason int
-
-const (
-	// ReasonNone: the verdict is not inconclusive.
-	ReasonNone InconclusiveReason = iota
-	// ReasonBudgetExhausted: MaxNodes/MaxIters hit (after every
-	// configured budget escalation).
-	ReasonBudgetExhausted
-	// ReasonTimeout: the per-operator deadline (Options.OpTimeout)
-	// expired mid-search.
-	ReasonTimeout
-)
-
-func (r InconclusiveReason) String() string {
-	switch r {
-	case ReasonNone:
-		return "none"
-	case ReasonBudgetExhausted:
-		return "budget-exhausted"
-	case ReasonTimeout:
-		return "timeout"
-	}
-	return fmt.Sprintf("InconclusiveReason(%d)", int(r))
-}
-
 // OpVerdict is one operator's classified outcome.
 type OpVerdict struct {
 	// Op is the G_s operator checked (or skipped).
 	Op *graph.Node
 	// Kind classifies the outcome.
 	Kind VerdictKind
-	// Reason qualifies VerdictInconclusive.
-	Reason InconclusiveReason
 	// Err carries the failure detail: *RefinementError for disproved
 	// and budget-inconclusive operators, *EngineFaultError for
 	// recovered panics, nil for refined and skipped operators.
@@ -122,7 +94,7 @@ func (v OpVerdict) Failed() bool { return v.Kind != VerdictRefined }
 func (v OpVerdict) Describe() string {
 	switch v.Kind {
 	case VerdictInconclusive:
-		return fmt.Sprintf("%s: inconclusive (%s, %d escalations)", v.Op.Label, v.Reason, v.Escalations)
+		return fmt.Sprintf("%s: inconclusive (budget-exhausted, %d escalations)", v.Op.Label, v.Escalations)
 	case VerdictEngineFault:
 		if ef, ok := v.Err.(*EngineFaultError); ok {
 			return fmt.Sprintf("%s: engine-fault (%v)", v.Op.Label, ef.Recovered)
@@ -209,24 +181,21 @@ func (e *EngineFaultError) Error() string {
 }
 
 // InconclusiveError reports that an operator's check ran out of budget
-// or time before refinement could be proved or disproved. It wraps the
-// final attempt's *RefinementError (when the search ended with
-// unmappable outputs rather than a deadline), so existing errors.As
-// call sites that localize the failing operator keep working.
+// before refinement could be proved or disproved. It wraps the final
+// attempt's *RefinementError, so existing errors.As call sites that
+// localize the failing operator keep working.
 type InconclusiveError struct {
 	// Op is the operator whose check was inconclusive.
 	Op *graph.Node
-	// Reason says which limit stopped the search.
-	Reason InconclusiveReason
 	// Escalations counts the budget-escalation retries consumed.
 	Escalations int
-	// Cause is the final attempt's RefinementError, when one exists.
+	// Cause is the final attempt's RefinementError.
 	Cause *RefinementError
 }
 
 func (e *InconclusiveError) Error() string {
-	msg := fmt.Sprintf("refinement inconclusive for operator %q (op %s): %s after %d budget escalation(s)",
-		e.Op.Label, e.Op.Op, e.Reason, e.Escalations)
+	msg := fmt.Sprintf("refinement inconclusive for operator %q (op %s): budget-exhausted after %d budget escalation(s)",
+		e.Op.Label, e.Op.Op, e.Escalations)
 	if e.Cause != nil {
 		msg += "\n" + e.Cause.Error()
 	}

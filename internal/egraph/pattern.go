@@ -42,9 +42,6 @@ type AttrPat struct {
 // AVar binds an attribute variable.
 func AVar(name string) AttrPat { return AttrPat{Var: name} }
 
-// ALit matches a literal attribute value.
-func ALit(e sym.Expr) AttrPat { return AttrPat{Lit: e} }
-
 // AInt matches a constant integer attribute.
 func AInt(v int64) AttrPat { return AttrPat{Lit: sym.Const(v)} }
 

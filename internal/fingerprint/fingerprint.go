@@ -23,10 +23,10 @@
 //     change to G_d, and any change to the relevant input-relation
 //     entries.
 //
-// The canonical byte encodings are exported (CanonicalTerm,
-// CanonicalExpr, CanonicalShape, the cone/graph encoders write through
-// them) so any graph producer can reproduce a hash without this
-// package's Go values.
+// The canonical byte encodings are exported (CanonicalTerm and
+// CanonicalExpr; the cone/graph encoders write through them) so any
+// graph producer can reproduce a hash without this package's Go
+// values.
 package fingerprint
 
 import (
@@ -62,10 +62,8 @@ func sum(data []byte) Hash { return sha256.Sum256(data) }
 // and parseable by sym.Parse.
 func CanonicalExpr(e sym.Expr) string { return e.Key() }
 
-// CanonicalShape returns the canonical encoding of a shape:
-// "[k1,k2,…]" over CanonicalExpr dims.
-func CanonicalShape(s shape.Shape) string { return string(appendShape(nil, s)) }
-
+// appendShape appends the canonical encoding of a shape: "[k1,k2,…]"
+// over CanonicalExpr dims.
 func appendShape(b []byte, s shape.Shape) []byte {
 	b = append(b, '[')
 	b = appendExprs(b, s)

@@ -11,8 +11,10 @@ import (
 // Determinism check: the checker promises byte-identical reports
 // across runs, and the model checker promises bit-identical traces —
 // promises that a single wall-clock read or random draw on a hot path
-// silently breaks. This check flags time.Now/Since/Until and any
-// rand.* call inside the packages that carry the determinism contract.
+// silently breaks. This check flags time.Now/Since/Until, any rand.*
+// call, and context.WithTimeout/WithDeadline (a deadline that can end a
+// search decides what a verdict says by the wall clock) inside the
+// packages that carry the determinism contract.
 // Legitimate uses (duration metadata on reports, seeded test harness
 // helpers) are annotated in place:
 //
@@ -54,10 +56,18 @@ var clockFuncs = map[string]bool{
 	"Until": true,
 }
 
+// deadlineFuncs are the context-package functions that set a
+// wall-clock deadline.
+var deadlineFuncs = map[string]bool{
+	"WithTimeout":  true,
+	"WithDeadline": true,
+}
+
 // lintDeterminism flags nondeterminism sources in one file. Purely
 // syntactic, like the rest of the source lint: a selector call on an
-// identifier named time or rand is what this codebase's hazards look
-// like (a local shadowing those names would be its own problem).
+// identifier named time, rand or context is what this codebase's
+// hazards look like (a local shadowing those names would be its own
+// problem).
 func lintDeterminism(fset *token.FileSet, f *ast.File, ignores map[string]map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, decl := range f.Decls {
@@ -89,6 +99,8 @@ func lintDeterminism(fset *token.FileSet, f *ast.File, ignores map[string]map[st
 				what = "reads the wall clock"
 			case pkg.Name == "rand":
 				what = "draws unseeded-by-contract randomness"
+			case pkg.Name == "context" && deadlineFuncs[sel.Sel.Name]:
+				what = "sets a wall-clock deadline"
 			default:
 				return true
 			}

@@ -18,6 +18,7 @@ func TestDeterminismCorpus(t *testing.T) {
 	findDiag(t, ds, CheckDeterminism, "elapsed")
 	findDiag(t, ds, CheckDeterminism, "draw")
 	findDiag(t, ds, CheckDeterminism, "wrongPragma")
+	findDiag(t, ds, CheckDeterminism, "deadline")
 	noDiag(t, ds, CheckDeterminism, "annotated")
 	noDiag(t, ds, CheckDeterminism, "formatted")
 	for _, d := range ds {

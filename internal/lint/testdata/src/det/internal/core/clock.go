@@ -5,6 +5,7 @@
 package det
 
 import (
+	"context"
 	"math/rand"
 	"time"
 )
@@ -37,6 +38,12 @@ func annotated() time.Duration {
 func wrongPragma() time.Time {
 	//lint:ignore source-map-range-mutation not even the right check
 	return time.Now()
+}
+
+// deadline bounds work by the wall clock, so what finishes inside it
+// depends on the machine.
+func deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, time.Second)
 }
 
 // formatted only touches deterministic time API: no wall-clock read,

@@ -248,6 +248,12 @@ func TestBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, _ := newTestServer(t)
+	// R_i relates G_s inputs only: an entry on a produced tensor, here
+	// one spelled like an input's, is refused before any search.
+	produced := func(m *map[string]any) {
+		rel := (*m)["rel"].(map[string][]string)
+		rel[b.Gs.Tensor(b.Gs.Nodes[0].Outputs[0]).Name] = rel[b.Gs.Tensor(b.Gs.Inputs[0]).Name]
+	}
 
 	cases := map[string][]byte{
 		"not json":     []byte("{"),
@@ -255,6 +261,7 @@ func TestBadRequests(t *testing.T) {
 		"bad timeout":  requestBody(t, b, func(m *map[string]any) { (*m)["timeout"] = "soon" }),
 		"unknown name": requestBody(t, b, func(m *map[string]any) { (*m)["rel"] = map[string][]string{"nope": {"x"}} }),
 		"bad format":   requestBody(t, b, func(m *map[string]any) { (*m)["format"] = "protobuf" }),
+		"produced rel": requestBody(t, b, produced),
 	}
 	// The body is read whole: what follows the request object counts, a
 	// null graph is a missing one, and a member is honoured wherever it
@@ -268,6 +275,7 @@ func TestBadRequests(t *testing.T) {
 		"null graph":       "loading G_s: missing graph",
 		"late format":      `unknown format "protobuf"`,
 		"late timeout":     `bad timeout "soon"`,
+		"produced rel":     "R_i relates G_s inputs only",
 	}
 	cases["trailing garbage"] = append(append([]byte(nil), good...), " x"...)
 	cases["null graph"] = requestBody(t, b, func(m *map[string]any) { (*m)["gs"] = nil })
