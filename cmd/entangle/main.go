@@ -74,7 +74,6 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.checker.Workers, "workers", 0, "checker worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "whole-run deadline; an expired check exits 3 (0 = none)")
 	fs.BoolVar(&o.checker.KeepGoing, "keep-going", false, "on a per-operator failure, skip its downstream cone and keep checking independent operators; report every failure")
-	fs.IntVar(&o.checker.BudgetEscalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
 	fs.StringVar(&o.cache, "cache", "", "verdict cache directory: operators whose content-addressed fingerprint matches a prior run replay the stored verdict instead of re-saturating (empty = no cache)")
 	fs.BoolVar(&o.diff, "diff", false, "incrementally re-verify: positional args are the old and new G_s; only the edit's downstream cone is re-checked")
 	return fs, o
@@ -117,7 +116,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "EXPECTATION VIOLATED\n%v\n", ee)
 				os.Exit(1)
 			}
-			fatal("%v", err)
+			ctx := context.Background()
+			exitUnlessRefined("expectation", ctx, core.Classify(ctx, nil, err), nil, err)
 		}
 		fmt.Println("user expectation verified")
 		return
@@ -150,8 +150,8 @@ func runContext(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return ctx, func() { cancel(); stop() }
 }
 
-// exitUnlessRefined renders a run ("check", "diff") that did not end
-// Refined on stderr and exits with the outcome's status.
+// exitUnlessRefined renders a run ("check", "diff", "expectation") that
+// did not end Refined on stderr and exits with the outcome's status.
 func exitUnlessRefined(what string, ctx context.Context, outcome core.Outcome, report *core.Report, err error) {
 	switch outcome {
 	case core.Refined:

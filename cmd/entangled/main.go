@@ -51,7 +51,7 @@ import (
 // options is everything the command line sets.
 type options struct {
 	addr, cache, self, peers                string
-	workers, maxConcurrent, escalations     int
+	workers, maxConcurrent                  int
 	requestTimeout, drainTimeout            time.Duration
 	headerTimeout, readTimeout, idleTimeout time.Duration
 	maxBodyBytes                            int64
@@ -67,7 +67,6 @@ func newFlagSet(name string) (*flag.FlagSet, *options) {
 	fs.IntVar(&o.workers, "workers", 0, "per-check worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", 0, "simultaneous checks (0 = GOMAXPROCS); further requests queue")
 	fs.DurationVar(&o.requestTimeout, "request-timeout", 5*time.Minute, "default per-check deadline when the request carries none (0 = none)")
-	fs.IntVar(&o.escalations, "budget-escalations", 0, "retries with a 4x larger saturation budget before an operator is declared inconclusive (0 = default of 1, negative = disabled)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight checks and, in a fleet, the forwards queued behind them")
 
 	// Transport hardening: every stage of an HTTP exchange gets a
@@ -135,9 +134,8 @@ func main() {
 
 	srv := server.New(server.Config{
 		Options: entangle.CheckerOptions{
-			Workers:           o.workers,
-			BudgetEscalations: o.escalations,
-			Cache:             store,
+			Workers: o.workers,
+			Cache:   store,
 		},
 		MaxConcurrent:  o.maxConcurrent,
 		DefaultTimeout: o.requestTimeout,

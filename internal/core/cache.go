@@ -99,12 +99,12 @@ type cacheState struct {
 // options, hashed into the ambient digest. Workers, KeepGoing and
 // observers are deliberately absent: they steer scheduling and
 // reporting, never a cacheable verdict. The mapping cap, the base
-// budget and the frontier bound (mfi=0: |G_d|+1) are constants,
-// spelled in anyway: the string is hashed into every key,
-// which keys_golden.txt pins.
+// budget, the escalation count and the frontier bound (mfi=0: |G_d|+1)
+// are constants, spelled in anyway: the string is hashed into every
+// key, which keys_golden.txt pins.
 func (o Options) cacheOptionsString() string {
 	return fmt.Sprintf("mm=%d|mfi=0|df=%t|si=%d|sn=%d|be=%d",
-		maxMappings, o.DisableFrontier, baseMaxIters, baseMaxNodes, o.BudgetEscalations)
+		maxMappings, o.DisableFrontier, baseMaxIters, baseMaxNodes, maxEscalations)
 }
 
 // keyDerivation is the one source of cone fingerprints and cache keys

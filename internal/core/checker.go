@@ -32,9 +32,10 @@ import (
 
 // Options tune the checker. The zero value selects the defaults used
 // throughout the evaluation. What the paper fixes — one lemma library
-// under one budget (baseMaxIters, baseMaxNodes), the maxMappings
-// simplest mappings per tensor, a frontier walk of at most |G_d|+1
-// rounds — is a constant, not an option.
+// under one budget (baseMaxIters, baseMaxNodes) with maxEscalations
+// ×escalationFactor retries, the maxMappings simplest mappings per
+// tensor, a frontier walk of at most |G_d|+1 rounds — is a constant,
+// not an option.
 type Options struct {
 	// DisableFrontier folds every G_d node into every per-operator
 	// e-graph, disabling the §4.3.1 optimization. Used by the ablation
@@ -69,12 +70,6 @@ type Options struct {
 	// error is the earliest failure, as in the default mode. False
 	// preserves the paper's first-error-only behaviour.
 	KeepGoing bool
-	// BudgetEscalations is how many times an operator whose saturation
-	// hit its node or iteration limit without disproving refinement is
-	// retried with a geometrically larger budget (×4 per escalation)
-	// before being declared inconclusive. 0 selects the default of 1
-	// escalation; negative disables escalation entirely.
-	BudgetEscalations int
 	// PreOp, when non-nil, runs before each operator's check on the
 	// worker goroutine that will check it; returning a non-nil
 	// SaturateOpts replaces that operator's base saturation budget
@@ -126,6 +121,9 @@ const (
 	maxMappings = 16
 	// escalationFactor is the geometric budget growth per escalation.
 	escalationFactor = 4
+	// maxEscalations is how many ×escalationFactor retries a search that
+	// stopped on its budget gets before it is declared inconclusive.
+	maxEscalations = 1
 )
 
 // baseBudget returns the base saturation budget.
@@ -142,12 +140,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
-	}
-	switch {
-	case o.BudgetEscalations == 0:
-		o.BudgetEscalations = 1
-	case o.BudgetEscalations < 0:
-		o.BudgetEscalations = 0
 	}
 	return o
 }
@@ -758,7 +750,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 			rg = rungWhole
 			continue
 		case stats.Saturated:
-		case verdict.Escalations < r.opts.BudgetEscalations:
+		case verdict.Escalations < maxEscalations:
 			// The search stopped on a budget, so the missing mapping
 			// may lie just beyond it: retry with a geometrically
 			// larger budget before declaring the operator inconclusive.
@@ -768,7 +760,7 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 			continue
 		default:
 			verdict.Kind = VerdictInconclusive
-			verdict.Err = &InconclusiveError{Op: v, Escalations: verdict.Escalations, Cause: re}
+			verdict.Err = &InconclusiveError{Op: v, Cause: re}
 			return
 		}
 		// Fixpoint reached over the whole of G_d (or the failure precedes
@@ -1199,17 +1191,13 @@ func (r *runState) resolveOutputIn(ctx context.Context, eg *egraph.EGraph, o gra
 	}
 	eg.Rebuild()
 
-	for iter := 0; iter <= len(r.gd.Nodes); iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, egraph.Stats{}, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
-		}
-		progress, err := r.foldReady(eg, f, true, nil)
-		if err != nil {
-			return nil, egraph.Stats{}, err
-		}
-		if !progress {
-			break
-		}
+	// One pass in G_d's topological order folds everything reachable: a
+	// folded node's outputs join T_rel before any consumer is visited.
+	if err := ctx.Err(); err != nil {
+		return nil, egraph.Stats{}, fmt.Errorf("core: resolving output %q: %w", r.gs.Tensor(o).Name, err)
+	}
+	if _, err := r.foldReady(eg, f, true, nil); err != nil {
+		return nil, egraph.Stats{}, err
 	}
 	satOpts := baseBudget()
 	satOpts.Ctx = ctx

@@ -64,6 +64,10 @@ func (c *Checker) CheckExpectation(gs, gd *graph.Graph, ri *relation.Relation, e
 
 	report, err := c.Check(gs2, gd2, ri)
 	if err != nil {
+		var ie *InconclusiveError
+		if errors.As(err, &ie) {
+			return err // out of budget: the expectation is neither shown nor refuted
+		}
 		var re *RefinementError
 		if errors.As(err, &re) {
 			// No relation between f_s and f_d exists at all — a

@@ -50,7 +50,7 @@ func TestFrontierMatchesWholeGraphOnAllModels(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Registry == nil || o.BudgetEscalations != 1 {
+	if o.Registry == nil {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
 	if o.Workers != runtime.GOMAXPROCS(0) {

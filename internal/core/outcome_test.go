@@ -75,7 +75,7 @@ func TestClassify(t *testing.T) {
 		{name: "disproved keep-going", opts: Options{KeepGoing: true},
 			gs: gptBad.Gs, gd: gptBad.Gd, ri: gptBad.Ri, want: Failed, wantReport: true},
 		{name: "starved inconclusive",
-			opts: Options{BudgetEscalations: -1, PreOp: faultinject.Config{Seed: 1, StarveRate: 1}.PreOp},
+			opts: Options{PreOp: faultinject.Config{Seed: 1, StarveRate: 1}.PreOp},
 			gs:   gpt.Gs, gd: gpt.Gd, ri: gpt.Ri, want: Failed,
 			check: func(t *testing.T, err error) {
 				var ie *InconclusiveError

@@ -222,12 +222,11 @@ func TestInconclusiveConeKeepGoing(t *testing.T) {
 		t.Fatal(err)
 	}
 	checker := NewChecker(Options{
-		Workers:           2,
-		KeepGoing:         true,
-		BudgetEscalations: -1,
+		Workers:   2,
+		KeepGoing: true,
 		PreOp: func(v *graph.Node) *egraph.SaturateOpts {
 			if v.Label == "T2/fc1" {
-				return &egraph.SaturateOpts{MaxIters: 1, MaxNodes: 8}
+				return &egraph.SaturateOpts{MaxIters: 1, MaxNodes: 1}
 			}
 			return nil
 		},
@@ -253,32 +252,38 @@ func TestInconclusiveConeKeepGoing(t *testing.T) {
 }
 
 // TestBudgetEscalation: a budget-starved operator either recovers via
-// geometric escalation or is declared Inconclusive(BudgetExhausted) —
+// the one ×4 escalation or is declared Inconclusive(BudgetExhausted) —
 // never misreported as disproved. Every operator is starved through
-// PreOp, as faultinject does, with a budget chosen so the first attempt
-// cannot finish but 4×–16× can.
+// PreOp, as faultinject does: at 1 node even the escalated budget is
+// too small, at 20 nodes the first attempt cannot finish but ×4 can.
 func TestBudgetEscalation(t *testing.T) {
 	b, err := models.Regression(models.Options{GradAccum: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	starve := func(*graph.Node) *egraph.SaturateOpts {
-		return &egraph.SaturateOpts{MaxIters: 1, MaxNodes: 20}
+	starve := func(nodes int) func(*graph.Node) *egraph.SaturateOpts {
+		return func(*graph.Node) *egraph.SaturateOpts {
+			return &egraph.SaturateOpts{MaxIters: 1, MaxNodes: nodes}
+		}
 	}
 
-	// Escalation disabled: the starved run must be inconclusive, with
-	// the budget-exhaustion reason, not a disproof.
-	noEsc := NewChecker(Options{PreOp: starve, BudgetEscalations: -1, Workers: 1})
-	_, err = noEsc.Check(b.Gs, b.Gd, b.Ri)
+	// Past rescue: the starved run must be inconclusive after its one
+	// escalation, with the budget-exhaustion reason, not a disproof.
+	rep, err := NewChecker(Options{PreOp: starve(1), Workers: 1, KeepGoing: true}).Check(b.Gs, b.Gd, b.Ri)
 	if err == nil {
-		t.Fatal("starved check without escalation must fail")
+		t.Fatal("check starved past one escalation must fail")
 	}
 	var ie *InconclusiveError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want Inconclusive(budget-exhausted), got %v", err)
 	}
-	if ie.Escalations != 0 {
-		t.Fatalf("escalations %d, want 0", ie.Escalations)
+	if !strings.Contains(err.Error(), "after 1 budget escalation(s)") {
+		t.Fatalf("inconclusive error must name the escalation: %v", err)
+	}
+	for _, v := range rep.Verdicts {
+		if v.Op == ie.Op && (v.Kind != VerdictInconclusive || v.Escalations != maxEscalations) {
+			t.Fatalf("%s: want inconclusive after %d escalation(s)", v.Describe(), maxEscalations)
+		}
 	}
 	// The wrapped cause still localizes the operator for errors.As
 	// call sites expecting the paper's RefinementError.
@@ -287,10 +292,9 @@ func TestBudgetEscalation(t *testing.T) {
 		t.Fatalf("InconclusiveError must unwrap to RefinementError: %v", err)
 	}
 
-	// With escalation: 1 iter/20 nodes → ×4 → ×16 reaches the default
-	// ballpark and the model verifies.
-	esc := NewChecker(Options{PreOp: starve, BudgetEscalations: 3, Workers: 1})
-	rep, err := esc.Check(b.Gs, b.Gd, b.Ri)
+	// Within rescue: 1 iter/20 nodes → ×4 reaches far enough and the
+	// model verifies.
+	rep, err = NewChecker(Options{PreOp: starve(20), Workers: 1}).Check(b.Gs, b.Gd, b.Ri)
 	if err != nil {
 		t.Fatalf("escalated check must recover: %v", err)
 	}
@@ -308,12 +312,34 @@ func TestBudgetEscalation(t *testing.T) {
 	}
 }
 
+// TestStarvedExpectationIsInconclusive: a §4.4 expectation whose check
+// runs out of budget is inconclusive, not violated — starving a search
+// says nothing about the model.
+func TestStarvedExpectationIsInconclusive(t *testing.T) {
+	b, err := models.DataParallel(2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd}
+	if err := NewChecker(Options{}).CheckExpectation(b.Gs, b.Gd, b.Ri, e); err != nil {
+		t.Fatalf("expectation must hold at the default budget: %v", err)
+	}
+	starve := faultinject.Config{Seed: 1, StarveRate: 1}.PreOp
+	err = NewChecker(Options{PreOp: starve, Workers: 1}).CheckExpectation(b.Gs, b.Gd, b.Ri, e)
+	var ie *InconclusiveError
+	var ee *ExpectationError
+	if !errors.As(err, &ie) || errors.As(err, &ee) {
+		t.Fatalf("want Inconclusive(budget-exhausted), got %v", err)
+	}
+}
+
 // TestChaosDeterminism is the fault matrix: three correct models under
 // seeded operator faults, each checked KeepGoing with Workers=1 and
 // Workers=8. In every cell the two multi-failure reports are
 // byte-identical — same verdicts, same topo order — no injected panic
 // crashes the process or hangs the pool, every panicked operator is an
-// engine fault, every starved one refines or is inconclusive, and no
+// engine fault, every starved one refines or is inconclusive, every
+// cell that starves reaches at least one inconclusive verdict, and no
 // verdict is disproved: a disproof is a bug report, and these models
 // have no bug. The log carries one counts row per cell.
 func TestChaosDeterminism(t *testing.T) {
@@ -391,6 +417,9 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Logf("%-14s %5d %6.2f %7.2f %5d %5d %4d %7d %6d %5d", m.name, cfg.Seed, cfg.PanicRate, cfg.StarveRate,
 				len(reports[0].Verdicts), counts[VerdictRefined], escalated, counts[VerdictInconclusive],
 				counts[VerdictEngineFault], counts[VerdictSkipped])
+			if cfg.StarveRate > 0 && counts[VerdictInconclusive] == 0 {
+				t.Errorf("%s: starves operators but no verdict is inconclusive", cell)
+			}
 		}
 	}
 }

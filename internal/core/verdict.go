@@ -187,15 +187,13 @@ func (e *EngineFaultError) Error() string {
 type InconclusiveError struct {
 	// Op is the operator whose check was inconclusive.
 	Op *graph.Node
-	// Escalations counts the budget-escalation retries consumed.
-	Escalations int
 	// Cause is the final attempt's RefinementError.
 	Cause *RefinementError
 }
 
 func (e *InconclusiveError) Error() string {
 	msg := fmt.Sprintf("refinement inconclusive for operator %q (op %s): budget-exhausted after %d budget escalation(s)",
-		e.Op.Label, e.Op.Op, e.Escalations)
+		e.Op.Label, e.Op.Op, maxEscalations)
 	if e.Cause != nil {
 		msg += "\n" + e.Cause.Error()
 	}

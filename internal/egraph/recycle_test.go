@@ -440,10 +440,10 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 		}}, order[2]
 	}
 
-	// starved returns options under which every operator's first and
-	// only attempt runs under budget.
+	// starved returns options under which every operator's first
+	// attempt runs under budget (and its escalation under ×4 of it).
 	starved := func(budget egraph.SaturateOpts) core.Options {
-		return core.Options{KeepGoing: true, BudgetEscalations: -1,
+		return core.Options{KeepGoing: true,
 			PreOp: func(*graph.Node) *egraph.SaturateOpts { return &budget }}
 	}
 

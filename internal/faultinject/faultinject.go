@@ -45,10 +45,10 @@ const (
 )
 
 // The starved saturation budget: small enough that any real operator
-// hits the limit.
+// hits the limit even after the checker's one ×4 escalation.
 const (
 	starveMaxIters = 1
-	starveMaxNodes = 8
+	starveMaxNodes = 1
 )
 
 func (f Fault) String() string {

@@ -32,8 +32,8 @@ const keysGolden = "testdata/keys_golden.txt"
 // defaultCacheOptions is core.Options{}'s verdict-relevant encoding
 // after defaults: the mapping cap (mm), the frontier bound's old
 // default spelling (mfi=0), DisableFrontier (df), the base saturation
-// budget (si, sn) — constants of core, kept in the string so no key
-// moves — and BudgetEscalations (be). TestKeysGolden checks it against
+// budget (si, sn) and the escalation count (be) — constants of core,
+// kept in the string so no key moves. TestKeysGolden checks it against
 // the keys a checker actually probes, so a drift fails there and not
 // silently here.
 const defaultCacheOptions = "mm=16|mfi=0|df=false|si=24|sn=60000|be=1"

@@ -313,9 +313,9 @@ func TestEnumerateWalksEveryChoiceSequence(t *testing.T) {
 // asserts when a node budget cuts saturation short: an operator that
 // still comes back refined must rest only on true equalities. The first
 // 40 plans seed 7 draws are composed correctly and checked with every
-// operator held to {MaxIters 24, MaxNodes n} and no escalation, and
-// every FullRelation mapping of every refined operator's outputs is
-// evaluated against G_s's own value.
+// operator held to {MaxIters 24, MaxNodes n}, and its one escalation to
+// ×4 of that, and every FullRelation mapping of every refined
+// operator's outputs is evaluated against G_s's own value.
 func TestStarvedRefinementsAreNumericallyRight(t *testing.T) {
 	master := det.NewRNG(7)
 	var cases []*Case
@@ -328,7 +328,7 @@ func TestStarvedRefinementsAreNumericallyRight(t *testing.T) {
 	}
 	for _, maxNodes := range []int{16, 32, 64} {
 		budget := egraph.SaturateOpts{MaxIters: 24, MaxNodes: maxNodes}
-		checker := core.NewChecker(core.Options{KeepGoing: true, Workers: 1, BudgetEscalations: -1,
+		checker := core.NewChecker(core.Options{KeepGoing: true, Workers: 1,
 			PreOp: func(*graph.Node) *egraph.SaturateOpts { return &budget }})
 		wrong := 0
 		for _, cs := range cases {

@@ -14,7 +14,6 @@ import (
 	"entangle/internal/graph"
 	"entangle/internal/numeric"
 	"entangle/internal/relation"
-	"entangle/internal/shape"
 	"entangle/internal/sym"
 )
 
@@ -83,9 +82,6 @@ func (e *Env) MarkFull(ids ...graph.TensorID) {
 		e.full[id] = true
 	}
 }
-
-// KnownFull reports whether id was marked as holding a complete value.
-func (e *Env) KnownFull(id graph.TensorID) bool { return e.full[id] }
 
 // gsInput resolves a sequential input tensor by name.
 func (e *Env) gsInput(name string) (*graph.Tensor, error) {
@@ -319,6 +315,3 @@ func (e *Env) SplitInputs(gsVals map[string]*numeric.Dense) (map[string]*numeric
 
 // Build finalizes the distributed graph.
 func (e *Env) Build() (*graph.Graph, error) { return e.B.Build() }
-
-// Shapes re-exposes shape.Of for model builders' convenience.
-func Shapes(dims ...int64) shape.Shape { return shape.Of(dims...) }

@@ -48,12 +48,6 @@ func (e Expr) IsConst() (int64, bool) {
 	return 0, false
 }
 
-// ConstPart returns the constant term of e.
-func (e Expr) ConstPart() int64 { return e.konst }
-
-// Coeff returns the coefficient of symbol s in e (0 if absent).
-func (e Expr) Coeff(s Symbol) int64 { return e.coeffs[s] }
-
 // Symbols returns the symbols appearing in e, sorted.
 func (e Expr) Symbols() []Symbol {
 	out := make([]Symbol, 0, len(e.coeffs))
