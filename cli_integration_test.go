@@ -127,6 +127,14 @@ func TestCLIWorkflow(t *testing.T) {
 	if !strings.Contains(out, "cancelled") {
 		t.Fatalf("timeout output:\n%s", out)
 	}
+	// An expectation runs under the same context: an expired -timeout
+	// cancels it too, rather than verifying it.
+	out = run(t, check, 3, "-timeout", "1ns",
+		"-gs", prefix+"-seq.json", "-gd", prefix+"-dist.json", "-rel", prefix+"-relation.json",
+		"-expect", good)
+	if !strings.Contains(out, "expectation cancelled") {
+		t.Fatalf("expectation timeout output:\n%s", out)
+	}
 
 	// 8. -cache: the second (warm) run replays every verdict from the
 	// cold run's store yet prints a byte-identical report — the only

@@ -109,22 +109,21 @@ func main() {
 	gd := mustGraph("G_d", o.gd, o.format)
 	ri := mustRelation("relation", o.rel, gs, gd)
 
+	ctx, stop := runContext(o.timeout)
+	defer stop()
 	if o.expect != "" {
-		if err := checkExpectation(checker, gs, gd, ri, o.expect); err != nil {
+		if err := checkExpectation(ctx, checker, gs, gd, ri, o.expect); err != nil {
 			var ee *entangle.ExpectationError
 			if errors.As(err, &ee) {
 				fmt.Fprintf(os.Stderr, "EXPECTATION VIOLATED\n%v\n", ee)
 				os.Exit(1)
 			}
-			ctx := context.Background()
 			exitUnlessRefined("expectation", ctx, core.Classify(ctx, nil, err), nil, err)
 		}
 		fmt.Println("user expectation verified")
 		return
 	}
 
-	ctx, stop := runContext(o.timeout)
-	defer stop()
 	report, err := checker.CheckContext(ctx, gs, gd, ri)
 	exitUnlessRefined("check", ctx, core.Classify(ctx, report, err), report, err)
 	fmt.Printf("refinement verified: %q refines %q (%d operators checked in %s)\n",
@@ -273,7 +272,7 @@ func loadRelation(path string, gs, gd *entangle.Graph) (*entangle.Relation, erro
 
 // checkExpectation reads {"fs": "...", "fd": "..."} and runs the §4.4
 // check: fs is an expression over G_s tensor names, fd over G_d names.
-func checkExpectation(checker *entangle.Checker, gs, gd *entangle.Graph, ri *entangle.Relation, path string) error {
+func checkExpectation(ctx context.Context, checker *entangle.Checker, gs, gd *entangle.Graph, ri *entangle.Relation, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -293,7 +292,7 @@ func checkExpectation(checker *entangle.Checker, gs, gd *entangle.Graph, ri *ent
 	if err != nil {
 		return fmt.Errorf("expectation fd: %v", err)
 	}
-	return checker.CheckExpectation(gs, gd, ri, entangle.Expectation{Fs: fs, Fd: fd})
+	return checker.CheckExpectationContext(ctx, gs, gd, ri, entangle.Expectation{Fs: fs, Fd: fd})
 }
 
 // fatal reports a usage or input error and exits 2.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -439,6 +440,26 @@ func TestExpectationViolated(t *testing.T) {
 	err := NewChecker(Options{}).CheckExpectation(gs, gd, ri, e)
 	if err == nil {
 		t.Fatal("wrong expectation must be rejected")
+	}
+}
+
+// TestExpectationCancelled: an expectation checked under a context that
+// has ended is neither verified nor violated — its error reads as
+// Cancelled, as a cancelled CheckContext's does.
+func TestExpectationCancelled(t *testing.T) {
+	gs, gd, ri := figure1(t)
+	fT, _ := gs.TensorByName("matsub.out")
+	f1, _ := gd.TensorByName("r0/matsub.out")
+	f2, _ := gd.TensorByName("r1/matsub.out")
+	e := Expectation{
+		Fs: relation.GsLeaf(fT),
+		Fd: expr.ConcatI(0, relation.GdLeaf(f1), relation.GdLeaf(f2)),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := NewChecker(Options{}).CheckExpectationContext(ctx, gs, gd, ri, e)
+	if o := Classify(ctx, nil, err); o != Cancelled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("expectation under a cancelled context: %v, read as %v", err, o)
 	}
 }
 

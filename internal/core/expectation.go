@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -36,8 +37,16 @@ func (e *ExpectationError) Error() string {
 // CheckExpectation implements §4.4: it splices f_s into a clone of G_s
 // and f_d into a clone of G_d as their sole outputs, re-runs the
 // refinement check, and demands that the resulting output relation
-// contain the identity mapping f_s = f_d.
+// contain the identity mapping f_s = f_d. It is CheckExpectationContext
+// with a background context.
 func (c *Checker) CheckExpectation(gs, gd *graph.Graph, ri *relation.Relation, e Expectation) error {
+	return c.CheckExpectationContext(context.Background(), gs, gd, ri, e)
+}
+
+// CheckExpectationContext is CheckExpectation under a context, which
+// cancels the re-run check as it cancels CheckContext: the error then
+// wraps ctx.Err(), and Classify reads it as Cancelled.
+func (c *Checker) CheckExpectationContext(ctx context.Context, gs, gd *graph.Graph, ri *relation.Relation, e Expectation) error {
 	gs2 := gs.Clone()
 	fsOut, err := appendTerm(gs2, e.Fs, "expectation/fs", func(tid int) (graph.TensorID, error) {
 		if relation.IsGd(tid) {
@@ -62,11 +71,11 @@ func (c *Checker) CheckExpectation(gs, gd *graph.Graph, ri *relation.Relation, e
 	}
 	gd2.Outputs = []graph.TensorID{fdOut}
 
-	report, err := c.Check(gs2, gd2, ri)
+	report, err := c.CheckContext(ctx, gs2, gd2, ri)
 	if err != nil {
 		var ie *InconclusiveError
-		if errors.As(err, &ie) {
-			return err // out of budget: the expectation is neither shown nor refuted
+		if ctx.Err() != nil || errors.As(err, &ie) {
+			return err // cancelled or out of budget: the expectation is neither shown nor refuted
 		}
 		var re *RefinementError
 		if errors.As(err, &re) {

@@ -89,10 +89,8 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a graph from the interchange format and
-// validates it. The text is read once, by a span scanner that checks
-// its syntax and indexes every string the build needs as a sub-slice
-// of data; the graph is then built from the index in dependency order
-// (assumptions, inputs, nodes, outputs) wherever the text put them.
+// validates it: an Index reads the text once, and Build makes the graph
+// of it.
 //
 // What a document means is what encoding/json made of it for the
 // struct MarshalJSON encodes: unknown members are ignored, a member's
@@ -100,24 +98,15 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // empties a list, a repeated member replaces the earlier one, and
 // anything after the graph object is an error.
 func (g *Graph) UnmarshalJSON(data []byte) error {
+	var x Index
 	s := jsonspan.New(data)
-	// The index is sized from counts over the text: a string holds two
-	// quotes and a member name is a string before a colon, so what is
-	// left bounds the strings the lists can hold; a tensor has a shape
-	// and a node an op. A text that fools a count costs a regrowth.
-	quotes, colons := bytes.Count(data, []byte{'"'}), bytes.Count(data, []byte{':'})
-	x := spans{
-		inputs: make([]tensorSpans, 0, bytes.Count(data, []byte(`"shape"`))),
-		nodes:  make([]nodeSpans, 0, bytes.Count(data, []byte(`"op"`))),
-		strs:   make([][]byte, 0, max(quotes/2-colons, 0)),
-	}
-	if err := x.graph(s); err != nil {
+	if err := x.Read(s); err != nil {
 		return err
 	}
 	if err := s.End(); err != nil {
 		return err
 	}
-	built, err := x.build()
+	built, err := x.Build()
 	if err != nil {
 		return err
 	}
@@ -125,59 +114,98 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// spans is the span index of one graph document: every string a build
-// reads, unquoted but not yet copied, in the shape of the document.
-type spans struct {
-	name        []byte
+// Index is the span index of one graph document: every string a build
+// reads, in the shape of the document. A string stands where it is in
+// the text the index read, unquoted but not copied; one with an escape
+// or a byte outside ASCII is unquoted into the index's side buffer. The
+// index reads the text until Build, so the text must not change before
+// then; nothing a build returns refers to the index or the text.
+type Index struct {
+	text        []byte
+	side        bytes.Buffer
+	name        ref
 	inputs      []tensorSpans
 	nodes       []nodeSpans
 	outputs     list
 	assumptions []ineqSpans
 	// strs holds the elements of every string list back to back.
-	strs [][]byte
+	strs []ref
 }
 
+// ref is one string of an index: n bytes at off in the text, or in the
+// side buffer when off has inSide set.
+type ref struct{ off, n uint32 }
+
+// inSide marks a ref into the side buffer. It also bounds the text an
+// index reads, so that every offset fits a ref.
+const inSide uint32 = 1 << 31
+
 // list is one string list: strs[lo:hi].
-type list struct{ lo, hi int }
+type list struct{ lo, hi uint32 }
 
 type tensorSpans struct {
-	name  []byte
+	name  ref
 	shape list
 }
 
 type nodeSpans struct {
-	op, str, label        []byte
+	op, str, label        ref
 	ints, inputs, outputs list
 }
 
-type ineqSpans struct{ lhs, rhs []byte }
+type ineqSpans struct{ lhs, rhs ref }
 
-// str reads a string member: a null leaves dst as it was.
-func str(s *jsonspan.Scanner, dst *[]byte) error {
-	v, ok, err := s.String()
-	if ok {
-		*dst = v
+// Read reads the graph value the scanner rests on into x, replacing
+// what x held. Only the index's own errors are Read's: a value the
+// graph's build rejects is Build's to report.
+func (x *Index) Read(s *jsonspan.Scanner) error {
+	// Room for a small graph, so that no list grows from one element.
+	*x = Index{text: s.Data(), inputs: make([]tensorSpans, 0, 16), nodes: make([]nodeSpans, 0, 32), strs: make([]ref, 0, 128)}
+	if uint64(len(x.text)) >= uint64(inSide) {
+		return fmt.Errorf("graph json: a text of %d bytes is past the index's %d", len(x.text), inSide-1)
+	}
+	return x.graph(s)
+}
+
+// bytes returns the string r.
+func (x *Index) bytes(r ref) []byte {
+	if r.off&inSide != 0 {
+		return x.side.Bytes()[r.off&^inSide:][:r.n]
+	}
+	return x.text[r.off:][:r.n]
+}
+
+// literal reads a string value: a null leaves dst as it was.
+func (x *Index) literal(s *jsonspan.Scanner, dst *ref) error {
+	lo, hi, plain, ok, err := s.Literal()
+	switch {
+	case !ok:
+	case plain:
+		*dst = ref{uint32(lo), uint32(hi - lo)}
+	default:
+		start := x.side.Len()
+		jsonspan.Unquote(&x.side, x.text[lo:hi])
+		*dst = ref{uint32(start) | inSide, uint32(x.side.Len() - start)}
 	}
 	return err
 }
 
 // list reads a list-of-strings member; a null element is "".
-func (x *spans) list(s *jsonspan.Scanner, dst *list) error {
+func (x *Index) list(s *jsonspan.Scanner, dst *list) error {
 	lo := len(x.strs)
 	err := s.Array(func() error {
-		v, _, err := s.String()
-		x.strs = append(x.strs, v)
-		return err
+		x.strs = append(x.strs, ref{})
+		return x.literal(s, &x.strs[len(x.strs)-1])
 	})
-	*dst = list{lo, len(x.strs)}
+	*dst = list{uint32(lo), uint32(len(x.strs))}
 	return err
 }
 
-func (x *spans) graph(s *jsonspan.Scanner) error {
+func (x *Index) graph(s *jsonspan.Scanner) error {
 	return s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "name", "inputs", "nodes", "outputs", "assumptions") {
 		case 0:
-			return str(s, &x.name)
+			return x.literal(s, &x.name)
 		case 1:
 			x.inputs = x.inputs[:0]
 			return s.Array(func() error {
@@ -200,9 +228,9 @@ func (x *spans) graph(s *jsonspan.Scanner) error {
 				return s.Object(func(key []byte) error {
 					switch jsonspan.Field(key, "lhs", "rhs") {
 					case 0:
-						return str(s, &a.lhs)
+						return x.literal(s, &a.lhs)
 					case 1:
-						return str(s, &a.rhs)
+						return x.literal(s, &a.rhs)
 					}
 					return s.Skip()
 				})
@@ -212,11 +240,11 @@ func (x *spans) graph(s *jsonspan.Scanner) error {
 	})
 }
 
-func (x *spans) tensor(s *jsonspan.Scanner, t *tensorSpans) error {
+func (x *Index) tensor(s *jsonspan.Scanner, t *tensorSpans) error {
 	return s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "name", "shape") {
 		case 0:
-			return str(s, &t.name)
+			return x.literal(s, &t.name)
 		case 1:
 			return x.list(s, &t.shape)
 		}
@@ -224,13 +252,13 @@ func (x *spans) tensor(s *jsonspan.Scanner, t *tensorSpans) error {
 	})
 }
 
-func (x *spans) node(s *jsonspan.Scanner, n *nodeSpans) error {
+func (x *Index) node(s *jsonspan.Scanner, n *nodeSpans) error {
 	return s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "op", "str", "ints", "inputs", "outputs", "label") {
 		case 0:
-			return str(s, &n.op)
+			return x.literal(s, &n.op)
 		case 1:
-			return str(s, &n.str)
+			return x.literal(s, &n.str)
 		case 2:
 			return x.list(s, &n.ints)
 		case 3:
@@ -238,7 +266,7 @@ func (x *spans) node(s *jsonspan.Scanner, n *nodeSpans) error {
 		case 4:
 			return x.list(s, &n.outputs)
 		case 5:
-			return str(s, &n.label)
+			return x.literal(s, &n.label)
 		}
 		return s.Skip()
 	})
@@ -260,44 +288,45 @@ func scalar(b []byte) (sym.Expr, error) {
 	return sym.Parse(string(b))
 }
 
-func (l list) len() int { return l.hi - l.lo }
+func (l list) len() int { return int(l.hi - l.lo) }
 
-// build assembles the graph the index describes. The index knows the
-// graph's size, so its tensors, nodes, ID lists and scalars are each cut
-// from one allocation.
-func (x *spans) build() (*Graph, error) {
+// Build assembles the graph x describes, in dependency order
+// (assumptions, inputs, nodes, outputs) wherever the text put them. The
+// index knows the graph's size, so its tensors, nodes, ID lists and
+// scalars are each cut from one allocation, and every name, label and
+// str it keeps is copied into one string.
+func (x *Index) Build() (*Graph, error) {
 	ctx := sym.NewContext()
 	for _, a := range x.assumptions {
-		lhs, err := sym.Parse(string(a.lhs))
+		lhs, err := sym.Parse(string(x.bytes(a.lhs)))
 		if err != nil {
 			return nil, fmt.Errorf("graph json: assumption lhs: %v", err)
 		}
-		rhs, err := sym.Parse(string(a.rhs))
+		rhs, err := sym.Parse(string(x.bytes(a.rhs)))
 		if err != nil {
 			return nil, fmt.Errorf("graph json: assumption rhs: %v", err)
 		}
 		ctx.AssumeGE(lhs, rhs)
 	}
-	tensors, ids, scalars, chars := len(x.inputs), 0, 0, len(x.name)
+	tensors, ids, scalars, chars := len(x.inputs), 0, 0, int(x.name.n)
 	for _, in := range x.inputs {
 		scalars += in.shape.len()
-		chars += len(in.name)
+		chars += int(in.name.n)
 	}
 	for _, jn := range x.nodes {
 		tensors += jn.outputs.len()
 		ids += jn.inputs.len() + jn.outputs.len()
 		scalars += jn.ints.len()
-		chars += len(jn.label) + len(jn.str)
+		chars += int(jn.label.n + jn.str.n)
 		for _, name := range x.strs[jn.outputs.lo:jn.outputs.hi] {
-			chars += len(name)
+			chars += int(name.n)
 		}
 	}
-	// Every name, label and str the graph keeps is cut from one string.
 	var text strings.Builder
 	text.Grow(chars)
-	keep := func(b []byte) string {
+	keep := func(r ref) string {
 		start := text.Len()
-		text.Write(b)
+		text.Write(x.bytes(r))
 		return text.String()[start:]
 	}
 	b := NewBuilder(keep(x.name), ctx)
@@ -310,7 +339,7 @@ func (x *spans) build() (*Graph, error) {
 			return nil, nil
 		}
 		for _, s := range x.strs[l.lo:l.hi] {
-			e, err := scalar(s)
+			e, err := scalar(x.bytes(s))
 			if err != nil {
 				return nil, err
 			}
@@ -331,7 +360,7 @@ func (x *spans) build() (*Graph, error) {
 	for _, in := range x.inputs {
 		sh, err := parse(in.shape)
 		if err != nil {
-			return nil, fmt.Errorf("graph json: input %q: %v", in.name, err)
+			return nil, fmt.Errorf("graph json: input %q: %v", x.bytes(in.name), err)
 		}
 		if sh == nil {
 			sh = shape.Shape{}
@@ -343,13 +372,13 @@ func (x *spans) build() (*Graph, error) {
 	for _, jn := range x.nodes {
 		ints, err := parse(jn.ints)
 		if err != nil {
-			return nil, fmt.Errorf("graph json: node %q attr: %v", jn.label, err)
+			return nil, fmt.Errorf("graph json: node %q attr: %v", x.bytes(jn.label), err)
 		}
 		inputs = inputs[:0]
 		for _, name := range x.strs[jn.inputs.lo:jn.inputs.hi] {
-			id, ok := lookup(name)
+			id, ok := lookup(x.bytes(name))
 			if !ok {
-				return nil, fmt.Errorf("graph json: node %q input %q undefined", jn.label, name)
+				return nil, fmt.Errorf("graph json: node %q input %q undefined", x.bytes(jn.label), x.bytes(name))
 			}
 			inputs = append(inputs, id)
 		}
@@ -360,14 +389,14 @@ func (x *spans) build() (*Graph, error) {
 		for _, name := range x.strs[jn.outputs.lo:jn.outputs.hi] {
 			outNames = append(outNames, keep(name))
 		}
-		if err := b.AddNode(expr.OpOf(jn.op), keep(jn.label), outNames, keep(jn.str), ints, inputs); err != nil {
+		if err := b.AddNode(expr.OpOf(x.bytes(jn.op)), keep(jn.label), outNames, keep(jn.str), ints, inputs); err != nil {
 			return nil, err
 		}
 	}
 	for _, name := range x.strs[x.outputs.lo:x.outputs.hi] {
-		id, ok := lookup(name)
+		id, ok := lookup(x.bytes(name))
 		if !ok {
-			return nil, fmt.Errorf("graph json: output %q undefined", name)
+			return nil, fmt.Errorf("graph json: output %q undefined", x.bytes(name))
 		}
 		b.Output(id)
 	}

@@ -18,7 +18,9 @@ package jsonspan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -115,14 +117,31 @@ func (s *Scanner) Skip() error {
 
 // Span validates one value of any kind and returns its bytes, a
 // sub-slice of the scanner's data.
-func (s *Scanner) Span() ([]byte, error) {
+func (s *Scanner) Span() ([]byte, error) { return s.Try(s.Skip) }
+
+// Try reads the next value with read, which must consume exactly that
+// value, and returns its bytes, a sub-slice of the scanner's data. When
+// read fails the cursor is put back where the value starts, as if Try
+// had not been called, so the caller can read the value another way.
+func (s *Scanner) Try(read func() error) ([]byte, error) {
 	s.next()
-	start := s.pos
-	if err := s.Skip(); err != nil {
+	start, depth := s.pos, s.depth
+	if err := read(); err != nil {
+		s.pos, s.depth = start, depth
 		return nil, err
 	}
 	return s.data[start:s.pos:s.pos], nil
 }
+
+// Peek returns the byte the next value starts with, 0 at the end of the
+// text, without reading the value.
+func (s *Scanner) Peek() byte {
+	c, _ := s.next()
+	return c
+}
+
+// Data returns the text the scanner reads; Literal's offsets index it.
+func (s *Scanner) Data() []byte { return s.data }
 
 // expect rests the cursor on a value that starts with open. A null is
 // consumed instead (null = true); any other kind is a TypeError.
@@ -152,15 +171,20 @@ func (s *Scanner) expect(open byte, want string) (null bool, err error) {
 	return false, &TypeError{Have: have, Want: want, Offset: s.pos}
 }
 
-// String reads a string value, unquoted: a sub-slice of the scanner's
-// data when the literal has no escape and no byte outside ASCII, what
-// encoding/json makes of it otherwise. A null reads as ok = false.
-func (s *Scanner) String() (val []byte, ok bool, err error) {
+// Literal reads a string value without unquoting or copying it: the
+// literal's text between its quotes is Data()[lo:hi], and plain reports
+// that it has no escape and no byte outside ASCII, so that text is the
+// value; otherwise Unquote makes the value of it. A null reads as
+// ok = false.
+func (s *Scanner) Literal() (lo, hi int, plain, ok bool, err error) {
 	if null, err := s.expect('"', "a string"); null || err != nil {
-		return nil, false, err
+		return 0, 0, false, false, err
 	}
-	val, err = s.unquoted()
-	return val, err == nil, err
+	lo = s.pos + 1
+	if _, plain, err = s.literalString(); err != nil {
+		return 0, 0, false, false, err
+	}
+	return lo, s.pos - 1, plain, true, nil
 }
 
 // Null consumes the next value when it is null, reporting whether it
@@ -321,20 +345,13 @@ func (s *Scanner) unquoted() ([]byte, error) {
 // Text reads a string value into a string of its own: one copy, even
 // when the literal has escapes to resolve. A null reads as ok = false.
 func (s *Scanner) Text() (val string, ok bool, err error) {
-	if null, err := s.expect('"', "a string"); null || err != nil {
-		return "", false, err
-	}
-	lit, plain, err := s.literalString()
-	if err != nil {
-		return "", false, err
-	}
-	body := lit[1 : len(lit)-1]
-	if plain {
-		return string(body), true, nil
+	lo, hi, plain, ok, err := s.Literal()
+	if !ok || plain {
+		return string(s.data[lo:hi]), ok, err
 	}
 	var v strings.Builder
-	v.Grow(len(body))
-	unquote(&v, body)
+	v.Grow(hi - lo)
+	unquote(&v, s.data[lo:hi])
 	return v.String(), true, nil
 }
 
@@ -345,14 +362,29 @@ type writer interface {
 	WriteRune(rune) (int, error)
 }
 
-// unquote writes the value of a literal's body, which literalString
-// accepted, as encoding/json reads it: escapes resolved, and an escaped
+// Unquote writes the value of a literal's body, the text Literal
+// reported, as encoding/json reads it: escapes resolved, and an escaped
 // lone surrogate and every byte of invalid UTF-8 read as U+FFFD.
+func Unquote(w *bytes.Buffer, body []byte) { unquote(w, body) }
+
+// unquote is Unquote to either writer.
 func unquote(w writer, body []byte) {
 	for len(body) > 0 {
 		r := 0
-		for r < len(body) && body[r] != '\\' {
-			if body[r] < utf8.RuneSelf {
+		for r < len(body) {
+			// A body holds no quote and no control byte, so the first
+			// special byte of a word is a backslash or outside ASCII.
+			if r+8 <= len(body) {
+				m := special(binary.LittleEndian.Uint64(body[r:]))
+				if m == 0 {
+					r += 8
+					continue
+				}
+				r += bits.TrailingZeros64(m) / 8
+			}
+			if c := body[r]; c == '\\' {
+				break
+			} else if c < utf8.RuneSelf {
 				r++
 				continue
 			}
@@ -411,27 +443,25 @@ func hex4(b []byte) rune {
 // literalString passes over the string literal the cursor rests on and
 // returns it, quotes included; plain means no escape and no byte
 // outside ASCII, so the value is the text between the quotes.
+//
+// The bytes a literal holds most of — printable ASCII other than a
+// quote or a backslash — are passed over a word at a time (see
+// special); the careful loop below sees only the bytes that end such a
+// run and the last few of the text, so a long literal full of escapes
+// (an HLO module's \n) costs no more per byte than a plain one.
 func (s *Scanner) literalString() (lit []byte, plain bool, err error) {
-	i := s.pos + 1
-	// Most literals are plain up to the first quote, found at memchr
-	// speed. Otherwise the careful loop takes over at the first byte that
-	// is not plain — never back at a quote search per escape, which on a
-	// long text full of \n (an HLO module) would be quadratic.
-	if q := bytes.IndexByte(s.data[i:], '"'); q >= 0 {
-		run := s.data[i : i+q]
-		k := 0
-		for k < len(run) && ' ' <= run[k] && run[k] < utf8.RuneSelf && run[k] != '\\' {
-			k++
-		}
-		if k == len(run) {
-			lit = s.data[s.pos : i+q+1]
-			s.pos = i + q + 1
-			return lit, true, nil
-		}
-		i += k
-	}
 	plain = true
-	for ; i < len(s.data); i++ {
+	for i := s.pos + 1; ; i++ {
+		for i+8 <= len(s.data) {
+			if m := special(binary.LittleEndian.Uint64(s.data[i:])); m != 0 {
+				i += bits.TrailingZeros64(m) / 8
+				break
+			}
+			i += 8
+		}
+		if i >= len(s.data) {
+			return nil, false, s.eof()
+		}
 		switch c := s.data[i]; {
 		case c == '"':
 			lit = s.data[s.pos : i+1]
@@ -462,7 +492,31 @@ func (s *Scanner) literalString() (lit []byte, plain bool, err error) {
 			plain = false
 		}
 	}
-	return nil, false, s.eof()
+}
+
+// Word-at-a-time masks: a one and a high bit in every byte of a word.
+const (
+	ones  = 0x0101010101010101
+	highs = 0x8080808080808080
+)
+
+// special returns a mask of the bytes of v, a little-endian word of a
+// literal, that end a plain run: a quote, a backslash, a control byte
+// or a byte outside ASCII. Only the lowest set bit is exact, and it is
+// all a caller reads: it takes the first special byte at
+// TrailingZeros64(mask)/8 and looks at the rest of the word again.
+//
+// Each test subtracts a constant from every byte and reads the high
+// bits: x-1 has its high bit set for x = 0 (x a byte of v xor '"' or
+// xor '\\'), v-0x20 for v < 0x20, and v itself for v ≥ 0x80. A printable
+// ASCII byte other than the two passes every test without a borrow, so
+// nothing below the first special byte is marked; the borrow a special
+// byte sends up may mark the bytes above it, and the usual &^x that
+// would clear such marks is left out, since only the lowest one counts
+// and every byte it would clear is outside ASCII, which v marks anyway.
+func special(v uint64) uint64 {
+	quote, backslash := v^(ones*'"'), v^(ones*'\\')
+	return ((quote - ones) | (backslash - ones) | (v - ones*' ') | v) & highs
 }
 
 // word passes over the literal name the cursor rests on the first byte

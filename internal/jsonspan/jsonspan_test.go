@@ -1,6 +1,7 @@
 package jsonspan
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -44,6 +45,18 @@ func TestSkipAcceptsWhatJSONDoes(t *testing.T) {
 	}
 }
 
+// value reads a string value through Literal, as graph.Index does: the
+// literal's text when it is plain, what Unquote makes of it otherwise.
+func value(s *Scanner) (string, bool, error) {
+	lo, hi, plain, ok, err := s.Literal()
+	if plain || !ok {
+		return string(s.Data()[lo:hi]), ok, err
+	}
+	var v bytes.Buffer
+	Unquote(&v, s.Data()[lo:hi])
+	return v.String(), ok, err
+}
+
 // TestTypedReads: what each typed read makes of each kind of value.
 func TestTypedReads(t *testing.T) {
 	s := New([]byte(`{"plain": "a b", "escaped": "é\"", "null": null, "list": [null, "x"], "none": null, "skipped": {"deep": [1]}}`))
@@ -51,13 +64,13 @@ func TestTypedReads(t *testing.T) {
 	err := s.Object(func(name []byte) error {
 		switch Field(name, "plain", "escaped", "null", "LIST", "none") {
 		case 0, 1, 2:
-			v, ok, err := s.String()
-			got = append(got, string(name)+"="+string(v)+map[bool]string{true: "", false: "(absent)"}[ok])
+			v, ok, err := value(s)
+			got = append(got, string(name)+"="+v+map[bool]string{true: "", false: "(absent)"}[ok])
 			return err
 		case 3:
 			return s.Array(func() error {
-				v, ok, err := s.String()
-				got = append(got, "elem="+string(v)+map[bool]string{true: "", false: "(absent)"}[ok])
+				v, ok, err := value(s)
+				got = append(got, "elem="+v+map[bool]string{true: "", false: "(absent)"}[ok])
 				return err
 			})
 		case 4:
@@ -88,9 +101,9 @@ func TestTypedReads(t *testing.T) {
 	}
 }
 
-// TestStringsReadAsJSONDoes: String and Text unquote every literal the
-// way json.Unmarshal into a string does — escapes, surrogate pairs and
-// lone halves, invalid UTF-8 — and Text's string is the same value.
+// TestStringsReadAsJSONDoes: Literal with Unquote and Text read every
+// literal the way json.Unmarshal into a string does — escapes, surrogate
+// pairs and lone halves, invalid UTF-8.
 func TestStringsReadAsJSONDoes(t *testing.T) {
 	for _, lit := range []string{
 		`""`, `"plain"`, `"a\"b\\c\/d\b\f\n\r\t"`, `"é😀"`, `"é€"`, `"😀"`, `"\ud83d"`, `"\ud83dx"`,
@@ -101,9 +114,9 @@ func TestStringsReadAsJSONDoes(t *testing.T) {
 		if err := json.Unmarshal([]byte(lit), &want); err != nil {
 			t.Fatalf("%q: %v", lit, err)
 		}
-		v, ok, err := New([]byte(lit)).String()
-		if err != nil || !ok || string(v) != want {
-			t.Errorf("String %q = %q, %v, %v; want %q", lit, v, ok, err, want)
+		v, ok, err := value(New([]byte(lit)))
+		if err != nil || !ok || v != want {
+			t.Errorf("Literal %q = %q, %v, %v; want %q", lit, v, ok, err, want)
 		}
 		text, ok, err := New([]byte(lit)).Text()
 		if err != nil || !ok || text != want {
@@ -116,4 +129,65 @@ func TestStringsReadAsJSONDoes(t *testing.T) {
 	if null, err := New([]byte(`"null"`)).Null(); null || err != nil {
 		t.Errorf(`Null over "null": %v, %v`, null, err)
 	}
+}
+
+// agreeOnString holds Skip, Text and Literal to encoding/json on one
+// text: the same verdict, and when the text is a string, the same
+// value.
+func agreeOnString(t *testing.T, text []byte) {
+	t.Helper()
+	s := New(text)
+	err := s.Skip()
+	if err == nil {
+		err = s.End()
+	}
+	if valid := json.Valid(text); (err == nil) != valid {
+		t.Fatalf("%q: Skip says %v, json.Valid says %v", text, err, valid)
+	}
+	var want string
+	refErr := json.Unmarshal(text, &want)
+	for name, read := range map[string]func(s *Scanner) (string, bool, error){"Text": (*Scanner).Text, "Literal": value} {
+		s := New(text)
+		got, ok, err := read(s)
+		if err == nil {
+			err = s.End()
+		}
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("%q: %s says %v, json.Unmarshal says %v", text, name, err, refErr)
+		}
+		if err == nil && ok && got != want {
+			t.Fatalf("%q: %s reads %q, json.Unmarshal %q", text, name, got, want)
+		}
+	}
+}
+
+// TestScannerAtWordBoundaries: literals are passed over a word at a
+// time, so every byte that ends a plain run is placed at every offset
+// of strings long enough to span three words, with the literal at the
+// very end of the data, one byte short of it, and inside more text.
+func TestScannerAtWordBoundaries(t *testing.T) {
+	specials := []string{`"`, `\`, "\x01", "\x1f", " ", "\x7f", "\x80", "\xff", "é", "😀",
+		`\"`, `\\`, `\n`, `é`, `😀`, `\ud83d`, `\u12`, `\uzzzz`}
+	for _, sp := range specials {
+		for n := 0; n <= 24; n++ {
+			for at := 0; at <= min(16, n); at++ {
+				body := strings.Repeat("a", at) + sp + strings.Repeat("b", n-at)
+				lit := `"` + body + `"`
+				for _, text := range []string{lit, lit[:len(lit)-1], " " + lit + " ", `["x",` + lit + `]`} {
+					agreeOnString(t, []byte(text))
+				}
+			}
+		}
+	}
+}
+
+// FuzzScanner holds the scanner to encoding/json on any bytes at all:
+// Skip to json.Valid, and Text and Literal to json.Unmarshal into a
+// string.
+func FuzzScanner(f *testing.F) {
+	for _, seed := range []string{`""`, `"abcdefghijklmnopq"`, `"abcdefg\"hijkl"`, `"abcdefghéijklmnop"`,
+		"\"abcdefg\xffhijk\"", "\"abcdefgh\x1fijk\"", `"😀😀😀😀"`, `null`, `[1,"x"]`, `"abcdefgh`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(agreeOnString)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,7 +13,9 @@ import (
 	"entangle/internal/core"
 	"entangle/internal/exprparse"
 	"entangle/internal/fingerprint"
+	"entangle/internal/graph"
 	"entangle/internal/hlo"
+	"entangle/internal/jsonspan"
 	"entangle/internal/models"
 	"entangle/internal/vcache"
 )
@@ -32,9 +35,26 @@ func hloBody(t testing.TB, b *models.Built) []byte {
 	})
 }
 
+// sameGraph: the graph built from what the envelope pass read of a
+// member is the one decodeGraph reads from the member's span, or both
+// fail with one error text.
+func sameGraph(t *testing.T, what string, m *graphMember, raw json.RawMessage, format string) {
+	t.Helper()
+	got, err := m.build(raw, format)
+	want, wantErr := decodeGraph(raw, format)
+	switch {
+	case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s: built in place: %v; from its span: %v", what, err, wantErr)
+	case !reflect.DeepEqual(got, want):
+		t.Fatalf("%s: built in place %+v, from its span %+v", what, got, want)
+	}
+}
+
 // FuzzCheckEnvelope: on any bytes at all, the span-indexed request
 // decoders and json.Unmarshal into the same structs give the same
-// verdict and, when they accept, the same fields.
+// verdict and, when they accept, the same fields; and every graph
+// member built from what the envelope pass read in place is the graph
+// decodeGraph reads from its span, or fails with the same error.
 func FuzzCheckEnvelope(f *testing.F) {
 	gpt, err := models.GPT(models.Options{TP: 2})
 	if err != nil {
@@ -52,24 +72,47 @@ func FuzzCheckEnvelope(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(recheck)
+	var gs, gd bytes.Buffer
+	if err := hlo.Print(&gs, reg.Gs); err != nil {
+		f.Fatal(err)
+	}
+	if err := hlo.Print(&gd, reg.Gd); err != nil {
+		f.Fatal(err)
+	}
+	recheck, err = json.Marshal(map[string]any{"base": gs.String(), "candidates": []any{gs.String(), graphJSON(f, reg.Gs)},
+		"gd": gd.String(), "format": "hlo"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recheck)
 	for _, seed := range []string{
 		`{`, `null`, `[]`, `{} x`, ` {"gs":null,"GS":{},"gd":[1,2.5e-3,"é"],"rel":{"a":["b"]},"rel":{"c":null},"keep_going":true} `,
 		`{"format":"hlo","format":null,"timeout":5}`, `{"candidates":[{},null,[]],"candidates":null,"Candidateſ":[1]}`,
 		`{"verbose":"yes"}`, `{"rel":{"a":"b"}}`, `{"unknown":{"deep":[[[]]]},"timeout":"1s"}`, `{"gs":{"name":"g"},}`,
+		`{"gs":{"inputs":[{"name":"x","shape":["4"]}],"outputs":["x"]},"gd":"HloModule d\n%x = f32[4] parameter(0)\nROOT %r = tuple(%x)\n","format":"hlo"}`,
+		`{"gs":{"name":"first","outputs":["x"]},"GS":{"name":"sécond","inputs":[{"name":"x\u00e9","shape":["2*S+1"]}],"outputs":["x\u00e9"]},"gd":null}`,
+		`{"gs":{"nodes":[{"op":"add","inputs":["a",1]}]},"gd":{"nodes":[{"op":7}]},"base":{"nodes":{}},"candidates":[{"name":["x"]}]}`,
+		`{"base":{"inputs":[{"name":"a","shape":["4"]}],"outputs":["a"]},"candidates":["HloModule c",{"outputs":["a"]}],"format":"json"}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var in graphs
 		var check, checkRef CheckRequest
-		err, refErr := check.decode(body), json.Unmarshal(body, &checkRef)
+		err, refErr := check.decode(body, &in), json.Unmarshal(body, &checkRef)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("check: span decoder says %v, json.Unmarshal says %v", err, refErr)
 		}
 		if err == nil && !reflect.DeepEqual(check, checkRef) {
 			t.Fatalf("check: decoded %+v, json.Unmarshal %+v", check, checkRef)
 		}
+		if err == nil {
+			sameGraph(t, "check gs", &in.gs, check.Gs, check.Format)
+			sameGraph(t, "check gd", &in.gd, check.Gd, check.Format)
+		}
+		in = graphs{}
 		var recheck, recheckRef RecheckRequest
-		err, refErr = recheck.decode(body), json.Unmarshal(body, &recheckRef)
+		err, refErr = recheck.decode(body, &in), json.Unmarshal(body, &recheckRef)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("recheck: span decoder says %v, json.Unmarshal says %v", err, refErr)
 		}
@@ -78,6 +121,13 @@ func FuzzCheckEnvelope(f *testing.F) {
 		}
 		if err == nil && !reflect.DeepEqual(recheck, recheckRef) {
 			t.Fatalf("recheck: decoded %+v, json.Unmarshal %+v", recheck, recheckRef)
+		}
+		if err == nil {
+			sameGraph(t, "recheck base", &in.base, recheck.Base, recheck.Format)
+			sameGraph(t, "recheck gd", &in.gd, recheck.Gd, recheck.Format)
+			for i, raw := range recheck.Candidates {
+				sameGraph(t, fmt.Sprintf("recheck candidate %d", i), &in.candidates[i], raw, recheck.Format)
+			}
 		}
 	})
 }
@@ -88,14 +138,15 @@ func FuzzCheckEnvelope(f *testing.F) {
 // (a hit) or derives (a miss).
 func frontEnd(t testing.TB, tab *digestTable, body []byte) {
 	var req CheckRequest
-	if err := req.decode(body); err != nil {
+	var in graphs
+	if err := req.decode(body, &in); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := decodeGraph(req.Gs, req.Format)
+	gs, err := in.gs.build(req.Gs, req.Format)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, _, err := tab.decodeGd(req.Gd, req.Format)
+	gd, _, err := tab.decodeGd(&in.gd, req.Gd, req.Format)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +261,14 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestWarmCheckAllocs is the warm path's allocation ratchet: a whole
 // /v1/check the cache has every verdict of — envelope, both graphs,
 // relation, keys, replay, response — may allocate at most 10% more
-// objects and bytes than it did once the daemon kept one G_d digest per
-// distinct G_d and replay decoded terms without per-node garbage (712
-// objects and 101,384 bytes for the JSON body, 846 and 121,048 for the
-// HLO one; 793 and 111,013, 948 and 131,295 once verdicts were held as
-// their bytes; 1789 and 168,187, 1923 and 197,580 before the graphs were
-// built from slabs and replay shared its leaves).
+// objects and bytes than it did once graph members were indexed where
+// they stand in the envelope (699 objects and 83,000 bytes for the JSON
+// body, 825 and 109,450 for the HLO one; 712 and 101,384, 846 and
+// 121,048 once the daemon kept one G_d digest per distinct G_d and
+// replay decoded terms without per-node garbage; 793 and 111,013, 948
+// and 131,295 once verdicts were held as their bytes; 1789 and 168,187,
+// 1923 and 197,580 before the graphs were built from slabs and replay
+// shared its leaves).
 func TestWarmCheckAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -233,8 +286,8 @@ func TestWarmCheckAllocs(t *testing.T) {
 		body         []byte
 		allocs, size float64 // at that commit
 	}{
-		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 712, 101384},
-		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 846, 121048},
+		{"GPT TP2 L1 (JSON)", requestBody(t, gpt, nil), 699, 83000},
+		{"Llama-3 TP2 L1 (HLO)", hloBody(t, llama), 825, 109450},
 	} {
 		s := primedServer(t, c.body)
 		check := func() { warmCheck(t, s, c.body) }
@@ -274,14 +327,15 @@ func TestReleasedBodyIsNotRead(t *testing.T) {
 	buf := bodies.Get().(*bytes.Buffer)
 	buf.Write(a)
 	var req CheckRequest
-	if err := req.decode(buf.Bytes()); err != nil {
+	var in graphs
+	if err := req.decode(buf.Bytes(), &in); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := decodeGraph(req.Gs, req.Format)
+	gs, err := in.gs.build(req.Gs, req.Format)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gd, _, err := new(digestTable).decodeGd(req.Gd, req.Format)
+	gd, _, err := new(digestTable).decodeGd(&in.gd, req.Gd, req.Format)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +386,72 @@ func TestReleasedBodyIsNotRead(t *testing.T) {
 	}
 	if _, again := check(a); !reflect.DeepEqual(again, first) {
 		t.Errorf("the same body answered differently after its buffer was reused:\n%+v\n%+v", first, again)
+	}
+}
+
+// TestReleasedIndexIsNotRead: a graph built from an index keeps nothing
+// of it. The graphs and the relation built from a body are unchanged
+// after the indexes they were built from read other documents. The
+// body's output names are spelt with an escape, so they are read into
+// each index's side buffer, not left in the body, and the second
+// document spells every '/' as an escape, so it overwrites the side
+// buffers too.
+func TestReleasedIndexIsNotRead(t *testing.T) {
+	gpt, err := models.GPT(models.Options{TP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	llama, err := models.Llama(models.Options{TP: 2, Cfg: models.Config{Layers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.ReplaceAll(requestBody(t, gpt, nil), []byte(`.out"`), []byte(`\u002eout"`))
+	var req CheckRequest
+	var in graphs
+	if err := req.decode(body, &in); err != nil {
+		t.Fatal(err)
+	}
+	built := []*graph.Index{in.gs.ix, in.gd.ix}
+	if built[0] == nil || built[1] == nil {
+		t.Fatal("the graph members were not read in place")
+	}
+	gs, err := in.gs.build(req.Gs, req.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, _, err := new(digestTable).decodeGd(&in.gd, req.Gd, req.Format)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri, err := exprparse.ParseRelation(req.Rel, gs, gd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := func() string {
+		js, err := gs.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jd, err := gd.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js) + string(jd) + ri.Render(gs)
+	}
+	before := decoded()
+	other := graphJSON(t, llama.Gd)
+	for _, ix := range built {
+		for _, doc := range [][]byte{graphJSON(t, llama.Gs), bytes.ReplaceAll(other, []byte(`/`), []byte(`\/`))} {
+			if err := ix.Read(jsonspan.New(doc)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ix.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if decoded() != before {
+		t.Error("the graphs and relation built from a body changed when their indexes read other documents")
 	}
 }
 

@@ -19,7 +19,7 @@ const digestSlots = 1024
 // distinct G_d the daemon decoded, so a re-check against a G_d it has
 // seen pays one SHA-256 of the bytes instead of re-hashing every node's
 // cone. It is direct-mapped and fixed: a slot is addressed by the
-// SHA-256 of the request's format and the exact span decodeGraph read,
+// SHA-256 of the request's format and the exact span of its G_d member,
 // holds only a G_d that decoded, and a collision overwrites it. What it
 // keeps is 64 bytes a slot, 64 KiB in all, allocated with the Server.
 type digestTable struct {
@@ -33,11 +33,11 @@ type digestSlot struct {
 	span, digest fingerprint.Hash
 }
 
-// decodeGd is decodeGraph for a request's G_d, which also returns the
-// graph's digest: the table's when it holds the span, derived from the
-// decoded graph and entered otherwise.
-func (t *digestTable) decodeGd(raw json.RawMessage, format string) (*graph.Graph, fingerprint.Hash, error) {
-	gd, err := decodeGraph(raw, format)
+// decodeGd builds a request's G_d, the member m whose span is raw, and
+// returns the graph's digest with it: the table's when it holds the
+// span, derived from the built graph and entered otherwise.
+func (t *digestTable) decodeGd(m *graphMember, raw json.RawMessage, format string) (*graph.Graph, fingerprint.Hash, error) {
+	gd, err := m.build(raw, format)
 	if err != nil {
 		return nil, fingerprint.Hash{}, err
 	}
@@ -57,8 +57,8 @@ func (t *digestTable) decodeGd(raw json.RawMessage, format string) (*graph.Graph
 	return gd, digest, nil
 }
 
-// spanHash is SHA-256(format ‖ 0 ‖ raw), which covers all decodeGraph
-// reads.
+// spanHash is SHA-256(format ‖ 0 ‖ raw), which covers every byte a
+// member's graph is built from.
 func spanHash(format string, raw []byte) (h fingerprint.Hash) {
 	d := sha256.New()
 	d.Write([]byte(format))

@@ -11,6 +11,7 @@ import (
 	"entangle/internal/core"
 	"entangle/internal/fingerprint"
 	"entangle/internal/hlo"
+	"entangle/internal/jsonspan"
 	"entangle/internal/models"
 	"entangle/internal/vcache"
 )
@@ -27,11 +28,16 @@ func (t *digestTable) filled() (n int) {
 	return n
 }
 
-// digestOf decodes raw through the table and checks the digest it
+// digestOf reads raw in place and builds it through the table and checks the digest it
 // hands out against the decoded graph's own.
 func digestOf(t *testing.T, tab *digestTable, raw []byte, format string) fingerprint.Hash {
 	t.Helper()
-	gd, digest, err := tab.decodeGd(raw, format)
+	var m graphMember
+	var span json.RawMessage
+	if err := m.read(jsonspan.New(raw), &span); err != nil {
+		t.Fatal(err)
+	}
+	gd, digest, err := tab.decodeGd(&m, span, format)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestDigestTableSlots(t *testing.T) {
 	if renamed := digestOf(t, &tab, small("b", "8"), ""); renamed != base || tab.filled() != 3 {
 		t.Fatalf("one tensor name apart: same digest %v, %d slots filled, want 3", renamed == base, tab.filled())
 	}
-	if _, _, err := tab.decodeGd([]byte(`{"name":"Gd","inputs":[`), ""); err == nil || tab.filled() != 3 {
+	if _, _, err := tab.decodeGd(new(graphMember), []byte(`{"name":"Gd","inputs":[`), ""); err == nil || tab.filled() != 3 {
 		t.Fatalf("a G_d that does not decode: error %v, %d slots filled, want 3", err, tab.filled())
 	}
 }

@@ -304,22 +304,22 @@ func releaseBody(b *bytes.Buffer) {
 }
 
 // decode reads a /v1/check body in one pass: a span scanner checks the
-// whole text and indexes the request object's members. The graphs stay
-// spans of body — decodeGraph reads them in place — the strings and the
-// relation are read by the scanner, and the flags go through
-// encoding/json on their own spans, in the order they appear, so a
-// repeated, null or mistyped member means what json.Unmarshal into the
-// struct makes it mean.
-func (req *CheckRequest) decode(body []byte) error {
+// whole text and indexes the request object's members. Each graph
+// member is read where it stands into in (see graphMember.read), and its
+// exact span is kept; the strings and the relation are read by the
+// scanner, and the flags go through encoding/json on their own spans,
+// in the order they appear, so a repeated, null or mistyped member
+// means what json.Unmarshal into the struct makes it mean.
+func (req *CheckRequest) decode(body []byte, in *graphs) error {
 	s := jsonspan.New(body)
 	err := s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "format", "gs", "gd", "rel", "timeout", "keep_going", "verbose") {
 		case 0:
 			return text(s, &req.Format)
 		case 1:
-			return span(s, &req.Gs)
+			return in.gs.read(s, &req.Gs)
 		case 2:
-			return span(s, &req.Gd)
+			return in.gd.read(s, &req.Gd)
 		case 3:
 			return rel(s, &req.Rel)
 		case 4:
@@ -339,22 +339,23 @@ func (req *CheckRequest) decode(body []byte) error {
 
 // decode reads a /v1/recheck body the way CheckRequest.decode reads a
 // check's.
-func (req *RecheckRequest) decode(body []byte) error {
+func (req *RecheckRequest) decode(body []byte, in *graphs) error {
 	s := jsonspan.New(body)
 	err := s.Object(func(key []byte) error {
 		switch jsonspan.Field(key, "format", "base", "candidates", "gd", "rel", "timeout") {
 		case 0:
 			return text(s, &req.Format)
 		case 1:
-			return span(s, &req.Base)
+			return in.base.read(s, &req.Base)
 		case 2:
-			req.Candidates = nil
+			req.Candidates, in.candidates = nil, nil
 			return s.Array(func() error {
 				req.Candidates = append(req.Candidates, nil)
-				return span(s, &req.Candidates[len(req.Candidates)-1])
+				in.candidates = append(in.candidates, graphMember{})
+				return in.candidates[len(in.candidates)-1].read(s, &req.Candidates[len(req.Candidates)-1])
 			})
 		case 3:
-			return span(s, &req.Gd)
+			return in.gd.read(s, &req.Gd)
 		case 4:
 			return rel(s, &req.Rel)
 		case 5:
@@ -368,10 +369,63 @@ func (req *RecheckRequest) decode(body []byte) error {
 	return s.End()
 }
 
-// span takes the next value as it stands in the body.
-func span(s *jsonspan.Scanner, dst *json.RawMessage) (err error) {
-	*dst, err = s.Span()
+// graphs is what the envelope pass read of a request's graph members
+// beyond their spans, which the request's exported fields keep.
+type graphs struct {
+	gs, gd, base graphMember
+	candidates   []graphMember
+}
+
+// graphMember is one graph member read in place: an object into a
+// graph.Index, a string unquoted into the module text hlo parses. A
+// member read neither way has only its span (an empty string is left to
+// it too: decodeGraph makes the same of it).
+type graphMember struct {
+	ix     *graph.Index
+	module string
+}
+
+// read reads a graph member's value into m, replacing what m held, and
+// its span into raw. An object is indexed and a string unquoted where
+// they stand. A value that cannot be read so, for any reason, is passed
+// over again for its span alone: build then hands the span to
+// decodeGraph, which reports what is wrong with it as it always has —
+// the same words, offsets and order.
+func (m *graphMember) read(s *jsonspan.Scanner, raw *json.RawMessage) (err error) {
+	*m = graphMember{}
+	switch s.Peek() {
+	case '{':
+		ix := new(graph.Index)
+		if *raw, err = s.Try(func() error { return ix.Read(s) }); err == nil {
+			m.ix = ix
+			return nil
+		}
+	case '"':
+		if *raw, err = s.Try(func() (err error) {
+			m.module, _, err = s.Text()
+			return err
+		}); err == nil {
+			return nil
+		}
+	}
+	*raw, err = s.Span()
 	return err
+}
+
+// build makes the graph of a member whose span is raw, and lets go of
+// what read made of it. Only a member read the way format reads a graph
+// is built from that; any other — a string under "json", an object
+// under "hlo", a null, an unknown format — goes to decodeGraph.
+func (m *graphMember) build(raw json.RawMessage, format string) (*graph.Graph, error) {
+	ix, module := m.ix, m.module
+	*m = graphMember{}
+	switch {
+	case ix != nil && (format == "" || format == "json"):
+		return ix.Build()
+	case module != "" && format == "hlo":
+		return hlo.ParseString(module)
+	}
+	return decodeGraph(raw, format)
 }
 
 // text reads a string member: a null leaves dst as it was.
@@ -499,17 +553,18 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	var req CheckRequest
-	body := s.decodeBody(w, r, req.decode)
+	var in graphs
+	body := s.decodeBody(w, r, func(body []byte) error { return req.decode(body, &in) })
 	if body == nil {
 		return
 	}
 	defer releaseBody(body)
-	gs, err := decodeGraph(req.Gs, req.Format)
+	gs, err := in.gs.build(req.Gs, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading G_s: %v", err)
 		return
 	}
-	gd, gdDigest, err := s.gds.decodeGd(req.Gd, req.Format)
+	gd, gdDigest, err := s.gds.decodeGd(&in.gd, req.Gd, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading G_d: %v", err)
 		return
@@ -595,7 +650,8 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 
 	var req RecheckRequest
-	body := s.decodeBody(w, r, req.decode)
+	var in graphs
+	body := s.decodeBody(w, r, func(body []byte) error { return req.decode(body, &in) })
 	if body == nil {
 		return
 	}
@@ -604,12 +660,12 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "recheck needs at least one candidate graph")
 		return
 	}
-	base, err := decodeGraph(req.Base, req.Format)
+	base, err := in.base.build(req.Base, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading base G_s: %v", err)
 		return
 	}
-	gd, gdDigest, err := s.gds.decodeGd(req.Gd, req.Format)
+	gd, gdDigest, err := s.gds.decodeGd(&in.gd, req.Gd, req.Format)
 	if err != nil {
 		s.badRequest(w, "loading G_d: %v", err)
 		return
@@ -652,8 +708,8 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 	// mid-batch bounces the remaining candidates ("draining") while the
 	// finished ones keep their deltas; the worst status answers the batch.
 	status := http.StatusOK
-	for _, raw := range req.Candidates {
-		o, c := s.recheckOne(r, timeout, checker, &req, raw, base, gd, baseRi)
+	for i, raw := range req.Candidates {
+		o, c := s.recheckOne(r, timeout, checker, &req, &in.candidates[i], raw, base, gd, baseRi)
 		s.count(o)
 		resp.Candidates = append(resp.Candidates, c)
 		status = max(status, answers[o].status)
@@ -664,12 +720,12 @@ func (s *Server) handleRecheck(w http.ResponseWriter, r *http.Request) {
 // recheckOne incrementally re-verifies one candidate against the warmed
 // base under its own gate slot. Within a batch a candidate that cannot be
 // loaded or checked is a failed candidate, never Invalid or Fault.
-func (s *Server) recheckOne(r *http.Request, timeout time.Duration, checker *core.Checker, req *RecheckRequest, raw json.RawMessage,
-	base, gd *graph.Graph, baseRi *relation.Relation) (core.Outcome, RecheckCandidate) {
+func (s *Server) recheckOne(r *http.Request, timeout time.Duration, checker *core.Checker, req *RecheckRequest,
+	m *graphMember, raw json.RawMessage, base, gd *graph.Graph, baseRi *relation.Relation) (core.Outcome, RecheckCandidate) {
 	failed := func(format string, err error) (core.Outcome, RecheckCandidate) {
 		return core.Failed, RecheckCandidate{Verdict: answers[core.Failed].verdict, Error: fmt.Sprintf(format, err)}
 	}
-	cand, err := decodeGraph(raw, req.Format)
+	cand, err := m.build(raw, req.Format)
 	if err != nil {
 		return failed("loading candidate: %v", err)
 	}
@@ -728,8 +784,9 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 	s.refuse(w, http.StatusBadRequest, format, args...)
 }
 
-// decodeGraph reads one graph member of a request, in place: raw is a
-// span of the body.
+// decodeGraph reads one graph member of a request from its span, a
+// sub-slice of the body: what build does with a member the envelope pass
+// could not read in place, or read as another format reads a graph.
 func decodeGraph(raw json.RawMessage, format string) (*graph.Graph, error) {
 	if len(raw) == 0 || string(raw) == "null" {
 		return nil, fmt.Errorf("missing graph")
