@@ -91,14 +91,14 @@ type (
 	Expectation = core.Expectation
 	// ExpectationError reports a violated user expectation.
 	ExpectationError = core.ExpectationError
-	// Plan is the checker's decision layer: one disposition per G_s
-	// operator, serializable, consumed by the executor (Report.Plan).
+	// Plan is a diff's plan (DiffPlan): one disposition per operator of
+	// the edited G_s, in topological order, serializable.
 	Plan = core.Plan
 	// PlanOp is one operator's planned treatment.
 	PlanOp = core.PlanOp
-	// Disposition is the planner's per-operator decision: check live,
-	// replay from cache, skip as provably unchanged, or re-check
-	// because an upstream cone changed.
+	// Disposition is a diff plan's per-operator decision: re-check
+	// because the cone changed there, re-check because an upstream
+	// cone changed, or skip as provably unchanged.
 	Disposition = core.Disposition
 	// DeltaReport is the outcome of a diff-aware incremental
 	// re-verification (Checker.DiffCheck).
@@ -140,10 +140,9 @@ const (
 	VerdictSkipped      = core.VerdictSkipped
 )
 
-// Planner dispositions (see Disposition).
+// Diff plan dispositions (see Disposition).
 const (
 	DispCheck           = core.DispCheck
-	DispReplayCache     = core.DispReplayCache
 	DispSkipUnchanged   = core.DispSkipUnchanged
 	DispTaintedUpstream = core.DispTaintedUpstream
 )

@@ -171,18 +171,46 @@ func corpusCases(t *testing.T) []*fuzz.Case {
 	return out
 }
 
-// ablationCase is one check of the zoo or the corpus, built once and
-// re-checked under each ablated registry.
-type ablationCase struct {
+// checkCase is one check of the zoo, the corpus or a campaign, built
+// once and re-checked under each ablation or transform.
+type checkCase struct {
+	name   string
 	gs, gd *graph.Graph
 	ri     *relation.Relation
 	expect *core.Expectation // nil for a refinement check
 }
 
+// zooAndCorpus is the zoo and the committed fuzz corpus as checks.
+func zooAndCorpus(t *testing.T) []checkCase {
+	t.Helper()
+	var cases []checkCase
+	for _, c := range Zoo() {
+		b, gs, gd, ri, err := c.Graphs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := checkCase{name: c.Name, gs: gs, gd: gd, ri: ri}
+		if c.Expectation {
+			cc.expect = &core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd}
+		}
+		cases = append(cases, cc)
+	}
+	return append(cases, fuzzChecks(corpusCases(t))...)
+}
+
+// fuzzChecks is composed fuzz cases as checks.
+func fuzzChecks(cases []*fuzz.Case) []checkCase {
+	out := make([]checkCase, len(cases))
+	for i, cs := range cases {
+		out[i] = checkCase{name: fmt.Sprintf("%s %v", cs.Plan, cs.Defect), gs: cs.Gs, gd: cs.Gd, ri: cs.Env.Ri}
+	}
+	return out
+}
+
 // outcome renders what a check of c under reg decides: the verdict and
 // failure text of every operator, R_o and the full relation — not the
 // saturation counters, which any rule set moves.
-func (c ablationCase) outcome(reg *lemmas.Registry) string {
+func (c checkCase) outcome(reg *lemmas.Registry) string {
 	if c.expect != nil {
 		return fmt.Sprint(core.NewChecker(core.Options{Registry: reg}).CheckExpectation(c.gs, c.gd, c.ri, *c.expect))
 	}
@@ -218,21 +246,7 @@ func registryWithout(lib *lemmas.Registry, rule string) *lemmas.Registry {
 // no committed witness that needs it: promote a case that does, or
 // delete the rule.
 func TestEveryRuleIsNeeded(t *testing.T) {
-	var cases []ablationCase
-	for _, c := range Zoo() {
-		b, gs, gd, ri, err := c.Graphs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ac := ablationCase{gs: gs, gd: gd, ri: ri}
-		if c.Expectation {
-			ac.expect = &core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd}
-		}
-		cases = append(cases, ac)
-	}
-	for _, cs := range corpusCases(t) {
-		cases = append(cases, ablationCase{gs: cs.Gs, gd: cs.Gd, ri: cs.Env.Ri})
-	}
+	cases := zooAndCorpus(t)
 	lib := lemmas.Default()
 	want := make([]string, len(cases))
 	for i, c := range cases {

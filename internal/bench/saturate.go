@@ -15,7 +15,7 @@ import (
 // one row of `entangle-bench -exp saturate` and one entry of the
 // BENCH_saturate.json trajectory. Every metric is per *cold* check
 // (no verdict cache, Workers 1): this is the floor every cache miss
-// pays, the quantity ROADMAP item 3 attacks.
+// pays, which a saturation-side speedup must move.
 type SaturatePoint struct {
 	Workload string `json:"workload"`
 	Ops      int    `json:"ops"`

@@ -20,8 +20,8 @@ import (
 type ClientStats struct {
 	FetchCorrupt int64 `json:"fetch_corrupt"` // fetched keys whose reply DecodeEntry rejected
 	// Retries is always 0: a call makes one attempt. The field stays
-	// until the stats types are merged (ROADMAP item 1(b)): the
-	// benchmark reads it.
+	// until one counters type replaces the stats types (ROADMAP item
+	// 5(d)): the benchmark reads it.
 	Retries        int64 `json:"retries"`
 	BreakerSkips   int64 `json:"breaker_skips"`   // calls skipped by an open breaker
 	BreakerReopens int64 `json:"breaker_reopens"` // failed half-open probes

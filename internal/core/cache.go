@@ -53,7 +53,7 @@ const CheckerVersion = "entangle-core/4"
 // implementation; internal/cluster's Cache implements the same
 // interface over a sharded fleet (local shard + peer fetch/forward
 // with graceful degradation), so everything above this seam — the
-// planner's prefetch, replay, storeVerdict, the daemon — is
+// run's prefetch, replay, storeVerdict, the daemon — is
 // fleet-agnostic. Implementations must be safe for concurrent use and
 // must uphold vcache's contract: Get never returns a wrong or stale
 // entry (any doubt is a miss), Put rejects non-cacheable verdicts.
@@ -66,7 +66,7 @@ type VerdictStore interface {
 // manyGetter is an optional upgrade of VerdictStore, discovered by
 // type assertion like io.ReaderFrom: a store for which a lookup can
 // cost a network round trip answers a whole run's keys at once —
-// entries[i] is what Get(keys[i]) would have returned. The plan-time
+// entries[i] is what Get(keys[i]) would have returned. A run's
 // prefetch is its one caller; internal/cluster's Cache its one
 // implementation.
 type manyGetter interface {
@@ -93,6 +93,29 @@ type cacheState struct {
 	// starts keeps the cone hasher's memo single-threaded; afterwards
 	// workers only read — and old the diff base's (nil on a full check).
 	keys, old *sideKeys
+	// entries[i] is the store's answer for keys.keys[i], prefetched
+	// before the scheduler starts and consumed by checkOp on operator
+	// i's worker; nil on the unplanned path, which probes inline.
+	// Entries are immutable once stored, so holding the pointers across
+	// concurrent cache traffic is safe.
+	entries []*vcache.Entry
+}
+
+// prefetch probes the cache once per operator, before any operator
+// runs: a store that can answer many keys at once is handed the whole
+// run's keys in one call. The probes touch no run counters — hits and
+// misses are accounted when operators execute, so operators the
+// scheduler never runs (beyond the earliest failure, or in a skipped
+// taint cone) count nothing, prefetched or not.
+func (c *cacheState) prefetch() {
+	if batch, ok := c.cache.(manyGetter); ok {
+		c.entries = batch.GetMany(c.keys.keys)
+		return
+	}
+	c.entries = make([]*vcache.Entry, len(c.keys.keys))
+	for i, key := range c.keys.keys {
+		c.entries[i] = c.cache.Get(key)
+	}
 }
 
 // cacheOptionsString is the canonical encoding of the verdict-relevant

@@ -73,7 +73,7 @@ func TestGdLeafOutsideGdIsKeyedApart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.Checks == 0 {
+		if dispositions(plan)[DispCheck] == 0 {
 			t.Errorf("a diff between the valid and the broken relation checks nothing: %+v", plan.Ops)
 		}
 	}

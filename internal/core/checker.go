@@ -92,10 +92,11 @@ type Options struct {
 	// bound to the graph object it was derived from.
 	gdDigest boundDigest
 
-	// unplanned bypasses the planning layer (planner.go): dispositions
-	// are decided inline at check time, the pre-plan code path. Both
-	// paths produce byte-identical reports, which this package's tests
-	// assert; it is a reference for them, set nowhere else.
+	// unplanned probes the cache inline, as each operator starts,
+	// instead of prefetching the run's keys before the scheduler starts
+	// (cacheState.prefetch). Both paths produce byte-identical reports,
+	// which this package's tests assert; it is a reference for them,
+	// set nowhere else.
 	unplanned bool
 	// noReuse turns off the in-run reuse table (reuse.go): every
 	// operator searches live. Reports are byte-identical either way but
@@ -190,10 +191,6 @@ type Report struct {
 	// Cache summarizes this run's verdict-cache traffic; zero when
 	// Options.Cache is nil.
 	Cache CacheStats
-	// Plan is the decision layer's output this run executed: one
-	// disposition per operator in topo order (planner.go). Never nil:
-	// only this package's tests take the unplanned path.
-	Plan *Plan
 	// OpsProcessed counts the G_s operators actually checked (skipped
 	// cone members in KeepGoing mode are excluded).
 	OpsProcessed int
@@ -299,7 +296,7 @@ func (c *Checker) checkContext(ctx context.Context, gs, gd *graph.Graph, ri *rel
 		return nil, nil, err
 	}
 
-	report := &Report{FullRelation: run.rel, Stats: egraph.Stats{Applications: map[string]int{}}, Plan: run.plan}
+	report := &Report{FullRelation: run.rel, Stats: egraph.Stats{Applications: map[string]int{}}}
 	workers := c.opts.Workers
 	if workers > len(order) {
 		workers = len(order)
@@ -359,29 +356,27 @@ func checkRiDomain(gs *graph.Graph, ri *relation.Relation) error {
 }
 
 // prepare derives the run's keys (once, for every consumer) and
-// decides each operator's disposition. oldGs non-nil selects the diff
-// planner against that predecessor.
+// prefetches their entries. oldGs non-nil plans a diff against that
+// predecessor.
 func (r *runState) prepare(oldGs *graph.Graph, oldRi *relation.Relation) error {
-	if r.opts.Cache != nil || oldGs != nil {
-		kd := newKeyDerivation(r.gdix, &r.opts)
-		cur := kd.side(r.gs, r.rel, r.order)
-		var old *sideKeys
-		if oldGs != nil {
-			var err error
-			if old, err = kd.diffBase(oldGs, oldRi); err != nil {
-				return err
-			}
-			r.plan = diffPlan(old, cur, r.producers)
-		}
-		if r.opts.Cache != nil {
-			r.cache = &cacheState{cache: r.opts.Cache, keys: cur, old: old}
-		}
+	if r.opts.Cache == nil && oldGs == nil {
+		return nil
 	}
-	switch {
-	case r.plan != nil:
-		r.prefetch(r.plan)
-	case !r.opts.unplanned:
-		r.plan = r.buildPlan()
+	kd := newKeyDerivation(r.gdix, &r.opts)
+	cur := kd.side(r.gs, r.rel, r.order)
+	var old *sideKeys
+	if oldGs != nil {
+		var err error
+		if old, err = kd.diffBase(oldGs, oldRi); err != nil {
+			return err
+		}
+		r.plan = diffPlan(old, cur, r.producers)
+	}
+	if r.opts.Cache != nil {
+		r.cache = &cacheState{cache: r.opts.Cache, keys: cur, old: old}
+		if !r.opts.unplanned {
+			r.cache.prefetch()
+		}
 	}
 	return nil
 }
@@ -402,7 +397,7 @@ type runState struct {
 	// across workers).
 	compiled *egraph.CompiledRules
 	// order and gdOrder are topological orders of gs and gd; order's
-	// indices are the ledger's, the plan's and the cache keys'.
+	// indices are the ledger's, a diff plan's and the cache keys'.
 	order, gdOrder []*graph.Node
 	// producers is gs's DAG over order's indices (graph.Producers): the
 	// scheduler, the diff planner and reuse's ancestor test walk it.
@@ -421,9 +416,8 @@ type runState struct {
 	// Options.Cache is nil. Its keys are derived before the scheduler
 	// starts and read-only afterwards.
 	cache *cacheState
-	// plan is the decision layer's output (planner.go), built before
-	// the scheduler starts and read-only afterwards; nil only on the
-	// unplanned reference path.
+	// plan is a diff's plan (diff.go), built before the scheduler
+	// starts and read-only afterwards; nil on a full check.
 	plan *Plan
 	// ledger is the scheduler's per-operator record (scheduler.go),
 	// topo-indexed; set once the pool drains.
@@ -621,10 +615,11 @@ type opResult struct {
 // is the one deadline: when it expires the whole check aborts, so no
 // verdict depends on the wall clock.
 //
-// The planned and unplanned paths differ only in *when* the cache was
-// probed — plan time versus check time; entries are immutable, so the
-// replayed bytes are the same — and the outcome is recorded here in
-// both, keeping reports byte-identical between them.
+// The prefetched and unplanned paths differ only in *when* the cache
+// was probed — before the scheduler starts versus as the operator
+// starts; entries are immutable, so the replayed bytes are the same —
+// and the outcome is recorded here in both, keeping reports
+// byte-identical between them.
 func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal error) {
 	v, acc, verdict := r.order[i], &res.stats, &res.verdict
 	*verdict = OpVerdict{Op: v, Kind: VerdictRefined}
@@ -650,14 +645,13 @@ func (r *runState) checkOp(ctx context.Context, i int) (res opResult, fatal erro
 
 	// A PreOp override changes the effective budget without changing
 	// the cache key, so overridden operators bypass the cache in both
-	// directions (no lookup, no store) — the plan's disposition is
-	// advisory for overridden operators.
+	// directions (no lookup, no store) — a prefetched entry included.
 	useCache := r.cache != nil && !overridden
 	if useCache {
-		// A plan carries the plan-time probe; without one, probe now.
+		// A prefetched run carries its probe; without one, probe now.
 		var e *vcache.Entry
-		if r.plan != nil {
-			e = r.plan.Ops[i].entry
+		if r.cache.entries != nil {
+			e = r.cache.entries[i]
 		} else {
 			e = r.cache.cache.Get(r.cache.keys.keys[i])
 		}

@@ -1,9 +1,9 @@
 package core
 
-// Diff-aware incremental re-verification (ROADMAP item 4): production
-// users edit one operator of an already-verified model and resubmit.
-// The cone fingerprints of internal/fingerprint chain every operator's
-// hash through its producers, so comparing the old and new graphs'
+// Diff-aware incremental re-verification: production users edit one
+// operator of an already-verified model and resubmit. The cone
+// fingerprints of internal/fingerprint chain every operator's hash
+// through its producers, so comparing the old and new graphs'
 // cone-fingerprint sets computes the minimal dirty set exactly: an
 // operator whose upstream cone (structure, shapes, attributes, and the
 // input-relation entries it consumes) is unchanged keeps its hash, and
@@ -83,7 +83,7 @@ func diffPlan(old, cur *sideKeys, producers [][]int) *Plan {
 	for _, cone := range old.cones {
 		oldSet[cone] = true
 	}
-	plan := &Plan{Mode: PlanModeDiff, Ops: make([]PlanOp, len(cur.order))}
+	plan := &Plan{Ops: make([]PlanOp, len(cur.order))}
 	dirty := make([]bool, len(cur.order))
 	for i, v := range cur.order {
 		dirty[i] = !oldSet[cur.cones[i]]
@@ -104,7 +104,6 @@ func diffPlan(old, cur *sideKeys, producers [][]int) *Plan {
 		}
 		plan.Ops[i] = op
 	}
-	plan.recount()
 	return plan
 }
 
@@ -154,7 +153,7 @@ type DeltaReport struct {
 func (d *DeltaReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "diff: %d ops — %d unchanged (%d replayed), %d re-checked\n",
-		len(d.Report.Plan.Ops), d.UnchangedOps, d.ReplayedOps, d.RecheckedOps)
+		d.UnchangedOps+len(d.Changed), d.UnchangedOps, d.ReplayedOps, d.RecheckedOps)
 	for _, op := range d.Changed {
 		fmt.Fprintf(&b, "  %s: %s (%s) -> %s\n", op.Label, op.Disposition, op.Cause, op.Verdict)
 	}
@@ -203,7 +202,6 @@ func (c *Checker) DiffCheck(oldGs, newGs, gd *graph.Graph, oldRi, newRi *relatio
 func (c *Checker) DiffCheckContext(ctx context.Context, oldGs, newGs, gd *graph.Graph, oldRi, newRi *relation.Relation) (*DeltaReport, error) {
 	opts := c.opts
 	opts.KeepGoing = true
-	opts.unplanned = false
 	run, report, err := (&Checker{opts: opts}).checkContext(ctx, newGs, gd, newRi, oldGs, oldRi)
 	if report == nil {
 		return nil, err
@@ -220,11 +218,11 @@ func (r *runState) buildDelta(report *Report) *DeltaReport {
 	// A verdict is replayed exactly when its probe hit, and a KeepGoing
 	// run processes every operator it does not skip.
 	replayed := int(report.Cache.Hits)
-	d := &DeltaReport{Report: report, UnchangedOps: report.Plan.Skips,
-		ReplayedOps: replayed, RecheckedOps: report.OpsProcessed - replayed}
-	for i := range report.Plan.Ops {
-		po, verdict := &report.Plan.Ops[i], report.Verdicts[i]
-		if po.Disposition != DispCheck && po.Disposition != DispTaintedUpstream {
+	d := &DeltaReport{Report: report, ReplayedOps: replayed, RecheckedOps: report.OpsProcessed - replayed}
+	for i := range r.plan.Ops {
+		po, verdict := &r.plan.Ops[i], report.Verdicts[i]
+		if po.Disposition == DispSkipUnchanged {
+			d.UnchangedOps++
 			continue
 		}
 		do := DeltaOp{Label: po.Label, Disposition: po.Disposition,

@@ -95,9 +95,6 @@ func TestDiffPlanDirtySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Mode != PlanModeDiff {
-		t.Fatalf("mode %q", plan.Mode)
-	}
 	want := map[string]Disposition{
 		"adder": DispCheck,
 		"act":   DispTaintedUpstream,
@@ -108,8 +105,8 @@ func TestDiffPlanDirtySet(t *testing.T) {
 			t.Errorf("%s planned %s (%s), want %s", label, op.Disposition, op.Reason, disp)
 		}
 	}
-	if plan.Checks != 1 || plan.Tainted != 1 || plan.Skips != 1 || plan.Replays != 0 {
-		t.Fatalf("totals %+v", plan)
+	if n := dispositions(plan); len(plan.Ops) != 3 || n[DispCheck] != 1 || n[DispTaintedUpstream] != 1 || n[DispSkipUnchanged] != 1 {
+		t.Fatalf("totals %v over %d operators", n, len(plan.Ops))
 	}
 
 	// Same graph twice (built independently, so node IDs need not
@@ -119,7 +116,7 @@ func TestDiffPlanDirtySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same.Skips != len(same.Ops) {
+	if dispositions(same)[DispSkipUnchanged] != len(same.Ops) {
 		t.Fatalf("identical graph not all-skip: %+v", same)
 	}
 }
@@ -315,7 +312,7 @@ func (c *countingStore) Get(key fingerprint.Hash) *vcache.Entry {
 }
 
 // TestDiffCheckProbesOncePerOperator: keys are derived once and the
-// plan-time prefetch is the only probe site, so an all-refined diff run
+// prefetch is the only probe site, so an all-refined diff run
 // looks up exactly one key per new-graph operator. (The old graph's
 // verdicts are looked up only for a failing re-checked operator.)
 func TestDiffCheckProbesOncePerOperator(t *testing.T) {
@@ -332,7 +329,7 @@ func TestDiffCheckProbesOncePerOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := store.gets.Load(), int64(len(delta.Report.Plan.Ops)); got != want {
+	if got, want := store.gets.Load(), int64(len(newGs.Nodes)); got != want {
 		t.Fatalf("all-refined diff issued %d Gets for %d operators", got, want)
 	}
 
@@ -343,7 +340,7 @@ func TestDiffCheckProbesOncePerOperator(t *testing.T) {
 	if delta, err = checker.DiffCheck(oldGs, badGs, gd, oldRi, badRi); err == nil || len(delta.NewlyFailing) != 1 {
 		t.Fatalf("broken edit: delta %+v err %v", delta, err)
 	}
-	if got, want := store.gets.Load(), int64(len(delta.Report.Plan.Ops)+1); got != want {
+	if got, want := store.gets.Load(), int64(len(badGs.Nodes)+1); got != want {
 		t.Fatalf("one-failure diff issued %d Gets, want %d", got, want)
 	}
 }
@@ -388,8 +385,8 @@ func TestPrefetchHandsABatchStoreEveryKeyAtOnce(t *testing.T) {
 			t.Fatalf("pass %d: %d GetMany calls, %d Gets; want one batch per run and no Get", pass, len(store.batches), store.gets.Load())
 		}
 		batch := store.batches[pass]
-		if len(batch) != len(got.Plan.Ops) {
-			t.Fatalf("pass %d: batch of %d keys for %d operators", pass, len(batch), len(got.Plan.Ops))
+		if len(batch) != len(gs.Nodes) {
+			t.Fatalf("pass %d: batch of %d keys for %d operators", pass, len(batch), len(gs.Nodes))
 		}
 		for i, key := range opKeys(t, Options{Registry: lemmas.Default(), Cache: store}, gs, gd, ri) {
 			if batch[i] != key {

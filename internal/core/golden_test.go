@@ -15,7 +15,6 @@ import (
 	"entangle/internal/graph"
 	"entangle/internal/lemmas"
 	"entangle/internal/models"
-	"entangle/internal/relation"
 	"entangle/internal/vcache"
 )
 
@@ -50,8 +49,8 @@ func storeDelta(store *vcache.Cache, last *vcache.StatsSnapshot) vcache.StatsSna
 	return d
 }
 
-// goldenReport renders every deterministic Report field except Plan,
-// and store, the run's storeDelta.
+// goldenReport renders every deterministic Report field, and store,
+// the run's storeDelta.
 func goldenReport(rep *Report, err error, gs *graph.Graph, store vcache.StatsSnapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "error: %v\n", err != nil)
@@ -79,7 +78,8 @@ func goldenReport(rep *Report, err error, gs *graph.Graph, store vcache.StatsSna
 	return b.String()
 }
 
-// goldenPlan renders a plan of gs's operators beside their cache keys.
+// goldenPlan renders a diff plan of gs's operators beside their cache
+// keys.
 func goldenPlan(t *testing.T, p *Plan, gs *graph.Graph, keys []fingerprint.Hash) string {
 	order, err := gs.TopoSort()
 	if err != nil {
@@ -90,8 +90,7 @@ func goldenPlan(t *testing.T, p *Plan, gs *graph.Graph, keys []fingerprint.Hash)
 		fmt.Fprintf(&b, "  %d %s %s: %s (%s)\n", i, op.Label, order[i].Op, op.Disposition, op.Reason)
 		hexKeys.WriteString(keys[i].Hex() + ";")
 	}
-	return fmt.Sprintf("mode=%s checks=%d replays=%d skips=%d tainted=%d keys=%x\n%s",
-		p.Mode, p.Checks, p.Replays, p.Skips, p.Tainted, sha256.Sum256([]byte(hexKeys.String())), b.String())
+	return fmt.Sprintf("keys=%x\n%s", sha256.Sum256([]byte(hexKeys.String())), b.String())
 }
 
 // goldenEdit clones gs and rewires the last two-operand add/sum in
@@ -124,8 +123,9 @@ func goldenEdit(t *testing.T, gs *graph.Graph, broken bool) *graph.Graph {
 type goldenSection struct{ name, text string }
 
 // goldenScenario drives one model through cold, warm, one-op edit,
-// broken edit and a KeepGoing failure on one shared cache. Sections
-// named *.plan / *.delta exist only on the planned path; every other
+// broken edit and a KeepGoing failure on one shared cache. An edit is a
+// diff on the planned path, with its *.plan and *.delta sections, and a
+// KeepGoing check of the edited graph on the unplanned one; every other
 // section must be identical across workers and planned/unplanned.
 func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers int, unplanned bool) []goldenSection {
 	t.Helper()
@@ -137,15 +137,12 @@ func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers 
 	keepGoing := NewChecker(opts)
 
 	var out []goldenSection
-	add := func(section string, rep *Report, err error, gs, gd *graph.Graph, ri *relation.Relation) {
+	add := func(section string, rep *Report, err error, gs *graph.Graph) {
 		out = append(out, goldenSection{name + "/" + section, goldenReport(rep, err, gs, storeDelta(cache, &last))})
-		if rep != nil && rep.Plan != nil {
-			out = append(out, goldenSection{name + "/" + section + ".plan", goldenPlan(t, rep.Plan, gs, opKeys(t, opts, gs, gd, ri))})
-		}
 	}
 	for _, phase := range []string{"cold", "warm"} {
 		rep, err := checker.Check(good.Gs, good.Gd, good.Ri)
-		add(phase, rep, err, good.Gs, good.Gd, good.Ri)
+		add(phase, rep, err, good.Gs)
 	}
 	// The clone preserves tensor IDs, so the relation serves the edit.
 	for _, broken := range []bool{false, true} {
@@ -153,25 +150,30 @@ func goldenScenario(t *testing.T, name string, good, bad *models.Built, workers 
 		edited := goldenEdit(t, good.Gs, broken)
 		if unplanned {
 			rep, err := keepGoing.Check(edited, good.Gd, good.Ri)
-			add(section, rep, err, edited, good.Gd, good.Ri)
+			add(section, rep, err, edited)
 			continue
 		}
 		delta, err := checker.DiffCheck(good.Gs, edited, good.Gd, good.Ri, good.Ri)
 		if delta == nil {
 			t.Fatalf("%s %s: %v", name, section, err)
 		}
-		add(section, delta.Report, err, edited, good.Gd, good.Ri)
+		add(section, delta.Report, err, edited)
 		out = append(out, goldenSection{name + "/" + section + ".delta", delta.Render()})
+		plan, err := DiffPlan(good.Gs, good.Ri, edited, good.Ri, good.Gd)
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, section, err)
+		}
+		out = append(out, goldenSection{name + "/" + section + ".plan", goldenPlan(t, plan, edited, opKeys(t, opts, edited, good.Gd, good.Ri))})
 	}
 	for _, phase := range []string{"fail-cold", "fail-warm"} {
 		rep, err := keepGoing.Check(bad.Gs, bad.Gd, bad.Ri)
-		add(phase, rep, err, bad.Gs, bad.Gd, bad.Ri)
+		add(phase, rep, err, bad.Gs)
 	}
 	return out
 }
 
 // TestGoldenReports pins the complete Report (Stats, LiveStats, Cache,
-// Verdicts, Failures, relations, Plan) and DeltaReport.Render for a
+// Verdicts, Failures, relations), a diff's Plan and DeltaReport.Render for a
 // small zoo at Workers 1 and 4, planned and unplanned, against bytes
 // recorded before the ledger refactor.
 func TestGoldenReports(t *testing.T) {
@@ -201,10 +203,12 @@ func TestGoldenReports(t *testing.T) {
 			recorded[head] = body
 		}
 	}
+	produced := map[string]bool{}
 	for _, m := range zoo {
 		for _, workers := range []int{1, 4} {
 			for _, unplanned := range []bool{false, true} {
 				for _, s := range goldenScenario(t, m.name, m.good, m.bad, workers, unplanned) {
+					produced[s.name] = true
 					want, ok := recorded[s.name]
 					if !ok && *update {
 						recorded[s.name] = s.text
@@ -218,6 +222,13 @@ func TestGoldenReports(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// A recorded section no run produces pins nothing: fail on it, so a
+	// section whose report went away is deleted with it.
+	for n := range recorded {
+		if !produced[n] {
+			t.Errorf("section %s of %s is produced by no scenario", n, goldenReports)
 		}
 	}
 	if *update {

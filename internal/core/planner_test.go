@@ -22,77 +22,28 @@ func planOpByLabel(t *testing.T, p *Plan, label string) PlanOp {
 	return PlanOp{}
 }
 
-// TestPlanFullDispositions checks the full-mode planner's decisions on
-// the three configurations that exist: no cache (everything checked),
-// cold cache (everything checked, misses), warm cache (everything
-// replayed).
-func TestPlanFullDispositions(t *testing.T) {
-	gs, gd, ri := figure1(t)
-	reg := lemmas.Default()
-
-	plain, err := NewChecker(Options{Registry: reg}).Check(gs, gd, ri)
-	if err != nil {
-		t.Fatal(err)
+// dispositions counts a plan's operators by disposition.
+func dispositions(p *Plan) map[Disposition]int {
+	n := map[Disposition]int{}
+	for _, op := range p.Ops {
+		n[op.Disposition]++
 	}
-	if plain.Plan == nil || plain.Plan.Mode != PlanModeFull {
-		t.Fatalf("missing full plan: %+v", plain.Plan)
-	}
-	if len(plain.Plan.Ops) != plain.OpsProcessed {
-		t.Fatalf("plan covers %d ops, report processed %d", len(plain.Plan.Ops), plain.OpsProcessed)
-	}
-	for _, op := range plain.Plan.Ops {
-		if op.Disposition != DispCheck || op.Reason != "no cache configured" {
-			t.Fatalf("cacheless plan op %+v", op)
-		}
-	}
-
-	cache := openCache(t)
-	checker := NewChecker(Options{Registry: reg, Cache: cache})
-	cold, err := checker.Check(gs, gd, ri)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range cold.Plan.Ops {
-		if op.Disposition != DispCheck || op.Reason != "cache miss" {
-			t.Fatalf("cold plan op %+v", op)
-		}
-	}
-	if cold.Plan.Checks != len(cold.Plan.Ops) || cold.Plan.Replays != 0 {
-		t.Fatalf("cold plan totals %+v", cold.Plan)
-	}
-
-	warm, err := checker.Check(gs, gd, ri)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range warm.Plan.Ops {
-		if op.Disposition != DispReplayCache || op.Reason != "verdict cached" {
-			t.Fatalf("warm plan op %+v", op)
-		}
-	}
-	if warm.Plan.Replays != len(warm.Plan.Ops) || warm.Plan.Checks != 0 {
-		t.Fatalf("warm plan totals %+v", warm.Plan)
-	}
-	if warm.LiveStats.Iterations != 0 {
-		t.Fatalf("warm planned run re-saturated: %+v", warm.LiveStats)
-	}
+	return n
 }
 
-// TestPlanJSONRoundTrip: a Plan is plain data. Serialize, decode,
-// re-serialize: byte-identical, with dispositions spelled as their
-// canonical names (the spelling /v1/recheck's changed operators carry).
+// TestPlanJSONRoundTrip: a Plan is plain data. Serialize a diff's plan,
+// decode, re-serialize: byte-identical, with dispositions spelled as
+// their canonical names (the spelling /v1/recheck's changed operators
+// carry).
 func TestPlanJSONRoundTrip(t *testing.T) {
-	gs, gd, ri := figure1(t)
-	cache := openCache(t)
-	checker := NewChecker(Options{Registry: lemmas.Default(), Cache: cache})
-	if _, err := checker.Check(gs, gd, ri); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := checker.Check(gs, gd, ri)
+	gd := diffGd(t)
+	oldGs, oldRi := diffGs(t, gd, false, "gelu")
+	newGs, newRi := diffGs(t, gd, true, "gelu")
+	plan, err := DiffPlan(oldGs, oldRi, newGs, newRi, gd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(warm.Plan)
+	blob, err := json.Marshal(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,28 +58,34 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if string(blob) != string(again) {
 		t.Fatalf("round trip not stable:\n--- first ---\n%s\n--- second ---\n%s", blob, again)
 	}
-	var loose map[string]any
+	var loose struct {
+		Ops []map[string]any `json:"ops"`
+	}
 	if err := json.Unmarshal(blob, &loose); err != nil {
 		t.Fatal(err)
 	}
-	op := loose["ops"].([]any)[0].(map[string]any)
-	if op["disposition"] != "replay-cache" {
-		t.Fatalf("disposition serialized as %v, want the canonical name", op["disposition"])
+	want := map[string]string{"adder": "check", "act": "tainted-upstream", "side": "skip-unchanged"}
+	for _, op := range loose.Ops {
+		if w, ok := want[op["label"].(string)]; ok && op["disposition"] != w {
+			t.Fatalf("%v's disposition serialized as %v, want the canonical name %q", op["label"], op["disposition"], w)
+		}
 	}
 }
 
 // TestDispositionJSONUnknown rejects names outside the enum instead of
-// silently zeroing them.
+// silently zeroing them, the full check's deleted "replay-cache"
+// included.
 func TestDispositionJSONUnknown(t *testing.T) {
-	var d Disposition
-	if err := d.UnmarshalJSON([]byte(`"warp-speed"`)); err == nil {
-		t.Fatal("unknown disposition decoded")
+	for _, name := range []string{`"warp-speed"`, `"replay-cache"`} {
+		var d Disposition
+		if err := d.UnmarshalJSON([]byte(name)); err == nil {
+			t.Fatalf("unknown disposition %s decoded as %s", name, d)
+		}
 	}
 }
 
-// TestPlanUnplannedByteIdentical is the refactor's acceptance gate:
-// the planned executor and the pre-plan inline path (Options.unplanned)
-// produce byte-identical reports — relations, stats, verdicts, and
+// TestPlanUnplannedByteIdentical: the prefetching executor and the
+// inline-probe path (Options.unplanned) produce byte-identical reports — relations, stats, verdicts, and
 // cache counters — cold and warm, at 1 and 4 workers, over GPT and the
 // saturation corpus models the goldens do not run (SeedMoE's forward
 // pass is golden_reports.txt's, planned and unplanned), Llama-3 through
@@ -174,19 +131,13 @@ func TestPlanUnplannedByteIdentical(t *testing.T) {
 				// agrees only on a warm cache: on a cold one the inline
 				// path can hit a verdict stored earlier in the same run by
 				// a duplicate-cone sibling (SeedMoE-Bwd has one), which
-				// the plan-time prefetch (all probes before any store)
+				// the prefetch (all probes before any store)
 				// reads as a miss — the verdicts still match, since a
 				// duplicate cone replays identically.
 				if rp.Cache.Hits+rp.Cache.Misses != ru.Cache.Hits+ru.Cache.Misses ||
 					phase == "warm" && rp.Cache != ru.Cache {
 					t.Errorf("%s workers=%d %s cache stats diverge: planned %+v unplanned %+v",
 						c.name, workers, phase, rp.Cache, ru.Cache)
-				}
-				if rp.Plan == nil {
-					t.Errorf("%s workers=%d %s: planned run carries no plan", c.name, workers, phase)
-				}
-				if ru.Plan != nil {
-					t.Errorf("%s workers=%d %s: unplanned run carries a plan", c.name, workers, phase)
 				}
 			}
 		}

@@ -50,8 +50,8 @@ stage_race() {
     # the golden models, once on a free list stocked with graphs that last
     # served the heaviest zoo operator, once with recycling off) and its
     # New/Release hammer run here, audited and raced.
-    # core runs the planned-vs-unplanned differential at workers 1/4 that
-    # pins the plan/execute refactor byte-identical, cold and warm.
+    # core runs the prefetch-vs-inline-probe differential at workers 1/4
+    # (TestPlanUnplannedByteIdentical), byte-identical cold and warm.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
     # egraph runs the naive-vs-indexed matcher differential over the zoo.
     ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
