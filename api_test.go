@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,5 +203,35 @@ func TestREADMEOptionsTable(t *testing.T) {
 	}
 	for row := range rows {
 		t.Errorf("README.md tabulates %s, which is not an exported field", row)
+	}
+}
+
+// TestExperimentsCitationsResolve fails when DESIGN.md or README.md
+// cites a section of EXPERIMENTS.md, as "(EXPERIMENTS.md, Cache)", that
+// no "## Cache" or "## Cache — …" heading opens.
+func TestExperimentsCitationsResolve(t *testing.T) {
+	experiments, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := regexp.MustCompile("(?m)^## (.+)$").FindAllStringSubmatch(string(experiments), -1)
+	cites := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`\(EXPERIMENTS\.md,\s+([^)]+)\)`).FindAllStringSubmatch(string(text), -1) {
+			cites++
+			section := strings.Join(strings.Fields(m[1]), " ")
+			if !slices.ContainsFunc(headings, func(h []string) bool {
+				return h[1] == section || strings.HasPrefix(h[1], section+" — ")
+			}) {
+				t.Errorf("%s cites EXPERIMENTS.md section %q, which no ## heading opens", doc, section)
+			}
+		}
+	}
+	if cites == 0 {
+		t.Error("DESIGN.md and README.md cite no EXPERIMENTS.md section: the citation pattern matches nothing")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"entangle/internal/core"
@@ -18,11 +19,39 @@ import (
 // kind is the same as with the frontier off (every G_d node folded,
 // every input spelling read), and so is whether an expectation holds.
 func TestFrontierIsTransparent(t *testing.T) {
-	for _, c := range append(zooAndCorpus(t), fuzzChecks(campaignCases(t))...) {
-		if on, off := c.kinds(core.Options{}), c.kinds(core.Options{DisableFrontier: true}); on != off {
-			t.Errorf("%s: verdicts with the frontier:\n%swithout:\n%s", c.name, on, off)
+	cases, on := baselineCases(t)
+	for i, c := range cases {
+		if off := c.kinds(core.Options{DisableFrontier: true}); on[i] != off {
+			t.Errorf("%s: verdicts with the frontier:\n%swithout:\n%s", c.name, on[i], off)
 		}
 	}
+}
+
+// baseline is the case list TestFrontierIsTransparent and
+// TestVerdictIgnoresRankOrderAndNames share — the zoo, the committed
+// fuzz corpus and a slice of the seed-7 campaign — with each case's
+// kinds under the default options, built once per test binary.
+var baseline struct {
+	once  sync.Once
+	built bool
+	cases []checkCase
+	kinds []string
+}
+
+// baselineCases returns the shared case list and its default kinds.
+func baselineCases(t *testing.T) ([]checkCase, []string) {
+	t.Helper()
+	baseline.once.Do(func() {
+		baseline.cases = append(zooAndCorpus(t), fuzzChecks(campaignCases(t))...)
+		for _, c := range baseline.cases {
+			baseline.kinds = append(baseline.kinds, c.kinds(core.Options{}))
+		}
+		baseline.built = true
+	})
+	if !baseline.built {
+		t.Fatal("the shared case list failed to build")
+	}
+	return baseline.cases, baseline.kinds
 }
 
 // kinds renders what a check of c under opts decides: whether its

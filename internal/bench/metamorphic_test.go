@@ -44,9 +44,9 @@ func TestVerdictIgnoresRankOrderAndNames(t *testing.T) {
 	}
 	latestFirst := func(a, b *graph.Node) bool { return a.ID > b.ID }
 	reorders := 0
-	cases := append(zooAndCorpus(t), fuzzChecks(campaignCases(t))...)
-	for _, c := range cases {
-		want := c.kinds(core.Options{})
+	cases, kinds := baselineCases(t)
+	for i, c := range cases {
+		want := kinds[i]
 
 		reversed := slices.Clone(c.gd.Inputs)
 		slices.Reverse(reversed)

@@ -10,7 +10,7 @@ package egraph
 import (
 	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"entangle/internal/expr"
 	"entangle/internal/shape"
@@ -59,17 +59,14 @@ func (n *ENode) isLeaf() bool { return n.Op == expr.OpTensor }
 // diagnostics and invariant messages. The hot path never calls it:
 // hash-consing keys on the interned (head, kids) pair instead.
 func (n ENode) key() string {
-	var b strings.Builder
-	b.Write(appendHeadKey(nil, &n))
-	b.WriteByte('(')
+	b := append(appendHeadKey(nil, &n), '(')
 	for i, k := range n.Kids {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", k)
+		b = strconv.AppendInt(b, int64(k), 10)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return string(append(b, ')'))
 }
 
 // parentEntry records one consumer of a class: the consuming node, as

@@ -588,3 +588,22 @@ func TestCheckInvariantsCatchesUnsortedSum(t *testing.T) {
 		t.Errorf("CheckInvariants returned %v, want the unsorted sum reported", err)
 	}
 }
+
+// CheckInvariants reports two nodes of one class with one canonical
+// identity: the intra-class dedup Rebuild owes.
+func TestCheckInvariantsCatchesDuplicateNode(t *testing.T) {
+	g := New(nil)
+	a, b, c := g.AddTerm(leafT(1, "A")), g.AddTerm(leafT(2, "B")), g.AddTerm(leafT(3, "C"))
+	s, u := insert(g, expr.OpSum, nil, a, b), insert(g, expr.OpSum, nil, b, c)
+	g.Union(s, u)
+	g.Rebuild()
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("a rebuilt graph violates: %v", err)
+	}
+	n := &g.arena[u]
+	g.memo.del(g.arena, memoHash(n.head, n.Kids), n.head, n.Kids)
+	n.Kids = []ClassID{a, b}
+	if err := g.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "duplicate node") {
+		t.Errorf("CheckInvariants returned %v, want the duplicate reported", err)
+	}
+}

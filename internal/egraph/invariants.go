@@ -93,6 +93,9 @@ func (g *EGraph) CheckInvariants() error {
 
 	total := 0
 	owner := make([]ClassID, len(g.arena)) // arena slot → the class whose chain holds it, +1
+	var recount, kept []int32              // per class: op counts by cl.ops position; the nodes seen
+	var kids []ClassID                     // the canonical kids of the node in hand
+	seen := firstByHash{byHash: map[uint64]int32{}}
 	for i, cl := range g.classes {
 		if cl == nil {
 			continue
@@ -121,40 +124,47 @@ func (g *EGraph) CheckInvariants() error {
 		}
 		total += chained
 
-		// 2b + 3. Operator counts and intra-class dedup.
-		recount := map[opID]int32{}
-		seen := map[string]bool{}
+		// 2b + 3. Operator counts and intra-class dedup; 4 and 5 per node.
+		recount = append(recount[:0], make([]int32, len(cl.ops))...)
+		kept = kept[:0]
+		seen.start(int(cl.count))
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
 			cn := g.arena[ni]
 			if expr.Unordered(cn.Op) && g.canonical(cn.Kids) && !slices.IsSorted(cn.Kids) {
 				return fmt.Errorf("class %d holds %s node %s whose canonical kids are not sorted", id, cn.Op, cn.key())
 			}
-			cn.Kids = g.appendCanon(nil, cn.Kids, expr.Unordered(cn.Op)) // not in canonBuf, which canonEquiv uses
+			kids = g.appendCanon(kids[:0], cn.Kids, expr.Unordered(cn.Op)) // not in canonBuf, which canonEquiv uses
+			cn.Kids = kids
 			h := cn.head
 			if h == 0 {
 				return fmt.Errorf("class %d node %s (arena slot %d) has no interned head", id, cn.key(), ni)
 			}
-			recount[g.opOfHead(h)]++
-			k := cn.key()
-			if seen[k] {
-				return fmt.Errorf("class %d holds duplicate node %s", id, k)
+			at := slices.IndexFunc(cl.ops, func(oc opCount) bool { return oc.op == g.opOfHead(h) })
+			if at < 0 {
+				return fmt.Errorf("class %d op-count drift: op %d has nodes but no index entry", id, g.opOfHead(h))
 			}
-			seen[k] = true
+			recount[at]++
+			hash := memoHash(h, cn.Kids)
+			if _, ok := seen.find(hash); ok && slices.ContainsFunc(kept, func(k int32) bool { return g.canonEquiv(&g.arena[k], &g.arena[ni]) }) {
+				return fmt.Errorf("class %d holds duplicate node %s", id, cn.key())
+			}
+			seen.add(hash, int32(len(kept)))
+			kept = append(kept, ni)
 
 			// 4 (node → memo direction).
-			mc, ok := g.memo.get(g.arena, memoHash(h, cn.Kids), h, cn.Kids)
+			mc, ok := g.memo.get(g.arena, hash, h, cn.Kids)
 			if !ok {
-				return fmt.Errorf("class %d node %s missing from memo", id, k)
+				return fmt.Errorf("class %d node %s missing from memo", id, cn.key())
 			}
 			if g.Find(mc) != id {
-				return fmt.Errorf("class %d node %s maps to class %d in memo", id, k, g.Find(mc))
+				return fmt.Errorf("class %d node %s maps to class %d in memo", id, cn.key(), g.Find(mc))
 			}
 
 			// 5. Parent registration and consumer bits.
 			for _, kid := range cn.Kids {
 				kc := g.classes[g.Find(kid)]
 				if kc == nil {
-					return fmt.Errorf("class %d node %s has kid %d with no class record", id, k, kid)
+					return fmt.Errorf("class %d node %s has kid %d with no class record", id, cn.key(), kid)
 				}
 				found := false
 				for _, p := range kc.parents {
@@ -164,21 +174,15 @@ func (g *EGraph) CheckInvariants() error {
 					}
 				}
 				if !found {
-					return fmt.Errorf("class %d node %s not registered in parents of kid class %d", id, k, g.Find(kid))
+					return fmt.Errorf("class %d node %s not registered in parents of kid class %d", id, cn.key(), g.Find(kid))
 				}
 				if kc.consumers&consumerBit(g.opOfHead(h)) == 0 {
-					return fmt.Errorf("class %d is consumed by %s node %s of class %d, but its consumer bit is clear", g.Find(kid), cn.Op, k, id)
+					return fmt.Errorf("class %d is consumed by %s node %s of class %d, but its consumer bit is clear", g.Find(kid), cn.Op, cn.key(), id)
 				}
 			}
 		}
-		for _, oc := range cl.ops {
-			if oc.n != recount[oc.op] {
-				return fmt.Errorf("class %d op-count drift: op %d counted %d, recounted %d", id, oc.op, oc.n, recount[oc.op])
-			}
-			delete(recount, oc.op)
-		}
-		for op, n := range recount {
-			return fmt.Errorf("class %d op-count drift: op %d has %d nodes but no index entry", id, op, n)
+		if !slices.EqualFunc(cl.ops, recount, func(oc opCount, n int32) bool { return oc.n == n }) {
+			return fmt.Errorf("class %d op-count drift: counted %v, recounted %v", id, cl.ops, recount)
 		}
 	}
 
@@ -199,10 +203,8 @@ func (g *EGraph) CheckInvariants() error {
 		// tolerated as long as the canonical form also resolves (the
 		// node→memo direction above checked it); a fully canonical
 		// entry must be present in its class.
-		for _, k := range n.Kids {
-			if g.Find(k) != k {
-				return true
-			}
+		if !g.canonical(n.Kids) {
+			return true
 		}
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
 			if g.canonEquiv(&g.arena[ni], n) {

@@ -11,6 +11,14 @@ stages="fmt vet test race fuzz mc lint"
 
 cd "$(dirname "$0")/.."
 
+# timed CMD...: run CMD, then print its wall time and the command, so
+# each race package's headroom under its -timeout shows in every log.
+timed() {
+    t0=$(date +%s)
+    "$@"
+    echo "-- $(($(date +%s) - t0)) s: $*"
+}
+
 stage_fmt() {
     unformatted=$(gofmt -l .)
     if [ -n "$unformatted" ]; then
@@ -52,25 +60,25 @@ stage_race() {
     # New/Release hammer run here, audited and raced.
     # core runs the prefetch-vs-inline-probe differential at workers 1/4
     # (TestPlanUnplannedByteIdentical), byte-identical cold and warm.
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
+    timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
     # egraph runs the naive-vs-indexed matcher differential over the zoo.
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
-    go test -race ./internal/fingerprint/... ./internal/vcache/...
+    timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
+    timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
+    timed go test -race ./internal/fingerprint/... ./internal/vcache/...
     # The daemon hands core the G_d digest its table holds; audited, core
     # derives every one it is handed again and panics on a disagreement.
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/server/...
-    go test -race -timeout 120s ./internal/cluster/...
+    timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/server/...
+    timed go test -race -timeout 120s ./internal/cluster/...
     # bench drives the checker through its concurrent harnesses and its
     # corpus differentials (workers 1/4, recycled graphs, cold/warm/no
     # cache: TestSaturationDifferential, TestPlannedPathDifferential); mc's own
     # large-scope exploration is skipped here (-short) and runs raced in the
     # dedicated mc CI job.
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/bench/...
+    timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/bench/...
     # fuzz composes random strategies and checks them with Workers>1; the
     # race run doubles as a worker-count-independence stress.
-    ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/fuzz/...
-    go test -race -short ./internal/mc/...
+    timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/fuzz/...
+    timed go test -race -short ./internal/mc/...
 }
 
 # Ten seconds of arbitrary bytes into each parser that reads what a
@@ -134,7 +142,9 @@ for stage in "$@"; do
     case " $stages " in
     *" $stage "*)
         echo "== $stage =="
+        began=$(date +%s)
         "stage_$stage"
+        echo "== $stage: $(($(date +%s) - began)) s =="
         ;;
     *)
         echo "verify.sh: unknown stage '$stage' (stages: $stages)" >&2
