@@ -24,8 +24,9 @@ benchmark-compare:
 # The full gate: gofmt, vet, build, tests, the race detector over the
 # concurrent packages, ten seconds of fuzzing per wire and file format
 # (verify.sh's `fuzz` stage; not the strategy fuzzer below), the model
-# checker and the linter. scripts/verify.sh is the only list of what each stage runs;
-# `make lint` and `make mc` run one stage of it.
+# checker, the linter and the least-code count. scripts/verify.sh is the
+# only list of what each stage runs; `make lint`, `make mc` and `make loc`
+# run one stage of it.
 verify:
 	sh scripts/verify.sh
 
@@ -44,13 +45,7 @@ fuzz:
 fmt:
 	gofmt -w .
 
-# ROADMAP item 12's least-code count: non-test Go lines per package of
-# the checker, the e-graph, the fleet (with its simulator), the daemon,
-# the experiments and the end-to-end benchmark, then their total.
-LOC_PKGS = internal/core internal/egraph internal/cluster internal/server internal/bench benchmark
-
+# ROADMAP item 12's least-code count, per package and in total: the
+# last stage of `make verify`.
 loc:
-	@total=0; for d in $(LOC_PKGS); do \
-		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-		printf '%-18s %6d\n' $$d $$n; total=$$((total + n)); \
-	done; printf '%-18s %6d\n' total $$total
+	sh scripts/verify.sh loc

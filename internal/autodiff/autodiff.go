@@ -93,7 +93,7 @@ func addInput(g *graph.Graph, name string, sh shape.Shape) (graph.TensorID, erro
 	t := &graph.Tensor{ID: id, Name: name, Shape: sh, Producer: graph.NoProducer}
 	g.Tensors = append(g.Tensors, t)
 	g.Inputs = append(g.Inputs, id)
-	registerName(g, name, id)
+	graph.RegisterTensorName(g, name, id)
 	return id, nil
 }
 
@@ -226,7 +226,7 @@ func backprop(g *graph.Graph, n *graph.Node, dys []graph.TensorID, adjoints map[
 		d := n.Ints[0]
 		off := sym.Const(0)
 		for i, in := range n.Inputs {
-			di, err := dimIndex(d, len(g.Tensor(in).Shape))
+			di, err := shape.DimIndex(d, len(g.Tensor(in).Shape))
 			if err != nil {
 				return err
 			}
@@ -243,7 +243,7 @@ func backprop(g *graph.Graph, n *graph.Node, dys []graph.TensorID, adjoints map[
 	case expr.OpSlice:
 		d, b, e := n.Ints[0], n.Ints[1], n.Ints[2]
 		in := n.Inputs[0]
-		di, err := dimIndex(d, len(g.Tensor(in).Shape))
+		di, err := shape.DimIndex(d, len(g.Tensor(in).Shape))
 		if err != nil {
 			return err
 		}
@@ -257,7 +257,7 @@ func backprop(g *graph.Graph, n *graph.Node, dys []graph.TensorID, adjoints map[
 	case expr.OpPad:
 		d, bf := n.Ints[0], n.Ints[1]
 		in := n.Inputs[0]
-		di, err := dimIndex(d, len(g.Tensor(in).Shape))
+		di, err := shape.DimIndex(d, len(g.Tensor(in).Shape))
 		if err != nil {
 			return err
 		}
@@ -304,7 +304,7 @@ func backprop(g *graph.Graph, n *graph.Node, dys []graph.TensorID, adjoints map[
 		d := n.Ints[0]
 		off := sym.Const(0)
 		for j, in := range n.Inputs {
-			di, err := dimIndex(d, len(g.Tensor(in).Shape))
+			di, err := shape.DimIndex(d, len(g.Tensor(in).Shape))
 			if err != nil {
 				return err
 			}
@@ -418,25 +418,4 @@ func reduceToShape(g *graph.Graph, grad graph.TensorID, want shape.Shape, label 
 		}
 	}
 	return cur, nil
-}
-
-func dimIndex(d sym.Expr, rank int) (int, error) {
-	v, ok := d.IsConst()
-	if !ok {
-		return 0, fmt.Errorf("autodiff: symbolic dim unsupported")
-	}
-	if v < 0 {
-		v += int64(rank)
-	}
-	if v < 0 || int(v) >= rank {
-		return 0, fmt.Errorf("autodiff: dim %d out of range", v)
-	}
-	return int(v), nil
-}
-
-// registerName exposes graph's private name index via a tiny shim: the
-// graph package keeps tensor names unique, so Append-time registration
-// must go through it.
-func registerName(g *graph.Graph, name string, id graph.TensorID) {
-	graph.RegisterTensorName(g, name, id)
 }

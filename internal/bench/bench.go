@@ -14,13 +14,12 @@ import (
 
 	"entangle/internal/core"
 	"entangle/internal/graph"
-	"entangle/internal/hlo"
 	"entangle/internal/lemmas"
 	"entangle/internal/models"
-	"entangle/internal/relation"
 )
 
-// Workload is one verifiable model configuration.
+// Workload is one Figure 3 model: what the sweeps need to build it at
+// any parallelism degree and depth.
 type Workload struct {
 	Name     string
 	Strategy string // human-readable strategy summary (Table 2)
@@ -31,6 +30,16 @@ type Workload struct {
 	// Parallelisms lists the degrees Figure 4 sweeps for this model
 	// (nil: only degree 2 is used).
 	Parallelisms []int
+}
+
+// Case is the workload at one parallelism degree and depth, named
+// Name(degree) — with its depth appended when that is not one layer.
+func (w Workload) Case(parallel, layers int) ZooCase {
+	name := fmt.Sprintf("%s(%d)", w.Name, parallel)
+	if layers != 1 {
+		name += fmt.Sprintf(" × %d layers", layers)
+	}
+	return ZooCase{Name: name, ViaHLO: w.ViaHLO, Build: func() (*models.Built, error) { return w.Build(parallel, layers) }}
 }
 
 // Fig3Workloads returns the Figure 3 model set (Table 2's open models
@@ -85,83 +94,61 @@ func fig3Workload(name string) Workload {
 	return ws[slices.IndexFunc(ws, func(w Workload) bool { return w.Name == name })]
 }
 
-// Result is one verification run's measurements.
+// Result is one case's check: its size, its time and the last check's
+// report.
 type Result struct {
-	Workload    string
-	Parallelism int
-	Layers      int
-	Ops         int // |G_s| + |G_d|
-	Duration    time.Duration
-	Report      *core.Report
-	Registry    *lemmas.Registry
+	Ops      int           // |G_s| + |G_d|
+	Duration time.Duration // the median check
+	Report   *core.Report  // nil for an expectation case
+	Registry *lemmas.Registry
+	Gs       *graph.Graph // the G_s the report's verdicts name
 }
 
-// Run verifies one workload configuration sequentially (one checker
-// worker) and returns measurements. The figure experiments all use
-// this path so their timings stay comparable to the paper's
-// single-threaded Rust prototype; RunWorkers measures the wavefront
-// scheduler.
-func Run(w Workload, parallel, layers int) (*Result, error) {
-	return RunWorkers(w, parallel, layers, 1)
-}
-
-// RunWorkers is Run with an explicit checker worker count (the
-// wavefront scheduler's pool size; 1 = sequential walk).
-func RunWorkers(w Workload, parallel, layers, workers int) (*Result, error) {
-	gs, gd, ri, err := w.graphs(parallel, layers)
-	if err != nil {
-		return nil, err
-	}
-	reg := lemmas.Default()
-	checker := core.NewChecker(core.Options{Registry: reg, Workers: workers})
-	start := time.Now()
-	report, err := checker.Check(gs, gd, ri)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", w.Name, err)
-	}
-	return &Result{
-		Workload:    w.Name,
-		Parallelism: parallel,
-		Layers:      layers,
-		Ops:         gs.OperatorCount() + gd.OperatorCount(),
-		Duration:    time.Since(start),
-		Report:      report,
-		Registry:    reg,
-	}, nil
-}
-
-// graphs builds one configuration of the workload and returns what the
-// checker takes — after the HLO text round trip for ViaHLO workloads.
-func (w Workload) graphs(parallel, layers int) (*graph.Graph, *graph.Graph, *relation.Relation, error) {
-	b, err := w.Build(parallel, layers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if w.ViaHLO {
-		return hlo.RoundTrip(b.Gs, b.Gd, b.Ri)
-	}
-	return b.Gs, b.Gd, b.Ri, nil
-}
-
-// figureRuns is how many cold checks time one Figure 3 row or Figure 4
-// cell: it reads their median, to 0.1 ms. One check of a few
+// figureRuns is how many cold checks Run times: it reads their median,
+// which the experiments print to 0.1 ms. One check of a few
 // milliseconds is too noisy to read alone.
 const figureRuns = 5
 
-// timed runs a configuration n times and returns the last result, timed
-// at the rank-th fastest of the n (0: the best).
-func timed(n, rank int, w Workload, parallel, layers, workers int) (*Result, error) {
+// Run is how every experiment checks a case and times it. The case is
+// built once, then checked figureRuns times, each by a fresh checker
+// (cold), and Duration is the median check. opts.Workers 0 selects one
+// worker, the paper's single-threaded prototype; a study of the
+// wavefront scheduler sets the pool. An expectation case is checked
+// with CheckExpectation against its pair's ExpectFs/ExpectFd. The
+// check's error comes back beside the result, as Check returns a
+// report beside it: a bug case's error is its finding.
+func Run(c ZooCase, opts core.Options) (*Result, error) { return run(c, opts, figureRuns) }
+
+// run is Run with n checks; an experiment that reads no time checks
+// once.
+func run(c ZooCase, opts core.Options, n int) (*Result, error) {
+	b, gs, gd, ri, err := c.Graphs()
+	if err != nil {
+		return nil, err
+	}
+	if opts.Workers == 0 {
+		opts.Workers = 1
+	}
+	if opts.Registry == nil {
+		opts.Registry = lemmas.Default()
+	}
+	res := &Result{Ops: gs.OperatorCount() + gd.OperatorCount(), Registry: opts.Registry, Gs: gs}
 	times := make([]time.Duration, n)
-	var res *Result
 	for i := range times {
-		r, err := RunWorkers(w, parallel, layers, workers)
-		if err != nil {
-			return nil, err
+		checker := core.NewChecker(opts)
+		start := time.Now()
+		if c.Expectation {
+			err = checker.CheckExpectation(gs, gd, ri, core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd})
+		} else {
+			res.Report, err = checker.Check(gs, gd, ri)
 		}
-		res, times[i] = r, r.Duration
+		times[i] = time.Since(start)
 	}
 	slices.Sort(times)
-	res.Duration = times[rank]
+	res.Duration = times[n/2]
+	if err != nil {
+		return res, fmt.Errorf("%s: %w", c.Name, err)
+	}
 	return res, nil
 }
 
@@ -173,12 +160,12 @@ func Fig3() (string, []*Result, error) {
 	fmt.Fprintf(&out, "%-16s %-26s %10s %12s\n", "model", "strategy", "#ops", "time")
 	var results []*Result
 	for _, w := range Fig3Workloads() {
-		res, err := timed(figureRuns, figureRuns/2, w, 2, 1, 1)
+		res, err := Run(w.Case(2, 1), core.Options{})
 		if err != nil {
 			return "", nil, err
 		}
 		results = append(results, res)
-		fmt.Fprintf(&out, "%-16s %-26s %10d %12.1f\n", res.Workload, w.Strategy, res.Ops, msOf(res.Duration))
+		fmt.Fprintf(&out, "%-16s %-26s %10d %12.1f\n", w.Name, w.Strategy, res.Ops, msOf(res.Duration))
 	}
 	return out.String(), results, nil
 }
@@ -204,7 +191,7 @@ func fig4(layers []int) (string, []*Result, error) {
 		for _, p := range w.Parallelisms {
 			fmt.Fprintf(&out, "%-12d", p)
 			for _, l := range layers {
-				res, err := timed(figureRuns, figureRuns/2, w, p, l, 1)
+				res, err := Run(w.Case(p, l), core.Options{})
 				if err != nil {
 					return err
 				}
@@ -236,7 +223,7 @@ func Fig5() (string, error) {
 	fmt.Fprintln(&out, "Figure 5a: operators, lemmas used, avg lemma complexity")
 	fmt.Fprintf(&out, "%-16s %8s %8s %12s\n", "model", "#ops", "#lemmas", "avg cmplx")
 	for _, w := range Fig3Workloads() {
-		res, err := Run(w, 2, 1)
+		res, err := run(w.Case(2, 1), core.Options{}, 1)
 		if err != nil {
 			return "", err
 		}
@@ -249,7 +236,7 @@ func Fig5() (string, error) {
 		if len(used) > 0 {
 			avg = float64(total) / float64(len(used))
 		}
-		fmt.Fprintf(&out, "%-16s %8d %8d %12.1f\n", res.Workload, res.Ops, len(used), avg)
+		fmt.Fprintf(&out, "%-16s %8d %8d %12.1f\n", w.Name, res.Ops, len(used), avg)
 	}
 	fmt.Fprintln(&out)
 	fmt.Fprintln(&out, "Figure 5b: CDF of LOC per lemma (full library)")
@@ -280,24 +267,14 @@ func Fig6() (string, error) {
 	}
 	reg := lemmas.Default()
 	var rows []row
-	add := func(label string, w Workload, p int) error {
-		res, err := Run(w, p, 1)
+	gpt := fig3Workload("GPT")
+	for _, c := range []ZooCase{gpt.Case(2, 1), gpt.Case(4, 1), gpt.Case(8, 1),
+		fig3Workload("Qwen2").Case(4, 1), fig3Workload("Llama-3").Case(4, 1)} {
+		res, err := run(c, core.Options{}, 1)
 		if err != nil {
-			return err
-		}
-		rows = append(rows, row{label: label, counts: res.Registry.LemmaCounts(res.Report.Stats.Applications)})
-		return nil
-	}
-	for _, p := range []int{2, 4, 8} {
-		if err := add(fmt.Sprintf("GPT(%d)", p), fig3Workload("GPT"), p); err != nil {
 			return "", err
 		}
-	}
-	if err := add("Qwen2(4)", fig3Workload("Qwen2"), 4); err != nil {
-		return "", err
-	}
-	if err := add("Llama-3(4)", fig3Workload("Llama-3"), 4); err != nil {
-		return "", err
+		rows = append(rows, row{label: c.Name, counts: res.Registry.LemmaCounts(res.Report.Stats.Applications)})
 	}
 
 	var out strings.Builder

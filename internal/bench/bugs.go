@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"entangle/internal/core"
 	"entangle/internal/models"
@@ -65,12 +64,16 @@ func BugCases() []BugCase {
 	}
 }
 
+// Case is the bug as a zoo case, named bug<ID>.
+func (c BugCase) Case() ZooCase {
+	return ZooCase{Name: fmt.Sprintf("bug%d", c.ID), Build: c.Build, Expectation: c.Expectation}
+}
+
 // BugOutcome records one bug run.
 type BugOutcome struct {
 	Case      BugCase
 	Detected  bool
 	Localized string // the operator label ENTANGLE reported
-	Duration  time.Duration
 	Err       error
 }
 
@@ -78,32 +81,14 @@ type BugOutcome struct {
 // refinement + expectation for the §4.4 cases.
 func RunBug(c BugCase) BugOutcome {
 	out := BugOutcome{Case: c}
-	b, err := c.Build()
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	checker := core.NewChecker(core.Options{})
-	start := time.Now()
-	if c.Expectation {
-		err = checker.CheckExpectation(b.Gs, b.Gd, b.Ri,
-			core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd})
-		out.Duration = time.Since(start)
-		var ee *core.ExpectationError
-		if errors.As(err, &ee) {
-			out.Detected = true
-			out.Localized = "user expectation on " + b.ExpectFs.String()
-		} else if err != nil {
-			out.Err = err
-		}
-		return out
-	}
-	_, err = checker.Check(b.Gs, b.Gd, b.Ri)
-	out.Duration = time.Since(start)
-	if op := core.FailingOp(err); op != nil {
-		out.Detected = true
-		out.Localized = op.Label
-	} else if err != nil {
+	_, err := run(c.Case(), core.Options{}, 1)
+	var ee *core.ExpectationError
+	switch op := core.FailingOp(err); {
+	case c.Expectation && errors.As(err, &ee):
+		out.Detected, out.Localized = true, "user expectation on "+ee.Expect.Fs.String()
+	case !c.Expectation && op != nil:
+		out.Detected, out.Localized = true, op.Label
+	default:
 		out.Err = err
 	}
 	return out
@@ -131,26 +116,18 @@ func Table3() (string, []BugOutcome, error) {
 // against folding the whole G_d into every per-operator e-graph, on
 // the GPT workload — the design choice DESIGN.md calls out.
 func Ablation() (string, error) {
-	build := func() (*models.Built, error) {
-		return models.GPT(models.Options{TP: 2, SP: true})
-	}
 	var out strings.Builder
-	fmt.Fprintln(&out, "Ablation: §4.3.1 frontier-restricted G_d exploration (GPT, TP+SP, degree 2)")
-	for _, disable := range []bool{false, true} {
-		b, err := build()
+	fmt.Fprintf(&out, "Ablation: §4.3.1 frontier-restricted G_d exploration (GPT, TP+SP, degree 2; median of %d, ms)\n", figureRuns)
+	gpt := zooCase("GPT(2)")
+	var ms [2]float64
+	for i, mode := range []string{"frontier (Listing 3)", "whole-graph folding"} {
+		res, err := Run(gpt, core.Options{DisableFrontier: i == 1})
 		if err != nil {
 			return "", err
 		}
-		checker := core.NewChecker(core.Options{DisableFrontier: disable})
-		start := time.Now()
-		if _, err := checker.Check(b.Gs, b.Gd, b.Ri); err != nil {
-			return "", err
-		}
-		mode := "frontier (Listing 3)"
-		if disable {
-			mode = "whole-graph folding"
-		}
-		fmt.Fprintf(&out, "  %-24s %12s\n", mode, time.Since(start).Round(time.Millisecond))
+		ms[i] = msOf(res.Duration)
+		fmt.Fprintf(&out, "  %-24s %12.1f\n", mode, ms[i])
 	}
+	fmt.Fprintf(&out, "  %-24s %11.1fx\n", "whole-graph / frontier", ms[1]/ms[0])
 	return out.String(), nil
 }

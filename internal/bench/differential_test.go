@@ -35,9 +35,8 @@ func TestSaturationDifferential(t *testing.T) {
 		t.Skip("model corpus differential is not short")
 	}
 	for _, w := range saturateWorkloads() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			gs, gd, ri, err := w.graphs(2, 1)
+			_, gs, gd, ri, err := w.Case(2, 1).Graphs()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,9 +103,8 @@ func TestPlannedPathDifferential(t *testing.T) {
 		t.Skip("model corpus differential is not short")
 	}
 	for _, w := range saturateWorkloads() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			gs, gd, ri, err := w.graphs(2, 1)
+			_, gs, gd, ri, err := w.Case(2, 1).Graphs()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,11 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"entangle/internal/core"
-	"entangle/internal/models"
 )
+
+// extensionStrategies labels the Zoo cases Extensions times.
+var extensionStrategies = map[string]string{
+	"DataParallel(2)":    "DP fwd+bwd, DDP grad sync",
+	"DataParallel(4)":    "DP fwd+bwd, DDP grad sync",
+	"Pipeline(2)":        "PP, 2 stages × 2 microbatches",
+	"Pipeline(4)":        "PP, 2 stages × 4 microbatches",
+	"ContextParallel(2)": "CP, blockwise attention",
+	"ContextParallel(4)": "CP, blockwise attention",
+}
 
 // Extensions exercises the three §2.1 strategies the paper could not
 // evaluate because of TorchDynamo limitations (§6.1): data parallelism
@@ -17,55 +25,23 @@ import (
 // neither limitation, so these run as ordinary refinement checks.
 func Extensions() (string, error) {
 	var out strings.Builder
-	fmt.Fprintln(&out, "Extensions: the §2.1 strategies the paper could not capture")
+	fmt.Fprintf(&out, "Extensions: the §2.1 strategies the paper could not capture (median of %d, ms)\n", figureRuns)
 	fmt.Fprintf(&out, "%-22s %-34s %10s %12s\n", "workload", "strategy", "#ops", "time")
-
-	type ext struct {
-		name, strat string
-		build       func() (*models.Built, error)
-	}
-	cases := []ext{
-		{"DataParallel(2)", "DP fwd+bwd, DDP grad sync", func() (*models.Built, error) {
-			return models.DataParallel(2, true)
-		}},
-		{"DataParallel(4)", "DP fwd+bwd, DDP grad sync", func() (*models.Built, error) {
-			return models.DataParallel(4, true)
-		}},
-		{"Pipeline(2)", "PP, 2 stages × 2 microbatches", func() (*models.Built, error) {
-			return models.Pipeline(2, false)
-		}},
-		{"Pipeline(4)", "PP, 2 stages × 4 microbatches", func() (*models.Built, error) {
-			return models.Pipeline(4, false)
-		}},
-		{"ContextParallel(2)", "CP, blockwise attention", func() (*models.Built, error) {
-			return models.ContextParallel(2)
-		}},
-		{"ContextParallel(4)", "CP, blockwise attention", func() (*models.Built, error) {
-			return models.ContextParallel(4)
-		}},
-	}
-	checker := core.NewChecker(core.Options{})
-	for _, c := range cases {
-		b, err := c.build()
+	for _, c := range Zoo() {
+		strategy, ok := extensionStrategies[c.Name]
+		if !ok {
+			continue
+		}
+		res, err := Run(c, core.Options{})
 		if err != nil {
 			return "", err
 		}
-		start := time.Now()
-		if _, err := checker.Check(b.Gs, b.Gd, b.Ri); err != nil {
-			return "", fmt.Errorf("%s: %v", c.name, err)
-		}
-		fmt.Fprintf(&out, "%-22s %-34s %10d %12s\n", c.name, c.strat,
-			b.Gs.OperatorCount()+b.Gd.OperatorCount(), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(&out, "%-22s %-34s %10d %12.1f\n", c.Name, strategy, res.Ops, msOf(res.Duration))
 	}
 
 	// DP without gradient sync: plain refinement holds, the DDP user
 	// expectation is violated — same §4.4 shape as bugs 5/8/9.
-	b, err := models.DataParallel(2, false)
-	if err != nil {
-		return "", err
-	}
-	err = checker.CheckExpectation(b.Gs, b.Gd, b.Ri,
-		core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd})
+	_, err := run(zooCase("DataParallel(2)/unsynced-expectation"), core.Options{}, 1)
 	var ee *core.ExpectationError
 	if !errors.As(err, &ee) {
 		return "", fmt.Errorf("unsynced DP should violate the DDP expectation, got %v", err)

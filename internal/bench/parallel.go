@@ -8,79 +8,61 @@ import (
 
 	"entangle/internal/core"
 	"entangle/internal/graph"
-	"entangle/internal/lemmas"
 	"entangle/internal/models"
 )
 
-// parallelWorkloads are the wavefront speedup study's models. The
+// parallelCases are the wavefront speedup study's models. The
 // MultiTower ensembles are the wide cases — their towers form large
 // anti-chains in G_s, so the wavefront scheduler can keep a full pool
 // busy. The transformer stacks are the control group: their G_s is a
 // chain of layers (critical path ≈ total work), so DAG-level
 // parallelism cannot help them, whatever the pool size.
-func parallelWorkloads() []struct {
-	w        Workload
-	parallel int
-	layers   int
-} {
-	return []struct {
-		w        Workload
-		parallel int
-		layers   int
-	}{
-		{Workload{Name: "MultiTower-8 (TP)", Build: func(p, l int) (*models.Built, error) {
-			return models.MultiTower(8, p)
-		}}, 4, 1},
-		{Workload{Name: "MultiTower-16 (TP)", Build: func(p, l int) (*models.Built, error) {
-			return models.MultiTower(16, p)
-		}}, 2, 1},
-		{Workload{Name: "GPT (TP+SP)", Build: func(p, l int) (*models.Built, error) {
-			return models.GPT(models.Options{TP: p, SP: true, Cfg: models.Config{Layers: l}})
-		}}, 4, 3},
-		{Workload{Name: "ByteDance-Fwd (MoE)", Build: func(p, l int) (*models.Built, error) {
-			cfg := models.SeedMoEConfig()
-			cfg.Layers = l
-			cfg.Experts = p // one expert per rank, the paper's EP layout
-			return models.SeedMoE(models.Options{TP: p, Cfg: cfg})
-		}}, 4, 3},
-		{Workload{Name: "Regression (chain)", Build: func(p, l int) (*models.Built, error) {
-			return models.Regression(models.Options{GradAccum: p})
-		}}, 4, 1},
+func parallelCases() []ZooCase {
+	moe := models.SeedMoEConfig()
+	moe.Layers = 3
+	moe.Experts = 4 // one expert per rank, the paper's EP layout
+	return []ZooCase{
+		{Name: "MultiTower-8 (TP)", Build: func() (*models.Built, error) { return models.MultiTower(8, 4) }},
+		{Name: "MultiTower-16 (TP)", Build: func() (*models.Built, error) { return models.MultiTower(16, 2) }},
+		{Name: "GPT (TP+SP)", Build: func() (*models.Built, error) {
+			return models.GPT(models.Options{TP: 4, SP: true, Cfg: models.Config{Layers: 3}})
+		}},
+		{Name: "ByteDance-Fwd (MoE)", Build: func() (*models.Built, error) {
+			return models.SeedMoE(models.Options{TP: 4, Cfg: moe})
+		}},
+		{Name: "Regression (chain)", Build: func() (*models.Built, error) {
+			return models.Regression(models.Options{GradAccum: 4})
+		}},
 	}
 }
 
 // Parallel runs the wavefront scheduler study: for each model it
-// measures wall-clock time sequentially (Workers: 1) and with a
-// 4-worker pool, and separately profiles per-operator durations to
-// compute the DAG's work/span bound and a deterministic simulation of
-// the 4-worker wavefront schedule (list scheduling by topo index, the
-// scheduler's actual policy). The simulated speedup is
+// times its check (Run's median) sequentially (Workers: 1) and with a
+// 4-worker pool, and reads the last sequential check's per-operator
+// durations to compute the DAG's work/span bound and a deterministic
+// simulation of the 4-worker wavefront schedule (list scheduling by
+// topo index, the scheduler's actual policy). The simulated speedup is
 // hardware-independent; the measured one is limited by GOMAXPROCS —
 // on a single-CPU host it stays ≈ 1× for every model.
 func Parallel() (string, error) {
 	const workers = 4
 	var out strings.Builder
-	fmt.Fprintf(&out, "Wavefront scheduler: sequential vs %d workers (best of 3, GOMAXPROCS=%d)\n",
-		workers, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(&out, "Wavefront scheduler: sequential vs %d workers (median of %d, ms; GOMAXPROCS=%d)\n",
+		workers, figureRuns, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&out, "%-22s %6s %10s %10s %9s %9s %9s\n",
 		"model", "#ops", "workers=1", fmt.Sprintf("workers=%d", workers), "measured", "span-lim", fmt.Sprintf("sim@%d", workers))
-	for _, c := range parallelWorkloads() {
-		seq, err := timed(3, 0, c.w, c.parallel, c.layers, 1)
+	for _, c := range parallelCases() {
+		seq, err := Run(c, core.Options{})
 		if err != nil {
 			return "", err
 		}
-		par, err := timed(3, 0, c.w, c.parallel, c.layers, workers)
+		par, err := Run(c, core.Options{Workers: workers})
 		if err != nil {
 			return "", err
 		}
-		prof, err := profileSchedule(c.w, c.parallel, c.layers, workers)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&out, "%-22s %6d %10s %10s %8.2fx %8.2fx %8.2fx\n",
-			c.w.Name, prof.ops,
-			seq.Duration.Round(time.Millisecond),
-			par.Duration.Round(time.Millisecond),
+		prof := profileSchedule(seq, workers)
+		fmt.Fprintf(&out, "%-22s %6d %10.1f %10.1f %8.2fx %8.2fx %8.2fx\n",
+			c.Name, prof.ops, msOf(seq.Duration), msOf(par.Duration),
 			float64(seq.Duration)/float64(par.Duration),
 			prof.spanBound, prof.simSpeedup)
 	}
@@ -102,20 +84,12 @@ type scheduleProfile struct {
 	simSpeedup float64 // work / simulated W-worker makespan
 }
 
-// profileSchedule times every operator of one sequential check — its
-// verdict's Duration, every escalation attempt included — then computes
-// the critical path of G_s weighted by those durations and simulates
-// the wavefront policy (W workers, earliest-topo-index-first) to get
-// its makespan.
-func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfile, error) {
-	gs, gd, ri, err := w.graphs(parallel, layers)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1}).Check(gs, gd, ri)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %v", w.Name, err)
-	}
+// profileSchedule reads the per-operator times of a sequential check —
+// each verdict's Duration — then computes the critical path of G_s
+// weighted by those durations and simulates the wavefront policy (W
+// workers, earliest-topo-index-first) to get its makespan.
+func profileSchedule(seq *Result, workers int) *scheduleProfile {
+	rep := seq.Report
 
 	// Verdicts are in topological order.
 	n := len(rep.Verdicts)
@@ -127,7 +101,7 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 		d[i] = v.Duration
 		work += d[i]
 	}
-	producers := gs.Producers(order)
+	producers := seq.Gs.Producers(order)
 
 	// Critical path (span): longest duration-weighted producer chain.
 	cp := make([]time.Duration, n)
@@ -180,5 +154,5 @@ func profileSchedule(w Workload, parallel, layers, workers int) (*scheduleProfil
 	if makespan > 0 {
 		prof.simSpeedup = float64(work) / float64(makespan)
 	}
-	return prof, nil
+	return prof
 }

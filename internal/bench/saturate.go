@@ -65,28 +65,22 @@ func saturateWorkloads() []Workload {
 	return out
 }
 
-// saturateCase is one measured point: a corpus model at a parallelism
-// degree and depth.
-type saturateCase struct {
-	name             string
-	w                Workload
-	parallel, layers int
-}
-
-// saturateCases is what `-exp saturate` measures: the corpus at its
-// Figure 3 configuration — e-graphs of at most a hundred nodes, under a
-// megabyte a check — and GPT at parallelism 8 with three layers, where
-// the end-to-end benchmark's cost sits: e-graphs of up to ≈ 480 live
-// nodes over more class slots than a recycled graph keeps.
-func saturateCases() []saturateCase {
-	var out, deep []saturateCase
+// saturateCases is what `-exp saturate` measures, each case named as
+// its point: the corpus at its Figure 3 configuration — e-graphs of at
+// most a hundred nodes, under a megabyte a check — and GPT at
+// parallelism 8 with three layers, where the end-to-end benchmark's
+// cost sits: e-graphs of up to ≈ 480 live nodes over more class slots
+// than a recycled graph keeps.
+func saturateCases() []ZooCase {
+	var out []ZooCase
 	for _, w := range saturateWorkloads() {
-		out = append(out, saturateCase{w.Name, w, 2, 1})
-		if w.Name == "GPT" {
-			deep = append(deep, saturateCase{"GPT-tp8-L3", w, 8, 3})
-		}
+		c := w.Case(2, 1)
+		c.Name = w.Name
+		out = append(out, c)
 	}
-	return append(out, deep...)
+	deep := fig3Workload("GPT").Case(8, 3)
+	deep.Name = "GPT-tp8-L3"
+	return append(out, deep)
 }
 
 // Saturate measures the cold-check hot path on the saturation corpus.
@@ -116,8 +110,8 @@ func Saturate() (string, []SaturatePoint, error) {
 // and (for Llama) the HLO round trip happen once, outside the timed
 // region; each timed check re-runs the full wavefront walk, every
 // per-operator e-graph saturating from empty.
-func saturatePoint(c saturateCase) (*SaturatePoint, error) {
-	gs, gd, ri, err := c.w.graphs(c.parallel, c.layers)
+func saturatePoint(c ZooCase) (*SaturatePoint, error) {
+	_, gs, gd, ri, err := c.Graphs()
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +122,7 @@ func saturatePoint(c saturateCase) (*SaturatePoint, error) {
 	// runs, so one sample suffices).
 	warm, err := checker.Check(gs, gd, ri)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %v", c.name, err)
+		return nil, fmt.Errorf("%s: %v", c.Name, err)
 	}
 
 	// Time enough checks to cover ~1s of wall clock (min 4), split
@@ -160,7 +154,7 @@ func saturatePoint(c saturateCase) (*SaturatePoint, error) {
 		start := time.Now()
 		for i := 0; i < per; i++ {
 			if _, err := checker.Check(gs, gd, ri); err != nil {
-				return nil, fmt.Errorf("%s: %v", c.name, err)
+				return nil, fmt.Errorf("%s: %v", c.Name, err)
 			}
 		}
 		durs[b] = time.Since(start)
@@ -187,7 +181,7 @@ func saturatePoint(c saturateCase) (*SaturatePoint, error) {
 		apps += n
 	}
 	return &SaturatePoint{
-		Workload:       c.name,
+		Workload:       c.Name,
 		Ops:            gs.OperatorCount() + gd.OperatorCount(),
 		Checks:         n,
 		ColdMS:         coldMS,

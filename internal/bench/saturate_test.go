@@ -58,10 +58,10 @@ func TestCompareSaturateGates(t *testing.T) {
 // e-matches run than the report's Stats count.
 func TestDeepCheckReusesLayers(t *testing.T) {
 	for _, c := range saturateCases() {
-		if c.name != "GPT-tp8-L3" {
+		if c.Name != "GPT-tp8-L3" {
 			continue
 		}
-		gs, gd, ri, err := c.w.graphs(c.parallel, c.layers)
+		_, gs, gd, ri, err := c.Graphs()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,9 +70,9 @@ func TestDeepCheckReusesLayers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rep.LiveStats.Matches >= rep.Stats.Matches {
-			t.Errorf("%s: %d e-matches ran of %d: no search was reused", c.name, rep.LiveStats.Matches, rep.Stats.Matches)
+			t.Errorf("%s: %d e-matches ran of %d: no search was reused", c.Name, rep.LiveStats.Matches, rep.Stats.Matches)
 		}
-		t.Logf("%s: %d e-matches ran of %d", c.name, rep.LiveStats.Matches, rep.Stats.Matches)
+		t.Logf("%s: %d e-matches ran of %d", c.Name, rep.LiveStats.Matches, rep.Stats.Matches)
 		return
 	}
 	t.Fatal("-exp saturate has no GPT-tp8-L3 point")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"entangle/internal/graph"
 	"entangle/internal/hlo"
@@ -9,9 +10,10 @@ import (
 	"entangle/internal/relation"
 )
 
-// ZooCase is one model pair the repository can build, as the
-// whole-zoo suites check it: the golden zoo here, the recycled-graph
-// differential in internal/egraph.
+// ZooCase is one model pair the repository can build, as every
+// experiment here and the whole-zoo suites check it: the golden zoo
+// here, the recycled-graph differential in internal/egraph. Run checks
+// one and times it.
 type ZooCase struct {
 	Name  string
 	Build func() (*models.Built, error)
@@ -42,18 +44,12 @@ func (c ZooCase) Graphs() (b *models.Built, gs, gd *graph.Graph, ri *relation.Re
 func Zoo() []ZooCase {
 	var cases []ZooCase
 	for _, w := range Fig3Workloads() {
-		w := w
 		degrees := w.Parallelisms
 		if degrees == nil {
 			degrees = []int{2}
 		}
 		for _, p := range degrees {
-			p := p
-			cases = append(cases, ZooCase{
-				Name:   fmt.Sprintf("%s(%d)", w.Name, p),
-				Build:  func() (*models.Built, error) { return w.Build(p, 1) },
-				ViaHLO: w.ViaHLO,
-			})
+			cases = append(cases, w.Case(p, 1))
 		}
 	}
 	for _, r := range []int{2, 4} {
@@ -77,7 +73,13 @@ func Zoo() []ZooCase {
 				Build: func() (*models.Built, error) { return models.GradSync(m, 2, true) }})
 	}
 	for _, c := range BugCases() {
-		cases = append(cases, ZooCase{Name: fmt.Sprintf("bug%d", c.ID), Build: c.Build, Expectation: c.Expectation})
+		cases = append(cases, c.Case())
 	}
 	return cases
+}
+
+// zooCase returns the Zoo case called name.
+func zooCase(name string) ZooCase {
+	zoo := Zoo()
+	return zoo[slices.IndexFunc(zoo, func(c ZooCase) bool { return c.Name == name })]
 }

@@ -138,7 +138,9 @@ type DeltaReport struct {
 	NewlyFailing []DeltaOp `json:"newly_failing,omitempty"`
 	// UnchangedOps counts operators the plan proved unchanged;
 	// ReplayedOps counts verdicts actually reconstructed from the
-	// cache; RecheckedOps counts live saturations this run performed.
+	// cache; RecheckedOps counts the operators this run processed
+	// without a cache hit: live saturations and in-run reuse hits
+	// (DESIGN §5.6) alike.
 	// ReplayedOps < UnchangedOps means some unchanged operators missed
 	// the cache and were checked live — a performance loss, never a
 	// stale verdict.

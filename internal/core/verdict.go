@@ -71,10 +71,12 @@ type OpVerdict struct {
 	// consumed before the verdict was reached.
 	Escalations int
 	// Replayed marks a verdict reconstructed from the verdict cache
-	// rather than computed by a live saturation. Like Duration it is
-	// excluded from Describe — a warm report renders byte-identically
-	// to the cold one — but DeltaReport reads it to count how much of a
-	// diff run was replayed.
+	// rather than computed by a live saturation; an in-run reuse hit
+	// (DESIGN §5.6) leaves it false. Like Duration it is excluded from
+	// Describe — a warm report renders byte-identically to the cold one.
+	// The scheduler reads it to credit a replayed verdict's applications
+	// to Stats and none to LiveStats; DeltaReport counts replays from
+	// Report.Cache.Hits.
 	Replayed bool
 	// Duration is the operator's total check wall clock across all
 	// attempts. Zero for skipped operators. Excluded from Describe so

@@ -59,6 +59,14 @@ func (b *bump[T]) release(keepBytes int) {
 	b.at = 0
 }
 
+// fill overwrites what the buffer handed out since the last rewind
+// with v.
+func (b *bump[T]) fill(v T) {
+	for i := range b.buf[:b.at] {
+		b.buf[i] = v
+	}
+}
+
 // Tile is one slice of a class: the span [Begin, End) along dimension
 // Dim, held by Class. It is the record the slice-tiling lemma collects,
 // sorts and chains, in ScratchTiles.
@@ -88,20 +96,14 @@ var (
 	poisonExpr  = sym.Const(-1 << 40)
 )
 
-// poison overwrites all of the scratch with garbage and rewinds it.
+// poison overwrites with garbage what the scratch handed out since the
+// last rewind, then rewinds it. A slice cut from a buffer the scratch
+// has since outgrown is left as it is.
 func (s *lemmaScratch) poison() {
-	for i := range s.classes.buf {
-		s.classes.buf[i] = poisonClass
-	}
-	for i := range s.exprs.buf {
-		s.exprs.buf[i] = poisonExpr
-	}
-	for i := range s.tiles.buf {
-		s.tiles.buf[i] = Tile{Dim: -1, Begin: -1 << 40, End: -1 << 40, Class: poisonClass}
-	}
-	for i := range s.pairs.buf {
-		s.pairs.buf[i] = UnionPair{poisonClass, poisonClass}
-	}
+	s.classes.fill(poisonClass)
+	s.exprs.fill(poisonExpr)
+	s.tiles.fill(Tile{Dim: -1, Begin: -1 << 40, End: -1 << 40, Class: poisonClass})
+	s.pairs.fill(UnionPair{poisonClass, poisonClass})
 	s.rewind()
 }
 

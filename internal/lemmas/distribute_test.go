@@ -1,8 +1,12 @@
 package lemmas
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"entangle/internal/egraph"
@@ -340,6 +344,131 @@ var distCases = map[string]caseGen{
 	"mse-batch-split":   batchSplit(true),
 }
 
+// Generators of instances that break a row's side conditions. Each
+// draws a left-hand side the pattern matches and the kernels evaluate,
+// but that violates one of the row's when flags (a random one, where it
+// has several) and keeps the rest. The census below runs them, and the
+// valid draws above, through the row with one flag dropped.
+
+// spread is k uneven extents with one of them at least 2, so recut can
+// move a unit.
+func spread(rng *rand.Rand, k int) []int {
+	exts := uneven(rng, k)
+	if slices.Max(exts) < 2 {
+		exts[0] = 2
+	}
+	return exts
+}
+
+// recut is other extents with the same count and total: one unit moves
+// from a chunk of at least 2 to its neighbour.
+func recut(rng *rand.Rand, exts []int) []int {
+	out := slices.Clone(exts)
+	i := rng.Intn(len(out))
+	for out[i] < 2 {
+		i = (i + 1) % len(out)
+	}
+	out[i]--
+	out[(i+1)%len(out)]++
+	return out
+}
+
+// misalignedPair cuts two same-shaped operands along one dim at
+// different places.
+func misalignedPair(rng *rand.Rand, k int) distCase {
+	base, exts := randShape(rng, 1+rng.Intn(2)), spread(rng, k)
+	d := rng.Intn(len(base))
+	return distCase{vars: map[string]int64{"d": int64(d)}, args: [][][]int{parts(base, d, exts), parts(base, d, recut(rng, exts))}}
+}
+
+// normLast splits x along its last dim, the one the norm normalizes;
+// the weights have the whole hidden extent.
+func normLast(weights int) caseGen {
+	return func(rng *rand.Rand, k int) distCase {
+		base, exts := randShape(rng, 2+rng.Intn(2)), uneven(rng, k)
+		d := len(base) - 1
+		c := distCase{vars: map[string]int64{"d": int64(d)}, args: [][][]int{parts(base, d, exts)}}
+		for i := 0; i < weights; i++ {
+			c.args = append(c.args, single(total(exts)))
+		}
+		return c
+	}
+}
+
+// distViolations holds, per guarded row, a generator of instances that
+// violate its conditions. A row missing here has no instance the
+// pattern matches that breaks its flags (its aligned only derives the
+// offsets its part hook reads); the census runs its valid draws alone.
+var distViolations = map[string]caseGen{
+	"matmul-col-parallel": func(rng *rand.Rand, k int) distCase { // dimLast
+		m, n, exts := 1+rng.Intn(3), 1+rng.Intn(3), uneven(rng, k)
+		if rng.Intn(2) == 0 { // w cut along the contraction dim
+			return distCase{vars: map[string]int64{"d": 0}, args: [][][]int{single(m, total(exts)), parts([]int{0, n}, 0, exts)}}
+		}
+		inner := 1 + rng.Intn(3) // a batched w cut along its batch dim
+		return distCase{vars: map[string]int64{"d": 0}, args: [][][]int{single(total(exts), m, inner), parts([]int{0, inner, n}, 0, exts)}}
+	},
+	"matmul-row-parallel": func(rng *rand.Rand, k int) distCase {
+		exts, n := spread(rng, k), 1+rng.Intn(3)
+		if rng.Intn(2) == 0 { // aligned: w cut elsewhere than x
+			return distCase{vars: map[string]int64{"dx": 1},
+				args: [][][]int{parts([]int{1 + rng.Intn(3), 0}, 1, exts), parts([]int{0, n}, 0, recut(rng, exts))}}
+		}
+		// dimLast: x cut along its rows as w is, square so the left side
+		// is well-typed.
+		return distCase{vars: map[string]int64{"dx": 0},
+			args: [][][]int{parts([]int{0, total(exts)}, 0, exts), parts([]int{0, n}, 0, exts)}}
+	},
+	"matmul-row-split-lhs": func(rng *rand.Rand, k int) distCase { // dimBeforeLast: x cut along the contraction dim
+		exts := uneven(rng, k)
+		return distCase{vars: map[string]int64{"d": 1},
+			args: [][][]int{parts([]int{1 + rng.Intn(3), 0}, 1, exts), single(total(exts), 1+rng.Intn(3))}}
+	},
+
+	"sub-concat-distribute": misalignedPair,
+	"mul-concat-distribute": misalignedPair,
+	"fused-silu-mul-concat": misalignedPair,
+
+	"softmax-concat-commutative":   reduceCase("ds", true),
+	"reducesum-concat-same-dim":    reduceCase("dr", false),
+	"layernorm-concat-commutative": normLast(2),
+	"rmsnorm-concat-commutative":   normLast(1),
+
+	"rope-hidden-split": func(rng *rand.Rand, k int) distCase { // evenChunks: a cut through a rotation pair
+		exts := even(k, 2*(1+rng.Intn(2)))
+		exts[0]--
+		exts[1]++
+		ps := parts([]int{1 + rng.Intn(3), 0}, 1, exts)
+		return distCase{args: [][][]int{ps, ps, ps}}
+	},
+	"attention-head-parallel": func(rng *rand.Rand, k int) distCase {
+		perGroup, headDim := 1+rng.Intn(2), 2+rng.Intn(2)
+		vars := map[string]int64{"d": 0, "h": int64(k * perGroup)}
+		if rng.Intn(2) == 0 { // dimLast: equal sequence chunks of q, k and v
+			ps := parts([]int{0, k * perGroup * headDim}, 0, even(k, 1+rng.Intn(2)))
+			return distCase{vars: vars, args: [][][]int{ps, ps, ps}}
+		}
+		// equalChunks: head groups of different widths
+		vars["d"] = 1
+		exts := recut(rng, even(k, perGroup*headDim))
+		q := parts([]int{1 + rng.Intn(3), 0}, 1, exts)
+		kv := parts([]int{1 + rng.Intn(3), 0}, 1, exts)
+		return distCase{vars: vars, args: [][][]int{q, kv, kv}}
+	},
+
+	"auxloss-token-split": func(rng *rand.Rand, k int) distCase { // equalChunks
+		return distCase{args: [][][]int{parts([]int{0, 1 + rng.Intn(3)}, 0, recut(rng, even(k, 2)))}}
+	},
+	"sqerr-batch-split": func(rng *rand.Rand, k int) distCase { // aligned: targets cut elsewhere
+		base, exts := []int{0, 1 + rng.Intn(3)}, spread(rng, k)
+		return distCase{args: [][][]int{parts(base, 0, exts), parts(base, 0, recut(rng, exts))}}
+	},
+	"mse-batch-split": func(rng *rand.Rand, k int) distCase { // equalChunks
+		ps := parts([]int{0, 1 + rng.Intn(3)}, 0, recut(rng, even(k, 2)))
+		return distCase{args: [][][]int{ps, ps}}
+	},
+}
+
 // eachDist visits every row of the default registry with its rule.
 func eachDist(fn func(d *dist, rule *egraph.Rule)) {
 	for _, l := range Default().All() {
@@ -506,4 +635,144 @@ func TestDistGuardsDecline(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("guard kinds with no violating instance in distDeclines: %v", missing)
 	}
+}
+
+// The guard census: for every row and every when flag it sets, a
+// mutant of the row with that flag dropped runs over the row's valid
+// draws, then over its violations. equalChunks and evenChunks are
+// weakened to aligned, which they include, instead of dropped. The
+// mutant is killed when a rewrite it makes evaluates differently from
+// its left side (1e-9) or fails to evaluate where the left side does
+// (an ill-typed part), or when its Apply panics. The table names what
+// killed each mutant first, and testdata/dist_census.txt pins it: a
+// flag no instance needs shows as a new survivor and fails the test.
+// Regenerate the file with -update only for a change to the rows, the
+// generators or the census itself.
+
+// censusFlags names the when flags, in declaration order.
+var censusFlags = []struct {
+	bit  cond
+	name string
+}{
+	{dimLast, "dimLast"}, {dimNotLast, "dimNotLast"}, {dimBeforeLast, "dimBeforeLast"},
+	{attrIsDim, "attrIsDim"}, {attrNotDim, "attrNotDim"},
+	{aligned, "aligned"}, {equalChunks, "equalChunks"}, {evenChunks, "evenChunks"},
+}
+
+func TestDistGuardCensus(t *testing.T) {
+	var table strings.Builder
+	fmt.Fprintf(&table, "%-30s %-14s %s\n", "row", "flag", "killed by")
+	guarded := map[string]bool{}
+	eachDist(func(d *dist, rule *egraph.Rule) {
+		guarded[rule.Name] = d.when != 0
+		for _, f := range censusFlags {
+			if d.when&f.bit == 0 {
+				continue
+			}
+			m := *d
+			m.when &^= f.bit
+			if f.bit&(equalChunks|evenChunks) != 0 {
+				m.when |= aligned
+			}
+			fmt.Fprintf(&table, "%-30s %-14s %s\n", rule.Name, f.name, census(t, d, rule, m.rule(rule.Name)))
+		}
+	})
+	for name := range distViolations {
+		if !guarded[name] {
+			t.Errorf("distViolations has a generator for %s, which is not a row with a when flag", name)
+		}
+	}
+	const golden = "testdata/dist_census.txt"
+	got := table.String()
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("the guard census differs from %s\n--- want ---\n%s--- got ---\n%s", golden, want, got)
+	}
+	t.Log("\n" + got)
+}
+
+// census runs mutant over the row's valid draws and then its violations
+// and says what killed it first, or that it survived. On a violation
+// the row itself fires on, the row's own rewrite must be sound.
+func census(t *testing.T, d *dist, rule, mutant *egraph.Rule) string {
+	t.Helper()
+	type draws struct {
+		what string
+		gen  caseGen
+	}
+	gens := []draws{{"a valid draw", distCases[rule.Name]}}
+	if v, ok := distViolations[rule.Name]; ok {
+		gens = append(gens, draws{"a violation", v})
+	}
+	rewrites := 0 // violations the row declines and the mutant rewrites soundly
+	for gi, g := range gens {
+		for k := 2; k <= 4; k++ {
+			for trial := 0; trial < 12; trial++ {
+				rng := rand.New(rand.NewSource(int64(1000*gi + 100*k + trial)))
+				f, lhs := g.gen(rng, k).instantiate(t, d, rng)
+				want, err := f.eval(lhs)
+				if err != nil {
+					t.Fatalf("%s: %s drew an ill-typed left side %s: %v", rule.Name, g.what, lhs, err)
+				}
+				row := rewrite(t, f, lhs, rule, want)
+				if row != "" && row != "sound" {
+					t.Errorf("%s: UNSOUND ROW on %s (%s)", rule.Name, lhs, row)
+				}
+				switch mut := rewrite(t, f, lhs, mutant, want); mut {
+				case "":
+				case "sound":
+					if row == "" {
+						rewrites++
+					}
+				default:
+					return mut + " on " + g.what
+				}
+			}
+		}
+	}
+	return fmt.Sprintf("SURVIVED (%d rewrites of violations)", rewrites)
+}
+
+// rewrite applies rule at lhs's root and judges what it built against
+// want: "" when it declines, "sound" when its right side evaluates to
+// want, else "numeric", "ill-typed part" or "panic".
+func rewrite(t *testing.T, f *fuzzEnv, lhs *expr.Term, rule *egraph.Rule, want *numeric.Dense) (verdict string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			verdict = "panic"
+		}
+	}()
+	g, pairs := applyAtRoot(t, f, lhs, rule, true)
+	if pairs == nil {
+		return ""
+	}
+	got, err := evalRecovered(f, termOf(t, g, pairs[0].B))
+	switch {
+	case err != nil:
+		return "ill-typed part"
+	case !numeric.AllClose(want, got, 1e-9):
+		return "numeric"
+	}
+	return "sound"
+}
+
+// evalRecovered is f.eval with a kernel's panic on shapes it does not
+// take returned as an error.
+func evalRecovered(f *fuzzEnv, t *expr.Term) (v *numeric.Dense, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return f.eval(t)
 }

@@ -216,7 +216,9 @@ func needArgs(op expr.Op, in []Shape, lo, hi int) error {
 	return nil
 }
 
-func dimIndex(d sym.Expr, rank int) (int, error) {
+// DimIndex resolves a dimension attribute against a tensor's rank: a
+// constant, counted from the back when negative.
+func DimIndex(d sym.Expr, rank int) (int, error) {
 	v, ok := d.IsConst()
 	if !ok {
 		return 0, fmt.Errorf("shape: symbolic dimension index %s unsupported", d)
@@ -234,7 +236,7 @@ func inferConcat(ints []sym.Expr, in []Shape, ctx *sym.Context) (Shape, error) {
 	if len(ints) != 1 || len(in) == 0 {
 		return nil, fmt.Errorf("shape: concat needs dim attr and ≥1 input")
 	}
-	d, err := dimIndex(ints[0], len(in[0]))
+	d, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +264,7 @@ func inferSlice(ints []sym.Expr, in []Shape, ctx *sym.Context) (Shape, error) {
 	if len(ints) != 3 || len(in) != 1 {
 		return nil, fmt.Errorf("shape: slice needs (dim,begin,end) and 1 input")
 	}
-	d, err := dimIndex(ints[0], len(in[0]))
+	d, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -285,11 +287,11 @@ func inferTranspose(ints []sym.Expr, in []Shape, _ *sym.Context) (Shape, error) 
 	if len(ints) != 2 || len(in) != 1 {
 		return nil, fmt.Errorf("shape: transpose needs (d0,d1) and 1 input")
 	}
-	d0, err := dimIndex(ints[0], len(in[0]))
+	d0, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
-	d1, err := dimIndex(ints[1], len(in[0]))
+	d1, err := DimIndex(ints[1], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +332,7 @@ func inferPad(ints []sym.Expr, in []Shape, _ *sym.Context) (Shape, error) {
 	if len(ints) != 3 || len(in) != 1 {
 		return nil, fmt.Errorf("shape: pad needs (dim,before,after) and 1 input")
 	}
-	d, err := dimIndex(ints[0], len(in[0]))
+	d, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +372,7 @@ func inferReduceSum(ints []sym.Expr, in []Shape, _ *sym.Context) (Shape, error) 
 	if len(ints) != 1 || len(in) != 1 {
 		return nil, fmt.Errorf("shape: reducesum needs dim and 1 input")
 	}
-	d, err := dimIndex(ints[0], len(in[0]))
+	d, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +414,7 @@ func inferReduceScatter(ints []sym.Expr, in []Shape, ctx *sym.Context) ([]Shape,
 	if len(ints) != 1 || len(in) == 0 {
 		return nil, fmt.Errorf("shape: reducescatter needs dim and ≥1 input")
 	}
-	d, err := dimIndex(ints[0], len(in[0]))
+	d, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +440,7 @@ func inferAllGather(ints []sym.Expr, in []Shape, ctx *sym.Context) ([]Shape, err
 	if len(ints) != 1 || len(in) == 0 {
 		return nil, fmt.Errorf("shape: allgather needs dim and ≥1 input")
 	}
-	d, err := dimIndex(ints[0], len(in[0]))
+	d, err := DimIndex(ints[0], len(in[0]))
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,13 @@
 #!/bin/sh
 # The verification gate, stage by stage. This file is the only list of
-# what each stage runs: `make verify` runs every stage, `make lint` and
-# `make mc` one each, and CI's other jobs run only what no stage here does.
+# what each stage runs: `make verify` runs every stage, `make lint`,
+# `make mc` and `make loc` one each, and CI's other jobs run only what no stage here does.
 #
 #   sh scripts/verify.sh            # all stages, in the order below
 #   sh scripts/verify.sh mc lint    # the named stages
 set -eu
 
-stages="fmt vet test race fuzz mc lint"
+stages="fmt vet test race fuzz mc lint loc"
 
 cd "$(dirname "$0")/.."
 
@@ -135,6 +135,20 @@ stage_lint() {
     go run ./cmd/entangle-lint $pkgs \
         "$tmp"/model-seq.json "$tmp"/model-dist.json \
         "$tmp"/model-seq.hlo "$tmp"/model-dist.hlo
+}
+
+# ROADMAP item 12's least-code count: non-test Go lines per package of
+# the checker, the e-graph, the fleet (with its simulator), the daemon,
+# the experiments and the end-to-end benchmark, then their total. It
+# only prints, so every log shows the count.
+stage_loc() {
+    total=0
+    for d in internal/core internal/egraph internal/cluster internal/server internal/bench benchmark; do
+        n=$(find "$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+        printf '%-18s %6d\n' "$d" "$n"
+        total=$((total + n))
+    done
+    printf '%-18s %6d\n' total "$total"
 }
 
 [ $# -gt 0 ] || set -- $stages
