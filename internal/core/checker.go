@@ -454,8 +454,8 @@ type gdEquation struct{ leaf, def *expr.Term }
 // gdDefOf returns n's equations, building them on first use over the
 // run's shared G_d leaves. The terms are shared by every e-graph that
 // folds n — the residual stream makes each later operator re-fold every
-// earlier layer — so they must not be modified; AddTerm and LookupTerm
-// only read them.
+// earlier layer — so they must not be modified; AddTerm only reads
+// them.
 func (r *runState) gdDefOf(n *graph.Node) ([]gdEquation, error) {
 	r.gdDefsOnce.Do(func() { r.gdDefs = make([]gdDef, len(r.gd.Nodes)) })
 	d := &r.gdDefs[n.ID]
@@ -847,13 +847,12 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		f.relateAll()
 	}
 
-	// rv is R_v as the last round extracted it: every loop exit follows
-	// a round's extraction, and nothing changes the graph after it.
-	rv := make([][]*expr.Term, len(v.Outputs))
-
-	// The walk stops when T_rel stops growing, and after |G_d|+1
-	// rounds at the latest.
-	for iter := 0; iter <= len(r.gd.Nodes); iter++ {
+	// The walk goes a level a round: each pass folds every node whose
+	// inputs are in T_rel, whose outputs then join T_rel (frontier.ready),
+	// and saturates. It stops at the first pass that folds nothing, after
+	// at most |G_d| rounds; the first round saturates the mappings alone
+	// if nothing is ready.
+	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return acc, nil, fmt.Errorf("core: checking %q: %w", v.Label, err)
 		}
@@ -862,49 +861,10 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 		if err != nil {
 			return acc, nil, err
 		}
-		if !progress && iter > 0 {
-			break
+		if progress || iter == 0 {
+			acc.Merge(eg.Saturate(r.rules, satOpts))
 		}
-
-		acc.Merge(eg.Saturate(r.rules, satOpts))
-
-		// Grow T_rel with tensors appearing in newly derived clean
-		// expressions of v's outputs ("related to v's outputs"). Every
-		// question this step asks is about the graph Saturate just left,
-		// so one clean-cost table answers them all.
-		clean := eg.CleanCosts(allowGdLeaf)
-		grew := false
-		relateLeaf := func(tid int) {
-			if f.relate(tid) {
-				grew = true
-				tr.gain(relation.GdTensorID(tid))
-			}
-		}
-		for i, oc := range outClasses {
-			rv[i] = clean.ExtractAll(oc, maxMappings)
-			for _, t := range rv[i] {
-				t.EachLeaf(relateLeaf)
-			}
-		}
-		// Outputs of folded nodes whose class gained a clean
-		// representation are also related.
-		for _, n := range r.gdOrder {
-			if !f.isFolded(n) {
-				continue
-			}
-			eqs, _ := r.gdDefOf(n) // folded: built, and without error
-			for i, out := range n.Outputs {
-				if f.related(out) {
-					continue
-				}
-				if cls, ok := eg.LookupTerm(eqs[i].leaf); ok && clean.Has(cls) {
-					f.relateTensor(out)
-					grew = true
-					tr.gain(out)
-				}
-			}
-		}
-		if !progress && !grew {
+		if !progress {
 			break
 		}
 	}
@@ -919,8 +879,10 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 	// mapping. Each output's list is its clean extraction, then, for a
 	// G_s output, its output-restricted one: checkOp records them in that
 	// order and caches them for replay.
+	clean := eg.CleanCosts(allowGdLeaf)
+	rv := make([][]*expr.Term, len(v.Outputs))
 	for i, out := range v.Outputs {
-		if len(rv[i]) == 0 {
+		if rv[i] = clean.ExtractAll(outClasses[i], maxMappings); len(rv[i]) == 0 {
 			return acc, nil, &RefinementError{Op: v, Tensor: r.gs.Tensor(out),
 				InputMappings: r.renderInputMappings(v)}
 		}
@@ -930,7 +892,27 @@ func (r *runState) processOpIn(ctx context.Context, eg *egraph.EGraph, v *graph.
 			rv[i] = slices.Concat(rv[i], eg.CleanCosts(r.allowGdOutput).ExtractAll(outClasses[i], maxMappings))
 		}
 	}
+	if egraph.InvariantChecks {
+		r.auditRelated(v, f, rv)
+	}
 	return acc, rv, nil
+}
+
+// auditRelated checks the level rule against Listing 3's: every G_d
+// leaf of v's extracted R_v must be in T_rel when the walk ends. A leaf
+// outside it means a folded node's outputs were never related; it
+// panics naming the operator and the tensor, which recoveredProcessOp
+// turns into an engine fault.
+func (r *runState) auditRelated(v *graph.Node, f *frontier, rv [][]*expr.Term) {
+	for _, ts := range rv {
+		for _, t := range ts {
+			t.EachLeaf(func(tid int) {
+				if id := relation.GdTensorID(tid); relation.IsGd(tid) && int(id) < f.nt && !f.related(id) {
+					panic(fmt.Sprintf("core: %q extracted %s, whose leaf %q is outside T_rel", v.Label, t, r.gd.Tensor(id).Name))
+				}
+			})
+		}
+	}
 }
 
 // frontier is one Listing-3 walk's state over G_d: T_rel, the related
@@ -944,6 +926,7 @@ type frontier struct {
 	marks []uint32
 	nt    int // G_d's tensor count: node n's mark is marks[nt+n.ID]
 	epoch uint32
+	pass  []*graph.Node // scratch: the nodes the current pass folded
 }
 
 // frontiers holds released frontier slabs; a slab grows to the largest
@@ -972,9 +955,6 @@ func (f *frontier) release() { frontiers.Put(f) }
 // related reports whether G_d tensor id is in T_rel.
 func (f *frontier) related(id graph.TensorID) bool { return f.marks[id] == f.epoch }
 
-// relateTensor adds G_d tensor id to T_rel.
-func (f *frontier) relateTensor(id graph.TensorID) { f.marks[id] = f.epoch }
-
 // relateAll puts every G_d tensor in T_rel: the walk folds all of G_d.
 func (f *frontier) relateAll() {
 	for i := range f.marks[:f.nt] {
@@ -984,35 +964,42 @@ func (f *frontier) relateAll() {
 
 func (f *frontier) isFolded(n *graph.Node) bool { return f.marks[f.nt+int(n.ID)] == f.epoch }
 
-func (f *frontier) markFolded(n *graph.Node) { f.marks[f.nt+int(n.ID)] = f.epoch }
+// markFolded marks n folded, and its outputs join T_rel.
+func (f *frontier) markFolded(n *graph.Node) {
+	f.marks[f.nt+int(n.ID)] = f.epoch
+	for _, out := range n.Outputs {
+		f.marks[out] = f.epoch
+	}
+}
 
-// relate adds the G_d tensor leaf tid names to T_rel and reports
-// whether it was new. A G_s leaf, or one outside G_d's tensor table,
-// relates nothing: no G_d node consumes it.
-func (f *frontier) relate(tid int) bool {
-	if !relation.IsGd(tid) {
-		return false
+// relate adds the G_d tensor leaf tid names to T_rel. A G_s leaf, or
+// one outside G_d's tensor table, relates nothing: no G_d node consumes
+// it.
+func (f *frontier) relate(tid int) {
+	if id := relation.GdTensorID(tid); relation.IsGd(tid) && int(id) < f.nt {
+		f.marks[id] = f.epoch
 	}
-	id := relation.GdTensorID(tid)
-	if int(id) >= f.nt || f.related(id) {
-		return false
-	}
-	f.relateTensor(id)
-	return true
 }
 
 // relateLeaves adds every G_d tensor t's leaves name to T_rel.
-func (f *frontier) relateLeaves(t *expr.Term) {
-	t.EachLeaf(func(tid int) { f.relate(tid) })
-}
+func (f *frontier) relateLeaves(t *expr.Term) { t.EachLeaf(f.relate) }
 
 // ready is the frontier's one readiness rule: it calls visit, in
-// gdOrder, on every not-yet-folded node whose inputs are all in T_rel,
-// and marks the node folded once visit returns nil. A node later in
-// the pass sees what visit added to T_rel. ready stops at visit's first
-// error and reports whether any node was ready.
-func (f *frontier) ready(gdOrder []*graph.Node, visit func(n *graph.Node) error) (bool, error) {
-	found := false
+// gdOrder, on every not-yet-folded node whose inputs are all in T_rel;
+// once visit returns nil the node is folded and its outputs join T_rel.
+// Cascading, they join at once, so a node later in the pass sees them
+// and one pass folds everything reachable (output resolution). In level
+// mode (the search) they join after the pass, so each pass folds one
+// level of the walk. ready stops at visit's first error and reports
+// whether any node was ready.
+//
+// Relating a folded node's outputs by rule is Listing 3's "grow T_rel
+// from the clean expressions of v's outputs": every G_d leaf counts as
+// clean and no lemma makes a leaf, so the only G_d leaves an operator's
+// e-graph holds are its mappings' leaves (related from the start) and
+// the folded nodes' inputs and outputs.
+func (f *frontier) ready(gdOrder []*graph.Node, cascade bool, visit func(n *graph.Node) error) (bool, error) {
+	f.pass = f.pass[:0]
 nodes:
 	for _, n := range gdOrder {
 		if f.isFolded(n) {
@@ -1026,28 +1013,28 @@ nodes:
 		if err := visit(n); err != nil {
 			return false, err
 		}
-		f.markFolded(n)
-		found = true
+		if cascade {
+			f.markFolded(n)
+		}
+		f.pass = append(f.pass, n)
 	}
-	return found, nil
+	if !cascade {
+		for _, n := range f.pass {
+			f.markFolded(n)
+		}
+	}
+	return len(f.pass) > 0, nil
 }
 
-// foldReady folds every node f.ready yields and reports whether any
-// was. With relateOutputs a folded node's outputs join T_rel at once,
-// so one pass cascades forward (output resolution); without, they join
-// only when the caller finds them related (the Listing-3 frontier). A
-// non-nil tr logs the folded nodes, in order.
-func (r *runState) foldReady(eg *egraph.EGraph, f *frontier, relateOutputs bool, tr *searchTrace) (bool, error) {
-	return f.ready(r.gdOrder, func(n *graph.Node) error {
+// foldReady folds every node f.ready yields, cascading or a level at a
+// time, and reports whether any was. A non-nil tr logs the folded
+// nodes, in order.
+func (r *runState) foldReady(eg *egraph.EGraph, f *frontier, cascade bool, tr *searchTrace) (bool, error) {
+	return f.ready(r.gdOrder, cascade, func(n *graph.Node) error {
 		if err := r.foldGdNode(eg, n); err != nil {
 			return err
 		}
 		tr.fold(n)
-		if relateOutputs {
-			for _, out := range n.Outputs {
-				f.relateTensor(out)
-			}
-		}
 		return nil
 	})
 }

@@ -14,15 +14,16 @@ package core
 //     order, and its outputs' shapes and output flags. Equal keys are
 //     compared byte for byte, not by hash.
 //   - The trace is what the recorded search's Listing-3 frontier walk
-//     did: per iteration, the G_d nodes foldReady folded and the
-//     tensors T_rel gained. A candidate replays it, numbering both
-//     searches' leaves alike as it goes (the key numbered the ones they
-//     start from): each iteration, foldReady's own decision over its
-//     G_d ("all inputs in T_rel") must fold exactly the recorded nodes
-//     renamed, in order — same operator, attributes, output shapes and
-//     output flags, inputs numbered alike, outputs numbered alike or new
-//     to both — before T_rel gains the renamed gains. A G_d that folds
-//     one node more or less around the candidate runs live.
+//     did: per iteration, the G_d nodes foldReady folded. T_rel gains
+//     nothing else: the walk goes a level at a time, and a folded
+//     node's outputs join T_rel by rule (frontier.ready). A candidate
+//     replays it, numbering both searches' leaves alike as it goes (the
+//     key numbered the ones they start from): each iteration, foldReady's
+//     own decision over its G_d ("all inputs in T_rel") must fold exactly
+//     the recorded nodes renamed, in order — same operator, attributes,
+//     output shapes and output flags, inputs numbered alike, outputs
+//     numbered alike or new to both. A G_d that folds one node more or
+//     less around the candidate runs live.
 //
 // Equal key and replayed trace put the same terms into the same
 // e-graph in the same order, so the saturations, extractions and stats
@@ -115,22 +116,19 @@ type reuseEntry struct {
 }
 
 // searchTrace is what a live search logs for the table: the G_d nodes
-// it folded and the tensors T_rel gained, in order, and where each
-// frontier iteration starts in both. A probe's trace is scratch; its
-// methods do nothing on a nil trace.
+// it folded, in order, and where each frontier iteration starts. T_rel
+// gains exactly the folded nodes' outputs, so the folds are the whole
+// walk. A probe's trace is scratch; its methods do nothing on a nil
+// trace.
 type searchTrace struct {
 	folded []*graph.Node
-	gained []graph.TensorID
-	starts []traceMark
+	starts []int
 }
-
-// traceMark is a position in a trace's two logs.
-type traceMark struct{ folded, gained int }
 
 // iteration opens the next frontier iteration.
 func (tr *searchTrace) iteration() {
 	if tr != nil {
-		tr.starts = append(tr.starts, traceMark{len(tr.folded), len(tr.gained)})
+		tr.starts = append(tr.starts, len(tr.folded))
 	}
 }
 
@@ -140,20 +138,13 @@ func (tr *searchTrace) fold(n *graph.Node) {
 	}
 }
 
-func (tr *searchTrace) gain(id graph.TensorID) {
-	if tr != nil {
-		tr.gained = append(tr.gained, id)
-	}
-}
-
-// span is what iteration k folded and gained.
-func (tr *searchTrace) span(k int) (folded []*graph.Node, gained []graph.TensorID) {
-	end := traceMark{len(tr.folded), len(tr.gained)}
+// span is what iteration k folded.
+func (tr *searchTrace) span(k int) []*graph.Node {
+	end := len(tr.folded)
 	if k+1 < len(tr.starts) {
 		end = tr.starts[k+1]
 	}
-	start := tr.starts[k]
-	return tr.folded[start.folded:end.folded], tr.gained[start.gained:end.gained]
+	return tr.folded[tr.starts[k]:end]
 }
 
 // leafNumbering numbers leaf TIDs of both graphs by first occurrence.
@@ -220,7 +211,7 @@ type reuseProbe struct {
 // newTrace empties p's trace and returns it.
 func (p *reuseProbe) newTrace() *searchTrace {
 	tr := &p.trace
-	tr.folded, tr.gained, tr.starts = tr.folded[:0], tr.gained[:0], tr.starts[:0]
+	tr.folded, tr.starts = tr.folded[:0], tr.starts[:0]
 	return tr
 }
 
@@ -393,9 +384,10 @@ func (r *runState) replay(e *reuseEntry, p *reuseProbe) ([][]*expr.Term, bool) {
 var errNoReplay = errors.New("core: the walk does not replay")
 
 // walkReplays walks the candidate's G_d through foldReady's own
-// readiness rule (frontier.ready) each iteration of e's walk: the nodes
-// it yields must be the ones e's walk folded, renamed, in order; then
-// T_rel gains e's gains, renamed.
+// readiness rule (frontier.ready, a level at a time) each iteration of
+// e's walk: the nodes it yields must be the ones e's walk folded,
+// renamed, in order. Their outputs are numbered alike (foldMatches), so
+// T_rel grows alike.
 func (r *runState) walkReplays(e *reuseEntry, p *reuseProbe) bool {
 	f := r.newFrontier()
 	defer f.release()
@@ -403,8 +395,8 @@ func (r *runState) walkReplays(e *reuseEntry, p *reuseProbe) bool {
 		f.relate(tid)
 	}
 	for k := range e.trace.starts {
-		recs, gained := e.trace.span(k)
-		_, err := f.ready(r.gdOrder, func(n *graph.Node) error {
+		recs := e.trace.span(k)
+		_, err := f.ready(r.gdOrder, false, func(n *graph.Node) error {
 			if len(recs) == 0 || !r.foldMatches(n, recs[0], p) {
 				return errNoReplay
 			}
@@ -413,13 +405,6 @@ func (r *runState) walkReplays(e *reuseEntry, p *reuseProbe) bool {
 		})
 		if err != nil || len(recs) != 0 {
 			return false
-		}
-		for _, id := range gained {
-			o, ok := p.rec.lookup(gdTID(id))
-			if !ok {
-				return false
-			}
-			f.relate(p.num.tids[o])
 		}
 	}
 	return true
@@ -490,7 +475,7 @@ func (r *runState) renamedOutputs(e *reuseEntry, p *reuseProbe) ([][]*expr.Term,
 func (r *runState) recordSearch(i int, p *reuseProbe, outs [][]*expr.Term, stats egraph.Stats) {
 	tr := &p.trace
 	e := &reuseEntry{op: i, keyed: slices.Clone(p.num.tids), outs: outs, stats: stats,
-		trace: searchTrace{folded: slices.Clone(tr.folded), gained: slices.Clone(tr.gained), starts: slices.Clone(tr.starts)}}
+		trace: searchTrace{folded: slices.Clone(tr.folded), starts: slices.Clone(tr.starts)}}
 	key := string(p.key)
 	r.reuse.mu.Lock()
 	defer r.reuse.mu.Unlock()

@@ -18,12 +18,14 @@ const inf = int(^uint(0) >> 2)
 // CleanCosts is the clean-cost table of the graph as it stood when
 // CleanCosts() built it: for every class, the minimal size of a clean
 // expression over the allowed leaves representing it (inf when none
-// exists). One table answers any number of ExtractAll / Has questions
-// — the checker asks one per G_s output plus one per folded G_d output
-// after every Saturate, all about the same unchanged graph. The table
-// lives in the e-graph's reusable scratch: it describes the graph only
-// until the graph next changes, and building the next table overwrites
-// it (using it after that panics).
+// exists). One table answers any number of ExtractAll questions — the
+// checker asks one per output of the G_s operator, once its frontier
+// walk is over, all about the same unchanged graph. The walk needs no
+// table: a folded G_d node's outputs join T_rel by rule, since every
+// G_d leaf is clean and no lemma makes a leaf. The table lives in the
+// e-graph's reusable scratch: it describes the graph only until the
+// graph next changes, and building the next table overwrites it (using
+// it after that panics).
 type CleanCosts struct {
 	g       *EGraph
 	cost    []int
@@ -189,8 +191,3 @@ func (v CleanCosts) ExtractAll(c ClassID, limit int) []*expr.Term {
 	}
 	return out
 }
-
-// Has reports whether class c contains any clean expression over the
-// allowed leaves. It only consults the table — no term is
-// materialized.
-func (v CleanCosts) Has(c ClassID) bool { return v.of(c) < inf }

@@ -23,10 +23,10 @@
 //     change to G_d, and any change to the relevant input-relation
 //     entries.
 //
-// The canonical byte encodings are exported (CanonicalTerm and
-// CanonicalExpr; the cone/graph encoders write through them) so any
-// graph producer can reproduce a hash without this package's Go
-// values.
+// The canonical byte encodings are exported (CanonicalTerm, and
+// sym.Expr.Key for a symbolic scalar; the cone/graph encoders write
+// through them) so any graph producer can reproduce a hash without this
+// package's Go values.
 package fingerprint
 
 import (
@@ -57,13 +57,9 @@ func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 // sum hashes a canonical byte string.
 func sum(data []byte) Hash { return sha256.Sum256(data) }
 
-// CanonicalExpr returns the canonical encoding of a symbolic scalar:
-// sym.Expr.Key, which is normalized (constant first, symbols sorted)
-// and parseable by sym.Parse.
-func CanonicalExpr(e sym.Expr) string { return e.Key() }
-
 // appendShape appends the canonical encoding of a shape: "[k1,k2,…]"
-// over CanonicalExpr dims.
+// over its dims' sym.Expr keys, which are normalized (constant first,
+// symbols sorted) and parseable by sym.Parse.
 func appendShape(b []byte, s shape.Shape) []byte {
 	b = append(b, '[')
 	b = appendExprs(b, s)
@@ -396,7 +392,7 @@ func (p *termParser) until(delims string) (string, error) {
 func canonicalAssumptions(ctx *sym.Context) string {
 	var keys []string
 	for _, a := range ctx.Assumptions() {
-		keys = append(keys, CanonicalExpr(a))
+		keys = append(keys, a.Key())
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ";")

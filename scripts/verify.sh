@@ -57,7 +57,10 @@ stage_race() {
     # differential (TestRecycledMatchesFresh*: the zoo, the fuzz corpus,
     # the golden models, once on a free list stocked with graphs that last
     # served the heaviest zoo operator, once with recycling off) and its
-    # New/Release hammer run here, audited and raced.
+    # New/Release hammer run here, audited and raced. In core it makes
+    # every search check that each G_d leaf of the R_v it extracted is in
+    # T_rel (auditRelated): a frontier walk that stops relating a folded
+    # node's outputs fails there, over core's, bench's and fuzz's checks.
     # core runs the prefetch-vs-inline-probe differential at workers 1/4
     # (TestPlanUnplannedByteIdentical), byte-identical cold and warm.
     timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
