@@ -27,9 +27,7 @@ func describeVerdicts(rep *core.Report) string {
 // observationally identical. "Observationally identical" is pinned as:
 // the same per-rule application counts, the same iteration count and
 // stop profile, the same verdict lines, and byte-identical
-// output-relation renderings. The naive-vs-indexed matcher comparison,
-// which needs egraph's reference matcher, is egraph's
-// TestNaiveMatcherMatchesIndexedZoo.
+// output-relation renderings.
 func TestSaturationDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model corpus differential is not short")

@@ -201,3 +201,39 @@ func (c checkCase) rekey(gs, gd *graph.Graph, gsIDs, gdIDs []graph.TensorID) che
 	}
 	return k
 }
+
+// TestVerdictIgnoresCaptureFormat: the capture format is not part of
+// what a check reads. Every zoo case built through the JSON interchange
+// (and checked for refinement, not against an expectation) is checked
+// twice, as built and routed through the HLO text format (ViaHLO), and
+// every operator's verdict kind, and whether the check errs, must be
+// the same. Every such case prints as HLO; a round trip that fails
+// fails the test.
+func TestVerdictIgnoresCaptureFormat(t *testing.T) {
+	checked := 0
+	for _, c := range Zoo() {
+		if c.ViaHLO || c.Expectation {
+			continue
+		}
+		asBuilt := kindsOf(t, c)
+		c.ViaHLO = true
+		if viaHLO := kindsOf(t, c); viaHLO != asBuilt {
+			t.Errorf("%s: verdicts as built:\n%sthrough HLO:\n%s", c.Name, asBuilt, viaHLO)
+		}
+		checked++
+	}
+	t.Logf("%d cases have the same verdicts through HLO", checked)
+	if checked == 0 {
+		t.Error("no zoo case was checked through HLO")
+	}
+}
+
+// kindsOf builds zoo case c and renders its check's verdict kinds.
+func kindsOf(t *testing.T, c ZooCase) string {
+	t.Helper()
+	_, gs, gd, ri, err := c.Graphs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkCase{name: c.Name, gs: gs, gd: gd, ri: ri}.kinds(core.Options{})
+}

@@ -224,9 +224,8 @@ const allocSlack = 0.01
 // throughput violation is a timing and may be a noisy neighbour, so the
 // caller re-measures before believing it, workload by workload (slower
 // is keyed by workload); the others are counts — the
-// matcher offered rules work it used to withhold, a check allocates
-// what it used to recycle, a gate withheld a match that would have
-// fired in its turn — and are final.
+// matcher collected more matches, a check allocates what it used to
+// recycle, a rule fired more or fewer times — and are final.
 func CompareSaturate(baseline, current []SaturatePoint) (report string, slower map[string]string, moreWork []string) {
 	slower = map[string]string{}
 	base := map[string]SaturatePoint{}

@@ -45,7 +45,7 @@ import (
 // version. Bump it whenever checking semantics change in a way the
 // other key components cannot see (extraction order, frontier policy,
 // verdict classification), so stale verdicts invalidate wholesale.
-const CheckerVersion = "entangle-core/4"
+const CheckerVersion = "entangle-core/5"
 
 // VerdictStore is the verdict-cache surface the checker consults: a
 // content-addressed Get/Put plus the store's own monotone counters,

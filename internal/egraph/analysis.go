@@ -23,23 +23,15 @@ func (g *EGraph) SetLeafShapeFn(fn func(tid int) (shape.Shape, bool)) {
 // derivable from leaf shapes. Results are memoized per canonical class
 // in a dense table (shapeAt, indexed by class slot); an entry stays
 // valid across unions because members of a class always denote the
-// same tensor value. A failed query is remembered on the graph
-// (shapeUnknown): a later union can make the shape derivable from
-// arbitrarily far below the asking rule's match, which no bounded read
-// footprint covers.
+// same tensor value.
 func (g *EGraph) ShapeOf(c ClassID) (shape.Shape, bool) {
 	if g.leafShape == nil {
-		g.shapeUnknown = true
 		return nil, false
 	}
 	if grow := len(g.parent) - len(g.shapeAt); grow > 0 {
 		g.shapeAt = append(g.shapeAt, make([]int32, grow)...)
 	}
-	s, ok := g.shapeOf(c)
-	if !ok {
-		g.shapeUnknown = true
-	}
-	return s, ok
+	return g.shapeOf(c)
 }
 
 func (g *EGraph) shapeOf(c ClassID) (shape.Shape, bool) {

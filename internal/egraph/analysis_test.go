@@ -153,16 +153,8 @@ func TestLookupAfterUnions(t *testing.T) {
 	g.Union(a, b)
 	g.Rebuild()
 	// f(B) should now be found via congruence with f(A).
-	cls, ok := g.LookupTerm(expr.Unary("f", leafT(2, "B")))
+	cls, ok := g.Lookup(&ENode{Op: expr.OpUnary, Str: "f", Kids: []ClassID{b}})
 	if !ok || g.Find(cls) != g.Find(fa) {
 		t.Fatal("lookup through union failed")
-	}
-}
-
-func TestStatsRuleNamesSorted(t *testing.T) {
-	s := Stats{Applications: map[string]int{"z": 1, "a": 2, "m": 0}}
-	names := s.RuleNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "z" {
-		t.Fatalf("names %v", names)
 	}
 }

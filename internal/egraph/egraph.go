@@ -39,13 +39,6 @@ type ENode struct {
 	// immutable and IDs are only ever read by the graph life that set
 	// them: a copy must not outlive that graph's Release.
 	head headID
-
-	// born is the match phase (EGraph.phase) current when the owning
-	// e-graph inserted this node: a node born before the previous match
-	// phase began was already offered to every rule, which is what lets
-	// the indexed matcher skip it when nothing it points at has changed
-	// (index.go). It shares the padding after head.
-	born uint32
 }
 
 // Leaf builds a tensor-leaf ENode.
@@ -79,14 +72,6 @@ type parentEntry struct {
 	class int32
 }
 
-// opCount tracks how many nodes with one operator a class holds. The
-// per-class list is short (classes mix few distinct operators), so
-// linear scans beat a map.
-type opCount struct {
-	op opID
-	n  int32
-}
-
 // Class is an equivalence class: the set of ENodes known equal. The
 // record holds no node: a class's nodes are arena indices, chained in
 // insertion order through EGraph.next from first to last (count of
@@ -103,15 +88,6 @@ type Class struct {
 	parents    []parentEntry
 	parentsBuf [2]parentEntry
 
-	// ops counts this class's nodes per operator — what the matcher's
-	// kid-operator gates consult (index.go): a pattern whose kid i must
-	// be rooted at op X cannot match a node whose kid-i class holds no X
-	// node, so the matcher skips it without descending.
-	// The first two entries live in the record (a class is born with one
-	// node, and few ever mix more than two operators).
-	ops    []opCount
-	opsBuf [2]opCount
-
 	// consumers has bit consumerBit(X) set if a node with operator X ever
 	// listed this class — or a class merged into it — as a kid. Sticky: a
 	// consumer deduplicated away leaves its bit behind, so a set bit means
@@ -120,32 +96,9 @@ type Class struct {
 	consumers uint64
 }
 
-// hasOp reports whether the class currently holds a node with op.
-func (c *Class) hasOp(op opID) bool {
-	for i := range c.ops {
-		if c.ops[i].op == op {
-			return c.ops[i].n > 0
-		}
-	}
-	return false
-}
-
 // consumerBit maps an interned operator to its bit in Class.consumers;
 // operators past the 62nd share the last bit (still a superset).
 func consumerBit(op opID) uint64 { return 1 << min(uint(op), 63) }
-
-func (c *Class) opsAdd(op opID, delta int32) {
-	for i := range c.ops {
-		if c.ops[i].op == op {
-			c.ops[i].n += delta
-			return
-		}
-	}
-	if c.ops == nil {
-		c.ops = c.opsBuf[:0]
-	}
-	c.ops = append(c.ops, opCount{op: op, n: delta})
-}
 
 // EGraph is the equality-saturation engine.
 type EGraph struct {
@@ -183,32 +136,6 @@ type EGraph struct {
 
 	nodeCount int
 
-	// dirty accumulates classes whose node sets grew (fresh classes and
-	// union survivors) since the saturation loop last drained it; only
-	// these classes — plus ancestors within a rule's reach — can root a
-	// match whose application was not already executed.
-	dirty []ClassID
-
-	// phase counts the match phases run on this graph (both matchers);
-	// addNode stamps it on new nodes (ENode.born).
-	phase uint32
-
-	// shapeUnknown records that some ShapeOf query on this graph has
-	// failed. A shape turning known later is the one read a rule can
-	// make arbitrarily far below its match, so from then on the indexed
-	// matcher re-offers footprint rules everywhere (index.go).
-	shapeUnknown bool
-
-	// lateEffects counts, under InvariantChecks, withheld matches that
-	// were no-ops when the match phase ended but that an earlier
-	// application of the same apply phase had made effective by the
-	// time their turn came (rewrite.go).
-	lateEffects int
-	// kidWithheld counts, under InvariantChecks and by rule name, the
-	// matches the indexed matcher withheld because they failed the
-	// rule's declared kid requirement (auditWithheld).
-	kidWithheld map[string]int
-
 	// Saturation node budget (rewrite.go). nodeLimit is non-zero only
 	// while Saturate runs; InstantiateOp then declines inserts
 	// that would push the live node count past it, setting budgetDenied
@@ -216,35 +143,22 @@ type EGraph struct {
 	nodeLimit    int
 	budgetDenied bool
 
-	// Cross-call saturation state (rewrite.go). satFixpoint remembers
-	// that the previous call reached fixpoint under satRules, which lets
-	// the next same-rules call skip the full first-iteration scan and
-	// e-match only classes dirtied since — the frontier-fold hot path.
-	satRules    []*Rule
-	satFixpoint bool
-
 	// Reusable scratch, so the rebuild/match loops allocate nothing
 	// steady-state.
 	dedup        firstByHash // repair dedup: node hash → first survivor
 	keptBuf      []int32     // repair dedup: the surviving nodes of the class in hand
 	mark         []int32     // per class slot, stamped with markEpoch
 	markEpoch    int32
-	dist         []int8  // per class slot: hops from a dirty class, valid where mark == the dirtyTake epoch
-	consumed     []int32 // per class slot: stamped with the dirtyTake epoch when a dirty class's node consumes it
-	dirtyFront   []ClassID
-	dirtyNext    []ClassID
-	gateOpID     []opID          // the rule set's kid-gate operators, resolved per iteration
-	rulesByOp    [][]int         // per interned operator: the compiled rules rooted at it, resolved per iteration
-	todoBuf      []ruleMatch     // match-list scratch (Saturate)
-	withheld     []withheldMatch // the gate-withheld matches of the match list (InvariantChecks only)
-	substStack   []int32         // e-matching result stack (matchClassOnStack): indexes into substs
-	substs       []Subst         // the match phase's substitutions: a pointer-free slab, overwritten by the next phase
-	appsBuf      []int32         // effective applications per compiled rule (Saturate)
-	canonBuf     []ClassID       // the canonical kid list(s) canonNode, canonHash or canonEquiv last built
-	kidStack     []ClassID       // kid lists AddTerm and LookupTerm build, stack-wise
-	cleanCostBuf []int           // extraction cost table (CleanCosts), indexed by ClassID
-	cleanGen     uint32          // stamps the table cleanCostBuf currently holds
-	scratch      lemmaScratch    // what a rule's Apply draws its buffers from (scratch.go)
+	rulesByOp    [][]int      // per interned operator: the compiled rules rooted at it, resolved per iteration
+	todoBuf      []ruleMatch  // match-list scratch (Saturate)
+	substStack   []int32      // e-matching result stack (matchClassOnStack): indexes into substs
+	substs       []Subst      // the match phase's substitutions: a pointer-free slab, overwritten by the next phase
+	appsBuf      []int32      // effective applications per compiled rule (Saturate)
+	canonBuf     []ClassID    // the canonical kid list(s) canonNode, canonHash or canonEquiv last built
+	kidStack     []ClassID    // kid lists AddTerm builds, stack-wise
+	cleanCostBuf []int        // extraction cost table (CleanCosts), indexed by ClassID
+	cleanGen     uint32       // stamps the table cleanCostBuf currently holds
+	scratch      lemmaScratch // what a rule's Apply draws its buffers from (scratch.go)
 
 	// shape analysis (analysis.go)
 	leafShape func(tid int) (shape.Shape, bool)
@@ -287,7 +201,6 @@ func (g *EGraph) newClass() ClassID {
 	cl.id, cl.first, cl.last = id, -1, -1
 	g.classes = append(g.classes, cl)
 	g.live++
-	g.dirty = append(g.dirty, id)
 	return id
 }
 
@@ -384,15 +297,13 @@ func (g *EGraph) addNode(n *ENode, budget bool) (ClassID, bool) {
 	}
 	at := int32(len(g.arena)) // == int32(id): one arena slot per class slot
 	g.arena = append(g.arena, ENode{Op: n.Op, Str: n.Str, Ints: n.Ints, Kids: kids,
-		TID: n.TID, Name: n.Name, head: h, born: g.phase})
+		TID: n.TID, Name: n.Name, head: h})
 	g.next = append(g.next, -1)
 	cl.first, cl.last, cl.count = at, at, 1
-	op := g.opOfHead(h)
-	cl.opsAdd(op, 1)
 	g.memo.put(g.arena, hash, h, at, id)
 	g.nodeCount++
 	entry := parentEntry{node: at, class: int32(id)}
-	bit := consumerBit(op)
+	bit := consumerBit(g.opOfHead(h))
 	for _, kid := range kids {
 		kc := g.classes[g.Find(kid)]
 		g.appendParents(kc, entry)
@@ -434,28 +345,6 @@ func (g *EGraph) AddTerm(t *expr.Term) ClassID {
 	return id
 }
 
-// LookupTerm reports the class of an expression tree if every node of
-// it already exists; it never inserts.
-func (g *EGraph) LookupTerm(t *expr.Term) (ClassID, bool) {
-	if t.IsLeaf() {
-		n := Leaf(t.TID, t.Name)
-		return g.Lookup(&n)
-	}
-	base := len(g.kidStack)
-	for _, a := range t.Args {
-		k, ok := g.LookupTerm(a)
-		if !ok {
-			g.kidStack = g.kidStack[:base]
-			return 0, false
-		}
-		g.kidStack = append(g.kidStack, k)
-	}
-	n := ENode{Op: t.Op, Str: t.Str, Ints: t.Ints, Kids: g.kidStack[base:]}
-	id, ok := g.Lookup(&n)
-	g.kidStack = g.kidStack[:base]
-	return id, ok
-}
-
 // Union merges two classes; it returns true when they were distinct.
 func (g *EGraph) Union(a, b ClassID) bool {
 	a, b = g.Find(a), g.Find(b)
@@ -474,15 +363,11 @@ func (g *EGraph) Union(a, b ClassID) bool {
 	g.next[ca.last] = cb.first
 	ca.last, ca.count = cb.last, ca.count+cb.count
 	g.appendParents(ca, cb.parents...)
-	for _, oc := range cb.ops {
-		ca.opsAdd(oc.op, oc.n)
-	}
 	ca.consumers |= cb.consumers
-	cb.parents, cb.ops = nil, nil // the record stays in the slab until Release
+	cb.parents = nil // the record stays in the slab until Release
 	g.classes[b] = nil
 	g.live--
 	g.work = append(g.work, a)
-	g.dirty = append(g.dirty, a)
 	return true
 }
 
@@ -513,74 +398,19 @@ func (g *EGraph) Rebuild() {
 	}
 }
 
-// nextEpoch advances the scratch-mark epoch, growing the per-slot
-// scratch (mark and the dirtyTake annotations beside it) to cover every
-// allocated class slot. A slot is "in the current set" iff
-// mark[slot] == epoch, so set resets are O(1).
+// nextEpoch advances the scratch-mark epoch, growing the per-slot marks
+// to cover every allocated class slot. A slot is "in the current set"
+// iff mark[slot] == epoch, so set resets are O(1).
 func (g *EGraph) nextEpoch() int32 {
 	if grow := len(g.parent) - len(g.mark); grow > 0 {
 		g.mark = append(g.mark, make([]int32, grow)...)
-		g.dist = append(g.dist, make([]int8, grow)...)
-		g.consumed = append(g.consumed, make([]int32, grow)...)
 	}
 	g.markEpoch++
 	if g.markEpoch <= 0 { // epoch wrapped: stale marks could alias, wipe them
-		for i := range g.mark {
-			g.mark[i] = 0
-			g.consumed[i] = 0
-		}
+		clear(g.mark)
 		g.markEpoch = 1
 	}
 	return g.markEpoch
-}
-
-// dirtyTake drains the dirty-class accumulator into a canonical,
-// deduplicated candidate set, then expands it by `hops` parent steps,
-// recording each class's hop distance from the nearest dirty class in
-// dist: a rule that reads d class levels below its root can only see a
-// node gained (or a merge suffered) by class D from a root within d
-// parent hops of D. Every class some dirty class's node points at is
-// stamped in consumed — the classes whose consumer list, or whose
-// consumers' classes, changed (what a ReadsConsumers rule reads).
-// Membership is recorded in the epoch marks (mark[c] == markEpoch after
-// the call, consumed[c] likewise).
-func (g *EGraph) dirtyTake(hops int) {
-	epoch := g.nextEpoch()
-	front := g.dirtyFront[:0]
-	next := g.dirtyNext[:0]
-	for _, d := range g.dirty {
-		c := g.Find(d)
-		cl := g.classes[c]
-		if g.mark[c] == epoch || cl == nil {
-			continue
-		}
-		g.mark[c] = epoch
-		g.dist[c] = 0
-		front = append(front, c)
-		for ni := cl.first; ni >= 0; ni = g.next[ni] {
-			for _, k := range g.arena[ni].Kids {
-				g.consumed[g.Find(k)] = epoch
-			}
-		}
-	}
-	g.dirty = g.dirty[:0]
-	for hop := 1; hop <= hops && len(front) > 0; hop++ {
-		next = next[:0]
-		for _, c := range front {
-			cl := g.classes[c]
-			for i := range cl.parents {
-				pc := g.Find(ClassID(cl.parents[i].class))
-				if g.mark[pc] == epoch || g.classes[pc] == nil {
-					continue
-				}
-				g.mark[pc] = epoch
-				g.dist[pc] = int8(hop)
-				next = append(next, pc)
-			}
-		}
-		front, next = next, front
-	}
-	g.dirtyFront, g.dirtyNext = front, next
 }
 
 // firstByHash answers, for a list being deduplicated in place, "which
@@ -685,7 +515,6 @@ func (g *EGraph) repair(c ClassID) {
 				// carries this loop past it. prev >= 0: a chain's first node
 				// is never the duplicate.
 				g.nodeCount--
-				cl.opsAdd(g.opOfHead(n.head), -1)
 				g.next[prev] = g.next[ni]
 				cl.count--
 				continue

@@ -1,27 +1,6 @@
 package egraph
 
-import (
-	"maps"
-	"slices"
-)
-
-// LateEffects exposes, to the external differential test, how many
-// withheld matches the InvariantChecks replay found effective in their
-// turn (EGraph.lateEffects).
-func LateEffects(g *EGraph) int { return g.lateEffects }
-
-// KidWithheld copies out, per rule name, how many matches the
-// InvariantChecks audit saw withheld by a declared kid requirement
-// (EGraph.kidWithheld).
-func KidWithheld(g *EGraph) map[string]int { return maps.Clone(g.kidWithheld) }
-
-// SetNaiveMatcher switches Saturate to the naive reference matcher
-// (on) or back to the indexed one, and returns the previous setting.
-// Set it only while no saturation runs.
-func SetNaiveMatcher(on bool) (old bool) {
-	old, naiveMatcher = naiveMatcher, on
-	return old
-}
+import "slices"
 
 // The free list's test seams (lifetime.go).
 
@@ -61,8 +40,16 @@ func OnFreeList(g *EGraph) bool {
 // before the reset (nil uninstalls).
 func SetReleaseHook(fn func(*EGraph)) { releaseHook = fn }
 
-// ShapeUnknown reports whether a ShapeOf query has failed on g.
-func ShapeUnknown(g *EGraph) bool { return g.shapeUnknown }
+// Shapeless reports whether some live class of g has no derivable
+// shape.
+func Shapeless(g *EGraph) bool {
+	for _, c := range g.Classes() {
+		if _, ok := g.ShapeOf(c); !ok {
+			return true
+		}
+	}
+	return false
+}
 
 // ParentRef is one consumer of a class: the consuming ENode,
 // canonicalized, and the class that node belongs to.

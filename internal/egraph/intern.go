@@ -39,9 +39,9 @@ import (
 // valid IDs start at 1 and index interner.heads at id-1.
 type headID int32
 
-// opID identifies an interned operator symbol, used by the per-class
-// operator counts that drive rule indexing. 0 is unused; valid IDs
-// start at 1 and index interner.ops at id-1.
+// opID identifies an interned operator symbol: what the matcher files
+// its root-operator buckets under (resolveOps) and what picks a consumer
+// bit. 0 is unused; valid IDs start at 1 and index interner.ops at id-1.
 type opID int32
 
 type interner struct {

@@ -9,16 +9,12 @@ import (
 )
 
 // InvariantChecks, when true, makes every Rebuild finish with a full
-// CheckInvariants audit and panic on drift, and makes Saturate execute
-// every match the indexed matcher withheld, panicking unless it was a
-// no-op (auditWithheld; the withheld matches then take their turn in
-// the apply loop, so an audited run follows the naive matcher's order
-// exactly). It defaults on when the ENTANGLE_CHECK_INVARIANTS
-// environment variable is non-empty — the race-gated test runs set it
-// (scripts/verify.sh) so congruence drift surfaces at the rebuild that
-// caused it, and a too-shallow read footprint at the match it
-// withheld, not as a mysterious wrong extraction later. The audits are
-// O(graph) per rebuild and per match phase; never enable in production.
+// CheckInvariants audit and panic on drift. It defaults on when the
+// ENTANGLE_CHECK_INVARIANTS environment variable is non-empty — the
+// race-gated test runs set it (scripts/verify.sh) so congruence drift
+// surfaces at the rebuild that caused it, not as a mysterious wrong
+// extraction later. The audit is O(graph) per rebuild; never enable in
+// production.
 var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 
 // CheckInvariants audits the e-graph's structural invariants and
@@ -32,8 +28,7 @@ var InvariantChecks = os.Getenv("ENTANGLE_CHECK_INVARIANTS") != ""
 //  2. Node chains: every class's chain runs from first to last over
 //     count arena slots, and no arena slot is on two chains (or twice
 //     on one). The incrementally maintained live-node count equals
-//     the chained total, and per-class operator counts (the
-//     first-symbol index) match a recount.
+//     the chained total.
 //  3. No intra-class duplicates: no two nodes of one class
 //     canonicalize to the same identity. An unordered (sum) node whose
 //     kids are canonical lists them sorted: its one spelling.
@@ -93,7 +88,7 @@ func (g *EGraph) CheckInvariants() error {
 
 	total := 0
 	owner := make([]ClassID, len(g.arena)) // arena slot → the class whose chain holds it, +1
-	var recount, kept []int32              // per class: op counts by cl.ops position; the nodes seen
+	var kept []int32                       // per class: the nodes seen
 	var kids []ClassID                     // the canonical kids of the node in hand
 	seen := firstByHash{byHash: map[uint64]int32{}}
 	for i, cl := range g.classes {
@@ -124,8 +119,7 @@ func (g *EGraph) CheckInvariants() error {
 		}
 		total += chained
 
-		// 2b + 3. Operator counts and intra-class dedup; 4 and 5 per node.
-		recount = append(recount[:0], make([]int32, len(cl.ops))...)
+		// 3. Intra-class dedup; 4 and 5 per node.
 		kept = kept[:0]
 		seen.start(int(cl.count))
 		for ni := cl.first; ni >= 0; ni = g.next[ni] {
@@ -139,11 +133,6 @@ func (g *EGraph) CheckInvariants() error {
 			if h == 0 {
 				return fmt.Errorf("class %d node %s (arena slot %d) has no interned head", id, cn.key(), ni)
 			}
-			at := slices.IndexFunc(cl.ops, func(oc opCount) bool { return oc.op == g.opOfHead(h) })
-			if at < 0 {
-				return fmt.Errorf("class %d op-count drift: op %d has nodes but no index entry", id, g.opOfHead(h))
-			}
-			recount[at]++
 			hash := memoHash(h, cn.Kids)
 			if _, ok := seen.find(hash); ok && slices.ContainsFunc(kept, func(k int32) bool { return g.canonEquiv(&g.arena[k], &g.arena[ni]) }) {
 				return fmt.Errorf("class %d holds duplicate node %s", id, cn.key())
@@ -180,9 +169,6 @@ func (g *EGraph) CheckInvariants() error {
 					return fmt.Errorf("class %d is consumed by %s node %s of class %d, but its consumer bit is clear", g.Find(kid), cn.Op, cn.key(), id)
 				}
 			}
-		}
-		if !slices.EqualFunc(cl.ops, recount, func(oc opCount, n int32) bool { return oc.n == n }) {
-			return fmt.Errorf("class %d op-count drift: counted %v, recounted %v", id, cl.ops, recount)
 		}
 	}
 

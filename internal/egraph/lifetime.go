@@ -47,8 +47,8 @@ import (
 const (
 	// keepSlots bounds everything that grows with the graph's classes
 	// and nodes: the per-class-slot arrays (union-find parent and rank,
-	// the class table, the node chain links, the mark/dist/consumed
-	// annotations, the clean-cost table: 45 bytes a slot together; the
+	// the class table, the node chain links, the marks, the clean-cost
+	// table: 40 bytes a slot together; the
 	// shape table: 4; the node arena: 112) with the tables a graph of that
 	// many classes fills (interner, repair dedup) and the kid and parent
 	// slabs; the hash-cons table (24-byte entries); the class worklists.
@@ -149,7 +149,7 @@ func (g *EGraph) Release() {
 func (g *EGraph) reset() {
 	if cap(g.parent) > keepSlots {
 		g.parent, g.rank, g.classes, g.arena, g.next = nil, nil, nil, nil, nil
-		g.mark, g.dist, g.consumed, g.cleanCostBuf = nil, nil, nil, nil
+		g.mark, g.cleanCostBuf = nil, nil
 		g.kidSlab, g.parentSlab, g.shapeAt, g.shapes = bump[ClassID]{}, bump[parentEntry]{}, nil, nil
 		g.intern = newInterner()
 		g.dedup = firstByHash{byHash: map[uint64]int32{}}
@@ -158,9 +158,9 @@ func (g *EGraph) reset() {
 		clear(g.arena)   // the nodes point at attribute and kid slices
 		clear(g.shapes)  // and the shapes at their extents
 		g.parent, g.rank, g.classes, g.arena, g.next = g.parent[:0], g.rank[:0], g.classes[:0], g.arena[:0], g.next[:0]
-		// nextEpoch re-extends the annotations with zeroes, so the epoch
+		// nextEpoch re-extends the marks with zeroes, so the epoch
 		// restarts with them; ShapeOf does the same for the shape table.
-		g.mark, g.dist, g.consumed = g.mark[:0], g.dist[:0], g.consumed[:0]
+		g.mark = g.mark[:0]
 		g.shapeAt, g.shapes = g.shapeAt[:0], g.shapes[:0]
 		// Pointer-free: the next life overwrites them.
 		g.kidSlab.release(keepMatchBytes)
@@ -179,23 +179,15 @@ func (g *EGraph) reset() {
 	g.live, g.nodeCount = 0, 0
 	g.memo.reset()
 	g.work, g.workDone = truncate(g.work, keepSlots), truncate(g.workDone, keepSlots)
-	g.dirty = truncate(g.dirty, keepSlots)
-	g.dirtyFront, g.dirtyNext = truncate(g.dirtyFront, keepSlots), truncate(g.dirtyNext, keepSlots)
 
 	g.Ctx = nil
-	g.phase = 0
-	g.shapeUnknown = false
-	g.lateEffects = 0
-	clear(g.kidWithheld)
 	g.nodeLimit, g.budgetDenied = 0, false
-	g.satRules, g.satFixpoint = nil, false
 	g.leafShape, g.leafTerm = nil, nil
 
 	// Pointer-free, all of it: kept as it is, stale entries and all.
 	g.todoBuf = truncate(g.todoBuf, keepOf[ruleMatch]())
 	g.substs = truncate(g.substs, keepOf[Subst]())
 	g.substStack = truncate(g.substStack, keepOf[int32]())
-	g.withheld = truncate(g.withheld, keepOf[withheldMatch]())
 	g.appsBuf = truncate(g.appsBuf, keepSlots)
 	// cleanGen keeps counting: a CleanCosts table of the life that ended
 	// then still fails its generation check instead of aliasing a new one.
@@ -262,12 +254,10 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("memo holds %d entries (%d slots used)", g.memo.live, g.memo.used)
 	case len(g.intern.heads) != 0 || len(g.intern.ops) != 0:
 		return fmt.Errorf("interner holds %d heads, %d operators", len(g.intern.heads), len(g.intern.ops))
-	case len(g.dirty) != 0 || len(g.work) != 0:
-		return fmt.Errorf("%d dirty classes, %d queued repairs", len(g.dirty), len(g.work))
-	case g.satFixpoint || g.satRules != nil:
-		return fmt.Errorf("fixpoint carry %t under %d rules", g.satFixpoint, len(g.satRules))
-	case g.shapeUnknown || len(g.shapeAt) != 0 || len(g.shapes) != 0 || len(g.shapeArgs) != 0 || g.leafShape != nil:
-		return fmt.Errorf("shape analysis state survives (shapeUnknown %t, a table of %d slots, %d shapes derived)", g.shapeUnknown, len(g.shapeAt), len(g.shapes))
+	case len(g.work) != 0:
+		return fmt.Errorf("%d queued repairs", len(g.work))
+	case len(g.shapeAt) != 0 || len(g.shapes) != 0 || len(g.shapeArgs) != 0 || g.leafShape != nil:
+		return fmt.Errorf("shape analysis state survives (a table of %d slots, %d shapes derived)", len(g.shapeAt), len(g.shapes))
 	case g.leafTerm != nil:
 		return fmt.Errorf("extraction's leaf term source survives")
 	case g.kidSlab.at != 0 || len(g.kidStack) != 0 || g.parentSlab.at != 0:
@@ -279,8 +269,8 @@ func (g *EGraph) checkEmpty() error {
 		return fmt.Errorf("node limit still armed (%d, denied %t)", g.nodeLimit, g.budgetDenied)
 	case len(g.substs) != 0 || len(g.substStack) != 0 || len(g.todoBuf) != 0:
 		return fmt.Errorf("%d substitutions, %d stacked, %d matches listed", len(g.substs), len(g.substStack), len(g.todoBuf))
-	case g.phase != 0 || g.markEpoch != 0 || len(g.mark) != 0:
-		return fmt.Errorf("match phase %d, mark epoch %d over %d slots", g.phase, g.markEpoch, len(g.mark))
+	case g.markEpoch != 0 || len(g.mark) != 0:
+		return fmt.Errorf("mark epoch %d over %d slots", g.markEpoch, len(g.mark))
 	case g.Ctx != nil:
 		return fmt.Errorf("symbolic context still attached")
 	}
@@ -301,7 +291,7 @@ func (g *EGraph) checkEmpty() error {
 	}
 	for _, ch := range g.classSlab.chunks {
 		for i := range ch {
-			if cl := &ch[i]; cl.parents != nil || cl.ops != nil {
+			if cl := &ch[i]; cl.parents != nil {
 				return fmt.Errorf("class slab record %d not cleared", i)
 			}
 		}

@@ -23,8 +23,8 @@ func emptyFreeList(t *testing.T, n int) {
 }
 
 // lifeRules fire on everything a scripted life inserts: a pure rule
-// with attribute and kid-list bindings, a union, and a ReadsGraph rule
-// that keeps inserting until a budget stops it.
+// with attribute and kid-list bindings, a union, and a rule that keeps
+// inserting until a budget stops it.
 func lifeRules() []*Rule {
 	return []*Rule{
 		{Name: "concat-first", LHS: POpN(expr.OpConcat, []AttrPat{AVar("d")}, "ks"),
@@ -114,10 +114,7 @@ func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 		"live class":          func(g *EGraph) { g.AddTerm(leafT(1, "a")) },
 		"memo entry":          func(g *EGraph) { g.memo.put(nil, 7, 1, 0, 0) },
 		"interned head":       func(g *EGraph) { g.headOf(&ENode{Op: opF}) },
-		"dirty class":         func(g *EGraph) { g.dirty = append(g.dirty, 0) },
 		"queued repair":       func(g *EGraph) { g.work = append(g.work, 0) },
-		"fixpoint carry":      func(g *EGraph) { g.satFixpoint = true },
-		"shapeUnknown":        func(g *EGraph) { g.shapeUnknown = true },
 		"shape table slot":    func(g *EGraph) { g.shapeAt = append(g.shapeAt, 1) },
 		"derived shape":       func(g *EGraph) { g.shapes = append(g.shapes, shape.Shape{sym.Const(2)}) },
 		"stale derived shape": func(g *EGraph) { g.shapes[:1][0] = shape.Shape{sym.Const(2)} },
@@ -143,7 +140,7 @@ func TestCheckEmptyCatchesLeftovers(t *testing.T) {
 		"chain link":          func(g *EGraph) { g.next = append(g.next, -1) },
 		"arena node":          func(g *EGraph) { g.arena = append(g.arena, ENode{}) },
 		"stale arena node":    func(g *EGraph) { g.arena[:1][0].Kids = []ClassID{0} },
-		"match phase":         func(g *EGraph) { g.phase = 3 },
+		"mark epoch":          func(g *EGraph) { g.markEpoch = 3 },
 		"context":             func(g *EGraph) { g.Ctx = sym.NewContext() },
 	}
 	for name, leave := range leftovers {
@@ -228,7 +225,7 @@ func TestReleaseBoundsRetention(t *testing.T) {
 	if !OnFreeList(big) {
 		t.Fatal("released graph was not kept")
 	}
-	if n := cap(big.parent) + cap(big.rank) + cap(big.classes) + cap(big.arena) + cap(big.mark) + cap(big.dirty); n != 0 {
+	if n := cap(big.parent) + cap(big.rank) + cap(big.classes) + cap(big.arena) + cap(big.mark); n != 0 {
 		t.Errorf("a graph of %d class slots kept %d slots of per-class arrays (keepSlots = %d)", keepSlots+1, n, keepSlots)
 	}
 
@@ -244,7 +241,7 @@ func TestReleaseBoundsRetention(t *testing.T) {
 		g.AddTerm(expr.New(expr.OpConcat, []sym.Expr{sym.Const(int64(i))}, "", kids...))
 	}
 	g.Rebuild()
-	probe := &Rule{Name: "probe", Reads: ReadsGraph(),
+	probe := &Rule{Name: "probe",
 		LHS:   POp(expr.OpUnary, nil, PVar("x")),
 		Apply: func(*EGraph, Match) []UnionPair { return nil }}
 	many := make([]*Rule, 12)
@@ -284,7 +281,7 @@ func TestReleaseBoundsRetention(t *testing.T) {
 		t.Errorf("kept class slab has %d chunks, want 1", len(g.classSlab.chunks))
 	}
 	for i := range g.classSlab.chunks[0] {
-		if cl := &g.classSlab.chunks[0][i]; cl.parents != nil || cl.ops != nil || cl.count != 0 {
+		if cl := &g.classSlab.chunks[0][i]; cl.parents != nil || cl.count != 0 {
 			t.Fatalf("kept class record %d still holds a class", i)
 		}
 	}

@@ -326,9 +326,79 @@ func (g *EGraph) MatchAll(p *Pattern) []Match {
 	return out
 }
 
+// CompiledRules is the matcher's analysis of a rule set: each LHS with
+// its variables numbered into substitution slots, and the op-rooted
+// rules bucketed by root operator. It is independent of any e-graph and
+// read-only during matching, so one value may be compiled once
+// (CompileRules) and shared across goroutines via SaturateOpts.Compiled.
+type CompiledRules struct {
+	pats     []*compiledPattern // per rule: the LHS, compiled
+	vars     []*slotTable       // per rule: what names the LHS's slots
+	varRules []int              // indexes of bare-variable-LHS rules, in order
+	// rootOps are the distinct root operators of the op-rooted rules, and
+	// byRoot[i] the rules rooted at rootOps[i], in order: the buckets a
+	// graph files under its own operator IDs each match phase
+	// (resolveOps), so a node finds its candidate rules by index.
+	rootOps []expr.Op
+	byRoot  [][]int
+}
+
+// CompileRules analyzes a rule set for the matcher. The result must be
+// passed (via SaturateOpts.Compiled) only alongside exactly the same
+// rules slice.
+func CompileRules(rules []*Rule) *CompiledRules {
+	cr := &CompiledRules{
+		pats: make([]*compiledPattern, len(rules)),
+		vars: make([]*slotTable, len(rules)),
+	}
+	for i, r := range rules {
+		cr.pats[i], cr.vars[i] = compilePattern(r.LHS)
+		if r.LHS.Var != "" {
+			cr.varRules = append(cr.varRules, i)
+			continue
+		}
+		at := slices.Index(cr.rootOps, r.LHS.Op)
+		if at < 0 {
+			cr.rootOps = append(cr.rootOps, r.LHS.Op)
+			cr.byRoot = append(cr.byRoot, nil)
+			at = len(cr.byRoot) - 1
+		}
+		cr.byRoot[at] = append(cr.byRoot[at], i)
+	}
+	return cr
+}
+
+// resolveOps files the rule set's root buckets under g's interned
+// operator IDs, into per-graph scratch (CompiledRules is shared and
+// stays read-only): g.rulesByOp, indexed by operator ID. An op can first
+// appear mid-saturation, so this runs once per match phase, in which
+// nothing is inserted; an unresolved op (ID 0) means no node in the
+// graph has it, and no node can root a match at it.
+func (g *EGraph) resolveOps(cr *CompiledRules) {
+	if n := len(g.intern.ops) + 1; cap(g.rulesByOp) < n {
+		g.rulesByOp = make([][]int, n)
+	} else {
+		g.rulesByOp = g.rulesByOp[:n]
+		clear(g.rulesByOp)
+	}
+	for i, op := range cr.rootOps {
+		if id := g.intern.lookupOp(op); id != 0 {
+			g.rulesByOp[id] = cr.byRoot[i]
+		}
+	}
+}
+
+// rulesAt returns the compiled rules rooted at n's operator, as the
+// match phase's resolveOps filed them.
+func (g *EGraph) rulesAt(n *ENode) []int { return g.rulesByOp[g.opOfHead(n.head)] }
+
 // matchRules matches a rule set in one pass over the e-graph, every
-// class against every rule that could root there. It is the saturation
-// loop's naive reference for matchRulesIndexed (index.go).
+// class against every rule that could root there: bare-variable rules
+// on the class, each op-rooted rule on the nodes with its root
+// operator. Classes are visited in ascending ID order, each class's
+// rules in rule order, so the match list — and with it union order and
+// every statistic — is reproducible. Matches append to out (a reused
+// scratch slice).
 func (g *EGraph) matchRules(cr *CompiledRules, out []ruleMatch) []ruleMatch {
 	g.resolveOps(cr)
 	for i, cl := range g.classes {

@@ -95,13 +95,13 @@ func (l *verdictLog) render() string {
 }
 
 // releaseLog collects, through the Release hook, every graph handed
-// back while it is installed: the graph, whether a ShapeOf query had
-// failed on it and, when asked to, its class partition.
+// back while it is installed: the graph, whether some class of it had no
+// shape and, when asked to, its class partition.
 type releaseLog struct {
-	mu           sync.Mutex
-	graphs       []*egraph.EGraph
-	dumps        []string
-	shapeUnknown int
+	mu        sync.Mutex
+	graphs    []*egraph.EGraph
+	dumps     []string
+	shapeless int
 }
 
 // watchReleases installs the hook; done uninstalls it.
@@ -116,8 +116,8 @@ func watchReleases(partitions bool) *releaseLog {
 		defer l.mu.Unlock()
 		l.graphs = append(l.graphs, g)
 		l.dumps = append(l.dumps, d)
-		if egraph.ShapeUnknown(g) {
-			l.shapeUnknown++
+		if egraph.Shapeless(g) {
+			l.shapeless++
 		}
 	})
 	return l
@@ -305,38 +305,6 @@ func TestRecycledMatchesFreshZoo(t *testing.T) {
 	}
 }
 
-// The naive ≡ indexed differential over the whole zoo: a check under
-// the naive reference matcher (SetNaiveMatcher) and one under the
-// indexed matcher show the same report — verdicts, relations, every
-// statistic but Matches, the one the two matchers differ in.
-func TestNaiveMatcherMatchesIndexedZoo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-zoo differential is not short")
-	}
-	for _, c := range bench.Zoo() {
-		b, gs, gd, ri, err := c.Graphs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		observe := func(naive bool) string {
-			defer egraph.SetNaiveMatcher(egraph.SetNaiveMatcher(naive))
-			checker := core.NewChecker(core.Options{Registry: lemmas.Default(), Workers: 1})
-			if c.Expectation {
-				err := checker.CheckExpectation(gs, gd, ri, core.Expectation{Fs: b.ExpectFs, Fd: b.ExpectFd})
-				return fmt.Sprintf("expectation: %v", err)
-			}
-			rep, err := checker.Check(gs, gd, ri)
-			if rep != nil {
-				rep.Stats.Matches, rep.LiveStats.Matches = 0, 0
-			}
-			return renderReport(rep, err, gs)
-		}
-		if naive, indexed := observe(true), observe(false); naive != indexed {
-			t.Errorf("%s: reports differ:\n--- naive ---\n%s\n--- indexed ---\n%s", c.Name, naive, indexed)
-		}
-	}
-}
-
 func TestRecycledMatchesFreshFuzzCorpus(t *testing.T) {
 	corpus, err := fuzz.LoadCorpus("../fuzz/testdata/corpus")
 	if err != nil {
@@ -425,7 +393,7 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 		calls := 0
 		reg := lemmas.Default()
 		reg.MustRegister(&lemmas.Lemma{Name: "act", Kind: lemmas.KindGeneral, Rules: []*egraph.Rule{{
-			Name: "act", Reads: egraph.ReadsGraph(), LHS: egraph.PVar("x"),
+			Name: "act", LHS: egraph.PVar("x"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				if now == order[2] {
 					if calls++; calls == 5 {
@@ -524,8 +492,8 @@ func TestGraphsSurviveAbnormalStops(t *testing.T) {
 					t.Logf("check with shapeless leaves: %v", err)
 				}
 			})
-			if releases.shapeUnknown == 0 {
-				t.Fatal("no ShapeOf query failed on any graph of the check")
+			if releases.shapeless == 0 {
+				t.Fatal("no graph of the check held a class without a shape")
 			}
 			return g
 		}},

@@ -3,9 +3,6 @@ package egraph
 import (
 	"context"
 	"fmt"
-	"sort"
-
-	"entangle/internal/expr"
 )
 
 // Rule is a rewrite rule (a "lemma" in the paper's terms, §4.2.1).
@@ -17,24 +14,6 @@ type Rule struct {
 
 	LHS *Pattern
 
-	// Reads declares what Apply reads of the e-graph beyond the match
-	// bindings. The zero value is a pure rule — Apply is a function of
-	// its bindings — which is re-offered only where a bound class
-	// changed. A rule that scans class members or consumers declares how
-	// far (ReadsBelow, ReadsConsumers) and is re-applied wherever that
-	// footprint met a change since it last ran; ReadsGraph declares no
-	// bound and re-runs on every class every iteration. See Footprint.
-	Reads Footprint
-
-	// Kids declares, for a rule whose LHS is variadic at the root (POpN),
-	// what its Apply requires of the bound kid list before it does
-	// anything (EveryKid); the zero value requires nothing. The indexed
-	// matcher answers it from the per-class operator counts and withholds
-	// the match where it fails, before any substitution is built. A
-	// fixed-arity LHS declares nothing: its operator-rooted kid positions
-	// say the same and are read off the pattern. See KidReq.
-	Kids KidReq
-
 	// Apply builds the right-hand side(s), inserting through
 	// InstantiateOp, and returns the class pairs to union. Most rules
 	// union the matched class with one RHS class (use m.With);
@@ -42,116 +21,6 @@ type Rule struct {
 	// inspect g.Ctx and the substitution and decline by returning nil;
 	// constrained rules Lookup instead of inserting.
 	Apply func(g *EGraph, m Match) []UnionPair
-}
-
-// Footprint is a rule's declaration of what its Apply reads beyond the
-// match bindings — the one thing the indexed matcher (index.go) needs
-// to know to re-run the rule only where something changed. The
-// contract of a bounded footprint: between two applications of the
-// same match, Apply's result can only differ if a class inside the
-// footprint gained a node or was merged, or a ShapeOf query that
-// failed now succeeds (the matcher falls back to every-iteration
-// matching on a graph where any ShapeOf query has failed, so shapes
-// need no declaration). The matched class itself may only be used as
-// a union endpoint: which class the matched node sits in is not part
-// of any footprint.
-type Footprint struct {
-	kind   footprintKind
-	levels int
-}
-
-type footprintKind uint8
-
-const (
-	readsBindings footprintKind = iota // pure: the zero value
-	readsBelow
-	readsConsumers
-	readsGraph
-)
-
-// ReadsBelow declares that Apply reads the node sets, or compares the
-// union-find identity, of classes up to levels steps below the matched
-// root — the root's kid classes are level 1 — and nothing else. It
-// must cover at least what the LHS binds (levels >= LHS depth - 1,
-// which entangle-lint enforces): a variadic rule that only reorders
-// its bound kid list declares 1, one that scans the kid classes'
-// nodes declares 1, one that also compares the classes those nodes
-// point at declares 2.
-func ReadsBelow(levels int) Footprint { return Footprint{kind: readsBelow, levels: levels} }
-
-// ReadsConsumers declares a bare-variable rule whose Apply enumerates
-// the consumers of the matched class (EachParent) and the classes
-// holding them.
-func ReadsConsumers() Footprint { return Footprint{kind: readsConsumers} }
-
-// ReadsGraph declares no bound at all: Apply may read anything, so
-// the rule is re-matched on every class every iteration. Nothing in
-// the lemma library should need it (entangle-lint reports a registry
-// rule that declares it); it is the honest spelling for a test rule
-// with side effects.
-func ReadsGraph() Footprint { return Footprint{kind: readsGraph} }
-
-// Pure reports the zero footprint: Apply reads only its bindings.
-func (f Footprint) Pure() bool { return f.kind == readsBindings }
-
-// Unbounded reports a ReadsGraph footprint.
-func (f Footprint) Unbounded() bool { return f.kind == readsGraph }
-
-// Levels returns the declared depth of a ReadsBelow footprint.
-func (f Footprint) Levels() (int, bool) { return f.levels, f.kind == readsBelow }
-
-func (f Footprint) String() string {
-	switch f.kind {
-	case readsBelow:
-		return fmt.Sprintf("below(%d)", f.levels)
-	case readsConsumers:
-		return "consumers"
-	case readsGraph:
-		return "graph"
-	}
-	return "bindings"
-}
-
-// KidReq is a variadic rule's declaration of a necessary condition for
-// its Apply to have an effect, over the kid classes the LHS binds: on a
-// graph where the condition fails, Apply inserts nothing and returns no
-// effective union. It is a promise about Apply, not a replacement for
-// its checks — Apply still makes them, on the graph it runs on, which
-// an earlier application of the same apply phase may have changed — and
-// what lets the indexed matcher (index.go) withhold the match. Like a
-// read footprint, a wrong declaration is caught by the withheld-match
-// audit under InvariantChecks.
-type KidReq struct {
-	kind kidReqKind
-	op   expr.Op
-}
-
-type kidReqKind uint8
-
-const (
-	kidsAny   kidReqKind = iota // the zero value: no requirement
-	kidsEvery                   // every kid class holds an op node
-	// kidAt is not declarable: the matcher derives it from an
-	// operator-rooted kid position of a fixed-arity LHS (index.go).
-	kidAt
-)
-
-// EveryKid declares that Apply declines unless every bound kid class
-// holds a node with operator op.
-func EveryKid(op expr.Op) KidReq { return KidReq{kind: kidsEvery, op: op} }
-
-// None reports the zero requirement.
-func (k KidReq) None() bool { return k.kind == kidsAny }
-
-// Op returns the operator an EveryKid requirement names ("" for the
-// zero value).
-func (k KidReq) Op() expr.Op { return k.op }
-
-func (k KidReq) String() string {
-	if k.kind == kidsEvery {
-		return "every:" + string(k.op)
-	}
-	return "-"
 }
 
 // UnionPair is one equivalence a rule asserts.
@@ -165,17 +34,6 @@ func (m Match) With(c ClassID) []UnionPair {
 	p[0] = UnionPair{m.Class, c}
 	return p
 }
-
-// naiveMatcher selects the naive reference matcher (matchRules), which
-// re-visits every class × rule pair each iteration, instead of the
-// indexed dirty-tracked matcher (index.go). The indexed matcher
-// withholds only matches that are no-ops on the graph a match phase
-// sees, so the two produce identical applications, stats, and
-// extraction results wherever no application reaches into a withheld
-// match later in its own apply phase — everywhere in the model corpus,
-// which this package's differential tests pin. Only those tests set it
-// (SetNaiveMatcher, export_test.go).
-var naiveMatcher bool
 
 // SaturateOpts bound a saturation run. Zero values select defaults.
 type SaturateOpts struct {
@@ -261,9 +119,8 @@ type Stats struct {
 	Nodes        int
 	// Matches counts e-matches collected across all iterations: the
 	// match-loop work the `-exp saturate` bench tracks per iteration.
-	// With dirty tracking against each rule's footprint this is far
-	// below classes × rules × iterations; it is the one statistic the
-	// two matchers differ in.
+	// Every iteration searches every class for every rule, so this is
+	// the rule set's match count per iteration, summed.
 	Matches int
 	// Runs counts the saturation runs accumulated into this value.
 	// The zero value (Runs == 0) is the identity of Merge: merging a
@@ -280,18 +137,6 @@ type Stats struct {
 	// (cancelled > node-limit > iter-limit > saturated). The zero
 	// value StopNone is the Merge identity.
 	StopReason StopReason
-}
-
-// RuleNames lists rules with non-zero applications, sorted.
-func (s Stats) RuleNames() []string {
-	var names []string
-	for n, c := range s.Applications {
-		if c > 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Merge accumulates another run's stats into s. The zero Stats value
@@ -348,80 +193,20 @@ func (g *EGraph) applied() {
 	}
 }
 
-// auditWithheld executes a match the indexed matcher withheld, on the
-// graph exactly as the match phase left it, and panics unless it is the
-// no-op the gates claim: nothing inserted, nothing merged. It runs only
-// under InvariantChecks, so the test corpus audits every footprint
-// declaration and the gating itself.
-func (g *EGraph) auditWithheld(cr *CompiledRules, p ruleMatch, byKids bool) {
-	rule := cr.rules[p.rule]
-	if byKids {
-		if g.kidWithheld == nil {
-			g.kidWithheld = map[string]int{}
-		}
-		g.kidWithheld[rule.Name]++
-	}
-	slots := len(g.parent)
-	pairs := g.apply(rule, cr, p)
-	effect := ""
-	if len(g.parent) != slots || g.budgetDenied {
-		effect = "inserts a node"
-	}
-	for _, up := range pairs {
-		if effect == "" && g.Find(up.A) != g.Find(up.B) {
-			effect = fmt.Sprintf("merges classes %d and %d", g.Find(up.A), g.Find(up.B))
-		}
-	}
-	g.applied()
-	if effect != "" {
-		why := "its footprint is declared too shallow"
-		gate := ""
-		if byKids {
-			why = "Apply does not require what the rule declares"
-			gate = fmt.Sprintf(" by its kid requirement %s", rule.Kids)
-		}
-		panic(fmt.Sprintf("egraph: rule %q (reads %s) was withheld from class %d in match phase %d%s, but applying it %s: %s, or the matcher's gating is wrong",
-			rule.Name, rule.Reads, p.class, g.phase, gate, effect, why))
-	}
-}
-
-// sameRules reports whether two rule slices hold identical rules in
-// identical order — the condition for carrying saturation state from
-// one Saturate call to the next on the same graph.
-func sameRules(a, b []*Rule) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Saturate runs the rules to fixpoint or until limits are hit. Matches
 // are collected on a frozen view each iteration, then applied — the
-// standard egg iteration structure.
+// standard egg iteration structure. Every iteration searches every class
+// for every rule (matchRules), as egg does.
 //
 // Every collected match is applied. One that already ran is a no-op:
 // InstantiateOp finds its hash-consed right-hand side and Union of two
-// equal classes reports no change, so it counts no application. The
-// indexed matcher's dirty tracking keeps such repeats rare.
-//
-// Saturation state persists on the graph across calls: when the
-// previous call reached fixpoint under the same rules, the next call
-// skips the full first-iteration scan and e-matches only classes
-// dirtied since — which makes the checker's fold-a-node-then-resaturate
-// frontier loop incremental instead of quadratic. A call that stopped
-// on a budget or cancellation clears the fixpoint carry, so the next
-// call rescans everything.
+// equal classes reports no change, so it counts no application. A run
+// stops at fixpoint after the first iteration in which no union changed
+// the graph; a call on a graph already at fixpoint is that one
+// iteration.
 func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 	opts = opts.withDefaults()
 	stats := Stats{Runs: 1}
-	carry := g.satFixpoint && sameRules(g.satRules, rules)
-	g.satFixpoint = false
-	g.satRules = rules
 	cr := opts.Compiled
 	if cr == nil {
 		cr = CompileRules(rules)
@@ -451,33 +236,10 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		// Substitutions live from here until the apply loop below
 		// finishes with them; the next phase overwrites the slab.
 		g.substs = g.substs[:0]
-		g.phase++
-		// withheld indexes the matches in todo that the indexed matcher's
-		// gates withheld; it is empty unless InvariantChecks is on. They
-		// are audited as no-ops on the graph the match phase saw, then
-		// take their turn in the apply loop like the naive matcher's
-		// matches would — where one can only have an effect if an earlier
-		// application of this same phase reached into what it reads
-		// (counted in lateEffects: the naive matcher applies such a match
-		// now, the indexed matcher one iteration later).
-		var withheld []withheldMatch
-		if naiveMatcher {
-			g.dirty = g.dirty[:0] // keep the accumulator bounded
-			todo = g.matchRules(cr, todo[:0])
-		} else {
-			todo = g.matchRulesIndexed(cr, iter == 0 && !carry, todo[:0])
-			withheld = g.withheld
-		}
-		stats.Matches += len(todo) - len(withheld)
-		for _, w := range withheld {
-			g.auditWithheld(cr, todo[w.at], w.byKids)
-		}
+		todo = g.matchRules(cr, todo[:0])
+		stats.Matches += len(todo)
 		changed := false
 		for mi, p := range todo {
-			late := len(withheld) > 0 && withheld[0].at == mi
-			if late {
-				withheld = withheld[1:]
-			}
 			// Poll for cancellation mid-iteration, then fall through to
 			// Rebuild below: stopping without it would leave the memo
 			// and parent lists stale and later extractions
@@ -493,7 +255,6 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				limitHit = true
 				break
 			}
-			slots := len(g.parent)
 			pairs := g.apply(rules[p.rule], cr, p)
 			if g.budgetDenied {
 				// The instantiation cap declined part of this
@@ -504,18 +265,13 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 				limitHit = true
 				break
 			}
-			effect := len(g.parent) != slots
 			for _, up := range pairs {
 				if g.Union(up.A, up.B) {
 					changed = true
 					apps[p.rule]++
-					effect = true
 				}
 			}
 			g.applied()
-			if late && effect {
-				g.lateEffects++
-			}
 		}
 		g.Rebuild()
 		if !changed && !limitHit && !cancelled {
@@ -524,7 +280,6 @@ func (g *EGraph) Saturate(rules []*Rule, opts SaturateOpts) Stats {
 		}
 	}
 	g.todoBuf = todo[:0]
-	g.satFixpoint = stats.Saturated
 	for ri, n := range apps {
 		if n > 0 {
 			if stats.Applications == nil { // left nil by a run in which nothing fired

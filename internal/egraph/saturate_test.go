@@ -35,7 +35,9 @@ func unionRule(name string, trigger, a, b int) *Rule {
 			if !ok {
 				return nil
 			}
-			return []UnionPair{{ca, cb}}
+			p := g.scratch.pairs.take(1) // what Match.With hands out
+			p[0] = UnionPair{ca, cb}
+			return p
 		},
 	}
 }
@@ -45,9 +47,8 @@ func unionRule(name string, trigger, a, b int) *Rule {
 func growRule(name string, trigger int) *Rule {
 	n := 0
 	return &Rule{
-		Name:  name,
-		Reads: ReadsGraph(),
-		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: &trigger},
+		Name: name,
+		LHS:  &Pattern{Op: expr.OpTensor, LeafTID: &trigger},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			n++
 			fresh := g.AddNode(ENode{Op: opG, Str: string(rune('A' + n)), Kids: []ClassID{m.Class}})
@@ -287,9 +288,8 @@ func TestSaturateCancelMidRunLeavesCongruent(t *testing.T) {
 	// Iteration 1: union a=b, grow, and cancel. Iteration 2 must never
 	// start, but the a=b union must still be congruence-closed.
 	cancelRule := &Rule{
-		Name:  "cancel",
-		Reads: ReadsGraph(),
-		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
+		Name: "cancel",
+		LHS:  &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			cancel()
 			return nil
@@ -334,9 +334,8 @@ func TestSaturateInstantiateBudgetBounded(t *testing.T) {
 	const width = 8
 	n := 0
 	explode := &Rule{
-		Name:  "explode",
-		Reads: ReadsGraph(),
-		LHS:   &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
+		Name: "explode",
+		LHS:  &Pattern{Op: expr.OpTensor, LeafTID: intPtr(3)},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			n++
 			c := m.Class
@@ -461,9 +460,8 @@ func TestSaturateCancelPollBoundsLatency(t *testing.T) {
 	}
 	apps := 0
 	countAndCancel := &Rule{
-		Name:  "count-and-cancel",
-		Reads: ReadsGraph(),
-		LHS:   PVar("x"),
+		Name: "count-and-cancel",
+		LHS:  PVar("x"),
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			apps++
 			cancel()

@@ -44,7 +44,7 @@ func TestScratchPoisonedAfterApply(t *testing.T) {
 	var kept []ClassID
 	var keptExprs []sym.Expr
 	var read []ClassID
-	keeper := &Rule{Name: "keeper", Reads: ReadsGraph(), LHS: &Pattern{Op: expr.OpTensor},
+	keeper := &Rule{Name: "keeper", LHS: &Pattern{Op: expr.OpTensor},
 		Apply: func(g *EGraph, m Match) []UnionPair {
 			if kept != nil {
 				read = append(read, kept[0])

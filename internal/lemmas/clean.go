@@ -42,9 +42,8 @@ func registerSumBasics(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "sum-flatten", Kind: KindClean, Complexity: 2, LOC: 22,
 		Rules: []*egraph.Rule{{
-			Name:  "sum-flatten",
-			Reads: egraph.ReadsBelow(1), // the kid classes' nodes
-			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
+			Name: "sum-flatten",
+			LHS:  egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				for i, k := range kids {
@@ -70,10 +69,7 @@ func registerSumOfConcats(r *Registry) {
 		Name: "sum-of-concats", Kind: KindClean, Complexity: 4, LOC: 38,
 		Rules: []*egraph.Rule{{
 			Name: "sum-of-concats",
-			// The kid classes' concat nodes, and the chunk classes those
-			// point at (their extents must align).
-			Reads: egraph.ReadsBelow(2),
-			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
+			LHS:  egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				// Row i of chunks is kid i's concat: width chunks along dim,
@@ -137,11 +133,7 @@ func registerConcatOfSlices(r *Registry) {
 		Name: "concat-of-slices", Kind: KindClean, Complexity: 3, LOC: 44,
 		Rules: []*egraph.Rule{{
 			Name: "concat-of-slices",
-			// The kid classes' slice nodes, and whether the classes they
-			// slice are one and the same.
-			Reads: egraph.ReadsBelow(2),
-			Kids:  egraph.EveryKid(expr.OpSlice),
-			LHS:   egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
+			LHS:  egraph.POpN(expr.OpConcat, []egraph.AttrPat{egraph.AVar("d")}, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				d := m.Subst.AttrOf("d")
 				kids := m.Subst.KidsOf("xs")
@@ -195,9 +187,8 @@ func registerSliceJoin(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "slice-tiling", Kind: KindClean, Complexity: 3, LOC: 58,
 		Rules: []*egraph.Rule{{
-			Name:  "slice-tiling",
-			Reads: egraph.ReadsConsumers(), // the slice nodes over x
-			LHS:   egraph.PVar("x"),
+			Name: "slice-tiling",
+			LHS:  egraph.PVar("x"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				// Most classes this rule is offered have no slice consumer
 				// at all, which the class's consumer bits answer without a

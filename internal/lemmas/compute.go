@@ -107,10 +107,8 @@ func registerScale(r *Registry) {
 	r.MustRegister(&Lemma{
 		Name: "sum-of-equal-scales", Kind: KindGeneral, Complexity: 3, LOC: 30,
 		Rules: []*egraph.Rule{{
-			Name:  "sum-of-equal-scales",
-			Reads: egraph.ReadsBelow(1), // the kid classes' scale nodes
-			Kids:  egraph.EveryKid(expr.OpScale),
-			LHS:   egraph.POpN(expr.OpSum, nil, "xs"),
+			Name: "sum-of-equal-scales",
+			LHS:  egraph.POpN(expr.OpSum, nil, "xs"),
 			Apply: func(g *egraph.EGraph, m egraph.Match) []egraph.UnionPair {
 				kids := m.Subst.KidsOf("xs")
 				var n, dn sym.Expr

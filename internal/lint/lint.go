@@ -4,9 +4,8 @@
 // counterpart to the runtime soundness fuzzing in
 // internal/lemmas/soundness_test.go. It has three layers:
 //
-//   - Lemmas: lint the rewrite-rule library — duplicate names, rules
-//     with no LHS, and read-footprint and kid-requirement declarations
-//     that disagree with the rule's LHS.
+//   - Lemmas: lint the rewrite-rule library — duplicate names and
+//     rules with no LHS.
 //   - Graph: lint a computation graph beyond Graph.Validate — dead
 //     nodes, unused tensors, duplicate labels, shape inconsistencies.
 //   - Source: a go/ast analysis over the engine's own source that
@@ -58,7 +57,7 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 
 // Diagnostic is one lint finding.
 type Diagnostic struct {
-	// Check is the stable check ID, e.g. "rule-footprint-shallow".
+	// Check is the stable check ID, e.g. "rule-duplicate-name".
 	Check string `json:"check"`
 	// Severity gates: SevError findings fail the verify gate.
 	Severity Severity `json:"severity"`
@@ -74,7 +73,7 @@ type Diagnostic struct {
 // String renders the finding in the single-line compiler-style form:
 //
 //	error: internal/egraph/x.go:12:2 [source-map-range-mutation] ...
-//	warning: my-rule [rule-reads-graph] ...
+//	warning: node "L0/attn" (matmul) [graph-dead-node] ...
 func (d Diagnostic) String() string {
 	head := d.Subject
 	if d.Pos != "" {

@@ -47,12 +47,10 @@ stage_race() {
     # ENTANGLE_CHECK_INVARIANTS makes every e-graph Rebuild finish with the
     # full structural audit, so the race section doubles as the
     # invariant-checked test mode (memo/class agreement, parent
-    # registration, count bookkeeping — see egraph.CheckInvariants). It
-    # also makes Saturate execute every match the indexed matcher's
-    # footprint gates withheld and panic unless it was a no-op — over
-    # core's goldens, the lemma suites, and below the whole zoo (bench)
-    # and the fuzz corpus. And it makes every Release assert that the
-    # graph it resets is observably empty, and AddNode/Lookup refuse a
+    # registration, count bookkeeping — see egraph.CheckInvariants) —
+    # over core's goldens, the lemma suites, and below the whole zoo
+    # (bench) and the fuzz corpus. It also makes every Release assert that
+    # the graph it resets is observably empty, and AddNode/Lookup refuse a
     # node copied out of an earlier graph life: egraph's recycled == fresh
     # differential (TestRecycledMatchesFresh*: the zoo, the fuzz corpus,
     # the golden models, once on a free list stocked with graphs that last
@@ -64,7 +62,6 @@ stage_race() {
     # core runs the prefetch-vs-inline-probe differential at workers 1/4
     # (TestPlanUnplannedByteIdentical), byte-identical cold and warm.
     timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 120s ./internal/core/...
-    # egraph runs the naive-vs-indexed matcher differential over the zoo.
     timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race -timeout 300s ./internal/egraph/...
     timed env ENTANGLE_CHECK_INVARIANTS=1 go test -race ./internal/relation/... ./internal/lemmas/... ./internal/faultinject/...
     timed go test -race ./internal/fingerprint/... ./internal/vcache/...
